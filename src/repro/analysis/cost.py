@@ -36,6 +36,7 @@ from repro.analysis.ir import PlanIR
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.model import LintContext
     from repro.formats.records import RecordSchema
+    from repro.ooc.chunked import ChunkedDataset
 
 #: sample size of the distinct-key probe behind group output estimates
 SAMPLE_ROWS = 4096
@@ -63,11 +64,12 @@ def schema_row_bytes(value: SchemaValue) -> Optional[int]:
     return sum(field_width(ftype) for _, ftype in value.fields)
 
 
-def estimate_input_rows(path: str, schema: "RecordSchema") -> Optional[int]:
-    """Exact record count of an existing input file, else ``None``.
+def _probe_input(path: Optional[str], schema: "RecordSchema") -> Optional["ChunkedDataset"]:
+    """A counting view of an existing input file, else ``None``.
 
     Binary files are offset arithmetic; text files cost one streaming pass
-    (the same pass :class:`ChunkedDataset` needs anyway for random access).
+    (the same pass :class:`ChunkedDataset` needs anyway for random access),
+    so callers that want both the count and a sample share one probe.
     """
     if not path or not os.path.isfile(path):
         return None
@@ -75,10 +77,30 @@ def estimate_input_rows(path: str, schema: "RecordSchema") -> Optional[int]:
         from repro.ooc.budget import MemoryBudget
         from repro.ooc.chunked import ChunkedDataset
 
-        ds = ChunkedDataset(path, schema, MemoryBudget(_COUNT_BUDGET))
-        return int(ds.num_records)
+        return ChunkedDataset(path, schema, MemoryBudget(_COUNT_BUDGET))
     except Exception:
         return None
+
+
+def _group_ratio(probe: Optional["ChunkedDataset"], key: Optional[str]) -> Optional[float]:
+    """Distinct-key fraction of ``probe``'s head sample (``None`` if unavailable)."""
+    if probe is None or not key or not probe.schema.has_field(key):
+        return None
+    n = min(SAMPLE_ROWS, probe.num_records)
+    if n == 0:
+        return None
+    try:
+        import numpy as np
+
+        return float(len(np.unique(probe.read_rows(0, n)[key])) / n)
+    except Exception:
+        return None
+
+
+def estimate_input_rows(path: str, schema: "RecordSchema") -> Optional[int]:
+    """Exact record count of an existing input file, else ``None``."""
+    probe = _probe_input(path, schema)
+    return None if probe is None else int(probe.num_records)
 
 
 def sample_group_ratio(
@@ -90,24 +112,7 @@ def sample_group_ratio(
     file or the key is unavailable (the estimate then conservatively keeps
     the input entry count).
     """
-    if not key or not path or not os.path.isfile(path):
-        return None
-    if not schema.has_field(key):
-        return None
-    try:
-        from repro.ooc.budget import MemoryBudget
-        from repro.ooc.chunked import ChunkedDataset
-
-        ds = ChunkedDataset(path, schema, MemoryBudget(_COUNT_BUDGET))
-        n = min(SAMPLE_ROWS, ds.num_records)
-        if n == 0:
-            return None
-        rows = ds.read_rows(0, n)
-        import numpy as np
-
-        return float(len(np.unique(rows[key])) / n)
-    except Exception:
-        return None
+    return _group_ratio(_probe_input(path, schema), key)
 
 
 @dataclass
@@ -199,11 +204,11 @@ def analyze_plan(ctx: "LintContext") -> Optional[AnalyzedPlan]:
 
     rows: Optional[float] = None
     measured = False
-    if input_path is not None and schema is not None:
-        counted = estimate_input_rows(input_path, schema)
-        if counted is not None:
-            rows = float(counted)
-            measured = True
+    # one probe (one scan of a text input) serves the count and the sample
+    probe = _probe_input(input_path, schema) if schema is not None else None
+    if probe is not None:
+        rows = float(probe.num_records)
+        measured = True
     if rows is None and ctx.assume_records is not None:
         rows = float(ctx.assume_records)
 
@@ -220,10 +225,8 @@ def analyze_plan(ctx: "LintContext") -> Optional[AnalyzedPlan]:
             extra += field_width(_addon_attr_type(addon.operator))
         if extra:
             addon_bytes[node.op_id] = extra
-        if group_ratio is None and input_path is not None and schema is not None:
-            group_ratio = sample_group_ratio(
-                input_path, schema, node.param_value("key", "keyId")
-            )
+        if group_ratio is None:
+            group_ratio = _group_ratio(probe, node.param_value("key", "keyId"))
     card_res = run_dataflow(
         ir,
         CardinalityAnalysis(

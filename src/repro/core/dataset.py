@@ -83,9 +83,7 @@ class Dataset:
         """A field column; for packed data, one value per group (taken from
         the group's first record — uniform for key and add-on fields)."""
         if self.packed is not None:
-            return np.array(
-                [rows[name][0] if len(rows) else 0 for _, rows in self.packed.groups]
-            )
+            return self.packed.column(name)
         return self.records[name]
 
     # -- layout changes -----------------------------------------------------------
@@ -112,13 +110,7 @@ class Dataset:
     def take(self, indices: Union[np.ndarray, Sequence[int]]) -> "Dataset":
         """Entry selection: records when flat, groups when packed."""
         if self.packed is not None:
-            groups = [self.packed.groups[int(i)] for i in indices]
-            return Dataset(
-                schema=self.schema,
-                packed=PackedRecords(
-                    schema=self.schema, key_field=self.packed.key_field, groups=groups
-                ),
-            )
+            return Dataset(schema=self.schema, packed=self.packed.take(indices))
         return Dataset(schema=self.schema, records=self.records[np.asarray(indices)])
 
     def rows(self) -> list[tuple]:

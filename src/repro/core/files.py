@@ -20,7 +20,7 @@ from repro.core.runtime import PartitionResult
 from repro.errors import WorkflowError
 from repro.formats.binary import write_partitions
 from repro.formats.records import RecordSchema
-from repro.formats.text import write_text
+from repro.formats.text import write_text_array
 
 PathLike = Union[str, os.PathLike]
 
@@ -116,7 +116,7 @@ def write_partition_files(
     paths = []
     for i, part in enumerate(flats):
         path = os.path.join(os.fspath(output_dir), f"part-{i:05d}")
-        write_text(path, [tuple(r) for r in part.records], part.schema)
+        write_text_array(path, part.records, part.schema)
         paths.append(path)
     return paths
 

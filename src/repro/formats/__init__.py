@@ -25,6 +25,7 @@ from repro.formats.text import (
     read_text,
     read_text_array,
     write_text,
+    write_text_array,
 )
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "read_text",
     "read_text_array",
     "write_text",
+    "write_text_array",
     "PackedRecords",
     "CSCBlock",
     "pack",

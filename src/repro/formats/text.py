@@ -2,12 +2,19 @@
 
 Each element is one line; fields are separated by the configured delimiters
 (``\\t`` between fields, ``\\n`` terminating the element, by default).
+
+The per-line codec (:func:`parse_line`, :func:`format_line`) handles every
+schema and owns every error message; the columnar one (:func:`read_text_array`,
+:func:`write_text_array`) moves whole files in a fixed number of calls and
+hands whatever it does not fully understand back to the per-line parser.
 """
 
 from __future__ import annotations
 
+import io
 import os
-from typing import Any, Iterator, Sequence, Union
+from itertools import chain
+from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +31,7 @@ def format_line(row: Sequence[Any], schema: RecordSchema) -> str:
     parts = []
     for value, delim in zip(row, delims):
         if isinstance(value, float):
-            parts.append(repr(value))
+            parts.append(repr(float(value)))  # numpy's float64 repr names its type
         else:
             parts.append(str(value))
         parts.append(delim)
@@ -114,10 +121,85 @@ def read_text(path: PathLike, schema: RecordSchema) -> list[tuple[Any, ...]]:
     return list(iter_text_records(path, schema))
 
 
+#: the bytes of plain decimal numbers and line ends; a file holding anything
+#: else besides its field delimiter is left to the per-line parser
+_PLAIN_NUMBER_BYTES = b"0123456789+-.eE\r\n"
+
+
+def takes_bulk_codec(schema: RecordSchema) -> bool:
+    """Whether files of ``schema`` are decoded in bulk.
+
+    True for text schemas whose fields are all numeric, separated by one
+    single-character delimiter and terminated by a newline.
+    """
+    delims = schema.effective_delimiters()
+    between = set(delims[:-1])
+    return (
+        schema.input_format == "text"
+        and all(f.type != "string" for f in schema.fields)
+        and delims[-1] == "\n"
+        and len(between) <= 1
+        and all(
+            len(d) == 1 and d.isascii() and d.encode() not in _PLAIN_NUMBER_BYTES
+            for d in between
+        )
+    )
+
+
+def _decode_bulk(data: bytes, schema: RecordSchema) -> Optional[np.ndarray]:
+    """``data`` through numpy's C tokenizer, or ``None`` to defer to ``parse_line``.
+
+    Only files of plain decimal numbers are attempted, because on those the
+    C parser and ``int()``/``float()`` accept the same tokens with the same
+    values; a wrong field count or a bad token fails here and is reported by
+    the per-line parser, which names the line, delimiter and field.
+    """
+    delims = schema.effective_delimiters()
+    delimiter = delims[0] if len(delims) > 1 else None
+    if data.translate(None, _PLAIN_NUMBER_BYTES + (delimiter or "").encode()):
+        return None
+    if data.count(b"\r") != data.count(b"\r\n"):
+        return None  # loadtxt ends a line at a bare \r, iter_text_lines does not
+    if not data.strip(b"\r\n"):
+        return np.empty(0, dtype=schema.dtype)
+    try:
+        return np.loadtxt(
+            io.BytesIO(data), dtype=schema.dtype, delimiter=delimiter,
+            comments=None, ndmin=1, encoding="latin1",
+        )
+    except ValueError:
+        return None
+
+
 def read_text_array(path: PathLike, schema: RecordSchema) -> np.ndarray:
     """Read a numeric text file straight into a structured array."""
-    rows = read_text(path, schema)
-    return schema.to_structured(rows)
+    if takes_bulk_codec(schema):
+        with open(path, "rb") as fh:
+            records = _decode_bulk(fh.read(), schema)
+        if records is not None:
+            return records
+    return schema.to_structured(read_text(path, schema))
+
+
+def format_records(records: np.ndarray, schema: RecordSchema) -> str:
+    """Every record's text line, concatenated: ``format_line`` done column-wise."""
+    delims = schema.effective_delimiters()
+    # numpy renders a float column in the shortest digits that round-trip its
+    # own width, as str() of its scalars and repr() of a Python float do
+    columns = [
+        (records[name].astype(str) if records.dtype[name].kind == "f" else records[name]).tolist()
+        for name in schema.field_names
+    ]
+    template = "".join("%s" + delim.replace("%", "%%") for delim in delims)
+    return (template * len(records)) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def write_text_array(path: PathLike, records: np.ndarray, schema: RecordSchema) -> None:
+    """Write a structured array as delimited text, encoded column-wise."""
+    if schema.input_format != "text":
+        raise FormatError(f"schema {schema.id!r} is not a text schema")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_records(records, schema))
 
 
 class _TextRecordReader(RecordReader):

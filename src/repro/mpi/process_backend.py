@@ -39,9 +39,10 @@ boundary — on failure the queue is drained best-effort so the accounting
 covers every rank that managed to report, and the raised error carries the
 summary as ``papar_transport``.  Cleanup discipline: workers never unlink;
 the spawner unlinks the union of the names ledger and a ``/dev/shm``
-prefix scan after the workers are gone (terminate, then ``kill()`` for
-anything that survives :data:`TERM_GRACE`), so neither a clean exit nor a
-crash leaks segments or child processes.
+prefix scan after the workers are gone (joined for :data:`EXIT_GRACE` when
+all reported success, then terminate, then ``kill()`` for anything that
+survives :data:`TERM_GRACE`), so neither a clean exit nor a crash leaks
+segments or child processes.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ from repro.mpi.supervisor import (
 
 #: seconds a worker blocks on its inbox before declaring the run stuck
 DEFAULT_COLLECT_TIMEOUT = 300.0
+#: seconds a worker that reported success gets to finish interpreter shutdown
+EXIT_GRACE = 1.0
 #: seconds a terminated worker gets to die before escalation to ``kill()``
 TERM_GRACE = 10.0
 #: seconds a killed worker gets to be reaped (SIGKILL cannot be ignored)
@@ -294,16 +297,25 @@ def _process_worker(
         pool.close()
 
 
-def _shutdown_gang(procs: Sequence[Any]) -> None:
+def _shutdown_gang(procs: Sequence[Any], exiting: bool = False) -> None:
     """Tear the gang down: terminate, join, escalate to ``kill()``.
 
     A worker that ignores SIGTERM (stuck in a signal-blind C call, or a
     test that installed ``SIG_IGN``) used to be leaked past the old
     ``join(10.0)``; now it gets :data:`TERM_GRACE` seconds to die politely
     before SIGKILL, which cannot be ignored.
+
+    ``exiting`` says every worker has reported success and is inside
+    interpreter shutdown, where a SIGTERM buys nothing but a
+    ``ShutdownRequested`` traceback on stderr: those get :data:`EXIT_GRACE`
+    seconds to leave on their own first.
     """
     import time as time_mod
 
+    if exiting:
+        deadline = time_mod.monotonic() + EXIT_GRACE
+        for p in procs:
+            p.join(timeout=max(0.0, deadline - time_mod.monotonic()))
     for p in procs:
         p.terminate()
     deadline = time_mod.monotonic() + TERM_GRACE
@@ -430,7 +442,7 @@ def run_mpi_processes(
                     except (queue_mod.Empty, OSError, ValueError):
                         pass
         finally:
-            _shutdown_gang(procs)
+            _shutdown_gang(procs, exiting=first_error is None and len(seen) == size)
             for exit_msg in _drain(result_queue):
                 try:
                     _absorb(exit_msg, decode=False)

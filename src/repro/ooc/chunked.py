@@ -36,39 +36,49 @@ PathLike = Union[str, os.PathLike]
 _TEXT_BUFFER = 1 << 16
 
 
+#: False at the bytes ``bytes.strip`` removes: a line of nothing else is blank
+_NOT_BLANK = np.ones(256, dtype=bool)
+_NOT_BLANK[list(b" \t\n\r\x0b\x0c")] = False
+
+
 def _scan_text_offsets(path: PathLike, stride: int) -> tuple[np.ndarray, int]:
     """One streaming pass: record count + byte offset of every stride-th record.
 
     Blank lines are skipped exactly as :func:`repro.formats.text.read_text`
-    skips them, so record indexes agree with the materialized dataset.
+    skips them, so record indexes agree with the materialized dataset.  Each
+    buffer is scanned with a fixed number of numpy calls; the unterminated
+    tail of a buffer is carried into the next one.
     """
-    offsets: list[int] = []
+    offsets: list[np.ndarray] = []
     num_records = 0
     file_pos = 0  # byte offset of the first unconsumed byte
-    buf = b""
+    tail = b""
     with open(path, "rb") as fh:
         while True:
             chunk = fh.read(_TEXT_BUFFER)
             if not chunk:
                 break
-            buf += chunk
-            start = 0
-            while True:
-                nl = buf.find(b"\n", start)
-                if nl < 0:
-                    break
-                if buf[start:nl].strip():
-                    if num_records % stride == 0:
-                        offsets.append(file_pos + start)
-                    num_records += 1
-                start = nl + 1
-            file_pos += start
-            buf = buf[start:]
-    if buf.strip():
+            buf = tail + chunk
+            data = np.frombuffer(buf, dtype=np.uint8)
+            ends = np.flatnonzero(data == 10)
+            if not len(ends):
+                tail = buf
+                continue
+            consumed = int(ends[-1]) + 1
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            # every line here holds at least its newline, so no segment is empty
+            records = starts[np.logical_or.reduceat(_NOT_BLANK[data[:consumed]], starts)]
+            offsets.append(file_pos + records[-num_records % stride :: stride])
+            num_records += len(records)
+            file_pos += consumed
+            tail = buf[consumed:]
+    if tail.strip():
         if num_records % stride == 0:
-            offsets.append(file_pos)
+            offsets.append(np.array([file_pos]))
         num_records += 1
-    return np.asarray(offsets, dtype=np.int64), num_records
+    if not offsets:
+        return np.empty(0, dtype=np.int64), num_records
+    return np.concatenate(offsets).astype(np.int64, copy=False), num_records
 
 
 class ChunkedDataset:

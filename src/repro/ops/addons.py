@@ -8,11 +8,21 @@ on every record of the group — e.g. the hybrid-cut workflow's
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.ops.base import AddOnOperator, register_addon
+
+
+def _segment_reduce(
+    ufunc: np.ufunc, records: np.ndarray, indptr: np.ndarray, field: Optional[str]
+) -> np.ndarray:
+    """``ufunc`` reduced over each group's ``field`` values (groups are non-empty)."""
+    column = records[field]
+    if column.dtype.kind == "i" and ufunc is np.add:
+        column = column.astype(np.int64)  # as ndarray.sum() accumulates, so no wrap
+    return ufunc.reduceat(column, indptr[:-1])
 
 
 @register_addon
@@ -23,8 +33,8 @@ class Count(AddOnOperator):
     attr_type = "long"
     needs_field = False
 
-    def compute_group(self, rows: np.ndarray, field: Optional[str]) -> Any:
-        return len(rows)
+    def compute_groups(self, records, indptr, field):
+        return np.diff(indptr)
 
 
 @register_addon
@@ -34,8 +44,8 @@ class Max(AddOnOperator):
     name = "max"
     attr_type = "double"
 
-    def compute_group(self, rows: np.ndarray, field: Optional[str]) -> Any:
-        return rows[field].max()
+    def compute_groups(self, records, indptr, field):
+        return _segment_reduce(np.maximum, records, indptr, field)
 
 
 @register_addon
@@ -45,8 +55,8 @@ class Min(AddOnOperator):
     name = "min"
     attr_type = "double"
 
-    def compute_group(self, rows: np.ndarray, field: Optional[str]) -> Any:
-        return rows[field].min()
+    def compute_groups(self, records, indptr, field):
+        return _segment_reduce(np.minimum, records, indptr, field)
 
 
 @register_addon
@@ -56,8 +66,10 @@ class Mean(AddOnOperator):
     name = "mean"
     attr_type = "double"
 
-    def compute_group(self, rows: np.ndarray, field: Optional[str]) -> Any:
-        return rows[field].mean()
+    def compute_groups(self, records, indptr, field):
+        sums = _segment_reduce(np.add, records, indptr, field)
+        # float32 sums divide in float32, as ndarray.mean() does; the rest in float64
+        return sums / np.diff(indptr).astype(np.result_type(sums.dtype, np.float32))
 
 
 @register_addon
@@ -67,5 +79,5 @@ class Sum(AddOnOperator):
     name = "sum"
     attr_type = "double"
 
-    def compute_group(self, rows: np.ndarray, field: Optional[str]) -> Any:
-        return rows[field].sum()
+    def compute_groups(self, records, indptr, field):
+        return _segment_reduce(np.add, records, indptr, field)

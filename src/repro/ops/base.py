@@ -50,7 +50,9 @@ class BasicOperator(Operator):
 class AddOnOperator(Operator):
     """Adds one attribute per record, computed over each key group.
 
-    Subclasses implement :meth:`compute_group`, the per-group aggregate.
+    User add-ons implement :meth:`compute_group`, the per-group aggregate;
+    the built-ins implement :meth:`compute_groups`, the same aggregate over
+    every group of a CSR-packed array at once.
     """
 
     #: dtype of the attribute the add-on appends
@@ -58,9 +60,23 @@ class AddOnOperator(Operator):
     #: whether the add-on needs a ``value`` field to aggregate (count does not)
     needs_field: ClassVar[bool] = True
 
-    @abc.abstractmethod
     def compute_group(self, rows: np.ndarray, field: Optional[str]) -> Any:
         """Aggregate one group's rows into the attribute value."""
+        raise NotImplementedError(
+            f"add-on {self.name!r} implements neither compute_group nor compute_groups"
+        )
+
+    def compute_groups(
+        self, records: np.ndarray, indptr: np.ndarray, field: Optional[str]
+    ) -> np.ndarray:
+        """One aggregate per group; group ``g`` is ``records[indptr[g]:indptr[g+1]]``.
+
+        This fallback calls :meth:`compute_group` once per group.
+        """
+        bounds = indptr.tolist()
+        return np.array(
+            [self.compute_group(records[lo:hi], field) for lo, hi in zip(bounds, bounds[1:])]
+        )
 
     def apply(
         self, packed: PackedRecords, attr: str, field: Optional[str] = None
@@ -73,15 +89,15 @@ class AddOnOperator(Operator):
                 f"add-on {self.name!r}: schema {packed.schema.id!r} has no field {field!r}"
             )
         new_schema = packed.schema.with_field(attr, self.attr_type)
-        new_groups = []
-        for key, rows in packed.groups:
-            value = self.compute_group(rows, field)
-            extended = np.empty(len(rows), dtype=new_schema.dtype)
-            for name in packed.schema.field_names:
-                extended[name] = rows[name]
-            extended[attr] = value
-            new_groups.append((key, extended))
-        return PackedRecords(schema=new_schema, key_field=packed.key_field, groups=new_groups)
+        extended = np.empty(packed.num_records, dtype=new_schema.dtype)
+        for name in packed.schema.field_names:
+            extended[name] = packed.records[name]
+        values = self.compute_groups(packed.records, packed.indptr, field)
+        extended[attr] = np.repeat(values, packed.counts)
+        return PackedRecords(
+            schema=new_schema, key_field=packed.key_field,
+            records=extended, indptr=packed.indptr,
+        )
 
 
 class FormatOperator(Operator):

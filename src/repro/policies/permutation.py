@@ -24,10 +24,14 @@ general case and reduces to ``L_m^n`` exactly when ``m | n``.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import PolicyError
+
+if TYPE_CHECKING:  # pragma: no cover - scipy is imported by the matrix builder only
+    import scipy.sparse as sp
 
 
 def stride_permutation_indices(n: int, m: int) -> np.ndarray:
@@ -50,6 +54,9 @@ def stride_permutation_indices(n: int, m: int) -> np.ndarray:
 
 def stride_permutation_matrix(n: int, m: int) -> sp.csr_matrix:
     """Explicit sparse permutation matrix ``P`` with ``y = P @ x``."""
+    # the use_matrix ablation is scipy's only caller on the CLI import path
+    import scipy.sparse as sp
+
     perm = stride_permutation_indices(n, m)
     data = np.ones(n, dtype=np.int8)
     rows = np.arange(n, dtype=np.int64)

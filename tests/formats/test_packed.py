@@ -53,7 +53,21 @@ class TestPack:
 
         rows = EDGE_WITH_DEGREE.to_structured([(2, 1, 4), (3, 9, 4)])
         with pytest.raises(FormatError, match="different key"):
-            PackedRecords(schema=EDGE_WITH_DEGREE, key_field="vertex_b", groups=[(1, rows)])
+            PackedRecords(
+                schema=EDGE_WITH_DEGREE, key_field="vertex_b", records=rows, indptr=[0, 2]
+            )
+
+    @pytest.mark.parametrize("indptr", [[], [1, 2], [0, 1], [0, 0, 2], [0, 2, 1, 2]])
+    def test_bad_offsets_rejected(self, indptr):
+        """Offsets rise strictly from 0 to the record count: no empty group,
+        because a group's key is read from its first record."""
+        from repro.formats.packed import PackedRecords
+
+        rows = EDGE_WITH_DEGREE.to_structured([(2, 1, 4), (3, 1, 4)])
+        with pytest.raises(FormatError, match="indptr"):
+            PackedRecords(
+                schema=EDGE_WITH_DEGREE, key_field="vertex_b", records=rows, indptr=indptr
+            )
 
 
 class TestUnpack:

@@ -1,6 +1,9 @@
 """Process-backed SPMD execution (true parallelism)."""
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -100,6 +103,43 @@ class TestProcessBackend:
 
         with pytest.raises(MPIError, match="cluster"):
             run_mpi_processes(_rank_id, 3, cluster=ClusterModel(num_nodes=1, ranks_per_node=2))
+
+
+QUIET_RUNS = textwrap.dedent(
+    """
+    import multiprocessing
+
+    import numpy as np
+
+    from repro.mpi.process_backend import run_mpi_processes
+    from repro.mpi.shm import scan_segments
+
+    def noop(comm):
+        return comm.rank
+
+    def shuffle(comm):
+        got = comm.alltoall([np.arange(5000) + comm.rank for _ in range(comm.size)])
+        return int(sum(c.sum() for c in got))
+
+    for prog in (noop, noop, noop, shuffle):
+        run = run_mpi_processes(prog, 2)
+        assert len(run.results) == 2
+        assert scan_segments(run.extra["transport"]["shm_prefix"]) == []
+    assert multiprocessing.active_children() == []
+    print("DONE")
+    """
+)
+
+
+def test_successful_runs_are_silent_and_leave_nothing_behind():
+    """Ranks that reported success are joined, not SIGTERMed mid-shutdown:
+    that race used to print a ShutdownRequested traceback per rank."""
+    proc = subprocess.run(
+        [sys.executable, "-c", QUIET_RUNS], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "DONE"
+    assert proc.stderr == ""
 
 
 def _numpy_shuffle_prog(comm):

@@ -127,6 +127,59 @@ class TestText:
         assert np.array_equal(view.materialize().records, full[33:73])
 
 
+def scan_line_by_line(path, stride):
+    """The per-line scan the vectorized one replaced, kept as its reference."""
+    offsets, num_records, pos = [], 0, 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.strip():
+                if num_records % stride == 0:
+                    offsets.append(pos)
+                num_records += 1
+            pos += len(line)
+    return offsets, num_records
+
+
+class TestTextOffsetScan:
+    #: blank, whitespace-only and CRLF lines, a long line, no final newline
+    HOSTILE = (
+        b"\n\n1\t2\n \t \n3\t4\r\n\r\n\x0b\x0c\n"
+        + b"5" * 40 + b"\t6\n7\t8\n\n9\t10"
+    )
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 100])
+    @pytest.mark.parametrize("buffer_size", list(range(1, 24)) + [64, 1 << 16])
+    def test_any_buffer_size_and_stride(self, tmp_path, monkeypatch, buffer_size, stride):
+        from repro.ooc import chunked
+
+        path = tmp_path / "hostile.txt"
+        path.write_bytes(self.HOSTILE)
+        monkeypatch.setattr(chunked, "_TEXT_BUFFER", buffer_size)
+        offsets, count = chunked._scan_text_offsets(path, stride)
+        want_offsets, want_count = scan_line_by_line(path, stride)
+        assert count == want_count == 5
+        assert offsets.dtype == np.int64
+        assert offsets.tolist() == want_offsets
+
+    @pytest.mark.parametrize("tail", [b"", b"\n", b"\n\n", b" \n", b"\r"])
+    def test_trailing_bytes(self, tmp_path, tail):
+        from repro.ooc.chunked import _scan_text_offsets
+
+        path = tmp_path / "tail.txt"
+        path.write_bytes(b"1\t2\n3\t4" + tail)
+        offsets, count = _scan_text_offsets(path, 1)
+        assert (offsets.tolist(), count) == scan_line_by_line(path, 1) == ([0, 4], 2)
+
+    def test_empty_and_blank_files(self, tmp_path):
+        from repro.ooc.chunked import _scan_text_offsets
+
+        for content in (b"", b"\n", b" \n\t\n\r\n"):
+            path = tmp_path / "blank.txt"
+            path.write_bytes(content)
+            offsets, count = _scan_text_offsets(path, 4)
+            assert offsets.tolist() == [] and count == 0
+
+
 class TestIterDatasetChunks:
     def test_in_memory_dataset_is_sliced(self, tmp_path):
         path = str(tmp_path / "blast.bin")

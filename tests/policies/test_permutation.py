@@ -1,5 +1,8 @@
 """Stride permutations L_m^{km} (Figure 6) — index form vs matrix form."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -153,3 +156,19 @@ class TestBlockAndCounts:
     def test_property_counts_max_imbalance_one(self, n, p):
         counts = partition_counts(n, p, "block")
         assert counts.max() - counts.min() <= 1
+
+
+def test_importing_the_cli_leaves_scipy_out():
+    """scipy.sparse serves the use_matrix ablation only; every CLI start-up
+    would pay ~0.15 s for it.  A fresh interpreter keeps the check immune
+    to whatever this session imported."""
+    probe = (
+        "import sys, repro.cli; "
+        "leaked = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "print('LEAKED: %s' % leaked[:5] if leaked else 'CLEAN')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "CLEAN", proc.stdout
