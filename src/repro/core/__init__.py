@@ -13,9 +13,20 @@ from repro.core.codegen import (
 )
 from repro.core.dataset import Dataset, concat
 from repro.core.framework import PaPar
-from repro.core.mr_runtime import MapReduceRuntime
 from repro.core.planner import PlannedJob, Planner, WorkflowPlan
 from repro.core.runtime import MPIRuntime, PartitionResult, SerialRuntime
+
+
+
+def __getattr__(name: str):
+    # MapReduceRuntime keeps its import path but loads on first use, so a
+    # serial / mpi run never imports the module (pinned by a test)
+    if name == "MapReduceRuntime":
+        from repro.core.mr_runtime import MapReduceRuntime
+
+        return MapReduceRuntime
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "PaPar",

@@ -14,6 +14,7 @@ Usage mirrors the paper's Figure 3 architecture::
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Any, Optional, Union
 
@@ -23,11 +24,19 @@ from repro.config.workflow import WorkflowSpec, load_workflow_config, parse_work
 from repro.core.codegen import compile_partitioner, generate_partitioner_source
 from repro.core.dataset import Dataset
 from repro.core.planner import Planner, WorkflowPlan
-from repro.core.runtime import MPIRuntime, PartitionResult, SerialRuntime
+from repro.core.runtime import PartitionResult, SerialRuntime
 from repro.errors import ConfigError, WorkflowError
 from repro.formats.binary import BinaryInputFormat, read_binary
 from repro.formats.records import RecordSchema
 from repro.formats.text import read_text_array
+
+#: where each SPMD backend's runtime class lives; imported on selection, so a
+#: backend never loads another's machinery (pinned by fresh-interpreter tests)
+_SPMD_RUNTIMES = {
+    "mpi": ("repro.core.runtime", "MPIRuntime"),
+    "mapreduce": ("repro.core.mr_runtime", "MapReduceRuntime"),
+    "process": ("repro.core.process_runtime", "ProcessRuntime"),
+}
 
 
 class PaPar:
@@ -388,13 +397,6 @@ class PaPar:
 
                 reattach_source = data
                 data = narrow_dataset(data, pruning.live)
-        ft = dict(
-            faults=faults,
-            checkpoint=checkpoint,
-            retry=retry,
-            chaos_seed=chaos_seed,
-            deadlock_grace=deadlock_grace,
-        )
         if backend == "serial":
             if faults is not None or checkpoint is not None or retry is not None:
                 raise WorkflowError(
@@ -404,24 +406,19 @@ class PaPar:
             result = SerialRuntime(
                 recorder=recorder, memory_budget=memory_budget
             ).execute(plan, data)
-        elif backend == "mpi":
-            result = MPIRuntime(
-                num_ranks=num_ranks, cluster=cluster, recorder=recorder,
-                memory_budget=memory_budget, **ft
-            ).execute(plan, data)
-        elif backend == "mapreduce":
-            from repro.core.mr_runtime import MapReduceRuntime
-
-            result = MapReduceRuntime(
-                num_ranks=num_ranks, cluster=cluster, recorder=recorder,
-                memory_budget=memory_budget, **ft
-            ).execute(plan, data)
-        elif backend == "process":
-            from repro.core.process_runtime import ProcessRuntime
-
-            result = ProcessRuntime(
-                num_ranks=num_ranks, cluster=cluster, recorder=recorder,
-                memory_budget=memory_budget, **ft
+        elif backend in _SPMD_RUNTIMES:
+            module, class_name = _SPMD_RUNTIMES[backend]
+            runtime_class = getattr(importlib.import_module(module), class_name)
+            result = runtime_class(
+                num_ranks=num_ranks,
+                cluster=cluster,
+                faults=faults,
+                checkpoint=checkpoint,
+                retry=retry,
+                chaos_seed=chaos_seed,
+                deadlock_grace=deadlock_grace,
+                recorder=recorder,
+                memory_budget=memory_budget,
             ).execute(plan, data)
         else:
             raise WorkflowError(

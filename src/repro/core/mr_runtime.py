@@ -1,390 +1,43 @@
-"""The MapReduce backend: workflows as literal map/shuffle/reduce jobs.
+"""The MapReduce backend: the SPMD plan executor under the MR-MPI mapping.
 
-Where :class:`~repro.core.runtime.MPIRuntime` implements each operator with
-raw MPI exchanges, this backend phrases every operator exactly as the
-paper's Figures 9 and 11 do — as an MR-MPI job with an explicit *temporary
-reduce-key*:
+The paper maps one formalization onto MPI and onto MR-MPI (Figures 9 and
+11).  Both mappings move the same entries through the same exchanges —
+sort and group as a sampled range shuffle, distribute with the partition id
+as the temporary reduce-key — so ``backend="mapreduce"`` runs the rank
+program of :class:`~repro.core.runtime.MPIRuntime` and overrides only what
+genuinely differs between the two:
 
-* **Sort** (Figure 9, job 1): mappers emit ``(sampled-range-key, record)``,
-  the shuffle routes by key range, reducers sort by the user key and strip
-  the reduce-key.
-* **Group** (Figure 11, job 1): mappers emit ``(group-key, record)``,
-  reducers group, run the add-ons (e.g. ``count`` -> ``indegree``) and
-  ``pack`` the output.
-* **Split** (Figure 11, job 2): a map-only job routing entries by the split
-  policy; no shuffle is needed because routing is local.
-* **Distribute** (Figures 9/11, last job): mappers compute each entry's
-  target partition from the permutation formalization and emit
-  ``(partition-id, entry)`` — "the reducer id is used as the reduce-key";
-  reducers strip the reduce-key and write their partition.
+* the **backend label** on the plan span;
+* the **reducer count** of a range exchange: a workflow may pin it
+  (Figure 8: ``num_reducers=3``); reducers map onto ranks contiguously, so
+  the output is the same for any count while the shuffle traffic is not;
+* the **cost profile**: an MR-MPI job pays the fixed per-job scheduling
+  overhead only — no separate sort / hash / stream kernel charges.
 
-The output partitions are bit-identical to the other two backends (tested),
-which is the point: the three backends are the paper's three mappings of one
-formalization.
+The literal MR-MPI primitives (``map`` → ``collate`` → ``reduce`` over
+key-value pairs, with combiners and custom partitioners) live in
+:class:`repro.mapreduce.MRMPIEngine`; that engine runs the
+:mod:`repro.mapreduce` jobs, not workflow plans.
+
+Partitions are bit-identical to the other backends (tested).  This module
+is imported only when ``backend="mapreduce"`` is selected or
+``repro.core.MapReduceRuntime`` is asked for (pinned by a fresh-interpreter
+test).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, Optional
-
-import numpy as np
-
-from repro.cluster.model import ClusterModel
-from repro.core.dataset import Dataset, concat
-from repro.core.planner import PlannedJob, WorkflowPlan
-from repro.core.runtime import (
-    PartitionResult,
-    RecoveringRuntimeMixin,
-    SerialRuntime,
-    _dataset_rows_per_rank,
-    policy_partition_ids,
-)
-from repro.errors import WorkflowError
-from repro.fault.checkpoint import CheckpointStore, job_key
-from repro.fault.retry import RetryPolicy
-from repro.mapreduce.columnar import PerfCounters, bucketize
-from repro.mapreduce.engine import MRMPIEngine
-from repro.mapreduce.partitioner import ExplicitPartitioner
-from repro.mapreduce.sampling import sample_key_ranges
-from repro.mpi import SUM
+from repro.core.planner import PlannedJob
+from repro.core.runtime import MPIRuntime
 from repro.mpi.comm import Communicator
-from repro.ops.distribute import Distribute
-from repro.ops.group import Group
-from repro.ops.sort import Sort
-from repro.ops.split import Split
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; obs stays a lazy import
-    from repro.obs.span import Recorder
 
 
-class MapReduceRuntime(RecoveringRuntimeMixin):
+class MapReduceRuntime(MPIRuntime):
     """Executes a workflow plan as a sequence of MR-MPI jobs."""
 
-    def __init__(
-        self,
-        num_ranks: int,
-        cluster: Optional[ClusterModel] = None,
-        sample_size: int = 512,
-        *,
-        faults: Any = None,
-        chaos_seed: int = 0,
-        checkpoint: Optional[CheckpointStore] = None,
-        retry: Optional[RetryPolicy] = None,
-        deadlock_grace: Optional[float] = None,
-        recorder: Optional["Recorder"] = None,
-        memory_budget: Any = None,
-    ) -> None:
-        if cluster is not None and cluster.size != num_ranks:
-            raise WorkflowError(
-                f"cluster model has {cluster.size} ranks, runtime asked for {num_ranks}"
-            )
-        self.num_ranks = num_ranks
-        self.cluster = cluster
-        self.sample_size = sample_size
-        self._init_fault_tolerance(faults, chaos_seed, checkpoint, retry, deadlock_grace)
-        self._init_observability(recorder)
-        self._init_ooc(memory_budget)
+    backend_name = "mapreduce"
+    charges_kernels = False
 
-    def execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
-        self._ooc_setup()
-        try:
-            return self._execute(plan, input_data)
-        finally:
-            self._ooc_teardown()
-
-    def _execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
-        if self.recorder is None:
-            run, perf_slots, fault_report = self._execute_spmd(plan, input_data)
-        else:
-            with self.recorder.span(
-                f"plan:{plan.workflow_id}",
-                category="plan",
-                attrs={"backend": "mapreduce", "ranks": self.num_ranks},
-            ) as root:
-                self._obs_root = root
-                try:
-                    run, perf_slots, fault_report = self._execute_spmd(plan, input_data)
-                finally:
-                    self._obs_root = None
-        merged: dict[int, Dataset] = {}
-        for rank_out in run.results:
-            merged.update(rank_out)
-        extra: dict[str, Any] = {"perf": PerfCounters.merge_ranks(perf_slots).summary()}
-        if fault_report is not None:
-            extra["fault"] = fault_report
-        self._finish_observability(extra, fault_report)
-        return PartitionResult(
-            partitions=[merged[p] for p in sorted(merged)],
-            elapsed=run.elapsed,
-            bytes_moved=run.bytes_moved,
-            messages=run.messages,
-            extra=extra,
-        )
-
-    # -- per-rank program ---------------------------------------------------
-
-    def _rank_program(
-        self,
-        comm: Communicator,
-        plan: WorkflowPlan,
-        input_data: Dataset,
-        perf_slots: list,
-        checkpoint: Optional[CheckpointStore] = None,
-        resume: int = 0,
-        fingerprint: str = "",
-        recorder: Optional["Recorder"] = None,
-        obs_root: Any = None,
-        ooc_spec: Any = None,
-    ) -> dict[int, Dataset]:
-        perf = PerfCounters()
-        comm.recorder = recorder
-        ctx = None
-        if ooc_spec is not None:
-            from repro.ooc.budget import MemoryBudget
-            from repro.ooc.spill import OOCContext
-
-            limit, spill_dir = ooc_spec
-            ctx = OOCContext(MemoryBudget(limit), spill_dir, rank=comm.rank)
-        engine = MRMPIEngine(comm, perf=perf, recorder=recorder)
-        engine.ooc = ctx
-        local: Any = _dataset_rows_per_rank(input_data, comm.rank, comm.size)
-        outputs: dict[str, Any] = {}
-        final: Any = None
-        for i, job in enumerate(plan.jobs):
-            if i < resume:
-                saved = checkpoint.load(job_key(fingerprint, i, job.op_id, comm.rank))
-                final = saved["output"]
-                outputs[job.op_id] = final
-                comm.clock.merge(saved["clock"])
-                if recorder is not None:
-                    recorder.instant(
-                        f"restored:{job.op_id}", category="checkpoint",
-                        rank=comm.rank, clock=comm.clock,
-                    )
-                continue
-            source = SerialRuntime._job_input(job, i, plan, outputs, local)
-            comm.check_fault(i, "before")
-            job_mark = ctx.manifest_mark() if ctx is not None else 0
-            span = (
-                recorder.span(
-                    job.op_id, category="job", rank=comm.rank, clock=comm.clock,
-                    parent=obs_root,
-                    attrs={"job_index": i, "operator": job.operator_name.lower()},
-                )
-                if recorder is not None
-                else nullcontext()
-            )
-            with perf.phase(job.operator_name.lower(), clock=comm.clock), span:
-                final = self._run_job(engine, job, source, ctx)
-            outputs[job.op_id] = final
-            comm.check_fault(i, "after")
-            if checkpoint is not None:
-                payload = {"output": final, "clock": comm.clock.now}
-                if ctx is not None:
-                    payload["ooc"] = {"manifests": ctx.manifests_since(job_mark)}
-                checkpoint.save(
-                    job_key(fingerprint, i, job.op_id, comm.rank), payload
-                )
-        if ctx is not None:
-            ctx.fold_into(perf)
-        perf_slots[comm.rank] = perf
-        if not isinstance(final, dict):
-            raise WorkflowError(
-                f"workflow {plan.workflow_id!r} must end with a Distribute job"
-            )
-        return final
-
-    def _run_job(
-        self, engine: MRMPIEngine, job: PlannedJob, source: Any, ctx: Any = None
-    ) -> Any:
-        if ctx is not None:
-            return self._run_job_ooc(engine, job, source, ctx)
-        op = job.operator
-        if isinstance(op, Sort):
-            return self._sort_job(engine, op, source, num_reducers=job.num_reducers)
-        if isinstance(op, Group):
-            return self._group_job(engine, op, source)
-        if isinstance(op, Split):
-            engine.charge_job_overhead()
-            return op.apply_local(source)
-        if isinstance(op, Distribute):
-            return self._distribute_job(engine, op, source)
-        return op.apply_local(source)
-
-    def _run_job_ooc(
-        self, engine: MRMPIEngine, job: PlannedJob, source: Any, ctx: Any
-    ) -> Any:
-        """Budget-aware twin of ``_run_job``: spills when the budget demands.
-
-        The in-memory job methods charge their own job overhead, so the
-        spilled paths pass ``charge_entry`` to charge it exactly once per
-        job either way.
-        """
-        from repro.ooc.exchange import (
-            ensure_dataset,
-            ooc_distribute_exchange,
-            ooc_group_exchange,
-            ooc_sort_exchange,
-        )
-
-        comm = engine.comm
-        op = job.operator
-        if isinstance(op, Sort):
-            return ooc_sort_exchange(
-                comm, op, source, engine.perf, ctx,
-                sample_size=self.sample_size,
-                reducers=job.num_reducers or comm.size,
-                fallback=lambda ds: self._sort_job(
-                    engine, op, ds, num_reducers=job.num_reducers
-                ),
-                charge_entry=engine.charge_job_overhead,
-            )
-        if isinstance(op, Group):
-            return ooc_group_exchange(
-                comm, op, source, engine.perf, ctx,
-                sample_size=self.sample_size,
-                fallback=lambda ds: self._group_job(engine, op, ds),
-                charge_entry=engine.charge_job_overhead,
-            )
-        if isinstance(op, Split):
-            engine.charge_job_overhead()
-            return op.apply_local(ensure_dataset(source))
-        if isinstance(op, Distribute):
-            # the in-memory streams inside the exchange never charge the
-            # overhead themselves, so charge it here exactly once
-            engine.charge_job_overhead()
-            reducer_part = ExplicitPartitioner(op.num_partitions)
-            return ooc_distribute_exchange(
-                comm, op, source, engine.perf, ctx,
-                dest_of=lambda p: reducer_part(p) % comm.size,
-                backend="MapReduce",
-            )
-        return op.apply_local(ensure_dataset(source))
-
-    # -- Sort as a MapReduce job (Figure 9, job 1) -----------------------------
-
-    def _sort_job(
-        self, engine: MRMPIEngine, op: Sort, data: Dataset, num_reducers: Optional[int] = None
-    ) -> Dataset:
-        engine.charge_job_overhead()
-        comm = engine.comm
-        keys = np.asarray(data.column(op.key))
-        sort_keys = keys if op.ascending else -keys
-        # the workflow may pin the reducer count (Figure 8: num_reducers=3);
-        # reducers map onto ranks contiguously so rank-major order stays
-        # globally sorted regardless of the reducer count
-        reducers = num_reducers or comm.size
-        boundaries = sample_key_ranges(
-            comm, sort_keys, num_reducers=reducers, sample_size=self.sample_size
-        )
-        # map: tag every entry with its sampled-range reduce-key and shuffle
-        reducer_of = np.searchsorted(np.asarray(boundaries), sort_keys, side="left")
-        owners = (reducer_of * comm.size) // reducers
-        chunks = self._exchange_chunks(comm, data, owners, engine.perf)
-        received = concat(chunks) if len(chunks) > 1 else chunks[0]
-        # reduce: sort by the user key, strip the temporary reduce-key
-        return op.apply_local(received)
-
-    # -- Group as a MapReduce job (Figure 11, job 1) ------------------------------
-
-    def _group_job(self, engine: MRMPIEngine, op: Group, data: Dataset) -> Dataset:
-        engine.charge_job_overhead()
-        comm = engine.comm
-        keys = np.asarray(data.column(op.key))
-        boundaries = sample_key_ranges(
-            comm, keys, num_reducers=comm.size, sample_size=self.sample_size
-        )
-        owners = np.searchsorted(np.asarray(boundaries), keys, side="left")
-        chunks = self._exchange_chunks(comm, data, owners, engine.perf)
-        received = concat(chunks) if len(chunks) > 1 else chunks[0]
-        return op.apply_local(received)
-
-    # -- Distribute as a MapReduce job (Figures 9/11, last job) --------------------
-
-    def _distribute_job(
-        self, engine: MRMPIEngine, op: Distribute, source: Any
-    ) -> dict[int, Dataset]:
-        engine.charge_job_overhead()
-        comm = engine.comm
-        streams = [source] if isinstance(source, Dataset) else list(source)
-        num_p = op.num_partitions
-        reducer_part = ExplicitPartitioner(num_p)
-        collected: dict[int, list[tuple[int, int, Dataset]]] = {}
-        for stream_idx, stream in enumerate(streams):
-            n_local = len(stream)
-            offset = comm.exscan(n_local, SUM, identity=0)
-            global_idx = np.arange(n_local, dtype=np.int64) + offset
-            owners_part = self._partition_ids(op, comm, global_idx, n_local)
-            # map: the partition id is the temporary reduce-key; one grouped
-            # take per non-empty partition (shared bucketize kernel)
-            outboxes: list[list[tuple[int, int, Any]]] = [[] for _ in range(comm.size)]
-            for p, idx in enumerate(bucketize(owners_part, num_p)):
-                if not len(idx):
-                    continue
-                chunk = stream.take(idx)
-                if engine.perf is not None:
-                    engine.perf.count_move(len(idx), chunk.nbytes)
-                dest_rank = reducer_part(p) % comm.size
-                outboxes[dest_rank].append((p, int(global_idx[idx[0]]), chunk))
-            if comm.recorder is not None:
-                with comm.recorder.span(
-                    "distribute-shuffle", category="shuffle",
-                    rank=comm.rank, clock=comm.clock,
-                    attrs={"stream": stream_idx, "records": n_local},
-                ):
-                    inboxes = comm.alltoall(outboxes)
-            else:
-                inboxes = comm.alltoall(outboxes)
-            for box in inboxes:
-                for p, first_idx, chunk in box:
-                    collected.setdefault(p, []).append((stream_idx, first_idx, chunk))
-        # reduce: strip the reduce-key, emit each owned partition
-        result: dict[int, Dataset] = {}
-        owned = range(comm.rank, num_p, comm.size)
-        if not owned:
-            return result
-        empty: Any = None
-        for p in owned:
-            chunks = collected.get(p)
-            if not chunks:
-                if empty is None:
-                    empty = streams[0].take(np.empty(0, dtype=np.int64)).to_flat()
-                result[p] = empty
-                continue
-            chunks.sort(key=lambda t: (t[0], t[1]))
-            flat = [c.to_flat() for _, _, c in chunks]
-            result[p] = concat(flat) if len(flat) > 1 else flat[0]
-        return result
-
-    def _partition_ids(
-        self, op: Distribute, comm: Communicator, global_idx: np.ndarray, n_local: int
-    ) -> np.ndarray:
-        total = comm.allreduce(n_local, SUM)
-        return policy_partition_ids(op, global_idx, total, backend="MapReduce")
-
-    # -- shuffle helper ------------------------------------------------------------
-
-    @staticmethod
-    def _exchange_chunks(
-        comm: Communicator,
-        data: Dataset,
-        owners: np.ndarray,
-        perf: Optional[PerfCounters] = None,
-    ) -> list[Dataset]:
-        outboxes = [data.take(idx) for idx in bucketize(owners, comm.size)]
-        nbytes = sum(b.nbytes for b in outboxes)
-        if perf is not None:
-            perf.count_move(len(owners), nbytes)
-        if comm.recorder is not None:
-            with comm.recorder.span(
-                "shuffle", category="shuffle", rank=comm.rank, clock=comm.clock,
-                attrs={"records": len(owners), "nbytes": nbytes},
-            ):
-                inboxes = comm.alltoall(outboxes)
-        else:
-            inboxes = comm.alltoall(outboxes)
-        flats = [b.to_flat() for b in inboxes if len(b)]
-        if not flats:
-            return [data.take(np.empty(0, dtype=np.int64)).to_flat()]
-        return flats
+    def _reducers(self, job: PlannedJob, comm: Communicator) -> int:
+        """The workflow's pinned reducer count, else one reducer per rank."""
+        return job.num_reducers or comm.size

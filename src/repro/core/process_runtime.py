@@ -51,40 +51,14 @@ from repro.core.dataset import Dataset
 from repro.core.planner import WorkflowPlan
 from repro.core.runtime import MPIRuntime, PartitionResult
 from repro.errors import ConfigError
-from repro.mpi.comm import Communicator
 from repro.mpi.launcher import MPIRun
-
-
-def _rank_main(
-    comm: Communicator,
-    runtime: "ProcessRuntime",
-    plan: WorkflowPlan,
-    input_data: Dataset,
-    ooc_spec: Any = None,
-    checkpoint: Any = None,
-    resume: int = 0,
-    fingerprint: str = "",
-) -> tuple[dict, Any]:
-    """Worker entry point: run the rank program, return (final, perf).
-
-    The thread launcher shares one ``perf_slots`` list across ranks; a
-    process cannot, so each worker returns its own counter alongside the
-    partition dict and the spawner reassembles the slots.  The checkpoint
-    store crosses the fork boundary by value — that is sound only for
-    ``process_safe`` stores (disk-backed), which the runtime enforces.
-    """
-    slots: list = [None] * comm.size
-    final = runtime._rank_program(
-        comm, plan, input_data, slots, ooc_spec=ooc_spec,
-        checkpoint=checkpoint, resume=resume, fingerprint=fingerprint,
-    )
-    return final, slots[comm.rank]
 
 
 class ProcessRuntime(MPIRuntime):
     """SPMD execution with ranks as OS processes (zero-copy shm shuffle)."""
 
     backend_name = "process"
+    wall_clock_recovery = True
 
     def __init__(
         self,
@@ -132,71 +106,48 @@ class ProcessRuntime(MPIRuntime):
         self.hang_timeout = hang_timeout
         self._transport: Optional[dict[str, Any]] = None
 
-    def _execute_spmd(
-        self, plan: WorkflowPlan, input_data: Dataset
-    ) -> tuple[MPIRun, list, Optional[dict[str, Any]]]:
+    def _launch(
+        self,
+        plan: WorkflowPlan,
+        input_data: Dataset,
+        rank_kwargs: dict[str, Any],
+        fault_injector: Any = None,
+        start_time: float = 0.0,
+    ) -> MPIRun:
+        """One gang of forked ranks running the shared rank program.
+
+        A failed gang is torn down here (shm sweep included) before the
+        recovery loop sleeps and retries; forked workers read and write the
+        disk checkpoint store directly.  ``fault_injector`` is always
+        ``None`` (rejected up front) and the backoff is slept by the
+        recovery loop, so ``start_time`` stays zero.
+        """
         from repro.mpi.process_backend import run_mpi_processes
 
-        worker_kwargs: dict[str, Any] = {}
-        if self._spill_dir is not None:
-            worker_kwargs["ooc_spec"] = (self._ooc_limit, self._spill_dir)
+        # a recorder cannot cross the fork boundary back to the driver:
+        # the driver keeps the plan span, workers record nothing
+        worker_kwargs = {
+            k: v for k, v in rank_kwargs.items() if k not in ("recorder", "obs_root")
+        }
         launch_kwargs: dict[str, Any] = {}
         if self.deadlock_grace is not None:
             launch_kwargs["collect_timeout"] = self.deadlock_grace
         if self.hang_timeout is not None:
             launch_kwargs["hang_timeout"] = self.hang_timeout
-
-        def launch(extra: dict[str, Any]) -> MPIRun:
-            return run_mpi_processes(
-                _rank_main,
-                self.num_ranks,
-                cluster=self.cluster,
-                args=(self, plan, input_data),
-                kwargs={**worker_kwargs, **extra} or None,
-                timeout=self.timeout,
-                **launch_kwargs,
-            )
-
-        if not self.fault_tolerant:
-            run = launch({})
-            report = None
-        else:
-            from repro.fault.checkpoint import plan_fingerprint
-            from repro.fault.runner import execute_with_recovery
-
-            fingerprint = plan_fingerprint(plan, input_data, self.num_ranks)
-
-            def attempt(resume: int, _start_time: float) -> MPIRun:
-                # forked workers read/write the disk store directly; the
-                # spawner-side `launch` tears a failed gang down (shm sweep
-                # included) before the recovery loop sleeps and retries
-                return launch(
-                    {
-                        "checkpoint": self.checkpoint,
-                        "resume": resume,
-                        "fingerprint": fingerprint,
-                    }
-                )
-
-            run, report = execute_with_recovery(
-                attempt,
-                plan=plan,
-                fingerprint=fingerprint,
-                size=self.num_ranks,
-                store=self.checkpoint,
-                retry=self.retry,
-                seed=self.chaos_seed,
-                recorder=self.recorder,
-                wall_clock=True,
-            )
-        finals = [final for final, _perf in run.results]
-        perf_slots = [perf for _final, perf in run.results]
-        run.results = finals
+        run = run_mpi_processes(
+            self._rank_program,
+            self.num_ranks,
+            cluster=self.cluster,
+            args=(plan, input_data),
+            kwargs=worker_kwargs,
+            timeout=self.timeout,
+            **launch_kwargs,
+        )
         self._transport = run.extra.get("transport")
-        return run, perf_slots, report
+        return run
 
-    def _execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
-        result = super()._execute(plan, input_data)
+    def execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
+        result = super().execute(plan, input_data)
         transport = self._transport
         if transport is not None:
             result.extra["perf"]["transport"] = transport

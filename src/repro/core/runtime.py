@@ -1,33 +1,42 @@
 """Workflow execution backends.
 
-Two backends run the same :class:`~repro.core.planner.WorkflowPlan`:
+Two executors run the same :class:`~repro.core.planner.WorkflowPlan`:
 
 * :class:`SerialRuntime` — single-process reference execution: each job's
   kernel is applied to the whole dataset.  Used for correctness baselines
   and by generated single-node partitioners.
-* :class:`MPIRuntime` — SPMD execution on the simulated MPI runtime,
-  mirroring the paper's MR-MPI mapping: sort jobs sample + range-shuffle +
-  local-sort (Figure 9), group jobs hash-shuffle + local-group (Figure 11),
-  distribute jobs compute global entry positions with an exclusive scan and
-  shuffle entries to their partition owners.
+* :class:`MPIRuntime` — the SPMD plan executor.  One rank program serves
+  the ``mpi``, ``mapreduce`` and ``process`` backends, mirroring the paper's
+  mapping of the formalization onto MPI / MR-MPI: sort and group jobs are
+  one *range exchange* (sample + range-shuffle + local kernel, Figures 9
+  and 11), distribute jobs compute global entry positions with an exclusive
+  scan and shuffle entries to their partition owners.  What differs between
+  the backends is data on a subclass — the backend label, the reducer count,
+  the cost profile (:class:`~repro.core.mr_runtime.MapReduceRuntime`) and the
+  launcher (:class:`~repro.core.process_runtime.ProcessRuntime`).
 
-Both backends produce identical partitions (tested); the MPI backend
-additionally reports simulated time and shuffle volume when a cluster model
-is attached.
-
-Shuffle owner bucketization is shared with the MapReduce backend through
+Every backend produces identical partitions (tested); the SPMD backends
+additionally report simulated time and shuffle volume when a cluster model
+is attached.  Shuffle owner bucketization goes through
 :func:`repro.mapreduce.columnar.bucketize` — one stable argsort instead of a
 per-destination ``flatnonzero`` scan — and every backend threads a
 :class:`~repro.mapreduce.columnar.PerfCounters` through
 ``PartitionResult.extra["perf"]`` (``python -m repro run --stats``).
+
+Out-of-core (see :mod:`repro.ooc`): with a ``memory_budget`` each exchange
+asks one collective question — does any rank's working set exceed the
+budget? — and then moves either ``Dataset`` chunks through ``alltoall`` or
+run files through :mod:`repro.ooc.exchange`.  Both strategies feed the same
+local kernels and the same partition assembly.  Without a budget
+``repro.ooc`` is never imported.
 
 Fault tolerance (see :mod:`repro.fault`): the SPMD backends accept a fault
 schedule, a checkpoint store, and a retry policy.  Failed attempts (injected
 crashes, lost/corrupted messages, deadlocks) are retried with virtual-time
 backoff, resuming from the last job every rank checkpointed; the recovery
 report lands in ``PartitionResult.extra["fault"]``.  Without any of those
-arguments the execution path is byte-for-byte the old one — a fault-free run
-pays nothing.
+arguments the execution path is byte-for-byte the plain one — a fault-free
+run pays nothing.
 
 Observability (see :mod:`repro.obs`): every backend accepts a ``recorder``.
 When one is attached the run is recorded as a span tree (plan → per-rank
@@ -41,7 +50,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
@@ -61,7 +70,7 @@ from repro.mpi.comm import Communicator
 from repro.mpi.launcher import MPIRun
 from repro.ops.distribute import Distribute
 from repro.ops.group import Group
-from repro.ops.sort import Sort
+from repro.ops.sort import Sort, sort_key_array
 from repro.ops.split import Split
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; obs stays a lazy import
@@ -114,15 +123,25 @@ def _dataset_rows_per_rank(data: Dataset, rank: int, size: int) -> Dataset:
     return data.take(np.arange(start, start + length))
 
 
+def _resident(source: Any) -> Any:
+    """``source`` as in-memory data: an out-of-core view is materialized.
+
+    Duck-typed like :func:`_dataset_rows_per_rank`; in-memory datasets and
+    lists of split outputs pass through.
+    """
+    materialize = getattr(source, "materialize", None)
+    return source if materialize is None else materialize()
+
+
 def policy_partition_ids(
-    op: Distribute, global_idx: np.ndarray, total: int, backend: str = "MPI"
+    op: Distribute, global_idx: np.ndarray, total: int, backend: str = "SPMD"
 ) -> np.ndarray:
     """Each entry's target partition under the distribution policy.
 
     Pure function of the global entry positions and the global entry count
-    (the permutation formalization of Section III-C) — shared by both SPMD
-    runtimes and the out-of-core exchange, which must compute it chunk at a
-    time without re-running the count collective.
+    (the permutation formalization of Section III-C) — shared by the SPMD
+    executor, the out-of-core exchange (which must compute it chunk at a
+    time without re-running the count collective) and the serve routers.
     """
     policy = op.policy.name
     if policy in ("cyclic", "graphVertexCut"):
@@ -134,6 +153,27 @@ def policy_partition_ids(
         )
         return np.searchsorted(np.cumsum(sizes), global_idx, side="right")
     raise WorkflowError(f"{backend} runtime does not know policy {policy!r}")
+
+
+def job_input(
+    job: PlannedJob,
+    index: int,
+    plan: WorkflowPlan,
+    outputs: dict[str, Any],
+    input_data: Dataset,
+) -> Any:
+    """What ``job`` consumes: the input, or (selected outputs of) its source job."""
+    if job.source is None:
+        if index != 0 and outputs:
+            # fall back to chaining from the previous job
+            prev = plan.jobs[index - 1].op_id
+            return outputs[prev]
+        return input_data
+    val = outputs[job.source]
+    if isinstance(val, list) and job.source_outputs:
+        picked = [val[i] for i in job.source_outputs]
+        return picked if len(picked) > 1 else picked[0]
+    return val
 
 
 class SerialRuntime:
@@ -170,7 +210,7 @@ class SerialRuntime:
                 else nullcontext()
             ) as root:
                 for i, job in enumerate(plan.jobs):
-                    source = self._job_input(job, i, plan, outputs, input_data)
+                    source = job_input(job, i, plan, outputs, input_data)
                     span = (
                         rec.span(job.op_id, category="job", rank=0, parent=root,
                                  attrs={"job_index": i,
@@ -206,10 +246,6 @@ class SerialRuntime:
     @staticmethod
     def _apply_ooc(op: Any, source: Any, ctx: Any) -> Any:
         """Run one operator under a budget: external sort when it must spill."""
-        from repro.ooc.chunked import iter_dataset_chunks
-        from repro.ooc.exchange import ensure_dataset
-        from repro.ooc.extsort import ExternalSorter, sort_key_array
-
         spillable = (
             isinstance(op, Sort)
             and op.addon is None
@@ -217,189 +253,47 @@ class SerialRuntime:
             and ctx.should_spill(source.nbytes)
         )
         if not spillable:
-            return op.apply_local(ensure_dataset(source))
+            return op.apply_local(_resident(source))
+        from repro.ooc.chunked import iter_dataset_chunks
+        from repro.ooc.extsort import external_sort_records
+
         schema = source.schema
-        key_dtype = sort_key_array(
-            np.empty(0, dtype=schema.dtype[op.key]), op.ascending
-        ).dtype
-        sorter = ExternalSorter(
-            ctx, schema.dtype, key_dtype=key_dtype, max_fanin=ctx.max_fanin
+        chunks = iter_dataset_chunks(source, ctx.chunk_records(schema.itemsize))
+        records = external_sort_records(
+            (chunk.records for chunk in chunks), op.key, op.ascending, ctx, schema.dtype
         )
-        for chunk in iter_dataset_chunks(source, ctx.chunk_records(schema.itemsize)):
-            sorter.add_chunk(
-                sort_key_array(chunk.records[op.key], op.ascending), chunk.records
-            )
-        return Dataset(schema=schema, records=sorter.sorted_values())
-
-    @staticmethod
-    def _job_input(
-        job: PlannedJob,
-        index: int,
-        plan: WorkflowPlan,
-        outputs: dict[str, Any],
-        input_data: Dataset,
-    ) -> Any:
-        if job.source is None:
-            if index != 0 and outputs:
-                # fall back to chaining from the previous job
-                prev = plan.jobs[index - 1].op_id
-                return outputs[prev]
-            return input_data
-        val = outputs[job.source]
-        if isinstance(val, list) and job.source_outputs:
-            picked = [val[i] for i in job.source_outputs]
-            return picked if len(picked) > 1 else picked[0]
-        return val
+        return Dataset(schema=schema, records=records)
 
 
-class RecoveringRuntimeMixin:
-    """Shared fault-tolerance plumbing for the SPMD runtimes.
+def _alltoall(
+    comm: Communicator, outboxes: list, span_name: str, attrs: dict[str, Any]
+) -> list:
+    """The exchange collective, inside a shuffle span when a recorder is attached."""
+    if comm.recorder is None:
+        return comm.alltoall(outboxes)
+    with comm.recorder.span(
+        span_name, category="shuffle", rank=comm.rank, clock=comm.clock, attrs=attrs
+    ):
+        return comm.alltoall(outboxes)
 
-    Subclasses provide ``num_ranks``, ``cluster`` and a ``_rank_program``
-    accepting ``(comm, plan, input_data, perf_slots, checkpoint=, resume=,
-    fingerprint=)``; this mixin owns the retry/resume loop around
-    :func:`repro.mpi.run_mpi` and keeps the fault-free path identical to a
-    runtime without any fault-tolerance configuration.
+
+class MPIRuntime:
+    """SPMD execution of a plan: the rank program every parallel backend runs.
+
+    ``mpi`` runs it on the simulated MPI runtime's rank threads; subclasses
+    change only what the class attributes and the two hooks below expose —
+    :meth:`_reducers` and the cost profile for ``mapreduce``, :meth:`_launch`
+    for ``process``.
     """
 
-    def _init_fault_tolerance(
-        self,
-        faults: Any = None,
-        chaos_seed: int = 0,
-        checkpoint: Optional[CheckpointStore] = None,
-        retry: Optional[RetryPolicy] = None,
-        deadlock_grace: Optional[float] = None,
-    ) -> None:
-        #: normalized fault schedule (``None`` when no faults were configured)
-        self.faults = FaultSchedule.coerce(faults)
-        self.chaos_seed = chaos_seed
-        self.checkpoint = checkpoint
-        self.retry = retry
-        self.deadlock_grace = deadlock_grace
-
-    def _init_observability(self, recorder: Optional["Recorder"]) -> None:
-        #: optional span/metrics recorder threaded through every rank thread
-        self.recorder = recorder
-        #: open root-span handle while :meth:`execute` is running
-        self._obs_root: Any = None
-
-    def _init_ooc(self, memory_budget: Any) -> None:
-        #: raw memory-budget spec ("64MB" / bytes / MemoryBudget / None);
-        #: parsed lazily so repro.ooc is never imported when it is None
-        self.memory_budget = memory_budget
-        self._ooc_limit: Optional[int] = None
-        self._spill_dir: Optional[str] = None
-
-    def _ooc_setup(self) -> None:
-        """Parse the budget and create the run-file directory (budgeted runs)."""
-        if self.memory_budget is None:
-            return
-        import tempfile
-
-        from repro.ooc.budget import MemoryBudget
-
-        self._ooc_limit = MemoryBudget.coerce(self.memory_budget).limit
-        self._spill_dir = tempfile.mkdtemp(prefix="papar-spill-")
-
-    def _ooc_teardown(self) -> None:
-        """Remove the spill directory (run files are execution-scoped)."""
-        if self._spill_dir is None:
-            return
-        import shutil
-
-        shutil.rmtree(self._spill_dir, ignore_errors=True)
-        self._spill_dir = None
-
-    @property
-    def fault_tolerant(self) -> bool:
-        """True when any fault-tolerance feature was configured."""
-        return (
-            bool(self.faults) or self.checkpoint is not None or self.retry is not None
-        )
-
-    def _execute_spmd(
-        self, plan: WorkflowPlan, input_data: Dataset
-    ) -> tuple[MPIRun, list, Optional[dict[str, Any]]]:
-        """Run the rank program (with recovery when configured).
-
-        Returns ``(run, perf_slots, fault_report)``; the report is ``None``
-        for a plain run.
-        """
-        rank_program: Callable = self._rank_program  # type: ignore[attr-defined]
-        obs_kwargs: dict[str, Any] = {}
-        if self.recorder is not None:
-            obs_kwargs = {"recorder": self.recorder, "obs_root": self._obs_root}
-        if getattr(self, "_spill_dir", None) is not None:
-            obs_kwargs["ooc_spec"] = (self._ooc_limit, self._spill_dir)
-        if not self.fault_tolerant:
-            perf_slots: list[Optional[PerfCounters]] = [None] * self.num_ranks
-            run = run_mpi(
-                rank_program,
-                self.num_ranks,
-                cluster=self.cluster,
-                args=(plan, input_data, perf_slots),
-                kwargs=obs_kwargs or None,
-                deadlock_grace=self.deadlock_grace,
-            )
-            return run, perf_slots, None
-        injector = (
-            FaultInjector(self.faults, seed=self.chaos_seed) if self.faults else None
-        )
-        fingerprint = plan_fingerprint(plan, input_data, self.num_ranks)
-        live_slots: list = []
-
-        def attempt(resume: int, start_time: float) -> MPIRun:
-            slots: list[Optional[PerfCounters]] = [None] * self.num_ranks
-            live_slots[:] = [slots]
-            return run_mpi(
-                rank_program,
-                self.num_ranks,
-                cluster=self.cluster,
-                args=(plan, input_data, slots),
-                kwargs={
-                    "checkpoint": self.checkpoint,
-                    "resume": resume,
-                    "fingerprint": fingerprint,
-                    **obs_kwargs,
-                },
-                fault_injector=injector,
-                deadlock_grace=self.deadlock_grace,
-                start_time=start_time,
-            )
-
-        run, report = execute_with_recovery(
-            attempt,
-            plan=plan,
-            fingerprint=fingerprint,
-            size=self.num_ranks,
-            store=self.checkpoint,
-            retry=self.retry,
-            injector=injector,
-            seed=self.chaos_seed,
-            recorder=self.recorder,
-        )
-        return run, live_slots[0], report
-
-    def _finish_observability(
-        self,
-        extra: dict[str, Any],
-        fault_report: Optional[dict[str, Any]],
-    ) -> None:
-        """Fold the run's perf/fault streams into the recorder (when attached)."""
-        if self.recorder is None:
-            return
-        from repro.obs.adapters import record_fault_report, record_perf
-
-        record_perf(self.recorder, extra.get("perf"))
-        record_fault_report(self.recorder, fault_report)
-        extra["obs"] = self.recorder
-
-
-class MPIRuntime(RecoveringRuntimeMixin):
-    """SPMD execution of a plan on the simulated MPI runtime."""
-
-    #: backend label recorded on the plan span (subclasses override)
+    #: backend label recorded on the plan span
     backend_name = "mpi"
+    #: whether local kernels charge the cost model's sort / hash / stream
+    #: time on top of the fixed per-job overhead every backend pays
+    charges_kernels = True
+    #: whether retry backoff is slept for real instead of charged to the
+    #: virtual clock (true when ranks are real processes that really die)
+    wall_clock_recovery = False
 
     def __init__(
         self,
@@ -422,50 +316,142 @@ class MPIRuntime(RecoveringRuntimeMixin):
         self.num_ranks = num_ranks
         self.cluster = cluster
         self.sample_size = sample_size
-        self._init_fault_tolerance(faults, chaos_seed, checkpoint, retry, deadlock_grace)
-        self._init_observability(recorder)
-        self._init_ooc(memory_budget)
+        #: normalized fault schedule (``None`` when no faults were configured)
+        self.faults = FaultSchedule.coerce(faults)
+        self.chaos_seed = chaos_seed
+        self.checkpoint = checkpoint
+        self.retry = retry
+        self.deadlock_grace = deadlock_grace
+        #: optional span/metrics recorder threaded through every rank thread
+        self.recorder = recorder
+        #: raw memory-budget spec ("64MB" / bytes / MemoryBudget / None);
+        #: parsed lazily so repro.ooc is never imported when it is None
+        self.memory_budget = memory_budget
 
-    # -- public API ---------------------------------------------------------
+    @property
+    def fault_tolerant(self) -> bool:
+        """True when any fault-tolerance feature was configured."""
+        return (
+            bool(self.faults) or self.checkpoint is not None or self.retry is not None
+        )
+
+    # -- driver side ----------------------------------------------------------
 
     def execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
-        self._ooc_setup()
-        try:
-            return self._execute(plan, input_data)
-        finally:
-            self._ooc_teardown()
+        rank_kwargs: dict[str, Any] = {}
+        spill_dir: Optional[str] = None
+        if self.memory_budget is not None:
+            import tempfile
 
-    def _execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
-        # one perf-counter slot per rank, merged after the run (rank threads
-        # write disjoint slots, so no locking is needed)
-        if self.recorder is None:
-            run, perf_slots, fault_report = self._execute_spmd(plan, input_data)
-        else:
-            with self.recorder.span(
+            from repro.ooc.budget import MemoryBudget
+
+            # run files are execution-scoped: every rank spills into one
+            # directory the driver removes on the way out
+            spill_dir = tempfile.mkdtemp(prefix="papar-spill-")
+            limit = MemoryBudget.coerce(self.memory_budget).limit
+            rank_kwargs["ooc_spec"] = (limit, spill_dir)
+        plan_span = (
+            self.recorder.span(
                 f"plan:{plan.workflow_id}",
                 category="plan",
                 attrs={"backend": self.backend_name, "ranks": self.num_ranks},
-            ) as root:
-                self._obs_root = root
-                try:
-                    run, perf_slots, fault_report = self._execute_spmd(plan, input_data)
-                finally:
-                    self._obs_root = None
-        # each rank returns {partition_id: Dataset}; merge in partition order
+            )
+            if self.recorder is not None
+            else nullcontext()
+        )
+        try:
+            with plan_span as root:
+                if self.recorder is not None:
+                    rank_kwargs.update(recorder=self.recorder, obs_root=root)
+                run, fault_report = self._execute_spmd(plan, input_data, rank_kwargs)
+        finally:
+            if spill_dir is not None:
+                import shutil
+
+                shutil.rmtree(spill_dir, ignore_errors=True)
+        # each rank returns ({partition_id: Dataset}, its perf counters);
+        # merge the partitions in partition order
         merged: dict[int, Dataset] = {}
-        for rank_out in run.results:
+        for rank_out, _perf in run.results:
             merged.update(rank_out)
-        partitions = [merged[p] for p in sorted(merged)]
-        extra: dict[str, Any] = {"perf": PerfCounters.merge_ranks(perf_slots).summary()}
+        perf = PerfCounters.merge_ranks([perf for _out, perf in run.results])
+        extra: dict[str, Any] = {"perf": perf.summary()}
         if fault_report is not None:
             extra["fault"] = fault_report
-        self._finish_observability(extra, fault_report)
+        if self.recorder is not None:
+            from repro.obs.adapters import record_fault_report, record_perf
+
+            record_perf(self.recorder, extra["perf"])
+            record_fault_report(self.recorder, fault_report)
+            extra["obs"] = self.recorder
         return PartitionResult(
-            partitions=partitions,
+            partitions=[merged[p] for p in sorted(merged)],
             elapsed=run.elapsed,
             bytes_moved=run.bytes_moved,
             messages=run.messages,
             extra=extra,
+        )
+
+    def _execute_spmd(
+        self, plan: WorkflowPlan, input_data: Dataset, rank_kwargs: dict[str, Any]
+    ) -> tuple[MPIRun, Optional[dict[str, Any]]]:
+        """Launch the rank program, under the recovery loop when configured.
+
+        Returns ``(run, fault_report)``; the report is ``None`` for a plain
+        run, which goes straight to :meth:`_launch`.
+        """
+        if not self.fault_tolerant:
+            return self._launch(plan, input_data, rank_kwargs), None
+        injector = (
+            FaultInjector(self.faults, seed=self.chaos_seed) if self.faults else None
+        )
+        fingerprint = plan_fingerprint(plan, input_data, self.num_ranks)
+
+        def attempt(resume: int, start_time: float) -> MPIRun:
+            return self._launch(
+                plan,
+                input_data,
+                {
+                    **rank_kwargs,
+                    "checkpoint": self.checkpoint,
+                    "resume": resume,
+                    "fingerprint": fingerprint,
+                },
+                fault_injector=injector,
+                start_time=start_time,
+            )
+
+        return execute_with_recovery(
+            attempt,
+            plan=plan,
+            fingerprint=fingerprint,
+            size=self.num_ranks,
+            store=self.checkpoint,
+            retry=self.retry,
+            injector=injector,
+            seed=self.chaos_seed,
+            recorder=self.recorder,
+            wall_clock=self.wall_clock_recovery,
+        )
+
+    def _launch(
+        self,
+        plan: WorkflowPlan,
+        input_data: Dataset,
+        rank_kwargs: dict[str, Any],
+        fault_injector: Optional[FaultInjector] = None,
+        start_time: float = 0.0,
+    ) -> MPIRun:
+        """One SPMD attempt: :meth:`_rank_program` on every rank (threads here)."""
+        return run_mpi(
+            self._rank_program,
+            self.num_ranks,
+            cluster=self.cluster,
+            args=(plan, input_data),
+            kwargs=rank_kwargs,
+            fault_injector=fault_injector,
+            deadlock_grace=self.deadlock_grace,
+            start_time=start_time,
         )
 
     # -- per-rank program ------------------------------------------------------
@@ -475,14 +461,13 @@ class MPIRuntime(RecoveringRuntimeMixin):
         comm: Communicator,
         plan: WorkflowPlan,
         input_data: Dataset,
-        perf_slots: list,
         checkpoint: Optional[CheckpointStore] = None,
         resume: int = 0,
         fingerprint: str = "",
         recorder: Optional["Recorder"] = None,
         obs_root: Any = None,
         ooc_spec: Any = None,
-    ) -> dict[int, Dataset]:
+    ) -> tuple[dict[int, Dataset], PerfCounters]:
         perf = PerfCounters()
         comm.recorder = recorder
         ctx = None
@@ -509,10 +494,9 @@ class MPIRuntime(RecoveringRuntimeMixin):
                         rank=comm.rank, clock=comm.clock,
                     )
                 continue
-            source = SerialRuntime._job_input(job, i, plan, outputs, local)
+            source = job_input(job, i, plan, outputs, local)
             comm.check_fault(i, "before")
             job_mark = ctx.manifest_mark() if ctx is not None else 0
-            self._charge_job_overhead(comm)
             span = (
                 recorder.span(
                     job.op_id, category="job", rank=comm.rank, clock=comm.clock,
@@ -523,6 +507,9 @@ class MPIRuntime(RecoveringRuntimeMixin):
                 else nullcontext()
             )
             with perf.phase(job.operator_name.lower(), clock=comm.clock), span:
+                if comm.cluster is not None:
+                    # fixed per-job scheduling cost (mapper/reducer launch)
+                    comm.charge_compute(comm.cluster.cost.job_overhead)
                 final = self._run_job(comm, job, source, perf, ctx)
             outputs[job.op_id] = final
             # an "after" crash fires before the checkpoint commits, so the
@@ -537,20 +524,11 @@ class MPIRuntime(RecoveringRuntimeMixin):
                 )
         if ctx is not None:
             ctx.fold_into(perf)
-        perf_slots[comm.rank] = perf
         if not isinstance(final, dict):
             raise WorkflowError(
                 f"workflow {plan.workflow_id!r} must end with a Distribute job"
             )
-        return final
-
-    def _charge_job_overhead(self, comm: Communicator) -> None:
-        if comm.cluster is not None:
-            comm.charge_compute(comm.cluster.cost.job_overhead)
-
-    def _charge(self, comm: Communicator, single_core_cost: float) -> None:
-        if comm.cluster is not None:
-            comm.charge_compute(comm.cluster.compute(single_core_cost))
+        return final, perf
 
     def _run_job(
         self,
@@ -558,145 +536,169 @@ class MPIRuntime(RecoveringRuntimeMixin):
         job: PlannedJob,
         source: Any,
         perf: PerfCounters,
-        ctx: Any = None,
+        ctx: Any,
     ) -> Any:
-        if ctx is not None:
-            return self._run_job_ooc(comm, job, source, perf, ctx)
+        """One job on one rank; ``ctx`` is the rank's ``OOCContext`` or ``None``."""
         op = job.operator
         if isinstance(op, Sort):
-            return self._sort_distributed(comm, op, source, perf)
+            return self._range_job(
+                comm, op, source, perf, ctx, op.ascending, self._reducers(job, comm),
+                kernel="sort",
+            )
         if isinstance(op, Group):
-            return self._group_distributed(comm, op, source, perf)
-        if isinstance(op, Split):
-            self._charge(comm, _stream_cost(comm, source))
-            return op.apply_local(source)
+            return self._range_job(
+                comm, op, source, perf, ctx, True, self._reducers(job, comm),
+                kernel="hash_group",
+            )
         if isinstance(op, Distribute):
-            return self._distribute_distributed(comm, op, source, perf)
-        # user-registered basic operator: run its local kernel
-        return op.apply_local(source)
+            return self._distribute_job(comm, op, source, perf, ctx)
+        data = _resident(source)
+        if isinstance(op, Split):
+            # a map-only job: routing is local, no exchange
+            self._charge(comm, "stream", data.num_records)
+        # Split, or a user-registered basic operator: run the local kernel
+        return op.apply_local(data)
 
-    def _run_job_ooc(
+    def _reducers(self, job: PlannedJob, comm: Communicator) -> int:
+        """Reducer count of a range exchange: one per rank.
+
+        The raw-MPI mapping has no reducer notion, so a workflow's
+        ``num_reducers`` is ignored here (with the shipped value of 3 a
+        2-rank run would otherwise split its data 2/3 : 1/3).
+        """
+        return comm.size
+
+    def _charge(self, comm: Communicator, kernel: str, n: int) -> None:
+        """Charge a local kernel over ``n`` records (``kernel`` names a
+        :class:`~repro.cluster.model.CostModel` method)."""
+        if self.charges_kernels and comm.cluster is not None:
+            cost = getattr(comm.cluster.cost, kernel)(n)
+            comm.charge_compute(comm.cluster.compute(cost))
+
+    @staticmethod
+    def _spills(comm: Communicator, ctx: Any, source: Any) -> bool:
+        """Whether this exchange goes through run files — decided collectively.
+
+        Always false without a budget.  Packed streams cannot be framed as
+        fixed-width records, so they take the in-memory exchange without
+        asking.
+        """
+        if ctx is None or bool(getattr(source, "is_packed", False)):
+            return False
+        from repro.ooc.exchange import uniform_spill_decision
+
+        return uniform_spill_decision(comm, ctx, source.nbytes)
+
+    # -- range exchange: Sort (Figure 9, job 1) and Group (Figure 11, job 1) ----
+
+    def _range_job(
         self,
         comm: Communicator,
-        job: PlannedJob,
+        op: Any,
         source: Any,
         perf: PerfCounters,
         ctx: Any,
-    ) -> Any:
-        """Budget-aware twin of ``_run_job``: spills when the budget demands.
-
-        Every operator falls back to the exact in-memory kernel when the
-        (collectively agreed) working set fits the budget, so an unlimited
-        budget reproduces the fast path byte for byte.
-        """
-        from repro.ooc.exchange import (
-            ensure_dataset,
-            ooc_distribute_exchange,
-            ooc_group_exchange,
-            ooc_sort_exchange,
-        )
-
-        op = job.operator
-        if isinstance(op, Sort):
-            return ooc_sort_exchange(
-                comm, op, source, perf, ctx,
-                sample_size=self.sample_size,
-                fallback=lambda ds: self._sort_distributed(comm, op, ds, perf),
-                charge_local=lambda n: self._charge(comm, _sort_cost(comm, n)),
-            )
-        if isinstance(op, Group):
-            return ooc_group_exchange(
-                comm, op, source, perf, ctx,
-                sample_size=self.sample_size,
-                fallback=lambda ds: self._group_distributed(comm, op, ds, perf),
-                charge_local=lambda n: self._charge(comm, _hash_cost(comm, n)),
-            )
-        if isinstance(op, Split):
-            data = ensure_dataset(source)
-            self._charge(comm, _stream_cost(comm, data))
-            return op.apply_local(data)
-        if isinstance(op, Distribute):
-            return ooc_distribute_exchange(
-                comm, op, source, perf, ctx,
-                dest_of=lambda p: p % comm.size,
-                backend="MPI",
-                charge_assemble=lambda n: self._charge(comm, _stream_cost(comm, n)),
-            )
-        return op.apply_local(ensure_dataset(source))
-
-    # -- distributed sort (Figure 9, job 1) -----------------------------------
-
-    def _sort_distributed(
-        self, comm: Communicator, op: Sort, data: Dataset, perf: PerfCounters
+        ascending: bool,
+        reducers: int,
+        kernel: str,
     ) -> Dataset:
-        keys = np.asarray(data.column(op.key))
-        sort_keys = keys if op.ascending else -keys
+        """Sample key ranges, shuffle each entry to its range's owner, run
+        the operator's local kernel on what arrived.
+
+        Key *ranges* (not hashes) also route Group: they keep the global
+        group order ascending by key — the canonical order the serial
+        ``pack`` kernel produces — so the final partitions are identical for
+        every rank count (the paper's correctness requirement).  Reducers
+        map onto ranks contiguously, so rank-major order stays globally
+        sorted for any reducer count.
+        """
+        if self._spills(comm, ctx, source):
+            from repro.ooc.exchange import reduce_received, spilled_range_exchange
+
+            inbox = spilled_range_exchange(
+                comm, source, op.key, ascending, reducers, ctx, perf, self.sample_size
+            )
+            self._charge(
+                comm, kernel, sum(m.num_records for m in inbox if m is not None)
+            )
+            return reduce_received(op, inbox, source.schema, ctx)
+        data = _resident(source)
+        sort_keys = sort_key_array(np.asarray(data.column(op.key)), ascending)
         boundaries = sample_key_ranges(
-            comm, sort_keys, num_reducers=comm.size, sample_size=self.sample_size
+            comm, sort_keys, num_reducers=reducers, sample_size=self.sample_size
         )
         # vectorized RangePartitioner (bisect_left == searchsorted side="left")
-        owners = np.searchsorted(np.asarray(boundaries), sort_keys, side="left")
-        received = self._exchange_entries(comm, data, owners, perf)
-        self._charge(comm, _sort_cost(comm, len(received)))
-        return op.apply_local(received)
-
-    # -- distributed group (Figure 11, job 1) -------------------------------------
-
-    def _group_distributed(
-        self, comm: Communicator, op: Group, data: Dataset, perf: PerfCounters
-    ) -> Dataset:
-        """Range-shuffle by the group key, then group locally.
-
-        Key *ranges* (not hashes) keep the global group order ascending by
-        key — the same canonical order the serial ``pack`` kernel produces —
-        so the final partitions are identical for every rank count (the
-        paper's correctness requirement).
-        """
-        keys = np.asarray(data.column(op.key))
-        boundaries = sample_key_ranges(
-            comm, keys, num_reducers=comm.size, sample_size=self.sample_size
+        reducer_of = np.searchsorted(np.asarray(boundaries), sort_keys, side="left")
+        received = self._exchange_entries(
+            comm, data, (reducer_of * comm.size) // reducers, perf
         )
-        owners = np.searchsorted(np.asarray(boundaries), keys, side="left")
-        received = self._exchange_entries(comm, data, owners, perf)
-        self._charge(comm, _hash_cost(comm, len(received)))
+        self._charge(comm, kernel, len(received))
         return op.apply_local(received)
 
-    # -- distributed distribute (Figures 9/11, last job) ----------------------------
+    @staticmethod
+    def _exchange_entries(
+        comm: Communicator, data: Dataset, owners: np.ndarray, perf: PerfCounters
+    ) -> Dataset:
+        """Ship each entry to ``owners[i]``; receive in source-rank order."""
+        outboxes = [data.take(idx) for idx in bucketize(owners, comm.size)]
+        nbytes = sum(b.nbytes for b in outboxes)
+        perf.count_move(len(owners), nbytes)
+        inboxes = _alltoall(
+            comm, outboxes, "shuffle", {"records": len(owners), "nbytes": nbytes}
+        )
+        flats = [b.to_flat() for b in inboxes if len(b)]
+        if not flats:
+            return data.take(np.empty(0, dtype=np.int64)).to_flat()
+        return concat(flats) if len(flats) > 1 else flats[0]
 
-    def _distribute_distributed(
-        self, comm: Communicator, op: Distribute, source: Any, perf: PerfCounters
+    # -- distribute (Figures 9/11, last job) -----------------------------------
+
+    def _distribute_job(
+        self, comm: Communicator, op: Distribute, source: Any, perf: PerfCounters, ctx: Any
     ) -> dict[int, Dataset]:
-        streams = [source] if isinstance(source, Dataset) else list(source)
+        """Deal every stream's entries to their partitions' owner ranks.
+
+        The partition id is the temporary reduce-key ("the reducer id is
+        used as the reduce-key"); partition ``p`` lives on rank
+        ``p % size``.  Each stream is exchanged on its own — in memory or
+        through run files — as ``(partition, first global index, entries)``
+        chunks, which the owners then order by ``(stream, first index)``.
+        """
+        streams = list(source) if isinstance(source, (list, tuple)) else [source]
         num_p = op.num_partitions
         per_partition: dict[int, list[tuple[int, int, Dataset]]] = {}
         for stream_idx, stream in enumerate(streams):
             n_local = len(stream)
             offset = comm.exscan(n_local, SUM, identity=0)
-            global_idx = np.arange(n_local, dtype=np.int64) + offset
-            owners_part = self._partition_of(op, comm, global_idx, n_local)
-            # ship (partition, global position, entries) to the owning rank:
-            # one grouped take per non-empty partition instead of a full
-            # owners_part scan per partition
-            outboxes: list[list[tuple[int, int, Any]]] = [[] for _ in range(comm.size)]
-            buckets = bucketize(owners_part, num_p)
-            for p, idx in enumerate(buckets):
-                if not len(idx):
-                    continue
-                chunk = stream.take(idx)
-                perf.count_move(len(idx), chunk.nbytes)
-                outboxes[p % comm.size].append((p, int(global_idx[idx[0]]), chunk))
-            if comm.recorder is not None:
-                with comm.recorder.span(
-                    "distribute-shuffle", category="shuffle",
-                    rank=comm.rank, clock=comm.clock,
-                    attrs={"stream": stream_idx, "records": n_local},
-                ):
-                    inboxes = comm.alltoall(outboxes)
+            total = comm.allreduce(n_local, SUM)
+            if self._spills(comm, ctx, stream):
+                from repro.ooc.exchange import spilled_distribute_stream
+
+                arrived = spilled_distribute_stream(
+                    comm, op, stream, offset, total, ctx, perf
+                )
             else:
-                inboxes = comm.alltoall(outboxes)
-            for box in inboxes:
-                for p, first_idx, chunk in box:
-                    per_partition.setdefault(p, []).append((stream_idx, first_idx, chunk))
+                stream = _resident(stream)
+                global_idx = np.arange(n_local, dtype=np.int64) + offset
+                owners_part = policy_partition_ids(op, global_idx, total)
+                # one grouped take per non-empty partition instead of a full
+                # owners_part scan per partition
+                outboxes: list[list[tuple[int, int, Any]]] = [
+                    [] for _ in range(comm.size)
+                ]
+                for p, idx in enumerate(bucketize(owners_part, num_p)):
+                    if not len(idx):
+                        continue
+                    chunk = stream.take(idx)
+                    perf.count_move(len(idx), chunk.nbytes)
+                    outboxes[p % comm.size].append((p, int(global_idx[idx[0]]), chunk))
+                inboxes = _alltoall(
+                    comm, outboxes, "distribute-shuffle",
+                    {"stream": stream_idx, "records": n_local},
+                )
+                arrived = [entry for box in inboxes for entry in box]
+            for p, first_idx, chunk in arrived:
+                per_partition.setdefault(p, []).append((stream_idx, first_idx, chunk))
         result: dict[int, Dataset] = {}
         owned = range(comm.rank, num_p, comm.size)
         if not owned:
@@ -708,64 +710,14 @@ class MPIRuntime(RecoveringRuntimeMixin):
             chunks = per_partition.get(p)
             if not chunks:
                 if empty is None:
-                    empty = streams[0].take(np.empty(0, dtype=np.int64)).to_flat()
+                    schema = streams[0].schema
+                    empty = Dataset(
+                        schema=schema, records=np.empty(0, dtype=schema.dtype)
+                    )
                 result[p] = empty
                 continue
             chunks.sort(key=lambda t: (t[0], t[1]))
             flat = [c.to_flat() for _, _, c in chunks]
-            self._charge(comm, _stream_cost(comm, sum(len(f) for f in flat)))
+            self._charge(comm, "stream", sum(len(f) for f in flat))
             result[p] = concat(flat) if len(flat) > 1 else flat[0]
         return result
-
-    def _partition_of(
-        self, op: Distribute, comm: Communicator, global_idx: np.ndarray, n_local: int
-    ) -> np.ndarray:
-        total = comm.allreduce(n_local, SUM)
-        return policy_partition_ids(op, global_idx, total, backend="MPI")
-
-    # -- shuffle helper -------------------------------------------------------------
-
-    def _exchange_entries(
-        self,
-        comm: Communicator,
-        data: Dataset,
-        owners: np.ndarray,
-        perf: Optional[PerfCounters] = None,
-    ) -> Dataset:
-        """Ship each entry to ``owners[i]``; receive in source-rank order."""
-        outboxes = [data.take(idx) for idx in bucketize(owners, comm.size)]
-        nbytes = sum(b.nbytes for b in outboxes)
-        if perf is not None:
-            perf.count_move(len(owners), nbytes)
-        if comm.recorder is not None:
-            with comm.recorder.span(
-                "shuffle", category="shuffle", rank=comm.rank, clock=comm.clock,
-                attrs={"records": len(owners), "nbytes": nbytes},
-            ):
-                inboxes = comm.alltoall(outboxes)
-        else:
-            inboxes = comm.alltoall(outboxes)
-        flats = [b.to_flat() for b in inboxes if len(b)]
-        if not flats:
-            return data.take(np.empty(0, dtype=np.int64)).to_flat()
-        return concat(flats) if len(flats) > 1 else flats[0]
-
-
-def _sort_cost(comm: Communicator, n: int) -> float:
-    return comm.cluster.cost.sort(n) if comm.cluster else 0.0
-
-
-def _hash_cost(comm: Communicator, n: int) -> float:
-    return comm.cluster.cost.hash_group(n) if comm.cluster else 0.0
-
-
-def _stream_cost(comm: Communicator, source: Any) -> float:
-    if comm.cluster is None:
-        return 0.0
-    if isinstance(source, int):
-        n = source
-    elif isinstance(source, Dataset):
-        n = source.num_records
-    else:
-        n = sum(s.num_records for s in source)
-    return comm.cluster.cost.stream(n)

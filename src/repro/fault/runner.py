@@ -1,8 +1,8 @@
 """The shared recovery loop wrapped around a runtime's SPMD attempts.
 
-Both :class:`~repro.core.runtime.MPIRuntime` and
-:class:`~repro.core.mr_runtime.MapReduceRuntime` execute a plan as one
-``run_mpi`` call; this module retries that call under a
+The SPMD plan executor (:class:`~repro.core.runtime.MPIRuntime` and its
+``mapreduce`` / ``process`` subclasses) executes a plan as one launcher
+call; this module retries that call under a
 :class:`~repro.fault.retry.RetryPolicy`, resuming each attempt from the
 checkpoint store's committed job prefix and accumulating the fault report
 that lands in ``PartitionResult.extra["fault"]``.

@@ -1,13 +1,13 @@
 """Out-of-core execution: memory budgets, run files, external sort, spill.
 
-This package is the budgeted twin of the in-memory engine.  A
+This package is what the runtimes reach for when a memory budget is set.  A
 :class:`~repro.ooc.budget.MemoryBudget` bounds the working set;
 :class:`~repro.ooc.chunked.ChunkedDataset` streams inputs in
 budget-sized chunks; :mod:`~repro.ooc.extsort` sorts datasets larger
 than memory through crc32-framed run files
 (:mod:`~repro.ooc.runfile`); and :mod:`~repro.ooc.spill` /
-:mod:`~repro.ooc.exchange` re-route the distributed shuffles through
-per-destination run files when the budget demands it.
+:mod:`~repro.ooc.exchange` are the run-file halves of the distributed
+exchanges, taken by the SPMD executor when the budget demands it.
 
 Nothing in the rest of the framework imports this package unless a
 ``memory_budget`` is actually set — the unbudgeted fast path never pays

@@ -1,20 +1,16 @@
-"""Out-of-core variants of the distributed operator exchanges.
+"""The run-file halves of the distributed operator exchanges.
 
-Each function here is the budget-aware twin of one runtime exchange
-(:meth:`MPIRuntime._sort_distributed`, :meth:`MapReduceRuntime._sort_job`,
-…), threaded in by the runtimes only when a memory budget is active.  The
-shape is always the same:
-
-1. **Uniform decision** — an ``allreduce(MAX)`` over per-rank working-set
-   sizes decides *collectively* whether to spill, so every rank takes the
-   same path and the collective sequences stay aligned (a rank-local
-   decision would deadlock the simulated fabric).
-2. **Fast-path fallback** — below the budget the call simply delegates to
-   the runtime's own in-memory exchange (materializing a chunked input
-   first), so small inputs behave exactly as without a budget.
-3. **Spilled path** — sources are consumed chunk at a time, each chunk's
-   buckets drain into per-destination run files, the ``alltoall`` ships
-   only manifests, and receivers stream frames back in source-rank order.
+The SPMD plan executor (:class:`~repro.core.runtime.MPIRuntime`) makes one
+decision per exchange: :func:`uniform_spill_decision`, an
+``allreduce(MAX)`` over per-rank working-set sizes, decides *collectively*
+whether to spill, so every rank takes the same path and the collective
+sequences stay aligned (a rank-local decision would deadlock the simulated
+fabric).  Below the budget the executor moves ``Dataset`` chunks through
+``alltoall`` itself; above it, it calls into this module, where sources are
+consumed chunk at a time, each chunk's buckets drain into per-destination
+run files, the ``alltoall`` ships only manifests, and receivers stream
+frames back in source-rank order.  Either way the executor runs the same
+local kernel and the same partition assembly on what arrived.
 
 Bit-identity with the in-memory path holds by construction: bucketization
 is stable within each chunk and chunks preserve input order, so each
@@ -30,37 +26,30 @@ rank-count-independent).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, Callable, Optional
+from typing import Any
 
 import numpy as np
 
-from repro.core.dataset import Dataset, concat
+from repro.core.dataset import Dataset
 from repro.core.runtime import policy_partition_ids
 from repro.mapreduce.columnar import KVBatch, PerfCounters, bucketize
 from repro.mapreduce.sampling import sample_key_ranges
-from repro.mpi import MAX, SUM
+from repro.mpi import MAX
 from repro.mpi.comm import Communicator
 from repro.ooc.chunked import ChunkedDataset, iter_dataset_chunks
-from repro.ooc.extsort import ExternalSorter, sort_key_array
-from repro.ooc.runfile import RunReader
+from repro.ooc.extsort import external_sort_records
 from repro.ooc.spill import (
     OOCContext,
     SpillableShuffle,
     concat_manifest_values,
     drain_frames,
 )
+from repro.ops.sort import Sort, sort_key_array
 
 
 def uniform_spill_decision(comm: Communicator, ctx: OOCContext, nbytes: int) -> bool:
     """Collectively true when any rank's working set exceeds the budget."""
     return bool(comm.allreduce(int(nbytes), MAX) > ctx.budget.limit)
-
-
-def ensure_dataset(source: Any) -> Dataset:
-    """Materialize a chunked view; pass an in-memory dataset through."""
-    if isinstance(source, ChunkedDataset):
-        return source.materialize()
-    return source
 
 
 def _spill_span(comm: Communicator, name: str, records: int, nbytes: int):
@@ -95,32 +84,29 @@ def _bounded_key_sample(source: Any, key: str, sample_size: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _spilled_range_exchange(
+def spilled_range_exchange(
     comm: Communicator,
     source: Any,
     key: str,
     ascending: bool,
     reducers: int,
     ctx: OOCContext,
-    perf: Optional[PerfCounters],
+    perf: PerfCounters,
     sample_size: int,
 ) -> list:
     """Range-shuffle a (possibly chunked) source through spill files.
 
-    Returns the received manifests in source-rank order.  Shared by the
-    sort and group exchanges: group is simply the ``ascending`` case with
+    Returns the received manifests in source-rank order.  Serves the sort
+    and the group job alike: group is simply the ``ascending`` case with
     raw keys.
     """
     schema = source.schema
-    sample = sort_key_array(
-        np.asarray(_bounded_key_sample(source, key, sample_size)), ascending
-    )
+    sample = sort_key_array(_bounded_key_sample(source, key, sample_size), ascending)
     boundaries = np.asarray(
         sample_key_ranges(comm, sample, num_reducers=reducers, sample_size=sample_size)
     )
     shuffle = SpillableShuffle(ctx, comm.size, schema.dtype, kind="range")
-    n_local = len(source)
-    with _spill_span(comm, "spill-shuffle", n_local, source.nbytes):
+    with _spill_span(comm, "spill-shuffle", len(source), source.nbytes):
         for chunk in iter_dataset_chunks(source, ctx.chunk_records(schema.itemsize)):
             sort_keys = sort_key_array(chunk.records[key], ascending)
             reducer_of = np.searchsorted(boundaries, sort_keys, side="left")
@@ -128,219 +114,78 @@ def _spilled_range_exchange(
             for dest, idx in enumerate(bucketize(owners, comm.size)):
                 if len(idx):
                     shuffle.append(dest, chunk.records[idx])
-            if perf is not None:
-                perf.count_move(len(chunk.records), chunk.records.nbytes)
-        inbox = comm.alltoall(shuffle.finish())
-    return inbox
+            perf.count_move(len(chunk.records), chunk.records.nbytes)
+        return comm.alltoall(shuffle.finish())
 
 
-def ooc_sort_exchange(
-    comm: Communicator,
-    op: Any,
-    source: Any,
-    perf: Optional[PerfCounters],
-    ctx: OOCContext,
-    *,
-    sample_size: int,
-    fallback: Callable[[Dataset], Dataset],
-    reducers: Optional[int] = None,
-    charge_entry: Optional[Callable[[], None]] = None,
-    charge_local: Optional[Callable[[int], None]] = None,
-) -> Dataset:
-    """Distributed sort under a budget: spilled range shuffle + external sort."""
-    packed = bool(getattr(source, "is_packed", False))
-    if packed or not uniform_spill_decision(comm, ctx, source.nbytes):
-        return fallback(ensure_dataset(source))
-    if charge_entry is not None:
-        charge_entry()
-    reducers = reducers or comm.size
-    schema = source.schema
-    inbox = _spilled_range_exchange(
-        comm, source, op.key, op.ascending, reducers, ctx, perf, sample_size
-    )
+def reduce_received(op: Any, inbox: list, schema: Any, ctx: OOCContext) -> Dataset:
+    """The operator's local kernel over a spilled exchange's received runs.
+
+    A plain sort whose received side exceeds the budget too runs as an
+    external merge sort, never holding more than fan-in + 1 frames of
+    records at once.  Everything else materializes the frames in
+    source-rank order first: a sort with an add-on packs its output, and a
+    group's pack is pointer-rich, not fixed-width — there the budget bounds
+    the *shuffle*, which dominates.
+    """
     received_nbytes = sum(m.nbytes for m in inbox if m is not None)
-    received_records = sum(m.num_records for m in inbox if m is not None)
-    if charge_local is not None:
-        charge_local(received_records)
-    plain = op.addon is None
-    if plain and ctx.should_spill(received_nbytes):
-        # received side exceeds the budget too: external merge sort, never
-        # holding more than fan-in + 1 frames of records at once
-        key_dtype = sort_key_array(
-            np.empty(0, dtype=schema.dtype[op.key]), op.ascending
-        ).dtype
-        sorter = ExternalSorter(
-            ctx, schema.dtype, key_dtype=key_dtype, max_fanin=ctx.max_fanin
+    if isinstance(op, Sort) and op.addon is None and ctx.should_spill(received_nbytes):
+        records = external_sort_records(
+            (frame.values for frame in drain_frames(inbox)),
+            op.key, op.ascending, ctx, schema.dtype,
         )
-        for frame in drain_frames(inbox):
-            sorter.add_chunk(
-                sort_key_array(frame.values[op.key], op.ascending), frame.values
-            )
-        return Dataset(schema=schema, records=sorter.sorted_values())
+        return Dataset(schema=schema, records=records)
     received = Dataset(
         schema=schema, records=concat_manifest_values(inbox, schema.dtype)
     )
     return op.apply_local(received)
 
 
-def ooc_group_exchange(
+def spilled_distribute_stream(
     comm: Communicator,
     op: Any,
-    source: Any,
-    perf: Optional[PerfCounters],
+    stream: Any,
+    offset: int,
+    total: int,
     ctx: OOCContext,
-    *,
-    sample_size: int,
-    fallback: Callable[[Dataset], Dataset],
-    charge_entry: Optional[Callable[[], None]] = None,
-    charge_local: Optional[Callable[[int], None]] = None,
-) -> Dataset:
-    """Distributed group under a budget: spilled range shuffle + local pack.
+    perf: PerfCounters,
+) -> list[tuple[int, int, Dataset]]:
+    """One Distribute stream through run files.
 
-    The pack itself materializes (grouped layouts are pointer-rich, not
-    fixed-width), so the budget here bounds the *shuffle*, which dominates.
+    ``offset`` is this rank's first global entry index in the stream and
+    ``total`` the stream's global entry count.  Spilled frames carry the
+    partition id as their tag and the global entry indexes as their keys,
+    so what comes back is the ``(partition, first global index, entries)``
+    chunks the in-memory exchange delivers — the caller assembles
+    partitions from either the same way.
     """
-    packed = bool(getattr(source, "is_packed", False))
-    if packed or not uniform_spill_decision(comm, ctx, source.nbytes):
-        return fallback(ensure_dataset(source))
-    if charge_entry is not None:
-        charge_entry()
-    schema = source.schema
-    inbox = _spilled_range_exchange(
-        comm, source, op.key, True, comm.size, ctx, perf, sample_size
+    schema = stream.schema
+    shuffle = SpillableShuffle(
+        ctx, comm.size, schema.dtype, key_dtype=np.dtype(np.int64), kind="dist"
     )
-    if charge_local is not None:
-        charge_local(sum(m.num_records for m in inbox if m is not None))
-    received = Dataset(
-        schema=schema, records=concat_manifest_values(inbox, schema.dtype)
-    )
-    return op.apply_local(received)
-
-
-def ooc_distribute_exchange(
-    comm: Communicator,
-    op: Any,
-    source: Any,
-    perf: Optional[PerfCounters],
-    ctx: OOCContext,
-    *,
-    dest_of: Callable[[int], int],
-    backend: str = "MPI",
-    charge_entry: Optional[Callable[[], None]] = None,
-    charge_assemble: Optional[Callable[[int], None]] = None,
-) -> dict[int, Dataset]:
-    """Distribute under a budget: frames tagged with their partition id.
-
-    Each stream is handled independently (packed streams cannot be framed
-    as fixed-width records and take the in-memory exchange); spilled
-    frames carry the partition id as their tag and the global entry
-    indexes as their keys, so the receive side reassembles partitions by
-    sorting frames on ``(stream, first global index)`` — exactly the
-    in-memory chunk order.
-    """
-    streams = [source] if not isinstance(source, (list, tuple)) else list(source)
-    num_p = op.num_partitions
-    collected: dict[int, list[tuple[int, int, Dataset]]] = {}
-    spilled_any = False
-    for stream_idx, stream in enumerate(streams):
-        n_local = len(stream)
-        offset = comm.exscan(n_local, SUM, identity=0)
-        total = comm.allreduce(n_local, SUM)
-        packed = bool(getattr(stream, "is_packed", False))
-        spill = (not packed) and uniform_spill_decision(comm, ctx, stream.nbytes)
-        if not spill:
-            stream_ds = ensure_dataset(stream)
-            global_idx = np.arange(n_local, dtype=np.int64) + offset
-            owners_part = policy_partition_ids(op, global_idx, total, backend=backend)
-            outboxes: list[list[tuple[int, int, Any]]] = [[] for _ in range(comm.size)]
-            for p, idx in enumerate(bucketize(owners_part, num_p)):
+    with _spill_span(comm, "spill-distribute", len(stream), stream.nbytes):
+        pos = 0
+        for chunk in iter_dataset_chunks(stream, ctx.chunk_records(schema.itemsize)):
+            records = chunk.records
+            global_idx = np.arange(len(records), dtype=np.int64) + offset + pos
+            owners_part = policy_partition_ids(op, global_idx, total)
+            for p, idx in enumerate(bucketize(owners_part, op.num_partitions)):
                 if not len(idx):
                     continue
-                chunk = stream_ds.take(idx)
-                if perf is not None:
-                    perf.count_move(len(idx), chunk.nbytes)
-                outboxes[dest_of(p)].append((p, int(global_idx[idx[0]]), chunk))
-            if comm.recorder is not None:
-                with comm.recorder.span(
-                    "distribute-shuffle", category="shuffle",
-                    rank=comm.rank, clock=comm.clock,
-                    attrs={"stream": stream_idx, "records": n_local},
-                ):
-                    inboxes = comm.alltoall(outboxes)
-            else:
-                inboxes = comm.alltoall(outboxes)
-            for box in inboxes:
-                for p, first_idx, chunk in box:
-                    collected.setdefault(p, []).append((stream_idx, first_idx, chunk))
-            continue
-        if charge_entry is not None and not spilled_any:
-            charge_entry()
-        spilled_any = True
-        schema = stream.schema
-        shuffle = SpillableShuffle(
-            ctx, comm.size, schema.dtype, key_dtype=np.dtype(np.int64), kind="dist"
-        )
-        with _spill_span(comm, "spill-distribute", n_local, stream.nbytes):
-            pos = 0
-            for chunk in iter_dataset_chunks(
-                stream, ctx.chunk_records(schema.itemsize)
-            ):
-                records = chunk.records
-                global_idx = np.arange(len(records), dtype=np.int64) + offset + pos
-                owners_part = policy_partition_ids(
-                    op, global_idx, total, backend=backend
-                )
-                for p, idx in enumerate(bucketize(owners_part, num_p)):
-                    if not len(idx):
-                        continue
-                    if perf is not None:
-                        perf.count_move(len(idx), records[idx].nbytes)
-                    shuffle.append(
-                        dest_of(p), records[idx], keys=global_idx[idx], tag=p
-                    )
-                pos += len(records)
-            inbox = comm.alltoall(shuffle.finish())
-        for manifest in inbox:
-            if manifest is None:
-                continue
-            for frame in RunReader(manifest.path).frames():
-                collected.setdefault(int(frame.tag), []).append(
-                    (
-                        stream_idx,
-                        int(frame.keys[0]),
-                        Dataset(schema=schema, records=frame.values),
-                    )
-                )
-    # assemble owned partitions exactly as the in-memory runtimes do
-    result: dict[int, Dataset] = {}
-    owned = range(comm.rank, num_p, comm.size)
-    if not owned:
-        return result
-    empty: Optional[Dataset] = None
-    for p in owned:
-        chunks = collected.get(p)
-        if not chunks:
-            if empty is None:
-                first = streams[0]
-                if isinstance(first, ChunkedDataset):
-                    empty = Dataset(
-                        schema=first.schema,
-                        records=np.empty(0, dtype=first.schema.dtype),
-                    )
-                else:
-                    empty = first.take(np.empty(0, dtype=np.int64)).to_flat()
-            result[p] = empty
-            continue
-        chunks.sort(key=lambda t: (t[0], t[1]))
-        flat = [c.to_flat() for _, _, c in chunks]
-        if charge_assemble is not None:
-            charge_assemble(sum(len(f) for f in flat))
-        result[p] = concat(flat) if len(flat) > 1 else flat[0]
-    return result
+                picked = records[idx]
+                perf.count_move(len(idx), picked.nbytes)
+                shuffle.append(p % comm.size, picked, keys=global_idx[idx], tag=p)
+            pos += len(records)
+        inbox = comm.alltoall(shuffle.finish())
+    return [
+        (int(frame.tag), int(frame.keys[0]), Dataset(schema=schema, records=frame.values))
+        for frame in drain_frames(inbox)
+    ]
 
 
 def ooc_shuffle_kv(engine: Any, kv: KVBatch, partitioner: Any) -> KVBatch:
-    """Budgeted twin of the engine's columnar shuffle (the MR-MPI path)."""
+    """The engine's columnar shuffle under a budget (``MRMPIEngine`` only):
+    in memory below it, through run files above it."""
     comm = engine.comm
     ctx: OOCContext = engine.ooc
     if not uniform_spill_decision(comm, ctx, kv.nbytes):

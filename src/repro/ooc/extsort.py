@@ -22,32 +22,18 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.ooc.runfile import Frame, RunReader, RunWriter, SpillManifest
+from repro.ops.sort import sort_key_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ooc.spill import OOCContext
 
 #: default widest merge; beyond this, runs are combined in extra passes
 DEFAULT_MAX_FANIN = 8
-
-
-def sort_key_array(column: np.ndarray, ascending: bool) -> np.ndarray:
-    """The comparable sort key for a key column (mirrors ``Sort.sort_indices``).
-
-    Descending sorts negate the key (casting unsigned/int to int64 first)
-    instead of reversing, which keeps ties stable — the exact rule the
-    in-memory operator applies, so external and in-memory runs agree
-    bit-for-bit.
-    """
-    if ascending:
-        return column
-    if column.dtype.kind in "iu":
-        return -column.astype(np.int64, copy=False)
-    return -column
 
 
 class _Cursor:
@@ -252,3 +238,23 @@ def external_sort_chunks(
     for keys, values in chunks:
         sorter.add_chunk(keys, values)
     return sorter
+
+
+def external_sort_records(
+    chunks: Iterable[np.ndarray],
+    key: str,
+    ascending: bool,
+    ctx: "OOCContext",
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Stable external sort of record chunks (in input order) by one field.
+
+    The one way a plain ``Sort`` runs when its input exceeds the budget,
+    whether the chunks stream from an input file or from received run
+    files.
+    """
+    key_dtype = sort_key_array(np.empty(0, dtype=dtype[key]), ascending).dtype
+    pieces = ((sort_key_array(records[key], ascending), records) for records in chunks)
+    return external_sort_chunks(
+        pieces, ctx, dtype, key_dtype, max_fanin=ctx.max_fanin
+    ).sorted_values()

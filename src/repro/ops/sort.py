@@ -24,6 +24,23 @@ ASCENDING = -1
 DESCENDING = 1
 
 
+def sort_key_array(column: np.ndarray, ascending: bool) -> np.ndarray:
+    """The comparable key a stable ascending argsort orders ``column`` by.
+
+    Descending sorts negate the key instead of reversing the result, which
+    keeps ties in input order.  Integer columns are widened to int64 first:
+    negating the dtype minimum in place wraps back onto itself (``-2**31``
+    stays ``-2**31`` in int32) and would sort it first instead of last.
+    Every sort in the repo — the local kernel, the range exchanges, the
+    external merge — derives its key here, so they agree bit for bit.
+    """
+    if ascending:
+        return column
+    if column.dtype.kind in "iu":
+        return -column.astype(np.int64, copy=False)
+    return -column
+
+
 @register_basic
 class Sort(BasicOperator):
     """Sort a dataset by one key field."""
@@ -65,11 +82,7 @@ class Sort(BasicOperator):
             from repro.ops.aspas import aspas_argsort as argsort
         else:
             argsort = lambda k: np.argsort(k, kind="stable")  # noqa: E731
-        if self.ascending:
-            return argsort(keys)
-        # stable descending: sort the negated key, not the reversed array
-        negated = -keys.astype(np.int64, copy=False) if keys.dtype.kind in "iu" else -keys
-        return argsort(negated)
+        return argsort(sort_key_array(keys, self.ascending))
 
     def apply_local(self, data: Dataset) -> Dataset:
         """Sort this rank's local entries (records, or packed groups)."""

@@ -19,7 +19,6 @@ Three layers of equivalence, all seeded and randomized:
 import numpy as np
 import pytest
 
-import repro.core.mr_runtime as mr_runtime_mod
 import repro.core.runtime as runtime_mod
 from repro import PaPar
 from repro.blast import build_index, generate_database
@@ -359,8 +358,8 @@ def test_workflows_bucketize_equals_scans(
 
     fast = papar.run(workflow, args, data=data, backend=backend,
                      num_ranks=ranks, cluster=_cluster_for(ranks))
+    # both backends run the one rank program in repro.core.runtime
     monkeypatch.setattr(runtime_mod, "bucketize", scan_bucketize)
-    monkeypatch.setattr(mr_runtime_mod, "bucketize", scan_bucketize)
     slow = papar.run(workflow, args, data=data, backend=backend,
                      num_ranks=ranks, cluster=_cluster_for(ranks))
 
