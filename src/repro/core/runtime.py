@@ -225,7 +225,9 @@ class SerialRuntime:
                             )
                         else:
                             outputs[job.op_id] = job.operator.apply_local(source)
-            final = outputs[plan.final_job.op_id]
+            # a sort that ends the plan leaves a sorted-runs view: read it
+            # before the spill directory goes
+            final = _resident(outputs[plan.final_job.op_id])
             if isinstance(final, Dataset):
                 final = [final]
             if ctx is not None:
@@ -245,7 +247,15 @@ class SerialRuntime:
 
     @staticmethod
     def _apply_ooc(op: Any, source: Any, ctx: Any) -> Any:
-        """Run one operator under a budget: external sort when it must spill."""
+        """Run one operator under a budget.
+
+        A sort that must spill forms its runs here and returns them as a
+        lazy sorted-runs view; ``Distribute`` deals whatever streams
+        (that view, or a chunked input) without materializing it; every
+        other operator gets its input resident.
+        """
+        if isinstance(op, Distribute):
+            return op.apply_local(source)
         spillable = (
             isinstance(op, Sort)
             and op.addon is None
@@ -259,10 +269,9 @@ class SerialRuntime:
 
         schema = source.schema
         chunks = iter_dataset_chunks(source, ctx.chunk_records(schema.itemsize))
-        records = external_sort_records(
-            (chunk.records for chunk in chunks), op.key, op.ascending, ctx, schema.dtype
+        return external_sort_records(
+            (chunk.records for chunk in chunks), op.key, op.ascending, ctx, schema
         )
-        return Dataset(schema=schema, records=records)
 
 
 def _alltoall(

@@ -1,4 +1,4 @@
-"""The per-rank memory budget accountant of the out-of-core subsystem.
+"""The per-rank memory budget of the out-of-core subsystem.
 
 A :class:`MemoryBudget` is a hard byte ceiling on the working set one
 simulated rank may hold while streaming a dataset: chunk sizes, spill
@@ -7,23 +7,23 @@ budget string grammar (``"64MB"``, ``"512KiB"``, ``"1048576"``) follows
 the block-size-as-a-tunable design of Cantini et al. — the chunk size is
 an explicit knob, not a compile-time constant.
 
-The accountant also *tracks*: callers reserve bytes while buffers are
-live and release them when they are flushed or dropped, and the recorded
-``peak`` is what the out-of-core benchmark asserts stays under the
-ceiling (times a small constant for transient numpy copies).
+The budget sizes the working set; it does not meter it.  That the sizing
+holds is measured from outside, by ``benchmarks/bench_ooc_extsort.py``,
+which asserts the external sort's ``tracemalloc`` peak stays under the
+ceiling times a small constant for transient numpy copies.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import PaParError
 
 
 class MemoryBudgetError(PaParError):
-    """An invalid memory-budget specification or accounting violation."""
+    """An invalid memory-budget specification."""
 
 
 #: recognised unit suffixes, case-insensitive; decimal and IEC spellings
@@ -82,7 +82,7 @@ def format_budget(nbytes: int) -> str:
 
 @dataclass
 class MemoryBudget:
-    """A hard per-rank byte ceiling plus live-bytes accounting.
+    """A hard per-rank byte ceiling and the chunk size derived from it.
 
     ``chunk_bytes`` — the streaming granularity — defaults to a quarter of
     the limit so an input chunk, its bucketized slices and an output frame
@@ -92,8 +92,6 @@ class MemoryBudget:
     limit: int
     #: fraction of the limit one streamed chunk may occupy
     chunk_fraction: float = 0.25
-    current: int = field(default=0, init=False)
-    peak: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.limit, str):
@@ -128,20 +126,5 @@ class MemoryBudget:
         """Whether holding ``nbytes`` at once would break the ceiling."""
         return nbytes > self.limit
 
-    # -- live-bytes accounting ---------------------------------------------
-
-    def reserve(self, nbytes: int) -> None:
-        """Account ``nbytes`` as live (buffered in memory)."""
-        self.current += int(nbytes)
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def release(self, nbytes: int) -> None:
-        """Account ``nbytes`` as no longer live (flushed or dropped)."""
-        self.current = max(0, self.current - int(nbytes))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"MemoryBudget({format_budget(self.limit)}, "
-            f"current={self.current}, peak={self.peak})"
-        )
+        return f"MemoryBudget({format_budget(self.limit)})"

@@ -187,10 +187,16 @@ class ChunkedDataset:
             )
         abs_start = self.start + start
         if self.schema.input_format == "binary":
+            rows = np.empty(length, dtype=self.schema.dtype)
             with open(self.path, "rb") as fh:
                 fh.seek(self.schema.start_position + abs_start * self.schema.itemsize)
-                raw = fh.read(length * self.schema.itemsize)
-            return np.frombuffer(raw, dtype=self.schema.dtype).copy()
+                got = fh.readinto(rows.view(np.uint8))
+            if got != rows.nbytes:
+                raise FormatError(
+                    f"{self.path}: expected {length} records from row {abs_start}, "
+                    f"found {got // self.schema.itemsize}"
+                )
+            return rows
         return self._read_text_rows(abs_start, length)
 
     def _read_text_rows(self, abs_start: int, length: int) -> np.ndarray:
@@ -248,11 +254,12 @@ def iter_dataset_chunks(data, chunk_records: int) -> Iterator[Dataset]:
     """Budget-sized chunks of an in-memory *or* chunked flat dataset.
 
     The shuffle/sort paths call this on whatever a job's source is: a
-    :class:`ChunkedDataset` streams from disk, an in-memory
+    source that streams (a :class:`ChunkedDataset`, a spilled sort's
+    sorted-runs view) yields its own chunks, an in-memory
     :class:`~repro.core.dataset.Dataset` is sliced without copying the
     whole array at once.
     """
-    if isinstance(data, ChunkedDataset):
+    if hasattr(data, "chunks"):
         yield from data.chunks()
         return
     flat = data.to_flat()

@@ -122,19 +122,20 @@ def reduce_received(op: Any, inbox: list, schema: Any, ctx: OOCContext) -> Datas
     """The operator's local kernel over a spilled exchange's received runs.
 
     A plain sort whose received side exceeds the budget too runs as an
-    external merge sort, never holding more than fan-in + 1 frames of
-    records at once.  Everything else materializes the frames in
+    external merge sort — one frame per merged run plus one output block
+    resident — filling the one array the next job's exchange reads (the
+    SPMD receive side materializes; only the serial runtime streams a
+    sorted-runs view onward).  Everything else materializes the frames in
     source-rank order first: a sort with an add-on packs its output, and a
     group's pack is pointer-rich, not fixed-width — there the budget bounds
     the *shuffle*, which dominates.
     """
     received_nbytes = sum(m.nbytes for m in inbox if m is not None)
     if isinstance(op, Sort) and op.addon is None and ctx.should_spill(received_nbytes):
-        records = external_sort_records(
+        return external_sort_records(
             (frame.values for frame in drain_frames(inbox)),
-            op.key, op.ascending, ctx, schema.dtype,
-        )
-        return Dataset(schema=schema, records=records)
+            op.key, op.ascending, ctx, schema,
+        ).materialize()
     received = Dataset(
         schema=schema, records=concat_manifest_values(inbox, schema.dtype)
     )

@@ -5,31 +5,49 @@ The classic two-phase design, specialized to the columnar run-file layout:
 1. **Run formation** — each budget-sized chunk is stable-argsorted in
    memory and written out as one sorted run (frames small enough that a
    k-way merge holding one frame per run stays inside the budget).
-2. **k-way merge** — a heap over one cursor per run streams records out
-   in globally sorted order.  When more runs exist than the merge fan-in
-   allows, consecutive groups are merged into longer runs first
-   (multi-pass), so the number of frames resident at once never exceeds
-   ``max_fanin + 1``.
+2. **Block merge** — :func:`merge_run_frames` merges the runs a *block* at
+   a time, in O(frames) interpreter steps instead of one per record.  Each
+   round takes ``bound``, the smallest frame-last key over the live runs:
+   every record below it is already resident (each run is sorted, so what
+   a run has not loaded yet is at least its own frame-last key, hence at
+   least ``bound``).  One ``searchsorted`` per run cuts its frame at
+   ``bound``, the slices are concatenated in run order, one stable
+   ``argsort`` orders the block, and it leaves as frames of
+   ``frame_records``.  Resident at once: one frame per run plus one output
+   block of at most as many records.  When more runs exist than the merge
+   fan-in allows, consecutive groups are merged into longer runs first
+   (multi-pass), so the fan-in bounds residency for any number of runs.
 
 Stability is the load-bearing property (the paper's cyclic distribution
-depends on tie order): chunks are added in input order, runs are numbered
-in creation order, and the heap breaks key ties by run ordinal — so equal
-keys come out in exactly the order a stable in-memory sort of the
-concatenated input would produce, for any budget and any fan-in.
+depends on tie order): chunks are added in input order and runs are
+numbered in creation order, so equal keys must leave lowest run first.
+Inside a block the stable ``argsort`` over slices concatenated in run
+order does that.  Across blocks the *tie rule* does: let ``owner`` be the
+lowest-numbered run whose frame ends on ``bound``.  Its next frame may
+continue the tie, so runs above it hold their ``== bound`` records back
+(``side="left"``) until the owner has moved past ``bound``; runs up to and
+including the owner release theirs (``side="right"``) — a run below the
+owner ends its frame strictly above ``bound``, so all of its ties are
+resident.  The owner always empties its frame, so every round retires at
+least one frame.  Keys compare the way numpy sorts them (NaN last, and
+equal to itself), which is also how the runs were formed — so the merged
+stream is exactly what a stable in-memory sort of the concatenated input
+produces, for any budget, any fan-in and any float key.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.core.dataset import Dataset
 from repro.ooc.runfile import Frame, RunReader, RunWriter, SpillManifest
 from repro.ops.sort import sort_key_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.formats.records import RecordSchema
     from repro.ooc.spill import OOCContext
 
 #: default widest merge; beyond this, runs are combined in extra passes
@@ -46,9 +64,10 @@ class _Cursor:
         self.keys: Optional[np.ndarray] = None
         self.values: Optional[np.ndarray] = None
         self.i = 0
-        self._next_frame()
+        self.next_frame()
 
-    def _next_frame(self) -> None:
+    def next_frame(self) -> None:
+        """Load the next non-empty frame (``keys`` is None once exhausted)."""
         for frame in self._frames:
             if len(frame):
                 self.keys = frame.keys
@@ -58,30 +77,31 @@ class _Cursor:
         self.keys = None
         self.values = None
 
-    @property
-    def exhausted(self) -> bool:
-        return self.keys is None
+    def take_through(self, bound, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """Cut the resident frame at ``bound`` and advance past the cut."""
+        lo = self.i
+        hi = lo + int(np.searchsorted(self.keys[lo:], bound, side=side))
+        taken = self.keys[lo:hi], self.values[lo:hi]
+        self.i = hi
+        if hi >= len(self.keys):
+            self.next_frame()
+        return taken
 
-    def current_key(self):
-        return self.keys[self.i]
-
-    def pop(self):
-        """The current record; advances (loading the next frame if needed)."""
-        value = self.values[self.i]
-        self.i += 1
-        if self.i >= len(self.values):
-            self._next_frame()
-        return value
+    def close(self) -> None:
+        """Release the run file, wherever the read position is (closing the
+        started frame generator runs the reader's own ``finally``)."""
+        self._frames.close()
 
 
 def merge_run_frames(
     manifests: Sequence[SpillManifest], frame_records: int
 ) -> Iterator[Frame]:
-    """k-way merge of sorted runs, streamed as frames of ``frame_records``.
+    """Block merge of sorted runs, streamed as frames of ``frame_records``.
 
-    Holds one input frame per run plus one output frame — the caller
+    Holds one input frame per run plus one output block — the caller
     bounds memory by bounding ``len(manifests)`` (the fan-in) and the
-    frame size.  Ties break by run ordinal, preserving input order.
+    frame size.  Ties break by run ordinal, preserving input order (the
+    module docstring has the tie rule).
     """
     if not manifests:
         return
@@ -89,41 +109,57 @@ def merge_run_frames(
         # single run: already sorted, re-stream its frames verbatim
         yield from RunReader(manifests[0].path).frames()
         return
-    cursors = [_Cursor(RunReader(m.path)) for m in manifests]
-    key_dtype = None
-    value_dtype = None
-    for m in manifests:
-        reader = RunReader(m.path)
-        key_dtype, value_dtype = reader.key_dtype, reader.value_dtype
-        reader.close()
-        break
-    # heap entries are (key, run ordinal): unique per run, so the cursor
-    # itself is never compared
-    heap: list[tuple] = []
-    for ordinal, cur in enumerate(cursors):
-        if not cur.exhausted:
-            heap.append((cur.current_key(), ordinal))
-    heapq.heapify(heap)
-    out_keys: list = []
-    out_values: list = []
-    while heap:
-        key, ordinal = heapq.heappop(heap)
-        cur = cursors[ordinal]
-        out_keys.append(key)
-        out_values.append(cur.pop())
-        if not cur.exhausted:
-            heapq.heappush(heap, (cur.current_key(), ordinal))
-        if len(out_values) >= frame_records:
-            yield Frame(
-                values=np.array(out_values, dtype=value_dtype),
-                keys=np.array(out_keys, dtype=key_dtype),
-            )
-            out_keys, out_values = [], []
-    if out_values:
-        yield Frame(
-            values=np.array(out_values, dtype=value_dtype),
-            keys=np.array(out_keys, dtype=key_dtype),
-        )
+    cursors: list[_Cursor] = []
+    try:
+        for m in manifests:
+            cursors.append(_Cursor(RunReader(m.path)))
+        # merged records not yet emitted: fewer than one frame, and no
+        # greater than anything still to come, so they lead the next block
+        carry_keys = carry_values = None
+        while True:
+            live = [cur for cur in cursors if cur.keys is not None]
+            if not live:
+                break
+            lasts = np.array([cur.keys[-1] for cur in live])
+            # numpy's order, not Python's: NaN is the largest key and ties
+            # with itself; the stable argsort picks the lowest run on a tie
+            first = int(np.argsort(lasts, kind="stable")[0])
+            bound = lasts[first]
+            key_parts = [] if carry_keys is None else [carry_keys]
+            value_parts = [] if carry_values is None else [carry_values]
+            for ordinal, cur in enumerate(live):
+                keys, values = cur.take_through(
+                    bound, "right" if ordinal <= first else "left"
+                )
+                if len(keys):
+                    key_parts.append(keys)
+                    value_parts.append(values)
+            if len(key_parts) == 1:
+                block_keys, block_values = key_parts[0], value_parts[0]
+            else:
+                block_keys = np.concatenate(key_parts)
+                order = np.argsort(block_keys, kind="stable")
+                block_keys = block_keys[order]
+                # naming the dtype skips numpy's per-call field promotion
+                block_values = np.concatenate(
+                    value_parts, dtype=value_parts[0].dtype
+                )[order]
+            full = len(block_keys) - len(block_keys) % frame_records
+            for pos in range(0, full, frame_records):
+                yield Frame(
+                    values=block_values[pos : pos + frame_records],
+                    keys=block_keys[pos : pos + frame_records],
+                )
+            carry_keys = carry_values = None
+            if full < len(block_keys):
+                # copied so the carry does not pin the block it was cut from
+                carry_keys = block_keys[full:].copy()
+                carry_values = block_values[full:].copy()
+        if carry_keys is not None:
+            yield Frame(values=carry_values, keys=carry_keys)
+    finally:
+        for cur in cursors:
+            cur.close()
 
 
 class ExternalSorter:
@@ -146,8 +182,9 @@ class ExternalSorter:
         self.value_dtype = np.dtype(value_dtype)
         self.key_dtype = np.dtype(key_dtype)
         self.max_fanin = max(2, int(max_fanin))
-        # one input frame per merged run + the output frame must all fit
-        # in a chunk's worth of budget
+        # one input frame per merged run plus one more fit in a chunk's
+        # worth of budget (a quarter of it); the merge's output block — the
+        # cut slices, concatenated and gathered — adds up to two more
         itemsize = self.value_dtype.itemsize + self.key_dtype.itemsize
         self.frame_records = max(
             1, self.ctx.chunk_records(itemsize) // (self.max_fanin + 1)
@@ -180,14 +217,17 @@ class ExternalSorter:
         self.ctx.stats.record_run(manifest)
         self.runs.append(manifest)
 
-    def merged_frames(self) -> Iterator[Frame]:
-        """The globally sorted stream, frame at a time, within budget."""
-        runs = self.runs
-        # multi-pass: collapse consecutive groups until one merge suffices
-        while len(runs) > self.max_fanin:
+    @property
+    def num_records(self) -> int:
+        """Records added so far (what the merged stream will hold)."""
+        return sum(run.num_records for run in self.runs)
+
+    def _collapse(self) -> None:
+        """Multi-pass: merge consecutive groups until one merge suffices."""
+        while len(self.runs) > self.max_fanin:
             next_runs: list[SpillManifest] = []
-            for i in range(0, len(runs), self.max_fanin):
-                group = runs[i : i + self.max_fanin]
+            for i in range(0, len(self.runs), self.max_fanin):
+                group = self.runs[i : i + self.max_fanin]
                 if len(group) == 1:
                     next_runs.append(group[0])
                     continue
@@ -205,17 +245,27 @@ class ExternalSorter:
                 next_runs.append(manifest)
                 for spent in group:
                     self._discard(spent)
-            runs = next_runs
-        if len(runs) > 1:
-            self.ctx.stats.record_merge(len(runs))
-        yield from merge_run_frames(runs, self.frame_records)
+            self.runs = next_runs
+
+    def merged_frames(self) -> Iterator[Frame]:
+        """The globally sorted stream, frame at a time, within budget.
+
+        Re-iterable while the run files exist: the collapse passes happen
+        once, every call re-streams the final merge.
+        """
+        self._collapse()
+        if len(self.runs) > 1:
+            self.ctx.stats.record_merge(len(self.runs))
+        yield from merge_run_frames(self.runs, self.frame_records)
 
     def sorted_values(self) -> np.ndarray:
         """The fully sorted values as one array (caller materializes anyway)."""
-        frames = [f.values for f in self.merged_frames()]
-        if not frames:
-            return np.empty(0, dtype=self.value_dtype)
-        return np.concatenate(frames)
+        out = np.empty(self.num_records, dtype=self.value_dtype)
+        pos = 0
+        for frame in self.merged_frames():
+            out[pos : pos + len(frame)] = frame.values
+            pos += len(frame)
+        return out
 
     @staticmethod
     def _discard(manifest: SpillManifest) -> None:
@@ -240,21 +290,57 @@ def external_sort_chunks(
     return sorter
 
 
+class SortedRuns:
+    """A spilled sort's output, left on disk: the merge runs when it is read.
+
+    Stands where a flat :class:`~repro.core.dataset.Dataset` would — it
+    has the ``schema``, ``len``, ``nbytes``, ``is_packed``, ``chunks()``
+    and ``materialize()`` a :class:`~repro.ooc.chunked.ChunkedDataset`
+    has — so a consumer that streams (``Distribute``) never holds the
+    sorted copy, and one that cannot calls :meth:`materialize`.  Valid, and
+    re-iterable, while the spill directory lives.
+    """
+
+    is_packed = False
+
+    def __init__(self, sorter: ExternalSorter, schema: "RecordSchema") -> None:
+        self.sorter = sorter
+        self.schema = schema
+
+    def __len__(self) -> int:
+        return self.sorter.num_records
+
+    @property
+    def nbytes(self) -> int:
+        """In-memory structured size of the sorted records."""
+        return len(self) * self.schema.itemsize
+
+    def chunks(self) -> Iterator[Dataset]:
+        """The sorted records in order, one merged frame at a time."""
+        for frame in self.sorter.merged_frames():
+            yield Dataset(schema=self.schema, records=frame.values)
+
+    def materialize(self) -> Dataset:
+        """The sorted records as one in-memory dataset."""
+        return Dataset(schema=self.schema, records=self.sorter.sorted_values())
+
+
 def external_sort_records(
     chunks: Iterable[np.ndarray],
     key: str,
     ascending: bool,
     ctx: "OOCContext",
-    dtype: np.dtype,
-) -> np.ndarray:
+    schema: "RecordSchema",
+) -> SortedRuns:
     """Stable external sort of record chunks (in input order) by one field.
 
     The one way a plain ``Sort`` runs when its input exceeds the budget,
     whether the chunks stream from an input file or from received run
-    files.
+    files.  Run formation happens here; the merge is deferred to whoever
+    reads the returned view.
     """
+    dtype = schema.dtype
     key_dtype = sort_key_array(np.empty(0, dtype=dtype[key]), ascending).dtype
     pieces = ((sort_key_array(records[key], ascending), records) for records in chunks)
-    return external_sort_chunks(
-        pieces, ctx, dtype, key_dtype, max_fanin=ctx.max_fanin
-    ).sorted_values()
+    sorter = external_sort_chunks(pieces, ctx, dtype, key_dtype, max_fanin=ctx.max_fanin)
+    return SortedRuns(sorter, schema)

@@ -217,21 +217,25 @@ class RunReader:
                 if len(head) < _FRAME.size:
                     raise RunFileError(f"run {self.path}: truncated frame header")
                 crc, nrec, tag, key_nbytes, value_nbytes = _FRAME.unpack(head)
-                key_bytes = self._fh.read(key_nbytes)
-                value_bytes = self._fh.read(value_nbytes)
-                if len(key_bytes) < key_nbytes or len(value_bytes) < value_nbytes:
+                # one copy per frame: the payload lands in the buffers the
+                # arrays keep, and the crc runs over exactly those bytes
+                key_buf = np.empty(key_nbytes, dtype=np.uint8)
+                value_buf = np.empty(value_nbytes, dtype=np.uint8)
+                if (
+                    self._fh.readinto(key_buf) < key_nbytes
+                    or self._fh.readinto(value_buf) < value_nbytes
+                ):
                     raise RunFileError(f"run {self.path}: truncated frame payload")
-                actual = zlib.crc32(key_bytes)
-                actual = zlib.crc32(value_bytes, actual)
+                actual = zlib.crc32(value_buf, zlib.crc32(key_buf))
                 if actual != crc:
                     raise RunCorruptionError(
                         f"run {self.path}: frame crc mismatch "
                         f"(stored {crc:#010x}, computed {actual:#010x})"
                     )
-                values = np.frombuffer(value_bytes, dtype=self.value_dtype).copy()
+                values = value_buf.view(self.value_dtype)
                 keys = None
                 if self.key_dtype is not None and key_nbytes:
-                    keys = np.frombuffer(key_bytes, dtype=self.key_dtype).copy()
+                    keys = key_buf.view(self.key_dtype)
                 if len(values) != nrec:
                     raise RunFileError(
                         f"run {self.path}: frame declares {nrec} records, "

@@ -12,22 +12,61 @@ independently — Figure 11 generates ``L_3^4`` for the high-degree stream and
 ``L_3^3`` for the low-degree stream — and partition ``p``'s final output
 concatenates every stream's ``p``-th chunk, unpacked ("as the distribute is
 the last step in the workflow, all data will be unpacked").
+
+Flat records under a built-in policy are not gathered through the
+permutation vector but dealt by the strided kernel, which applies the same
+permutation in its index form: a record at global position ``g`` goes to
+partition ``g mod P``, slot ``g // P`` (cyclic), or to a contiguous range
+(block).  The kernel takes its records chunk by chunk, so a source that
+streams — an out-of-core input view, a spilled sort's sorted runs — is dealt
+without ever being resident; an in-memory dataset is its one-chunk case.
+Packed streams, the ``use_matrix`` ablation and user-registered policies
+keep the permutation path.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from bisect import bisect_right
+from typing import Any, Iterable, Iterator, Union
 
 import numpy as np
 
 from repro.core.dataset import Dataset, concat
 from repro.errors import OperatorError
 from repro.ops.base import BasicOperator, register_basic
-from repro.policies.distr import DistributionPolicy, get_policy
+from repro.policies.distr import (
+    BlockPolicy,
+    CyclicPolicy,
+    DistributionPolicy,
+    GraphVertexCutPolicy,
+    get_policy,
+)
 from repro.policies.permutation import (
     apply_permutation_matrix,
     stride_permutation_matrix,
 )
+
+
+def _cyclic_pieces(num_p: int, g0: int, m: int) -> Iterator[tuple[int, int, slice]]:
+    """``(partition, first slot, chunk slice)`` for a chunk of ``m`` records at
+    global offset ``g0``, dealt cyclically: the chunk's ``j``-th record opens
+    the stride of partition ``(g0 + j) mod P``."""
+    for j in range(min(num_p, m)):
+        slot, p = divmod(g0 + j, num_p)
+        yield p, slot, slice(j, None, num_p)
+
+
+def _block_pieces(offsets: list[int], g0: int, m: int) -> Iterator[tuple[int, int, slice]]:
+    """The ``block`` counterpart: partition ``p`` holds the global positions
+    ``[offsets[p], offsets[p + 1])``, so a chunk splits into contiguous runs."""
+    p = bisect_right(offsets, g0) - 1
+    pos, stop = g0, g0 + m
+    while pos < stop:
+        end = min(stop, offsets[p + 1])
+        if end > pos:
+            yield p, pos - offsets[p], slice(pos - g0, end - g0)
+            pos = end
+        p += 1
 
 
 @register_basic
@@ -59,9 +98,17 @@ class Distribute(BasicOperator):
             return apply_permutation_matrix(matrix, np.arange(n, dtype=np.int64))
         return self.policy.permutation(n, self.num_partitions)
 
-    def partition_one(self, data: Dataset) -> list[Dataset]:
+    def partition_one(self, data: Any) -> list[Dataset]:
         """Partition one stream; entry = record (flat) or group (packed)."""
         n = len(data)
+        if self._deals_strided(data):
+            chunks = data.chunks() if hasattr(data, "chunks") else (data,)
+            return self._deal_strided(
+                data.schema, (chunk.records for chunk in chunks), n
+            )
+        if hasattr(data, "materialize"):
+            # the permutation gathers by index: a streamed source turns resident
+            data = data.materialize()
         perm = self._permute_entries(n)
         counts = self.policy.counts(n, self.num_partitions)
         offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -70,11 +117,54 @@ class Distribute(BasicOperator):
             for p in range(self.num_partitions)
         ]
 
-    def apply_local(
-        self, data: Union[Dataset, Sequence[Dataset]]
+    def _deals_strided(self, data: Any) -> bool:
+        """Whether the strided kernel serves ``data``: flat records under a
+        built-in policy.  Packed streams, the matrix ablation and
+        user-registered policies (which define themselves by their
+        permutation) go through the permutation."""
+        return (
+            not self.use_matrix
+            and not data.is_packed
+            and type(self.policy) in (CyclicPolicy, GraphVertexCutPolicy, BlockPolicy)
+        )
+
+    def _deal_strided(
+        self, schema: Any, chunks: Iterable[np.ndarray], n: int
     ) -> list[Dataset]:
-        """Distribute local entries; returns ``num_partitions`` flat datasets."""
-        streams = [data] if isinstance(data, Dataset) else list(data)
+        """Deal ``n`` records arriving as consecutive chunks, no permutation.
+
+        A record's target follows from its global position ``g`` alone —
+        partition ``g mod P`` at slot ``g // P`` when dealing cyclically, a
+        contiguous range per partition under ``block`` — so each chunk is
+        copied by a handful of slice assignments into partitions sized up
+        front from the policy's counts.
+        """
+        num_p = self.num_partitions
+        counts = self.policy.counts(n, num_p)
+        parts = [np.empty(count, dtype=schema.dtype) for count in counts]
+        block = isinstance(self.policy, BlockPolicy)
+        offsets = [0, *np.cumsum(counts).tolist()]
+        g0 = 0
+        for records in chunks:
+            m = len(records)
+            pieces = (
+                _block_pieces(offsets, g0, m) if block else _cyclic_pieces(num_p, g0, m)
+            )
+            for p, slot, where in pieces:
+                piece = records[where]
+                parts[p][slot : slot + len(piece)] = piece
+            g0 += m
+        return [Dataset(schema=schema, records=part) for part in parts]
+
+    def apply_local(self, data: Any) -> list[Dataset]:
+        """Distribute local entries; returns ``num_partitions`` flat datasets.
+
+        ``data`` is one stream or a list of them; a stream is a dataset or
+        anything flat that yields its records through ``chunks()`` (an
+        out-of-core input view, a spilled sort's sorted runs), which is
+        dealt as it streams.
+        """
+        streams = [data] if hasattr(data, "schema") else list(data)
         if not streams:
             raise OperatorError("Distribute received no input streams")
         per_stream = [self.partition_one(s) for s in streams]

@@ -1,4 +1,4 @@
-"""MemoryBudget: spec parsing, accounting, and chunk sizing."""
+"""MemoryBudget: spec parsing and chunk sizing."""
 
 import pytest
 
@@ -50,17 +50,6 @@ class TestMemoryBudget:
         assert MemoryBudget.coerce(b) is b
         assert MemoryBudget.coerce(None) is None
         assert MemoryBudget.coerce("1KB").limit == 1024
-
-    def test_reserve_release_tracks_peak(self):
-        b = MemoryBudget(1000)
-        b.reserve(400)
-        b.reserve(500)
-        assert b.current == 900
-        assert b.peak == 900
-        b.release(500)
-        b.reserve(100)
-        assert b.current == 500
-        assert b.peak == 900
 
     def test_invalid_chunk_fraction_raises(self):
         with pytest.raises(MemoryBudgetError):
