@@ -7,6 +7,11 @@ between: *flat* (a numpy structured array, the ``orig`` format) or *packed*
 requires in-memory datasets explicitly: "the framework also needs to support
 the in-memory data partitioning, because the intermediate data may need
 repartitioning and redistribution at runtime."
+
+:class:`SortedView` is the flat dataset a plain ``Sort`` returns: the
+unsorted records plus their stable order, gathered only when someone reads
+them — or never, when the consumer is a positional deal that gathers each
+partition's share itself (:meth:`Dataset.select`).
 """
 
 from __future__ import annotations
@@ -71,13 +76,13 @@ class Dataset:
         """Underlying record count regardless of layout."""
         if self.packed is not None:
             return self.packed.num_records
-        return len(self.records)
+        return len(self)
 
     @property
     def nbytes(self) -> int:
         if self.packed is not None:
             return self.packed.nbytes
-        return self.records.nbytes
+        return len(self) * self.schema.itemsize
 
     def column(self, name: str) -> np.ndarray:
         """A field column; for packed data, one value per group (taken from
@@ -113,6 +118,16 @@ class Dataset:
             return Dataset(schema=self.schema, packed=self.packed.take(indices))
         return Dataset(schema=self.schema, records=self.records[np.asarray(indices)])
 
+    def select(self, where: slice) -> "Dataset":
+        """The entries at the positions ``where``, copied out.
+
+        One partition's share of a positional deal: ``where`` is the strided
+        (cyclic) or contiguous (block) slice the deal rule assigns it.
+        """
+        if self.packed is not None:
+            return self.take(np.arange(*where.indices(len(self))))
+        return Dataset(schema=self.schema, records=self.records[where].copy())
+
     def rows(self) -> list[tuple]:
         """Flat records as plain tuples (test/debug convenience)."""
         return [tuple(r) for r in self.to_flat().records]
@@ -120,6 +135,54 @@ class Dataset:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         layout = f"packed[{self.packed.num_groups} groups]" if self.is_packed else "flat"
         return f"Dataset({self.schema.id!r}, {self.num_records} records, {layout})"
+
+
+class SortedView(Dataset):
+    """A flat dataset in sorted order whose records are not gathered yet.
+
+    Holds ``(source, order)``: the sorted records are ``source[order]``.
+    :meth:`select` gathers a slice of them straight from the pair — a deal
+    that only ever asks for ``select(slice(p, None, P))`` never builds the
+    sorted copy.  Any other read goes through :attr:`records`, which
+    gathers once and drops the pair, so from then on (and to every caller
+    that does not know about the pair) this is a plain sorted dataset;
+    pickling — a checkpoint, the fabric codec — writes it as one.
+    """
+
+    def __init__(self, schema: RecordSchema, source: np.ndarray, order: np.ndarray) -> None:
+        self.schema = schema
+        self.packed = None
+        self._pending: Optional[tuple[np.ndarray, np.ndarray]] = (source, order)
+        self._records: Optional[np.ndarray] = None
+        self._len = len(order)
+
+    @property
+    def records(self) -> np.ndarray:
+        """The sorted records (the first read gathers them)."""
+        pending = self._pending
+        if pending is not None:
+            source, order = pending
+            # published before the pair is dropped: a rank thread that still
+            # sees the pair gathers the same array again, never reads None
+            self._records = source[order]
+            self._pending = None
+        return self._records
+
+    def __len__(self) -> int:
+        return self._len
+
+    def to_flat(self) -> Dataset:
+        return Dataset(schema=self.schema, records=self.records)
+
+    def select(self, where: slice) -> Dataset:
+        pending = self._pending
+        if pending is None:
+            return super().select(where)
+        source, order = pending
+        return Dataset(schema=self.schema, records=source[order[where]])
+
+    def __reduce__(self) -> tuple:
+        return Dataset, (self.schema, self.records)
 
 
 def concat(datasets: Sequence[Dataset]) -> Dataset:

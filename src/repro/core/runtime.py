@@ -10,15 +10,17 @@ Two executors run the same :class:`~repro.core.planner.WorkflowPlan`:
   mapping of the formalization onto MPI / MR-MPI: sort and group jobs are
   one *range exchange* (sample + range-shuffle + local kernel, Figures 9
   and 11), distribute jobs compute global entry positions with an exclusive
-  scan and shuffle entries to their partition owners.  What differs between
-  the backends is data on a subclass — the backend label, the reducer count,
-  the cost profile (:class:`~repro.core.mr_runtime.MapReduceRuntime`) and the
-  launcher (:class:`~repro.core.process_runtime.ProcessRuntime`).
+  scan and deal each rank's window of them by position
+  (:meth:`~repro.ops.distribute.Distribute.pieces`) to the partition owners.
+  What differs between the backends is data on a subclass — the backend
+  label, the reducer count, the cost profile
+  (:class:`~repro.core.mr_runtime.MapReduceRuntime`) and the launcher
+  (:class:`~repro.core.process_runtime.ProcessRuntime`).
 
 Every backend produces identical partitions (tested); the SPMD backends
 additionally report simulated time and shuffle volume when a cluster model
-is attached.  Shuffle owner bucketization goes through
-:func:`repro.mapreduce.columnar.bucketize` — one stable argsort instead of a
+is attached.  The range exchange bucketizes owners through
+:func:`repro.mapreduce.columnar.bucketize` — one stable order instead of a
 per-destination ``flatnonzero`` scan — and every backend threads a
 :class:`~repro.mapreduce.columnar.PerfCounters` through
 ``PartitionResult.extra["perf"]`` (``python -m repro run --stats``).
@@ -120,7 +122,10 @@ def _dataset_rows_per_rank(data: Dataset, rank: int, size: int) -> Dataset:
         # instead of materializing its block (duck-typed so repro.ooc is
         # never imported on the in-memory path)
         return data.slice_view(start, length)
-    return data.take(np.arange(start, start + length))
+    if data.is_packed:
+        return data.take(np.arange(start, start + length))
+    # flat records: a slice view, no index vector and no copy per rank
+    return Dataset(schema=data.schema, records=data.records[start : start + length])
 
 
 def _resident(source: Any) -> Any:
@@ -139,9 +144,11 @@ def policy_partition_ids(
     """Each entry's target partition under the distribution policy.
 
     Pure function of the global entry positions and the global entry count
-    (the permutation formalization of Section III-C) — shared by the SPMD
-    executor, the out-of-core exchange (which must compute it chunk at a
-    time without re-running the count collective) and the serve routers.
+    (the permutation formalization of Section III-C) — shared by the
+    out-of-core exchange (which must compute it chunk at a time without
+    re-running the count collective) and the serve routers.  The in-memory
+    SPMD deal applies the same rule to whole windows of positions instead
+    (:meth:`~repro.ops.distribute.Distribute.pieces`).
     """
     policy = op.policy.name
     if policy in ("cyclic", "graphVertexCut"):
@@ -688,19 +695,17 @@ class MPIRuntime:
                 )
             else:
                 stream = _resident(stream)
-                global_idx = np.arange(n_local, dtype=np.int64) + offset
-                owners_part = policy_partition_ids(op, global_idx, total)
-                # one grouped take per non-empty partition instead of a full
-                # owners_part scan per partition
+                # deal by position: this rank holds the global entries
+                # [offset, offset + n_local), so each partition's share is
+                # one slice of them — gathered straight from (records,
+                # order) when the stream is a lazy sort result
                 outboxes: list[list[tuple[int, int, Any]]] = [
                     [] for _ in range(comm.size)
                 ]
-                for p, idx in enumerate(bucketize(owners_part, num_p)):
-                    if not len(idx):
-                        continue
-                    chunk = stream.take(idx)
-                    perf.count_move(len(idx), chunk.nbytes)
-                    outboxes[p % comm.size].append((p, int(global_idx[idx[0]]), chunk))
+                for p, _slot, where in op.pieces(total, offset, n_local):
+                    chunk = stream.select(where)
+                    perf.count_move(len(chunk), chunk.nbytes)
+                    outboxes[p % comm.size].append((p, offset + where.start, chunk))
                 inboxes = _alltoall(
                     comm, outboxes, "distribute-shuffle",
                     {"stream": stream_idx, "records": n_local},

@@ -61,9 +61,22 @@ def read_binary(path: PathLike, schema: RecordSchema) -> np.ndarray:
         raise FormatError(
             f"{path}: body of {body} B is not a multiple of the {schema.itemsize} B record size"
         )
+    return read_records(path, schema.start_position, body // schema.itemsize, schema.dtype)
+
+
+def read_records(path: PathLike, start: int, count: int, dtype: np.dtype) -> np.ndarray:
+    """``count`` records from byte ``start`` of ``path``, read straight into
+    the array that is returned (one copy; a short read is a ``FormatError``)."""
+    out = np.empty(count, dtype=dtype)
     with open(path, "rb") as fh:
-        fh.seek(schema.start_position)
-        return np.frombuffer(fh.read(), dtype=schema.dtype).copy()
+        fh.seek(start)
+        got = fh.readinto(out.view(np.uint8))
+    if got != out.nbytes:
+        raise FormatError(
+            f"{path}: expected {count} records at byte {start}, "
+            f"found {got // out.itemsize}"
+        )
+    return out
 
 
 class _BinaryRecordReader(RecordReader):
@@ -118,10 +131,9 @@ class BinaryInputFormat(InputFormat):
             raise FormatError(
                 f"split length {split.length} not aligned to record size {self.schema.itemsize}"
             )
-        with open(self.path, "rb") as fh:
-            fh.seek(split.start)
-            raw = fh.read(split.length)
-        return np.frombuffer(raw, dtype=self.schema.dtype).copy()
+        return read_records(
+            self.path, split.start, split.length // self.schema.itemsize, self.schema.dtype
+        )
 
 
 def partition_paths(output_path: PathLike, num_partitions: int) -> list[str]:

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.records import RecordSchema
+from repro.order import stable_order
 
 
 def _schema_without(schema: RecordSchema, field: str) -> np.dtype:
@@ -204,7 +205,7 @@ def pack(records: np.ndarray, schema: RecordSchema, key_field: str) -> PackedRec
         )
     if not schema.has_field(key_field):
         raise FormatError(f"key field {key_field!r} not in schema {schema.id!r}")
-    ordered = records[np.argsort(records[key_field], kind="stable")]
+    ordered = records[stable_order(records[key_field])]
     _, starts = np.unique(ordered[key_field], return_index=True)
     return PackedRecords(
         schema=schema, key_field=key_field, records=ordered,

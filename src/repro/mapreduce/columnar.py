@@ -7,11 +7,17 @@ fixed-width record values.  This module keeps such batches columnar — one
 keys array plus one values array (structured dtypes for records) — and
 drives every phase with array kernels:
 
-* :func:`bucketize` — one stable ``argsort`` + ``bincount`` + ``split``
+* :func:`bucketize` — one stable order + ``bincount`` + ``split``
   replaces the O(n * destinations) per-destination ``flatnonzero`` scans.
   Both workflow runtimes and the engine shuffle route through it.
-* :func:`group` — stable ``argsort`` + run-boundary detection, optionally
+* :func:`group` — stable order + run-boundary detection, optionally
   restoring the generic engine's first-seen group order exactly.
+
+  Every stable order here comes from :func:`repro.order.stable_order`:
+  owner ids, group ranks and integer keys are sorted packed (key and index
+  in one ``uint64``, numpy's vectorized sort); float or string keys, and
+  integer keys whose range plus index exceed 64 bits, fall back to numpy's
+  stable ``argsort`` with the same result.
 * vectorized hash / range / explicit partitioning via
   :meth:`~repro.mapreduce.partitioner.Partitioner.partition_array`.
 * ``reduceat``-based combiners for the Table I aggregates
@@ -35,6 +41,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import MapReduceError
+from repro.order import stable_order
 
 __all__ = [
     "KVBatch",
@@ -76,7 +83,7 @@ def bucketize(owners: np.ndarray, num_buckets: int) -> list[np.ndarray]:
     Equivalent to ``[np.flatnonzero(owners == b) for b in range(num_buckets)]``
     — each bucket keeps the original relative order (the stable sort keeps
     shuffles deterministic and bit-identical to the scan version) — but costs
-    one O(n log n) argsort instead of ``num_buckets`` O(n) scans.
+    one O(n log n) sort instead of ``num_buckets`` O(n) scans.
     """
     owners = np.asarray(owners)
     if owners.ndim != 1:
@@ -93,9 +100,7 @@ def bucketize(owners: np.ndarray, num_buckets: int) -> list[np.ndarray]:
         raise MapReduceError(
             f"owner ids must lie in [0, {num_buckets}), got range [{lo}, {hi}]"
         )
-    order = np.argsort(owners, kind="stable").astype(
-        index_dtype(owners.size), copy=False
-    )
+    order = stable_order(owners).astype(index_dtype(owners.size), copy=False)
     # the views np.split returns, without its per-section Python overhead
     ends = np.cumsum(np.bincount(owners, minlength=num_buckets)).tolist()
     return [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
@@ -206,7 +211,7 @@ class GroupedKVBatch:
 
 
 def group(batch: KVBatch, order: str = "first-seen") -> GroupedKVBatch:
-    """Group a batch by key via one stable argsort + run-boundary detection.
+    """Group a batch by key via one stable order + run-boundary detection.
 
     ``order="first-seen"`` reproduces the generic engine's dict grouping
     (groups appear in order of each key's first occurrence; values keep
@@ -220,7 +225,7 @@ def group(batch: KVBatch, order: str = "first-seen") -> GroupedKVBatch:
         return GroupedKVBatch(
             keys=batch.keys, values=batch.values, offsets=np.zeros(1, dtype=index_dtype(0))
         )
-    sort_idx = np.argsort(batch.keys, kind="stable")
+    sort_idx = stable_order(batch.keys)
     sorted_keys = batch.keys[sort_idx]
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
@@ -230,11 +235,11 @@ def group(batch: KVBatch, order: str = "first-seen") -> GroupedKVBatch:
     if order == "first-seen":
         # the stable sort puts each key's earliest original index at its run
         # start, so ranking runs by that index restores dict insertion order
-        seen = np.argsort(sort_idx[starts], kind="stable")
+        seen = stable_order(sort_idx[starts])
         gid_sorted = np.cumsum(boundary) - 1
         rank_of_group = np.empty(len(starts), dtype=np.int64)
         rank_of_group[seen] = np.arange(len(starts))
-        sort_idx = sort_idx[np.argsort(rank_of_group[gid_sorted], kind="stable")]
+        sort_idx = sort_idx[stable_order(rank_of_group[gid_sorted])]
         group_order = seen
     else:
         group_order = np.arange(len(starts))

@@ -35,6 +35,7 @@ from repro.mapreduce.columnar import (
 from repro.mapreduce.columnar import group as columnar_group
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 from repro.mpi.comm import Communicator
+from repro.order import stable_order
 
 #: ``map_fn(item, emit)`` — calls ``emit(key, value)`` zero or more times.
 MapFn = Callable[[Any, Callable[[Any, Any], None]], None]
@@ -265,7 +266,7 @@ class MRMPIEngine:
                         f"descending columnar sort needs a numeric key dtype, got {keys.dtype}"
                     )
                 keys = -keys.astype(np.int64) if keys.dtype.kind in "iu" else -keys
-            return kv.take(np.argsort(keys, kind="stable"))
+            return kv.take(stable_order(keys))
         return sorted(kv, key=lambda pair: pair[0], reverse=descending)
 
     # -- convenience -------------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.errors import FormatError
+from repro.formats.binary import read_records
 from repro.formats.records import RecordSchema
 from repro.formats.text import iter_text_lines, parse_line
 from repro.ooc.budget import MemoryBudget
@@ -187,16 +188,12 @@ class ChunkedDataset:
             )
         abs_start = self.start + start
         if self.schema.input_format == "binary":
-            rows = np.empty(length, dtype=self.schema.dtype)
-            with open(self.path, "rb") as fh:
-                fh.seek(self.schema.start_position + abs_start * self.schema.itemsize)
-                got = fh.readinto(rows.view(np.uint8))
-            if got != rows.nbytes:
-                raise FormatError(
-                    f"{self.path}: expected {length} records from row {abs_start}, "
-                    f"found {got // self.schema.itemsize}"
-                )
-            return rows
+            return read_records(
+                self.path,
+                self.schema.start_position + abs_start * self.schema.itemsize,
+                length,
+                self.schema.dtype,
+            )
         return self._read_text_rows(abs_start, length)
 
     def _read_text_rows(self, abs_start: int, length: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The classic two-phase design, specialized to the columnar run-file layout:
 
-1. **Run formation** — each budget-sized chunk is stable-argsorted in
-   memory and written out as one sorted run (frames small enough that a
+1. **Run formation** — each budget-sized chunk is stably ordered in memory
+   (:func:`repro.order.stable_order`, as every sort in the repo) and
+   written out as one sorted run (frames small enough that a
    k-way merge holding one frame per run stays inside the budget).
 2. **Block merge** — :func:`merge_run_frames` merges the runs a *block* at
    a time, in O(frames) interpreter steps instead of one per record.  Each
@@ -12,7 +13,8 @@ The classic two-phase design, specialized to the columnar run-file layout:
    a run has not loaded yet is at least its own frame-last key, hence at
    least ``bound``).  One ``searchsorted`` per run cuts its frame at
    ``bound``, the slices are concatenated in run order, one stable
-   ``argsort`` orders the block, and it leaves as frames of
+   ``argsort`` orders the block (numpy's timsort: the block is a handful
+   of presorted slices, which it merges in O(n)), and it leaves as frames of
    ``frame_records``.  Resident at once: one frame per run plus one output
    block of at most as many records.  When more runs exist than the merge
    fan-in allows, consecutive groups are merged into longer runs first
@@ -21,8 +23,8 @@ The classic two-phase design, specialized to the columnar run-file layout:
 Stability is the load-bearing property (the paper's cyclic distribution
 depends on tie order): chunks are added in input order and runs are
 numbered in creation order, so equal keys must leave lowest run first.
-Inside a block the stable ``argsort`` over slices concatenated in run
-order does that.  Across blocks the *tie rule* does: let ``owner`` be the
+Inside a block the stable order over slices concatenated in run order
+does that.  Across blocks the *tie rule* does: let ``owner`` be the
 lowest-numbered run whose frame ends on ``bound``.  Its next frame may
 continue the tie, so runs above it hold their ``== bound`` records back
 (``side="left"``) until the owner has moved past ``bound``; runs up to and
@@ -44,7 +46,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.ooc.runfile import Frame, RunReader, RunWriter, SpillManifest
-from repro.ops.sort import sort_key_array
+from repro.ops.sort import sort_key_array, stable_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.formats.records import RecordSchema
@@ -138,6 +140,9 @@ def merge_run_frames(
                 block_keys, block_values = key_parts[0], value_parts[0]
             else:
                 block_keys = np.concatenate(key_parts)
+                # numpy's own stable sort, not stable_order: the block is a
+                # few presorted slices, which timsort merges in O(n) (1.3 ms
+                # against the packed kernel's 2.2 ms for 8 slices of 14.5k)
                 order = np.argsort(block_keys, kind="stable")
                 block_keys = block_keys[order]
                 # naming the dtype skips numpy's per-call field promotion
@@ -195,7 +200,7 @@ class ExternalSorter:
         """Stable-sort one chunk and write it out as a sorted run."""
         if not len(values):
             return
-        order = np.argsort(keys, kind="stable")
+        order = stable_order(keys)
         self._write_run(keys[order], values[order])
 
     def add_sorted_chunk(self, keys: np.ndarray, values: np.ndarray) -> None:

@@ -14,14 +14,19 @@ concatenates every stream's ``p``-th chunk, unpacked ("as the distribute is
 the last step in the workflow, all data will be unpacked").
 
 Flat records under a built-in policy are not gathered through the
-permutation vector but dealt by the strided kernel, which applies the same
+permutation vector but dealt by position, which applies the same
 permutation in its index form: a record at global position ``g`` goes to
 partition ``g mod P``, slot ``g // P`` (cyclic), or to a contiguous range
-(block).  The kernel takes its records chunk by chunk, so a source that
+(block).  :meth:`Distribute.pieces` is that rule for any window of global
+positions — the whole stream here, a rank's ``[offset, offset + n)`` share in
+the SPMD executor.  An in-memory dataset is dealt with one
+:meth:`~repro.core.dataset.Dataset.select` per partition; when it is a lazy
+``Sort`` result (:class:`~repro.core.dataset.SortedView`) that select is
+``records[order[p::P]]``, so the sorted copy is never built.  A source that
 streams — an out-of-core input view, a spilled sort's sorted runs — is dealt
-without ever being resident; an in-memory dataset is its one-chunk case.
-Packed streams, the ``use_matrix`` ablation and user-registered policies
-keep the permutation path.
+chunk by chunk without ever being resident.  Packed streams, the
+``use_matrix`` ablation and user-registered policies keep the permutation
+path, which reads (and so materializes) a lazy sort result.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from repro.policies.distr import (
 )
 from repro.policies.permutation import (
     apply_permutation_matrix,
+    partition_counts,
     stride_permutation_matrix,
 )
 
@@ -98,14 +104,35 @@ class Distribute(BasicOperator):
             return apply_permutation_matrix(matrix, np.arange(n, dtype=np.int64))
         return self.policy.permutation(n, self.num_partitions)
 
+    def pieces(self, total: int, g0: int, m: int) -> Iterator[tuple[int, int, slice]]:
+        """Where the entries at global positions ``[g0, g0 + m)`` of a stream of
+        ``total`` go: ``(partition, first slot, slice of that window)``, at most
+        one per partition.  The rule goes by the policy's *name*, as the SPMD
+        deal always has."""
+        name = self.policy.name
+        if name in ("cyclic", "graphVertexCut"):
+            return _cyclic_pieces(self.num_partitions, g0, m)
+        if name == "block":
+            counts = partition_counts(total, self.num_partitions, "block")
+            return _block_pieces([0, *np.cumsum(counts).tolist()], g0, m)
+        raise OperatorError(f"policy {name!r} has no positional deal rule")
+
     def partition_one(self, data: Any) -> list[Dataset]:
         """Partition one stream; entry = record (flat) or group (packed)."""
         n = len(data)
         if self._deals_strided(data):
-            chunks = data.chunks() if hasattr(data, "chunks") else (data,)
-            return self._deal_strided(
-                data.schema, (chunk.records for chunk in chunks), n
-            )
+            if hasattr(data, "chunks"):
+                return self._deal_strided(
+                    data.schema, (chunk.records for chunk in data.chunks()), n
+                )
+            # resident: the one window covers the stream, so every piece is
+            # a whole partition and one select (a lazy sort's only gather)
+            # builds it
+            wheres = {p: where for p, _, where in self.pieces(n, 0, n)}
+            return [
+                data.select(wheres.get(p, slice(0, 0)))
+                for p in range(self.num_partitions)
+            ]
         if hasattr(data, "materialize"):
             # the permutation gathers by index: a streamed source turns resident
             data = data.materialize()
@@ -139,18 +166,12 @@ class Distribute(BasicOperator):
         copied by a handful of slice assignments into partitions sized up
         front from the policy's counts.
         """
-        num_p = self.num_partitions
-        counts = self.policy.counts(n, num_p)
+        counts = self.policy.counts(n, self.num_partitions)
         parts = [np.empty(count, dtype=schema.dtype) for count in counts]
-        block = isinstance(self.policy, BlockPolicy)
-        offsets = [0, *np.cumsum(counts).tolist()]
         g0 = 0
         for records in chunks:
             m = len(records)
-            pieces = (
-                _block_pieces(offsets, g0, m) if block else _cyclic_pieces(num_p, g0, m)
-            )
-            for p, slot, where in pieces:
+            for p, slot, where in self.pieces(n, g0, m):
                 piece = records[where]
                 parts[p][slot : slot + len(piece)] = piece
             g0 += m

@@ -7,6 +7,19 @@
 The sort is *stable*, which matters for bit-exact reproduction of Figure 9:
 two sequences with equal ``seq_size`` keep their input order, which decides
 which partition each lands on under the subsequent cyclic distribution.
+
+The order comes from :func:`repro.order.stable_order` (re-exported here):
+integer keys whose range and index fit one 64-bit word together are sorted
+packed, by numpy's vectorized sort; floats, strings and wider ranges fall
+back to numpy's stable ``argsort`` — the result is the same either way.
+
+The sort is also *lazy*: on flat records with no add-on, ``apply_local``
+returns a :class:`~repro.core.dataset.SortedView` — the unsorted records
+and their order.  ``Distribute`` under a built-in policy (and the SPMD
+deal) gathers each partition straight from that pair; anything else that
+reads the result — ``.records``, ``column``, ``take``, ``to_flat``,
+pickling, the partition writer when the sort ends the plan — gathers the
+sorted copy once and the view is a plain dataset from then on.
 """
 
 from __future__ import annotations
@@ -15,9 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.dataset import Dataset
+from repro.core.dataset import Dataset, SortedView
 from repro.errors import OperatorError
 from repro.ops.base import AddOnOperator, BasicOperator, register_basic
+from repro.order import stable_order
 
 #: Table I flag values ("-1: ascending, 1: descending")
 ASCENDING = -1
@@ -65,8 +79,9 @@ class Sort(BasicOperator):
         self.addon = addon
         self.addon_attr = addon_attr
         self.addon_field = addon_field
-        #: local sort kernel: numpy's stable sort, or the ASPaS-style blocked
-        #: mergesort the paper credits for single-node speed (results identical)
+        #: local sort kernel: the packed kernel with its numpy fallback, or the
+        #: ASPaS-style blocked mergesort the paper credits for single-node
+        #: speed (results identical)
         self.kernel = kernel
 
     @classmethod
@@ -81,7 +96,7 @@ class Sort(BasicOperator):
         if self.kernel == "aspas":
             from repro.ops.aspas import aspas_argsort as argsort
         else:
-            argsort = lambda k: np.argsort(k, kind="stable")  # noqa: E731
+            argsort = stable_order
         return argsort(sort_key_array(keys, self.ascending))
 
     def apply_local(self, data: Dataset) -> Dataset:
@@ -90,8 +105,9 @@ class Sort(BasicOperator):
             raise OperatorError(
                 f"Sort key {self.key!r} not in schema {data.schema.id!r}"
             )
-        keys = data.column(self.key)
-        order = self.sort_indices(keys)
+        order = self.sort_indices(data.column(self.key))
+        if self.addon is None and not data.is_packed:
+            return SortedView(data.schema, data.records, order)
         out = data.take(order)
         if self.addon is not None:
             packed = out.to_packed(self.key).packed

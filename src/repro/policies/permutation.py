@@ -88,9 +88,11 @@ def cyclic_permutation_indices(n: int, num_partitions: int) -> np.ndarray:
         raise PolicyError(f"vector length must be >= 0, got {n!r}")
     if num_partitions < 1:
         raise PolicyError(f"num_partitions must be >= 1, got {num_partitions!r}")
-    idx = np.arange(n, dtype=np.int64)
-    # stable sort by destination partition keeps round-robin order inside each
-    return idx[np.argsort(idx % num_partitions, kind="stable")]
+    # closed form of "stable-sort the positions by position mod P": partition
+    # p holds p, p + P, p + 2P, ... (empty when p >= n)
+    return np.concatenate(
+        [np.arange(p, n, num_partitions, dtype=np.int64) for p in range(num_partitions)]
+    )
 
 
 def block_permutation_indices(n: int) -> np.ndarray:

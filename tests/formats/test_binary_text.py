@@ -1,5 +1,7 @@
 """Binary and text file readers/writers + Hadoop InputFormat contract."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.formats import (
     write_text,
 )
 from repro.formats.text import format_line, parse_line
+from repro.mapreduce.hadoop import InputSplit
 
 
 @pytest.fixture
@@ -74,6 +77,26 @@ class TestBinaryRoundtrip:
         with pytest.raises(FormatError):
             write_binary(tmp_path / "x", np.empty(0), EDGE_LIST_SCHEMA)
 
+    def test_read_fills_one_owned_array(self, blast_file, blast_rows):
+        arr = read_binary(blast_file, BLAST_INDEX_SCHEMA)
+        assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous
+        arr["seq_size"][:] = 0  # the caller's array, not a view of a read buffer
+        assert read_binary(blast_file, BLAST_INDEX_SCHEMA).tolist() == blast_rows
+
+    def test_header_only_file_reads_empty(self, tmp_path):
+        path = tmp_path / "empty.index"
+        path.write_bytes(b"\x00" * 32)
+        arr = read_binary(path, BLAST_INDEX_SCHEMA)
+        assert len(arr) == 0 and arr.dtype == BLAST_INDEX_SCHEMA.dtype
+
+    def test_file_truncated_after_the_size_check_is_a_short_read(
+        self, blast_file, monkeypatch
+    ):
+        real_size = os.path.getsize(blast_file)
+        monkeypatch.setattr(os.path, "getsize", lambda path: real_size + 2 * 16)
+        with pytest.raises(FormatError, match="expected 14 records.*found 12"):
+            read_binary(blast_file, BLAST_INDEX_SCHEMA)
+
 
 class TestBinaryInputFormat:
     def test_record_aligned_splits(self, blast_file):
@@ -101,6 +124,15 @@ class TestBinaryInputFormat:
         split = fmt.get_splits(2)[1]
         arr = fmt.read_split(split)
         assert arr.tolist() == blast_rows[6:]
+
+    def test_split_past_the_end_of_the_file_is_a_short_read(self, blast_file):
+        fmt = BinaryInputFormat(blast_file, BLAST_INDEX_SCHEMA)
+        last = fmt.get_splits(2)[1]
+        beyond = InputSplit(source=last.source, start=last.start + 16, length=last.length)
+        with pytest.raises(FormatError, match="expected 6 records.*found 5"):
+            fmt.read_split(beyond)
+        with pytest.raises(FormatError, match="aligned"):
+            fmt.read_split(InputSplit(source=last.source, start=last.start, length=17))
 
 
 class TestWritePartitions:

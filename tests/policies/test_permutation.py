@@ -134,6 +134,17 @@ class TestCyclicPermutation:
             chunk = perm[offsets[part] : offsets[part + 1]]
             assert np.all(np.diff(chunk) > 0) or len(chunk) <= 1
 
+    @given(st.integers(0, 120), st.integers(1, 140))
+    def test_property_closed_form_equals_the_sort_definition(self, n, p):
+        """The O(n) closed form is the definition it replaced — positions
+        stable-sorted by ``position mod P`` — also for ``n = 0``, ``P > n``
+        and ``P`` not dividing ``n``."""
+        idx = np.arange(n, dtype=np.int64)
+        want = idx[np.argsort(idx % p, kind="stable")]
+        got = cyclic_permutation_indices(n, p)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
 
 class TestBlockAndCounts:
     def test_block_identity(self):
