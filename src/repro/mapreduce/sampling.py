@@ -17,6 +17,34 @@ import numpy as np
 from repro.errors import MapReduceError
 
 
+def sample_array(
+    items: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Uniform sample without replacement of an array, as an array.
+
+    All of ``items`` (no draw from ``rng``) when it holds at most ``k``.
+    """
+    n = len(items)
+    if n <= k:
+        return items
+    return items[rng.choice(n, size=k, replace=False)]
+
+
+def reservoir_indices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``k`` positions Algorithm R keeps from a stream of ``n > k`` items.
+
+    Position ``i >= k`` replaces slot ``j ~ U[0, i]`` when ``j < k``.  All
+    draws are made at once, and a fancy assignment with repeated indices
+    leaves the last value behind — the slot's final replacement, which is
+    what the element-by-element loop ends with too.
+    """
+    slots = np.arange(k)
+    draws = rng.integers(0, np.arange(k, n) + 1)
+    hits = np.flatnonzero(draws < k)
+    slots[draws[hits]] = hits + k
+    return slots
+
+
 def reservoir_sample(
     items: Sequence[Any], k: int, rng: Optional[np.random.Generator] = None
 ) -> list[Any]:
@@ -24,20 +52,13 @@ def reservoir_sample(
     if k < 0:
         raise MapReduceError(f"sample size must be non-negative, got {k!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
+    if isinstance(items, np.ndarray):
+        # fast path for large arrays: uniform sample without replacement
+        return list(sample_array(items, k, rng))
     n = len(items)
     if n <= k:
         return list(items)
-    if isinstance(items, np.ndarray):
-        # fast path for large arrays: uniform sample without replacement
-        idx = rng.choice(n, size=k, replace=False)
-        return list(items[idx])
-    # vectorized reservoir: positions i >= k replace slot j ~ U[0, i] if j < k
-    reservoir = list(items[:k])
-    draws = rng.integers(0, np.arange(k, n) + 1)
-    for offset, j in enumerate(draws):
-        if j < k:
-            reservoir[j] = items[k + offset]
-    return reservoir
+    return [items[i] for i in reservoir_indices(n, k, rng).tolist()]
 
 
 def quantile_boundaries(samples: Sequence[Any], num_reducers: int) -> list[Any]:
@@ -46,10 +67,10 @@ def quantile_boundaries(samples: Sequence[Any], num_reducers: int) -> list[Any]:
         raise MapReduceError(f"num_reducers must be >= 1, got {num_reducers!r}")
     if num_reducers == 1:
         return []
-    if not samples:
+    n = len(samples)
+    if n == 0:
         raise MapReduceError("cannot derive range boundaries from an empty sample")
-    ordered = sorted(samples)
-    n = len(ordered)
+    ordered = np.sort(samples) if isinstance(samples, np.ndarray) else sorted(samples)
     return [ordered[min(n - 1, (i * n) // num_reducers)] for i in range(1, num_reducers)]
 
 

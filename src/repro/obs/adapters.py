@@ -100,19 +100,24 @@ def record_serve_request(
     latency_ms: Optional[float] = None,
     rejected: bool = False,
     records: int = 0,
+    encoding: Optional[str] = None,
 ) -> None:
     """Count one daemon request in the ``serve.*`` vocabulary.
 
     Every request increments ``serve.requests.<verb>``; admission-control
     rejections additionally count under ``serve.rejected``; ``append``
-    requests feed the ``serve.append_latency_ms`` histogram and the
-    ``serve.appended_records`` counter (the ``papar.serve`` document's
-    inputs — see :func:`repro.obs.export.serve_metrics_json`).
+    requests feed the ``serve.append_latency_ms`` histogram, the
+    ``serve.appended_records`` counter and, per wire ``encoding``
+    (``"json"`` / ``"frames"``), ``serve.append_<encoding>`` (the
+    ``papar.serve`` document's inputs — see
+    :func:`repro.obs.export.serve_metrics_json`).
     """
     recorder.count(f"serve.requests.{verb}")
     if rejected:
         recorder.count("serve.rejected")
         return
+    if encoding is not None:
+        recorder.count(f"serve.append_{encoding}")
     if records:
         recorder.count("serve.appended_records", records)
     if latency_ms is not None:

@@ -198,8 +198,10 @@ def serve_metrics_json(
     """The versioned ``papar.serve`` metrics document for a daemon recorder.
 
     A serving-shaped view over the generic :func:`metrics_json` stream:
-    per-verb request counts, admission-control rejections, queue depth,
-    rebalance events, and the append-latency distribution (p50/p95/p99).
+    per-verb request counts, admission-control rejections, accepted appends
+    per wire encoding (``append_frames`` / ``append_json`` — an old client
+    shows up as the latter), queue depth, rebalance events, and the
+    append-latency distribution (p50/p95/p99).
     ``server`` attaches live daemon facts (generation, partition counts,
     pending queue) under the ``"server"`` key.  The layout is pinned by
     ``tests/obs/test_metrics_contract.py``.
@@ -218,6 +220,8 @@ def serve_metrics_json(
         "requests": requests,
         "rejected": counters.get("serve.rejected", {}).get("total", 0),
         "appended_records": counters.get("serve.appended_records", {}).get("total", 0),
+        "append_frames": counters.get("serve.append_frames", {}).get("total", 0),
+        "append_json": counters.get("serve.append_json", {}).get("total", 0),
         "coalesced_batches": counters.get("serve.coalesced_batches", {}).get("total", 0),
         "rebalances": counters.get("serve.rebalances", {}).get("total", 0),
         "snapshots": counters.get("serve.snapshots", {}).get("total", 0),

@@ -41,7 +41,7 @@ PathLike = Union[str, os.PathLike]
 _MAGIC = "papar-run"
 _VERSION = 1
 #: frame header: crc32, num_records, tag, key_nbytes, value_nbytes
-_FRAME = struct.Struct("<IIQIQ")
+FRAME = struct.Struct("<IIQIQ")
 
 
 class RunFileError(PaParError):
@@ -52,18 +52,52 @@ class RunCorruptionError(RunFileError):
     """A frame whose payload does not match its crc32."""
 
 
-def _dtype_descr(dtype: Optional[np.dtype]):
+def dtype_descr(dtype: Optional[np.dtype]):
+    """A dtype as the JSON-safe ``.npy`` descr (a run header, a ``hello`` reply)."""
     if dtype is None:
         return None
     return np.lib.format.dtype_to_descr(np.dtype(dtype))
 
 
-def _descr_dtype(descr) -> Optional[np.dtype]:
+def descr_dtype(descr) -> Optional[np.dtype]:
+    """The dtype a :func:`dtype_descr` value (after a JSON round trip) names."""
     if descr is None:
         return None
     return np.lib.format.descr_to_dtype(
         [tuple(f) for f in descr] if isinstance(descr, list) else descr
     )
+
+
+def pack_frame_header(num_records: int, value_bytes, key_bytes=b"", tag: int = 0) -> bytes:
+    """The header that frames ``key_bytes`` + ``value_bytes`` (bytes-likes).
+
+    Shared by :class:`RunWriter` and the ``serve`` append frame
+    (:mod:`repro.serve.protocol`): one layout on disk and on the wire.
+    """
+    crc = zlib.crc32(value_bytes, zlib.crc32(key_bytes))
+    return FRAME.pack(crc, num_records, tag, len(key_bytes), len(value_bytes))
+
+
+def verify_frame(
+    crc: int, num_records: int, key_buf, value_buf, value_itemsize: int, where: str
+) -> None:
+    """Raise unless a frame's payload (byte buffers) is what its header says.
+
+    The crc runs first, so a length that disagrees is reported as such only
+    for bytes known to be the ones written.  Nothing may be viewed as
+    records before this returns.
+    """
+    actual = zlib.crc32(value_buf, zlib.crc32(key_buf))
+    if actual != crc:
+        raise RunCorruptionError(
+            f"{where}: frame crc mismatch "
+            f"(stored {crc:#010x}, computed {actual:#010x})"
+        )
+    if len(value_buf) != num_records * value_itemsize:
+        raise RunFileError(
+            f"{where}: frame declares {num_records} records of "
+            f"{value_itemsize} bytes, payload holds {len(value_buf)} bytes"
+        )
 
 
 @dataclass(frozen=True)
@@ -131,8 +165,8 @@ class RunWriter:
         header = {
             "magic": _MAGIC,
             "version": _VERSION,
-            "key_dtype": _dtype_descr(self.key_dtype),
-            "value_dtype": _dtype_descr(self.value_dtype),
+            "key_dtype": dtype_descr(self.key_dtype),
+            "value_dtype": dtype_descr(self.value_dtype),
         }
         self._fh.write(json.dumps(header).encode("utf-8") + b"\n")
 
@@ -155,11 +189,7 @@ class RunWriter:
                 )
             key_bytes = keys.tobytes()
         value_bytes = values.tobytes()
-        crc = zlib.crc32(key_bytes)
-        crc = zlib.crc32(value_bytes, crc)
-        self._fh.write(
-            _FRAME.pack(crc, len(values), tag, len(key_bytes), len(value_bytes))
-        )
+        self._fh.write(pack_frame_header(len(values), value_bytes, key_bytes, tag))
         self._fh.write(key_bytes)
         self._fh.write(value_bytes)
         self.num_records += len(values)
@@ -201,8 +231,8 @@ class RunReader:
                 f"run {self.path}: bad magic/version {header.get('magic')!r}/"
                 f"{header.get('version')!r}"
             )
-        self.key_dtype = _descr_dtype(header["key_dtype"])
-        self.value_dtype = _descr_dtype(header["value_dtype"])
+        self.key_dtype = descr_dtype(header["key_dtype"])
+        self.value_dtype = descr_dtype(header["value_dtype"])
 
     def __iter__(self) -> Iterator[Frame]:
         return self.frames()
@@ -211,12 +241,12 @@ class RunReader:
         """Yield each frame in append order (bounded memory: one at a time)."""
         try:
             while True:
-                head = self._fh.read(_FRAME.size)
+                head = self._fh.read(FRAME.size)
                 if not head:
                     return
-                if len(head) < _FRAME.size:
+                if len(head) < FRAME.size:
                     raise RunFileError(f"run {self.path}: truncated frame header")
-                crc, nrec, tag, key_nbytes, value_nbytes = _FRAME.unpack(head)
+                crc, nrec, tag, key_nbytes, value_nbytes = FRAME.unpack(head)
                 # one copy per frame: the payload lands in the buffers the
                 # arrays keep, and the crc runs over exactly those bytes
                 key_buf = np.empty(key_nbytes, dtype=np.uint8)
@@ -226,21 +256,12 @@ class RunReader:
                     or self._fh.readinto(value_buf) < value_nbytes
                 ):
                     raise RunFileError(f"run {self.path}: truncated frame payload")
-                actual = zlib.crc32(value_buf, zlib.crc32(key_buf))
-                if actual != crc:
-                    raise RunCorruptionError(
-                        f"run {self.path}: frame crc mismatch "
-                        f"(stored {crc:#010x}, computed {actual:#010x})"
-                    )
+                verify_frame(crc, nrec, key_buf, value_buf,
+                             self.value_dtype.itemsize, f"run {self.path}")
                 values = value_buf.view(self.value_dtype)
                 keys = None
                 if self.key_dtype is not None and key_nbytes:
                     keys = key_buf.view(self.key_dtype)
-                if len(values) != nrec:
-                    raise RunFileError(
-                        f"run {self.path}: frame declares {nrec} records, "
-                        f"payload holds {len(values)}"
-                    )
                 yield Frame(values=values, keys=keys, tag=tag)
         finally:
             self._fh.close()

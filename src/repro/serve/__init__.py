@@ -8,7 +8,8 @@ reference, lifecycle, and metrics contract.
 
 Module map:
 
-* :mod:`~repro.serve.protocol` — the four-verb line-JSON wire format;
+* :mod:`~repro.serve.protocol` — the wire format: line-JSON verbs plus the
+  crc-framed binary ``append`` frame;
 * :mod:`~repro.serve.state` — append log, partition generations, swaps;
 * :mod:`~repro.serve.router` — incremental batch → partition routing;
 * :mod:`~repro.serve.balance` — the skew/drift rebalance trigger;

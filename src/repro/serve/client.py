@@ -1,19 +1,29 @@
 """A small blocking client for the streaming partition daemon.
 
-Speaks the line-JSON protocol of :mod:`repro.serve.protocol` over a plain
-TCP socket; one request at a time per connection (the server enforces the
+Speaks the protocol of :mod:`repro.serve.protocol` over a plain TCP
+socket; one request at a time per connection (the server enforces the
 same).  Used by the CLI smoke path, the benchmarks, and tests — and small
 enough to crib for an application client in any language: connect, write
 one JSON line, read one JSON line back.
+
+``connect`` asks ``hello`` once.  A daemon that takes frames gets every
+``append`` as one crc-framed block of raw records (packed once, no JSON);
+a daemon that does not — an older one answers ``hello`` with ``400 unknown
+op``, a ``string`` schema answers ``"frames": false`` — gets JSON rows, as
+do rows the client cannot pack, so the server's ``400`` explains them.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
+import numpy as np
+
+from repro.ooc.runfile import descr_dtype
 from repro.serve import protocol
+from repro.serve.protocol import Rows
 from repro.serve.state import ServeError
 
 
@@ -26,16 +36,27 @@ class ServeClient:
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
         self._file: Any = None
+        #: the record dtype appends are framed in; None sends JSON rows
+        self._frame_dtype: Optional[np.dtype] = None
 
     # -- connection management ----------------------------------------------
 
     def connect(self) -> "ServeClient":
-        """Open the TCP connection (idempotent); returns self for chaining."""
+        """Open the TCP connection and negotiate the append encoding.
+
+        Idempotent; returns self for chaining.
+        """
         if self._sock is None:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
             self._file = self._sock.makefile("rwb")
+            answer = self.request({"op": "hello"})
+            self._frame_dtype = (
+                descr_dtype(answer["dtype"])
+                if answer.get("ok") and answer.get("frames")
+                else None
+            )
         return self
 
     def close(self) -> None:
@@ -65,16 +86,33 @@ class ServeClient:
         """Send one request object; return the decoded response object."""
         self.connect()
         line = json.dumps(payload, separators=(",", ":")) + "\n"
-        self._file.write(line.encode("utf-8"))
+        return self._roundtrip(line.encode("utf-8"))
+
+    def _roundtrip(self, data: bytes) -> dict[str, Any]:
+        self._file.write(data)
         self._file.flush()
         raw = self._file.readline()
         if not raw:
             raise ServeError("server closed the connection mid-request")
         return json.loads(raw.decode("utf-8"))
 
-    def append(self, rows: Sequence[Sequence[Any]]) -> dict[str, Any]:
-        """Route a batch of record rows; returns the server's response."""
-        return self.request({"op": "append", "rows": [list(r) for r in rows]})
+    def append(self, rows: Rows) -> dict[str, Any]:
+        """Route a batch of records; returns the server's response.
+
+        ``rows`` is a sequence of rows or a structured array in the input
+        schema's field order.
+        """
+        self.connect()
+        if self._frame_dtype is not None:
+            try:
+                records = protocol.rows_to_records(rows, self._frame_dtype)
+            except (TypeError, ValueError, OverflowError):
+                pass  # not packable here: send the rows, the 400 says why
+            else:
+                return self._roundtrip(protocol.encode_frame(records))
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        return self.request({"op": "append", "rows": rows})
 
     def query(self, key: Any = None) -> dict[str, Any]:
         """Partition stats and routing info (optionally for one ``key``)."""
@@ -91,7 +129,7 @@ class ServeClient:
         """Gracefully shut the daemon down; returns the drain response."""
         return self.request({"op": "drain"})
 
-    def append_ok(self, rows: Sequence[Sequence[Any]]) -> dict[str, Any]:
+    def append_ok(self, rows: Rows) -> dict[str, Any]:
         """:meth:`append`, raising :class:`ServeError` on any rejection."""
         response = self.append(rows)
         if not response.get("ok"):

@@ -21,8 +21,13 @@ hot partitions with the exact cold-batch answer:
 
 All three run each batch through ``Partitioner.partition_array`` /
 ``policy_partition_ids`` — one vectorized pass, no per-record Python loop —
-and the server buckets the owners with
-:func:`repro.mapreduce.columnar.bucketize`.
+and the server deals the owners into the hot partitions with
+:meth:`repro.serve.state.PartitionGeneration.deal`.
+
+A range router compares keys in the *sort order*: both the sampled
+boundaries and every routed key go through
+:func:`repro.ops.sort.sort_key_array`, so a descending sort spreads over
+all partitions (largest keys first) exactly as the cold run lays them out.
 """
 
 from __future__ import annotations
@@ -34,11 +39,15 @@ import numpy as np
 from repro.core.planner import WorkflowPlan
 from repro.formats.records import RecordSchema
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner, RangePartitioner
-from repro.mapreduce.sampling import quantile_boundaries, reservoir_sample
+from repro.mapreduce.sampling import (
+    quantile_boundaries,
+    reservoir_indices,
+    sample_array,
+)
 from repro.core.runtime import policy_partition_ids
 from repro.ops.distribute import Distribute
 from repro.ops.group import Group
-from repro.ops.sort import Sort
+from repro.ops.sort import Sort, sort_key_array
 from repro.serve.state import ServeError
 
 #: how many log keys the range router samples for its quantile boundaries
@@ -75,11 +84,17 @@ class KeyedRouter(IncrementalRouter):
     """Route on a key column through a vectorized :class:`Partitioner`."""
 
     def __init__(
-        self, partitioner: Partitioner, key_field: str, kind: str
+        self,
+        partitioner: Partitioner,
+        key_field: str,
+        kind: str,
+        ascending: bool = True,
     ) -> None:
         super().__init__(partitioner.num_reducers, key_field)
         self.partitioner = partitioner
         self.kind = kind
+        #: False when the partitioner's boundaries are over negated keys
+        self.ascending = ascending
 
     def route(self, records: np.ndarray) -> np.ndarray:
         """Vectorized owners from the key column (one partitioner pass)."""
@@ -87,13 +102,13 @@ class KeyedRouter(IncrementalRouter):
             raise ServeError(
                 f"appended batch lacks routing key field {self.key_field!r}"
             )
-        return np.asarray(
-            self.partitioner.partition_array(records[self.key_field]), dtype=np.int64
-        )
+        keys = sort_key_array(records[self.key_field], self.ascending)
+        return np.asarray(self.partitioner.partition_array(keys), dtype=np.int64)
 
     def partition_for_key(self, key: Any) -> Optional[int]:
-        """The partition one key value routes to."""
-        return int(self.partitioner(key))
+        """The partition one key value routes to (a routed batch of one)."""
+        keys = sort_key_array(np.asarray([key]), self.ascending)
+        return int(self.partitioner.partition_array(keys)[0])
 
 
 class PositionalRouter(IncrementalRouter):
@@ -171,6 +186,7 @@ def build_router(
                 RangePartitioner(boundaries, final.num_partitions),
                 stage.key,
                 kind="range",
+                ascending=stage.ascending,
             )
     return PositionalRouter(final, start_index=total_records)
 
@@ -178,21 +194,31 @@ def build_router(
 def _sampled_boundaries(
     op: Sort, log_batches: list[np.ndarray], num_partitions: int
 ) -> Optional[list[Any]]:
-    """Quantile split points of the sort key over the log, or None when empty."""
+    """Quantile split points of the sort key over the log, or None when empty.
+
+    Each batch contributes up to ``ROUTER_SAMPLE_SIZE`` keys and Algorithm R
+    thins their concatenation back down to that many — all as arrays: the
+    log of a long-lived daemon is thousands of small batches, and this runs
+    on the event loop at every rebalance.
+    """
     if num_partitions == 1:
         return []
     rng = np.random.default_rng(0)
-    samples: list[Any] = []
-    for batch in log_batches:
-        if len(batch) and op.key in (batch.dtype.names or ()):
-            keys = np.asarray(batch[op.key])
-            samples.extend(reservoir_sample(keys if op.ascending else -keys,
-                                            ROUTER_SAMPLE_SIZE, rng))
+    samples = [
+        sample_array(
+            sort_key_array(batch[op.key], op.ascending),
+            ROUTER_SAMPLE_SIZE,
+            rng,
+        )
+        for batch in log_batches
+        if len(batch) and op.key in (batch.dtype.names or ())
+    ]
     if not samples:
         return None
-    return quantile_boundaries(
-        reservoir_sample(samples, ROUTER_SAMPLE_SIZE, rng), num_partitions
-    )
+    pooled = np.concatenate(samples)
+    if len(pooled) > ROUTER_SAMPLE_SIZE:
+        pooled = pooled[reservoir_indices(len(pooled), ROUTER_SAMPLE_SIZE, rng)]
+    return quantile_boundaries(pooled, num_partitions)
 
 
 __all__ = [

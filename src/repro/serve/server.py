@@ -3,12 +3,14 @@
 One event loop owns everything mutable; that single-threaded discipline is
 what makes the atomic-swap contract cheap:
 
-* each connection's handler reads one line, fully answers it, then reads
+* each connection's handler reads one request — a JSON line, or a binary
+  append frame told apart by its first byte — fully answers it, then reads
   the next — per-connection socket backpressure for free;
-* ``append`` requests pass admission control (``--max-pending``, explicit
-  429-style rejection) and enqueue onto one worker coroutine, which drains
-  the queue in batches — concurrent appends coalesce into a single
-  vectorized route + bucketize pass;
+* ``append`` requests, whichever encoding carried them, are one record
+  array from there on: they pass admission control (``--max-pending``,
+  explicit 429-style rejection) and enqueue onto one worker coroutine,
+  which drains the queue in batches — concurrent appends coalesce into a
+  single vectorized route + one-gather deal;
 * the balance monitor runs after each drained batch; past the threshold it
   schedules a background rebuild (``PaPar.run`` over the frozen log, any
   backend, in an executor thread) whose result is swapped in *on the loop*
@@ -30,17 +32,17 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
 from repro.config.workflow import WorkflowSpec
 from repro.core.dataset import Dataset
 from repro.lifecycle import install_async_shutdown
-from repro.mapreduce.columnar import bucketize
 from repro.obs.adapters import record_rebalance, record_serve_request
 from repro.obs.export import serve_metrics_json
 from repro.obs.span import Recorder
+from repro.ooc.runfile import FRAME
 from repro.serve import protocol
 from repro.serve.balance import DEFAULT_THRESHOLD, BalanceMonitor
 from repro.serve.router import IncrementalRouter, build_router
@@ -71,7 +73,7 @@ class ServeConfig:
 
 
 class PartitionServer:
-    """Holds partitions hot and serves the four-verb line-JSON protocol."""
+    """Holds partitions hot and serves the protocol of :mod:`repro.serve.protocol`."""
 
     def __init__(
         self,
@@ -99,6 +101,8 @@ class PartitionServer:
         self.input_schema = papar.schema(
             self.config.schema_id or self._declared_schema_id()
         )
+        #: the dtype every append is decoded into (None: a ``string`` schema)
+        self._dtype = protocol.wire_dtype(self.input_schema)
         self.router: Optional[IncrementalRouter] = None
         #: True once the daemon restored from a snapshot instead of the input
         self.restored = False
@@ -158,6 +162,7 @@ class PartitionServer:
                     self.plan, self.input_schema, self.state.log,
                     self.state.log_records,
                 )
+                self.state.current.track(self.router.key_field)
                 self.restored = True
                 return
         _spec, _schema, data, result = self.papar.warm_start(
@@ -168,13 +173,14 @@ class PartitionServer:
             schema_id=self.config.schema_id,
         )
         self.state.append_log(np.asarray(data.to_flat().records))
+        self.router = build_router(
+            self.plan, self.input_schema, self.state.log, self.state.log_records
+        )
         self.state.current = PartitionGeneration.from_partitions(
             0,
             [np.asarray(p.to_flat().records) for p in result.partitions],
             self.state.log_records,
-        )
-        self.router = build_router(
-            self.plan, self.input_schema, self.state.log, self.state.log_records
+            self.router.key_field,
         )
 
     async def serve_forever(self) -> None:
@@ -221,20 +227,29 @@ class PartitionServer:
         """Serve one client: strictly one request at a time per connection."""
         try:
             while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(protocol.encode_response(protocol.error(
-                        protocol.BAD_REQUEST,
-                        f"request line exceeds {protocol.MAX_LINE} bytes",
-                    )))
-                    await writer.drain()
-                    break
-                if not line or not line.strip():
-                    break
-                response = await self._dispatch(line)
+                first = await reader.read(1)
+                if first == protocol.FRAME_MARKER:
+                    response, in_sync = await self._dispatch_frame(reader)
+                else:
+                    try:
+                        # a lone newline is already a whole (blank) line
+                        line = (
+                            first if first in (b"", b"\n")
+                            else first + await reader.readline()
+                        )
+                    except (asyncio.LimitOverrunError, ValueError):
+                        response, in_sync = protocol.error(
+                            protocol.BAD_REQUEST,
+                            f"request line exceeds {protocol.MAX_LINE} bytes",
+                        ), False
+                    else:
+                        if not line.strip():  # EOF or a blank line ends the session
+                            break
+                        response, in_sync = await self._dispatch(line), True
                 writer.write(protocol.encode_response(response))
                 await writer.drain()
+                if not in_sync:
+                    break
                 if response.get("op") == "drain" and response.get("ok"):
                     # the client has its answer on the wire; now tear down
                     await self._finalize()
@@ -248,8 +263,32 @@ class PartitionServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    async def _dispatch_frame(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[dict[str, Any], bool]:
+        """Read one binary append frame (its marker already consumed) and answer it.
+
+        Returns ``(response, stream still in sync)``.  A frame whose
+        announced payload was not consumed — over the cap, or cut short —
+        leaves the byte stream unparseable, so the connection must close; a
+        fully read frame that fails its checks costs only a ``400``.
+        """
+        try:
+            head = await reader.readexactly(FRAME.size)
+            payload = await reader.readexactly(protocol.frame_payload_size(head))
+        except asyncio.IncompleteReadError:
+            return self._refuse_append(protocol.BAD_REQUEST, "truncated frame"), False
+        except protocol.ProtocolError as exc:
+            return self._refuse_append(protocol.BAD_REQUEST, str(exc)), False
+        t0 = self.recorder.wall_now()
+        try:
+            records = protocol.decode_frame(head, payload, self._dtype)
+        except protocol.ProtocolError as exc:
+            return self._refuse_append(protocol.BAD_REQUEST, str(exc)), True
+        return await self._handle_append(records, t0, protocol.FRAMES), True
+
     async def _dispatch(self, line: bytes) -> dict[str, Any]:
-        """Decode, route to the verb handler, and span the request."""
+        """Decode a JSON line, route to the verb handler, and span the request."""
         t0 = self.recorder.wall_now()
         try:
             request = protocol.decode_request(line)
@@ -257,67 +296,76 @@ class PartitionServer:
             record_serve_request(self.recorder, "invalid", rejected=True)
             return protocol.error(protocol.BAD_REQUEST, str(exc))
         op = request["op"]
+        if op == "append":
+            try:
+                records = protocol.rows_to_records(request["rows"], self._dtype)
+            except (TypeError, ValueError, OverflowError) as exc:
+                return self._refuse_append(
+                    protocol.BAD_REQUEST,
+                    f"rows do not fit schema {self.input_schema.id!r}: {exc}",
+                )
+            return await self._handle_append(records, t0, protocol.JSON_ROWS)
         try:
-            if op == "append":
-                response = await self._handle_append(request, t0)
-            elif op == "query":
+            if op == "query":
                 response = self._handle_query(request)
             elif op == "snapshot":
                 response = await self._handle_snapshot()
+            elif op == "hello":
+                response = protocol.hello(self._dtype)
             else:
                 response = await self._handle_drain()
         except ServeError as exc:
             response = protocol.error(protocol.BAD_REQUEST, str(exc), op=op)
-        if op != "append":  # append records its own latency metrics
-            record_serve_request(self.recorder, op)
+        record_serve_request(self.recorder, op)
+        self._span(op, t0, response)
+        return response
+
+    def _span(self, op: str, t0: float, response: dict[str, Any], **attrs: Any) -> None:
         self.recorder.record_span(
             name=f"serve.{op}", category="serve", rank=None,
             start_virtual=0.0, end_virtual=0.0,
             start_wall=t0, end_wall=self.recorder.wall_now(),
-            attrs={"ok": bool(response.get("ok"))},
+            attrs={"ok": bool(response.get("ok")), **attrs},
         )
-        return response
 
     # -- append --------------------------------------------------------------
 
+    def _refuse_append(self, code: int, message: str) -> dict[str, Any]:
+        record_serve_request(self.recorder, "append", rejected=True)
+        return protocol.error(code, message, op="append")
+
     async def _handle_append(
-        self, request: dict[str, Any], t0: float
+        self, records: np.ndarray, t0: float, encoding: str
     ) -> dict[str, Any]:
+        """The one append path: decoded JSON rows and frames both land here."""
         if self._draining:
-            record_serve_request(self.recorder, "append", rejected=True)
-            return protocol.error(
-                protocol.DRAINING, "daemon is draining", op="append"
-            )
-        if self._queue.qsize() >= self.config.max_pending:
-            record_serve_request(self.recorder, "append", rejected=True)
-            return protocol.error(
+            response = self._refuse_append(protocol.DRAINING, "daemon is draining")
+        elif self._queue.qsize() >= self.config.max_pending:
+            response = self._refuse_append(
                 protocol.OVERLOADED,
                 f"append queue at --max-pending={self.config.max_pending}",
-                op="append",
             )
-        try:
-            records = self.input_schema.to_structured(request["rows"])
-        except Exception as exc:
-            record_serve_request(self.recorder, "append", rejected=True)
-            return protocol.error(
-                protocol.BAD_REQUEST,
-                f"rows do not fit schema {self.input_schema.id!r}: {exc}",
-                op="append",
-            )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait((records, future))
-        self.recorder.gauge("serve.queue_depth", self._queue.qsize())
-        generation = await future
-        latency_ms = (self.recorder.wall_now() - t0) * 1e3
-        record_serve_request(
-            self.recorder, "append", latency_ms=latency_ms, records=len(records)
-        )
-        return protocol.ok(
-            "append",
-            records=len(records),
-            generation=generation,
-            total_records=self.state.log_records,
-        )
+        else:
+            future: asyncio.Future = asyncio.get_running_loop().create_future()
+            self._queue.put_nowait((records, future))
+            self.recorder.gauge("serve.queue_depth", self._queue.qsize())
+            try:
+                generation = await future
+            except ServeError as exc:
+                response = self._refuse_append(protocol.BAD_REQUEST, str(exc))
+            else:
+                record_serve_request(
+                    self.recorder, "append", records=len(records), encoding=encoding,
+                    latency_ms=(self.recorder.wall_now() - t0) * 1e3,
+                )
+                response = protocol.ok(
+                    "append",
+                    records=len(records),
+                    generation=generation,
+                    total_records=self.state.log_records,
+                )
+        self._span("append", t0, response, encoding=encoding)
+        return response
 
     async def _append_worker(self) -> None:
         """Drain the append queue, coalescing bursts into one routed pass."""
@@ -344,11 +392,8 @@ class PartitionServer:
         batches = [records for records, _ in items]
         merged = np.concatenate(batches) if len(batches) > 1 else batches[0]
         try:
-            owners = self.router.route(merged)
             generation = self.state.current
-            for pid, idx in enumerate(bucketize(owners, generation.num_partitions)):
-                if len(idx):
-                    generation.append(pid, merged[idx])
+            generation.deal(merged, self.router.route(merged))
             for records, _ in items:
                 self.state.append_log(records)
         except Exception as exc:
@@ -391,18 +436,19 @@ class PartitionServer:
         # back on the event loop: everything below is one synchronous block,
         # so no request can interleave between tail re-route and swap
         assert self.state.current is not None
-        new_generation = PartitionGeneration.from_partitions(
-            self.state.current.generation + 1, partitions, frozen_records
-        )
         router = build_router(
             self.plan, self.input_schema, self.state.log, self.state.log_records
         )
+        new_generation = PartitionGeneration.from_partitions(
+            self.state.current.generation + 1, partitions, frozen_records,
+            router.key_field,
+        )
         tail = self.state.log[len(frozen):]
-        for batch in tail:
-            owners = router.route(batch)
-            for pid, idx in enumerate(bucketize(owners, new_generation.num_partitions)):
-                if len(idx):
-                    new_generation.append(pid, batch[idx])
+        if tail:
+            # one deal for the whole tail: owners depend on the record (its
+            # key, or its arrival index), not on which batch carried it
+            merged = np.concatenate(tail)
+            new_generation.deal(merged, router.route(merged))
         self.state.swap(new_generation)
         self.router = router
         wall_s = time.perf_counter() - t0
@@ -466,29 +512,42 @@ class PartitionServer:
         )
 
     async def _publish_snapshot(self) -> str:
-        """Freeze state loop-side, publish in the executor, count it."""
-        frozen = self._freeze_state()
+        """Pin state loop-side, copy and publish in the executor, count it."""
+        freeze = self._freeze_state()
         loop = asyncio.get_running_loop()
         sid = await loop.run_in_executor(
-            None, self.snapshots.publish, frozen, self.plan.workflow_id
+            None, lambda: self.snapshots.publish(freeze(), self.plan.workflow_id)
         )
         self.recorder.count("serve.snapshots")
         self.recorder.instant(f"snapshot {sid}", category="serve")
         return sid
 
-    def _freeze_state(self) -> ServeState:
-        """A shallow-frozen copy safe to publish from a worker thread."""
+    def _freeze_state(self) -> Callable[[], ServeState]:
+        """Pin the state as of now; the returned call copies it on any thread.
+
+        The log and every chunk list only ever grow at the end, and a swap
+        replaces the generation object rather than touching it, so noting
+        their lengths here — O(partitions) on the loop — is enough: slicing
+        those prefixes later yields the state as of this call no matter what
+        has been appended since.
+        """
         generation = self.state.current
-        frozen = ServeState(
-            log=list(self.state.log), log_records=self.state.log_records
-        )
-        frozen.current = PartitionGeneration(
-            generation=generation.generation,
-            chunks=[list(c) for c in generation.chunks],
-            counts=generation.counts.copy(),
-            rebuilt_records=generation.rebuilt_records,
-        )
-        return frozen
+        log, log_len = self.state.log, len(self.state.log)
+        log_records = self.state.log_records
+        chunk_lens = [len(c) for c in generation.chunks]
+        counts = generation.counts.copy()
+
+        def freeze() -> ServeState:
+            frozen = ServeState(log=log[:log_len], log_records=log_records)
+            frozen.current = PartitionGeneration(
+                generation=generation.generation,
+                chunks=[c[:n] for c, n in zip(generation.chunks, chunk_lens)],
+                counts=counts,
+                rebuilt_records=generation.rebuilt_records,
+            )
+            return frozen
+
+        return freeze
 
     async def _handle_drain(self) -> dict[str, Any]:
         await self._quiesce()

@@ -6,6 +6,8 @@ Two structures live here:
   partition is a list of record-array *chunks*: the rebuilt base (workflow
   output schema) plus the incrementally-routed batches appended since (in
   the input schema — a rebalance folds them into the workflow schema).
+  A routed batch is gathered once into owner order and every partition's
+  chunk is a view of that one array (:meth:`PartitionGeneration.deal`).
 * :class:`ServeState` — the arrival-ordered append log plus the *current*
   generation.  The swap discipline is the subsystem's core invariant:
   mutation happens only between awaits on the daemon's single event loop,
@@ -28,6 +30,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.errors import PaParError
+from repro.order import stable_order
 
 
 class ServeError(PaParError):
@@ -47,18 +50,30 @@ class PartitionGeneration:
     counts: np.ndarray
     #: how many log records the rebuilt base covers (drift = log - this)
     rebuilt_records: int
+    #: the column whose per-partition (min, max) is kept up to date (the
+    #: router's key, so ``query`` never walks the chunks); see :meth:`track`
+    key_field: Optional[str] = None
+    #: per-partition ``(min, max)`` of ``key_field``, ``None`` where no
+    #: chunk carries it
+    key_ranges: list[Optional[tuple[Any, Any]]] = field(default_factory=list)
 
     @classmethod
     def from_partitions(
-        cls, generation: int, partitions: list[np.ndarray], rebuilt_records: int
+        cls,
+        generation: int,
+        partitions: list[np.ndarray],
+        rebuilt_records: int,
+        key_field: Optional[str] = None,
     ) -> "PartitionGeneration":
         """Wrap freshly rebuilt partition arrays as a new generation."""
-        return cls(
+        new = cls(
             generation=generation,
             chunks=[[p] for p in partitions],
             counts=np.array([len(p) for p in partitions], dtype=np.int64),
             rebuilt_records=rebuilt_records,
         )
+        new.track(key_field)
+        return new
 
     @property
     def num_partitions(self) -> int:
@@ -70,12 +85,58 @@ class PartitionGeneration:
         """Records across every partition (base + appended chunks)."""
         return int(self.counts.sum())
 
-    def append(self, partition_id: int, records: np.ndarray) -> None:
-        """Attach one routed chunk to ``partition_id`` (event-loop only)."""
+    def track(self, key_field: Optional[str]) -> None:
+        """Keep a running ``(min, max)`` of ``key_field`` per partition.
+
+        Seeded by one walk over the chunks held now; :meth:`deal` widens it
+        from then on.
+        """
+        self.key_field = key_field
+        self.key_ranges = (
+            [self._walk_key_range(pid, key_field) for pid in range(self.num_partitions)]
+            if key_field is not None
+            else []
+        )
+
+    def deal(self, records: np.ndarray, owners: np.ndarray) -> None:
+        """Attach a routed batch: ``records[i]`` goes to partition ``owners[i]``.
+
+        One stable order of the owners and **one** gather; each partition's
+        chunk is a view of the gathered array, in arrival order.  Nothing is
+        attached when an owner lies outside ``[0, num_partitions)``.
+        Event-loop only.
+        """
         if len(records) == 0:
             return
-        self.chunks[partition_id].append(records)
-        self.counts[partition_id] += len(records)
+        parts = self.num_partitions
+        if not (
+            len(owners) == len(records)
+            and owners.min() >= 0
+            and owners.max() < parts
+        ):
+            raise ServeError(
+                f"cannot deal {len(records)} records by {len(owners)} owner ids: "
+                f"need one id in [0, {parts}) per record"
+            )
+        dealt = records[stable_order(owners)]
+        sizes = np.bincount(owners, minlength=parts)
+        hit = np.flatnonzero(sizes)
+        ends = np.cumsum(sizes)[hit]
+        starts = ends - sizes[hit]
+        for pid, start, end in zip(hit.tolist(), starts.tolist(), ends.tolist()):
+            self.chunks[pid].append(dealt[start:end])
+        self.counts += sizes
+        if self.key_field in (dealt.dtype.names or ()):
+            keys = dealt[self.key_field]
+            for pid, lo, hi in zip(
+                hit.tolist(),
+                np.minimum.reduceat(keys, starts).tolist(),
+                np.maximum.reduceat(keys, starts).tolist(),
+            ):
+                held = self.key_ranges[pid]
+                if held is not None:
+                    lo, hi = min(held[0], lo), max(held[1], hi)
+                self.key_ranges[pid] = (lo, hi)
 
     def partition_records(self, partition_id: int) -> np.ndarray:
         """One partition materialized as a single record array.
@@ -97,7 +158,17 @@ class PartitionGeneration:
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def key_range(self, partition_id: int, key_field: str) -> Optional[tuple[Any, Any]]:
-        """(min, max) of ``key_field`` in a partition, or None when absent."""
+        """(min, max) of ``key_field`` in a partition, or None when absent.
+
+        O(1) for the tracked field; any other field walks the chunks.
+        """
+        if key_field == self.key_field:
+            return self.key_ranges[partition_id]
+        return self._walk_key_range(partition_id, key_field)
+
+    def _walk_key_range(
+        self, partition_id: int, key_field: str
+    ) -> Optional[tuple[Any, Any]]:
         lo = hi = None
         for chunk in self.chunks[partition_id]:
             if len(chunk) == 0 or key_field not in (chunk.dtype.names or ()):

@@ -91,9 +91,11 @@ class TestMetricsContract:
 def serve_seeded_recorder():
     rec = Recorder()
     record_serve_request(rec, "query")
-    record_serve_request(rec, "append", latency_ms=2.0, records=10)
-    record_serve_request(rec, "append", latency_ms=6.0, records=30)
-    record_serve_request(rec, "append", rejected=True)
+    record_serve_request(rec, "append", latency_ms=2.0, records=10,
+                         encoding="frames")
+    record_serve_request(rec, "append", latency_ms=6.0, records=30,
+                         encoding="json")
+    record_serve_request(rec, "append", rejected=True, encoding="frames")
     record_rebalance(rec, generation=1, reason="drift", wall_s=0.5, records=40)
     rec.count("serve.snapshots")
     rec.count("serve.coalesced_batches", 3)
@@ -111,6 +113,7 @@ class TestServeMetricsContract:
         assert doc["version"] == SERVE_METRICS_VERSION == 1
         assert set(doc) == {
             "schema", "version", "requests", "rejected", "appended_records",
+            "append_frames", "append_json",
             "coalesced_batches", "rebalances", "snapshots", "queue_depth",
             "append_latency_ms", "server", "metrics",
         }
@@ -120,6 +123,8 @@ class TestServeMetricsContract:
         assert doc["requests"] == {"query": 1, "append": 3}
         assert doc["rejected"] == 1
         assert doc["appended_records"] == 40
+        # accepted appends per wire encoding; the rejected one counts nowhere
+        assert (doc["append_frames"], doc["append_json"]) == (1, 1)
         assert doc["coalesced_batches"] == 3
         assert doc["rebalances"] == 1
         assert doc["snapshots"] == 1
@@ -134,6 +139,7 @@ class TestServeMetricsContract:
     def test_empty_recorder_still_has_the_full_shape(self):
         doc = serve_metrics_json(Recorder())
         assert doc["requests"] == {}
+        assert (doc["append_frames"], doc["append_json"]) == (0, 0)
         assert doc["append_latency_ms"]["count"] == 0
         assert set(doc["append_latency_ms"]) == {
             "count", "min", "max", "mean", "p50", "p95", "p99",

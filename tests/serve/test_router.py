@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
+from repro.mapreduce.sampling import quantile_boundaries
+from repro.ops.sort import Sort, sort_key_array
 from repro.serve import ServeError, build_router
-from repro.serve.router import KeyedRouter, PositionalRouter
+from repro.serve.router import (
+    ROUTER_SAMPLE_SIZE,
+    KeyedRouter,
+    PositionalRouter,
+    _sampled_boundaries,
+)
 
 BLAST_ARGS = {"input_path": "/in", "output_path": "/out", "num_partitions": 4}
 EDGE_ARGS = {"input_file": "/in", "output_path": "/out",
@@ -44,6 +51,13 @@ SORT_ONLY_XML = """\
   </operators>
 </workflow>
 """
+
+
+_SORT_KEY = '<param name="key" type="KeyId" value="seq_size"/>'
+DESCENDING_XML = BLAST_WORKFLOW_XML.replace(
+    _SORT_KEY,
+    _SORT_KEY + '\n      <param name="ascending" type="boolean" value="false"/>',
+)
 
 
 def blast_log(papar, n=64):
@@ -127,3 +141,90 @@ class TestRouting:
         other = np.array([(1, 2)], dtype=[("a", "i8"), ("b", "i8")])
         with pytest.raises(ServeError, match="routing key"):
             router.route(other)
+
+
+class TestDescendingSort:
+    """The router compares keys in the sort order (``sort_key_array``), not
+    raw: negated boundaries against raw keys sent everything to the last
+    partition."""
+
+    def router(self, papar, log):
+        plan = papar.plan(DESCENDING_XML, BLAST_ARGS)
+        assert plan.jobs[0].operator.ascending is False
+        total = sum(len(b) for b in log)
+        return build_router(plan, papar.schema("blast_db"), log, total)
+
+    def test_owners_spread_over_all_partitions_in_sort_order(self, papar):
+        log = blast_log(papar, n=2000)
+        router = self.router(papar, log)
+        assert router.kind == "range"
+        owners = router.route(log[0])
+        counts = np.bincount(owners, minlength=4)
+        assert (counts > 0).all(), counts
+        # monotone in the (descending) sort order: larger keys come first
+        order = np.argsort(sort_key_array(log[0]["seq_size"], False),
+                           kind="stable")
+        assert (np.diff(owners[order]) >= 0).all()
+        assert owners[np.argmax(log[0]["seq_size"])] == 0
+
+    def test_partition_for_key_agrees_with_route(self, papar):
+        log = blast_log(papar, n=500)
+        router = self.router(papar, log)
+        owners = router.route(log[0])
+        for i in range(0, 500, 37):
+            key = int(log[0]["seq_size"][i])
+            assert router.partition_for_key(key) == owners[i]
+
+    def test_int32_minimum_routes_last_not_first(self, papar):
+        """``-(-2**31)`` wraps back to itself in int32; widened, the
+        smallest key sorts last in a descending order."""
+        log = blast_log(papar, n=400)
+        batch = log[0].copy()
+        batch["seq_size"][0] = -2 ** 31
+        router = self.router(papar, [batch])
+        owners = router.route(batch)
+        assert owners[0] == owners.max() == 3
+        assert router.partition_for_key(-2 ** 31) == 3
+        assert (np.bincount(owners, minlength=4) > 0).all()
+
+
+def elementwise_boundaries(op, log_batches, num_partitions):
+    """The range-boundary sampler as it was before it was vectorized: every
+    key of the log in one Python list, thinned by a per-element Algorithm R."""
+
+    def algorithm_r(items, k, rng):
+        if len(items) <= k:
+            return list(items)
+        if isinstance(items, np.ndarray):
+            return list(items[rng.choice(len(items), size=k, replace=False)])
+        reservoir = list(items[:k])
+        draws = rng.integers(0, np.arange(k, len(items)) + 1)
+        for offset, j in enumerate(draws):
+            if j < k:
+                reservoir[j] = items[k + offset]
+        return reservoir
+
+    rng = np.random.default_rng(0)
+    samples = []
+    for batch in log_batches:
+        keys = sort_key_array(np.asarray(batch[op.key]), op.ascending)
+        samples.extend(algorithm_r(keys, ROUTER_SAMPLE_SIZE, rng))
+    return quantile_boundaries(
+        algorithm_r(samples, ROUTER_SAMPLE_SIZE, rng), num_partitions)
+
+
+class TestVectorizedSampler:
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_boundaries_equal_the_elementwise_sampler(self, papar, ascending):
+        """A log shaped like a daemon's — one big warm-start batch, then many
+        small appends — so every branch runs: ``rng.choice`` on the big
+        batch, small batches whole, Algorithm R over the pool."""
+        from repro.blast import generate_index
+
+        index = np.asarray(generate_index("env_nr", num_sequences=12000, seed=3))
+        log = [index[:6000]] + [index[i:i + 50] for i in range(6000, 12000, 50)]
+        op = Sort(key="seq_size", ascending=ascending)
+        ours = _sampled_boundaries(op, log, 16)
+        theirs = elementwise_boundaries(op, log, 16)
+        assert ours == theirs
+        assert [type(b) for b in ours] == [type(b) for b in theirs]

@@ -2,14 +2,18 @@
 generation swaps, warm restart, the TCP socket path, and the metrics doc."""
 
 import asyncio
+import contextlib
+import json
+import socket
 import threading
 
 import numpy as np
 import pytest
 
 from repro.config.examples import BLAST_WORKFLOW_XML
-from repro.serve import ServeClient, ServeConfig, run_server
-from repro.serve.server import PartitionServer
+from repro.formats import BLAST_INDEX_SCHEMA
+from repro.ooc.runfile import FRAME, pack_frame_header
+from repro.serve import ServeClient, ServeConfig, protocol, run_server
 
 from tests.serve._driver import dispatch, fold_tail, run_scenario, settle
 from tests.serve.conftest import rows_of
@@ -204,34 +208,246 @@ class TestSnapshotAndRestart:
         assert server.snapshots.current_generation() == 0
 
 
+@contextlib.contextmanager
+def tcp_daemon(papar, args, drain=True, **config_kw):
+    """A daemon on its own thread; yields ``(address, holder)``.
+
+    On exit a fresh connection drains it (``drain=False``: the test already
+    did), the thread must end, and ``holder["server"]`` is the drained
+    server for post-mortem assertions.
+    """
+    addr, ready, holder = {}, threading.Event(), {}
+
+    def serve():
+        holder["server"] = asyncio.run(run_server(
+            papar, BLAST_WORKFLOW_XML, args,
+            config=ServeConfig(**config_kw),
+            ready=lambda h, p: (addr.update(hp=(h, p)), ready.set()),
+        ))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    assert ready.wait(60), "daemon never came up"
+    try:
+        yield addr["hp"], holder
+    finally:
+        if drain:
+            with ServeClient(*addr["hp"]) as client:
+                client.drain()
+        thread.join(60)
+    assert not thread.is_alive()
+
+
+class RawConnection:
+    """A client that is nothing but a socket: bytes out, JSON lines back."""
+
+    def __init__(self, address):
+        self.sock = socket.create_connection(address, timeout=30)
+        self.file = self.sock.makefile("rb")
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def reply(self) -> dict:
+        return json.loads(self.file.readline())
+
+    def ask(self, payload: dict) -> dict:
+        self.send((json.dumps(payload) + "\n").encode())
+        return self.reply()
+
+    def closed_by_server(self) -> bool:
+        try:
+            return self.file.readline() == b""
+        except ConnectionResetError:  # closed with bytes of ours still unread
+            return True
+
+    def close(self) -> None:
+        self.file.close()
+        self.sock.close()
+
+
+def frame_of(records: np.ndarray) -> bytes:
+    return protocol.encode_frame(np.ascontiguousarray(records))
+
+
 class TestSocketLifecycle:
     def test_tcp_roundtrip_with_the_blocking_client(
         self, papar, blast_file, blast_index, tmp_path
     ):
         """The real wire path: server on a thread, ServeClient over TCP."""
         args = blast_args(blast_file, tmp_path)
-        addr, ready = {}, threading.Event()
-        holder = {}
-
-        def serve():
-            holder["server"] = asyncio.run(run_server(
-                papar, BLAST_WORKFLOW_XML, args,
-                config=ServeConfig(),
-                ready=lambda h, p: (addr.update(hp=(h, p)), ready.set()),
-            ))
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert ready.wait(60), "daemon never came up"
-        with ServeClient(*addr["hp"]) as client:
-            r = client.append_ok(rows_of(blast_index[100:110]))
-            assert r["records"] == 10
-            assert client.query()["log_records"] == 110
-            d = client.drain()
-            assert d["ok"]
-        thread.join(60)
-        assert not thread.is_alive()
+        with tcp_daemon(papar, args, drain=False) as (address, holder):
+            with ServeClient(*address) as client:
+                r = client.append_ok(rows_of(blast_index[100:110]))
+                assert r["records"] == 10
+                assert client.query()["log_records"] == 110
+                d = client.drain()
+                assert d["ok"]
         assert holder["server"].state.log_records == 110
+
+
+class TestWireEncodings:
+    """Frames by default, JSON rows for whoever never says ``hello`` — one
+    append path behind both."""
+
+    def test_the_client_negotiates_frames_and_takes_rows_or_arrays(
+        self, papar, blast_file, blast_index, tmp_path
+    ):
+        with tcp_daemon(papar, blast_args(blast_file, tmp_path)) as (addr, holder):
+            with ServeClient(*addr) as client:
+                assert client._frame_dtype == BLAST_INDEX_SCHEMA.dtype
+                # list-of-lists rows (numpy would read them as an extra axis)
+                client.append_ok(rows_of(blast_index[100:110]))
+                client.append_ok(blast_index[110:120].tolist())   # tuples
+                client.append_ok(np.asarray(blast_index[120:130]))  # array
+        server = holder["server"]
+        np.testing.assert_array_equal(
+            np.concatenate(server.state.log[1:]), blast_index[100:130])
+        doc = server.metrics_doc()
+        assert (doc["append_frames"], doc["append_json"]) == (3, 0)
+        assert doc["requests"]["hello"] == 2  # this client + the draining one
+        assert doc["rejected"] == 0
+
+    def test_a_line_json_client_that_never_says_hello_still_appends(
+        self, papar, blast_file, blast_index, tmp_path
+    ):
+        """Both encodings interleaved on one raw connection."""
+        with tcp_daemon(papar, blast_args(blast_file, tmp_path)) as (addr, holder):
+            raw = RawConnection(addr)
+            r = raw.ask({"op": "append", "rows": rows_of(blast_index[100:105])})
+            assert r["ok"] and r["total_records"] == 105
+            raw.send(frame_of(blast_index[105:112]))
+            r = raw.reply()
+            assert (r["ok"], r["records"], r["total_records"]) == (True, 7, 112)
+            r = raw.ask({"op": "append", "rows": rows_of(blast_index[112:115])})
+            assert r["ok"] and r["total_records"] == 115
+            assert raw.ask({"op": "query"})["log_records"] == 115
+            raw.close()
+        server = holder["server"]
+        np.testing.assert_array_equal(
+            np.concatenate(server.state.log[1:]), blast_index[100:115])
+        doc = server.metrics_doc()
+        assert (doc["append_frames"], doc["append_json"]) == (1, 2)
+        assert doc["appended_records"] == 15
+        spans = [s for s in server.recorder.spans if s.name == "serve.append"]
+        assert [s.attrs["encoding"] for s in spans] == ["json", "frames", "json"]
+
+    def test_misfit_rows_come_back_as_the_servers_400(
+        self, papar, blast_file, tmp_path
+    ):
+        """Rows the client cannot pack go out as JSON, so the daemon — not a
+        client-side numpy exception — says what is wrong with them."""
+        with tcp_daemon(papar, blast_args(blast_file, tmp_path)) as (addr, holder):
+            with ServeClient(*addr) as client:
+                for bad in ([["x", 1, 2, 3]], [[1, 2]], [[1, 2, 3, 2 ** 40]]):
+                    r = client.append(bad)
+                    assert (r["ok"], r["code"]) == (False, 400), bad
+                    assert "schema" in r["error"]
+                assert client.append([[1, 2, 3, 4]])["ok"]  # still in business
+        assert holder["server"].metrics_doc()["rejected"] == 3
+
+    def test_an_old_daemon_gets_rows(self, blast_index):
+        """A peer that answers ``hello`` with 400 unknown op (any daemon from
+        before frames) is spoken to in line-JSON only."""
+        received = []
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def old_daemon():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as stream:
+                for line in stream:
+                    received.append(line)
+                    request = json.loads(line)
+                    if request["op"] == "append":
+                        answer = protocol.ok("append", records=len(request["rows"]))
+                    else:
+                        answer = protocol.error(
+                            protocol.BAD_REQUEST, f"unknown op {request['op']!r}")
+                    stream.write(protocol.encode_response(answer))
+                    stream.flush()
+
+        thread = threading.Thread(target=old_daemon, daemon=True)
+        thread.start()
+        with ServeClient(*listener.getsockname()[:2]) as client:
+            assert client._frame_dtype is None
+            assert client.append_ok(blast_index[100:103].tolist())["records"] == 3
+            assert client.append_ok(np.asarray(blast_index[103:105]))["records"] == 2
+        thread.join(30)
+        listener.close()
+        assert not thread.is_alive()
+        assert [json.loads(line)["op"] for line in received] == [
+            "hello", "append", "append"]
+        assert json.loads(received[1])["rows"] == rows_of(blast_index[100:103])
+
+
+class TestMalformedFrames:
+    """A frame is never trusted: every broken one ends in a 400 or a closed
+    connection, is counted, and leaves the daemon serving everyone else."""
+
+    def good_payload(self, blast_index):
+        return np.ascontiguousarray(blast_index[100:104]).tobytes()
+
+    def test_checks_that_keep_the_connection(
+        self, papar, blast_file, blast_index, tmp_path
+    ):
+        """The announced payload was consumed in full, so the stream is still
+        in sync: a 400, then business as usual on the same connection."""
+        payload = self.good_payload(blast_index)
+        flipped = bytes([payload[0] ^ 0x40]) + payload[1:]
+        ragged = payload + b"\x00\x00\x00"
+        cases = {
+            "crc mismatch": pack_frame_header(4, payload) + flipped,
+            "non-empty": pack_frame_header(0, b""),
+            "payload holds": pack_frame_header(4, ragged) + ragged,
+            "declares 3 records": pack_frame_header(3, payload) + payload,
+        }
+        with tcp_daemon(papar, blast_args(blast_file, tmp_path)) as (addr, holder):
+            raw = RawConnection(addr)
+            for expected, body in cases.items():
+                raw.send(protocol.FRAME_MARKER + body)
+                r = raw.reply()
+                assert (r["ok"], r["code"], r["op"]) == (False, 400, "append")
+                assert expected in r["error"]
+            raw.send(frame_of(blast_index[100:104]))
+            assert raw.reply()["total_records"] == 104
+            raw.close()
+        server = holder["server"]
+        assert server.state.log_records == 104
+        doc = server.metrics_doc()
+        assert doc["rejected"] == len(cases)
+        assert (doc["append_frames"], doc["requests"]["append"]) == (1, 5)
+
+    @pytest.mark.parametrize("case", ["header", "payload", "oversize"])
+    def test_breaks_that_close_the_connection(
+        self, papar, blast_file, blast_index, tmp_path, case
+    ):
+        """The byte stream cannot be resynchronised — the payload is cut
+        short or was never read — so the daemon answers 400 and hangs up,
+        and keeps serving other connections."""
+        payload = self.good_payload(blast_index)
+        whole = pack_frame_header(4, payload) + payload
+        body = {
+            "header": whole[:FRAME.size - 5],
+            "payload": whole[:-7],
+            "oversize": FRAME.pack(0, 1, 0, 0, protocol.MAX_LINE + 1) + payload,
+        }[case]
+        with tcp_daemon(papar, blast_args(blast_file, tmp_path)) as (addr, holder):
+            bystander = RawConnection(addr)
+            raw = RawConnection(addr)
+            raw.send(protocol.FRAME_MARKER + body)
+            if case != "oversize":
+                raw.sock.shutdown(socket.SHUT_WR)  # the frame just stops
+            r = raw.reply()
+            assert (r["ok"], r["code"]) == (False, 400)
+            assert ("exceeds" if case == "oversize" else "truncated") in r["error"]
+            assert raw.closed_by_server()
+            raw.close()
+            r = bystander.ask(
+                {"op": "append", "rows": rows_of(blast_index[100:102])})
+            assert r["ok"] and r["total_records"] == 102
+            bystander.close()
+        doc = holder["server"].metrics_doc()
+        assert doc["rejected"] == 1 and doc["appended_records"] == 2
 
 
 class TestMetricsDoc:
