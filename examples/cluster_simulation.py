@@ -11,12 +11,12 @@ Run:  python examples/cluster_simulation.py
 from repro import PaPar
 from repro.blast import generate_index
 from repro.cluster import ClusterModel, ETHERNET_10G, INFINIBAND_QDR
-from repro.cluster.trace import Tracer, traced_program
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.core.dataset import Dataset
 from repro.formats import BLAST_INDEX_SCHEMA
 from repro.mpi import SUM, run_mpi
+from repro.obs import Recorder, render_timeline
 
 NUM_SEQUENCES = 400_000
 
@@ -57,17 +57,21 @@ def main() -> None:
 
     # -- execution trace of a small run --------------------------------------
     cluster = ClusterModel(num_nodes=2, ranks_per_node=2, network=INFINIBAND_QDR)
-    tracer = Tracer(4)
-    instrument = traced_program(tracer, label_prefix="allreduce-demo")
+    recorder = Recorder()
 
     def prog(comm):
-        comm = instrument(comm)
-        comm.charge_compute(0.002 * (comm.rank + 1))  # imbalanced compute
+        # the span puts the rank's compute on the timeline; the wait inside
+        # the allreduce shows as idle, fed by the communicator's charge points
+        comm.recorder = recorder
+        with recorder.span(
+            "allreduce-demo", category="job", rank=comm.rank, clock=comm.clock
+        ):
+            comm.charge_compute(0.002 * (comm.rank + 1))  # imbalanced compute
         return comm.allreduce(comm.rank, SUM)
 
     run_mpi(prog, 4, cluster=cluster)
-    print("per-rank trace of an imbalanced allreduce:")
-    print(tracer.summary())
+    print("per-rank timeline of an imbalanced allreduce:")
+    print(render_timeline(recorder))
 
 
 if __name__ == "__main__":

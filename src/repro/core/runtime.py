@@ -10,8 +10,9 @@ Two executors run the same :class:`~repro.core.planner.WorkflowPlan`:
   mapping of the formalization onto MPI / MR-MPI: sort and group jobs are
   one *range exchange* (sample + range-shuffle + local kernel, Figures 9
   and 11), distribute jobs compute global entry positions with an exclusive
-  scan and deal each rank's window of them by position
-  (:meth:`~repro.ops.distribute.Distribute.pieces`) to the partition owners.
+  scan and deal each rank's window of them by position (the policy's
+  :meth:`~repro.policies.distr.DistributionPolicy.pieces`) to the partition
+  owners.
   What differs between the backends is data on a subclass — the backend
   label, the reducer count, the cost profile
   (:class:`~repro.core.mr_runtime.MapReduceRuntime`) and the launcher
@@ -19,7 +20,8 @@ Two executors run the same :class:`~repro.core.planner.WorkflowPlan`:
 
 Every backend produces identical partitions (tested); the SPMD backends
 additionally report simulated time and shuffle volume when a cluster model
-is attached.  The range exchange bucketizes owners through
+is attached.  The range exchange cuts keys with a
+:class:`~repro.mapreduce.partitioner.RangePartitioner` and bucketizes through
 :func:`repro.mapreduce.columnar.bucketize` — one stable order instead of a
 per-destination ``flatnonzero`` scan — and every backend threads a
 :class:`~repro.mapreduce.columnar.PerfCounters` through
@@ -66,7 +68,7 @@ from repro.fault.retry import RetryPolicy
 from repro.fault.runner import execute_with_recovery
 from repro.fault.schedule import FaultSchedule
 from repro.mapreduce.columnar import PerfCounters, bucketize
-from repro.mapreduce.sampling import sample_key_ranges
+from repro.mapreduce.partitioner import RangePartitioner
 from repro.mpi import SUM, run_mpi
 from repro.mpi.comm import Communicator
 from repro.mpi.launcher import MPIRun
@@ -136,30 +138,6 @@ def _resident(source: Any) -> Any:
     """
     materialize = getattr(source, "materialize", None)
     return source if materialize is None else materialize()
-
-
-def policy_partition_ids(
-    op: Distribute, global_idx: np.ndarray, total: int, backend: str = "SPMD"
-) -> np.ndarray:
-    """Each entry's target partition under the distribution policy.
-
-    Pure function of the global entry positions and the global entry count
-    (the permutation formalization of Section III-C) — shared by the
-    out-of-core exchange (which must compute it chunk at a time without
-    re-running the count collective) and the serve routers.  The in-memory
-    SPMD deal applies the same rule to whole windows of positions instead
-    (:meth:`~repro.ops.distribute.Distribute.pieces`).
-    """
-    policy = op.policy.name
-    if policy in ("cyclic", "graphVertexCut"):
-        return global_idx % op.num_partitions
-    if policy == "block":
-        base, extra = divmod(total, op.num_partitions)
-        sizes = np.array(
-            [base + (1 if p < extra else 0) for p in range(op.num_partitions)]
-        )
-        return np.searchsorted(np.cumsum(sizes), global_idx, side="right")
-    raise WorkflowError(f"{backend} runtime does not know policy {policy!r}")
 
 
 def job_input(
@@ -354,6 +332,11 @@ class MPIRuntime:
     # -- driver side ----------------------------------------------------------
 
     def execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
+        for job in plan.jobs:
+            if isinstance(job.operator, Distribute):
+                # every rank deals its own window of positions: refuse a
+                # permutation-defined policy here, before anything is launched
+                job.operator.policy.require_positional()
         rank_kwargs: dict[str, Any] = {}
         spill_dir: Optional[str] = None
         if self.memory_budget is not None:
@@ -640,11 +623,9 @@ class MPIRuntime:
             return reduce_received(op, inbox, source.schema, ctx)
         data = _resident(source)
         sort_keys = sort_key_array(np.asarray(data.column(op.key)), ascending)
-        boundaries = sample_key_ranges(
-            comm, sort_keys, num_reducers=reducers, sample_size=self.sample_size
-        )
-        # vectorized RangePartitioner (bisect_left == searchsorted side="left")
-        reducer_of = np.searchsorted(np.asarray(boundaries), sort_keys, side="left")
+        reducer_of = RangePartitioner.sampled(
+            comm, sort_keys, reducers, self.sample_size
+        ).partition_array(sort_keys)
         received = self._exchange_entries(
             comm, data, (reducer_of * comm.size) // reducers, perf
         )
@@ -702,10 +683,11 @@ class MPIRuntime:
                 outboxes: list[list[tuple[int, int, Any]]] = [
                     [] for _ in range(comm.size)
                 ]
-                for p, _slot, where in op.pieces(total, offset, n_local):
+                for p, _slot, where in op.policy.pieces(total, num_p, offset, n_local):
                     chunk = stream.select(where)
                     perf.count_move(len(chunk), chunk.nbytes)
-                    outboxes[p % comm.size].append((p, offset + where.start, chunk))
+                    first = offset + where.indices(n_local)[0]
+                    outboxes[p % comm.size].append((p, first, chunk))
                 inboxes = _alltoall(
                     comm, outboxes, "distribute-shuffle",
                     {"stream": stream_idx, "records": n_local},

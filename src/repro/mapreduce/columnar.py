@@ -416,11 +416,3 @@ class PerfCounters:
             if c is not None:
                 total.merge(c)
         return total
-
-
-def payload_nbytes(payload: Any) -> int:
-    """Logical byte size of a shuffle payload (0 when unknown)."""
-    nbytes = getattr(payload, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
-    return 0

@@ -63,9 +63,6 @@ class MRMPIEngine:
         self.recorder = recorder
         #: jobs this engine has started (fault-injection job boundary index)
         self.jobs_run = 0
-        #: optional :class:`repro.ooc.spill.OOCContext` — set by a budgeted
-        #: runtime; when present, columnar shuffles may spill to run files
-        self.ooc: Optional[Any] = None
 
     def _shuffle_span(self, records: int, nbytes: int):
         return self.recorder.span(
@@ -164,11 +161,16 @@ class MRMPIEngine:
         if cost is not None:
             self._charge(cost.hash_group(len(kv)))
         if isinstance(kv, KVBatch):
-            if self.ooc is not None:
-                from repro.ooc.exchange import ooc_shuffle_kv
-
-                return ooc_shuffle_kv(self, kv, partitioner)
-            return self._shuffle_batch(kv, partitioner)
+            owners = partitioner.partition_array(kv.keys) % size
+            outboxes_b = [kv.take(idx) for idx in bucketize(owners, size)]
+            if self.perf is not None:
+                self.perf.count_move(len(kv), kv.nbytes)
+            if self.recorder is not None:
+                with self._shuffle_span(len(kv), kv.nbytes):
+                    inboxes_b = self.comm.alltoall(outboxes_b)
+            else:
+                inboxes_b = self.comm.alltoall(outboxes_b)
+            return concat_batches(inboxes_b)
         outboxes: list[list[KV]] = [[] for _ in range(size)]
         for k, v in kv:
             outboxes[partitioner(k) % size].append((k, v))
@@ -180,20 +182,6 @@ class MRMPIEngine:
         else:
             inboxes = self.comm.alltoall(outboxes)
         return [pair for box in inboxes for pair in box]
-
-    def _shuffle_batch(self, kv: KVBatch, partitioner: Partitioner) -> KVBatch:
-        """The in-memory columnar shuffle (the fast path of :meth:`shuffle`)."""
-        size = self.comm.size
-        owners = partitioner.partition_array(kv.keys) % size
-        outboxes_b = [kv.take(idx) for idx in bucketize(owners, size)]
-        if self.perf is not None:
-            self.perf.count_move(len(kv), kv.nbytes)
-        if self.recorder is not None:
-            with self._shuffle_span(len(kv), kv.nbytes):
-                inboxes_b = self.comm.alltoall(outboxes_b)
-        else:
-            inboxes_b = self.comm.alltoall(outboxes_b)
-        return concat_batches(inboxes_b)
 
     def group(self, kv: KVInput) -> Union[list[tuple[Any, list[Any]]], GroupedKVBatch]:
         """Group local pairs by key, preserving first-seen key order."""

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import MapReduceError
+from repro.mapreduce.sampling import gather_key_sample, quantile_boundaries
 
 
 class Partitioner:
@@ -87,18 +87,15 @@ class HashPartitioner(Partitioner):
         return stable_hash_array(keys) % self.num_reducers
 
 
-@dataclass(frozen=True)
-class _Boundary:
-    """Marker type documenting that boundaries are inclusive-upper splits."""
-
-
 class RangePartitioner(Partitioner):
     """Order-preserving partitioner over sampled split points.
 
     ``boundaries`` holds ``num_reducers - 1`` ascending split keys; reducer
     ``i`` receives keys in ``(boundaries[i-1], boundaries[i]]``-style ranges
     (``bisect_left``, so a key equal to a boundary goes to that boundary's
-    bucket).  Produced by :func:`repro.mapreduce.sampling.sample_key_ranges`.
+    bucket).  This is the one range cut: the SPMD sort and group exchanges
+    (in memory and spilled, via :meth:`sampled`) and the ``serve`` range
+    router all route keys through :meth:`partition_array`.
     """
 
     def __init__(self, boundaries: Sequence[Any], num_reducers: int) -> None:
@@ -112,6 +109,18 @@ class RangePartitioner(Partitioner):
         if any(bl[i] > bl[i + 1] for i in range(len(bl) - 1)):
             raise MapReduceError("range boundaries must be ascending")
         self.boundaries = bl
+
+    @classmethod
+    def sampled(
+        cls, comm, local_keys: np.ndarray, num_reducers: int, sample_size: int
+    ) -> "RangePartitioner":
+        """The range cut of a distributed stream, from a pooled key sample
+        (collective: every rank builds the same partitioner).  A stream with
+        no key on any rank has no split points — one range holds every key."""
+        samples = gather_key_sample(comm, local_keys, sample_size)
+        if not samples:
+            return cls([], 1)
+        return cls(quantile_boundaries(samples, num_reducers), num_reducers)
 
     def __call__(self, key: Any) -> int:
         return bisect.bisect_left(self.boundaries, key)

@@ -74,6 +74,16 @@ def quantile_boundaries(samples: Sequence[Any], num_reducers: int) -> list[Any]:
     return [ordered[min(n - 1, (i * n) // num_reducers)] for i in range(1, num_reducers)]
 
 
+def gather_key_sample(
+    comm, local_keys: Sequence[Any], sample_size: int, seed: int = 0
+) -> list[Any]:
+    """Every rank's reservoir sample of its keys, pooled (collective): the
+    same list on every rank, empty only when no rank holds a key."""
+    rng = np.random.default_rng(seed + 1000 * comm.rank)
+    local = reservoir_sample(local_keys, sample_size, rng)
+    return [s for chunk in comm.allgather(local) for s in chunk]
+
+
 def sample_key_ranges(
     comm,
     local_keys: Sequence[Any],
@@ -86,9 +96,7 @@ def sample_key_ranges(
     Every rank returns the same boundary list (deterministic given ``seed``),
     suitable for :class:`~repro.mapreduce.partitioner.RangePartitioner`.
     """
-    rng = np.random.default_rng(seed + 1000 * comm.rank)
-    local = reservoir_sample(local_keys, sample_size, rng)
-    all_samples = [s for chunk in comm.allgather(local) for s in chunk]
+    all_samples = gather_key_sample(comm, local_keys, sample_size, seed)
     if not all_samples:
         raise MapReduceError("no rank contributed samples; is the input empty?")
     return quantile_boundaries(all_samples, num_reducers)

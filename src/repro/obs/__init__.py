@@ -20,7 +20,6 @@ from repro.obs.adapters import (
     record_perf,
     record_rebalance,
     record_serve_request,
-    record_tracer,
 )
 from repro.obs.export import (
     DRIVER_PID,
@@ -48,7 +47,6 @@ __all__ = [
     "DRIVER_PID",
     "render_timeline",
     "print_timeline",
-    "record_tracer",
     "record_perf",
     "record_fault_report",
     "record_serve_request",

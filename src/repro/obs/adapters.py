@@ -1,11 +1,11 @@
-"""Adapters folding the older diagnostic streams into one recorder.
+"""Adapters folding the other diagnostic streams into one recorder.
 
-Before this layer existed the repo had three disconnected windows into a
-run: the virtual-time :class:`~repro.cluster.trace.Tracer`, the
-:class:`~repro.mapreduce.columnar.PerfCounters` snapshots, and the fault
-report dict in ``PartitionResult.extra["fault"]``.  Each adapter here maps
-one of those onto the :class:`~repro.obs.span.Recorder` vocabulary (spans,
-instants, counters), so a single exported artifact tells the whole story.
+A run reports through more than spans: the
+:class:`~repro.mapreduce.columnar.PerfCounters` snapshots, the fault report
+dict in ``PartitionResult.extra["fault"]`` and the ``serve`` daemon's
+request and rebalance events.  Each adapter here maps one of those onto the
+:class:`~repro.obs.span.Recorder` vocabulary (spans, instants, counters), so
+a single exported artifact tells the whole story.
 """
 
 from __future__ import annotations
@@ -13,38 +13,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.obs.span import Recorder
-
-
-def record_tracer(recorder: Recorder, tracer: Any, parent: Any = None) -> None:
-    """Fold a :class:`~repro.cluster.trace.Tracer`'s timelines into spans.
-
-    Compute/send/recv events become virtual-time spans on their rank's
-    track; zero-duration ``mark`` events become instants.  Byte counts ride
-    along as ``trace.sent_bytes`` / ``trace.recv_bytes`` counters.
-    """
-    for timeline in tracer.timelines:
-        for event in timeline.events:
-            if event.kind == "mark":
-                recorder.instant(
-                    event.label or "mark",
-                    category="trace",
-                    rank=event.rank,
-                    ts_virtual=event.start,
-                )
-                continue
-            recorder.record_span(
-                name=event.label or event.kind,
-                category=event.kind,
-                rank=event.rank,
-                start_virtual=event.start,
-                end_virtual=event.end,
-                parent=parent,
-                attrs={"nbytes": event.nbytes} if event.nbytes else None,
-            )
-            if event.kind == "send" and event.nbytes:
-                recorder.count("trace.sent_bytes", event.nbytes, rank=event.rank)
-            elif event.kind == "recv" and event.nbytes:
-                recorder.count("trace.recv_bytes", event.nbytes, rank=event.rank)
 
 
 def record_perf(recorder: Recorder, perf_summary: Optional[dict[str, Any]]) -> None:

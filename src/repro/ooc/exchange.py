@@ -10,7 +10,11 @@ fabric).  Below the budget the executor moves ``Dataset`` chunks through
 consumed chunk at a time, each chunk's buckets drain into per-destination
 run files, the ``alltoall`` ships only manifests, and receivers stream
 frames back in source-rank order.  Either way the executor runs the same
-local kernel and the same partition assembly on what arrived.
+local kernel and the same partition assembly on what arrived, and either
+way the routing rule is the same object: the range cut is a
+:class:`~repro.mapreduce.partitioner.RangePartitioner`, the deal the
+policy's :meth:`~repro.policies.distr.DistributionPolicy.pieces` — here
+applied chunk by chunk.
 
 Bit-identity with the in-memory path holds by construction: bucketization
 is stable within each chunk and chunks preserve input order, so each
@@ -31,9 +35,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.core.runtime import policy_partition_ids
-from repro.mapreduce.columnar import KVBatch, PerfCounters, bucketize
-from repro.mapreduce.sampling import sample_key_ranges
+from repro.mapreduce.columnar import PerfCounters, bucketize
+from repro.mapreduce.partitioner import RangePartitioner
 from repro.mpi import MAX
 from repro.mpi.comm import Communicator
 from repro.ooc.chunked import ChunkedDataset, iter_dataset_chunks
@@ -102,15 +105,12 @@ def spilled_range_exchange(
     """
     schema = source.schema
     sample = sort_key_array(_bounded_key_sample(source, key, sample_size), ascending)
-    boundaries = np.asarray(
-        sample_key_ranges(comm, sample, num_reducers=reducers, sample_size=sample_size)
-    )
+    partitioner = RangePartitioner.sampled(comm, sample, reducers, sample_size)
     shuffle = SpillableShuffle(ctx, comm.size, schema.dtype, kind="range")
     with _spill_span(comm, "spill-shuffle", len(source), source.nbytes):
         for chunk in iter_dataset_chunks(source, ctx.chunk_records(schema.itemsize)):
             sort_keys = sort_key_array(chunk.records[key], ascending)
-            reducer_of = np.searchsorted(boundaries, sort_keys, side="left")
-            owners = (reducer_of * comm.size) // reducers
+            owners = (partitioner.partition_array(sort_keys) * comm.size) // reducers
             for dest, idx in enumerate(bucketize(owners, comm.size)):
                 if len(idx):
                     shuffle.append(dest, chunk.records[idx])
@@ -154,71 +154,29 @@ def spilled_distribute_stream(
     """One Distribute stream through run files.
 
     ``offset`` is this rank's first global entry index in the stream and
-    ``total`` the stream's global entry count.  Spilled frames carry the
-    partition id as their tag and the global entry indexes as their keys,
-    so what comes back is the ``(partition, first global index, entries)``
-    chunks the in-memory exchange delivers — the caller assembles
-    partitions from either the same way.
+    ``total`` the stream's global entry count.  Each chunk is one more
+    window of positions for the policy's ``pieces`` — the rule the
+    in-memory deal applies to the rank's whole share — and each piece one
+    keyless frame tagged ``first global index * P + partition``, so what
+    comes back is the ``(partition, first global index, entries)`` chunks
+    the in-memory exchange delivers; the caller assembles partitions from
+    either the same way.
     """
     schema = stream.schema
-    shuffle = SpillableShuffle(
-        ctx, comm.size, schema.dtype, key_dtype=np.dtype(np.int64), kind="dist"
-    )
+    num_p = op.num_partitions
+    shuffle = SpillableShuffle(ctx, comm.size, schema.dtype, kind="dist")
     with _spill_span(comm, "spill-distribute", len(stream), stream.nbytes):
-        pos = 0
+        pos = offset
         for chunk in iter_dataset_chunks(stream, ctx.chunk_records(schema.itemsize)):
             records = chunk.records
-            global_idx = np.arange(len(records), dtype=np.int64) + offset + pos
-            owners_part = policy_partition_ids(op, global_idx, total)
-            for p, idx in enumerate(bucketize(owners_part, op.num_partitions)):
-                if not len(idx):
-                    continue
-                picked = records[idx]
-                perf.count_move(len(idx), picked.nbytes)
-                shuffle.append(p % comm.size, picked, keys=global_idx[idx], tag=p)
-            pos += len(records)
+            m = len(records)
+            for p, _slot, where in op.policy.pieces(total, num_p, pos, m):
+                first = pos + where.indices(m)[0]
+                shuffle.append(p % comm.size, records[where], tag=first * num_p + p)
+            perf.count_move(m, records.nbytes)
+            pos += m
         inbox = comm.alltoall(shuffle.finish())
     return [
-        (int(frame.tag), int(frame.keys[0]), Dataset(schema=schema, records=frame.values))
+        (frame.tag % num_p, frame.tag // num_p, Dataset(schema=schema, records=frame.values))
         for frame in drain_frames(inbox)
     ]
-
-
-def ooc_shuffle_kv(engine: Any, kv: KVBatch, partitioner: Any) -> KVBatch:
-    """The engine's columnar shuffle under a budget (``MRMPIEngine`` only):
-    in memory below it, through run files above it."""
-    comm = engine.comm
-    ctx: OOCContext = engine.ooc
-    if not uniform_spill_decision(comm, ctx, kv.nbytes):
-        return engine._shuffle_batch(kv, partitioner)
-    size = comm.size
-    chunk_records = ctx.chunk_records(
-        kv.keys.dtype.itemsize + kv.values.dtype.itemsize
-    )
-    shuffle = SpillableShuffle(
-        ctx, size, kv.values.dtype, key_dtype=kv.keys.dtype, kind="kv"
-    )
-    if engine.perf is not None:
-        engine.perf.count_move(len(kv), kv.nbytes)
-    with _spill_span(comm, "spill-shuffle", len(kv), kv.nbytes):
-        for pos in range(0, len(kv), chunk_records):
-            keys = kv.keys[pos : pos + chunk_records]
-            values = kv.values[pos : pos + chunk_records]
-            owners = partitioner.partition_array(keys) % size
-            for dest, idx in enumerate(bucketize(owners, size)):
-                if len(idx):
-                    shuffle.append(dest, values[idx], keys=keys[idx])
-        inbox = comm.alltoall(shuffle.finish())
-    key_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    for frame in drain_frames(inbox):
-        key_parts.append(frame.keys)
-        value_parts.append(frame.values)
-    if not value_parts:
-        return KVBatch(
-            keys=np.empty(0, dtype=kv.keys.dtype),
-            values=np.empty(0, dtype=kv.values.dtype),
-        )
-    return KVBatch(
-        keys=np.concatenate(key_parts), values=np.concatenate(value_parts)
-    )

@@ -83,9 +83,9 @@ class SpillableShuffle:
     Senders call :meth:`append` once per (chunk, destination) bucket;
     :meth:`finish` closes the writers and returns one manifest (or
     ``None``) per destination, ready to be ``alltoall``-ed.  Frames carry
-    an optional ``tag`` (the distribute path stores the partition id) and
-    optional per-record keys (the distribute path stores global indexes;
-    the sort path stores sort keys).
+    an optional ``tag`` (the distribute path folds the piece's partition
+    and first global index into it, so its frames are keyless) and
+    optional per-record keys.
     """
 
     def __init__(

@@ -13,66 +13,38 @@ independently — Figure 11 generates ``L_3^4`` for the high-degree stream and
 concatenates every stream's ``p``-th chunk, unpacked ("as the distribute is
 the last step in the workflow, all data will be unpacked").
 
-Flat records under a built-in policy are not gathered through the
-permutation vector but dealt by position, which applies the same
-permutation in its index form: a record at global position ``g`` goes to
-partition ``g mod P``, slot ``g // P`` (cyclic), or to a contiguous range
-(block).  :meth:`Distribute.pieces` is that rule for any window of global
-positions — the whole stream here, a rank's ``[offset, offset + n)`` share in
-the SPMD executor.  An in-memory dataset is dealt with one
+Flat records under a policy that states its positional rule
+(:attr:`~repro.policies.distr.DistributionPolicy.deals_by_position` — every
+built-in one) are not gathered through the permutation vector but dealt by
+position, which applies the same permutation in its index form: a record at
+global position ``g`` goes to partition ``g mod P``, slot ``g // P``
+(cyclic), or to a contiguous range (block).  The rule is the policy's
+:meth:`~repro.policies.distr.DistributionPolicy.pieces`, for any window of
+global positions — the whole stream here, a rank's ``[offset, offset + n)``
+share in the SPMD executor.  An in-memory dataset is dealt with one
 :meth:`~repro.core.dataset.Dataset.select` per partition; when it is a lazy
 ``Sort`` result (:class:`~repro.core.dataset.SortedView`) that select is
 ``records[order[p::P]]``, so the sorted copy is never built.  A source that
 streams — an out-of-core input view, a spilled sort's sorted runs — is dealt
 chunk by chunk without ever being resident.  Packed streams, the
-``use_matrix`` ablation and user-registered policies keep the permutation
+``use_matrix`` ablation and permutation-defined policies keep the permutation
 path, which reads (and so materializes) a lazy sort result.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Iterable, Union
 
 import numpy as np
 
 from repro.core.dataset import Dataset, concat
 from repro.errors import OperatorError
 from repro.ops.base import BasicOperator, register_basic
-from repro.policies.distr import (
-    BlockPolicy,
-    CyclicPolicy,
-    DistributionPolicy,
-    GraphVertexCutPolicy,
-    get_policy,
-)
+from repro.policies.distr import DistributionPolicy, get_policy
 from repro.policies.permutation import (
     apply_permutation_matrix,
-    partition_counts,
     stride_permutation_matrix,
 )
-
-
-def _cyclic_pieces(num_p: int, g0: int, m: int) -> Iterator[tuple[int, int, slice]]:
-    """``(partition, first slot, chunk slice)`` for a chunk of ``m`` records at
-    global offset ``g0``, dealt cyclically: the chunk's ``j``-th record opens
-    the stride of partition ``(g0 + j) mod P``."""
-    for j in range(min(num_p, m)):
-        slot, p = divmod(g0 + j, num_p)
-        yield p, slot, slice(j, None, num_p)
-
-
-def _block_pieces(offsets: list[int], g0: int, m: int) -> Iterator[tuple[int, int, slice]]:
-    """The ``block`` counterpart: partition ``p`` holds the global positions
-    ``[offsets[p], offsets[p + 1])``, so a chunk splits into contiguous runs."""
-    p = bisect_right(offsets, g0) - 1
-    pos, stop = g0, g0 + m
-    while pos < stop:
-        end = min(stop, offsets[p + 1])
-        if end > pos:
-            yield p, pos - offsets[p], slice(pos - g0, end - g0)
-            pos = end
-        p += 1
 
 
 @register_basic
@@ -104,23 +76,13 @@ class Distribute(BasicOperator):
             return apply_permutation_matrix(matrix, np.arange(n, dtype=np.int64))
         return self.policy.permutation(n, self.num_partitions)
 
-    def pieces(self, total: int, g0: int, m: int) -> Iterator[tuple[int, int, slice]]:
-        """Where the entries at global positions ``[g0, g0 + m)`` of a stream of
-        ``total`` go: ``(partition, first slot, slice of that window)``, at most
-        one per partition.  The rule goes by the policy's *name*, as the SPMD
-        deal always has."""
-        name = self.policy.name
-        if name in ("cyclic", "graphVertexCut"):
-            return _cyclic_pieces(self.num_partitions, g0, m)
-        if name == "block":
-            counts = partition_counts(total, self.num_partitions, "block")
-            return _block_pieces([0, *np.cumsum(counts).tolist()], g0, m)
-        raise OperatorError(f"policy {name!r} has no positional deal rule")
-
     def partition_one(self, data: Any) -> list[Dataset]:
         """Partition one stream; entry = record (flat) or group (packed)."""
         n = len(data)
-        if self._deals_strided(data):
+        # flat records under a policy that states its positional rule are
+        # dealt by position; packed streams, the matrix ablation and
+        # permutation-defined policies go through the permutation
+        if not self.use_matrix and not data.is_packed and self.policy.deals_by_position:
             if hasattr(data, "chunks"):
                 return self._deal_strided(
                     data.schema, (chunk.records for chunk in data.chunks()), n
@@ -128,7 +90,10 @@ class Distribute(BasicOperator):
             # resident: the one window covers the stream, so every piece is
             # a whole partition and one select (a lazy sort's only gather)
             # builds it
-            wheres = {p: where for p, _, where in self.pieces(n, 0, n)}
+            wheres = {
+                p: where
+                for p, _, where in self.policy.pieces(n, self.num_partitions, 0, n)
+            }
             return [
                 data.select(wheres.get(p, slice(0, 0)))
                 for p in range(self.num_partitions)
@@ -143,17 +108,6 @@ class Distribute(BasicOperator):
             data.take(perm[offsets[p] : offsets[p + 1]])
             for p in range(self.num_partitions)
         ]
-
-    def _deals_strided(self, data: Any) -> bool:
-        """Whether the strided kernel serves ``data``: flat records under a
-        built-in policy.  Packed streams, the matrix ablation and
-        user-registered policies (which define themselves by their
-        permutation) go through the permutation."""
-        return (
-            not self.use_matrix
-            and not data.is_packed
-            and type(self.policy) in (CyclicPolicy, GraphVertexCutPolicy, BlockPolicy)
-        )
 
     def _deal_strided(
         self, schema: Any, chunks: Iterable[np.ndarray], n: int
@@ -171,7 +125,7 @@ class Distribute(BasicOperator):
         g0 = 0
         for records in chunks:
             m = len(records)
-            for p, slot, where in self.pieces(n, g0, m):
+            for p, slot, where in self.policy.pieces(n, self.num_partitions, g0, m):
                 piece = records[where]
                 parts[p][slot : slot + len(piece)] = piece
             g0 += m

@@ -14,15 +14,17 @@ hot partitions with the exact cold-batch answer:
   boundaries sampled from the accumulated log
   (:class:`~repro.mapreduce.partitioner.RangePartitioner`), preserving key
   locality;
-* no key-bearing stage — positional dealing via
-  :func:`~repro.core.runtime.policy_partition_ids` on a running global
-  arrival index, which for ``cyclic``/``graphVertexCut`` *is* the exact
-  cold answer when arrival order equals file order.
+* no key-bearing stage — positional dealing on a running global arrival
+  index, each batch one more window for the distribute policy's
+  :meth:`~repro.policies.distr.DistributionPolicy.pieces`, which for
+  ``cyclic``/``graphVertexCut`` *is* the exact cold answer when arrival
+  order equals file order.
 
-All three run each batch through ``Partitioner.partition_array`` /
-``policy_partition_ids`` — one vectorized pass, no per-record Python loop —
-and the server deals the owners into the hot partitions with
-:meth:`repro.serve.state.PartitionGeneration.deal`.
+These are the executor's routing objects, not a third implementation: the
+range partitioner cuts keys for the SPMD sort and group exchanges, and
+``pieces`` deals every backend's ``distribute``.  All three route a batch
+in one vectorized pass, and the server deals the owners into the hot
+partitions with :meth:`repro.serve.state.PartitionGeneration.deal`.
 
 A range router compares keys in the *sort order*: both the sampled
 boundaries and every routed key go through
@@ -44,7 +46,6 @@ from repro.mapreduce.sampling import (
     reservoir_indices,
     sample_array,
 )
-from repro.core.runtime import policy_partition_ids
 from repro.ops.distribute import Distribute
 from repro.ops.group import Group
 from repro.ops.sort import Sort, sort_key_array
@@ -117,13 +118,15 @@ class PositionalRouter(IncrementalRouter):
     For ``cyclic`` / ``graphVertexCut`` dealing this matches the cold batch
     run exactly (partition = global index mod P); for ``block`` it is an
     approximation that the next rebalance corrects, because block boundaries
-    move as the total grows.
+    move as the total grows.  A permutation-defined policy cannot deal a
+    batch at a time and is refused here, while the daemon starts up.
     """
 
     kind = "positional"
 
     def __init__(self, op: Distribute, start_index: int) -> None:
         super().__init__(op.num_partitions)
+        op.policy.require_positional()
         self.op = op
         #: global arrival index of the next record to route
         self.next_index = start_index
@@ -131,11 +134,13 @@ class PositionalRouter(IncrementalRouter):
     def route(self, records: np.ndarray) -> np.ndarray:
         """Owners by global arrival index, advancing the running counter."""
         n = len(records)
-        global_idx = np.arange(n, dtype=np.int64) + self.next_index
-        self.next_index += n
-        return policy_partition_ids(
-            self.op, global_idx, total=self.next_index, backend="serve"
-        )
+        owners = np.empty(n, dtype=np.int64)
+        first, self.next_index = self.next_index, self.next_index + n
+        for p, _slot, where in self.op.policy.pieces(
+            self.next_index, self.num_partitions, first, n
+        ):
+            owners[where] = p
+        return owners
 
     def describe(self) -> dict[str, Any]:
         """Base summary plus the policy name and the running index."""

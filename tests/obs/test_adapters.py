@@ -1,36 +1,6 @@
-"""Adapters folding Tracer, PerfCounters and fault reports into a recorder."""
+"""Adapters folding PerfCounters and fault reports into a recorder."""
 
-from repro.cluster.trace import Tracer
-from repro.obs import Recorder, record_fault_report, record_perf, record_tracer
-
-
-class TestRecordTracer:
-    def test_events_become_spans_and_marks_become_instants(self):
-        tracer = Tracer(size=2)
-        tracer.record(0, "compute", 0.0, 1.0, label="sort")
-        tracer.record(0, "send", 1.0, 1.2, label="->1", nbytes=64)
-        tracer.record(1, "recv", 1.0, 1.2, label="<-0", nbytes=64)
-        tracer.mark(1, 1.5, "done")
-        rec = Recorder()
-        record_tracer(rec, tracer)
-        assert [(s.name, s.category, s.rank) for s in rec.spans] == [
-            ("sort", "compute", 0),
-            ("->1", "send", 0),
-            ("<-0", "recv", 1),
-        ]
-        assert rec.spans[1].attrs == {"nbytes": 64}
-        assert rec.instants[0].name == "done"
-        assert rec.instants[0].ts_virtual == 1.5
-        assert rec.counter_total("trace.sent_bytes") == 64
-        assert rec.counter_total("trace.recv_bytes") == 64
-
-    def test_parent_handle_adopts_trace_spans(self):
-        tracer = Tracer(size=1)
-        tracer.record(0, "compute", 0.0, 1.0)
-        rec = Recorder()
-        with rec.span("root") as root:
-            record_tracer(rec, tracer, parent=root)
-        assert rec.spans[0].parent_id == root.span_id
+from repro.obs import Recorder, record_fault_report, record_perf
 
 
 class TestRecordPerf:
