@@ -306,6 +306,23 @@ CATALOG: dict[str, RuleSpec] = {
               "worker resumes from the committed job prefix.",
               "a multi-GB process run without --checkpoint-dir",
               "add --checkpoint-dir to the run"),
+        _spec("PAP073", "spmd-output-gathered", Severity.INFO,
+              "the final distribute's output is gathered to the driver and "
+              "written there, not written in place by the ranks",
+              "On the mpi, mapreduce and process backends each rank writes "
+              "its pieces of the part files where they belong when the "
+              "output is fixed-width binary and the final distribute deals "
+              "flat records: a record's byte offset in its part file follows "
+              "from its position alone. A text output has no such offset and "
+              "a packed stream is unpacked by the partition's owner, so those "
+              "runs ship every partition to its owner rank and then to the "
+              "driver, which writes the files alone ('--stats' prints "
+              "'output: gathered to the driver'). Advisory only: the parts "
+              "are byte-identical either way.",
+              "--backend process on hybrid_cut.xml (text edge list, packed "
+              "low-degree groups)",
+              "--backend process on blast_partition.xml (fixed-width binary "
+              "index, flat sort output): 'output: written in place by ranks'"),
         # -- optimization advisories (PAP08x) ---------------------------------
         _spec("PAP080", "dead-operator", Severity.INFO,
               "an operator whose outputs nothing downstream ever consumes",

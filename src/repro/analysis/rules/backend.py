@@ -1,4 +1,4 @@
-"""Execution-backend fit checks (PAP070-PAP072).
+"""Execution-backend fit checks (PAP070-PAP073).
 
 These rules only fire when the user *declares* the backend they intend to
 run with (``papar lint --backend process``): PAP070 warns ahead of the
@@ -10,7 +10,9 @@ when the intended rank count oversubscribes the machine's CPUs — forked
 ranks compete for cores, so extra ranks add shuffle volume without adding
 parallelism — and PAP072 advises checkpointing for large process-backend
 runs, where a single worker crash otherwise restarts the whole gang from
-scratch.
+scratch.  PAP073 applies to every SPMD backend: it says when a file-to-file
+run's partitions will be gathered to the driver and written there instead of
+being written in place by the ranks.
 """
 
 from __future__ import annotations
@@ -33,6 +35,42 @@ def available_cpus() -> Optional[int]:
 LARGE_RUN_RANKS = 8
 #: ... or this many assumed input records
 LARGE_RUN_RECORDS = 1_000_000
+
+
+#: the backends whose ranks can write the part files themselves
+SPMD_BACKENDS = ("mpi", "mapreduce", "process")
+
+
+@checker
+def check_output_gathered(ctx: LintContext) -> Iterator[Diagnostic]:
+    """PAP073: a final distribute whose output the ranks cannot write in place."""
+    if ctx.backend not in SPMD_BACKENDS or ctx.model is None or not ctx.model.operators:
+        return
+    final = ctx.model.operators[-1]
+    if final.kind != "distribute":
+        return
+    why = []
+    schema, _ = ctx.input_schema()
+    if schema is not None and schema.input_format == "text":
+        why.append("text output")
+    analyzed = ctx.analyzed()
+    card = analyzed.card_of.get(final.id) if analyzed is not None else None
+    if card is not None and card.packed:
+        why.append("packed stream")
+    if not why:
+        return
+    yield ctx.diag(
+        "PAP073",
+        f"the output of distribute {final.id!r} is gathered to the driver "
+        f"({', '.join(why)}): on backend={ctx.backend!r} every partition "
+        "crosses the fabric to its owner rank and then to the driver, which "
+        "writes the part files alone",
+        line=final.line,
+        suggestion="advisory only, the parts are identical either way; the "
+        "ranks write their pieces of the part files in place (one exchange "
+        "fewer, nothing gathered) when the output is fixed-width binary and "
+        "the distribute is fed flat records",
+    )
 
 
 @checker

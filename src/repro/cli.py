@@ -507,6 +507,14 @@ def print_stats(result) -> None:
             f"{transport['segments_reused']} reused, "
             f"{transport['segments_unlinked']} unlinked"
         )
+    output = perf.get("output")
+    if output and output["mode"] == "in_place":
+        print(
+            f"  output: written in place by ranks ({output['parts']} parts, "
+            f"{_format_bytes(output['bytes'])})"
+        )
+    elif output:
+        print(f"  output: gathered to the driver ({output['reason']})")
 
 
 def print_fault_report(result) -> None:

@@ -2,11 +2,17 @@
 
 The paper's generated partitioner is a program from input *files* to
 partition *files* (``part-00000`` style, one per partition).  This module
-adds that layer on top of the in-memory runtimes: resolve the workflow's
-input path argument, read it through the registered schema, execute the
-plan, and write one output file per partition in the input's own format
-("all data will be unpacked to make sure the output has the same format of
-input").
+adds that layer on top of the runtimes: resolve the workflow's input path
+argument, open it through the registered schema, execute the plan, and
+leave one output file per partition in the input's own format ("all data
+will be unpacked to make sure the output has the same format of input").
+
+A fixed-width binary input is not read here: the run gets a file-backed
+source, so each rank reads its own byte range, and a
+:class:`~repro.formats.binary.PartWriter`, so the SPMD ranks can write
+their pieces of the partitions in place.  When they did, this module has
+nothing left to write; otherwise (serial, text, packed or pruned streams, a
+memory budget) it writes the partitions the run returned.
 """
 
 from __future__ import annotations
@@ -18,7 +24,12 @@ from typing import Any, Optional, Union
 from repro.config.workflow import WorkflowSpec
 from repro.core.runtime import PartitionResult
 from repro.errors import WorkflowError
-from repro.formats.binary import write_partitions
+from repro.formats.binary import (
+    BinaryInputFormat,
+    PartWriter,
+    partition_paths,
+    write_partitions,
+)
 from repro.formats.records import RecordSchema
 from repro.formats.text import write_text_array
 
@@ -67,6 +78,7 @@ def load_input_dataset(
     args: dict[str, Any],
     schema_id: Optional[str] = None,
     memory_budget: Any = None,
+    file_backed: bool = False,
 ) -> tuple[Any, RecordSchema]:
     """Resolve and read the workflow's input file as ``(dataset, schema)``.
 
@@ -75,6 +87,11 @@ def load_input_dataset(
     streamed :class:`~repro.ooc.ChunkedDataset` instead of read into memory.
     Shared by :func:`partition_files` and the daemon's warm start, which
     must agree on how bytes become records.
+
+    ``file_backed`` (what :func:`partition_files` asks for) leaves a binary
+    file unread: the dataset is a validated
+    :class:`~repro.formats.binary.BinaryInputFormat` that whoever executes
+    the plan materializes — whole, or one rank's byte range at a time.
     """
     input_arg, _ = find_io_arguments(spec)
     if input_arg not in args:
@@ -92,6 +109,8 @@ def load_input_dataset(
         data: Any = ChunkedDataset(
             args[input_arg], schema, MemoryBudget.coerce(memory_budget)
         )
+    elif file_backed and schema.input_format == "binary":
+        data = BinaryInputFormat(args[input_arg], schema)
     else:
         data = papar.load_dataset(args[input_arg], fmt_id)
     return data, schema
@@ -149,6 +168,11 @@ def partition_files(
     it is opened as a :class:`~repro.ooc.ChunkedDataset` and streamed in
     budget-sized chunks by the runtimes, spilling oversized exchanges to
     run files.
+
+    On the SPMD backends the ranks of a binary run read their own byte
+    ranges and, when the final deal allows it, write the part files
+    themselves; ``result.partitions`` are then read-only views of those
+    files, and ``result.extra["perf"]["output"]`` records which way it went.
     """
     spec = papar.load_workflow(workflow) if isinstance(workflow, str) else workflow
     input_arg, output_arg = find_io_arguments(spec)
@@ -157,8 +181,14 @@ def partition_files(
             f"partition_files needs {input_arg!r} and {output_arg!r} in args"
         )
     data, schema = load_input_dataset(
-        papar, spec, args, schema_id=schema_id, memory_budget=memory_budget
+        papar, spec, args, schema_id=schema_id, memory_budget=memory_budget,
+        file_backed=True,
     )
+    writer = None
+    if schema.input_format == "binary":
+        writer = PartWriter(
+            args[output_arg], schema, header=b"\x00" * schema.start_position
+        )
     result = papar.run(
         spec,
         args,
@@ -168,7 +198,15 @@ def partition_files(
         cluster=cluster,
         memory_budget=memory_budget,
         optimize=optimize,
+        part_writer=writer,
         **fault_tolerance,
     )
-    paths = write_partition_files(args[output_arg], result, schema)
+    perf = result.extra["perf"]
+    if perf.get("output", {}).get("mode") == "in_place":
+        paths = partition_paths(args[output_arg], result.num_partitions)
+    else:
+        if writer is None and backend != "serial":
+            # ranks had no fixed-width layout to write into
+            perf["output"] = {"mode": "gathered", "reason": "text output"}
+        paths = write_partition_files(args[output_arg], result, schema)
     return FilePartitionResult(result=result, output_paths=paths)

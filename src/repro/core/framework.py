@@ -24,7 +24,7 @@ from repro.config.workflow import WorkflowSpec, load_workflow_config, parse_work
 from repro.core.codegen import compile_partitioner, generate_partitioner_source
 from repro.core.dataset import Dataset
 from repro.core.planner import Planner, WorkflowPlan
-from repro.core.runtime import PartitionResult, SerialRuntime
+from repro.core.runtime import PartitionResult, SerialRuntime, resident
 from repro.errors import ConfigError, WorkflowError
 from repro.formats.binary import BinaryInputFormat, read_binary
 from repro.formats.records import RecordSchema
@@ -334,6 +334,7 @@ class PaPar:
         recorder: Any = None,
         memory_budget: Any = None,
         optimize: bool = False,
+        part_writer: Any = None,
     ) -> PartitionResult:
         """Plan (if needed) and execute a workflow over ``data``.
 
@@ -387,6 +388,8 @@ class PaPar:
             raise WorkflowError("run() needs an in-memory Dataset via data=...")
         if optimized is not None and optimized.pruning is not None:
             pruning = optimized.pruning
+            # re-attaching the pruned columns needs the full records here
+            data = resident(data)
             if (
                 isinstance(data, Dataset)
                 and not data.is_packed
@@ -419,7 +422,7 @@ class PaPar:
                 deadlock_grace=deadlock_grace,
                 recorder=recorder,
                 memory_budget=memory_budget,
-            ).execute(plan, data)
+            ).execute(plan, data, part_writer=part_writer)
         else:
             raise WorkflowError(
                 f"unknown backend {backend!r}; "

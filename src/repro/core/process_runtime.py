@@ -146,8 +146,10 @@ class ProcessRuntime(MPIRuntime):
         self._transport = run.extra.get("transport")
         return run
 
-    def execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
-        result = super().execute(plan, input_data)
+    def execute(
+        self, plan: WorkflowPlan, input_data: Dataset, part_writer: Any = None
+    ) -> PartitionResult:
+        result = super().execute(plan, input_data, part_writer)
         transport = self._transport
         if transport is not None:
             result.extra["perf"]["transport"] = transport

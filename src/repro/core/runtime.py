@@ -27,6 +27,16 @@ per-destination ``flatnonzero`` scan — and every backend threads a
 :class:`~repro.mapreduce.columnar.PerfCounters` through
 ``PartitionResult.extra["perf"]`` (``python -m repro run --stats``).
 
+File-to-file runs (:func:`repro.core.files.partition_files`): the input is
+a file-backed source (:class:`~repro.formats.binary.BinaryInputFormat`), so
+every rank reads its own byte range, and the SPMD executor is handed a
+:class:`~repro.formats.binary.PartWriter`.  When the final ``Distribute``
+deals flat streams of the schema being written, each rank ``pwrite``s its
+pieces where they belong in the part files — no second exchange, nothing
+gathered to the driver; otherwise the deal ships its pieces to the
+partitions' owners and the driver writes what they return
+(``extra["perf"]["output"]`` says which tail ran, and why).
+
 Out-of-core (see :mod:`repro.ooc`): with a ``memory_budget`` each exchange
 asks one collective question — does any rank's working set exceed the
 budget? — and then moves either ``Dataset`` chunks through ``alltoall`` or
@@ -67,6 +77,7 @@ from repro.fault.injector import FaultInjector
 from repro.fault.retry import RetryPolicy
 from repro.fault.runner import execute_with_recovery
 from repro.fault.schedule import FaultSchedule
+from repro.formats.binary import PartWriter, map_binary
 from repro.mapreduce.columnar import PerfCounters, bucketize
 from repro.mapreduce.partitioner import RangePartitioner
 from repro.mpi import SUM, run_mpi
@@ -130,7 +141,7 @@ def _dataset_rows_per_rank(data: Dataset, rank: int, size: int) -> Dataset:
     return Dataset(schema=data.schema, records=data.records[start : start + length])
 
 
-def _resident(source: Any) -> Any:
+def resident(source: Any) -> Any:
     """``source`` as in-memory data: an out-of-core view is materialized.
 
     Duck-typed like :func:`_dataset_rows_per_rank`; in-memory datasets and
@@ -186,6 +197,9 @@ class SerialRuntime:
 
             spill_dir = tempfile.mkdtemp(prefix="papar-spill-")
             ctx = OOCContext(MemoryBudget.coerce(self.memory_budget), spill_dir)
+        if ctx is None:
+            # a file-backed source is read here, whole, in one go
+            input_data = resident(input_data)
         try:
             outputs: dict[str, Any] = {}
             with (
@@ -212,7 +226,7 @@ class SerialRuntime:
                             outputs[job.op_id] = job.operator.apply_local(source)
             # a sort that ends the plan leaves a sorted-runs view: read it
             # before the spill directory goes
-            final = _resident(outputs[plan.final_job.op_id])
+            final = resident(outputs[plan.final_job.op_id])
             if isinstance(final, Dataset):
                 final = [final]
             if ctx is not None:
@@ -248,7 +262,7 @@ class SerialRuntime:
             and ctx.should_spill(source.nbytes)
         )
         if not spillable:
-            return op.apply_local(_resident(source))
+            return op.apply_local(resident(source))
         from repro.ooc.chunked import iter_dataset_chunks
         from repro.ooc.extsort import external_sort_records
 
@@ -269,6 +283,16 @@ def _alltoall(
         span_name, category="shuffle", rank=comm.rank, clock=comm.clock, attrs=attrs
     ):
         return comm.alltoall(outboxes)
+
+
+def _write_span(comm: Communicator, stream_idx: int, records: int) -> Any:
+    """The span around a rank's in-place part writes (a no-op without a recorder)."""
+    if comm.recorder is None:
+        return nullcontext()
+    return comm.recorder.span(
+        "write", category="io", rank=comm.rank, clock=comm.clock,
+        attrs={"stream": stream_idx, "records": records},
+    )
 
 
 class MPIRuntime:
@@ -331,7 +355,18 @@ class MPIRuntime:
 
     # -- driver side ----------------------------------------------------------
 
-    def execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
+    def execute(
+        self,
+        plan: WorkflowPlan,
+        input_data: Dataset,
+        part_writer: Optional[PartWriter] = None,
+    ) -> PartitionResult:
+        """Run ``plan`` over ``input_data`` on :attr:`num_ranks` ranks.
+
+        With a ``part_writer`` (a file-to-file run) the ranks write the
+        partitions in place when the final deal allows it; the returned
+        partitions are then read-only views of the published part files.
+        """
         for job in plan.jobs:
             if isinstance(job.operator, Distribute):
                 # every rank deals its own window of positions: refuse a
@@ -349,6 +384,8 @@ class MPIRuntime:
             spill_dir = tempfile.mkdtemp(prefix="papar-spill-")
             limit = MemoryBudget.coerce(self.memory_budget).limit
             rank_kwargs["ooc_spec"] = (limit, spill_dir)
+        if part_writer is not None:
+            rank_kwargs["part_writer"] = part_writer
         plan_span = (
             self.recorder.span(
                 f"plan:{plan.workflow_id}",
@@ -363,17 +400,30 @@ class MPIRuntime:
                 if self.recorder is not None:
                     rank_kwargs.update(recorder=self.recorder, obs_root=root)
                 run, fault_report = self._execute_spmd(plan, input_data, rank_kwargs)
+            # each rank returns ({partition_id: Dataset, or its record count
+            # when the ranks wrote the parts in place}, its perf counters)
+            merged: dict[int, Any] = {}
+            for rank_out, _perf in run.results:
+                merged.update(rank_out)
+            perf = PerfCounters.merge_ranks([perf for _out, perf in run.results])
+            if perf.output.get("mode") == "in_place":
+                # every rank reported ok: the parts appear, all at once
+                schema = part_writer.schema
+                partitions = [
+                    Dataset(schema=schema, records=map_binary(path, schema))
+                    for path in part_writer.publish(len(merged))
+                ]
+            else:
+                partitions = [merged[p] for p in sorted(merged)]
+        except BaseException:
+            if part_writer is not None:
+                part_writer.discard()
+            raise
         finally:
             if spill_dir is not None:
                 import shutil
 
                 shutil.rmtree(spill_dir, ignore_errors=True)
-        # each rank returns ({partition_id: Dataset}, its perf counters);
-        # merge the partitions in partition order
-        merged: dict[int, Dataset] = {}
-        for rank_out, _perf in run.results:
-            merged.update(rank_out)
-        perf = PerfCounters.merge_ranks([perf for _out, perf in run.results])
         extra: dict[str, Any] = {"perf": perf.summary()}
         if fault_report is not None:
             extra["fault"] = fault_report
@@ -384,7 +434,7 @@ class MPIRuntime:
             record_fault_report(self.recorder, fault_report)
             extra["obs"] = self.recorder
         return PartitionResult(
-            partitions=[merged[p] for p in sorted(merged)],
+            partitions=partitions,
             elapsed=run.elapsed,
             bytes_moved=run.bytes_moved,
             messages=run.messages,
@@ -466,7 +516,8 @@ class MPIRuntime:
         recorder: Optional["Recorder"] = None,
         obs_root: Any = None,
         ooc_spec: Any = None,
-    ) -> tuple[dict[int, Dataset], PerfCounters]:
+        part_writer: Optional[PartWriter] = None,
+    ) -> tuple[dict[int, Any], PerfCounters]:
         perf = PerfCounters()
         comm.recorder = recorder
         ctx = None
@@ -509,12 +560,18 @@ class MPIRuntime:
                 if comm.cluster is not None:
                     # fixed per-job scheduling cost (mapper/reducer launch)
                     comm.charge_compute(comm.cluster.cost.job_overhead)
-                final = self._run_job(comm, job, source, perf, ctx)
+                final = self._run_job(
+                    comm, job, source, perf, ctx,
+                    part_writer if job is plan.final_job else None,
+                )
             outputs[job.op_id] = final
             # an "after" crash fires before the checkpoint commits, so the
             # next attempt re-runs this job on every rank
             comm.check_fault(i, "after")
-            if checkpoint is not None:
+            # a deal written in place is not checkpointed: its output is the
+            # part files, and offset writes are idempotent, so a restart
+            # redoes it from the previous job's checkpoint
+            if checkpoint is not None and perf.output.get("mode") != "in_place":
                 payload = {"output": final, "clock": comm.clock.now}
                 if ctx is not None:
                     payload["ooc"] = {"manifests": ctx.manifests_since(job_mark)}
@@ -536,8 +593,11 @@ class MPIRuntime:
         source: Any,
         perf: PerfCounters,
         ctx: Any,
+        part_writer: Optional[PartWriter] = None,
     ) -> Any:
-        """One job on one rank; ``ctx`` is the rank's ``OOCContext`` or ``None``."""
+        """One job on one rank; ``ctx`` is the rank's ``OOCContext`` or
+        ``None``, ``part_writer`` the run's output files when ``job`` is the
+        final one of a file-to-file run."""
         op = job.operator
         if isinstance(op, Sort):
             return self._range_job(
@@ -550,8 +610,8 @@ class MPIRuntime:
                 kernel="hash_group",
             )
         if isinstance(op, Distribute):
-            return self._distribute_job(comm, op, source, perf, ctx)
-        data = _resident(source)
+            return self._distribute_job(comm, op, source, perf, ctx, part_writer)
+        data = resident(source)
         if isinstance(op, Split):
             # a map-only job: routing is local, no exchange
             self._charge(comm, "stream", data.num_records)
@@ -621,7 +681,7 @@ class MPIRuntime:
                 comm, kernel, sum(m.num_records for m in inbox if m is not None)
             )
             return reduce_received(op, inbox, source.schema, ctx)
-        data = _resident(source)
+        data = resident(source)
         sort_keys = sort_key_array(np.asarray(data.column(op.key)), ascending)
         reducer_of = RangePartitioner.sampled(
             comm, sort_keys, reducers, self.sample_size
@@ -650,19 +710,55 @@ class MPIRuntime:
 
     # -- distribute (Figures 9/11, last job) -----------------------------------
 
-    def _distribute_job(
-        self, comm: Communicator, op: Distribute, source: Any, perf: PerfCounters, ctx: Any
-    ) -> dict[int, Dataset]:
-        """Deal every stream's entries to their partitions' owner ranks.
+    @staticmethod
+    def _why_gathered(
+        part_writer: Optional[PartWriter], ctx: Any, streams: list
+    ) -> Optional[str]:
+        """Why the dealt pieces must go through the partitions' owners to the
+        driver, or ``None`` when each rank can write its own in place: every
+        stream is then fixed-width records of the very schema the part files
+        hold, so a piece's bytes and its offset in the file are both known
+        where the piece is.  Read from the run itself — the same on every
+        rank, and nothing a user sets."""
+        if part_writer is None:
+            return "in-memory run"
+        if ctx is not None:
+            return "memory budget"
+        if any(stream.is_packed for stream in streams):
+            return "packed stream"
+        if any(stream.schema != part_writer.schema for stream in streams):
+            return "pruned columns"
+        return None
 
-        The partition id is the temporary reduce-key ("the reducer id is
-        used as the reduce-key"); partition ``p`` lives on rank
-        ``p % size``.  Each stream is exchanged on its own — in memory or
-        through run files — as ``(partition, first global index, entries)``
-        chunks, which the owners then order by ``(stream, first index)``.
+    def _distribute_job(
+        self,
+        comm: Communicator,
+        op: Distribute,
+        source: Any,
+        perf: PerfCounters,
+        ctx: Any,
+        part_writer: Optional[PartWriter] = None,
+    ) -> dict[int, Any]:
+        """Deal every stream's entries to their partitions.
+
+        Each rank cuts its window of a stream's global positions into
+        pieces with the policy's positional rule.  In place (see
+        :meth:`_why_gathered`) a piece is written straight to slot
+        ``base[p] + slot`` of part ``p`` — ``base`` being what the earlier
+        streams put there — the partition's owner rank (``p % size``) seals
+        the file, and the job returns ``{partition: record count}``.
+
+        Otherwise the partition id is the temporary reduce-key ("the reducer
+        id is used as the reduce-key"): each stream is exchanged on its own
+        — in memory or through run files — as ``(partition, first global
+        index, entries)`` chunks, which the owners order by ``(stream, first
+        index)`` and return as ``{partition: Dataset}``.
         """
         streams = list(source) if isinstance(source, (list, tuple)) else [source]
         num_p = op.num_partitions
+        gathered = self._why_gathered(part_writer, ctx, streams)
+        in_place = gathered is None
+        base = np.zeros(num_p, dtype=np.int64)
         per_partition: dict[int, list[tuple[int, int, Dataset]]] = {}
         for stream_idx, stream in enumerate(streams):
             n_local = len(stream)
@@ -675,7 +771,7 @@ class MPIRuntime:
                     comm, op, stream, offset, total, ctx, perf
                 )
             else:
-                stream = _resident(stream)
+                stream = resident(stream)
                 # deal by position: this rank holds the global entries
                 # [offset, offset + n_local), so each partition's share is
                 # one slice of them — gathered straight from (records,
@@ -683,11 +779,20 @@ class MPIRuntime:
                 outboxes: list[list[tuple[int, int, Any]]] = [
                     [] for _ in range(comm.size)
                 ]
-                for p, _slot, where in op.policy.pieces(total, num_p, offset, n_local):
-                    chunk = stream.select(where)
-                    perf.count_move(len(chunk), chunk.nbytes)
-                    first = offset + where.indices(n_local)[0]
-                    outboxes[p % comm.size].append((p, first, chunk))
+                span = _write_span(comm, stream_idx, n_local) if in_place else nullcontext()
+                with span:
+                    for p, slot, where in op.policy.pieces(total, num_p, offset, n_local):
+                        chunk = stream.select(where)
+                        perf.count_move(len(chunk), chunk.nbytes)
+                        if in_place:
+                            part_writer.write(p, int(base[p]) + slot, chunk.records)
+                        else:
+                            first = offset + where.indices(n_local)[0]
+                            outboxes[p % comm.size].append((p, first, chunk))
+                if in_place:
+                    # the next stream's pieces land behind this one's
+                    base += op.policy.counts(total, num_p)
+                    continue
                 inboxes = _alltoall(
                     comm, outboxes, "distribute-shuffle",
                     {"stream": stream_idx, "records": n_local},
@@ -695,8 +800,21 @@ class MPIRuntime:
                 arrived = [entry for box in inboxes for entry in box]
             for p, first_idx, chunk in arrived:
                 per_partition.setdefault(p, []).append((stream_idx, first_idx, chunk))
-        result: dict[int, Dataset] = {}
         owned = range(comm.rank, num_p, comm.size)
+        if in_place:
+            counts = {p: int(base[p]) for p in owned}
+            for p, count in counts.items():
+                part_writer.finish(p, count)
+            perf.output = {
+                "mode": "in_place",
+                "parts": len(counts),
+                "bytes": sum(counts.values()) * part_writer.schema.itemsize,
+            }
+            return counts
+        if part_writer is not None:
+            # only a file-to-file run has an output to report on
+            perf.output = {"mode": "gathered", "reason": gathered}
+        result: dict[int, Dataset] = {}
         if not owned:
             # this rank owns no partitions (num_p < comm.size): nothing to
             # assemble, so skip building the empty-sentinel dataset too

@@ -354,6 +354,11 @@ class PerfCounters:
     #: out-of-core spill counters (empty unless a memory budget spilled);
     #: keys: runs_written / spilled_records / spilled_bytes / max_merge_fanin
     spill: dict[str, int] = field(default_factory=dict)
+    #: which tail of the final deal produced the output of an SPMD run
+    #: (empty on serial): ``{"mode": "in_place", "parts", "bytes"}`` — what
+    #: this rank's own partitions hold, written by the ranks themselves — or
+    #: ``{"mode": "gathered", "reason"}`` when the driver is handed them
+    output: dict[str, Any] = field(default_factory=dict)
 
     def count_move(self, records: int, nbytes: int) -> None:
         self.records_moved += int(records)
@@ -390,6 +395,11 @@ class PerfCounters:
             acc[1] = max(acc[1], virt)
         if other.spill:
             self.add_spill(other.spill)
+        for name, value in other.output.items():
+            # parts and bytes add up over the ranks; mode and reason agree
+            if isinstance(value, int):
+                value += self.output.get(name, 0)
+            self.output[name] = value
 
     def summary(self) -> dict[str, Any]:
         """The JSON-friendly dict stored in ``PartitionResult.extra['perf']``.
@@ -407,6 +417,8 @@ class PerfCounters:
         }
         if any(self.spill.values()):
             out["spill"] = {name: value for name, value in sorted(self.spill.items())}
+        if self.output:
+            out["output"] = dict(self.output)
         return out
 
     @staticmethod

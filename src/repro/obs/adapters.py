@@ -22,6 +22,8 @@ def record_perf(recorder: Recorder, perf_summary: Optional[dict[str, Any]]) -> N
     each phase's wall and virtual totals become ``perf.phase.*`` gauges.
     Spill counters (present only when a memory-budgeted run actually
     spilled) land under ``spill.*``, with the merge fan-in as a gauge.
+    What the ranks of a file-to-file run wrote in place lands under
+    ``output.*`` (absent when the driver wrote the partitions).
     """
     if not perf_summary:
         return
@@ -35,6 +37,10 @@ def record_perf(recorder: Recorder, perf_summary: Optional[dict[str, Any]]) -> N
         for key in ("runs_written", "spilled_records", "spilled_bytes"):
             recorder.count(f"spill.{key}", spill.get(key, 0))
         recorder.gauge("spill.max_merge_fanin", spill.get("max_merge_fanin", 0))
+    output = perf_summary.get("output")
+    if output and output["mode"] == "in_place":
+        recorder.count("output.in_place_parts", output["parts"])
+        recorder.count("output.in_place_bytes", output["bytes"])
 
 
 def record_fault_report(recorder: Recorder, report: Optional[dict[str, Any]]) -> None:

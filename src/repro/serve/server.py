@@ -436,8 +436,11 @@ class PartitionServer:
         # back on the event loop: everything below is one synchronous block,
         # so no request can interleave between tail re-route and swap
         assert self.state.current is not None
+        # seeded with what the rebuild covered: the tail is routed through
+        # the new router just below, which is what advances a positional
+        # router's index past it
         router = build_router(
-            self.plan, self.input_schema, self.state.log, self.state.log_records
+            self.plan, self.input_schema, self.state.log, frozen_records
         )
         new_generation = PartitionGeneration.from_partitions(
             self.state.current.generation + 1, partitions, frozen_records,

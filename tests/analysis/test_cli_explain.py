@@ -126,6 +126,14 @@ class TestLintExplainFlag:
         assert out.startswith("PAP083 (unused-column) — info")
         assert "bad:" in out and "good:" in out
 
+    def test_backend_advisory_explanation(self, capsys):
+        code = main(["lint", "--explain", "PAP073"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("PAP073 (spmd-output-gathered) — info")
+        assert "fixed-width binary" in out
+        assert "bad:" in out and "good:" in out
+
     def test_json_explanation(self, capsys):
         code = main(["lint", "--explain", "pap030", "--format", "json"])
         assert code == 0

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import CATALOG, Severity, lint_workflow
+from repro.config import EDGE_INPUT_XML
+from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.policies.distr import DistributionPolicy, _POLICIES, register_policy
 
 BLAST_DB = """\
@@ -834,6 +836,62 @@ class TestBackendFit:
             assume_records=10**9,
         )
         assert not [d for d in result.diagnostics if d.code.startswith("PAP07")]
+        result = run_lint(HYBRID_CUT_WORKFLOW_XML, inputs=[(EDGE_INPUT_XML, "e.xml")])
+        assert not [d for d in result.diagnostics if d.code.startswith("PAP07")]
+
+    @pytest.mark.parametrize("backend", ["mpi", "mapreduce", "process"])
+    def test_pap073_text_output_fed_by_a_packed_stream(self, backend):
+        result = run_lint(
+            HYBRID_CUT_WORKFLOW_XML, inputs=[(EDGE_INPUT_XML, "e.xml")],
+            backend=backend,
+        )
+        diag = expect(result, "PAP073", line=24)
+        assert diag.severity is Severity.INFO
+        assert "'distr'" in diag.message and f"backend={backend!r}" in diag.message
+        assert "(text output, packed stream)" in diag.message
+        assert "fixed-width binary" in diag.suggestion
+        assert result.exit_code(strict=True) == 0  # an advisory never strict-fails
+
+    def test_pap073_binary_output_fed_by_a_packed_stream(self):
+        result = run_lint(GROUP_THEN_DEAL, inputs=self.INPUTS, backend="process")
+        diag = expect(result, "PAP073", line=13)
+        assert "(packed stream)" in diag.message
+
+    def test_pap073_silent_when_ranks_write_in_place(self):
+        """Flat fixed-width records into a binary output: nothing is gathered."""
+        for backend in ("mpi", "mapreduce", "process"):
+            result = run_lint(BLAST_WORKFLOW_XML, inputs=self.INPUTS, backend=backend)
+            assert not [d for d in result.diagnostics if d.code == "PAP073"]
+
+    def test_pap073_silent_on_serial(self):
+        result = run_lint(
+            HYBRID_CUT_WORKFLOW_XML, inputs=[(EDGE_INPUT_XML, "e.xml")],
+            backend="serial",
+        )
+        assert not [d for d in result.diagnostics if d.code == "PAP073"]
+
+
+GROUP_THEN_DEAL = """<workflow id="t">
+  <arguments>
+    <param name="input_path" type="hdfs" format="blast_db"/>
+    <param name="output_path" type="hdfs" format="blast_db"/>
+  </arguments>
+  <operators>
+    <operator id="group" operator="Group">
+      <param name="inputPath" value="$input_path"/>
+      <param name="outputPath" value="/tmp/group" format="pack"/>
+      <param name="key" value="seq_size"/>
+      <addon operator="count" key="seq_size" attr="n"/>
+    </operator>
+    <operator id="dist" operator="Distribute">
+      <param name="inputPath" value="$group.outputPath"/>
+      <param name="outputPath" value="$output_path"/>
+      <param name="distrPolicy" value="cyclic"/>
+      <param name="numPartitions" value="4"/>
+    </operator>
+  </operators>
+</workflow>
+"""
 
 
 DEAL_ONLY = """<workflow id="t">

@@ -13,6 +13,7 @@ from repro.obs import (
     SERVE_METRICS_VERSION,
     Recorder,
     metrics_json,
+    record_perf,
     record_rebalance,
     record_serve_request,
     serve_metrics_json,
@@ -81,6 +82,27 @@ class TestMetricsContract:
     def test_time_basis_fallback(self):
         assert metrics_json(seeded_recorder())["time_basis"] == "virtual"
         assert metrics_json(Recorder())["time_basis"] == "wall"
+
+    def test_in_place_output_is_two_more_counters(self):
+        """What the ranks wrote themselves is additive: same envelope, same
+        counter shape, same version."""
+        perf = {"records_moved": 8, "bytes_moved": 128, "phases": {}}
+        gathered = dict(perf, output={"mode": "gathered", "reason": "text output"})
+        in_place = dict(perf, output={"mode": "in_place", "parts": 4, "bytes": 128})
+        docs = {}
+        for name, summary in (("plain", perf), ("gathered", gathered), ("in_place", in_place)):
+            rec = seeded_recorder()
+            record_perf(rec, summary)
+            docs[name] = metrics_json(rec)
+        assert docs["plain"] == docs["gathered"]
+        assert docs["in_place"]["version"] == METRICS_VERSION == 1
+        assert set(docs["in_place"]) == set(docs["plain"])
+        added = set(docs["in_place"]["counters"]) - set(docs["plain"]["counters"])
+        assert added == {"output.in_place_parts", "output.in_place_bytes"}
+        assert docs["in_place"]["counters"]["output.in_place_parts"] == {
+            "total": 4, "per_rank": {},
+        }
+        assert docs["in_place"]["counters"]["output.in_place_bytes"]["total"] == 128
 
     def test_written_file_round_trips(self, tmp_path):
         path = tmp_path / "metrics.json"

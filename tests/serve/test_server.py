@@ -147,6 +147,60 @@ class TestAtomicSwap:
                      rebalance_threshold=1e9)
 
 
+class TestPositionalRebuild:
+    def test_appends_during_a_rebuild_are_counted_once(
+        self, papar, blast_file, blast_index, tmp_path
+    ):
+        """A bare cyclic deal routes by arrival index.  Records appended
+        while a rebuild is in flight are re-routed through the new router
+        after it; if that router was also seeded past them, every later
+        append lands shifted until the next rebuild.  Placement must equal
+        the cold batch deal of the whole log."""
+        from repro.core.dataset import Dataset
+
+        from tests.serve.test_router import DEAL_ONLY_XML
+
+        _, initial = blast_file
+        during, after = blast_index[100:107], blast_index[107:118]
+        started, release = threading.Event(), threading.Event()
+
+        async def scenario(server):
+            rebuild = server._rebuild
+
+            def held_rebuild(frozen):
+                started.set()
+                assert release.wait(timeout=30.0)
+                return rebuild(frozen)
+
+            server._rebuild = held_rebuild
+            task = asyncio.get_running_loop().create_task(server._rebalance("test"))
+            while not started.is_set():
+                await asyncio.sleep(0.001)
+            r = await dispatch(server, {"op": "append", "rows": rows_of(during)})
+            assert r["ok"], r
+            await server._queue.join()
+            release.set()
+            await asyncio.wait_for(task, timeout=30.0)
+            r = await dispatch(server, {"op": "append", "rows": rows_of(after)})
+            assert r["ok"], r
+            await settle(server)
+            gen = server.state.current
+            return [gen.partition_records(p) for p in range(gen.num_partitions)]
+
+        args = blast_args(blast_file, tmp_path, parts=3)
+        server, streamed = run_scenario(
+            papar, DEAL_ONLY_XML, args, scenario, rebalance_threshold=1e9
+        )
+        assert len(server.rebalance_events) == 1
+        whole = np.concatenate([initial, during, after])
+        cold = papar.run(
+            DEAL_ONLY_XML, args, data=Dataset.from_array(BLAST_INDEX_SCHEMA, whole)
+        )
+        for ours, theirs in zip(streamed, cold.partitions):
+            np.testing.assert_array_equal(ours, theirs.to_flat().records)
+        assert server.router.next_index == len(whole)
+
+
 class TestSnapshotAndRestart:
     def test_snapshot_verb_requires_a_store(self, papar, blast_file, tmp_path):
         async def scenario(server):
