@@ -12,10 +12,9 @@ sustained throughput per encoding, then cross-checks the daemon's own
 
 Shape gates, per encoding: the final generation covers every appended
 record exactly (no loss, no duplication), every append travelled in the
-encoding the row claims, the tail latency stays under a deliberately
-generous bound (this is a functional gate against pathological stalls,
-not a hardware claim), throughput clears a floor far below any healthy
-run, and at least one online rebalance actually fired so the numbers
+encoding the row claims, the tail latency stays under twice its last
+committed reading (an append that waits on a pass or a rebuild trips it),
+throughput clears a floor far below any healthy run, and at least one online rebalance actually fired so the numbers
 include the swap path.  In full mode frames must also sustain at least
 ``FRAME_SPEEDUP_FLOOR`` times the records/s of rows — the stream there
 has the default rebalance threshold (a handful of rebuilds) and 500-row
@@ -46,10 +45,12 @@ BATCH = 20 if SMOKE else 500
 #: low enough that the stream trips several online rebalances, so the
 #: latency distribution includes the atomic-swap path
 REBALANCE_THRESHOLD = 0.05 if SMOKE else 0.5
-#: ceiling on client-observed p99 append latency — generous on purpose;
-#: a healthy run sits orders of magnitude below, so tripping it means a
-#: stall (event-loop blockage, runaway rebalance), not a slow machine
-P99_CEILING_MS = 5_000.0
+#: ceiling on client-observed p99 append latency: twice the 6.1 ms read in
+#: full mode when the ack stopped waiting for the deal (the p99 of 400
+#: appends is a rebuild's stall: the swap on the loop plus the GIL it shared
+#: with the rebuild thread; p50 is 0.17 ms).  Tripping it means an append
+#: waited on something it should not — a pass, a rebuild, a blocked loop
+P99_CEILING_MS = 12.0
 #: floor on sustained append throughput, records per second
 THROUGHPUT_FLOOR = 20.0
 #: full mode: frames must move at least this many times the records/s of rows

@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skew/drift ratio past which an online "
                               "repartition is scheduled (default 0.5)")
     p_serve.add_argument("--max-pending", type=int, default=64, metavar="N",
-                         help="append queue depth before 429-style rejection")
+                         help="acknowledged appends that may wait to be dealt "
+                              "before the next is rejected with 429")
     p_serve.add_argument("--snapshot-dir", metavar="DIR",
                          help="publish versioned snapshots here; also "
                               "enables warm restart from the latest one")
@@ -631,7 +632,6 @@ def cmd_serve(ns: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.obs import Recorder
     from repro.serve import ServeConfig, run_server
 
     papar, workflow, args = _load(ns)
@@ -648,15 +648,14 @@ def cmd_serve(ns: argparse.Namespace) -> int:
     )
     if ns.rebalance_threshold is not None:
         config.rebalance_threshold = ns.rebalance_threshold
-    recorder = Recorder()
 
     def ready(host: str, port: int) -> None:
         # the smoke scripts and tests parse this line to find the port
         print(f"serving on {host}:{port}", flush=True)
 
+    # the server's own recorder: a bounded window, as a daemon's must be
     server = asyncio.run(
-        run_server(papar, workflow, args, config=config,
-                   recorder=recorder, ready=ready)
+        run_server(papar, workflow, args, config=config, ready=ready)
     )
     if ns.metrics:
         with open(ns.metrics, "w", encoding="utf-8") as fh:

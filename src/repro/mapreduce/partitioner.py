@@ -109,6 +109,8 @@ class RangePartitioner(Partitioner):
         if any(bl[i] > bl[i + 1] for i in range(len(bl) - 1)):
             raise MapReduceError("range boundaries must be ascending")
         self.boundaries = bl
+        #: the same split keys as an array, built once for :meth:`partition_array`
+        self._boundary_array = np.asarray(bl)
 
     @classmethod
     def sampled(
@@ -127,7 +129,7 @@ class RangePartitioner(Partitioner):
 
     def partition_array(self, keys: np.ndarray) -> np.ndarray:
         # bisect_left over every key at once
-        return np.searchsorted(np.asarray(self.boundaries), keys, side="left")
+        return np.searchsorted(self._boundary_array, keys, side="left")
 
 
 class ExplicitPartitioner(Partitioner):

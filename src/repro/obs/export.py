@@ -149,12 +149,14 @@ def metrics_json(
     """
     histograms: dict[str, dict[str, Any]] = {}
     for name, samples in sorted(recorder.histograms.items()):
+        # the percentiles read the held sample; the rest is exact either way
         ordered = sorted(samples)
+        count, total, low, high = recorder.histogram_totals[name]
         histograms[name] = {
-            "count": len(ordered),
-            "min": ordered[0],
-            "max": ordered[-1],
-            "mean": sum(ordered) / len(ordered),
+            "count": count,
+            "min": low,
+            "max": high,
+            "mean": total / count,
             "p50": _percentile(ordered, 0.50),
             "p95": _percentile(ordered, 0.95),
             "p99": _percentile(ordered, 0.99),
@@ -175,6 +177,7 @@ def metrics_json(
         "histograms": histograms,
         "spans": {
             "count": len(recorder.spans),
+            "dropped": recorder.spans_dropped,
             "instants": len(recorder.instants),
             "makespan_virtual_s": recorder.makespan_virtual(),
             "makespan_wall_s": recorder.makespan_wall(),

@@ -21,8 +21,10 @@ without a recorder never touches ``repro.obs`` (guarded by
 
 from __future__ import annotations
 
+import random
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
@@ -92,29 +94,45 @@ class _SpanHandle:
         self.attrs.update(kv)
 
 
+#: the ``window`` of a long-lived process's recorder (the ``serve`` daemon)
+SERVICE_WINDOW = 4096
+
+
 class Recorder:
     """Thread-safe collector of spans, instant events and metrics.
 
     One recorder observes one execution (possibly spanning several fault
     -tolerance attempts).  All mutating methods may be called concurrently
     from every rank thread; span nesting is tracked per thread.
+
+    A run ends, so by default everything is kept.  A daemon does not:
+    ``window`` bounds what one recorder holds to the newest ``window``
+    spans (:attr:`spans_dropped` counts the rest) and a uniform sample of
+    ``window`` values per histogram, whose count, sum, min and max stay
+    exact (:attr:`histogram_totals`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, window: Optional[int] = None) -> None:
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._next_id = 0
         self._wall_epoch = time.perf_counter()
-        #: completed spans, in completion order
-        self.spans: list[Span] = []
+        self._window = window
+        self._rng = random.Random(0)
+        #: completed spans, in completion order (the newest ``window`` of them)
+        self.spans: Any = [] if window is None else deque(maxlen=window)
+        #: completed spans no longer held because the window moved past them
+        self.spans_dropped = 0
         #: instant events, in emission order
         self.instants: list[InstantEvent] = []
         #: (name, rank) -> accumulated value; rank ``None`` aggregates globally
         self.counters: dict[tuple[str, Optional[int]], float] = {}
         #: (name, rank) -> last value set
         self.gauges: dict[tuple[str, Optional[int]], float] = {}
-        #: name -> observed samples
+        #: name -> observed samples (a reservoir of ``window`` of them at most)
         self.histograms: dict[str, list[float]] = {}
+        #: name -> ``[count, sum, min, max]`` over every observation, exact
+        self.histogram_totals: dict[str, list[float]] = {}
 
     # -- span recording ------------------------------------------------------
 
@@ -184,7 +202,7 @@ class Recorder:
                 attrs=handle.attrs,
             )
             with self._lock:
-                self.spans.append(done)
+                self._keep(done)
 
     def record_span(
         self,
@@ -203,7 +221,7 @@ class Recorder:
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-            self.spans.append(
+            self._keep(
                 Span(
                     span_id=span_id,
                     parent_id=parent_id,
@@ -217,6 +235,12 @@ class Recorder:
                     attrs=dict(attrs or {}),
                 )
             )
+
+    def _keep(self, span: Span) -> None:
+        """Append a completed span (lock held); a full window drops its oldest."""
+        if len(self.spans) == self._window:
+            self.spans_dropped += 1
+        self.spans.append(span)
 
     def instant(
         self,
@@ -256,8 +280,20 @@ class Recorder:
 
     def observe(self, name: str, value: float) -> None:
         """Add one sample to histogram ``name``."""
+        value = float(value)
         with self._lock:
-            self.histograms.setdefault(name, []).append(float(value))
+            samples = self.histograms.setdefault(name, [])
+            totals = self.histogram_totals.setdefault(name, [0, 0.0, value, value])
+            totals[0] += 1
+            totals[1] += value
+            totals[2] = min(totals[2], value)
+            totals[3] = max(totals[3], value)
+            if len(samples) != self._window:
+                samples.append(value)
+            else:  # Algorithm R: every observation is equally likely to be held
+                slot = self._rng.randrange(totals[0])
+                if slot < len(samples):
+                    samples[slot] = value
 
     # -- queries -------------------------------------------------------------
 

@@ -7,16 +7,19 @@ enough to crib for an application client in any language: connect, write
 one JSON line, read one JSON line back.
 
 ``connect`` asks ``hello`` once.  A daemon that takes frames gets every
-``append`` as one crc-framed block of raw records (packed once, no JSON);
-a daemon that does not — an older one answers ``hello`` with ``400 unknown
-op``, a ``string`` schema answers ``"frames": false`` — gets JSON rows, as
-do rows the client cannot pack, so the server's ``400`` explains them.
+``append`` as one crc-framed block of raw records (packed once — by one
+``struct.pack`` where the dtype allows, else by numpy — no JSON); a daemon
+that does not — an older one answers ``hello`` with ``400 unknown op``, a
+``string`` schema answers ``"frames": false`` — gets JSON rows, as do rows
+the client cannot pack, so the server's ``400`` explains them.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import struct
+from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -38,6 +41,8 @@ class ServeClient:
         self._file: Any = None
         #: the record dtype appends are framed in; None sends JSON rows
         self._frame_dtype: Optional[np.dtype] = None
+        #: ``struct`` codes of one row of it; None leaves the packing to numpy
+        self._row_codes: Optional[str] = None
 
     # -- connection management ----------------------------------------------
 
@@ -50,13 +55,11 @@ class ServeClient:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
-            self._file = self._sock.makefile("rwb")
+            self._file = self._sock.makefile("rb")
             answer = self.request({"op": "hello"})
-            self._frame_dtype = (
-                descr_dtype(answer["dtype"])
-                if answer.get("ok") and answer.get("frames")
-                else None
-            )
+            if answer.get("ok") and answer.get("frames"):
+                self._frame_dtype = descr_dtype(answer["dtype"])
+                self._row_codes = protocol.row_struct_codes(self._frame_dtype)
         return self
 
     def close(self) -> None:
@@ -89,8 +92,7 @@ class ServeClient:
         return self._roundtrip(line.encode("utf-8"))
 
     def _roundtrip(self, data: bytes) -> dict[str, Any]:
-        self._file.write(data)
-        self._file.flush()
+        self._sock.sendall(data)
         raw = self._file.readline()
         if not raw:
             raise ServeError("server closed the connection mid-request")
@@ -103,16 +105,29 @@ class ServeClient:
         schema's field order.
         """
         self.connect()
-        if self._frame_dtype is not None:
-            try:
-                records = protocol.rows_to_records(rows, self._frame_dtype)
-            except (TypeError, ValueError, OverflowError):
-                pass  # not packable here: send the rows, the 400 says why
-            else:
-                return self._roundtrip(protocol.encode_frame(records))
+        frame = self._frame(rows) if self._frame_dtype is not None else None
+        if frame is not None:
+            return self._roundtrip(frame)
         if isinstance(rows, np.ndarray):
             rows = rows.tolist()
         return self.request({"op": "append", "rows": rows})
+
+    def _frame(self, rows: Rows) -> Optional[bytes]:
+        """``rows`` as one append frame; None when they cannot be packed here."""
+        codes = self._row_codes
+        if codes is not None and not isinstance(rows, np.ndarray):
+            try:
+                # struct checks every value's type and range and the total
+                # count; the widths keep a short row from borrowing a long one's
+                if set(map(len, rows)) <= {len(codes)}:
+                    return protocol.frame_bytes(len(rows), struct.pack(
+                        "<" + codes * len(rows), *chain.from_iterable(rows)))
+            except (struct.error, TypeError):
+                pass
+        try:
+            return protocol.encode_frame(protocol.rows_to_records(rows, self._frame_dtype))
+        except (TypeError, ValueError, OverflowError):
+            return None  # send the rows instead: the server's 400 says why
 
     def query(self, key: Any = None) -> dict[str, Any]:
         """Partition stats and routing info (optionally for one ``key``)."""

@@ -132,10 +132,32 @@ def rows_to_records(rows: Rows, dtype: Optional[np.dtype]) -> np.ndarray:
     return np.array([tuple(r) for r in rows], dtype=dtype)
 
 
+#: ``struct`` codes of the little-endian numeric field types a row may hold
+_STRUCT_CODES = {"i1": "b", "i2": "h", "i4": "i", "i8": "q", "u1": "B",
+                 "u2": "H", "u4": "I", "u8": "Q", "f4": "f", "f8": "d"}
+
+
+def row_struct_codes(dtype: np.dtype) -> Optional[str]:
+    """``struct`` codes packing one row as ``dtype`` lays a record out, or None.
+
+    Only a flat, unpadded run of little-endian numeric fields has them; any
+    other layout is packed by numpy (:func:`rows_to_records`).
+    """
+    fields = [(name, dtype[name]) for name in dtype.names or ()]
+    codes = [_STRUCT_CODES.get(field.str.lstrip("<|")) for _, field in fields]
+    if not codes or None in codes or np.dtype(fields) != dtype:
+        return None
+    return "".join(codes)
+
+
+def frame_bytes(num_records: int, payload: Any) -> bytes:
+    """Marker, frame header and ``payload`` (a bytes-like) in one copy."""
+    return b"".join((FRAME_MARKER, pack_frame_header(num_records, payload), payload))
+
+
 def encode_frame(records: np.ndarray) -> bytes:
     """One ``append`` as wire bytes: marker, frame header, raw records."""
-    payload = records.tobytes()
-    return FRAME_MARKER + pack_frame_header(len(records), payload) + payload
+    return frame_bytes(len(records), np.ascontiguousarray(records).view(np.uint8).data)
 
 
 def frame_payload_size(head: bytes) -> int:
@@ -206,9 +228,11 @@ __all__ = [
     "encode_frame",
     "encode_response",
     "error",
+    "frame_bytes",
     "frame_payload_size",
     "hello",
     "ok",
+    "row_struct_codes",
     "rows_to_records",
     "wire_dtype",
 ]

@@ -3,15 +3,19 @@
 One event loop owns everything mutable; that single-threaded discipline is
 what makes the atomic-swap contract cheap:
 
-* each connection's handler reads one request — a JSON line, or a binary
-  append frame told apart by its first byte — fully answers it, then reads
-  the next — per-connection socket backpressure for free;
-* ``append`` requests, whichever encoding carried them, are one record
-  array from there on: they pass admission control (``--max-pending``,
-  explicit 429-style rejection) and enqueue onto one worker coroutine,
-  which drains the queue in batches — concurrent appends coalesce into a
-  single vectorized route + one-gather deal;
-* the balance monitor runs after each drained batch; past the threshold it
+* each connection buffers bytes and starts the next request — a JSON line,
+  or a binary append frame told apart by its first byte — once a whole one
+  is there and the previous one is answered: one request at a time per
+  connection, no task per request;
+* an ``append``, whichever encoding carried it, is one record array from
+  there on.  Once nothing can refuse it (frame checks, the schema,
+  draining, ``--max-pending``) it goes into the log — the ground truth every
+  rebuild reads — and is **acknowledged**; routing and dealing follow in
+  coalesced passes, one vectorized route + one-gather deal over every batch
+  acknowledged since the last.  Readers take the generation through
+  :meth:`PartitionServer._generation`, which runs the pending pass first:
+  no request observes an acknowledged record that is not dealt;
+* the balance monitor runs after each pass; past the threshold it
   schedules a background rebuild (``PaPar.run`` over the frozen log, any
   backend, in an executor thread) whose result is swapped in *on the loop*
   together with the re-routed tail — no request ever observes a torn
@@ -19,11 +23,11 @@ what makes the atomic-swap contract cheap:
 * ``snapshot`` freezes the state loop-side and publishes it through
   :class:`~repro.serve.snapshot.SnapshotStore` in the executor;
 * SIGTERM/SIGINT (via :func:`repro.lifecycle.install_async_shutdown`) and
-  the ``drain`` verb share one path: stop admitting, drain the queue,
+  the ``drain`` verb share one path: stop admitting, deal what is pending,
   finish any rebalance, flush a final snapshot, exit 0.
 
-Metrics flow through :mod:`repro.obs`: per-request spans, ``serve.*``
-counters/histograms, and the ``papar.serve`` v1 document
+Metrics flow through :mod:`repro.obs`: per-request spans (a bounded
+window), ``serve.*`` counters/histograms, and the ``papar.serve`` v1 document
 (:func:`repro.obs.export.serve_metrics_json`).
 """
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Awaitable, Callable, Optional, Union
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from repro.core.dataset import Dataset
 from repro.lifecycle import install_async_shutdown
 from repro.obs.adapters import record_rebalance, record_serve_request
 from repro.obs.export import serve_metrics_json
-from repro.obs.span import Recorder
+from repro.obs.span import SERVICE_WINDOW, Recorder
 from repro.ooc.runfile import FRAME
 from repro.serve import protocol
 from repro.serve.balance import DEFAULT_THRESHOLD, BalanceMonitor
@@ -59,7 +63,8 @@ class ServeConfig:
     port: int = 0
     #: skew/drift ratio past which an online repartition is scheduled
     rebalance_threshold: float = DEFAULT_THRESHOLD
-    #: append queue depth past which requests are rejected with code 429
+    #: acknowledged-but-undealt appends past which the next is rejected with
+    #: code 429; a pass is scheduled at a quarter of it
     max_pending: int = 64
     #: directory for versioned snapshots (None disables snapshot/warm restart)
     snapshot_dir: Optional[str] = None
@@ -70,6 +75,139 @@ class ServeConfig:
     schema_id: Optional[str] = None
     #: how many published snapshot generations to retain
     retain: int = DEFAULT_RETAIN
+
+
+class _Connection(asyncio.Protocol):
+    """One client socket: bytes in, one request at a time, one line out each.
+
+    ``data_received`` only buffers; :meth:`_pump` starts the next request
+    when a whole one is there, the previous one is answered and the peer is
+    taking answers, and stops reading the socket while a whole one waits:
+    a peer that never reads or pipelines ahead costs a buffer, no more.
+    """
+
+    def __init__(self, server: "PartitionServer") -> None:
+        self.server = server
+        self.transport: Any = None
+        self.buf = bytearray()
+        #: how much of ``buf`` is known to hold no newline
+        self.scanned = 0
+        #: the next whole request, cut off ``buf`` and waiting its turn
+        self.ready: Any = None
+        #: the ``snapshot`` / ``drain`` being answered; other verbs answer at once
+        self.task: Optional[asyncio.Task] = None
+        self.eof = False
+        self.writable = True
+        self.reading = True
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buf += data
+        self._pump()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._pump()
+        return True  # keep the write side open: an answer may still be owed
+
+    def pause_writing(self) -> None:
+        self.writable = False
+
+    def resume_writing(self) -> None:
+        self.writable = True
+        self._pump()
+
+    def _take(self) -> Any:
+        """Cut the next whole request off the buffer; None until one is there.
+
+        A line is ``bytes`` (empty once the peer has closed), a frame is
+        ``(header, payload)``, and a stream that cannot be resynchronised —
+        an oversize line, a frame cut short or over the cap (refused from
+        its header, before the payload arrives) — is the ``400`` to hang up on.
+        """
+        buf = self.buf
+        if buf[:1] == protocol.FRAME_MARKER:
+            body = 1 + FRAME.size
+            if len(buf) >= body:
+                try:
+                    end = body + protocol.frame_payload_size(buf[1:body])
+                except protocol.ProtocolError as exc:
+                    return self.server._refuse_append(protocol.BAD_REQUEST, str(exc))
+                if len(buf) >= end:
+                    frame = bytes(buf[1:body]), bytes(buf[body:end])
+                    del buf[:end]
+                    return frame
+            if self.eof:
+                return self.server._refuse_append(protocol.BAD_REQUEST, "truncated frame")
+            return None
+        end = buf.find(b"\n", self.scanned) + 1
+        if not end and self.eof:
+            end = len(buf)  # the stream ended mid-line: what is there is the line
+        if (end or len(buf)) > protocol.MAX_LINE:
+            return protocol.error(
+                protocol.BAD_REQUEST, f"request line exceeds {protocol.MAX_LINE} bytes"
+            )
+        if not end and not self.eof:
+            self.scanned = len(buf)
+            return None
+        line = bytes(buf[:end])
+        del buf[:end]
+        self.scanned = 0
+        return line
+
+    def _pump(self) -> None:
+        """Answer buffered requests, in order, for as long as nothing blocks."""
+        while not self.transport.is_closing():
+            if self.ready is None:
+                self.ready = self._take()
+            blocked = self.task is not None or not self.writable
+            hold = blocked and self.ready is not None
+            if hold == self.reading:
+                # a whole request waits behind one in flight: leave the rest
+                # in the socket, where it pushes back on the sender
+                (self.transport.pause_reading if hold else self.transport.resume_reading)()
+                self.reading = not hold
+            if blocked or self.ready is None:
+                return
+            request, self.ready = self.ready, None
+            if isinstance(request, dict):  # out of sync: answer, then hang up
+                self._reply(request)
+                self.transport.close()
+            elif isinstance(request, tuple):
+                self._reply(self.server._append_frame(*request))
+            elif not request.strip():  # EOF or a blank line ends the session
+                self.transport.close()
+            else:
+                response = self.server._request(request)
+                if isinstance(response, dict):
+                    self._reply(response)
+                else:
+                    self.task = asyncio.get_running_loop().create_task(
+                        self._reply_later(response)
+                    )
+
+    def _reply(self, response: dict[str, Any]) -> None:
+        self.transport.write(protocol.encode_response(response))
+
+    async def _reply_later(self, answer: Awaitable[dict[str, Any]]) -> None:
+        """``snapshot`` / ``drain``: the answer waits on the executor or a rebuild."""
+        try:
+            response = await answer
+        except BaseException:
+            self.transport.close()  # no answer to give: do not leave the peer waiting
+            raise
+        self._reply(response)
+        if response.get("op") == "drain" and response.get("ok"):
+            # the client has its answer on the wire; now tear down
+            await self.server._finalize()
+        self.task = None
+        self._pump()
 
 
 class PartitionServer:
@@ -89,7 +227,7 @@ class PartitionServer:
         )
         self.args = dict(args)
         self.config = config or ServeConfig()
-        self.recorder = recorder or Recorder()
+        self.recorder = recorder or Recorder(window=SERVICE_WINDOW)
         self.monitor = BalanceMonitor(self.config.rebalance_threshold)
         self.snapshots: Optional[SnapshotStore] = (
             SnapshotStore(self.config.snapshot_dir, retain=self.config.retain)
@@ -106,9 +244,8 @@ class PartitionServer:
         self.router: Optional[IncrementalRouter] = None
         #: True once the daemon restored from a snapshot instead of the input
         self.restored = False
-        self._queue: asyncio.Queue = asyncio.Queue()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._worker: Optional[asyncio.Task] = None
+        self._connections: set[_Connection] = set()
         self._rebalance_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
         self._remove_signals = lambda: None
@@ -134,12 +271,8 @@ class PartitionServer:
         loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         await loop.run_in_executor(None, self._load_initial_state)
-        self._worker = loop.create_task(self._append_worker())
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            host=self.config.host,
-            port=self.config.port,
-            limit=protocol.MAX_LINE,
+        self._server = await loop.create_server(
+            lambda: _Connection(self), host=self.config.host, port=self.config.port
         )
         self._remove_signals = install_async_shutdown(
             loop, lambda signum: loop.create_task(self._drain_and_stop())
@@ -194,11 +327,11 @@ class PartitionServer:
         await self._finalize()
 
     async def _quiesce(self) -> None:
-        """Reject new appends, drain the queue, finish rebalance, flush."""
+        """Reject new appends, deal the pending ones, finish rebalance, flush."""
         if self._drained:
             return
         self._draining = True
-        await self._queue.join()
+        self._process_appends()
         if self._rebalance_task is not None:
             await asyncio.gather(self._rebalance_task, return_exceptions=True)
         if self.snapshots is not None and self.state.current is not None:
@@ -207,88 +340,35 @@ class PartitionServer:
         self.recorder.instant("serve drain complete", category="serve")
 
     async def _finalize(self) -> None:
-        """Stop the worker, close the socket, and release serve_forever."""
+        """Close the socket and every connection, and release serve_forever."""
         if self._stopped is None or self._stopped.is_set():
             return
-        if self._worker is not None:
-            self._worker.cancel()
-            await asyncio.gather(self._worker, return_exceptions=True)
         self._remove_signals()
         if self._server is not None:
             self._server.close()
+            for conn in list(self._connections):
+                conn.transport.close()  # flushes what is buffered first
             await self._server.wait_closed()
         self._stopped.set()
 
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one client: strictly one request at a time per connection."""
-        try:
-            while True:
-                first = await reader.read(1)
-                if first == protocol.FRAME_MARKER:
-                    response, in_sync = await self._dispatch_frame(reader)
-                else:
-                    try:
-                        # a lone newline is already a whole (blank) line
-                        line = (
-                            first if first in (b"", b"\n")
-                            else first + await reader.readline()
-                        )
-                    except (asyncio.LimitOverrunError, ValueError):
-                        response, in_sync = protocol.error(
-                            protocol.BAD_REQUEST,
-                            f"request line exceeds {protocol.MAX_LINE} bytes",
-                        ), False
-                    else:
-                        if not line.strip():  # EOF or a blank line ends the session
-                            break
-                        response, in_sync = await self._dispatch(line), True
-                writer.write(protocol.encode_response(response))
-                await writer.drain()
-                if not in_sync:
-                    break
-                if response.get("op") == "drain" and response.get("ok"):
-                    # the client has its answer on the wire; now tear down
-                    await self._finalize()
-                    break
-        except ConnectionResetError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _dispatch_frame(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[dict[str, Any], bool]:
-        """Read one binary append frame (its marker already consumed) and answer it.
-
-        Returns ``(response, stream still in sync)``.  A frame whose
-        announced payload was not consumed — over the cap, or cut short —
-        leaves the byte stream unparseable, so the connection must close; a
-        fully read frame that fails its checks costs only a ``400``.
-        """
-        try:
-            head = await reader.readexactly(FRAME.size)
-            payload = await reader.readexactly(protocol.frame_payload_size(head))
-        except asyncio.IncompleteReadError:
-            return self._refuse_append(protocol.BAD_REQUEST, "truncated frame"), False
-        except protocol.ProtocolError as exc:
-            return self._refuse_append(protocol.BAD_REQUEST, str(exc)), False
-        t0 = self.recorder.wall_now()
-        try:
-            records = protocol.decode_frame(head, payload, self._dtype)
-        except protocol.ProtocolError as exc:
-            return self._refuse_append(protocol.BAD_REQUEST, str(exc)), True
-        return await self._handle_append(records, t0, protocol.FRAMES), True
+    # -- requests -------------------------------------------------------------
 
     async def _dispatch(self, line: bytes) -> dict[str, Any]:
-        """Decode a JSON line, route to the verb handler, and span the request."""
+        """The in-process entry point: one JSON line, answered as on a socket."""
+        response = self._request(line)
+        if isinstance(response, dict):
+            # the loop turn that separates two requests of a connection, so
+            # whatever this one scheduled (a pass, a rebuild) gets to start
+            await asyncio.sleep(0)
+            return response
+        return await response
+
+    def _request(self, line: bytes) -> Union[dict[str, Any], Awaitable[dict[str, Any]]]:
+        """Decode a JSON line, route to the verb handler, and span the request.
+
+        ``snapshot`` and ``drain`` wait on the executor or a rebuild and come
+        back as an awaitable; every other verb is answered on return.
+        """
         t0 = self.recorder.wall_now()
         try:
             request = protocol.decode_request(line)
@@ -304,21 +384,29 @@ class PartitionServer:
                     protocol.BAD_REQUEST,
                     f"rows do not fit schema {self.input_schema.id!r}: {exc}",
                 )
-            return await self._handle_append(records, t0, protocol.JSON_ROWS)
+            return self._handle_append(records, t0, protocol.JSON_ROWS)
         try:
             if op == "query":
                 response = self._handle_query(request)
-            elif op == "snapshot":
-                response = await self._handle_snapshot()
             elif op == "hello":
                 response = protocol.hello(self._dtype)
+            elif op == "snapshot" and self.snapshots is None:
+                raise ServeError("daemon started without --snapshot-dir")
+            elif op == "snapshot":
+                return self._answered_later(op, t0, self._handle_snapshot())
             else:
-                response = await self._handle_drain()
+                return self._answered_later(op, t0, self._handle_drain())
         except ServeError as exc:
             response = protocol.error(protocol.BAD_REQUEST, str(exc), op=op)
+        return self._answered(op, t0, response)
+
+    def _answered(self, op: str, t0: float, response: dict[str, Any]) -> dict[str, Any]:
         record_serve_request(self.recorder, op)
         self._span(op, t0, response)
         return response
+
+    async def _answered_later(self, op: str, t0: float, answer: Awaitable) -> dict[str, Any]:
+        return self._answered(op, t0, await answer)
 
     def _span(self, op: str, t0: float, response: dict[str, Any], **attrs: Any) -> None:
         self.recorder.record_span(
@@ -334,88 +422,93 @@ class PartitionServer:
         record_serve_request(self.recorder, "append", rejected=True)
         return protocol.error(code, message, op="append")
 
-    async def _handle_append(
+    def _append_frame(self, head: bytes, payload: bytes) -> dict[str, Any]:
+        """Answer one fully received binary frame: a failed check costs a ``400``."""
+        t0 = self.recorder.wall_now()
+        try:
+            records = protocol.decode_frame(head, payload, self._dtype)
+        except protocol.ProtocolError as exc:
+            return self._refuse_append(protocol.BAD_REQUEST, str(exc))
+        return self._handle_append(records, t0, protocol.FRAMES)
+
+    def _handle_append(
         self, records: np.ndarray, t0: float, encoding: str
     ) -> dict[str, Any]:
-        """The one append path: decoded JSON rows and frames both land here."""
+        """The one append path: decoded JSON rows and frames both land here.
+
+        Nothing past admission can refuse the records, so they are logged
+        and acknowledged here.  The pass that deals them runs when the
+        generation is next read, is scheduled once a quarter of
+        ``--max-pending`` waits, and runs at once when drift makes a rebuild due.
+        """
+        state = self.state
         if self._draining:
             response = self._refuse_append(protocol.DRAINING, "daemon is draining")
-        elif self._queue.qsize() >= self.config.max_pending:
+        elif len(state.undealt) >= self.config.max_pending:
             response = self._refuse_append(
                 protocol.OVERLOADED,
                 f"append queue at --max-pending={self.config.max_pending}",
             )
         else:
-            future: asyncio.Future = asyncio.get_running_loop().create_future()
-            self._queue.put_nowait((records, future))
-            self.recorder.gauge("serve.queue_depth", self._queue.qsize())
-            try:
-                generation = await future
-            except ServeError as exc:
-                response = self._refuse_append(protocol.BAD_REQUEST, str(exc))
-            else:
-                record_serve_request(
-                    self.recorder, "append", records=len(records), encoding=encoding,
-                    latency_ms=(self.recorder.wall_now() - t0) * 1e3,
-                )
-                response = protocol.ok(
-                    "append",
-                    records=len(records),
-                    generation=generation,
-                    total_records=self.state.log_records,
-                )
+            state.admit(records)
+            pending = len(state.undealt)
+            self.recorder.gauge("serve.queue_depth", pending)
+            if self._rebalance_idle() and state.drift_fraction > self.monitor.threshold:
+                self._process_appends()
+            elif pending == max(1, self.config.max_pending // 4):
+                asyncio.get_running_loop().call_soon(self._process_appends)
+            record_serve_request(
+                self.recorder, "append", records=len(records), encoding=encoding,
+                latency_ms=(self.recorder.wall_now() - t0) * 1e3,
+            )
+            response = protocol.ok(
+                "append",
+                records=len(records),
+                generation=state.current.generation,
+                total_records=state.log_records,
+            )
         self._span("append", t0, response, encoding=encoding)
         return response
 
-    async def _append_worker(self) -> None:
-        """Drain the append queue, coalescing bursts into one routed pass."""
-        while True:
-            items = [await self._queue.get()]
-            while True:
-                try:
-                    items.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            try:
-                self._process_appends(items)
-            finally:
-                for _ in items:
-                    self._queue.task_done()
-            self.recorder.gauge("serve.queue_depth", self._queue.qsize())
-            self._check_balance()
+    def _generation(self) -> Optional[PartitionGeneration]:
+        """The live generation with every acknowledged record dealt: the one
+        way a reader (``query``, a snapshot freeze, the swap, the metrics
+        document) gets at it, so none sees the log ahead of the partitions."""
+        self._process_appends()
+        return self.state.current
 
-    def _process_appends(self, items: list[tuple[np.ndarray, asyncio.Future]]) -> None:
-        """Route a coalesced batch through the vectorized fast path."""
+    def _process_appends(self) -> None:
+        """Route and deal every acknowledged batch still undealt, as one batch."""
+        batches, self.state.undealt = self.state.undealt, []
+        if not batches:
+            return
         assert self.router is not None and self.state.current is not None
-        if len(items) > 1:
-            self.recorder.count("serve.coalesced_batches", len(items) - 1)
-        batches = [records for records, _ in items]
+        if len(batches) > 1:
+            self.recorder.count("serve.coalesced_batches", len(batches) - 1)
         merged = np.concatenate(batches) if len(batches) > 1 else batches[0]
         try:
-            generation = self.state.current
-            generation.deal(merged, self.router.route(merged))
-            for records, _ in items:
-                self.state.append_log(records)
+            self.state.current.deal(merged, self.router.route(merged))
         except Exception as exc:
-            for _, future in items:
-                if not future.done():
-                    future.set_exception(
-                        exc if isinstance(exc, ServeError) else ServeError(str(exc))
-                    )
-            return
-        for _, future in items:
-            if not future.done():
-                future.set_result(generation.generation)
+            # route and deal cannot refuse a dtype-valid record: this is a bug,
+            # not a bad request.  The records stay in the log; a rebuild places them
+            self.recorder.count("serve.failed_passes")
+            self.recorder.instant(
+                f"append pass failed: {exc!r}", category="serve",
+                attrs={"records": len(merged)},
+            )
+        self.recorder.gauge("serve.queue_depth", 0)
+        self._check_balance()
 
     # -- rebalance -----------------------------------------------------------
+
+    def _rebalance_idle(self) -> bool:
+        return self._rebalance_task is None or self._rebalance_task.done()
 
     def _check_balance(self) -> None:
         decision = self.monitor.check(self.state)
         self.recorder.gauge("serve.skew", decision.skew)
         self.recorder.gauge("serve.drift", decision.drift)
-        if decision.due and (
-            self._rebalance_task is None or self._rebalance_task.done()
-        ):
+        if decision.due and self._rebalance_idle():
             self._rebalance_task = asyncio.get_running_loop().create_task(
                 self._rebalance(decision.reason or "skew")
             )
@@ -435,7 +528,8 @@ class PartitionServer:
             return
         # back on the event loop: everything below is one synchronous block,
         # so no request can interleave between tail re-route and swap
-        assert self.state.current is not None
+        current = self._generation()
+        assert current is not None
         # seeded with what the rebuild covered: the tail is routed through
         # the new router just below, which is what advances a positional
         # router's index past it
@@ -443,7 +537,7 @@ class PartitionServer:
             self.plan, self.input_schema, self.state.log, frozen_records
         )
         new_generation = PartitionGeneration.from_partitions(
-            self.state.current.generation + 1, partitions, frozen_records,
+            current.generation + 1, partitions, frozen_records,
             router.key_field,
         )
         tail = self.state.log[len(frozen):]
@@ -479,7 +573,7 @@ class PartitionServer:
     # -- query / snapshot / drain --------------------------------------------
 
     def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
-        generation = self.state.current
+        generation = self._generation()
         if generation is None:
             raise ServeError("no generation live yet")
         router = self.router
@@ -493,7 +587,7 @@ class PartitionServer:
             "log_records": self.state.log_records,
             "skew": decision.skew,
             "drift": decision.drift,
-            "pending": self._queue.qsize(),
+            "pending": len(self.state.undealt),
             "router": router.describe() if router is not None else None,
             "snapshot": (
                 snapshot_id(generation.generation)
@@ -507,8 +601,6 @@ class PartitionServer:
         return protocol.ok("query", **fields)
 
     async def _handle_snapshot(self) -> dict[str, Any]:
-        if self.snapshots is None:
-            raise ServeError("daemon started without --snapshot-dir")
         sid = await self._publish_snapshot()
         return protocol.ok(
             "snapshot", snapshot=sid, generation=self.state.current.generation
@@ -534,7 +626,7 @@ class PartitionServer:
         those prefixes later yields the state as of this call no matter what
         has been appended since.
         """
-        generation = self.state.current
+        generation = self._generation()
         log, log_len = self.state.log, len(self.state.log)
         log_records = self.state.log_records
         chunk_lens = [len(c) for c in generation.chunks]
@@ -565,7 +657,7 @@ class PartitionServer:
 
     def metrics_doc(self) -> dict[str, Any]:
         """The ``papar.serve`` v1 document for this daemon's recorder."""
-        generation = self.state.current
+        generation = self._generation()
         return serve_metrics_json(
             self.recorder,
             server={

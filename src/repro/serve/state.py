@@ -8,9 +8,10 @@ Two structures live here:
   the input schema — a rebalance folds them into the workflow schema).
   A routed batch is gathered once into owner order and every partition's
   chunk is a view of that one array (:meth:`PartitionGeneration.deal`).
-* :class:`ServeState` — the arrival-ordered append log plus the *current*
-  generation.  The swap discipline is the subsystem's core invariant:
-  mutation happens only between awaits on the daemon's single event loop,
+* :class:`ServeState` — the arrival-ordered append log, the *current*
+  generation, and the acknowledged batches still to be dealt into it.  The
+  swap discipline is the subsystem's core invariant: mutation happens
+  only between awaits on the daemon's single event loop,
   and a rebalance replaces the whole :class:`PartitionGeneration` object in
   one assignment — an in-flight request that grabbed a reference keeps
   seeing a fully consistent generation, never a torn mix of old and new
@@ -205,11 +206,19 @@ class ServeState:
     log_records: int = 0
     #: the hot generation requests read (swapped atomically on rebalance)
     current: Optional[PartitionGeneration] = None
+    #: acknowledged batches — in ``log`` already — that the next pass still
+    #: has to route and deal into ``current``
+    undealt: list[np.ndarray] = field(default_factory=list)
 
     def append_log(self, records: np.ndarray) -> None:
         """Record one arrived batch in the ground-truth log."""
         self.log.append(records)
         self.log_records += len(records)
+
+    def admit(self, records: np.ndarray) -> None:
+        """Log an append — what its ``ok`` stands for — and queue it for the deal."""
+        self.append_log(records)
+        self.undealt.append(records)
 
     def freeze_log(self) -> tuple[list[np.ndarray], int]:
         """A stable (copy, record count) of the log for a background rebuild.

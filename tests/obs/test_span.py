@@ -156,6 +156,37 @@ class TestMetricsAndQueries:
             rec.observe("lat", v)
         assert rec.histograms["lat"] == [3.0, 1.0, 2.0]
 
+    def test_a_window_keeps_the_newest_spans_and_counts_the_rest(self):
+        rec = Recorder(window=3)
+        for i in range(5):
+            rec.record_span(f"s{i}", "serve", rank=None,
+                            start_virtual=0.0, end_virtual=0.0, end_wall=float(i))
+        with rec.span("s5"):
+            pass
+        assert [s.name for s in rec.spans] == ["s3", "s4", "s5"]
+        assert rec.spans_dropped == 3
+        assert rec.makespan_wall() >= 4.0
+        assert Recorder().spans_dropped == 0
+
+    def test_a_window_samples_histograms_but_counts_exactly(self):
+        rec = Recorder(window=8)
+        for v in range(1000):
+            rec.observe("lat", v)
+        samples = rec.histograms["lat"]
+        assert len(samples) == 8 and set(samples) <= set(map(float, range(1000)))
+        assert rec.histogram_totals["lat"] == [1000, sum(range(1000)), 0.0, 999.0]
+        # a uniform reservoir: not just the first or the last eight
+        assert max(samples) > 8 and min(samples) < 992
+        from repro.obs import metrics_json
+
+        doc = metrics_json(rec)
+        assert doc["histograms"]["lat"] == {
+            "count": 1000, "min": 0.0, "max": 999.0, "mean": 499.5,
+            **{p: doc["histograms"]["lat"][p] for p in ("p50", "p95", "p99")},
+        }
+        assert doc["histograms"]["lat"]["p99"] in samples
+        assert doc["spans"]["dropped"] == 0
+
     def test_instant_uses_clock_or_explicit_timestamp(self):
         rec = Recorder()
         rec.instant("fired", category="fault", rank=2, clock=FakeClock(4.0))

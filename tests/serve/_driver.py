@@ -24,7 +24,7 @@ async def dispatch(server: PartitionServer, payload: dict) -> dict:
 
 async def settle(server: PartitionServer) -> None:
     """Wait until the append queue is drained and no rebalance is in flight."""
-    await server._queue.join()
+    server._process_appends()
     if server._rebalance_task is not None:
         await asyncio.gather(server._rebalance_task, return_exceptions=True)
 

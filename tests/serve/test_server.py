@@ -178,7 +178,7 @@ class TestPositionalRebuild:
                 await asyncio.sleep(0.001)
             r = await dispatch(server, {"op": "append", "rows": rows_of(during)})
             assert r["ok"], r
-            await server._queue.join()
+            server._process_appends()
             release.set()
             await asyncio.wait_for(task, timeout=30.0)
             r = await dispatch(server, {"op": "append", "rows": rows_of(after)})
