@@ -29,7 +29,11 @@ Layout
     PowerLyra-style graph partitioning (edge-cut / vertex-cut / hybrid-cut).
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.core.framework import PaPar
 
-__all__ = ["PaPar", "__version__"]
+# ``PaPar`` loads on first use, so ``python -m repro --help`` imports no numpy
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.framework": ("PaPar",),
+})
+__all__ += ["__version__"]

@@ -22,44 +22,26 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-_LAZY = {
-    "Diagnostic": ("repro.analysis.diagnostics", "Diagnostic"),
-    "LintResult": ("repro.analysis.diagnostics", "LintResult"),
-    "Severity": ("repro.analysis.diagnostics", "Severity"),
-    "Linter": ("repro.analysis.engine", "Linter"),
-    "lint_workflow": ("repro.analysis.engine", "lint_workflow"),
-    "lint_files": ("repro.analysis.engine", "lint_files"),
-    "synthesize_arguments": ("repro.analysis.engine", "synthesize_arguments"),
-    "CATALOG": ("repro.analysis.rules", "CATALOG"),
-    "RuleSpec": ("repro.analysis.rules", "RuleSpec"),
-    "all_codes": ("repro.analysis.rules", "all_codes"),
-    "LocatingXMLParser": ("repro.analysis.locate", "LocatingXMLParser"),
-    "parse_located": ("repro.analysis.locate", "parse_located"),
-    "PlanIR": ("repro.analysis.ir", "PlanIR"),
-    "IRNode": ("repro.analysis.ir", "IRNode"),
-    "IREdge": ("repro.analysis.ir", "IREdge"),
-    "build_ir": ("repro.analysis.ir", "build_ir"),
-    "workflow_ir": ("repro.analysis.ir", "workflow_ir"),
-    "run_dataflow": ("repro.analysis.dataflow", "run_dataflow"),
-    "SchemaAnalysis": ("repro.analysis.dataflow", "SchemaAnalysis"),
-    "LivenessAnalysis": ("repro.analysis.dataflow", "LivenessAnalysis"),
-    "CardinalityAnalysis": ("repro.analysis.dataflow", "CardinalityAnalysis"),
-    "analyze_plan": ("repro.analysis.cost", "analyze_plan"),
-    "AnalyzedPlan": ("repro.analysis.cost", "AnalyzedPlan"),
-    "ExplainReport": ("repro.analysis.explain", "ExplainReport"),
-    "explain_workflow": ("repro.analysis.explain", "explain_workflow"),
-    "explain_files": ("repro.analysis.explain", "explain_files"),
-    "PASS_NAMES": ("repro.analysis.optimize", "PASS_NAMES"),
-    "AppliedRewrite": ("repro.analysis.optimize", "AppliedRewrite"),
-    "RefusedRewrite": ("repro.analysis.optimize", "RefusedRewrite"),
-    "OptimizedPlan": ("repro.analysis.optimize", "OptimizedPlan"),
-    "OptimizeReport": ("repro.analysis.optimize", "OptimizeReport"),
-    "optimize_spec": ("repro.analysis.optimize", "optimize_spec"),
-    "optimize_workflow": ("repro.analysis.optimize", "optimize_workflow"),
-    "optimize_files": ("repro.analysis.optimize", "optimize_files"),
-}
+from repro._lazy import lazy_exports
 
-__all__ = sorted(_LAZY)
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.analysis.diagnostics": ("Diagnostic", "LintResult", "Severity"),
+    "repro.analysis.engine": (
+        "Linter", "lint_workflow", "lint_files", "synthesize_arguments",
+    ),
+    "repro.analysis.rules": ("CATALOG", "RuleSpec", "all_codes"),
+    "repro.analysis.locate": ("LocatingXMLParser", "parse_located"),
+    "repro.analysis.ir": ("PlanIR", "IRNode", "IREdge", "build_ir", "workflow_ir"),
+    "repro.analysis.dataflow": (
+        "run_dataflow", "SchemaAnalysis", "LivenessAnalysis", "CardinalityAnalysis",
+    ),
+    "repro.analysis.cost": ("analyze_plan", "AnalyzedPlan"),
+    "repro.analysis.explain": ("ExplainReport", "explain_workflow", "explain_files"),
+    "repro.analysis.optimize": (
+        "PASS_NAMES", "AppliedRewrite", "RefusedRewrite", "OptimizedPlan",
+        "OptimizeReport", "optimize_spec", "optimize_workflow", "optimize_files",
+    ),
+})
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.analysis.diagnostics import Diagnostic, LintResult, Severity
@@ -72,18 +54,3 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.analysis.locate import LocatingXMLParser, parse_located
     from repro.analysis.rules import CATALOG, RuleSpec, all_codes
 
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))

@@ -9,7 +9,10 @@ One pass does, in order:
    plan-level rules can inspect resolved operators (planner rejections
    surface as ``PAP040`` only when no static rule already explains them);
 5. run every registered checker — the engine never stops at the first
-   finding.
+   finding.  A linter built with ``errors_only=True`` (the ``plan`` /
+   ``run`` / ``serve`` gate, which acts on errors alone) runs only the
+   checkers that can emit an ERROR code and keeps only the errors: the
+   advisories, the cost model and its input probe never run for it.
 
 Nothing here executes a workflow: planning instantiates operator objects
 and resolves ``$references`` but moves no data.
@@ -21,9 +24,9 @@ import re
 from typing import Any, Iterable, Optional
 
 from repro.analysis.diagnostics import Diagnostic, LintResult, Severity
-from repro.analysis.locate import XMLLocationError, parse_located
+from repro.analysis.locate import XMLLocationError, parse_located, read_config
 from repro.analysis.model import LintContext, build_workflow_model
-from repro.analysis.rules import CATALOG, CHECKERS
+from repro.analysis.rules import CATALOG, CHECKERS, blocking_checkers
 from repro.config.schema import parse_input_config
 from repro.config.workflow import WorkflowSpec, parse_workflow_config
 from repro.errors import PaParError
@@ -74,6 +77,7 @@ class Linter:
         faults: bool = False,
         checkpoint: bool = False,
         serve: bool = False,
+        errors_only: bool = False,
     ) -> None:
         #: schemas registered out-of-band (e.g. on a PaPar instance)
         self.schemas: dict[str, RecordSchema] = dict(schemas or {})
@@ -89,6 +93,8 @@ class Linter:
         #: True when the workflow will run under the streaming daemon
         #: (PAP090 rules)
         self.serve = serve
+        #: ask only "does it have errors?" (see the module docstring)
+        self.errors_only = errors_only
 
     # -- public API ----------------------------------------------------------
 
@@ -210,8 +216,8 @@ class Linter:
         if do_plan and model is not None:
             self._try_plan(ctx, workflow_xml, filename)
 
-        # -- run every checker ------------------------------------------
-        for checker_func in CHECKERS:
+        # -- run every checker (that can answer the question) -----------
+        for checker_func in blocking_checkers() if self.errors_only else CHECKERS:
             try:
                 result.extend(checker_func(ctx))
             except Exception as exc:  # pragma: no cover - defensive
@@ -237,6 +243,8 @@ class Linter:
             result.diagnostics = [
                 d for d in result.diagnostics if d.code != "PAP040"
             ]
+        if self.errors_only:
+            result.diagnostics = result.errors
         result.sort()
         return ctx, result
 
@@ -248,12 +256,8 @@ class Linter:
         do_plan: bool = True,
     ) -> LintResult:
         """Analyze configuration *files*."""
-        with open(workflow_path, "r", encoding="utf-8") as fh:
-            workflow_xml = fh.read()
-        inputs = []
-        for path in input_paths:
-            with open(path, "r", encoding="utf-8") as fh:
-                inputs.append((fh.read(), path))
+        workflow_xml = read_config(workflow_path)
+        inputs = [(read_config(path), path) for path in input_paths]
         return self.lint(
             workflow_xml,
             filename=str(workflow_path),

@@ -20,6 +20,7 @@ from typing import Any, Iterable, Optional
 
 from repro.analysis.diagnostics import LintResult
 from repro.analysis.engine import Linter
+from repro.analysis.locate import read_config
 from repro.formats.records import RecordSchema
 
 #: JSON contract version of the explain report
@@ -234,12 +235,8 @@ def explain_files(
     assume_records: Optional[int] = None,
 ) -> ExplainReport:
     """:func:`explain_workflow` over configuration files on disk."""
-    with open(workflow_path, "r", encoding="utf-8") as fh:
-        workflow_xml = fh.read()
-    inputs = []
-    for path in input_paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            inputs.append((fh.read(), path))
+    workflow_xml = read_config(workflow_path)
+    inputs = [(read_config(path), path) for path in input_paths]
     return explain_workflow(
         workflow_xml,
         filename=str(workflow_path),

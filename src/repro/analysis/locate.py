@@ -20,10 +20,13 @@ carry ``file:line`` locations, and the static analyzer
 
 from __future__ import annotations
 
+import os
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
+
+from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -121,3 +124,15 @@ def format_location(filename: Optional[str], line: Optional[int]) -> str:
     if line is None:
         return name
     return f"{name}:{line}"
+
+
+def read_config(path: Union[str, os.PathLike]) -> str:
+    """The text of a configuration file; a missing or unreadable one (or a
+    directory) is a :class:`~repro.errors.ConfigError` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read configuration {os.fspath(path)!r}: {exc.strerror}"
+        ) from None

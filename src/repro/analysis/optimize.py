@@ -48,6 +48,7 @@ from typing import Any, Iterable, Optional
 from repro.analysis.cost import field_width
 from repro.analysis.engine import Linter
 from repro.analysis.explain import ExplainReport, _fmt_bytes, build_report
+from repro.analysis.locate import read_config
 from repro.analysis.rules.advisory import (
     _PROBE_SIZES,
     _adjacent_exchanges,
@@ -954,12 +955,8 @@ def optimize_files(
     memory_budget: Optional[str] = None,
 ) -> OptimizeReport:
     """:func:`optimize_workflow` over configuration files on disk."""
-    with open(workflow_path, "r", encoding="utf-8") as fh:
-        workflow_xml = fh.read()
-    inputs = []
-    for path in input_paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            inputs.append((fh.read(), path))
+    workflow_xml = read_config(workflow_path)
+    inputs = [(read_config(path), path) for path in input_paths]
     return optimize_workflow(
         workflow_xml,
         filename=str(workflow_path),

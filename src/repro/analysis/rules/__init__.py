@@ -9,14 +9,17 @@ vocabulary and the golden-diagnostics test suite pins each code's behavior.
 Checkers are plain generator functions taking a
 :class:`~repro.analysis.model.LintContext` and yielding
 :class:`~repro.analysis.diagnostics.Diagnostic` objects; they are collected
-by the :func:`checker` decorator and run (all of them, in registration
-order) by the engine.  One checker may emit several related codes.
+by the :func:`checker` decorator, which records the codes each one can
+emit, and run (all of them, in registration order) by the engine.  One
+checker may emit several related codes.  The ``plan`` / ``run`` / ``serve``
+gate acts on errors alone, so it runs only the checkers that can emit an
+ERROR code (:func:`blocking_checkers`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.analysis.diagnostics import Severity
 
@@ -424,10 +427,29 @@ CATALOG: dict[str, RuleSpec] = {
 CHECKERS: list[Callable] = []
 
 
-def checker(func: Callable) -> Callable:
-    """Register a checker (a generator of diagnostics over a LintContext)."""
-    CHECKERS.append(func)
-    return func
+def checker(*codes: str) -> Callable[[Callable], Callable]:
+    """Register a checker (a generator of diagnostics over a LintContext)
+    that can emit exactly the catalogued ``codes``."""
+
+    def register(func: Callable) -> Callable:
+        func.codes = codes
+        CHECKERS.append(func)
+        return func
+
+    return register
+
+
+def blocking_checkers() -> list[Callable]:
+    """The registered checkers that can emit an ERROR finding, in order.
+
+    A checker registered without declared codes counts as one: nothing
+    says it cannot block.
+    """
+    return [
+        func for func in CHECKERS
+        if not hasattr(func, "codes")
+        or any(CATALOG[code].severity is Severity.ERROR for code in func.codes)
+    ]
 
 
 def all_codes() -> list[str]:
@@ -451,9 +473,6 @@ def _load() -> None:
 
 _load()
 
-__all__ = ["CATALOG", "CHECKERS", "RuleSpec", "all_codes", "checker"]
-
-
-def iter_checkers() -> Iterable[Callable]:
-    """The registered checker callables, in registration order."""
-    return tuple(CHECKERS)
+__all__ = [
+    "CATALOG", "CHECKERS", "RuleSpec", "all_codes", "blocking_checkers", "checker",
+]

@@ -44,7 +44,7 @@ def _referenced_ops(ctx: LintContext) -> set[str]:
     return used
 
 
-@checker
+@checker("PAP080")
 def check_dead_operators(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP080: a non-final operator no path edge or ``$ref`` ever consumes."""
     if ctx.model is None or len(ctx.model.operators) < 2:
@@ -92,7 +92,7 @@ def _sort_ascending(node) -> bool:
     return value is None or value.strip().lower() not in ("false", "0", "no")
 
 
-@checker
+@checker("PAP081")
 def check_redundant_exchanges(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP081: an exchange whose layout the very next exchange discards."""
     if ctx.model is None:
@@ -160,7 +160,7 @@ def _composed_owners(p1, n1: int, p2, n2: int, n: int) -> Optional[np.ndarray]:
         return None
 
 
-@checker
+@checker("PAP082")
 def check_collapsible_distributes(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP082: distribute->distribute composes into one stride permutation."""
     if ctx.model is None:
@@ -218,7 +218,7 @@ def _fmt_bytes(n: float) -> str:
     return f"{n:.0f}B"
 
 
-@checker
+@checker("PAP083")
 def check_unused_columns(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP083: input columns nothing reads, with the bytes pruning saves."""
     if ctx.model is None:
@@ -253,7 +253,7 @@ def check_unused_columns(ctx: LintContext) -> Iterator[Diagnostic]:
     )
 
 
-@checker
+@checker("PAP084")
 def check_exchange_hotspots(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP084: an exchange whose estimated payload crosses the threshold."""
     if ctx.model is None:

@@ -41,7 +41,7 @@ LARGE_RUN_RECORDS = 1_000_000
 SPMD_BACKENDS = ("mpi", "mapreduce", "process")
 
 
-@checker
+@checker("PAP073")
 def check_output_gathered(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP073: a final distribute whose output the ranks cannot write in place."""
     if ctx.backend not in SPMD_BACKENDS or ctx.model is None or not ctx.model.operators:
@@ -73,7 +73,7 @@ def check_output_gathered(ctx: LintContext) -> Iterator[Diagnostic]:
     )
 
 
-@checker
+@checker("PAP070", "PAP071", "PAP072")
 def check_process_backend(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP070-PAP072: declared backend versus its runtime restrictions."""
     if ctx.backend != "process":

@@ -39,7 +39,7 @@ def _parse_budget(spec: str) -> Optional[int]:
         return None
 
 
-@checker
+@checker("PAP060", "PAP061")
 def check_memory_budget(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP060/PAP061: declared budget versus estimated input size."""
     if ctx.memory_budget is None:

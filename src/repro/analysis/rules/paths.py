@@ -22,7 +22,7 @@ def _is_symbolic(text: str) -> bool:
     return bool(_REF_RE.search(text))
 
 
-@checker
+@checker("PAP030", "PAP031", "PAP032")
 def check_path_wiring(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP030 dead outputs, PAP031 collisions, PAP032 orphan dir inputs."""
     if ctx.model is None or not ctx.model.operators:
@@ -87,7 +87,7 @@ def check_path_wiring(ctx: LintContext) -> Iterator[Diagnostic]:
                 )
 
 
-@checker
+@checker("PAP033", "PAP034")
 def check_split_shape(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP033 arity and PAP034 policy syntax for split operators."""
     if ctx.model is None:
@@ -136,7 +136,7 @@ def check_split_shape(ctx: LintContext) -> Iterator[Diagnostic]:
                 )
 
 
-@checker
+@checker("PAP035", "PAP036")
 def check_partition_counts(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP035 unknown distribution policy, PAP036 bad literal counts."""
     if ctx.model is None:

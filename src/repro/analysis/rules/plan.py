@@ -29,7 +29,7 @@ def _op_line(ctx: LintContext, op_id: str) -> Optional[int]:
     return ctx.model.operators[idx].line
 
 
-@checker
+@checker("PAP040")
 def check_plan_outcome(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP040: the planner rejected the workflow and no static rule said why."""
     if ctx.plan_error is None:
@@ -41,7 +41,7 @@ def check_plan_outcome(ctx: LintContext) -> Iterator[Diagnostic]:
     )
 
 
-@checker
+@checker("PAP041")
 def check_permutations(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP041: distribution matrices must be valid permutations."""
     if ctx.plan is None:
@@ -90,7 +90,7 @@ def check_permutations(ctx: LintContext) -> Iterator[Diagnostic]:
             )
 
 
-@checker
+@checker("PAP042", "PAP044")
 def check_collective_schedule(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP042: num_reducers consistent across jobs and with the partition
     count; PAP044: declared ranks should not exceed the partition count."""
@@ -141,7 +141,7 @@ def check_collective_schedule(ctx: LintContext) -> Iterator[Diagnostic]:
             )
 
 
-@checker
+@checker("PAP043")
 def check_sort_determinism(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP043: sorts feeding a split/distribute partition tied keys by
     input order — stable, but input-order-sensitive."""

@@ -29,7 +29,7 @@ def _closest(name: str, candidates: list[str]) -> Optional[str]:
     return matches[0] if matches else None
 
 
-@checker
+@checker("PAP004", "PAP005", "PAP006")
 def check_operator_types(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP004 unknown operator type, PAP005/PAP006 add-on validity."""
     if ctx.model is None:
@@ -68,7 +68,7 @@ def check_operator_types(ctx: LintContext) -> Iterator[Diagnostic]:
                 )
 
 
-@checker
+@checker("PAP010", "PAP011", "PAP012", "PAP014")
 def check_references(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP010 undefined, PAP011 forward, PAP012 cycles, PAP014 bad attrs."""
     if ctx.model is None:
@@ -245,7 +245,7 @@ def _find_cycles(edges: dict[str, set[str]]) -> list[list[str]]:
     return cycles
 
 
-@checker
+@checker("PAP013")
 def check_unused_arguments(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP013: declared arguments nothing references."""
     if ctx.model is None:

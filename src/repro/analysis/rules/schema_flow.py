@@ -53,7 +53,7 @@ def _resolve_key(
     return resolved.strip(), key_param.line
 
 
-@checker
+@checker("PAP020", "PAP021", "PAP024")
 def check_schema_flow(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP020/021/024: key membership and type flow through the chain."""
     if ctx.model is None:
@@ -123,7 +123,7 @@ def check_schema_flow(ctx: LintContext) -> Iterator[Diagnostic]:
                 available[attr] = _addon_attr_type(name)
 
 
-@checker
+@checker("PAP022", "PAP023")
 def check_split_thresholds(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP022/023: split thresholds comparable and covering."""
     if ctx.model is None:
@@ -211,7 +211,7 @@ def _check_coverage(ctx, op, policy, line) -> Iterator[Diagnostic]:
         )
 
 
-@checker
+@checker("PAP025")
 def check_boolean_literals(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP025: boolean literals outside the accepted true/false sets."""
     if ctx.model is None:

@@ -24,7 +24,7 @@ from repro.analysis.rules import checker
 KEYED_KINDS = ("sort", "group")
 
 
-@checker
+@checker("PAP090")
 def check_stream_safety(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP090: the declared serve workflow versus order-sensitive routing."""
     if not ctx.serve or ctx.model is None or not ctx.model.operators:

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro import PaPar
 from repro.errors import PaParError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.framework import PaPar
 
 
 def _parse_arg_pairs(pairs: list[str]) -> dict[str, str]:
@@ -256,6 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(ns: argparse.Namespace) -> tuple[PaPar, object, dict]:
+    # each command imports what it runs, here: ``--help`` loads no numpy
+    from repro.core.framework import PaPar
+
     papar = PaPar()
     for path in ns.input_config:
         papar.register_input_file(path)
@@ -363,7 +368,8 @@ def _lint_gate(ns: argparse.Namespace, papar: PaPar) -> Optional[int]:
     """Refuse to proceed when the configuration has lint errors.
 
     Returns an exit code to bail with, or None to continue.  Warnings and
-    infos never block; ``--no-lint`` skips the gate entirely.
+    infos never block, so the gate runs only the rules that can report an
+    error; ``--no-lint`` skips it entirely.
     """
     if ns.no_lint:
         return None
@@ -378,6 +384,7 @@ def _lint_gate(ns: argparse.Namespace, papar: PaPar) -> Optional[int]:
         faults=bool(getattr(ns, "faults", None)),
         checkpoint=bool(getattr(ns, "checkpoint_dir", None)),
         serve=bool(getattr(ns, "serve", False)),
+        errors_only=True,
     )
     if result.errors:
         for diag in result.errors:

@@ -31,6 +31,7 @@ from repro.analysis.locate import (
     XMLLocationError,
     format_location,
     parse_located,
+    read_config,
 )
 from repro.errors import ConfigError, SchemaError
 from repro.formats.records import Field, RecordSchema
@@ -165,8 +166,7 @@ def parse_input_config(source: str, filename: Optional[str] = None) -> RecordSch
 
 def load_input_config(path: PathLike) -> RecordSchema:
     """Parse an input-data configuration file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_input_config(fh.read(), filename=os.fspath(path))
+    return parse_input_config(read_config(path), filename=os.fspath(path))
 
 
 #: XML text of the paper's Figure 4 (BLAST index) configuration.

@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from repro.analysis.locate import XMLLocationError, format_location, parse_located
+from repro.analysis.locate import XMLLocationError, format_location, parse_located, read_config
 from repro.errors import ConfigError, WorkflowError
 
 PathLike = Union[str, os.PathLike]
@@ -215,8 +215,7 @@ def parse_workflow_config(source: str, filename: Optional[str] = None) -> Workfl
 
 def load_workflow_config(path: PathLike) -> WorkflowSpec:
     """Parse a workflow configuration file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_workflow_config(fh.read(), filename=os.fspath(path))
+    return parse_workflow_config(read_config(path), filename=os.fspath(path))
 
 
 class Bindings:

@@ -6,40 +6,17 @@ distributions, generate the parallel partitioner, and execute it on the
 MPI/MapReduce backends.
 """
 
-from repro.core.codegen import (
-    compile_partitioner,
-    generate_partitioner_source,
-    write_partitioner,
-)
-from repro.core.dataset import Dataset, concat
-from repro.core.framework import PaPar
-from repro.core.planner import PlannedJob, Planner, WorkflowPlan
-from repro.core.runtime import MPIRuntime, PartitionResult, SerialRuntime
+from repro._lazy import lazy_exports
 
-
-
-def __getattr__(name: str):
-    # MapReduceRuntime keeps its import path but loads on first use, so a
-    # serial / mpi run never imports the module (pinned by a test)
-    if name == "MapReduceRuntime":
-        from repro.core.mr_runtime import MapReduceRuntime
-
-        return MapReduceRuntime
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "PaPar",
-    "Dataset",
-    "concat",
-    "Planner",
-    "WorkflowPlan",
-    "PlannedJob",
-    "SerialRuntime",
-    "MPIRuntime",
-    "MapReduceRuntime",
-    "PartitionResult",
-    "generate_partitioner_source",
-    "compile_partitioner",
-    "write_partitioner",
-]
+# every name loads on first use: a serial run never imports the SPMD
+# runtimes or the code generator (pinned by fresh-interpreter tests)
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.framework": ("PaPar",),
+    "repro.core.dataset": ("Dataset", "concat"),
+    "repro.core.planner": ("Planner", "WorkflowPlan", "PlannedJob"),
+    "repro.core.runtime": ("SerialRuntime", "MPIRuntime", "PartitionResult"),
+    "repro.core.mr_runtime": ("MapReduceRuntime",),
+    "repro.core.codegen": (
+        "generate_partitioner_source", "compile_partitioner", "write_partitioner",
+    ),
+})

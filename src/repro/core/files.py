@@ -23,7 +23,7 @@ from typing import Any, Optional, Union
 
 from repro.config.workflow import WorkflowSpec
 from repro.core.runtime import PartitionResult
-from repro.errors import WorkflowError
+from repro.errors import FormatError, WorkflowError
 from repro.formats.binary import (
     BinaryInputFormat,
     PartWriter,
@@ -102,6 +102,14 @@ def load_input_dataset(
             f"argument {input_arg!r} declares no input format and no schema_id given"
         )
     schema = papar.schema(fmt_id)
+    try:
+        # a missing or unreadable input (or a directory) is one error line,
+        # whichever reader would have tripped over it first
+        open(args[input_arg], "rb").close()
+    except OSError as exc:
+        raise FormatError(
+            f"cannot read input file {os.fspath(args[input_arg])!r}: {exc.strerror}"
+        ) from None
     if memory_budget is not None:
         from repro.ooc.budget import MemoryBudget
         from repro.ooc.chunked import ChunkedDataset

@@ -16,19 +16,20 @@ from __future__ import annotations
 
 import importlib
 import os
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
-from repro.cluster.model import ClusterModel
 from repro.config.schema import load_input_config, parse_input_config
 from repro.config.workflow import WorkflowSpec, load_workflow_config, parse_workflow_config
-from repro.core.codegen import compile_partitioner, generate_partitioner_source
 from repro.core.dataset import Dataset
 from repro.core.planner import Planner, WorkflowPlan
-from repro.core.runtime import PartitionResult, SerialRuntime, resident
 from repro.errors import ConfigError, WorkflowError
-from repro.formats.binary import BinaryInputFormat, read_binary
 from repro.formats.records import RecordSchema
-from repro.formats.text import read_text_array
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: codegen, the runtimes
+    # and the codecs are imported where they are called, so a command loads
+    # only what it runs (``tools/startup_budget.py``)
+    from repro.cluster.model import ClusterModel
+    from repro.core.runtime import PartitionResult
 
 #: where each SPMD backend's runtime class lives; imported on selection, so a
 #: backend never loads another's machinery (pinned by fresh-interpreter tests)
@@ -146,15 +147,21 @@ class PaPar:
         faults: bool = False,
         checkpoint: bool = False,
         serve: bool = False,
+        errors_only: bool = False,
     ):
-        """Statically analyze configuration files (see :meth:`lint`)."""
+        """Statically analyze configuration files (see :meth:`lint`).
+
+        ``errors_only`` asks only whether the configuration has errors —
+        the question the ``plan`` / ``run`` / ``serve`` gate acts on — and
+        runs only the rules that can answer it (see ``docs/lint-rules.md``).
+        """
         from repro.analysis.engine import Linter
 
         return Linter(
             schemas=self._schemas, ranks=ranks,
             memory_budget=memory_budget, assume_records=assume_records,
             backend=backend, faults=faults, checkpoint=checkpoint,
-            serve=serve,
+            serve=serve, errors_only=errors_only,
         ).lint_paths(
             os.fspath(workflow_path),
             [os.fspath(p) for p in input_paths],
@@ -231,10 +238,14 @@ class PaPar:
 
     def generate_code(self, plan: WorkflowPlan) -> str:
         """Emit the standalone Python partitioner for ``plan``."""
+        from repro.core.codegen import generate_partitioner_source
+
         return generate_partitioner_source(plan)
 
     def compile(self, plan: WorkflowPlan):
         """Generate and import the partitioner module (has a ``run`` function)."""
+        from repro.core.codegen import compile_partitioner
+
         return compile_partitioner(plan)
 
     # -- data loading --------------------------------------------------------------
@@ -243,11 +254,17 @@ class PaPar:
         """Read an input file through its registered schema."""
         schema = self.schema(schema_id)
         if schema.input_format == "binary":
+            from repro.formats.binary import read_binary
+
             return Dataset.from_array(schema, read_binary(path, schema))
+        from repro.formats.text import read_text_array
+
         return Dataset.from_array(schema, read_text_array(path, schema))
 
     def input_format(self, path: Union[str, os.PathLike], schema_id: str):
         """A Hadoop-style InputFormat over ``path`` (binary schemas)."""
+        from repro.formats.binary import BinaryInputFormat
+
         return BinaryInputFormat(path, self.schema(schema_id))
 
     def partition_files(
@@ -367,6 +384,8 @@ class PaPar:
         ``docs/out-of-core.md``).  ``None`` (the default) keeps the
         in-memory fast path untouched.
         """
+        from repro.core.runtime import SerialRuntime, resident
+
         optimized = None
         reattach_source = None
         if optimize:

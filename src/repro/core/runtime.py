@@ -68,27 +68,24 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from repro.cluster.model import ClusterModel
 from repro.core.dataset import Dataset, concat
 from repro.core.planner import PlannedJob, WorkflowPlan
 from repro.errors import WorkflowError
-from repro.fault.checkpoint import CheckpointStore, job_key, plan_fingerprint
-from repro.fault.injector import FaultInjector
-from repro.fault.retry import RetryPolicy
-from repro.fault.runner import execute_with_recovery
-from repro.fault.schedule import FaultSchedule
-from repro.formats.binary import PartWriter, map_binary
 from repro.mapreduce.columnar import PerfCounters, bucketize
-from repro.mapreduce.partitioner import RangePartitioner
-from repro.mpi import SUM, run_mpi
-from repro.mpi.comm import Communicator
-from repro.mpi.launcher import MPIRun
 from repro.ops.distribute import Distribute
 from repro.ops.group import Group
 from repro.ops.sort import Sort, sort_key_array
 from repro.ops.split import Split
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; obs stays a lazy import
+if TYPE_CHECKING:  # pragma: no cover - typing only: a serial run never loads
+    # the MPI runtime, the fault layer, the cluster model or obs
+    from repro.cluster.model import ClusterModel
+    from repro.fault.checkpoint import CheckpointStore
+    from repro.fault.injector import FaultInjector
+    from repro.fault.retry import RetryPolicy
+    from repro.formats.binary import PartWriter
+    from repro.mpi.comm import Communicator
+    from repro.mpi.launcher import MPIRun
     from repro.obs.span import Recorder
 
 
@@ -335,7 +332,11 @@ class MPIRuntime:
         self.cluster = cluster
         self.sample_size = sample_size
         #: normalized fault schedule (``None`` when no faults were configured)
-        self.faults = FaultSchedule.coerce(faults)
+        self.faults = None
+        if faults is not None:
+            from repro.fault.schedule import FaultSchedule
+
+            self.faults = FaultSchedule.coerce(faults)
         self.chaos_seed = chaos_seed
         self.checkpoint = checkpoint
         self.retry = retry
@@ -407,6 +408,8 @@ class MPIRuntime:
                 merged.update(rank_out)
             perf = PerfCounters.merge_ranks([perf for _out, perf in run.results])
             if perf.output.get("mode") == "in_place":
+                from repro.formats.binary import map_binary
+
                 # every rank reported ok: the parts appear, all at once
                 schema = part_writer.schema
                 partitions = [
@@ -451,6 +454,10 @@ class MPIRuntime:
         """
         if not self.fault_tolerant:
             return self._launch(plan, input_data, rank_kwargs), None
+        from repro.fault.checkpoint import plan_fingerprint
+        from repro.fault.injector import FaultInjector
+        from repro.fault.runner import execute_with_recovery
+
         injector = (
             FaultInjector(self.faults, seed=self.chaos_seed) if self.faults else None
         )
@@ -492,6 +499,8 @@ class MPIRuntime:
         start_time: float = 0.0,
     ) -> MPIRun:
         """One SPMD attempt: :meth:`_rank_program` on every rank (threads here)."""
+        from repro.mpi import run_mpi
+
         return run_mpi(
             self._rank_program,
             self.num_ranks,
@@ -520,6 +529,8 @@ class MPIRuntime:
     ) -> tuple[dict[int, Any], PerfCounters]:
         perf = PerfCounters()
         comm.recorder = recorder
+        if checkpoint is not None:
+            from repro.fault.checkpoint import job_key
         ctx = None
         if ooc_spec is not None:
             from repro.ooc.budget import MemoryBudget
@@ -681,6 +692,8 @@ class MPIRuntime:
                 comm, kernel, sum(m.num_records for m in inbox if m is not None)
             )
             return reduce_received(op, inbox, source.schema, ctx)
+        from repro.mapreduce.partitioner import RangePartitioner
+
         data = resident(source)
         sort_keys = sort_key_array(np.asarray(data.column(op.key)), ascending)
         reducer_of = RangePartitioner.sampled(
@@ -754,6 +767,8 @@ class MPIRuntime:
         index, entries)`` chunks, which the owners order by ``(stream, first
         index)`` and return as ``{partition: Dataset}``.
         """
+        from repro.mpi import SUM
+
         streams = list(source) if isinstance(source, (list, tuple)) else [source]
         num_p = op.num_partitions
         gathered = self._why_gathered(part_writer, ctx, streams)

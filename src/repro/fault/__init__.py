@@ -27,30 +27,17 @@ check and the runtimes bypass the recovery loop entirely when no fault
 tolerance was configured.
 """
 
-from repro.fault.checkpoint import (
-    CheckpointStore,
-    DiskCheckpointStore,
-    MemoryCheckpointStore,
-    committed_prefix,
-    job_key,
-    plan_fingerprint,
-)
-from repro.fault.injector import FaultInjector
-from repro.fault.retry import RetryPolicy
-from repro.fault.runner import execute_with_recovery
-from repro.fault.schedule import FaultSchedule, FaultSpec, parse_fault_spec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckpointStore",
-    "DiskCheckpointStore",
-    "MemoryCheckpointStore",
-    "FaultInjector",
-    "FaultSchedule",
-    "FaultSpec",
-    "RetryPolicy",
-    "committed_prefix",
-    "execute_with_recovery",
-    "job_key",
-    "parse_fault_spec",
-    "plan_fingerprint",
-]
+# names load on first use: ``serve``'s snapshots need the checkpoint store,
+# not the injector or the recovery loop
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.fault.checkpoint": (
+        "CheckpointStore", "DiskCheckpointStore", "MemoryCheckpointStore",
+        "committed_prefix", "job_key", "plan_fingerprint",
+    ),
+    "repro.fault.injector": ("FaultInjector",),
+    "repro.fault.retry": ("RetryPolicy",),
+    "repro.fault.runner": ("execute_with_recovery",),
+    "repro.fault.schedule": ("FaultSchedule", "FaultSpec", "parse_fault_spec"),
+})

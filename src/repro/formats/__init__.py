@@ -6,46 +6,21 @@ interface (paper Section III-A): a schema describes one element of the input
 ``InputFormat`` contract over it so mappers read their own slices.
 """
 
-from repro.formats.binary import (
-    BinaryInputFormat,
-    read_binary,
-    write_binary,
-    write_partitions,
-)
-from repro.formats.packed import CSCBlock, PackedRecords, compression_ratio, pack, unpack
-from repro.formats.records import (
-    BLAST_INDEX_SCHEMA,
-    EDGE_LIST_SCHEMA,
-    Field,
-    RecordSchema,
-)
-from repro.formats.text import (
-    ByteRangeTextInputFormat,
-    TextInputFormat,
-    read_text,
-    read_text_array,
-    write_text,
-    write_text_array,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Field",
-    "RecordSchema",
-    "BLAST_INDEX_SCHEMA",
-    "EDGE_LIST_SCHEMA",
-    "BinaryInputFormat",
-    "TextInputFormat",
-    "ByteRangeTextInputFormat",
-    "read_binary",
-    "write_binary",
-    "write_partitions",
-    "read_text",
-    "read_text_array",
-    "write_text",
-    "write_text_array",
-    "PackedRecords",
-    "CSCBlock",
-    "pack",
-    "unpack",
-    "compression_ratio",
-]
+# names load on first use: importing one codec does not load the others
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.formats.records": (
+        "Field", "RecordSchema", "BLAST_INDEX_SCHEMA", "EDGE_LIST_SCHEMA",
+    ),
+    "repro.formats.binary": (
+        "BinaryInputFormat", "read_binary", "write_binary", "write_partitions",
+    ),
+    "repro.formats.text": (
+        "TextInputFormat", "ByteRangeTextInputFormat", "read_text",
+        "read_text_array", "write_text", "write_text_array",
+    ),
+    "repro.formats.packed": (
+        "PackedRecords", "CSCBlock", "pack", "unpack", "compression_ratio",
+    ),
+})

@@ -16,51 +16,23 @@ the driving applications are C++.  This package provides the equivalent:
   (``get_splits`` / ``get_record_reader``) mentioned in Section III-A.
 """
 
-from repro.mapreduce.columnar import (
-    COMBINERS,
-    GroupedKVBatch,
-    KVBatch,
-    PerfCounters,
-    VectorCombiner,
-    bucketize,
-    concat_batches,
-)
-from repro.mapreduce.engine import MRMPIEngine
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.local import LocalEngine
-from repro.mapreduce.partitioner import (
-    ExplicitPartitioner,
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-    stable_hash,
-    stable_hash_array,
-)
-from repro.mapreduce.hadoop_engine import HadoopCluster, HadoopJobResult
-from repro.mapreduce.rebalance import imbalance, rebalance
-from repro.mapreduce.sampling import reservoir_sample, sample_key_ranges
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HadoopCluster",
-    "HadoopJobResult",
-    "rebalance",
-    "imbalance",
-    "MRMPIEngine",
-    "LocalEngine",
-    "MapReduceJob",
-    "Partitioner",
-    "HashPartitioner",
-    "RangePartitioner",
-    "ExplicitPartitioner",
-    "reservoir_sample",
-    "sample_key_ranges",
-    "stable_hash",
-    "stable_hash_array",
-    "KVBatch",
-    "GroupedKVBatch",
-    "PerfCounters",
-    "VectorCombiner",
-    "COMBINERS",
-    "bucketize",
-    "concat_batches",
-]
+# names load on first use: the workflow runtimes need the columnar kernels
+# and the partitioners, not the engines
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.mapreduce.columnar": (
+        "COMBINERS", "GroupedKVBatch", "KVBatch", "PerfCounters",
+        "VectorCombiner", "bucketize", "concat_batches",
+    ),
+    "repro.mapreduce.engine": ("MRMPIEngine",),
+    "repro.mapreduce.job": ("MapReduceJob",),
+    "repro.mapreduce.local": ("LocalEngine",),
+    "repro.mapreduce.partitioner": (
+        "ExplicitPartitioner", "HashPartitioner", "Partitioner",
+        "RangePartitioner", "stable_hash", "stable_hash_array",
+    ),
+    "repro.mapreduce.hadoop_engine": ("HadoopCluster", "HadoopJobResult"),
+    "repro.mapreduce.rebalance": ("imbalance", "rebalance"),
+    "repro.mapreduce.sampling": ("reservoir_sample", "sample_key_ranges"),
+})

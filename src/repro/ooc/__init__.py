@@ -20,40 +20,15 @@ one module must not load the sorter and the spill machinery behind it.
 
 from __future__ import annotations
 
-_LAZY = {
-    "MemoryBudget": "repro.ooc.budget",
-    "MemoryBudgetError": "repro.ooc.budget",
-    "parse_memory_budget": "repro.ooc.budget",
-    "ChunkedDataset": "repro.ooc.chunked",
-    "iter_dataset_chunks": "repro.ooc.chunked",
-    "ExternalSorter": "repro.ooc.extsort",
-    "external_sort_chunks": "repro.ooc.extsort",
-    "Frame": "repro.ooc.runfile",
-    "RunCorruptionError": "repro.ooc.runfile",
-    "RunFileError": "repro.ooc.runfile",
-    "RunReader": "repro.ooc.runfile",
-    "RunWriter": "repro.ooc.runfile",
-    "SpillManifest": "repro.ooc.runfile",
-    "SpillStats": "repro.ooc.runfile",
-    "read_run": "repro.ooc.runfile",
-    "OOCContext": "repro.ooc.spill",
-    "SpillableShuffle": "repro.ooc.spill",
-}
+from repro._lazy import lazy_exports
 
-__all__ = sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.ooc.budget": ("MemoryBudget", "MemoryBudgetError", "parse_memory_budget"),
+    "repro.ooc.chunked": ("ChunkedDataset", "iter_dataset_chunks"),
+    "repro.ooc.extsort": ("ExternalSorter", "external_sort_chunks"),
+    "repro.ooc.runfile": (
+        "Frame", "RunCorruptionError", "RunFileError", "RunReader", "RunWriter",
+        "SpillManifest", "SpillStats", "read_run",
+    ),
+    "repro.ooc.spill": ("OOCContext", "SpillableShuffle"),
+})

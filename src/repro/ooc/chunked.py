@@ -27,7 +27,7 @@ from repro.core.dataset import Dataset
 from repro.errors import FormatError
 from repro.formats.binary import read_records
 from repro.formats.records import RecordSchema
-from repro.formats.text import iter_text_lines, parse_line
+from repro.formats.text import _decode_bulk, iter_text_lines, parse_line, takes_bulk_codec
 from repro.ooc.budget import MemoryBudget
 
 PathLike = Union[str, os.PathLike]
@@ -199,22 +199,28 @@ class ChunkedDataset:
     def _read_text_rows(self, abs_start: int, length: int) -> np.ndarray:
         block, skip = divmod(abs_start, self._text_stride)
         offset = int(self._text_index[block]) if len(self._text_index) else 0
-        rows: list[tuple] = []
+        lines: list[str] = []
         for line in iter_text_lines(self.path, _TEXT_BUFFER, offset=offset):
             if not line.strip():
                 continue
             if skip:
                 skip -= 1
                 continue
-            rows.append(parse_line(line, self.schema))
-            if len(rows) == length:
+            lines.append(line)
+            if len(lines) == length:
                 break
-        if len(rows) != length:
+        if len(lines) != length:
             raise FormatError(
                 f"{self.path}: expected {length} records from row {abs_start}, "
-                f"found {len(rows)}"
+                f"found {len(lines)}"
             )
-        return self.schema.to_structured(rows)
+        if takes_bulk_codec(self.schema):
+            # the range in one call; anything it does not take (and every
+            # error message) is the per-line parser's, as in read_text_array
+            records = _decode_bulk("".join(lines).encode(), self.schema)
+            if records is not None and len(records) == length:
+                return records
+        return self.schema.to_structured([parse_line(line, self.schema) for line in lines])
 
     def chunks(self) -> Iterator[Dataset]:
         """Budget-sized flat datasets covering this view in row order."""

@@ -6,10 +6,21 @@ module turns each hole into a failing test.  The PAP08x entries carry an
 extra obligation: their ``good`` examples must describe the *applied
 rewrite* (the optimizer pass from :data:`PASS_NAMES`), not just a manual
 edit, so the lint catalog and ``papar optimize`` stay in sync.
+
+Every checker declares the codes it can emit (the lint gate picks its
+checkers by them); that every code a checker *yields* — in the golden
+suite and every other test of this directory — is among them is enforced
+by ``conftest.py``, and the last test here shows that guard firing.
 """
 
-from repro.analysis import CATALOG, all_codes
+from repro.analysis import CATALOG, all_codes, lint_workflow
 from repro.analysis.optimize import PASS_NAMES
+from repro.analysis.rules import CHECKERS
+from repro.config.examples import BLAST_WORKFLOW_XML
+from tests.analysis.conftest import declared_only
+
+#: codes the engine emits itself (parse failures, unused inputs, crashes)
+ENGINE_CODES = {"PAP001", "PAP002", "PAP003", "PAP050", "PAP051", "PAP099"}
 
 
 def test_every_code_has_a_catalog_entry():
@@ -62,3 +73,30 @@ def test_explain_dict_round_trips_examples():
         assert doc["code"] == code
         assert doc["bad"] == spec.bad
         assert doc["good"] == spec.good
+
+
+def test_every_checker_declares_catalogued_codes():
+    for func in CHECKERS:
+        assert func.codes, f"{func.__name__} declares no codes"
+        assert set(func.codes) <= set(CATALOG), func.__name__
+
+
+def test_every_code_has_exactly_one_emitter():
+    declared = [code for func in CHECKERS for code in func.codes]
+    assert len(declared) == len(set(declared)), "a code declared by two checkers"
+    assert set(declared) | ENGINE_CODES == set(CATALOG)
+    assert not set(declared) & ENGINE_CODES
+
+
+def test_a_checker_yielding_an_undeclared_code_fails():
+    def sneaky(ctx):
+        yield ctx.diag("PAP083", "not what this checker declares")
+
+    sneaky.codes = ("PAP084",)
+    undeclared: list = []
+    CHECKERS.append(declared_only(sneaky, undeclared))
+    try:
+        lint_workflow(BLAST_WORKFLOW_XML)
+    finally:
+        CHECKERS.pop()
+    assert undeclared == ["sneaky yielded PAP083, declares ('PAP084',)"]

@@ -1,0 +1,73 @@
+"""Each CLI command imports what it runs and nothing else (fresh interpreters).
+
+The budgets — a deny-list and ceilings on ``repro`` modules and on their
+source lines, which is what a ``.pyc``-free start compiles — live in one
+table, ``tools/startup_budget.py::BUDGETS``; CI's lint job runs the same
+tool with ``--check``.  Timing is the tool's business, not this test's.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+spec = importlib.util.spec_from_file_location(
+    "startup_budget", Path(__file__).resolve().parents[2] / "tools" / "startup_budget.py"
+)
+startup_budget = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(startup_budget)
+
+
+@pytest.fixture(scope="module")
+def commands(tmp_path_factory):
+    work = tmp_path_factory.mktemp("startup")
+    return startup_budget.commands(startup_budget.make_inputs(work), work), work
+
+
+@pytest.fixture(scope="module")
+def loaded(commands):
+    """``{command: {module: file}}``, one fresh interpreter per command."""
+    cmds, work = commands
+    return {
+        name: startup_budget.imported(args, name == "serve", work)
+        for name, args in cmds.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(startup_budget.BUDGETS))
+def test_command_stays_within_its_import_budget(loaded, name):
+    assert startup_budget.violations(name, loaded[name], wall=None) == []
+
+
+def test_help_loads_no_numpy_and_only_the_cli(loaded):
+    own = sorted(m for m in loaded["help"] if startup_budget.is_repro(m))
+    assert "numpy" not in loaded["help"]
+    assert own == ["repro", "repro._lazy", "repro._version", "repro.cli", "repro.errors"]
+
+
+def test_lint_still_runs_the_cost_model_over_the_real_input(loaded):
+    # every rule runs, and the probe reads the edge list through ChunkedDataset
+    assert "repro.analysis.cost" in loaded["lint-hybrid"]
+    assert "repro.ooc.chunked" in loaded["lint-hybrid"]
+
+
+@pytest.mark.parametrize("name", ["plan-blast", "plan-hybrid", "run-blast", "run-hybrid"])
+def test_the_gate_loads_no_cost_model(loaded, name):
+    assert "repro.analysis.cost" not in loaded[name]
+    assert "repro.analysis.dataflow" not in loaded[name]
+
+
+def test_budgeted_and_process_runs_load_what_they_use(loaded):
+    assert "repro.ooc.budget" in loaded["run-budget"]
+    assert "repro.mpi.process_backend" in loaded["run-process"]
+    assert not any(m.startswith("repro.fault") for m in loaded["run-process"])
+
+
+def test_the_budget_check_catches_a_denied_module():
+    mods = {"repro": "", "repro.mpi": "", "numpy": ""}
+    assert startup_budget.violations("plan-blast", mods, wall=None) == [
+        "imports repro.mpi"
+    ]
+    assert "imports numpy" in startup_budget.violations("help", mods, wall=None)
+

@@ -126,6 +126,36 @@ class TestText:
         assert view._text_index is data._text_index
         assert np.array_equal(view.materialize().records, full[33:73])
 
+    def test_a_numeric_row_range_decodes_in_one_call(self, tmp_path, monkeypatch):
+        import repro.ooc.chunked as chunked
+
+        path = str(tmp_path / "edges.txt")
+        make_edge_file(path, 300, blank_every=7)
+        full = read_text_array(path, EDGE_LIST_SCHEMA)
+        data = ChunkedDataset(path, EDGE_LIST_SCHEMA, MemoryBudget("1KB"))
+
+        def per_line(line, schema):
+            raise AssertionError("a plain numeric row went through parse_line")
+
+        monkeypatch.setattr(chunked, "parse_line", per_line)
+        assert np.array_equal(data.read_rows(41, 200), full[41:241])
+
+    @pytest.mark.parametrize("bad_line", ["1\tx\n", "1\n", "1\t2\t3\n", "1 \t2\n"])
+    def test_rows_the_bulk_decode_refuses_keep_the_per_line_outcome(
+        self, tmp_path, bad_line
+    ):
+        path = tmp_path / "edges.txt"
+        path.write_text("1\t2\n" * 5 + bad_line + "3\t4\n" * 5)
+        data = ChunkedDataset(str(path), EDGE_LIST_SCHEMA, MemoryBudget("1KB"))
+        try:
+            expected = read_text_array(str(path), EDGE_LIST_SCHEMA)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                data.read_rows(0, len(data))
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(data.read_rows(0, len(data)), expected)
+
 
 def scan_line_by_line(path, stride):
     """The per-line scan the vectorized one replaced, kept as its reference."""

@@ -1,0 +1,251 @@
+#!/usr/bin/env python3
+"""What each CLI command pays before it does its work, and its import budget.
+
+Every ``python -m repro`` child starts a fresh interpreter, and a checkout
+run without ``.pyc`` files (``PYTHONDONTWRITEBYTECODE=1``, a fresh clone)
+compiles every ``repro`` module it imports from source — so a command's
+start-up cost follows the *source lines* it imports, not just the module
+count.  This tool runs each command on small generated inputs and prints,
+per command:
+
+* the wall time: mean of the faster half of ``--runs`` fresh interpreters
+  (launch to exit; ``serve``: launch to its ``serving on`` line);
+* the number of ``repro`` modules the command imported and their source
+  lines, read from ``sys.modules`` at interpreter exit of one more run;
+* whether ``numpy`` was loaded.
+
+``--check`` fails (exit 1) when a command imports a module on its
+deny-list, more modules or lines than its ceiling, or takes longer than
+its (generous) time ceiling.  ``BUDGETS`` below is the one table of those
+ceilings; ``tests/core/test_startup_budget.py`` checks the same table.
+
+Usage::
+
+    python tools/startup_budget.py [--runs 10] [--check] [--only plan-hybrid]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
+
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = REPO / "configs"
+
+#: runs the CLI in-process and writes ``name<TAB>file`` for every loaded
+#: module to ``argv[1]`` at interpreter exit
+_BOOT = """\
+import atexit, sys
+def _dump(path=sys.argv[1]):
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, mod in sorted(sys.modules.items()):
+            fh.write(f"{name}\\t{getattr(mod, '__file__', None) or ''}\\n")
+atexit.register(_dump)
+sys.argv = ["repro"] + sys.argv[2:]
+import runpy
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
+
+#: module groups a command loads only when it asks for them
+_SPMD = ("repro.mpi", "repro.fault", "repro.cluster")
+_ENGINES = (
+    "repro.core.codegen", "repro.mapreduce.engine", "repro.mapreduce.hadoop_engine",
+    "repro.mapreduce.local", "repro.mapreduce.job", "repro.mapreduce.rebalance",
+)
+_ON_REQUEST = ("repro.serve", "repro.obs")
+_SPILL = ("repro.ooc.runfile", "repro.ooc.extsort", "repro.ooc.spill", "repro.ooc.exchange")
+
+
+@dataclass(frozen=True)
+class Budget:
+    """What one command may import, and how long it may take."""
+
+    #: ceiling on ``repro`` modules imported
+    modules: int
+    #: ceiling on the source lines of those modules
+    lines: int
+    #: modules (and their submodules) the command must not import
+    deny: tuple[str, ...]
+    #: a generous wall-time ceiling (s), so only a gross regression fails
+    seconds: float = 3.0
+    #: whether the command may load numpy
+    numpy: bool = True
+
+
+BUDGETS: dict[str, Budget] = {
+    "help": Budget(5, 1_000, ("repro.core", "repro.config", "repro.analysis"),
+                   seconds=1.0, numpy=False),
+    # every rule runs; the cost model's probe reads the input (repro.ooc.chunked)
+    "lint-hybrid": Budget(55, 9_500, _SPMD + _ENGINES + _ON_REQUEST + _SPILL
+                          + ("repro.core.runtime",)),
+    "plan-blast": Budget(45, 8_000, _SPMD + _ENGINES + _ON_REQUEST
+                         + ("repro.ooc", "repro.core.runtime")),
+    "plan-hybrid": Budget(45, 8_000, _SPMD + _ENGINES + _ON_REQUEST
+                          + ("repro.ooc", "repro.core.runtime")),
+    "run-blast": Budget(52, 10_000, _SPMD + _ENGINES + _ON_REQUEST + ("repro.ooc",)),
+    "run-hybrid": Budget(52, 10_000, _SPMD + _ENGINES + _ON_REQUEST + ("repro.ooc",)),
+    "run-budget": Budget(60, 11_600, _SPMD + _ENGINES + _ON_REQUEST),
+    "run-process": Budget(72, 13_700, ("repro.fault",) + _ENGINES + _ON_REQUEST
+                          + ("repro.ooc",), seconds=4.0),
+    "serve": Budget(74, 14_300, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
+                                 "repro.fault.injector", "repro.fault.runner")
+                    + _ENGINES + _SPILL[1:]),
+}
+
+
+def make_inputs(work: Path) -> dict[str, str]:
+    """Write a small BLAST index and an edge list; return the paths."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.blast import generate_index
+    from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA, write_binary, write_text
+    from repro.graph import generate_graph
+
+    index = str(work / "db.index")
+    write_binary(index, generate_index("env_nr", num_sequences=20_000, seed=5),
+                 BLAST_INDEX_SCHEMA, header=b"\x00" * 32)
+    edges = str(work / "edges.txt")
+    graph = generate_graph("google", scale=0.002, seed=13)
+    write_text(edges, graph.to_dataset().to_flat().records.tolist(), EDGE_LIST_SCHEMA)
+    return {"index": index, "edges": edges}
+
+
+def commands(paths: dict[str, str], work: Path) -> dict[str, list[str]]:
+    """The CLI argument list of every budgeted command."""
+    blast = ["--workflow", str(CONFIGS / "blast_partition.xml"),
+             "--input-config", str(CONFIGS / "blast_db.xml"),
+             "--arg", f"input_path={paths['index']}",
+             "--arg", f"output_path={work / 'out-blast'}",
+             "--arg", "num_partitions=8"]
+    hybrid = ["--workflow", str(CONFIGS / "hybrid_cut.xml"),
+              "--input-config", str(CONFIGS / "graph_edge.xml"),
+              "--arg", f"input_file={paths['edges']}",
+              "--arg", f"output_path={work / 'out-hybrid'}",
+              "--arg", "num_partitions=8", "--arg", "threshold=30"]
+    return {
+        "help": ["--help"],
+        "lint-hybrid": ["lint", str(CONFIGS / "hybrid_cut.xml"),
+                        "--input", str(CONFIGS / "graph_edge.xml"),
+                        "--arg", f"input_file={paths['edges']}"],
+        "plan-blast": ["plan", *blast],
+        "plan-hybrid": ["plan", *hybrid],
+        "run-blast": ["run", *blast],
+        "run-hybrid": ["run", *hybrid],
+        "run-budget": ["run", *blast, "--memory-budget", "64KB"],
+        "run-process": ["run", *blast, "--backend", "process", "--ranks", "2"],
+        "serve": ["serve", *blast, "--port", "0"],
+    }
+
+
+def _env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+
+def _launch(argv: list[str], serve: bool) -> float:
+    """One fresh interpreter; its wall (to ``serving on`` for ``serve``)."""
+    t0 = time.perf_counter()
+    if not serve:
+        subprocess.run(argv, env=_env(), check=True, stdout=subprocess.DEVNULL)
+        return time.perf_counter() - t0
+    proc = subprocess.Popen(argv, env=_env(), stdout=subprocess.PIPE, text=True)
+    try:
+        line = proc.stdout.readline()
+        wall = time.perf_counter() - t0
+        if not line.startswith("serving on "):
+            raise RuntimeError(f"serve did not start: {line!r}")
+    finally:
+        proc.send_signal(signal.SIGTERM)  # SIGTERM drains, then exits 0
+        proc.communicate(timeout=60)
+    if proc.returncode != 0:
+        raise RuntimeError(f"serve exited {proc.returncode}")
+    return wall
+
+
+def imported(args: list[str], serve: bool, work: Path) -> dict[str, str]:
+    """``{module: file}`` of everything one run of the command loaded."""
+    dump = work / "modules.txt"
+    _launch([sys.executable, "-c", _BOOT, str(dump), *args], serve)
+    with open(dump, encoding="utf-8") as fh:
+        return dict(line.rstrip("\n").split("\t", 1) for line in fh)
+
+
+def source_lines(path: str) -> int:
+    """Lines of one module's source file (0 for a module without one)."""
+    if not path.endswith(".py"):
+        return 0
+    with open(path, "rb") as fh:
+        return len(fh.read().splitlines())
+
+
+def is_repro(name: str) -> bool:
+    """Whether ``name`` is this package or one of its modules."""
+    return name == "repro" or name.startswith("repro.")
+
+
+def violations(name: str, mods: dict[str, str], wall: Optional[float]) -> list[str]:
+    """How one command's measurement breaks its budget (empty: it does not)."""
+    budget = BUDGETS[name]
+    own = {m: f for m, f in mods.items() if is_repro(m)}
+    lines = sum(source_lines(f) for f in own.values())
+    found = []
+    denied = sorted(m for m in own
+                    if any(m == d or m.startswith(d + ".") for d in budget.deny))
+    if denied:
+        found.append(f"imports {', '.join(denied)}")
+    if len(own) > budget.modules:
+        found.append(f"{len(own)} repro modules > {budget.modules}")
+    if lines > budget.lines:
+        found.append(f"{lines} source lines > {budget.lines}")
+    if not budget.numpy and "numpy" in mods:
+        found.append("imports numpy")
+    if wall is not None and wall > budget.seconds:
+        found.append(f"{wall:.3f} s > {budget.seconds} s")
+    return found
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--runs", type=int, default=10,
+                        help="fresh interpreters timed per command (default 10)")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 when a command exceeds its budget")
+    parser.add_argument("--only", action="append", choices=sorted(BUDGETS),
+                        help="measure only this command (repeatable)")
+    ns = parser.parse_args(argv)
+    sys.path.insert(0, str(REPO / "benchmarks" / "e2e"))
+    from harness import faster_half_mean  # the benchmark's own statistic
+
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="startup-budget-") as tmp:
+        work = Path(tmp)
+        cmds = commands(make_inputs(work), work)
+        print(f"{'command':<12} {'wall(s)':>8} {'modules':>8} {'lines':>7} "
+              f"{'numpy':>5}  budget")
+        for name in ns.only or BUDGETS:
+            serve = name == "serve"
+            args = cmds[name]
+            walls = [_launch([sys.executable, "-m", "repro", *args], serve)
+                     for _ in range(ns.runs)]
+            wall = faster_half_mean(walls) if walls else None
+            mods = imported(args, serve, work)
+            own = [f for m, f in mods.items() if is_repro(m)]
+            bad = violations(name, mods, wall)
+            failed |= bool(bad)
+            budget = BUDGETS[name]
+            print(f"{name:<12} {wall if wall is not None else float('nan'):>8.3f} "
+                  f"{len(own):>8} {sum(map(source_lines, own)):>7} "
+                  f"{'yes' if 'numpy' in mods else 'no':>5}  "
+                  f"<= {budget.modules} / {budget.lines}"
+                  + (f"  OVER: {'; '.join(bad)}" if bad else ""))
+    return 1 if failed and ns.check else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
