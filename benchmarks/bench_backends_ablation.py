@@ -88,7 +88,6 @@ def run_fused_ablation(data):
             bytes_moved_plain=shuffle_payload(plain),
             bytes_moved_optimized=summary["measured_bytes_moved"],
             exchanges_removed=summary["exchanges_removed"],
-            pruning_applied=bool(summary.get("pruning_applied")),
         )
     exp.note(f"optimized partitions identical to plain: {identical}")
     return exp, identical

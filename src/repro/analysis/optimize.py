@@ -3,9 +3,12 @@
 PR 8 built the diagnosis side — the plan-IR, the fixed-point dataflow
 analyses, the exchange cost model, and the PAP080–084 advisories that
 *describe* wasted work.  This module is the other half of ROADMAP item 2:
-a rewrite engine over the same IR that turns each advisory into an
-applied transformation, accepting a rewrite only when the re-analyzed
-plan is still clean and its estimated exchange payload did not grow.
+a rewrite engine over the same IR that turns each structural advisory
+(PAP080–082) into an applied transformation, accepting a rewrite only
+when the re-analyzed plan is still clean and its estimated exchange
+payload did not grow.  PAP083 (unread columns) and PAP084 (hotspots)
+stay advisories: no pass applies them, and an optimized run is the plain
+run of the rewritten workflow.
 
 Passes (see ``docs/optimizer.md`` for the safety arguments):
 
@@ -25,16 +28,11 @@ Passes (see ``docs/optimizer.md`` for the safety arguments):
     only the identity cases compose losslessly).  Every symbolic
     conclusion is re-verified by executing both pipelines on probe data.
 
-``PAP083`` column-pruning
-    Plan a narrowed execution: live columns plus a synthetic row id ride
-    through every exchange, and the pruned columns are re-attached from
-    the held input after the run (:mod:`repro.core.pruning`).
-
 Every pass that declines to fire records a :class:`RefusedRewrite` with
 the reason, so ``papar optimize`` teaches as much when it does nothing
 as when it rewrites.  Output reuses the ``papar explain`` renderer as an
 original → optimized diff (text, or versioned JSON: schema
-``papar.optimize`` v1).
+``papar.optimize`` v2).
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
-from repro.analysis.cost import field_width
 from repro.analysis.engine import Linter
 from repro.analysis.explain import ExplainReport, _fmt_bytes, build_report
 from repro.analysis.locate import read_config
@@ -63,18 +60,16 @@ from repro.config.workflow import (
     WorkflowSpec,
     parse_workflow_config,
 )
-from repro.core.pruning import ROWID_FIELD
 from repro.formats.records import RecordSchema
 
 #: JSON contract version of the optimize report
-OPTIMIZE_SCHEMA_VERSION = 1
+OPTIMIZE_SCHEMA_VERSION = 2
 
 #: advisory code -> the optimizer pass that applies it
 PASS_NAMES = {
     "PAP080": "dead-operator-elimination",
     "PAP081": "redundant-exchange-elimination",
     "PAP082": "permutation-chain-composition",
-    "PAP083": "column-pruning",
 }
 
 #: parameter names the planner accepts as an operator's input binding
@@ -134,31 +129,6 @@ class RefusedRewrite:
 
 
 @dataclass
-class ColumnPruning:
-    """The planned narrowed execution (applied by :mod:`repro.core.pruning`)."""
-
-    #: live input columns, in schema order
-    live: list[str]
-    #: pruned input columns (never read by any operator)
-    pruned: list[str]
-    rowid_field: str
-    full_row_bytes: int
-    narrow_row_bytes: int
-    est_bytes_saved: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        """JSON form for the versioned optimize report."""
-        return {
-            "live": list(self.live),
-            "pruned": list(self.pruned),
-            "rowid_field": self.rowid_field,
-            "full_row_bytes": self.full_row_bytes,
-            "narrow_row_bytes": self.narrow_row_bytes,
-            "est_bytes_saved": self.est_bytes_saved,
-        }
-
-
-@dataclass
 class OptimizedPlan:
     """The rewritten workflow plus the audit trail that produced it."""
 
@@ -166,15 +136,14 @@ class OptimizedPlan:
     workflow: WorkflowSpec
     rewrites: list[AppliedRewrite] = field(default_factory=list)
     refusals: list[RefusedRewrite] = field(default_factory=list)
-    pruning: Optional[ColumnPruning] = None
     est_bytes_before: Optional[int] = None
     est_bytes_after: Optional[int] = None
     exchanges_removed: int = 0
 
     @property
     def changed(self) -> bool:
-        """True when at least one pass fired (rewrite or pruning)."""
-        return bool(self.rewrites) or self.pruning is not None
+        """True when at least one rewrite fired."""
+        return bool(self.rewrites)
 
     def summary(self) -> dict:
         """The ``optimizer`` section attached to results and ``--stats``."""
@@ -182,16 +151,9 @@ class OptimizedPlan:
         for r in self.rewrites:
             if r.pass_name not in passes:
                 passes.append(r.pass_name)
-        if self.pruning is not None:
-            passes.append(PASS_NAMES["PAP083"])
-        est_after = self.est_bytes_after
-        if est_after is not None and self.pruning is not None:
-            saved = self.pruning.est_bytes_saved
-            if saved is not None:
-                est_after = max(0, est_after - saved)
         est_saved = None
-        if self.est_bytes_before is not None and est_after is not None:
-            est_saved = self.est_bytes_before - est_after
+        if self.est_bytes_before is not None and self.est_bytes_after is not None:
+            est_saved = self.est_bytes_before - self.est_bytes_after
         return {
             "changed": self.changed,
             "passes_fired": passes,
@@ -199,9 +161,8 @@ class OptimizedPlan:
             "refusals": [r.to_dict() for r in self.refusals],
             "operators_removed": sum(len(r.removed) for r in self.rewrites),
             "exchanges_removed": self.exchanges_removed,
-            "pruning": self.pruning.to_dict() if self.pruning else None,
             "est_bytes_before": self.est_bytes_before,
-            "est_bytes_after": est_after,
+            "est_bytes_after": self.est_bytes_after,
             "est_bytes_saved": est_saved,
         }
 
@@ -215,7 +176,7 @@ class OptimizeReport:
     plan: OptimizedPlan
 
     def to_dict(self) -> dict:
-        """The versioned JSON form (schema ``papar.optimize`` v1)."""
+        """The versioned JSON form (schema ``papar.optimize`` v2)."""
         return {
             "version": OPTIMIZE_SCHEMA_VERSION,
             "tool": "papar-optimize",
@@ -241,7 +202,6 @@ class OptimizeReport:
         lines.append(
             f"  {len(plan.rewrites)} rewrite(s) applied, "
             f"{plan.exchanges_removed} exchange(s) removed"
-            + (", columns pruned" if plan.pruning else "")
         )
         for r in plan.rewrites:
             saved = (
@@ -252,16 +212,6 @@ class OptimizeReport:
             lines.append(
                 f"    {r.code} {r.pass_name} at {r.site}: "
                 f"removed {', '.join(repr(x) for x in r.removed)} — {r.detail}{saved}"
-            )
-        if plan.pruning is not None:
-            p = plan.pruning
-            saved = (
-                f" (est -{_fmt_bytes(p.est_bytes_saved)})" if p.est_bytes_saved else ""
-            )
-            lines.append(
-                f"    PAP083 {PASS_NAMES['PAP083']}: "
-                f"{', '.join(p.pruned)} pruned; rows narrow from "
-                f"{p.full_row_bytes}B to {p.narrow_row_bytes}B{saved}"
             )
         if plan.refusals:
             lines.append("  refused:")
@@ -725,76 +675,6 @@ def _pass_compose(spec: WorkflowSpec, ctx, refuse, blocked):
     return None
 
 
-def _plan_pruning(ctx, refuse, memory_budget=None) -> Optional[ColumnPruning]:
-    """PAP083: plan the narrowed execution, or record why it is unsafe."""
-    analyzed = ctx.analyzed()
-    if analyzed is None:
-        return None
-    cost = analyzed.cost
-    if not cost.unused_columns:
-        return None
-    schema, _arg = ctx.input_schema()
-    if schema is None:
-        return None
-    name = PASS_NAMES["PAP083"]
-    site = f"input schema {schema.id!r}"
-    if memory_budget is not None:
-        refuse("PAP083", site, "out-of-core runs stream full records from "
-               "disk; narrowing would change the spill layout")
-        return None
-    if schema.has_field(ROWID_FIELD):
-        refuse("PAP083", site, f"the input already has a {ROWID_FIELD!r} "
-                               "column")
-        return None
-    if any(f.type == "string" for f in schema.fields):
-        refuse("PAP083", site, "variable-width string fields cannot ride a "
-                               "fixed-width narrowed layout")
-        return None
-    for op in (ctx.model.operators if ctx.model is not None else []):
-        for p in op.params:
-            if p.format and "pack" in p.format.lower():
-                refuse("PAP083", site, f"operator {op.id!r} uses a packed "
-                       "record format; packed layouts carry whole records, "
-                       "so re-attachment cannot reproduce them")
-                return None
-    for node in analyzed.ir.nodes:
-        if node.kind in ("sort", "group", "split"):
-            key = node.param_value("key", "keyId")
-            if key is None or "$" in key:
-                refuse("PAP083", site, f"operator {node.op_id!r} has no "
-                       "statically resolvable key; liveness may undercount")
-                return None
-        for addon in node.op.addons:
-            if addon.attr and addon.attr in cost.unused_columns:
-                refuse("PAP083", site, f"add-on attribute {addon.attr!r} "
-                       "collides with a pruned column name")
-                return None
-    live = [f.name for f in schema.fields if f.name not in cost.unused_columns]
-    full_width = sum(field_width(f.type) for f in schema.fields)
-    narrow_width = (
-        sum(field_width(f.type) for f in schema.fields if f.name in live)
-        + field_width("long")
-    )
-    if narrow_width >= full_width:
-        refuse("PAP083", site, "the synthetic row id outweighs the pruned "
-                               f"fields ({narrow_width}B >= {full_width}B)")
-        return None
-    saved = 0
-    known = False
-    for est in cost.exchanges:
-        if est.rows is not None:
-            saved += est.rows * (full_width - narrow_width)
-            known = True
-    return ColumnPruning(
-        live=live,
-        pruned=sorted(cost.unused_columns),
-        rowid_field=ROWID_FIELD,
-        full_row_bytes=full_width,
-        narrow_row_bytes=narrow_width,
-        est_bytes_saved=saved if known else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -820,7 +700,6 @@ def optimize_spec(
     inputs: Iterable[tuple[str, Optional[str]]] = (),
     ranks: Optional[int] = None,
     assume_records: Optional[int] = None,
-    memory_budget: Optional[str] = None,
     filename: Optional[str] = None,
 ) -> OptimizedPlan:
     """Run every pass to a fixed point and return the optimized plan.
@@ -829,8 +708,7 @@ def optimize_spec(
     rewrite the workflow is serialized back to XML and pushed through the
     full lint engine again, and the rewrite is kept only if the new plan
     has no lint errors, one fewer operator, no more exchanges, and no
-    larger a total payload estimate.  Column pruning is planned once the
-    structure reaches a fixed point.
+    larger a total payload estimate.
     """
     linter = Linter(schemas=schemas, ranks=ranks, assume_records=assume_records)
 
@@ -901,7 +779,6 @@ def optimize_spec(
     plan.workflow = current
     plan.est_bytes_after = _total_known_bytes(ctx)
     plan.exchanges_removed = exchanges_before - _exchange_count(ctx)
-    plan.pruning = _plan_pruning(ctx, refuse, memory_budget=memory_budget)
     return plan
 
 
@@ -913,7 +790,6 @@ def optimize_workflow(
     schemas: Optional[dict[str, RecordSchema]] = None,
     ranks: Optional[int] = None,
     assume_records: Optional[int] = None,
-    memory_budget: Optional[str] = None,
 ) -> OptimizeReport:
     """Optimize one workflow (XML text) and build the diff report."""
     from repro.analysis.explain import explain_workflow
@@ -926,7 +802,6 @@ def optimize_workflow(
         inputs=inputs,
         ranks=ranks,
         assume_records=assume_records,
-        memory_budget=memory_budget,
         filename=filename,
     )
     before = explain_workflow(
@@ -952,7 +827,6 @@ def optimize_files(
     schemas: Optional[dict[str, RecordSchema]] = None,
     ranks: Optional[int] = None,
     assume_records: Optional[int] = None,
-    memory_budget: Optional[str] = None,
 ) -> OptimizeReport:
     """:func:`optimize_workflow` over configuration files on disk."""
     workflow_xml = read_config(workflow_path)
@@ -965,5 +839,4 @@ def optimize_files(
         schemas=schemas,
         ranks=ranks,
         assume_records=assume_records,
-        memory_budget=memory_budget,
     )

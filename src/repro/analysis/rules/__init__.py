@@ -374,32 +374,36 @@ CATALOG: dict[str, RuleSpec] = {
               "compose L_p = L_p — 'papar optimize' deletes the "
               "single-partition stage after probe-verifying equality"),
         _spec("PAP083", "unused-column", Severity.INFO,
-              "input columns no key or add-on reads; pruning them shrinks "
-              "every exchange",
+              "input columns no key or add-on reads; every exchange still "
+              "carries them",
               "Backward liveness found schema fields no operator's key or "
               "add-on ever reads. Workflows ship whole records through "
-              "every exchange; the column-pruning pass carries row-ids "
-              "instead and re-attaches the unused columns at final "
-              "materialization, saving the reported bytes per exchange.",
+              "every exchange, so the reported bytes are payload the keys "
+              "never needed. Advisory only: no optimizer pass applies it. "
+              "Carrying a row id in place of the unread columns costs a "
+              "gather by row id after the run, and on the shipped BLAST "
+              "workflow that made runs slower than moving whole records; "
+              "the lever is the input layout itself.",
               "a 4-column schema where only one column is ever a key",
-              "applied rewrite (column-pruning): 'papar run --optimize' "
-              "moves live columns plus a synthetic row id through every "
-              "exchange and re-attaches the pruned columns afterwards — "
-              "bit-identical output, narrower shuffles"),
+              "an input schema that carries only the columns its output "
+              "needs (the keys, the add-on fields, and whatever the part "
+              "files must hold), so no exchange moves a column nobody "
+              "reads"),
         _spec("PAP084", "exchange-hotspot", Severity.INFO,
               "an exchange whose estimated payload exceeds the hotspot "
               "threshold",
               "The cost model estimates bytes moved per exchange from the "
               "input row count and the inferred record width; stages above "
               "the threshold dominate the run and are the first candidates "
-              "for tuning (more ranks, column pruning, combiners). No "
-              "single rewrite applies mechanically — but the optimizer "
-              "passes (especially column-pruning) usually shrink the "
-              "hotspot first.",
+              "for tuning (more ranks, narrower records, combiners). No "
+              "single rewrite applies mechanically, but the optimizer's "
+              "structural passes delete a hotspot that is dead "
+              "(dead-operator-elimination) or redundant "
+              "(redundant-exchange-elimination).",
               "a sort over 10^8 records of 16-byte elements (1.6 GB moved)",
-              "applied mitigation: run 'papar optimize' — column-pruning "
-              "and exchange elimination shrink the hotspot; then tune "
-              "ranks/combiners for what remains"),
+              "applied mitigation: run 'papar optimize' — dead-stage and "
+              "exchange elimination remove the hotspot when it is wasted "
+              "work; then tune ranks/combiners for what remains"),
         # -- streaming-service fit (PAP09x) -----------------------------------
         _spec("PAP090", "stream-unsafe-policy", Severity.WARNING,
               "a serve workflow routes appends by arrival order, not by key",

@@ -2,12 +2,12 @@
 
 These rules never block a run — they are the static half of the plan
 optimizer (ROADMAP item 2), reporting as INFO what a rewrite pass *would*
-do: delete dead stages, drop redundant exchanges, collapse composed
-stride permutations, prune unread columns, and point at the exchange
-that dominates the bytes-moved budget.  ``papar explain`` renders the
-same analyses as a report instead of diagnostics, and
-:mod:`repro.analysis.optimize` is the other half: it applies each
-advisory as a rewrite (``PASS_NAMES`` maps code -> pass) where the
+do — delete dead stages, drop redundant exchanges, collapse composed
+stride permutations — and, with no pass behind them, name unread columns
+and the exchange that dominates the bytes-moved budget.  ``papar
+explain`` renders the same analyses as a report instead of diagnostics,
+and :mod:`repro.analysis.optimize` is the other half: it applies each
+structural advisory as a rewrite (``PASS_NAMES`` maps code -> pass) where the
 rewrite is provably bit-identical, and records a refusal where it is
 not — the advisory triggers here are deliberately broader than the
 rewrite preconditions there (an advisory is a conversation starter, a
@@ -248,8 +248,8 @@ def check_unused_columns(ctx: LintContext) -> Iterator[Diagnostic]:
         "PAP083",
         f"column(s) {cols} are never read by any key or add-on; {estimate}",
         line=arg.line if arg is not None else None,
-        suggestion="an optimizer could move row-ids through intermediate "
-        "exchanges and re-attach unused columns at materialization",
+        suggestion="if the part files do not need them either, drop them "
+        "from the input schema; no optimizer pass narrows records",
     )
 
 
@@ -272,6 +272,6 @@ def check_exchange_hotspots(ctx: LintContext) -> Iterator[Diagnostic]:
             f"({est.rows:.0f} records x {est.row_bytes:.0f}B), above the "
             f"{_fmt_bytes(HOTSPOT_BYTES)} hotspot threshold",
             line=node.line if node is not None else None,
-            suggestion="tune this stage first: more ranks, column pruning, "
+            suggestion="tune this stage first: more ranks, narrower records, "
             "or a combiner below the shuffle",
         )

@@ -5,7 +5,7 @@ runtime" with overrides from the command line; this CLI is that front end:
 
 * ``lint``     — statically analyze the configs and report every finding;
 * ``explain``  — render the analyzed plan-IR (schemas, liveness, exchange cost);
-* ``optimize`` — apply the PAP08x rewrite passes, show the plan diff;
+* ``optimize`` — apply the PAP080-082 rewrite passes, show the plan diff;
 * ``plan``     — parse the configs, resolve arguments, print the job table;
 * ``codegen``  — emit the generated partitioner source;
 * ``run``      — partition an input file into ``part-NNNNN`` output files;
@@ -14,7 +14,7 @@ runtime" with overrides from the command line; this CLI is that front end:
   snapshots (see ``docs/streaming-service.md``).
 
 ``plan`` and ``run`` accept ``--optimize`` to execute the rewritten plan
-(outputs stay bit-identical; only the exchange payloads shrink).
+(outputs stay bit-identical; a removed stage's exchange is never run).
 
 ``plan`` and ``run`` lint first and refuse configurations with errors
 (override with ``--no-lint``).
@@ -30,6 +30,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser(
         "optimize",
-        help="apply the PAP08x rewrite passes and render the original -> "
+        help="apply the PAP080-082 rewrite passes and render the original -> "
              "optimized plan diff",
     )
     p_opt.add_argument("workflow", metavar="WORKFLOW_XML",
@@ -159,14 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--assume-records", type=int, default=None, metavar="N",
                        help="assumed input record count when no real input "
                             "file is bound")
-    p_opt.add_argument("--memory-budget", default=None, metavar="SIZE",
-                       help="declared per-rank memory budget; column pruning "
-                            "refuses to fire on out-of-core runs")
 
     p_plan = sub.add_parser("plan", help="print the planned job sequence")
     common(p_plan)
     p_plan.add_argument("--optimize", action="store_true",
-                        help="apply the PAP08x rewrite passes and plan the "
+                        help="apply the PAP080-082 rewrite passes and plan the "
                              "rewritten workflow")
 
     p_gen = sub.add_parser("codegen", help="emit the generated partitioner source")
@@ -183,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print shuffle perf counters (records/bytes moved, "
                             "per-phase wall and virtual time)")
     p_run.add_argument("--optimize", action="store_true",
-                       help="apply the PAP08x rewrite passes before running; "
-                            "outputs are bit-identical, exchanges move fewer "
-                            "bytes (see --stats)")
+                       help="apply the PAP080-082 rewrite passes before "
+                            "running; outputs are bit-identical, removed "
+                            "exchanges move no bytes (see --stats)")
     p_run.add_argument("--faults", action="append", default=[], metavar="SPEC",
                        help="inject a fault (repeatable), e.g. "
                             "'crash:rank=1,job=0', 'drop:src=0,dst=2,p=0.5', "
@@ -354,7 +352,6 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
         args=_parse_arg_pairs(ns.arg),
         ranks=ns.ranks,
         assume_records=ns.assume_records,
-        memory_budget=ns.memory_budget,
     )
     if ns.format == "json":
         print(report.render_json())
@@ -406,11 +403,9 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     if ns.optimize:
         optimized = papar.optimize(workflow, args)
         workflow = optimized.workflow
-        summary = optimized.summary()
         print(
-            f"optimizer: {len(summary['rewrites'])} rewrite(s), "
-            f"{summary['exchanges_removed']} exchange(s) removed"
-            + (", columns pruned" if summary["pruning"] else "")
+            f"optimizer: {len(optimized.rewrites)} rewrite(s), "
+            f"{optimized.exchanges_removed} exchange(s) removed"
         )
         for r in optimized.rewrites:
             print(f"  {r.code} {r.pass_name}: removed "
@@ -461,14 +456,6 @@ def print_optimizer_stats(result) -> None:
     for r in opt.get("rewrites", []):
         print(f"  {r['code']} {r['pass']} at {r['site']}: "
               f"removed {', '.join(r['removed'])}")
-    pruning = opt.get("pruning")
-    if pruning:
-        applied = "applied" if opt.get("pruning_applied") else "planned"
-        print(
-            f"  PAP083 column-pruning ({applied}): "
-            f"{', '.join(pruning['pruned'])} pruned, rows "
-            f"{pruning['full_row_bytes']}B -> {pruning['narrow_row_bytes']}B"
-        )
     est = opt.get("est_bytes_saved")
     est_text = _format_bytes(int(est)) if est is not None else "?"
     print(
@@ -581,8 +568,6 @@ def cmd_run(ns: argparse.Namespace) -> int:
     if ns.crash_agent:
         # validate the spec up front, then arm the process backend through
         # its environment channel (read at gang spawn time, every attempt)
-        import os
-
         from repro.mpi.supervisor import CrashAgent
 
         try:
@@ -600,8 +585,6 @@ def cmd_run(ns: argparse.Namespace) -> int:
         )
     finally:
         if armed:
-            import os
-
             os.environ.pop("PAPAR_CRASH_AGENT", None)
     print(f"wrote {out.num_partitions} partition(s):")
     for path, part in zip(out.output_paths, out.partitions):
@@ -688,14 +671,37 @@ _COMMANDS = {
 }
 
 
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe whose reading end was closed."""
+    import select
+
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+    except (AttributeError, OSError, ValueError):
+        return False  # not a file descriptor (captured, or no poll)
+    return any(events & select.POLLERR for _, events in poller.poll(0))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return _COMMANDS[ns.command](ns)
+        code = _COMMANDS[ns.command](ns)
+        # a reader that stopped early (``| head``) shows up here, not at exit
+        sys.stdout.flush()
+        return code
     except PaParError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        if not _stdout_reader_gone():
+            raise  # a worker's or a socket's pipe: a real failure
+        # the Python docs' recipe: point stdout at devnull so the
+        # interpreter's own flush at exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,8 +11,9 @@ A fixed-width binary input is not read here: the run gets a file-backed
 source, so each rank reads its own byte range, and a
 :class:`~repro.formats.binary.PartWriter`, so the SPMD ranks can write
 their pieces of the partitions in place.  When they did, this module has
-nothing left to write; otherwise (serial, text, packed or pruned streams, a
-memory budget) it writes the partitions the run returned.
+nothing left to write; otherwise (serial, text or packed streams, records
+widened by add-on attributes, a memory budget) it writes the partitions the
+run returned.
 """
 
 from __future__ import annotations
@@ -168,9 +169,10 @@ def partition_files(
     ``deadlock_grace``, plus an observability ``recorder``) are forwarded
     to :meth:`repro.PaPar.run`.
 
-    ``optimize=True`` runs the PAP08x rewrite passes first (see
-    ``docs/optimizer.md``); the part files are bit-identical either way —
-    pruned runs re-attach the dropped columns before writing.
+    ``optimize=True`` runs the PAP080-082 rewrite passes first (see
+    ``docs/optimizer.md``) and then runs the rewritten workflow like any
+    other, in place where a plain run would be; the part files are
+    bit-identical either way.
 
     With a ``memory_budget``, the input file is *not* read into memory:
     it is opened as a :class:`~repro.ooc.ChunkedDataset` and streamed in

@@ -175,15 +175,14 @@ class PaPar:
         args: Optional[dict[str, Any]] = None,
         ranks: Optional[int] = None,
         assume_records: Optional[int] = None,
-        memory_budget: Optional[str] = None,
     ):
-        """Apply the PAP08x rewrite passes and return the optimized plan.
+        """Apply the PAP080-082 rewrite passes and return the optimized plan.
 
         Returns an :class:`~repro.analysis.optimize.OptimizedPlan`: the
         rewritten :class:`WorkflowSpec` plus the audit trail (rewrites
-        applied, rewrites refused and why, the planned column pruning, and
-        the cost-model estimates).  Schemas registered on this instance
-        drive the liveness and width analyses.  See ``docs/optimizer.md``.
+        applied, rewrites refused and why, and the cost-model estimates).
+        Schemas registered on this instance drive the liveness and width
+        analyses.  See ``docs/optimizer.md``.
         """
         from repro.analysis.optimize import optimize_spec
 
@@ -194,7 +193,6 @@ class PaPar:
             schemas=self._schemas,
             ranks=ranks,
             assume_records=assume_records,
-            memory_budget=memory_budget,
             filename=spec.source_file,
         )
 
@@ -284,7 +282,7 @@ class PaPar:
         ``chaos_seed``, ``deadlock_grace``) configure fault tolerance, as in
         :meth:`run`; ``memory_budget`` streams the input out-of-core
         instead of loading it (see :meth:`run`); ``optimize`` applies the
-        PAP08x rewrite passes before planning (see :meth:`optimize`).
+        PAP080-082 rewrite passes before planning (see :meth:`optimize`).
         """
         from repro.core.files import partition_files as _partition_files
 
@@ -355,14 +353,12 @@ class PaPar:
     ) -> PartitionResult:
         """Plan (if needed) and execute a workflow over ``data``.
 
-        With ``optimize=True`` the workflow first runs through the PAP08x
+        With ``optimize=True`` the workflow first runs through the PAP080-082
         rewrite passes (:meth:`optimize`): the rewritten job DAG executes
-        instead, column-pruned runs narrow the dataset through the
-        exchanges and re-attach the pruned columns afterwards, and the
-        result carries an ``optimizer`` section in
-        :attr:`PartitionResult.extra` (passes fired, exchanges removed,
-        estimated vs. measured bytes).  Outputs are bit-identical to the
-        unoptimized run on every backend.
+        instead, exactly as a plain run of that DAG would, and the result
+        carries an ``optimizer`` section in :attr:`PartitionResult.extra`
+        (passes fired, exchanges removed, estimated vs. measured bytes).
+        Outputs are bit-identical to the unoptimized run on every backend.
 
         Fault tolerance (SPMD backends only — see :mod:`repro.fault`):
         ``faults`` takes a :class:`~repro.fault.FaultSchedule` (or CLI-style
@@ -384,20 +380,16 @@ class PaPar:
         ``docs/out-of-core.md``).  ``None`` (the default) keeps the
         in-memory fast path untouched.
         """
-        from repro.core.runtime import SerialRuntime, resident
+        from repro.core.runtime import SerialRuntime
 
         optimized = None
-        reattach_source = None
         if optimize:
             if isinstance(workflow, WorkflowPlan):
                 raise WorkflowError(
                     "optimize=True needs the workflow configuration, not an "
                     "already-planned WorkflowPlan"
                 )
-            optimized = self.optimize(
-                workflow, args, ranks=num_ranks,
-                memory_budget=memory_budget,
-            )
+            optimized = self.optimize(workflow, args, ranks=num_ranks)
             workflow = optimized.workflow
         if isinstance(workflow, WorkflowPlan):
             plan = workflow
@@ -405,20 +397,6 @@ class PaPar:
             plan = self.plan(workflow, args)
         if data is None:
             raise WorkflowError("run() needs an in-memory Dataset via data=...")
-        if optimized is not None and optimized.pruning is not None:
-            pruning = optimized.pruning
-            # re-attaching the pruned columns needs the full records here
-            data = resident(data)
-            if (
-                isinstance(data, Dataset)
-                and not data.is_packed
-                and all(data.schema.has_field(n) for n in pruning.live)
-                and not data.schema.has_field(pruning.rowid_field)
-            ):
-                from repro.core.pruning import narrow_dataset
-
-                reattach_source = data
-                data = narrow_dataset(data, pruning.live)
         if backend == "serial":
             if faults is not None or checkpoint is not None or retry is not None:
                 raise WorkflowError(
@@ -447,16 +425,8 @@ class PaPar:
                 f"unknown backend {backend!r}; "
                 "use 'serial', 'mpi', 'mapreduce' or 'process'"
             )
-        if reattach_source is not None:
-            from repro.core.pruning import reattach_partition
-
-            result.partitions = [
-                reattach_partition(p, reattach_source, optimized.pruning.live)
-                for p in result.partitions
-            ]
         if optimized is not None:
             summary = optimized.summary()
-            summary["pruning_applied"] = reattach_source is not None
             perf = result.extra.get("perf") or {}
             summary["measured_bytes_moved"] = perf.get(
                 "bytes_moved", result.bytes_moved

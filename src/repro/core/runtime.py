@@ -33,7 +33,8 @@ every rank reads its own byte range, and the SPMD executor is handed a
 :class:`~repro.formats.binary.PartWriter`.  When the final ``Distribute``
 deals flat streams of the schema being written, each rank ``pwrite``s its
 pieces where they belong in the part files — no second exchange, nothing
-gathered to the driver; otherwise the deal ships its pieces to the
+gathered to the driver; otherwise (a memory budget, a packed stream, or
+records widened by group add-ons) the deal ships its pieces to the
 partitions' owners and the driver writes what they return
 (``extra["perf"]["output"]`` says which tail ran, and why).
 
@@ -732,7 +733,8 @@ class MPIRuntime:
         stream is then fixed-width records of the very schema the part files
         hold, so a piece's bytes and its offset in the file are both known
         where the piece is.  Read from the run itself — the same on every
-        rank, and nothing a user sets."""
+        rank, and nothing a user sets.  ``--optimize`` changes none of it:
+        the rewritten workflow deals the same records as the original."""
         if part_writer is None:
             return "in-memory run"
         if ctx is not None:
@@ -740,7 +742,7 @@ class MPIRuntime:
         if any(stream.is_packed for stream in streams):
             return "packed stream"
         if any(stream.schema != part_writer.schema for stream in streams):
-            return "pruned columns"
+            return "added attributes"
         return None
 
     def _distribute_job(

@@ -141,6 +141,3 @@ def record_optimizer(recorder: Recorder, summary: Optional[dict[str, Any]]) -> N
             f"{rewrite['code']} {rewrite['pass']} at {rewrite['site']}",
             category="optimizer",
         )
-    if summary.get("pruning"):
-        pruned = ", ".join(summary["pruning"].get("pruned", []))
-        recorder.instant(f"PAP083 column-pruning: {pruned}", category="optimizer")

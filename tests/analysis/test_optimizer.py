@@ -2,10 +2,10 @@
 
 One workflow per pass pins that the rewrite actually happens (PAP080
 dead elimination, PAP081 redundant-exchange elimination, PAP082
-distribute-chain composition, PAP083 column-pruning planning); the
-refusal tests pin the safety arguments (stable-sort tie order,
-per-stream dealing, packed formats); the golden JSON test pins the
-``papar.optimize`` v1 contract; and the idempotence test pins that
+distribute-chain composition); the refusal tests pin the safety
+arguments (stable-sort tie order, per-stream dealing); PAP083 stays an
+advisory that no pass applies; the golden JSON test pins the
+``papar.optimize`` v2 contract; and the idempotence test pins that
 optimizing an optimized plan is a no-op.
 """
 
@@ -17,6 +17,7 @@ from repro.analysis.optimize import (
     optimize_workflow,
 )
 from repro.config import BLAST_INPUT_XML
+from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.config.serialize import workflow_to_xml
 
 BLAST_INPUTS = [(BLAST_INPUT_XML, "blast_db.xml")]
@@ -121,19 +122,21 @@ def test_pap082_block_into_single_partition_collapses():
     assert [r.code for r in report.plan.rewrites] == ["PAP082"]
 
 
-def test_pap083_column_pruning_planned():
-    xml = wf(
-        sort_op("sort", "$input_path", "/user/s1")
-        + distr_op("distr", "$sort.outputPath", "$output_path")
-    )
-    report = optimize(xml)
-    pruning = report.plan.pruning
-    assert pruning is not None
-    assert pruning.live == ["seq_size"]
-    assert set(pruning.pruned) == {"seq_start", "desc_start", "desc_size"}
-    assert pruning.full_row_bytes == 16
-    assert pruning.narrow_row_bytes == 12  # seq_size (4) + row id (8)
-    assert PASS_NAMES["PAP083"] in report.plan.summary()["passes_fired"]
+def test_pap083_is_an_advisory_not_a_pass():
+    """Shipped BLAST reads one of its four columns: lint says so, and the
+    optimizer leaves the (structurally minimal) plan alone."""
+    from repro.analysis import lint_workflow
+
+    lint = lint_workflow(BLAST_WORKFLOW_XML, inputs=BLAST_INPUTS, args=ARGS,
+                         assume_records=1000)
+    assert "PAP083" in lint.codes()
+    assert "PAP083" not in PASS_NAMES
+    report = optimize(BLAST_WORKFLOW_XML)
+    assert report.plan.changed is False
+    summary = report.plan.summary()
+    assert summary["passes_fired"] == []
+    assert summary["est_bytes_after"] == summary["est_bytes_before"]
+    assert "PAP083" not in {r.code for r in report.plan.refusals}
 
 
 # -- documented refusals ----------------------------------------------------
@@ -190,32 +193,6 @@ def test_pap082_refuses_general_composition():
     assert any("per stream" in r for r in refusal_reasons(report, "PAP082"))
 
 
-def test_pap083_refuses_packed_formats():
-    xml = wf(
-        """
-  <operator id="group" operator="Group">
-    <param name="key" type="KeyId" value="seq_size"/>
-    <param name="inputPath" value="$input_path"/>
-    <param name="outputPath" value="/user/g1" format="pack"/>
-  </operator>
-"""
-        + distr_op("distr", "$group.outputPath", "$output_path")
-    )
-    report = optimize(xml)
-    assert report.plan.pruning is None
-    assert any("packed" in r for r in refusal_reasons(report, "PAP083"))
-
-
-def test_pap083_refuses_out_of_core_runs():
-    xml = wf(
-        sort_op("sort", "$input_path", "/user/s1")
-        + distr_op("distr", "$sort.outputPath", "$output_path")
-    )
-    report = optimize(xml, memory_budget="64MB")
-    assert report.plan.pruning is None
-    assert any("out-of-core" in r for r in refusal_reasons(report, "PAP083"))
-
-
 # -- convergence ------------------------------------------------------------
 
 
@@ -270,19 +247,18 @@ def test_optimize_report_json_contract():
     summary = doc["summary"]
     assert set(summary) == {
         "changed", "passes_fired", "rewrites", "refusals",
-        "operators_removed", "exchanges_removed", "pruning",
+        "operators_removed", "exchanges_removed",
         "est_bytes_before", "est_bytes_after", "est_bytes_saved",
     }
     rewrite = summary["rewrites"][0]
     assert set(rewrite) == {"code", "pass", "site", "removed", "kept",
                             "detail", "est_bytes_saved"}
-    assert summary["pruning"]["rowid_field"] == "__papar_rowid"
     # the diff reuses the explain contract on both sides
     assert doc["before"]["tool"] == "papar-explain"
     assert doc["after"]["tool"] == "papar-explain"
     assert len(doc["after"]["operators"]) == len(doc["before"]["operators"]) - 1
-    # the structural rewrite halves the estimate and pruning narrows the rest
-    assert summary["est_bytes_after"] < summary["est_bytes_before"]
+    # dropping one of the three exchanges drops a third of the estimate
+    assert 3 * summary["est_bytes_after"] == 2 * summary["est_bytes_before"]
 
 
 def test_every_advisory_pass_name_is_catalogued():

@@ -3,8 +3,8 @@
 These tests drive the same entry point a user does (``repro.cli.main``)
 on the shipped configurations: the optimize report in text and JSON, the
 ``plan --optimize`` preamble, ``run --optimize`` writing bit-identical
-part files while ``--stats`` reports the pruned shuffle, and
-``lint --explain`` teaching the applied rewrite for every PAP08x code.
+part files in place, and ``lint --explain`` teaching the applied rewrite
+for every structural PAP08x code (PAP083 is an advisory only).
 """
 
 import json
@@ -39,21 +39,25 @@ class TestOptimizeCommand:
         assert main(optimize_args()) == 0
         out = capsys.readouterr().out
         assert "optimize workflow 'blast_partition'" in out
-        assert "PAP083 column-pruning" in out
+        assert "0 rewrite(s) applied, 0 exchange(s) removed\n" in out
+        assert "plan already minimal: no rewrite fired" in out
+        assert "PAP083" in out  # the advisory, in the explain dumps
         assert "== original plan ==" in out
         assert "== optimized plan ==" in out
 
     def test_json_report_on_shipped_blast(self, capsys):
         assert main(optimize_args(["--format", "json"])) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["tool"] == "papar-optimize"
         assert doc["workflow"] == "blast_partition"
         summary = doc["summary"]
-        # the shipped pipeline is structurally minimal but prunable
+        # the shipped pipeline is structurally minimal: nothing fires
+        assert summary["changed"] is False
+        assert summary["passes_fired"] == []
         assert summary["rewrites"] == []
-        assert summary["pruning"]["live"] == ["seq_size"]
-        assert summary["est_bytes_after"] < summary["est_bytes_before"]
+        assert "pruning" not in summary
+        assert summary["est_bytes_after"] == summary["est_bytes_before"]
 
     def test_hybrid_cut_is_already_minimal(self, capsys):
         rc = main([
@@ -66,11 +70,11 @@ class TestOptimizeCommand:
         assert doc["summary"]["changed"] is False
         assert doc["summary"]["rewrites"] == []
 
-    def test_memory_budget_refuses_pruning(self, capsys):
-        assert main(optimize_args(["--memory-budget", "64MB"])) == 0
-        out = capsys.readouterr().out
-        assert "plan already minimal: no rewrite fired" in out
-        assert "out-of-core" in out
+    def test_memory_budget_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(optimize_args(["--memory-budget", "64MB"]))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --memory-budget" in capsys.readouterr().err
 
 
 class TestPlanRunOptimize:
@@ -87,7 +91,7 @@ class TestPlanRunOptimize:
         rc = main(["plan"] + self.base_args(blast_file, tmp_path) + ["--optimize"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "optimizer: 0 rewrite(s), 0 exchange(s) removed, columns pruned" in out
+        assert "optimizer: 0 rewrite(s), 0 exchange(s) removed\n" in out
         assert "2 job(s)" in out
 
     @pytest.mark.parametrize("backend", ["serial", "mpi", "mapreduce", "process"])
@@ -111,7 +115,7 @@ class TestPlanRunOptimize:
         for name in plain:
             assert (plain_dir / name).read_bytes() == (opt_dir / name).read_bytes()
 
-    def test_run_optimize_stats_reports_pruning(self, blast_file, tmp_path, capsys):
+    def test_run_optimize_stats_write_in_place(self, blast_file, tmp_path, capsys):
         rc = main(
             ["run"] + self.base_args(blast_file, tmp_path)
             + ["--optimize", "--stats", "--backend", "mpi", "--ranks", "4"]
@@ -119,18 +123,28 @@ class TestPlanRunOptimize:
         assert rc == 0
         out = capsys.readouterr().out
         assert "wrote 4 partition(s)" in out
-        assert "optimizer: passes fired: column-pruning" in out
-        assert "PAP083 column-pruning (applied)" in out
+        assert "optimizer: passes fired: none; " in out
+        assert "PAP083" not in out
         assert "measured shuffle payload:" in out
+        assert out.splitlines()[-1].startswith("  output: written in place by ranks (4 parts, ")
 
 
 class TestLintExplainAdvisories:
-    @pytest.mark.parametrize("code", ["PAP080", "PAP081", "PAP082", "PAP083"])
+    @pytest.mark.parametrize("code", ["PAP080", "PAP081", "PAP082"])
     def test_explain_shows_applied_rewrite(self, capsys, code):
         assert main(["lint", "--explain", code]) == 0
         out = capsys.readouterr().out
         assert "applied rewrite" in out
 
+    def test_explain_pap083_is_advisory_only(self, capsys):
+        assert main(["lint", "--explain", "PAP083"]) == 0
+        out = capsys.readouterr().out
+        assert "Advisory only: no optimizer pass applies it." in out
+        assert "applied rewrite" not in out
+        assert "--optimize" not in out
+
     def test_explain_pap084_points_at_optimizer(self, capsys):
         assert main(["lint", "--explain", "PAP084"]) == 0
-        assert "papar optimize" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "papar optimize" in out
+        assert "pruning" not in out

@@ -4,7 +4,8 @@
 ``part-NNNNN`` files out.  On the SPMD backends each rank reads its own byte
 range of a binary input and, when the final deal carries flat records of the
 schema being written, writes its pieces of the partitions where they belong;
-text, packed and column-pruned outputs are gathered to the driver as before.
+text and packed outputs, and records widened by add-on attributes, are
+gathered to the driver as before.
 Whichever tail runs, every part is byte-identical to the serial backend's,
 and the output directory only ever shows whole, published parts.
 
@@ -54,6 +55,31 @@ SPLIT_DEAL_XML = """\
     </operator>
     <operator id="distr" operator="Distribute">
       <param name="inputPath" type="String" value="/tmp/split/"/>
+      <param name="outputPath" type="String" value="$output_path"/>
+      <param name="distrPolicy" type="DistrPolicy" value="cyclic"/>
+      <param name="numPartitions" type="integer" value="$num_partitions"/>
+    </operator>
+  </operators>
+</workflow>
+"""
+
+#: a flat group whose count add-on appends an 8-byte attribute to every record
+GROUP_ATTR_XML = """\
+<workflow id="group_attr" name="group with an added attribute, then deal">
+  <arguments>
+    <param name="input_path" type="hdfs" format="blast_db"/>
+    <param name="output_path" type="hdfs" format="blast_db"/>
+    <param name="num_partitions" type="integer"/>
+  </arguments>
+  <operators>
+    <operator id="group" operator="Group">
+      <param name="inputPath" type="String" value="$input_path"/>
+      <param name="outputPath" type="String" value="/tmp/group" format="orig"/>
+      <param name="key" type="KeyId" value="seq_size"/>
+      <addon operator="count" key="seq_size" attr="n"/>
+    </operator>
+    <operator id="distr" operator="Distribute">
+      <param name="inputPath" type="String" value="$group.outputPath"/>
       <param name="outputPath" type="String" value="$output_path"/>
       <param name="distrPolicy" type="DistrPolicy" value="cyclic"/>
       <param name="numPartitions" type="integer" value="$num_partitions"/>
@@ -248,14 +274,34 @@ class TestGatheredTailsStillEqualSerial:
 
     @pytest.mark.parametrize("backend", SPMD)
     def test_column_pruned_blast(self, papar, tmp_path, tmp_path_factory, backend):
+        """``--optimize`` on the blast workflow whose unread columns PAP083
+        names no longer narrows its records, so it leaves this class: the
+        ranks write the parts in place, as on a plain run."""
         want = serial_parts(papar, tmp_path_factory, "blast-cyclic", 1003, 5)
         out = partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
                         tmp_path / "out", 5, backend, 4, optimize=True)
-        assert out.result.extra["optimizer"]["pruning_applied"]
+        assert out.result.extra["optimizer"]["passes_fired"] == []
         assert part_files(tmp_path / "out") == want
-        output = out.result.extra["perf"].get("output")
-        if output is not None:
-            assert output == {"mode": "gathered", "reason": "pruned columns"}
+        assert out.result.extra["perf"]["output"] == {
+            "mode": "in_place", "parts": 5, "bytes": 1003 * 16,
+        }
+
+    @pytest.mark.parametrize("backend", SPMD)
+    def test_added_attributes(self, papar, tmp_path, tmp_path_factory, backend):
+        """A group add-on widens every record past the input's layout, so
+        the pieces have no offset in a part file of the input schema."""
+        n, parts = 1003, 5
+        serial_dir = tmp_path_factory.mktemp("serial-attrs") / "out"
+        partition(papar, GROUP_ATTR_XML, index_file(tmp_path, n), serial_dir, parts, "serial")
+        want = part_files(serial_dir)
+        assert all(len(blob) > len(HEADER) for blob in want.values())
+        out = partition(papar, GROUP_ATTR_XML, index_file(tmp_path, n), tmp_path / "out",
+                        parts, backend, 4)
+        assert part_files(tmp_path / "out") == want
+        assert sum(len(blob) - len(HEADER) for blob in want.values()) == n * (16 + 8)
+        assert out.result.extra["perf"]["output"] == {
+            "mode": "gathered", "reason": "added attributes",
+        }
 
 
 class TestWhichTailRan:
@@ -311,7 +357,7 @@ class TestWhichTailRan:
         path = index_file(tmp_path, 1003)
         for kwargs, line in (
             ({}, "  output: written in place by ranks (5 parts, 15.7 KiB)"),
-            ({"optimize": True}, "  output: gathered to the driver (pruned columns)"),
+            ({"optimize": True}, "  output: written in place by ranks (5 parts, 15.7 KiB)"),
             ({"memory_budget": 4096}, "  output: gathered to the driver (memory budget)"),
         ):
             out = partition(papar, WORKFLOWS["blast-cyclic"], path, tmp_path / "out", 5,
