@@ -57,6 +57,12 @@ def field_width(type_name: str) -> int:
     return int(dtype.itemsize) if dtype is not None else 8
 
 
+def record_bytes(schema: "RecordSchema") -> int:
+    """In-memory width of one record of ``schema``; unlike
+    ``schema.itemsize`` it prices a text schema's string fields too."""
+    return sum(field_width(f.type) for f in schema.fields)
+
+
 def schema_row_bytes(value: SchemaValue) -> Optional[int]:
     """In-memory structured width of one record of an inferred schema."""
     if not value.is_known:
@@ -212,7 +218,7 @@ def analyze_plan(ctx: "LintContext") -> Optional[AnalyzedPlan]:
     if rows is None and ctx.assume_records is not None:
         rows = float(ctx.assume_records)
 
-    row_bytes = float(schema.itemsize) if schema is not None else None
+    row_bytes = float(record_bytes(schema)) if schema is not None else None
     group_ratio = None
     addon_bytes: dict[str, float] = {}
     for node in ir.nodes:

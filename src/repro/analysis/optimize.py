@@ -4,7 +4,7 @@ PR 8 built the diagnosis side — the plan-IR, the fixed-point dataflow
 analyses, the exchange cost model, and the PAP080–084 advisories that
 *describe* wasted work.  This module is the other half of ROADMAP item 2:
 a rewrite engine over the same IR that turns each structural advisory
-(PAP080–082) into an applied transformation, accepting a rewrite only
+(PAP080–081) into an applied transformation, accepting a rewrite only
 when the re-analyzed plan is still clean and its estimated exchange
 payload did not grow.  PAP083 (unread columns) and PAP084 (hotspots)
 stay advisories: no pass applies them, and an optimized run is the plain
@@ -21,12 +21,9 @@ Passes (see ``docs/optimizer.md`` for the safety arguments):
     byte order (stable-sort tie order is the subtle part; several
     advisory-flagged shapes are *refused* here, with reasons).
 
-``PAP082`` permutation-chain-composition
-    Collapse a ``distribute -> distribute`` chain when the composed
-    permutation is symbolically the identity in the paper's L-product
-    algebra (the runtimes deal each upstream partition *per stream*, so
-    only the identity cases compose losslessly).  Every symbolic
-    conclusion is re-verified by executing both pipelines on probe data.
+A ``distribute -> distribute`` chain is never rewritten: Distribute deals
+each input stream on its own, so the chain is not one distribute (see
+``docs/optimizer.md``).
 
 Every pass that declines to fire records a :class:`RefusedRewrite` with
 the reason, so ``papar optimize`` teaches as much when it does nothing
@@ -47,19 +44,13 @@ from repro.analysis.engine import Linter
 from repro.analysis.explain import ExplainReport, _fmt_bytes, build_report
 from repro.analysis.locate import read_config
 from repro.analysis.rules.advisory import (
-    _PROBE_SIZES,
     _adjacent_exchanges,
-    _policy_and_parts,
     _referenced_ops,
     _same_key,
+    _sort_direction,
 )
 from repro.config.serialize import workflow_to_xml
-from repro.config.workflow import (
-    BOOLEAN_FALSE_LITERALS,
-    BOOLEAN_TRUE_LITERALS,
-    WorkflowSpec,
-    parse_workflow_config,
-)
+from repro.config.workflow import WorkflowSpec, parse_workflow_config
 from repro.formats.records import RecordSchema
 
 #: JSON contract version of the optimize report
@@ -69,7 +60,6 @@ OPTIMIZE_SCHEMA_VERSION = 2
 PASS_NAMES = {
     "PAP080": "dead-operator-elimination",
     "PAP081": "redundant-exchange-elimination",
-    "PAP082": "permutation-chain-composition",
 }
 
 #: parameter names the planner accepts as an operator's input binding
@@ -282,41 +272,6 @@ def _doc_index(spec: WorkflowSpec, op_id: str) -> int:
         if op.id == op_id:
             return i
     return -1
-
-
-def _sort_direction(node) -> Optional[bool]:
-    """The planner's sort-direction semantics, mirrored statically.
-
-    ``flag`` (Figure 8: ``-1`` = ascending) is read first, then an
-    ``ascending`` parameter overrides it, honouring a declared boolean
-    type's literal set.  Returns ``None`` when a value is unresolved or
-    unparseable — callers must refuse to rewrite in that case.
-    """
-    ascending = True
-    flag = node.param_value("flag")
-    if flag is not None:
-        if "$" in flag:
-            return None
-        try:
-            ascending = int(str(flag).strip()) == -1
-        except (TypeError, ValueError):
-            return None
-    p = node.op.param("ascending", "asc")
-    if p is not None:
-        raw = node.param_value("ascending", "asc")
-        if raw is None or "$" in raw:
-            return None
-        text = str(raw).strip().lower()
-        if p.type.lower() in ("boolean", "bool"):
-            if text in BOOLEAN_TRUE_LITERALS:
-                ascending = True
-            elif text in BOOLEAN_FALSE_LITERALS:
-                ascending = False
-            else:
-                return None
-        else:
-            ascending = text == "true"
-    return ascending
 
 
 def _drop_first(
@@ -552,129 +507,6 @@ def _pass_redundant(spec: WorkflowSpec, ctx, refuse, blocked):
     return None
 
 
-def _distribute_chain_equal(name1: str, parts1: int, name2: str, parts2: int) -> bool:
-    """Execute both pipelines on probe data and compare byte order.
-
-    The chained leg feeds the first distribute's partition *list* into the
-    second, exactly as the serial runtime does — so the per-stream dealing
-    semantics are exercised, not an idealized whole-stream composition.
-    """
-    import numpy as np
-
-    from repro.core.dataset import Dataset
-    from repro.formats.records import Field, RecordSchema
-    from repro.ops.distribute import Distribute
-
-    schema = RecordSchema(
-        id="__papar_probe", fields=(Field("pos", "long"),), input_format="binary"
-    )
-    try:
-        d1 = Distribute(name1, parts1)
-        d2 = Distribute(name2, parts2)
-    except Exception:
-        return False
-    for n in _PROBE_SIZES:
-        records = np.empty(n, dtype=schema.dtype)
-        records["pos"] = np.arange(n, dtype=np.int64)
-        data = Dataset.from_array(schema, records)
-        chained = d2.apply_local(d1.apply_local(data))
-        single = d2.apply_local(data)
-        if len(chained) != len(single):
-            return False
-        for a, b in zip(chained, single):
-            if a.to_flat().rows() != b.to_flat().rows():
-                return False
-    return True
-
-
-def _pass_compose(spec: WorkflowSpec, ctx, refuse, blocked):
-    """PAP082: collapse a distribute chain when the L-product composes to
-    the identity.
-
-    The runtimes deal each upstream partition per stream
-    (:meth:`repro.ops.distribute.Distribute.apply_local`), so the composed
-    permutation is ``L ∘ (⊕_i L_i)`` — a direct sum over the first stage's
-    partitions, not a product over the whole stream.  Only two shapes are
-    the identity for every length: a single-partition first stage, and a
-    block first stage feeding a single-partition second stage.  Everything
-    else (including the owner-equal shapes the advisory flags) changes the
-    within-partition byte order and is refused.
-    """
-    analyzed = ctx.analyzed()
-    if analyzed is None:
-        return None
-    ir = analyzed.ir
-    for first, second in _adjacent_exchanges(ir):
-        if (first.kind, second.kind) != ("distribute", "distribute"):
-            continue
-        site = f"{first.op_id} -> {second.op_id}"
-        if ("PAP082", site) in blocked:
-            continue
-        policy1, parts1 = _policy_and_parts(first)
-        policy2, parts2 = _policy_and_parts(second)
-        name1 = (policy1 or "cyclic").strip().lower()
-        name2 = (policy2 or "cyclic").strip().lower()
-        if parts1 is None or parts2 is None:
-            refuse("PAP082", site, "a partition count is not statically "
-                                   "resolvable")
-            continue
-        if parts1 == 1:
-            detail = ("a single-partition distribute is the identity "
-                      "permutation (L_1 in the L-product algebra); the chain "
-                      "composes to the second distribute alone")
-        elif name1 == "block" and parts2 == 1:
-            detail = ("block dealing keeps each stream contiguous and in "
-                      "order, and a single-partition second stage "
-                      "concatenates them back; the composition is the "
-                      "identity")
-        else:
-            refuse("PAP082", site, "the runtimes deal each upstream "
-                   "partition per stream, so this composition is a direct "
-                   f"sum of {name1}({parts1}) permutations — not "
-                   f"{name2}({parts2}) alone; collapsing would reorder "
-                   "rows within partitions")
-            continue
-        in_edges = ir.in_edges(first.op_id)
-        if len(in_edges) != 1:
-            refuse("PAP082", site, f"{first.op_id!r} reads multiple inputs")
-            continue
-        src = in_edges[0].src
-        if src is not None:
-            producer = ir.node(src)
-            if producer is not None and producer.kind == "split":
-                refuse("PAP082", site, f"{first.op_id!r} consumes split "
-                       "streams; the chain deals per stream and the collapse "
-                       "would merge them")
-                continue
-            if producer is not None:
-                out_param = producer.op.param("outputPath")
-                if out_param is not None and out_param.format and (
-                    "pack" in out_param.format.lower()
-                ):
-                    refuse("PAP082", site, f"{first.op_id!r} consumes packed "
-                           "records; dealing flattens them, so the collapse "
-                           "changes entry semantics")
-                    continue
-        if not _distribute_chain_equal(name1, parts1, name2, parts2):
-            refuse("PAP082", site, "probe execution found a length where "
-                   "the chained and collapsed pipelines disagree")
-            continue
-        new = _drop_first(spec, ir, first, second, refuse, "PAP082")
-        if new is None:
-            continue
-        rewrite = AppliedRewrite(
-            code="PAP082",
-            pass_name=PASS_NAMES["PAP082"],
-            site=site,
-            removed=[first.op_id],
-            kept=[second.op_id],
-            detail=detail,
-            est_bytes_saved=_exchange_estimate(ctx, first.op_id),
-        )
-        return new, rewrite
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -743,7 +575,7 @@ def optimize_spec(
     max_rounds = 2 * len(current.operators) + 4
     for _ in range(max_rounds):
         progressed = False
-        for pass_fn in (_pass_dead, _pass_redundant, _pass_compose):
+        for pass_fn in (_pass_dead, _pass_redundant):
             out = pass_fn(current, ctx, refuse, blocked)
             if out is None:
                 continue

@@ -357,22 +357,6 @@ CATALOG: dict[str, RuleSpec] = {
               "sort->sort on one key collapses to the second sort alone — "
               "'papar optimize' drops the first exchange and re-points the "
               "survivor at its input"),
-        _spec("PAP082", "collapsible-permutation-chain", Severity.INFO,
-              "adjacent distributes whose stride permutations compose into one",
-              "Distribute policies are stride-permutation matrices (the "
-              "paper's L_m^n formalism); products of permutation matrices "
-              "are permutation matrices, so back-to-back distributes "
-              "compose into a single position shuffle. The "
-              "permutation-chain-composition pass collapses the chains "
-              "whose composition is provably the identity (the runtimes "
-              "deal each upstream partition per stream, so general "
-              "compositions reorder rows within partitions and are "
-              "refused).",
-              "distribute(cyclic) feeding distribute(block)",
-              "applied rewrite (permutation-chain-composition): "
-              "distribute(any, 1 partition) feeding distribute(p) is L_1 "
-              "compose L_p = L_p — 'papar optimize' deletes the "
-              "single-partition stage after probe-verifying equality"),
         _spec("PAP083", "unused-column", Severity.INFO,
               "input columns no key or add-on reads; every exchange still "
               "carries them",

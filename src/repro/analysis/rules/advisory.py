@@ -2,13 +2,13 @@
 
 These rules never block a run — they are the static half of the plan
 optimizer (ROADMAP item 2), reporting as INFO what a rewrite pass *would*
-do — delete dead stages, drop redundant exchanges, collapse composed
-stride permutations — and, with no pass behind them, name unread columns
-and the exchange that dominates the bytes-moved budget.  ``papar
-explain`` renders the same analyses as a report instead of diagnostics,
-and :mod:`repro.analysis.optimize` is the other half: it applies each
-structural advisory as a rewrite (``PASS_NAMES`` maps code -> pass) where the
-rewrite is provably bit-identical, and records a refusal where it is
+do — delete dead stages, drop redundant exchanges — and, with no pass
+behind them, name unread columns and the exchange that dominates the
+bytes-moved budget.  ``papar explain`` renders the same analyses as a
+report instead of diagnostics, and :mod:`repro.analysis.optimize` is the
+other half: it applies each structural advisory as a rewrite
+(``PASS_NAMES`` maps code -> pass) where the rewrite is provably
+bit-identical, and records a refusal where it is
 not — the advisory triggers here are deliberately broader than the
 rewrite preconditions there (an advisory is a conversation starter, a
 rewrite is a proof obligation).
@@ -18,18 +18,13 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-import numpy as np
-
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.model import LintContext, iter_references
 from repro.analysis.rules import checker
+from repro.errors import WorkflowError
 
 #: estimated payload above which PAP084 calls an exchange a hotspot
 HOTSPOT_BYTES = 256 * 1024 * 1024
-
-#: entry counts the PAP082 composition is probed at (coprime-ish sizes so
-#: an equivalence must hold beyond one lucky divisor structure)
-_PROBE_SIZES = (24, 36, 35)
 
 
 def _referenced_ops(ctx: LintContext) -> set[str]:
@@ -87,9 +82,30 @@ def _same_key(a, b) -> bool:
     return ka is not None and ka == kb
 
 
-def _sort_ascending(node) -> bool:
-    value = node.param_value("ascending", "asc")
-    return value is None or value.strip().lower() not in ("false", "0", "no")
+def _planned_param(node, name: str):
+    """Parameter ``name`` as the planner sees it: resolved, then coerced by
+    its declared type (``ValueError`` while a ``$ref`` is still open)."""
+    raw = node.param_value(name)
+    if raw is None:
+        return None
+    if not node.params_resolved.get(name, True):
+        raise ValueError(f"{name!r} is not statically resolvable")
+    return node.op.param(name).coerce(raw)
+
+
+def _sort_direction(node) -> Optional[bool]:
+    """The direction the planner gives this sort (:func:`sort_ascending`
+    over the same two parameters), read statically.  ``None`` when a value
+    is unresolved or does not coerce; PAP081 then neither advises nor
+    rewrites."""
+    from repro.core.planner import sort_ascending
+
+    try:
+        return sort_ascending(
+            _planned_param(node, "flag"), _planned_param(node, "ascending")
+        )
+    except (WorkflowError, TypeError, ValueError):
+        return None
 
 
 @checker("PAP081")
@@ -113,7 +129,11 @@ def check_redundant_exchanges(ctx: LintContext) -> Iterator[Diagnostic]:
                 "the group stage re-ranges every record by its own key; the "
                 "sort's exchange is discarded"
             )
-        elif pair == ("group", "sort") and _same_key(first, second) and _sort_ascending(second):
+        elif (
+            pair == ("group", "sort")
+            and _same_key(first, second)
+            and _sort_direction(second) is True
+        ):
             redundant = (
                 "group output is already range-partitioned and ordered by "
                 "that key; the ascending sort re-shuffles it for nothing"
@@ -125,7 +145,8 @@ def check_redundant_exchanges(ctx: LintContext) -> Iterator[Diagnostic]:
             )
         # NOT flagged: sort -> distribute (the paper's canonical pipeline:
         # the position permutation preserves sorted order), and
-        # distribute -> distribute (PAP082's composition territory).
+        # distribute -> distribute (the second stage re-deals each upstream
+        # partition per stream, so the first stage's layout survives).
         if redundant:
             yield ctx.diag(
                 "PAP081",
@@ -135,80 +156,6 @@ def check_redundant_exchanges(ctx: LintContext) -> Iterator[Diagnostic]:
                 suggestion=f"drop operator {first.op_id!r}'s shuffle; one "
                 "exchange suffices",
             )
-
-
-def _policy_and_parts(node) -> tuple[Optional[str], Optional[int]]:
-    policy = node.param_value("distrPolicy", "policy")
-    nparts = node.param_value("numPartitions", "num_partitions")
-    try:
-        parts = int(str(nparts).strip()) if nparts is not None else None
-    except ValueError:
-        parts = None
-    if parts is not None and parts < 1:
-        parts = None
-    return (policy.strip().lower() if policy else None), parts
-
-
-def _composed_owners(p1, n1: int, p2, n2: int, n: int) -> Optional[np.ndarray]:
-    """Partition owners after distribute(p1, n1) then distribute(p2, n2)."""
-    try:
-        perm1 = p1.permutation(n, n1)
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm1] = np.arange(n, dtype=np.int64)
-        return p2.assign(n, n2)[inv]
-    except Exception:
-        return None
-
-
-@checker("PAP082")
-def check_collapsible_distributes(ctx: LintContext) -> Iterator[Diagnostic]:
-    """PAP082: distribute->distribute composes into one stride permutation."""
-    if ctx.model is None:
-        return
-    ir = ctx.ir()
-    if ir is None:
-        return
-    from repro.policies.distr import get_policy
-
-    for first, second in _adjacent_exchanges(ir):
-        if (first.kind, second.kind) != ("distribute", "distribute"):
-            continue
-        name1, parts1 = _policy_and_parts(first)
-        name2, parts2 = _policy_and_parts(second)
-        equivalent: Optional[str] = None
-        if name1 and name2 and parts1 and parts2:
-            try:
-                p1, p2 = get_policy(name1), get_policy(name2)
-            except Exception:
-                p1 = p2 = None  # PAP035 already reports the unknown name
-            if p1 is not None and p2 is not None:
-                # probe the composition numerically: permutation products
-                # are permutations, so one matching candidate at every
-                # probe size is the single equivalent shuffle
-                for candidate in ("cyclic", "block"):
-                    cand = get_policy(candidate)
-                    if all(
-                        (o := _composed_owners(p1, parts1, p2, parts2, n)) is not None
-                        and np.array_equal(o, cand.assign(n, parts2))
-                        for n in _PROBE_SIZES
-                    ):
-                        equivalent = candidate
-                        break
-        detail = (
-            f"equivalent to a single {equivalent!r} distribute with "
-            f"numPartitions={parts2}"
-            if equivalent
-            else "the two position permutations compose into one shuffle "
-            "(products of L matrices are permutations)"
-        )
-        yield ctx.diag(
-            "PAP082",
-            f"distribute chain {first.op_id!r} -> {second.op_id!r} is "
-            f"collapsible: {detail}",
-            line=first.line,
-            suggestion="replace the chain with one distribute applying the "
-            "composed permutation",
-        )
 
 
 def _fmt_bytes(n: float) -> str:

@@ -57,7 +57,10 @@ def check_memory_budget(ctx: LintContext) -> Iterator[Diagnostic]:
     schema, arg = ctx.input_schema()
     if schema is None:
         return
-    estimated = int(ctx.assume_records) * int(schema.itemsize)
+    from repro.analysis.cost import record_bytes
+
+    width = record_bytes(schema)
+    estimated = int(ctx.assume_records) * width
     if estimated <= limit:
         return
     if any(op.kind in SPILL_CAPABLE for op in ctx.model.operators):
@@ -66,7 +69,7 @@ def check_memory_budget(ctx: LintContext) -> Iterator[Diagnostic]:
     yield ctx.diag(
         "PAP060",
         f"estimated input size {_format_bytes(estimated)} "
-        f"({ctx.assume_records} records x {schema.itemsize} B) exceeds the "
+        f"({ctx.assume_records} records x {width} B) exceeds the "
         f"declared memory budget {_format_bytes(limit)}, and no operator in "
         "this workflow (sort/group/distribute) can spill to run files",
         line=arg.line if arg is not None else None,

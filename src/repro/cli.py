@@ -5,7 +5,7 @@ runtime" with overrides from the command line; this CLI is that front end:
 
 * ``lint``     — statically analyze the configs and report every finding;
 * ``explain``  — render the analyzed plan-IR (schemas, liveness, exchange cost);
-* ``optimize`` — apply the PAP080-082 rewrite passes, show the plan diff;
+* ``optimize`` — apply the PAP080-081 rewrite passes, show the plan diff;
 * ``plan``     — parse the configs, resolve arguments, print the job table;
 * ``codegen``  — emit the generated partitioner source;
 * ``run``      — partition an input file into ``part-NNNNN`` output files;
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser(
         "optimize",
-        help="apply the PAP080-082 rewrite passes and render the original -> "
+        help="apply the PAP080-081 rewrite passes and render the original -> "
              "optimized plan diff",
     )
     p_opt.add_argument("workflow", metavar="WORKFLOW_XML",
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="print the planned job sequence")
     common(p_plan)
     p_plan.add_argument("--optimize", action="store_true",
-                        help="apply the PAP080-082 rewrite passes and plan the "
+                        help="apply the PAP080-081 rewrite passes and plan the "
                              "rewritten workflow")
 
     p_gen = sub.add_parser("codegen", help="emit the generated partitioner source")
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print shuffle perf counters (records/bytes moved, "
                             "per-phase wall and virtual time)")
     p_run.add_argument("--optimize", action="store_true",
-                       help="apply the PAP080-082 rewrite passes before "
+                       help="apply the PAP080-081 rewrite passes before "
                             "running; outputs are bit-identical, removed "
                             "exchanges move no bytes (see --stats)")
     p_run.add_argument("--faults", action="append", default=[], metavar="SPEC",

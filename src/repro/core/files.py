@@ -169,7 +169,7 @@ def partition_files(
     ``deadlock_grace``, plus an observability ``recorder``) are forwarded
     to :meth:`repro.PaPar.run`.
 
-    ``optimize=True`` runs the PAP080-082 rewrite passes first (see
+    ``optimize=True`` runs the PAP080-081 rewrite passes first (see
     ``docs/optimizer.md``) and then runs the rewritten workflow like any
     other, in place where a plain run would be; the part files are
     bit-identical either way.

@@ -176,7 +176,7 @@ class PaPar:
         ranks: Optional[int] = None,
         assume_records: Optional[int] = None,
     ):
-        """Apply the PAP080-082 rewrite passes and return the optimized plan.
+        """Apply the PAP080-081 rewrite passes and return the optimized plan.
 
         Returns an :class:`~repro.analysis.optimize.OptimizedPlan`: the
         rewritten :class:`WorkflowSpec` plus the audit trail (rewrites
@@ -282,7 +282,7 @@ class PaPar:
         ``chaos_seed``, ``deadlock_grace``) configure fault tolerance, as in
         :meth:`run`; ``memory_budget`` streams the input out-of-core
         instead of loading it (see :meth:`run`); ``optimize`` applies the
-        PAP080-082 rewrite passes before planning (see :meth:`optimize`).
+        PAP080-081 rewrite passes before planning (see :meth:`optimize`).
         """
         from repro.core.files import partition_files as _partition_files
 
@@ -353,7 +353,7 @@ class PaPar:
     ) -> PartitionResult:
         """Plan (if needed) and execute a workflow over ``data``.
 
-        With ``optimize=True`` the workflow first runs through the PAP080-082
+        With ``optimize=True`` the workflow first runs through the PAP080-081
         rewrite passes (:meth:`optimize`): the rewritten job DAG executes
         instead, exactly as a plain run of that DAG would, and the result
         carries an ``optimizer`` section in :attr:`PartitionResult.extra`

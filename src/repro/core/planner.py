@@ -75,6 +75,21 @@ def _first_param(params: dict[str, Any], *names: str) -> Any:
     return None
 
 
+def sort_ascending(flag: Any, ascending: Any) -> bool:
+    """A sort's direction from its coerced ``flag`` and ``ascending`` values.
+
+    ``flag`` (Figure 8: ``-1`` = ascending, any other integer descending)
+    is read first; an ``ascending`` value overrides it.  ``None`` means the
+    parameter is absent.
+    """
+    result = True
+    if flag is not None:
+        result = int(flag) == -1
+    if ascending is not None:
+        result = ascending if isinstance(ascending, bool) else str(ascending).lower() == "true"
+    return result
+
+
 class Planner:
     """Turns a :class:`~repro.config.workflow.WorkflowSpec` into a plan."""
 
@@ -135,13 +150,9 @@ class Planner:
         key = _first_param(params, "key", "keyId")
         if not key:
             raise WorkflowError(f"sort operator {spec.id!r} declares no key")
-        ascending = True
-        flag = _first_param(params, "flag")
-        if flag is not None:
-            ascending = int(flag) == -1
-        asc = _first_param(params, "ascending")
-        if asc is not None:
-            ascending = bool(asc) if isinstance(asc, bool) else str(asc).lower() == "true"
+        ascending = sort_ascending(
+            _first_param(params, "flag"), _first_param(params, "ascending")
+        )
         op = Sort(key=str(key), ascending=ascending)
         out = _first_param(params, "outputPath", "ouputPath") or f"/tmp/{spec.id}"
         return PlannedJob(

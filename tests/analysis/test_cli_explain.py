@@ -118,6 +118,74 @@ class TestExplainCommand:
         assert code == 1
 
 
+LABELLED_TEXT_DB = """<input id="labelled" name="text records with a string field">
+  <input_format>text</input_format>
+  <element>
+    <value name="label" type="string"/>
+    <value name="size" type="integer"/>
+    <delimiter value=","/>
+    <delimiter value="\\n"/>
+  </element>
+</input>"""
+
+TEXT_SORTS_WORKFLOW = """<workflow id="t">
+  <arguments>
+    <param name="input_path" type="hdfs" format="labelled"/>
+  </arguments>
+  <operators>
+    <operator id="s1" operator="Sort">
+      <param name="inputPath" value="$input_path"/>
+      <param name="outputPath" value="/tmp/s1"/>
+      <param name="key" value="size"/>
+    </operator>
+    <operator id="s2" operator="Sort">
+      <param name="inputPath" value="$s1.outputPath"/>
+      <param name="outputPath" value="/tmp/s2"/>
+      <param name="key" value="size"/>
+    </operator>
+    <operator id="d" operator="Distribute">
+      <param name="inputPath" value="$s2.outputPath"/>
+      <param name="outputPath" value="/tmp/out"/>
+      <param name="distrPolicy" value="cyclic"/>
+      <param name="numPartitions" value="4"/>
+    </operator>
+  </operators>
+</workflow>"""
+
+
+class TestTextSchemaWithStringField:
+    """A string field has no binary width; the cost model prices it with
+    ``field_width``'s 8-byte stand-in instead of crashing every rule that
+    reads the cost model."""
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        workflow = tmp_path / "wf.xml"
+        workflow.write_text(TEXT_SORTS_WORKFLOW)
+        schema = tmp_path / "labelled.xml"
+        schema.write_text(LABELLED_TEXT_DB)
+        return [str(workflow), "--input", str(schema), "--assume-records", "1000"]
+
+    @pytest.mark.parametrize("command", ["lint", "explain", "optimize"])
+    def test_exits_0_without_pap099(self, configs, command, capsys):
+        assert main([command, *configs]) == 0
+        captured = capsys.readouterr()
+        assert "PAP099" not in captured.out
+        assert captured.err == ""
+
+    def test_exchanges_priced_with_the_stand_in(self, configs, capsys):
+        assert main(["explain", *configs, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # 8 (string stand-in) + 4 (integer) bytes per record
+        assert [ex["est_bytes"] for ex in doc["exchanges"]] == [12000] * 3
+
+    def test_optimize_applies_the_rewrite(self, configs, capsys):
+        assert main(["optimize", *configs, "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["passes_fired"] == ["redundant-exchange-elimination"]
+        assert summary["est_bytes_saved"] == 12000
+
+
 class TestLintExplainFlag:
     def test_text_explanation(self, capsys):
         code = main(["lint", "--explain", "PAP083"])

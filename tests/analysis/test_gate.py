@@ -67,8 +67,7 @@ def test_the_gate_runs_exactly_the_checkers_that_can_emit_an_error():
         "check_sort_determinism", "check_boolean_literals",
         "check_output_gathered", "check_process_backend", "check_stream_safety",
         "check_dead_operators", "check_redundant_exchanges",
-        "check_collapsible_distributes", "check_unused_columns",
-        "check_exchange_hotspots",
+        "check_unused_columns", "check_exchange_hotspots",
     }
     for func in CHECKERS:
         severities = {CATALOG[code].severity for code in func.codes}

@@ -50,7 +50,11 @@ TEXT_DB = """\
 
 
 def run_lint(xml, inputs=(), **kw):
-    return lint_workflow(xml, filename="t.xml", inputs=inputs, **kw)
+    result = lint_workflow(xml, filename="t.xml", inputs=inputs, **kw)
+    # a golden config exercises one rule; it must not crash any other
+    crashes = [d.message for d in result.diagnostics if d.code == "PAP099"]
+    assert not crashes, crashes
+    return result
 
 
 def only(result, code):
@@ -728,6 +732,15 @@ class TestOutOfCore:
         assert "1.0 KiB" in diag.message
         assert "1000000 records" in diag.message
 
+    def test_pap060_prices_a_string_field_with_the_stand_in(self):
+        result = run_lint(
+            SPLIT_ONLY.replace("blast_db", "texty").replace("seq_size", "size"),
+            inputs=[(TEXT_DB, "texty.xml")],
+            memory_budget="1KB", assume_records=10**6,
+        )
+        diag = expect(result, "PAP060", line=3)
+        assert "1000000 records x 12 B" in diag.message
+
     def test_pap060_suppressed_by_a_spill_capable_stage(self):
         result = run_lint(
             SORT_THEN_SPLIT, inputs=self.INPUTS,
@@ -1124,59 +1137,6 @@ class TestAdvisories:
         """The paper's canonical pipeline: position permutation keeps order."""
         result = run_lint(ADVISORY_CHAIN, inputs=[(BLAST_DB, "blast_db.xml")])
         assert "PAP081" not in result.codes()
-
-    def test_pap082_collapsible_with_named_equivalent(self):
-        result = run_lint(
-            """<workflow id="t">
-  <arguments>
-    <param name="input_path" type="hdfs" format="blast_db"/>
-  </arguments>
-  <operators>
-    <operator id="a" operator="Distribute">
-      <param name="inputPath" value="$input_path"/>
-      <param name="outputPath" value="/tmp/a"/>
-      <param name="distrPolicy" value="block"/>
-      <param name="numPartitions" value="4"/>
-    </operator>
-    <operator id="b" operator="Distribute">
-      <param name="inputPath" value="$a.outputPath"/>
-      <param name="outputPath" value="/tmp/b"/>
-      <param name="distrPolicy" value="cyclic"/>
-      <param name="numPartitions" value="4"/>
-    </operator>
-  </operators>
-</workflow>""",
-            inputs=[(BLAST_DB, "blast_db.xml")],
-        )
-        diag = expect(result, "PAP082", line=6)
-        assert "equivalent to a single 'cyclic' distribute" in diag.message
-        assert "numPartitions=4" in diag.message
-
-    def test_pap082_generic_composition_message(self):
-        result = run_lint(
-            """<workflow id="t">
-  <arguments>
-    <param name="input_path" type="hdfs" format="blast_db"/>
-  </arguments>
-  <operators>
-    <operator id="a" operator="Distribute">
-      <param name="inputPath" value="$input_path"/>
-      <param name="outputPath" value="/tmp/a"/>
-      <param name="distrPolicy" value="cyclic"/>
-      <param name="numPartitions" value="4"/>
-    </operator>
-    <operator id="b" operator="Distribute">
-      <param name="inputPath" value="$a.outputPath"/>
-      <param name="outputPath" value="/tmp/b"/>
-      <param name="distrPolicy" value="cyclic"/>
-      <param name="numPartitions" value="4"/>
-    </operator>
-  </operators>
-</workflow>""",
-            inputs=[(BLAST_DB, "blast_db.xml")],
-        )
-        diag = expect(result, "PAP082", line=6)
-        assert "compose into one shuffle" in diag.message
 
     def test_pap083_unused_columns_with_bytes_estimate(self):
         result = run_lint(

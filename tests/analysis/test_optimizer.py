@@ -1,16 +1,19 @@
 """The rewrite engine: every PAP08x pass fires, refuses, and converges.
 
 One workflow per pass pins that the rewrite actually happens (PAP080
-dead elimination, PAP081 redundant-exchange elimination, PAP082
-distribute-chain composition); the refusal tests pin the safety
-arguments (stable-sort tie order, per-stream dealing); PAP083 stays an
-advisory that no pass applies; the golden JSON test pins the
+dead elimination, PAP081 redundant-exchange elimination); the refusal
+tests pin the safety arguments (stable-sort tie order, sort direction as
+the planner reads it); PAP083 stays an advisory that no pass applies;
+the golden JSON test pins the
 ``papar.optimize`` v2 contract; and the idempotence test pins that
 optimizing an optimized plan is a no-op.
 """
 
 import json
 
+import pytest
+
+from repro.analysis import lint_workflow
 from repro.analysis.optimize import (
     OPTIMIZE_SCHEMA_VERSION,
     PASS_NAMES,
@@ -19,6 +22,8 @@ from repro.analysis.optimize import (
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.config.serialize import workflow_to_xml
+from repro.config.workflow import parse_workflow_config
+from repro.core.planner import Planner
 
 BLAST_INPUTS = [(BLAST_INPUT_XML, "blast_db.xml")]
 ARGS = {"input_path": "/in", "output_path": "/out"}
@@ -101,32 +106,9 @@ def test_pap081_same_key_sort_sort_collapses():
     assert [e["src"] for e in report.after.edges] == [None, "sort2"]
 
 
-def test_pap082_single_partition_distribute_collapses():
-    xml = wf(
-        distr_op("d1", "$input_path", "/user/d1", policy="cyclic", parts="1")
-        + distr_op("d2", "$d1.outputPath", "$output_path")
-    )
-    report = optimize(xml)
-    codes = [r.code for r in report.plan.rewrites]
-    assert codes == ["PAP082"]
-    assert report.plan.rewrites[0].removed == ["d1"]
-    assert [op["id"] for op in report.after.operators] == ["d2"]
-
-
-def test_pap082_block_into_single_partition_collapses():
-    xml = wf(
-        distr_op("d1", "$input_path", "/user/d1", policy="block", parts="4")
-        + distr_op("d2", "$d1.outputPath", "$output_path", parts="1")
-    )
-    report = optimize(xml)
-    assert [r.code for r in report.plan.rewrites] == ["PAP082"]
-
-
 def test_pap083_is_an_advisory_not_a_pass():
     """Shipped BLAST reads one of its four columns: lint says so, and the
     optimizer leaves the (structurally minimal) plan alone."""
-    from repro.analysis import lint_workflow
-
     lint = lint_workflow(BLAST_WORKFLOW_XML, inputs=BLAST_INPUTS, args=ARGS,
                          assume_records=1000)
     assert "PAP083" in lint.codes()
@@ -181,16 +163,38 @@ def test_pap081_refuses_distribute_feeding_sort():
                for r in refusal_reasons(report, "PAP081"))
 
 
-def test_pap082_refuses_general_composition():
-    # cyclic(4) -> block(4): owner assignment matches but the runtimes deal
-    # per stream, so the within-partition order differs — must refuse
-    xml = wf(
-        distr_op("d1", "$input_path", "/user/d1", policy="cyclic")
-        + distr_op("d2", "$d1.outputPath", "$output_path", policy="block")
+def group_then_sort(extra):
+    return wf(
+        """
+  <operator id="group" operator="Group">
+    <param name="key" type="KeyId" value="seq_size"/>
+    <param name="inputPath" value="$input_path"/>
+    <param name="outputPath" value="/user/g1"/>
+  </operator>
+"""
+        + sort_op("sort", "$group.outputPath", "$output_path", extra=extra)
     )
+
+
+@pytest.mark.parametrize("extra", [
+    '<param name="flag" type="integer" value="1"/>',
+    '<param name="flag" type="integer" value="-1"/>',
+    '<param name="asc" value="false"/>',
+], ids=["flag=1", "flag=-1", "asc=false"])
+def test_pap081_group_sort_reads_the_direction_the_planner_reads(extra):
+    """Group output is ascending by key, so only a sort the planner makes
+    ascending is advised and rewritten; ``asc`` is no planner parameter."""
+    xml = group_then_sort(extra)
+    spec = parse_workflow_config(xml)
+    ascending = Planner().plan(spec, ARGS).job("sort").operator.ascending
+    assert ascending is ("flag" not in extra or 'value="-1"' in extra)
+    lint = lint_workflow(xml, inputs=BLAST_INPUTS, args=ARGS, assume_records=1000)
+    assert ("PAP081" in lint.codes()) is ascending
     report = optimize(xml)
-    assert not report.plan.rewrites
-    assert any("per stream" in r for r in refusal_reasons(report, "PAP082"))
+    assert ([r.code for r in report.plan.rewrites] == ["PAP081"]) is ascending
+    if not ascending:
+        assert any("only an ascending same-key sort" in r
+                   for r in refusal_reasons(report, "PAP081"))
 
 
 # -- convergence ------------------------------------------------------------
