@@ -136,7 +136,7 @@ def run_shuffle_gate():
             pickle_bytes=t["pickle_bytes"])
     exp.note(f"speedup {speedup:.2f}x on {os.cpu_count()} cpu(s); "
              f"segments created {t['segments_created']}, "
-             f"reused {t['segments_reused']}, unlinked {t['segments_unlinked']}")
+             f"swept at teardown {t['segments_unlinked']}")
     if SMOKE:
         exp.note("smoke mode: shrunken input, relaxed gate")
     return exp, speedup, t

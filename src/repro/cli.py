@@ -499,8 +499,7 @@ def print_stats(result) -> None:
             f"{_format_bytes(transport['pickle_bytes'])} pickled arrays, "
             f"{_format_bytes(transport['inline_bytes'])} inline objects; "
             f"{transport['segments_created']} segment(s) created, "
-            f"{transport['segments_reused']} reused, "
-            f"{transport['segments_unlinked']} unlinked"
+            f"{transport['segments_unlinked']} swept at teardown"
         )
     output = perf.get("output")
     if output and output["mode"] == "in_place":

@@ -64,7 +64,6 @@ class ProcessRuntime(MPIRuntime):
         self,
         num_ranks: int,
         cluster: Optional[ClusterModel] = None,
-        sample_size: int = 512,
         *,
         faults: Any = None,
         chaos_seed: int = 0,
@@ -73,7 +72,6 @@ class ProcessRuntime(MPIRuntime):
         deadlock_grace: Optional[float] = None,
         recorder: Any = None,
         memory_budget: Any = None,
-        timeout: float = 600.0,
         hang_timeout: Optional[float] = None,
     ) -> None:
         if faults is not None:
@@ -91,7 +89,6 @@ class ProcessRuntime(MPIRuntime):
         super().__init__(
             num_ranks,
             cluster,
-            sample_size,
             chaos_seed=chaos_seed,
             checkpoint=checkpoint,
             retry=retry,
@@ -99,8 +96,6 @@ class ProcessRuntime(MPIRuntime):
             recorder=recorder,
             memory_budget=memory_budget,
         )
-        #: wall-clock seconds the spawner waits for all workers to finish
-        self.timeout = timeout
         #: heartbeat-silence seconds before a live rank is declared hung
         #: (``None`` = the supervisor's default)
         self.hang_timeout = hang_timeout
@@ -140,7 +135,6 @@ class ProcessRuntime(MPIRuntime):
             cluster=self.cluster,
             args=(plan, input_data),
             kwargs=worker_kwargs,
-            timeout=self.timeout,
             **launch_kwargs,
         )
         self._transport = run.extra.get("transport")

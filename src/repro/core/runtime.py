@@ -89,6 +89,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only: a serial run never loads
     from repro.mpi.launcher import MPIRun
     from repro.obs.span import Recorder
 
+#: keys each rank contributes to the range exchange's boundary sample
+KEY_SAMPLE_SIZE = 512
+
 
 @dataclass
 class PartitionResult:
@@ -315,7 +318,6 @@ class MPIRuntime:
         self,
         num_ranks: int,
         cluster: Optional[ClusterModel] = None,
-        sample_size: int = 512,
         *,
         faults: Any = None,
         chaos_seed: int = 0,
@@ -331,7 +333,6 @@ class MPIRuntime:
             )
         self.num_ranks = num_ranks
         self.cluster = cluster
-        self.sample_size = sample_size
         #: normalized fault schedule (``None`` when no faults were configured)
         self.faults = None
         if faults is not None:
@@ -687,7 +688,7 @@ class MPIRuntime:
             from repro.ooc.exchange import reduce_received, spilled_range_exchange
 
             inbox = spilled_range_exchange(
-                comm, source, op.key, ascending, reducers, ctx, perf, self.sample_size
+                comm, source, op.key, ascending, reducers, ctx, perf, KEY_SAMPLE_SIZE
             )
             self._charge(
                 comm, kernel, sum(m.num_records for m in inbox if m is not None)
@@ -698,7 +699,7 @@ class MPIRuntime:
         data = resident(source)
         sort_keys = sort_key_array(np.asarray(data.column(op.key)), ascending)
         reducer_of = RangePartitioner.sampled(
-            comm, sort_keys, reducers, self.sample_size
+            comm, sort_keys, reducers, KEY_SAMPLE_SIZE
         ).partition_array(sort_keys)
         received = self._exchange_entries(
             comm, data, (reducer_of * comm.size) // reducers, perf

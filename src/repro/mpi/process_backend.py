@@ -8,11 +8,11 @@ partitioner kernels genuinely execute in parallel, and it is a first-class
 / ``python -m repro run --backend process`` (see ``docs/process-backend.md``).
 
 Transport: pipes carry *headers only*.  Numpy payloads — ``KVBatch``
-columns, partition arrays, ``Dataset`` records — travel through pooled
-``multiprocessing.shared_memory`` segments via :mod:`repro.mpi.shm`; the
-:class:`ShmFabric` endpoint overrides the fabric codec hooks so the
-communicator, the MapReduce shuffle and both SPMD runtimes pick the
-zero-copy lane up without changes.
+columns, partition arrays, ``Dataset`` records — travel through
+``multiprocessing.shared_memory`` segments, one per message, via
+:mod:`repro.mpi.shm`; the :class:`ShmFabric` endpoint overrides the fabric
+codec hooks so the communicator, the MapReduce shuffle and both SPMD
+runtimes pick the zero-copy lane up without changes.
 
 Semantics match the thread backend with documented restrictions:
 
@@ -33,16 +33,16 @@ classified :class:`~repro.errors.WorkerCrash` within seconds instead of
 the full run timeout (see ``docs/process-backend.md``).
 
 Each worker ships its :class:`~repro.mpi.fabric.TrafficStats` and segment
-pool counters back in its exit message; the spawner merges them into
+count back in its exit message; the spawner merges them into
 ``MPIRun.extra["transport"]`` so per-rank traffic survives the process
 boundary — on failure the queue is drained best-effort so the accounting
 covers every rank that managed to report, and the raised error carries the
-summary as ``papar_transport``.  Cleanup discipline: workers never unlink;
-the spawner unlinks the union of the names ledger and a ``/dev/shm``
-prefix scan after the workers are gone (joined for :data:`EXIT_GRACE` when
-all reported success, then terminate, then ``kill()`` for anything that
-survives :data:`TERM_GRACE`), so neither a clean exit nor a crash leaks
-segments or child processes.
+summary as ``papar_transport``.  Cleanup discipline: receivers unlink what
+they decode; the spawner sweeps the rest — the union of the names ledger
+and a ``/dev/shm`` prefix scan — after the workers are gone (joined for
+:data:`EXIT_GRACE` when all reported success, then terminate, then
+``kill()`` for anything that survives :data:`TERM_GRACE`), so neither a
+clean exit nor a crash leaks segments or child processes.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.fabric import Message, TrafficStats
 from repro.mpi.launcher import MPIRun
 from repro.mpi.shm import (
+    SegmentFactory,
     ShmEnvelope,
-    ShmPool,
     decode_payload,
     encode_payload,
     scan_segments,
@@ -81,6 +81,8 @@ from repro.mpi.supervisor import (
 
 #: seconds a worker blocks on its inbox before declaring the run stuck
 DEFAULT_COLLECT_TIMEOUT = 300.0
+#: wall-clock seconds the spawner waits for every worker to finish
+DEFAULT_RUN_TIMEOUT = 600.0
 #: seconds a worker that reported success gets to finish interpreter shutdown
 EXIT_GRACE = 1.0
 #: seconds a terminated worker gets to die before escalation to ``kill()``
@@ -95,25 +97,23 @@ class ShmFabric:
     """Per-process fabric endpoint speaking the shared-memory wire format.
 
     One inbox queue per rank carries :class:`Message` headers whose payloads
-    are :class:`~repro.mpi.shm.ShmEnvelope` headers; the bytes live in
-    pooled segments owned by the sending rank's :class:`ShmPool`.  Receivers
-    post segment names back to the owner's release queue when the last view
-    dies, closing the recycle loop.
+    are :class:`~repro.mpi.shm.ShmEnvelope` headers; the bytes live in one
+    segment per message, made by the sending rank's
+    :class:`~repro.mpi.shm.SegmentFactory` and unlinked by the receiver
+    when it decodes the message.
     """
 
     def __init__(
         self,
         rank: int,
         queues: Sequence[Any],
-        release_queues: Sequence[Any],
-        pool: ShmPool,
+        factory: SegmentFactory,
         collect_timeout: float = DEFAULT_COLLECT_TIMEOUT,
     ) -> None:
         self.size = len(queues)
         self._rank = rank
         self._queues = queues
-        self._release_queues = release_queues
-        self._pool = pool
+        self._factory = factory
         self._collect_timeout = collect_timeout
         self._buffer: deque[Message] = deque()
         self.stats = TrafficStats()
@@ -122,36 +122,21 @@ class ShmFabric:
 
     def encode_object(self, obj: Any) -> tuple[Any, int]:
         """Encode an object payload into a shm envelope."""
-        env = encode_payload(obj, self._pool)
+        env = encode_payload(obj, self._factory)
         return env, env.nbytes
 
     def decode_object(self, payload: Any) -> Any:
         """Map an envelope's segment and rebuild the object (views, no copy)."""
-        return decode_payload(payload, release_cb=self._release_cb(payload))
+        return decode_payload(payload)
 
     def encode_buffer(self, arr: np.ndarray) -> tuple[Any, int]:
         """Encode a contiguous numpy buffer into a shm envelope."""
-        env = encode_payload(arr, self._pool)
+        env = encode_payload(arr, self._factory)
         return env, arr.nbytes
 
     def decode_buffer(self, payload: Any) -> np.ndarray:
         """Map an envelope back to a (read-only) numpy view."""
-        return decode_payload(payload, release_cb=self._release_cb(payload))
-
-    def _release_cb(self, env: ShmEnvelope) -> Optional[Callable[[], None]]:
-        """Callback posting the segment back to its owner when views die."""
-        if env.segment is None:
-            return None
-        queue = self._release_queues[env.owner]
-        name = env.segment
-
-        def _post() -> None:
-            try:
-                queue.put(name)
-            except Exception:  # queue torn down at interpreter exit
-                pass
-
-        return _post
+        return decode_payload(payload)
 
     # -- transport (same interface as the thread Fabric) ---------------------
 
@@ -242,7 +227,6 @@ def _drain(queue: Any) -> list[Any]:
 def _process_worker(
     rank: int,
     queues: Sequence[Any],
-    release_queues: Sequence[Any],
     names_queue: Any,
     result_queue: Any,
     heartbeat_queue: Any,
@@ -255,8 +239,8 @@ def _process_worker(
     kwargs: dict[str, Any],
 ) -> None:
     """Entry point of one rank process (forked: fn/args arrive by COW memory)."""
-    pool = ShmPool(prefix, rank, release_queue=release_queues[rank], names_queue=names_queue)
-    fabric = ShmFabric(rank, queues, release_queues, pool, collect_timeout)
+    factory = SegmentFactory(prefix, rank, names_queue)
+    fabric = ShmFabric(rank, queues, factory, collect_timeout)
     heartbeat = HeartbeatSender(rank, heartbeat_queue)
     heartbeat.start()
     if crash_agent is not None:
@@ -266,7 +250,7 @@ def _process_worker(
             rank, fabric, cluster=cluster, clock=VirtualClock(), injector=crash_agent
         )
         result = fn(comm, *args, **kwargs)
-        envelope = encode_payload(result, pool)
+        envelope = encode_payload(result, factory)
         result_queue.put(
             {
                 "status": "ok",
@@ -274,7 +258,7 @@ def _process_worker(
                 "payload": envelope,
                 "clock": comm.clock.now,
                 "traffic": fabric.stats.as_dict(),
-                "pool": pool.stats.as_dict(),
+                "segments": factory.created,
             }
         )
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
@@ -284,7 +268,7 @@ def _process_worker(
             "payload": exc,
             "clock": 0.0,
             "traffic": fabric.stats.as_dict(),
-            "pool": pool.stats.as_dict(),
+            "segments": factory.created,
         }
         try:
             result_queue.put(exit_msg)
@@ -294,7 +278,6 @@ def _process_worker(
     finally:
         heartbeat.stop()
         sweep_pending_closes()
-        pool.close()
 
 
 def _shutdown_gang(procs: Sequence[Any], exiting: bool = False) -> None:
@@ -335,7 +318,7 @@ def run_mpi_processes(
     cluster: Optional[ClusterModel] = None,
     args: Sequence[Any] = (),
     kwargs: Optional[dict[str, Any]] = None,
-    timeout: float = 600.0,
+    timeout: float = DEFAULT_RUN_TIMEOUT,
     collect_timeout: float = DEFAULT_COLLECT_TIMEOUT,
     hang_timeout: Optional[float] = DEFAULT_HANG_TIMEOUT,
     crash_agent: Optional[CrashAgent] = None,
@@ -344,8 +327,8 @@ def run_mpi_processes(
 
     Returns an :class:`~repro.mpi.launcher.MPIRun` whose
     ``extra["transport"]`` carries the merged per-rank traffic and segment
-    pool counters (``shm_bytes``, ``pickle_bytes``, segments created /
-    reused / unlinked) — the numbers the driver surfaces in
+    counts (``shm_bytes``, ``pickle_bytes``, segments created, segments
+    swept at teardown) — the numbers the driver surfaces in
     ``PartitionResult.extra["perf"]["transport"]``.
 
     Collection is supervised: a rank that dies without reporting raises a
@@ -370,7 +353,6 @@ def run_mpi_processes(
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
     prefix = f"pp{os.getpid():x}{secrets.token_hex(2)}"
     queues = [ctx.Queue() for _ in range(size)]
-    release_queues = [ctx.Queue() for _ in range(size)]
     names_queue = ctx.Queue()
     result_queue = ctx.Queue()
     heartbeat_queue = ctx.Queue()
@@ -378,7 +360,7 @@ def run_mpi_processes(
         ctx.Process(
             target=_process_worker,
             args=(
-                rank, queues, release_queues, names_queue, result_queue,
+                rank, queues, names_queue, result_queue,
                 heartbeat_queue, cluster, prefix, collect_timeout, crash_agent,
                 fn, tuple(args), dict(kwargs or {}),
             ),
@@ -389,7 +371,7 @@ def run_mpi_processes(
     results: list[Any] = [None] * size
     clocks = [0.0] * size
     traffic: dict[int, dict[str, Any]] = {}
-    pools: dict[int, dict[str, int]] = {}
+    created: dict[int, int] = {}
     seen: set[int] = set()
     first_error: Optional[BaseException] = None
     unlinked = 0
@@ -404,7 +386,7 @@ def run_mpi_processes(
             return
         seen.add(rank)
         traffic[rank] = exit_msg["traffic"]
-        pools[rank] = exit_msg["pool"]
+        created[rank] = exit_msg["segments"]
         clocks[rank] = exit_msg["clock"]
         if exit_msg["status"] == "error":
             first_error = first_error or exit_msg["payload"]
@@ -448,42 +430,44 @@ def run_mpi_processes(
                     _absorb(exit_msg, decode=False)
                 except Exception:  # killed writer can tear a message mid-pickle
                     break
-            # unlink the union of the ledger and a /dev/shm prefix scan: a
-            # crashed worker's segments show up in at least one of the two
+            # sweep the union of the ledger and a /dev/shm prefix scan: an
+            # undecoded message or a crashed worker's segments show up in at
+            # least one of the two
             names = set(_drain(names_queue)) | set(scan_segments(prefix))
             unlinked = unlink_segments(names)
             sweep_pending_closes()
     if first_error is not None:
         try:
-            first_error.papar_transport = _merge_transport(prefix, traffic, pools, unlinked)
+            first_error.papar_transport = _merge_transport(prefix, traffic, created, unlinked)
         except Exception:
             pass
         raise first_error
     messages = sum(t["messages"] for t in traffic.values())
     nbytes = sum(t["bytes"] for t in traffic.values())
     run = MPIRun(results=results, clocks=clocks, bytes_moved=nbytes, messages=messages)
-    run.extra["transport"] = _merge_transport(prefix, traffic, pools, unlinked)
+    run.extra["transport"] = _merge_transport(prefix, traffic, created, unlinked)
     return run
 
 
 def _merge_transport(
     prefix: str,
     traffic: dict[int, dict[str, Any]],
-    pools: dict[int, dict[str, int]],
+    created: dict[int, int],
     unlinked: int,
 ) -> dict[str, Any]:
-    """Fold per-rank traffic/pool counters into the driver-facing summary."""
+    """Fold per-rank traffic and segment counts into the driver-facing summary.
+
+    ``segments_unlinked`` counts only what the teardown sweep removed, so a
+    clean run reports 0.
+    """
     summary: dict[str, Any] = {
         "kind": "shm",
         "shm_prefix": prefix,
         "shm_bytes": sum(t["shm_bytes"] for t in traffic.values()),
         "pickle_bytes": sum(t["pickle_bytes"] for t in traffic.values()),
         "inline_bytes": sum(t["inline_bytes"] for t in traffic.values()),
-        "segments_created": sum(p["created"] for p in pools.values()),
-        "segments_reused": sum(p["reused"] for p in pools.values()),
-        "segments_released": sum(p["released"] for p in pools.values()),
+        "segments_created": sum(created.values()),
         "segments_unlinked": unlinked,
-        "shm_bytes_allocated": sum(p["bytes_allocated"] for p in pools.values()),
         "per_rank": {
             rank: {
                 "messages": t["messages"],

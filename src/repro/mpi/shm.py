@@ -10,37 +10,37 @@ and moves the bytes through ``multiprocessing.shared_memory``:
   ``buffer_callback``, so every contiguous numpy array (``KVBatch``
   columns, partition arrays, ``Dataset.records``) is captured out-of-band
   instead of being copied into the pickle blob.  The raw buffers are
-  written into one pooled segment; the :class:`ShmEnvelope` that crosses
-  the pipe carries just the segment name, per-buffer offsets, dtype/shape
-  (bare-array fast path) and a crc32.
-* :func:`decode_payload` maps the segment in the receiving process and
-  rebuilds the object with ``pickle.loads(..., buffers=...)`` over
-  read-only views — array bodies are never copied.  A :class:`_Lease`
-  watches the reconstructed views with ``weakref.finalize``; when the
-  last one dies, the mapping is closed and the segment name is posted to
-  the owner's release queue for reuse.
-* :class:`ShmPool` is the per-rank segment allocator: size-class free
-  lists plus the release queue mean an alltoall exchanges a handful of
-  recycled segments instead of ``shm_open``-ing fresh ones every round.
+  written into one fresh segment of exactly their size, made by the
+  sender's :class:`SegmentFactory`, whose mapping the sender closes at
+  once; the :class:`ShmEnvelope` that crosses the pipe carries just the
+  segment name, per-buffer offsets, dtype/shape (bare-array fast path)
+  and a crc32.
+* :func:`decode_payload` maps the segment in the receiving process,
+  checks the crc, unlinks the name and rebuilds the object with
+  ``pickle.loads(..., buffers=...)`` over read-only views — array bodies
+  are never copied.  The views stay readable after the unlink: a
+  :class:`_Lease` watches them with ``weakref.finalize`` and closes the
+  mapping when the last one dies.
 
-Cleanup discipline: workers *never* unlink.  Every created segment name
-is also pushed to a spawner-side ledger queue, and the spawner unlinks
-the union of that ledger and a ``/dev/shm`` prefix scan once the workers
-are gone — so neither a clean exit nor a crashed worker can leak
-segments (pinned by the leak tests in ``tests/mpi``).
+Cleanup discipline: receivers unlink what they decode; the spawner sweeps
+the rest.  Every created segment name is also pushed to a spawner-side
+ledger queue, and once the workers are gone the spawner unlinks whatever
+is left of the union of that ledger and a ``/dev/shm`` prefix scan — a
+message nobody decoded, or a crashed worker's segments — so neither a
+clean exit nor a crash can leak segments (pinned by the leak tests in
+``tests/mpi``).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import queue
 import threading
 import weakref
 import zlib
 from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -48,9 +48,6 @@ from repro.errors import MPIError
 
 #: buffer start alignment inside a segment (cache line)
 ALIGNMENT = 64
-
-#: smallest segment size class; everything below rounds up to this
-MIN_SEGMENT = 4096
 
 #: envelope kinds: no out-of-band buffers / pickled object with external
 #: buffers / bare ndarray described entirely by the header
@@ -103,6 +100,20 @@ def _attach(name: str) -> SharedMemory:
     return shm
 
 
+def _unlink(shm: SharedMemory) -> bool:
+    """Remove ``shm``'s name from ``/dev/shm``; False if it was already gone.
+
+    Open mappings stay valid: the memory is freed once the last one closes.
+    """
+    _track(shm.name)
+    try:
+        shm.unlink()
+        return True
+    except FileNotFoundError:
+        _untrack(shm.name)
+        return False
+
+
 #: mappings whose close raced a dying view's buffer export (a finalizer
 #: runs *before* the dying array releases its export, so the first close
 #: attempt can see live pointers); swept on later transport activity
@@ -110,9 +121,13 @@ _PENDING_CLOSE: list[SharedMemory] = []
 _PENDING_LOCK = threading.Lock()
 
 
-def _park_close(shm: SharedMemory) -> None:
-    with _PENDING_LOCK:
-        _PENDING_CLOSE.append(shm)
+def _close(shm: SharedMemory) -> None:
+    """Unmap ``shm`` now, or park it for :func:`sweep_pending_closes`."""
+    try:
+        shm.close()
+    except BufferError:
+        with _PENDING_LOCK:
+            _PENDING_CLOSE.append(shm)
 
 
 def sweep_pending_closes() -> None:
@@ -120,22 +135,11 @@ def sweep_pending_closes() -> None:
     with _PENDING_LOCK:
         parked, _PENDING_CLOSE[:] = _PENDING_CLOSE[:], []
     for shm in parked:
-        try:
-            shm.close()
-        except BufferError:
-            _park_close(shm)
+        _close(shm)
 
 
 def _aligned(nbytes: int) -> int:
     return (nbytes + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
-
-
-def _size_class(nbytes: int) -> int:
-    """Round a request up to its power-of-two size class (min 4 KiB)."""
-    cap = MIN_SEGMENT
-    while cap < nbytes:
-        cap *= 2
-    return cap
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,6 @@ class ShmEnvelope:
     blob: Optional[bytes]
     #: shared-memory segment holding the buffers (``None`` when inline)
     segment: Optional[str]
-    #: rank whose :class:`ShmPool` owns ``segment`` (release target)
-    owner: int
     #: ``(offset, nbytes)`` per out-of-band buffer, in pickle order
     buffers: tuple[tuple[int, int], ...]
     #: dtype string / shape for :data:`KIND_ARRAY`
@@ -165,125 +167,69 @@ class ShmEnvelope:
     fallback_bytes: int
 
 
-@dataclass
-class PoolStats:
-    """Segment-allocator counters shipped back to the driver."""
+class SegmentFactory:
+    """Per-rank source of fresh segments, one of exactly the payload's size.
 
-    created: int = 0
-    reused: int = 0
-    released: int = 0
-    bytes_allocated: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view for exit messages and ``extra["perf"]``."""
-        return {
-            "created": self.created,
-            "reused": self.reused,
-            "released": self.released,
-            "bytes_allocated": self.bytes_allocated,
-        }
-
-
-class ShmPool:
-    """Per-rank pooled segment allocator with size-class free lists.
-
-    Segments come back via ``release_queue`` (posted by receivers when the
-    last view over a segment dies) and are drained opportunistically on
-    every :meth:`acquire`.  Every created name is mirrored to
-    ``names_queue`` so the spawner can unlink the full ledger at shutdown;
-    the pool itself only ever ``close()``-es its mappings.
+    Names are ``{prefix}r{rank}n{seq}``.  Every created name is mirrored
+    to ``names_queue`` so the spawner can sweep whatever no receiver
+    unlinked; the factory keeps no mapping of its own.
     """
 
-    def __init__(
-        self,
-        prefix: str,
-        rank: int,
-        release_queue: Any = None,
-        names_queue: Any = None,
-    ) -> None:
+    def __init__(self, prefix: str, rank: int, names_queue: Any = None) -> None:
         self.prefix = prefix
         self.rank = rank
-        self._release_queue = release_queue
         self._names_queue = names_queue
-        self._blocks: dict[str, SharedMemory] = {}
-        self._capacity: dict[str, int] = {}
-        self._free: dict[int, list[str]] = {}
         self._seq = 0
-        self.stats = PoolStats()
+        #: segments this rank has created (the exit message's count)
+        self.created = 0
 
-    def acquire(self, nbytes: int) -> SharedMemory:
-        """Return a segment of capacity >= ``nbytes`` (recycled if possible)."""
+    def create(self, nbytes: int) -> SharedMemory:
+        """A new segment of ``nbytes`` (> 0) bytes, mapped for writing."""
         sweep_pending_closes()
-        self.drain_releases()
-        cap = _size_class(max(1, nbytes))
-        free = self._free.get(cap)
-        if free:
-            self.stats.reused += 1
-            return self._blocks[free.pop()]
         while True:  # skip names left over by an unrelated crashed run
             name = f"{self.prefix}r{self.rank}n{self._seq}"
             self._seq += 1
             try:
-                shm = SharedMemory(name=name, create=True, size=cap)
+                shm = SharedMemory(name=name, create=True, size=nbytes)
                 break
             except FileExistsError:
                 continue
         _untrack(name)
-        self._blocks[name] = shm
-        self._capacity[name] = cap
-        self.stats.created += 1
-        self.stats.bytes_allocated += cap
+        self.created += 1
         if self._names_queue is not None:
             self._names_queue.put(name)
         return shm
-
-    def drain_releases(self) -> None:
-        """Move every name posted to the release queue back to a free list."""
-        if self._release_queue is None:
-            return
-        while True:
-            try:
-                name = self._release_queue.get_nowait()
-            except queue.Empty:
-                return
-            except (OSError, ValueError):  # queue torn down mid-shutdown
-                return
-            if name in self._blocks:
-                self._free.setdefault(self._capacity[name], []).append(name)
-                self.stats.released += 1
-
-    def close(self) -> None:
-        """Unmap every block.  Unlinking is the spawner's job, never ours."""
-        for shm in self._blocks.values():
-            try:
-                shm.close()
-            except BufferError:  # a view still alive at exit; mapping dies with us
-                pass
-        self._blocks.clear()
-        self._capacity.clear()
-        self._free.clear()
 
 
 # -- encoding ---------------------------------------------------------------
 
 
-def encode_payload(obj: Any, pool: ShmPool) -> ShmEnvelope:
+def _inline(blob: bytes, fallback: bool) -> ShmEnvelope:
+    return ShmEnvelope(
+        kind=KIND_INLINE, blob=blob, segment=None, buffers=(), dtype=None,
+        shape=None, crc=zlib.crc32(blob), nbytes=len(blob), oob_bytes=0,
+        fallback_bytes=len(blob) if fallback else 0,
+    )
+
+
+def encode_payload(obj: Any, factory: SegmentFactory) -> ShmEnvelope:
     """Encode ``obj`` for the pipe: header out, array bytes into a segment.
 
     Bare contiguous ndarrays skip pickle entirely (dtype/shape ride in the
     header).  Everything else goes through pickle protocol 5 with a
     ``buffer_callback``, so ndarrays *inside* containers (``KVBatch``,
-    ``Dataset``, dicts of partitions) still travel out-of-band.  If
-    out-of-band capture fails for an exotic payload, we fall back to a
-    plain pickle and account the bytes as ``fallback_bytes`` — the
-    ``comm.pickle_bytes`` counter the tests pin to zero for numpy payloads.
+    ``Dataset``, dicts of partitions) still travel out-of-band.  A payload
+    with no out-of-band bytes creates no segment.  If out-of-band capture
+    fails for an exotic payload, we fall back to a plain pickle and
+    account the bytes as ``fallback_bytes`` — the ``comm.pickle_bytes``
+    counter the tests pin to zero for numpy payloads.
     """
     if (
         isinstance(obj, np.ndarray)
         and not obj.dtype.hasobject
         and obj.dtype.names is None  # structured dtypes keep fields via pickle
     ):
-        return _encode_array(np.ascontiguousarray(obj), pool)
+        return _encode_array(np.ascontiguousarray(obj), factory)
 
     pickle_buffers: list[pickle.PickleBuffer] = []
     try:
@@ -291,26 +237,23 @@ def encode_payload(obj: Any, pool: ShmPool) -> ShmEnvelope:
     except Exception:
         for buf in pickle_buffers:
             buf.release()
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        return ShmEnvelope(
-            kind=KIND_INLINE, blob=blob, segment=None, owner=pool.rank,
-            buffers=(), dtype=None, shape=None, crc=zlib.crc32(blob),
-            nbytes=len(blob), oob_bytes=0, fallback_bytes=len(blob),
-        )
-    if not pickle_buffers:
-        return ShmEnvelope(
-            kind=KIND_INLINE, blob=blob, segment=None, owner=pool.rank,
-            buffers=(), dtype=None, shape=None, crc=zlib.crc32(blob),
-            nbytes=len(blob), oob_bytes=0, fallback_bytes=0,
-        )
-
+        return _inline(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), fallback=True)
     raws = [buf.raw() for buf in pickle_buffers]
     spans: list[tuple[int, int]] = []
-    total = 0
+    end = 0
     for raw in raws:
-        spans.append((total, raw.nbytes))
-        total += _aligned(raw.nbytes)
-    shm = pool.acquire(total)
+        offset = _aligned(end)
+        spans.append((offset, raw.nbytes))
+        end = offset + raw.nbytes
+    if end == 0:  # no buffers, or only empty ones: the skeleton is the payload
+        for raw, buf in zip(raws, pickle_buffers):
+            raw.release()
+            buf.release()
+        if pickle_buffers:
+            blob = pickle.dumps(obj, protocol=5)
+        return _inline(blob, fallback=False)
+
+    shm = factory.create(end)
     crc = zlib.crc32(blob)
     for (offset, nbytes), raw in zip(spans, raws):
         shm.buf[offset : offset + nbytes] = raw
@@ -318,27 +261,29 @@ def encode_payload(obj: Any, pool: ShmPool) -> ShmEnvelope:
         raw.release()
     for buf in pickle_buffers:
         buf.release()
+    _close(shm)
     oob = sum(nbytes for _, nbytes in spans)
     return ShmEnvelope(
-        kind=KIND_OBJECT, blob=blob, segment=shm.name, owner=pool.rank,
-        buffers=tuple(spans), dtype=None, shape=None, crc=crc,
-        nbytes=len(blob) + oob, oob_bytes=oob, fallback_bytes=0,
+        kind=KIND_OBJECT, blob=blob, segment=shm.name, buffers=tuple(spans),
+        dtype=None, shape=None, crc=crc, nbytes=len(blob) + oob,
+        oob_bytes=oob, fallback_bytes=0,
     )
 
 
-def _encode_array(arr: np.ndarray, pool: ShmPool) -> ShmEnvelope:
+def _encode_array(arr: np.ndarray, factory: SegmentFactory) -> ShmEnvelope:
     """Bare-array fast path: no pickle at all, header carries dtype/shape."""
     if arr.nbytes == 0:
         return ShmEnvelope(
-            kind=KIND_ARRAY, blob=None, segment=None, owner=pool.rank,
-            buffers=(), dtype=arr.dtype.str, shape=tuple(arr.shape),
-            crc=0, nbytes=0, oob_bytes=0, fallback_bytes=0,
+            kind=KIND_ARRAY, blob=None, segment=None, buffers=(),
+            dtype=arr.dtype.str, shape=tuple(arr.shape), crc=0, nbytes=0,
+            oob_bytes=0, fallback_bytes=0,
         )
-    shm = pool.acquire(arr.nbytes)
+    shm = factory.create(arr.nbytes)
     flat = arr.reshape(-1).view(np.uint8)
     shm.buf[: arr.nbytes] = flat
+    _close(shm)
     return ShmEnvelope(
-        kind=KIND_ARRAY, blob=None, segment=shm.name, owner=pool.rank,
+        kind=KIND_ARRAY, blob=None, segment=shm.name,
         buffers=((0, arr.nbytes),), dtype=arr.dtype.str,
         shape=tuple(arr.shape), crc=zlib.crc32(flat), nbytes=arr.nbytes,
         oob_bytes=arr.nbytes, fallback_bytes=0,
@@ -349,51 +294,37 @@ def _encode_array(arr: np.ndarray, pool: ShmPool) -> ShmEnvelope:
 
 
 class _Lease:
-    """Counts live views over one mapped segment; releases it at zero."""
+    """Counts live views over one mapped segment; unmaps it at zero."""
 
-    __slots__ = ("_shm", "_release_cb", "_left", "_lock")
+    __slots__ = ("_shm", "_left", "_lock")
 
-    def __init__(self, shm: SharedMemory, release_cb: Optional[Callable[[], None]], views: int) -> None:
+    def __init__(self, shm: SharedMemory, views: int) -> None:
         self._shm = shm
-        self._release_cb = release_cb
         self._left = views
         self._lock = threading.Lock()
 
     def drop(self) -> None:
-        """One view died; on the last one, unmap and notify the owner.
+        """One view died; on the last one, unmap the segment.
 
-        The release is posted *before* the close: the last view is already
-        unreadable, so the owner may recycle the block, and the close may
-        legitimately fail right now (the dying view's buffer export is
-        still held during finalization) — such mappings are parked and
-        swept by the next transport operation.
+        The close may legitimately fail right now (the dying view's buffer
+        export is still held during finalization) — such mappings are
+        parked and swept by the next transport operation.
         """
         with self._lock:
             self._left -= 1
             if self._left:
                 return
-        if self._release_cb is not None:
-            try:
-                self._release_cb()
-            except Exception:  # queue already gone at interpreter exit
-                pass
-        try:
-            self._shm.close()
-        except BufferError:
-            _park_close(self._shm)
+        _close(self._shm)
 
 
-def decode_payload(
-    envelope: ShmEnvelope,
-    release_cb: Optional[Callable[[], None]] = None,
-    copy: bool = False,
-) -> Any:
+def decode_payload(envelope: ShmEnvelope, copy: bool = False) -> Any:
     """Rebuild the object described by ``envelope`` in this process.
 
-    With ``copy=False`` (the worker hot path) arrays are *views* over the
-    mapped segment, marked read-only so a stray in-place mutation fails
-    loudly instead of corrupting a pooled block; ``release_cb`` fires when
-    the last view is garbage-collected.  With ``copy=True`` (the spawner
+    The segment's name is unlinked as soon as its crc checks out, so each
+    segment is decoded once.  With ``copy=False`` (the worker hot path)
+    arrays are *views* over the mapped segment, marked read-only so a
+    stray in-place mutation fails loudly; the mapping is closed when the
+    last view is garbage-collected.  With ``copy=True`` (the spawner
     materializing worker results) bytes are copied out, the mapping is
     closed immediately, and the returned arrays are ordinary writable
     memory.
@@ -410,23 +341,22 @@ def decode_payload(
 
     shm = _attach(envelope.segment)
     try:
-        return _decode_mapped(envelope, shm, release_cb, copy)
+        buffers = _mapped_buffers(envelope, shm, copy)
     except Exception:
         # views created before the failure may still hold buffer exports;
         # park the mapping rather than let BufferError mask the real error
-        try:
-            shm.close()
-        except BufferError:
-            _park_close(shm)
+        _close(shm)
         raise
+    _unlink(shm)
+    if envelope.kind == KIND_ARRAY:
+        arr = np.frombuffer(buffers[0], dtype=np.dtype(envelope.dtype))
+        return arr.reshape(envelope.shape)
+    assert envelope.blob is not None
+    return pickle.loads(envelope.blob, buffers=buffers)
 
 
-def _decode_mapped(
-    envelope: ShmEnvelope,
-    shm: SharedMemory,
-    release_cb: Optional[Callable[[], None]],
-    copy: bool,
-) -> Any:
+def _mapped_buffers(envelope: ShmEnvelope, shm: SharedMemory, copy: bool) -> list[Any]:
+    """The envelope's out-of-band buffers, crc-checked: copies or views."""
     crc = zlib.crc32(envelope.blob) if envelope.blob is not None else 0
 
     if copy:
@@ -438,13 +368,7 @@ def _decode_mapped(
             view.release()
         _check_crc(crc, envelope)
         shm.close()
-        if release_cb is not None:
-            release_cb()
-        if envelope.kind == KIND_ARRAY:
-            arr = np.frombuffer(chunks[0], dtype=np.dtype(envelope.dtype))
-            return arr.reshape(envelope.shape)
-        assert envelope.blob is not None
-        return pickle.loads(envelope.blob, buffers=chunks)
+        return chunks
 
     views: list[np.ndarray] = []
     for offset, nbytes in envelope.buffers:
@@ -453,13 +377,10 @@ def _decode_mapped(
         view.flags.writeable = False
         views.append(view)
     _check_crc(crc, envelope)
-    lease = _Lease(shm, release_cb, len(views))
+    lease = _Lease(shm, len(views))
     for view in views:
         weakref.finalize(view, lease.drop)
-    if envelope.kind == KIND_ARRAY:
-        return views[0].view(np.dtype(envelope.dtype)).reshape(envelope.shape)
-    assert envelope.blob is not None
-    return pickle.loads(envelope.blob, buffers=views)
+    return views
 
 
 def _check_crc(crc: int, envelope: ShmEnvelope) -> None:
@@ -479,20 +400,10 @@ def unlink_segments(names: Iterable[str]) -> int:
     for name in names:
         try:
             shm = _attach(name)
-        except FileNotFoundError:
-            continue
         except OSError:
             continue
-        try:
-            shm.close()
-        except BufferError:
-            pass
-        _track(name)
-        try:
-            shm.unlink()
-            count += 1
-        except FileNotFoundError:
-            _untrack(name)
+        _close(shm)
+        count += _unlink(shm)
     return count
 
 

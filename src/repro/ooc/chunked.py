@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.errors import FormatError
-from repro.formats.binary import read_records
+from repro.formats.binary import _count_records, read_records
 from repro.formats.records import RecordSchema
 from repro.formats.text import _decode_bulk, iter_text_lines, parse_line, takes_bulk_codec
 from repro.ooc.budget import MemoryBudget
@@ -110,13 +110,7 @@ class ChunkedDataset:
         self.start = start
         if schema.input_format == "binary":
             if _total_records is None:
-                body = os.path.getsize(self.path) - schema.start_position
-                if body < 0 or body % schema.itemsize != 0:
-                    raise FormatError(
-                        f"{self.path}: not a valid {schema.id!r} file "
-                        f"(body {body} B, record {schema.itemsize} B)"
-                    )
-                _total_records = body // schema.itemsize
+                _total_records = _count_records(self.path, schema)
             self._text_index = None
             self._text_stride = 0
         elif schema.input_format == "text":

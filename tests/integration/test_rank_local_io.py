@@ -398,10 +398,11 @@ class TestMalformedInput:
             read_binary(path, BLAST_INDEX_SCHEMA)
         before = leftovers()
         for backend in BACKENDS:
-            with pytest.raises(FormatError) as refused:
-                partition(papar, WORKFLOWS["blast-cyclic"], str(path), tmp_path / "out",
-                          4, backend, 2)
-            assert str(refused.value) == str(direct.value)
+            for budget in ({}, {"memory_budget": "1MB"}):
+                with pytest.raises(FormatError) as refused:
+                    partition(papar, WORKFLOWS["blast-cyclic"], str(path),
+                              tmp_path / "out", 4, backend, 2, **budget)
+                assert str(refused.value) == str(direct.value), (backend, budget)
         assert leftovers() == before
         assert entries(tmp_path / "out") == []
 

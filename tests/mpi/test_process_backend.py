@@ -150,15 +150,20 @@ def _numpy_shuffle_prog(comm):
     return int(sum(c.sum() for c in got))
 
 
-def _multi_round_shuffle_prog(comm):
-    """Several alltoall rounds with dropped references: exercises recycling."""
-    total = 0
-    for round_no in range(4):
+def _live_segments_per_round_prog(comm):
+    """20 alltoall rounds; the most ``pp*`` names alive at a round boundary.
+
+    The run's segment prefix starts with ``pp`` + the spawner's pid in hex.
+    """
+    from repro.mpi.shm import scan_segments
+
+    prefix = f"pp{os.getppid():x}"
+    most = 0
+    for round_no in range(20):
         rng = np.random.default_rng(100 * comm.rank + round_no)
-        got = comm.alltoall([rng.integers(0, 50, size=2000) for _ in range(comm.size)])
-        total += int(sum(c.sum() for c in got))
-        del got  # last views die -> segments flow back to their owners
-    return total
+        comm.alltoall([rng.integers(0, 50, size=2000) for _ in range(comm.size)])
+        most = max(most, len(scan_segments(prefix)))
+    return most
 
 
 def _crashing_shuffle_prog(comm):
@@ -189,12 +194,13 @@ class TestTransportAccounting:
         assert all(r["pickle_bytes"] == 0 for r in t["per_rank"].values())
         assert t["shm_bytes"] >= 4 * 4 * 1000  # every column out-of-band
 
-    def test_segments_recycled_across_rounds(self):
-        run = run_mpi_processes(_multi_round_shuffle_prog, 3)
+    def test_receivers_unlink_what_they_decode(self):
+        size = 3
+        run = run_mpi_processes(_live_segments_per_round_prog, size)
         t = run.extra["transport"]
-        assert t["segments_reused"] > 0
-        # the pool caps allocation well below the total bytes shuffled
-        assert t["shm_bytes_allocated"] < t["shm_bytes"]
+        assert max(run.results) <= size * (size - 1)
+        assert t["segments_created"] >= 20 * size * (size - 1)
+        assert t["segments_unlinked"] == 0  # nothing was left for the sweep
 
     def test_thread_backend_leaves_shm_lanes_at_zero(self):
         run = run_mpi(_numpy_shuffle_prog, 3)
