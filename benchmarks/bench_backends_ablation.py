@@ -105,9 +105,8 @@ def test_hadoop_engine_flow(benchmark, reporter):
     """The same sort+distribute flow through the disk-shuffle Hadoop engine."""
     from repro.blast import mublastp_partition
     from repro.mapreduce import ExplicitPartitioner, RangePartitioner
-    from repro.mapreduce.engine import identity_reduce
     from repro.mapreduce.hadoop import ListInputFormat
-    from repro.mapreduce.hadoop_engine import HadoopCluster
+    from repro.mapreduce.hadoop_engine import HadoopCluster, identity_reduce
 
     import tempfile
 

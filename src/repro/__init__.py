@@ -14,7 +14,8 @@ Layout
 ``repro.cluster``
     Virtual-time cluster cost model (nodes, Ethernet vs InfiniBand networks).
 ``repro.mapreduce``
-    An MR-MPI-style MapReduce engine running on ``repro.mpi``.
+    Columnar shuffle kernels, reducer partitioners and key sampling shared
+    by the SPMD runtimes, plus the Hadoop ``InputFormat`` and job runner.
 ``repro.config`` / ``repro.formats``
     The two user-facing configuration files (input-data format and workflow)
     and the record formats they describe.

@@ -14,10 +14,9 @@ genuinely differs between the two:
 * the **cost profile**: an MR-MPI job pays the fixed per-job scheduling
   overhead only — no separate sort / hash / stream kernel charges.
 
-The literal MR-MPI primitives (``map`` → ``collate`` → ``reduce`` over
-key-value pairs, with combiners and custom partitioners) live in
-:class:`repro.mapreduce.MRMPIEngine`; that engine runs the
-:mod:`repro.mapreduce` jobs, not workflow plans.
+This is the repo's only MR-MPI mapping: a job's shuffle is the executor's
+exchange (``bucketize`` + ``alltoall`` for a range shuffle, the positional
+deal for distribute) and its reduce the operator's local kernel.
 
 Partitions are bit-identical to the other backends (tested).  This module
 is imported only when ``backend="mapreduce"`` is selected or

@@ -106,7 +106,7 @@ class FaultToleranceError(PaParError):
 
 
 class MapReduceError(PaParError):
-    """Errors from the MapReduce engine."""
+    """Errors from the MapReduce kernels, partitioners and Hadoop runner."""
 
 
 class CodegenError(PaParError):

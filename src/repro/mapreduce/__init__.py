@@ -1,33 +1,35 @@
-"""An MR-MPI-style MapReduce engine on the simulated MPI runtime.
+"""MapReduce building blocks: columnar shuffle kernels, partitioners, sampling.
 
-The paper maps PaPar onto three backends: Hadoop, MR-MPI (Plimpton & Devine's
-C++ MapReduce-on-MPI library) and raw MPI.  The evaluation uses MR-MPI because
-the driving applications are C++.  This package provides the equivalent:
+The paper maps PaPar onto three backends: Hadoop, MR-MPI (Plimpton &
+Devine's C++ MapReduce-on-MPI library) and raw MPI.  The MR-MPI mapping is
+``backend="mapreduce"`` (:class:`repro.core.mr_runtime.MapReduceRuntime`):
+each operator is one map → shuffle → reduce job over the SPMD executor's
+rank program.  This package holds the kernels that program calls and the
+Hadoop mapping:
 
-* :class:`~repro.mapreduce.engine.MRMPIEngine` — per-rank map, hash/range/
-  explicit shuffle over ``alltoall``, grouped reduce; mirrors the
-  ``map -> collate -> reduce`` call sequence of MR-MPI.
-* :class:`~repro.mapreduce.local.LocalEngine` — a serial reference
-  implementation used to check that distributed runs compute the same result.
+* :mod:`~repro.mapreduce.columnar` — :class:`KVBatch`, :func:`bucketize`
+  and :func:`group`, the local kernels of every exchange, plus
+  :class:`PerfCounters` (``run --stats``).
+* :mod:`~repro.mapreduce.partitioner` — hash / range / explicit reducer
+  choice, scalar and vectorized (``partition_array``).
 * :mod:`~repro.mapreduce.sampling` — the data-sampling machinery from
   Section III-D (per-node samples approximating the global key distribution
   to derive balanced reducer ranges).
-* :mod:`~repro.mapreduce.hadoop` — the Hadoop ``InputFormat`` interface shim
-  (``get_splits`` / ``get_record_reader``) mentioned in Section III-A.
+* :mod:`~repro.mapreduce.hadoop` and :mod:`~repro.mapreduce.hadoop_engine`
+  — the Hadoop ``InputFormat`` interface (``get_splits`` /
+  ``get_record_reader``, Section III-A) and a single-process Hadoop job
+  runner with a disk shuffle.
+* :mod:`~repro.mapreduce.rebalance` — dynamic reducer rebalancing.
 """
 
 from repro._lazy import lazy_exports
 
 # names load on first use: the workflow runtimes need the columnar kernels
-# and the partitioners, not the engines
+# and the partitioners, not the Hadoop runner
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.mapreduce.columnar": (
-        "COMBINERS", "GroupedKVBatch", "KVBatch", "PerfCounters",
-        "VectorCombiner", "bucketize", "concat_batches",
+        "GroupedKVBatch", "KVBatch", "PerfCounters", "bucketize",
     ),
-    "repro.mapreduce.engine": ("MRMPIEngine",),
-    "repro.mapreduce.job": ("MapReduceJob",),
-    "repro.mapreduce.local": ("LocalEngine",),
     "repro.mapreduce.partitioner": (
         "ExplicitPartitioner", "HashPartitioner", "Partitioner",
         "RangePartitioner", "stable_hash", "stable_hash_array",

@@ -1,30 +1,24 @@
 """Columnar key-value batches and the vectorized shuffle kernels.
 
-The generic :class:`~repro.mapreduce.engine.MRMPIEngine` phases move Python
-``(key, value)`` tuples through per-pair loops; fine for arbitrary objects,
-but the partitioning workflows only ever shuffle numpy-typed keys with
-fixed-width record values.  This module keeps such batches columnar — one
-keys array plus one values array (structured dtypes for records) — and
-drives every phase with array kernels:
+The partitioning workflows shuffle numpy-typed keys with fixed-width record
+values, so a batch stays columnar — one keys array plus one values array
+(structured dtypes for records) — and every step is an array kernel:
 
 * :func:`bucketize` — one stable order + ``bincount`` + ``split``
   replaces the O(n * destinations) per-destination ``flatnonzero`` scans.
-  Both workflow runtimes and the engine shuffle route through it.
-* :func:`group` — stable order + run-boundary detection, optionally
-  restoring the generic engine's first-seen group order exactly.
+  The SPMD executor's range exchange and the run-file halves in
+  :mod:`repro.ooc.exchange` route through it.
+* :func:`group` — stable order + run-boundary detection; groups come out
+  in first-seen key order (dict grouping's order) or key-sorted.
 
   Every stable order here comes from :func:`repro.order.stable_order`:
   owner ids, group ranks and integer keys are sorted packed (key and index
   in one ``uint64``, numpy's vectorized sort); float or string keys, and
   integer keys whose range plus index exceed 64 bits, fall back to numpy's
   stable ``argsort`` with the same result.
-* vectorized hash / range / explicit partitioning via
-  :meth:`~repro.mapreduce.partitioner.Partitioner.partition_array`.
-* ``reduceat``-based combiners for the Table I aggregates
-  (count / sum / min / max / mean).
 
-Equivalence with the per-pair path is by construction (stable orderings
-everywhere) and enforced by ``tests/mapreduce/test_columnar_equivalence.py``.
+Each kernel equals its scan or dict-grouping oracle
+(``tests/mapreduce/test_columnar_equivalence.py``).
 
 The module also hosts :class:`PerfCounters`, the lightweight perf layer the
 runtimes thread through ``PartitionResult.extra["perf"]`` (printed by
@@ -36,7 +30,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -48,11 +42,8 @@ __all__ = [
     "GroupedKVBatch",
     "bucketize",
     "group",
-    "concat_batches",
     "index_dtype",
     "PerfCounters",
-    "VectorCombiner",
-    "COMBINERS",
 ]
 
 
@@ -141,46 +132,13 @@ class KVBatch:
         idx = np.asarray(indices)
         return KVBatch(keys=self.keys[idx], values=self.values[idx])
 
-    def pairs(self) -> list[tuple[Any, Any]]:
-        """The batch as plain Python pairs (the generic engine's currency)."""
-        return list(zip(self.keys.tolist(), self.values.tolist()))
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Sequence[tuple[Any, Any]],
-        key_dtype: Any = None,
-        value_dtype: Any = None,
-    ) -> "KVBatch":
-        """Columnarize a pair list (pass ``value_dtype`` for record tuples)."""
-        keys = np.array([k for k, _ in pairs], dtype=key_dtype)
-        if value_dtype is not None:
-            values = np.array([tuple(v) if isinstance(v, (list, tuple)) else v
-                               for _, v in pairs], dtype=value_dtype)
-        else:
-            values = np.array([v for _, v in pairs])
-        return cls(keys=keys, values=values)
-
-
-def concat_batches(batches: Sequence[KVBatch]) -> KVBatch:
-    """Concatenate batches in order (empty slices keep their dtype)."""
-    if not batches:
-        raise MapReduceError("cannot concatenate zero KVBatches")
-    if len(batches) == 1:
-        return batches[0]
-    return KVBatch(
-        keys=np.concatenate([b.keys for b in batches]),
-        values=np.concatenate([b.values for b in batches]),
-    )
-
 
 @dataclass
 class GroupedKVBatch:
     """A grouped batch: one key per group, values concatenated group-major.
 
     Group ``g`` owns ``values[offsets[g]:offsets[g+1]]``; ``offsets`` has
-    ``num_groups + 1`` entries.  The columnar analog of the generic engine's
-    ``list[(key, list[value])]``.
+    ``num_groups + 1`` entries.
     """
 
     keys: np.ndarray
@@ -198,25 +156,14 @@ class GroupedKVBatch:
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def value_slices(self) -> Iterator[tuple[Any, np.ndarray]]:
-        for g in range(len(self.keys)):
-            yield self.keys[g], self.values[self.offsets[g] : self.offsets[g + 1]]
-
-    def items(self) -> list[tuple[Any, list[Any]]]:
-        """The grouping as plain Python (mirrors ``MRMPIEngine.group``)."""
-        keys = self.keys.tolist()
-        values = self.values.tolist()
-        offs = self.offsets.tolist()
-        return [(keys[g], values[offs[g] : offs[g + 1]]) for g in range(len(keys))]
-
 
 def group(batch: KVBatch, order: str = "first-seen") -> GroupedKVBatch:
     """Group a batch by key via one stable order + run-boundary detection.
 
-    ``order="first-seen"`` reproduces the generic engine's dict grouping
-    (groups appear in order of each key's first occurrence; values keep
-    arrival order); ``order="key"`` leaves groups key-sorted, which is
-    cheaper when the caller sorts anyway.
+    ``order="first-seen"`` reproduces dict grouping (groups appear in order
+    of each key's first occurrence; values keep arrival order);
+    ``order="key"`` leaves groups key-sorted, which is cheaper when the
+    caller sorts anyway.
     """
     if order not in ("first-seen", "key"):
         raise MapReduceError(f"unknown group order {order!r}")
@@ -250,89 +197,6 @@ def group(batch: KVBatch, order: str = "first-seen") -> GroupedKVBatch:
         # reduceat offsets sized to the batch: int32 until indexes could wrap
         offsets=offsets.astype(index_dtype(n)),
     )
-
-
-# -- vectorized combiners (Table I aggregates) -----------------------------
-
-
-class VectorCombiner:
-    """A combiner usable by both engine paths.
-
-    Called as a generic ``reduce_fn(key, values, emit)`` it aggregates one
-    Python value list; handed a :class:`GroupedKVBatch` via
-    :meth:`apply_grouped` it aggregates every group with one ``reduceat``.
-    """
-
-    name: str = "abstract"
-
-    def __call__(self, key: Any, values: list[Any], emit: Callable[[Any, Any], None]) -> None:
-        emit(key, self._scalar(values))
-
-    def _scalar(self, values: list[Any]) -> Any:
-        raise NotImplementedError
-
-    def apply_grouped(self, grouped: GroupedKVBatch) -> KVBatch:
-        raise NotImplementedError
-
-
-class CountCombiner(VectorCombiner):
-    name = "count"
-
-    def _scalar(self, values: list[Any]) -> Any:
-        return len(values)
-
-    def apply_grouped(self, grouped: GroupedKVBatch) -> KVBatch:
-        return KVBatch(keys=grouped.keys, values=grouped.counts.astype(np.int64))
-
-
-class _ReduceatCombiner(VectorCombiner):
-    """Aggregates via a numpy ufunc's ``reduceat`` over the group offsets."""
-
-    ufunc: np.ufunc
-
-    def _scalar(self, values: list[Any]) -> Any:
-        return self.ufunc.reduce(np.asarray(values))
-
-    def apply_grouped(self, grouped: GroupedKVBatch) -> KVBatch:
-        if len(grouped) == 0:
-            return KVBatch(keys=grouped.keys, values=grouped.values)
-        out = self.ufunc.reduceat(grouped.values, grouped.offsets[:-1])
-        return KVBatch(keys=grouped.keys, values=out)
-
-
-class SumCombiner(_ReduceatCombiner):
-    name = "sum"
-    ufunc = np.add
-
-
-class MinCombiner(_ReduceatCombiner):
-    name = "min"
-    ufunc = np.minimum
-
-
-class MaxCombiner(_ReduceatCombiner):
-    name = "max"
-    ufunc = np.maximum
-
-
-class MeanCombiner(VectorCombiner):
-    name = "mean"
-
-    def _scalar(self, values: list[Any]) -> Any:
-        return float(np.asarray(values).mean())
-
-    def apply_grouped(self, grouped: GroupedKVBatch) -> KVBatch:
-        if len(grouped) == 0:
-            return KVBatch(keys=grouped.keys, values=grouped.values.astype(np.float64))
-        sums = np.add.reduceat(grouped.values.astype(np.float64), grouped.offsets[:-1])
-        return KVBatch(keys=grouped.keys, values=sums / grouped.counts)
-
-
-#: the Table I aggregate add-ons, by configuration name
-COMBINERS: dict[str, VectorCombiner] = {
-    c.name: c
-    for c in (CountCombiner(), SumCombiner(), MinCombiner(), MaxCombiner(), MeanCombiner())
-}
 
 
 # -- perf counters -----------------------------------------------------------

@@ -47,10 +47,9 @@ class InputFormat:
     def get_record_reader(self, split: InputSplit) -> RecordReader:
         raise NotImplementedError
 
-    # -- convenience used by the PaPar runtime ------------------------------
-
     def records_for_rank(self, rank: int, size: int) -> list[Any]:
-        """All records of the split assigned to ``rank`` in a ``size``-way run."""
+        """All records of the split assigned to ``rank`` in a ``size``-way run
+        (a check that ``size`` splits cover the input exactly once)."""
         splits = self.get_splits(size)
         if len(splits) != size:
             raise MapReduceError(

@@ -14,11 +14,10 @@ This engine reproduces Hadoop's execution structure in one process:
   order), optionally sorts by key, groups, reduces, and writes a
   ``part-NNNNN`` output file.
 
-The same map/reduce functions run unchanged on
-:class:`~repro.mapreduce.engine.MRMPIEngine`, which is the point of the
-paper's backend abstraction.  (Hadoop's speculative task re-execution is a
-fault-tolerance mechanism with no effect on results; it is out of scope
-here.)
+The workflow backends do not run through it: ``backend="mapreduce"`` is
+the MR-MPI mapping of the same operators (:mod:`repro.core.mr_runtime`).
+(Hadoop's speculative task re-execution is a fault-tolerance mechanism
+with no effect on results; it is out of scope here.)
 """
 
 from __future__ import annotations
@@ -27,14 +26,25 @@ import os
 import pickle
 import shutil
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.errors import MapReduceError
-from repro.mapreduce.engine import KV, MapFn, ReduceFn
 from repro.mapreduce.hadoop import InputFormat, ListInputFormat
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 
 PathLike = Union[str, os.PathLike]
+
+KV = tuple[Any, Any]
+#: ``map_fn(item, emit)`` — calls ``emit(key, value)`` zero or more times.
+MapFn = Callable[[Any, Callable[[Any, Any], None]], None]
+#: ``reduce_fn(key, values, emit)`` — calls ``emit(key, value)``.
+ReduceFn = Callable[[Any, list[Any], Callable[[Any, Any], None]], None]
+
+
+def identity_reduce(key: Any, values: list[Any], emit: Callable[[Any, Any], None]) -> None:
+    """Reduce function that re-emits every value under its key."""
+    for v in values:
+        emit(key, v)
 
 
 @dataclass

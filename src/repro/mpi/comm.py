@@ -397,7 +397,7 @@ class Communicator:
         ``sendbuf`` is split into ``size`` consecutive chunks of
         ``sendcounts[i]`` elements, chunk ``i`` going to rank ``i``.
         Returns ``(recvbuf, recvcounts)`` with chunks concatenated in rank
-        order — the shuffle primitive of the MapReduce engine.
+        order (the buffer form of MPI's ``MPI_Alltoallv``).
         """
         size = self.size
         sendcounts = np.asarray(sendcounts, dtype=np.int64)

@@ -1,15 +1,11 @@
-"""The columnar fast path computes exactly what the per-pair path computes.
+"""The columnar kernels compute exactly what their scan / dict oracles compute.
 
-Three layers of equivalence, all seeded and randomized:
+Two layers of equivalence, all seeded and randomized:
 
 1. **Kernels** — ``bucketize`` equals the per-destination ``flatnonzero``
    scans it replaced; ``partition_array`` equals elementwise ``__call__``
    for every partitioner; columnar ``group`` equals dict grouping.
-2. **Engine phases** — ``MRMPIEngine`` fed a :class:`KVBatch` emits
-   byte-identical shuffle / group / reduce outputs (and identical
-   records-moved accounting) to the same phases fed Python pairs, across
-   random keys, values, rank counts and combiner choices.
-3. **Workflows** — the two case studies (muBLASTP sort->distribute,
+2. **Workflows** — the two case studies (muBLASTP sort->distribute,
    hybrid-cut group->split->distribute) produce identical partitions,
    identical ``bytes_moved`` and identical virtual time at 1, 4 and 8
    ranks whether owners are bucketized by the shared argsort kernel or by
@@ -30,12 +26,9 @@ from repro.errors import MapReduceError
 from repro.formats import BLAST_INDEX_SCHEMA
 from repro.graph import generate_graph
 from repro.mapreduce import (
-    COMBINERS,
     ExplicitPartitioner,
-    GroupedKVBatch,
     HashPartitioner,
     KVBatch,
-    MRMPIEngine,
     PerfCounters,
     RangePartitioner,
     bucketize,
@@ -43,9 +36,7 @@ from repro.mapreduce import (
     stable_hash_array,
 )
 from repro.mapreduce.columnar import group as columnar_group
-from repro.mapreduce.engine import identity_reduce
 from repro.mapreduce.partitioner import FnPartitioner
-from repro.mpi import run_mpi
 
 
 def scan_bucketize(owners, num_buckets):
@@ -122,13 +113,20 @@ def test_columnar_group_matches_dict_grouping(seed):
     values = rng.integers(0, 1_000_000, n)
     batch = KVBatch(keys, values)
     ref: dict = {}
-    for k, v in batch.pairs():
+    for k, v in zip(keys.tolist(), values.tolist()):
         ref.setdefault(k, []).append(v)
+
+    def expected(group_keys):
+        offsets = np.cumsum([0] + [len(ref[k]) for k in group_keys])
+        flat = [v for k in group_keys for v in ref[k]]
+        return group_keys, offsets.tolist(), flat
+
     grouped = columnar_group(batch, order="first-seen")
-    assert grouped.items() == list(ref.items())
+    got = grouped.keys.tolist(), grouped.offsets.tolist(), grouped.values.tolist()
+    assert got == expected(list(ref))
     by_key = columnar_group(batch, order="key")
-    assert by_key.keys.tolist() == sorted(set(keys.tolist()))
-    assert dict(by_key.items()) == ref
+    got = by_key.keys.tolist(), by_key.offsets.tolist(), by_key.values.tolist()
+    assert got == expected(sorted(ref))
 
 
 def test_perf_counters_merge_semantics():
@@ -143,169 +141,6 @@ def test_perf_counters_merge_semantics():
     # wall sums (total CPU work), virtual takes the max (critical path)
     assert total.phases["sort"] == [4.0, 2.0]
     assert total.summary()["phases"]["sort"] == {"wall_s": 4.0, "virtual_s": 2.0}
-
-
-# -- layer 2: engine phases --------------------------------------------------
-
-
-def _random_case(rng):
-    """One randomized scenario: keys, values, ranks, partitioner, combiner."""
-    n = int(rng.integers(1, 4000))
-    if rng.integers(0, 2):
-        keys = rng.integers(0, int(rng.integers(2, 500)), n)
-    else:
-        keys = np.array(
-            [bytes(rng.integers(65, 75, 4).tolist()) for _ in range(n)], dtype="S4"
-        )
-    values = rng.integers(0, 1000, n)
-    ranks = int(rng.choice([1, 4, 8]))
-    reducers = int(rng.choice([1, 3, ranks, 2 * ranks + 1]))
-    if keys.dtype.kind == "S":
-        partitioner = HashPartitioner(reducers)
-    else:
-        which = int(rng.integers(0, 3))
-        if which == 0:
-            partitioner = HashPartitioner(reducers)
-        elif which == 1:
-            bounds = np.sort(rng.integers(0, 500, reducers - 1)).tolist()
-            partitioner = RangePartitioner(bounds, reducers)
-        else:
-            partitioner = FnPartitioner(lambda k, m=reducers: int(k) % m, reducers)
-    combiner_name = [None, "count", "sum", "min", "max", "mean"][int(rng.integers(0, 6))]
-    return keys, values, ranks, partitioner, combiner_name
-
-
-def _block_slice(n, rank, size):
-    base, extra = divmod(n, size)
-    lo = rank * base + min(rank, extra)
-    return lo, lo + base + (1 if rank < extra else 0)
-
-
-def _stage_program(comm, keys, values, use_batch, partitioner, combiner_name, perf_slots):
-    perf = PerfCounters()
-    eng = MRMPIEngine(comm, perf=perf)
-    lo, hi = _block_slice(len(keys), comm.rank, comm.size)
-    if use_batch:
-        local = KVBatch(keys[lo:hi], values[lo:hi])
-    else:
-        local = list(zip(keys[lo:hi].tolist(), values[lo:hi].tolist()))
-    shuffled = eng.shuffle(local, partitioner)
-    grouped = eng.group(shuffled)
-    reduce_fn = COMBINERS[combiner_name] if combiner_name else identity_reduce
-    reduced = eng.reduce(grouped, reduce_fn)
-    perf_slots[comm.rank] = perf
-    if use_batch:
-        assert isinstance(shuffled, KVBatch)
-        assert isinstance(grouped, GroupedKVBatch)
-        raw = (
-            shuffled.keys.tobytes(),
-            shuffled.values.tobytes(),
-            str(shuffled.keys.dtype),
-            str(shuffled.values.dtype),
-        )
-        return shuffled.pairs(), grouped.items(), reduced.pairs(), raw
-    return list(shuffled), list(grouped), list(reduced), None
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_engine_columnar_equals_generic(seed):
-    rng = np.random.default_rng(seed)
-    keys, values, ranks, partitioner, combiner_name = _random_case(rng)
-
-    generic_slots: list = [None] * ranks
-    columnar_slots: list = [None] * ranks
-    generic = run_mpi(
-        _stage_program, ranks,
-        args=(keys, values, False, partitioner, combiner_name, generic_slots),
-    ).results
-    columnar = run_mpi(
-        _stage_program, ranks,
-        args=(keys, values, True, partitioner, combiner_name, columnar_slots),
-    ).results
-
-    for (g_shuf, g_grp, g_red, _), (c_shuf, c_grp, c_red, raw) in zip(generic, columnar):
-        assert c_shuf == g_shuf
-        assert c_grp == g_grp
-        if combiner_name == "mean":
-            assert [k for k, _ in c_red] == [k for k, _ in g_red]
-            assert [v for _, v in c_red] == pytest.approx([v for _, v in g_red])
-        else:
-            assert c_red == g_red
-        # byte-identical: re-columnarizing the generic shuffle output with the
-        # fast path's dtypes reproduces the fast path's buffers bit for bit
-        raw_k, raw_v, kdt, vdt = raw
-        ref = KVBatch.from_pairs(g_shuf, key_dtype=np.dtype(kdt), value_dtype=np.dtype(vdt))
-        assert ref.keys.tobytes() == raw_k
-        assert ref.values.tobytes() == raw_v
-    for g_perf, c_perf in zip(generic_slots, columnar_slots):
-        assert g_perf.records_moved == c_perf.records_moved
-
-
-@pytest.mark.parametrize("combiner_name", sorted(COMBINERS))
-def test_engine_combine_columnar_equals_generic(combiner_name):
-    rng = np.random.default_rng(42)
-    keys = rng.integers(0, 40, 2500)
-    values = rng.integers(0, 1000, 2500)
-    combiner = COMBINERS[combiner_name]
-
-    def program(comm, use_batch):
-        eng = MRMPIEngine(comm)
-        kv = (
-            KVBatch(keys, values)
-            if use_batch
-            else list(zip(keys.tolist(), values.tolist()))
-        )
-        out = eng.combine(kv, combiner)
-        return out.pairs() if isinstance(out, KVBatch) else list(out)
-
-    generic = run_mpi(program, 1, args=(False,)).results[0]
-    columnar = run_mpi(program, 1, args=(True,)).results[0]
-    assert [k for k, _ in columnar] == [k for k, _ in generic]
-    assert [float(v) for _, v in columnar] == pytest.approx(
-        [float(v) for _, v in generic]
-    )
-
-
-def test_engine_sort_local_columnar():
-    rng = np.random.default_rng(3)
-    keys = rng.integers(0, 25, 1000)
-    values = np.arange(1000)
-
-    def program(comm, descending):
-        eng = MRMPIEngine(comm)
-        batch = eng.sort_local(KVBatch(keys, values), descending=descending)
-        pairs = eng.sort_local(
-            list(zip(keys.tolist(), values.tolist())), descending=descending
-        )
-        return batch.pairs(), pairs
-
-    for descending in (False, True):
-        got, want = run_mpi(program, 1, args=(descending,)).results[0]
-        assert got == want
-
-
-def test_engine_run_job_accepts_batches():
-    rng = np.random.default_rng(9)
-    keys = rng.integers(0, 30, 2000)
-
-    def program(comm):
-        eng = MRMPIEngine(comm)
-        lo, hi = _block_slice(len(keys), comm.rank, comm.size)
-        out = eng.run_job(
-            KVBatch(keys[lo:hi], np.ones(hi - lo, dtype=np.int64)),
-            None,
-            COMBINERS["count"],
-            num_reducers=comm.size,
-            sort_keys=True,
-        )
-        return out.pairs() if isinstance(out, KVBatch) else list(out)
-
-    merged = [pair for r in run_mpi(program, 4).results for pair in r]
-    ref: dict = {}
-    for k in keys.tolist():
-        ref[k] = ref.get(k, 0) + 1
-    assert dict(merged) == ref
-    assert sum(v for _, v in merged) == len(keys)
 
 
 # -- layer 3: the case-study workflows ---------------------------------------

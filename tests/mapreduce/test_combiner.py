@@ -2,12 +2,8 @@
 
 from collections import Counter
 
-import pytest
-
-from repro.mapreduce import MRMPIEngine
 from repro.mapreduce.hadoop import ListInputFormat
 from repro.mapreduce.hadoop_engine import HadoopCluster
-from repro.mpi import run_mpi
 
 WORDS = ("a b c a b a a b c d " * 50).split()
 
@@ -18,47 +14,6 @@ def word_map(word, emit):
 
 def sum_reduce(key, values, emit):
     emit(key, sum(values))
-
-
-def split_for(rank, size, items):
-    n = len(items)
-    base, extra = divmod(n, size)
-    start = rank * base + min(rank, extra)
-    return items[start : start + base + (1 if rank < extra else 0)]
-
-
-class TestMRMPICombiner:
-    def test_results_unchanged(self):
-        def prog(comm):
-            eng = MRMPIEngine(comm)
-            local = split_for(comm.rank, comm.size, WORDS)
-            out = eng.run_job(local, word_map, sum_reduce, combiner=sum_reduce)
-            return eng.gather_output(out)
-
-        run = run_mpi(prog, 4)
-        assert dict(run.results[0]) == dict(Counter(WORDS))
-
-    def test_shuffle_volume_reduced(self):
-        def prog_factory(combiner):
-            def prog(comm):
-                eng = MRMPIEngine(comm)
-                local = split_for(comm.rank, comm.size, WORDS)
-                eng.run_job(local, word_map, sum_reduce, combiner=combiner)
-
-            return prog
-
-        plain = run_mpi(prog_factory(None), 4)
-        combined = run_mpi(prog_factory(sum_reduce), 4)
-        assert combined.bytes_moved < plain.bytes_moved / 5
-
-    def test_combine_standalone(self):
-        def prog(comm):
-            eng = MRMPIEngine(comm)
-            kv = [("x", 1)] * 10 + [("y", 2)] * 5
-            return sorted(eng.combine(kv, sum_reduce))
-
-        run = run_mpi(prog, 1)
-        assert run.results[0] == [("x", 10), ("y", 10)]
 
 
 class TestHadoopCombiner:

@@ -56,10 +56,7 @@ runpy.run_module("repro", run_name="__main__", alter_sys=True)
 
 #: module groups a command loads only when it asks for them
 _SPMD = ("repro.mpi", "repro.fault", "repro.cluster")
-_ENGINES = (
-    "repro.core.codegen", "repro.mapreduce.engine", "repro.mapreduce.hadoop_engine",
-    "repro.mapreduce.local", "repro.mapreduce.job", "repro.mapreduce.rebalance",
-)
+_ENGINES = ("repro.core.codegen", "repro.mapreduce.hadoop_engine", "repro.mapreduce.rebalance")
 _ON_REQUEST = ("repro.serve", "repro.obs")
 _SPILL = ("repro.ooc.runfile", "repro.ooc.extsort", "repro.ooc.spill", "repro.ooc.exchange")
 
