@@ -51,9 +51,9 @@ def _search_rank_program(
     if comm.cluster is not None:
         comm.charge_compute(comm.cluster.compute(local_seconds))
     # reduce hit statistics to rank 0 (muBLASTP's result collection)
-    total_hits = comm.reduce(result.num_hits, SUM, root=0)
-    total_cols = comm.reduce(result.extension_columns, SUM, root=0)
-    best = comm.reduce(result.best_score, MAX, root=0)
+    total_hits = comm.reduce(result.num_hits, SUM)
+    total_cols = comm.reduce(result.extension_columns, SUM)
+    best = comm.reduce(result.best_score, MAX)
     combined = (
         SearchResult(num_hits=total_hits, extension_columns=total_cols, best_score=best)
         if comm.rank == 0

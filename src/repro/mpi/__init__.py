@@ -1,13 +1,12 @@
 """A pure-Python, thread-based SPMD MPI runtime.
 
 The paper maps PaPar workflows onto MPI (MVAPICH2) and MR-MPI.  Neither is
-installable here, so this package provides a faithful subset of the mpi4py
-API that the rest of the repo programs against:
-
-* pickle-based lowercase methods (``send``/``recv``/``bcast``/``scatter``/
-  ``gather``/``alltoall``...) for generic Python objects, and
-* buffer-based capitalized methods (``Send``/``Recv``/``Alltoallv``...) for
-  numpy arrays — the "fast path" mirroring the mpi4py tutorial idiom.
+installable here, so this package provides the mpi4py-shaped subset the
+SPMD executors program against: the collectives ``alltoall``,
+``allgather``, ``allreduce``, ``exscan`` and ``reduce`` for generic Python
+objects, and the buffer-based ``Allreduce``/``Allgatherv``/``Alltoallv`` for
+numpy arrays — the "fast path" mirroring the mpi4py tutorial idiom — plus
+the point-to-point and rank-0-rooted collectives they are built from.
 
 Each rank runs as one OS thread; messages move through an in-process
 :class:`~repro.mpi.fabric.Fabric`.  When a :class:`~repro.cluster.ClusterModel`
@@ -15,34 +14,18 @@ is attached, every message also advances per-rank virtual clocks, which is how
 the evaluation figures obtain cluster-scale timings (DESIGN.md §6).
 
 Collectives are implemented with real distributed algorithms (binomial-tree
-broadcast/reduce, dissemination barrier, pairwise all-to-all) so that the
-virtual-time accounting reflects log-p / p-1 step structure, not a magic
-zero-cost shortcut.
+broadcast/reduce, pairwise all-to-all) so that the virtual-time accounting
+reflects log-p / p-1 step structure, not a magic zero-cost shortcut.
 """
 
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, UNDEFINED
 from repro.mpi.comm import Communicator
 from repro.mpi.launcher import run_mpi
-from repro.mpi.reduce_ops import BAND, BOR, LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM, ReduceOp
-from repro.mpi.status import Status
+from repro.mpi.reduce_ops import MAX, SUM, ReduceOp
 
 __all__ = [
     "Communicator",
     "run_mpi",
-    "Status",
     "ReduceOp",
     "SUM",
-    "PROD",
     "MAX",
-    "MIN",
-    "MAXLOC",
-    "MINLOC",
-    "LAND",
-    "LOR",
-    "BAND",
-    "BOR",
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "PROC_NULL",
-    "UNDEFINED",
 ]

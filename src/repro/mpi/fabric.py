@@ -3,15 +3,13 @@
 One :class:`Fabric` backs one communicator.  Sends are *eager*: the payload
 is deposited directly into the destination mailbox, so a sender never blocks
 (matching the buffered semantics mpi4py programs rely on for small and
-medium messages).  Receives block on a per-mailbox condition variable with
-MPI matching rules: ``(source, tag)`` with :data:`~repro.mpi.constants.ANY_SOURCE`
-/ :data:`~repro.mpi.constants.ANY_TAG` wildcards, FIFO (non-overtaking) per
-source.
+medium messages).  Receives block on a per-mailbox condition variable until
+a message with exactly the requested ``(source, tag)`` arrives, FIFO
+(non-overtaking) per source.
 
 If any rank dies with an exception the launcher calls :meth:`Fabric.abort`,
-which wakes every blocked receiver *and* every ``split``/collective
-participant parked in :meth:`Fabric.coordinate` with
-:class:`~repro.errors.MPIError` instead of deadlocking the test suite.
+which wakes every blocked receiver with :class:`~repro.errors.MPIError`
+instead of deadlocking the test suite.
 
 A receiver that waits longer than ``deadlock_grace`` seconds without the
 fabric being aborted raises :class:`~repro.errors.DeadlockError` carrying
@@ -28,7 +26,6 @@ single ``is None`` check — the fault-free hot path is unchanged.
 
 from __future__ import annotations
 
-import itertools
 import pickle
 import threading
 from collections import deque
@@ -38,7 +35,6 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.errors import CorruptMessageError, DeadlockError, MPIError
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 
 #: default seconds a blocked receiver waits before declaring a deadlock
 DEFAULT_DEADLOCK_GRACE = 60.0
@@ -60,6 +56,18 @@ class Message:
     seq: int = -1
     #: transport checksum of the *original* payload (fault injection only)
     checksum: Optional[int] = None
+
+
+def take_match(messages: deque[Message], source: int, tag: int) -> Optional[Message]:
+    """Remove and return the first message from ``source`` with ``tag``.
+
+    Unmatched messages keep their order, so matching is FIFO per source.
+    """
+    for i, msg in enumerate(messages):
+        if msg.source == source and msg.tag == tag:
+            del messages[i]
+            return msg
+    return None
 
 
 class _Mailbox:
@@ -133,10 +141,6 @@ class Fabric:
         self._aborted: Optional[BaseException] = None
         self._stats_lock = threading.Lock()
         self.stats = TrafficStats()
-        # shared state for split()/collective coordination keyed by caller id
-        self._coord_lock = threading.Lock()
-        self._coord: dict[Any, Any] = {}
-        self._uid = itertools.count()
         #: rank -> (source, tag) while that rank is blocked in :meth:`collect`
         self._waiting: dict[int, tuple[int, int]] = {}
 
@@ -170,17 +174,6 @@ class Fabric:
             with self._stats_lock:
                 self.stats.record(copy.source, copy.nbytes)
 
-    def _match(self, box: _Mailbox, source: int, tag: int) -> Optional[Message]:
-        """First message matching ``(source, tag)``; FIFO per source rank."""
-        for i, msg in enumerate(box.messages):
-            if source != ANY_SOURCE and msg.source != source:
-                continue
-            if tag != ANY_TAG and msg.tag != tag:
-                continue
-            del box.messages[i]
-            return msg
-        return None
-
     @staticmethod
     def _verify(msg: Message) -> Message:
         """Check the transport checksum of an injector-touched message."""
@@ -194,13 +187,11 @@ class Fabric:
                 )
         return msg
 
-    def collect(self, dest: int, source: int, tag: int, timeout: Optional[float] = None) -> Message:
+    def collect(self, dest: int, source: int, tag: int) -> Message:
         """Block until a matching message arrives for rank ``dest``.
 
-        ``timeout`` bounds the wait explicitly (raising a plain
-        :class:`MPIError`); without it the fabric's ``deadlock_grace``
-        applies and expiry raises :class:`DeadlockError` with the blocked
-        ranks' pending state.
+        A wait longer than the fabric's ``deadlock_grace`` raises
+        :class:`DeadlockError` with the blocked ranks' pending state.
         """
         box = self._mailboxes[dest]
         self._waiting[dest] = (source, tag)
@@ -208,16 +199,11 @@ class Fabric:
             with box.lock:
                 while True:
                     self._check_alive()
-                    msg = self._match(box, source, tag)
+                    msg = take_match(box.messages, source, tag)
                     if msg is not None:
                         return self._verify(msg)
-                    if not box.ready.wait(timeout=timeout or self.deadlock_grace):
+                    if not box.ready.wait(timeout=self.deadlock_grace):
                         self._check_alive()
-                        if timeout is not None:
-                            raise MPIError(
-                                f"rank {dest} timed out waiting for message "
-                                f"(source={source}, tag={tag})"
-                            )
                         pending = dict(self._waiting)
                         raise DeadlockError(
                             f"rank {dest} made no progress for "
@@ -230,26 +216,13 @@ class Fabric:
         finally:
             self._waiting.pop(dest, None)
 
-    def probe(self, dest: int, source: int, tag: int) -> Optional[Message]:
-        """Non-destructively look for a matching message (non-blocking)."""
-        box = self._mailboxes[dest]
-        with box.lock:
-            self._check_alive()
-            for msg in box.messages:
-                if source != ANY_SOURCE and msg.source != source:
-                    continue
-                if tag != ANY_TAG and msg.tag != tag:
-                    continue
-                return msg
-            return None
-
     # -- payload codec -------------------------------------------------------
     #
     # The communicator never serializes payloads itself: it asks its fabric,
     # so a transport can choose the wire format.  The thread fabric pickles
     # (receivers get private copies, matching mpi4py's lowercase semantics)
     # and copies buffers; the process backend's shared-memory fabric overrides
-    # these four hooks to move array bytes through pooled shm segments.
+    # these four hooks to move array bytes through one shm segment per message.
 
     def encode_object(self, obj: Any) -> tuple[Any, int]:
         """Serialize an object payload; returns ``(payload, nbytes)``."""
@@ -275,8 +248,7 @@ class Fabric:
     # -- failure handling ----------------------------------------------------
 
     def abort(self, exc: BaseException) -> None:
-        """Mark the fabric dead and wake all blocked receivers *and* waiters
-        parked in :meth:`coordinate` (split/collective rendezvous).
+        """Mark the fabric dead and wake all blocked receivers.
 
         The first abort wins: follow-on "communicator aborted" errors from
         sibling ranks never mask the root cause.
@@ -286,9 +258,6 @@ class Fabric:
         for box in self._mailboxes:
             with box.lock:
                 box.ready.notify_all()
-        with self._coord_lock:
-            for entry in self._coord.values():
-                entry["cv"].notify_all()
 
     def _check_alive(self) -> None:
         if self._aborted is not None:
@@ -298,54 +267,3 @@ class Fabric:
     def aborted(self) -> Optional[BaseException]:
         """The exception the fabric was aborted with, if any."""
         return self._aborted
-
-    def pending_waits(self) -> dict[int, tuple[int, int]]:
-        """Snapshot of ranks currently blocked in :meth:`collect`."""
-        return dict(self._waiting)
-
-    # -- collective coordination ----------------------------------------------
-
-    def coordinate(self, key: Any, rank: int, value: Any, size: int) -> dict[int, Any]:
-        """Rendezvous: all ``size`` participants deposit ``value`` under ``key``.
-
-        Returns the full ``{rank: value}`` map once everyone has arrived.
-        Used to implement ``split`` without a chicken-and-egg communicator.
-        An aborted fabric wakes the waiters immediately; a rendezvous stuck
-        longer than ``deadlock_grace`` raises :class:`DeadlockError` naming
-        the ranks that did arrive.
-        """
-        with self._coord_lock:
-            # a rank arriving after the fabric died would never be notified:
-            # fail fast instead of sleeping out the grace
-            self._check_alive()
-            entry = self._coord.setdefault(
-                key,
-                {"values": {}, "left": 0, "cv": threading.Condition(self._coord_lock)},
-            )
-            entry["values"][rank] = value
-            if len(entry["values"]) == size:
-                entry["cv"].notify_all()
-            else:
-                while len(entry["values"]) < size:
-                    if not entry["cv"].wait(timeout=self.deadlock_grace):
-                        self._check_alive()
-                        arrived = sorted(entry["values"])
-                        raise DeadlockError(
-                            f"coordination {key!r} stuck for "
-                            f"{self.deadlock_grace:.1f}s: ranks {arrived} of "
-                            f"{size} arrived; blocked receivers: "
-                            f"{dict(self._waiting)}",
-                            rank=rank,
-                            pending=dict(self._waiting),
-                        )
-                    # woken: either everyone arrived or the fabric aborted
-                    self._check_alive()
-            values = entry["values"]
-            entry["left"] += 1
-            if entry["left"] == size:
-                del self._coord[key]
-            return values
-
-    def fresh_uid(self) -> int:
-        """A fabric-unique id (used to key coordination rounds)."""
-        return next(self._uid)

@@ -14,17 +14,12 @@ columns, partition arrays, ``Dataset`` records — travel through
 codec hooks so the communicator, the MapReduce shuffle and both SPMD
 runtimes pick the zero-copy lane up without changes.
 
-Semantics match the thread backend with documented restrictions:
-
-* ``Communicator.split``/``dup`` are unsupported (they need the shared
-  rendezvous state only threads can share cheaply) and raise
-  :class:`~repro.errors.MPIError`; the runtimes reject them earlier with a
-  :class:`~repro.errors.ConfigError`;
-* *simulated* fault injection / chaos schedules stay on the threaded
-  backend — the deterministic substrate — and are rejected up front;
-  recovery (checkpoint + retry) is supported via gang-restart, and real
-  OS-level chaos is available through the
-  :class:`~repro.mpi.supervisor.CrashAgent` harness.
+Semantics match the thread backend, with one documented restriction:
+*simulated* fault injection / chaos schedules stay on the threaded
+backend — the deterministic substrate — and are rejected up front;
+recovery (checkpoint + retry) is supported via gang-restart, and real
+OS-level chaos is available through the
+:class:`~repro.mpi.supervisor.CrashAgent` harness.
 
 The spawner does not block blindly on the result queue: a
 :class:`~repro.mpi.supervisor.Supervisor` watches worker sentinels and a
@@ -60,8 +55,7 @@ from repro.cluster.model import ClusterModel
 from repro.errors import MPIError
 from repro.lifecycle import graceful_teardown
 from repro.mpi.comm import Communicator
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-from repro.mpi.fabric import Message, TrafficStats
+from repro.mpi.fabric import Message, TrafficStats, take_match
 from repro.mpi.launcher import MPIRun
 from repro.mpi.shm import (
     SegmentFactory,
@@ -152,62 +146,24 @@ class ShmFabric:
             self.stats.inline_bytes += blob_len - env.fallback_bytes
         self._queues[dest].put(msg)
 
-    def _match_buffer(self, source: int, tag: int) -> Optional[Message]:
-        for i, msg in enumerate(self._buffer):
-            if source != ANY_SOURCE and msg.source != source:
-                continue
-            if tag != ANY_TAG and msg.tag != tag:
-                continue
-            del self._buffer[i]
-            return msg
-        return None
-
-    def collect(self, dest: int, source: int, tag: int, timeout: Optional[float] = None) -> Message:
+    def collect(self, dest: int, source: int, tag: int) -> Message:
         if dest != self._rank:
             raise MPIError("a process fabric endpoint only receives for its own rank")
-        msg = self._match_buffer(source, tag)
+        msg = take_match(self._buffer, source, tag)
         if msg is not None:
             return msg
         import queue as queue_mod
 
         while True:
             try:
-                msg = self._queues[self._rank].get(timeout=timeout or self._collect_timeout)
+                msg = self._queues[self._rank].get(timeout=self._collect_timeout)
             except queue_mod.Empty as exc:
                 raise MPIError(
                     f"rank {dest} timed out waiting for message (source={source}, tag={tag})"
                 ) from exc
-            if (source == ANY_SOURCE or msg.source == source) and (
-                tag == ANY_TAG or msg.tag == tag
-            ):
+            if msg.source == source and msg.tag == tag:
                 return msg
             self._buffer.append(msg)
-
-    def probe(self, dest: int, source: int, tag: int) -> Optional[Message]:
-        # drain whatever is immediately available into the local buffer
-        import queue as queue_mod
-
-        while True:
-            try:
-                self._buffer.append(self._queues[self._rank].get_nowait())
-            except queue_mod.Empty:
-                break
-        for msg in self._buffer:
-            if source != ANY_SOURCE and msg.source != source:
-                continue
-            if tag != ANY_TAG and msg.tag != tag:
-                continue
-            return msg
-        return None
-
-    def coordinate(self, key: Any, rank: int, value: Any, size: int):
-        raise MPIError(
-            "split()/dup() are not supported on the process backend; "
-            "use backend='mpi' for sub-communicator workflows"
-        )
-
-    def abort(self, exc: BaseException) -> None:  # pragma: no cover - parent kills us
-        raise MPIError(f"aborted: {exc!r}")
 
 
 def _drain(queue: Any) -> list[Any]:

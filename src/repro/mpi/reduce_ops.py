@@ -2,9 +2,8 @@
 
 Each operator works both on scalars / Python objects (via the ``fn``
 callable) and elementwise on numpy arrays (via ``ufunc`` when available).
-All provided operators are associative; ``commutative`` is advisory and all
-our tree algorithms preserve rank order, so non-commutative user-defined
-operators are safe too.
+Operators must be associative; the tree algorithms preserve rank order, so
+non-commutative user-defined operators are safe too.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ class ReduceOp:
     name: str
     fn: Callable[[Any, Any], Any]
     ufunc: Any = None  # numpy ufunc fast path, if one exists
-    commutative: bool = True
 
     def __call__(self, a: Any, b: Any) -> Any:
         """Combine two values, preferring the numpy fast path for arrays."""
@@ -31,22 +29,5 @@ class ReduceOp:
         return self.fn(a, b)
 
 
-def _maxloc(a, b):
-    return a if a[0] >= b[0] else b
-
-
-def _minloc(a, b):
-    return a if a[0] <= b[0] else b
-
-
 SUM = ReduceOp("SUM", lambda a, b: a + b, ufunc=np.add)
-PROD = ReduceOp("PROD", lambda a, b: a * b, ufunc=np.multiply)
 MAX = ReduceOp("MAX", lambda a, b: a if a >= b else b, ufunc=np.maximum)
-MIN = ReduceOp("MIN", lambda a, b: a if a <= b else b, ufunc=np.minimum)
-LAND = ReduceOp("LAND", lambda a, b: bool(a) and bool(b), ufunc=np.logical_and)
-LOR = ReduceOp("LOR", lambda a, b: bool(a) or bool(b), ufunc=np.logical_or)
-BAND = ReduceOp("BAND", lambda a, b: a & b, ufunc=np.bitwise_and)
-BOR = ReduceOp("BOR", lambda a, b: a | b, ufunc=np.bitwise_or)
-#: operands are ``(value, location)`` pairs; ties prefer the lower rank.
-MAXLOC = ReduceOp("MAXLOC", _maxloc)
-MINLOC = ReduceOp("MINLOC", _minloc)

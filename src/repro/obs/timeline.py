@@ -2,11 +2,10 @@
 
 :func:`render_timeline` turns a :class:`~repro.obs.span.Recorder` into the
 text block printed by ``python -m repro run --timeline``: one Gantt bar per
-rank over the run's makespan, the busiest rank, per-rank idle fractions
-(including the share of idle spent blocked at barriers, measured at the
-communicator's clock-merge points), the top-5 longest spans, and the
-critical path — the job chain of the rank that finishes last, which is the
-chain any speedup must shorten.
+rank over the run's makespan, the busiest rank, the idle fraction of the
+total rank-time, the top-5 longest spans, and the critical path — the job
+chain of the rank that finishes last, which is the chain any speedup must
+shorten.
 
 Like the exporters, the renderer prefers virtual time and falls back to
 wall time when no cluster model advanced any clock.
@@ -78,16 +77,8 @@ def render_timeline(recorder: Recorder, width: int = 64) -> str:
         f"busiest rank: {busiest} "
         f"({busy[busiest]:.6f}s busy, {busy[busiest] / makespan:.1%} of makespan)"
     )
-    barrier_idle = recorder.counter_total("idle.barrier_s")
     total_idle = sum(makespan - b for b in busy.values())
-    lines.append(
-        f"idle: {total_idle / (makespan * len(ranks)):.1%} of total rank-time"
-        + (
-            f", of which {barrier_idle:.6f}s blocked at barriers"
-            if barrier_idle > 0
-            else ""
-        )
-    )
+    lines.append(f"idle: {total_idle / (makespan * len(ranks)):.1%} of total rank-time")
 
     # -- top-5 spans by duration ---------------------------------------------
     def duration(span: Span) -> float:

@@ -71,8 +71,10 @@ class TestMessageFaultsAtFabricLevel:
         fabric.deliver(1, msg())
         got = fabric.collect(dest=1, source=0, tag=0)
         assert got.payload == b"hello world"
-        # the duplicated copy never reaches the mailbox
-        assert fabric.probe(1, source=0, tag=0) is None
+        # the duplicated copy never reaches the mailbox: a second collect
+        # finds nothing and gives up after the grace
+        with pytest.raises(DeadlockError):
+            fabric.collect(dest=1, source=0, tag=0)
         assert inj.counts == {"duplicate": 1, "duplicates_suppressed": 1}
 
     def test_delay_slips_virtual_timestamp_only(self):

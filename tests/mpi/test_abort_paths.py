@@ -1,4 +1,4 @@
-"""Abort, probe, and deadlock-diagnosis paths of the fabric.
+"""Abort and deadlock-diagnosis paths of the fabric.
 
 Companion to test_failure_injection.py: these tests pin down the *prompt*
 wakeup guarantees (abort must not wait out the deadlock grace), the pending
@@ -18,48 +18,11 @@ from repro.mpi.fabric import Fabric
 
 
 class TestAbortWakesWaiters:
-    def test_abort_wakes_coordinate_waiters_promptly(self):
-        """Waiters parked in the split/collective rendezvous must not sleep
-        out the (long) deadlock grace once the fabric is dead."""
-        fabric = Fabric(3, deadlock_grace=60.0)
-        errors = []
-
-        def waiter(rank):
-            try:
-                fabric.coordinate("split-round", rank, rank, size=3)
-            except MPIError as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=waiter, args=(r,), daemon=True)
-                   for r in (0, 1)]  # rank 2 never arrives
-        t0 = time.perf_counter()
-        for t in threads:
-            t.start()
-        time.sleep(0.05)
-        fabric.abort(RuntimeError("rank 2 died"))
-        for t in threads:
-            t.join(timeout=5)
-        assert all(not t.is_alive() for t in threads)
-        assert time.perf_counter() - t0 < 5.0, "waiters slept instead of waking"
-        assert len(errors) == 2
-        assert all("aborted" in str(e) for e in errors)
-
     def test_mid_collective_abort_ends_run_promptly(self):
         def prog(comm):
             if comm.rank == 1:
                 raise RuntimeError("dies mid-collective")
-            comm.barrier()
-
-        t0 = time.perf_counter()
-        with pytest.raises((RuntimeError, MPIError)):
-            run_mpi(prog, 4, deadlock_grace=60.0)
-        assert time.perf_counter() - t0 < 5.0
-
-    def test_mid_split_abort_ends_run_promptly(self):
-        def prog(comm):
-            if comm.rank == 0:
-                raise RuntimeError("dies before split")
-            return comm.split(color=comm.rank % 2)
+            comm.alltoall([comm.rank] * comm.size)
 
         t0 = time.perf_counter()
         with pytest.raises((RuntimeError, MPIError)):
@@ -72,32 +35,6 @@ class TestAbortWakesWaiters:
         fabric.abort(root)
         fabric.abort(MPIError("follow-on from a sibling rank"))
         assert fabric.aborted is root
-
-
-class TestProbeAfterAbort:
-    def test_probe_after_abort_raises(self):
-        fabric = Fabric(2)
-        fabric.abort(RuntimeError("dead"))
-        with pytest.raises(MPIError, match="aborted"):
-            fabric.probe(0, source=1, tag=0)
-
-    def test_comm_probe_after_peer_death_raises(self):
-        started = threading.Event()
-
-        def prog(comm):
-            if comm.rank == 1:
-                started.wait(timeout=5)
-                raise RuntimeError("peer dies")
-            started.set()
-            # spin until the fabric dies under us: probe must raise, not
-            # silently return False forever
-            for _ in range(2000):
-                comm.probe(source=1, tag=9)
-                time.sleep(0.001)
-            raise AssertionError("probe never noticed the abort")
-
-        with pytest.raises((RuntimeError, MPIError)):
-            run_mpi(prog, 2, deadlock_grace=60.0)
 
 
 class TestDeadlockDiagnosis:
@@ -132,25 +69,9 @@ class TestDeadlockDiagnosis:
         # rank 0 expires after rank 1 already gave up and deregistered
         assert err.value.pending == {0: (2, 3)}
 
-    def test_explicit_timeout_is_a_plain_mpi_error(self):
-        fabric = Fabric(2, deadlock_grace=60.0)
-        t0 = time.perf_counter()
-        with pytest.raises(MPIError, match="timed out") as err:
-            fabric.collect(0, source=1, tag=0, timeout=0.05)
-        assert not isinstance(err.value, DeadlockError)
-        assert time.perf_counter() - t0 < 5.0
-
-    def test_coordinate_deadlock_names_arrived_ranks(self):
-        fabric = Fabric(3, deadlock_grace=0.1)
-        with pytest.raises(DeadlockError, match=r"ranks \[0\] of 3"):
-            fabric.coordinate("round", 0, "v", size=3)
-
     def test_grace_must_be_positive(self):
         with pytest.raises(MPIError):
             Fabric(2, deadlock_grace=0.0)
-
-    def test_pending_waits_empty_when_idle(self):
-        assert Fabric(2).pending_waits() == {}
 
 
 class TestPerfCounterMerge:

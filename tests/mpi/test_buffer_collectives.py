@@ -9,13 +9,10 @@ SIZES = [1, 2, 3, 4, 7]
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("root", [0, "last"])
-def test_Bcast(size, root):
-    root = size - 1 if root == "last" else root
-
+def test_Bcast(size):
     def prog(comm):
-        buf = np.arange(50, dtype=np.float64) if comm.rank == root else np.zeros(50)
-        comm.Bcast(buf, root=root)
+        buf = np.arange(50, dtype=np.float64) if comm.rank == 0 else np.zeros(50)
+        comm.Bcast(buf)
         return buf
 
     run = run_mpi(prog, size)
@@ -26,7 +23,7 @@ def test_Bcast(size, root):
 @pytest.mark.parametrize("size", SIZES)
 def test_Reduce_sum(size):
     def prog(comm):
-        return comm.Reduce(np.full(10, comm.rank + 1, dtype=np.int64), SUM, root=0)
+        return comm.Reduce(np.full(10, comm.rank + 1, dtype=np.int64), SUM)
 
     run = run_mpi(prog, size)
     expected = size * (size + 1) // 2
@@ -47,7 +44,7 @@ def test_Allreduce(size):
 def test_Reduce_does_not_mutate_input():
     def prog(comm):
         buf = np.full(5, comm.rank + 1, dtype=np.int64)
-        comm.Reduce(buf, SUM, root=0)
+        comm.Reduce(buf, SUM)
         return buf
 
     run = run_mpi(prog, 4)

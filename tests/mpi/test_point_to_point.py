@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MPIError
-from repro.mpi import ANY_SOURCE, ANY_TAG, PROC_NULL, Status, run_mpi
-from repro.mpi.request import wait_all
+from repro.mpi import run_mpi
 
 
 def test_send_recv_object():
@@ -80,84 +79,6 @@ def test_tag_matching_out_of_order():
     assert run.results[1] == ("first", "second")
 
 
-def test_any_source_any_tag_with_status():
-    def prog(comm):
-        if comm.rank == 2:
-            s = Status()
-            got = comm.recv(source=ANY_SOURCE, tag=ANY_TAG, status=s)
-            return (got, s.Get_source(), s.Get_count() > 0)
-        if comm.rank == 0:
-            comm.send("hello", dest=2, tag=5)
-        return None
-
-    run = run_mpi(prog, 3)
-    got, source, has_count = run.results[2]
-    assert got == "hello"
-    assert source == 0
-    assert has_count
-
-
-def test_proc_null_send_recv_noop():
-    def prog(comm):
-        comm.send("ignored", dest=PROC_NULL)
-        return comm.recv(source=PROC_NULL)
-
-    run = run_mpi(prog, 1)
-    assert run.results[0] is None
-
-
-def test_isend_irecv():
-    def prog(comm):
-        if comm.rank == 0:
-            req = comm.isend({"x": 1}, dest=1, tag=3)
-            assert req.wait() is None
-            return None
-        req = comm.irecv(source=0, tag=3)
-        return req.wait()
-
-    run = run_mpi(prog, 2)
-    assert run.results[1] == {"x": 1}
-
-
-def test_irecv_test_polls_without_blocking():
-    def prog(comm):
-        if comm.rank == 1:
-            req = comm.irecv(source=0, tag=9)
-            comm.send(None, dest=0, tag=1)  # tell rank 0 we are armed
-            while True:
-                done, data = req.test()
-                if done:
-                    return data
-        comm.recv(source=1, tag=1)
-        comm.send("payload", dest=1, tag=9)
-        return None
-
-    run = run_mpi(prog, 2)
-    assert run.results[1] == "payload"
-
-
-def test_wait_all():
-    def prog(comm):
-        if comm.rank == 0:
-            reqs = [comm.isend(i, dest=1, tag=i) for i in range(4)]
-            wait_all(reqs)
-            return None
-        reqs = [comm.irecv(source=0, tag=i) for i in range(4)]
-        return wait_all(reqs)
-
-    run = run_mpi(prog, 2)
-    assert run.results[1] == [0, 1, 2, 3]
-
-
-def test_sendrecv_exchange():
-    def prog(comm):
-        peer = 1 - comm.rank
-        return comm.sendrecv(f"from-{comm.rank}", dest=peer, source=peer)
-
-    run = run_mpi(prog, 2)
-    assert run.results == ["from-1", "from-0"]
-
-
 def test_buffer_send_recv():
     def prog(comm):
         if comm.rank == 0:
@@ -192,19 +113,6 @@ def test_rank_exception_propagates_and_does_not_hang():
 
     with pytest.raises((ValueError, MPIError)):
         run_mpi(prog, 2)
-
-
-def test_probe():
-    def prog(comm):
-        if comm.rank == 0:
-            comm.send("x", dest=1, tag=4)
-            return None
-        while not comm.probe(source=0, tag=4):
-            pass
-        return comm.recv(source=0, tag=4)
-
-    run = run_mpi(prog, 2)
-    assert run.results[1] == "x"
 
 
 def test_traffic_stats_counted():

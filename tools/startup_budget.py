@@ -90,7 +90,7 @@ BUDGETS: dict[str, Budget] = {
     "run-blast": Budget(52, 10_000, _SPMD + _ENGINES + _ON_REQUEST + ("repro.ooc",)),
     "run-hybrid": Budget(52, 10_000, _SPMD + _ENGINES + _ON_REQUEST + ("repro.ooc",)),
     "run-budget": Budget(60, 11_600, _SPMD + _ENGINES + _ON_REQUEST),
-    "run-process": Budget(72, 13_700, ("repro.fault",) + _ENGINES + _ON_REQUEST
+    "run-process": Budget(67, 12_700,("repro.fault",) + _ENGINES + _ON_REQUEST
                           + ("repro.ooc",), seconds=4.0),
     "serve": Budget(74, 14_300, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
                                  "repro.fault.injector", "repro.fault.runner")
