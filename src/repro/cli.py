@@ -485,11 +485,13 @@ def print_stats(result) -> None:
             print(f"  {name.ljust(width)}  {t['wall_s']:>10.4f}  {t['virtual_s']:>10.4f}")
     spill = perf.get("spill")
     if spill:
+        narrow = spill.get("narrow_bytes", 0)
         print(
             f"  spill: {spill.get('runs_written', 0)} run(s) written, "
             f"{spill.get('spilled_records', 0)} records / "
-            f"{_format_bytes(spill.get('spilled_bytes', 0))} spilled, "
-            f"merge fan-in {spill.get('max_merge_fanin', 0)}"
+            f"{_format_bytes(spill.get('spilled_bytes', 0))} spilled"
+            + (f" ({_format_bytes(narrow)} as narrow key + row-id runs)" if narrow else "")
+            + f", merge fan-in {spill.get('max_merge_fanin', 0)}"
         )
     transport = perf.get("transport")
     if transport:
@@ -692,7 +694,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except PaParError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except BrokenPipeError:
         if not _stdout_reader_gone():
             raise  # a worker's or a socket's pipe: a real failure

@@ -9,9 +9,12 @@ the in-memory data partitioning, because the intermediate data may need
 repartitioning and redistribution at runtime."
 
 :class:`SortedView` is the flat dataset a plain ``Sort`` returns: the
-unsorted records plus their stable order, gathered only when someone reads
-them — or never, when the consumer is a positional deal that gathers each
-partition's share itself (:meth:`Dataset.select`).
+unsorted records plus their stable order as narrow row ids, gathered only
+when someone reads them — or never, when the consumer is a positional deal
+that gathers each partition's share itself (:meth:`Dataset.select`).  The
+records may be a read-only mapping of the input file: a sort then reads
+only its key column, and each partition's records are fetched from the
+file once, by row id.
 """
 
 from __future__ import annotations
@@ -128,6 +131,14 @@ class Dataset:
             return self.take(np.arange(*where.indices(len(self))))
         return Dataset(schema=self.schema, records=self.records[where].copy())
 
+    def indexed_rows(self) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+        """``(rows, ids)``: entry ``i`` is ``rows[ids[i]]`` (``rows[i]`` when
+        ``ids`` is ``None``) — how a narrow sort reads a source whose rows
+        can be fetched by index.  ``None`` for packed groups."""
+        if self.packed is not None:
+            return None
+        return self.records, None
+
     def rows(self) -> list[tuple]:
         """Flat records as plain tuples (test/debug convenience)."""
         return [tuple(r) for r in self.to_flat().records]
@@ -137,10 +148,20 @@ class Dataset:
         return f"Dataset({self.schema.id!r}, {self.num_records} records, {layout})"
 
 
+def row_id_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every row id below ``n``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
 class SortedView(Dataset):
     """A flat dataset in sorted order whose records are not gathered yet.
 
-    Holds ``(source, order)``: the sorted records are ``source[order]``.
+    Holds ``(source, order)``: the sorted records are ``source[order]``,
+    ``order`` being row ids into ``source`` (a sort of this view composes
+    its order into them — :meth:`indexed_rows`).
     :meth:`select` gathers a slice of them straight from the pair — a deal
     that only ever asks for ``select(slice(p, None, P))`` never builds the
     sorted copy.  Any other read goes through :attr:`records`, which
@@ -180,6 +201,10 @@ class SortedView(Dataset):
             return super().select(where)
         source, order = pending
         return Dataset(schema=self.schema, records=source[order[where]])
+
+    def indexed_rows(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        pending = self._pending
+        return pending if pending is not None else (self._records, None)
 
     def __reduce__(self) -> tuple:
         return Dataset, (self.schema, self.records)

@@ -8,12 +8,14 @@ leave one output file per partition in the input's own format ("all data
 will be unpacked to make sure the output has the same format of input").
 
 A fixed-width binary input is not read here: the run gets a file-backed
-source, so each rank reads its own byte range, and a
-:class:`~repro.formats.binary.PartWriter`, so the SPMD ranks can write
-their pieces of the partitions in place.  When they did, this module has
-nothing left to write; otherwise (serial, text or packed streams, records
-widened by add-on attributes, a memory budget) it writes the partitions the
-run returned.
+source, so each rank reads its own byte range (the serial backend's sort
+reads only the key column, through a read-only mapping), and a
+:class:`~repro.formats.binary.PartWriter`, so the deal can write its pieces
+of the partitions in place — on every rank of an SPMD run, and on the one
+rank of a serial run.  When it did, this module has nothing left to write;
+otherwise (text or packed streams, records widened by add-on attributes, a
+memory budget on the SPMD backends) it writes the partitions the run
+returned.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from typing import Any, Optional, Union
 from repro.config.workflow import WorkflowSpec
 from repro.core.runtime import PartitionResult
 from repro.errors import FormatError, WorkflowError
-from repro.formats.binary import (
-    BinaryInputFormat,
-    PartWriter,
-    partition_paths,
-    write_partitions,
-)
+from repro.formats.binary import BinaryInputFormat, PartWriter, write_partitions
 from repro.formats.records import RecordSchema
 from repro.formats.text import write_text_array
 
@@ -181,8 +178,9 @@ def partition_files(
 
     On the SPMD backends the ranks of a binary run read their own byte
     ranges and, when the final deal allows it, write the part files
-    themselves; ``result.partitions`` are then read-only views of those
-    files, and ``result.extra["perf"]["output"]`` records which way it went.
+    themselves (``result.extra["perf"]["output"]`` records which way it
+    went); the serial backend does the same with one rank, under a budget
+    too.  ``result.partitions`` are then read-only views of those files.
     """
     spec = papar.load_workflow(workflow) if isinstance(workflow, str) else workflow
     input_arg, output_arg = find_io_arguments(spec)
@@ -211,12 +209,11 @@ def partition_files(
         part_writer=writer,
         **fault_tolerance,
     )
-    perf = result.extra["perf"]
-    if perf.get("output", {}).get("mode") == "in_place":
-        paths = partition_paths(args[output_arg], result.num_partitions)
+    if writer is not None and writer.published is not None:
+        paths = writer.published
     else:
         if writer is None and backend != "serial":
             # ranks had no fixed-width layout to write into
-            perf["output"] = {"mode": "gathered", "reason": "text output"}
+            result.extra["perf"]["output"] = {"mode": "gathered", "reason": "text output"}
         paths = write_partition_files(args[output_arg], result, schema)
     return FilePartitionResult(result=result, output_paths=paths)

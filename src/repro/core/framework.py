@@ -405,7 +405,7 @@ class PaPar:
                 )
             result = SerialRuntime(
                 recorder=recorder, memory_budget=memory_budget
-            ).execute(plan, data)
+            ).execute(plan, data, part_writer=part_writer)
         elif backend in _SPMD_RUNTIMES:
             module, class_name = _SPMD_RUNTIMES[backend]
             runtime_class = getattr(importlib.import_module(module), class_name)

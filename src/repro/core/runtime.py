@@ -36,7 +36,9 @@ pieces where they belong in the part files — no second exchange, nothing
 gathered to the driver; otherwise (a memory budget, a packed stream, or
 records widened by group add-ons) the deal ships its pieces to the
 partitions' owners and the driver writes what they return
-(``extra["perf"]["output"]`` says which tail ran, and why).
+(``extra["perf"]["output"]`` says which tail ran, and why).  The serial
+runtime's tail is the one-rank case of the same deal
+(:func:`write_in_place`), under a budget too.
 
 Out-of-core (see :mod:`repro.ooc`): with a ``memory_budget`` each exchange
 asks one collective question — does any rank's working set exceed the
@@ -69,13 +71,13 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from repro.core.dataset import Dataset, concat
+from repro.core.dataset import Dataset, SortedView, concat, row_id_dtype
 from repro.core.planner import PlannedJob, WorkflowPlan
 from repro.errors import WorkflowError
 from repro.mapreduce.columnar import PerfCounters, bucketize
-from repro.ops.distribute import Distribute
+from repro.ops.distribute import Distribute, deal_pieces
 from repro.ops.group import Group
-from repro.ops.sort import Sort, sort_key_array
+from repro.ops.sort import Sort, sort_key_array, sort_key_dtype
 from repro.ops.split import Split
 
 if TYPE_CHECKING:  # pragma: no cover - typing only: a serial run never loads
@@ -174,7 +176,17 @@ def job_input(
 
 
 class SerialRuntime:
-    """Single-process reference execution of a plan."""
+    """Single-process reference execution of a plan.
+
+    A flat sort reads only its key column wherever the rows can be fetched
+    by index (an in-memory dataset, a fixed-width input file through a
+    read-only mapping, another sort's view) and returns row ids; under a
+    budget it spills narrow (key, row id) runs only when ``n`` times the
+    key and row-id bytes exceed it.  A file-to-file run whose final deal
+    carries records of the output schema is the one-rank case of the SPMD
+    in-place tail: the pieces go straight into the part files, a budget's
+    window of positions at a time.
+    """
 
     def __init__(
         self,
@@ -186,7 +198,16 @@ class SerialRuntime:
         #: when it is None)
         self.memory_budget = memory_budget
 
-    def execute(self, plan: WorkflowPlan, input_data: Dataset) -> PartitionResult:
+    def execute(
+        self,
+        plan: WorkflowPlan,
+        input_data: Dataset,
+        part_writer: Optional[PartWriter] = None,
+    ) -> PartitionResult:
+        """Run ``plan`` over ``input_data``; with a ``part_writer`` the final
+        deal writes the part files in place when it can (the returned
+        partitions are then read-only views of the published files), and
+        a failed run publishes nothing."""
         perf = PerfCounters()
         rec = self.recorder
         ctx = spill_dir = None
@@ -198,9 +219,6 @@ class SerialRuntime:
 
             spill_dir = tempfile.mkdtemp(prefix="papar-spill-")
             ctx = OOCContext(MemoryBudget.coerce(self.memory_budget), spill_dir)
-        if ctx is None:
-            # a file-backed source is read here, whole, in one go
-            input_data = resident(input_data)
         try:
             outputs: dict[str, Any] = {}
             with (
@@ -219,16 +237,16 @@ class SerialRuntime:
                         else nullcontext()
                     )
                     with perf.phase(job.operator_name.lower()), span:
-                        if ctx is not None:
-                            outputs[job.op_id] = self._apply_ooc(
-                                job.operator, source, ctx
-                            )
-                        else:
-                            outputs[job.op_id] = job.operator.apply_local(source)
+                        outputs[job.op_id] = self._apply(
+                            job.operator, source, ctx,
+                            part_writer if job is plan.final_job else None,
+                        )
             # a sort that ends the plan leaves a sorted-runs view: read it
             # before the spill directory goes
             final = resident(outputs[plan.final_job.op_id])
-            if isinstance(final, Dataset):
+            if isinstance(final, dict):
+                final = published_parts(part_writer, len(final))
+            elif isinstance(final, Dataset):
                 final = [final]
             if ctx is not None:
                 ctx.fold_into(perf)
@@ -239,6 +257,10 @@ class SerialRuntime:
                 record_perf(rec, extra["perf"])
                 extra["obs"] = rec
             return PartitionResult(partitions=list(final), extra=extra)
+        except BaseException:
+            if part_writer is not None:
+                part_writer.discard()
+            raise
         finally:
             if spill_dir is not None:
                 import shutil
@@ -246,23 +268,41 @@ class SerialRuntime:
                 shutil.rmtree(spill_dir, ignore_errors=True)
 
     @staticmethod
-    def _apply_ooc(op: Any, source: Any, ctx: Any) -> Any:
-        """Run one operator under a budget.
+    def _apply(
+        op: Any, source: Any, ctx: Any, part_writer: Optional[PartWriter]
+    ) -> Any:
+        """Run one operator; ``ctx`` is the budget's ``OOCContext`` or ``None``.
 
-        A sort that must spill forms its runs here and returns them as a
-        lazy sorted-runs view; ``Distribute`` deals whatever streams
-        (that view, or a chunked input) without materializing it; every
-        other operator gets its input resident.
+        A final deal that can write in place returns ``{partition: record
+        count}``; any other ``Distribute`` deals whatever streams (a sorted-
+        runs view, a chunked input) without materializing it.  A flat sort
+        over rows fetchable by index is narrow (above); under a budget one
+        over a text input spills whole records.  Every other operator gets
+        its input resident.
         """
         if isinstance(op, Distribute):
-            return op.apply_local(source)
-        spillable = (
-            isinstance(op, Sort)
-            and op.addon is None
-            and not bool(getattr(source, "is_packed", False))
-            and ctx.should_spill(source.nbytes)
-        )
-        if not spillable:
+            streams = list(source) if isinstance(source, (list, tuple)) else [source]
+            if part_writer is not None and why_gathered(part_writer, streams) is None:
+                return _write_parts(op, streams, part_writer, ctx)
+            return op.apply_local(source if ctx is not None else resident(source))
+        if not isinstance(op, Sort) or op.addon is not None:
+            return op.apply_local(resident(source))
+        indexed = getattr(source, "indexed_rows", None)
+        indexed = indexed() if indexed is not None else None
+        if indexed is not None:
+            rows, ids = indexed
+            key = sort_key_dtype(source.schema.dtype[op.key], op.ascending)
+            narrow = key.itemsize + row_id_dtype(len(rows)).itemsize
+            if ctx is None or not ctx.should_spill(len(source) * narrow):
+                # the same rows, re-wrapped so that the operator's kernel
+                # entry does not map the file (or read run files) again
+                view = (Dataset(schema=source.schema, records=rows) if ids is None
+                        else SortedView(source.schema, rows, ids))
+                return op.apply_local(view)
+            from repro.ooc.extsort import external_sort_rows
+
+            return external_sort_rows(rows, ids, op.key, op.ascending, ctx, source.schema)
+        if ctx is None or source.is_packed or not ctx.should_spill(source.nbytes):
             return op.apply_local(resident(source))
         from repro.ooc.chunked import iter_dataset_chunks
         from repro.ooc.extsort import external_sort_records
@@ -272,6 +312,84 @@ class SerialRuntime:
         return external_sort_records(
             (chunk.records for chunk in chunks), op.key, op.ascending, ctx, schema
         )
+
+
+def why_gathered(
+    part_writer: Optional[PartWriter], streams: list, budgeted: bool = False
+) -> Optional[str]:
+    """Why a deal's pieces must go to the driver instead of into the part
+    files, or ``None`` when they can be written in place: every stream is
+    then fixed-width records of the very schema the part files hold, so a
+    piece's bytes and its offset in the file are both known where the
+    piece is.  Read from the run itself — the same on every rank, and
+    nothing a user sets.  ``--optimize`` changes none of it: the rewritten
+    workflow deals the same records as the original.  ``budgeted`` is
+    whether SPMD ranks run under a memory budget, whose deal still goes
+    through the partitions' owners; one rank writes its windows in place."""
+    if part_writer is None:
+        return "in-memory run"
+    if budgeted:
+        return "memory budget"
+    if any(stream.is_packed for stream in streams):
+        return "packed stream"
+    if any(stream.schema != part_writer.schema for stream in streams):
+        return "added attributes"
+    return None
+
+
+def write_in_place(
+    op: Distribute,
+    stream: Any,
+    part_writer: PartWriter,
+    base: np.ndarray,
+    offset: int = 0,
+    total: Optional[int] = None,
+    window: Optional[int] = None,
+    perf: Optional[PerfCounters] = None,
+) -> None:
+    """Write one stream's pieces where they belong in the part files.
+
+    The stream holds global positions ``[offset, offset + len(stream))`` of
+    ``total``; a piece for slot ``s`` of partition ``p`` lands at slot
+    ``base[p] + s`` — ``base`` being what the earlier streams put there,
+    advanced past this stream on return.  The in-place tail of every
+    backend: a rank's window on the SPMD ones, the whole stream a
+    ``window`` at a time on one rank.
+    """
+    total = len(stream) if total is None else total
+    num_p = op.num_partitions
+    for p, slot, records in deal_pieces(stream, op.policy, total, num_p, offset, window):
+        if perf is not None:
+            perf.count_move(len(records), records.nbytes)
+        part_writer.write(p, int(base[p]) + slot, records)
+    base += op.policy.counts(total, num_p)
+
+
+def published_parts(part_writer: PartWriter, num_partitions: int) -> list[Dataset]:
+    """Publish the parts written in place; read-only views of the files."""
+    from repro.formats.binary import map_binary
+
+    schema = part_writer.schema
+    return [
+        Dataset(schema=schema, records=map_binary(path, schema))
+        for path in part_writer.publish(num_partitions)
+    ]
+
+
+def _write_parts(
+    op: Distribute, streams: list, part_writer: PartWriter, ctx: Any
+) -> dict[int, int]:
+    """The one-rank in-place deal: every stream into the part files, then
+    every part sealed; ``{partition: record count}``."""
+    base = np.zeros(op.num_partitions, dtype=np.int64)
+    for stream in streams:
+        stream = stream if hasattr(stream, "chunks") else resident(stream)
+        window = ctx.chunk_records(stream.schema.itemsize) if ctx is not None else None
+        write_in_place(op, stream, part_writer, base, window=window)
+    counts = {p: int(count) for p, count in enumerate(base)}
+    for p, count in counts.items():
+        part_writer.finish(p, count)
+    return counts
 
 
 def _alltoall(
@@ -410,14 +528,8 @@ class MPIRuntime:
                 merged.update(rank_out)
             perf = PerfCounters.merge_ranks([perf for _out, perf in run.results])
             if perf.output.get("mode") == "in_place":
-                from repro.formats.binary import map_binary
-
                 # every rank reported ok: the parts appear, all at once
-                schema = part_writer.schema
-                partitions = [
-                    Dataset(schema=schema, records=map_binary(path, schema))
-                    for path in part_writer.publish(len(merged))
-                ]
+                partitions = published_parts(part_writer, len(merged))
             else:
                 partitions = [merged[p] for p in sorted(merged)]
         except BaseException:
@@ -725,27 +837,6 @@ class MPIRuntime:
 
     # -- distribute (Figures 9/11, last job) -----------------------------------
 
-    @staticmethod
-    def _why_gathered(
-        part_writer: Optional[PartWriter], ctx: Any, streams: list
-    ) -> Optional[str]:
-        """Why the dealt pieces must go through the partitions' owners to the
-        driver, or ``None`` when each rank can write its own in place: every
-        stream is then fixed-width records of the very schema the part files
-        hold, so a piece's bytes and its offset in the file are both known
-        where the piece is.  Read from the run itself — the same on every
-        rank, and nothing a user sets.  ``--optimize`` changes none of it:
-        the rewritten workflow deals the same records as the original."""
-        if part_writer is None:
-            return "in-memory run"
-        if ctx is not None:
-            return "memory budget"
-        if any(stream.is_packed for stream in streams):
-            return "packed stream"
-        if any(stream.schema != part_writer.schema for stream in streams):
-            return "added attributes"
-        return None
-
     def _distribute_job(
         self,
         comm: Communicator,
@@ -759,10 +850,10 @@ class MPIRuntime:
 
         Each rank cuts its window of a stream's global positions into
         pieces with the policy's positional rule.  In place (see
-        :meth:`_why_gathered`) a piece is written straight to slot
-        ``base[p] + slot`` of part ``p`` — ``base`` being what the earlier
-        streams put there — the partition's owner rank (``p % size``) seals
-        the file, and the job returns ``{partition: record count}``.
+        :func:`why_gathered`) a piece is written straight to its slot of
+        its part (:func:`write_in_place`), the partition's owner rank
+        (``p % size``) seals the file, and the job returns ``{partition:
+        record count}``.
 
         Otherwise the partition id is the temporary reduce-key ("the reducer
         id is used as the reduce-key"): each stream is exchanged on its own
@@ -774,7 +865,7 @@ class MPIRuntime:
 
         streams = list(source) if isinstance(source, (list, tuple)) else [source]
         num_p = op.num_partitions
-        gathered = self._why_gathered(part_writer, ctx, streams)
+        gathered = why_gathered(part_writer, streams, budgeted=ctx is not None)
         in_place = gathered is None
         base = np.zeros(num_p, dtype=np.int64)
         per_partition: dict[int, list[tuple[int, int, Dataset]]] = {}
@@ -794,23 +885,20 @@ class MPIRuntime:
                 # [offset, offset + n_local), so each partition's share is
                 # one slice of them — gathered straight from (records,
                 # order) when the stream is a lazy sort result
+                if in_place:
+                    with _write_span(comm, stream_idx, n_local):
+                        write_in_place(
+                            op, stream, part_writer, base, offset, total, perf=perf
+                        )
+                    continue
                 outboxes: list[list[tuple[int, int, Any]]] = [
                     [] for _ in range(comm.size)
                 ]
-                span = _write_span(comm, stream_idx, n_local) if in_place else nullcontext()
-                with span:
-                    for p, slot, where in op.policy.pieces(total, num_p, offset, n_local):
-                        chunk = stream.select(where)
-                        perf.count_move(len(chunk), chunk.nbytes)
-                        if in_place:
-                            part_writer.write(p, int(base[p]) + slot, chunk.records)
-                        else:
-                            first = offset + where.indices(n_local)[0]
-                            outboxes[p % comm.size].append((p, first, chunk))
-                if in_place:
-                    # the next stream's pieces land behind this one's
-                    base += op.policy.counts(total, num_p)
-                    continue
+                for p, _slot, where in op.policy.pieces(total, num_p, offset, n_local):
+                    chunk = stream.select(where)
+                    perf.count_move(len(chunk), chunk.nbytes)
+                    first = offset + where.indices(n_local)[0]
+                    outboxes[p % comm.size].append((p, first, chunk))
                 inboxes = _alltoall(
                     comm, outboxes, "distribute-shuffle",
                     {"stream": stream_idx, "records": n_local},

@@ -11,6 +11,10 @@ from __future__ import annotations
 class PaParError(Exception):
     """Base class for all errors raised by this package."""
 
+    #: the CLI's exit status when this error ends a command: 2 says the
+    #: command could not be run as given (a config, a path, an argument)
+    exit_code = 2
+
 
 class ConfigError(PaParError):
     """A configuration file is malformed or references unknown entities."""
@@ -34,6 +38,13 @@ class PolicyError(PaParError):
 
 class FormatError(PaParError):
     """Data could not be encoded/decoded in the requested record format."""
+
+
+class PartWriteError(FormatError):
+    """The operating system refused a part file (full disk, permission,
+    no descriptor left): the run failed, and published nothing."""
+
+    exit_code = 1
 
 
 class MPIError(PaParError):

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import copy
 import os
-from typing import Any, Iterator, Sequence, Union
+from contextlib import contextmanager
+from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import FormatError
+from repro.errors import FormatError, PartWriteError
 from repro.formats.records import RecordSchema
 from repro.mapreduce.hadoop import InputFormat, InputSplit, RecordReader
 
@@ -92,14 +93,27 @@ def read_binary(path: PathLike, schema: RecordSchema) -> np.ndarray:
 
 
 def map_binary(path: PathLike, schema: RecordSchema) -> np.ndarray:
-    """The record section of a binary file as a read-only ``np.memmap``
-    (an empty array for a header-only file, which cannot be mapped)."""
-    count = _count_records(path, schema)
+    """The record section of a binary file as a read-only ``np.memmap``."""
+    return map_records(path, schema.start_position, _count_records(path, schema), schema.dtype)
+
+
+def map_records(path: PathLike, start: int, count: int, dtype: np.dtype) -> np.ndarray:
+    """``count`` records from byte ``start`` of ``path`` as a read-only
+    ``np.memmap`` (an empty array when ``count`` is 0: nothing to map).
+
+    Its pages are clean page cache: a gather through it reads the file
+    without an anonymous copy of the whole of it.  A file that ends short
+    of the range is the ``FormatError`` :func:`read_records` raises.
+    """
     if count == 0:
-        return np.empty(0, dtype=schema.dtype)
-    return np.memmap(
-        path, dtype=schema.dtype, mode="r", offset=schema.start_position, shape=(count,)
-    )
+        return np.empty(0, dtype=dtype)
+    try:
+        return np.memmap(path, dtype=dtype, mode="r", offset=start, shape=(count,))
+    except ValueError:  # the mapping would reach past the end of the file
+        found = max(0, os.stat(path).st_size - start) // np.dtype(dtype).itemsize
+        raise FormatError(
+            f"{path}: expected {count} records at byte {start}, found {found}"
+        ) from None
 
 
 def read_records(path: PathLike, start: int, count: int, dtype: np.dtype) -> np.ndarray:
@@ -166,6 +180,16 @@ class BinaryInputFormat(InputFormat):
         view.num_records = length
         return view
 
+    def indexed_rows(self) -> tuple[np.ndarray, None]:
+        """This view's records as a read-only mapping, fetched by row id
+        (the input of a narrow sort — see :mod:`repro.ops.sort`)."""
+        return map_records(
+            self.path,
+            self.schema.start_position + self.first_record * self.schema.itemsize,
+            self.num_records,
+            self.schema.dtype,
+        ), None
+
     def materialize(self) -> Any:
         """This view's records as one in-memory dataset: a single
         :func:`read_records` of its own byte range."""
@@ -226,7 +250,9 @@ class PartWriter:
     reported success and :meth:`discard` otherwise, so a failed run
     never leaves a half-written ``part-*`` and never touches the previous
     run's.  Offset writes are idempotent: a retried attempt rewrites the
-    same bytes at the same places.
+    same bytes at the same places.  A write, seal or rename the operating
+    system refuses (a full disk, a permission, no file descriptor left) is
+    a :class:`~repro.errors.PartWriteError` naming the part.
     """
 
     def __init__(
@@ -238,9 +264,22 @@ class PartWriter:
         self.schema = schema
         self.header = header
         self._suffix = f".{os.getpid():x}{os.urandom(4).hex()}.tmp"
+        #: the final part paths, once :meth:`publish` renamed them
+        self.published: Optional[list[str]] = None
 
     def _tmp_path(self, partition: int) -> str:
         return os.path.join(self.output_path, f".part-{partition:05d}{self._suffix}")
+
+    @contextmanager
+    def _refused(self, verb: str, partition: int) -> Iterator[None]:
+        """An ``OSError`` inside becomes the run's one classified error line."""
+        try:
+            yield
+        except OSError as exc:
+            raise PartWriteError(
+                f"cannot {verb} part-{partition:05d} in {self.output_path!r}: "
+                f"{exc.strerror or exc}"
+            ) from None
 
     def _open(self, partition: int) -> int:
         return os.open(self._tmp_path(partition), os.O_WRONLY | os.O_CREAT, 0o666)
@@ -255,31 +294,35 @@ class PartWriter:
 
     def write(self, partition: int, slot: int, records: np.ndarray) -> None:
         """Place ``records`` at slots ``[slot, slot + len(records))`` of a part."""
-        fd = self._open(partition)
-        try:
-            self._pwrite(
-                fd,
-                _raw_bytes(records, self.schema.dtype),
-                self.schema.start_position + slot * self.schema.itemsize,
-            )
-        finally:
-            os.close(fd)
+        with self._refused("write", partition):
+            fd = self._open(partition)
+            try:
+                self._pwrite(
+                    fd,
+                    _raw_bytes(records, self.schema.dtype),
+                    self.schema.start_position + slot * self.schema.itemsize,
+                )
+            finally:
+                os.close(fd)
 
     def finish(self, partition: int, count: int) -> None:
         """Seal a part of ``count`` records: write its header and cut the
         file to its exact size (a part nobody wrote to is created here)."""
-        fd = self._open(partition)
-        try:
-            self._pwrite(fd, self.header, 0)
-            os.ftruncate(fd, self.schema.start_position + count * self.schema.itemsize)
-        finally:
-            os.close(fd)
+        with self._refused("seal", partition):
+            fd = self._open(partition)
+            try:
+                self._pwrite(fd, self.header, 0)
+                os.ftruncate(fd, self.schema.start_position + count * self.schema.itemsize)
+            finally:
+                os.close(fd)
 
     def publish(self, num_partitions: int) -> list[str]:
         """Rename parts ``0 .. num_partitions - 1`` to their final names."""
         paths = partition_paths(self.output_path, num_partitions)
         for p, path in enumerate(paths):
-            os.replace(self._tmp_path(p), path)
+            with self._refused("publish", p):
+                os.replace(self._tmp_path(p), path)
+        self.published = paths
         return paths
 
     def discard(self) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.errors import FormatError
-from repro.formats.binary import _count_records, read_records
+from repro.formats.binary import _count_records, map_records, read_records
 from repro.formats.records import RecordSchema
 from repro.formats.text import _decode_bulk, iter_text_lines, parse_line, takes_bulk_codec
 from repro.ooc.budget import MemoryBudget
@@ -215,6 +215,18 @@ class ChunkedDataset:
             if records is not None and len(records) == length:
                 return records
         return self.schema.to_structured([parse_line(line, self.schema) for line in lines])
+
+    def indexed_rows(self) -> Optional[tuple[np.ndarray, None]]:
+        """A binary view's records as a read-only mapping, fetched by row id
+        (a narrow sort's input); ``None`` for text, whose rows sit at no
+        computable offset."""
+        if self.schema.input_format != "binary":
+            return None
+        itemsize = self.schema.itemsize
+        return map_records(
+            self.path, self.schema.start_position + self.start * itemsize,
+            self.num_records, self.schema.dtype,
+        ), None
 
     def chunks(self) -> Iterator[Dataset]:
         """Budget-sized flat datasets covering this view in row order."""

@@ -20,6 +20,14 @@ The classic two-phase design, specialized to the columnar run-file layout:
    fan-in allows, consecutive groups are merged into longer runs first
    (multi-pass), so the fan-in bounds residency for any number of runs.
 
+A sort whose rows can be fetched by index (see :mod:`repro.ops.sort`)
+spills *narrow* runs: the values are row ids, so a run record is the sort
+key plus a row id, and :class:`SortedRuns` gathers each merged frame's
+records from the source rows as it streams (:func:`external_sort_rows`).
+Records are spilled whole only where no row can be fetched by index — a
+text input, the SPMD spilled exchange's received run files
+(:func:`external_sort_records`).
+
 Stability is the load-bearing property (the paper's cyclic distribution
 depends on tie order): chunks are added in input order and runs are
 numbered in creation order, so equal keys must leave lowest run first.
@@ -44,9 +52,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dataset import Dataset
+from repro.core.dataset import Dataset, row_id_dtype
 from repro.ooc.runfile import Frame, RunReader, RunWriter, SpillManifest
-from repro.ops.sort import sort_key_array, stable_order
+from repro.ops.sort import sort_key_array, sort_key_dtype, stable_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.formats.records import RecordSchema
@@ -182,11 +190,14 @@ class ExternalSorter:
         value_dtype: np.dtype,
         key_dtype: np.dtype = np.dtype(np.int64),
         max_fanin: int = DEFAULT_MAX_FANIN,
+        narrow: bool = False,
     ) -> None:
         self.ctx = ctx
         self.value_dtype = np.dtype(value_dtype)
         self.key_dtype = np.dtype(key_dtype)
         self.max_fanin = max(2, int(max_fanin))
+        #: whether the values are row ids (counted apart in the spill stats)
+        self.narrow = narrow
         # one input frame per merged run plus one more fit in a chunk's
         # worth of budget (a quarter of it); the merge's output block — the
         # cut slices, concatenated and gathered — adds up to two more
@@ -219,7 +230,7 @@ class ExternalSorter:
             end = min(pos + self.frame_records, len(values))
             writer.append(values[pos:end], keys=keys[pos:end])
         manifest = writer.close()
-        self.ctx.stats.record_run(manifest)
+        self.ctx.stats.record_run(manifest, narrow=self.narrow)
         self.runs.append(manifest)
 
     @property
@@ -245,7 +256,7 @@ class ExternalSorter:
                 for frame in merge_run_frames(group, self.frame_records):
                     writer.append(frame.values, keys=frame.keys)
                 manifest = writer.close()
-                self.ctx.stats.record_run(manifest)
+                self.ctx.stats.record_run(manifest, narrow=self.narrow)
                 self.ctx.stats.record_merge(len(group))
                 next_runs.append(manifest)
                 for spent in group:
@@ -303,14 +314,21 @@ class SortedRuns:
     and ``materialize()`` a :class:`~repro.ooc.chunked.ChunkedDataset`
     has — so a consumer that streams (``Distribute``) never holds the
     sorted copy, and one that cannot calls :meth:`materialize`.  Valid, and
-    re-iterable, while the spill directory lives.
+    re-iterable, while the spill directory lives.  With ``rows`` the runs
+    hold row ids, and every frame is gathered from ``rows`` as it streams.
     """
 
     is_packed = False
 
-    def __init__(self, sorter: ExternalSorter, schema: "RecordSchema") -> None:
+    def __init__(
+        self,
+        sorter: ExternalSorter,
+        schema: "RecordSchema",
+        rows: Optional[np.ndarray] = None,
+    ) -> None:
         self.sorter = sorter
         self.schema = schema
+        self.rows = rows
 
     def __len__(self) -> int:
         return self.sorter.num_records
@@ -323,11 +341,22 @@ class SortedRuns:
     def chunks(self) -> Iterator[Dataset]:
         """The sorted records in order, one merged frame at a time."""
         for frame in self.sorter.merged_frames():
-            yield Dataset(schema=self.schema, records=frame.values)
+            records = frame.values if self.rows is None else self.rows[frame.values]
+            yield Dataset(schema=self.schema, records=records)
 
     def materialize(self) -> Dataset:
         """The sorted records as one in-memory dataset."""
-        return Dataset(schema=self.schema, records=self.sorter.sorted_values())
+        values = self.sorter.sorted_values()
+        return Dataset(
+            schema=self.schema, records=values if self.rows is None else self.rows[values]
+        )
+
+    def indexed_rows(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Narrow runs as ``(rows, row ids)``: a sort of this output reads
+        the merged row ids back whole and composes its order into them."""
+        if self.rows is None:
+            return None
+        return self.rows, self.sorter.sorted_values()
 
 
 def external_sort_records(
@@ -345,7 +374,40 @@ def external_sort_records(
     reads the returned view.
     """
     dtype = schema.dtype
-    key_dtype = sort_key_array(np.empty(0, dtype=dtype[key]), ascending).dtype
+    key_dtype = sort_key_dtype(dtype[key], ascending)
     pieces = ((sort_key_array(records[key], ascending), records) for records in chunks)
     sorter = external_sort_chunks(pieces, ctx, dtype, key_dtype, max_fanin=ctx.max_fanin)
     return SortedRuns(sorter, schema)
+
+
+def external_sort_rows(
+    rows: np.ndarray,
+    ids: Optional[np.ndarray],
+    key: str,
+    ascending: bool,
+    ctx: "OOCContext",
+    schema: "RecordSchema",
+) -> SortedRuns:
+    """Stable external sort of the entries ``rows[ids]`` (``rows`` when
+    ``ids`` is ``None``) by one field, spilling narrow runs.
+
+    Reads the key column a budget-sized chunk at a time; a run record is
+    the sort key plus the entry's row id, of the narrowest unsigned dtype
+    that addresses ``rows``.  The merged stream gathers its records from
+    ``rows`` frame by frame, so no record is ever written to a run file.
+    """
+    id_dtype = row_id_dtype(len(rows))
+    key_dtype = sort_key_dtype(schema.dtype[key], ascending)
+    column = rows[key]
+    n = len(rows) if ids is None else len(ids)
+    step = ctx.chunk_records(key_dtype.itemsize + id_dtype.itemsize)
+    sorter = ExternalSorter(ctx, id_dtype, key_dtype, max_fanin=ctx.max_fanin, narrow=True)
+    for pos in range(0, n, step):
+        end = min(pos + step, n)
+        if ids is None:
+            keys, chunk = column[pos:end], np.arange(pos, end, dtype=id_dtype)
+        else:
+            chunk = ids[pos:end].astype(id_dtype, copy=False)
+            keys = column[chunk]
+        sorter.add_chunk(sort_key_array(keys, ascending), chunk)
+    return SortedRuns(sorter, schema, rows=rows)

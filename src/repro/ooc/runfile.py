@@ -30,11 +30,12 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.errors import PaParError
+from repro.formats.binary import _raw_bytes
 
 PathLike = Union[str, os.PathLike]
 
@@ -176,19 +177,21 @@ class RunWriter:
         keys: Optional[np.ndarray] = None,
         tag: int = 0,
     ) -> None:
-        """Write one crc32-framed block of aligned key/value arrays."""
-        values = np.ascontiguousarray(values, dtype=self.value_dtype)
-        key_bytes = b""
+        """Write one crc32-framed block of aligned key/value arrays.
+
+        The arrays' own buffers go to the file and under the crc — a copy is
+        made only to convert the dtype or to make a strided array contiguous.
+        """
+        value_bytes = _raw_bytes(values, self.value_dtype)
+        key_bytes: Any = b""
         if self.key_dtype is not None:
             if keys is None:
                 raise RunFileError(f"run {self.path}: writer expects a keys array")
-            keys = np.ascontiguousarray(keys, dtype=self.key_dtype)
             if len(keys) != len(values):
                 raise RunFileError(
                     f"run {self.path}: {len(keys)} keys vs {len(values)} values"
                 )
-            key_bytes = keys.tobytes()
-        value_bytes = values.tobytes()
+            key_bytes = _raw_bytes(keys, self.key_dtype)
         self._fh.write(pack_frame_header(len(values), value_bytes, key_bytes, tag))
         self._fh.write(key_bytes)
         self._fh.write(value_bytes)
@@ -283,15 +286,19 @@ class SpillStats:
     runs_written: int = 0
     spilled_records: int = 0
     spilled_bytes: int = 0
+    #: the part of ``spilled_bytes`` that went to narrow (key, row id) runs
+    narrow_bytes: int = 0
     max_merge_fanin: int = 0
     #: manifests of every run this context wrote (checkpoint payload)
     manifests: list = field(default_factory=list)
 
-    def record_run(self, manifest: SpillManifest) -> None:
+    def record_run(self, manifest: SpillManifest, narrow: bool = False) -> None:
         """Fold one finished run into the counters."""
         self.runs_written += 1
         self.spilled_records += manifest.num_records
         self.spilled_bytes += manifest.nbytes
+        if narrow:
+            self.narrow_bytes += manifest.nbytes
         self.manifests.append(manifest)
 
     def record_merge(self, fanin: int) -> None:
@@ -305,5 +312,6 @@ class SpillStats:
             "runs_written": self.runs_written,
             "spilled_records": self.spilled_records,
             "spilled_bytes": self.spilled_bytes,
+            "narrow_bytes": self.narrow_bytes,
             "max_merge_fanin": self.max_merge_fanin,
         }

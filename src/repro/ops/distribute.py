@@ -29,11 +29,16 @@ streams — an out-of-core input view, a spilled sort's sorted runs — is dealt
 chunk by chunk without ever being resident.  Packed streams, the
 ``use_matrix`` ablation and permutation-defined policies keep the permutation
 path, which reads (and so materializes) a lazy sort result.
+
+:func:`deal_pieces` is that positional deal as a stream of pieces — each a
+partition, its first slot and the records to put there — for any window of
+a stream's positions: what this operator assembles partitions from, and
+what the runtimes write into the part files in place.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Union
+from typing import Any, Iterator, Optional, Union
 
 import numpy as np
 
@@ -45,6 +50,56 @@ from repro.policies.permutation import (
     apply_permutation_matrix,
     stride_permutation_matrix,
 )
+
+
+def deal_pieces(
+    stream: Any,
+    policy: DistributionPolicy,
+    total: int,
+    num_partitions: int,
+    offset: int = 0,
+    window: Optional[int] = None,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Deal a flat stream's entries by position: ``(partition, first slot,
+    records)`` pieces, in position order.
+
+    The stream holds the global positions ``[offset, offset + len(stream))``
+    of a stream of ``total`` entries.  One that streams (``chunks()``) is
+    dealt a chunk at a time — consecutive chunks joined up to ``window``
+    records, when given, so that small merge frames do not each cost a
+    piece per partition; a dataset is dealt ``window`` positions at a time
+    (all at once when ``None``), each piece gathered by one
+    :meth:`~repro.core.dataset.Dataset.select` — from a sort's row ids
+    when the dataset is a lazy sort result.
+    """
+    if hasattr(stream, "chunks"):
+        g0 = offset
+        for records in _joined(stream.chunks(), window):
+            for p, slot, where in policy.pieces(total, num_partitions, g0, len(records)):
+                yield p, slot, records[where]
+            g0 += len(records)
+        return
+    n = len(stream)
+    step = max(1, n if window is None else window)
+    for w0 in range(0, n, step):
+        m = min(step, n - w0)
+        for p, slot, where in policy.pieces(total, num_partitions, offset + w0, m):
+            start, stop, stride = where.indices(m)
+            yield p, slot, stream.select(slice(w0 + start, w0 + stop, stride)).records
+
+
+def _joined(chunks: Iterator[Any], window: Optional[int]) -> Iterator[np.ndarray]:
+    """The chunks' records, consecutive chunks joined up to ``window``."""
+    held: list[np.ndarray] = []
+    count = 0
+    for chunk in chunks:
+        held.append(chunk.records)
+        count += len(chunk.records)
+        if window is None or count >= window:
+            yield np.concatenate(held) if len(held) > 1 else held[0]
+            held, count = [], 0
+    if held:
+        yield np.concatenate(held) if len(held) > 1 else held[0]
 
 
 @register_basic
@@ -84,18 +139,17 @@ class Distribute(BasicOperator):
         # permutation-defined policies go through the permutation
         if not self.use_matrix and not data.is_packed and self.policy.deals_by_position:
             if hasattr(data, "chunks"):
-                return self._deal_strided(
-                    data.schema, (chunk.records for chunk in data.chunks()), n
-                )
+                return self._deal_strided(data, n)
             # resident: the one window covers the stream, so every piece is
             # a whole partition and one select (a lazy sort's only gather)
             # builds it
-            wheres = {
-                p: where
-                for p, _, where in self.policy.pieces(n, self.num_partitions, 0, n)
+            parts = {
+                p: records
+                for p, _, records in deal_pieces(data, self.policy, n, self.num_partitions)
             }
+            empty = np.empty(0, dtype=data.schema.dtype)
             return [
-                data.select(wheres.get(p, slice(0, 0)))
+                Dataset(schema=data.schema, records=parts.get(p, empty))
                 for p in range(self.num_partitions)
             ]
         if hasattr(data, "materialize"):
@@ -109,9 +163,7 @@ class Distribute(BasicOperator):
             for p in range(self.num_partitions)
         ]
 
-    def _deal_strided(
-        self, schema: Any, chunks: Iterable[np.ndarray], n: int
-    ) -> list[Dataset]:
+    def _deal_strided(self, data: Any, n: int) -> list[Dataset]:
         """Deal ``n`` records arriving as consecutive chunks, no permutation.
 
         A record's target follows from its global position ``g`` alone —
@@ -121,15 +173,10 @@ class Distribute(BasicOperator):
         front from the policy's counts.
         """
         counts = self.policy.counts(n, self.num_partitions)
-        parts = [np.empty(count, dtype=schema.dtype) for count in counts]
-        g0 = 0
-        for records in chunks:
-            m = len(records)
-            for p, slot, where in self.policy.pieces(n, self.num_partitions, g0, m):
-                piece = records[where]
-                parts[p][slot : slot + len(piece)] = piece
-            g0 += m
-        return [Dataset(schema=schema, records=part) for part in parts]
+        parts = [np.empty(count, dtype=data.schema.dtype) for count in counts]
+        for p, slot, piece in deal_pieces(data, self.policy, n, self.num_partitions):
+            parts[p][slot : slot + len(piece)] = piece
+        return [Dataset(schema=data.schema, records=part) for part in parts]
 
     def apply_local(self, data: Any) -> list[Dataset]:
         """Distribute local entries; returns ``num_partitions`` flat datasets.

@@ -13,13 +13,17 @@ integer keys whose range and index fit one 64-bit word together are sorted
 packed, by numpy's vectorized sort; floats, strings and wider ranges fall
 back to numpy's stable ``argsort`` — the result is the same either way.
 
-The sort is also *lazy*: on flat records with no add-on, ``apply_local``
-returns a :class:`~repro.core.dataset.SortedView` — the unsorted records
-and their order.  ``Distribute`` under a built-in policy (and the SPMD
-deal) gathers each partition straight from that pair; anything else that
-reads the result — ``.records``, ``column``, ``take``, ``to_flat``,
-pickling, the partition writer when the sort ends the plan — gathers the
-sorted copy once and the view is a plain dataset from then on.
+The sort is also *lazy* and *narrow*: on flat records with no add-on,
+``apply_local`` reads only the key column of a source whose rows can be
+fetched by index (``indexed_rows``: an in-memory dataset, a read-only
+mapping of a fixed-width input file, another sort's view) and returns a
+:class:`~repro.core.dataset.SortedView` — the unsorted rows and their order
+as row ids of the narrowest unsigned dtype.  A sort of a sort's view
+composes the row ids and moves no record.  ``Distribute`` under a built-in
+policy (and the SPMD deal) gathers each partition straight from that pair;
+anything else that reads the result — ``.records``, ``column``, ``take``,
+``to_flat``, pickling, the partition writer when the sort ends the plan —
+gathers the sorted copy once and the view is a plain dataset from then on.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.dataset import Dataset, SortedView
+from repro.core.dataset import Dataset, SortedView, row_id_dtype
 from repro.errors import OperatorError
 from repro.ops.base import AddOnOperator, BasicOperator, register_basic
 from repro.order import stable_order
@@ -53,6 +57,11 @@ def sort_key_array(column: np.ndarray, ascending: bool) -> np.ndarray:
     if column.dtype.kind in "iu":
         return -column.astype(np.int64, copy=False)
     return -column
+
+
+def sort_key_dtype(field_dtype: np.dtype, ascending: bool) -> np.dtype:
+    """The dtype :func:`sort_key_array` gives a column of ``field_dtype``."""
+    return sort_key_array(np.empty(0, dtype=field_dtype), ascending).dtype
 
 
 @register_basic
@@ -105,9 +114,12 @@ class Sort(BasicOperator):
             raise OperatorError(
                 f"Sort key {self.key!r} not in schema {data.schema.id!r}"
             )
+        indexed = getattr(data, "indexed_rows", None)
+        indexed = indexed() if indexed is not None and self.addon is None else None
+        if indexed is not None:
+            rows, ids = indexed
+            return SortedView(data.schema, rows, self.order_rows(rows, ids))
         order = self.sort_indices(data.column(self.key))
-        if self.addon is None and not data.is_packed:
-            return SortedView(data.schema, data.records, order)
         out = data.take(order)
         if self.addon is not None:
             packed = out.to_packed(self.key).packed
@@ -115,6 +127,18 @@ class Sort(BasicOperator):
                 self.addon.apply(packed, self.addon_attr, self.addon_field)
             )
         return out
+
+    def order_rows(self, rows: np.ndarray, ids: Optional[np.ndarray]) -> np.ndarray:
+        """Row ids of ``rows`` in this sort's order, for the entries
+        ``rows[ids]`` (``rows`` itself when ``ids`` is ``None``).
+
+        Reads the key column only — through a mapping, only its pages.
+        """
+        column = rows[self.key]
+        order = self.sort_indices(column if ids is None else column[ids])
+        if ids is not None:
+            order = ids[order]
+        return order.astype(row_id_dtype(len(rows)), copy=False)
 
     def _is_packed_key(self, data: Dataset) -> bool:
         return data.is_packed and data.packed.key_field == self.key

@@ -11,10 +11,15 @@ the paper gives its SIMD sort kernel (ASPaS, Section IV-B).
 
 Precondition of the packed path: integer or bool keys whose rebased range
 and index fit one word together,
-``(max - min).bit_length() + (n - 1).bit_length() <= 64``.  Everything else
-— floats (NaN order), strings, ranges too wide, inputs too small to repay
-the extra passes — takes numpy's stable ``argsort`` itself, so the contract
-holds for any key array.
+``(max - min).bit_length() + (n - 1).bit_length() <= 64``.  Keys whose
+rebased range fits one byte — partition and bucket owner ids, the keys
+``bucketize`` and the serve deal sort — take the *radix lane* instead:
+numpy's stable sort of a ``uint8`` array is a radix sort, faster than
+packing (2M owner ids on a 2-vCPU host: 36 ms against 48 ms).  16-bit
+ranges stay packed, which measured faster than numpy's 16-bit radix sort
+(4M keys: 104 ms against 147 ms).  Everything else — floats (NaN order), strings, ranges too wide,
+inputs too small to repay the extra passes — takes numpy's stable
+``argsort`` itself, so the contract holds for any key array.
 
 One caller keeps numpy's sort on purpose: timsort is adaptive, so on keys
 that are already a handful of sorted runs it is O(n) and beats the packed
@@ -43,6 +48,14 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     if keys.ndim == 1 and len(keys) >= PACKED_MIN_KEYS and keys.dtype.kind in "iub":
         n = len(keys)
         lo, hi = int(keys.min()), int(keys.max())
+        if hi - lo < 256:
+            # the radix lane: ``key - lo`` wraps in the key's own dtype, but
+            # its true value lies in [0, 256), so its low byte is exact
+            if keys.dtype.kind == "b":
+                small = keys.view(np.uint8)
+            else:
+                small = np.subtract(keys, keys.dtype.type(lo)).astype(np.uint8)
+            return np.argsort(small, kind="stable")
         idx_bits = (n - 1).bit_length()
         if (hi - lo).bit_length() + idx_bits <= 64:
             # rebase in a width that cannot overflow: with the check above

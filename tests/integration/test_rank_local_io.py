@@ -406,11 +406,12 @@ class TestMalformedInput:
         assert leftovers() == before
         assert entries(tmp_path / "out") == []
 
-    @pytest.mark.parametrize("backend", SPMD)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_file_cut_after_validation_is_a_short_read(
         self, papar, tmp_path, monkeypatch, backend
     ):
-        """Every rank names the byte it could not read; nothing is published."""
+        """Every rank names the byte it could not read (serial: could not
+        map); nothing is published."""
         path = index_file(tmp_path, 100)
         real_size = os.path.getsize(path)
         monkeypatch.setattr(os.path, "getsize", lambda _path: real_size + 4 * 16)

@@ -137,6 +137,45 @@ class TestStableOrderKernel:
         assert (int(keys.max()) - int(keys.min())).bit_length() + (n - 1).bit_length() == 65
         assert_is_stable_argsort(keys)
 
+    @pytest.mark.parametrize("dtype", INT_DTYPES)
+    @pytest.mark.parametrize("span", [255, 256])
+    def test_byte_range_radix_lane_and_one_past(self, dtype, span):
+        """A rebased range of 255 takes the uint8 radix lane, 256 the packed path."""
+        rng = np.random.default_rng(span)
+        info = np.iinfo(dtype)
+        for lo in {info.min, 0, info.max - span}:
+            if lo < info.min or lo + span > info.max:
+                continue  # e.g. a 256 range in a byte
+            keys = (rng.integers(0, span + 1, 5000).astype(object) + lo).astype(dtype)
+            keys[[0, 4999]] = lo, lo + span  # the range is exactly ``span``
+            assert int(keys.max()) - int(keys.min()) == span
+            assert_is_stable_argsort(keys)
+            assert_is_stable_argsort(keys[::-1].copy())
+
+    @pytest.mark.parametrize(
+        "dtype,lo",
+        [(np.int8, -128), (np.int16, -(2**15)), (np.int32, -(2**31)),
+         (np.int64, -(2**63)), (np.int64, 2**63 - 256)],
+    )
+    def test_radix_lane_at_signed_extremes(self, dtype, lo):
+        """``key - min`` wraps in the key's own dtype; its low byte is exact."""
+        rng = np.random.default_rng(17)
+        keys = (np.int64(lo) + rng.integers(0, 256, 3000)).astype(dtype)
+        keys[[1, 2]] = lo, lo + 255
+        assert_is_stable_argsort(keys)
+        assert_is_stable_argsort(sort_key_array(keys, ascending=False))
+
+    def test_radix_lane_for_bool_and_uint64_near_the_maximum(self):
+        rng = np.random.default_rng(19)
+        assert_is_stable_argsort(rng.integers(0, 2, 4000).astype(np.bool_))
+        assert_is_stable_argsort(np.zeros(4000, dtype=np.bool_))
+        top = np.uint64(2**64 - 1)
+        keys = top - rng.integers(0, 256, 4000).astype(np.uint64)
+        keys[7] = top
+        assert_is_stable_argsort(keys)
+        keys[8] = top - np.uint64(256)  # one past a byte: the packed path
+        assert_is_stable_argsort(keys)
+
     def test_strided_key_column_of_a_record_array(self):
         rng = np.random.default_rng(3)
         records = np.zeros(4000, dtype=SCHEMA.dtype)
