@@ -485,12 +485,11 @@ def print_stats(result) -> None:
             print(f"  {name.ljust(width)}  {t['wall_s']:>10.4f}  {t['virtual_s']:>10.4f}")
     spill = perf.get("spill")
     if spill:
-        narrow = spill.get("narrow_bytes", 0)
         print(
             f"  spill: {spill.get('runs_written', 0)} run(s) written, "
             f"{spill.get('spilled_records', 0)} records / "
             f"{_format_bytes(spill.get('spilled_bytes', 0))} spilled"
-            + (f" ({_format_bytes(narrow)} as narrow key + row-id runs)" if narrow else "")
+            + (" as narrow key + row-id runs" if spill.get("narrow") else "")
             + f", merge fan-in {spill.get('max_merge_fanin', 0)}"
         )
     transport = perf.get("transport")

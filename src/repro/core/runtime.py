@@ -71,13 +71,13 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from repro.core.dataset import Dataset, SortedView, concat, row_id_dtype
+from repro.core.dataset import Dataset, concat
 from repro.core.planner import PlannedJob, WorkflowPlan
 from repro.errors import WorkflowError
 from repro.mapreduce.columnar import PerfCounters, bucketize
 from repro.ops.distribute import Distribute, deal_pieces
 from repro.ops.group import Group
-from repro.ops.sort import Sort, sort_key_array, sort_key_dtype
+from repro.ops.sort import Sort, sort_key_array
 from repro.ops.split import Split
 
 if TYPE_CHECKING:  # pragma: no cover - typing only: a serial run never loads
@@ -181,8 +181,9 @@ class SerialRuntime:
     A flat sort reads only its key column wherever the rows can be fetched
     by index (an in-memory dataset, a fixed-width input file through a
     read-only mapping, another sort's view) and returns row ids; under a
-    budget it spills narrow (key, row id) runs only when ``n`` times the
-    key and row-id bytes exceed it.  A file-to-file run whose final deal
+    budget it spills narrow (key, row id) runs only when the sort's own
+    peak (``Sort.narrow_bytes``: one 8-byte word per entry for integer keys
+    of at most 32 bits) exceeds it.  A file-to-file run whose final deal
     carries records of the output schema is the one-rank case of the SPMD
     in-place tail: the pieces go straight into the part files, a budget's
     window of positions at a time.
@@ -285,29 +286,33 @@ class SerialRuntime:
             if part_writer is not None and why_gathered(part_writer, streams) is None:
                 return _write_parts(op, streams, part_writer, ctx)
             return op.apply_local(source if ctx is not None else resident(source))
-        if not isinstance(op, Sort) or op.addon is not None:
+        if (
+            not isinstance(op, Sort)
+            or op.addon is not None
+            or not source.schema.has_field(op.key)
+        ):
             return op.apply_local(resident(source))
         indexed = getattr(source, "indexed_rows", None)
         indexed = indexed() if indexed is not None else None
         if indexed is not None:
             rows, ids = indexed
-            key = sort_key_dtype(source.schema.dtype[op.key], op.ascending)
-            narrow = key.itemsize + row_id_dtype(len(rows)).itemsize
-            if ctx is None or not ctx.should_spill(len(source) * narrow):
-                # the same rows, re-wrapped so that the operator's kernel
-                # entry does not map the file (or read run files) again
-                view = (Dataset(schema=source.schema, records=rows) if ids is None
-                        else SortedView(source.schema, rows, ids))
-                return op.apply_local(view)
+            weight = op.narrow_bytes(len(source), rows, composed=ids is not None)
+            if ctx is None or not ctx.should_spill(weight):
+                return op.apply_local(source)
             from repro.ooc.extsort import external_sort_rows
 
             return external_sort_rows(rows, ids, op.key, op.ascending, ctx, source.schema)
         if ctx is None or source.is_packed or not ctx.should_spill(source.nbytes):
             return op.apply_local(resident(source))
         from repro.ooc.chunked import iter_dataset_chunks
-        from repro.ooc.extsort import external_sort_records
+        from repro.ooc.extsort import SortedRuns, external_sort_records, external_sort_rows
 
         schema = source.schema
+        if isinstance(source, SortedRuns) and source.rows is not None:
+            # a spilled narrow sort: its row ids stream into this one's runs
+            return external_sort_rows(
+                source.rows, source.row_ids(), op.key, op.ascending, ctx, schema
+            )
         chunks = iter_dataset_chunks(source, ctx.chunk_records(schema.itemsize))
         return external_sort_records(
             (chunk.records for chunk in chunks), op.key, op.ascending, ctx, schema

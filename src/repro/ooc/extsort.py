@@ -48,7 +48,7 @@ produces, for any budget, any fan-in and any float key.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -190,14 +190,11 @@ class ExternalSorter:
         value_dtype: np.dtype,
         key_dtype: np.dtype = np.dtype(np.int64),
         max_fanin: int = DEFAULT_MAX_FANIN,
-        narrow: bool = False,
     ) -> None:
         self.ctx = ctx
         self.value_dtype = np.dtype(value_dtype)
         self.key_dtype = np.dtype(key_dtype)
         self.max_fanin = max(2, int(max_fanin))
-        #: whether the values are row ids (counted apart in the spill stats)
-        self.narrow = narrow
         # one input frame per merged run plus one more fit in a chunk's
         # worth of budget (a quarter of it); the merge's output block — the
         # cut slices, concatenated and gathered — adds up to two more
@@ -230,7 +227,7 @@ class ExternalSorter:
             end = min(pos + self.frame_records, len(values))
             writer.append(values[pos:end], keys=keys[pos:end])
         manifest = writer.close()
-        self.ctx.stats.record_run(manifest, narrow=self.narrow)
+        self.ctx.stats.record_run(manifest)
         self.runs.append(manifest)
 
     @property
@@ -256,7 +253,7 @@ class ExternalSorter:
                 for frame in merge_run_frames(group, self.frame_records):
                     writer.append(frame.values, keys=frame.keys)
                 manifest = writer.close()
-                self.ctx.stats.record_run(manifest, narrow=self.narrow)
+                self.ctx.stats.record_run(manifest)
                 self.ctx.stats.record_merge(len(group))
                 next_runs.append(manifest)
                 for spent in group:
@@ -351,12 +348,11 @@ class SortedRuns:
             schema=self.schema, records=values if self.rows is None else self.rows[values]
         )
 
-    def indexed_rows(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Narrow runs as ``(rows, row ids)``: a sort of this output reads
-        the merged row ids back whole and composes its order into them."""
-        if self.rows is None:
-            return None
-        return self.rows, self.sorter.sorted_values()
+    def row_ids(self) -> Iterator[np.ndarray]:
+        """Narrow runs' merged row ids, a frame at a time: what a sort of
+        this output streams into its own runs."""
+        for frame in self.sorter.merged_frames():
+            yield frame.values
 
 
 def external_sort_records(
@@ -382,7 +378,7 @@ def external_sort_records(
 
 def external_sort_rows(
     rows: np.ndarray,
-    ids: Optional[np.ndarray],
+    ids: Union[np.ndarray, Iterable[np.ndarray], None],
     key: str,
     ascending: bool,
     ctx: "OOCContext",
@@ -391,23 +387,44 @@ def external_sort_rows(
     """Stable external sort of the entries ``rows[ids]`` (``rows`` when
     ``ids`` is ``None``) by one field, spilling narrow runs.
 
-    Reads the key column a budget-sized chunk at a time; a run record is
-    the sort key plus the entry's row id, of the narrowest unsigned dtype
-    that addresses ``rows``.  The merged stream gathers its records from
-    ``rows`` frame by frame, so no record is ever written to a run file.
+    ``ids`` is an array, or arrays streamed in entry order (a spilled
+    narrow sort's :meth:`SortedRuns.row_ids`).  Reads the key column a
+    budget-sized chunk at a time; a run record is the sort key plus the
+    entry's row id, of the narrowest unsigned dtype that addresses
+    ``rows``.  The merged stream gathers its records from ``rows`` frame by
+    frame, so no record is ever written to a run file.
     """
     id_dtype = row_id_dtype(len(rows))
     key_dtype = sort_key_dtype(schema.dtype[key], ascending)
     column = rows[key]
-    n = len(rows) if ids is None else len(ids)
     step = ctx.chunk_records(key_dtype.itemsize + id_dtype.itemsize)
-    sorter = ExternalSorter(ctx, id_dtype, key_dtype, max_fanin=ctx.max_fanin, narrow=True)
-    for pos in range(0, n, step):
-        end = min(pos + step, n)
-        if ids is None:
-            keys, chunk = column[pos:end], np.arange(pos, end, dtype=id_dtype)
-        else:
-            chunk = ids[pos:end].astype(id_dtype, copy=False)
-            keys = column[chunk]
-        sorter.add_chunk(sort_key_array(keys, ascending), chunk)
+    sorter = ExternalSorter(ctx, id_dtype, key_dtype, max_fanin=ctx.max_fanin)
+    if ids is None:
+        for pos in range(0, len(rows), step):
+            end = min(pos + step, len(rows))
+            keys = sort_key_array(column[pos:end], ascending)
+            sorter.add_chunk(keys, np.arange(pos, end, dtype=id_dtype))
+    else:
+        if isinstance(ids, np.ndarray):
+            ids = np.array_split(ids, range(step, len(ids), step))
+        for chunk in _joined(ids, step):
+            chunk = chunk.astype(id_dtype, copy=False)
+            sorter.add_chunk(sort_key_array(column[chunk], ascending), chunk)
+    ctx.stats.narrow = ctx.stats.narrow or bool(sorter.runs)
     return SortedRuns(sorter, schema, rows=rows)
+
+
+def _joined(arrays: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Consecutive arrays joined until each piece holds ``size`` entries
+    (the last may hold fewer)."""
+    held: list[np.ndarray] = []
+    count = 0
+    for array in arrays:
+        held.append(array)
+        count += len(array)
+        while count >= size:
+            joined = np.concatenate(held) if len(held) > 1 else held[0]
+            yield joined[:size]
+            held, count = [joined[size:]], count - size
+    if count:
+        yield np.concatenate(held)

@@ -286,19 +286,17 @@ class SpillStats:
     runs_written: int = 0
     spilled_records: int = 0
     spilled_bytes: int = 0
-    #: the part of ``spilled_bytes`` that went to narrow (key, row id) runs
-    narrow_bytes: int = 0
     max_merge_fanin: int = 0
+    #: whether the runs are narrow: (sort key, row id) for each record
+    narrow: bool = False
     #: manifests of every run this context wrote (checkpoint payload)
     manifests: list = field(default_factory=list)
 
-    def record_run(self, manifest: SpillManifest, narrow: bool = False) -> None:
+    def record_run(self, manifest: SpillManifest) -> None:
         """Fold one finished run into the counters."""
         self.runs_written += 1
         self.spilled_records += manifest.num_records
         self.spilled_bytes += manifest.nbytes
-        if narrow:
-            self.narrow_bytes += manifest.nbytes
         self.manifests.append(manifest)
 
     def record_merge(self, fanin: int) -> None:
@@ -312,6 +310,6 @@ class SpillStats:
             "runs_written": self.runs_written,
             "spilled_records": self.spilled_records,
             "spilled_bytes": self.spilled_bytes,
-            "narrow_bytes": self.narrow_bytes,
             "max_merge_fanin": self.max_merge_fanin,
+            "narrow": int(self.narrow),
         }

@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.dataset import Dataset, SortedView, row_id_dtype
 from repro.errors import OperatorError
 from repro.ops.base import AddOnOperator, BasicOperator, register_basic
-from repro.order import stable_order
+from repro.order import ROW_STEP, packed_row_ids, packs_rows, stable_order
 
 #: Table I flag values ("-1: ascending, 1: descending")
 ASCENDING = -1
@@ -135,10 +135,32 @@ class Sort(BasicOperator):
         Reads the key column only — through a mapping, only its pages.
         """
         column = rows[self.key]
+        id_dtype = row_id_dtype(len(rows))
+        if self.kernel == "numpy" and packs_rows(column.dtype, id_dtype):
+            return packed_row_ids(column, ids, not self.ascending, id_dtype)
         order = self.sort_indices(column if ids is None else column[ids])
         if ids is not None:
             order = ids[order]
-        return order.astype(row_id_dtype(len(rows)), copy=False)
+        return order.astype(id_dtype, copy=False)
+
+    def narrow_bytes(self, n: int, rows: np.ndarray, composed: bool) -> int:
+        """What :meth:`order_rows` holds at its peak for ``n`` entries of
+        ``rows``, plus the ``n`` row ids it composes into when ``composed``
+        — the figure a memory budget weighs the narrow sort at.
+
+        Packed: one 8-byte word per entry, and a chunk of int64 keys, index
+        column and gathered keys.  Otherwise the sort key's copy, numpy's
+        int64 order, one more int64 pass of it (the packed index column, or
+        the merge buffer and the cast) and the row ids.
+        ``tests/core/test_narrow_sort.py`` pins both against ``tracemalloc``.
+        """
+        field = rows.dtype[self.key]
+        id_dtype = row_id_dtype(len(rows))
+        held = n * id_dtype.itemsize if composed else 0
+        if self.kernel == "numpy" and packs_rows(field, id_dtype):
+            return n * 8 + min(n, ROW_STEP) * 24 + held
+        key_bytes = sort_key_dtype(field, self.ascending).itemsize
+        return n * (key_bytes + 16 + id_dtype.itemsize) + held
 
     def _is_packed_key(self, data: Dataset) -> bool:
         return data.is_packed and data.packed.key_field == self.key

@@ -11,20 +11,22 @@ the paper gives its SIMD sort kernel (ASPaS, Section IV-B).
 
 Precondition of the packed path: integer or bool keys whose rebased range
 and index fit one word together,
-``(max - min).bit_length() + (n - 1).bit_length() <= 64``.  Keys whose
-rebased range fits one byte — partition and bucket owner ids, the keys
-``bucketize`` and the serve deal sort — take the *radix lane* instead:
-numpy's stable sort of a ``uint8`` array is a radix sort, faster than
-packing (2M owner ids on a 2-vCPU host: 36 ms against 48 ms).  16-bit
-ranges stay packed, which measured faster than numpy's 16-bit radix sort
-(4M keys: 104 ms against 147 ms).  Everything else — floats (NaN order), strings, ranges too wide,
-inputs too small to repay the extra passes — takes numpy's stable
-``argsort`` itself, so the contract holds for any key array.
+``(max - min).bit_length() + (n - 1).bit_length() <= 64``.  Everything else
+— floats (NaN order), strings, ranges too wide, inputs too small to repay
+the extra passes — takes numpy's stable ``argsort`` itself, so the contract
+holds for any key array.
 
 One caller keeps numpy's sort on purpose: timsort is adaptive, so on keys
 that are already a handful of sorted runs it is O(n) and beats the packed
 path (which sorts from scratch) — the external sort's block merge, whose
 input is exactly that, calls ``np.argsort`` directly.
+
+:func:`packed_row_ids` is the same packing held to one word per entry, for
+the narrow sort of :mod:`repro.ops.sort` (integer keys of at most 32 bits,
+row ids of at most 32): the words are filled a chunk of the key column at
+a time, sorted in place, and the row ids are compacted into the front of
+the words' own buffer — so its peak is ``8 * n`` bytes plus one chunk,
+the figure a memory budget weighs it at.
 
 A leaf module (numpy only): ``formats``, ``mapreduce``, ``ops`` and ``ooc``
 all import it.
@@ -32,11 +34,17 @@ all import it.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 #: below this many keys the packing passes cost more than they save
 #: (measured crossover between 512 and 1024 for int32 and int64 keys)
 PACKED_MIN_KEYS = 1024
+
+#: entries :func:`packed_row_ids` reads per chunk (its int64 keys and index
+#: column come to 16 bytes per entry; the chunk size barely moves its speed)
+ROW_STEP = 1 << 13
 
 
 def stable_order(keys: np.ndarray) -> np.ndarray:
@@ -48,14 +56,6 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     if keys.ndim == 1 and len(keys) >= PACKED_MIN_KEYS and keys.dtype.kind in "iub":
         n = len(keys)
         lo, hi = int(keys.min()), int(keys.max())
-        if hi - lo < 256:
-            # the radix lane: ``key - lo`` wraps in the key's own dtype, but
-            # its true value lies in [0, 256), so its low byte is exact
-            if keys.dtype.kind == "b":
-                small = keys.view(np.uint8)
-            else:
-                small = np.subtract(keys, keys.dtype.type(lo)).astype(np.uint8)
-            return np.argsort(small, kind="stable")
         idx_bits = (n - 1).bit_length()
         if (hi - lo).bit_length() + idx_bits <= 64:
             # rebase in a width that cannot overflow: with the check above
@@ -70,3 +70,66 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
             packed &= np.uint64((1 << idx_bits) - 1)
             return packed.view(np.int64).astype(np.intp, copy=False)
     return np.argsort(keys, kind="stable")
+
+
+def packs_rows(key_dtype: np.dtype, id_dtype: np.dtype) -> bool:
+    """Whether :func:`packed_row_ids` takes keys of ``key_dtype`` and row
+    ids of ``id_dtype``: integers of at most 32 bits, both."""
+    key_dtype = np.dtype(key_dtype)
+    return key_dtype.kind in "iu" and key_dtype.itemsize <= 4 and np.dtype(id_dtype).itemsize <= 4
+
+
+def packed_row_ids(
+    column: np.ndarray,
+    ids: np.ndarray | None,
+    descending: bool,
+    id_dtype: np.dtype,
+    step: int = ROW_STEP,
+) -> np.ndarray:
+    """Row ids, as ``id_dtype``, that stably order the entries ``column[ids]``
+    (``column`` itself when ``ids`` is ``None``) by key: ascending, or
+    descending with ties still in entry order — the order
+    :func:`stable_order` gives the negated keys.
+
+    Precondition: :func:`packs_rows`.  Rebased by its dtype's own extreme,
+    a key lies in ``[0, 2**32)`` and an entry index below ``2**32``, so a
+    word holds both.  Nothing of ``n`` entries is allocated but the words:
+    the key column is read ``step`` entries at a time.
+    """
+    id_dtype = np.dtype(id_dtype)
+    n = len(column) if ids is None else len(ids)
+    if n == 0:
+        return np.empty(0, dtype=id_dtype)
+    info = np.iinfo(column.dtype)
+    idx_bits = (n - 1).bit_length()
+    words = np.empty(n, dtype=np.uint64)
+    for pos in range(0, n, step):
+        end = min(pos + step, n)
+        keys = (column[pos:end] if ids is None else column[ids[pos:end]]).astype(np.int64)
+        if descending:
+            np.subtract(info.max, keys, out=keys)
+        else:
+            np.subtract(keys, info.min, out=keys)
+        np.left_shift(keys.view(np.uint64), np.uint64(idx_bits), out=words[pos:end])
+        words[pos:end] |= np.arange(pos, end, dtype=np.uint64)
+    words.sort()
+    words &= np.uint64((1 << idx_bits) - 1)
+    # each word's entry index sits in its low-order lane: move lane k down
+    # to slot k, front to back, in spans whose sources all lie past their
+    # destinations (slot k's source is lane k * lanes), so numpy copies
+    # each span without a temporary
+    lanes = 8 // id_dtype.itemsize
+    low = lanes - 1 if sys.byteorder == "big" else 0
+    narrow = words.view(id_dtype)
+    narrow[0] = narrow[low]
+    start = 1
+    while start < n:
+        stop = min(n, start * lanes + low)
+        narrow[start:stop] = narrow[start * lanes + low : (stop - 1) * lanes + low + 1 : lanes]
+        start = stop
+    if ids is not None:  # entry indices -> the row ids they stand for
+        for pos in range(0, n, step):
+            narrow[pos : pos + step] = ids[narrow[pos : pos + step]]
+    del narrow  # the only view: the words may now give their tail back
+    words.resize(-(-n * id_dtype.itemsize // 8), refcheck=False)
+    return words.view(id_dtype)[:n]

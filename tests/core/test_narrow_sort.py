@@ -3,15 +3,17 @@
 A flat sort over rows that can be fetched by index — an in-memory dataset,
 a fixed-width input file through a read-only mapping, another sort's view —
 orders its key column and returns row ids of the narrowest unsigned dtype.
-Under a budget it spills (key, row id) runs only when ``n`` times the key
-and row-id bytes exceed it, and a serial file-to-file run deals straight
-into the part files.  Every case is checked against a stable-argsort
-oracle, or byte for byte against the other backends.
+Under a budget it spills (key, row id) runs only when the sort's own peak
+(``Sort.narrow_bytes``, pinned here against ``tracemalloc``) exceeds it,
+and a serial file-to-file run deals straight into the part files.  Every
+case is checked against a stable-argsort oracle, or byte for byte against
+the other backends.
 """
 
 import errno
 import os
 import tempfile
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,13 +26,15 @@ from repro.cli import main
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.core.dataset import Dataset, row_id_dtype
+from repro.core.runtime import SerialRuntime
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 from repro.formats.binary import BinaryInputFormat, PartWriter
 from repro.ooc.budget import MemoryBudget
-from repro.ooc.extsort import external_sort_rows
+from repro.ooc.extsort import SortedRuns, external_sort_rows
 from repro.ooc.spill import OOCContext
 from repro.ops import Sort
 from repro.ops.sort import sort_key_array
+from repro.order import ROW_STEP
 
 KEY_DTYPES = [np.int8, np.int16, np.int32, np.int64,
               np.uint8, np.uint16, np.uint32, np.uint64, np.float64]
@@ -94,12 +98,50 @@ class TestNarrowKernel:
         for budget in BUDGETS[1:]:
             spill_dir = tmp_path_factory.mktemp("spill")
             ctx = OOCContext(MemoryBudget.coerce(budget), str(spill_dir))
-            for given_ids, expected in ((None, want), (first, rows[composed])):
+            streamed_ids = iter(np.array_split(first, 7))
+            for given_ids, expected in ((None, want), (first, rows[composed]),
+                                        (streamed_ids, rows[composed])):
                 runs = external_sort_rows(rows, given_ids, "key", ascending, ctx, schema)
                 streamed = [chunk.records for chunk in runs.chunks()]
                 got = np.concatenate(streamed) if streamed else rows[:0]
                 assert same(got, expected)
                 assert same(runs.materialize().records, expected)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 65_536, 70_001])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32])
+    def test_packed_row_ids_at_every_row_id_width(self, n, dtype):
+        """uint8, uint16 and uint32 row ids, across their boundaries: the
+        compaction of each word's low lane, and the chunked key reads."""
+        rows = np.zeros(n, dtype=[("key", dtype), ("ord", "<i8")])
+        rows["key"] = key_column(dtype, n, "ties" if n % 2 else "random", n)
+        first = np.random.default_rng(n).permutation(n).astype(row_id_dtype(n))
+        for ascending in (True, False):
+            sort = Sort("key", ascending=ascending)
+            ids = sort.order_rows(rows, None)
+            assert ids.dtype == row_id_dtype(n) and ids.base.nbytes < n * ids.itemsize + 8
+            assert same(rows[ids], oracle(rows, "key", ascending))
+            assert same(rows[sort.order_rows(rows, first)], oracle(rows[first], "key", ascending))
+
+
+class TestWhatTheBudgetWeighs:
+    @pytest.mark.parametrize("kernel", ["numpy", "aspas"])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint32, np.int64, np.uint64, np.float64])
+    @pytest.mark.parametrize("ascending", [True, False])
+    @pytest.mark.parametrize("composed", [False, True])
+    def test_the_sort_peaks_within_its_weight(self, kernel, dtype, ascending, composed):
+        n = 60_000
+        rows = np.zeros(n, dtype=[("key", dtype), ("ord", "<i8")])
+        rows["key"] = key_column(dtype, n, "random", 5)
+        ids = np.random.default_rng(6).permutation(n).astype(row_id_dtype(n)) if composed else None
+        sort = Sort("key", ascending=ascending, kernel=kernel)
+        tracemalloc.start()
+        try:
+            sort.order_rows(rows, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = ids.nbytes if composed else 0  # the composed ids were resident already
+        assert peak <= sort.narrow_bytes(n, rows, composed) - held
 
 
 # -- file to file -----------------------------------------------------------------
@@ -266,14 +308,16 @@ class TestWhatMoves:
         assert ids.dtype == np.uint16
         assert np.array_equal(view.records, oracle(blast_rows(300), "seq_size", True))
 
-    def test_the_spill_decision_weighs_key_and_row_id_bytes(self, papar):
-        # 100k int32 keys + uint32 row ids: 800,000 bytes of narrow working set
+    def test_the_spill_decision_weighs_the_sorts_own_peak(self, papar):
+        # 100k int32 keys, uint32 row ids: one packed word per entry and a chunk
         data = Dataset(schema=BLAST_INDEX_SCHEMA, records=blast_rows(100_000))
+        weight = Sort("seq_size").narrow_bytes(100_000, data.records, False)
+        assert weight == 800_000 + 24 * ROW_STEP
         _, plain = run_blast(papar, data, None)
-        fits, fit_parts = run_blast(papar, data, 800_000)
+        fits, fit_parts = run_blast(papar, data, weight)
         assert "spill" not in fits.extra["perf"]
-        spills, spill_parts = run_blast(papar, data, 799_999)
-        assert spills.extra["perf"]["spill"]["narrow_bytes"] > 0
+        spills, spill_parts = run_blast(papar, data, weight - 1)
+        assert spills.extra["perf"]["spill"]["narrow"] == 1
         for a, b, c in zip(plain, fit_parts, spill_parts):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
@@ -292,12 +336,31 @@ class TestWhatMoves:
             )
         spill = result.result.extra["perf"]["spill"]
         assert spill["spilled_records"] == n
-        assert spill["spilled_bytes"] == spill["narrow_bytes"] == n * (4 + 2)
+        assert spill["spilled_bytes"] == n * (4 + 2) and spill["narrow"] == 1
         assert spill["runs_written"] == 6 and spill["max_merge_fanin"] == 6
         assert part_files(out["8KB"]) == part_files(out[None])
         # the one-rank in-place tail: the partitions are the published files
         assert all(isinstance(p.records, np.memmap) for p in result.partitions)
         assert sorted(os.listdir(out["8KB"])) == [f"part-{p:05d}" for p in range(6)]
+
+    def test_a_sort_of_spilled_narrow_runs_streams_their_row_ids(self, tmp_path):
+        """Sort -> sort under a budget: the second sort never holds the
+        first one's ``n`` row ids at once."""
+        n = 200_000
+        data = Dataset(schema=BLAST_INDEX_SCHEMA, records=blast_rows(n))
+        ctx = OOCContext(MemoryBudget.coerce("64KB"), str(tmp_path))
+        first = SerialRuntime._apply(Sort("seq_size"), data, ctx, None)
+        assert isinstance(first, SortedRuns) and first.rows is data.records
+        tracemalloc.start()
+        try:
+            second = SerialRuntime._apply(Sort("desc_size", ascending=False), first, ctx, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(second, SortedRuns) and second.rows is data.records
+        assert peak < n * row_id_dtype(n).itemsize // 4
+        want = oracle(oracle(data.records, "seq_size", True), "desc_size", False)
+        assert same(second.materialize().records, want)
 
 
 # -- a failed write -----------------------------------------------------------------

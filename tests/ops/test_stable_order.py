@@ -139,8 +139,8 @@ class TestStableOrderKernel:
 
     @pytest.mark.parametrize("dtype", INT_DTYPES)
     @pytest.mark.parametrize("span", [255, 256])
-    def test_byte_range_radix_lane_and_one_past(self, dtype, span):
-        """A rebased range of 255 takes the uint8 radix lane, 256 the packed path."""
+    def test_byte_range_and_one_past(self, dtype, span):
+        """Rebased ranges of exactly 255 and 256, at each end of the dtype."""
         rng = np.random.default_rng(span)
         info = np.iinfo(dtype)
         for lo in {info.min, 0, info.max - span}:
@@ -157,15 +157,15 @@ class TestStableOrderKernel:
         [(np.int8, -128), (np.int16, -(2**15)), (np.int32, -(2**31)),
          (np.int64, -(2**63)), (np.int64, 2**63 - 256)],
     )
-    def test_radix_lane_at_signed_extremes(self, dtype, lo):
-        """``key - min`` wraps in the key's own dtype; its low byte is exact."""
+    def test_byte_range_at_signed_extremes(self, dtype, lo):
+        """A byte's range that starts at the dtype minimum, or ends at its maximum."""
         rng = np.random.default_rng(17)
         keys = (np.int64(lo) + rng.integers(0, 256, 3000)).astype(dtype)
         keys[[1, 2]] = lo, lo + 255
         assert_is_stable_argsort(keys)
         assert_is_stable_argsort(sort_key_array(keys, ascending=False))
 
-    def test_radix_lane_for_bool_and_uint64_near_the_maximum(self):
+    def test_bool_keys_and_uint64_keys_near_the_maximum(self):
         rng = np.random.default_rng(19)
         assert_is_stable_argsort(rng.integers(0, 2, 4000).astype(np.bool_))
         assert_is_stable_argsort(np.zeros(4000, dtype=np.bool_))
@@ -173,7 +173,7 @@ class TestStableOrderKernel:
         keys = top - rng.integers(0, 256, 4000).astype(np.uint64)
         keys[7] = top
         assert_is_stable_argsort(keys)
-        keys[8] = top - np.uint64(256)  # one past a byte: the packed path
+        keys[8] = top - np.uint64(256)  # one past a byte
         assert_is_stable_argsort(keys)
 
     def test_strided_key_column_of_a_record_array(self):
