@@ -12,18 +12,21 @@ Two executors run the same :class:`~repro.core.planner.WorkflowPlan`:
   and 11), distribute jobs compute global entry positions with an exclusive
   scan and deal each rank's window of them by position (the policy's
   :meth:`~repro.policies.distr.DistributionPolicy.pieces`) to the partition
-  owners.
-  What differs between the backends is data on a subclass — the backend
-  label, the reducer count, the cost profile
+  owners.  What differs between the backends is data on a subclass — the
+  backend label, the reducer count, the cost profile
   (:class:`~repro.core.mr_runtime.MapReduceRuntime`) and the launcher
   (:class:`~repro.core.process_runtime.ProcessRuntime`).
 
-Every backend produces identical partitions (tested); the SPMD backends
-additionally report simulated time and shuffle volume when a cluster model
-is attached.  The range exchange cuts keys with a
-:class:`~repro.mapreduce.partitioner.RangePartitioner` and bucketizes through
-:func:`repro.mapreduce.columnar.bucketize` — one stable order instead of a
-per-destination ``flatnonzero`` scan — and every backend threads a
+Every backend produces identical partitions (tested).  The range exchange
+has two forms.  A flat sort with no add-on of the run's *own* input
+(rows fetchable by index: an in-memory flat dataset, or a fixed-width file
+through a read-only mapping), keyed by an integer of at most 32 bits and
+with no memory budget, ships one 8-byte (key, row id) word per record —
+the sort-first sample sort of :mod:`repro.core.word_exchange` — and the
+deal gathers the records from the input.  Every other sort or group ships
+the records: keys cut by a
+:class:`~repro.mapreduce.partitioner.RangePartitioner`, bucketized through
+:func:`repro.mapreduce.columnar.bucketize`.  Every backend threads a
 :class:`~repro.mapreduce.columnar.PerfCounters` through
 ``PartitionResult.extra["perf"]`` (``python -m repro run --stats``).
 
@@ -43,24 +46,16 @@ runtime's tail is the one-rank case of the same deal
 Out-of-core (see :mod:`repro.ooc`): with a ``memory_budget`` each exchange
 asks one collective question — does any rank's working set exceed the
 budget? — and then moves either ``Dataset`` chunks through ``alltoall`` or
-run files through :mod:`repro.ooc.exchange`.  Both strategies feed the same
-local kernels and the same partition assembly.  Without a budget
+run files through :mod:`repro.ooc.exchange`.  Without a budget
 ``repro.ooc`` is never imported.
 
 Fault tolerance (see :mod:`repro.fault`): the SPMD backends accept a fault
-schedule, a checkpoint store, and a retry policy.  Failed attempts (injected
-crashes, lost/corrupted messages, deadlocks) are retried with virtual-time
-backoff, resuming from the last job every rank checkpointed; the recovery
-report lands in ``PartitionResult.extra["fault"]``.  Without any of those
-arguments the execution path is byte-for-byte the plain one — a fault-free
-run pays nothing.
-
-Observability (see :mod:`repro.obs`): every backend accepts a ``recorder``.
-When one is attached the run is recorded as a span tree (plan → per-rank
-job spans → shuffle spans, with virtual *and* wall time), the communicator
-charge points feed idle/byte counters, and the recorder lands in
-``PartitionResult.extra["obs"]`` for export (``--trace`` / ``--metrics`` /
-``--timeline`` on the CLI).  Without a recorder none of this code runs.
+schedule, a checkpoint store, and a retry policy; failed attempts are
+retried, resuming from the last job every rank checkpointed, and the report
+lands in ``PartitionResult.extra["fault"]``.  Observability (see
+:mod:`repro.obs`): with a ``recorder`` the run is recorded as a span tree
+(plan → per-rank jobs → shuffles) in ``PartitionResult.extra["obs"]``.
+Without those arguments none of that code runs.
 """
 
 from __future__ import annotations
@@ -127,12 +122,15 @@ class PartitionResult:
         return self.extra.get("obs")
 
 
+def _block(n: int, rank: int, size: int) -> tuple[int, int]:
+    """``(start, length)`` of ``rank``'s contiguous block of ``n`` entries."""
+    base, extra = divmod(n, size)
+    return rank * base + min(rank, extra), base + (1 if rank < extra else 0)
+
+
 def _dataset_rows_per_rank(data: Dataset, rank: int, size: int) -> Dataset:
     """Contiguous block decomposition preserving global entry order."""
-    n = len(data)
-    base, extra = divmod(n, size)
-    start = rank * base + min(rank, extra)
-    length = base + (1 if rank < extra else 0)
+    start, length = _block(len(data), rank, size)
     if hasattr(data, "slice_view"):
         # an out-of-core ChunkedDataset: hand the rank a row-range view
         # instead of materializing its block (duck-typed so repro.ooc is
@@ -675,6 +673,7 @@ class MPIRuntime:
                     )
                 continue
             source = job_input(job, i, plan, outputs, local)
+            whole = input_data if source is local and ctx is None else None
             comm.check_fault(i, "before")
             job_mark = ctx.manifest_mark() if ctx is not None else 0
             span = (
@@ -692,7 +691,7 @@ class MPIRuntime:
                     comm.charge_compute(comm.cluster.cost.job_overhead)
                 final = self._run_job(
                     comm, job, source, perf, ctx,
-                    part_writer if job is plan.final_job else None,
+                    part_writer if job is plan.final_job else None, whole,
                 )
             outputs[job.op_id] = final
             # an "after" crash fires before the checkpoint commits, so the
@@ -724,12 +723,22 @@ class MPIRuntime:
         perf: PerfCounters,
         ctx: Any,
         part_writer: Optional[PartWriter] = None,
+        whole: Any = None,
     ) -> Any:
         """One job on one rank; ``ctx`` is the rank's ``OOCContext`` or
         ``None``, ``part_writer`` the run's output files when ``job`` is the
-        final one of a file-to-file run."""
+        final one of a file-to-file run, ``whole`` the run's input when
+        ``source`` is this rank's block of it and no budget is set."""
         op = job.operator
         if isinstance(op, Sort):
+            if whole is not None:
+                from repro.core.word_exchange import input_rows, word_sort
+
+                rows = input_rows(op, whole)
+                if rows is not None:
+                    view = word_sort(comm, op, rows, whole.schema, self._reducers(job, comm), perf)
+                    self._charge(comm, "sort", len(view))
+                    return view
             return self._range_job(
                 comm, op, source, perf, ctx, op.ascending, self._reducers(job, comm),
                 kernel="sort",

@@ -207,8 +207,8 @@ class PerfCounters:
     """Records / bytes moved plus per-phase wall and virtual time.
 
     One instance per rank; :meth:`merge` folds rank counters into a run
-    total (records and bytes sum; wall time sums — total CPU work across
-    rank threads; virtual time takes the max — the critical path).
+    total: records and bytes sum; wall and virtual time per phase take the
+    max over ranks — the phase's makespan, never longer than the run.
     """
 
     records_moved: int = 0
@@ -255,7 +255,7 @@ class PerfCounters:
         self.bytes_moved += other.bytes_moved
         for name, (wall, virt) in other.phases.items():
             acc = self.phases.setdefault(name, [0.0, 0.0])
-            acc[0] += wall
+            acc[0] = max(acc[0], wall)
             acc[1] = max(acc[1], virt)
         if other.spill:
             self.add_spill(other.spill)

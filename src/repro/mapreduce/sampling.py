@@ -62,7 +62,11 @@ def reservoir_sample(
 
 
 def quantile_boundaries(samples: Sequence[Any], num_reducers: int) -> list[Any]:
-    """Reducer split points at the ``i/num_reducers`` quantiles of ``samples``."""
+    """Reducer split points at the ``i/num_reducers`` quantiles of ``samples``.
+
+    The samples are ordered by ``np.sort``, as every sort kernel orders
+    keys: NaN last, so float keys with NaN still cut into ascending ranges.
+    """
     if num_reducers < 1:
         raise MapReduceError(f"num_reducers must be >= 1, got {num_reducers!r}")
     if num_reducers == 1:
@@ -70,7 +74,7 @@ def quantile_boundaries(samples: Sequence[Any], num_reducers: int) -> list[Any]:
     n = len(samples)
     if n == 0:
         raise MapReduceError("cannot derive range boundaries from an empty sample")
-    ordered = np.sort(samples) if isinstance(samples, np.ndarray) else sorted(samples)
+    ordered = np.sort(np.asarray(samples))
     return [ordered[min(n - 1, (i * n) // num_reducers)] for i in range(1, num_reducers)]
 
 

@@ -45,6 +45,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import secrets
+import signal
+import sys
 from collections import deque
 from typing import Any, Callable, Optional, Sequence
 
@@ -53,7 +55,7 @@ import numpy as np
 from repro.cluster.clock import VirtualClock
 from repro.cluster.model import ClusterModel
 from repro.errors import MPIError
-from repro.lifecycle import graceful_teardown
+from repro.lifecycle import DEFAULT_SIGNALS, graceful_teardown
 from repro.mpi.comm import Communicator
 from repro.mpi.fabric import Message, TrafficStats, take_match
 from repro.mpi.launcher import MPIRun
@@ -232,8 +234,17 @@ def _process_worker(
             exit_msg["payload"] = MPIError(repr(exc))
             result_queue.put(exit_msg)
     finally:
+        # the exit message is queued: a teardown signal now ends the rank
+        # quietly (no ShutdownRequested traceback), once its mappings are swept
+        held: list[int] = []
+        for signum in DEFAULT_SIGNALS:
+            signal.signal(signum, lambda signum, frame: held.append(signum))
         heartbeat.stop()
         sweep_pending_closes()
+        for signum in DEFAULT_SIGNALS:
+            signal.signal(signum, lambda signum, frame: sys.exit(0))
+        if held:
+            sys.exit(0)
 
 
 def _shutdown_gang(procs: Sequence[Any], exiting: bool = False) -> None:
@@ -245,9 +256,9 @@ def _shutdown_gang(procs: Sequence[Any], exiting: bool = False) -> None:
     before SIGKILL, which cannot be ignored.
 
     ``exiting`` says every worker has reported success and is inside
-    interpreter shutdown, where a SIGTERM buys nothing but a
-    ``ShutdownRequested`` traceback on stderr: those get :data:`EXIT_GRACE`
-    seconds to leave on their own first.
+    interpreter shutdown, where a SIGTERM would only cut it short (a rank
+    that queued its exit message ends quietly on one): those get
+    :data:`EXIT_GRACE` seconds to leave on their own first.
     """
     import time as time_mod
 

@@ -16,17 +16,18 @@ and index fit one word together,
 the extra passes — takes numpy's stable ``argsort`` itself, so the contract
 holds for any key array.
 
-One caller keeps numpy's sort on purpose: timsort is adaptive, so on keys
-that are already a handful of sorted runs it is O(n) and beats the packed
-path (which sorts from scratch) — the external sort's block merge, whose
-input is exactly that, calls ``np.argsort`` directly.
+Two callers keep numpy's sort on purpose: timsort is adaptive, so on keys
+that are already a handful of sorted runs it beats the packed path (which
+sorts from scratch) — the external sort's block merge and the word
+exchange's merge, whose inputs are exactly that, call it directly.
 
 :func:`packed_row_ids` is the same packing held to one word per entry, for
 the narrow sort of :mod:`repro.ops.sort` (integer keys of at most 32 bits,
 row ids of at most 32): the words are filled a chunk of the key column at
 a time, sorted in place, and the row ids are compacted into the front of
 the words' own buffer — so its peak is ``8 * n`` bytes plus one chunk,
-the figure a memory budget weighs it at.
+the figure a memory budget weighs it at.  The SPMD word exchange
+(:mod:`repro.core.word_exchange`) ships the same words, row id below bit 32.
 
 A leaf module (numpy only): ``formats``, ``mapreduce``, ``ops`` and ``ooc``
 all import it.
@@ -79,41 +80,41 @@ def packs_rows(key_dtype: np.dtype, id_dtype: np.dtype) -> bool:
     return key_dtype.kind in "iu" and key_dtype.itemsize <= 4 and np.dtype(id_dtype).itemsize <= 4
 
 
-def packed_row_ids(
-    column: np.ndarray,
-    ids: np.ndarray | None,
-    descending: bool,
-    id_dtype: np.dtype,
-    step: int = ROW_STEP,
+def key_words(
+    column: np.ndarray, ids: np.ndarray | None, descending: bool, shift: int, first: int = 0
 ) -> np.ndarray:
-    """Row ids, as ``id_dtype``, that stably order the entries ``column[ids]``
-    (``column`` itself when ``ids`` is ``None``) by key: ascending, or
-    descending with ties still in entry order — the order
-    :func:`stable_order` gives the negated keys.
-
-    Precondition: :func:`packs_rows`.  Rebased by its dtype's own extreme,
-    a key lies in ``[0, 2**32)`` and an entry index below ``2**32``, so a
-    word holds both.  Nothing of ``n`` entries is allocated but the words:
-    the key column is read ``step`` entries at a time.
+    """One ``uint64`` word per entry ``column[ids]`` (``column`` itself when
+    ``ids`` is ``None``): its key rebased by the dtype's own extreme
+    (``key - min``, or ``max - key`` descending) shifted left by ``shift``,
+    or'ed with its index ``first + i``.  Distinct words whose ascending
+    order is the stable order of the keys, when :func:`packs_rows` holds
+    and ``first + n <= 2**shift``; read ``ROW_STEP`` keys at a time.
     """
-    id_dtype = np.dtype(id_dtype)
     n = len(column) if ids is None else len(ids)
-    if n == 0:
-        return np.empty(0, dtype=id_dtype)
     info = np.iinfo(column.dtype)
-    idx_bits = (n - 1).bit_length()
     words = np.empty(n, dtype=np.uint64)
-    for pos in range(0, n, step):
-        end = min(pos + step, n)
+    for pos in range(0, n, ROW_STEP):
+        end = min(pos + ROW_STEP, n)
         keys = (column[pos:end] if ids is None else column[ids[pos:end]]).astype(np.int64)
         if descending:
             np.subtract(info.max, keys, out=keys)
         else:
             np.subtract(keys, info.min, out=keys)
-        np.left_shift(keys.view(np.uint64), np.uint64(idx_bits), out=words[pos:end])
-        words[pos:end] |= np.arange(pos, end, dtype=np.uint64)
-    words.sort()
-    words &= np.uint64((1 << idx_bits) - 1)
+        np.left_shift(keys.view(np.uint64), np.uint64(shift), out=words[pos:end])
+        words[pos:end] |= np.arange(first + pos, first + end, dtype=np.uint64)
+    return words
+
+
+def word_row_ids(
+    words: np.ndarray, shift: int, id_dtype: np.dtype, ids: np.ndarray | None = None
+) -> np.ndarray:
+    """The indices in the low ``shift`` bits of the sorted ``words`` (which
+    must own their buffer, and are consumed) as ``id_dtype``, mapped
+    through ``ids`` when given, in the front of the words' own buffer."""
+    n = len(words)
+    if n == 0:
+        return np.empty(0, dtype=id_dtype)
+    words &= np.uint64((1 << shift) - 1)
     # each word's entry index sits in its low-order lane: move lane k down
     # to slot k, front to back, in spans whose sources all lie past their
     # destinations (slot k's source is lane k * lanes), so numpy copies
@@ -128,8 +129,30 @@ def packed_row_ids(
         narrow[start:stop] = narrow[start * lanes + low : (stop - 1) * lanes + low + 1 : lanes]
         start = stop
     if ids is not None:  # entry indices -> the row ids they stand for
-        for pos in range(0, n, step):
-            narrow[pos : pos + step] = ids[narrow[pos : pos + step]]
+        for pos in range(0, n, ROW_STEP):
+            narrow[pos : pos + ROW_STEP] = ids[narrow[pos : pos + ROW_STEP]]
     del narrow  # the only view: the words may now give their tail back
     words.resize(-(-n * id_dtype.itemsize // 8), refcheck=False)
     return words.view(id_dtype)[:n]
+
+
+def packed_row_ids(
+    column: np.ndarray, ids: np.ndarray | None, descending: bool, id_dtype: np.dtype
+) -> np.ndarray:
+    """Row ids, as ``id_dtype``, that stably order the entries ``column[ids]``
+    (``column`` itself when ``ids`` is ``None``) by key: ascending, or
+    descending with ties still in entry order — the order
+    :func:`stable_order` gives the negated keys.
+
+    Precondition: :func:`packs_rows`.  Rebased by its dtype's own extreme,
+    a key lies in ``[0, 2**32)`` and an entry index below ``2**32``, so a
+    word holds both.  Nothing of ``n`` entries is allocated but the words.
+    """
+    id_dtype = np.dtype(id_dtype)
+    n = len(column) if ids is None else len(ids)
+    if n == 0:
+        return np.empty(0, dtype=id_dtype)
+    idx_bits = (n - 1).bit_length()
+    words = key_words(column, ids, descending, idx_bits)
+    words.sort()
+    return word_row_ids(words, idx_bits, id_dtype, ids)

@@ -9,7 +9,12 @@ issues different collectives or charges different costs than the separate
 ones did.
 
 Regenerate (only when the cost model itself changes on purpose) with
-``PYTHONPATH=src python tests/core/test_backend_accounting.py``.
+``PYTHONPATH=src python tests/core/test_backend_accounting.py``.  The blast
+rows were re-recorded once on purpose: a sort of the run's input became the
+word exchange, which ships one 8-byte (key, row id) word per record instead
+of the 16-byte record and samples its splitters as one array per rank —
+fewer bytes on the wire, so less simulated transfer time.  The hybrid rows
+(a group, still the record exchange) did not move.
 """
 
 import numpy as np
@@ -68,20 +73,20 @@ GRID = [
 #: at the commit before the runtimes were merged
 EXPECTED = {
     ('mpi', 'blast', 1, None): (0.0005349872709024851, 0, 0, 12000),
-    ('mpi', 'blast', 4, None): (0.0005759383907323582, 274061, 42, 12000),
-    ('mpi', 'blast', 8, None): (0.0006428799936592346, 708163, 154, 12000),
+    ('mpi', 'blast', 4, None): (0.0005579642238710698, 179548, 42, 12000),
+    ('mpi', 'blast', 8, None): (0.0005996357210525768, 419815, 154, 12000),
     ('mpi', 'hybrid', 1, None): (0.0007620305882352942, 0, 0, 10088),
     ('mpi', 'hybrid', 4, None): (0.0008422128075163381, 313587, 66, 10088),
     ('mpi', 'hybrid', 8, None): (0.0009461142826797353, 839614, 238, 10088),
     ('mapreduce', 'blast', 1, None): (0.0005, 0, 0, 12000),
-    ('mapreduce', 'blast', 4, None): (0.0005708258027777775, 269000, 42, 12000),
-    ('mapreduce', 'blast', 8, None): (0.000647733649999999, 688745, 154, 12000),
+    ('mapreduce', 'blast', 4, None): (0.0005509901194444437, 174748, 42, 12000),
+    ('mapreduce', 'blast', 8, None): (0.0006015615888888877, 400692, 154, 12000),
     ('mapreduce', 'hybrid', 1, None): (0.00075, 0, 0, 10088),
     ('mapreduce', 'hybrid', 4, None): (0.0008400095722222205, 313587, 66, 10088),
     ('mapreduce', 'hybrid', 8, None): (0.0009421586944444412, 839614, 238, 10088),
-    ('mapreduce', 'blast', 4, 1): (0.0005716034444444437, 260345, 42, 12000),
-    ('mapreduce', 'blast', 4, 3): (0.0005708258027777775, 269000, 42, 12000),
-    ('mapreduce', 'blast', 4, 7): (0.0005693471749999996, 272306, 42, 12000),
+    ('mapreduce', 'blast', 4, 1): (0.0005496928277777767, 166205, 42, 12000),
+    ('mapreduce', 'blast', 4, 3): (0.0005509901194444437, 174748, 42, 12000),
+    ('mapreduce', 'blast', 4, 7): (0.000550283580555555, 178126, 42, 12000),
 }
 
 
@@ -116,6 +121,32 @@ def test_accounting_matches_recorded_literals(case):
     want = EXPECTED[case]
     assert elapsed == pytest.approx(want[0], rel=1e-9)
     assert (bytes_moved, messages, records_moved) == want[1:]
+
+
+@pytest.mark.parametrize("backend,ranks", [("mpi", 4), ("mapreduce", 3), ("process", 2)])
+def test_a_sort_of_the_input_ships_a_word_per_record(tmp_path, backend, ranks):
+    """File to file the deal writes in place and crosses no fabric, so the
+    wire carries the sort: one 8-byte word per record that changes ranks,
+    plus the splitter sample — at most 8 B per record in all, where the
+    record exchange moved 16 B for each of those records."""
+    from repro.formats import write_binary
+
+    n = 100_000
+    rows = blast_data().records
+    rows = rows[np.random.default_rng(3).integers(0, len(rows), n)]
+    path = tmp_path / "db.index"
+    write_binary(path, rows, BLAST_INDEX_SCHEMA, header=b"\x00" * 32)
+    papar = PaPar()
+    papar.register_input(BLAST_INPUT_XML)
+    out = papar.partition_files(
+        BLAST_WORKFLOW_XML,
+        {"input_path": str(path), "output_path": str(tmp_path / "out"),
+         "num_partitions": 6},
+        backend=backend, num_ranks=ranks,
+    )
+    assert out.result.perf["output"]["mode"] == "in_place"
+    crossing = n * (ranks - 1) / ranks
+    assert 0.9 * 8 * crossing < out.result.bytes_moved <= 8 * n
 
 
 def test_cluster_model_actually_charges_time():

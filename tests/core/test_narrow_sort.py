@@ -426,3 +426,26 @@ class TestFailedWrite:
         assert all(word in err[0] for word in words), err[0]
         assert part_files(out_dir) == previous  # nothing published, nothing left
         assert os.listdir(spill_root) == []  # no papar-spill-* directory either
+
+    def test_a_sibling_rank_ends_quietly_on_the_process_backend(
+        self, tmp_path, monkeypatch, capfd
+    ):
+        """``process@2``, and one rank's disk fills: the rank the supervisor
+        then tears down prints no ``ShutdownRequested`` traceback, so stderr
+        holds the run's one error line, nothing is published and no segment
+        is left in ``/dev/shm``."""
+        out_dir = tmp_path / "out"
+        index = blast_index(tmp_path / "new.index", 1003)
+        # under the cyclic deal rank 0 writes slot 0 of every part, so only
+        # rank 1 writes past a part's first record
+        first = BLAST_INDEX_SCHEMA.start_position
+        monkeypatch.setattr(os, "pwrite", failing(
+            os.pwrite, 1, errno.ENOSPC, when=lambda fd, data, offset: offset > first))
+        rc = main(self.cli_args(tmp_path, index, out_dir, None)
+                  + ["--backend", "process", "--ranks", "2"])
+        err = capfd.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert os.strerror(errno.ENOSPC) in err[0]
+        assert part_files(out_dir) == {}
+        assert not [name for name in os.listdir("/dev/shm") if name.startswith("pp")]

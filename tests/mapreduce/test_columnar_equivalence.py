@@ -138,9 +138,9 @@ def test_perf_counters_merge_semantics():
     total = PerfCounters.merge_ranks([a, None, b])
     assert total.records_moved == 15
     assert total.bytes_moved == 150
-    # wall sums (total CPU work), virtual takes the max (critical path)
-    assert total.phases["sort"] == [4.0, 2.0]
-    assert total.summary()["phases"]["sort"] == {"wall_s": 4.0, "virtual_s": 2.0}
+    # wall and virtual time both take the max over ranks (the makespan)
+    assert total.phases["sort"] == [3.0, 2.0]
+    assert total.summary()["phases"]["sort"] == {"wall_s": 3.0, "virtual_s": 2.0}
 
 
 # -- layer 3: the case-study workflows ---------------------------------------
