@@ -27,7 +27,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.analysis.diagnostics": ("Diagnostic", "LintResult", "Severity"),
     "repro.analysis.engine": (
-        "Linter", "lint_workflow", "lint_files", "synthesize_arguments",
+        "Linter", "lint_workflow", "synthesize_arguments",
     ),
     "repro.analysis.rules": ("CATALOG", "RuleSpec", "all_codes"),
     "repro.analysis.locate": ("LocatingXMLParser", "parse_located"),
@@ -45,12 +45,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.analysis.diagnostics import Diagnostic, LintResult, Severity
-    from repro.analysis.engine import (
-        Linter,
-        lint_files,
-        lint_workflow,
-        synthesize_arguments,
-    )
+    from repro.analysis.engine import Linter, lint_workflow, synthesize_arguments
     from repro.analysis.locate import LocatingXMLParser, parse_located
     from repro.analysis.rules import CATALOG, RuleSpec, all_codes
 

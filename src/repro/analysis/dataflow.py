@@ -17,8 +17,8 @@ changing.  Three concrete analyses ship with it:
 
 The IR is a DAG in document order, so each pass converges after at most
 ``len(nodes)`` sweeps; the engine still iterates to a fixed point rather
-than trusting topology, because the tolerant model may describe wiring a
-strict parser would reject.
+than trusting topology, because the tolerant model may describe wiring
+the derived spec would reject (a model with structural errors).
 """
 
 from __future__ import annotations

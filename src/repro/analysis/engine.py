@@ -4,10 +4,14 @@ One pass does, in order:
 
 1. parse the input-data configurations (failures become ``PAP050``);
 2. parse the workflow XML with source locations (failures: ``PAP001``);
-3. build the lenient model, collecting structural diagnostics;
-4. strict-parse and *plan* the workflow with synthesized arguments, so
-   plan-level rules can inspect resolved operators (planner rejections
-   surface as ``PAP040`` only when no static rule already explains them);
+3. build the located model, collecting structural diagnostics — the one
+   reader of workflow XML (:meth:`Linter.analyze_spec` starts here from a
+   :class:`~repro.config.workflow.WorkflowSpec` instead, with its own
+   source lines);
+4. derive the spec from a model without structural errors and *plan* it
+   with synthesized arguments, so plan-level rules can inspect resolved
+   operators (planner rejections surface as ``PAP040`` only when no
+   static rule already explains them);
 5. run every registered checker — the engine never stops at the first
    finding.  A linter built with ``errors_only=True`` (the ``plan`` /
    ``run`` / ``serve`` gate, which acts on errors alone) runs only the
@@ -24,12 +28,12 @@ import re
 from typing import Any, Iterable, Optional
 
 from repro.analysis.diagnostics import Diagnostic, LintResult, Severity
-from repro.analysis.locate import XMLLocationError, parse_located, read_config
-from repro.analysis.model import LintContext, build_workflow_model
+from repro.analysis.locate import XMLLocationError, format_location, parse_located, read_config
+from repro.analysis.model import LintContext, LintWorkflow, build_workflow_model, first_error
 from repro.analysis.rules import CATALOG, CHECKERS, blocking_checkers
 from repro.config.schema import parse_input_config
-from repro.config.workflow import WorkflowSpec, parse_workflow_config
-from repro.errors import PaParError
+from repro.config.workflow import WorkflowSpec
+from repro.errors import PaParError, WorkflowError
 from repro.formats.records import RecordSchema
 
 #: pulls the trailing ``[file:line]`` marker the config parsers emit
@@ -130,6 +134,43 @@ class Linter:
         diagnostics ``lint`` reports; the context is ``None`` only when the
         workflow XML itself failed to parse.
         """
+        return self._analyze(workflow_xml, filename, inputs, args, do_plan)
+
+    def analyze_spec(
+        self,
+        spec: WorkflowSpec,
+        filename: Optional[str] = None,
+        inputs: Iterable[tuple[str, Optional[str]]] = (),
+        args: Optional[dict[str, Any]] = None,
+        do_plan: bool = True,
+    ) -> tuple[LintContext, LintResult]:
+        """:meth:`analyze` of a parsed, rewritten or built spec, as it is:
+        nothing is re-serialized, so a finding carries the spec's own
+        source lines (the file it was read from)."""
+        return self._analyze(spec, filename, inputs, args, do_plan)
+
+    def lint_paths(
+        self,
+        workflow_path: str,
+        input_paths: Iterable[str] = (),
+        args: Optional[dict[str, Any]] = None,
+        do_plan: bool = True,
+    ) -> LintResult:
+        """Analyze configuration *files*."""
+        workflow_xml = read_config(workflow_path)
+        inputs = [(read_config(path), path) for path in input_paths]
+        return self.lint(
+            workflow_xml,
+            filename=str(workflow_path),
+            inputs=inputs,
+            args=args,
+            do_plan=do_plan,
+        )
+
+    # -- internals ----------------------------------------------------------
+
+    def _analyze(self, workflow, filename, inputs, args, do_plan):
+        """The pass behind both entry points: ``workflow`` is XML text or a spec."""
         result = LintResult()
         if filename:
             result.files.append(filename)
@@ -158,30 +199,36 @@ class Linter:
             if in_name:
                 input_files[schema.id] = in_name
 
-        # -- workflow parse + model -------------------------------------
-        try:
-            tree = parse_located(workflow_xml)
-        except XMLLocationError as exc:
-            result.diagnostics.append(
-                Diagnostic(
-                    code="PAP001",
-                    severity=Severity.ERROR,
-                    message=f"malformed workflow configuration XML: {exc}",
-                    file=filename,
-                    line=exc.line,
-                    column=exc.column,
-                    rule=CATALOG["PAP001"].name,
+        # -- workflow model (and the spec derived from it) ---------------
+        if isinstance(workflow, WorkflowSpec):
+            model, spec = LintWorkflow.from_spec(workflow), workflow
+        else:
+            try:
+                tree = parse_located(workflow)
+            except XMLLocationError as exc:
+                result.diagnostics.append(
+                    Diagnostic(
+                        code="PAP001",
+                        severity=Severity.ERROR,
+                        message=f"malformed workflow configuration XML: {exc}",
+                        file=filename,
+                        line=exc.line,
+                        column=exc.column,
+                        rule=CATALOG["PAP001"].name,
+                    )
                 )
-            )
-            result.sort()
-            return None, result
-
-        model, structural = build_workflow_model(tree, filename)
-        result.extend(structural)
+                result.sort()
+                return None, result
+            model, structural = build_workflow_model(tree, filename)
+            result.extend(structural)
+            spec = None
+            if model is not None and first_error(structural) is None:
+                spec = model.to_spec(filename)
 
         ctx = LintContext(
             filename=filename,
             model=model,
+            spec=spec,
             schemas=schemas,
             input_files=input_files,
             args={k: str(v) for k, v in (args or {}).items()},
@@ -212,9 +259,15 @@ class Linter:
                         )
                     )
 
-        # -- strict parse + plan ---------------------------------------
-        if do_plan and model is not None:
-            self._try_plan(ctx, workflow_xml, filename)
+        if do_plan and spec is not None:
+            from repro.core.planner import Planner
+
+            try:
+                ctx.plan = Planner().plan(spec, synthesize_arguments(spec, ctx.args))
+            except PaParError as exc:
+                ctx.plan_error = str(exc)
+            except (TypeError, ValueError) as exc:
+                ctx.plan_error = f"{exc.__class__.__name__}: {exc}"
 
         # -- run every checker (that can answer the question) -----------
         for checker_func in blocking_checkers() if self.errors_only else CHECKERS:
@@ -248,45 +301,6 @@ class Linter:
         result.sort()
         return ctx, result
 
-    def lint_paths(
-        self,
-        workflow_path: str,
-        input_paths: Iterable[str] = (),
-        args: Optional[dict[str, Any]] = None,
-        do_plan: bool = True,
-    ) -> LintResult:
-        """Analyze configuration *files*."""
-        workflow_xml = read_config(workflow_path)
-        inputs = [(read_config(path), path) for path in input_paths]
-        return self.lint(
-            workflow_xml,
-            filename=str(workflow_path),
-            inputs=inputs,
-            args=args,
-            do_plan=do_plan,
-        )
-
-    # -- internals ----------------------------------------------------------
-
-    def _try_plan(
-        self, ctx: LintContext, workflow_xml: str, filename: Optional[str]
-    ) -> None:
-        from repro.core.planner import Planner
-
-        try:
-            spec = parse_workflow_config(workflow_xml, filename=filename)
-        except PaParError as exc:
-            ctx.plan_error = str(exc)
-            return
-        ctx.spec = spec
-        try:
-            plan_args = synthesize_arguments(spec, ctx.args)
-            ctx.plan = Planner().plan(spec, plan_args)
-        except PaParError as exc:
-            ctx.plan_error = str(exc)
-        except (TypeError, ValueError) as exc:
-            ctx.plan_error = f"{exc.__class__.__name__}: {exc}"
-
 
 def lint_workflow(
     workflow_xml: str,
@@ -313,25 +327,17 @@ def lint_workflow(
     )
 
 
-def lint_files(
-    workflow_path: str,
-    input_paths: Iterable[str] = (),
-    args: Optional[dict[str, Any]] = None,
-    schemas: Optional[dict[str, RecordSchema]] = None,
-    ranks: Optional[int] = None,
-    do_plan: bool = True,
-    memory_budget: Optional[str] = None,
-    assume_records: Optional[int] = None,
-    backend: Optional[str] = None,
-    faults: bool = False,
-    checkpoint: bool = False,
-    serve: bool = False,
-) -> LintResult:
-    """Convenience one-call form over files on disk."""
-    return Linter(
-        schemas=schemas, ranks=ranks,
-        memory_budget=memory_budget, assume_records=assume_records,
-        backend=backend, faults=faults, checkpoint=checkpoint, serve=serve,
-    ).lint_paths(
-        workflow_path, input_paths, args=args, do_plan=do_plan
-    )
+def check_keys(
+    spec: WorkflowSpec, schemas: dict[str, RecordSchema], args: Optional[dict[str, Any]] = None
+) -> None:
+    """Raise :class:`WorkflowError` at the first key PAP020's schema-flow
+    walk rejects: the planner's key check is the lint rule itself."""
+    from repro.analysis.rules.schema_flow import check_schema_flow
+
+    ctx = LintContext(filename=spec.source_file, model=LintWorkflow.from_spec(spec),
+                      schemas=dict(schemas), args={k: str(v) for k, v in (args or {}).items()})
+    for diag in check_schema_flow(ctx):
+        if diag.code == "PAP020":
+            raise WorkflowError(
+                f"{diag.message}; {diag.suggestion} [{format_location(diag.file, diag.line)}]"
+            )

@@ -1,11 +1,15 @@
-"""Lenient workflow model for the static analyzer.
+"""The located workflow model: the one reader of workflow XML.
 
-The strict parser (:func:`repro.config.workflow.parse_workflow_config`)
-stops at the first problem — correct for a runtime front door, useless for
-a linter that must report *every* finding in one pass.  This module builds
-a tolerant model straight from the located element tree: structural
-problems (missing attributes, duplicate ids) become diagnostics instead of
-exceptions, and analysis continues with whatever could be salvaged.
+The model is built straight from the located element tree and is
+tolerant: structural problems (missing attributes, duplicate ids) become
+diagnostics instead of exceptions, and analysis continues with whatever
+could be salvaged, so a linter reports *every* finding in one pass.  The
+runtime's :class:`~repro.config.workflow.WorkflowSpec` is derived from the
+same model (:meth:`LintWorkflow.to_spec`):
+:func:`~repro.config.workflow.parse_workflow_config` raises at the model's
+first error and otherwise returns that spec.  :meth:`LintWorkflow.from_spec`
+goes the other way, so a spec (a rewritten one, or one built in code) is
+analyzed with its own source lines.
 
 The model reuses :class:`~repro.config.workflow.ParamSpec` and
 :class:`~repro.config.workflow.AddOnSpec` (which carry source lines), but
@@ -16,14 +20,13 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.locate import LocatedTree
-from repro.config.workflow import _REF_RE, AddOnSpec, ParamSpec
+from repro.config.workflow import _REF_RE, AddOnSpec, OperatorSpec, ParamSpec, WorkflowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config.workflow import WorkflowSpec
     from repro.core.planner import WorkflowPlan
     from repro.formats.records import RecordSchema
 
@@ -89,6 +92,28 @@ class LintWorkflow:
                 return i
         return None
 
+    def to_spec(self, filename: Optional[str] = None) -> WorkflowSpec:
+        """The runtime spec of a model that has no structural error."""
+        operators = [
+            OperatorSpec(id=op.id, operator=op.operator, params={p.name: p for p in op.params},
+                         addons=list(op.addons), attrs=dict(op.attrs), line=op.line)
+            for op in self.operators
+        ]
+        return WorkflowSpec(id=self.id, name=self.name, operators=operators,
+                            arguments={p.name: p for p in self.arguments},
+                            source_file=filename, line=self.line)
+
+    @classmethod
+    def from_spec(cls, spec: WorkflowSpec) -> "LintWorkflow":
+        """The model of ``spec``, keeping the source lines it carries."""
+        operators = [
+            LintOperator(id=op.id, operator=op.operator, attrs=dict(op.attrs),
+                         params=list(op.params.values()), addons=list(op.addons), line=op.line)
+            for op in spec.operators
+        ]
+        return cls(id=spec.id, name=spec.name, arguments=list(spec.arguments.values()),
+                   operators=operators, line=spec.line)
+
 
 @dataclass(frozen=True)
 class Reference:
@@ -113,60 +138,45 @@ class Reference:
         return self.parts[0]
 
 
+#: rule names of the codes the model emits (as catalogued in
+#: :mod:`repro.analysis.rules`, which this module must not import)
+_STRUCTURAL_RULES = {
+    "PAP001": "xml-syntax", "PAP002": "missing-attribute", "PAP003": "duplicate-id",
+}
+
+
 def build_workflow_model(
     tree: LocatedTree, filename: Optional[str]
 ) -> tuple[Optional[LintWorkflow], list[Diagnostic]]:
     """Build a :class:`LintWorkflow` from a located tree, collecting
-    structural diagnostics instead of raising."""
+    structural diagnostics (all errors) instead of raising."""
     diags: list[Diagnostic] = []
     root = tree.root
 
     def diag(
-        code: str,
-        severity: Severity,
-        message: str,
-        node: Optional[ET.Element],
-        rule: str,
-        suggestion: Optional[str] = None,
+        code: str, message: str, node: ET.Element, suggestion: Optional[str] = None
     ) -> None:
-        diags.append(
-            Diagnostic(
-                code=code,
-                severity=severity,
-                message=message,
-                file=filename,
-                line=tree.line(node),
-                column=tree.column(node),
-                rule=rule,
-                suggestion=suggestion,
-            )
-        )
+        diags.append(Diagnostic(
+            code=code, severity=Severity.ERROR, message=message, file=filename,
+            line=tree.line(node), column=tree.column(node),
+            rule=_STRUCTURAL_RULES[code], suggestion=suggestion,
+        ))
+
+    def param(node: ET.Element, name: str) -> ParamSpec:
+        return ParamSpec(name=name, type=node.get("type", "String"), value=node.get("value"),
+                         format=node.get("format"), line=tree.line(node))
 
     if root.tag != "workflow":
-        diag(
-            "PAP001",
-            Severity.ERROR,
-            f"expected <workflow> root element, found <{root.tag}>",
-            root,
-            "xml-syntax",
-            "rename the root element to <workflow>",
-        )
+        diag("PAP001", f"expected <workflow> root element, found <{root.tag}>", root,
+             "rename the root element to <workflow>")
         return None, diags
 
     wf_id = root.get("id")
     if not wf_id:
-        diag(
-            "PAP002",
-            Severity.ERROR,
-            "<workflow> requires an 'id' attribute",
-            root,
-            "missing-attribute",
-            'add id="..." to the <workflow> element',
-        )
+        diag("PAP002", "<workflow> requires an 'id' attribute", root,
+             'add id="..." to the <workflow> element')
         wf_id = "<anonymous>"
-    model = LintWorkflow(
-        id=wf_id, name=root.get("name", wf_id), line=tree.line(root)
-    )
+    model = LintWorkflow(id=wf_id, name=root.get("name", wf_id), line=tree.line(root))
 
     args_node = root.find("arguments")
     if args_node is not None:
@@ -174,44 +184,19 @@ def build_workflow_model(
         for p in args_node.findall("param"):
             name = p.get("name")
             if not name:
-                diag(
-                    "PAP002",
-                    Severity.ERROR,
-                    "<param> requires a 'name' attribute",
-                    p,
-                    "missing-attribute",
-                )
+                diag("PAP002", "<param> requires a 'name' attribute", p)
                 continue
             if name in seen_args:
-                diag(
-                    "PAP003",
-                    Severity.ERROR,
-                    f"duplicate workflow argument {name!r}",
-                    p,
-                    "duplicate-id",
-                    "remove or rename the duplicate declaration",
-                )
+                diag("PAP003", f"duplicate workflow argument {name!r}", p,
+                     "remove or rename the duplicate declaration")
             seen_args.add(name)
-            model.arguments.append(
-                ParamSpec(
-                    name=name,
-                    type=p.get("type", "String"),
-                    value=p.get("value"),
-                    format=p.get("format"),
-                    line=tree.line(p),
-                )
-            )
+            model.arguments.append(param(p, name))
 
     ops_node = root.find("operators")
     if ops_node is None or not list(ops_node):
-        diag(
-            "PAP002",
-            Severity.ERROR,
-            f"workflow {wf_id!r} declares no operators",
-            root if ops_node is None else ops_node,
-            "missing-attribute",
-            "add an <operators> section with at least one <operator>",
-        )
+        diag("PAP002", f"workflow {wf_id!r} declares no operators",
+             root if ops_node is None else ops_node,
+             "add an <operators> section with at least one <operator>")
         return model, diags
 
     seen_ids: set[str] = set()
@@ -219,23 +204,11 @@ def build_workflow_model(
         op_id = op_node.get("id")
         op_name = op_node.get("operator")
         if not op_id or not op_name:
-            diag(
-                "PAP002",
-                Severity.ERROR,
-                "<operator> requires 'id' and 'operator' attributes",
-                op_node,
-                "missing-attribute",
-            )
+            diag("PAP002", "<operator> requires 'id' and 'operator' attributes", op_node)
         op_id = op_id or f"<operator-{i}>"
         if op_id in seen_ids:
-            diag(
-                "PAP003",
-                Severity.ERROR,
-                f"duplicate operator id {op_id!r}",
-                op_node,
-                "duplicate-id",
-                "give every operator a unique id",
-            )
+            diag("PAP003", f"duplicate operator id {op_id!r}", op_node,
+                 "give every operator a unique id")
         seen_ids.add(op_id)
         op = LintOperator(
             id=op_id,
@@ -249,54 +222,30 @@ def build_workflow_model(
         for p in op_node.findall("param"):
             pname = p.get("name")
             if not pname:
-                diag(
-                    "PAP002",
-                    Severity.ERROR,
-                    f"<param> in operator {op_id!r} requires a 'name' attribute",
-                    p,
-                    "missing-attribute",
-                )
+                diag("PAP002", f"<param> in operator {op_id!r} requires a 'name' attribute", p)
                 continue
             if pname in seen_params:
-                diag(
-                    "PAP003",
-                    Severity.ERROR,
-                    f"operator {op_id!r} declares parameter {pname!r} twice",
-                    p,
-                    "duplicate-id",
-                    "remove the duplicate <param>; the runtime keeps only one",
-                )
+                diag("PAP003", f"operator {op_id!r} declares parameter {pname!r} twice", p,
+                     "remove the duplicate <param>; the runtime keeps only one")
             seen_params.add(pname)
-            op.params.append(
-                ParamSpec(
-                    name=pname,
-                    type=p.get("type", "String"),
-                    value=p.get("value"),
-                    format=p.get("format"),
-                    line=tree.line(p),
-                )
-            )
+            op.params.append(param(p, pname))
         for a in op_node.findall("addon"):
             if not a.get("operator"):
-                diag(
-                    "PAP002",
-                    Severity.ERROR,
-                    f"<addon> in operator {op_id!r} requires an 'operator' attribute",
-                    a,
-                    "missing-attribute",
-                )
+                diag("PAP002",
+                     f"<addon> in operator {op_id!r} requires an 'operator' attribute", a)
                 continue
-            op.addons.append(
-                AddOnSpec(
-                    operator=a.get("operator", ""),
-                    key=a.get("key"),
-                    attr=a.get("attr"),
-                    value=a.get("value"),
-                    line=tree.line(a),
-                )
-            )
+            op.addons.append(AddOnSpec(
+                operator=a.get("operator", ""), key=a.get("key"), attr=a.get("attr"),
+                value=a.get("value"), line=tree.line(a),
+            ))
         model.operators.append(op)
     return model, diags
+
+
+def first_error(diags: Iterable[Diagnostic]) -> Optional[Diagnostic]:
+    """The first ERROR among ``diags`` in document order (None: there is none)."""
+    errors = [d for d in diags if d.severity is Severity.ERROR]
+    return min(errors, key=lambda d: (d.line or 0, d.column or 0), default=None)
 
 
 @dataclass
@@ -311,8 +260,8 @@ class LintContext:
     input_files: dict[str, str] = field(default_factory=dict)
     #: user-supplied workflow arguments (CLI --arg / API args)
     args: dict[str, str] = field(default_factory=dict)
-    #: the strict parse, when it succeeded
-    spec: Optional["WorkflowSpec"] = None
+    #: the spec derived from the model, when it has no structural error
+    spec: Optional[WorkflowSpec] = None
     #: the resolved plan, when planning succeeded
     plan: Optional["WorkflowPlan"] = None
     #: planner failure message, when planning was attempted and failed

@@ -49,7 +49,6 @@ from repro.analysis.rules.advisory import (
     _same_key,
     _sort_direction,
 )
-from repro.config.serialize import workflow_to_xml
 from repro.config.workflow import WorkflowSpec, parse_workflow_config
 from repro.formats.records import RecordSchema
 
@@ -512,17 +511,11 @@ def _pass_redundant(spec: WorkflowSpec, ctx, refuse, blocked):
 
 
 def _total_known_bytes(ctx) -> Optional[int]:
-    analyzed = ctx.analyzed() if ctx is not None else None
-    if analyzed is None:
-        return None
-    return analyzed.cost.total_bytes
+    return ctx.analyzed().cost.total_bytes
 
 
 def _exchange_count(ctx) -> int:
-    analyzed = ctx.analyzed() if ctx is not None else None
-    if analyzed is None:
-        return 0
-    return len(analyzed.cost.exchanges)
+    return len(ctx.analyzed().cost.exchanges)
 
 
 def optimize_spec(
@@ -537,17 +530,15 @@ def optimize_spec(
     """Run every pass to a fixed point and return the optimized plan.
 
     The engine is analyze → rewrite → re-analyze: after each structural
-    rewrite the workflow is serialized back to XML and pushed through the
-    full lint engine again, and the rewrite is kept only if the new plan
-    has no lint errors, one fewer operator, no more exchanges, and no
-    larger a total payload estimate.
+    rewrite the rewritten spec is pushed through the full lint engine
+    again (with the source lines it kept), and the rewrite is kept only if
+    the new plan has no lint errors, one fewer operator, no more
+    exchanges, and no larger a total payload estimate.
     """
     linter = Linter(schemas=schemas, ranks=ranks, assume_records=assume_records)
 
     def analyze(s: WorkflowSpec):
-        return linter.analyze(
-            workflow_to_xml(s), filename=filename, inputs=inputs, args=args
-        )
+        return linter.analyze_spec(s, filename=filename, inputs=inputs, args=args)
 
     original = copy.deepcopy(spec)
     current = copy.deepcopy(spec)
@@ -565,7 +556,7 @@ def optimize_spec(
         )
 
     ctx, result = analyze(current)
-    if ctx is None or result.errors:
+    if result.errors:
         plan.workflow = current
         return plan
     plan.est_bytes_before = _total_known_bytes(ctx)
@@ -584,8 +575,7 @@ def optimize_spec(
             old_total = _total_known_bytes(ctx)
             new_total = _total_known_bytes(new_ctx)
             ok = (
-                new_ctx is not None
-                and not new_result.errors
+                not new_result.errors
                 and len(new_spec.operators) == len(current.operators) - 1
                 and _exchange_count(new_ctx) <= _exchange_count(ctx)
                 and not (
@@ -624,8 +614,6 @@ def optimize_workflow(
     assume_records: Optional[int] = None,
 ) -> OptimizeReport:
     """Optimize one workflow (XML text) and build the diff report."""
-    from repro.analysis.explain import explain_workflow
-
     spec = parse_workflow_config(workflow_xml, filename=filename)
     plan = optimize_spec(
         spec,
@@ -636,19 +624,11 @@ def optimize_workflow(
         assume_records=assume_records,
         filename=filename,
     )
-    before = explain_workflow(
-        workflow_xml, filename=filename, inputs=inputs, args=args,
-        schemas=schemas, ranks=ranks, assume_records=assume_records,
-    )
     linter = Linter(schemas=schemas, ranks=ranks, assume_records=assume_records)
-    after_ctx, after_result = linter.analyze(
-        workflow_to_xml(plan.workflow), filename=filename, inputs=inputs, args=args
+    before, after = (
+        build_report(*linter.analyze_spec(s, filename=filename, inputs=inputs, args=args))
+        for s in (spec, plan.workflow)
     )
-    if after_ctx is None:
-        after = ExplainReport(workflow=before.workflow, file=filename,
-                              lint=after_result)
-    else:
-        after = build_report(after_ctx, after_result)
     return OptimizeReport(before=before, after=after, plan=plan)
 
 

@@ -16,8 +16,11 @@ runtime" with overrides from the command line; this CLI is that front end:
 ``plan`` and ``run`` accept ``--optimize`` to execute the rewritten plan
 (outputs stay bit-identical; a removed stage's exchange is never run).
 
-``plan`` and ``run`` lint first and refuse configurations with errors
-(override with ``--no-lint``).
+``plan``, ``codegen``, ``run`` and ``serve`` share one front end: each
+config file is read and parsed once, the workflow is planned once with the
+real arguments, and the lint gate refuses configurations with errors
+(``--no-lint`` skips the gate; the planner still rejects a key typo).
+Then the command executes the plan the gate checked.
 
 Example::
 
@@ -38,6 +41,7 @@ from repro.errors import PaParError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import PaPar
+    from repro.core.planner import WorkflowPlan
 
 
 def _parse_arg_pairs(pairs: list[str]) -> dict[str, str]:
@@ -255,17 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(ns: argparse.Namespace) -> tuple[PaPar, object, dict]:
-    # each command imports what it runs, here: ``--help`` loads no numpy
-    from repro.core.framework import PaPar
-
-    papar = PaPar()
-    for path in ns.input_config:
-        papar.register_input_file(path)
-    workflow = papar.load_workflow_file(ns.workflow)
-    return papar, workflow, _parse_arg_pairs(ns.arg)
-
-
 def _explain_rule(code: str, fmt: str) -> int:
     """Print one catalog entry (``papar lint --explain PAPnnn``)."""
     import json
@@ -295,24 +288,32 @@ def _explain_rule(code: str, fmt: str) -> int:
     return 0
 
 
-def cmd_lint(ns: argparse.Namespace) -> int:
+def _linter(ns: argparse.Namespace, schemas=None, errors_only: bool = False):
+    """The analyzer the command's flags describe (``lint``, and the gate)."""
     from repro.analysis.engine import Linter
 
+    return Linter(
+        schemas=schemas,
+        ranks=getattr(ns, "ranks", None),
+        memory_budget=getattr(ns, "memory_budget", None),
+        assume_records=getattr(ns, "assume_records", None),
+        backend=getattr(ns, "backend", None),
+        # injection specs only: checkpoint/retry are recovery, legal everywhere
+        faults=bool(getattr(ns, "faults", None)),
+        checkpoint=bool(getattr(ns, "checkpoint_dir", None)),
+        serve=bool(getattr(ns, "serve", False)),
+        errors_only=errors_only,
+    )
+
+
+def cmd_lint(ns: argparse.Namespace) -> int:
     if ns.explain is not None:
         return _explain_rule(ns.explain, ns.format)
     if ns.workflow is None:
         print("error: a workflow file is required (or pass --explain PAPnnn)",
               file=sys.stderr)
         return 2
-    result = Linter(
-        ranks=ns.ranks,
-        memory_budget=ns.memory_budget,
-        assume_records=ns.assume_records,
-        backend=ns.backend,
-        faults=bool(ns.faults),
-        checkpoint=bool(ns.checkpoint_dir),
-        serve=ns.serve,
-    ).lint_paths(
+    result = _linter(ns).lint_paths(
         ns.workflow,
         ns.input,
         args=_parse_arg_pairs(ns.arg),
@@ -361,28 +362,31 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
     return report.before.lint.exit_code()
 
 
-def _lint_gate(ns: argparse.Namespace, papar: PaPar) -> Optional[int]:
-    """Refuse to proceed when the configuration has lint errors.
+def _front_end(
+    ns: argparse.Namespace,
+) -> tuple[PaPar, WorkflowPlan, dict[str, str]] | int:
+    """Read and parse each config once, plan once, and gate the plan.
 
-    Returns an exit code to bail with, or None to continue.  Warnings and
-    infos never block, so the gate runs only the rules that can report an
-    error; ``--no-lint`` skips it entirely.
+    Returns ``(papar, plan, args)`` — the input schemas are registered on
+    ``papar`` and the spec is ``plan.spec`` — or an exit code to bail
+    with.  Unless ``--no-lint`` is given, the blocking lint checkers run
+    over the plan first; warnings and infos never block.
     """
+    # each command imports what it runs, here: ``--help`` loads no numpy
+    from repro.core.framework import PaPar
+
+    papar = PaPar()
+    schemas = [papar.register_input_file(path) for path in ns.input_config]
+    spec = papar.load_workflow_file(ns.workflow)
+    args = _parse_arg_pairs(ns.arg)
     if ns.no_lint:
-        return None
-    result = papar.lint_files(
-        ns.workflow,
-        ns.input_config,
-        args=_parse_arg_pairs(ns.arg),
-        ranks=getattr(ns, "ranks", None),
-        memory_budget=getattr(ns, "memory_budget", None),
-        backend=getattr(ns, "backend", None),
-        # injection specs only: checkpoint/retry are recovery, legal everywhere
-        faults=bool(getattr(ns, "faults", None)),
-        checkpoint=bool(getattr(ns, "checkpoint_dir", None)),
-        serve=bool(getattr(ns, "serve", False)),
-        errors_only=True,
-    )
+        return papar, papar.plan(spec, args), args
+
+    from repro.analysis.engine import synthesize_arguments
+
+    ctx, result = _linter(
+        ns, {schema.id: schema for schema in schemas}, errors_only=True
+    ).analyze_spec(spec, filename=ns.workflow, args=args)
     if result.errors:
         for diag in result.errors:
             print(diag.render(), file=sys.stderr)
@@ -392,17 +396,20 @@ def _lint_gate(ns: argparse.Namespace, papar: PaPar) -> Optional[int]:
             file=sys.stderr,
         )
         return 2
-    return None
+    if synthesize_arguments(spec, args) != args:
+        # the gate planned with placeholders: the real plan names the
+        # argument that has no value
+        return papar, papar.plan(spec, args), args
+    return papar, ctx.plan, args
 
 
 def cmd_plan(ns: argparse.Namespace) -> int:
-    papar, workflow, args = _load(ns)
-    gate = _lint_gate(ns, papar)
-    if gate is not None:
-        return gate
+    front = _front_end(ns)
+    if isinstance(front, int):
+        return front
+    papar, plan, args = front
     if ns.optimize:
-        optimized = papar.optimize(workflow, args)
-        workflow = optimized.workflow
+        optimized = papar.optimize(plan.spec, args)
         print(
             f"optimizer: {len(optimized.rewrites)} rewrite(s), "
             f"{optimized.exchanges_removed} exchange(s) removed"
@@ -410,7 +417,7 @@ def cmd_plan(ns: argparse.Namespace) -> int:
         for r in optimized.rewrites:
             print(f"  {r.code} {r.pass_name}: removed "
                   f"{', '.join(repr(x) for x in r.removed)} ({r.site})")
-    plan = papar.plan(workflow, args)
+        plan = papar.plan(optimized.workflow, args)
     print(f"workflow {plan.workflow_id!r}: {len(plan.jobs)} job(s)")
     for i, job in enumerate(plan.jobs):
         src = job.source if job.source else "<workflow input>"
@@ -422,8 +429,10 @@ def cmd_plan(ns: argparse.Namespace) -> int:
 
 
 def cmd_codegen(ns: argparse.Namespace) -> int:
-    papar, workflow, args = _load(ns)
-    plan = papar.plan(workflow, args)
+    front = _front_end(ns)
+    if isinstance(front, int):
+        return front
+    papar, plan, _args = front
     source = papar.generate_code(plan)
     if ns.output:
         with open(ns.output, "w", encoding="utf-8") as fh:
@@ -541,10 +550,10 @@ def print_fault_report(result) -> None:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    papar, workflow, args = _load(ns)
-    gate = _lint_gate(ns, papar)
-    if gate is not None:
-        return gate
+    front = _front_end(ns)
+    if isinstance(front, int):
+        return front
+    papar, plan, args = front
     fault_tolerance: dict = {"chaos_seed": ns.chaos_seed}
     if ns.faults:
         fault_tolerance["faults"] = ns.faults
@@ -579,7 +588,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         armed = True
     try:
         out = papar.partition_files(
-            workflow, args, backend=ns.backend, num_ranks=ns.ranks,
+            plan, args, backend=ns.backend, num_ranks=ns.ranks,
             memory_budget=ns.memory_budget, optimize=ns.optimize,
             **fault_tolerance
         )
@@ -624,10 +633,10 @@ def cmd_serve(ns: argparse.Namespace) -> int:
 
     from repro.serve import ServeConfig, run_server
 
-    papar, workflow, args = _load(ns)
-    gate = _lint_gate(ns, papar)
-    if gate is not None:
-        return gate
+    front = _front_end(ns)
+    if isinstance(front, int):
+        return front
+    papar, plan, args = front
     config = ServeConfig(
         host=ns.host,
         port=ns.port,
@@ -645,7 +654,7 @@ def cmd_serve(ns: argparse.Namespace) -> int:
 
     # the server's own recorder: a bounded window, as a daemon's must be
     server = asyncio.run(
-        run_server(papar, workflow, args, config=config, ready=ready)
+        run_server(papar, plan, args, config=config, ready=ready)
     )
     if ns.metrics:
         with open(ns.metrics, "w", encoding="utf-8") as fh:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
@@ -110,6 +109,8 @@ class WorkflowSpec:
     operators: list[OperatorSpec] = field(default_factory=list)
     #: originating file (when parsed from disk) for diagnostics
     source_file: Optional[str] = field(default=None, compare=False, repr=False)
+    #: 1-based source line of the ``<workflow>`` tag (when parsed from a file)
+    line: Optional[int] = field(default=None, compare=False, repr=False)
 
     def operator(self, op_id: str) -> OperatorSpec:
         for op in self.operators:
@@ -118,25 +119,18 @@ class WorkflowSpec:
         raise WorkflowError(f"workflow {self.id!r} has no operator {op_id!r}")
 
 
-def _parse_param(node: ET.Element, line: Optional[int], where: str) -> ParamSpec:
-    name = node.get("name")
-    if not name:
-        raise ConfigError(f"<param> requires a 'name' attribute [{where}]")
-    return ParamSpec(
-        name=name,
-        type=node.get("type", "String"),
-        value=node.get("value"),
-        format=node.get("format"),
-        line=line,
-    )
-
-
 def parse_workflow_config(source: str, filename: Optional[str] = None) -> WorkflowSpec:
     """Parse one ``<workflow>`` document (XML text).
 
+    The static analyzer's located model
+    (:func:`repro.analysis.model.build_workflow_model`) is the one reader
+    of workflow XML: this is the spec derived from it, raised as a
+    :class:`ConfigError` at the model's first error in document order.
     ``filename`` (when given) is recorded on the spec and woven into error
     messages as ``file:line`` so configuration mistakes are locatable.
     """
+    from repro.analysis.model import build_workflow_model, first_error
+
     try:
         tree = parse_located(source)
     except XMLLocationError as exc:
@@ -144,73 +138,11 @@ def parse_workflow_config(source: str, filename: Optional[str] = None) -> Workfl
             f"malformed workflow configuration XML: {exc} "
             f"[{format_location(filename, exc.line)}]"
         ) from exc
-    root = tree.root
-
-    def where(node: ET.Element) -> str:
-        return format_location(filename, tree.line(node))
-
-    if root.tag != "workflow":
-        raise ConfigError(
-            f"expected <workflow> root element, found <{root.tag}> [{where(root)}]"
-        )
-    wf_id = root.get("id")
-    if not wf_id:
-        raise ConfigError(f"<workflow> requires an 'id' attribute [{where(root)}]")
-    spec = WorkflowSpec(id=wf_id, name=root.get("name", wf_id), source_file=filename)
-
-    args_node = root.find("arguments")
-    if args_node is not None:
-        for p in args_node.findall("param"):
-            ps = _parse_param(p, tree.line(p), where(p))
-            if ps.name in spec.arguments:
-                raise ConfigError(
-                    f"duplicate workflow argument {ps.name!r} [{where(p)}]"
-                )
-            spec.arguments[ps.name] = ps
-
-    ops_node = root.find("operators")
-    if ops_node is None or not list(ops_node):
-        raise ConfigError(
-            f"workflow {wf_id!r} declares no operators [{where(root)}]"
-        )
-    seen_ids: set[str] = set()
-    for op_node in ops_node.findall("operator"):
-        op_id = op_node.get("id")
-        op_name = op_node.get("operator")
-        if not op_id or not op_name:
-            raise ConfigError(
-                f"<operator> requires 'id' and 'operator' attributes [{where(op_node)}]"
-            )
-        if op_id in seen_ids:
-            raise ConfigError(f"duplicate operator id {op_id!r} [{where(op_node)}]")
-        seen_ids.add(op_id)
-        op = OperatorSpec(
-            id=op_id,
-            operator=op_name,
-            attrs={
-                k: v for k, v in op_node.attrib.items() if k not in ("id", "operator")
-            },
-            line=tree.line(op_node),
-        )
-        for p in op_node.findall("param"):
-            ps = _parse_param(p, tree.line(p), where(p))
-            op.params[ps.name] = ps
-        for a in op_node.findall("addon"):
-            op.addons.append(
-                AddOnSpec(
-                    operator=a.get("operator", ""),
-                    key=a.get("key"),
-                    attr=a.get("attr"),
-                    value=a.get("value"),
-                    line=tree.line(a),
-                )
-            )
-            if not op.addons[-1].operator:
-                raise ConfigError(
-                    f"<addon> in operator {op_id!r} requires 'operator' [{where(a)}]"
-                )
-        spec.operators.append(op)
-    return spec
+    model, diags = build_workflow_model(tree, filename)
+    error = first_error(diags)
+    if error is not None:
+        raise ConfigError(f"{error.message} [{format_location(filename, error.line)}]")
+    return model.to_spec(filename)
 
 
 def load_workflow_config(path: PathLike) -> WorkflowSpec:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from repro.config.workflow import WorkflowSpec
+from repro.core.planner import WorkflowPlan
 from repro.core.runtime import PartitionResult
 from repro.errors import FormatError, WorkflowError
 from repro.formats.binary import BinaryInputFormat, PartWriter, write_partitions
@@ -148,7 +149,7 @@ def write_partition_files(
 
 def partition_files(
     papar: Any,
-    workflow: Union[WorkflowSpec, str],
+    workflow: Union[WorkflowSpec, WorkflowPlan, str],
     args: dict[str, Any],
     backend: str = "serial",
     num_ranks: int = 1,
@@ -181,8 +182,13 @@ def partition_files(
     themselves (``result.extra["perf"]["output"]`` records which way it
     went); the serial backend does the same with one rank, under a budget
     too.  ``result.partitions`` are then read-only views of those files.
+
+    A :class:`~repro.core.planner.WorkflowPlan` (the CLI's, checked by the
+    lint gate) runs as planned; a spec or XML text is planned first.
     """
-    spec = papar.load_workflow(workflow) if isinstance(workflow, str) else workflow
+    if isinstance(workflow, str):
+        workflow = papar.load_workflow(workflow)
+    spec = workflow.spec if isinstance(workflow, WorkflowPlan) else workflow
     input_arg, output_arg = find_io_arguments(spec)
     if input_arg not in args or output_arg not in args:
         raise WorkflowError(
@@ -198,7 +204,7 @@ def partition_files(
             args[output_arg], schema, header=b"\x00" * schema.start_position
         )
     result = papar.run(
-        spec,
+        workflow,
         args,
         data=data,
         backend=backend,

@@ -113,26 +113,19 @@ class PaPar:
         input size) enables the out-of-core sizing rules (PAP06x).
         """
         from repro.analysis.engine import Linter
-        from repro.config.serialize import workflow_to_xml
 
-        if isinstance(workflow, WorkflowSpec):
-            xml = workflow_to_xml(workflow)
-            filename = workflow.source_file or "<workflow>"
-        else:
-            xml = workflow
-            filename = "<workflow>"
-        return Linter(
+        linter = Linter(
             schemas=self._schemas, ranks=ranks,
             memory_budget=memory_budget, assume_records=assume_records,
             backend=backend, faults=faults, checkpoint=checkpoint,
             serve=serve,
-        ).lint(
-            xml,
-            filename=filename,
-            inputs=[(text, None) for text in inputs],
-            args=args,
-            do_plan=do_plan,
         )
+        inputs = [(text, None) for text in inputs]
+        if isinstance(workflow, WorkflowSpec):
+            # the spec's own model, with the lines of the file it came from
+            filename = workflow.source_file or "<workflow>"
+            return linter.analyze_spec(workflow, filename, inputs, args, do_plan)[1]
+        return linter.lint(workflow, "<workflow>", inputs, args, do_plan)
 
     def lint_files(
         self,
@@ -206,33 +199,17 @@ class PaPar:
         """Resolve arguments and build the executable job sequence.
 
         When the workflow's input format is a registered schema, every
-        operator key is validated against the fields available at that stage
-        (input fields plus attributes earlier add-ons introduced), so typos
-        fail at plan time instead of mid-run.
+        operator key is checked against the fields available at that stage
+        (input fields plus attributes earlier add-ons introduced) by the
+        lint rule PAP020, so typos fail at plan time instead of mid-run.
         """
         spec = self.load_workflow(workflow) if isinstance(workflow, str) else workflow
         plan = self._planner.plan(spec, args)
         if plan.input_format_id in self._schemas:
-            self._validate_keys(plan, self._schemas[plan.input_format_id])
+            from repro.analysis.engine import check_keys
+
+            check_keys(spec, self._schemas, args)
         return plan
-
-    @staticmethod
-    def _validate_keys(plan: WorkflowPlan, schema: RecordSchema) -> None:
-        from repro.ops.group import Group
-        from repro.ops.sort import Sort
-        from repro.ops.split import Split
-
-        available = set(schema.field_names)
-        for job in plan.jobs:
-            op = job.operator
-            key = getattr(op, "key", None)
-            if isinstance(op, (Sort, Group, Split)) and key not in available:
-                raise WorkflowError(
-                    f"operator {job.op_id!r} keys on {key!r}, which is not "
-                    f"available at this stage; known fields: {sorted(available)}"
-                )
-            if isinstance(op, Group):
-                available |= set(op.added_attrs)
 
     def generate_code(self, plan: WorkflowPlan) -> str:
         """Emit the standalone Python partitioner for ``plan``."""
@@ -267,7 +244,7 @@ class PaPar:
 
     def partition_files(
         self,
-        workflow: Union[WorkflowSpec, str],
+        workflow: Union[WorkflowSpec, WorkflowPlan, str],
         args: dict[str, Any],
         backend: str = "serial",
         num_ranks: int = 1,
@@ -283,6 +260,7 @@ class PaPar:
         :meth:`run`; ``memory_budget`` streams the input out-of-core
         instead of loading it (see :meth:`run`); ``optimize`` applies the
         PAP080-081 rewrite passes before planning (see :meth:`optimize`).
+        A :class:`WorkflowPlan` runs as planned.
         """
         from repro.core.files import partition_files as _partition_files
 
@@ -300,7 +278,7 @@ class PaPar:
 
     def warm_start(
         self,
-        workflow: Union[WorkflowSpec, str],
+        workflow: Union[WorkflowSpec, WorkflowPlan, str],
         args: dict[str, Any],
         backend: str = "serial",
         num_ranks: int = 1,
@@ -314,14 +292,17 @@ class PaPar:
         consumers (the ``serve`` daemon) that keep the partitions hot
         instead of materializing them: returns ``(spec, input schema,
         input dataset, result)`` so the caller owns both the raw records
-        (the daemon's append-log seed) and the partitioned output.
+        (the daemon's append-log seed) and the partitioned output.  A
+        :class:`WorkflowPlan` runs as planned.
         """
         from repro.core.files import load_input_dataset
 
-        spec = self.load_workflow(workflow) if isinstance(workflow, str) else workflow
+        if isinstance(workflow, str):
+            workflow = self.load_workflow(workflow)
+        spec = workflow.spec if isinstance(workflow, WorkflowPlan) else workflow
         data, schema = load_input_dataset(self, spec, args, schema_id=schema_id)
         result = self.run(
-            spec,
+            workflow,
             args,
             data=data,
             backend=backend,
@@ -385,10 +366,12 @@ class PaPar:
         optimized = None
         if optimize:
             if isinstance(workflow, WorkflowPlan):
-                raise WorkflowError(
-                    "optimize=True needs the workflow configuration, not an "
-                    "already-planned WorkflowPlan"
-                )
+                if workflow.spec is None:
+                    raise WorkflowError(
+                        "optimize=True needs the workflow configuration; this "
+                        "WorkflowPlan was not planned from one"
+                    )
+                workflow = workflow.spec
             optimized = self.optimize(workflow, args, ranks=num_ranks)
             workflow = optimized.workflow
         if isinstance(workflow, WorkflowPlan):

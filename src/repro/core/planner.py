@@ -49,6 +49,8 @@ class WorkflowPlan:
     jobs: list[PlannedJob]
     env: Bindings
     input_format_id: Optional[str] = None
+    #: the spec this plan was planned from (None for a hand-built plan)
+    spec: Optional[WorkflowSpec] = field(default=None, compare=False, repr=False)
 
     @property
     def final_job(self) -> PlannedJob:
@@ -119,7 +121,8 @@ class Planner:
             if ps.format and ps.name.lower().startswith("input"):
                 input_fmt = ps.format
         return WorkflowPlan(
-            workflow_id=spec.id, jobs=jobs, env=env, input_format_id=input_fmt
+            workflow_id=spec.id, jobs=jobs, env=env, input_format_id=input_fmt,
+            spec=spec,
         )
 
     # -- per-operator planning -------------------------------------------------

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.config.workflow import WorkflowSpec
 from repro.core.dataset import Dataset
+from repro.core.planner import WorkflowPlan
 from repro.lifecycle import install_async_shutdown
 from repro.obs.adapters import record_rebalance, record_serve_request
 from repro.obs.export import serve_metrics_json
@@ -216,16 +217,21 @@ class PartitionServer:
     def __init__(
         self,
         papar: Any,
-        workflow: Union[WorkflowSpec, str],
+        workflow: Union[WorkflowSpec, WorkflowPlan, str],
         args: dict[str, Any],
         config: Optional[ServeConfig] = None,
         recorder: Optional[Recorder] = None,
     ) -> None:
         self.papar = papar
-        self.spec = (
-            papar.load_workflow(workflow) if isinstance(workflow, str) else workflow
-        )
+        if isinstance(workflow, str):
+            workflow = papar.load_workflow(workflow)
         self.args = dict(args)
+        # the warm start and every rebuild run this one plan
+        self.plan = (
+            workflow if isinstance(workflow, WorkflowPlan)
+            else papar.plan(workflow, self.args)
+        )
+        self.spec = self.plan.spec
         self.config = config or ServeConfig()
         self.recorder = recorder or Recorder(window=SERVICE_WINDOW)
         self.monitor = BalanceMonitor(self.config.rebalance_threshold)
@@ -235,7 +241,6 @@ class PartitionServer:
             else None
         )
         self.state = ServeState()
-        self.plan = papar.plan(self.spec, self.args)
         self.input_schema = papar.schema(
             self.config.schema_id or self._declared_schema_id()
         )
@@ -299,7 +304,7 @@ class PartitionServer:
                 self.restored = True
                 return
         _spec, _schema, data, result = self.papar.warm_start(
-            self.spec,
+            self.plan,
             self.args,
             backend=self.config.backend,
             num_ranks=self.config.num_ranks,
@@ -675,7 +680,7 @@ class PartitionServer:
 
 async def run_server(
     papar: Any,
-    workflow: Union[WorkflowSpec, str],
+    workflow: Union[WorkflowSpec, WorkflowPlan, str],
     args: dict[str, Any],
     config: Optional[ServeConfig] = None,
     recorder: Optional[Recorder] = None,

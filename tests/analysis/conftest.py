@@ -1,4 +1,4 @@
-"""Two invariants checked on every configuration the analysis tests lint.
+"""Three invariants checked on every configuration the analysis tests lint.
 
 The golden-diagnostics suite and every bad-configuration fixture in this
 directory lint through :meth:`Linter.analyze`; an autouse fixture wraps it
@@ -11,7 +11,10 @@ proves:
   documented exception: a crash (``PAP099``) of a checker that cannot emit
   an error, which the gate never runs;
 * **checkers emit only what they declare** — every code a checker yields
-  is among the codes it registered with.
+  is among the codes it registered with;
+* **the runtime parser agrees with the lint** — ``parse_workflow_config``
+  raises exactly when the lint reports a structural error, with the first
+  one's message (``tests/config/_agreement.py``).
 """
 
 import copy
@@ -22,6 +25,7 @@ import pytest
 
 from repro.analysis.engine import Linter
 from repro.analysis.rules import CATALOG, CHECKERS, blocking_checkers
+from tests.config._agreement import assert_parser_agrees
 
 
 def skipped_crash(diag, skipped: set) -> bool:
@@ -65,6 +69,9 @@ def lint_invariants(monkeypatch):
             }
             expected = [d for d in result.errors if not skipped_crash(d, skipped)]
             assert gated.diagnostics == expected
+        assert_parser_agrees(
+            bound.arguments["workflow_xml"], bound.arguments.get("filename"), result
+        )
         return ctx, result
 
     monkeypatch.setattr(Linter, "analyze", analyze)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_files, lint_workflow
+from repro.analysis import Linter, lint_workflow
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 
@@ -27,7 +27,7 @@ def _render(result):
 
 @pytest.mark.parametrize("workflow,inputs", sorted(SHIPPED.items()))
 def test_shipped_config_files_lint_clean(workflow, inputs):
-    result = lint_files(
+    result = Linter().lint_paths(
         str(REPO / workflow), [str(REPO / p) for p in inputs]
     )
     assert not result.errors, _render(result)

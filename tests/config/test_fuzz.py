@@ -2,7 +2,8 @@
 
 Every failure mode must surface as a :class:`~repro.errors.ConfigError`
 subclass (or parse successfully) — no raw ``AttributeError``/``IndexError``
-leaking from the XML layer.
+leaking from the XML layer.  The workflow parser must also agree with the
+lint model it is derived from (``tests/config/_agreement.py``).
 """
 
 import pytest
@@ -11,8 +12,20 @@ from hypothesis import strategies as st
 
 from repro.config import parse_input_config, parse_operator_config, parse_workflow_config
 from repro.errors import PaParError
+from tests.config._agreement import assert_parser_agrees
 
 PARSERS = [parse_input_config, parse_workflow_config, parse_operator_config]
+
+
+def parse(parser, text):
+    """Parse ``text``; a designed failure is a PaParError."""
+    if parser is parse_workflow_config:
+        assert_parser_agrees(text, "fuzz.xml")
+        return
+    try:
+        parser(text)
+    except PaParError:
+        pass  # the designed failure mode
 
 xml_fragments = st.text(
     alphabet=st.sampled_from(list("<>/= \"'abcdefinputworkflowparam\n\t")), max_size=300
@@ -23,20 +36,14 @@ xml_fragments = st.text(
 @settings(max_examples=80)
 @given(text=xml_fragments)
 def test_arbitrary_text_never_crashes(parser, text):
-    try:
-        parser(text)
-    except PaParError:
-        pass  # the designed failure mode
+    parse(parser, text)
 
 
 @pytest.mark.parametrize("parser", PARSERS)
 @settings(max_examples=40)
 @given(text=st.text(max_size=200))
 def test_arbitrary_unicode_never_crashes(parser, text):
-    try:
-        parser(text)
-    except PaParError:
-        pass
+    parse(parser, text)
 
 
 # structured fuzz: well-formed XML with random tag/attribute soup
@@ -74,7 +81,4 @@ def random_xml(draw):
 @settings(max_examples=60)
 @given(xml=random_xml())
 def test_wellformed_soup_never_crashes(parser, xml):
-    try:
-        parser(xml)
-    except PaParError:
-        pass
+    parse(parser, xml)
