@@ -5,8 +5,8 @@ One pass does, in order:
 1. parse the input-data configurations (failures become ``PAP050``);
 2. parse the workflow XML with source locations (failures: ``PAP001``);
 3. build the located model, collecting structural diagnostics — the one
-   reader of workflow XML (:meth:`Linter.analyze_spec` starts here from a
-   :class:`~repro.config.workflow.WorkflowSpec` instead, with its own
+   reader of workflow XML (a :class:`~repro.config.workflow.WorkflowSpec`
+   handed to :meth:`Linter.analyze` starts here instead, with its own
    source lines);
 4. derive the spec from a model without structural errors and *plan* it
    with synthesized arguments, so plan-level rules can inspect resolved
@@ -104,50 +104,21 @@ class Linter:
 
     def lint(
         self,
-        workflow_xml: str,
+        workflow: str | WorkflowSpec,
         filename: Optional[str] = None,
         inputs: Iterable[tuple[str, Optional[str]]] = (),
         args: Optional[dict[str, Any]] = None,
         do_plan: bool = True,
     ) -> LintResult:
-        """Analyze one workflow (XML text) plus optional input configs.
+        """Analyze one workflow plus optional input configs.
 
+        ``workflow`` is XML text or a spec (see :meth:`analyze`);
         ``inputs`` is an iterable of ``(xml_text, filename)`` pairs.
         """
         _ctx, result = self.analyze(
-            workflow_xml, filename=filename, inputs=inputs, args=args, do_plan=do_plan
+            workflow, filename=filename, inputs=inputs, args=args, do_plan=do_plan
         )
         return result
-
-    def analyze(
-        self,
-        workflow_xml: str,
-        filename: Optional[str] = None,
-        inputs: Iterable[tuple[str, Optional[str]]] = (),
-        args: Optional[dict[str, Any]] = None,
-        do_plan: bool = True,
-    ) -> tuple[Optional[LintContext], LintResult]:
-        """One full pass returning both the populated context and the result.
-
-        ``papar explain`` consumes the context (IR, fixed-point analyses,
-        cost model via :meth:`LintContext.analyzed`) alongside the same
-        diagnostics ``lint`` reports; the context is ``None`` only when the
-        workflow XML itself failed to parse.
-        """
-        return self._analyze(workflow_xml, filename, inputs, args, do_plan)
-
-    def analyze_spec(
-        self,
-        spec: WorkflowSpec,
-        filename: Optional[str] = None,
-        inputs: Iterable[tuple[str, Optional[str]]] = (),
-        args: Optional[dict[str, Any]] = None,
-        do_plan: bool = True,
-    ) -> tuple[LintContext, LintResult]:
-        """:meth:`analyze` of a parsed, rewritten or built spec, as it is:
-        nothing is re-serialized, so a finding carries the spec's own
-        source lines (the file it was read from)."""
-        return self._analyze(spec, filename, inputs, args, do_plan)
 
     def lint_paths(
         self,
@@ -167,10 +138,26 @@ class Linter:
             do_plan=do_plan,
         )
 
-    # -- internals ----------------------------------------------------------
+    # -- the pass -------------------------------------------------------------
 
-    def _analyze(self, workflow, filename, inputs, args, do_plan):
-        """The pass behind both entry points: ``workflow`` is XML text or a spec."""
+    def analyze(
+        self,
+        workflow: str | WorkflowSpec,
+        filename: Optional[str] = None,
+        inputs: Iterable[tuple[str, Optional[str]]] = (),
+        args: Optional[dict[str, Any]] = None,
+        do_plan: bool = True,
+    ) -> tuple[Optional[LintContext], LintResult]:
+        """One full pass returning both the populated context and the result.
+
+        ``workflow`` is XML text, or a parsed, rewritten or built spec,
+        analyzed as it is: nothing is re-serialized, so a finding carries
+        the spec's own source lines (the file it was read from).
+        ``papar explain`` consumes the context (IR, fixed-point analyses,
+        cost model via :meth:`LintContext.analyzed`) alongside the same
+        diagnostics ``lint`` reports; the context is ``None`` only when the
+        workflow XML itself failed to parse.
+        """
         result = LintResult()
         if filename:
             result.files.append(filename)

@@ -138,13 +138,6 @@ class Reference:
         return self.parts[0]
 
 
-#: rule names of the codes the model emits (as catalogued in
-#: :mod:`repro.analysis.rules`, which this module must not import)
-_STRUCTURAL_RULES = {
-    "PAP001": "xml-syntax", "PAP002": "missing-attribute", "PAP003": "duplicate-id",
-}
-
-
 def build_workflow_model(
     tree: LocatedTree, filename: Optional[str]
 ) -> tuple[Optional[LintWorkflow], list[Diagnostic]]:
@@ -156,10 +149,13 @@ def build_workflow_model(
     def diag(
         code: str, message: str, node: ET.Element, suggestion: Optional[str] = None
     ) -> None:
+        # late: the catalog's rules import this module (and a clean parse needs none)
+        from repro.analysis.rules import CATALOG
+
         diags.append(Diagnostic(
-            code=code, severity=Severity.ERROR, message=message, file=filename,
+            code=code, severity=CATALOG[code].severity, message=message, file=filename,
             line=tree.line(node), column=tree.column(node),
-            rule=_STRUCTURAL_RULES[code], suggestion=suggestion,
+            rule=CATALOG[code].name, suggestion=suggestion,
         ))
 
     def param(node: ET.Element, name: str) -> ParamSpec:

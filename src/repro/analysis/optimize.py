@@ -538,7 +538,7 @@ def optimize_spec(
     linter = Linter(schemas=schemas, ranks=ranks, assume_records=assume_records)
 
     def analyze(s: WorkflowSpec):
-        return linter.analyze_spec(s, filename=filename, inputs=inputs, args=args)
+        return linter.analyze(s, filename=filename, inputs=inputs, args=args)
 
     original = copy.deepcopy(spec)
     current = copy.deepcopy(spec)
@@ -626,7 +626,7 @@ def optimize_workflow(
     )
     linter = Linter(schemas=schemas, ranks=ranks, assume_records=assume_records)
     before, after = (
-        build_report(*linter.analyze_spec(s, filename=filename, inputs=inputs, args=args))
+        build_report(*linter.analyze(s, filename=filename, inputs=inputs, args=args))
         for s in (spec, plan.workflow)
     )
     return OptimizeReport(before=before, after=after, plan=plan)

@@ -386,7 +386,7 @@ def _front_end(
 
     ctx, result = _linter(
         ns, {schema.id: schema for schema in schemas}, errors_only=True
-    ).analyze_spec(spec, filename=ns.workflow, args=args)
+    ).analyze(spec, filename=ns.workflow, args=args)
     if result.errors:
         for diag in result.errors:
             print(diag.render(), file=sys.stderr)

@@ -120,12 +120,10 @@ class PaPar:
             backend=backend, faults=faults, checkpoint=checkpoint,
             serve=serve,
         )
-        inputs = [(text, None) for text in inputs]
-        if isinstance(workflow, WorkflowSpec):
-            # the spec's own model, with the lines of the file it came from
-            filename = workflow.source_file or "<workflow>"
-            return linter.analyze_spec(workflow, filename, inputs, args, do_plan)[1]
-        return linter.lint(workflow, "<workflow>", inputs, args, do_plan)
+        # a spec is linted as its own model, with the lines of its file
+        spec_file = workflow.source_file if isinstance(workflow, WorkflowSpec) else None
+        filename = spec_file or "<workflow>"
+        return linter.lint(workflow, filename, [(text, None) for text in inputs], args, do_plan)
 
     def lint_files(
         self,

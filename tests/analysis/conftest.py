@@ -1,9 +1,10 @@
 """Three invariants checked on every configuration the analysis tests lint.
 
-The golden-diagnostics suite and every bad-configuration fixture in this
-directory lint through :meth:`Linter.analyze`; an autouse fixture wraps it
-(and every registered checker) so that each of those configurations also
-proves:
+The golden-diagnostics suite, every bad-configuration fixture in this
+directory and every spec they lint (``PaPar.lint(spec)``, the optimizer's
+before/after reports and its re-analysis of each rewritten workflow) go
+through :meth:`Linter.analyze`; an autouse fixture wraps it (and every
+registered checker) so that each of those configurations also proves:
 
 * **the gate agrees with the full lint** — the errors-only pass that
   ``plan`` / ``run`` / ``serve`` take reports exactly the full lint's
@@ -12,9 +13,10 @@ proves:
   an error, which the gate never runs;
 * **checkers emit only what they declare** — every code a checker yields
   is among the codes it registered with;
-* **the runtime parser agrees with the lint** — ``parse_workflow_config``
-  raises exactly when the lint reports a structural error, with the first
-  one's message (``tests/config/_agreement.py``).
+* **the runtime parser agrees with the lint** — for XML text,
+  ``parse_workflow_config`` raises exactly when the lint reports a
+  structural error, with the first one's message
+  (``tests/config/_agreement.py``); a spec has already been parsed.
 """
 
 import copy
@@ -69,9 +71,9 @@ def lint_invariants(monkeypatch):
             }
             expected = [d for d in result.errors if not skipped_crash(d, skipped)]
             assert gated.diagnostics == expected
-        assert_parser_agrees(
-            bound.arguments["workflow_xml"], bound.arguments.get("filename"), result
-        )
+        workflow = bound.arguments["workflow"]
+        if isinstance(workflow, str):
+            assert_parser_agrees(workflow, bound.arguments.get("filename"), result)
         return ctx, result
 
     monkeypatch.setattr(Linter, "analyze", analyze)
