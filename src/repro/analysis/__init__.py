@@ -8,10 +8,18 @@ suggested fix.  See ``docs/lint-rules.md`` for the rule catalog.
 
 Three front doors:
 
-* CLI — ``python -m repro lint workflow.xml [--input input.xml] ...``;
+* CLI — ``python -m repro lint workflow.xml [--input input.xml] ...``
+  (and ``explain`` / ``optimize``);
 * API — :meth:`repro.PaPar.lint` returning structured diagnostics;
 * pipeline hook — ``plan`` / ``run`` refuse configurations with lint
   errors unless ``--no-lint`` is passed.
+
+Each verb is one function of a configured :class:`Linter` and a workflow
+given as XML text or a :class:`~repro.config.workflow.WorkflowSpec` (the
+one workflow type; the located model builds it): :meth:`Linter.lint`,
+:func:`repro.analysis.explain.explain` and
+:func:`repro.analysis.optimize.optimize`.  :func:`read_configs` reads
+configuration files into their arguments.
 
 This module lazily re-exports its public names (PEP 562) because the
 configuration parsers import :mod:`repro.analysis.locate` — eager imports
@@ -26,9 +34,7 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.analysis.diagnostics": ("Diagnostic", "LintResult", "Severity"),
-    "repro.analysis.engine": (
-        "Linter", "lint_workflow", "synthesize_arguments",
-    ),
+    "repro.analysis.engine": ("Linter", "read_configs", "synthesize_arguments"),
     "repro.analysis.rules": ("CATALOG", "RuleSpec", "all_codes"),
     "repro.analysis.locate": ("LocatingXMLParser", "parse_located"),
     "repro.analysis.ir": ("PlanIR", "IRNode", "IREdge", "build_ir", "workflow_ir"),
@@ -36,16 +42,15 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "run_dataflow", "SchemaAnalysis", "LivenessAnalysis", "CardinalityAnalysis",
     ),
     "repro.analysis.cost": ("analyze_plan", "AnalyzedPlan"),
-    "repro.analysis.explain": ("ExplainReport", "explain_workflow", "explain_files"),
+    "repro.analysis.explain": ("ExplainReport",),
     "repro.analysis.optimize": (
-        "PASS_NAMES", "AppliedRewrite", "RefusedRewrite", "OptimizedPlan",
-        "OptimizeReport", "optimize_spec", "optimize_workflow", "optimize_files",
+        "PASS_NAMES", "AppliedRewrite", "RefusedRewrite", "OptimizedPlan", "OptimizeReport",
     ),
 })
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.analysis.diagnostics import Diagnostic, LintResult, Severity
-    from repro.analysis.engine import Linter, lint_workflow, synthesize_arguments
+    from repro.analysis.engine import Linter, read_configs, synthesize_arguments
     from repro.analysis.locate import LocatingXMLParser, parse_located
     from repro.analysis.rules import CATALOG, RuleSpec, all_codes
 

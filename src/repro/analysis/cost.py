@@ -226,9 +226,9 @@ def analyze_plan(ctx: "LintContext") -> Optional[AnalyzedPlan]:
             continue
         extra = 0.0
         for addon in node.op.addons:
-            from repro.analysis.rules.schema_flow import _addon_attr_type
+            from repro.ops.base import addon_signature
 
-            extra += field_width(_addon_attr_type(addon.operator))
+            extra += field_width(addon_signature(addon.operator)[0])
         if extra:
             addon_bytes[node.op_id] = extra
         if group_ratio is None:

@@ -202,8 +202,7 @@ class SchemaAnalysis(DataflowAnalysis[SchemaValue]):
         if node.kind != "group":
             # sort/split/distribute rearrange records without changing fields
             return value
-        from repro.analysis.rules.schema_flow import _addon_attr_type
-        from repro.ops.base import registered_names
+        from repro.ops.base import addon_signature, registered_names
 
         fields = list(value.fields)
         names = {name for name, _ in fields}
@@ -216,7 +215,7 @@ class SchemaAnalysis(DataflowAnalysis[SchemaValue]):
                 return SchemaValue.conflict(
                     f"add-on attribute {attr!r} collides with an existing field"
                 )
-            fields.append((attr, _addon_attr_type(addon.operator)))
+            fields.append((attr, addon_signature(addon.operator)[0]))
             names.add(attr)
         return SchemaValue.concrete(fields)
 

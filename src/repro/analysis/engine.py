@@ -4,14 +4,13 @@ One pass does, in order:
 
 1. parse the input-data configurations (failures become ``PAP050``);
 2. parse the workflow XML with source locations (failures: ``PAP001``);
-3. build the located model, collecting structural diagnostics — the one
-   reader of workflow XML (a :class:`~repro.config.workflow.WorkflowSpec`
-   handed to :meth:`Linter.analyze` starts here instead, with its own
-   source lines);
-4. derive the spec from a model without structural errors and *plan* it
-   with synthesized arguments, so plan-level rules can inspect resolved
-   operators (planner rejections surface as ``PAP040`` only when no
-   static rule already explains them);
+3. build the located model — the one reader of workflow XML, which
+   builds the :class:`~repro.config.workflow.WorkflowSpec` — collecting
+   structural diagnostics (a spec handed to :meth:`Linter.analyze` starts
+   here instead, with its own source lines);
+4. *plan* a spec without structural errors with synthesized arguments,
+   so plan-level rules can inspect resolved operators (planner rejections
+   surface as ``PAP040`` only when no static rule already explains them);
 5. run every registered checker — the engine never stops at the first
    finding.  A linter built with ``errors_only=True`` (the ``plan`` /
    ``run`` / ``serve`` gate, which acts on errors alone) runs only the
@@ -19,17 +18,20 @@ One pass does, in order:
    advisories, the cost model and its input probe never run for it.
 
 Nothing here executes a workflow: planning instantiates operator objects
-and resolves ``$references`` but moves no data.
+and resolves ``$references`` but moves no data.  :meth:`Linter.lint` and
+:meth:`Linter.analyze` take the workflow as XML text or a spec;
+:func:`read_configs` reads configuration files into their arguments.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from typing import Any, Iterable, Optional
 
 from repro.analysis.diagnostics import Diagnostic, LintResult, Severity
 from repro.analysis.locate import XMLLocationError, format_location, parse_located, read_config
-from repro.analysis.model import LintContext, LintWorkflow, build_workflow_model, first_error
+from repro.analysis.model import LintContext, build_workflow_model, first_error
 from repro.analysis.rules import CATALOG, CHECKERS, blocking_checkers
 from repro.config.schema import parse_input_config
 from repro.config.workflow import WorkflowSpec
@@ -43,6 +45,15 @@ _LOCATION_RE = re.compile(r"\[(?P<file>[^\[\]]*?):(?P<line>\d+)\]\s*$")
 def _location_from_message(message: str) -> Optional[int]:
     m = _LOCATION_RE.search(message)
     return int(m.group("line")) if m else None
+
+
+def read_configs(
+    workflow_path: "str | os.PathLike", input_paths: Iterable["str | os.PathLike"] = ()
+) -> dict[str, Any]:
+    """Configuration files as :meth:`Linter.analyze` takes them: the
+    ``workflow`` text, its ``filename``, and the ``(text, path)`` ``inputs``."""
+    return {"workflow": read_config(workflow_path), "filename": os.fspath(workflow_path),
+            "inputs": [(read_config(path), os.fspath(path)) for path in input_paths]}
 
 
 def synthesize_arguments(
@@ -120,24 +131,6 @@ class Linter:
         )
         return result
 
-    def lint_paths(
-        self,
-        workflow_path: str,
-        input_paths: Iterable[str] = (),
-        args: Optional[dict[str, Any]] = None,
-        do_plan: bool = True,
-    ) -> LintResult:
-        """Analyze configuration *files*."""
-        workflow_xml = read_config(workflow_path)
-        inputs = [(read_config(path), path) for path in input_paths]
-        return self.lint(
-            workflow_xml,
-            filename=str(workflow_path),
-            inputs=inputs,
-            args=args,
-            do_plan=do_plan,
-        )
-
     # -- the pass -------------------------------------------------------------
 
     def analyze(
@@ -147,7 +140,7 @@ class Linter:
         inputs: Iterable[tuple[str, Optional[str]]] = (),
         args: Optional[dict[str, Any]] = None,
         do_plan: bool = True,
-    ) -> tuple[Optional[LintContext], LintResult]:
+    ) -> tuple[LintContext, LintResult]:
         """One full pass returning both the populated context and the result.
 
         ``workflow`` is XML text, or a parsed, rewritten or built spec,
@@ -155,8 +148,8 @@ class Linter:
         the spec's own source lines (the file it was read from).
         ``papar explain`` consumes the context (IR, fixed-point analyses,
         cost model via :meth:`LintContext.analyzed`) alongside the same
-        diagnostics ``lint`` reports; the context is ``None`` only when the
-        workflow XML itself failed to parse.
+        diagnostics ``lint`` reports; its model is ``None`` when the
+        workflow XML did not parse into one.
         """
         result = LintResult()
         if filename:
@@ -186,13 +179,16 @@ class Linter:
             if in_name:
                 input_files[schema.id] = in_name
 
-        # -- workflow model (and the spec derived from it) ---------------
+        # -- the workflow model: a spec, as given or built from the XML ----
+        model: Optional[WorkflowSpec] = None
+        plannable = parsed = True
         if isinstance(workflow, WorkflowSpec):
-            model, spec = LintWorkflow.from_spec(workflow), workflow
+            model = workflow
         else:
             try:
-                tree = parse_located(workflow)
+                model, structural = build_workflow_model(parse_located(workflow), filename)
             except XMLLocationError as exc:
+                parsed = False
                 result.diagnostics.append(
                     Diagnostic(
                         code="PAP001",
@@ -204,18 +200,13 @@ class Linter:
                         rule=CATALOG["PAP001"].name,
                     )
                 )
-                result.sort()
-                return None, result
-            model, structural = build_workflow_model(tree, filename)
-            result.extend(structural)
-            spec = None
-            if model is not None and first_error(structural) is None:
-                spec = model.to_spec(filename)
+            else:
+                result.extend(structural)
+                plannable = model is not None and first_error(structural) is None
 
         ctx = LintContext(
             filename=filename,
             model=model,
-            spec=spec,
             schemas=schemas,
             input_files=input_files,
             args={k: str(v) for k, v in (args or {}).items()},
@@ -227,11 +218,14 @@ class Linter:
             checkpoint=self.checkpoint,
             serve=self.serve,
         )
+        if not parsed:
+            result.sort()
+            return ctx, result
 
         # -- PAP051: supplied input configs nothing references ----------
         if model is not None:
             referenced_formats = {
-                a.format for a in model.arguments if a.format is not None
+                a.format for a in model.arguments.values() if a.format is not None
             }
             for schema_id, in_name in input_files.items():
                 if schema_id not in referenced_formats:
@@ -246,11 +240,11 @@ class Linter:
                         )
                     )
 
-        if do_plan and spec is not None:
+        if do_plan and plannable:
             from repro.core.planner import Planner
 
             try:
-                ctx.plan = Planner().plan(spec, synthesize_arguments(spec, ctx.args))
+                ctx.plan = Planner().plan(model, synthesize_arguments(model, ctx.args))
             except PaParError as exc:
                 ctx.plan_error = str(exc)
             except (TypeError, ValueError) as exc:
@@ -289,31 +283,6 @@ class Linter:
         return ctx, result
 
 
-def lint_workflow(
-    workflow_xml: str,
-    filename: Optional[str] = None,
-    inputs: Iterable[tuple[str, Optional[str]]] = (),
-    args: Optional[dict[str, Any]] = None,
-    schemas: Optional[dict[str, RecordSchema]] = None,
-    ranks: Optional[int] = None,
-    do_plan: bool = True,
-    memory_budget: Optional[str] = None,
-    assume_records: Optional[int] = None,
-    backend: Optional[str] = None,
-    faults: bool = False,
-    checkpoint: bool = False,
-    serve: bool = False,
-) -> LintResult:
-    """Convenience one-call form of :class:`Linter`."""
-    return Linter(
-        schemas=schemas, ranks=ranks,
-        memory_budget=memory_budget, assume_records=assume_records,
-        backend=backend, faults=faults, checkpoint=checkpoint, serve=serve,
-    ).lint(
-        workflow_xml, filename=filename, inputs=inputs, args=args, do_plan=do_plan
-    )
-
-
 def check_keys(
     spec: WorkflowSpec, schemas: dict[str, RecordSchema], args: Optional[dict[str, Any]] = None
 ) -> None:
@@ -321,7 +290,7 @@ def check_keys(
     walk rejects: the planner's key check is the lint rule itself."""
     from repro.analysis.rules.schema_flow import check_schema_flow
 
-    ctx = LintContext(filename=spec.source_file, model=LintWorkflow.from_spec(spec),
+    ctx = LintContext(filename=spec.source_file, model=spec,
                       schemas=dict(schemas), args={k: str(v) for k, v in (args or {}).items()})
     for diag in check_schema_flow(ctx):
         if diag.code == "PAP020":

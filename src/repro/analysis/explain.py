@@ -1,6 +1,6 @@
 """The ``papar explain`` report: the analyzed plan-IR, rendered.
 
-One :func:`explain_files` call runs the same engine pass ``papar lint``
+One :func:`explain` call runs the same engine pass ``papar lint``
 runs, then renders what the fixed-point analyses concluded instead of
 only what the rules flagged: per operator the inferred record schema,
 the live (actually-read) columns, the dataflow edges, and — for every
@@ -20,8 +20,7 @@ from typing import Any, Iterable, Optional
 
 from repro.analysis.diagnostics import LintResult
 from repro.analysis.engine import Linter
-from repro.analysis.locate import read_config
-from repro.formats.records import RecordSchema
+from repro.config.workflow import WorkflowSpec
 
 #: JSON contract version of the explain report
 EXPLAIN_SCHEMA_VERSION = 1
@@ -207,42 +206,12 @@ def build_report(ctx, result: LintResult) -> ExplainReport:
     return report
 
 
-def explain_workflow(
-    workflow_xml: str,
+def explain(
+    linter: Linter,
+    workflow: str | WorkflowSpec,
     filename: Optional[str] = None,
     inputs: Iterable[tuple[str, Optional[str]]] = (),
     args: Optional[dict[str, Any]] = None,
-    schemas: Optional[dict[str, RecordSchema]] = None,
-    ranks: Optional[int] = None,
-    assume_records: Optional[int] = None,
 ) -> ExplainReport:
-    """Analyze one workflow (XML text) and build its explain report."""
-    linter = Linter(schemas=schemas, ranks=ranks, assume_records=assume_records)
-    ctx, result = linter.analyze(
-        workflow_xml, filename=filename, inputs=inputs, args=args
-    )
-    if ctx is None:
-        return ExplainReport(workflow="<unparsed>", file=filename, lint=result)
-    return build_report(ctx, result)
-
-
-def explain_files(
-    workflow_path: str,
-    input_paths: Iterable[str] = (),
-    args: Optional[dict[str, Any]] = None,
-    schemas: Optional[dict[str, RecordSchema]] = None,
-    ranks: Optional[int] = None,
-    assume_records: Optional[int] = None,
-) -> ExplainReport:
-    """:func:`explain_workflow` over configuration files on disk."""
-    workflow_xml = read_config(workflow_path)
-    inputs = [(read_config(path), path) for path in input_paths]
-    return explain_workflow(
-        workflow_xml,
-        filename=str(workflow_path),
-        inputs=inputs,
-        args=args,
-        schemas=schemas,
-        ranks=ranks,
-        assume_records=assume_records,
-    )
+    """Analyze one workflow (XML text or a spec) and build its explain report."""
+    return build_report(*linter.analyze(workflow, filename=filename, inputs=inputs, args=args))

@@ -3,7 +3,7 @@
 Historically every path/type rule re-derived the workflow dataflow with its
 own call to ``resolve_dataflow``.  This module is that resolution promoted
 to a first-class intermediate representation: one :func:`build_ir` pass
-turns a tolerant :class:`~repro.analysis.model.LintWorkflow` into a
+turns a tolerantly built :class:`~repro.config.workflow.WorkflowSpec` into a
 :class:`PlanIR` — operator nodes with resolved-as-far-as-possible
 parameters, explicit dataflow edges recovered from the ``$ref`` path
 wiring (including the directory-prefix consumption the planner supports),
@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.analysis.model import LintOperator, LintWorkflow, SymbolicEnv
+from repro.analysis.model import SymbolicEnv
+from repro.config.workflow import OperatorSpec, WorkflowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.model import LintContext
@@ -64,8 +65,8 @@ class IRNode:
     op_id: str
     #: normalized operator kind ("sort", "group", "split", "distribute", ...)
     kind: str
-    #: the tolerant model node (parameter lists, add-ons, attributes)
-    op: LintOperator
+    #: the operator's spec (declared parameters, add-ons, attributes)
+    op: OperatorSpec
     #: position in document (= execution) order
     index: int
     #: parameter name -> value with every known ``$ref`` substituted
@@ -238,7 +239,7 @@ def build_ir(ctx: "LintContext") -> Optional[PlanIR]:
     if model is None:
         return None
     env = SymbolicEnv()
-    for arg in model.arguments:
+    for arg in model.arguments.values():
         if arg.name in ctx.args:
             env.bind(arg.name, str(ctx.args[arg.name]))
         elif arg.value is not None:
@@ -253,13 +254,8 @@ def build_ir(ctx: "LintContext") -> Optional[PlanIR]:
             index=i,
             exchange=EXCHANGE_KINDS.get(op.kind),
         )
-        for p in op.params:
-            resolved, ok = env.resolve(p.value)
-            # duplicates stay observable in op.params; the dict keeps the
-            # first occurrence, matching the runtime's behavior
-            if p.name not in node.params:
-                node.params[p.name] = resolved
-                node.params_resolved[p.name] = ok
+        for p in op.params.values():
+            node.params[p.name], node.params_resolved[p.name] = env.resolve(p.value)
         _resolve_node_io(node, env)
         if node.outputs:
             env.bind(f"{op.id}.outputPath", node.outputs[0])
@@ -278,7 +274,7 @@ def build_ir(ctx: "LintContext") -> Optional[PlanIR]:
     )
 
 
-def workflow_ir(model: LintWorkflow, args: Optional[dict[str, str]] = None) -> PlanIR:
+def workflow_ir(model: WorkflowSpec, args: Optional[dict[str, str]] = None) -> PlanIR:
     """Build a :class:`PlanIR` straight from a model (no LintContext needed)."""
     from repro.analysis.model import LintContext
 

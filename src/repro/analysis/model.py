@@ -1,19 +1,15 @@
 """The located workflow model: the one reader of workflow XML.
 
-The model is built straight from the located element tree and is
-tolerant: structural problems (missing attributes, duplicate ids) become
-diagnostics instead of exceptions, and analysis continues with whatever
-could be salvaged, so a linter reports *every* finding in one pass.  The
-runtime's :class:`~repro.config.workflow.WorkflowSpec` is derived from the
-same model (:meth:`LintWorkflow.to_spec`):
-:func:`~repro.config.workflow.parse_workflow_config` raises at the model's
-first error and otherwise returns that spec.  :meth:`LintWorkflow.from_spec`
-goes the other way, so a spec (a rewritten one, or one built in code) is
-analyzed with its own source lines.
-
-The model reuses :class:`~repro.config.workflow.ParamSpec` and
-:class:`~repro.config.workflow.AddOnSpec` (which carry source lines), but
-keeps parameters as *lists* so duplicates remain observable.
+The model is the runtime's :class:`~repro.config.workflow.WorkflowSpec`,
+built straight from the located element tree, with the source line of
+every element it keeps.  The build is tolerant: structural problems
+(missing attributes, duplicate ids or parameters) become diagnostics
+instead of exceptions, and analysis continues with whatever could be
+salvaged, so a linter reports *every* finding in one pass.  A duplicated
+argument or parameter is reported (PAP003) and its first declaration
+kept.  :func:`~repro.config.workflow.parse_workflow_config` raises at the
+model's first error and otherwise returns the spec; a spec parsed,
+rewritten or built in code is analyzed as it is, with its own lines.
 """
 
 from __future__ import annotations
@@ -34,87 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 KNOWN_OPERATORS = ("sort", "group", "split", "distribute")
 
 
-@dataclass
-class LintOperator:
-    """One ``<operator>`` stage, tolerantly parsed."""
-
-    id: str
-    operator: str
-    attrs: dict[str, str] = field(default_factory=dict)
-    params: list[ParamSpec] = field(default_factory=list)
-    addons: list[AddOnSpec] = field(default_factory=list)
-    line: Optional[int] = None
-
-    @property
-    def kind(self) -> str:
-        """The operator name, normalized for case-insensitive matching."""
-        return self.operator.strip().lower()
-
-    def param(self, *names: str) -> Optional[ParamSpec]:
-        """First parameter matching any of ``names`` (in name priority order)."""
-        for name in names:
-            for p in self.params:
-                if p.name == name:
-                    return p
-        return None
-
-    def param_value(self, *names: str) -> Optional[str]:
-        """Value of the first parameter matching any of ``names``."""
-        p = self.param(*names)
-        return p.value if p is not None else None
-
-
-@dataclass
-class LintWorkflow:
-    """A tolerantly parsed ``<workflow>`` document."""
-
-    id: str
-    name: str
-    arguments: list[ParamSpec] = field(default_factory=list)
-    operators: list[LintOperator] = field(default_factory=list)
-    line: Optional[int] = None
-
-    def argument(self, name: str) -> Optional[ParamSpec]:
-        """The declared workflow argument called ``name``, if any."""
-        for a in self.arguments:
-            if a.name == name:
-                return a
-        return None
-
-    def operator_ids(self) -> list[str]:
-        """Operator ids in document order."""
-        return [op.id for op in self.operators]
-
-    def operator_index(self, op_id: str) -> Optional[int]:
-        """Position of operator ``op_id`` in document order, if present."""
-        for i, op in enumerate(self.operators):
-            if op.id == op_id:
-                return i
-        return None
-
-    def to_spec(self, filename: Optional[str] = None) -> WorkflowSpec:
-        """The runtime spec of a model that has no structural error."""
-        operators = [
-            OperatorSpec(id=op.id, operator=op.operator, params={p.name: p for p in op.params},
-                         addons=list(op.addons), attrs=dict(op.attrs), line=op.line)
-            for op in self.operators
-        ]
-        return WorkflowSpec(id=self.id, name=self.name, operators=operators,
-                            arguments={p.name: p for p in self.arguments},
-                            source_file=filename, line=self.line)
-
-    @classmethod
-    def from_spec(cls, spec: WorkflowSpec) -> "LintWorkflow":
-        """The model of ``spec``, keeping the source lines it carries."""
-        operators = [
-            LintOperator(id=op.id, operator=op.operator, attrs=dict(op.attrs),
-                         params=list(op.params.values()), addons=list(op.addons), line=op.line)
-            for op in spec.operators
-        ]
-        return cls(id=spec.id, name=spec.name, arguments=list(spec.arguments.values()),
-                   operators=operators, line=spec.line)
-
-
 @dataclass(frozen=True)
 class Reference:
     """One ``$ref`` occurrence inside a parameter or operator attribute."""
@@ -122,7 +37,7 @@ class Reference:
     #: the reference text without the leading ``$`` (dots kept, inner $ dropped)
     ref: str
     #: operator the reference occurs in (None for argument defaults)
-    op: Optional[LintOperator]
+    op: Optional[OperatorSpec]
     #: name of the parameter or attribute holding the reference
     slot: str
     line: Optional[int]
@@ -140,8 +55,8 @@ class Reference:
 
 def build_workflow_model(
     tree: LocatedTree, filename: Optional[str]
-) -> tuple[Optional[LintWorkflow], list[Diagnostic]]:
-    """Build a :class:`LintWorkflow` from a located tree, collecting
+) -> tuple[Optional[WorkflowSpec], list[Diagnostic]]:
+    """Build a :class:`WorkflowSpec` from a located tree, collecting
     structural diagnostics (all errors) instead of raising."""
     diags: list[Diagnostic] = []
     root = tree.root
@@ -172,21 +87,20 @@ def build_workflow_model(
         diag("PAP002", "<workflow> requires an 'id' attribute", root,
              'add id="..." to the <workflow> element')
         wf_id = "<anonymous>"
-    model = LintWorkflow(id=wf_id, name=root.get("name", wf_id), line=tree.line(root))
+    model = WorkflowSpec(id=wf_id, name=root.get("name", wf_id), source_file=filename,
+                         line=tree.line(root))
 
     args_node = root.find("arguments")
     if args_node is not None:
-        seen_args: set[str] = set()
         for p in args_node.findall("param"):
             name = p.get("name")
             if not name:
                 diag("PAP002", "<param> requires a 'name' attribute", p)
-                continue
-            if name in seen_args:
+            elif name in model.arguments:
                 diag("PAP003", f"duplicate workflow argument {name!r}", p,
                      "remove or rename the duplicate declaration")
-            seen_args.add(name)
-            model.arguments.append(param(p, name))
+            else:
+                model.arguments[name] = param(p, name)
 
     ops_node = root.find("operators")
     if ops_node is None or not list(ops_node):
@@ -206,7 +120,7 @@ def build_workflow_model(
             diag("PAP003", f"duplicate operator id {op_id!r}", op_node,
                  "give every operator a unique id")
         seen_ids.add(op_id)
-        op = LintOperator(
+        op = OperatorSpec(
             id=op_id,
             operator=op_name or "",
             attrs={
@@ -214,17 +128,15 @@ def build_workflow_model(
             },
             line=tree.line(op_node),
         )
-        seen_params: set[str] = set()
         for p in op_node.findall("param"):
             pname = p.get("name")
             if not pname:
                 diag("PAP002", f"<param> in operator {op_id!r} requires a 'name' attribute", p)
-                continue
-            if pname in seen_params:
+            elif pname in op.params:
                 diag("PAP003", f"operator {op_id!r} declares parameter {pname!r} twice", p,
                      "remove the duplicate <param>; the runtime keeps only one")
-            seen_params.add(pname)
-            op.params.append(param(p, pname))
+            else:
+                op.params[pname] = param(p, pname)
         for a in op_node.findall("addon"):
             if not a.get("operator"):
                 diag("PAP002",
@@ -249,15 +161,14 @@ class LintContext:
     """Everything one analysis pass knows; handed to every checker."""
 
     filename: Optional[str]
-    model: Optional[LintWorkflow]
+    #: the workflow (None when its XML did not parse into one)
+    model: Optional[WorkflowSpec]
     #: input-data schemas by id (registered on the framework or --input files)
     schemas: dict[str, "RecordSchema"] = field(default_factory=dict)
     #: schema id -> originating file (for diagnostics about input configs)
     input_files: dict[str, str] = field(default_factory=dict)
     #: user-supplied workflow arguments (CLI --arg / API args)
     args: dict[str, str] = field(default_factory=dict)
-    #: the spec derived from the model, when it has no structural error
-    spec: Optional[WorkflowSpec] = None
     #: the resolved plan, when planning succeeded
     plan: Optional["WorkflowPlan"] = None
     #: planner failure message, when planning was attempted and failed
@@ -334,7 +245,7 @@ class LintContext:
         if self.model is None:
             return None, None
         found: tuple[Optional["RecordSchema"], Optional[ParamSpec]] = (None, None)
-        for arg in self.model.arguments:
+        for arg in self.model.arguments.values():
             if arg.format and arg.name.lower().startswith("input"):
                 found = (self.schemas.get(arg.format), arg)
         return found
@@ -373,14 +284,14 @@ class SymbolicEnv:
         return _REF_RE.sub(sub, text), complete
 
 
-def iter_references(model: LintWorkflow) -> Iterator[Reference]:
+def iter_references(model: WorkflowSpec) -> Iterator[Reference]:
     """Every ``$ref`` occurrence in the workflow, with its source slot."""
-    for arg in model.arguments:
+    for arg in model.arguments.values():
         if arg.value:
             for m in _REF_RE.finditer(arg.value):
                 yield Reference(m.group(1), None, arg.name, arg.line)
     for op in model.operators:
-        for p in op.params:
+        for p in op.params.values():
             if p.value:
                 for m in _REF_RE.finditer(p.value):
                     yield Reference(m.group(1), op, p.name, p.line)

@@ -42,15 +42,13 @@ from typing import Any, Iterable, Optional
 
 from repro.analysis.engine import Linter
 from repro.analysis.explain import ExplainReport, _fmt_bytes, build_report
-from repro.analysis.locate import read_config
 from repro.analysis.rules.advisory import (
     _adjacent_exchanges,
     _referenced_ops,
     _same_key,
     _sort_direction,
 )
-from repro.config.workflow import WorkflowSpec, parse_workflow_config
-from repro.formats.records import RecordSchema
+from repro.config.workflow import WorkflowSpec
 
 #: JSON contract version of the optimize report
 OPTIMIZE_SCHEMA_VERSION = 2
@@ -121,8 +119,8 @@ class RefusedRewrite:
 class OptimizedPlan:
     """The rewritten workflow plus the audit trail that produced it."""
 
-    original: WorkflowSpec
-    workflow: WorkflowSpec
+    #: the rewritten workflow (None when the XML did not parse into one)
+    workflow: Optional[WorkflowSpec]
     rewrites: list[AppliedRewrite] = field(default_factory=list)
     refusals: list[RefusedRewrite] = field(default_factory=list)
     est_bytes_before: Optional[int] = None
@@ -266,13 +264,6 @@ def _input_param_name(op) -> Optional[str]:
     return None
 
 
-def _doc_index(spec: WorkflowSpec, op_id: str) -> int:
-    for i, op in enumerate(spec.operators):
-        if op.id == op_id:
-            return i
-    return -1
-
-
 def _drop_first(
     spec: WorkflowSpec, ir, first, second, refuse, code: str
 ) -> Optional[WorkflowSpec]:
@@ -305,7 +296,7 @@ def _drop_first(
     else:
         # first chained implicitly; second now chains to the same producer
         # (or reads the workflow input if first was the head operator)
-        if _doc_index(new, first.op_id) != _doc_index(new, second.op_id) - 1:
+        if new.operator_index(first.op_id) != new.operator_index(second.op_id) - 1:
             refuse(code, site, f"{first.op_id!r} has no input parameter and "
                                f"{second.op_id!r} does not directly follow it; "
                                "implicit chaining cannot be preserved")
@@ -325,7 +316,7 @@ def _drop_second(
         rf"\${re.escape(second.op_id)}\.outputPath(?![A-Za-z0-9_])"
     )
     replacement = f"${first.op_id}.outputPath"
-    second_idx = _doc_index(new, second.op_id)
+    second_idx = new.operator_index(second.op_id)
     for e in ir.out_edges(second.op_id):
         consumer = new.operator(e.dst)
         consumer_node = ir.node(e.dst)
@@ -334,8 +325,8 @@ def _drop_second(
             # implicit chaining: after the removal the consumer must chain
             # straight to first, i.e. first must directly precede second
             if (
-                second_idx != _doc_index(new, e.dst) - 1
-                or _doc_index(new, first.op_id) != second_idx - 1
+                second_idx != new.operator_index(e.dst) - 1
+                or new.operator_index(first.op_id) != second_idx - 1
             ):
                 refuse(code, site, f"{e.dst!r} chains implicitly and would "
                                    "re-chain to the wrong producer")
@@ -518,31 +509,35 @@ def _exchange_count(ctx) -> int:
     return len(ctx.analyzed().cost.exchanges)
 
 
-def optimize_spec(
-    spec: WorkflowSpec,
-    args: Optional[dict[str, Any]] = None,
-    schemas: Optional[dict[str, RecordSchema]] = None,
-    inputs: Iterable[tuple[str, Optional[str]]] = (),
-    ranks: Optional[int] = None,
-    assume_records: Optional[int] = None,
+def optimize(
+    linter: Linter,
+    workflow: str | WorkflowSpec,
     filename: Optional[str] = None,
-) -> OptimizedPlan:
-    """Run every pass to a fixed point and return the optimized plan.
+    inputs: Iterable[tuple[str, Optional[str]]] = (),
+    args: Optional[dict[str, Any]] = None,
+) -> OptimizeReport:
+    """Run every pass to a fixed point; report the original → optimized diff.
 
-    The engine is analyze → rewrite → re-analyze: after each structural
-    rewrite the rewritten spec is pushed through the full lint engine
-    again (with the source lines it kept), and the rewrite is kept only if
-    the new plan has no lint errors, one fewer operator, no more
-    exchanges, and no larger a total payload estimate.
+    The engine is analyze → rewrite → re-analyze.  The workflow (XML text
+    or a spec) is analyzed once: that analysis is the report's "before"
+    and the first pass's input.  After each structural rewrite the
+    rewritten spec is pushed through the full lint engine again (with the
+    source lines it kept), and the rewrite is kept only if the new plan
+    has no lint errors, one fewer operator, no more exchanges, and no
+    larger a total payload estimate.  A workflow with lint errors is not
+    rewritten: its report carries them, "after" equal to "before".
     """
-    linter = Linter(schemas=schemas, ranks=ranks, assume_records=assume_records)
+    inputs = list(inputs)
 
-    def analyze(s: WorkflowSpec):
+    def analyze(s: str | WorkflowSpec):
         return linter.analyze(s, filename=filename, inputs=inputs, args=args)
 
-    original = copy.deepcopy(spec)
-    current = copy.deepcopy(spec)
-    plan = OptimizedPlan(original=original, workflow=current)
+    ctx, result = analyze(workflow)
+    before = build_report(ctx, result)
+    current = ctx.model
+    plan = OptimizedPlan(workflow=current)
+    if result.errors:
+        return OptimizeReport(before=before, after=before, plan=plan)
     seen_refusals: set[tuple[str, str, str]] = set()
 
     def refuse(code: str, site: str, reason: str) -> None:
@@ -555,10 +550,6 @@ def optimize_spec(
                            reason=reason)
         )
 
-    ctx, result = analyze(current)
-    if result.errors:
-        plan.workflow = current
-        return plan
     plan.est_bytes_before = _total_known_bytes(ctx)
     exchanges_before = _exchange_count(ctx)
 
@@ -601,54 +592,4 @@ def optimize_spec(
     plan.workflow = current
     plan.est_bytes_after = _total_known_bytes(ctx)
     plan.exchanges_removed = exchanges_before - _exchange_count(ctx)
-    return plan
-
-
-def optimize_workflow(
-    workflow_xml: str,
-    filename: Optional[str] = None,
-    inputs: Iterable[tuple[str, Optional[str]]] = (),
-    args: Optional[dict[str, Any]] = None,
-    schemas: Optional[dict[str, RecordSchema]] = None,
-    ranks: Optional[int] = None,
-    assume_records: Optional[int] = None,
-) -> OptimizeReport:
-    """Optimize one workflow (XML text) and build the diff report."""
-    spec = parse_workflow_config(workflow_xml, filename=filename)
-    plan = optimize_spec(
-        spec,
-        args=args,
-        schemas=schemas,
-        inputs=inputs,
-        ranks=ranks,
-        assume_records=assume_records,
-        filename=filename,
-    )
-    linter = Linter(schemas=schemas, ranks=ranks, assume_records=assume_records)
-    before, after = (
-        build_report(*linter.analyze(s, filename=filename, inputs=inputs, args=args))
-        for s in (spec, plan.workflow)
-    )
-    return OptimizeReport(before=before, after=after, plan=plan)
-
-
-def optimize_files(
-    workflow_path: str,
-    input_paths: Iterable[str] = (),
-    args: Optional[dict[str, Any]] = None,
-    schemas: Optional[dict[str, RecordSchema]] = None,
-    ranks: Optional[int] = None,
-    assume_records: Optional[int] = None,
-) -> OptimizeReport:
-    """:func:`optimize_workflow` over configuration files on disk."""
-    workflow_xml = read_config(workflow_path)
-    inputs = [(read_config(path), path) for path in input_paths]
-    return optimize_workflow(
-        workflow_xml,
-        filename=str(workflow_path),
-        inputs=inputs,
-        args=args,
-        schemas=schemas,
-        ranks=ranks,
-        assume_records=assume_records,
-    )
+    return OptimizeReport(before=before, after=build_report(ctx, result), plan=plan)

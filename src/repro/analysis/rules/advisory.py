@@ -30,7 +30,7 @@ HOTSPOT_BYTES = 256 * 1024 * 1024
 def _referenced_ops(ctx: LintContext) -> set[str]:
     """Operator ids some *other* operator references via ``$opid....``."""
     assert ctx.model is not None
-    ids = set(ctx.model.operator_ids())
+    ids = {op.id for op in ctx.model.operators}
     used: set[str] = set()
     for ref in iter_references(ctx.model):
         head = ref.head

@@ -74,8 +74,8 @@ def check_references(ctx: LintContext) -> Iterator[Diagnostic]:
     if ctx.model is None:
         return
     model = ctx.model
-    arg_names = [a.name for a in model.arguments]
-    op_ids = model.operator_ids()
+    arg_names = list(model.arguments)
+    op_ids = [op.id for op in model.operators]
     op_index = {op_id: i for i, op_id in enumerate(op_ids)}
 
     # operator -> set of operators it references (for cycle detection)
@@ -253,7 +253,7 @@ def check_unused_arguments(ctx: LintContext) -> Iterator[Diagnostic]:
     used = {ref.head for ref in iter_references(ctx.model) if len(ref.parts) == 1}
     # dotted references never hit arguments, but count $arg inside dotted
     # heads conservatively (heads are operators, so nothing to add)
-    for arg in ctx.model.arguments:
+    for arg in ctx.model.arguments.values():
         if arg.name not in used:
             yield ctx.diag(
                 "PAP013",

@@ -12,36 +12,21 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.model import LintContext, LintOperator, SymbolicEnv
+from repro.analysis.model import LintContext, SymbolicEnv
 from repro.analysis.rules import checker
 from repro.config.workflow import (
     BOOLEAN_FALSE_LITERALS,
     BOOLEAN_TRUE_LITERALS,
     _REF_RE,
+    OperatorSpec,
 )
-from repro.ops.base import registered_names
+from repro.ops.base import addon_signature, registered_names
 
 _NUMERIC_TYPES = {"integer", "long", "float", "double"}
 _FLOAT_TYPES = {"float", "double"}
 
-#: addon name -> type of the attribute it appends (mirrors the registry
-#: without instantiating operators)
-def _addon_attr_type(name: str) -> str:
-    from repro.ops.base import _ADDONS
-
-    cls = _ADDONS.get(name.strip().lower())
-    return cls.attr_type if cls is not None else "long"
-
-
-def _addon_needs_field(name: str) -> bool:
-    from repro.ops.base import _ADDONS
-
-    cls = _ADDONS.get(name.strip().lower())
-    return cls.needs_field if cls is not None else False
-
-
 def _resolve_key(
-    op: LintOperator, env: SymbolicEnv, ctx: LintContext
+    op: OperatorSpec, env: SymbolicEnv, ctx: LintContext
 ) -> tuple[Optional[str], Optional[int]]:
     """The operator's key as a plain field/attribute name, if resolvable."""
     key_param = op.param("key", "keyId")
@@ -102,7 +87,8 @@ def check_schema_flow(ctx: LintContext) -> Iterator[Diagnostic]:
                 if name not in registered_names()["addon"]:
                     continue  # PAP005 already reported
                 value_field, _ = env.resolve(addon.value)
-                if _addon_needs_field(name):
+                attr_type, needs_field = addon_signature(name)
+                if needs_field:
                     if value_field is None:
                         yield ctx.diag(
                             "PAP024",
@@ -120,7 +106,7 @@ def check_schema_flow(ctx: LintContext) -> Iterator[Diagnostic]:
                             line=addon.line,
                         )
                 attr = addon.attr or addon.operator
-                available[attr] = _addon_attr_type(name)
+                available[attr] = attr_type
 
 
 @checker("PAP022", "PAP023")
@@ -145,7 +131,7 @@ def check_split_thresholds(ctx: LintContext) -> Iterator[Diagnostic]:
             for addon in op.addons:
                 attr = addon.attr or addon.operator
                 if attr:
-                    available[attr] = _addon_attr_type(addon.operator)
+                    available[attr] = addon_signature(addon.operator)[0]
         if op.kind != "split":
             continue
         policy_param = op.param("policy", "splitPolicy")
@@ -216,9 +202,9 @@ def check_boolean_literals(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP025: boolean literals outside the accepted true/false sets."""
     if ctx.model is None:
         return
-    every_param = [(None, a) for a in ctx.model.arguments]
+    every_param = [(None, a) for a in ctx.model.arguments.values()]
     for op in ctx.model.operators:
-        every_param.extend((op, p) for p in op.params)
+        every_param.extend((op, p) for p in op.params.values())
     for op, param in every_param:
         if param.type.lower() not in ("boolean", "bool"):
             continue

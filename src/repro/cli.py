@@ -289,7 +289,8 @@ def _explain_rule(code: str, fmt: str) -> int:
 
 
 def _linter(ns: argparse.Namespace, schemas=None, errors_only: bool = False):
-    """The analyzer the command's flags describe (``lint``, and the gate)."""
+    """The analyzer the command's flags describe (the analysis verbs, and
+    the gate)."""
     from repro.analysis.engine import Linter
 
     return Linter(
@@ -313,9 +314,10 @@ def cmd_lint(ns: argparse.Namespace) -> int:
         print("error: a workflow file is required (or pass --explain PAPnnn)",
               file=sys.stderr)
         return 2
-    result = _linter(ns).lint_paths(
-        ns.workflow,
-        ns.input,
+    from repro.analysis.engine import read_configs
+
+    result = _linter(ns).lint(
+        **read_configs(ns.workflow, ns.input),
         args=_parse_arg_pairs(ns.arg),
         do_plan=not ns.no_plan,
     )
@@ -327,14 +329,11 @@ def cmd_lint(ns: argparse.Namespace) -> int:
 
 
 def cmd_explain(ns: argparse.Namespace) -> int:
-    from repro.analysis.explain import explain_files
+    from repro.analysis.engine import read_configs
+    from repro.analysis.explain import explain
 
-    report = explain_files(
-        ns.workflow,
-        ns.input,
-        args=_parse_arg_pairs(ns.arg),
-        ranks=ns.ranks,
-        assume_records=ns.assume_records,
+    report = explain(
+        _linter(ns), **read_configs(ns.workflow, ns.input), args=_parse_arg_pairs(ns.arg)
     )
     if ns.format == "json":
         print(report.render_json())
@@ -345,14 +344,11 @@ def cmd_explain(ns: argparse.Namespace) -> int:
 
 
 def cmd_optimize(ns: argparse.Namespace) -> int:
-    from repro.analysis.optimize import optimize_files
+    from repro.analysis.engine import read_configs
+    from repro.analysis.optimize import optimize
 
-    report = optimize_files(
-        ns.workflow,
-        ns.input,
-        args=_parse_arg_pairs(ns.arg),
-        ranks=ns.ranks,
-        assume_records=ns.assume_records,
+    report = optimize(
+        _linter(ns), **read_configs(ns.workflow, ns.input), args=_parse_arg_pairs(ns.arg)
     )
     if ns.format == "json":
         print(report.render_json())

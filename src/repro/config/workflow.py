@@ -94,8 +94,18 @@ class OperatorSpec:
     #: 1-based source line of the ``<operator>`` tag (when parsed from a file)
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
-    def param_value(self, name: str) -> Optional[str]:
-        spec = self.params.get(name)
+    @property
+    def kind(self) -> str:
+        """The operator name, normalized for case-insensitive matching."""
+        return self.operator.strip().lower()
+
+    def param(self, *names: str) -> Optional[ParamSpec]:
+        """First declared parameter among ``names`` (in name priority order)."""
+        return next((self.params[n] for n in names if n in self.params), None)
+
+    def param_value(self, *names: str) -> Optional[str]:
+        """Value of the first declared parameter among ``names``."""
+        spec = self.param(*names)
         return spec.value if spec is not None else None
 
 
@@ -112,11 +122,15 @@ class WorkflowSpec:
     #: 1-based source line of the ``<workflow>`` tag (when parsed from a file)
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
+    def operator_index(self, op_id: str) -> Optional[int]:
+        """Position of operator ``op_id`` in document order, if present."""
+        return next((i for i, op in enumerate(self.operators) if op.id == op_id), None)
+
     def operator(self, op_id: str) -> OperatorSpec:
-        for op in self.operators:
-            if op.id == op_id:
-                return op
-        raise WorkflowError(f"workflow {self.id!r} has no operator {op_id!r}")
+        index = self.operator_index(op_id)
+        if index is None:
+            raise WorkflowError(f"workflow {self.id!r} has no operator {op_id!r}")
+        return self.operators[index]
 
 
 def parse_workflow_config(source: str, filename: Optional[str] = None) -> WorkflowSpec:
@@ -124,8 +138,9 @@ def parse_workflow_config(source: str, filename: Optional[str] = None) -> Workfl
 
     The static analyzer's located model
     (:func:`repro.analysis.model.build_workflow_model`) is the one reader
-    of workflow XML: this is the spec derived from it, raised as a
-    :class:`ConfigError` at the model's first error in document order.
+    of workflow XML and builds this spec: it is returned as built, or
+    raised as a :class:`ConfigError` at the model's first error in
+    document order.
     ``filename`` (when given) is recorded on the spec and woven into error
     messages as ``file:line`` so configuration mistakes are locatable.
     """
@@ -142,7 +157,7 @@ def parse_workflow_config(source: str, filename: Optional[str] = None) -> Workfl
     error = first_error(diags)
     if error is not None:
         raise ConfigError(f"{error.message} [{format_location(filename, error.line)}]")
-    return model.to_spec(filename)
+    return model
 
 
 def load_workflow_config(path: PathLike) -> WorkflowSpec:

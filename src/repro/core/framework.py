@@ -146,19 +146,14 @@ class PaPar:
         the question the ``plan`` / ``run`` / ``serve`` gate acts on — and
         runs only the rules that can answer it (see ``docs/lint-rules.md``).
         """
-        from repro.analysis.engine import Linter
+        from repro.analysis.engine import Linter, read_configs
 
         return Linter(
             schemas=self._schemas, ranks=ranks,
             memory_budget=memory_budget, assume_records=assume_records,
             backend=backend, faults=faults, checkpoint=checkpoint,
             serve=serve, errors_only=errors_only,
-        ).lint_paths(
-            os.fspath(workflow_path),
-            [os.fspath(p) for p in input_paths],
-            args=args,
-            do_plan=do_plan,
-        )
+        ).lint(**read_configs(workflow_path, input_paths), args=args, do_plan=do_plan)
 
     def optimize(
         self,
@@ -175,17 +170,12 @@ class PaPar:
         Schemas registered on this instance drive the liveness and width
         analyses.  See ``docs/optimizer.md``.
         """
-        from repro.analysis.optimize import optimize_spec
+        from repro.analysis.engine import Linter
+        from repro.analysis.optimize import optimize
 
         spec = self.load_workflow(workflow) if isinstance(workflow, str) else workflow
-        return optimize_spec(
-            spec,
-            args=args,
-            schemas=self._schemas,
-            ranks=ranks,
-            assume_records=assume_records,
-            filename=spec.source_file,
-        )
+        linter = Linter(schemas=self._schemas, ranks=ranks, assume_records=assume_records)
+        return optimize(linter, spec, filename=spec.source_file, args=args).plan
 
     # -- planning and code generation ----------------------------------------------
 

@@ -162,6 +162,13 @@ def get_format(name: str) -> FormatOperator:
     return cls()
 
 
+def addon_signature(name: str) -> tuple[str, bool]:
+    """``(attr_type, needs_field)`` of an add-on, read off its registered
+    class without instantiating it; ``("long", False)`` for an unknown name."""
+    cls = _ADDONS.get(name.strip().lower())
+    return (cls.attr_type, cls.needs_field) if cls is not None else ("long", False)
+
+
 def registered_names() -> dict[str, list[str]]:
     """All registered operator names by family (Table I introspection)."""
     return {

@@ -13,7 +13,7 @@ suite and every other test of this directory — is among them is enforced
 by ``conftest.py``, and the last test here shows that guard firing.
 """
 
-from repro.analysis import CATALOG, all_codes, lint_workflow
+from repro.analysis import CATALOG, Linter, all_codes
 from repro.analysis.optimize import PASS_NAMES
 from repro.analysis.rules import CHECKERS
 from repro.config.examples import BLAST_WORKFLOW_XML
@@ -96,7 +96,7 @@ def test_a_checker_yielding_an_undeclared_code_fails():
     undeclared: list = []
     CHECKERS.append(declared_only(sneaky, undeclared))
     try:
-        lint_workflow(BLAST_WORKFLOW_XML)
+        Linter().lint(BLAST_WORKFLOW_XML)
     finally:
         CHECKERS.pop()
     assert undeclared == ["sneaky yielded PAP083, declares ('PAP084',)"]

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.analysis import CATALOG
-from repro.analysis.explain import EXPLAIN_SCHEMA_VERSION, explain_workflow
+from repro.analysis.engine import Linter
+from repro.analysis.explain import EXPLAIN_SCHEMA_VERSION, explain
 from repro.cli import main
 
 DEAD_COLUMN_WORKFLOW = """<workflow id="t">
@@ -98,11 +99,11 @@ class TestExplainCommand:
 
     def test_dead_operator_and_unused_column_reported(self):
         """Acceptance: injected dead op + unread columns both surface."""
-        report = explain_workflow(
+        report = explain(
+            Linter(assume_records=1000),
             DEAD_COLUMN_WORKFLOW,
             filename="t.xml",
             inputs=[(BLAST_DB, "blast_db.xml")],
-            assume_records=1000,
         )
         codes = {d.code for d in report.advisories}
         assert "PAP080" in codes

@@ -13,7 +13,8 @@ import pytest
 
 from repro import PaPar
 from repro.analysis.cost import estimate_input_rows, sample_group_ratio
-from repro.analysis.explain import explain_files
+from repro.analysis.engine import Linter, read_configs
+from repro.analysis.explain import explain
 from repro.formats.binary import write_binary
 from repro.formats.records import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA
 from repro.formats.text import write_text
@@ -92,9 +93,8 @@ class TestAccuracyContract:
         papar.register_input_file(str(configs / "blast_db.xml"))
         measured = self._measured_bytes(papar, configs / "blast_partition.xml", args)
 
-        report = explain_files(
-            str(configs / "blast_partition.xml"),
-            [str(configs / "blast_db.xml")],
+        report = explain(
+            Linter(), **read_configs(str(configs / "blast_partition.xml"), [str(configs / "blast_db.xml")]),
             args={k: str(v) for k, v in args.items()},
         )
         assert all(e["measured"] for e in report.exchanges)
@@ -115,9 +115,8 @@ class TestAccuracyContract:
         papar.register_input_file(str(configs / "graph_edge.xml"))
         measured = self._measured_bytes(papar, configs / "hybrid_cut.xml", args)
 
-        report = explain_files(
-            str(configs / "hybrid_cut.xml"),
-            [str(configs / "graph_edge.xml")],
+        report = explain(
+            Linter(), **read_configs(str(configs / "hybrid_cut.xml"), [str(configs / "graph_edge.xml")]),
             args={k: str(v) for k, v in args.items()},
         )
         estimated = sum(e["est_bytes"] for e in report.exchanges)
@@ -127,9 +126,8 @@ class TestAccuracyContract:
     def test_pruning_estimate_scales_with_rows(self, tmp_path, configs):
         idx = tmp_path / "db.index"
         make_blast_file(idx, 1000)
-        report = explain_files(
-            str(configs / "blast_partition.xml"),
-            [str(configs / "blast_db.xml")],
+        report = explain(
+            Linter(), **read_configs(str(configs / "blast_partition.xml"), [str(configs / "blast_db.xml")]),
             args={"input_path": str(idx)},
         )
         # blast: 3 of 4 integer columns unused; one intermediate exchange

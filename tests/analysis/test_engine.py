@@ -10,7 +10,6 @@ from repro.analysis import (
     Linter,
     Severity,
     all_codes,
-    lint_workflow,
     parse_located,
     synthesize_arguments,
 )
@@ -65,16 +64,33 @@ class TestSynthesizeArguments:
 
 class TestLintResult:
     def test_collects_everything_in_one_pass(self):
-        result = lint_workflow(BROKEN_WORKFLOW, filename="t.xml")
+        result = Linter().lint(BROKEN_WORKFLOW, filename="t.xml")
         assert {"PAP004", "PAP010"} <= set(result.codes())
 
+    def test_a_duplicate_keeps_its_first_declaration(self):
+        """The model is the spec: a duplicated argument or ``<param>`` is
+        PAP003, and the rules see only the first declaration (the second
+        one's undefined reference is not reported)."""
+        xml = BLAST_WORKFLOW_XML.replace(
+            '<param name="key" type="KeyId" value="seq_size"/>',
+            '<param name="key" type="KeyId" value="seq_size"/>'
+            '<param name="key" value="$nope"/>',
+        ).replace('<param name="num_partitions" type="integer"/>',
+                  '<param name="num_partitions" type="integer"/>'
+                  '<param name="num_partitions" value="$zzz"/>')
+        ctx, result = Linter().analyze(xml, filename="t.xml")
+        assert sorted(d.code for d in result.errors) == ["PAP003", "PAP003"]
+        assert ctx.model.operator("sort").param_value("key") == "seq_size"
+        assert ctx.model.arguments["num_partitions"].type == "integer"
+        assert ctx.plan is None  # a spec with structural errors is not planned
+
     def test_exit_codes(self):
-        clean = lint_workflow(
+        clean = Linter().lint(
             BLAST_WORKFLOW_XML, filename="w", inputs=[(BLAST_INPUT_XML, None)]
         )
         assert clean.exit_code() == 0
         assert clean.exit_code(strict=False) == 0
-        broken = lint_workflow(BROKEN_WORKFLOW, filename="t.xml")
+        broken = Linter().lint(BROKEN_WORKFLOW, filename="t.xml")
         assert broken.exit_code() == 1
 
     def test_strict_promotes_warnings(self):
@@ -90,18 +106,18 @@ class TestLintResult:
     </operator>
   </operators>
 </workflow>"""
-        result = lint_workflow(xml, filename="t.xml", do_plan=False)
+        result = Linter().lint(xml, filename="t.xml", do_plan=False)
         assert not result.errors and result.warnings
         assert result.exit_code() == 0
         assert result.exit_code(strict=True) == 1
 
     def test_diagnostics_sorted_by_location(self):
-        result = lint_workflow(BROKEN_WORKFLOW, filename="t.xml")
+        result = Linter().lint(BROKEN_WORKFLOW, filename="t.xml")
         lines = [d.line for d in result.diagnostics if d.line is not None]
         assert lines == sorted(lines)
 
     def test_render_text_has_file_line_and_fix(self):
-        result = lint_workflow(BROKEN_WORKFLOW, filename="t.xml")
+        result = Linter().lint(BROKEN_WORKFLOW, filename="t.xml")
         text = result.render_text()
         assert "t.xml:6: error PAP004" in text
         assert "fix:" in text
@@ -112,7 +128,7 @@ class TestJSONContract:
     """The machine-readable output is a stable interface."""
 
     def test_envelope(self):
-        result = lint_workflow(BROKEN_WORKFLOW, filename="t.xml")
+        result = Linter().lint(BROKEN_WORKFLOW, filename="t.xml")
         payload = json.loads(result.render_json())
         assert payload["version"] == 1
         assert payload["tool"] == "papar-lint"
@@ -121,7 +137,7 @@ class TestJSONContract:
         assert payload["summary"]["errors"] == len(result.errors)
 
     def test_diagnostic_shape(self):
-        result = lint_workflow(BROKEN_WORKFLOW, filename="t.xml")
+        result = Linter().lint(BROKEN_WORKFLOW, filename="t.xml")
         payload = json.loads(result.render_json())
         assert payload["diagnostics"], "expected findings"
         for entry in payload["diagnostics"]:
@@ -157,7 +173,7 @@ class TestInternalErrorGuard:
 
         CHECKERS.append(exploding_checker)
         try:
-            result = lint_workflow(BROKEN_WORKFLOW, filename="t.xml")
+            result = Linter().lint(BROKEN_WORKFLOW, filename="t.xml")
         finally:
             CHECKERS.remove(exploding_checker)
         crash = [d for d in result.diagnostics if d.code == "PAP099"]

@@ -9,7 +9,7 @@ codes with bad/good pairs.
 import numpy as np
 import pytest
 
-from repro.analysis import CATALOG, Severity, lint_workflow
+from repro.analysis import CATALOG, Linter, Severity
 from repro.config import EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.policies.distr import DistributionPolicy, _POLICIES, register_policy
@@ -49,8 +49,8 @@ TEXT_DB = """\
 """
 
 
-def run_lint(xml, inputs=(), **kw):
-    result = lint_workflow(xml, filename="t.xml", inputs=inputs, **kw)
+def run_lint(xml, inputs=(), do_plan=True, **kw):
+    result = Linter(**kw).lint(xml, filename="t.xml", inputs=inputs, do_plan=do_plan)
     # a golden config exercises one rule; it must not crash any other
     crashes = [d.message for d in result.diagnostics if d.code == "PAP099"]
     assert not crashes, crashes

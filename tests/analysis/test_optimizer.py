@@ -13,12 +13,9 @@ import json
 
 import pytest
 
-from repro.analysis import lint_workflow
-from repro.analysis.optimize import (
-    OPTIMIZE_SCHEMA_VERSION,
-    PASS_NAMES,
-    optimize_workflow,
-)
+from repro.analysis import Linter
+from repro.analysis.optimize import OPTIMIZE_SCHEMA_VERSION, PASS_NAMES
+from repro.analysis.optimize import optimize as optimize_report
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.config.serialize import workflow_to_xml
@@ -31,7 +28,7 @@ ARGS = {"input_path": "/in", "output_path": "/out"}
 
 def optimize(xml, args=ARGS, inputs=BLAST_INPUTS, **kw):
     kw.setdefault("assume_records", 1000)
-    return optimize_workflow(xml, filename="t.xml", inputs=inputs, args=args, **kw)
+    return optimize_report(Linter(**kw), xml, filename="t.xml", inputs=inputs, args=args)
 
 
 def wf(operators, args_xml=None):
@@ -109,8 +106,8 @@ def test_pap081_same_key_sort_sort_collapses():
 def test_pap083_is_an_advisory_not_a_pass():
     """Shipped BLAST reads one of its four columns: lint says so, and the
     optimizer leaves the (structurally minimal) plan alone."""
-    lint = lint_workflow(BLAST_WORKFLOW_XML, inputs=BLAST_INPUTS, args=ARGS,
-                         assume_records=1000)
+    lint = Linter(assume_records=1000).lint(BLAST_WORKFLOW_XML, inputs=BLAST_INPUTS,
+                                            args=ARGS)
     assert "PAP083" in lint.codes()
     assert "PAP083" not in PASS_NAMES
     report = optimize(BLAST_WORKFLOW_XML)
@@ -188,7 +185,7 @@ def test_pap081_group_sort_reads_the_direction_the_planner_reads(extra):
     spec = parse_workflow_config(xml)
     ascending = Planner().plan(spec, ARGS).job("sort").operator.ascending
     assert ascending is ("flag" not in extra or 'value="-1"' in extra)
-    lint = lint_workflow(xml, inputs=BLAST_INPUTS, args=ARGS, assume_records=1000)
+    lint = Linter(assume_records=1000).lint(xml, inputs=BLAST_INPUTS, args=ARGS)
     assert ("PAP081" in lint.codes()) is ascending
     report = optimize(xml)
     assert ([r.code for r in report.plan.rewrites] == ["PAP081"]) is ascending

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Linter, lint_workflow
+from repro.analysis import Linter, read_configs
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 
@@ -27,9 +27,7 @@ def _render(result):
 
 @pytest.mark.parametrize("workflow,inputs", sorted(SHIPPED.items()))
 def test_shipped_config_files_lint_clean(workflow, inputs):
-    result = Linter().lint_paths(
-        str(REPO / workflow), [str(REPO / p) for p in inputs]
-    )
+    result = Linter().lint(**read_configs(REPO / workflow, [REPO / p for p in inputs]))
     assert not result.errors, _render(result)
     assert not result.warnings, _render(result)
 
@@ -49,9 +47,7 @@ def test_all_shipped_workflows_are_covered():
     ],
 )
 def test_example_workflow_constants_lint_clean(name, workflow, input_xml):
-    result = lint_workflow(
-        workflow, filename=f"<{name}>", inputs=[(input_xml, None)]
-    )
+    result = Linter().lint(workflow, filename=f"<{name}>", inputs=[(input_xml, None)])
     assert not result.errors, _render(result)
     assert not result.warnings, _render(result)
 
@@ -64,7 +60,7 @@ def test_quickstart_example_lints_clean():
         import quickstart
     finally:
         sys.path.pop(0)
-    result = lint_workflow(
+    result = Linter().lint(
         quickstart.WORKFLOW_XML,
         filename="examples/quickstart.py",
         inputs=[(quickstart.INPUT_XML, None)],

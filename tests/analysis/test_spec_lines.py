@@ -13,7 +13,8 @@ import pytest
 
 from repro import PaPar
 from repro.analysis import Linter
-from repro.analysis.optimize import optimize_files
+from repro.analysis.engine import read_configs
+from repro.analysis.optimize import optimize
 
 CONFIGS = Path(__file__).resolve().parents[2] / "configs"
 
@@ -36,7 +37,7 @@ def pap020_lines(result):
 
 
 def test_the_file_lint_points_at_the_key(shifted):
-    result = Linter().lint_paths(shifted, [str(CONFIGS / "blast_db.xml")])
+    result = Linter().lint(**read_configs(shifted, [CONFIGS / "blast_db.xml"]))
     assert pap020_lines(result) == [14]
 
 
@@ -49,7 +50,7 @@ def test_linting_the_parsed_spec_points_at_the_same_line(shifted):
 
 
 def test_the_optimized_plan_keeps_the_file_lines(shifted):
-    report = optimize_files(shifted, [str(CONFIGS / "blast_db.xml")])
+    report = optimize(Linter(), **read_configs(shifted, [CONFIGS / "blast_db.xml"]))
     doc = json.loads(report.render_json())
     assert [op["line"] for op in doc["after"]["operators"]] == [11, 16]
     assert [op["line"] for op in doc["before"]["operators"]] == [11, 16]

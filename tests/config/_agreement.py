@@ -6,7 +6,7 @@ reports a structural error (``PAP001``-``PAP003``), with the message and
 location of the first one in document order — and parse everything else.
 """
 
-from repro.analysis import lint_workflow
+from repro.analysis import Linter
 from repro.analysis.locate import format_location
 from repro.config import parse_workflow_config
 from repro.errors import ConfigError
@@ -19,7 +19,7 @@ def assert_parser_agrees(xml, filename=None, result=None):
     """Check the parser against ``result`` (a lint of ``xml``; linted here
     when not given)."""
     if result is None:
-        result = lint_workflow(xml, filename=filename, do_plan=False)
+        result = Linter().lint(xml, filename=filename, do_plan=False)
     structural = [d for d in result.diagnostics if d.code in STRUCTURAL]
     try:
         spec = parse_workflow_config(xml, filename=filename)

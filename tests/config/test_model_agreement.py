@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_workflow
+from repro.analysis import Linter
 from repro.analysis.locate import read_config
 from repro.config import parse_workflow_config
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
@@ -78,7 +78,7 @@ class TestChangedMessages:
             "operator 's' declares parameter 'key' twice [w.xml:5]"
         )
         # the lint reports the same finding as PAP003
-        result = lint_workflow(WORKFLOW.format(body=body), filename="w.xml")
+        result = Linter().lint(WORKFLOW.format(body=body), filename="w.xml")
         assert [d.code for d in result.errors] == ["PAP003"]
 
     def test_first_error_in_document_order_wins(self):

@@ -71,6 +71,30 @@ class TestOptimizeCommand:
         assert doc["summary"]["changed"] is False
         assert doc["summary"]["rewrites"] == []
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_broken_config_is_reported_like_lint_and_explain(self, tmp_path, capsys, fmt):
+        """A duplicated ``<param>``: every analysis verb prints its own
+        document and exits 1; optimize rewrites nothing."""
+        text = Path(WORKFLOW).read_text().replace(
+            '<param name="key"', '<param name="key" type="KeyId" value="seq_size"/>\n'
+            '      <param name="key"', 1)
+        workflow = tmp_path / "dup.xml"
+        workflow.write_text(text)
+        argv = [str(workflow), "--input", INPUT_CFG, "--format", fmt]
+        outputs = {}
+        for verb in ("lint", "explain", "optimize"):
+            assert main([verb, *argv]) == 1
+            outputs[verb] = capsys.readouterr().out
+        assert "declares parameter 'key' twice" in outputs["lint"]
+        if fmt == "text":
+            assert outputs["optimize"].startswith("optimize workflow 'blast_partition'")
+            assert "0 rewrite(s) applied" in outputs["optimize"]
+            return
+        doc = json.loads(outputs["optimize"])
+        assert doc["summary"]["rewrites"] == []
+        assert doc["before"] == doc["after"] == json.loads(outputs["explain"])
+        assert doc["before"]["summary"]["errors"] == 1
+
     def test_memory_budget_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(optimize_args(["--memory-budget", "64MB"]))

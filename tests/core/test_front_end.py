@@ -1,5 +1,6 @@
 """One front end: ``plan``/``codegen``/``run``/``serve`` read each config
-file once, parse it once, plan once, and execute the plan the gate checked.
+file once, parse it once, plan once, and execute the plan the gate checked;
+``lint``/``explain``/``optimize`` read, parse and plan once too.
 """
 
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro.analysis.locate as locate
+import repro.analysis.optimize  # noqa: F401  (loads the analysis verbs before ``calls`` patches)
 from repro.blast import generate_index
 from repro.cli import main
 from repro.core.planner import Planner
@@ -90,6 +92,14 @@ def test_optimize_plans_only_the_rewritten_workflow_more(blast, calls, command, 
     shrink, and the plan of the (unchanged) rewritten spec."""
     assert main([command, *blast, "--optimize"]) == 0
     assert calls == {"read_config": 2, "parse_located": 2, "plan": 3}
+
+
+@pytest.mark.parametrize("verb", ["lint", "explain", "optimize"])
+def test_analysis_verbs_read_parse_and_plan_once(calls, verb, capsys):
+    """``optimize`` reuses its one analysis of a workflow it cannot shrink
+    as the report's before and after."""
+    assert main([verb, WORKFLOW, "--input", INPUT]) == 0
+    assert calls == ONCE
 
 
 def _typo(tmp_path):
