@@ -1,20 +1,22 @@
 #!/usr/bin/env python
-"""Building, explaining, and cost-predicting workflows without XML.
+"""Building and explaining workflows without XML.
 
 Shows the programmatic side of the framework: construct the hybrid-cut
 workflow with :class:`~repro.config.builder.WorkflowBuilder`, render the
-planned dataflow as Graphviz DOT, predict its cost on the paper's testbed
-before running, then run it and compare prediction to measurement.
+planned dataflow as Graphviz DOT, print the ``papar explain`` report
+(schemas, live columns, estimated exchange payload) before running, then
+run it on the paper's testbed model.
 
 Run:  python examples/workflow_builder.py
 """
 
 from repro import PaPar
+from repro.analysis import Linter
+from repro.analysis.explain import explain, plan_to_dot
 from repro.cluster import ClusterModel, INFINIBAND_QDR
 from repro.config import EDGE_INPUT_XML
 from repro.config.builder import WorkflowBuilder
 from repro.config.serialize import workflow_to_xml
-from repro.core.explain import estimate_plan_cost, plan_to_dot
 from repro.graph import generate_powerlaw
 
 NUM_PARTITIONS = 8
@@ -50,24 +52,21 @@ def main() -> None:
             "num_partitions": NUM_PARTITIONS, "threshold": 20}
     plan = papar.plan(wf, args)
 
-    # -- explain: dataflow + predicted cost ------------------------------------
+    # -- explain: dataflow + the analyzed plan --------------------------------
     print("\nplanned dataflow (Graphviz DOT):")
     print(plan_to_dot(plan))
 
     g = generate_powerlaw(20_000, 200_000, alpha=2.3, seed=2)
-    cluster = ClusterModel(num_nodes=4, ranks_per_node=2, network=INFINIBAND_QDR)
-    est = estimate_plan_cost(plan, num_records=g.num_edges, record_bytes=16,
-                             cluster=cluster)
-    print("predicted cost on 4 nodes:")
-    print(est.breakdown())
+    linter = Linter(schemas={"graph_edge": papar.schema("graph_edge")},
+                    assume_records=g.num_edges)
+    print(explain(linter, wf, args=args).render_text())
 
-    # -- run it and compare -----------------------------------------------------
+    # -- run it -------------------------------------------------------------------
+    cluster = ClusterModel(num_nodes=4, ranks_per_node=2, network=INFINIBAND_QDR)
     result = papar.run(plan, data=g.to_dataset(), backend="mpi",
                        num_ranks=cluster.size, cluster=cluster)
-    print(f"\nmeasured virtual time: {result.elapsed:.6f}s "
-          f"(predicted {est.total_s:.6f}s)")
+    print(f"\nvirtual time on 4 nodes: {result.elapsed:.6f}s")
     print(f"partitions: {[p.num_records for p in result.partitions]}")
-
 
 if __name__ == "__main__":
     main()

@@ -37,7 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.analysis.engine": ("Linter", "read_configs", "synthesize_arguments"),
     "repro.analysis.rules": ("CATALOG", "RuleSpec", "all_codes"),
     "repro.analysis.locate": ("LocatingXMLParser", "parse_located"),
-    "repro.analysis.ir": ("PlanIR", "IRNode", "IREdge", "build_ir", "workflow_ir"),
+    "repro.analysis.ir": ("PlanIR", "IRNode", "build_ir", "workflow_ir"),
     "repro.analysis.dataflow": (
         "run_dataflow", "SchemaAnalysis", "LivenessAnalysis", "CardinalityAnalysis",
     ),

@@ -10,17 +10,21 @@ the PAP08x advisories that fall out of the same numbers.
 Output is text (terminal report) or versioned JSON (schema
 ``papar.explain`` v1, pinned by a contract test) so other tooling can
 consume the cost model without scraping the terminal rendering.
+:func:`plan_to_dot` draws a planned workflow's edges as Graphviz DOT.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.analysis.diagnostics import LintResult
 from repro.analysis.engine import Linter
 from repro.config.workflow import WorkflowSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.planner import WorkflowPlan
 
 #: JSON contract version of the explain report
 EXPLAIN_SCHEMA_VERSION = 1
@@ -215,3 +219,30 @@ def explain(
 ) -> ExplainReport:
     """Analyze one workflow (XML text or a spec) and build its explain report."""
     return build_report(*linter.analyze(workflow, filename=filename, inputs=inputs, args=args))
+
+
+def _dot_escape(text: str) -> str:
+    """``text`` escaped for use inside a double-quoted DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def plan_to_dot(plan: "WorkflowPlan") -> str:
+    """Graphviz DOT text of the planned dataflow: one edge per output a job
+    reads, labelled with the slot when its producer has several."""
+    lines = [f'digraph "{_dot_escape(plan.workflow_id)}" {{', "  rankdir=LR;",
+             "  input [shape=oval];"]
+    for job in plan.jobs:
+        node = f'"{_dot_escape(job.op_id)}"'
+        # \n is DOT's line break inside a label, added after the escaping
+        label = f"{_dot_escape(job.op_id)}\\n({_dot_escape(job.operator_name)})"
+        lines.append(f'  {node} [shape=box, label="{label}"];')
+        if job.source is None:
+            lines.append(f'  "input" -> {node};')
+            continue
+        many = len(plan.job(job.source).output_paths) > 1
+        for k in job.source_outputs:
+            slot = f" [label={k}]" if many else ""
+            lines.append(f'  "{_dot_escape(job.source)}" -> {node}{slot};')
+    lines += ["  partitions [shape=oval];",
+              f'  "{_dot_escape(plan.final_job.op_id)}" -> partitions;', "}"]
+    return "\n".join(lines) + "\n"

@@ -5,8 +5,8 @@ own call to ``resolve_dataflow``.  This module is that resolution promoted
 to a first-class intermediate representation: one :func:`build_ir` pass
 turns a tolerantly built :class:`~repro.config.workflow.WorkflowSpec` into a
 :class:`PlanIR` — operator nodes with resolved-as-far-as-possible
-parameters, explicit dataflow edges recovered from the ``$ref`` path
-wiring (including the directory-prefix consumption the planner supports),
+parameters, explicit dataflow edges decided by the planner's own wiring
+function (:func:`repro.config.workflow.wire`) over the symbolic paths,
 exchange annotations describing which operators shuffle data between
 ranks, and the source locations :mod:`repro.analysis.locate` collected.
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.model import SymbolicEnv
-from repro.config.workflow import OperatorSpec, WorkflowSpec
+from repro.config.workflow import Edge, JobIO, OperatorSpec, WorkflowSpec, wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.model import LintContext
@@ -37,24 +37,6 @@ EXCHANGE_KINDS: dict[str, str] = {
     "group": "range",
     "distribute": "position",
 }
-
-
-@dataclass(frozen=True)
-class IREdge:
-    """One dataflow edge: a producer output consumed by a later node.
-
-    ``src is None`` marks the workflow-input pseudo-source (the first job,
-    or any job whose input path no earlier output produces).
-    """
-
-    #: producing operator id, or None for the workflow input
-    src: Optional[str]
-    #: output slot on the producer (splits have one slot per condition)
-    src_output: int
-    #: consuming operator id
-    dst: str
-    #: the resolved path text the edge was recovered from
-    path: str
 
 
 @dataclass
@@ -75,14 +57,14 @@ class IRNode:
     params_resolved: dict[str, bool] = field(default_factory=dict)
     #: resolved input path (None when the operator declares none)
     input: Optional[str] = None
-    input_resolved: bool = True
     input_line: Optional[int] = None
     #: resolved output path(s); splits have one per condition
     outputs: list[str] = field(default_factory=list)
-    outputs_resolved: bool = True
     output_line: Optional[int] = None
     #: exchange annotation ("range" / "position" / None), see EXCHANGE_KINDS
     exchange: Optional[str] = None
+    #: why the input cannot be wired (see :func:`~repro.config.workflow.wire`)
+    wiring_error: Optional[str] = None
 
     @property
     def line(self) -> Optional[int]:
@@ -108,7 +90,7 @@ class PlanIR:
 
     workflow_id: str
     nodes: list[IRNode]
-    edges: list[IREdge]
+    edges: list[Edge]
     #: the symbolic environment after walking every operator
     env: SymbolicEnv
 
@@ -124,11 +106,11 @@ class PlanIR:
         """The last node (the workflow product), when the plan is non-empty."""
         return self.nodes[-1] if self.nodes else None
 
-    def in_edges(self, op_id: str) -> list[IREdge]:
+    def in_edges(self, op_id: str) -> list[Edge]:
         """Edges feeding ``op_id`` (empty = reads the workflow input)."""
         return [e for e in self.edges if e.dst == op_id]
 
-    def out_edges(self, op_id: str) -> list[IREdge]:
+    def out_edges(self, op_id: str) -> list[Edge]:
         """Edges consuming outputs of ``op_id``."""
         return [e for e in self.edges if e.src == op_id]
 
@@ -166,68 +148,6 @@ class PlanIR:
         return [n for n in self.nodes if n.exchange is not None]
 
 
-def _resolve_node_io(node: IRNode, env: SymbolicEnv) -> None:
-    """Fill the node's resolved input/output paths, mirroring the planner."""
-    op = node.op
-    in_param = op.param("inputPath", "input", "inputPathList")
-    if in_param is not None:
-        node.input, node.input_resolved = env.resolve(in_param.value)
-        node.input_line = in_param.line
-    if node.kind == "split":
-        out_param = op.param("outputPathList")
-        if out_param is not None and out_param.value:
-            resolved, ok = env.resolve(out_param.value)
-            node.outputs = [
-                p.strip() for p in (resolved or "").split(",") if p.strip()
-            ]
-            node.outputs_resolved = ok
-            node.output_line = out_param.line
-    else:
-        out_param = op.param("outputPath", "ouputPath")
-        if out_param is not None and out_param.value is not None:
-            resolved, ok = env.resolve(out_param.value)
-            node.outputs = [resolved or ""]
-            node.outputs_resolved = ok
-            node.output_line = out_param.line
-        else:
-            # the planner's default output path
-            node.outputs = [f"/tmp/{op.id}"]
-
-
-def _wire_edges(nodes: list[IRNode]) -> list[IREdge]:
-    """Recover dataflow edges from the resolved paths.
-
-    A node's input consumes an earlier output when the paths match exactly
-    or the input is a directory prefix of the output (the hybrid-cut
-    ``/tmp/split/`` pattern, where one distribute drains every split
-    output).  Unmatched inputs read the workflow input.
-    """
-    edges: list[IREdge] = []
-    for i, node in enumerate(nodes):
-        if node.input is None:
-            if i == 0:
-                edges.append(IREdge(None, 0, node.op_id, ""))
-            elif nodes[i - 1].outputs:
-                # the serial runtime chains from the previous job when an
-                # operator declares no input; mirror that implicit edge
-                edges.append(
-                    IREdge(nodes[i - 1].op_id, 0, node.op_id, nodes[i - 1].outputs[0])
-                )
-            continue
-        path = node.input
-        matched = False
-        for j in range(i):
-            for k, out in enumerate(nodes[j].outputs):
-                if not out:
-                    continue
-                if out == path or out.startswith(path.rstrip("/") + "/"):
-                    edges.append(IREdge(nodes[j].op_id, k, node.op_id, out))
-                    matched = True
-        if not matched:
-            edges.append(IREdge(None, 0, node.op_id, path))
-    return edges
-
-
 def build_ir(ctx: "LintContext") -> Optional[PlanIR]:
     """One resolution pass: model -> nodes + env + edges + annotations.
 
@@ -246,6 +166,7 @@ def build_ir(ctx: "LintContext") -> Optional[PlanIR]:
             env.bind(arg.name, env.resolve(arg.value)[0] or "")
 
     nodes: list[IRNode] = []
+    wired: list[JobIO] = []
     for i, op in enumerate(model.operators):
         node = IRNode(
             op_id=op.id,
@@ -256,7 +177,13 @@ def build_ir(ctx: "LintContext") -> Optional[PlanIR]:
         )
         for p in op.params.values():
             node.params[p.name], node.params_resolved[p.name] = env.resolve(p.value)
-        _resolve_node_io(node, env)
+        io = wire(op, node.params, wired)
+        wired.append(io)
+        node.input, node.outputs, node.wiring_error = io.input, io.outputs, io.error
+        if io.input_param is not None:
+            node.input_line = op.params[io.input_param].line
+        if io.output_param is not None:
+            node.output_line = op.params[io.output_param].line
         if node.outputs:
             env.bind(f"{op.id}.outputPath", node.outputs[0])
             if len(node.outputs) > 1:
@@ -269,7 +196,7 @@ def build_ir(ctx: "LintContext") -> Optional[PlanIR]:
     return PlanIR(
         workflow_id=model.id,
         nodes=nodes,
-        edges=_wire_edges(nodes),
+        edges=[edge for io in wired for edge in io.edges],
         env=env,
     )
 

@@ -21,9 +21,8 @@ Passes (see ``docs/optimizer.md`` for the safety arguments):
     byte order (stable-sort tie order is the subtle part; several
     advisory-flagged shapes are *refused* here, with reasons).
 
-A ``distribute -> distribute`` chain is never rewritten: Distribute deals
-each input stream on its own, so the chain is not one distribute (see
-``docs/optimizer.md``).
+No job reads a Distribute's output (the wiring error PAP037), so no pass
+ever sees a distribute feeding another exchange.
 
 Every pass that declines to fire records a :class:`RefusedRewrite` with
 the reason, so ``papar optimize`` teaches as much when it does nothing
@@ -48,7 +47,7 @@ from repro.analysis.rules.advisory import (
     _same_key,
     _sort_direction,
 )
-from repro.config.workflow import WorkflowSpec
+from repro.config.workflow import INPUT_PARAMS, WorkflowSpec
 
 #: JSON contract version of the optimize report
 OPTIMIZE_SCHEMA_VERSION = 2
@@ -58,9 +57,6 @@ PASS_NAMES = {
     "PAP080": "dead-operator-elimination",
     "PAP081": "redundant-exchange-elimination",
 }
-
-#: parameter names the planner accepts as an operator's input binding
-_INPUT_PARAM_NAMES = ("inputPath", "input", "inputPathList")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ def _foreign_refs(
 
 
 def _input_param_name(op) -> Optional[str]:
-    for name in _INPUT_PARAM_NAMES:
+    for name in INPUT_PARAMS:
         if name in op.params:
             return name
     return None
@@ -279,7 +275,7 @@ def _drop_first(
         refuse(code, site, f"{second.op_id!r} consumes inputs besides "
                            f"{first.op_id!r}'s output; cannot re-point it")
         return None
-    allowed = {(second.op_id, name) for name in _INPUT_PARAM_NAMES}
+    allowed = {(second.op_id, name) for name in INPUT_PARAMS}
     hits = _foreign_refs(spec, first.op_id, allowed)
     if hits:
         refuse(code, site, f"other slots still reference ${first.op_id} "
@@ -289,7 +285,7 @@ def _drop_first(
     f_op = new.operator(first.op_id)
     s_op = new.operator(second.op_id)
     f_input = _input_param_name(f_op)
-    for name in _INPUT_PARAM_NAMES:
+    for name in INPUT_PARAMS:
         s_op.params.pop(name, None)
     if f_input is not None:
         s_op.params[f_input] = f_op.params[f_input]
@@ -476,12 +472,6 @@ def _pass_redundant(spec: WorkflowSpec, ctx, refuse, blocked):
             if new is None:
                 continue
             removed, kept = second, first
-        elif first.kind == "distribute" and second.kind in ("sort", "group"):
-            refuse("PAP081", site, "the advisory is right that the position "
-                   f"permutation is destroyed, but the {second.kind}'s tie/"
-                   "within-group order depends on it; dropping the distribute "
-                   "would reorder equal-key rows")
-            continue
         else:
             continue
         rewrite = AppliedRewrite(

@@ -228,6 +228,15 @@ CATALOG: dict[str, RuleSpec] = {
               "zero, negative, or non-integer values cannot run.",
               "<param name=\"numPartitions\" value=\"0\"/>",
               "<param name=\"numPartitions\" value=\"4\"/>"),
+        _spec("PAP037", "unwirable-input", Severity.ERROR,
+              "a job input that matches outputs of two jobs, or a Distribute's partitions",
+              "A job reads every earlier output its inputPath names exactly "
+              "or as a directory. A path naming outputs of two jobs is "
+              "ambiguous, and a Distribute's output is the workflow's "
+              "product: no later job can consume its partitions.",
+              "<param name=\"inputPath\" value=\"$distr.outputPath\"/>",
+              "read the records the distribute read, or make the "
+              "distribute the last operator"),
         # -- resolved-plan checks (PAP04x) ----------------------------------
         _spec("PAP040", "plan-failure", Severity.ERROR,
               "the planner rejects the workflow for a reason no other rule caught",
@@ -342,16 +351,16 @@ CATALOG: dict[str, RuleSpec] = {
               "adjacent exchanges where the first shuffle's effect is discarded",
               "Sort and group redistribute records by key range; a second "
               "range exchange immediately after (sort->sort, sort->group, "
-              "or a distribute feeding either) re-shuffles everything, "
+              "group->sort) re-shuffles everything, "
               "discarding the first exchange's layout. One exchange "
               "suffices. (sort->distribute is NOT flagged: distribute's "
               "position permutation preserves the sorted order — the "
               "paper's canonical pipeline.) The "
               "redundant-exchange-elimination pass applies the safe subset "
               "of these: same-key shapes where the surviving exchange "
-              "reproduces the exact byte order; different-key and "
-              "distribute-fed shapes are refused because stable-sort tie "
-              "order depends on the dropped stage.",
+              "reproduces the exact byte order; different-key shapes are "
+              "refused because stable-sort tie order depends on the "
+              "dropped stage.",
               "a Sort stage feeding another Sort on the same key",
               "applied rewrite (redundant-exchange-elimination): "
               "sort->sort on one key collapses to the second sort alone — "

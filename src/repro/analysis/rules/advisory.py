@@ -138,15 +138,9 @@ def check_redundant_exchanges(ctx: LintContext) -> Iterator[Diagnostic]:
                 "group output is already range-partitioned and ordered by "
                 "that key; the ascending sort re-shuffles it for nothing"
             )
-        elif first.kind == "distribute" and second.kind in ("sort", "group"):
-            redundant = (
-                "the position permutation is immediately destroyed by the "
-                f"{second.kind} stage's range exchange"
-            )
         # NOT flagged: sort -> distribute (the paper's canonical pipeline:
-        # the position permutation preserves sorted order), and
-        # distribute -> distribute (the second stage re-deals each upstream
-        # partition per stream, so the first stage's layout survives).
+        # the position permutation preserves sorted order); nothing reads a
+        # distribute's output (PAP037)
         if redundant:
             yield ctx.diag(
                 "PAP081",

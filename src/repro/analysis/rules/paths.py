@@ -4,7 +4,8 @@ Operators communicate through paths: a job's ``inputPath`` either names an
 earlier job's output (directly or as a directory prefix) or the workflow
 input.  The plan-IR records that wiring as explicit edges; these rules
 read the edges and flag outputs nobody reads, paths written twice,
-directory reads with zero producers, and malformed policy strings.
+directory reads with zero producers, inputs that cannot be wired, and
+malformed policy strings.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ def _is_symbolic(text: str) -> bool:
     return bool(_REF_RE.search(text))
 
 
-@checker("PAP030", "PAP031", "PAP032")
+@checker("PAP030", "PAP031", "PAP032", "PAP037")
 def check_path_wiring(ctx: LintContext) -> Iterator[Diagnostic]:
-    """PAP030 dead outputs, PAP031 collisions, PAP032 orphan dir inputs."""
+    """PAP030 dead outputs, PAP031 collisions, PAP032 orphan dir inputs,
+    PAP037 inputs that cannot be wired."""
     if ctx.model is None or not ctx.model.operators:
         return
     ir = ctx.ir()
@@ -67,6 +69,17 @@ def check_path_wiring(ctx: LintContext) -> Iterator[Diagnostic]:
                 line=node.input_line or node.line,
                 suggestion="point inputPath at an earlier operator's output "
                 "(e.g. $previous.outputPath)",
+            )
+
+    # -- inputs the wiring rejects ------------------------------------------
+    for node in ir.nodes:
+        if node.wiring_error is not None:
+            yield ctx.diag(
+                "PAP037",
+                node.wiring_error,
+                line=node.input_line or node.line,
+                suggestion="point inputPath at one earlier operator's output "
+                "that is not a Distribute's",
             )
 
     # -- dead outputs ------------------------------------------------------
@@ -123,7 +136,7 @@ def check_split_shape(ctx: LintContext) -> Iterator[Diagnostic]:
             policy is not None
             and paths_param is not None
             and paths_param.value is not None
-            and node.outputs_resolved
+            and node.params_resolved[paths_param.name]
         ):
             n_paths = len(node.outputs)
             if n_paths != policy.num_outputs:

@@ -413,7 +413,8 @@ def cmd_plan(ns: argparse.Namespace) -> int:
         for r in optimized.rewrites:
             print(f"  {r.code} {r.pass_name}: removed "
                   f"{', '.join(repr(x) for x in r.removed)} ({r.site})")
-        plan = papar.plan(optimized.workflow, args)
+        if optimized.changed:
+            plan = papar.plan(optimized.workflow, args)
     print(f"workflow {plan.workflow_id!r}: {len(plan.jobs)} job(s)")
     for i, job in enumerate(plan.jobs):
         src = job.source if job.source else "<workflow input>"

@@ -212,6 +212,100 @@ class Bindings:
         return _REF_RE.sub(lambda m: str(self.lookup(m.group(1))), raw)
 
 
+#: parameters naming a job's input path, in priority order
+INPUT_PARAMS = ("inputPath", "input", "inputPathList")
+#: parameters naming a job's output path (``ouputPath`` is Figure 8's spelling)
+OUTPUT_PARAMS = ("outputPath", "ouputPath")
+#: the parameter listing a split's output paths, one per condition
+OUTPUT_LIST_PARAM = "outputPathList"
+
+
+@dataclass(frozen=True)
+class Edge:
+    """One dataflow edge: output ``src_output`` of job ``src`` read by job
+    ``dst``.  ``src is None`` is the workflow input."""
+
+    src: Optional[str]
+    src_output: int
+    dst: str
+    #: the producer's output path, or the path read from the workflow input
+    path: str
+
+
+@dataclass
+class JobIO:
+    """A job's paths as :func:`wire` reads them, and what it reads."""
+
+    op_id: str
+    kind: str
+    #: the declared input path (None: no input parameter)
+    input: Optional[str]
+    input_param: Optional[str]
+    #: output paths; splits have one per condition
+    outputs: list[str]
+    output_param: Optional[str]
+    #: the edges feeding this job, in (producer, output slot) order
+    edges: list[Edge]
+    #: why the input cannot be wired (the edges are then only a best guess)
+    error: Optional[str] = None
+
+
+def _first_value(params: dict[str, Any], names: tuple[str, ...]) -> tuple[Any, Optional[str]]:
+    return next(((params[n], n) for n in names if params.get(n) is not None), (None, None))
+
+
+def wire(op: OperatorSpec, params: dict[str, Any], earlier: list[JobIO]) -> JobIO:
+    """Decide what ``op`` reads and writes, given its resolved ``params``
+    (resolved by the planner, or symbolically by the analyzer) and the
+    :class:`JobIO` of every job before it.
+
+    * A job with no input parameter reads every output of the previous job
+      (the first job reads the workflow input).
+    * An input path reads each earlier output it names exactly, or as a
+      directory on a ``/`` boundary (``/tmp/split/`` reads both outputs of
+      a split writing under it).
+    * An input path that names no earlier output reads the workflow input.
+    * A path naming outputs of two jobs, and any read of a Distribute's
+      output (the partitions are the workflow's product), is an error.
+
+    A job without an output parameter writes ``/tmp/<id>``.
+    """
+    if op.kind == "split":
+        raw, out_param = _first_value(params, (OUTPUT_LIST_PARAM,))
+        listed = raw if isinstance(raw, (list, tuple)) else str(raw or "").split(",")
+        outputs = [str(p).strip() for p in listed if str(p).strip()]
+    else:
+        raw, out_param = _first_value(params, OUTPUT_PARAMS)
+        outputs = [str(raw or f"/tmp/{op.id}")]
+    value, in_param = _first_value(params, INPUT_PARAMS)
+    if isinstance(value, (list, tuple)):
+        value = ",".join(map(str, value))
+    path = None if value is None else str(value)
+    io = JobIO(op.id, op.kind, path, in_param, outputs, out_param, edges=[])
+    if path is None:
+        matches = [(earlier[-1], k) for k in range(len(earlier[-1].outputs))] if earlier else []
+    else:
+        prefix = path.rstrip("/") + "/"
+        matches = [
+            (job, k) for job in earlier for k, out in enumerate(job.outputs)
+            if out == path or out.startswith(prefix)
+        ]
+    if not matches:
+        io.edges = [Edge(None, 0, op.id, path or "")]
+        return io
+    io.edges = [Edge(job.op_id, k, op.id, job.outputs[k]) for job, k in matches]
+    sources = list(dict.fromkeys(job.op_id for job, _ in matches))
+    reads = f"input {path!r}" if path is not None else "implicit input"
+    if len(sources) > 1:
+        io.error = (f"operator {op.id!r}: {reads} matches outputs of "
+                    f"{len(sources)} jobs {sources}; name one job's output")
+    elif matches[0][0].kind == "distribute":
+        io.error = (f"operator {op.id!r}: {reads} reads the partitions of "
+                    f"distribute {sources[0]!r}; a Distribute's output is the "
+                    "workflow's product, and no later job can consume it")
+    return io
+
+
 def bind_arguments(
     spec: WorkflowSpec, user_args: Optional[dict[str, Any]] = None
 ) -> Bindings:

@@ -353,15 +353,18 @@ class PaPar:
 
         optimized = None
         if optimize:
-            if isinstance(workflow, WorkflowPlan):
-                if workflow.spec is None:
-                    raise WorkflowError(
-                        "optimize=True needs the workflow configuration; this "
-                        "WorkflowPlan was not planned from one"
-                    )
-                workflow = workflow.spec
-            optimized = self.optimize(workflow, args, ranks=num_ranks)
-            workflow = optimized.workflow
+            planned = isinstance(workflow, WorkflowPlan)
+            if planned and workflow.spec is None:
+                raise WorkflowError(
+                    "optimize=True needs the workflow configuration; this "
+                    "WorkflowPlan was not planned from one"
+                )
+            optimized = self.optimize(
+                workflow.spec if planned else workflow, args, ranks=num_ranks
+            )
+            if optimized.changed or not planned:
+                # a plan nothing rewrote runs as planned
+                workflow = optimized.workflow
         if isinstance(workflow, WorkflowPlan):
             plan = workflow
         else:

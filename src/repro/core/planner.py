@@ -2,10 +2,11 @@
 
 The planner resolves every ``$variable``, instantiates the operator objects,
 and wires the dataflow between jobs.  The paper's operators communicate
-through paths (``$sort.outputPath``); the planner recovers the dataflow graph
-from those paths — including the hybrid-cut case where the ``distribute``
-job's ``inputPath`` is the *directory* ``/tmp/split/`` holding both split
-outputs, meaning "consume every output of the split job".
+through paths (``$sort.outputPath``); :func:`repro.config.workflow.wire`
+decides what each job reads from those paths — the analyzer's plan-IR asks
+it the same question — including the hybrid-cut case where the
+``distribute`` job's ``inputPath`` is the *directory* ``/tmp/split/``
+holding both split outputs, meaning "consume every output of the split job".
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.config.workflow import Bindings, OperatorSpec, WorkflowSpec, bind_arguments
+from repro.analysis.locate import format_location
+from repro.config.workflow import (
+    Bindings, JobIO, OperatorSpec, WorkflowSpec, bind_arguments, wire,
+)
 from repro.errors import WorkflowError
 from repro.ops.base import get_addon
 from repro.ops.distribute import Distribute
@@ -30,7 +34,7 @@ class PlannedJob:
     op_id: str
     operator_name: str
     operator: Any
-    #: op_id of the producing job, or None to read the workflow input
+    #: op_id of the producing job; None reads the workflow input
     source: Optional[str]
     #: which outputs of the source to consume (for multi-output sources)
     source_outputs: list[int] = field(default_factory=list)
@@ -100,15 +104,19 @@ class Planner:
     ) -> WorkflowPlan:
         env = bind_arguments(spec, args)
         jobs: list[PlannedJob] = []
-        # path -> (op_id, output index) for dataflow wiring
-        produced: dict[str, tuple[str, int]] = {}
-
+        wired: list[JobIO] = []
         for op_spec in spec.operators:
             params = _resolved_params(op_spec, env)
-            job = self._plan_operator(op_spec, params, env)
-            self._wire_input(job, params, produced)
-            for idx, path in enumerate(job.output_paths):
-                produced[path] = (job.op_id, idx)
+            io = wire(op_spec, params, wired)
+            job = self._plan_operator(op_spec, params, env, io.outputs)
+            if io.error is not None:
+                line = op_spec.params[io.input_param].line if io.input_param else op_spec.line
+                raise WorkflowError(f"{io.error} [{format_location(spec.source_file, line)}]")
+            read = [e for e in io.edges if e.src is not None]
+            if read:
+                job.source = read[0].src
+                job.source_outputs = [e.src_output for e in read]
+            wired.append(io)
             env.bind(f"{job.op_id}.outputPath", job.output_paths[0])
             if len(job.output_paths) > 1:
                 env.bind(f"{job.op_id}.outputPathList", job.output_paths)
@@ -128,19 +136,23 @@ class Planner:
     # -- per-operator planning -------------------------------------------------
 
     def _plan_operator(
-        self, spec: OperatorSpec, params: dict[str, Any], env: Bindings
+        self, spec: OperatorSpec, params: dict[str, Any], env: Bindings, outputs: list[str]
     ) -> PlannedJob:
-        kind = spec.operator.strip().lower()
-        if kind == "sort":
-            return self._plan_sort(spec, params, env)
-        if kind == "group":
-            return self._plan_group(spec, params, env)
-        if kind == "split":
-            return self._plan_split(spec, params, env)
-        if kind == "distribute":
-            return self._plan_distribute(spec, params, env)
-        raise WorkflowError(
-            f"operator {spec.id!r} uses unknown operator type {spec.operator!r}"
+        planners = {"sort": self._plan_sort, "group": self._plan_group,
+                    "split": self._plan_split, "distribute": self._plan_distribute}
+        if spec.kind not in planners:
+            raise WorkflowError(
+                f"operator {spec.id!r} uses unknown operator type {spec.operator!r}"
+            )
+        op = planners[spec.kind](spec, params, env, outputs)
+        return PlannedJob(
+            op_id=spec.id,
+            operator_name=type(op).__name__,
+            operator=op,
+            source=None,
+            output_paths=outputs,
+            resolved_params=params,
+            num_reducers=self._num_reducers(spec, env),
         )
 
     def _num_reducers(self, spec: OperatorSpec, env: Bindings) -> Optional[int]:
@@ -149,26 +161,16 @@ class Planner:
             return None
         return int(env.resolve(raw))
 
-    def _plan_sort(self, spec, params, env) -> PlannedJob:
+    def _plan_sort(self, spec, params, env, outputs) -> Sort:
         key = _first_param(params, "key", "keyId")
         if not key:
             raise WorkflowError(f"sort operator {spec.id!r} declares no key")
         ascending = sort_ascending(
             _first_param(params, "flag"), _first_param(params, "ascending")
         )
-        op = Sort(key=str(key), ascending=ascending)
-        out = _first_param(params, "outputPath", "ouputPath") or f"/tmp/{spec.id}"
-        return PlannedJob(
-            op_id=spec.id,
-            operator_name="Sort",
-            operator=op,
-            source=None,
-            output_paths=[str(out)],
-            resolved_params=params,
-            num_reducers=self._num_reducers(spec, env),
-        )
+        return Sort(key=str(key), ascending=ascending)
 
-    def _plan_group(self, spec, params, env) -> PlannedJob:
+    def _plan_group(self, spec, params, env, outputs) -> Group:
         key = _first_param(params, "key", "keyId")
         if not key:
             raise WorkflowError(f"group operator {spec.id!r} declares no key")
@@ -182,19 +184,9 @@ class Planner:
             env.bind(f"{spec.id}.{attr}", attr)
         out_param = spec.params.get("outputPath")
         output_format = (out_param.format if out_param else None) or "orig"
-        op = Group(key=str(key), addons=addons, output_format=output_format)
-        out = _first_param(params, "outputPath", "ouputPath") or f"/tmp/{spec.id}"
-        return PlannedJob(
-            op_id=spec.id,
-            operator_name="Group",
-            operator=op,
-            source=None,
-            output_paths=[str(out)],
-            resolved_params=params,
-            num_reducers=self._num_reducers(spec, env),
-        )
+        return Group(key=str(key), addons=addons, output_format=output_format)
 
-    def _plan_split(self, spec, params, env) -> PlannedJob:
+    def _plan_split(self, spec, params, env, outputs) -> Split:
         key = _first_param(params, "key", "keyId")
         if not key:
             raise WorkflowError(f"split operator {spec.id!r} declares no key")
@@ -203,80 +195,23 @@ class Planner:
             raise WorkflowError(f"split operator {spec.id!r} declares no policy")
         policy = SplitPolicy.parse(str(policy_text))
         paths_param = spec.params.get("outputPathList")
-        paths = params.get("outputPathList")
-        if not paths:
+        if not outputs:
             raise WorkflowError(f"split operator {spec.id!r} declares no outputPathList")
         formats = []
         if paths_param is not None and paths_param.format:
             formats = [f.strip() for f in paths_param.format.split(",")]
-        if len(paths) != policy.num_outputs:
+        if len(outputs) != policy.num_outputs:
             raise WorkflowError(
                 f"split operator {spec.id!r}: {policy.num_outputs} conditions but "
-                f"{len(paths)} output paths"
+                f"{len(outputs)} output paths"
             )
-        op = Split(key=str(key), policy=policy, output_formats=formats)
-        return PlannedJob(
-            op_id=spec.id,
-            operator_name="Split",
-            operator=op,
-            source=None,
-            output_paths=[str(p) for p in paths],
-            resolved_params=params,
-            num_reducers=self._num_reducers(spec, env),
-        )
+        return Split(key=str(key), policy=policy, output_formats=formats)
 
-    def _plan_distribute(self, spec, params, env) -> PlannedJob:
+    def _plan_distribute(self, spec, params, env, outputs) -> Distribute:
         policy = _first_param(params, "distrPolicy", "policy") or "cyclic"
         nparts = _first_param(params, "numPartitions", "num_partitions")
         if nparts is None:
             raise WorkflowError(
                 f"distribute operator {spec.id!r} declares no numPartitions"
             )
-        op = Distribute(policy=str(policy), num_partitions=int(nparts))
-        out = _first_param(params, "outputPath", "ouputPath") or f"/tmp/{spec.id}"
-        return PlannedJob(
-            op_id=spec.id,
-            operator_name="Distribute",
-            operator=op,
-            source=None,
-            output_paths=[str(out)],
-            resolved_params=params,
-            num_reducers=self._num_reducers(spec, env),
-        )
-
-    # -- dataflow wiring ----------------------------------------------------------
-
-    def _wire_input(
-        self,
-        job: PlannedJob,
-        params: dict[str, Any],
-        produced: dict[str, tuple[str, int]],
-    ) -> None:
-        input_path = _first_param(params, "inputPath", "input", "inputPathList")
-        if input_path is None or not produced:
-            job.source = None
-            return
-        input_path = str(input_path)
-        if input_path in produced:
-            op_id, idx = produced[input_path]
-            job.source = op_id
-            job.source_outputs = [idx]
-            return
-        # directory prefix: consume every matching output (hybrid-cut distribute)
-        matches = [
-            (op_id, idx)
-            for path, (op_id, idx) in produced.items()
-            if path.startswith(input_path.rstrip("/") + "/") or path.startswith(input_path)
-        ]
-        if matches:
-            sources = {op_id for op_id, _ in matches}
-            if len(sources) > 1:
-                raise WorkflowError(
-                    f"job {job.op_id!r}: input {input_path!r} matches outputs of "
-                    f"multiple jobs {sorted(sources)}"
-                )
-            job.source = matches[0][0]
-            job.source_outputs = sorted(idx for _, idx in matches)
-            return
-        # unmatched: reads the workflow input (first job, or an external path)
-        job.source = None
+        return Distribute(policy=str(policy), num_partitions=int(nparts))

@@ -152,19 +152,9 @@ def resident(source: Any) -> Any:
     return source if materialize is None else materialize()
 
 
-def job_input(
-    job: PlannedJob,
-    index: int,
-    plan: WorkflowPlan,
-    outputs: dict[str, Any],
-    input_data: Dataset,
-) -> Any:
+def job_input(job: PlannedJob, outputs: dict[str, Any], input_data: Dataset) -> Any:
     """What ``job`` consumes: the input, or (selected outputs of) its source job."""
     if job.source is None:
-        if index != 0 and outputs:
-            # fall back to chaining from the previous job
-            prev = plan.jobs[index - 1].op_id
-            return outputs[prev]
         return input_data
     val = outputs[job.source]
     if isinstance(val, list) and job.source_outputs:
@@ -227,7 +217,7 @@ class SerialRuntime:
                 else nullcontext()
             ) as root:
                 for i, job in enumerate(plan.jobs):
-                    source = job_input(job, i, plan, outputs, input_data)
+                    source = job_input(job, outputs, input_data)
                     span = (
                         rec.span(job.op_id, category="job", rank=0, parent=root,
                                  attrs={"job_index": i,
@@ -672,7 +662,7 @@ class MPIRuntime:
                         rank=comm.rank, clock=comm.clock,
                     )
                 continue
-            source = job_input(job, i, plan, outputs, local)
+            source = job_input(job, outputs, local)
             whole = input_data if source is local and ctx is None else None
             comm.check_fault(i, "before")
             job_mark = ctx.manifest_mark() if ctx is not None else 0

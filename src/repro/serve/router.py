@@ -152,11 +152,12 @@ class PositionalRouter(IncrementalRouter):
 
 def _routing_stage(plan: WorkflowPlan) -> Optional[Any]:
     """The last key-bearing (sort/group) operator feeding the final distribute."""
-    stage = None
-    for job in plan.jobs:
+    job = plan.final_job
+    while job.source is not None:
+        job = plan.job(job.source)
         if isinstance(job.operator, (Sort, Group)):
-            stage = job.operator
-    return stage
+            return job.operator
+    return None
 
 
 def build_router(

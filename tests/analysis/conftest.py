@@ -1,4 +1,4 @@
-"""Three invariants checked on every configuration the analysis tests lint.
+"""Four invariants checked on every configuration the analysis tests lint.
 
 The golden-diagnostics suite, every bad-configuration fixture in this
 directory and every spec they lint (``PaPar.lint(spec)``, the optimizer's
@@ -16,7 +16,10 @@ registered checker) so that each of those configurations also proves:
 * **the runtime parser agrees with the lint** — for XML text,
   ``parse_workflow_config`` raises exactly when the lint reports a
   structural error, with the first one's message
-  (``tests/config/_agreement.py``); a spec has already been parsed.
+  (``tests/config/_agreement.py``); a spec has already been parsed;
+* **the IR is the plan's graph** — when the configuration plans, every
+  job's plan-IR in-edges are exactly the planned ``source`` /
+  ``source_outputs`` (one wiring function decides both).
 """
 
 import copy
@@ -71,6 +74,11 @@ def lint_invariants(monkeypatch):
             }
             expected = [d for d in result.errors if not skipped_crash(d, skipped)]
             assert gated.diagnostics == expected
+        if ctx.plan is not None:
+            for job in ctx.plan.jobs:
+                read = [(e.src, e.src_output) for e in ctx.ir().in_edges(job.op_id)
+                        if e.src is not None]
+                assert read == [(job.source, k) for k in job.source_outputs], job.op_id
         workflow = bound.arguments["workflow"]
         if isinstance(workflow, str):
             assert_parser_agrees(workflow, bound.arguments.get("filename"), result)

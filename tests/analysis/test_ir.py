@@ -1,6 +1,8 @@
 """Plan-IR construction: nodes, resolved params, edges, annotations."""
 
-from repro.analysis import parse_located
+import pytest
+
+from repro.analysis import Linter, parse_located
 from repro.analysis.ir import EXCHANGE_KINDS, build_ir, workflow_ir
 from repro.analysis.model import LintContext, build_workflow_model
 
@@ -78,7 +80,7 @@ class TestNodes:
         ir = make_ir(CHAIN, args={"input_path": "/data/db.index"})
         sort = ir.node("sort")
         assert sort.input == "/data/db.index"
-        assert sort.input_resolved
+        assert sort.params_resolved["inputPath"]
         distr = ir.node("distr")
         # $sort.outputPath resolves to the literal output path
         assert distr.input == "/tmp/sorted"
@@ -128,6 +130,22 @@ class TestEdges:
         assert [n.op_id for n in ir.predecessors("distr")] == ["split"]
         assert ir.sole_consumer("split").op_id == "distr"
         assert ir.final.op_id == "distr"
+
+    @pytest.mark.parametrize("distr_input, source", [
+        ("$sort.outputPath", "sort"),
+        ("/tmp/", "sort"),           # a directory on a '/' boundary
+        (None, "sort"),              # no input parameter: the previous job
+        ("$input_path", None),
+        ("/tmp/sort", None),         # a prefix of /tmp/sorted, not a directory
+    ])
+    def test_lint_and_plan_read_the_same_edges(self, distr_input, source):
+        """The conftest invariant compares every in-edge with the plan."""
+        line = '<param name="inputPath" value="$sort.outputPath"/>'
+        new = "" if distr_input is None else line.replace("$sort.outputPath", distr_input)
+        ctx, result = Linter().analyze(CHAIN.replace(line, new), filename="t.xml")
+        assert ctx.plan is not None and ctx.plan.job("distr").source == source
+        assert [e.src for e in ctx.ir().in_edges("distr")] == [source]
+        assert ("PAP030" in result.codes()) == (source is None)
 
     def test_split_outputs_resolved(self):
         ir = make_ir(HYBRID)

@@ -148,16 +148,21 @@ def test_pap081_refuses_different_direction_sorts():
     assert any("direction" in r for r in refusal_reasons(report, "PAP081"))
 
 
-def test_pap081_refuses_distribute_feeding_sort():
+def test_distribute_feeding_sort_is_a_wiring_error():
+    """No pass sees a distribute feeding an exchange: the sort reading the
+    distribute's partitions is the located error PAP037, which leaves the
+    workflow unoptimized."""
     xml = wf(
         distr_op("d1", "$input_path", "/user/d1")
         + sort_op("sort", "$d1.outputPath", "/user/s1")
         + distr_op("d2", "$sort.outputPath", "$output_path")
     )
     report = optimize(xml)
-    assert not report.plan.rewrites
-    assert any("reorder equal-key rows" in r
-               for r in refusal_reasons(report, "PAP081"))
+    assert not report.plan.rewrites and not report.plan.refusals
+    (error,) = report.before.lint.errors
+    assert (error.code, error.line) == ("PAP037", 18)  # the sort's inputPath
+    assert "operator 'sort': input '/user/d1' reads the partitions of distribute 'd1'" in (
+        error.message)
 
 
 def group_then_sort(extra):

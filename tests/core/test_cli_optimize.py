@@ -3,8 +3,8 @@
 These tests drive the same entry point a user does (``repro.cli.main``)
 on the shipped configurations: the optimize report in text and JSON, the
 ``plan --optimize`` preamble, ``run --optimize`` writing bit-identical
-part files in place, a distribute -> distribute chain left alone (no
-advisory, no rewrite), and ``lint --explain`` teaching the applied
+part files in place, a distribute -> distribute chain rejected as the
+wiring error PAP037 on every backend, and ``lint --explain`` teaching the applied
 rewrite for every structural PAP08x code (PAP083 is an advisory only).
 """
 
@@ -187,42 +187,39 @@ def run_parts(workflow, blast_file, out, backend="serial"):
 
 
 class TestDistributeChain:
-    """block(4) -> cyclic(4) is not one cyclic(4) distribute, whatever the
-    stride-permutation algebra says; the analyzer no longer claims it is."""
+    """block(4) -> cyclic(4) is not one cyclic(4) distribute, and no backend
+    feeds a Distribute's partitions to a later job: the chain is the located
+    wiring error PAP037."""
 
-    def test_no_advisory_no_rewrite_and_not_one_distribute(
-        self, tmp_path, blast_file, capsys
-    ):
+    def test_no_advisory_no_rewrite_and_not_one_distribute(self, tmp_path, capsys):
         chain = distribute_chain(tmp_path, "block", "cyclic")
-        assert main(["lint", chain, "--input", INPUT_CFG, "--format", "json"]) == 0
+        assert main(["lint", chain, "--input", INPUT_CFG, "--format", "json"]) == 1
         lint = json.loads(capsys.readouterr().out)
-        assert "PAP082" not in {d["code"] for d in lint["diagnostics"]}
+        codes = {d["code"] for d in lint["diagnostics"]}
+        assert "PAP082" not in codes and "PAP037" in codes
         assert main(["optimize", chain, "--input", INPUT_CFG,
-                     "--assume-records", "300", "--format", "json"]) == 0
+                     "--assume-records", "300", "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"]["passes_fired"] == []
         assert doc["after"]["operators"] == doc["before"]["operators"]
-        single = distribute_chain(tmp_path, "cyclic")
-        assert (run_parts(chain, blast_file, tmp_path / "chain")
-                != run_parts(single, blast_file, tmp_path / "single"))
         assert main(["lint", "--explain", "PAP082"]) == 2
         assert "unknown rule 'PAP082'" in capsys.readouterr().err
 
-    @pytest.mark.xfail(strict=True, reason="a job reading a Distribute's "
-                       "output gets only partition 0 of it on serial")
-    def test_chain_keeps_every_record(self, tmp_path, blast_file):
+    @pytest.mark.parametrize("gate", [[], ["--no-lint"]], ids=["gate", "no-lint"])
+    @pytest.mark.parametrize("backend", ["serial", "mpi", "process"])
+    def test_run_rejects_the_chain_before_writing(
+        self, tmp_path, blast_file, capsys, backend, gate
+    ):
         chain = distribute_chain(tmp_path, "block", "cyclic")
-        parts = run_parts(chain, blast_file, tmp_path / "chain")
-        assert sum(map(len, parts.values())) == 300 * BLAST_INDEX_SCHEMA.itemsize
-
-    @pytest.mark.xfail(strict=True, raises=AttributeError,
-                       reason="the SPMD runtimes crash on a job reading a "
-                       "Distribute's {partition: Dataset} output")
-    @pytest.mark.parametrize("backend", ["mpi", "process"])
-    def test_spmd_parts_equal_serial(self, tmp_path, blast_file, backend):
-        chain = distribute_chain(tmp_path, "block", "cyclic")
-        assert (run_parts(chain, blast_file, tmp_path / backend, backend)
-                == run_parts(chain, blast_file, tmp_path / "serial"))
+        out = tmp_path / "out"
+        assert main(["run", "--workflow", chain, "--input-config", INPUT_CFG,
+                     "--arg", f"input_path={blast_file}", "--arg", f"output_path={out}",
+                     "--backend", backend, "--ranks", "2", *gate]) == 2
+        err = capsys.readouterr().err
+        assert "operator 'd1': input '/tmp/d0' reads the partitions of distribute 'd0'" in err
+        # located at d1's inputPath
+        assert f"{chain}:14" in err
+        assert not out.exists()
 
 
 class TestLintExplainAdvisories:

@@ -1,20 +1,15 @@
-"""Plan DOT rendering and cost prediction."""
+"""Plan DOT rendering (`repro.analysis.explain.plan_to_dot`): one edge per
+output a job reads."""
 
 import re
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.blast import generate_index
-from repro.cluster import ClusterModel, INFINIBAND_QDR
+from repro.analysis.explain import plan_to_dot
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
-from repro.core.dataset import Dataset
-from repro.core.explain import estimate_plan_cost, plan_to_dot
-from repro.errors import WorkflowError
-from repro.formats import BLAST_INDEX_SCHEMA
 
 ARGS = {"input_path": "/in", "output_path": "/out", "num_partitions": 8}
 
@@ -33,7 +28,7 @@ class TestDot:
         dot = plan_to_dot(plan)
         assert dot.startswith('digraph "blast_partition"')
         assert '"input" -> "sort"' in dot
-        assert '"sort" -> "distr"' in dot
+        assert '"sort" -> "distr";' in dot
         assert '"distr" -> partitions' in dot
 
     def test_hybrid_plan_dot(self, papar):
@@ -43,8 +38,19 @@ class TestDot:
              "threshold": 4},
         )
         dot = plan_to_dot(plan)
-        assert '"group" -> "split"' in dot
-        assert '"split" -> "distr"' in dot
+        assert '"group" -> "split";' in dot
+        # the distribute reads the directory holding both split outputs
+        assert '"split" -> "distr" [label=0];' in dot
+        assert '"split" -> "distr" [label=1];' in dot
+        assert dot.count('"input" ->') == 1
+
+    def test_a_chained_job_points_at_its_producer(self, papar):
+        """No input parameter: the job reads the previous job, not the input."""
+        xml = BLAST_WORKFLOW_XML.replace(
+            '<param name="inputPath" type="String" value="$sort.outputPath"/>', "")
+        dot = plan_to_dot(papar.plan(xml, ARGS))
+        assert '"sort" -> "distr";' in dot
+        assert '"input" -> "distr"' not in dot
 
     def test_ids_with_quotes_and_backslashes_are_escaped(self):
         """Hostile ids must not break out of DOT string literals."""
@@ -63,48 +69,3 @@ class TestDot:
             body = line.strip()
             unescaped = re.sub(r'\\.', "", body)
             assert unescaped.count('"') % 2 == 0, line
-
-
-class TestCostEstimate:
-    def test_breakdown_renders(self, papar):
-        plan = papar.plan(BLAST_WORKFLOW_XML, ARGS)
-        cluster = ClusterModel(num_nodes=4, ranks_per_node=2, network=INFINIBAND_QDR)
-        est = estimate_plan_cost(plan, num_records=1_000_000, record_bytes=16,
-                                 cluster=cluster)
-        assert len(est.jobs) == 2
-        assert est.total_s > 0
-        text = est.breakdown()
-        assert "sort" in text and "TOTAL" in text
-
-    def test_estimate_tracks_measured_virtual_time(self, papar):
-        """The prediction lands within a small factor of an actual run."""
-        n = 400_000
-        index = generate_index("env_nr", num_sequences=n, seed=9)
-        cluster = ClusterModel(num_nodes=4, ranks_per_node=2, network=INFINIBAND_QDR)
-        plan = papar.plan(BLAST_WORKFLOW_XML, ARGS)
-        est = estimate_plan_cost(plan, num_records=n, record_bytes=16, cluster=cluster)
-        measured = papar.run(
-            plan,
-            data=Dataset.from_array(BLAST_INDEX_SCHEMA, index),
-            backend="mpi",
-            num_ranks=8,
-            cluster=cluster,
-        ).elapsed
-        assert est.total_s == pytest.approx(measured, rel=1.5)
-        assert 0.2 < est.total_s / measured < 5.0
-
-    def test_more_nodes_less_predicted_time(self, papar):
-        plan = papar.plan(BLAST_WORKFLOW_XML, ARGS)
-        small = ClusterModel(num_nodes=1, ranks_per_node=2, network=INFINIBAND_QDR)
-        big = ClusterModel(num_nodes=16, ranks_per_node=2, network=INFINIBAND_QDR)
-        t_small = estimate_plan_cost(plan, 4_000_000, 16, small).total_s
-        t_big = estimate_plan_cost(plan, 4_000_000, 16, big).total_s
-        assert t_big < t_small
-
-    def test_validation(self, papar):
-        plan = papar.plan(BLAST_WORKFLOW_XML, ARGS)
-        cluster = ClusterModel(num_nodes=1)
-        with pytest.raises(WorkflowError):
-            estimate_plan_cost(plan, -1, 16, cluster)
-        with pytest.raises(WorkflowError):
-            estimate_plan_cost(plan, 10, 0, cluster)

@@ -244,10 +244,17 @@ class TestWiring:
             plan_xml(xml)
 
     def test_chain_falls_back_to_previous_job(self):
-        """A job without a matching input path chains from its predecessor."""
+        """No input parameter reads every output of the previous job; an
+        input path that matches no earlier output reads the workflow input."""
         xml = """
         <workflow id="w"><arguments/>
           <operators>
+            <operator id="sp" operator="Split">
+              <param name="inputPath" value="/in"/>
+              <param name="outputPathList" type="StringList" value="/tmp/sp/x,/tmp/sp/y"/>
+              <param name="key" value="k"/>
+              <param name="policy" value="{&gt;=, 5},{&lt;, 5}"/>
+            </operator>
             <operator id="s" operator="Sort">
               <param name="key" value="k"/>
               <param name="outputPath" value="/s"/>
@@ -260,9 +267,56 @@ class TestWiring:
         </workflow>
         """
         plan = plan_xml(xml)
-        # '/elsewhere' matches nothing produced -> treated as workflow input,
-        # and the serial runtime chains it from the previous job at execution
+        assert (plan.jobs[1].source, plan.jobs[1].source_outputs) == ("sp", [0, 1])
+        assert (plan.jobs[2].source, plan.jobs[2].source_outputs) == (None, [])
+
+    def test_a_path_is_matched_on_a_directory_boundary(self):
+        """``/s`` names ``/s/part`` but not ``/sorted``."""
+        xml = """
+        <workflow id="w"><arguments/>
+          <operators>
+            <operator id="a" operator="Sort">
+              <param name="key" value="k"/><param name="outputPath" value="/sorted"/>
+            </operator>
+            <operator id="b" operator="Sort">
+              <param name="inputPath" value="/s"/>
+              <param name="key" value="k"/><param name="outputPath" value="/s/part"/>
+            </operator>
+            <operator id="d" operator="Distribute">
+              <param name="inputPath" value="/s"/>
+              <param name="numPartitions" type="integer" value="2"/>
+            </operator>
+          </operators>
+        </workflow>
+        """
+        plan = plan_xml(xml)
         assert plan.jobs[1].source is None
+        assert (plan.jobs[2].source, plan.jobs[2].source_outputs) == ("b", [0])
+
+    @pytest.mark.parametrize("input_param, message", [
+        ('<param name="inputPath" value="/tmp/"/>', "matches outputs of 2 jobs"),
+        ('<param name="inputPath" value="/tmp/d"/>', "reads the partitions of distribute 'd'"),
+        ("", "reads the partitions of distribute 'd'"),
+    ], ids=["two-jobs", "distribute", "implicit-distribute"])
+    def test_unwirable_inputs_are_located_errors(self, input_param, message):
+        xml = f"""<workflow id="w"><arguments/>
+          <operators>
+            <operator id="s" operator="Sort">
+              <param name="key" value="k"/><param name="outputPath" value="/tmp/s"/>
+            </operator>
+            <operator id="d" operator="Distribute">
+              <param name="outputPath" value="/tmp/d"/>
+              <param name="numPartitions" type="integer" value="2"/>
+            </operator>
+            <operator id="last" operator="Sort">
+              {input_param}<param name="key" value="k"/>
+            </operator>
+          </operators>
+        </workflow>"""
+        with pytest.raises(WorkflowError, match=f"operator 'last': .*{message}") as exc:
+            plan_xml(xml)
+        # at the input parameter, or at the operator that has none
+        assert str(exc.value).endswith(":11]" if input_param else ":10]")
 
     def test_directory_prefix_consumes_all_outputs(self):
         xml = """

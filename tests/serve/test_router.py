@@ -88,6 +88,14 @@ class TestRouterSelection:
         assert isinstance(router, PositionalRouter)
         assert router.next_index == 10
 
+    def test_a_distribute_past_a_dead_sort_gets_a_positional_router(self, papar):
+        """The router follows the planned wiring, not document order: a
+        distribute reading the workflow input is dealt by position."""
+        xml = BLAST_WORKFLOW_XML.replace('value="$sort.outputPath"', 'value="$input_path"')
+        plan = papar.plan(xml, BLAST_ARGS)
+        router = build_router(plan, papar.schema("blast_db"), blast_log(papar), 64)
+        assert isinstance(router, PositionalRouter)
+
     def test_sort_with_empty_log_falls_back_to_positional(self, papar):
         plan = papar.plan(BLAST_WORKFLOW_XML, BLAST_ARGS)
         router = build_router(plan, papar.schema("blast_db"), [], 0)
