@@ -17,14 +17,13 @@ Two executors run the same :class:`~repro.core.planner.WorkflowPlan`:
   (:class:`~repro.core.mr_runtime.MapReduceRuntime`) and the launcher
   (:class:`~repro.core.process_runtime.ProcessRuntime`).
 
-Every backend produces identical partitions (tested).  The range exchange
-has two forms.  A flat sort with no add-on of the run's *own* input
-(rows fetchable by index: an in-memory flat dataset, or a fixed-width file
-through a read-only mapping), keyed by an integer of at most 32 bits and
-with no memory budget, ships one 8-byte (key, row id) word per record —
-the sort-first sample sort of :mod:`repro.core.word_exchange` — and the
-deal gathers the records from the input.  Every other sort or group ships
-the records: keys cut by a
+Every backend produces identical partitions (tested).  A flat sort with
+no add-on or budget of the run's *own* input (rows fetchable by index),
+keyed by an integer of at most 32 bits, exchanges nothing: each rank cuts
+its own range of the input in one key scan (:mod:`repro.core.word_exchange`)
+and the deal gathers the records from the input.  Every other sort —
+chained, wide-keyed or budgeted — and every group is the range exchange,
+which ships the records: keys cut by a
 :class:`~repro.mapreduce.partitioner.RangePartitioner`, bucketized through
 :func:`repro.mapreduce.columnar.bucketize`.  Every backend threads a
 :class:`~repro.mapreduce.columnar.PerfCounters` through
@@ -86,7 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only: a serial run never loads
     from repro.mpi.launcher import MPIRun
     from repro.obs.span import Recorder
 
-#: keys each rank contributes to the range exchange's boundary sample
+#: boundary-sample keys per rank (range exchange), per reducer (sort of the input)
 KEY_SAMPLE_SIZE = 512
 
 

@@ -93,11 +93,9 @@ class RangePartitioner(Partitioner):
     ``boundaries`` holds ``num_reducers - 1`` ascending split keys; reducer
     ``i`` receives keys in ``(boundaries[i-1], boundaries[i]]``-style ranges
     (``bisect_left``, so a key equal to a boundary goes to that boundary's
-    bucket).  This is the one range cut: the SPMD sort and group exchanges
-    (in memory and spilled, via :meth:`sampled`) and the ``serve`` range
-    router all route keys through :meth:`partition_array`, or, for keys
-    already sorted (the SPMD word exchange, via :meth:`sampled_sorted`),
-    :meth:`cut_sorted`.
+    bucket).  This is the one range cut of the SPMD record exchanges (in
+    memory and spilled, via :meth:`sampled`) and the ``serve`` range router:
+    all route keys through :meth:`partition_array`.
     """
 
     def __init__(self, boundaries: Sequence[Any], num_reducers: int) -> None:
@@ -126,35 +124,12 @@ class RangePartitioner(Partitioner):
             return cls([], 1)
         return cls(quantile_boundaries(samples, num_reducers), num_reducers)
 
-    @classmethod
-    def sampled_sorted(
-        cls, comm, sorted_keys: np.ndarray, num_reducers: int, sample_size: int
-    ) -> "RangePartitioner":
-        """:meth:`sampled` for keys every rank holds sorted: each rank
-        contributes a *regular* sample — ``sample_size`` evenly spaced keys,
-        as parallel sorting by regular sampling takes them — as one array."""
-        n = len(sorted_keys)
-        picks = sorted_keys if n <= sample_size else sorted_keys[
-            np.arange(sample_size) * n // sample_size
-        ]
-        samples = np.concatenate(comm.allgather(picks))
-        if not len(samples):
-            return cls([], 1)
-        return cls(quantile_boundaries(samples, num_reducers), num_reducers)
-
     def __call__(self, key: Any) -> int:
         return bisect.bisect_left(self.boundaries, key)
 
     def partition_array(self, keys: np.ndarray) -> np.ndarray:
         # bisect_left over every key at once
         return np.searchsorted(self._boundary_array, keys, side="left")
-
-    def cut_sorted(self, sorted_keys: np.ndarray) -> np.ndarray:
-        """Where each reducer's range starts in ascending ``sorted_keys``:
-        reducer ``i`` receives ``sorted_keys[cuts[i]:cuts[i + 1]]`` — the
-        keys :meth:`partition_array` sends it, as one contiguous slice."""
-        inner = np.searchsorted(sorted_keys, self._boundary_array, side="right")
-        return np.concatenate(([0], inner, [len(sorted_keys)])).astype(np.int64)
 
 
 class ExplicitPartitioner(Partitioner):

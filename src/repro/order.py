@@ -16,18 +16,18 @@ and index fit one word together,
 the extra passes — takes numpy's stable ``argsort`` itself, so the contract
 holds for any key array.
 
-Two callers keep numpy's sort on purpose: timsort is adaptive, so on keys
+One caller keeps numpy's sort on purpose: timsort is adaptive, so on keys
 that are already a handful of sorted runs it beats the packed path (which
-sorts from scratch) — the external sort's block merge and the word
-exchange's merge, whose inputs are exactly that, call it directly.
+sorts from scratch) — the external sort's block merge, whose input is
+exactly that, calls it directly.
 
 :func:`packed_row_ids` is the same packing held to one word per entry, for
 the narrow sort of :mod:`repro.ops.sort` (integer keys of at most 32 bits,
 row ids of at most 32): the words are filled a chunk of the key column at
 a time, sorted in place, and the row ids are compacted into the front of
 the words' own buffer — so its peak is ``8 * n`` bytes plus one chunk,
-the figure a memory budget weighs it at.  The SPMD word exchange
-(:mod:`repro.core.word_exchange`) ships the same words, row id below bit 32.
+the figure a memory budget weighs it at.  The SPMD sort of a run's input
+(:mod:`repro.core.word_exchange`) sorts the same words, row id below bit 32.
 
 A leaf module (numpy only): ``formats``, ``mapreduce``, ``ops`` and ``ooc``
 all import it.
@@ -81,14 +81,16 @@ def packs_rows(key_dtype: np.dtype, id_dtype: np.dtype) -> bool:
 
 
 def key_words(
-    column: np.ndarray, ids: np.ndarray | None, descending: bool, shift: int, first: int = 0
+    column: np.ndarray, ids: np.ndarray | None, descending: bool, shift: int,
+    index: np.ndarray | None = None,
 ) -> np.ndarray:
     """One ``uint64`` word per entry ``column[ids]`` (``column`` itself when
     ``ids`` is ``None``): its key rebased by the dtype's own extreme
     (``key - min``, or ``max - key`` descending) shifted left by ``shift``,
-    or'ed with its index ``first + i``.  Distinct words whose ascending
-    order is the stable order of the keys, when :func:`packs_rows` holds
-    and ``first + n <= 2**shift``; read ``ROW_STEP`` keys at a time.
+    or'ed with its index ``i`` (``index[i]`` when given, ascending and below
+    ``2**shift``).  Distinct words whose ascending order is the stable order
+    of the keys, when :func:`packs_rows` holds and ``n <= 2**shift``; read
+    ``ROW_STEP`` keys at a time.
     """
     n = len(column) if ids is None else len(ids)
     info = np.iinfo(column.dtype)
@@ -101,7 +103,7 @@ def key_words(
         else:
             np.subtract(keys, info.min, out=keys)
         np.left_shift(keys.view(np.uint64), np.uint64(shift), out=words[pos:end])
-        words[pos:end] |= np.arange(first + pos, first + end, dtype=np.uint64)
+        words[pos:end] |= np.arange(pos, end, dtype=np.uint64) if index is None else index[pos:end]
     return words
 
 
