@@ -15,7 +15,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import SchemaError
+from repro.errors import FormatError, SchemaError
 
 #: config type name -> numpy dtype for fixed-width binary fields
 _BINARY_TYPES: dict[str, np.dtype] = {
@@ -23,6 +23,13 @@ _BINARY_TYPES: dict[str, np.dtype] = {
     "long": np.dtype("<i8"),
     "float": np.dtype("<f4"),
     "double": np.dtype("<f8"),
+}
+
+#: the values an integer field holds, from its binary width
+_INT_RANGES: dict[str, tuple[int, int]] = {
+    name: (int(np.iinfo(dt).min), int(np.iinfo(dt).max))
+    for name, dt in _BINARY_TYPES.items()
+    if dt.kind == "i"
 }
 
 #: type names that are also valid in text format (parsed from strings)
@@ -54,11 +61,19 @@ class Field:
         return _BINARY_TYPES[self.type]
 
     def parse_text(self, token: str) -> Any:
-        """Convert one text token to this field's Python value."""
+        """Convert one text token to this field's Python value.
+
+        ``ValueError`` for a token that is not a number; ``FormatError`` for
+        an integer outside the field's binary width.
+        """
         if self.type == "string":
             return token
-        if self.type in ("integer", "long"):
-            return int(token)
+        if self.type in _INT_RANGES:
+            value = int(token)
+            low, high = _INT_RANGES[self.type]
+            if not low <= value <= high:
+                raise FormatError(f"{token!r} is out of range for {self.type} field {self.name!r}")
+            return value
         return float(token)
 
 

@@ -27,7 +27,7 @@ from repro.core.dataset import Dataset
 from repro.errors import FormatError
 from repro.formats.binary import _count_records, map_records, read_records
 from repro.formats.records import RecordSchema
-from repro.formats.text import _decode_bulk, iter_text_lines, parse_line, takes_bulk_codec
+from repro.formats.text import decode_text_block, iter_text_lines, parse_line, takes_bulk_codec
 from repro.ooc.budget import MemoryBudget
 
 PathLike = Union[str, os.PathLike]
@@ -211,7 +211,7 @@ class ChunkedDataset:
         if takes_bulk_codec(self.schema):
             # the range in one call; anything it does not take (and every
             # error message) is the per-line parser's, as in read_text_array
-            records = _decode_bulk("".join(lines).encode(), self.schema)
+            records = decode_text_block("".join(lines).encode(), self.schema)
             if records is not None and len(records) == length:
                 return records
         return self.schema.to_structured([parse_line(line, self.schema) for line in lines])
