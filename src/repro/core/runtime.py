@@ -18,12 +18,12 @@ Two executors run the same :class:`~repro.core.planner.WorkflowPlan`:
   (:class:`~repro.core.process_runtime.ProcessRuntime`).
 
 Every backend produces identical partitions (tested).  A flat sort with
-no add-on or budget of the run's *own* input (rows fetchable by index),
-keyed by an integer of at most 32 bits, exchanges nothing: each rank cuts
-its own range of the input in one key scan (:mod:`repro.core.word_exchange`)
-and the deal gathers the records from the input.  Every other sort —
-chained, wide-keyed or budgeted — and every group is the range exchange,
-which ships the records: keys cut by a
+no add-on of the run's *own* input (rows fetchable by index), keyed by an
+integer of at most 32 bits, exchanges nothing: each rank cuts its own range
+of the input in one key scan (:mod:`repro.core.word_exchange`) and the deal
+gathers the records from the input.  Every other sort — chained or
+wide-keyed — and every group is the range exchange, which ships the
+records: keys cut by a
 :class:`~repro.mapreduce.partitioner.RangePartitioner`, bucketized through
 :func:`repro.mapreduce.columnar.bucketize`.  Every backend threads a
 :class:`~repro.mapreduce.columnar.PerfCounters` through
@@ -35,18 +35,19 @@ every rank reads its own byte range, and the SPMD executor is handed a
 :class:`~repro.formats.binary.PartWriter`.  When the final ``Distribute``
 deals flat streams of the schema being written, each rank ``pwrite``s its
 pieces where they belong in the part files — no second exchange, nothing
-gathered to the driver; otherwise (a memory budget, a packed stream, or
-records widened by group add-ons) the deal ships its pieces to the
-partitions' owners and the driver writes what they return
-(``extra["perf"]["output"]`` says which tail ran, and why).  The serial
-runtime's tail is the one-rank case of the same deal
-(:func:`write_in_place`), under a budget too.
+gathered to the driver; otherwise (a packed stream, or records widened by
+group add-ons) the deal ships its pieces to the partitions' owners and the
+driver writes what they return (``extra["perf"]["output"]`` says which tail
+ran, and why).  The serial runtime's tail is the one-rank case of the same
+deal (:func:`deal_into` a part file).
 
-Out-of-core (see :mod:`repro.ooc`): with a ``memory_budget`` each exchange
-asks one collective question — does any rank's working set exceed the
-budget? — and then moves either ``Dataset`` chunks through ``alltoall`` or
-run files through :mod:`repro.ooc.exchange`.  Without a budget
-``repro.ooc`` is never imported.
+Out-of-core (see :mod:`repro.ooc`): a ``memory_budget`` changes no path,
+only where bytes wait.  The sort of the input spills its own range's
+(key, row id) words when they outweigh the budget; an exchange asks one
+collective question — does any rank's working set exceed the budget? —
+and its outbox is in-memory lists or run files accordingly; a deal goes a
+budget's window of positions at a time.  Without a budget ``repro.ooc`` is
+never imported.
 
 Fault tolerance (see :mod:`repro.fault`): the SPMD backends accept a fault
 schedule, a checkpoint store, and a retry policy; failed attempts are
@@ -306,22 +307,17 @@ class SerialRuntime:
         )
 
 
-def why_gathered(
-    part_writer: Optional[PartWriter], streams: list, budgeted: bool = False
-) -> Optional[str]:
+def why_gathered(part_writer: Optional[PartWriter], streams: list) -> Optional[str]:
     """Why a deal's pieces must go to the driver instead of into the part
     files, or ``None`` when they can be written in place: every stream is
     then fixed-width records of the very schema the part files hold, so a
     piece's bytes and its offset in the file are both known where the
     piece is.  Read from the run itself — the same on every rank, and
     nothing a user sets.  ``--optimize`` changes none of it: the rewritten
-    workflow deals the same records as the original.  ``budgeted`` is
-    whether SPMD ranks run under a memory budget, whose deal still goes
-    through the partitions' owners; one rank writes its windows in place."""
+    workflow deals the same records as the original, and a memory budget
+    only deals it a window of positions at a time."""
     if part_writer is None:
         return "in-memory run"
-    if budgeted:
-        return "memory budget"
     if any(stream.is_packed for stream in streams):
         return "packed stream"
     if any(stream.schema != part_writer.schema for stream in streams):
@@ -329,32 +325,40 @@ def why_gathered(
     return None
 
 
-def write_in_place(
+def deal_into(
     op: Distribute,
     stream: Any,
-    part_writer: PartWriter,
+    sink: Any,
     base: np.ndarray,
     offset: int = 0,
     total: Optional[int] = None,
     window: Optional[int] = None,
     perf: Optional[PerfCounters] = None,
 ) -> None:
-    """Write one stream's pieces where they belong in the part files.
+    """Deal one stream's pieces into ``sink(partition, slot, first global
+    position, piece)``.
 
     The stream holds global positions ``[offset, offset + len(stream))`` of
-    ``total``; a piece for slot ``s`` of partition ``p`` lands at slot
+    ``total``; a piece for slot ``s`` of partition ``p`` goes to slot
     ``base[p] + s`` — ``base`` being what the earlier streams put there,
-    advanced past this stream on return.  The in-place tail of every
-    backend: a rank's window on the SPMD ones, the whole stream a
-    ``window`` at a time on one rank.
+    advanced past this stream on return — ``window`` positions at a time
+    (all at once when ``None``); one that does not stream is dealt resident.
+    The one deal of every backend: the sink is a part file
+    (:func:`part_sink`) or, on the SPMD ones, the owner's outbox.
     """
+    stream = stream if hasattr(stream, "chunks") else resident(stream)
     total = len(stream) if total is None else total
     num_p = op.num_partitions
-    for p, slot, records in deal_pieces(stream, op.policy, total, num_p, offset, window):
+    for p, slot, first, piece in deal_pieces(stream, op.policy, total, num_p, offset, window):
         if perf is not None:
-            perf.count_move(len(records), records.nbytes)
-        part_writer.write(p, int(base[p]) + slot, records)
+            perf.count_move(len(piece), piece.nbytes)
+        sink(p, int(base[p]) + slot, first, piece)
     base += op.policy.counts(total, num_p)
+
+
+def part_sink(part_writer: PartWriter) -> Any:
+    """The :func:`deal_into` sink that writes each piece at its slot of its part."""
+    return lambda p, slot, _first, piece: part_writer.write(p, slot, piece.records)
 
 
 def published_parts(part_writer: PartWriter, num_partitions: int) -> list[Dataset]:
@@ -375,9 +379,8 @@ def _write_parts(
     every part sealed; ``{partition: record count}``."""
     base = np.zeros(op.num_partitions, dtype=np.int64)
     for stream in streams:
-        stream = stream if hasattr(stream, "chunks") else resident(stream)
         window = ctx.chunk_records(stream.schema.itemsize) if ctx is not None else None
-        write_in_place(op, stream, part_writer, base, window=window)
+        deal_into(op, stream, part_sink(part_writer), base, window=window)
     counts = {p: int(count) for p, count in enumerate(base)}
     for p, count in counts.items():
         part_writer.finish(p, count)
@@ -385,15 +388,73 @@ def _write_parts(
 
 
 def _alltoall(
-    comm: Communicator, outboxes: list, span_name: str, attrs: dict[str, Any]
+    comm: Communicator, outboxes: list, span_name: str, attrs: dict[str, Any],
+    runs: Any = None,
 ) -> list:
-    """The exchange collective, inside a shuffle span when a recorder is attached."""
+    """The exchange collective of ``outboxes`` — or, when the exchange
+    spilled into ``runs``, of their manifests — inside a span when a
+    recorder is attached (category ``shuffle``, or ``spill`` as
+    ``spill-<span_name>``)."""
+    category = "shuffle"
+    if runs is not None:
+        outboxes, span_name, category = runs.finish(), f"spill-{span_name}", "spill"
     if comm.recorder is None:
         return comm.alltoall(outboxes)
     with comm.recorder.span(
-        span_name, category="shuffle", rank=comm.rank, clock=comm.clock, attrs=attrs
+        span_name, category=category, rank=comm.rank, clock=comm.clock, attrs=attrs
     ):
         return comm.alltoall(outboxes)
+
+
+def _flat(datasets: list, schema: Any) -> Dataset:
+    """``datasets`` of ``schema`` concatenated in order as one flat dataset."""
+    flats = [d.to_flat() for d in datasets if len(d)]
+    if not flats:
+        return Dataset(schema=schema, records=np.empty(0, dtype=schema.dtype))
+    return concat(flats) if len(flats) > 1 else flats[0]
+
+
+def _key_sample(source: Any, key: str) -> np.ndarray:
+    """The keys a range exchange samples its cut from: the whole column of
+    a resident source, every ``stride``-th key of one that streams — about
+    four times the :data:`KEY_SAMPLE_SIZE` the cut draws from anyway."""
+    if not hasattr(source, "chunks"):
+        return np.asarray(source.column(key))
+    stride = max(1, len(source) // (4 * KEY_SAMPLE_SIZE))
+    parts = [np.empty(0, dtype=source.schema.dtype[key])]
+    pos = 0
+    for chunk in source.chunks():
+        column = chunk.records[key]
+        parts.append(column[(-pos) % stride :: stride])
+        pos += len(column)
+    return np.concatenate(parts)
+
+
+def _reduce_received(op: Any, inbox: list, schema: Any, ctx: Any) -> Any:
+    """The operator's local kernel over what a range exchange received, in
+    source-rank order: datasets, or — ``ctx`` given — the manifests of
+    spilled run files.
+
+    A plain sort whose received runs exceed the budget too is an external
+    merge sort — one frame per run plus one output block resident —
+    filling the one array the next job reads.  Everything else
+    materializes what arrived first: a sort with an add-on packs its
+    output, and a group's pack is pointer-rich, not fixed-width — there the
+    budget bounds the *exchange*, which dominates.
+    """
+    if ctx is None:
+        return op.apply_local(_flat(inbox, schema))
+    from repro.ooc.spill import concat_manifest_values, drain_frames
+
+    nbytes = sum(m.nbytes for m in inbox if m is not None)
+    if isinstance(op, Sort) and op.addon is None and ctx.should_spill(nbytes):
+        from repro.ooc.extsort import external_sort_records
+
+        frames = (frame.values for frame in drain_frames(inbox))
+        return external_sort_records(frames, op.key, op.ascending, ctx, schema).materialize()
+    return op.apply_local(
+        Dataset(schema=schema, records=concat_manifest_values(inbox, schema.dtype))
+    )
 
 
 def _write_span(comm: Communicator, stream_idx: int, records: int) -> Any:
@@ -662,7 +723,7 @@ class MPIRuntime:
                     )
                 continue
             source = job_input(job, outputs, local)
-            whole = input_data if source is local and ctx is None else None
+            whole = input_data if source is local else None
             comm.check_fault(i, "before")
             job_mark = ctx.manifest_mark() if ctx is not None else 0
             span = (
@@ -717,7 +778,7 @@ class MPIRuntime:
         """One job on one rank; ``ctx`` is the rank's ``OOCContext`` or
         ``None``, ``part_writer`` the run's output files when ``job`` is the
         final one of a file-to-file run, ``whole`` the run's input when
-        ``source`` is this rank's block of it and no budget is set."""
+        ``source`` is this rank's block of it."""
         op = job.operator
         if isinstance(op, Sort):
             if whole is not None:
@@ -725,7 +786,9 @@ class MPIRuntime:
 
                 rows = input_rows(op, whole)
                 if rows is not None:
-                    view = word_sort(comm, op, rows, whole.schema, self._reducers(job, comm), perf)
+                    view = word_sort(
+                        comm, op, rows, whole.schema, self._reducers(job, comm), perf, ctx
+                    )
                     self._charge(comm, "sort", len(view))
                     return view
             return self._range_job(
@@ -763,18 +826,23 @@ class MPIRuntime:
             comm.charge_compute(comm.cluster.compute(cost))
 
     @staticmethod
-    def _spills(comm: Communicator, ctx: Any, source: Any) -> bool:
-        """Whether this exchange goes through run files — decided collectively.
+    def _spills(comm: Communicator, ctx: Any, source: Any, kind: str) -> Any:
+        """The run files an exchange's outbox is instead of in-memory lists,
+        or ``None`` — decided collectively, so every rank takes the same
+        path: does any rank's working set exceed the budget?
 
-        Always false without a budget.  Packed streams cannot be framed as
-        fixed-width records, so they take the in-memory exchange without
-        asking.
+        Always ``None`` without a budget.  Packed streams cannot be framed
+        as fixed-width records, so they stay in memory without asking.
         """
-        if ctx is None or bool(getattr(source, "is_packed", False)):
-            return False
-        from repro.ooc.exchange import uniform_spill_decision
+        if ctx is None or source.is_packed:
+            return None
+        from repro.mpi import MAX
 
-        return uniform_spill_decision(comm, ctx, source.nbytes)
+        if comm.allreduce(int(source.nbytes), MAX) <= ctx.budget.limit:
+            return None
+        from repro.ooc.spill import SpillableShuffle
+
+        return SpillableShuffle(ctx, comm.size, source.schema.dtype, kind=kind)
 
     # -- range exchange: Sort (Figure 9, job 1) and Group (Figure 11, job 1) ----
 
@@ -797,46 +865,37 @@ class MPIRuntime:
         ``pack`` kernel produces — so the final partitions are identical for
         every rank count (the paper's correctness requirement).  Reducers
         map onto ranks contiguously, so rank-major order stays globally
-        sorted for any reducer count.
+        sorted for any reducer count.  A resident source is one chunk, one
+        that streams is bucketized a chunk at a time; either way each
+        destination's pieces wait in memory or in its run file
+        (:meth:`_spills`).  Bit-identity holds either way: bucketization is
+        stable and chunks keep input order, and the cut only steers
+        placement — the partitions depend on global order alone.
         """
-        if self._spills(comm, ctx, source):
-            from repro.ooc.exchange import reduce_received, spilled_range_exchange
-
-            inbox = spilled_range_exchange(
-                comm, source, op.key, ascending, reducers, ctx, perf, KEY_SAMPLE_SIZE
-            )
-            self._charge(
-                comm, kernel, sum(m.num_records for m in inbox if m is not None)
-            )
-            return reduce_received(op, inbox, source.schema, ctx)
         from repro.mapreduce.partitioner import RangePartitioner
 
-        data = resident(source)
-        sort_keys = sort_key_array(np.asarray(data.column(op.key)), ascending)
-        reducer_of = RangePartitioner.sampled(
-            comm, sort_keys, reducers, KEY_SAMPLE_SIZE
-        ).partition_array(sort_keys)
-        received = self._exchange_entries(
-            comm, data, (reducer_of * comm.size) // reducers, perf
+        chunked = hasattr(source, "chunks")
+        source = source if chunked else resident(source)
+        sample = sort_key_array(_key_sample(source, op.key), ascending)
+        cut = RangePartitioner.sampled(comm, sample, reducers, KEY_SAMPLE_SIZE)
+        runs = self._spills(comm, ctx, source, "range")
+        boxes: list[list[Dataset]] = [[] for _ in range(comm.size)]
+        for chunk in source.chunks() if chunked else [source]:
+            sort_keys = sort_key_array(np.asarray(chunk.column(op.key)), ascending)
+            owners = cut.partition_array(sort_keys) * comm.size // reducers
+            for dest, idx in enumerate(bucketize(owners, comm.size)):
+                piece = chunk.take(idx)
+                perf.count_move(len(piece), piece.nbytes)
+                if runs is None:
+                    boxes[dest].append(piece)
+                else:
+                    runs.append(dest, piece.records)
+        inbox = _alltoall(
+            comm, [box[0] if len(box) == 1 else _flat(box, source.schema) for box in boxes],
+            "shuffle", {"records": len(source), "nbytes": source.nbytes}, runs,
         )
-        self._charge(comm, kernel, len(received))
-        return op.apply_local(received)
-
-    @staticmethod
-    def _exchange_entries(
-        comm: Communicator, data: Dataset, owners: np.ndarray, perf: PerfCounters
-    ) -> Dataset:
-        """Ship each entry to ``owners[i]``; receive in source-rank order."""
-        outboxes = [data.take(idx) for idx in bucketize(owners, comm.size)]
-        nbytes = sum(b.nbytes for b in outboxes)
-        perf.count_move(len(owners), nbytes)
-        inboxes = _alltoall(
-            comm, outboxes, "shuffle", {"records": len(owners), "nbytes": nbytes}
-        )
-        flats = [b.to_flat() for b in inboxes if len(b)]
-        if not flats:
-            return data.take(np.empty(0, dtype=np.int64)).to_flat()
-        return concat(flats) if len(flats) > 1 else flats[0]
+        self._charge(comm, kernel, sum(box.num_records for box in inbox if box is not None))
+        return _reduce_received(op, inbox, source.schema, None if runs is None else ctx)
 
     # -- distribute (Figures 9/11, last job) -----------------------------------
 
@@ -852,65 +911,63 @@ class MPIRuntime:
         """Deal every stream's entries to their partitions.
 
         Each rank cuts its window of a stream's global positions into
-        pieces with the policy's positional rule.  In place (see
-        :func:`why_gathered`) a piece is written straight to its slot of
-        its part (:func:`write_in_place`), the partition's owner rank
-        (``p % size``) seals the file, and the job returns ``{partition:
-        record count}``.
+        pieces with the policy's positional rule (:func:`deal_into`, a
+        budget's window at a time).  In place (see :func:`why_gathered`) a
+        piece is written straight to its slot of its part, the partition's
+        owner rank (``p % size``) seals the file, and the job returns
+        ``{partition: record count}``.
 
         Otherwise the partition id is the temporary reduce-key ("the reducer
         id is used as the reduce-key"): each stream is exchanged on its own
-        — in memory or through run files — as ``(partition, first global
-        index, entries)`` chunks, which the owners order by ``(stream, first
-        index)`` and return as ``{partition: Dataset}``.
+        — its outbox in memory or in run files (:meth:`_spills`) — as
+        ``(partition, first global index, entries)`` chunks, which the
+        owners order by ``(stream, first index)`` and return as
+        ``{partition: Dataset}``.
         """
         from repro.mpi import SUM
 
         streams = list(source) if isinstance(source, (list, tuple)) else [source]
         num_p = op.num_partitions
-        gathered = why_gathered(part_writer, streams, budgeted=ctx is not None)
-        in_place = gathered is None
+        gathered = why_gathered(part_writer, streams)
         base = np.zeros(num_p, dtype=np.int64)
         per_partition: dict[int, list[tuple[int, int, Dataset]]] = {}
         for stream_idx, stream in enumerate(streams):
             n_local = len(stream)
             offset = comm.exscan(n_local, SUM, identity=0)
             total = comm.allreduce(n_local, SUM)
-            if self._spills(comm, ctx, stream):
-                from repro.ooc.exchange import spilled_distribute_stream
+            window = ctx.chunk_records(stream.schema.itemsize) if ctx is not None else None
+            if gathered is None:
+                with _write_span(comm, stream_idx, n_local):
+                    deal_into(op, stream, part_sink(part_writer), base, offset, total, window,
+                              perf)
+                continue
+            runs = self._spills(comm, ctx, stream, "dist")
+            boxes: list[list[tuple[int, int, Dataset]]] = [[] for _ in range(comm.size)]
 
-                arrived = spilled_distribute_stream(
-                    comm, op, stream, offset, total, ctx, perf
-                )
+            def put(p: int, _slot: int, first: int, piece: Dataset) -> None:
+                if runs is None:
+                    boxes[p % comm.size].append((p, first, piece))
+                else:  # a keyless frame: partition and first position ride in the tag
+                    runs.append(p % comm.size, piece.records, tag=first * num_p + p)
+
+            deal_into(op, stream, put, base, offset, total, window, perf)
+            inbox = _alltoall(
+                comm, boxes, "distribute-shuffle",
+                {"stream": stream_idx, "records": n_local, "nbytes": stream.nbytes}, runs,
+            )
+            if runs is None:
+                arrived = [entry for box in inbox for entry in box]
             else:
-                stream = resident(stream)
-                # deal by position: this rank holds the global entries
-                # [offset, offset + n_local), so each partition's share is
-                # one slice of them — gathered straight from (records,
-                # order) when the stream is a lazy sort result
-                if in_place:
-                    with _write_span(comm, stream_idx, n_local):
-                        write_in_place(
-                            op, stream, part_writer, base, offset, total, perf=perf
-                        )
-                    continue
-                outboxes: list[list[tuple[int, int, Any]]] = [
-                    [] for _ in range(comm.size)
+                from repro.ooc.spill import drain_frames
+
+                arrived = [
+                    (f.tag % num_p, f.tag // num_p, Dataset(schema=stream.schema, records=f.values))
+                    for f in drain_frames(inbox)
                 ]
-                for p, _slot, where in op.policy.pieces(total, num_p, offset, n_local):
-                    chunk = stream.select(where)
-                    perf.count_move(len(chunk), chunk.nbytes)
-                    first = offset + where.indices(n_local)[0]
-                    outboxes[p % comm.size].append((p, first, chunk))
-                inboxes = _alltoall(
-                    comm, outboxes, "distribute-shuffle",
-                    {"stream": stream_idx, "records": n_local},
-                )
-                arrived = [entry for box in inboxes for entry in box]
             for p, first_idx, chunk in arrived:
                 per_partition.setdefault(p, []).append((stream_idx, first_idx, chunk))
         owned = range(comm.rank, num_p, comm.size)
-        if in_place:
+        if gathered is None:
             counts = {p: int(base[p]) for p in owned}
             for p, count in counts.items():
                 part_writer.finish(p, count)
@@ -924,23 +981,9 @@ class MPIRuntime:
             # only a file-to-file run has an output to report on
             perf.output = {"mode": "gathered", "reason": gathered}
         result: dict[int, Dataset] = {}
-        if not owned:
-            # this rank owns no partitions (num_p < comm.size): nothing to
-            # assemble, so skip building the empty-sentinel dataset too
-            return result
-        empty: Optional[Dataset] = None
         for p in owned:
-            chunks = per_partition.get(p)
-            if not chunks:
-                if empty is None:
-                    schema = streams[0].schema
-                    empty = Dataset(
-                        schema=schema, records=np.empty(0, dtype=schema.dtype)
-                    )
-                result[p] = empty
-                continue
-            chunks.sort(key=lambda t: (t[0], t[1]))
-            flat = [c.to_flat() for _, _, c in chunks]
-            self._charge(comm, "stream", sum(len(f) for f in flat))
-            result[p] = concat(flat) if len(flat) > 1 else flat[0]
+            chunks = sorted(per_partition.get(p, []), key=lambda t: (t[0], t[1]))
+            if chunks:
+                self._charge(comm, "stream", sum(c.num_records for _, _, c in chunks))
+            result[p] = _flat([c for _, _, c in chunks], streams[0].schema)
         return result

@@ -6,8 +6,8 @@ values, so a batch stays columnar — one keys array plus one values array
 
 * :func:`bucketize` — one stable order + ``bincount`` + ``split``
   replaces the O(n * destinations) per-destination ``flatnonzero`` scans.
-  The SPMD executor's range exchange and the run-file halves in
-  :mod:`repro.ooc.exchange` route through it.
+  The SPMD executor's range exchange routes through it, whether its
+  outbox is in memory or spilled.
 * :func:`group` — stable order + run-boundary detection; groups come out
   in first-seen key order (dict grouping's order) or key-sorted.
 

@@ -5,9 +5,10 @@ This package is what the runtimes reach for when a memory budget is set.  A
 :class:`~repro.ooc.chunked.ChunkedDataset` streams inputs in
 budget-sized chunks; :mod:`~repro.ooc.extsort` sorts datasets larger
 than memory through crc32-framed run files
-(:mod:`~repro.ooc.runfile`); and :mod:`~repro.ooc.spill` /
-:mod:`~repro.ooc.exchange` are the run-file halves of the distributed
-exchanges, taken by the SPMD executor when the budget demands it.
+(:mod:`~repro.ooc.runfile`); and :mod:`~repro.ooc.spill` is the run-file
+outbox an SPMD exchange fills instead of in-memory lists when the budget
+demands it — the exchanges themselves are the executor's own, one loop
+each with or without a budget.
 
 Nothing in the rest of the framework imports this package unless a
 ``memory_budget`` is actually set — the unbudgeted fast path never pays

@@ -25,7 +25,7 @@ spills *narrow* runs: the values are row ids, so a run record is the sort
 key plus a row id, and :class:`SortedRuns` gathers each merged frame's
 records from the source rows as it streams (:func:`external_sort_rows`).
 Records are spilled whole only where no row can be fetched by index — a
-text input, the SPMD spilled exchange's received run files
+text input, the run files an SPMD record exchange received
 (:func:`external_sort_records`).
 
 Stability is the load-bearing property (the paper's cyclic distribution
@@ -347,6 +347,10 @@ class SortedRuns:
         return Dataset(
             schema=self.schema, records=values if self.rows is None else self.rows[values]
         )
+
+    def __reduce__(self) -> tuple:
+        # a checkpoint holds the records, never paths into a spill directory
+        return Dataset, (self.schema, self.materialize().records)
 
     def row_ids(self) -> Iterator[np.ndarray]:
         """Narrow runs' merged row ids, a frame at a time: what a sort of

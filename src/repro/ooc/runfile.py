@@ -103,7 +103,7 @@ def verify_frame(
 
 @dataclass(frozen=True)
 class SpillManifest:
-    """What a finished run file is described by (the alltoall payload).
+    """What a finished run file is described by (the all-to-all payload).
 
     Shipping the manifest instead of the data is the point of spilling:
     the receiving rank streams the frames back from disk instead of ever

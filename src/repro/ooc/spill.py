@@ -3,11 +3,11 @@
 In the simulated cluster every rank is a thread sharing one filesystem, so
 a spilled shuffle never ships record payloads through the fabric at all:
 each sender drains its outgoing buckets into one crc32-framed run file per
-destination rank, and the ``alltoall`` exchanges only the tiny
-:class:`~repro.ooc.runfile.SpillManifest` descriptors.  The receiver then
-streams the frames back from disk **in source-rank order** — the same
-order the in-memory ``alltoall`` + concat produces — which is what keeps a
-spilled run bit-identical to the fast path.
+destination rank, and the SPMD executor's all-to-all exchanges only the
+tiny :class:`~repro.ooc.runfile.SpillManifest` descriptors.  The receiver
+then streams the frames back from disk **in source-rank order** — the
+same order an in-memory outbox's all-to-all + concat produces — which is
+what keeps a spilled run bit-identical to the fast path.
 
 :class:`OOCContext` is the per-rank handle threaded through a budgeted
 execution: it owns the budget, names run files uniquely per rank, and
@@ -82,7 +82,7 @@ class SpillableShuffle:
 
     Senders call :meth:`append` once per (chunk, destination) bucket;
     :meth:`finish` closes the writers and returns one manifest (or
-    ``None``) per destination, ready to be ``alltoall``-ed.  Frames carry
+    ``None``) per destination, ready for the all-to-all.  Frames carry
     an optional ``tag`` (the distribute path folds the piece's partition
     and first global index into it, so its frames are keyless) and
     optional per-record keys.
@@ -153,7 +153,7 @@ def concat_manifest_values(
     """All received records in source-rank order as one array.
 
     The receive-side materialization point: identical bytes to the
-    in-memory ``alltoall`` + concat, because manifests arrive in source
+    in-memory all-to-all + concat, because manifests arrive in source
     order and frames replay each sender's append order.
     """
     parts = [frame.values for frame in drain_frames(manifests)]

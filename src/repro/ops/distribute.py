@@ -31,9 +31,10 @@ chunk by chunk without ever being resident.  Packed streams, the
 path, which reads (and so materializes) a lazy sort result.
 
 :func:`deal_pieces` is that positional deal as a stream of pieces — each a
-partition, its first slot and the records to put there — for any window of
-a stream's positions: what this operator assembles partitions from, and
-what the runtimes write into the part files in place.
+partition, its first slot, its first global position and the entries to put
+there — for any window of a stream's positions: what this operator
+assembles partitions from, what the runtimes write into the part files in
+place, and what the SPMD executor ships to the partitions' owners.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ def deal_pieces(
     num_partitions: int,
     offset: int = 0,
     window: Optional[int] = None,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Deal a flat stream's entries by position: ``(partition, first slot,
-    records)`` pieces, in position order.
+) -> Iterator[tuple[int, int, int, Dataset]]:
+    """Deal a stream's entries by position: ``(partition, first slot, first
+    global position, entries)`` pieces, in position order.
 
     The stream holds the global positions ``[offset, offset + len(stream))``
     of a stream of ``total`` entries.  One that streams (``chunks()``) is
@@ -70,14 +71,16 @@ def deal_pieces(
     piece per partition; a dataset is dealt ``window`` positions at a time
     (all at once when ``None``), each piece gathered by one
     :meth:`~repro.core.dataset.Dataset.select` — from a sort's row ids
-    when the dataset is a lazy sort result.
+    when the dataset is a lazy sort result, as groups when it is packed.
     """
     if hasattr(stream, "chunks"):
         g0 = offset
         for records in _joined(stream.chunks(), window):
-            for p, slot, where in policy.pieces(total, num_partitions, g0, len(records)):
-                yield p, slot, records[where]
-            g0 += len(records)
+            m = len(records)
+            for p, slot, where in policy.pieces(total, num_partitions, g0, m):
+                piece = Dataset(schema=stream.schema, records=records[where])
+                yield p, slot, g0 + where.indices(m)[0], piece
+            g0 += m
         return
     n = len(stream)
     step = max(1, n if window is None else window)
@@ -85,7 +88,8 @@ def deal_pieces(
         m = min(step, n - w0)
         for p, slot, where in policy.pieces(total, num_partitions, offset + w0, m):
             start, stop, stride = where.indices(m)
-            yield p, slot, stream.select(slice(w0 + start, w0 + stop, stride)).records
+            first = w0 + start
+            yield p, slot, offset + first, stream.select(slice(first, w0 + stop, stride))
 
 
 def _joined(chunks: Iterator[Any], window: Optional[int]) -> Iterator[np.ndarray]:
@@ -144,8 +148,8 @@ class Distribute(BasicOperator):
             # a whole partition and one select (a lazy sort's only gather)
             # builds it
             parts = {
-                p: records
-                for p, _, records in deal_pieces(data, self.policy, n, self.num_partitions)
+                p: piece.records
+                for p, _, _, piece in deal_pieces(data, self.policy, n, self.num_partitions)
             }
             empty = np.empty(0, dtype=data.schema.dtype)
             return [
@@ -174,8 +178,8 @@ class Distribute(BasicOperator):
         """
         counts = self.policy.counts(n, self.num_partitions)
         parts = [np.empty(count, dtype=data.schema.dtype) for count in counts]
-        for p, slot, piece in deal_pieces(data, self.policy, n, self.num_partitions):
-            parts[p][slot : slot + len(piece)] = piece
+        for p, slot, _, piece in deal_pieces(data, self.policy, n, self.num_partitions):
+            parts[p][slot : slot + len(piece)] = piece.records
         return [Dataset(schema=data.schema, records=part) for part in parts]
 
     def apply_local(self, data: Any) -> list[Dataset]:

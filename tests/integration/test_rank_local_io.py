@@ -3,9 +3,10 @@
 ``partition_files`` is the program the paper generates — input file in,
 ``part-NNNNN`` files out.  On the SPMD backends each rank reads its own byte
 range of a binary input and, when the final deal carries flat records of the
-schema being written, writes its pieces of the partitions where they belong;
-text and packed outputs, and records widened by add-on attributes, are
-gathered to the driver as before.
+schema being written, writes its pieces of the partitions where they belong
+— under a memory budget too, a window of positions at a time; text and
+packed outputs, and records widened by add-on attributes, are gathered to
+the driver as before.
 Whichever tail runs, every part is byte-identical to the serial backend's,
 and the output directory only ever shows whole, published parts.
 
@@ -15,6 +16,8 @@ ran, temporary names and publishing are what rank-local I/O added.
 
 import glob
 import os
+import signal
+import tempfile
 
 import numpy as np
 import pytest
@@ -355,13 +358,16 @@ class TestWhichTailRan:
         from repro.cli import print_stats
 
         path = index_file(tmp_path, 1003)
-        for kwargs, line in (
-            ({}, "  output: written in place by ranks (5 parts, 15.7 KiB)"),
-            ({"optimize": True}, "  output: written in place by ranks (5 parts, 15.7 KiB)"),
-            ({"memory_budget": 4096}, "  output: gathered to the driver (memory budget)"),
+        in_place = "  output: written in place by ranks (5 parts, 15.7 KiB)"
+        for workflow, kwargs, line in (
+            (WORKFLOWS["blast-cyclic"], {}, in_place),
+            (WORKFLOWS["blast-cyclic"], {"optimize": True}, in_place),
+            (WORKFLOWS["blast-cyclic"], {"memory_budget": 4096}, in_place),
+            (GROUP_ATTR_XML, {"memory_budget": 4096},
+             "  output: gathered to the driver (added attributes)"),
         ):
-            out = partition(papar, WORKFLOWS["blast-cyclic"], path, tmp_path / "out", 5,
-                            "process", 2, **kwargs)
+            out = partition(papar, workflow, path, tmp_path / "out", 5, "process", 2,
+                            **kwargs)
             print_stats(out.result)
             printed = capsys.readouterr().out.splitlines()
             assert printed[-1] == line
@@ -374,13 +380,104 @@ class TestWhichTailRan:
 
     @pytest.mark.parametrize("backend", SPMD)
     def test_a_memory_budget_keeps_the_gather(self, papar, tmp_path, tmp_path_factory, backend):
-        want = serial_parts(papar, tmp_path_factory, "blast-cyclic", 1003, 5)
-        out = partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
-                        tmp_path / "out", 5, backend, 4, memory_budget=1024)
+        """A deal gathered for a reason of its own — records widened by an
+        add-on — stays gathered under a budget, its outbox in run files."""
+        serial_dir = tmp_path_factory.mktemp("serial-attrs") / "out"
+        partition(papar, GROUP_ATTR_XML, index_file(tmp_path, 1003), serial_dir, 5, "serial")
+        out = partition(papar, GROUP_ATTR_XML, index_file(tmp_path, 1003), tmp_path / "out",
+                        5, backend, 4, memory_budget=1024)
         assert out.result.extra["perf"]["output"] == {
-            "mode": "gathered", "reason": "memory budget",
+            "mode": "gathered", "reason": "added attributes",
         }
+        assert out.result.extra["perf"]["spill"]["runs_written"] > 0
+        assert part_files(tmp_path / "out") == part_files(serial_dir)
+
+
+class TestBudgetedRunsWriteInPlace:
+    """A memory budget decides where bytes wait, not which tail runs: the
+    ranks of a budgeted binary file-to-file run write their windows of the
+    deal in place, as they do without one."""
+
+    #: 1 KiB: every rank's range of the sort spills; 64 KiB: none does
+    BUDGETS = (1024, 64 * 1024)
+
+    #: (records, partitions, ranks) beyond the ranks x budgets grid
+    EDGES = {"more-partitions-than-records": (3, 7, 2), "empty-input": (0, 4, 4)}
+
+    @pytest.fixture
+    def spill_root(self, tmp_path, monkeypatch):
+        """Where the run's spill directory goes (checked empty afterwards)."""
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    def check(self, papar, tmp_path, tmp_path_factory, spill_root, backend, ranks, budget,
+              n=1003, parts=5):
+        want = serial_parts(papar, tmp_path_factory, "blast-cyclic", n, parts)
+        out = partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, n),
+                        tmp_path / "out", parts, backend, ranks, memory_budget=budget)
         assert part_files(tmp_path / "out") == want
+        assert entries(tmp_path / "out") == expected_names(parts)  # no .part-*.tmp left
+        assert out.result.extra["perf"]["output"] == {
+            "mode": "in_place", "parts": parts, "bytes": n * 16,
+        }
+        for path, part in zip(out.output_paths, out.partitions):
+            if len(part.records):  # a header-only part maps no records
+                assert isinstance(part.records, np.memmap)
+                assert not part.records.flags.writeable
+            np.testing.assert_array_equal(part.records, read_binary(path, BLAST_INDEX_SCHEMA))
+        assert os.listdir(spill_root) == []  # no papar-spill-* left
+        return out
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("ranks", (1, 2, 4))
+    @pytest.mark.parametrize("backend", SPMD)
+    def test_same_bytes_written_in_place(
+        self, papar, tmp_path, tmp_path_factory, spill_root, backend, ranks, budget
+    ):
+        out = self.check(papar, tmp_path, tmp_path_factory, spill_root, backend, ranks, budget)
+        spill = out.result.extra["perf"].get("spill", {})
+        if budget == 1024:
+            # the sort spilled its ranges' words — a 4-byte key and a 2-byte
+            # row id each — and no record
+            assert spill["runs_written"] > 0 and spill["narrow"] > 0
+            assert spill["spilled_bytes"] == spill["spilled_records"] * 6
+        else:
+            assert not spill
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("edge", list(EDGES))
+    @pytest.mark.parametrize("backend", SPMD)
+    def test_edge_shapes(
+        self, papar, tmp_path, tmp_path_factory, spill_root, backend, edge, budget
+    ):
+        n, parts, ranks = self.EDGES[edge]
+        self.check(papar, tmp_path, tmp_path_factory, spill_root, backend, ranks, budget,
+                   n, parts)
+
+    @pytest.mark.parametrize("backend", SPMD)
+    def test_a_run_killed_inside_the_deal_publishes_nothing(
+        self, papar, tmp_path, spill_root, monkeypatch, backend
+    ):
+        """A rank dies at its first part write (a forked rank by SIGKILL)."""
+        from repro.formats.binary import PartWriter
+
+        driver = os.getpid()
+
+        def die(self, partition, slot, records):
+            if os.getpid() != driver:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError("rank died inside the deal")
+
+        monkeypatch.setattr(PartWriter, "write", die)
+        before = leftovers()
+        with pytest.raises(Exception):
+            partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
+                      tmp_path / "out", 5, backend, 2, memory_budget=1024)
+        assert entries(tmp_path / "out") == []
+        assert os.listdir(spill_root) == []
+        assert leftovers() == before
 
 
 class TestMalformedInput:
@@ -480,14 +577,19 @@ class TestFailureHygiene:
     def test_a_stale_checkpoint_of_the_deal_is_written_by_the_driver(
         self, papar, tmp_path, tmp_path_factory
     ):
-        """A budgeted run checkpoints its gathered deal; a later run that
-        finds every job committed restores the partitions and has no piece
-        to place — the driver writes what the ranks return."""
+        """A run whose deal is gathered (records widened by an add-on)
+        checkpoints it; a later run that finds every job committed restores
+        the partitions and has no piece to place — the driver writes what
+        the ranks return."""
         from repro.fault import DiskCheckpointStore
 
-        want = serial_parts(papar, tmp_path_factory, "blast-cyclic", 1003, 5)
+        serial_dir = tmp_path_factory.mktemp("serial-attrs") / "out"
+        partition(papar, GROUP_ATTR_XML, index_file(tmp_path, 1003), serial_dir, 5, "serial")
         store = DiskCheckpointStore(tmp_path / "ckpt")
-        for budget, out_dir in ((4096, tmp_path / "first"), (None, tmp_path / "second")):
-            partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
-                      out_dir, 5, "mpi", 2, memory_budget=budget, checkpoint=store)
-            assert part_files(out_dir) == want
+        for budget, out_dir, restored in (
+            (4096, tmp_path / "first", []), (None, tmp_path / "second", ["group", "distr"])
+        ):
+            out = partition(papar, GROUP_ATTR_XML, index_file(tmp_path, 1003), out_dir, 5,
+                            "mpi", 2, memory_budget=budget, checkpoint=store)
+            assert out.result.extra["fault"]["recovered_jobs"] == restored
+            assert part_files(out_dir) == part_files(serial_dir)

@@ -96,6 +96,29 @@ class TestDescendingSortOverTheDtypeMinimum:
         assert rows(spilled) == rows(serial)
 
 
+class TestTheGatheredDealSpills:
+    def test_a_deal_over_the_budget_goes_through_run_files(self, papar):
+        """An in-memory run gathers its deal; at 64 KB each rank's 128 KiB
+        share of it exceeds the budget, so every rank's outbox is run
+        files — a ``spill-distribute-shuffle`` span each — and the
+        partitions still equal the unbudgeted run's."""
+        from repro.obs import Recorder
+
+        data = Dataset.from_array(BLAST_INDEX_SCHEMA, blast_data(32768, seed=31))
+        plain = papar.run(BLAST_WORKFLOW_XML, ARGS, data=data, backend="mpi", num_ranks=4)
+        rec = Recorder()
+        budgeted = papar.run(
+            BLAST_WORKFLOW_XML, ARGS, data=data, backend="mpi", num_ranks=4,
+            memory_budget="64KB", recorder=rec,
+        )
+        spills = [s for s in rec.spans if s.name == "spill-distribute-shuffle"]
+        assert sorted(s.rank for s in spills) == [0, 1, 2, 3]
+        assert {s.category for s in spills} == {"spill"}
+        assert sum(s.attrs["records"] for s in spills) == len(data)
+        assert not [s for s in rec.spans if s.name == "distribute-shuffle"]
+        assert rows(budgeted) == rows(plain)
+
+
 class TestReducerCountReachesTheSpilledExchange:
     """``num_reducers`` is the same parameter in memory and on the run-file
     path; the shipped value (3) is covered by ``tests/ooc``."""

@@ -1,10 +1,11 @@
 """The exchange-free SPMD sort of the run's input: each rank cuts its own range.
 
 A flat sort that reads the run's own input, keyed by an integer of at most
-32 bits, with no memory budget, ships nothing: every rank takes the same
-splitters from the same regular sample of the input, scans the key column
-for the (key, row id) words of its own range and sorts them, and the deal
-gathers each piece from the input by row id.  A spy on the thread ranks
+32 bits, ships nothing: every rank takes the same splitters from the same
+regular sample of the input, scans the key column for the (key, row id)
+words of its own range and sorts them — or, under a memory budget they
+outweigh, spills them as narrow runs — and the deal gathers each piece from
+the input by row id.  A spy on the thread ranks
 shows the sort sends no message.  Generated cases over every such key
 dtype — the extremes, all-equal keys, empty and one-record inputs, more
 ranks than records, both directions and both positional policies — and
@@ -12,9 +13,10 @@ cases aimed at the cut itself — a splitter inside a run of equal keys,
 eight ranks over at most two distinct keys, int8 and uint32 extremes, and
 ``mapreduce`` reducer counts that do not divide the rank count — must give
 the serial partitions bit for bit on ``mpi``, ``mapreduce`` and
-``process``, through ``PaPar.run(data=...)`` and ``partition_files``.  The
-fallback cells (a 64-bit key, a float key, a sort of a sort's output, a
-memory budget) take the record exchange and must stay byte-identical too.
+``process``, through ``PaPar.run(data=...)`` and ``partition_files``, with
+and without a budget.  The fallback cells (a 64-bit key, a float key, a
+sort of a sort's output) take the record exchange and must stay
+byte-identical too.
 """
 
 import os
@@ -219,6 +221,18 @@ def test_the_sort_of_the_input_sends_no_message(path):
     assert issued and not [name for name, inside in issued if inside]
 
 
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("ascending", [True, False])
+def test_a_budgeted_sort_of_the_input_is_a_word_sort(path, ascending):
+    """A budget the ranges' words outweigh spills them as narrow runs: still
+    one word sort per rank, still no message, still the serial bytes."""
+    rows = key_rows("<u4", np.random.default_rng(13).integers(0, 2**32, 2500))
+    xml = workflow(ascending, "roundRobin")
+    ranks = 3
+    calls = assert_spmd_matches_serial(PATHS[path], rows, "<u4", xml, 7, ranks, "8KB")
+    assert calls == 2 * ranks
+
+
 #: shapes of input aimed at the range cut
 CUT_SHAPES = ("equal-runs", "two-keys-eight-ranks", "extremes", "fewer-rows-than-ranks")
 
@@ -274,12 +288,11 @@ def float_keys(n, rng):
     return key_rows("<f8", rng.choice(pool, n))
 
 
-#: cell -> (rows, sorts in the chain, memory budget, word exchanges per rank)
+#: cell -> (rows, sorts in the chain, word exchanges per rank)
 FALLBACKS = {
-    "int64-key-above-32-bits": (wide_int64, 1, None, 0),
-    "float-key": (float_keys, 1, None, 0),
-    "sort-of-a-sort": (lambda n, rng: key_rows("<i4", rng.integers(-5, 5, n)), 2, None, 1),
-    "memory-budget": (lambda n, rng: key_rows("<u4", rng.integers(0, 2**32, n)), 1, "8KB", 0),
+    "int64-key-above-32-bits": (wide_int64, 1, 0),
+    "float-key": (float_keys, 1, 0),
+    "sort-of-a-sort": (lambda n, rng: key_rows("<i4", rng.integers(-5, 5, n)), 2, 1),
 }
 
 
@@ -287,10 +300,10 @@ FALLBACKS = {
 @pytest.mark.parametrize("cell", sorted(FALLBACKS))
 @pytest.mark.parametrize("ascending", [True, False])
 def test_fallbacks_keep_the_record_exchange_bit_identically(path, cell, ascending):
-    make, sorts, budget, words_per_rank = FALLBACKS[cell]
+    make, sorts, words_per_rank = FALLBACKS[cell]
     rows = make(2500, np.random.default_rng(len(cell)))
     key_dtype = rows.dtype["key"].str
     xml = workflow(ascending, "roundRobin", sorts=sorts)
     ranks = 3
-    calls = assert_spmd_matches_serial(PATHS[path], rows, key_dtype, xml, 7, ranks, budget)
+    calls = assert_spmd_matches_serial(PATHS[path], rows, key_dtype, xml, 7, ranks)
     assert calls == 2 * ranks * words_per_rank

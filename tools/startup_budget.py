@@ -58,7 +58,7 @@ runpy.run_module("repro", run_name="__main__", alter_sys=True)
 _SPMD = ("repro.mpi", "repro.fault", "repro.cluster")
 _ENGINES = ("repro.core.codegen", "repro.mapreduce.hadoop_engine", "repro.mapreduce.rebalance")
 _ON_REQUEST = ("repro.serve", "repro.obs")
-_SPILL = ("repro.ooc.runfile", "repro.ooc.extsort", "repro.ooc.spill", "repro.ooc.exchange")
+_SPILL = ("repro.ooc.runfile", "repro.ooc.extsort", "repro.ooc.spill")
 
 
 @dataclass(frozen=True)
