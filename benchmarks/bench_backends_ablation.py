@@ -60,36 +60,72 @@ def test_backend_ablation(benchmark, data, reporter):
     shape(identical, "all backends produce identical partitions")
 
 
+FUSED_WORKFLOW_XML = """\
+<workflow id="fused_exchange" name="fused exchange workload">
+  <arguments>
+    <param name="input_path" type="hdfs" format="blast_db"/>
+    <param name="output_path" type="hdfs" format="blast_db"/>
+    <param name="num_partitions" type="integer"/>
+  </arguments>
+  <operators>
+    <operator id="sort1" operator="Sort">
+      <param name="key" type="KeyId" value="seq_size"/>
+      <param name="inputPath" type="String" value="$input_path"/>
+      <param name="outputPath" type="String" value="/user/s1"/>
+    </operator>
+    <operator id="sort2" operator="Sort">
+      <param name="key" type="KeyId" value="seq_size"/>
+      <param name="inputPath" type="String" value="$sort1.outputPath"/>
+      <param name="outputPath" type="String" value="/user/s2"/>
+    </operator>
+    <operator id="distr" operator="Distribute">
+      <param name="inputPath" type="String" value="$sort2.outputPath"/>
+      <param name="outputPath" type="String" value="$output_path"/>
+      <param name="distrPolicy" type="DistrPolicy" value="roundRobin"/>
+      <param name="numPartitions" type="integer" value="$num_partitions"/>
+    </operator>
+  </operators>
+</workflow>
+"""
+
+
+def shuffle_payload(result):
+    """The perf-counter shuffle payload (what ``--stats`` reports), not the
+    fabric's wire count of rows that changed ranks."""
+    return result.extra.get("perf", {}).get("bytes_moved", result.bytes_moved)
+
+
 def run_fused_ablation(data):
-    """The fused-exchange workload (sort -> sort -> distribute), plain vs
-    ``optimize=True``, on every backend: same partitions, fewer bytes."""
-    from bench_optimizer import FUSED_WORKFLOW_XML, shuffle_payload
+    """The fused-exchange workload (sort -> sort -> distribute) as planned
+    (the planner drops ``sort1``) vs the hand-built plan of all three jobs,
+    on every backend: same partitions, fewer bytes."""
+    from repro.core.planner import Planner
 
     papar = PaPar()
     papar.register_input(BLAST_INPUT_XML)
     cluster = ClusterModel(num_nodes=4, ranks_per_node=2, network=INFINIBAND_QDR)
     exp = Experiment(
-        "Fused-exchange ablation",
-        "redundant sort removed by the optimizer, per backend",
+        "Elided-exchange ablation",
+        "redundant sort dropped by the planner, per backend",
     )
+    spec = papar.load_workflow(FUSED_WORKFLOW_XML)
+    minimal = papar.plan(spec, ARGS)
+    every_job = Planner()._plan_every_job(spec, ARGS)
     identical = True
     for backend in ("serial", "mpi", "mapreduce"):
         kwargs = {} if backend == "serial" else {"num_ranks": RANKS, "cluster": cluster}
-        plain = papar.run(FUSED_WORKFLOW_XML, ARGS, data=data, backend=backend, **kwargs)
-        optimized = papar.run(
-            FUSED_WORKFLOW_XML, ARGS, data=data, backend=backend, optimize=True, **kwargs
-        )
-        for ours, theirs in zip(optimized.partitions, plain.partitions):
+        plain = papar.run(minimal, ARGS, data=data, backend=backend, **kwargs)
+        whole = papar.run(every_job, ARGS, data=data, backend=backend, **kwargs)
+        for ours, theirs in zip(plain.partitions, whole.partitions):
             identical &= bool(np.array_equal(ours.records, theirs.records))
-        summary = optimized.extra["optimizer"]
         exp.add(
             backend=backend,
             ranks=1 if backend == "serial" else RANKS,
-            bytes_moved_plain=shuffle_payload(plain),
-            bytes_moved_optimized=summary["measured_bytes_moved"],
-            exchanges_removed=summary["exchanges_removed"],
+            bytes_moved_every_job=shuffle_payload(whole),
+            bytes_moved_planned=shuffle_payload(plain),
+            jobs_elided=len(minimal.elided),
         )
-    exp.note(f"optimized partitions identical to plain: {identical}")
+    exp.note(f"planned partitions identical to every job's: {identical}")
     return exp, identical
 
 
@@ -98,7 +134,7 @@ def test_fused_exchange_ablation(benchmark, data, reporter):
         run_fused_ablation, args=(data,), rounds=1, iterations=1
     )
     reporter.record(exp)
-    shape(identical, "optimize=True is bit-identical on every backend")
+    shape(identical, "the elided plan is bit-identical on every backend")
 
 
 def test_hadoop_engine_flow(benchmark, reporter):

@@ -9,16 +9,15 @@ suggested fix.  See ``docs/lint-rules.md`` for the rule catalog.
 Three front doors:
 
 * CLI — ``python -m repro lint workflow.xml [--input input.xml] ...``
-  (and ``explain`` / ``optimize``);
+  (and ``explain``);
 * API — :meth:`repro.PaPar.lint` returning structured diagnostics;
 * pipeline hook — ``plan`` / ``run`` refuse configurations with lint
   errors unless ``--no-lint`` is passed.
 
 Each verb is one function of a configured :class:`Linter` and a workflow
 given as XML text or a :class:`~repro.config.workflow.WorkflowSpec` (the
-one workflow type; the located model builds it): :meth:`Linter.lint`,
-:func:`repro.analysis.explain.explain` and
-:func:`repro.analysis.optimize.optimize`.  :func:`read_configs` reads
+one workflow type; the located model builds it): :meth:`Linter.lint` and
+:func:`repro.analysis.explain.explain`.  :func:`read_configs` reads
 configuration files into their arguments.
 
 This module lazily re-exports its public names (PEP 562) because the
@@ -43,9 +42,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "repro.analysis.cost": ("analyze_plan", "AnalyzedPlan"),
     "repro.analysis.explain": ("ExplainReport",),
-    "repro.analysis.optimize": (
-        "PASS_NAMES", "AppliedRewrite", "RefusedRewrite", "OptimizedPlan", "OptimizeReport",
-    ),
 })
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only

@@ -1,4 +1,4 @@
-"""The typed plan-IR shared by the lint rules and the (future) optimizer.
+"""The typed plan-IR shared by the lint rules and ``explain``.
 
 Historically every path/type rule re-derived the workflow dataflow with its
 own call to ``resolve_dataflow``.  This module is that resolution promoted
@@ -13,8 +13,9 @@ ranks, and the source locations :mod:`repro.analysis.locate` collected.
 Everything downstream — the PAP02x/03x rules, the fixed-point analyses in
 :mod:`repro.analysis.dataflow`, the cost model in
 :mod:`repro.analysis.cost`, and ``papar explain`` — consumes this IR
-instead of re-resolving paths privately.  An optimizer pass is a pure
-rewrite over the same structure.
+instead of re-resolving paths privately.  The IR holds every declared
+operator; which of them run is the planner's decision
+(:attr:`WorkflowPlan.elided <repro.core.planner.WorkflowPlan.elided>`).
 """
 
 from __future__ import annotations
@@ -124,24 +125,9 @@ class PlanIR:
                     seen[e.src] = node
         return sorted(seen.values(), key=lambda n: n.index)
 
-    def successors(self, op_id: str) -> list[IRNode]:
-        """Consuming nodes of ``op_id``, in execution order, de-duplicated."""
-        seen: dict[str, IRNode] = {}
-        for e in self.out_edges(op_id):
-            if e.dst not in seen:
-                node = self.node(e.dst)
-                if node is not None:
-                    seen[e.dst] = node
-        return sorted(seen.values(), key=lambda n: n.index)
-
     def consumed_outputs(self, op_id: str) -> set[int]:
         """Output slots of ``op_id`` some later node consumes."""
         return {e.src_output for e in self.out_edges(op_id)}
-
-    def sole_consumer(self, op_id: str) -> Optional[IRNode]:
-        """The unique consumer of *every* consumed output, or None."""
-        succ = self.successors(op_id)
-        return succ[0] if len(succ) == 1 else None
 
     def exchange_nodes(self) -> list[IRNode]:
         """Nodes annotated with an exchange, in execution order."""

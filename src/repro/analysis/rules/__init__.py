@@ -337,35 +337,32 @@ CATALOG: dict[str, RuleSpec] = {
               "index, flat sort output): 'output: written in place by ranks'"),
         # -- optimization advisories (PAP08x) ---------------------------------
         _spec("PAP080", "dead-operator", Severity.INFO,
-              "an operator whose outputs nothing downstream ever consumes",
-              "The plan-IR found no edge (path match or $ref) from any of "
-              "this operator's outputs to a later stage: the whole stage — "
-              "including its exchange, if any — is wasted work. The "
-              "optimizer's dead-operator-elimination pass (papar optimize) "
-              "deletes exactly these stages.",
+              "an operator whose outputs the final job never reads",
+              "The planner follows the final job's input back to the "
+              "workflow input; an operator off that chain feeds nothing "
+              "the partitions are made of: the whole stage — including its "
+              "exchange, if any — is wasted work. The planner skips exactly "
+              "these stages, and 'repro plan' lists each as 'elided:'.",
               "a Sort stage whose output path no later operator reads",
-              "applied rewrite (dead-operator-elimination): the stage is "
-              "deleted; 'papar optimize' removes it and its exchange from "
-              "the plan"),
+              "the planner skips it: the stage and its exchange never run; "
+              "delete it so the workflow says what runs"),
         _spec("PAP081", "redundant-exchange", Severity.INFO,
               "adjacent exchanges where the first shuffle's effect is discarded",
               "Sort and group redistribute records by key range; a second "
-              "range exchange immediately after (sort->sort, sort->group, "
-              "group->sort) re-shuffles everything, "
-              "discarding the first exchange's layout. One exchange "
-              "suffices. (sort->distribute is NOT flagged: distribute's "
-              "position permutation preserves the sorted order — the "
-              "paper's canonical pipeline.) The "
-              "redundant-exchange-elimination pass applies the safe subset "
-              "of these: same-key shapes where the surviving exchange "
-              "reproduces the exact byte order; different-key shapes are "
-              "refused because stable-sort tie order depends on the "
-              "dropped stage.",
+              "range exchange on the same key immediately after re-shuffles "
+              "everything, discarding the first exchange's layout, and one "
+              "exchange suffices. The planner skips the redundant one where "
+              "the survivor provably reproduces the exact byte order: "
+              "sort->sort with the same direction (drops the first), "
+              "sort->group (drops the sort), and a flat group->ascending "
+              "sort (drops the sort). Different keys, opposite directions "
+              "and a packed group are kept, because stable-sort tie order "
+              "depends on the dropped stage. (sort->distribute is never "
+              "redundant: distribute's position permutation preserves the "
+              "sorted order — the paper's canonical pipeline.)",
               "a Sort stage feeding another Sort on the same key",
-              "applied rewrite (redundant-exchange-elimination): "
-              "sort->sort on one key collapses to the second sort alone — "
-              "'papar optimize' drops the first exchange and re-points the "
-              "survivor at its input"),
+              "the planner skips it: sort->sort on one key runs as the "
+              "second sort alone, reading the first sort's input"),
         _spec("PAP083", "unused-column", Severity.INFO,
               "input columns no key or add-on reads; every exchange still "
               "carries them",
@@ -388,15 +385,13 @@ CATALOG: dict[str, RuleSpec] = {
               "The cost model estimates bytes moved per exchange from the "
               "input row count and the inferred record width; stages above "
               "the threshold dominate the run and are the first candidates "
-              "for tuning (more ranks, narrower records, combiners). No "
-              "single rewrite applies mechanically, but the optimizer's "
-              "structural passes delete a hotspot that is dead "
-              "(dead-operator-elimination) or redundant "
-              "(redundant-exchange-elimination).",
+              "for tuning (more ranks, narrower records, combiners). "
+              "Nothing applies it mechanically, but a hotspot that is dead "
+              "(PAP080) or redundant (PAP081) never runs: the planner skips "
+              "it.",
               "a sort over 10^8 records of 16-byte elements (1.6 GB moved)",
-              "applied mitigation: run 'papar optimize' — dead-stage and "
-              "exchange elimination remove the hotspot when it is wasted "
-              "work; then tune ranks/combiners for what remains"),
+              "the planner skips the hotspot when it is wasted work (dead or "
+              "redundant); tune ranks/combiners for what remains"),
         # -- streaming-service fit (PAP09x) -----------------------------------
         _spec("PAP090", "stream-unsafe-policy", Severity.WARNING,
               "a serve workflow routes appends by arrival order, not by key",

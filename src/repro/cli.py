@@ -5,16 +5,13 @@ runtime" with overrides from the command line; this CLI is that front end:
 
 * ``lint``     — statically analyze the configs and report every finding;
 * ``explain``  — render the analyzed plan-IR (schemas, liveness, exchange cost);
-* ``optimize`` — apply the PAP080-081 rewrite passes, show the plan diff;
-* ``plan``     — parse the configs, resolve arguments, print the job table;
+* ``plan``     — parse the configs, resolve arguments, print the job table
+  (and each job the planner drops: a dead stage, a redundant exchange);
 * ``codegen``  — emit the generated partitioner source;
 * ``run``      — partition an input file into ``part-NNNNN`` output files;
 * ``serve``    — keep the partitions hot in a long-lived daemon that
   accepts incremental appends, rebalances online, and publishes atomic
   snapshots (see ``docs/streaming-service.md``).
-
-``plan`` and ``run`` accept ``--optimize`` to execute the rewritten plan
-(outputs stay bit-identical; a removed stage's exchange is never run).
 
 ``plan``, ``codegen``, ``run`` and ``serve`` share one front end: each
 config file is read and parsed once, the workflow is planned once with the
@@ -143,33 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="assumed input record count when no real "
                                 "input file is bound")
 
-    p_opt = sub.add_parser(
-        "optimize",
-        help="apply the PAP080-081 rewrite passes and render the original -> "
-             "optimized plan diff",
-    )
-    p_opt.add_argument("workflow", metavar="WORKFLOW_XML",
-                       help="workflow configuration file")
-    p_opt.add_argument("--input", "--input-config", action="append",
-                       default=[], dest="input", metavar="FILE",
-                       help="input-data configuration XML (repeatable)")
-    p_opt.add_argument("--arg", action="append", default=[],
-                       metavar="NAME=VALUE",
-                       help="workflow argument (repeatable); binding the "
-                            "real input path enables file-backed row counts")
-    p_opt.add_argument("--format", choices=("text", "json"), default="text",
-                       help="report format (default: text)")
-    p_opt.add_argument("--ranks", type=int, default=None, metavar="N",
-                       help="intended rank count")
-    p_opt.add_argument("--assume-records", type=int, default=None, metavar="N",
-                       help="assumed input record count when no real input "
-                            "file is bound")
-
     p_plan = sub.add_parser("plan", help="print the planned job sequence")
     common(p_plan)
-    p_plan.add_argument("--optimize", action="store_true",
-                        help="apply the PAP080-081 rewrite passes and plan the "
-                             "rewritten workflow")
 
     p_gen = sub.add_parser("codegen", help="emit the generated partitioner source")
     common(p_gen)
@@ -184,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stats", action="store_true",
                        help="print shuffle perf counters (records/bytes moved, "
                             "per-phase wall and virtual time)")
-    p_run.add_argument("--optimize", action="store_true",
-                       help="apply the PAP080-081 rewrite passes before "
-                            "running; outputs are bit-identical, removed "
-                            "exchanges move no bytes (see --stats)")
     p_run.add_argument("--faults", action="append", default=[], metavar="SPEC",
                        help="inject a fault (repeatable), e.g. "
                             "'crash:rank=1,job=0', 'drop:src=0,dst=2,p=0.5', "
@@ -343,21 +311,6 @@ def cmd_explain(ns: argparse.Namespace) -> int:
     return report.lint.exit_code()
 
 
-def cmd_optimize(ns: argparse.Namespace) -> int:
-    from repro.analysis.engine import read_configs
-    from repro.analysis.optimize import optimize
-
-    report = optimize(
-        _linter(ns), **read_configs(ns.workflow, ns.input), args=_parse_arg_pairs(ns.arg)
-    )
-    if ns.format == "json":
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    # refusals are informational; only real configuration errors fail
-    return report.before.lint.exit_code()
-
-
 def _front_end(
     ns: argparse.Namespace,
 ) -> tuple[PaPar, WorkflowPlan, dict[str, str]] | int:
@@ -403,18 +356,7 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     front = _front_end(ns)
     if isinstance(front, int):
         return front
-    papar, plan, args = front
-    if ns.optimize:
-        optimized = papar.optimize(plan.spec, args)
-        print(
-            f"optimizer: {len(optimized.rewrites)} rewrite(s), "
-            f"{optimized.exchanges_removed} exchange(s) removed"
-        )
-        for r in optimized.rewrites:
-            print(f"  {r.code} {r.pass_name}: removed "
-                  f"{', '.join(repr(x) for x in r.removed)} ({r.site})")
-        if optimized.changed:
-            plan = papar.plan(optimized.workflow, args)
+    _papar, plan, _args = front
     print(f"workflow {plan.workflow_id!r}: {len(plan.jobs)} job(s)")
     for i, job in enumerate(plan.jobs):
         src = job.source if job.source else "<workflow input>"
@@ -422,6 +364,8 @@ def cmd_plan(ns: argparse.Namespace) -> int:
             f"  [{i}] {job.op_id} ({job.operator_name}) "
             f"<- {src}  -> {', '.join(job.output_paths)}"
         )
+    for elided in plan.elided:
+        print(f"  elided: {elided.op_id} ({elided.code} {elided.reason})")
     return 0
 
 
@@ -448,31 +392,8 @@ def _format_bytes(n: int) -> str:
     return f"{n} B"  # pragma: no cover - unreachable
 
 
-def print_optimizer_stats(result) -> None:
-    """Render ``extra['optimizer']`` (passes fired, bytes saved)."""
-    opt = result.extra.get("optimizer")
-    if not opt:
-        return
-    passes = ", ".join(opt["passes_fired"]) or "none"
-    print(
-        f"optimizer: passes fired: {passes}; "
-        f"{opt['operators_removed']} operator(s) and "
-        f"{opt['exchanges_removed']} exchange(s) removed"
-    )
-    for r in opt.get("rewrites", []):
-        print(f"  {r['code']} {r['pass']} at {r['site']}: "
-              f"removed {', '.join(r['removed'])}")
-    est = opt.get("est_bytes_saved")
-    est_text = _format_bytes(int(est)) if est is not None else "?"
-    print(
-        f"  estimated bytes saved: {est_text}; measured shuffle payload: "
-        f"{_format_bytes(opt['measured_bytes_moved'])}"
-    )
-
-
 def print_stats(result) -> None:
     """Render the perf-counter summary of a :class:`PartitionResult`."""
-    print_optimizer_stats(result)
     perf = result.extra.get("perf")
     if not perf:
         print("stats: (no perf counters recorded by this backend)")
@@ -586,8 +507,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     try:
         out = papar.partition_files(
             plan, args, backend=ns.backend, num_ranks=ns.ranks,
-            memory_budget=ns.memory_budget, optimize=ns.optimize,
-            **fault_tolerance
+            memory_budget=ns.memory_budget, **fault_tolerance
         )
     finally:
         if armed:
@@ -669,7 +589,6 @@ def cmd_serve(ns: argparse.Namespace) -> int:
 _COMMANDS = {
     "lint": cmd_lint,
     "explain": cmd_explain,
-    "optimize": cmd_optimize,
     "plan": cmd_plan,
     "codegen": cmd_codegen,
     "run": cmd_run,

@@ -156,7 +156,6 @@ def partition_files(
     cluster: Optional[Any] = None,
     schema_id: Optional[str] = None,
     memory_budget: Any = None,
-    optimize: bool = False,
     **fault_tolerance: Any,
 ) -> FilePartitionResult:
     """Read the input file, run the workflow, write the partition files.
@@ -166,11 +165,6 @@ def partition_files(
     (``faults``, ``checkpoint``, ``retry``, ``chaos_seed``,
     ``deadlock_grace``, plus an observability ``recorder``) are forwarded
     to :meth:`repro.PaPar.run`.
-
-    ``optimize=True`` runs the PAP080-081 rewrite passes first (see
-    ``docs/optimizer.md``) and then runs the rewritten workflow like any
-    other, in place where a plain run would be; the part files are
-    bit-identical either way.
 
     With a ``memory_budget``, the input file is *not* read into memory:
     it is opened as a :class:`~repro.ooc.ChunkedDataset` and streamed in
@@ -211,7 +205,6 @@ def partition_files(
         num_ranks=num_ranks,
         cluster=cluster,
         memory_budget=memory_budget,
-        optimize=optimize,
         part_writer=writer,
         **fault_tolerance,
     )

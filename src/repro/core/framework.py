@@ -155,27 +155,11 @@ class PaPar:
             serve=serve, errors_only=errors_only,
         ).lint(**read_configs(workflow_path, input_paths), args=args, do_plan=do_plan)
 
-    def optimize(
-        self,
-        workflow: Union[WorkflowSpec, str],
-        args: Optional[dict[str, Any]] = None,
-        ranks: Optional[int] = None,
-        assume_records: Optional[int] = None,
-    ):
-        """Apply the PAP080-081 rewrite passes and return the optimized plan.
-
-        Returns an :class:`~repro.analysis.optimize.OptimizedPlan`: the
-        rewritten :class:`WorkflowSpec` plus the audit trail (rewrites
-        applied, rewrites refused and why, and the cost-model estimates).
-        Schemas registered on this instance drive the liveness and width
-        analyses.  See ``docs/optimizer.md``.
-        """
-        from repro.analysis.engine import Linter
-        from repro.analysis.optimize import optimize
-
-        spec = self.load_workflow(workflow) if isinstance(workflow, str) else workflow
-        linter = Linter(schemas=self._schemas, ranks=ranks, assume_records=assume_records)
-        return optimize(linter, spec, filename=spec.source_file, args=args).plan
+    def optimize(self, workflow, args=None, ranks=None, assume_records=None):
+        """The jobs the planner drops from ``workflow``'s plan
+        (:attr:`WorkflowPlan.elided`); kept for callers that still probe
+        this name.  ``ranks`` and ``assume_records`` are ignored."""
+        return self.plan(workflow, args).elided
 
     # -- planning and code generation ----------------------------------------------
 
@@ -238,7 +222,6 @@ class PaPar:
         num_ranks: int = 1,
         cluster: Optional[ClusterModel] = None,
         schema_id: Optional[str] = None,
-        optimize: bool = False,
         **fault_tolerance: Any,
     ):
         """End-to-end: read the input file, partition, write part-NNNNN files.
@@ -246,9 +229,8 @@ class PaPar:
         Extra keyword arguments (``faults``, ``checkpoint``, ``retry``,
         ``chaos_seed``, ``deadlock_grace``) configure fault tolerance, as in
         :meth:`run`; ``memory_budget`` streams the input out-of-core
-        instead of loading it (see :meth:`run`); ``optimize`` applies the
-        PAP080-081 rewrite passes before planning (see :meth:`optimize`).
-        A :class:`WorkflowPlan` runs as planned.
+        instead of loading it (see :meth:`run`).  A :class:`WorkflowPlan`
+        runs as planned.
         """
         from repro.core.files import partition_files as _partition_files
 
@@ -260,7 +242,6 @@ class PaPar:
             num_ranks=num_ranks,
             cluster=cluster,
             schema_id=schema_id,
-            optimize=optimize,
             **fault_tolerance,
         )
 
@@ -317,17 +298,13 @@ class PaPar:
         deadlock_grace: Optional[float] = None,
         recorder: Any = None,
         memory_budget: Any = None,
-        optimize: bool = False,
         part_writer: Any = None,
     ) -> PartitionResult:
         """Plan (if needed) and execute a workflow over ``data``.
 
-        With ``optimize=True`` the workflow first runs through the PAP080-081
-        rewrite passes (:meth:`optimize`): the rewritten job DAG executes
-        instead, exactly as a plain run of that DAG would, and the result
-        carries an ``optimizer`` section in :attr:`PartitionResult.extra`
-        (passes fired, exchanges removed, estimated vs. measured bytes).
-        Outputs are bit-identical to the unoptimized run on every backend.
+        The plan is minimal (see :mod:`repro.core.planner`): jobs the final
+        job does not need never run.  A :class:`WorkflowPlan` runs as
+        planned.
 
         Fault tolerance (SPMD backends only — see :mod:`repro.fault`):
         ``faults`` takes a :class:`~repro.fault.FaultSchedule` (or CLI-style
@@ -351,20 +328,6 @@ class PaPar:
         """
         from repro.core.runtime import SerialRuntime
 
-        optimized = None
-        if optimize:
-            planned = isinstance(workflow, WorkflowPlan)
-            if planned and workflow.spec is None:
-                raise WorkflowError(
-                    "optimize=True needs the workflow configuration; this "
-                    "WorkflowPlan was not planned from one"
-                )
-            optimized = self.optimize(
-                workflow.spec if planned else workflow, args, ranks=num_ranks
-            )
-            if optimized.changed or not planned:
-                # a plan nothing rewrote runs as planned
-                workflow = optimized.workflow
         if isinstance(workflow, WorkflowPlan):
             plan = workflow
         else:
@@ -399,15 +362,4 @@ class PaPar:
                 f"unknown backend {backend!r}; "
                 "use 'serial', 'mpi', 'mapreduce' or 'process'"
             )
-        if optimized is not None:
-            summary = optimized.summary()
-            perf = result.extra.get("perf") or {}
-            summary["measured_bytes_moved"] = perf.get(
-                "bytes_moved", result.bytes_moved
-            )
-            result.extra["optimizer"] = summary
-            if recorder is not None:
-                from repro.obs.adapters import record_optimizer
-
-                record_optimizer(recorder, summary)
         return result

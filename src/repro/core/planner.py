@@ -7,6 +7,12 @@ decides what each job reads from those paths — the analyzer's plan-IR asks
 it the same question — including the hybrid-cut case where the
 ``distribute`` job's ``inputPath`` is the *directory* ``/tmp/split/``
 holding both split outputs, meaning "consume every output of the split job".
+
+The plan it returns is minimal: a job the final job does not read
+(directly or through other jobs) is dropped, and so is an exchange the
+adjacent exchange provably recreates byte for byte.  Each drop is
+recorded on :attr:`WorkflowPlan.elided` with the lint code that reports it
+(PAP080 dead, PAP081 redundant).
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Any, Optional
 
 from repro.analysis.locate import format_location
 from repro.config.workflow import (
-    Bindings, JobIO, OperatorSpec, WorkflowSpec, bind_arguments, wire,
+    BOOLEAN_FALSE_LITERALS, BOOLEAN_TRUE_LITERALS, Bindings, JobIO, OperatorSpec,
+    WorkflowSpec, bind_arguments, wire,
 )
 from repro.errors import WorkflowError
 from repro.ops.base import get_addon
@@ -45,6 +52,16 @@ class PlannedJob:
     num_reducers: Optional[int] = None
 
 
+@dataclass(frozen=True)
+class ElidedJob:
+    """A job of the workflow the plan does not run, and why."""
+
+    op_id: str
+    #: the lint code that reports it: PAP080 (dead) or PAP081 (redundant)
+    code: str
+    reason: str
+
+
 @dataclass
 class WorkflowPlan:
     """The planned job sequence plus the final binding environment."""
@@ -55,6 +72,8 @@ class WorkflowPlan:
     input_format_id: Optional[str] = None
     #: the spec this plan was planned from (None for a hand-built plan)
     spec: Optional[WorkflowSpec] = field(default=None, compare=False, repr=False)
+    #: the workflow's jobs the planner dropped, in document order
+    elided: list[ElidedJob] = field(default_factory=list)
 
     @property
     def final_job(self) -> PlannedJob:
@@ -67,10 +86,18 @@ class WorkflowPlan:
         raise WorkflowError(f"plan has no job {op_id!r}")
 
 
-def _resolved_params(spec: OperatorSpec, env: Bindings) -> dict[str, Any]:
+def _resolved_params(
+    spec: OperatorSpec, env: Bindings, source_file: Optional[str]
+) -> dict[str, Any]:
     out = {}
     for name, ps in spec.params.items():
-        out[name] = ps.coerce(env.resolve(ps.value))
+        raw = env.resolve(ps.value)
+        try:
+            out[name] = ps.coerce(raw)
+        except WorkflowError as exc:  # located, and naming the operator
+            raise WorkflowError(
+                f"operator {spec.id!r}: {exc} [{format_location(source_file, ps.line)}]"
+            ) from exc
     return out
 
 
@@ -81,19 +108,110 @@ def _first_param(params: dict[str, Any], *names: str) -> Any:
     return None
 
 
-def sort_ascending(flag: Any, ascending: Any) -> bool:
+def _direction(name: str, value: Any) -> Optional[bool]:
+    """Whether one direction parameter says ascending; None for a value it
+    cannot mean."""
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if name == "ascending":
+        known = text in BOOLEAN_TRUE_LITERALS or text in BOOLEAN_FALSE_LITERALS
+        return text in BOOLEAN_TRUE_LITERALS if known else None
+    try:
+        return int(text) == -1
+    except ValueError:
+        return None
+
+
+def sort_ascending(
+    spec: OperatorSpec, params: dict[str, Any], source_file: Optional[str]
+) -> bool:
     """A sort's direction from its coerced ``flag`` and ``ascending`` values.
 
     ``flag`` (Figure 8: ``-1`` = ascending, any other integer descending)
-    is read first; an ``ascending`` value overrides it.  ``None`` means the
-    parameter is absent.
+    is read first; an ``ascending`` value (one of the
+    :data:`~repro.config.workflow.BOOLEAN_TRUE_LITERALS` or
+    ``BOOLEAN_FALSE_LITERALS``) overrides it.  Any other value is a located
+    :class:`WorkflowError` naming the operator, the parameter and the value.
     """
     result = True
-    if flag is not None:
-        result = int(flag) == -1
-    if ascending is not None:
-        result = ascending if isinstance(ascending, bool) else str(ascending).lower() == "true"
+    for name in ("flag", "ascending"):
+        if params.get(name) is None:
+            continue
+        direction = _direction(name, params[name])
+        if direction is None:
+            wanted = "an integer (-1 = ascending)" if name == "flag" else (
+                f"a boolean literal {sorted(BOOLEAN_TRUE_LITERALS | BOOLEAN_FALSE_LITERALS)}")
+            raise WorkflowError(
+                f"sort operator {spec.id!r}: parameter {name!r} is {params[name]!r}, "
+                f"not {wanted} [{format_location(source_file, spec.params[name].line)}]"
+            )
+        result = direction
     return result
+
+
+_DEAD = ("the final job does not read its outputs, directly or through other "
+         "jobs, so the whole stage (and its exchange) is wasted work")
+
+
+def _recreated(
+    first: PlannedJob, second: PlannedJob
+) -> Optional[tuple[PlannedJob, str]]:
+    """The job of an adjacent exchange pair the other recreates byte for
+    byte, with the reason, or None.
+
+    Every runtime sorts stably, and a group emits ascending key groups
+    with input order inside each group; so within equal keys each shape
+    below keeps the order the dropped job would have kept.  Different keys
+    are refused: the first stage decides tie order under the second.
+    """
+    a, b = first.operator, second.operator
+    if getattr(a, "key", None) != getattr(b, "key", None):
+        return None
+    if isinstance(a, Sort) and isinstance(b, Sort) and a.ascending == b.ascending:
+        return first, ("the second sort re-ranges every record; the first "
+                       "sort's exchange is discarded")
+    if isinstance(a, Sort) and isinstance(b, Group):
+        return first, ("the group stage re-ranges every record by its own key; "
+                       "the sort's exchange is discarded")
+    flat = isinstance(a, Group) and a.output_format != "pack"
+    if flat and isinstance(b, Sort) and b.ascending:
+        return second, ("group output is already range-partitioned and ordered "
+                        "by that key; the ascending sort re-shuffles it for nothing")
+    return None
+
+
+def _minimal(plan: WorkflowPlan) -> WorkflowPlan:
+    """``plan`` without the jobs its final job does not need: the dead ones
+    (PAP080), then each exchange its neighbour recreates (PAP081)."""
+    by_id = {job.op_id: job for job in plan.jobs}
+    # every job reads one source, so what the final job needs is one chain
+    chain = [plan.final_job]
+    while chain[-1].source is not None:
+        chain.append(by_id[chain[-1].source])
+    live = {job.op_id for job in chain}
+    elided = {job.op_id: ElidedJob(job.op_id, "PAP080", _DEAD)
+              for job in plan.jobs if job.op_id not in live}
+    kept: list[PlannedJob] = []
+    for job in reversed(chain):
+        if job.source in elided:  # it reads an exchange dropped as redundant
+            dropped = by_id[job.source]
+            job.source, job.source_outputs = dropped.source, dropped.source_outputs
+        while kept and job.source == kept[-1].op_id:
+            drop = _recreated(kept[-1], job)
+            if drop is None:
+                break
+            dropped, reason = drop
+            elided[dropped.op_id] = ElidedJob(dropped.op_id, "PAP081", reason)
+            if dropped is job:
+                break
+            kept.pop()
+            job.source, job.source_outputs = dropped.source, dropped.source_outputs
+        if job.op_id not in elided:
+            kept.append(job)
+    plan.jobs = kept
+    plan.elided = [elided[op_id] for op_id in by_id if op_id in elided]
+    return plan
 
 
 class Planner:
@@ -102,13 +220,20 @@ class Planner:
     def plan(
         self, spec: WorkflowSpec, args: Optional[dict[str, Any]] = None
     ) -> WorkflowPlan:
+        """The minimal plan of ``spec`` (see the module docstring)."""
+        return _minimal(self._plan_every_job(spec, args))
+
+    def _plan_every_job(
+        self, spec: WorkflowSpec, args: Optional[dict[str, Any]] = None
+    ) -> WorkflowPlan:
+        """Every operator of ``spec`` as a job, wired as declared."""
         env = bind_arguments(spec, args)
         jobs: list[PlannedJob] = []
         wired: list[JobIO] = []
         for op_spec in spec.operators:
-            params = _resolved_params(op_spec, env)
+            params = _resolved_params(op_spec, env, spec.source_file)
             io = wire(op_spec, params, wired)
-            job = self._plan_operator(op_spec, params, env, io.outputs)
+            job = self._plan_operator(op_spec, params, env, io.outputs, spec.source_file)
             if io.error is not None:
                 line = op_spec.params[io.input_param].line if io.input_param else op_spec.line
                 raise WorkflowError(f"{io.error} [{format_location(spec.source_file, line)}]")
@@ -136,15 +261,19 @@ class Planner:
     # -- per-operator planning -------------------------------------------------
 
     def _plan_operator(
-        self, spec: OperatorSpec, params: dict[str, Any], env: Bindings, outputs: list[str]
+        self, spec: OperatorSpec, params: dict[str, Any], env: Bindings, outputs: list[str],
+        source_file: Optional[str],
     ) -> PlannedJob:
-        planners = {"sort": self._plan_sort, "group": self._plan_group,
-                    "split": self._plan_split, "distribute": self._plan_distribute}
-        if spec.kind not in planners:
+        planners = {"group": self._plan_group, "split": self._plan_split,
+                    "distribute": self._plan_distribute}
+        if spec.kind == "sort":
+            op = self._plan_sort(spec, params, source_file)
+        elif spec.kind in planners:
+            op = planners[spec.kind](spec, params, env, outputs)
+        else:
             raise WorkflowError(
                 f"operator {spec.id!r} uses unknown operator type {spec.operator!r}"
             )
-        op = planners[spec.kind](spec, params, env, outputs)
         return PlannedJob(
             op_id=spec.id,
             operator_name=type(op).__name__,
@@ -161,14 +290,11 @@ class Planner:
             return None
         return int(env.resolve(raw))
 
-    def _plan_sort(self, spec, params, env, outputs) -> Sort:
+    def _plan_sort(self, spec, params, source_file) -> Sort:
         key = _first_param(params, "key", "keyId")
         if not key:
             raise WorkflowError(f"sort operator {spec.id!r} declares no key")
-        ascending = sort_ascending(
-            _first_param(params, "flag"), _first_param(params, "ascending")
-        )
-        return Sort(key=str(key), ascending=ascending)
+        return Sort(key=str(key), ascending=sort_ascending(spec, params, source_file))
 
     def _plan_group(self, spec, params, env, outputs) -> Group:
         key = _first_param(params, "key", "keyId")

@@ -1,25 +1,20 @@
 """Process-backed workflow execution: ``backend="process"``.
 
 :class:`ProcessRuntime` reuses every distributed kernel of
-:class:`~repro.core.runtime.MPIRuntime` — sample-sort, range-group,
-exclusive-scan distribute — and swaps only the launcher: ranks run as
-forked OS processes over the shared-memory fabric of
+:class:`~repro.core.runtime.MPIRuntime` — the range sort (a sort of the
+run's input exchanges nothing: each rank cuts its own key range),
+range-group, exclusive-scan distribute — and swaps only the launcher:
+ranks run as forked OS processes over the shared-memory fabric of
 :mod:`repro.mpi.process_backend`, so the kernels execute in genuine
 parallel instead of time-slicing one GIL.
 
 This is the wall-clock path.  The threaded ``backend="mpi"`` remains the
 deterministic substrate for chaos engineering and virtual-time studies, so
-the features that depend on shared in-process state are rejected *up
+*simulated* fault injection (``faults=``), whose seeded draw streams
+coordinate through shared memory only threads have, is rejected *up
 front* with a :class:`~repro.errors.ConfigError` instead of crashing
-mid-run:
-
-* *simulated* fault injection (``faults=``) — the injector's seeded draw
-  streams coordinate through shared memory only threads have (real
-  OS-level chaos is available through
-  :class:`~repro.mpi.supervisor.CrashAgent` instead);
-* ``Communicator.split``/``dup`` additionally raise
-  :class:`~repro.errors.MPIError` from the fabric if a custom rank program
-  calls them.
+mid-run (real OS-level chaos is available through
+:class:`~repro.mpi.supervisor.CrashAgent` instead).
 
 Recovery *is* supported: ``checkpoint=`` (a ``process_safe`` store, i.e.
 :class:`~repro.fault.DiskCheckpointStore`) and ``retry=`` drive a

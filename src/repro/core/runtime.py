@@ -313,9 +313,8 @@ def why_gathered(part_writer: Optional[PartWriter], streams: list) -> Optional[s
     then fixed-width records of the very schema the part files hold, so a
     piece's bytes and its offset in the file are both known where the
     piece is.  Read from the run itself — the same on every rank, and
-    nothing a user sets.  ``--optimize`` changes none of it: the rewritten
-    workflow deals the same records as the original, and a memory budget
-    only deals it a window of positions at a time."""
+    nothing a user sets; a memory budget only deals it a window of
+    positions at a time."""
     if part_writer is None:
         return "in-memory run"
     if any(stream.is_packed for stream in streams):

@@ -119,25 +119,3 @@ def record_rebalance(
         attrs={"generation": generation, "reason": reason, "records": records},
     )
 
-
-def record_optimizer(recorder: Recorder, summary: Optional[dict[str, Any]]) -> None:
-    """Fold a ``PartitionResult.extra['optimizer']`` section into counters.
-
-    Passes fired, operators/exchanges removed, and the estimated bytes the
-    rewrites saved land under ``optimizer.*``; each applied rewrite also
-    becomes a driver-track instant so the rewritten plan is visible on the
-    run timeline.
-    """
-    if not summary:
-        return
-    recorder.count("optimizer.passes_fired", len(summary.get("passes_fired", [])))
-    recorder.count("optimizer.operators_removed", summary.get("operators_removed", 0))
-    recorder.count("optimizer.exchanges_removed", summary.get("exchanges_removed", 0))
-    saved = summary.get("est_bytes_saved")
-    if saved:
-        recorder.count("optimizer.est_bytes_saved", saved)
-    for rewrite in summary.get("rewrites", []):
-        recorder.instant(
-            f"{rewrite['code']} {rewrite['pass']} at {rewrite['site']}",
-            category="optimizer",
-        )

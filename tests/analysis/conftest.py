@@ -18,8 +18,10 @@ registered checker) so that each of those configurations also proves:
   structural error, with the first one's message
   (``tests/config/_agreement.py``); a spec has already been parsed;
 * **the IR is the plan's graph** — when the configuration plans, every
-  job's plan-IR in-edges are exactly the planned ``source`` /
-  ``source_outputs`` (one wiring function decides both).
+  planned job's plan-IR in-edges, after following each job the planner
+  elided to that job's own in-edges, are exactly the planned ``source`` /
+  ``source_outputs`` (one wiring function decides both; the IR keeps
+  every declared operator, the plan only the ones the final job needs).
 """
 
 import copy
@@ -75,10 +77,21 @@ def lint_invariants(monkeypatch):
             expected = [d for d in result.errors if not skipped_crash(d, skipped)]
             assert gated.diagnostics == expected
         if ctx.plan is not None:
+            elided = {e.op_id for e in ctx.plan.elided}
+
+            def read(op_id):
+                edges = []
+                for e in ctx.ir().in_edges(op_id):
+                    if e.src in elided:
+                        edges += read(e.src)
+                    elif e.src is not None:
+                        edges.append((e.src, e.src_output))
+                return edges
+
             for job in ctx.plan.jobs:
-                read = [(e.src, e.src_output) for e in ctx.ir().in_edges(job.op_id)
-                        if e.src is not None]
-                assert read == [(job.source, k) for k in job.source_outputs], job.op_id
+                assert job.op_id not in elided
+                assert read(job.op_id) == [(job.source, k) for k in job.source_outputs], (
+                    job.op_id)
         workflow = bound.arguments["workflow"]
         if isinstance(workflow, str):
             assert_parser_agrees(workflow, bound.arguments.get("filename"), result)

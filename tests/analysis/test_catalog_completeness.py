@@ -1,11 +1,10 @@
-"""Every catalogued rule teaches: bad + good examples, optimizer links.
+"""Every catalogued rule teaches: bad + good examples, planner links.
 
 ``papar lint --explain PAPnnn`` renders straight from :data:`CATALOG`, so
 an empty ``bad``/``good`` slot is a silent documentation hole — this
-module turns each hole into a failing test.  The PAP08x entries carry an
-extra obligation: their ``good`` examples must describe the *applied
-rewrite* (the optimizer pass from :data:`PASS_NAMES`), not just a manual
-edit, so the lint catalog and ``papar optimize`` stay in sync.
+module turns each hole into a failing test.  PAP080 and PAP081 carry an
+extra obligation: their ``good`` examples must say that the planner skips
+the stage (it is on ``WorkflowPlan.elided``), not ask for a manual edit.
 
 Every checker declares the codes it can emit (the lint gate picks its
 checkers by them); that every code a checker *yields* — in the golden
@@ -14,7 +13,6 @@ by ``conftest.py``, and the last test here shows that guard firing.
 """
 
 from repro.analysis import CATALOG, Linter, all_codes
-from repro.analysis.optimize import PASS_NAMES
 from repro.analysis.rules import CHECKERS
 from repro.config.examples import BLAST_WORKFLOW_XML
 from tests.analysis.conftest import declared_only
@@ -51,20 +49,14 @@ def test_no_placeholder_text_survives():
             )
 
 
-def test_advisory_goods_name_their_optimizer_pass():
-    for code, pass_name in PASS_NAMES.items():
-        spec = CATALOG[code]
-        assert "applied rewrite" in spec.good, (
-            f"{code}.good must show the applied rewrite, not a manual edit"
-        )
-        assert pass_name in spec.good, (
-            f"{code}.good must name its optimizer pass {pass_name!r}"
-        )
+def test_advisory_goods_say_the_planner_skips_the_stage():
+    for code in ("PAP080", "PAP081"):
+        assert CATALOG[code].good.startswith("the planner skips it"), code
 
 
-def test_hotspot_advisory_points_at_the_optimizer():
+def test_hotspot_advisory_points_at_the_planner():
     spec = CATALOG["PAP084"]
-    assert "papar optimize" in spec.good
+    assert "the planner skips the hotspot" in spec.good
 
 
 def test_explain_dict_round_trips_examples():

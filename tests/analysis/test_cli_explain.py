@@ -167,7 +167,7 @@ class TestTextSchemaWithStringField:
         schema.write_text(LABELLED_TEXT_DB)
         return [str(workflow), "--input", str(schema), "--assume-records", "1000"]
 
-    @pytest.mark.parametrize("command", ["lint", "explain", "optimize"])
+    @pytest.mark.parametrize("command", ["lint", "explain"])
     def test_exits_0_without_pap099(self, configs, command, capsys):
         assert main([command, *configs]) == 0
         captured = capsys.readouterr()
@@ -180,11 +180,11 @@ class TestTextSchemaWithStringField:
         # 8 (string stand-in) + 4 (integer) bytes per record
         assert [ex["est_bytes"] for ex in doc["exchanges"]] == [12000] * 3
 
-    def test_optimize_applies_the_rewrite(self, configs, capsys):
-        assert main(["optimize", *configs, "--format", "json"]) == 0
-        summary = json.loads(capsys.readouterr().out)["summary"]
-        assert summary["passes_fired"] == ["redundant-exchange-elimination"]
-        assert summary["est_bytes_saved"] == 12000
+    def test_the_planner_skips_the_redundant_sort(self, configs, capsys):
+        assert main(["lint", *configs, "--format", "json"]) == 0
+        diags = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert [(d["code"], d["line"]) for d in diags if d["code"] == "PAP081"] == [
+            ("PAP081", 6)]
 
 
 class TestLintExplainFlag:

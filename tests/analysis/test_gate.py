@@ -66,8 +66,7 @@ def test_the_gate_runs_exactly_the_checkers_that_can_emit_an_error():
         "check_unused_arguments", "check_collective_schedule",
         "check_sort_determinism", "check_boolean_literals",
         "check_output_gathered", "check_process_backend", "check_stream_safety",
-        "check_dead_operators", "check_redundant_exchanges",
-        "check_unused_columns", "check_exchange_hotspots",
+        "check_elided_jobs", "check_unused_columns", "check_exchange_hotspots",
     }
     for func in CHECKERS:
         severities = {CATALOG[code].severity for code in func.codes}

@@ -1048,7 +1048,8 @@ ADVISORY_CHAIN = """<workflow id="t">
 
 
 class TestAdvisories:
-    """PAP080-PAP084: INFO-severity optimization advisories over the IR."""
+    """PAP080-PAP084: INFO-severity advisories; PAP080/PAP081 report the
+    jobs the planner elides."""
 
     def test_pap080_dead_operator(self):
         result = run_lint(
@@ -1100,7 +1101,7 @@ class TestAdvisories:
     <operator id="b" operator="Sort">
       <param name="inputPath" value="$a.outputPath"/>
       <param name="outputPath" value="/tmp/b"/>
-      <param name="key" value="seq_start"/>
+      <param name="key" value="seq_size"/>
     </operator>
   </operators>
 </workflow>""",
@@ -1109,6 +1110,32 @@ class TestAdvisories:
         diag = expect(result, "PAP081", line=6)
         assert diag.severity is Severity.INFO
         assert "redundant" in diag.message
+        assert diag.suggestion == "the planner skips operator 'a'; one exchange suffices"
+
+    def test_pap081_silent_on_sorts_by_different_keys(self):
+        """The first sort decides tie order under the second: the planner
+        keeps it, so lint reports nothing."""
+        result = run_lint(
+            """<workflow id="t">
+  <arguments>
+    <param name="input_path" type="hdfs" format="blast_db"/>
+  </arguments>
+  <operators>
+    <operator id="a" operator="Sort">
+      <param name="inputPath" value="$input_path"/>
+      <param name="outputPath" value="/tmp/a"/>
+      <param name="key" value="seq_size"/>
+    </operator>
+    <operator id="b" operator="Sort">
+      <param name="inputPath" value="$a.outputPath"/>
+      <param name="outputPath" value="/tmp/b"/>
+      <param name="key" value="seq_start"/>
+    </operator>
+  </operators>
+</workflow>""",
+            inputs=[(BLAST_DB, "blast_db.xml")],
+        )
+        assert "PAP081" not in result.codes()
 
     def test_pap081_group_into_same_key_sort(self):
         result = run_lint(
@@ -1131,7 +1158,8 @@ class TestAdvisories:
 </workflow>""",
             inputs=[(TEXT_DB, "texty.xml")],
         )
-        expect(result, "PAP081", line=6)
+        # the planner drops the sort, and the finding points at it
+        assert "operator 's'" in expect(result, "PAP081", line=11).message
 
     def test_pap081_silent_on_sort_into_distribute(self):
         """The paper's canonical pipeline: position permutation keeps order."""

@@ -1,12 +1,11 @@
 """A linted spec reports its own file's line numbers.
 
-``PaPar.lint(spec)`` and the optimizer's re-analysis lint the spec's own
-model, with the source lines it carries — not a re-serialization of it,
+``PaPar.lint(spec)`` lints the spec's own model, with the source lines it
+carries — not a re-serialization of it,
 whose lines belong to a document nobody wrote.  The witness: the shipped
 BLAST workflow behind a two-line comment, with a sort-key typo.
 """
 
-import json
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,6 @@ import pytest
 from repro import PaPar
 from repro.analysis import Linter
 from repro.analysis.engine import read_configs
-from repro.analysis.optimize import optimize
 
 CONFIGS = Path(__file__).resolve().parents[2] / "configs"
 
@@ -48,9 +46,3 @@ def test_linting_the_parsed_spec_points_at_the_same_line(shifted):
     assert pap020_lines(result) == [14]
     assert {d.file for d in result.diagnostics if d.code == "PAP020"} == {shifted}
 
-
-def test_the_optimized_plan_keeps_the_file_lines(shifted):
-    report = optimize(Linter(), **read_configs(shifted, [CONFIGS / "blast_db.xml"]))
-    doc = json.loads(report.render_json())
-    assert [op["line"] for op in doc["after"]["operators"]] == [11, 16]
-    assert [op["line"] for op in doc["before"]["operators"]] == [11, 16]

@@ -1,7 +1,7 @@
-"""Golden transcripts: ``lint``, ``explain`` and ``optimize`` print the same bytes.
+"""Golden transcripts: ``lint`` and ``explain`` print the same bytes.
 
 The files under ``data/transcripts`` hold the text and JSON output of the
-three analysis commands on the shipped BLAST and hybrid-cut pairs and on
+two analysis commands on the shipped BLAST and hybrid-cut pairs and on
 a fusable sort → sort workflow (PAP081 fires), written by the analyzer
 before its model and the runtime spec became one type.  Each command must
 still print exactly those bytes and exit 0.  The configs
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from tests.analysis.test_optimizer import FUSED_SORTS
+from tests.integration._shapes import FUSED_SORTS
 
 REPO = Path(__file__).resolve().parents[2]
 DATA = Path(__file__).resolve().parent / "data" / "transcripts"
@@ -35,7 +35,7 @@ CASES = {
                ("graph_edge.xml", (REPO / "configs" / "graph_edge.xml").read_text())),
     "fused-sorts": (("fused_sorts.xml", FUSED_SORTS), ("blast_db.xml", BLAST_DB)),
 }
-VERBS = ("lint", "explain", "optimize")
+VERBS = ("lint", "explain")
 FORMATS = {"text": "txt", "json": "json"}
 
 

@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 
 #: every command that reads the two configuration files
-COMMANDS = ("lint", "explain", "optimize", "plan", "codegen", "run", "serve")
+COMMANDS = ("lint", "explain", "plan", "codegen", "run", "serve")
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def argv(command, files, workflow, input_config, input_file):
     """The command line of ``command`` over the three given paths."""
     args = ["--arg", f"input_path={input_file}", "--arg", f"output_path={files['out']}",
             "--arg", "num_partitions=2"]
-    if command in ("lint", "explain", "optimize"):
+    if command in ("lint", "explain"):
         return [command, workflow, "--input", input_config, *args]
     return [command, "--workflow", workflow, "--input-config", input_config, *args,
             *(["--port", "0"] if command == "serve" else [])]

@@ -1,6 +1,6 @@
 """One front end: ``plan``/``codegen``/``run``/``serve`` read each config
 file once, parse it once, plan once, and execute the plan the gate checked;
-``lint``/``explain``/``optimize`` read, parse and plan once too.
+``lint``/``explain`` read, parse and plan once too.
 """
 
 import sys
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro.analysis.locate as locate
-import repro.analysis.optimize  # noqa: F401  (loads the analysis verbs before ``calls`` patches)
+import repro.analysis.explain  # noqa: F401  (loads the analysis verbs before ``calls`` patches)
 from repro.blast import generate_index
 from repro.cli import main
 from repro.core.planner import Planner
@@ -86,18 +86,8 @@ def test_serve_start_up_plans_once(blast, calls, monkeypatch, capsys):
     assert calls == ONCE
 
 
-@pytest.mark.parametrize("command", ["run", "plan"])
-def test_optimize_plans_only_the_rewritten_workflow_more(blast, calls, command, capsys):
-    """The gate's plan and the optimizer's one analysis of a workflow it
-    cannot shrink; the command then runs the gate's plan."""
-    assert main([command, *blast, "--optimize"]) == 0
-    assert calls == {"read_config": 2, "parse_located": 2, "plan": 2}
-
-
-@pytest.mark.parametrize("verb", ["lint", "explain", "optimize"])
+@pytest.mark.parametrize("verb", ["lint", "explain"])
 def test_analysis_verbs_read_parse_and_plan_once(calls, verb, capsys):
-    """``optimize`` reuses its one analysis of a workflow it cannot shrink
-    as the report's before and after."""
     assert main([verb, WORKFLOW, "--input", INPUT]) == 0
     assert calls == ONCE
 
@@ -132,3 +122,14 @@ def test_a_missing_argument_is_named(blast, capsys):
     assert blast[-2:] == ["--arg", "num_partitions=4"]
     assert main(["plan", *blast[:-2]]) == 2
     assert "workflow argument 'num_partitions' has no value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "plan"])
+def test_an_elided_plan_is_planned_once(blast, calls, command, tmp_path, capsys):
+    """Dropping the fused workflow's first sort is part of the one plan."""
+    from tests.integration._shapes import FUSED_SORTS
+
+    fused = tmp_path / "fused.xml"
+    fused.write_text(FUSED_SORTS)
+    assert main([command, *blast, "--workflow", str(fused)]) == 0
+    assert calls == ONCE

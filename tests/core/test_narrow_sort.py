@@ -26,6 +26,7 @@ from repro.cli import main
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.core.dataset import Dataset, row_id_dtype
+from repro.core.planner import Planner
 from repro.core.runtime import SerialRuntime
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 from repro.formats.binary import BinaryInputFormat, PartWriter
@@ -235,7 +236,7 @@ class TestFileToFileEquivalence:
         parts=st.integers(1, 7),
         fused=st.booleans(),
     )
-    def test_budgets_optimize_and_mpi_write_the_same_bytes(
+    def test_budgets_plans_and_mpi_write_the_same_bytes(
         self, tmp_path_factory, field_type, n, shape, seed, ascending, policy, parts, fused
     ):
         work = tmp_path_factory.mktemp("narrow")
@@ -248,15 +249,19 @@ class TestFileToFileEquivalence:
         write_binary(path, rows, schema, header=b"\x00" * 8)
         wf = workflow(ascending, policy, fused)
         want = expected_parts(rows, ascending, policy, parts)
-        runs = [("serial", 1, budget, optimize)
-                for budget in BUDGETS for optimize in (False, True)] + [("mpi", 2, None, False)]
-        for i, (backend, ranks, budget, optimize) in enumerate(runs):
+        # the planner drops a fused workflow's first sort; the plan of every
+        # declared job must write the same bytes
+        runs = [("serial", 1, budget, every_job)
+                for budget in BUDGETS for every_job in (False, True)] + [("mpi", 2, None, False)]
+        for i, (backend, ranks, budget, every_job) in enumerate(runs):
             out = work / f"out{i}"
-            papar.partition_files(
-                wf, {"input_path": str(path), "output_path": str(out), "num_partitions": parts},
-                backend=backend, num_ranks=ranks, memory_budget=budget, optimize=optimize,
-            )
-            assert part_files(out) == want, (backend, budget, optimize)
+            args = {"input_path": str(path), "output_path": str(out), "num_partitions": parts}
+            plan = papar.load_workflow(wf)
+            if every_job:
+                plan = Planner()._plan_every_job(plan, args)
+            papar.partition_files(plan, args, backend=backend, num_ranks=ranks,
+                                  memory_budget=budget)
+            assert part_files(out) == want, (backend, budget, every_job)
 
 
 # -- what moves, and when it spills -----------------------------------------------

@@ -1,4 +1,5 @@
-"""Planner unit tests: operator instantiation, dataflow wiring, errors."""
+"""Planner unit tests: operator instantiation, dataflow wiring, errors, and
+the jobs the minimal plan drops."""
 
 import pytest
 
@@ -9,6 +10,11 @@ from repro.errors import WorkflowError
 
 def plan_xml(xml, args=None):
     return Planner().plan(parse_workflow_config(xml), args or {})
+
+
+def wire_xml(xml, args=None):
+    """Every declared job, wired as declared (before the planner drops any)."""
+    return Planner()._plan_every_job(parse_workflow_config(xml), args or {})
 
 
 class TestSortPlanning:
@@ -266,7 +272,7 @@ class TestWiring:
           </operators>
         </workflow>
         """
-        plan = plan_xml(xml)
+        plan = wire_xml(xml)
         assert (plan.jobs[1].source, plan.jobs[1].source_outputs) == ("sp", [0, 1])
         assert (plan.jobs[2].source, plan.jobs[2].source_outputs) == (None, [])
 
@@ -289,7 +295,7 @@ class TestWiring:
           </operators>
         </workflow>
         """
-        plan = plan_xml(xml)
+        plan = wire_xml(xml)
         assert plan.jobs[1].source is None
         assert (plan.jobs[2].source, plan.jobs[2].source_outputs) == ("b", [0])
 
@@ -367,3 +373,158 @@ class TestWiring:
         """
         plan = plan_xml(xml)
         assert plan.jobs[0].num_reducers == 5
+
+
+def sort_workflow(param):
+    return f"""
+    <workflow id="w"><arguments/>
+      <operators>
+        <operator id="s" operator="Sort">
+          <param name="key" value="k"/>
+          {param}
+        </operator>
+      </operators>
+    </workflow>
+    """
+
+
+class TestSortDirection:
+    """``ascending`` reads the boolean literals whether or not it is typed;
+    ``flag`` is an integer; anything else is a located error."""
+
+    @pytest.mark.parametrize("typed", [True, False], ids=["typed", "untyped"])
+    @pytest.mark.parametrize("value, ascending", [
+        ("yes", True), ("1", True), ("true", True),
+        ("no", False), ("0", False), ("false", False),
+    ])
+    def test_ascending_literals(self, typed, value, ascending):
+        kind = ' type="boolean"' if typed else ""
+        plan = plan_xml(sort_workflow(f'<param name="ascending"{kind} value="{value}"/>'))
+        assert plan.job("s").operator.ascending is ascending
+
+    @pytest.mark.parametrize("typed", [True, False], ids=["typed", "untyped"])
+    def test_an_unknown_ascending_word_is_a_located_error(self, typed):
+        kind = ' type="boolean"' if typed else ""
+        spec = parse_workflow_config(
+            sort_workflow(f'<param name="ascending"{kind} value="maybe"/>'), filename="w.xml")
+        with pytest.raises(WorkflowError) as exc:
+            Planner().plan(spec)
+        message = str(exc.value)
+        assert "'s'" in message and "'ascending'" in message and "'maybe'" in message
+        assert message.endswith("[w.xml:6]")
+
+    @pytest.mark.parametrize("value, ascending", [("-1", True), ("1", False)])
+    def test_flag_values(self, value, ascending):
+        plan = plan_xml(sort_workflow(f'<param name="flag" value="{value}"/>'))
+        assert plan.job("s").operator.ascending is ascending
+
+    def test_a_non_integer_flag_is_a_located_error(self):
+        spec = parse_workflow_config(
+            sort_workflow('<param name="flag" value="up"/>'), filename="w.xml")
+        with pytest.raises(WorkflowError, match=r"sort operator 's': parameter 'flag' "
+                                                r"is 'up', not an integer .*\[w\.xml:6\]"):
+            Planner().plan(spec)
+
+
+def chain(*ops, args='<param name="n" type="integer" value="2"/>'):
+    """A workflow of ``ops`` (id, kind, input, key, extra params), ending in
+    a distribute of the last one's output."""
+    body = []
+    for op_id, kind, source, key, extra in ops:
+        body.append(f"""
+        <operator id="{op_id}" operator="{kind}">
+          <param name="inputPath" value="{source}"/>
+          <param name="outputPath" value="/t/{op_id}"/>
+          <param name="key" value="{key}"/>{extra}
+        </operator>""")
+    return f"""
+    <workflow id="w"><arguments>{args}</arguments>
+      <operators>{"".join(body)}
+        <operator id="d" operator="Distribute">
+          <param name="inputPath" value="/t/{ops[-1][0]}"/>
+          <param name="numPartitions" type="integer" value="$n"/>
+        </operator>
+      </operators>
+    </workflow>
+    """
+
+
+DESC = '\n          <param name="ascending" value="false"/>'
+
+
+class TestMinimalPlan:
+    """The planner drops dead jobs and redundant exchanges (``elided``),
+    re-pointing the readers, and keeps every shape it cannot prove."""
+
+    def planned(self, xml):
+        plan = plan_xml(xml)
+        return ([(j.op_id, j.source) for j in plan.jobs],
+                [(e.op_id, e.code) for e in plan.elided])
+
+    def test_same_key_sort_sort_drops_the_first(self):
+        xml = chain(("s1", "Sort", "/in", "k", ""), ("s2", "Sort", "/t/s1", "k", ""))
+        assert self.planned(xml) == ([("s2", None), ("d", "s2")], [("s1", "PAP081")])
+
+    def test_a_chain_of_sorts_collapses_to_the_last(self):
+        xml = chain(("s1", "Sort", "/in", "k", DESC), ("s2", "Sort", "/t/s1", "k", DESC),
+                    ("s3", "Sort", "/t/s2", "k", DESC))
+        assert self.planned(xml) == ([("s3", None), ("d", "s3")],
+                                     [("s1", "PAP081"), ("s2", "PAP081")])
+
+    def test_sort_group_drops_the_sort(self):
+        xml = chain(("s", "Sort", "/in", "k", DESC), ("g", "Group", "/t/s", "k", ""))
+        assert self.planned(xml) == ([("g", None), ("d", "g")], [("s", "PAP081")])
+
+    def test_flat_group_ascending_sort_drops_the_sort(self):
+        xml = chain(("g", "Group", "/in", "k", ""), ("s", "Sort", "/t/g", "k", ""))
+        assert self.planned(xml) == ([("g", None), ("d", "g")], [("s", "PAP081")])
+
+    def test_dead_operators_and_dead_chains_are_dropped(self):
+        xml = chain(("s", "Sort", "/in", "k", ""), ("x", "Sort", "/t/s", "j", ""),
+                    ("y", "Group", "/t/x", "j", ""), ("t", "Sort", "/t/s", "j", ""))
+        # the distribute reads t; x and y feed nothing it reads
+        assert self.planned(xml) == ([("s", None), ("t", "s"), ("d", "t")],
+                                     [("x", "PAP080"), ("y", "PAP080")])
+
+    def test_a_dead_second_reader_is_dropped_before_the_pair_is_judged(self):
+        """Every job reads one source, so the jobs the final job needs are
+        one chain: once the dead reader ``x`` is gone, ``s1``'s output has
+        one reader, and the same-key pair fuses."""
+        xml = chain(("s1", "Sort", "/in", "k", ""), ("x", "Sort", "/t/s1", "j", ""),
+                    ("s2", "Sort", "/t/s1", "k", ""))
+        assert self.planned(xml) == ([("s2", None), ("d", "s2")],
+                                     [("s1", "PAP081"), ("x", "PAP080")])
+
+    @pytest.mark.parametrize("ops", [
+        (("s1", "Sort", "/in", "j", ""), ("s2", "Sort", "/t/s1", "k", "")),
+        (("s1", "Sort", "/in", "k", DESC), ("s2", "Sort", "/t/s1", "k", "")),
+        (("s", "Sort", "/in", "j", ""), ("g", "Group", "/t/s", "k", "")),
+        (("g", "Group", "/in", "k", ""), ("s", "Sort", "/t/g", "k", DESC)),
+        (("g", "Group", "/in", "j", ""), ("s", "Sort", "/t/g", "k", "")),
+    ], ids=["sorts-different-keys", "sorts-opposite-directions", "sort-group-different-keys",
+            "group-descending-sort", "group-sort-different-keys"])
+    def test_refused_shapes_plan_every_job(self, ops):
+        jobs, elided = self.planned(chain(*ops))
+        assert [op_id for op_id, _ in jobs] == [op[0] for op in ops] + ["d"]
+        assert elided == []
+
+    def test_a_packed_group_keeps_its_sort(self):
+        xml = chain(("g", "Group", "/in", "k", ""), ("s", "Sort", "/t/g", "k", "")).replace(
+            '<param name="outputPath" value="/t/g"/>',
+            '<param name="outputPath" value="/t/g" format="pack"/>')
+        assert self.planned(xml)[1] == []
+
+    @pytest.mark.parametrize("value, elided", [("true", ["s1"]), ("false", [])])
+    def test_a_direction_argument_is_read_with_its_value(self, value, elided):
+        xml = chain(("s1", "Sort", "/in", "k", '\n          <param name="ascending" value="$up"/>'),
+                    ("s2", "Sort", "/t/s1", "k", ""),
+                    args='<param name="n" type="integer" value="2"/><param name="up"/>')
+        plan = plan_xml(xml, {"up": value})
+        assert [e.op_id for e in plan.elided] == elided
+
+    def test_the_wired_plan_keeps_every_job(self):
+        xml = chain(("s1", "Sort", "/in", "k", ""), ("s2", "Sort", "/t/s1", "k", ""))
+        wired = wire_xml(xml)
+        assert [(j.op_id, j.source) for j in wired.jobs] == [
+            ("s1", None), ("s2", "s1"), ("d", "s2")]
+        assert wired.elided == []

@@ -23,6 +23,8 @@ import numpy as np
 import pytest
 
 from repro import PaPar
+from repro.analysis.engine import Linter
+from repro.analysis.explain import explain
 from repro.cli import main
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
@@ -34,6 +36,7 @@ from repro.formats import (
     write_binary,
     write_text,
 )
+from tests.integration._shapes import FUSED_SORTS
 
 SPMD = ("mpi", "mapreduce", "process")
 BACKENDS = ("serial",) + SPMD
@@ -277,13 +280,28 @@ class TestGatheredTailsStillEqualSerial:
 
     @pytest.mark.parametrize("backend", SPMD)
     def test_column_pruned_blast(self, papar, tmp_path, tmp_path_factory, backend):
-        """``--optimize`` on the blast workflow whose unread columns PAP083
-        names no longer narrows its records, so it leaves this class: the
-        ranks write the parts in place, as on a plain run."""
+        """The blast workflow whose unread columns PAP083 names is only
+        advised, never narrowed, so it leaves this class: the ranks write
+        the full-width parts in place, as on a plain run."""
+        report = explain(Linter(assume_records=1003), WORKFLOWS["blast-cyclic"],
+                         filename="blast.xml", inputs=[(BLAST_INPUT_XML, "blast_db.xml")])
+        assert "PAP083" in {d.code for d in report.advisories}
         want = serial_parts(papar, tmp_path_factory, "blast-cyclic", 1003, 5)
         out = partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
-                        tmp_path / "out", 5, backend, 4, optimize=True)
-        assert out.result.extra["optimizer"]["passes_fired"] == []
+                        tmp_path / "out", 5, backend, 4)
+        assert part_files(tmp_path / "out") == want
+        assert out.result.extra["perf"]["output"] == {
+            "mode": "in_place", "parts": 5, "bytes": 1003 * 16,
+        }
+
+    @pytest.mark.parametrize("backend", SPMD)
+    def test_the_fused_sorts_write_in_place(self, papar, tmp_path, tmp_path_factory, backend):
+        """A sort -> sort on one key runs as its second sort (the planner
+        drops the first), so it leaves this class: the ranks write the
+        shipped workflow's parts in place."""
+        want = serial_parts(papar, tmp_path_factory, "blast-cyclic", 1003, 5)
+        out = partition(papar, FUSED_SORTS, index_file(tmp_path, 1003),
+                        tmp_path / "out", 5, backend, 4)
         assert part_files(tmp_path / "out") == want
         assert out.result.extra["perf"]["output"] == {
             "mode": "in_place", "parts": 5, "bytes": 1003 * 16,
@@ -361,7 +379,7 @@ class TestWhichTailRan:
         in_place = "  output: written in place by ranks (5 parts, 15.7 KiB)"
         for workflow, kwargs, line in (
             (WORKFLOWS["blast-cyclic"], {}, in_place),
-            (WORKFLOWS["blast-cyclic"], {"optimize": True}, in_place),
+            (FUSED_SORTS, {}, in_place),
             (WORKFLOWS["blast-cyclic"], {"memory_budget": 4096}, in_place),
             (GROUP_ATTR_XML, {"memory_budget": 4096},
              "  output: gathered to the driver (added attributes)"),

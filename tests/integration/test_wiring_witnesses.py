@@ -1,13 +1,12 @@
-"""One wiring: what lint reports, what ``--optimize`` removes and what every
+"""One wiring: what lint reports, what the planner drops and what every
 backend runs are the same graph.
 
 The witnesses are the shipped BLAST workflow with the distribute's
 ``inputPath`` pointed away from the sort — at the workflow input, or at a
 path (``/user/sort``) that only shares a prefix with the sort's output
 (``/user/sort_output``).  Either way the declared wiring reads the workflow
-input, so the sort is dead and the parts are those of the distribute-only
-workflow, on {serial, mpi, mapreduce, process} with and without
-``--optimize``.
+input, so the sort is dead, the planner drops it, and the parts are those
+of the distribute-only workflow, on {serial, mpi, mapreduce, process}.
 """
 
 from pathlib import Path
@@ -51,11 +50,10 @@ def blast_file(tmp_path_factory):
     return path
 
 
-def run_parts(workflow, blast_file, out, backend="serial", extra=()):
+def run_parts(workflow, blast_file, out, backend="serial"):
     assert main(["run", "--workflow", workflow, "--input-config", INPUT_CFG,
                  "--arg", f"input_path={blast_file}", "--arg", f"output_path={out}",
-                 "--arg", "num_partitions=4", "--backend", backend, "--ranks", "2",
-                 *extra]) == 0
+                 "--arg", "num_partitions=4", "--backend", backend, "--ranks", "2"]) == 0
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
@@ -65,12 +63,10 @@ def declared(tmp_path_factory, blast_file):
     return run_parts(distribute_only(tmp), blast_file, tmp / "out")
 
 
-@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimize"])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(WITNESSES))
-def test_witness_runs_as_declared(tmp_path, blast_file, declared, name, backend, optimize):
-    parts = run_parts(witness(tmp_path, name), blast_file, tmp_path / "out", backend,
-                      ["--optimize"] if optimize else [])
+def test_witness_runs_as_declared(tmp_path, blast_file, declared, name, backend):
+    parts = run_parts(witness(tmp_path, name), blast_file, tmp_path / "out", backend)
     assert parts == declared
 
 
@@ -81,8 +77,9 @@ def test_the_declared_meaning_is_not_the_sorted_workflow(tmp_path, blast_file, d
 
 @pytest.mark.parametrize("name", sorted(WITNESSES))
 def test_lint_reports_the_graph_the_plan_runs(tmp_path, capsys, name):
-    """The sort is unconsumed in the IR and in the plan: PAP030/PAP080 fire,
-    and PAP043 (a distribute partitioning a sort's output) does not."""
+    """The sort is unconsumed in the IR and dropped from the plan:
+    PAP030/PAP080 fire, and PAP043 (a distribute partitioning a sort's
+    output) does not."""
     assert main(["lint", witness(tmp_path, name), "--input", INPUT_CFG]) == 0
     out = capsys.readouterr().out
     assert "warning PAP030 output '/user/sort_output' of operator 'sort'" in out
@@ -99,3 +96,14 @@ def test_plan_prints_the_source_of_a_chained_job(tmp_path, blast_file, capsys):
                  "--arg", "num_partitions=4"]) == 0
     out = capsys.readouterr().out
     assert "  [1] distr (Distribute) <- sort  -> " in out
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_plan_drops_the_dead_sort(tmp_path, blast_file, capsys, name):
+    assert main(["plan", "--workflow", witness(tmp_path, name), "--input-config", INPUT_CFG,
+                 "--arg", f"input_path={blast_file}", "--arg", f"output_path={tmp_path}",
+                 "--arg", "num_partitions=4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["workflow 'blast_partition': 1 job(s)",
+                       f"  [0] distr (Distribute) <- <workflow input>  -> {tmp_path}"]
+    assert out[2].startswith("  elided: sort (PAP080 the final job does not read its outputs")
