@@ -4,7 +4,7 @@
 Shows the programmatic side of the framework: construct the hybrid-cut
 workflow with :class:`~repro.config.builder.WorkflowBuilder`, render the
 planned dataflow as Graphviz DOT, print the ``papar explain`` report
-(schemas, live columns, estimated exchange payload) before running, then
+(how each job runs on the serial and SPMD backends) before running, then
 run it on the paper's testbed model.
 
 Run:  python examples/workflow_builder.py

@@ -37,10 +37,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.analysis.rules": ("CATALOG", "RuleSpec", "all_codes"),
     "repro.analysis.locate": ("LocatingXMLParser", "parse_located"),
     "repro.analysis.ir": ("PlanIR", "IRNode", "build_ir", "workflow_ir"),
-    "repro.analysis.dataflow": (
-        "run_dataflow", "SchemaAnalysis", "LivenessAnalysis", "CardinalityAnalysis",
-    ),
-    "repro.analysis.cost": ("analyze_plan", "AnalyzedPlan"),
     "repro.analysis.explain": ("ExplainReport",),
 })
 

@@ -15,7 +15,7 @@ One pass does, in order:
    finding.  A linter built with ``errors_only=True`` (the ``plan`` /
    ``run`` / ``serve`` gate, which acts on errors alone) runs only the
    checkers that can emit an ERROR code and keeps only the errors: the
-   advisories, the cost model and its input probe never run for it.
+   advisories and their wire price never run for it.
 
 Nothing here executes a workflow: planning instantiates operator objects
 and resolves ``$references`` but moves no data.  :meth:`Linter.lint` and
@@ -146,8 +146,8 @@ class Linter:
         ``workflow`` is XML text, or a parsed, rewritten or built spec,
         analyzed as it is: nothing is re-serialized, so a finding carries
         the spec's own source lines (the file it was read from).
-        ``papar explain`` consumes the context (IR, fixed-point analyses,
-        cost model via :meth:`LintContext.analyzed`) alongside the same
+        ``papar explain`` consumes the context (the IR, and the physical
+        plan via :meth:`LintContext.physical`) alongside the same
         diagnostics ``lint`` reports; its model is ``None`` when the
         workflow XML did not parse into one.
         """

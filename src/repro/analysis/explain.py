@@ -1,15 +1,16 @@
-"""The ``papar explain`` report: the analyzed plan-IR, rendered.
+"""The ``papar explain`` report: the planned workflow and how each job runs.
 
-One :func:`explain` call runs the same engine pass ``papar lint``
-runs, then renders what the fixed-point analyses concluded instead of
-only what the rules flagged: per operator the inferred record schema,
-the live (actually-read) columns, the dataflow edges, and — for every
-exchange — the estimated rows and payload bytes the shuffle moves, plus
-the PAP08x advisories that fall out of the same numbers.
+One :func:`explain` call runs the same engine pass ``papar lint`` runs,
+then renders the plan instead of only what the rules flagged: per operator
+its exchange kind and the dataflow edges, and for every planned job the
+physical plan's choice (:func:`~repro.core.planner.physical_plan`, the
+decision the runtimes dispatch on) on the serial backend and on the SPMD
+backends, with the record bytes the SPMD run puts on the wire when the
+input's record count is known — plus the PAP08x advisories of the pass.
 
 Output is text (terminal report) or versioned JSON (schema
-``papar.explain`` v1, pinned by a contract test) so other tooling can
-consume the cost model without scraping the terminal rendering.
+``papar.explain`` v2, pinned by a contract test) so other tooling can
+read the physical plan without scraping the terminal rendering.
 :func:`plan_to_dot` draws a planned workflow's edges as Graphviz DOT.
 """
 
@@ -24,19 +25,13 @@ from repro.analysis.engine import Linter
 from repro.config.workflow import WorkflowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.planner import WorkflowPlan
+    from repro.core.planner import Physical, WorkflowPlan
 
 #: JSON contract version of the explain report
-EXPLAIN_SCHEMA_VERSION = 1
+EXPLAIN_SCHEMA_VERSION = 2
 
-#: advisory codes the explain report surfaces alongside the analyses
+#: advisory codes the explain report surfaces alongside the plan
 _ADVISORY_PREFIX = "PAP08"
-
-
-def _fmt_count(value: Optional[float]) -> str:
-    if value is None:
-        return "?"
-    return f"{value:,.0f}"
 
 
 def _fmt_bytes(value: Optional[float]) -> str:
@@ -50,18 +45,17 @@ def _fmt_bytes(value: Optional[float]) -> str:
 
 @dataclass
 class ExplainReport:
-    """The rendered-model side of one analysis pass."""
+    """The rendered-plan side of one analysis pass."""
 
     workflow: str
     file: Optional[str]
-    #: per-operator dicts (id, kind, schema, live columns, exchange, ...)
+    #: per-operator dicts (id, kind, exchange, edges' paths, and the serial
+    #: and SPMD choices of a planned job — ``None`` for one never planned)
     operators: list[dict] = field(default_factory=list)
     #: recovered dataflow edges as dicts (src, src_output, dst, path)
     edges: list[dict] = field(default_factory=list)
-    #: per-exchange cost estimates as dicts (op, kind, rows, est_bytes, ...)
-    exchanges: list[dict] = field(default_factory=list)
-    #: unused input columns + the bytes pruning them would save
-    pruning: dict = field(default_factory=dict)
+    #: input records the wire bytes are priced for (None: unknown)
+    records: Optional[int] = None
     #: the lint result of the same pass (advisories live here)
     lint: LintResult = field(default_factory=LintResult)
 
@@ -71,16 +65,15 @@ class ExplainReport:
         return [d for d in self.lint if d.code.startswith(_ADVISORY_PREFIX)]
 
     def to_dict(self) -> dict:
-        """The versioned JSON form (schema ``papar.explain`` v1)."""
+        """The versioned JSON form (schema ``papar.explain`` v2)."""
         return {
             "version": EXPLAIN_SCHEMA_VERSION,
             "tool": "papar-explain",
             "workflow": self.workflow,
             "file": self.file,
+            "records": self.records,
             "operators": self.operators,
             "edges": self.edges,
-            "exchanges": self.exchanges,
-            "pruning": self.pruning,
             "advisories": [d.to_dict() for d in self.advisories],
             "summary": {
                 "errors": len(self.lint.errors),
@@ -101,42 +94,18 @@ class ExplainReport:
             if op.get("exchange"):
                 head += f"  exchange={op['exchange']}"
             lines.append(head)
-            schema = op.get("schema")
-            if schema is None:
-                lines.append("      schema: ?")
-            elif isinstance(schema, str):
-                lines.append(f"      schema: conflict - {schema}")
-            else:
-                rendered = ", ".join(f"{n}:{t}" for n, t in schema)
-                lines.append(f"      schema: {rendered}")
-            live = op.get("live")
-            if live is not None:
-                lines.append(
-                    "      live columns: "
-                    + (", ".join(live) if live else "(none)")
-                )
-            rows = op.get("est_rows")
-            lines.append(f"      est rows in: {_fmt_count(rows)}")
+            if op["serial"] is None:
+                lines.append("      not planned")
+                continue
+            spmd = op["spmd"]
+            lines.append(f"      serial: {op['serial']['path'] or 'local'}")
+            lines.append(f"      spmd: {spmd['path'] or 'local'}, "
+                         f"{_fmt_bytes(spmd['wire_bytes'])} on the wire")
         if self.edges:
             lines.append("  edges:")
             for e in self.edges:
                 src = e["src"] if e["src"] is not None else "<input>"
                 lines.append(f"      {src}[{e['src_output']}] -> {e['dst']}  ({e['path']})")
-        if self.exchanges:
-            lines.append("  exchanges:")
-            for ex in self.exchanges:
-                lines.append(
-                    f"      {ex['op']} ({ex['kind']}): "
-                    f"rows={_fmt_count(ex['rows'])} "
-                    f"bytes={_fmt_bytes(ex['est_bytes'])}"
-                    + ("" if ex["measured"] else " (assumed)" if ex["rows"] is not None else "")
-                )
-        if self.pruning.get("unused_columns"):
-            cols = ", ".join(self.pruning["unused_columns"])
-            lines.append(
-                f"  prunable columns: {cols} "
-                f"(est saving {_fmt_bytes(self.pruning.get('est_bytes_saved'))})"
-            )
         advisories = self.advisories
         if advisories:
             lines.append("  advisories:")
@@ -146,17 +115,15 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-def _schema_json(value) -> Any:
-    """SchemaValue -> JSON: field pairs, a conflict string, or None."""
-    from repro.analysis.dataflow import BOTTOM, CONCRETE
-
-    if value is None:
+def _choice_json(choice: Optional["Physical"], records: Optional[int]) -> Optional[dict]:
+    """One job's physical choice as JSON (None when it is not planned)."""
+    if choice is None:
         return None
-    if value.kind == CONCRETE:
-        return [list(pair) for pair in value.fields]
-    if value.kind == BOTTOM:
-        return value.reason or "conflict"
-    return None
+    return {
+        "exchange": choice.exchange, "spill": choice.spill, "tail": choice.tail,
+        "reason": choice.reason, "path": choice.path,
+        "wire_bytes": None if records is None else choice.wire_bytes(records),
+    }
 
 
 def build_report(ctx, result: LintResult) -> ExplainReport:
@@ -166,14 +133,12 @@ def build_report(ctx, result: LintResult) -> ExplainReport:
         file=ctx.filename,
         lint=result,
     )
-    analyzed = ctx.analyzed()
-    if analyzed is None:
+    ir = ctx.ir()
+    if ir is None:
         return report
-    ir, cost = analyzed.ir, analyzed.cost
+    report.records = ctx.input_records()
+    serial, spmd = ctx.physical(spmd=False) or {}, ctx.physical(spmd=True) or {}
     for node in ir.nodes:
-        schema_value = analyzed.schema_of.get(node.op_id)
-        live = analyzed.live_of.get(node.op_id)
-        card = analyzed.card_of.get(node.op_id)
         report.operators.append(
             {
                 "index": node.index,
@@ -181,32 +146,16 @@ def build_report(ctx, result: LintResult) -> ExplainReport:
                 "kind": node.kind,
                 "line": node.line,
                 "exchange": node.exchange,
-                "schema": _schema_json(schema_value),
-                "live": sorted(live) if live is not None else None,
-                "est_rows": card.rows if card is not None else None,
                 "input": node.input,
                 "outputs": list(node.outputs),
+                "serial": _choice_json(serial.get(node.op_id), report.records),
+                "spmd": _choice_json(spmd.get(node.op_id), report.records),
             }
         )
     report.edges = [
         {"src": e.src, "src_output": e.src_output, "dst": e.dst, "path": e.path}
         for e in ir.edges
     ]
-    report.exchanges = [
-        {
-            "op": est.op_id,
-            "kind": est.kind,
-            "rows": est.rows,
-            "row_bytes": est.row_bytes,
-            "est_bytes": est.est_bytes,
-            "measured": est.measured,
-        }
-        for est in cost.exchanges
-    ]
-    report.pruning = {
-        "unused_columns": list(cost.unused_columns),
-        "est_bytes_saved": cost.prunable_bytes,
-    }
     return report
 
 

@@ -10,12 +10,12 @@ function (:func:`repro.config.workflow.wire`) over the symbolic paths,
 exchange annotations describing which operators shuffle data between
 ranks, and the source locations :mod:`repro.analysis.locate` collected.
 
-Everything downstream — the PAP02x/03x rules, the fixed-point analyses in
-:mod:`repro.analysis.dataflow`, the cost model in
-:mod:`repro.analysis.cost`, and ``papar explain`` — consumes this IR
-instead of re-resolving paths privately.  The IR holds every declared
-operator; which of them run is the planner's decision
-(:attr:`WorkflowPlan.elided <repro.core.planner.WorkflowPlan.elided>`).
+Everything downstream — the PAP02x/03x rules and ``papar explain`` —
+consumes this IR instead of re-resolving paths privately.  The IR holds
+every declared operator; which of them run is the planner's decision
+(:attr:`WorkflowPlan.elided <repro.core.planner.WorkflowPlan.elided>`), and
+how each runs is the physical plan's
+(:func:`~repro.core.planner.physical_plan`).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ rewritten or built in code is analyzed as it is, with its own lines.
 
 from __future__ import annotations
 
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
@@ -23,7 +24,7 @@ from repro.analysis.locate import LocatedTree
 from repro.config.workflow import _REF_RE, AddOnSpec, OperatorSpec, ParamSpec, WorkflowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.planner import WorkflowPlan
+    from repro.core.planner import Physical, WorkflowPlan
     from repro.formats.records import RecordSchema
 
 #: operator types the planner understands natively
@@ -191,8 +192,6 @@ class LintContext:
     assume_records: Optional[int] = None
     #: memoized plan-IR (see :meth:`ir`); None until first requested
     _ir: Optional[object] = field(default=None, repr=False)
-    #: memoized analyzed plan (see :meth:`analyzed`)
-    _analyzed: Optional[object] = field(default=None, repr=False)
 
     def ir(self):
         """The shared plan-IR of this workflow, built once and memoized.
@@ -207,13 +206,34 @@ class LintContext:
             self._ir = build_ir(self)
         return self._ir
 
-    def analyzed(self):
-        """The fixed-point analyses + cost model over :meth:`ir`, memoized."""
-        if self._analyzed is None and self.model is not None:
-            from repro.analysis.cost import analyze_plan
+    def input_records(self) -> Optional[int]:
+        """The input's record count: ``assume_records``, else a ``stat`` of
+        the bound binary input file — never a scan; ``None`` when unknown."""
+        if self.assume_records is not None:
+            return int(self.assume_records)
+        schema, arg = self.input_schema()
+        if schema is None or schema.input_format != "binary" or self.ir() is None:
+            return None
+        try:
+            path = self.ir().env.resolve(self.args.get(arg.name, arg.value))[0]
+            return max(0, os.stat(path).st_size - schema.start_position) // schema.itemsize
+        except (OSError, TypeError, ValueError):
+            return None
 
-            self._analyzed = analyze_plan(self)
-        return self._analyzed
+    def physical(self, spmd: bool) -> Optional[dict[str, "Physical"]]:
+        """How each planned job of the intended file-to-file run runs
+        (:func:`~repro.core.planner.physical_plan`, the runtimes' own
+        decision); ``None`` without a plan or an input schema."""
+        schema, _ = self.input_schema()
+        if self.plan is None or schema is None:
+            return None
+        from repro.core.planner import physical_plan
+
+        return physical_plan(
+            self.plan, schema, spmd=spmd, streamed=self.memory_budget is not None,
+            records=self.input_records(),
+            output="binary" if schema.input_format == "binary" else "text",
+        )
 
     def diag(
         self,

@@ -324,15 +324,17 @@ CATALOG: dict[str, RuleSpec] = {
               "On the mpi, mapreduce and process backends each rank writes "
               "its pieces of the part files where they belong when the "
               "output is fixed-width binary and the final distribute deals "
-              "flat records: a record's byte offset in its part file follows "
-              "from its position alone. A text output has no such offset and "
-              "a packed stream is unpacked by the partition's owner, so those "
-              "runs ship every partition to its owner rank and then to the "
-              "driver, which writes the files alone ('--stats' prints "
-              "'output: gathered to the driver'). Advisory only: the parts "
-              "are byte-identical either way.",
-              "--backend process on hybrid_cut.xml (text edge list, packed "
-              "low-degree groups)",
+              "flat records of the input's own schema: a record's byte "
+              "offset in its part file follows from its position alone. A "
+              "text output has no such offset, a packed stream is unpacked "
+              "by the partition's owner, and records widened by a group "
+              "add-on do not fit the input's layout, so those runs ship "
+              "every partition to its owner rank and then to the driver, "
+              "which writes the files alone ('--stats' prints 'output: "
+              "gathered to the driver (<reason>)'). The physical plan the "
+              "runtimes dispatch on gives the reason. Advisory only: the "
+              "parts are byte-identical either way.",
+              "--backend process on hybrid_cut.xml (text edge list)",
               "--backend process on blast_partition.xml (fixed-width binary "
               "index, flat sort output): 'output: written in place by ranks'"),
         # -- optimization advisories (PAP08x) ---------------------------------
@@ -363,35 +365,23 @@ CATALOG: dict[str, RuleSpec] = {
               "a Sort stage feeding another Sort on the same key",
               "the planner skips it: sort->sort on one key runs as the "
               "second sort alone, reading the first sort's input"),
-        _spec("PAP083", "unused-column", Severity.INFO,
-              "input columns no key or add-on reads; every exchange still "
-              "carries them",
-              "Backward liveness found schema fields no operator's key or "
-              "add-on ever reads. Workflows ship whole records through "
-              "every exchange, so the reported bytes are payload the keys "
-              "never needed. Advisory only: no optimizer pass applies it. "
-              "Carrying a row id in place of the unread columns costs a "
-              "gather by row id after the run, and on the shipped BLAST "
-              "workflow that made runs slower than moving whole records; "
-              "the lever is the input layout itself.",
-              "a 4-column schema where only one column is ever a key",
-              "an input schema that carries only the columns its output "
-              "needs (the keys, the add-on fields, and whatever the part "
-              "files must hold), so no exchange moves a column nobody "
-              "reads"),
         _spec("PAP084", "exchange-hotspot", Severity.INFO,
-              "an exchange whose estimated payload exceeds the hotspot "
-              "threshold",
-              "The cost model estimates bytes moved per exchange from the "
-              "input row count and the inferred record width; stages above "
-              "the threshold dominate the run and are the first candidates "
-              "for tuning (more ranks, narrower records, combiners). "
-              "Nothing applies it mechanically, but a hotspot that is dead "
-              "(PAP080) or redundant (PAP081) never runs: the planner skips "
-              "it.",
-              "a sort over 10^8 records of 16-byte elements (1.6 GB moved)",
+              "a job of the declared SPMD run whose wire bytes exceed the "
+              "hotspot threshold",
+              "Priced from the physical plan the runtimes dispatch on: a "
+              "record exchange (a sort the ranks cannot cut, a group) or a "
+              "gathered deal ships records x the width of a shipped record, "
+              "a cut sort and an in-place deal ship none. Records come from "
+              "--assume-records or the size of a bound binary input file. "
+              "Stages above the threshold dominate the run and are the "
+              "first candidates for tuning (more ranks, narrower records, "
+              "combiners). Nothing applies it mechanically, and a dead "
+              "(PAP080) or redundant (PAP081) stage is never planned.",
+              "--backend mpi on a group over 2*10^7 16-byte edges "
+              "(305.2MB of records)",
               "the planner skips the hotspot when it is wasted work (dead or "
-              "redundant); tune ranks/combiners for what remains"),
+              "redundant); a sort of the input by a 32-bit key into an "
+              "in-place deal puts 0B of records on the wire"),
         # -- streaming-service fit (PAP09x) -----------------------------------
         _spec("PAP090", "stream-unsafe-policy", Severity.WARNING,
               "a serve workflow routes appends by arrival order, not by key",

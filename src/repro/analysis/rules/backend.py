@@ -12,7 +12,9 @@ parallelism — and PAP072 advises checkpointing for large process-backend
 runs, where a single worker crash otherwise restarts the whole gang from
 scratch.  PAP073 applies to every SPMD backend: it says when a file-to-file
 run's partitions will be gathered to the driver and written there instead of
-being written in place by the ranks.
+being written in place by the ranks, and why — the physical plan's own
+answer (:func:`~repro.core.planner.physical_plan`), which the runtimes
+dispatch on.
 """
 
 from __future__ import annotations
@@ -43,33 +45,25 @@ SPMD_BACKENDS = ("mpi", "mapreduce", "process")
 
 @checker("PAP073")
 def check_output_gathered(ctx: LintContext) -> Iterator[Diagnostic]:
-    """PAP073: a final distribute whose output the ranks cannot write in place."""
-    if ctx.backend not in SPMD_BACKENDS or ctx.model is None or not ctx.model.operators:
+    """PAP073: a final deal the physical plan gathers to the driver."""
+    choices = ctx.physical(spmd=True) if ctx.backend in SPMD_BACKENDS else None
+    if choices is None:
         return
-    final = ctx.model.operators[-1]
-    if final.kind != "distribute":
-        return
-    why = []
-    schema, _ = ctx.input_schema()
-    if schema is not None and schema.input_format == "text":
-        why.append("text output")
-    analyzed = ctx.analyzed()
-    card = analyzed.card_of.get(final.id) if analyzed is not None else None
-    if card is not None and card.packed:
-        why.append("packed stream")
-    if not why:
+    final = ctx.plan.final_job
+    choice = choices[final.op_id]
+    if choice.tail != "gathered":
         return
     yield ctx.diag(
         "PAP073",
-        f"the output of distribute {final.id!r} is gathered to the driver "
-        f"({', '.join(why)}): on backend={ctx.backend!r} every partition "
+        f"the output of distribute {final.op_id!r} is gathered to the driver "
+        f"({choice.reason}): on backend={ctx.backend!r} every partition "
         "crosses the fabric to its owner rank and then to the driver, which "
         "writes the part files alone",
-        line=final.line,
+        line=ctx.model.operator(final.op_id).line,
         suggestion="advisory only, the parts are identical either way; the "
         "ranks write their pieces of the part files in place (one exchange "
         "fewer, nothing gathered) when the output is fixed-width binary and "
-        "the distribute is fed flat records",
+        "the distribute is fed flat records of the input's own schema",
     )
 
 

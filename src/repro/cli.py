@@ -4,7 +4,7 @@ The paper's runtime reads workflow arguments "from the configuration file at
 runtime" with overrides from the command line; this CLI is that front end:
 
 * ``lint``     — statically analyze the configs and report every finding;
-* ``explain``  — render the analyzed plan-IR (schemas, liveness, exchange cost);
+* ``explain``  — render the plan and how each job runs (serial and SPMD);
 * ``plan``     — parse the configs, resolve arguments, print the job table
   (and each job the planner drops: a dead stage, a redundant exchange);
 * ``codegen``  — emit the generated partitioner source;
@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="declared per-rank memory budget (e.g. 64MB); "
                              "enables the out-of-core rules (PAP06x)")
     p_lint.add_argument("--assume-records", type=int, default=None, metavar="N",
-                        help="assumed input record count for budget sizing "
-                             "(with --memory-budget)")
+                        help="assumed input record count (budget sizing, "
+                             "wire bytes of PAP084)")
     p_lint.add_argument("--backend", default=None,
                         choices=("serial", "mpi", "mapreduce", "process"),
                         help="intended execution backend "
@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_explain = sub.add_parser(
         "explain",
-        help="render the analyzed plan-IR: inferred schemas, live columns, "
-             "and estimated rows/bytes per exchange",
+        help="render the plan and the physical choice of each job on the "
+             "serial and the SPMD backends, with its wire bytes",
     )
     p_explain.add_argument("workflow", metavar="WORKFLOW_XML",
                            help="workflow configuration file")
@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="input-data configuration XML (repeatable)")
     p_explain.add_argument("--arg", action="append", default=[],
                            metavar="NAME=VALUE",
-                           help="workflow argument (repeatable); binding the "
-                                "real input path enables file-backed row counts")
+                           help="workflow argument (repeatable); binding a "
+                                "binary input file prices the wire by its size")
     p_explain.add_argument("--format", choices=("text", "json"), default="text",
                            help="report format (default: text)")
     p_explain.add_argument("--ranks", type=int, default=None, metavar="N",
@@ -410,6 +410,9 @@ def print_stats(result) -> None:
         print(f"  {'phase'.ljust(width)}  {'wall(s)':>10}  {'virtual(s)':>10}")
         for name, t in phases.items():
             print(f"  {name.ljust(width)}  {t['wall_s']:>10.4f}  {t['virtual_s']:>10.4f}")
+    paths = perf.get("paths")
+    if paths:
+        print("  path: " + ", ".join(f"{op}={path}" for op, path in paths.items()))
     spill = perf.get("spill")
     if spill:
         print(

@@ -12,10 +12,10 @@ source, so each rank reads its own byte range (the serial backend's sort
 reads only the key column, through a read-only mapping), and a
 :class:`~repro.formats.binary.PartWriter`, so the deal can write its pieces
 of the partitions in place — on every rank of an SPMD run, and on the one
-rank of a serial run.  When it did, this module has nothing left to write;
-otherwise (text or packed streams, records widened by add-on attributes, a
-memory budget on the SPMD backends) it writes the partitions the run
-returned.
+rank of a serial run.  When the physical plan has the deal write in place
+(:func:`~repro.core.planner.physical_plan`), this module has nothing left
+to write; otherwise (text output, packed streams, records widened by add-on
+attributes) it writes the partitions the run returned.
 """
 
 from __future__ import annotations
@@ -206,13 +206,12 @@ def partition_files(
         cluster=cluster,
         memory_budget=memory_budget,
         part_writer=writer,
+        output=None if writer is not None else "text",
         **fault_tolerance,
     )
-    if writer is not None and writer.published is not None:
+    if result.extra["perf"]["output"]["mode"] == "in_place":
         paths = writer.published
     else:
-        if writer is None and backend != "serial":
-            # ranks had no fixed-width layout to write into
-            result.extra["perf"]["output"] = {"mode": "gathered", "reason": "text output"}
+        # gathered, for the reason the plan gave: the driver writes the parts
         paths = write_partition_files(args[output_arg], result, schema)
     return FilePartitionResult(result=result, output_paths=paths)

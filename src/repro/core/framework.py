@@ -299,6 +299,7 @@ class PaPar:
         recorder: Any = None,
         memory_budget: Any = None,
         part_writer: Any = None,
+        output: Optional[str] = None,
     ) -> PartitionResult:
         """Plan (if needed) and execute a workflow over ``data``.
 
@@ -325,6 +326,10 @@ class PaPar:
         to run files and are merged back streaming (see
         ``docs/out-of-core.md``).  ``None`` (the default) keeps the
         in-memory fast path untouched.
+
+        Output: the partitions stay in memory, unless a ``part_writer``
+        (binary part files, written in place when the plan says so) is
+        given, or ``output="text"`` says the caller writes text part files.
         """
         from repro.core.runtime import SerialRuntime
 
@@ -342,7 +347,7 @@ class PaPar:
                 )
             result = SerialRuntime(
                 recorder=recorder, memory_budget=memory_budget
-            ).execute(plan, data, part_writer=part_writer)
+            ).execute(plan, data, part_writer=part_writer, output=output)
         elif backend in _SPMD_RUNTIMES:
             module, class_name = _SPMD_RUNTIMES[backend]
             runtime_class = getattr(importlib.import_module(module), class_name)
@@ -356,7 +361,7 @@ class PaPar:
                 deadlock_grace=deadlock_grace,
                 recorder=recorder,
                 memory_budget=memory_budget,
-            ).execute(plan, data, part_writer=part_writer)
+            ).execute(plan, data, part_writer=part_writer, output=output)
         else:
             raise WorkflowError(
                 f"unknown backend {backend!r}; "

@@ -136,9 +136,10 @@ class ProcessRuntime(MPIRuntime):
         return run
 
     def execute(
-        self, plan: WorkflowPlan, input_data: Dataset, part_writer: Any = None
+        self, plan: WorkflowPlan, input_data: Dataset, part_writer: Any = None,
+        output: Optional[str] = None,
     ) -> PartitionResult:
-        result = super().execute(plan, input_data, part_writer)
+        result = super().execute(plan, input_data, part_writer, output)
         transport = self._transport
         if transport is not None:
             result.extra["perf"]["transport"] = transport

@@ -17,9 +17,13 @@ Two executors run the same :class:`~repro.core.planner.WorkflowPlan`:
   (:class:`~repro.core.mr_runtime.MapReduceRuntime`) and the launcher
   (:class:`~repro.core.process_runtime.ProcessRuntime`).
 
-Every backend produces identical partitions (tested).  A flat sort with
-no add-on of the run's *own* input (rows fetchable by index), keyed by an
-integer of at most 32 bits, exchanges nothing: each rank cuts its own range
+Every backend produces identical partitions (tested).  How each job runs
+is decided before the first one does, by the physical plan
+(:func:`~repro.core.planner.physical_plan`); both executors dispatch on
+its choices and report the path each kernel ran in
+``extra["perf"]["paths"]``.  A flat sort with no add-on of the run's
+*own* input (rows fetchable by index), keyed by an integer of at most 32
+bits, is a ``cut`` and exchanges nothing: each rank cuts its own range
 of the input in one key scan (:mod:`repro.core.word_exchange`) and the deal
 gathers the records from the input.  Every other sort — chained or
 wide-keyed — and every group is the range exchange, which ships the
@@ -38,8 +42,8 @@ pieces where they belong in the part files — no second exchange, nothing
 gathered to the driver; otherwise (a packed stream, or records widened by
 group add-ons) the deal ships its pieces to the partitions' owners and the
 driver writes what they return (``extra["perf"]["output"]`` says which tail
-ran, and why).  The serial runtime's tail is the one-rank case of the same
-deal (:func:`deal_into` a part file).
+the plan chose, and why).  The serial runtime's tail is the one-rank case of
+the same deal (:func:`deal_into` a part file).
 
 Out-of-core (see :mod:`repro.ooc`): a ``memory_budget`` changes no path,
 only where bytes wait.  The sort of the input spills its own range's
@@ -67,11 +71,10 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.core.dataset import Dataset, concat
-from repro.core.planner import PlannedJob, WorkflowPlan
+from repro.core.planner import Physical, PlannedJob, WorkflowPlan, physical_plan
 from repro.errors import WorkflowError
 from repro.mapreduce.columnar import PerfCounters, bucketize
 from repro.ops.distribute import Distribute, deal_pieces
-from repro.ops.group import Group
 from repro.ops.sort import Sort, sort_key_array
 from repro.ops.split import Split
 
@@ -152,6 +155,41 @@ def resident(source: Any) -> Any:
     return source if materialize is None else materialize()
 
 
+def run_plan(
+    plan: WorkflowPlan, input_data: Any, spmd: bool, part_writer: Optional[PartWriter],
+    output: Optional[str] = None,
+) -> dict[str, Physical]:
+    """The physical plan of one run of ``plan`` over ``input_data``
+    (:func:`~repro.core.planner.physical_plan`): its output is ``output``
+    (``"text"`` part files the caller writes), else binary part files with
+    a ``part_writer``, else the partitions in memory."""
+    return physical_plan(
+        plan, input_data.schema, spmd=spmd, streamed=hasattr(input_data, "chunks"),
+        records=len(input_data),
+        output=output or ("binary" if part_writer is not None else "memory"),
+    )
+
+
+def _tail_output(choice: Physical, counts: Any, part_writer: Optional[PartWriter]) -> dict:
+    """``extra["perf"]["output"]`` of a run whose final deal was planned as
+    ``choice`` and returned ``counts`` (``{partition: record count}`` when
+    written in place).  Only a file-to-file run has an output to report on."""
+    if choice.tail == "in place":
+        return {"mode": "in_place", "parts": len(counts),
+                "bytes": sum(counts.values()) * part_writer.schema.itemsize}
+    if choice.reason == "in-memory run":
+        return {}
+    return {"mode": "gathered", "reason": choice.reason}
+
+
+def _internal(job: PlannedJob, choice: Physical, source: str) -> WorkflowError:
+    """The error of a job whose planned path meets a source it cannot take."""
+    return WorkflowError(
+        f"internal error: job {job.op_id!r} was planned as {choice.path!r} "
+        f"but reads {source}"
+    )
+
+
 def job_input(job: PlannedJob, outputs: dict[str, Any], input_data: Dataset) -> Any:
     """What ``job`` consumes: the input, or (selected outputs of) its source job."""
     if job.source is None:
@@ -166,15 +204,15 @@ def job_input(job: PlannedJob, outputs: dict[str, Any], input_data: Dataset) -> 
 class SerialRuntime:
     """Single-process reference execution of a plan.
 
-    A flat sort reads only its key column wherever the rows can be fetched
+    Each job runs the path its :class:`~repro.core.planner.Physical` choice
+    names.  A ``narrow`` sort reads only its key column of rows fetchable
     by index (an in-memory dataset, a fixed-width input file through a
     read-only mapping, another sort's view) and returns row ids; under a
     budget it spills narrow (key, row id) runs only when the sort's own
     peak (``Sort.narrow_bytes``: one 8-byte word per entry for integer keys
-    of at most 32 bits) exceeds it.  A file-to-file run whose final deal
-    carries records of the output schema is the one-rank case of the SPMD
-    in-place tail: the pieces go straight into the part files, a budget's
-    window of positions at a time.
+    of at most 32 bits) exceeds it.  A final deal planned ``in place`` is
+    the one-rank case of the SPMD in-place tail: the pieces go straight
+    into the part files, a budget's window of positions at a time.
     """
 
     def __init__(
@@ -192,11 +230,14 @@ class SerialRuntime:
         plan: WorkflowPlan,
         input_data: Dataset,
         part_writer: Optional[PartWriter] = None,
+        output: Optional[str] = None,
     ) -> PartitionResult:
         """Run ``plan`` over ``input_data``; with a ``part_writer`` the final
-        deal writes the part files in place when it can (the returned
-        partitions are then read-only views of the published files), and
-        a failed run publishes nothing."""
+        deal writes the part files in place when it is planned to (the
+        returned partitions are then read-only views of the published
+        files), and a failed run publishes nothing.  ``output="text"``
+        marks a run whose caller writes text part files."""
+        choices = run_plan(plan, input_data, False, part_writer, output)
         perf = PerfCounters()
         rec = self.recorder
         ctx = spill_dir = None
@@ -227,12 +268,13 @@ class SerialRuntime:
                     )
                     with perf.phase(job.operator_name.lower()), span:
                         outputs[job.op_id] = self._apply(
-                            job.operator, source, ctx,
+                            job, choices[job.op_id], source, ctx, perf,
                             part_writer if job is plan.final_job else None,
                         )
             # a sort that ends the plan leaves a sorted-runs view: read it
             # before the spill directory goes
             final = resident(outputs[plan.final_job.op_id])
+            perf.output = _tail_output(choices[plan.final_job.op_id], final, part_writer)
             if isinstance(final, dict):
                 final = published_parts(part_writer, len(final))
             elif isinstance(final, Dataset):
@@ -258,70 +300,54 @@ class SerialRuntime:
 
     @staticmethod
     def _apply(
-        op: Any, source: Any, ctx: Any, part_writer: Optional[PartWriter]
+        job: PlannedJob, choice: Physical, source: Any, ctx: Any, perf: PerfCounters,
+        part_writer: Optional[PartWriter],
     ) -> Any:
-        """Run one operator; ``ctx`` is the budget's ``OOCContext`` or ``None``.
+        """Run one job the way ``choice`` says; ``ctx`` is the budget's
+        ``OOCContext`` or ``None``.
 
-        A final deal that can write in place returns ``{partition: record
-        count}``; any other ``Distribute`` deals whatever streams (a sorted-
-        runs view, a chunked input) without materializing it.  A flat sort
-        over rows fetchable by index is narrow (above); under a budget one
-        over a text input spills whole records.  Every other operator gets
-        its input resident.
+        A deal written in place returns ``{partition: record count}``; a
+        gathered one deals whatever streams (a sorted-runs view, a chunked
+        input) without materializing it under a budget.  A ``records`` sort
+        spills whole records under a budget; every other operator gets its
+        input resident.
         """
-        if isinstance(op, Distribute):
+        op = job.operator
+        if choice.tail == "in place":
             streams = list(source) if isinstance(source, (list, tuple)) else [source]
-            if part_writer is not None and why_gathered(part_writer, streams) is None:
-                return _write_parts(op, streams, part_writer, ctx)
+            perf.paths[job.op_id] = "in place"
+            return _write_parts(op, streams, part_writer, ctx)
+        if choice.tail == "gathered":
+            perf.paths[job.op_id] = f"gathered ({choice.reason})"
             return op.apply_local(source if ctx is not None else resident(source))
-        if (
-            not isinstance(op, Sort)
-            or op.addon is not None
-            or not source.schema.has_field(op.key)
-        ):
+        if choice.spill is None:  # a local kernel over the whole input
             return op.apply_local(resident(source))
-        indexed = getattr(source, "indexed_rows", None)
-        indexed = indexed() if indexed is not None else None
-        if indexed is not None:
-            rows, ids = indexed
-            weight = op.narrow_bytes(len(source), rows, composed=ids is not None)
+        perf.paths[job.op_id] = choice.spill
+        from_runs = hasattr(source, "row_ids")  # a spilled sort's runs
+        if choice.spill == "narrow":
+            got = (source.rows, None) if from_runs else source.indexed_rows()
+            if got is None or got[0] is None:
+                raise _internal(job, choice, "rows it cannot fetch by row id")
+            rows, ids = got
+            weight = source.nbytes if from_runs else op.narrow_bytes(
+                len(source), rows, composed=ids is not None)
             if ctx is None or not ctx.should_spill(weight):
-                return op.apply_local(source)
+                return op.apply_local(resident(source) if from_runs else source)
             from repro.ooc.extsort import external_sort_rows
 
+            ids = source.row_ids() if from_runs else ids
             return external_sort_rows(rows, ids, op.key, op.ascending, ctx, source.schema)
-        if ctx is None or source.is_packed or not ctx.should_spill(source.nbytes):
+        if (ctx is None or source.is_packed or op.addon is not None
+                or not ctx.should_spill(source.nbytes)):
             return op.apply_local(resident(source))
         from repro.ooc.chunked import iter_dataset_chunks
-        from repro.ooc.extsort import SortedRuns, external_sort_records, external_sort_rows
+        from repro.ooc.extsort import external_sort_records
 
         schema = source.schema
-        if isinstance(source, SortedRuns) and source.rows is not None:
-            # a spilled narrow sort: its row ids stream into this one's runs
-            return external_sort_rows(
-                source.rows, source.row_ids(), op.key, op.ascending, ctx, schema
-            )
         chunks = iter_dataset_chunks(source, ctx.chunk_records(schema.itemsize))
         return external_sort_records(
             (chunk.records for chunk in chunks), op.key, op.ascending, ctx, schema
         )
-
-
-def why_gathered(part_writer: Optional[PartWriter], streams: list) -> Optional[str]:
-    """Why a deal's pieces must go to the driver instead of into the part
-    files, or ``None`` when they can be written in place: every stream is
-    then fixed-width records of the very schema the part files hold, so a
-    piece's bytes and its offset in the file are both known where the
-    piece is.  Read from the run itself — the same on every rank, and
-    nothing a user sets; a memory budget only deals it a window of
-    positions at a time."""
-    if part_writer is None:
-        return "in-memory run"
-    if any(stream.is_packed for stream in streams):
-        return "packed stream"
-    if any(stream.schema != part_writer.schema for stream in streams):
-        return "added attributes"
-    return None
 
 
 def deal_into(
@@ -533,19 +559,22 @@ class MPIRuntime:
         plan: WorkflowPlan,
         input_data: Dataset,
         part_writer: Optional[PartWriter] = None,
+        output: Optional[str] = None,
     ) -> PartitionResult:
         """Run ``plan`` over ``input_data`` on :attr:`num_ranks` ranks.
 
         With a ``part_writer`` (a file-to-file run) the ranks write the
-        partitions in place when the final deal allows it; the returned
+        partitions in place when the final deal is planned to; the returned
         partitions are then read-only views of the published part files.
+        ``output="text"`` marks a run whose caller writes text part files.
         """
+        choices = run_plan(plan, input_data, True, part_writer, output)
         for job in plan.jobs:
             if isinstance(job.operator, Distribute):
                 # every rank deals its own window of positions: refuse a
                 # permutation-defined policy here, before anything is launched
                 job.operator.policy.require_positional()
-        rank_kwargs: dict[str, Any] = {}
+        rank_kwargs: dict[str, Any] = {"choices": choices}
         spill_dir: Optional[str] = None
         if self.memory_budget is not None:
             import tempfile
@@ -579,6 +608,7 @@ class MPIRuntime:
             for rank_out, _perf in run.results:
                 merged.update(rank_out)
             perf = PerfCounters.merge_ranks([perf for _out, perf in run.results])
+            perf.output = _tail_output(choices[plan.final_job.op_id], merged, part_writer)
             if perf.output.get("mode") == "in_place":
                 # every rank reported ok: the parts appear, all at once
                 partitions = published_parts(part_writer, len(merged))
@@ -692,6 +722,7 @@ class MPIRuntime:
         obs_root: Any = None,
         ooc_spec: Any = None,
         part_writer: Optional[PartWriter] = None,
+        choices: Optional[dict[str, Physical]] = None,
     ) -> tuple[dict[int, Any], PerfCounters]:
         perf = PerfCounters()
         comm.recorder = recorder
@@ -739,7 +770,7 @@ class MPIRuntime:
                     # fixed per-job scheduling cost (mapper/reducer launch)
                     comm.charge_compute(comm.cluster.cost.job_overhead)
                 final = self._run_job(
-                    comm, job, source, perf, ctx,
+                    comm, job, choices[job.op_id], source, perf, ctx,
                     part_writer if job is plan.final_job else None, whole,
                 )
             outputs[job.op_id] = final
@@ -749,7 +780,7 @@ class MPIRuntime:
             # a deal written in place is not checkpointed: its output is the
             # part files, and offset writes are idempotent, so a restart
             # redoes it from the previous job's checkpoint
-            if checkpoint is not None and perf.output.get("mode") != "in_place":
+            if checkpoint is not None and choices[job.op_id].tail != "in place":
                 payload = {"output": final, "clock": comm.clock.now}
                 if ctx is not None:
                     payload["ooc"] = {"manifests": ctx.manifests_since(job_mark)}
@@ -768,39 +799,41 @@ class MPIRuntime:
         self,
         comm: Communicator,
         job: PlannedJob,
+        choice: Physical,
         source: Any,
         perf: PerfCounters,
         ctx: Any,
         part_writer: Optional[PartWriter] = None,
         whole: Any = None,
     ) -> Any:
-        """One job on one rank; ``ctx`` is the rank's ``OOCContext`` or
-        ``None``, ``part_writer`` the run's output files when ``job`` is the
-        final one of a file-to-file run, ``whole`` the run's input when
-        ``source`` is this rank's block of it."""
+        """One job on one rank, down the path ``choice`` names; ``ctx`` is
+        the rank's ``OOCContext`` or ``None``, ``part_writer`` the run's
+        output files when ``job`` is the final one of a file-to-file run,
+        ``whole`` the run's input when ``source`` is this rank's block of it."""
         op = job.operator
-        if isinstance(op, Sort):
-            if whole is not None:
-                from repro.core.word_exchange import input_rows, word_sort
+        if choice.exchange == "cut":
+            from repro.core.word_exchange import word_sort
 
-                rows = input_rows(op, whole)
-                if rows is not None:
-                    view = word_sort(
-                        comm, op, rows, whole.schema, self._reducers(job, comm), perf, ctx
-                    )
-                    self._charge(comm, "sort", len(view))
-                    return view
-            return self._range_job(
-                comm, op, source, perf, ctx, op.ascending, self._reducers(job, comm),
-                kernel="sort",
+            indexed = getattr(whole, "indexed_rows", None)
+            indexed = indexed() if indexed is not None else None
+            if indexed is None or indexed[1] is not None:
+                raise _internal(job, choice, "an input it cannot cut")
+            view = word_sort(
+                comm, op, indexed[0], whole.schema, self._reducers(job, comm), perf, ctx
             )
-        if isinstance(op, Group):
-            return self._range_job(
-                comm, op, source, perf, ctx, True, self._reducers(job, comm),
-                kernel="hash_group",
-            )
+            perf.paths[job.op_id] = "cut"
+            self._charge(comm, "sort", len(view))
+            return view
         if isinstance(op, Distribute):
-            return self._distribute_job(comm, op, source, perf, ctx, part_writer)
+            return self._distribute_job(comm, job, choice, source, perf, ctx, part_writer)
+        if choice.exchange == "records":
+            sort = isinstance(op, Sort)
+            out = self._range_job(
+                comm, op, source, perf, ctx, op.ascending if sort else True,
+                self._reducers(job, comm), kernel="sort" if sort else "hash_group",
+            )
+            perf.paths[job.op_id] = "records"
+            return out
         data = resident(source)
         if isinstance(op, Split):
             # a map-only job: routing is local, no exchange
@@ -901,7 +934,8 @@ class MPIRuntime:
     def _distribute_job(
         self,
         comm: Communicator,
-        op: Distribute,
+        job: PlannedJob,
+        choice: Physical,
         source: Any,
         perf: PerfCounters,
         ctx: Any,
@@ -911,23 +945,28 @@ class MPIRuntime:
 
         Each rank cuts its window of a stream's global positions into
         pieces with the policy's positional rule (:func:`deal_into`, a
-        budget's window at a time).  In place (see :func:`why_gathered`) a
-        piece is written straight to its slot of its part, the partition's
-        owner rank (``p % size``) seals the file, and the job returns
-        ``{partition: record count}``.
+        budget's window at a time).  Planned ``in place`` (see
+        :func:`~repro.core.planner.physical_plan`), a piece is written
+        straight to its slot of its part, the partition's owner rank
+        (``p % size``) seals the file, and the job returns ``{partition:
+        record count}``.
 
-        Otherwise the partition id is the temporary reduce-key ("the reducer
-        id is used as the reduce-key"): each stream is exchanged on its own
-        — its outbox in memory or in run files (:meth:`_spills`) — as
+        Planned ``gathered``, the partition id is the temporary reduce-key
+        ("the reducer id is used as the reduce-key"): each stream is
+        exchanged on its own — its outbox in memory or in run files
+        (:meth:`_spills`) — as
         ``(partition, first global index, entries)`` chunks, which the
         owners order by ``(stream, first index)`` and return as
         ``{partition: Dataset}``.
         """
         from repro.mpi import SUM
 
+        op = job.operator
         streams = list(source) if isinstance(source, (list, tuple)) else [source]
         num_p = op.num_partitions
-        gathered = why_gathered(part_writer, streams)
+        in_place = choice.tail == "in place"
+        if in_place and part_writer is None:
+            raise _internal(job, choice, "no part files to write into")
         base = np.zeros(num_p, dtype=np.int64)
         per_partition: dict[int, list[tuple[int, int, Dataset]]] = {}
         for stream_idx, stream in enumerate(streams):
@@ -935,7 +974,7 @@ class MPIRuntime:
             offset = comm.exscan(n_local, SUM, identity=0)
             total = comm.allreduce(n_local, SUM)
             window = ctx.chunk_records(stream.schema.itemsize) if ctx is not None else None
-            if gathered is None:
+            if in_place:
                 with _write_span(comm, stream_idx, n_local):
                     deal_into(op, stream, part_sink(part_writer), base, offset, total, window,
                               perf)
@@ -966,19 +1005,12 @@ class MPIRuntime:
             for p, first_idx, chunk in arrived:
                 per_partition.setdefault(p, []).append((stream_idx, first_idx, chunk))
         owned = range(comm.rank, num_p, comm.size)
-        if gathered is None:
+        perf.paths[job.op_id] = "in place" if in_place else f"gathered ({choice.reason})"
+        if in_place:
             counts = {p: int(base[p]) for p in owned}
             for p, count in counts.items():
                 part_writer.finish(p, count)
-            perf.output = {
-                "mode": "in_place",
-                "parts": len(counts),
-                "bytes": sum(counts.values()) * part_writer.schema.itemsize,
-            }
             return counts
-        if part_writer is not None:
-            # only a file-to-file run has an output to report on
-            perf.output = {"mode": "gathered", "reason": gathered}
         result: dict[int, Dataset] = {}
         for p in owned:
             chunks = sorted(per_partition.get(p, []), key=lambda t: (t[0], t[1]))

@@ -1,9 +1,11 @@
 """The SPMD sort of a run's input, with no exchange: each rank cuts its range.
 
-Taken by a flat ``Sort`` with no add-on of the run's own input (rows
-fetchable by row id, ``indexed_rows``), keyed by an integer of at most 32
-bits.  Every rank addresses the whole input, as the deal does, so each
-takes the same splitter words (:func:`~repro.order.key_words`: the rebased
+The path of a sort the physical plan names ``cut``
+(:func:`~repro.core.planner.physical_plan`): a flat ``Sort`` with no
+add-on of the run's own input (rows fetchable by row id,
+``indexed_rows``), keyed by an integer of at most 32 bits.  Every rank
+addresses the whole input, as the deal does, so each takes the same
+splitter words (:func:`~repro.order.key_words`: the rebased
 key above the row id) from the same regular sample without a message,
 scans the key column once — one O(n) pass per rank — for its own range and
 sorts its words.  Under a memory budget a range whose words outweigh it
@@ -19,33 +21,17 @@ takes the record exchange,
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.core.dataset import SortedView, row_id_dtype
 from repro.core.runtime import KEY_SAMPLE_SIZE, _block
 from repro.mapreduce.sampling import quantile_boundaries
-from repro.order import key_words, packs_rows, word_row_ids
+from repro.order import key_words, word_row_ids
 
 #: keys a rank compares per step of its scan
 SCAN_STEP = 1 << 16
-
-
-def input_rows(op: Any, whole: Any) -> Optional[np.ndarray]:
-    """The run's input ``whole`` as rows fetchable by global row id, when a
-    sort ``op`` of it takes the range cut; ``None`` otherwise."""
-    schema = whole.schema
-    if (
-        op.addon is not None
-        or not schema.has_field(op.key)
-        or not packs_rows(schema.dtype[op.key], np.uint32)
-        or len(whole) > 1 << 32
-    ):
-        return None
-    indexed = getattr(whole, "indexed_rows", None)
-    indexed = indexed() if indexed is not None else None
-    return indexed[0] if indexed is not None and indexed[1] is None else None
 
 
 def word_sort(

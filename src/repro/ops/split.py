@@ -15,7 +15,6 @@ from typing import Sequence
 from repro.core.dataset import Dataset
 from repro.errors import OperatorError
 from repro.ops.base import BasicOperator, register_basic
-from repro.ops.format_ops import Orig
 from repro.policies.split_policy import SplitPolicy
 
 import numpy as np
@@ -60,8 +59,3 @@ class Split(BasicOperator):
             selected = data.take(np.flatnonzero(routes == i))
             outputs.append(fmt.apply(selected, key_field=self.key))
         return outputs
-
-    @property
-    def keeps_packed(self) -> list[bool]:
-        """Which outputs keep the packed layout (``orig`` on packed input)."""
-        return [isinstance(f, Orig) for f in self.output_formats]

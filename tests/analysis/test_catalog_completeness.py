@@ -82,7 +82,7 @@ def test_every_code_has_exactly_one_emitter():
 
 def test_a_checker_yielding_an_undeclared_code_fails():
     def sneaky(ctx):
-        yield ctx.diag("PAP083", "not what this checker declares")
+        yield ctx.diag("PAP081", "not what this checker declares")
 
     sneaky.codes = ("PAP084",)
     undeclared: list = []
@@ -91,4 +91,4 @@ def test_a_checker_yielding_an_undeclared_code_fails():
         Linter().lint(BLAST_WORKFLOW_XML)
     finally:
         CHECKERS.pop()
-    assert undeclared == ["sneaky yielded PAP083, declares ('PAP084',)"]
+    assert undeclared == ["sneaky yielded PAP081, declares ('PAP084',)"]

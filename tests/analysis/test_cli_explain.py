@@ -59,7 +59,7 @@ class TestExplainCommand:
         assert code == 0
         assert "sort" in out and "distr" in out
         assert "exchange" in out
-        assert "live" in out
+        assert "      serial: narrow" in out and "      spmd: cut, ? on the wire" in out
 
     def test_json_contract(self, repo_configs, capsys):
         code = main([
@@ -71,17 +71,18 @@ class TestExplainCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == EXPLAIN_SCHEMA_VERSION
         assert doc["tool"] == "papar-explain"
+        assert doc["version"] == 2
         assert set(doc) == {
-            "version", "tool", "workflow", "file", "operators", "edges",
-            "exchanges", "pruning", "advisories", "summary",
+            "version", "tool", "workflow", "file", "records", "operators", "edges",
+            "advisories", "summary",
         }
         assert [op["id"] for op in doc["operators"]]
         for op in doc["operators"]:
-            assert {"index", "id", "kind", "line", "exchange", "schema",
-                    "live", "est_rows", "input", "outputs"} <= set(op)
-        for ex in doc["exchanges"]:
-            assert {"op", "kind", "rows", "row_bytes", "est_bytes",
-                    "measured"} <= set(ex)
+            assert {"index", "id", "kind", "line", "exchange", "input", "outputs",
+                    "serial", "spmd"} <= set(op)
+            for backend in ("serial", "spmd"):
+                assert set(op[backend]) == {"exchange", "spill", "tail", "reason",
+                                            "path", "wire_bytes"}
         assert set(doc["summary"]) == {"errors", "warnings", "info"}
 
     def test_assume_records_estimates_bytes(self, repo_configs, capsys):
@@ -92,25 +93,31 @@ class TestExplainCommand:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        for ex in doc["exchanges"]:
-            assert ex["rows"] == 1000
-            assert ex["est_bytes"] == 16000
-            assert not ex["measured"]
+        assert doc["records"] == 1000
+        # the sort is cut and the deal written in place: no record is shipped
+        assert [op["spmd"]["wire_bytes"] for op in doc["operators"]] == [0, 0]
+        code = main([
+            "explain", str(repo_configs / "hybrid_cut.xml"),
+            "--input", str(repo_configs / "graph_edge.xml"),
+            "--assume-records", "1000", "--format", "json",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        # the group ships 16-byte edges, the gathered deal 24-byte ones
+        assert [op["spmd"]["wire_bytes"] for op in doc["operators"]] == [16000, 0, 24000]
 
-    def test_dead_operator_and_unused_column_reported(self):
-        """Acceptance: injected dead op + unread columns both surface."""
+    def test_dead_operator_reported_and_not_planned(self):
+        """An injected dead op surfaces as PAP080 and has no physical choice."""
         report = explain(
             Linter(assume_records=1000),
             DEAD_COLUMN_WORKFLOW,
             filename="t.xml",
             inputs=[(BLAST_DB, "blast_db.xml")],
         )
-        codes = {d.code for d in report.advisories}
-        assert "PAP080" in codes
-        assert "PAP083" in codes
-        pap083 = next(d for d in report.advisories if d.code == "PAP083")
-        assert "save an estimated" in pap083.message
-        assert report.pruning["est_bytes_saved"] is not None
+        assert [d.code for d in report.advisories] == ["PAP080"]
+        dead = next(op for op in report.operators if op["id"] == "dead")
+        assert dead["serial"] is None and dead["spmd"] is None
+        assert "      not planned" in report.render_text()
 
     def test_broken_workflow_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.xml"
@@ -155,9 +162,9 @@ TEXT_SORTS_WORKFLOW = """<workflow id="t">
 
 
 class TestTextSchemaWithStringField:
-    """A string field has no binary width; the cost model prices it with
-    ``field_width``'s 8-byte stand-in instead of crashing every rule that
-    reads the cost model."""
+    """A string field has no binary width; the physical plan leaves a
+    record exchange of it unpriced instead of crashing every rule that
+    reads the plan."""
 
     @pytest.fixture
     def configs(self, tmp_path):
@@ -174,11 +181,20 @@ class TestTextSchemaWithStringField:
         assert "PAP099" not in captured.out
         assert captured.err == ""
 
-    def test_exchanges_priced_with_the_stand_in(self, configs, capsys):
+    def test_an_spmd_lint_leaves_the_wire_unpriced_without_pap099(self, configs, capsys):
+        assert main(["lint", *configs, "--backend", "mpi", "--format", "json"]) == 0
+        codes = [d["code"] for d in json.loads(capsys.readouterr().out)["diagnostics"]]
+        assert "PAP099" not in codes and "PAP084" not in codes
+        assert "PAP073" in codes  # a text output is gathered all the same
+
+    def test_a_string_field_leaves_the_wire_unpriced(self, configs, capsys):
         assert main(["explain", *configs, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        # 8 (string stand-in) + 4 (integer) bytes per record
-        assert [ex["est_bytes"] for ex in doc["exchanges"]] == [12000] * 3
+        s1, s2, deal = doc["operators"]
+        assert s1["spmd"] is None  # the planner drops it (PAP081)
+        assert (s2["spmd"]["path"], deal["spmd"]["path"]) == ("records", "gathered (text output)")
+        # a record of a string field has no fixed width: the price is unknown
+        assert s2["spmd"]["wire_bytes"] is None and deal["spmd"]["wire_bytes"] is None
 
     def test_the_planner_skips_the_redundant_sort(self, configs, capsys):
         assert main(["lint", *configs, "--format", "json"]) == 0
@@ -189,10 +205,10 @@ class TestTextSchemaWithStringField:
 
 class TestLintExplainFlag:
     def test_text_explanation(self, capsys):
-        code = main(["lint", "--explain", "PAP083"])
+        code = main(["lint", "--explain", "PAP084"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.startswith("PAP083 (unused-column) — info")
+        assert out.startswith("PAP084 (exchange-hotspot) — info")
         assert "bad:" in out and "good:" in out
 
     def test_backend_advisory_explanation(self, capsys):

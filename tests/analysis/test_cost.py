@@ -1,18 +1,20 @@
-"""Exchange-cost estimation: file-backed row counts and the accuracy contract.
+"""The wire price of the physical plan: record counts and the wire contract.
 
-The headline test pins the acceptance criterion of the cost model: the
-statically estimated bytes_moved per exchange must land within 20% of the
-``perf['bytes_moved']`` counter a real ``--stats`` run records.  In
-practice the model is exact for both shipped case studies, because the
-runtimes charge every exchange the full payload of the redistributed
-stream — precisely what rows x record-width computes.
+PAP084 and ``explain`` price each planned SPMD job by the physical plan
+the runtimes dispatch on (:func:`repro.core.planner.physical_plan`):
+records x shipped width for a record exchange or a gathered deal, nothing
+for a cut or an in-place deal.  Records come from ``--assume-records`` or
+a ``stat`` of a bound binary input, never from a scan.  The contract tests
+hold the price against what a run measures: the shipped BLAST workflow
+plans a cut and an in-place deal and puts at most 1 KiB on the wire (the
+deal's scalars); the hybrid-cut workflow plans record exchanges and
+measures records x width.
 """
 
 import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.analysis.cost import estimate_input_rows, sample_group_ratio
 from repro.analysis.engine import Linter, read_configs
 from repro.analysis.explain import explain
 from repro.formats.binary import write_binary
@@ -43,95 +45,73 @@ def make_edge_file(path, n, seed=11):
     return rows
 
 
+def report_of(configs, workflow, schema, args, **linter):
+    """The explain report of a shipped workflow with ``args`` bound."""
+    return explain(
+        Linter(**linter), **read_configs(str(configs / workflow), [str(configs / schema)]),
+        args={k: str(v) for k, v in args.items()},
+    )
+
+
 class TestInputEstimation:
-    def test_binary_row_count_is_exact(self, tmp_path):
+    def test_binary_row_count_is_exact(self, tmp_path, configs):
         path = tmp_path / "db.index"
         make_blast_file(path, 321)
-        assert estimate_input_rows(str(path), BLAST_INDEX_SCHEMA) == 321
+        report = report_of(configs, "blast_partition.xml", "blast_db.xml",
+                           {"input_path": path})
+        assert report.records == 321
 
-    def test_text_row_count_is_exact(self, tmp_path):
+    def test_a_text_input_is_never_scanned(self, tmp_path, configs):
         path = tmp_path / "edges.txt"
         make_edge_file(path, 123)
-        assert estimate_input_rows(str(path), EDGE_LIST_SCHEMA) == 123
+        report = report_of(configs, "hybrid_cut.xml", "graph_edge.xml", {"input_file": path})
+        assert report.records is None
+        assert report.operators[0]["spmd"]["wire_bytes"] is None
+        assert report_of(configs, "hybrid_cut.xml", "graph_edge.xml", {"input_file": path},
+                         assume_records=123).records == 123
 
-    def test_missing_file_is_unknown(self, tmp_path):
-        assert estimate_input_rows(str(tmp_path / "nope"), BLAST_INDEX_SCHEMA) is None
-
-    def test_group_ratio_sampled_from_head(self, tmp_path):
-        path = tmp_path / "edges.txt"
-        make_edge_file(path, 500)
-        ratio = sample_group_ratio(str(path), EDGE_LIST_SCHEMA, "vertex_b")
-        assert ratio is not None
-        assert 0.0 < ratio <= 0.2  # 50 distinct targets over 500 rows
-
-    def test_group_ratio_unknown_key(self, tmp_path):
-        path = tmp_path / "edges.txt"
-        make_edge_file(path, 10)
-        assert sample_group_ratio(str(path), EDGE_LIST_SCHEMA, "nope") is None
+    def test_missing_file_is_unknown(self, tmp_path, configs):
+        report = report_of(configs, "blast_partition.xml", "blast_db.xml",
+                           {"input_path": tmp_path / "nope"})
+        assert report.records is None
 
 
 class TestAccuracyContract:
-    """Estimated bytes per exchange within 20% of a measured --stats run."""
+    """The priced wire bytes against what a run measures."""
 
-    def _measured_bytes(self, papar, workflow_path, args, ranks=2):
-        workflow = papar.load_workflow_file(str(workflow_path))
-        out = papar.partition_files(
-            workflow, args, backend="mpi", num_ranks=ranks
-        )
-        return out.result.extra["perf"]["bytes_moved"]
+    def run(self, configs, workflow, schema, args, ranks):
+        papar = PaPar()
+        papar.register_input_file(str(configs / schema))
+        return papar.partition_files(
+            papar.load_workflow_file(str(configs / workflow)), args, backend="mpi",
+            num_ranks=ranks,
+        ).result
 
     def test_blast_estimate_matches_stats(self, tmp_path, configs):
         idx = tmp_path / "db.index"
         make_blast_file(idx, 4000)
-        args = {
-            "input_path": str(idx),
-            "output_path": str(tmp_path / "out") + "/",
-            "num_partitions": 4,
-            "num_reducers": 2,
-        }
-        papar = PaPar()
-        papar.register_input_file(str(configs / "blast_db.xml"))
-        measured = self._measured_bytes(papar, configs / "blast_partition.xml", args)
-
-        report = explain(
-            Linter(), **read_configs(str(configs / "blast_partition.xml"), [str(configs / "blast_db.xml")]),
-            args={k: str(v) for k, v in args.items()},
-        )
-        assert all(e["measured"] for e in report.exchanges)
-        estimated = sum(e["est_bytes"] for e in report.exchanges)
-        assert measured > 0
-        assert abs(estimated - measured) / measured < 0.20
+        args = {"input_path": idx, "output_path": str(tmp_path / "out") + "/",
+                "num_partitions": 4, "num_reducers": 2}
+        report = report_of(configs, "blast_partition.xml", "blast_db.xml", args)
+        assert [op["spmd"]["path"] for op in report.operators] == ["cut", "in place"]
+        assert [op["spmd"]["wire_bytes"] for op in report.operators] == [0, 0]
+        for ranks in (2, 4):
+            result = self.run(configs, "blast_partition.xml", "blast_db.xml", args, ranks)
+            assert result.perf["paths"] == {"sort": "cut", "distr": "in place"}
+            assert 0 < result.bytes_moved <= 1024
 
     def test_hybrid_estimate_matches_stats(self, tmp_path, configs):
         edges = tmp_path / "edges.txt"
         make_edge_file(edges, 2000)
-        args = {
-            "input_file": str(edges),
-            "output_path": str(tmp_path / "gout") + "/",
-            "num_partitions": 4,
-            "threshold": 10,
-        }
-        papar = PaPar()
-        papar.register_input_file(str(configs / "graph_edge.xml"))
-        measured = self._measured_bytes(papar, configs / "hybrid_cut.xml", args)
-
-        report = explain(
-            Linter(), **read_configs(str(configs / "hybrid_cut.xml"), [str(configs / "graph_edge.xml")]),
-            args={k: str(v) for k, v in args.items()},
-        )
-        estimated = sum(e["est_bytes"] for e in report.exchanges)
-        assert measured > 0
+        args = {"input_file": edges, "output_path": str(tmp_path / "gout") + "/",
+                "num_partitions": 4, "threshold": 10}
+        report = report_of(configs, "hybrid_cut.xml", "graph_edge.xml", args,
+                           assume_records=2000)
+        planned = {op["id"]: op["spmd"] for op in report.operators}
+        assert planned["group"]["path"] == "records"
+        assert planned["distr"]["path"] == "gathered (text output)"
+        estimated = sum(op["wire_bytes"] for op in planned.values())
+        result = self.run(configs, "hybrid_cut.xml", "graph_edge.xml", args, 2)
+        measured = result.perf["bytes_moved"]
+        assert result.bytes_moved > 1024
         assert abs(estimated - measured) / measured < 0.20
-
-    def test_pruning_estimate_scales_with_rows(self, tmp_path, configs):
-        idx = tmp_path / "db.index"
-        make_blast_file(idx, 1000)
-        report = explain(
-            Linter(), **read_configs(str(configs / "blast_partition.xml"), [str(configs / "blast_db.xml")]),
-            args={"input_path": str(idx)},
-        )
-        # blast: 3 of 4 integer columns unused; one intermediate exchange
-        assert report.pruning["unused_columns"] == [
-            "seq_start", "desc_start", "desc_size",
-        ]
-        assert report.pruning["est_bytes_saved"] == 1000 * 12

@@ -66,7 +66,7 @@ def test_the_gate_runs_exactly_the_checkers_that_can_emit_an_error():
         "check_unused_arguments", "check_collective_schedule",
         "check_sort_determinism", "check_boolean_literals",
         "check_output_gathered", "check_process_backend", "check_stream_safety",
-        "check_elided_jobs", "check_unused_columns", "check_exchange_hotspots",
+        "check_elided_jobs", "check_exchange_hotspots",
     }
     for func in CHECKERS:
         severities = {CATALOG[code].severity for code in func.codes}
@@ -74,10 +74,10 @@ def test_the_gate_runs_exactly_the_checkers_that_can_emit_an_error():
 
 
 def test_the_gate_never_builds_the_cost_model(configs, edges, monkeypatch):
-    def no_cost_model(self):
-        raise AssertionError("the gate asked for the cost model")
+    def no_cost_model(self, spmd):
+        raise AssertionError("the gate asked for the physical plan's wire price")
 
-    monkeypatch.setattr(LintContext, "analyzed", no_cost_model)
+    monkeypatch.setattr(LintContext, "physical", no_cost_model)
     papar = PaPar()
     for workflow, schema, arg in (
         ("hybrid_cut.xml", "graph_edge.xml", f"input_file={edges}"),

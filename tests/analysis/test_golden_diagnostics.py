@@ -861,7 +861,8 @@ class TestBackendFit:
         diag = expect(result, "PAP073", line=24)
         assert diag.severity is Severity.INFO
         assert "'distr'" in diag.message and f"backend={backend!r}" in diag.message
-        assert "(text output, packed stream)" in diag.message
+        # the physical plan's reason: the first that applies, as the run reports it
+        assert "(text output)" in diag.message
         assert "fixed-width binary" in diag.suggestion
         assert result.exit_code(strict=True) == 0  # an advisory never strict-fails
 
@@ -1166,55 +1167,41 @@ class TestAdvisories:
         result = run_lint(ADVISORY_CHAIN, inputs=[(BLAST_DB, "blast_db.xml")])
         assert "PAP081" not in result.codes()
 
-    def test_pap083_unused_columns_with_bytes_estimate(self):
-        result = run_lint(
-            ADVISORY_CHAIN,
-            inputs=[(BLAST_DB, "blast_db.xml")],
-            assume_records=1000,
-        )
-        diag = expect(result, "PAP083", line=3)
-        assert diag.severity is Severity.INFO
-        for col in ("'seq_start'", "'desc_start'", "'desc_size'"):
-            assert col in diag.message
-        # 1000 rows x 12 unused bytes x 1 intermediate exchange
-        assert "save an estimated 11.7KB" in diag.message
-
-    def test_pap083_silent_without_intermediate_exchange(self):
-        result = run_lint(
-            """<workflow id="t">
-  <arguments>
-    <param name="input_path" type="hdfs" format="blast_db"/>
-  </arguments>
-  <operators>
-    <operator id="a" operator="Sort">
-      <param name="inputPath" value="$input_path"/>
-      <param name="outputPath" value="/tmp/a"/>
-      <param name="key" value="seq_size"/>
-    </operator>
-  </operators>
-</workflow>""",
-            inputs=[(BLAST_DB, "blast_db.xml")],
-            assume_records=1000,
-        )
-        assert "PAP083" not in result.codes()
-
     def test_pap084_exchange_hotspot(self):
-        result = run_lint(
-            ADVISORY_CHAIN,
-            inputs=[(BLAST_DB, "blast_db.xml")],
-            assume_records=20_000_000,  # x 16B/record = 305MB per exchange
-        )
-        diag = expect(result, "PAP084", line=6)
-        assert diag.severity is Severity.INFO
-        assert "hotspot threshold" in diag.message
-        # both the sort and the distribute exchange cross the line
-        assert len(only(result, "PAP084")) == 2
+        for backend in ("mpi", "mapreduce", "process"):
+            result = run_lint(
+                HYBRID_CUT_WORKFLOW_XML,
+                inputs=[(EDGE_INPUT_XML, "e.xml")],
+                backend=backend,
+                assume_records=20_000_000,  # x 16B/edge = 305MB through the group
+            )
+            diag = expect(result, "PAP084", line=9)
+            assert diag.severity is Severity.INFO
+            assert "hotspot threshold" in diag.message
+            assert "(records) ships an estimated 305.2MB (20000000 records x 16B)" in (
+                diag.message)
+            # the group's record exchange and the gathered deal of 24-byte edges
+            assert len(only(result, "PAP084")) == 2
 
     def test_pap084_silent_below_threshold(self):
         result = run_lint(
+            HYBRID_CUT_WORKFLOW_XML,
+            inputs=[(EDGE_INPUT_XML, "e.xml")],
+            backend="mpi",
+            assume_records=1000,
+        )
+        assert "PAP084" not in result.codes()
+
+    @pytest.mark.parametrize("backend", [None, "serial", "mpi"])
+    def test_pap084_silent_on_a_cut_and_an_in_place_deal(self, backend):
+        """The sort of the input is cut and the deal written in place: the
+        records never cross the fabric, whatever their count; and nothing
+        is priced without a declared SPMD backend."""
+        result = run_lint(
             ADVISORY_CHAIN,
             inputs=[(BLAST_DB, "blast_db.xml")],
-            assume_records=1000,
+            backend=backend,
+            assume_records=20_000_000,
         )
         assert "PAP084" not in result.codes()
 

@@ -160,4 +160,4 @@ class TestContextMemoization:
     def test_no_model_no_ir(self):
         ctx = LintContext(filename="t.xml", model=None)
         assert ctx.ir() is None
-        assert ctx.analyzed() is None
+        assert ctx.physical(spmd=True) is None

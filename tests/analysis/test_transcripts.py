@@ -2,9 +2,9 @@
 
 The files under ``data/transcripts`` hold the text and JSON output of the
 two analysis commands on the shipped BLAST and hybrid-cut pairs and on
-a fusable sort → sort workflow (PAP081 fires), written by the analyzer
-before its model and the runtime spec became one type.  Each command must
-still print exactly those bytes and exit 0.  The configs
+a fusable sort → sort workflow (PAP081 fires), rewritten when ``explain``
+began to print the physical plan (and PAP083 was retired).  Each command
+must still print exactly those bytes and exit 0.  The configs
 are copied into a scratch directory and named relative to it, so the
 ``file`` fields do not depend on where the repository lives.
 

@@ -6,7 +6,7 @@ workflow runs as its one-sort form on every backend and still writes in
 place, a direction the planner cannot read is one error line, a
 distribute -> distribute chain is the wiring error PAP037 on every
 backend, and ``lint --explain`` says the planner skips PAP080/PAP081
-stages (PAP083 is an advisory only).
+stages (PAP083 is retired).
 """
 
 import json
@@ -138,7 +138,7 @@ class TestAnalysisVerbs:
         if fmt == "json":
             assert json.loads(outputs["explain"])["summary"]["errors"] == 1
         else:
-            assert outputs["explain"].endswith("  1 error(s), 0 warning(s), 1 info\n")
+            assert outputs["explain"].endswith("  1 error(s), 0 warning(s), 0 info\n")
 
 
 def distribute_chain(tmp_path, *policies):
@@ -212,11 +212,10 @@ class TestLintExplainAdvisories:
         out = capsys.readouterr().out
         assert "good: the planner skips it" in out
 
-    def test_explain_pap083_is_advisory_only(self, capsys):
-        assert main(["lint", "--explain", "PAP083"]) == 0
-        out = capsys.readouterr().out
-        assert "Advisory only: no optimizer pass applies it." in out
-        assert "applied rewrite" not in out
+    def test_explain_pap083_is_an_unknown_rule(self, capsys):
+        """PAP083 is retired: its only fix would have changed the part files."""
+        assert main(["lint", "--explain", "PAP083"]) == 2
+        assert "unknown rule 'PAP083'" in capsys.readouterr().err
 
     def test_explain_pap084_points_at_the_planner(self, capsys):
         assert main(["lint", "--explain", "PAP084"]) == 0

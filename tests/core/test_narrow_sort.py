@@ -26,10 +26,11 @@ from repro.cli import main
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.core.dataset import Dataset, row_id_dtype
-from repro.core.planner import Planner
+from repro.core.planner import Physical, PlannedJob, Planner
 from repro.core.runtime import SerialRuntime
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 from repro.formats.binary import BinaryInputFormat, PartWriter
+from repro.mapreduce.columnar import PerfCounters
 from repro.ooc.budget import MemoryBudget
 from repro.ooc.extsort import SortedRuns, external_sort_rows
 from repro.ooc.spill import OOCContext
@@ -354,11 +355,17 @@ class TestWhatMoves:
         n = 200_000
         data = Dataset(schema=BLAST_INDEX_SCHEMA, records=blast_rows(n))
         ctx = OOCContext(MemoryBudget.coerce("64KB"), str(tmp_path))
-        first = SerialRuntime._apply(Sort("seq_size"), data, ctx, None)
+
+        def narrow_sort(op, source):
+            job = PlannedJob(op.key, "Sort", op, None)
+            return SerialRuntime._apply(job, Physical(spill="narrow"), source, ctx,
+                                        PerfCounters(), None)
+
+        first = narrow_sort(Sort("seq_size"), data)
         assert isinstance(first, SortedRuns) and first.rows is data.records
         tracemalloc.start()
         try:
-            second = SerialRuntime._apply(Sort("desc_size", ascending=False), first, ctx, None)
+            second = narrow_sort(Sort("desc_size", ascending=False), first)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

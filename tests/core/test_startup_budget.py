@@ -46,16 +46,17 @@ def test_help_loads_no_numpy_and_only_the_cli(loaded):
     assert own == ["repro", "repro._lazy", "repro._version", "repro.cli", "repro.errors"]
 
 
-def test_lint_still_runs_the_cost_model_over_the_real_input(loaded):
-    # every rule runs, and the probe reads the edge list through ChunkedDataset
-    assert "repro.analysis.cost" in loaded["lint-hybrid"]
-    assert "repro.ooc.chunked" in loaded["lint-hybrid"]
+def test_lint_reads_no_input_file(loaded):
+    # every rule runs; records come from --assume-records or a stat, never a scan
+    assert "repro.analysis.rules.advisory" in loaded["lint-hybrid"]
+    assert not any(m.startswith("repro.ooc") for m in loaded["lint-hybrid"])
 
 
 @pytest.mark.parametrize("name", ["plan-blast", "plan-hybrid", "run-blast", "run-hybrid"])
 def test_the_gate_loads_no_cost_model(loaded, name):
-    assert "repro.analysis.cost" not in loaded[name]
-    assert "repro.analysis.dataflow" not in loaded[name]
+    # the wire price is rendered by explain and reported by info rules only
+    assert "repro.analysis.explain" not in loaded[name]
+    assert not any(m.startswith("repro.ooc") for m in loaded[name])
 
 
 def test_budgeted_and_process_runs_load_what_they_use(loaded):

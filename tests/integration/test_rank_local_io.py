@@ -23,8 +23,6 @@ import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.analysis.engine import Linter
-from repro.analysis.explain import explain
 from repro.cli import main
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
@@ -280,12 +278,9 @@ class TestGatheredTailsStillEqualSerial:
 
     @pytest.mark.parametrize("backend", SPMD)
     def test_column_pruned_blast(self, papar, tmp_path, tmp_path_factory, backend):
-        """The blast workflow whose unread columns PAP083 names is only
-        advised, never narrowed, so it leaves this class: the ranks write
-        the full-width parts in place, as on a plain run."""
-        report = explain(Linter(assume_records=1003), WORKFLOWS["blast-cyclic"],
-                         filename="blast.xml", inputs=[(BLAST_INPUT_XML, "blast_db.xml")])
-        assert "PAP083" in {d.code for d in report.advisories}
+        """The blast workflow's unread columns are never narrowed away, so
+        it leaves this class: the ranks write the full-width parts in
+        place, as on a plain run."""
         want = serial_parts(papar, tmp_path_factory, "blast-cyclic", 1003, 5)
         out = partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
                         tmp_path / "out", 5, backend, 4)
@@ -391,10 +386,26 @@ class TestWhichTailRan:
             assert printed[-1] == line
             assert printed[-2].startswith("  transport: shm, ")
 
-    def test_serial_reports_no_tail(self, papar, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stats_print_the_path_and_the_tail(self, papar, tmp_path, capsys, backend):
+        from repro.cli import print_stats
+
+        out = partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
+                        tmp_path / "out", 5, backend, 2)
+        print_stats(out.result)
+        printed = capsys.readouterr().out.splitlines()
+        sort = "narrow" if backend == "serial" else "cut"
+        assert f"  path: sort={sort}, distr=in place" in printed
+        assert printed[-1] == "  output: written in place by ranks (5 parts, 15.7 KiB)"
+
+    def test_serial_reports_its_tail(self, papar, tmp_path):
+        """The one-rank in-place deal reports its tail as the ranks do."""
         out = partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
                         tmp_path / "out", 5, "serial")
-        assert "output" not in out.result.extra["perf"]
+        assert out.result.extra["perf"]["output"] == {
+            "mode": "in_place", "parts": 5, "bytes": 1003 * 16,
+        }
+        assert out.result.extra["perf"]["paths"] == {"sort": "narrow", "distr": "in place"}
 
     @pytest.mark.parametrize("backend", SPMD)
     def test_a_memory_budget_keeps_the_gather(self, papar, tmp_path, tmp_path_factory, backend):

@@ -215,7 +215,7 @@ def test_perf_counters_reported(papar, blast_data, backend):
     result = papar.run(workflow, args, data=blast_data, backend=backend, **kwargs)
     perf = result.perf
     assert perf is not None
-    assert set(perf) == {"records_moved", "bytes_moved", "phases"}
+    assert set(perf) == {"records_moved", "bytes_moved", "phases", "paths"}
     assert "sort" in perf["phases"] and "distribute" in perf["phases"]
     if backend != "serial":
         # every record crosses the shuffle once for sort, once for distribute

@@ -80,9 +80,10 @@ class Budget:
 BUDGETS: dict[str, Budget] = {
     "help": Budget(5, 1_000, ("repro.core", "repro.config", "repro.analysis"),
                    seconds=1.0, numpy=False),
-    # every rule runs; the cost model's probe reads the input (repro.ooc.chunked)
-    "lint-hybrid": Budget(55, 9_500, _SPMD + _ENGINES + _ON_REQUEST + _SPILL
-                          + ("repro.core.runtime",)),
+    # every rule runs; records come from --assume-records or a stat of a
+    # binary input, never a scan, so lint loads no repro.ooc
+    "lint-hybrid": Budget(43, 7_200, _SPMD + _ENGINES + _ON_REQUEST
+                          + ("repro.ooc", "repro.core.runtime")),
     "plan-blast": Budget(45, 8_000, _SPMD + _ENGINES + _ON_REQUEST
                          + ("repro.ooc", "repro.core.runtime")),
     "plan-hybrid": Budget(45, 8_000, _SPMD + _ENGINES + _ON_REQUEST
