@@ -11,14 +11,11 @@ budget; a workflow of only basic operators materializes its input).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.model import LintContext
 from repro.analysis.rules import checker
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.formats.records import RecordSchema
 
 #: operator kinds whose budgeted execution spills to run files
 SPILL_CAPABLE = ("sort", "group", "distribute")
@@ -42,21 +39,6 @@ def _parse_budget(spec: str) -> Optional[int]:
         return None
 
 
-def field_width(type_name: str) -> int:
-    """In-memory bytes of one field of config type ``type_name``; a text
-    string field has no fixed width, so 8 bytes stand in for it."""
-    from repro.formats.records import _BINARY_TYPES
-
-    dtype = _BINARY_TYPES.get(type_name)
-    return int(dtype.itemsize) if dtype is not None else 8
-
-
-def record_bytes(schema: "RecordSchema") -> int:
-    """In-memory width of one record of ``schema``; unlike
-    ``schema.itemsize`` it prices a text schema's string fields too."""
-    return sum(field_width(f.type) for f in schema.fields)
-
-
 @checker("PAP060", "PAP061")
 def check_memory_budget(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP060/PAP061: declared budget versus estimated input size."""
@@ -75,7 +57,9 @@ def check_memory_budget(ctx: LintContext) -> Iterator[Diagnostic]:
     schema, arg = ctx.input_schema()
     if schema is None:
         return
-    width = record_bytes(schema)
+    # unlike ``schema.itemsize`` this prices a text schema's string fields
+    # too: a string has no fixed width, so 8 bytes stand in for it
+    width = sum(8 if f.width is None else f.width for f in schema.fields)
     estimated = int(ctx.assume_records) * width
     if estimated <= limit:
         return

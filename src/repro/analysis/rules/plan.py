@@ -11,9 +11,7 @@ distribute chain are surfaced.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Any, Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.model import LintContext
@@ -43,11 +41,17 @@ def check_plan_outcome(ctx: LintContext) -> Iterator[Diagnostic]:
 
 @checker("PAP041")
 def check_permutations(ctx: LintContext) -> Iterator[Diagnostic]:
-    """PAP041: distribution matrices must be valid permutations."""
+    """PAP041: distribution matrices must be valid permutations.
+
+    Probes every policy but the shipped classes themselves, which always
+    pass (``tests/analysis/test_pap041_probe.py``); a subclass may not.
+    """
     if ctx.plan is None:
         return
     from repro.ops.distribute import Distribute
+    from repro.policies.distr import BlockPolicy, CyclicPolicy, GraphVertexCutPolicy
 
+    shipped = (CyclicPolicy, BlockPolicy, GraphVertexCutPolicy)
     for job in ctx.plan.jobs:
         op = job.operator
         if not isinstance(op, Distribute):
@@ -56,38 +60,40 @@ def check_permutations(ctx: LintContext) -> Iterator[Diagnostic]:
         if nparts < 1:
             continue  # PAP036 already covers non-positive literals
         policy = op.policy  # a DistributionPolicy (resolved by the planner)
-        # probe with a count that exercises the remainder path
-        n = 3 * nparts + 2
-        try:
-            perm = policy.permutation(n, nparts)
-            counts = policy.counts(n, nparts)
-        except Exception as exc:
-            yield ctx.diag(
-                "PAP041",
-                f"job {job.op_id!r}: distribution policy {policy.name!r} fails "
-                f"to build a permutation for {nparts} partition(s): {exc}",
-                line=_op_line(ctx, job.op_id),
-            )
+        if type(policy) in shipped:
             continue
-        problems = []
-        if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
-            problems.append(f"indices are not a permutation of 0..{n - 1}")
-        if len(counts) != nparts:
-            problems.append(
-                f"{len(counts)} partition counts for {nparts} partitions"
-            )
-        elif int(np.sum(counts)) != n:
-            problems.append(
-                f"partition counts sum to {int(np.sum(counts))}, not {n}"
-            )
+        # probe with a count that exercises the remainder path
+        problems = permutation_problems(policy, 3 * nparts + 2, nparts)
         if problems:
             yield ctx.diag(
                 "PAP041",
-                f"job {job.op_id!r}: distribution policy {policy.name!r} is "
-                f"not a valid permutation of {nparts} partition(s): "
-                + "; ".join(problems),
+                f"job {job.op_id!r}: distribution policy {policy.name!r} "
+                + problems,
                 line=_op_line(ctx, job.op_id),
             )
+
+
+def permutation_problems(policy: Any, n: int, nparts: int) -> Optional[str]:
+    """What is wrong with ``policy``'s permutation of ``n`` entries into
+    ``nparts`` partitions, as the tail of a PAP041 message; ``None`` when
+    it is a valid permutation with counts that sum to ``n``."""
+    try:
+        perm = policy.permutation(n, nparts)
+        counts = policy.counts(n, nparts)
+    except Exception as exc:
+        return f"fails to build a permutation for {nparts} partition(s): {exc}"
+    import numpy as np
+
+    problems = []
+    if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
+        problems.append(f"indices are not a permutation of 0..{n - 1}")
+    if len(counts) != nparts:
+        problems.append(f"{len(counts)} partition counts for {nparts} partitions")
+    elif int(np.sum(counts)) != n:
+        problems.append(f"partition counts sum to {int(np.sum(counts))}, not {n}")
+    if not problems:
+        return None
+    return f"is not a valid permutation of {nparts} partition(s): " + "; ".join(problems)
 
 
 @checker("PAP042", "PAP044")

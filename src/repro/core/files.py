@@ -28,9 +28,7 @@ from repro.config.workflow import WorkflowSpec
 from repro.core.planner import WorkflowPlan
 from repro.core.runtime import PartitionResult
 from repro.errors import FormatError, WorkflowError
-from repro.formats.binary import BinaryInputFormat, PartWriter, write_partitions
 from repro.formats.records import RecordSchema
-from repro.formats.text import write_text_array
 
 PathLike = Union[str, os.PathLike]
 
@@ -117,6 +115,8 @@ def load_input_dataset(
             args[input_arg], schema, MemoryBudget.coerce(memory_budget)
         )
     elif file_backed and schema.input_format == "binary":
+        from repro.formats.binary import BinaryInputFormat
+
         data = BinaryInputFormat(args[input_arg], schema)
     else:
         data = papar.load_dataset(args[input_arg], fmt_id)
@@ -132,6 +132,8 @@ def write_partition_files(
     os.makedirs(output_dir, exist_ok=True)
     flats = [p.to_flat() for p in result.partitions]
     if schema.input_format == "binary":
+        from repro.formats.binary import write_partitions
+
         # partitions may carry added attributes; write them with their own
         # schema but keep the input header convention
         part_schema = flats[0].schema if flats else schema
@@ -139,6 +141,8 @@ def write_partition_files(
         return write_partitions(
             output_dir, [p.records for p in flats], part_schema, header=header
         )
+    from repro.formats.text import write_text_array
+
     paths = []
     for i, part in enumerate(flats):
         path = os.path.join(os.fspath(output_dir), f"part-{i:05d}")
@@ -194,6 +198,8 @@ def partition_files(
     )
     writer = None
     if schema.input_format == "binary":
+        from repro.formats.binary import PartWriter
+
         writer = PartWriter(
             args[output_arg], schema, header=b"\x00" * schema.start_position
         )

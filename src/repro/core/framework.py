@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.config.schema import load_input_config, parse_input_config
 from repro.config.workflow import WorkflowSpec, load_workflow_config, parse_workflow_config
-from repro.core.dataset import Dataset
 from repro.core.planner import Planner, WorkflowPlan
 from repro.errors import ConfigError, WorkflowError
 from repro.formats.records import RecordSchema
@@ -29,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only: codegen, the runtimes
     # and the codecs are imported where they are called, so a command loads
     # only what it runs (``tools/startup_budget.py``)
     from repro.cluster.model import ClusterModel
+    from repro.core.dataset import Dataset
     from repro.core.runtime import PartitionResult
 
 #: where each SPMD backend's runtime class lives; imported on selection, so a
@@ -199,6 +199,8 @@ class PaPar:
 
     def load_dataset(self, path: Union[str, os.PathLike], schema_id: str) -> Dataset:
         """Read an input file through its registered schema."""
+        from repro.core.dataset import Dataset
+
         schema = self.schema(schema_id)
         if schema.input_format == "binary":
             from repro.formats.binary import read_binary

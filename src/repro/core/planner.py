@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.analysis.locate import format_location
 from repro.config.workflow import (
     BOOLEAN_FALSE_LITERALS, BOOLEAN_TRUE_LITERALS, Bindings, JobIO, OperatorSpec,
@@ -39,7 +37,6 @@ from repro.ops.distribute import Distribute
 from repro.ops.group import Group
 from repro.ops.sort import Sort
 from repro.ops.split import Split
-from repro.order import packs_rows
 from repro.policies.split_policy import SplitPolicy
 
 
@@ -400,11 +397,11 @@ class _Stream:
     indexed: bool = True
 
 
-def _width(schema: RecordSchema) -> Optional[int]:
-    """Bytes per record of ``schema``; ``None`` with a text string field."""
-    if any(f.type == "string" for f in schema.fields):
-        return None
-    return schema.itemsize
+def _packs_rows(schema: RecordSchema, key: str) -> bool:
+    """Whether the narrow sort packs ``key`` with a 32-bit row id in one
+    word (:func:`repro.order.packs_rows`): ``integer`` is the one integer
+    type of at most 32 bits."""
+    return schema.fields[schema.index_of(key)].type == "integer"
 
 
 def _widened(schema: RecordSchema, addons: list) -> RecordSchema:
@@ -422,11 +419,11 @@ def _choose(
     """One job's choice and the streams it writes, from the streams it reads."""
     op, first = job.operator, streams[0]
     if isinstance(op, Sort):
-        width = _width(first.schema)
+        width = first.schema.width
         if op.addon is None and first.indexed and first.schema.has_field(op.key) and (
             not spmd or (
                 job.source is None and width is not None
-                and packs_rows(first.schema.dtype[op.key], np.uint32)
+                and _packs_rows(first.schema, op.key)
                 and (records is None or records <= 1 << 32)
             )
         ):
@@ -440,7 +437,7 @@ def _choose(
     if isinstance(op, Group):
         packed = op.output_format == "pack" or first.packed
         schema = _widened(first.schema, [(addon, attr) for addon, attr, _ in op.addons])
-        choice = Physical("records", "records", width=_width(first.schema)) if spmd else Physical()
+        choice = Physical("records", "records", width=first.schema.width) if spmd else Physical()
         return choice, [_Stream(schema, packed, not packed)]
     if isinstance(op, Split):
         outs = []
@@ -449,7 +446,7 @@ def _choose(
             outs.append(_Stream(first.schema, packed, not packed))
         return Physical(), outs
     if isinstance(op, Distribute):
-        widths = [_width(s.schema) for s in streams]
+        widths = [s.schema.width for s in streams]
         width = None if None in widths else max(widths)
         if output == "memory":
             reason: Optional[str] = "in-memory run"

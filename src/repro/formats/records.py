@@ -5,35 +5,32 @@ an ordered list of typed ``value`` fields, optionally with delimiters (text
 format) or a byte offset (binary format).  A :class:`RecordSchema` is the
 in-memory form of that declaration; numeric schemas map onto numpy structured
 dtypes so record batches live in contiguous arrays (the HPC fast path used by
-the operators).
+the operators).  Widths come from a table of the config types, so only the
+first dtype imports numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Sequence
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.errors import FormatError, SchemaError
 
-#: config type name -> numpy dtype for fixed-width binary fields
-_BINARY_TYPES: dict[str, np.dtype] = {
-    "integer": np.dtype("<i4"),  # the paper: "4 bytes/integer"
-    "long": np.dtype("<i8"),
-    "float": np.dtype("<f4"),
-    "double": np.dtype("<f8"),
+if TYPE_CHECKING:  # pragma: no cover - numpy loads with the first record
+    import numpy as np
+
+#: config type name -> bytes of one field in the binary layout (the paper:
+#: "4 bytes/integer"); a text ``string`` field has no fixed width
+_WIDTHS: dict[str, Optional[int]] = {
+    "integer": 4, "long": 8, "float": 4, "double": 8, "string": None,
 }
 
-#: the values an integer field holds, from its binary width
+#: the values an integer field holds, from its width (the others are floats)
 _INT_RANGES: dict[str, tuple[int, int]] = {
-    name: (int(np.iinfo(dt).min), int(np.iinfo(dt).max))
-    for name, dt in _BINARY_TYPES.items()
-    if dt.kind == "i"
+    name: (-(1 << (8 * _WIDTHS[name] - 1)), (1 << (8 * _WIDTHS[name] - 1)) - 1)
+    for name in ("integer", "long")
 }
-
-#: type names that are also valid in text format (parsed from strings)
-_TEXT_TYPES = set(_BINARY_TYPES) | {"string"}
 
 
 @dataclass(frozen=True)
@@ -46,19 +43,26 @@ class Field:
     def __post_init__(self) -> None:
         if not self.name or not self.name.isidentifier():
             raise SchemaError(f"field name {self.name!r} is not a valid identifier")
-        if self.type not in _TEXT_TYPES:
+        if self.type not in _WIDTHS:
             raise SchemaError(
                 f"field {self.name!r} has unknown type {self.type!r}; "
-                f"expected one of {sorted(_TEXT_TYPES)}"
+                f"expected one of {sorted(_WIDTHS)}"
             )
 
     @property
+    def width(self) -> Optional[int]:
+        """Bytes of this field in the binary layout (``None`` for a string)."""
+        return _WIDTHS[self.type]
+
+    @property
     def numpy_dtype(self) -> np.dtype:
-        if self.type == "string":
+        if self.width is None:
             raise SchemaError(
                 f"field {self.name!r}: string fields have no fixed binary width"
             )
-        return _BINARY_TYPES[self.type]
+        import numpy as np
+
+        return np.dtype(f"<{'i' if self.type in _INT_RANGES else 'f'}{self.width}")
 
     def parse_text(self, token: str) -> Any:
         """Convert one text token to this field's Python value.
@@ -140,15 +144,29 @@ class RecordSchema:
     def field_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.fields)
 
-    @property
+    @cached_property
     def dtype(self) -> np.dtype:
-        """Structured dtype of one element (binary / numeric schemas only)."""
+        """Structured dtype of one element (numeric schemas only), built once."""
+        import numpy as np
+
         return np.dtype([(f.name, f.numpy_dtype) for f in self.fields])
+
+    def __getstate__(self) -> dict[str, Any]:
+        # a pickle carries the declaration only; the copy rebuilds its dtype
+        return {k: v for k, v in self.__dict__.items() if k != "dtype"}
+
+    @property
+    def width(self) -> Optional[int]:
+        """Bytes per record; ``None`` with a text string field."""
+        widths = [f.width for f in self.fields]
+        return None if None in widths else sum(widths)
 
     @property
     def itemsize(self) -> int:
-        """Bytes per record in the binary layout."""
-        return self.dtype.itemsize
+        """Bytes per record in the binary layout (the packed dtype's itemsize)."""
+        if self.width is None:
+            raise SchemaError(f"schema {self.id!r}: string fields have no fixed binary width")
+        return self.width
 
     def index_of(self, name: str) -> int:
         """Position of field ``name`` within the element."""
@@ -162,6 +180,8 @@ class RecordSchema:
 
     def to_structured(self, rows: Sequence[Sequence[Any]]) -> np.ndarray:
         """Build a structured array from row tuples."""
+        import numpy as np
+
         return np.array([tuple(r) for r in rows], dtype=self.dtype)
 
     def effective_delimiters(self) -> tuple[str, ...]:

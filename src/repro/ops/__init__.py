@@ -11,50 +11,23 @@ either registered programmatically (``register_basic`` et al.) or described
 in a Figure-7-style registration file (:mod:`repro.config.operators`).
 """
 
-from repro.ops.addons import Count, Max, Mean, Min, Sum
-from repro.ops.base import (
-    AddOnOperator,
-    BasicOperator,
-    FormatOperator,
-    Operator,
-    get_addon,
-    get_basic,
-    get_format,
-    register_addon,
-    register_basic,
-    register_format,
-    registered_names,
-)
-from repro.ops.distribute import Distribute
-from repro.ops.format_ops import Orig, Pack, Unpack
-from repro.ops.group import Group
-from repro.ops.sort import ASCENDING, DESCENDING, Sort
-from repro.ops.split import Split
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Operator",
-    "BasicOperator",
-    "AddOnOperator",
-    "FormatOperator",
-    "Sort",
-    "Group",
-    "Split",
-    "Distribute",
-    "Count",
-    "Max",
-    "Min",
-    "Mean",
-    "Sum",
-    "Orig",
-    "Pack",
-    "Unpack",
-    "ASCENDING",
-    "DESCENDING",
-    "register_basic",
-    "register_addon",
-    "register_format",
-    "get_basic",
-    "get_addon",
-    "get_format",
-    "registered_names",
-]
+# names bind on first use; the built-in operators register as their modules
+# load, so the package loads them all below (none imports numpy before its
+# kernel runs)
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.ops.base": (
+        "Operator", "BasicOperator", "AddOnOperator", "FormatOperator",
+        "register_basic", "register_addon", "register_format",
+        "get_basic", "get_addon", "get_format", "registered_names",
+    ),
+    "repro.ops.sort": ("Sort", "ASCENDING", "DESCENDING"),
+    "repro.ops.group": ("Group",),
+    "repro.ops.split": ("Split",),
+    "repro.ops.distribute": ("Distribute",),
+    "repro.ops.addons": ("Count", "Max", "Min", "Mean", "Sum"),
+    "repro.ops.format_ops": ("Orig", "Pack", "Unpack"),
+})
+
+from repro.ops import addons, distribute, format_ops, group, sort, split  # noqa: E402,F401

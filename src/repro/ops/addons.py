@@ -8,21 +8,24 @@ on every record of the group — e.g. the hybrid-cut workflow's
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.ops.base import AddOnOperator, register_addon
 
+if TYPE_CHECKING:  # pragma: no cover - the kernels import numpy where they run
+    import numpy as np
+
 
 def _segment_reduce(
-    ufunc: np.ufunc, records: np.ndarray, indptr: np.ndarray, field: Optional[str]
+    ufunc: str, records: np.ndarray, indptr: np.ndarray, field: Optional[str]
 ) -> np.ndarray:
-    """``ufunc`` reduced over each group's ``field`` values (groups are non-empty)."""
+    """numpy's ``ufunc`` reduced over each group's ``field`` values (groups are non-empty)."""
+    import numpy as np
+
     column = records[field]
-    if column.dtype.kind == "i" and ufunc is np.add:
+    if column.dtype.kind == "i" and ufunc == "add":
         column = column.astype(np.int64)  # as ndarray.sum() accumulates, so no wrap
-    return ufunc.reduceat(column, indptr[:-1])
+    return getattr(np, ufunc).reduceat(column, indptr[:-1])
 
 
 @register_addon
@@ -34,6 +37,8 @@ class Count(AddOnOperator):
     needs_field = False
 
     def compute_groups(self, records, indptr, field):
+        import numpy as np
+
         return np.diff(indptr)
 
 
@@ -45,7 +50,7 @@ class Max(AddOnOperator):
     attr_type = "double"
 
     def compute_groups(self, records, indptr, field):
-        return _segment_reduce(np.maximum, records, indptr, field)
+        return _segment_reduce("maximum", records, indptr, field)
 
 
 @register_addon
@@ -56,7 +61,7 @@ class Min(AddOnOperator):
     attr_type = "double"
 
     def compute_groups(self, records, indptr, field):
-        return _segment_reduce(np.minimum, records, indptr, field)
+        return _segment_reduce("minimum", records, indptr, field)
 
 
 @register_addon
@@ -67,7 +72,9 @@ class Mean(AddOnOperator):
     attr_type = "double"
 
     def compute_groups(self, records, indptr, field):
-        sums = _segment_reduce(np.add, records, indptr, field)
+        import numpy as np
+
+        sums = _segment_reduce("add", records, indptr, field)
         # float32 sums divide in float32, as ndarray.mean() does; the rest in float64
         return sums / np.diff(indptr).astype(np.result_type(sums.dtype, np.float32))
 
@@ -80,4 +87,4 @@ class Sum(AddOnOperator):
     attr_type = "double"
 
     def compute_groups(self, records, indptr, field):
-        return _segment_reduce(np.add, records, indptr, field)
+        return _segment_reduce("add", records, indptr, field)

@@ -18,13 +18,15 @@ describing the class in a registration file (Figure 7,
 from __future__ import annotations
 
 import abc
-from typing import Any, ClassVar, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
-import numpy as np
-
-from repro.core.dataset import Dataset
 from repro.errors import OperatorError
-from repro.formats.packed import PackedRecords
+
+if TYPE_CHECKING:  # pragma: no cover - the kernels import these where they run
+    import numpy as np
+
+    from repro.core.dataset import Dataset
+    from repro.formats.packed import PackedRecords
 
 
 class Operator(abc.ABC):
@@ -73,6 +75,8 @@ class AddOnOperator(Operator):
 
         This fallback calls :meth:`compute_group` once per group.
         """
+        import numpy as np
+
         bounds = indptr.tolist()
         return np.array(
             [self.compute_group(records[lo:hi], field) for lo, hi in zip(bounds, bounds[1:])]
@@ -88,6 +92,10 @@ class AddOnOperator(Operator):
             raise OperatorError(
                 f"add-on {self.name!r}: schema {packed.schema.id!r} has no field {field!r}"
             )
+        import numpy as np
+
+        from repro.formats.packed import PackedRecords
+
         new_schema = packed.schema.with_field(attr, self.attr_type)
         extended = np.empty(packed.num_records, dtype=new_schema.dtype)
         for name in packed.schema.field_names:

@@ -39,18 +39,16 @@ place, and what the SPMD executor ships to the partitions' owners.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
 
-import numpy as np
-
-from repro.core.dataset import Dataset, concat
 from repro.errors import OperatorError
 from repro.ops.base import BasicOperator, register_basic
 from repro.policies.distr import DistributionPolicy, get_policy
-from repro.policies.permutation import (
-    apply_permutation_matrix,
-    stride_permutation_matrix,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - the kernels import these where they run
+    import numpy as np
+
+    from repro.core.dataset import Dataset
 
 
 def deal_pieces(
@@ -73,6 +71,8 @@ def deal_pieces(
     :meth:`~repro.core.dataset.Dataset.select` — from a sort's row ids
     when the dataset is a lazy sort result, as groups when it is packed.
     """
+    from repro.core.dataset import Dataset
+
     if hasattr(stream, "chunks"):
         g0 = offset
         for records in _joined(stream.chunks(), window):
@@ -94,6 +94,8 @@ def deal_pieces(
 
 def _joined(chunks: Iterator[Any], window: Optional[int]) -> Iterator[np.ndarray]:
     """The chunks' records, consecutive chunks joined up to ``window``."""
+    import numpy as np
+
     held: list[np.ndarray] = []
     count = 0
     for chunk in chunks:
@@ -128,6 +130,10 @@ class Distribute(BasicOperator):
 
     def _permute_entries(self, n: int) -> np.ndarray:
         """Entry order with each partition's entries contiguous."""
+        import numpy as np
+
+        from repro.policies.permutation import apply_permutation_matrix, stride_permutation_matrix
+
         if self.use_matrix and n > 0 and n % self.num_partitions == 0:
             # cyclic dealing into P partitions gathers at stride P, which is
             # the stride permutation L_{n/P}^n in the paper's L_m^{km} notation
@@ -137,6 +143,10 @@ class Distribute(BasicOperator):
 
     def partition_one(self, data: Any) -> list[Dataset]:
         """Partition one stream; entry = record (flat) or group (packed)."""
+        import numpy as np
+
+        from repro.core.dataset import Dataset
+
         n = len(data)
         # flat records under a policy that states its positional rule are
         # dealt by position; packed streams, the matrix ablation and
@@ -176,6 +186,10 @@ class Distribute(BasicOperator):
         copied by a handful of slice assignments into partitions sized up
         front from the policy's counts.
         """
+        import numpy as np
+
+        from repro.core.dataset import Dataset
+
         counts = self.policy.counts(n, self.num_partitions)
         parts = [np.empty(count, dtype=data.schema.dtype) for count in counts]
         for p, slot, _, piece in deal_pieces(data, self.policy, n, self.num_partitions):
@@ -190,6 +204,8 @@ class Distribute(BasicOperator):
         out-of-core input view, a spilled sort's sorted runs), which is
         dealt as it streams.
         """
+        from repro.core.dataset import concat
+
         streams = [data] if hasattr(data, "schema") else list(data)
         if not streams:
             raise OperatorError("Distribute received no input streams")

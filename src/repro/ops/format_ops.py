@@ -8,11 +8,13 @@ back to records (Figure 11 steps 3 and 5).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.dataset import Dataset
 from repro.errors import OperatorError
 from repro.ops.base import FormatOperator, register_format
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.dataset import Dataset
 
 
 @register_format

@@ -8,11 +8,13 @@ attribute, and packs the output (Figure 11 steps 1-3).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.dataset import Dataset
 from repro.errors import OperatorError
 from repro.ops.base import AddOnOperator, BasicOperator, register_basic
+
+if TYPE_CHECKING:  # pragma: no cover - the kernel imports it where it runs
+    from repro.core.dataset import Dataset
 
 
 @register_basic
@@ -40,6 +42,8 @@ class Group(BasicOperator):
 
     def apply_local(self, data: Dataset) -> Dataset:
         """Group this rank's local entries and apply the add-ons."""
+        from repro.core.dataset import Dataset
+
         if not data.schema.has_field(self.key):
             raise OperatorError(
                 f"Group key {self.key!r} not in schema {data.schema.id!r}"

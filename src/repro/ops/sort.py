@@ -28,14 +28,19 @@ gathers the sorted copy once and the view is a plain dataset from then on.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from repro.core.dataset import Dataset, SortedView, row_id_dtype
+from repro._lazy import lazy_exports
 from repro.errors import OperatorError
 from repro.ops.base import AddOnOperator, BasicOperator, register_basic
-from repro.order import ROW_STEP, packed_row_ids, packs_rows, stable_order
+
+if TYPE_CHECKING:  # pragma: no cover - the kernels import these where they run
+    import numpy as np
+
+    from repro.core.dataset import Dataset
+
+# the kernel (and numpy with it) loads when a sort first runs
+_, __getattr__, __dir__ = lazy_exports(globals(), {"repro.order": ("stable_order",)})
 
 #: Table I flag values ("-1: ascending, 1: descending")
 ASCENDING = -1
@@ -54,6 +59,8 @@ def sort_key_array(column: np.ndarray, ascending: bool) -> np.ndarray:
     """
     if ascending:
         return column
+    import numpy as np
+
     if column.dtype.kind in "iu":
         return -column.astype(np.int64, copy=False)
     return -column
@@ -61,6 +68,8 @@ def sort_key_array(column: np.ndarray, ascending: bool) -> np.ndarray:
 
 def sort_key_dtype(field_dtype: np.dtype, ascending: bool) -> np.dtype:
     """The dtype :func:`sort_key_array` gives a column of ``field_dtype``."""
+    import numpy as np
+
     return sort_key_array(np.empty(0, dtype=field_dtype), ascending).dtype
 
 
@@ -105,11 +114,13 @@ class Sort(BasicOperator):
         if self.kernel == "aspas":
             from repro.ops.aspas import aspas_argsort as argsort
         else:
-            argsort = stable_order
+            from repro.order import stable_order as argsort
         return argsort(sort_key_array(keys, self.ascending))
 
     def apply_local(self, data: Dataset) -> Dataset:
         """Sort this rank's local entries (records, or packed groups)."""
+        from repro.core.dataset import Dataset, SortedView
+
         if not data.schema.has_field(self.key) and not self._is_packed_key(data):
             raise OperatorError(
                 f"Sort key {self.key!r} not in schema {data.schema.id!r}"
@@ -134,6 +145,9 @@ class Sort(BasicOperator):
 
         Reads the key column only — through a mapping, only its pages.
         """
+        from repro.core.dataset import row_id_dtype
+        from repro.order import packed_row_ids, packs_rows
+
         column = rows[self.key]
         id_dtype = row_id_dtype(len(rows))
         if self.kernel == "numpy" and packs_rows(column.dtype, id_dtype):
@@ -154,6 +168,9 @@ class Sort(BasicOperator):
         the merge buffer and the cast) and the row ids.
         ``tests/core/test_narrow_sort.py`` pins both against ``tracemalloc``.
         """
+        from repro.core.dataset import row_id_dtype
+        from repro.order import ROW_STEP, packs_rows
+
         field = rows.dtype[self.key]
         id_dtype = row_id_dtype(len(rows))
         held = n * id_dtype.itemsize if composed else 0

@@ -10,14 +10,14 @@ into a high-degree output (``unpack`` format) and a low-degree output
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.dataset import Dataset
 from repro.errors import OperatorError
-from repro.ops.base import BasicOperator, register_basic
+from repro.ops.base import BasicOperator, get_format, register_basic
 from repro.policies.split_policy import SplitPolicy
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - the kernel imports it where it runs
+    from repro.core.dataset import Dataset
 
 
 @register_basic
@@ -40,14 +40,14 @@ class Split(BasicOperator):
             raise OperatorError(
                 f"{policy.num_outputs} split outputs but {len(output_formats)} formats"
             )
-        from repro.ops.base import get_format
-
         self.output_formats = [
             get_format(f) for f in (output_formats or ["orig"] * policy.num_outputs)
         ]
 
     def apply_local(self, data: Dataset) -> list[Dataset]:
         """Route local entries; returns one dataset per output path."""
+        import numpy as np
+
         if not data.schema.has_field(self.key):
             raise OperatorError(
                 f"Split key {self.key!r} not in schema {data.schema.id!r}"

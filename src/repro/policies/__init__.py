@@ -6,37 +6,19 @@ graphVertexCut distribution policies, and :mod:`repro.policies.split_policy`
 for the threshold routing grammar of the ``split`` operator.
 """
 
-from repro.policies.distr import (
-    BlockPolicy,
-    CyclicPolicy,
-    DistributionPolicy,
-    GraphVertexCutPolicy,
-    get_policy,
-    register_policy,
-)
-from repro.policies.permutation import (
-    apply_permutation_matrix,
-    block_permutation_indices,
-    cyclic_permutation_indices,
-    partition_counts,
-    stride_permutation_indices,
-    stride_permutation_matrix,
-)
-from repro.policies.split_policy import SplitCondition, SplitPolicy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DistributionPolicy",
-    "CyclicPolicy",
-    "BlockPolicy",
-    "GraphVertexCutPolicy",
-    "get_policy",
-    "register_policy",
-    "stride_permutation_indices",
-    "stride_permutation_matrix",
-    "apply_permutation_matrix",
-    "cyclic_permutation_indices",
-    "block_permutation_indices",
-    "partition_counts",
-    "SplitPolicy",
-    "SplitCondition",
-]
+# names load on first use: looking up a policy does not load the
+# permutation kernels (or numpy)
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.policies.distr": (
+        "DistributionPolicy", "CyclicPolicy", "BlockPolicy", "GraphVertexCutPolicy",
+        "get_policy", "register_policy",
+    ),
+    "repro.policies.permutation": (
+        "stride_permutation_indices", "stride_permutation_matrix",
+        "apply_permutation_matrix", "cyclic_permutation_indices",
+        "block_permutation_indices", "partition_counts",
+    ),
+    "repro.policies.split_policy": ("SplitPolicy", "SplitCondition"),
+})

@@ -25,16 +25,12 @@ policy object; a policy without it runs on the serial backend only
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import PolicyError
-from repro.policies.permutation import (
-    block_permutation_indices,
-    cyclic_permutation_indices,
-    partition_counts,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - the kernels import numpy where they run
+    import numpy as np
 
 
 class DistributionPolicy:
@@ -52,6 +48,8 @@ class DistributionPolicy:
 
     def assign(self, n: int, num_partitions: int) -> np.ndarray:
         """Partition id of each entry position (derived from the permutation)."""
+        import numpy as np
+
         perm = self.permutation(n, num_partitions)
         counts = self.counts(n, num_partitions)
         owners = np.empty(n, dtype=np.int64)
@@ -111,9 +109,13 @@ class CyclicPolicy(DistributionPolicy):
     name = "cyclic"
 
     def permutation(self, n: int, num_partitions: int) -> np.ndarray:
+        from repro.policies.permutation import cyclic_permutation_indices
+
         return cyclic_permutation_indices(n, num_partitions)
 
     def counts(self, n: int, num_partitions: int) -> np.ndarray:
+        from repro.policies.permutation import partition_counts
+
         return partition_counts(n, num_partitions, "cyclic")
 
     def pieces(
@@ -133,9 +135,13 @@ class BlockPolicy(DistributionPolicy):
     def permutation(self, n: int, num_partitions: int) -> np.ndarray:
         if num_partitions < 1:
             raise PolicyError(f"num_partitions must be >= 1, got {num_partitions!r}")
+        from repro.policies.permutation import block_permutation_indices
+
         return block_permutation_indices(n)
 
     def counts(self, n: int, num_partitions: int) -> np.ndarray:
+        from repro.policies.permutation import partition_counts
+
         return partition_counts(n, num_partitions, "block")
 
     def pieces(
@@ -143,6 +149,8 @@ class BlockPolicy(DistributionPolicy):
     ) -> Iterator[tuple[int, int, slice]]:
         # partition p holds the global positions [offsets[p], offsets[p + 1]),
         # so a window splits into contiguous runs
+        import numpy as np
+
         offsets = [0, *np.cumsum(self.counts(total, num_partitions)).tolist()]
         p = bisect_right(offsets, g0) - 1
         pos, stop = g0, g0 + m

@@ -14,11 +14,12 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import PolicyError
+
+if TYPE_CHECKING:  # pragma: no cover - route() imports numpy where it runs
+    import numpy as np
 
 _OPS: dict[str, Callable[[Any, Any], Any]] = {
     ">=": operator.ge,
@@ -83,6 +84,8 @@ class SplitPolicy:
 
     def route(self, values: np.ndarray) -> np.ndarray:
         """Output index per entry; raises if an entry matches no condition."""
+        import numpy as np
+
         values = np.asarray(values)
         out = np.full(len(values), -1, dtype=np.int64)
         for i, cond in enumerate(self.conditions):

@@ -46,6 +46,15 @@ def test_help_loads_no_numpy_and_only_the_cli(loaded):
     assert own == ["repro", "repro._lazy", "repro._version", "repro.cli", "repro.errors"]
 
 
+@pytest.mark.parametrize("name", ["lint-hybrid", "plan-blast", "plan-hybrid", "explain-blast"])
+def test_the_front_end_loads_no_numpy(loaded, name):
+    # parse, the lint gate, the planner and the physical plan touch no
+    # record, so neither numpy nor the modules that hold records load
+    assert "numpy" not in loaded[name]
+    assert not any(m in loaded[name] for m in startup_budget._RECORDS)
+    assert "repro.core.planner" in loaded[name]
+
+
 def test_lint_reads_no_input_file(loaded):
     # every rule runs; records come from --assume-records or a stat, never a scan
     assert "repro.analysis.rules.advisory" in loaded["lint-hybrid"]
@@ -67,8 +76,13 @@ def test_budgeted_and_process_runs_load_what_they_use(loaded):
 
 def test_the_budget_check_catches_a_denied_module():
     mods = {"repro": "", "repro.mpi": "", "numpy": ""}
-    assert startup_budget.violations("plan-blast", mods, wall=None) == [
+    assert startup_budget.violations("run-blast", mods, wall=None) == [
         "imports repro.mpi"
     ]
+    assert startup_budget.violations("plan-blast", mods, wall=None) == [
+        "imports repro.mpi", "imports numpy"
+    ]
     assert "imports numpy" in startup_budget.violations("help", mods, wall=None)
+    assert startup_budget.violations("plan-blast", {"repro": "", "numpy": ""},
+                                     wall=None) == ["imports numpy"]
 

@@ -1,5 +1,7 @@
 """RecordSchema validation and numpy interop."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,84 @@ class TestSchemaAlgebra:
         back = s.without_field("length_rank")
         assert back.itemsize == 16
         assert back.dtype == BLAST_INDEX_SCHEMA.dtype
+
+
+class TestWidthsWithoutNumpy:
+    """Widths come from the config type alone; the dtype agrees with them."""
+
+    TYPES = ("integer", "long", "float", "double")
+
+    def test_field_widths_are_the_dtype_itemsizes(self):
+        for t in self.TYPES:
+            assert Field("a", t).width == Field("a", t).numpy_dtype.itemsize
+        assert Field("s", "string").width is None
+
+    def test_schema_itemsize_is_the_packed_dtype_itemsize(self):
+        s = RecordSchema(id="x", fields=tuple(Field(f"f{i}", t) for i, t in enumerate(self.TYPES)))
+        assert s.itemsize == s.width == s.dtype.itemsize == 24
+        text = RecordSchema(id="t", fields=(Field("s", "string"), Field("n", "long")),
+                            input_format="text")
+        assert text.width is None
+        with pytest.raises(SchemaError, match="no fixed binary width"):
+            text.itemsize
+
+    def test_integer_ranges_are_numpy_s(self):
+        from repro.errors import FormatError
+
+        for t, dt in (("integer", np.int32), ("long", np.int64)):
+            f, info = Field("a", t), np.iinfo(dt)
+            assert f.parse_text(str(info.min)) == info.min
+            assert f.parse_text(str(info.max)) == info.max
+            for token in (str(info.min - 1), str(info.max + 1)):
+                with pytest.raises(FormatError, match="out of range"):
+                    f.parse_text(token)
+
+    def test_the_planner_s_narrow_key_test_is_packs_rows(self):
+        from repro.core.planner import _packs_rows
+        from repro.order import packs_rows
+
+        s = RecordSchema(id="x", fields=tuple(Field(t, t) for t in self.TYPES))
+        for t in self.TYPES:
+            assert _packs_rows(s, t) == packs_rows(s.dtype[t], np.uint32), t
+
+
+class TestDtypeOncePerSchema:
+    def test_the_dtype_is_built_once(self):
+        s = BLAST_INDEX_SCHEMA.with_field("rank", "long")
+        assert s.dtype is s.dtype
+        assert s.dtype == np.dtype([("seq_start", "<i4"), ("seq_size", "<i4"),
+                                    ("desc_start", "<i4"), ("desc_size", "<i4"),
+                                    ("rank", "<i8")])
+
+    def test_a_pickled_schema_carries_no_dtype_and_rebuilds_an_equal_one(self):
+        s = BLAST_INDEX_SCHEMA.with_field("rank", "long")
+        before = pickle.dumps(s)
+        s.dtype
+        assert pickle.dumps(s) == before
+        copy = pickle.loads(before)
+        assert copy == s and hash(copy) == hash(s)
+        assert copy.dtype == s.dtype and copy.dtype is copy.dtype
+
+    def test_a_process_rank_run_is_unchanged(self):
+        from repro import PaPar
+        from repro.config import BLAST_INPUT_XML
+        from repro.config.examples import BLAST_WORKFLOW_XML
+        from repro.core.dataset import Dataset
+
+        rng = np.random.default_rng(7)
+        records = np.zeros(3000, dtype=BLAST_INDEX_SCHEMA.dtype)
+        for name in BLAST_INDEX_SCHEMA.field_names:
+            records[name] = rng.integers(0, 1000, len(records))
+        papar = PaPar()
+        papar.register_input(BLAST_INPUT_XML)
+        args = {"input_path": "unused", "output_path": "unused", "num_partitions": 4}
+        runs = [
+            papar.run(BLAST_WORKFLOW_XML, args, backend=backend, num_ranks=ranks,
+                      data=Dataset.from_array(BLAST_INDEX_SCHEMA, records))
+            for backend, ranks in (("serial", 1), ("process", 2))
+        ]
+        serial, process = ([p.to_flat().records for p in r.partitions] for r in runs)
+        assert len(process) == len(serial) == 4
+        for ours, theirs in zip(process, serial):
+            assert ours.dtype == theirs.dtype == BLAST_INDEX_SCHEMA.dtype
+            assert ours.tobytes() == theirs.tobytes()

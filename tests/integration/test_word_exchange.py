@@ -52,7 +52,9 @@ CASES = settings(
 @dataclass(frozen=True)
 class KeySchema(RecordSchema):
     """A binary ``(key, ord)`` schema whose key has any numpy dtype (a config
-    file can name only 32- and 64-bit fields)."""
+    file can name only 32- and 64-bit fields).  The key field declares the
+    config type of its dtype's class — what the planner reads — and the
+    record width is the dtype's."""
 
     key_dtype: str = "<i4"
 
@@ -60,10 +62,16 @@ class KeySchema(RecordSchema):
     def dtype(self) -> np.dtype:
         return np.dtype([("key", self.key_dtype), ("ord", "<i8")])
 
+    @property
+    def itemsize(self) -> int:
+        return self.dtype.itemsize
+
 
 def keys_schema(key_dtype):
+    key = np.dtype(key_dtype)
+    key_type = "double" if key.kind == "f" else "long" if key.itemsize > 4 else "integer"
     return KeySchema(
-        id="keys", fields=(Field("key", "integer"), Field("ord", "long")),
+        id="keys", fields=(Field("key", key_type), Field("ord", "long")),
         start_position=len(HEADER), key_dtype=key_dtype,
     )
 
