@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--ranks", type=int, default=1, help="MPI ranks to simulate")
     p_run.add_argument("--stats", action="store_true",
                        help="print shuffle perf counters (records/bytes moved, "
-                            "per-phase wall and virtual time)")
+                            "per-phase wall time)")
     p_run.add_argument("--faults", action="append", default=[], metavar="SPEC",
                        help="inject a fault (repeatable), e.g. "
                             "'crash:rank=1,job=0', 'drop:src=0,dst=2,p=0.5', "
@@ -398,18 +398,24 @@ def print_stats(result) -> None:
     if not perf:
         print("stats: (no perf counters recorded by this backend)")
         return
+    # simulated time is printed only for a run with a cluster model: the
+    # CLI attaches none, and a column of zeros measures nothing
+    simulated = result.elapsed > 0
     print(
         f"stats: {perf['records_moved']} records moved, "
         f"{_format_bytes(perf['bytes_moved'])} shuffled payload, "
         f"{_format_bytes(result.bytes_moved)} on the wire, "
-        f"{result.messages} messages, {result.elapsed:.6f} s simulated"
+        f"{result.messages} messages"
+        + (f", {result.elapsed:.6f} s simulated" if simulated else "")
     )
     phases = perf.get("phases", {})
     if phases:
         width = max(len(name) for name in phases)
-        print(f"  {'phase'.ljust(width)}  {'wall(s)':>10}  {'virtual(s)':>10}")
+        virtual = f"  {'virtual(s)':>10}" if simulated else ""
+        print(f"  {'phase'.ljust(width)}  {'wall(s)':>10}{virtual}")
         for name, t in phases.items():
-            print(f"  {name.ljust(width)}  {t['wall_s']:>10.4f}  {t['virtual_s']:>10.4f}")
+            virtual = f"  {t['virtual_s']:>10.4f}" if simulated else ""
+            print(f"  {name.ljust(width)}  {t['wall_s']:>10.4f}{virtual}")
     paths = perf.get("paths")
     if paths:
         print("  path: " + ", ".join(f"{op}={path}" for op, path in paths.items()))

@@ -21,6 +21,7 @@ attributes) it writes the partitions the run returned.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
@@ -31,6 +32,9 @@ from repro.errors import FormatError, WorkflowError
 from repro.formats.records import RecordSchema
 
 PathLike = Union[str, os.PathLike]
+
+#: the name of a part file (``part-00000``) and its partition index
+_PART_NAME = re.compile(r"part-([0-9]{5,})")
 
 
 @dataclass
@@ -151,6 +155,16 @@ def write_partition_files(
     return paths
 
 
+def _remove_stale_parts(output_dir: PathLike, num_partitions: int) -> None:
+    """Remove the ``part-NNNNN`` files of index ``num_partitions`` and up:
+    an earlier run's partitions beyond this run's, which a reader of
+    ``part-*`` would otherwise take for this run's."""
+    for name in os.listdir(output_dir):
+        match = _PART_NAME.fullmatch(name)
+        if match is not None and int(match.group(1)) >= num_partitions:
+            os.remove(os.path.join(output_dir, name))
+
+
 def partition_files(
     papar: Any,
     workflow: Union[WorkflowSpec, WorkflowPlan, str],
@@ -180,6 +194,9 @@ def partition_files(
     themselves (``result.extra["perf"]["output"]`` records which way it
     went); the serial backend does the same with one rank, under a budget
     too.  ``result.partitions`` are then read-only views of those files.
+
+    Once the new parts are in place, the ``part-NNNNN`` files an earlier
+    run into the same directory left beyond them are removed.
 
     A :class:`~repro.core.planner.WorkflowPlan` (the CLI's, checked by the
     lint gate) runs as planned; a spec or XML text is planned first.
@@ -220,4 +237,5 @@ def partition_files(
     else:
         # gathered, for the reason the plan gave: the driver writes the parts
         paths = write_partition_files(args[output_arg], result, schema)
+    _remove_stale_parts(args[output_arg], len(paths))
     return FilePartitionResult(result=result, output_paths=paths)

@@ -31,9 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only: codegen, the runtimes
     from repro.core.dataset import Dataset
     from repro.core.runtime import PartitionResult
 
-#: where each SPMD backend's runtime class lives; imported on selection, so a
+#: where each backend's runtime class lives; imported on selection, so a
 #: backend never loads another's machinery (pinned by fresh-interpreter tests)
-_SPMD_RUNTIMES = {
+_RUNTIMES = {
+    "serial": ("repro.core.runtime", "SerialRuntime"),
     "mpi": ("repro.core.runtime", "MPIRuntime"),
     "mapreduce": ("repro.core.mr_runtime", "MapReduceRuntime"),
     "process": ("repro.core.process_runtime", "ProcessRuntime"),
@@ -333,40 +334,27 @@ class PaPar:
         (binary part files, written in place when the plan says so) is
         given, or ``output="text"`` says the caller writes text part files.
         """
-        from repro.core.runtime import SerialRuntime
-
         if isinstance(workflow, WorkflowPlan):
             plan = workflow
         else:
             plan = self.plan(workflow, args)
         if data is None:
             raise WorkflowError("run() needs an in-memory Dataset via data=...")
-        if backend == "serial":
-            if faults is not None or checkpoint is not None or retry is not None:
-                raise WorkflowError(
-                    "fault tolerance needs an SPMD backend; use 'mpi' or "
-                    "'mapreduce' (or 'process' for checkpoint/retry recovery)"
-                )
-            result = SerialRuntime(
-                recorder=recorder, memory_budget=memory_budget
-            ).execute(plan, data, part_writer=part_writer, output=output)
-        elif backend in _SPMD_RUNTIMES:
-            module, class_name = _SPMD_RUNTIMES[backend]
-            runtime_class = getattr(importlib.import_module(module), class_name)
-            result = runtime_class(
-                num_ranks=num_ranks,
-                cluster=cluster,
-                faults=faults,
-                checkpoint=checkpoint,
-                retry=retry,
-                chaos_seed=chaos_seed,
-                deadlock_grace=deadlock_grace,
-                recorder=recorder,
-                memory_budget=memory_budget,
-            ).execute(plan, data, part_writer=part_writer, output=output)
-        else:
+        if backend not in _RUNTIMES:
             raise WorkflowError(
                 f"unknown backend {backend!r}; "
                 "use 'serial', 'mpi', 'mapreduce' or 'process'"
             )
-        return result
+        module, class_name = _RUNTIMES[backend]
+        runtime_class = getattr(importlib.import_module(module), class_name)
+        return runtime_class(
+            num_ranks=num_ranks,
+            cluster=cluster,
+            faults=faults,
+            checkpoint=checkpoint,
+            retry=retry,
+            chaos_seed=chaos_seed,
+            deadlock_grace=deadlock_grace,
+            recorder=recorder,
+            memory_budget=memory_budget,
+        ).execute(plan, data, part_writer=part_writer, output=output)

@@ -1,49 +1,50 @@
-"""Workflow execution backends.
+"""Workflow execution: one executor, four launchers.
 
-Two executors run the same :class:`~repro.core.planner.WorkflowPlan`:
-
-* :class:`SerialRuntime` — single-process reference execution: each job's
-  kernel is applied to the whole dataset.  Used for correctness baselines
-  and by generated single-node partitioners.
-* :class:`MPIRuntime` — the SPMD plan executor.  One rank program serves
-  the ``mpi``, ``mapreduce`` and ``process`` backends, mirroring the paper's
-  mapping of the formalization onto MPI / MR-MPI: sort and group jobs are
-  one *range exchange* (sample + range-shuffle + local kernel, Figures 9
-  and 11), distribute jobs compute global entry positions with an exclusive
-  scan and deal each rank's window of them by position (the policy's
-  :meth:`~repro.policies.distr.DistributionPolicy.pieces`) to the partition
-  owners.  What differs between the backends is data on a subclass — the
-  backend label, the reducer count, the cost profile
-  (:class:`~repro.core.mr_runtime.MapReduceRuntime`) and the launcher
-  (:class:`~repro.core.process_runtime.ProcessRuntime`).
+One rank program (:meth:`MPIRuntime._rank_program`) runs every backend,
+mirroring the paper's mapping of the formalization onto MPI / MR-MPI:
+sort and group jobs are one *range exchange* (sample + range-shuffle +
+local kernel, Figures 9 and 11), distribute jobs compute global entry
+positions with an exclusive scan and deal each rank's window of them by
+position (the policy's
+:meth:`~repro.policies.distr.DistributionPolicy.pieces`) to the partition
+owners.  What differs between the backends is data on a subclass — the
+backend label, the reducer count, the cost profile
+(:class:`~repro.core.mr_runtime.MapReduceRuntime`) and the launcher:
+``mpi`` runs the rank program on the simulated MPI runtime's rank threads,
+``process`` on forked processes
+(:class:`~repro.core.process_runtime.ProcessRuntime`), and ``serial``
+(:class:`SerialRuntime`) in the calling thread on one rank
+(:class:`OneRank`), where nothing crosses a fabric.
 
 Every backend produces identical partitions (tested).  How each job runs
 is decided before the first one does, by the physical plan
-(:func:`~repro.core.planner.physical_plan`); both executors dispatch on
-its choices and report the path each kernel ran in
-``extra["perf"]["paths"]``.  A flat sort with no add-on of the run's
-*own* input (rows fetchable by index), keyed by an integer of at most 32
+(:func:`~repro.core.planner.physical_plan`; ``spmd=False`` on one rank,
+where every job is local); the executor dispatches on its choices and
+reports the path each kernel ran in ``extra["perf"]["paths"]``.  On the
+SPMD backends a flat sort with no add-on of the run's *own* input (rows fetchable by index), keyed by an integer of at most 32
 bits, is a ``cut`` and exchanges nothing: each rank cuts its own range
 of the input in one key scan (:mod:`repro.core.word_exchange`) and the deal
 gathers the records from the input.  Every other sort — chained or
 wide-keyed — and every group is the range exchange, which ships the
 records: keys cut by a
 :class:`~repro.mapreduce.partitioner.RangePartitioner`, bucketized through
-:func:`repro.mapreduce.columnar.bucketize`.  Every backend threads a
+:func:`repro.mapreduce.columnar.bucketize`.  On one rank every sort is
+local: ``narrow`` (key column + row ids of rows fetchable by index, chained
+and wide-keyed sorts included) or ``records``.  Every backend threads a
 :class:`~repro.mapreduce.columnar.PerfCounters` through
 ``PartitionResult.extra["perf"]`` (``python -m repro run --stats``).
 
 File-to-file runs (:func:`repro.core.files.partition_files`): the input is
 a file-backed source (:class:`~repro.formats.binary.BinaryInputFormat`), so
-every rank reads its own byte range, and the SPMD executor is handed a
+every rank reads its own byte range, and the executor is handed a
 :class:`~repro.formats.binary.PartWriter`.  When the final ``Distribute``
 deals flat streams of the schema being written, each rank ``pwrite``s its
 pieces where they belong in the part files — no second exchange, nothing
 gathered to the driver; otherwise (a packed stream, or records widened by
 group add-ons) the deal ships its pieces to the partitions' owners and the
 driver writes what they return (``extra["perf"]["output"]`` says which tail
-the plan chose, and why).  The serial runtime's tail is the one-rank case of
-the same deal (:func:`deal_into` a part file).
+the plan chose, and why).  On one rank the in-place tail is the same deal
+into every part file.
 
 Out-of-core (see :mod:`repro.ooc`): a ``memory_budget`` changes no path,
 only where bytes wait.  The sort of the input spills its own range's
@@ -132,7 +133,10 @@ def _block(n: int, rank: int, size: int) -> tuple[int, int]:
 
 
 def _dataset_rows_per_rank(data: Dataset, rank: int, size: int) -> Dataset:
-    """Contiguous block decomposition preserving global entry order."""
+    """Contiguous block decomposition preserving global entry order; one
+    rank's block is the input itself."""
+    if size == 1:
+        return data
     start, length = _block(len(data), rank, size)
     if hasattr(data, "slice_view"):
         # an out-of-core ChunkedDataset: hand the rank a row-range view
@@ -201,155 +205,6 @@ def job_input(job: PlannedJob, outputs: dict[str, Any], input_data: Dataset) -> 
     return val
 
 
-class SerialRuntime:
-    """Single-process reference execution of a plan.
-
-    Each job runs the path its :class:`~repro.core.planner.Physical` choice
-    names.  A ``narrow`` sort reads only its key column of rows fetchable
-    by index (an in-memory dataset, a fixed-width input file through a
-    read-only mapping, another sort's view) and returns row ids; under a
-    budget it spills narrow (key, row id) runs only when the sort's own
-    peak (``Sort.narrow_bytes``: one 8-byte word per entry for integer keys
-    of at most 32 bits) exceeds it.  A final deal planned ``in place`` is
-    the one-rank case of the SPMD in-place tail: the pieces go straight
-    into the part files, a budget's window of positions at a time.
-    """
-
-    def __init__(
-        self,
-        recorder: Optional["Recorder"] = None,
-        memory_budget: Any = None,
-    ) -> None:
-        self.recorder = recorder
-        #: raw memory-budget spec; parsed lazily (repro.ooc stays unimported
-        #: when it is None)
-        self.memory_budget = memory_budget
-
-    def execute(
-        self,
-        plan: WorkflowPlan,
-        input_data: Dataset,
-        part_writer: Optional[PartWriter] = None,
-        output: Optional[str] = None,
-    ) -> PartitionResult:
-        """Run ``plan`` over ``input_data``; with a ``part_writer`` the final
-        deal writes the part files in place when it is planned to (the
-        returned partitions are then read-only views of the published
-        files), and a failed run publishes nothing.  ``output="text"``
-        marks a run whose caller writes text part files."""
-        choices = run_plan(plan, input_data, False, part_writer, output)
-        perf = PerfCounters()
-        rec = self.recorder
-        ctx = spill_dir = None
-        if self.memory_budget is not None:
-            import tempfile
-
-            from repro.ooc.budget import MemoryBudget
-            from repro.ooc.spill import OOCContext
-
-            spill_dir = tempfile.mkdtemp(prefix="papar-spill-")
-            ctx = OOCContext(MemoryBudget.coerce(self.memory_budget), spill_dir)
-        try:
-            outputs: dict[str, Any] = {}
-            with (
-                rec.span(f"plan:{plan.workflow_id}", category="plan",
-                         attrs={"backend": "serial", "ranks": 1})
-                if rec is not None
-                else nullcontext()
-            ) as root:
-                for i, job in enumerate(plan.jobs):
-                    source = job_input(job, outputs, input_data)
-                    span = (
-                        rec.span(job.op_id, category="job", rank=0, parent=root,
-                                 attrs={"job_index": i,
-                                        "operator": job.operator_name.lower()})
-                        if rec is not None
-                        else nullcontext()
-                    )
-                    with perf.phase(job.operator_name.lower()), span:
-                        outputs[job.op_id] = self._apply(
-                            job, choices[job.op_id], source, ctx, perf,
-                            part_writer if job is plan.final_job else None,
-                        )
-            # a sort that ends the plan leaves a sorted-runs view: read it
-            # before the spill directory goes
-            final = resident(outputs[plan.final_job.op_id])
-            perf.output = _tail_output(choices[plan.final_job.op_id], final, part_writer)
-            if isinstance(final, dict):
-                final = published_parts(part_writer, len(final))
-            elif isinstance(final, Dataset):
-                final = [final]
-            if ctx is not None:
-                ctx.fold_into(perf)
-            extra: dict[str, Any] = {"perf": perf.summary()}
-            if rec is not None:
-                from repro.obs.adapters import record_perf
-
-                record_perf(rec, extra["perf"])
-                extra["obs"] = rec
-            return PartitionResult(partitions=list(final), extra=extra)
-        except BaseException:
-            if part_writer is not None:
-                part_writer.discard()
-            raise
-        finally:
-            if spill_dir is not None:
-                import shutil
-
-                shutil.rmtree(spill_dir, ignore_errors=True)
-
-    @staticmethod
-    def _apply(
-        job: PlannedJob, choice: Physical, source: Any, ctx: Any, perf: PerfCounters,
-        part_writer: Optional[PartWriter],
-    ) -> Any:
-        """Run one job the way ``choice`` says; ``ctx`` is the budget's
-        ``OOCContext`` or ``None``.
-
-        A deal written in place returns ``{partition: record count}``; a
-        gathered one deals whatever streams (a sorted-runs view, a chunked
-        input) without materializing it under a budget.  A ``records`` sort
-        spills whole records under a budget; every other operator gets its
-        input resident.
-        """
-        op = job.operator
-        if choice.tail == "in place":
-            streams = list(source) if isinstance(source, (list, tuple)) else [source]
-            perf.paths[job.op_id] = "in place"
-            return _write_parts(op, streams, part_writer, ctx)
-        if choice.tail == "gathered":
-            perf.paths[job.op_id] = f"gathered ({choice.reason})"
-            return op.apply_local(source if ctx is not None else resident(source))
-        if choice.spill is None:  # a local kernel over the whole input
-            return op.apply_local(resident(source))
-        perf.paths[job.op_id] = choice.spill
-        from_runs = hasattr(source, "row_ids")  # a spilled sort's runs
-        if choice.spill == "narrow":
-            got = (source.rows, None) if from_runs else source.indexed_rows()
-            if got is None or got[0] is None:
-                raise _internal(job, choice, "rows it cannot fetch by row id")
-            rows, ids = got
-            weight = source.nbytes if from_runs else op.narrow_bytes(
-                len(source), rows, composed=ids is not None)
-            if ctx is None or not ctx.should_spill(weight):
-                return op.apply_local(resident(source) if from_runs else source)
-            from repro.ooc.extsort import external_sort_rows
-
-            ids = source.row_ids() if from_runs else ids
-            return external_sort_rows(rows, ids, op.key, op.ascending, ctx, source.schema)
-        if (ctx is None or source.is_packed or op.addon is not None
-                or not ctx.should_spill(source.nbytes)):
-            return op.apply_local(resident(source))
-        from repro.ooc.chunked import iter_dataset_chunks
-        from repro.ooc.extsort import external_sort_records
-
-        schema = source.schema
-        chunks = iter_dataset_chunks(source, ctx.chunk_records(schema.itemsize))
-        return external_sort_records(
-            (chunk.records for chunk in chunks), op.key, op.ascending, ctx, schema
-        )
-
-
 def deal_into(
     op: Distribute,
     stream: Any,
@@ -368,8 +223,8 @@ def deal_into(
     ``base[p] + s`` — ``base`` being what the earlier streams put there,
     advanced past this stream on return — ``window`` positions at a time
     (all at once when ``None``); one that does not stream is dealt resident.
-    The one deal of every backend: the sink is a part file
-    (:func:`part_sink`) or, on the SPMD ones, the owner's outbox.
+    The one deal of every backend: the sink is a part file or, on the SPMD
+    ones, the owner's outbox.
     """
     stream = stream if hasattr(stream, "chunks") else resident(stream)
     total = len(stream) if total is None else total
@@ -379,37 +234,6 @@ def deal_into(
             perf.count_move(len(piece), piece.nbytes)
         sink(p, int(base[p]) + slot, first, piece)
     base += op.policy.counts(total, num_p)
-
-
-def part_sink(part_writer: PartWriter) -> Any:
-    """The :func:`deal_into` sink that writes each piece at its slot of its part."""
-    return lambda p, slot, _first, piece: part_writer.write(p, slot, piece.records)
-
-
-def published_parts(part_writer: PartWriter, num_partitions: int) -> list[Dataset]:
-    """Publish the parts written in place; read-only views of the files."""
-    from repro.formats.binary import map_binary
-
-    schema = part_writer.schema
-    return [
-        Dataset(schema=schema, records=map_binary(path, schema))
-        for path in part_writer.publish(num_partitions)
-    ]
-
-
-def _write_parts(
-    op: Distribute, streams: list, part_writer: PartWriter, ctx: Any
-) -> dict[int, int]:
-    """The one-rank in-place deal: every stream into the part files, then
-    every part sealed; ``{partition: record count}``."""
-    base = np.zeros(op.num_partitions, dtype=np.int64)
-    for stream in streams:
-        window = ctx.chunk_records(stream.schema.itemsize) if ctx is not None else None
-        deal_into(op, stream, part_sink(part_writer), base, window=window)
-    counts = {p: int(count) for p, count in enumerate(base)}
-    for p, count in counts.items():
-        part_writer.finish(p, count)
-    return counts
 
 
 def _alltoall(
@@ -482,6 +306,56 @@ def _reduce_received(op: Any, inbox: list, schema: Any, ctx: Any) -> Any:
     )
 
 
+def _local_sort(job: PlannedJob, choice: Physical, source: Any, ctx: Any) -> Any:
+    """A sort on one rank, where nothing is exchanged, as ``choice.spill``
+    says; ``ctx`` is the budget's ``OOCContext`` or ``None``.
+
+    A ``narrow`` sort reads only its key column of rows fetchable by index
+    (an in-memory dataset, a fixed-width input file through a read-only
+    mapping, another sort's view or spilled runs) and returns row ids; under
+    a budget it spills narrow (key, row id) runs only when its own peak
+    (``Sort.narrow_bytes``) exceeds it.  A ``records`` sort spills whole
+    records under a budget, unless its input is packed or it has an add-on.
+    """
+    op = job.operator
+    from_runs = hasattr(source, "row_ids")  # a spilled sort's runs
+    if choice.spill == "narrow":
+        got = (source.rows, None) if from_runs else source.indexed_rows()
+        if got is None or got[0] is None:
+            raise _internal(job, choice, "rows it cannot fetch by row id")
+        rows, ids = got
+        weight = source.nbytes if from_runs else op.narrow_bytes(
+            len(source), rows, composed=ids is not None)
+        if ctx is None or not ctx.should_spill(weight):
+            return op.apply_local(resident(source) if from_runs else source)
+        from repro.ooc.extsort import external_sort_rows
+
+        ids = source.row_ids() if from_runs else ids
+        return external_sort_rows(rows, ids, op.key, op.ascending, ctx, source.schema)
+    if (ctx is None or source.is_packed or op.addon is not None
+            or not ctx.should_spill(source.nbytes)):
+        return op.apply_local(resident(source))
+    from repro.ooc.chunked import iter_dataset_chunks
+    from repro.ooc.extsort import external_sort_records
+
+    schema = source.schema
+    chunks = iter_dataset_chunks(source, ctx.chunk_records(schema.itemsize))
+    return external_sort_records(
+        (chunk.records for chunk in chunks), op.key, op.ascending, ctx, schema
+    )
+
+
+def _positions(comm: Communicator, n_local: int) -> tuple[int, int]:
+    """``(first global position, total)`` of a stream whose entries are
+    ``n_local`` on this rank: an exclusive scan and a sum over the ranks,
+    which one rank answers alone."""
+    if comm.size == 1:
+        return 0, n_local
+    from repro.mpi import SUM
+
+    return comm.exscan(n_local, SUM, identity=0), comm.allreduce(n_local, SUM)
+
+
 def _write_span(comm: Communicator, stream_idx: int, records: int) -> Any:
     """The span around a rank's in-place part writes (a no-op without a recorder)."""
     if comm.recorder is None:
@@ -493,16 +367,19 @@ def _write_span(comm: Communicator, stream_idx: int, records: int) -> Any:
 
 
 class MPIRuntime:
-    """SPMD execution of a plan: the rank program every parallel backend runs.
+    """Execution of a plan: the rank program every backend runs.
 
     ``mpi`` runs it on the simulated MPI runtime's rank threads; subclasses
     change only what the class attributes and the two hooks below expose —
     :meth:`_reducers` and the cost profile for ``mapreduce``, :meth:`_launch`
-    for ``process``.
+    for ``process`` and ``serial``.
     """
 
     #: backend label recorded on the plan span
     backend_name = "mpi"
+    #: whether the physical plan is the SPMD one (jobs exchange across
+    #: ranks) or the one-rank plan, where every job is local
+    spmd = True
     #: whether local kernels charge the cost model's sort / hash / stream
     #: time on top of the fixed per-job overhead every backend pays
     charges_kernels = True
@@ -568,9 +445,9 @@ class MPIRuntime:
         partitions are then read-only views of the published part files.
         ``output="text"`` marks a run whose caller writes text part files.
         """
-        choices = run_plan(plan, input_data, True, part_writer, output)
+        choices = run_plan(plan, input_data, self.spmd, part_writer, output)
         for job in plan.jobs:
-            if isinstance(job.operator, Distribute):
+            if self.spmd and isinstance(job.operator, Distribute):
                 # every rank deals its own window of positions: refuse a
                 # permutation-defined policy here, before anything is launched
                 job.operator.policy.require_positional()
@@ -584,8 +461,7 @@ class MPIRuntime:
             # run files are execution-scoped: every rank spills into one
             # directory the driver removes on the way out
             spill_dir = tempfile.mkdtemp(prefix="papar-spill-")
-            limit = MemoryBudget.coerce(self.memory_budget).limit
-            rank_kwargs["ooc_spec"] = (limit, spill_dir)
+            rank_kwargs["ooc_spec"] = (MemoryBudget.coerce(self.memory_budget), spill_dir)
         if part_writer is not None:
             rank_kwargs["part_writer"] = part_writer
         plan_span = (
@@ -610,8 +486,13 @@ class MPIRuntime:
             perf = PerfCounters.merge_ranks([perf for _out, perf in run.results])
             perf.output = _tail_output(choices[plan.final_job.op_id], merged, part_writer)
             if perf.output.get("mode") == "in_place":
-                # every rank reported ok: the parts appear, all at once
-                partitions = published_parts(part_writer, len(merged))
+                # every rank reported ok: the parts appear, all at once, and
+                # the partitions are read-only views of the files
+                from repro.formats.binary import map_binary
+
+                schema = part_writer.schema
+                partitions = [Dataset(schema=schema, records=map_binary(path, schema))
+                              for path in part_writer.publish(len(merged))]
             else:
                 partitions = [merged[p] for p in sorted(merged)]
         except BaseException:
@@ -730,11 +611,10 @@ class MPIRuntime:
             from repro.fault.checkpoint import job_key
         ctx = None
         if ooc_spec is not None:
-            from repro.ooc.budget import MemoryBudget
             from repro.ooc.spill import OOCContext
 
-            limit, spill_dir = ooc_spec
-            ctx = OOCContext(MemoryBudget(limit), spill_dir, rank=comm.rank)
+            budget, spill_dir = ooc_spec
+            ctx = OOCContext(budget, spill_dir, rank=comm.rank)
         local: Any = _dataset_rows_per_rank(input_data, comm.rank, comm.size)
         outputs: dict[str, Any] = {}
         final: Any = None
@@ -787,12 +667,17 @@ class MPIRuntime:
                 checkpoint.save(
                     job_key(fingerprint, i, job.op_id, comm.rank), payload
                 )
+        if not isinstance(final, dict):
+            if self.spmd:
+                raise WorkflowError(
+                    f"workflow {plan.workflow_id!r} must end with a Distribute job"
+                )
+            # one rank may end in a sort, a group or a split: its output
+            # (read before the spill directory goes) is the partitions
+            final = resident(final)
+            final = dict(enumerate([final] if isinstance(final, Dataset) else final))
         if ctx is not None:
             ctx.fold_into(perf)
-        if not isinstance(final, dict):
-            raise WorkflowError(
-                f"workflow {plan.workflow_id!r} must end with a Distribute job"
-            )
         return final, perf
 
     def _run_job(
@@ -824,6 +709,12 @@ class MPIRuntime:
             perf.paths[job.op_id] = "cut"
             self._charge(comm, "sort", len(view))
             return view
+        if choice.tail == "gathered" and choice.exchange == "none":
+            # one rank holds every stream: the operator's own deal, which
+            # takes a permutation-defined policy too; under a budget what
+            # streams is dealt as it streams
+            perf.paths[job.op_id] = choice.path
+            return dict(enumerate(op.apply_local(source if ctx is not None else resident(source))))
         if isinstance(op, Distribute):
             return self._distribute_job(comm, job, choice, source, perf, ctx, part_writer)
         if choice.exchange == "records":
@@ -834,6 +725,9 @@ class MPIRuntime:
             )
             perf.paths[job.op_id] = "records"
             return out
+        if choice.spill is not None:  # a sort on one rank: nothing to exchange
+            perf.paths[job.op_id] = choice.spill
+            return _local_sort(job, choice, source, ctx)
         data = resident(source)
         if isinstance(op, Split):
             # a map-only job: routing is local, no exchange
@@ -959,25 +853,25 @@ class MPIRuntime:
         owners order by ``(stream, first index)`` and return as
         ``{partition: Dataset}``.
         """
-        from repro.mpi import SUM
-
         op = job.operator
         streams = list(source) if isinstance(source, (list, tuple)) else [source]
         num_p = op.num_partitions
         in_place = choice.tail == "in place"
         if in_place and part_writer is None:
             raise _internal(job, choice, "no part files to write into")
+
+        def write(p: int, slot: int, _first: int, piece: Dataset) -> None:
+            part_writer.write(p, slot, piece.records)
+
         base = np.zeros(num_p, dtype=np.int64)
         per_partition: dict[int, list[tuple[int, int, Dataset]]] = {}
         for stream_idx, stream in enumerate(streams):
             n_local = len(stream)
-            offset = comm.exscan(n_local, SUM, identity=0)
-            total = comm.allreduce(n_local, SUM)
+            offset, total = _positions(comm, n_local)
             window = ctx.chunk_records(stream.schema.itemsize) if ctx is not None else None
             if in_place:
                 with _write_span(comm, stream_idx, n_local):
-                    deal_into(op, stream, part_sink(part_writer), base, offset, total, window,
-                              perf)
+                    deal_into(op, stream, write, base, offset, total, window, perf)
                 continue
             runs = self._spills(comm, ctx, stream, "dist")
             boxes: list[list[tuple[int, int, Dataset]]] = [[] for _ in range(comm.size)]
@@ -1018,3 +912,77 @@ class MPIRuntime:
                 self._charge(comm, "stream", sum(c.num_records for _, _, c in chunks))
             result[p] = _flat([c for _, _, c in chunks], streams[0].schema)
         return result
+
+
+class OneRank:
+    """The communicator of a run on one rank, in the calling thread.
+
+    There is no one to exchange with: the one-rank physical plan exchanges
+    nothing, and what the rank program asks every rank (:func:`_positions`)
+    one rank answers alone.  No clock runs and no fault fires.
+    """
+
+    rank = 0
+    size = 1
+    cluster = None
+    clock = None
+    #: set by the rank program, as on every communicator
+    recorder: Optional["Recorder"] = None
+
+    def check_fault(self, job_index: int, when: str) -> None:
+        """No fault is scheduled on one rank."""
+
+
+@dataclass
+class _InlineRun:
+    """What :meth:`MPIRuntime.execute` reads of a launch, for one rank run
+    inline: its result, and nothing moved."""
+
+    results: list
+    elapsed: float = 0.0
+    bytes_moved: int = 0
+    messages: int = 0
+
+
+class SerialRuntime(MPIRuntime):
+    """The rank program on one rank, run in the calling thread.
+
+    No thread, no fabric and no ``repro.mpi``; the plan is the one-rank
+    physical plan (``spmd=False``), so a sort of any key is local — narrow
+    wherever rows are fetchable by index — and a gathered deal is the
+    operator's own, which also takes a permutation-defined policy.  The
+    SPMD options :meth:`repro.PaPar.run` hands every backend (a rank count,
+    a cluster model, the chaos seed, a deadlock grace) mean nothing here;
+    fault tolerance is refused.
+    """
+
+    backend_name = "serial"
+    spmd = False
+
+    def __init__(
+        self,
+        recorder: Optional["Recorder"] = None,
+        memory_budget: Any = None,
+        *,
+        faults: Any = None,
+        checkpoint: Any = None,
+        retry: Any = None,
+        **_spmd_options: Any,
+    ) -> None:
+        if faults is not None or checkpoint is not None or retry is not None:
+            raise WorkflowError(
+                "fault tolerance needs an SPMD backend; use 'mpi' or "
+                "'mapreduce' (or 'process' for checkpoint/retry recovery)"
+            )
+        super().__init__(1, recorder=recorder, memory_budget=memory_budget)
+
+    def _launch(
+        self,
+        plan: WorkflowPlan,
+        input_data: Dataset,
+        rank_kwargs: dict[str, Any],
+        fault_injector: Optional[FaultInjector] = None,
+        start_time: float = 0.0,
+    ) -> MPIRun:
+        """The rank program, here, on :class:`OneRank`."""
+        return _InlineRun([self._rank_program(OneRank(), plan, input_data, **rank_kwargs)])

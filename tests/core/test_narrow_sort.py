@@ -27,7 +27,7 @@ from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.core.dataset import Dataset, row_id_dtype
 from repro.core.planner import Physical, PlannedJob, Planner
-from repro.core.runtime import SerialRuntime
+from repro.core.runtime import OneRank, SerialRuntime
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 from repro.formats.binary import BinaryInputFormat, PartWriter
 from repro.mapreduce.columnar import PerfCounters
@@ -358,8 +358,8 @@ class TestWhatMoves:
 
         def narrow_sort(op, source):
             job = PlannedJob(op.key, "Sort", op, None)
-            return SerialRuntime._apply(job, Physical(spill="narrow"), source, ctx,
-                                        PerfCounters(), None)
+            return SerialRuntime()._run_job(OneRank(), job, Physical(spill="narrow"), source,
+                                            PerfCounters(), ctx)
 
         first = narrow_sort(Sort("seq_size"), data)
         assert isinstance(first, SortedRuns) and first.rows is data.records

@@ -5,7 +5,7 @@ each job runs before the first one does, and each kernel reports the path
 it actually ran in ``extra["perf"]["paths"]``: ``word_sort`` a ``cut``, the
 range exchange ``records``, a serial sort ``narrow`` or ``records``, the
 deal ``in place`` or ``gathered (<reason>)``.  An autouse fixture wraps
-both executors, so that every run these tests make also proves:
+the one executor, so that every run these tests make also proves:
 
 * **observed = planned** — each job's reported path is its planned
   choice's ``path``; a job restored from a checkpoint ran no kernel, so it
@@ -19,15 +19,16 @@ import functools
 
 import pytest
 
-from repro.core.runtime import MPIRuntime, SerialRuntime, run_plan
+from repro.core.runtime import MPIRuntime, run_plan
 
 
-def checked(execute, spmd: bool):
-    """``execute`` that also checks its run against the run's physical plan."""
+def checked(execute):
+    """``execute`` that also checks its run against the run's physical plan
+    (the SPMD one or the one-rank one, as the runtime's class says)."""
 
     @functools.wraps(execute)
     def run(self, plan, input_data, part_writer=None, output=None):
-        planned = run_plan(plan, input_data, spmd, part_writer, output)
+        planned = run_plan(plan, input_data, self.spmd, part_writer, output)
         result = execute(self, plan, input_data, part_writer, output)
         perf = result.extra["perf"]
         observed = perf.get("paths", {})
@@ -47,7 +48,6 @@ def checked(execute, spmd: bool):
 
 @pytest.fixture(autouse=True)
 def observed_paths_are_planned(monkeypatch):
-    """Wrap the serial executor and the one SPMD executor (every SPMD
-    backend's ``execute`` ends in ``MPIRuntime.execute``)."""
-    monkeypatch.setattr(SerialRuntime, "execute", checked(SerialRuntime.execute, False))
-    monkeypatch.setattr(MPIRuntime, "execute", checked(MPIRuntime.execute, True))
+    """Wrap the one executor (every backend's ``execute`` ends in
+    ``MPIRuntime.execute``)."""
+    monkeypatch.setattr(MPIRuntime, "execute", checked(MPIRuntime.execute))

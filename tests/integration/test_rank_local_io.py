@@ -233,6 +233,26 @@ class TestSameBytesAsSerial:
                   5, backend, 4)
         assert part_files(out_dir) == want
 
+    @pytest.mark.parametrize("backend, ranks, budget", [
+        ("serial", 1, None), ("mpi", 2, None), ("process", 2, None), ("serial", 1, "64KB"),
+    ])
+    def test_fewer_partitions_remove_the_earlier_runs_extra_parts(
+        self, papar, tmp_path, tmp_path_factory, backend, ranks, budget
+    ):
+        """8 partitions, then 3 into the same directory: the three new parts
+        remain, and a file that is not a part name stays."""
+        out_dir = tmp_path / "out"
+        path = index_file(tmp_path, 1003)
+        partition(papar, WORKFLOWS["blast-cyclic"], path, out_dir, 8, backend, ranks,
+                  memory_budget=budget)
+        assert entries(out_dir) == expected_names(8)
+        (out_dir / "part-00005.bak").write_bytes(b"not a part")
+        out = partition(papar, WORKFLOWS["blast-cyclic"], path, out_dir, 3, backend, ranks,
+                        memory_budget=budget)
+        want = serial_parts(papar, tmp_path_factory, "blast-cyclic", 1003, 3)
+        assert part_files(out_dir) == {**want, "part-00005.bak": b"not a part"}
+        assert out.output_paths == [str(out_dir / name) for name in want]
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_result_partitions_are_the_files(self, papar, tmp_path, backend):
         out = partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
@@ -275,6 +295,19 @@ class TestGatheredTailsStillEqualSerial:
         output = out.result.extra["perf"].get("output")
         if output is not None:
             assert output == {"mode": "gathered", "reason": "text output"}
+
+    def test_fewer_text_partitions_remove_the_earlier_runs_extra_parts(
+        self, papar, edges_file, tmp_path
+    ):
+        """The gathered tail: parts written after the run replace a larger set too."""
+        self.hybrid(papar, edges_file, tmp_path / "fresh", "serial")
+        out_dir = tmp_path / "out"
+        for name in expected_names(9):
+            os.makedirs(out_dir, exist_ok=True)
+            (out_dir / name).write_text("stale\n")
+        self.hybrid(papar, edges_file, out_dir, "serial")
+        assert part_files(out_dir) == part_files(tmp_path / "fresh")
+        assert list(part_files(out_dir)) == expected_names(4)
 
     @pytest.mark.parametrize("backend", SPMD)
     def test_column_pruned_blast(self, papar, tmp_path, tmp_path_factory, backend):

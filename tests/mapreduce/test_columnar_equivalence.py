@@ -234,3 +234,22 @@ def test_print_stats_renders(papar, blast_data, capsys):
     out = capsys.readouterr().out
     assert "records moved" in out
     assert "sort" in out and "distribute" in out
+
+
+def test_print_stats_prints_simulated_time_only_when_simulated(papar, blast_data, capsys):
+    """Without a cluster model (every CLI run) no clock ran: no simulated
+    seconds and no virtual(s) column; with one, both."""
+    from repro.cli import print_stats
+
+    workflow, args = _case_args("blast")
+    for backend, kwargs in (("serial", {}), ("mpi", {"num_ranks": 4})):
+        print_stats(papar.run(workflow, args, data=blast_data, backend=backend, **kwargs))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(" messages") and "simulated" not in lines[0]
+        assert lines[1].split() == ["phase", "wall(s)"]
+    result = papar.run(workflow, args, data=blast_data, backend="mpi",
+                       num_ranks=4, cluster=_cluster_for(4))
+    print_stats(result)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f", {result.elapsed:.6f} s simulated") and result.elapsed > 0
+    assert lines[1].split() == ["phase", "wall(s)", "virtual(s)"]
