@@ -223,7 +223,8 @@ CATALOG: dict[str, RuleSpec] = {
               "<param name=\"distrPolicy\" value=\"roundRobbin\"/>",
               "<param name=\"distrPolicy\" value=\"roundRobin\"/>"),
         _spec("PAP036", "bad-partition-count", Severity.ERROR,
-              "numPartitions / num_reducers literal that is not a positive integer",
+              "numPartitions / num_reducers literal that is not an integer "
+              "in [1, 2^31 - 1]",
               "Partition and reducer counts size real data structures; "
               "zero, negative, or non-integer values cannot run.",
               "<param name=\"numPartitions\" value=\"0\"/>",

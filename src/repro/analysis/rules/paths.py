@@ -19,6 +19,12 @@ from repro.analysis.rules import checker
 from repro.config.workflow import _REF_RE
 
 
+#: the largest ``integer`` (4 bytes, ``formats/records.py``), the type
+#: ``numPartitions`` and ``num_reducers`` are declared with: a count past it
+#: would size arrays no run can allocate
+INTEGER_MAX = 2**31 - 1
+
+
 def _is_symbolic(text: str) -> bool:
     return bool(_REF_RE.search(text))
 
@@ -207,5 +213,12 @@ def _check_positive_int(ctx, op, what, text, line) -> Iterator[Diagnostic]:
         yield ctx.diag(
             "PAP036",
             f"operator {op.id!r}: {what} is {value}, but must be >= 1",
+            line=line or op.line,
+        )
+    elif value > INTEGER_MAX:
+        yield ctx.diag(
+            "PAP036",
+            f"operator {op.id!r}: {what} is {value}, but must be <= {INTEGER_MAX} "
+            "(the largest integer)",
             line=line or op.line,
         )

@@ -16,6 +16,7 @@ from typing import Any, Iterator, Optional
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.model import LintContext
 from repro.analysis.rules import checker
+from repro.analysis.rules.paths import INTEGER_MAX
 
 
 def _op_line(ctx: LintContext, op_id: str) -> Optional[int]:
@@ -57,8 +58,8 @@ def check_permutations(ctx: LintContext) -> Iterator[Diagnostic]:
         if not isinstance(op, Distribute):
             continue
         nparts = op.num_partitions
-        if nparts < 1:
-            continue  # PAP036 already covers non-positive literals
+        if not 1 <= nparts <= INTEGER_MAX:
+            continue  # PAP036 already covers counts out of range
         policy = op.policy  # a DistributionPolicy (resolved by the planner)
         if type(policy) in shipped:
             continue

@@ -75,8 +75,11 @@ def record_serve_request(
     rejected: bool = False,
     records: int = 0,
     encoding: Optional[str] = None,
+    requests: int = 1,
 ) -> None:
-    """Count one daemon request in the ``serve.*`` vocabulary.
+    """Count ``requests`` daemon requests of one verb in the ``serve.*``
+    vocabulary (the daemon tallies accepted appends and counts them here
+    in one call per encoding).
 
     Every request increments ``serve.requests.<verb>``; admission-control
     rejections additionally count under ``serve.rejected``; ``append``
@@ -86,12 +89,12 @@ def record_serve_request(
     ``papar.serve`` document's inputs — see
     :func:`repro.obs.export.serve_metrics_json`).
     """
-    recorder.count(f"serve.requests.{verb}")
+    recorder.count(f"serve.requests.{verb}", requests)
     if rejected:
-        recorder.count("serve.rejected")
+        recorder.count("serve.rejected", requests)
         return
     if encoding is not None:
-        recorder.count(f"serve.append_{encoding}")
+        recorder.count(f"serve.append_{encoding}", requests)
     if records:
         recorder.count("serve.appended_records", records)
     if latency_ms is not None:

@@ -7,11 +7,12 @@ enough to crib for an application client in any language: connect, write
 one JSON line, read one JSON line back.
 
 ``connect`` asks ``hello`` once.  A daemon that takes frames gets every
-``append`` as one crc-framed block of raw records (packed once — by one
-``struct.pack`` where the dtype allows, else by numpy — no JSON); a daemon
-that does not — an older one answers ``hello`` with ``400 unknown op``, a
-``string`` schema answers ``"frames": false`` — gets JSON rows, as do rows
-the client cannot pack, so the server's ``400`` explains them.
+``append`` as one crc-framed block of raw records (packed once — row by
+row through one cached ``struct.Struct`` where the dtype allows, else by
+numpy — no JSON); a daemon that does not — an older one answers ``hello``
+with ``400 unknown op``, a ``string`` schema answers ``"frames": false`` —
+gets JSON rows, as do rows the client cannot pack, so the server's
+``400`` explains them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from itertools import chain
+from functools import lru_cache
+from itertools import starmap
 from typing import Any, Optional
 
 import numpy as np
@@ -117,11 +119,10 @@ class ServeClient:
         codes = self._row_codes
         if codes is not None and not isinstance(rows, np.ndarray):
             try:
-                # struct checks every value's type and range and the total
-                # count; the widths keep a short row from borrowing a long one's
-                if set(map(len, rows)) <= {len(codes)}:
-                    return protocol.frame_bytes(len(rows), struct.pack(
-                        "<" + codes * len(rows), *chain.from_iterable(rows)))
+                # struct checks every value's type and range and each row's
+                # width, so a short row cannot borrow a long one's values
+                payload = b"".join(starmap(_row_struct(codes).pack, rows))
+                return protocol.frame_bytes(len(rows), payload)
             except (struct.error, TypeError):
                 pass
         try:
@@ -152,6 +153,12 @@ class ServeClient:
                 f"append rejected ({response.get('code')}): {response.get('error')}"
             )
         return response
+
+
+@lru_cache(maxsize=None)
+def _row_struct(codes: str) -> struct.Struct:
+    """The compiled little-endian layout of one row of ``codes``."""
+    return struct.Struct("<" + codes)
 
 
 #: re-exported so client users can branch on rejection codes without

@@ -172,8 +172,11 @@ def frame_payload_size(head: bytes) -> int:
     return size
 
 
-def decode_frame(head: bytes, payload: bytes, dtype: Optional[np.dtype]) -> np.ndarray:
+def decode_frame(head: Any, payload: Any, dtype: Optional[np.dtype]) -> np.ndarray:
     """The records of one fully received frame, as a view of ``payload``.
+
+    ``head`` and ``payload`` are bytes-likes — the daemon passes views of
+    the connection's buffer, so nothing is copied to check a frame.
 
     ``np.frombuffer`` runs only after the crc, the keyless shape, the
     record count and ``payload == n x itemsize`` all hold.
@@ -195,6 +198,16 @@ def decode_frame(head: bytes, payload: bytes, dtype: Optional[np.dtype]) -> np.n
 def encode_response(payload: dict[str, Any]) -> bytes:
     """Serialize one response dict to its wire line (newline-terminated)."""
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+#: the ``ok`` line of an accepted append, as :func:`encode_response` writes it
+_APPEND_ACK = b'{"ok":true,"op":"append","records":%d,"generation":%d,"total_records":%d}\n'
+
+
+def append_ack(records: int, generation: int, total_records: int) -> bytes:
+    """``encode_response(ok("append", records=..., generation=...,
+    total_records=...))`` for int fields, without building the dict."""
+    return _APPEND_ACK % (records, generation, total_records)
 
 
 def ok(op: str, **fields: Any) -> dict[str, Any]:
@@ -223,6 +236,7 @@ __all__ = [
     "ProtocolError",
     "Rows",
     "VERBS",
+    "append_ack",
     "decode_frame",
     "decode_request",
     "encode_frame",

@@ -34,6 +34,7 @@ all partitions (largest keys first) exactly as the cold run lays them out.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any, Optional
 
 import numpy as np
@@ -49,7 +50,7 @@ from repro.mapreduce.sampling import (
 from repro.ops.distribute import Distribute
 from repro.ops.group import Group
 from repro.ops.sort import Sort, sort_key_array
-from repro.serve.state import ServeError
+from repro.serve.state import BatchLog, ServeError
 
 #: how many log keys the range router samples for its quantile boundaries
 ROUTER_SAMPLE_SIZE = 4096
@@ -163,12 +164,14 @@ def _routing_stage(plan: WorkflowPlan) -> Optional[Any]:
 def build_router(
     plan: WorkflowPlan,
     input_schema: RecordSchema,
-    log_batches: list[np.ndarray],
+    log_batches: Sequence[np.ndarray],
     total_records: int,
 ) -> IncrementalRouter:
     """Choose and build the router for ``plan`` from the accumulated log.
 
-    ``log_batches`` feeds the range router's boundary sample;
+    ``log_batches`` (a list of record arrays, or a
+    :class:`~repro.serve.state.BatchLog`) feeds the range router's
+    boundary sample;
     ``total_records`` seeds the positional router's global index so dealing
     continues where the last rebuild left off.
     """
@@ -198,33 +201,55 @@ def build_router(
 
 
 def _sampled_boundaries(
-    op: Sort, log_batches: list[np.ndarray], num_partitions: int
+    op: Sort, log_batches: Sequence[np.ndarray], num_partitions: int
 ) -> Optional[list[Any]]:
     """Quantile split points of the sort key over the log, or None when empty.
 
     Each batch contributes up to ``ROUTER_SAMPLE_SIZE`` keys and Algorithm R
-    thins their concatenation back down to that many — all as arrays: the
-    log of a long-lived daemon is thousands of small batches, and this runs
-    on the event loop at every rebalance.
+    thins their concatenation back down to that many.  A batch that small
+    contributes all of its keys without a draw, so each maximal run of such
+    batches is taken as one slice of the log, and only the few larger ones
+    cost a draw each: the log of a long-lived daemon is thousands of small
+    batches, and this runs on the event loop at every rebalance.
     """
     if num_partitions == 1:
         return []
-    rng = np.random.default_rng(0)
-    samples = [
-        sample_array(
-            sort_key_array(batch[op.key], op.ascending),
-            ROUTER_SAMPLE_SIZE,
-            rng,
-        )
-        for batch in log_batches
-        if len(batch) and op.key in (batch.dtype.names or ())
-    ]
-    if not samples:
+    records, ends = _contiguous(log_batches)
+    if not len(records) or op.key not in (records.dtype.names or ()):
         return None
+    keys = records[op.key]
+    rng = np.random.default_rng(0)
+    samples = []
+    starts = np.concatenate(([0], ends[:-1]))
+    run_start = 0
+    for i in np.flatnonzero(ends - starts > ROUTER_SAMPLE_SIZE).tolist():
+        start, end = int(starts[i]), int(ends[i])
+        samples.append(sort_key_array(keys[run_start:start], op.ascending))
+        samples.append(sample_array(
+            sort_key_array(keys[start:end], op.ascending), ROUTER_SAMPLE_SIZE, rng
+        ))
+        run_start = end
+    samples.append(sort_key_array(keys[run_start:], op.ascending))
     pooled = np.concatenate(samples)
     if len(pooled) > ROUTER_SAMPLE_SIZE:
         pooled = pooled[reservoir_indices(len(pooled), ROUTER_SAMPLE_SIZE, rng)]
     return quantile_boundaries(pooled, num_partitions)
+
+
+def _contiguous(log_batches: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The log as one record array and its batch end offsets.
+
+    A :class:`~repro.serve.state.BatchLog` already is; a list of batches is
+    concatenated (batches without a record are left out, so an empty
+    batch of another dtype cannot refuse the rest).
+    """
+    if isinstance(log_batches, BatchLog):
+        return log_batches.records, np.asarray(log_batches.ends, dtype=np.int64)
+    batches = [b for b in log_batches if len(b)]
+    if not batches:
+        return np.empty(0), np.zeros(0, dtype=np.int64)
+    records = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    return records, np.cumsum([len(b) for b in batches])
 
 
 __all__ = [

@@ -127,8 +127,10 @@ class _Connection(asyncio.Protocol):
     def _take(self) -> Any:
         """Cut the next whole request off the buffer; None until one is there.
 
-        A line is ``bytes`` (empty once the peer has closed), a frame is
-        ``(header, payload)``, and a stream that cannot be resynchronised —
+        A line is ``bytes`` (empty once the peer has closed), a frame is the
+        ``int`` where it ends — it stays on the buffer, where its checks run
+        and its records are copied from, until it is answered — and a
+        stream that cannot be resynchronised —
         an oversize line, a frame cut short or over the cap (refused from
         its header, before the payload arrives) — is the ``400`` to hang up on.
         """
@@ -141,9 +143,7 @@ class _Connection(asyncio.Protocol):
                 except protocol.ProtocolError as exc:
                     return self.server._refuse_append(protocol.BAD_REQUEST, str(exc))
                 if len(buf) >= end:
-                    frame = bytes(buf[1:body]), bytes(buf[body:end])
-                    del buf[:end]
-                    return frame
+                    return end
             if self.eof:
                 return self.server._refuse_append(protocol.BAD_REQUEST, "truncated frame")
             return None
@@ -180,8 +180,9 @@ class _Connection(asyncio.Protocol):
             if isinstance(request, dict):  # out of sync: answer, then hang up
                 self._reply(request)
                 self.transport.close()
-            elif isinstance(request, tuple):
-                self._reply(self.server._append_frame(*request))
+            elif isinstance(request, int):
+                self._reply(self.server._append_frame(self.buf, request))
+                del self.buf[:request]
             elif not request.strip():  # EOF or a blank line ends the session
                 self.transport.close()
             else:
@@ -193,8 +194,10 @@ class _Connection(asyncio.Protocol):
                         self._reply_later(response)
                     )
 
-    def _reply(self, response: dict[str, Any]) -> None:
-        self.transport.write(protocol.encode_response(response))
+    def _reply(self, response: Union[bytes, dict[str, Any]]) -> None:
+        self.transport.write(
+            response if isinstance(response, bytes) else protocol.encode_response(response)
+        )
 
     async def _reply_later(self, answer: Awaitable[dict[str, Any]]) -> None:
         """``snapshot`` / ``drain``: the answer waits on the executor or a rebuild."""
@@ -247,6 +250,9 @@ class PartitionServer:
         #: the dtype every append is decoded into (None: a ``string`` schema)
         self._dtype = protocol.wire_dtype(self.input_schema)
         self.router: Optional[IncrementalRouter] = None
+        #: accepted appends and their records per encoding, not yet counted
+        #: in the recorder: the next pass folds them in
+        self._unfolded = {protocol.FRAMES: [0, 0], protocol.JSON_ROWS: [0, 0]}
         #: True once the daemon restored from a snapshot instead of the input
         self.restored = False
         self._server: Optional[asyncio.AbstractServer] = None
@@ -389,7 +395,13 @@ class PartitionServer:
                     protocol.BAD_REQUEST,
                     f"rows do not fit schema {self.input_schema.id!r}: {exc}",
                 )
-            return self._handle_append(records, t0, protocol.JSON_ROWS)
+            refusal = self._handle_append(records, t0, protocol.JSON_ROWS)
+            return refusal if refusal is not None else protocol.ok(
+                "append",
+                records=len(records),
+                generation=self.state.current.generation,
+                total_records=self.state.log_records,
+            )
         try:
             if op == "query":
                 response = self._handle_query(request)
@@ -407,18 +419,18 @@ class PartitionServer:
 
     def _answered(self, op: str, t0: float, response: dict[str, Any]) -> dict[str, Any]:
         record_serve_request(self.recorder, op)
-        self._span(op, t0, response)
+        self._span(op, t0, bool(response.get("ok")))
         return response
 
     async def _answered_later(self, op: str, t0: float, answer: Awaitable) -> dict[str, Any]:
         return self._answered(op, t0, await answer)
 
-    def _span(self, op: str, t0: float, response: dict[str, Any], **attrs: Any) -> None:
+    def _span(self, op: str, t0: float, ok: bool, **attrs: Any) -> None:
         self.recorder.record_span(
             name=f"serve.{op}", category="serve", rank=None,
             start_virtual=0.0, end_virtual=0.0,
             start_wall=t0, end_wall=self.recorder.wall_now(),
-            attrs={"ok": bool(response.get("ok")), **attrs},
+            attrs={"ok": ok, **attrs},
         )
 
     # -- append --------------------------------------------------------------
@@ -427,53 +439,61 @@ class PartitionServer:
         record_serve_request(self.recorder, "append", rejected=True)
         return protocol.error(code, message, op="append")
 
-    def _append_frame(self, head: bytes, payload: bytes) -> dict[str, Any]:
-        """Answer one fully received binary frame: a failed check costs a ``400``."""
+    def _append_frame(self, buf: bytearray, end: int) -> Union[bytes, dict[str, Any]]:
+        """Answer the binary frame that fills ``buf[:end]``.
+
+        The frame is checked where it arrived, and its records are copied
+        from there into the log — the one copy a frame's payload gets.  A
+        failed check costs a ``400``; the ack is a preformatted line.
+        """
         t0 = self.recorder.wall_now()
+        body = 1 + FRAME.size
+        view = memoryview(buf)
         try:
-            records = protocol.decode_frame(head, payload, self._dtype)
+            records = protocol.decode_frame(view[1:body], view[body:end], self._dtype)
         except protocol.ProtocolError as exc:
             return self._refuse_append(protocol.BAD_REQUEST, str(exc))
-        return self._handle_append(records, t0, protocol.FRAMES)
+        refusal = self._handle_append(records, t0, protocol.FRAMES)
+        if refusal is not None:
+            return refusal
+        return protocol.append_ack(
+            len(records), self.state.current.generation, self.state.log_records
+        )
 
     def _handle_append(
         self, records: np.ndarray, t0: float, encoding: str
-    ) -> dict[str, Any]:
+    ) -> Optional[dict[str, Any]]:
         """The one append path: decoded JSON rows and frames both land here.
 
-        Nothing past admission can refuse the records, so they are logged
-        and acknowledged here.  The pass that deals them runs when the
-        generation is next read, is scheduled once a quarter of
-        ``--max-pending`` waits, and runs at once when drift makes a rebuild due.
+        Returns the refusal, or None once the records are in the log: nothing
+        past admission can refuse them, so the caller acknowledges them.
+        The pass that deals them runs when the generation is next read, is
+        scheduled once a quarter of ``--max-pending`` waits, and runs at
+        once when drift makes a rebuild due.
         """
         state = self.state
         if self._draining:
-            response = self._refuse_append(protocol.DRAINING, "daemon is draining")
-        elif len(state.undealt) >= self.config.max_pending:
-            response = self._refuse_append(
+            refusal = self._refuse_append(protocol.DRAINING, "daemon is draining")
+        elif state.pending >= self.config.max_pending:
+            refusal = self._refuse_append(
                 protocol.OVERLOADED,
                 f"append queue at --max-pending={self.config.max_pending}",
             )
         else:
+            refusal = None
             state.admit(records)
-            pending = len(state.undealt)
-            self.recorder.gauge("serve.queue_depth", pending)
+            tally = self._unfolded[encoding]
+            tally[0] += 1
+            tally[1] += len(records)
             if self._rebalance_idle() and state.drift_fraction > self.monitor.threshold:
                 self._process_appends()
-            elif pending == max(1, self.config.max_pending // 4):
+            elif state.pending == max(1, self.config.max_pending // 4):
                 asyncio.get_running_loop().call_soon(self._process_appends)
-            record_serve_request(
-                self.recorder, "append", records=len(records), encoding=encoding,
-                latency_ms=(self.recorder.wall_now() - t0) * 1e3,
+            self.recorder.observe(
+                "serve.append_latency_ms", (self.recorder.wall_now() - t0) * 1e3
             )
-            response = protocol.ok(
-                "append",
-                records=len(records),
-                generation=state.current.generation,
-                total_records=state.log_records,
-            )
-        self._span("append", t0, response, encoding=encoding)
-        return response
+        self._span("append", t0, refusal is None, encoding=encoding)
+        return refusal
 
     def _generation(self) -> Optional[PartitionGeneration]:
         """The live generation with every acknowledged record dealt: the one
@@ -483,23 +503,30 @@ class PartitionServer:
         return self.state.current
 
     def _process_appends(self) -> None:
-        """Route and deal every acknowledged batch still undealt, as one batch."""
-        batches, self.state.undealt = self.state.undealt, []
+        """Count the appends acknowledged since the last pass, then route and
+        deal every batch still undealt, as one batch (a view of the log)."""
+        for encoding, tally in self._unfolded.items():
+            if tally[0]:
+                record_serve_request(
+                    self.recorder, "append", records=tally[1], encoding=encoding,
+                    requests=tally[0],
+                )
+                tally[:] = 0, 0
+        records, batches = self.state.take_undealt()
         if not batches:
             return
         assert self.router is not None and self.state.current is not None
-        if len(batches) > 1:
-            self.recorder.count("serve.coalesced_batches", len(batches) - 1)
-        merged = np.concatenate(batches) if len(batches) > 1 else batches[0]
+        if batches > 1:
+            self.recorder.count("serve.coalesced_batches", batches - 1)
         try:
-            self.state.current.deal(merged, self.router.route(merged))
+            self.state.current.deal(records, self.router.route(records))
         except Exception as exc:
             # route and deal cannot refuse a dtype-valid record: this is a bug,
             # not a bad request.  The records stay in the log; a rebuild places them
             self.recorder.count("serve.failed_passes")
             self.recorder.instant(
                 f"append pass failed: {exc!r}", category="serve",
-                attrs={"records": len(merged)},
+                attrs={"records": len(records)},
             )
         self.recorder.gauge("serve.queue_depth", 0)
         self._check_balance()
@@ -521,7 +548,8 @@ class PartitionServer:
     async def _rebalance(self, reason: str) -> None:
         """Rebuild from the frozen log off-loop, swap in atomically on-loop."""
         t0 = time.perf_counter()
-        frozen, frozen_records = self.state.freeze_log()
+        frozen = self.state.freeze_log()
+        frozen_records = len(frozen)
         loop = asyncio.get_running_loop()
         try:
             partitions = await loop.run_in_executor(None, self._rebuild, frozen)
@@ -545,12 +573,11 @@ class PartitionServer:
             current.generation + 1, partitions, frozen_records,
             router.key_field,
         )
-        tail = self.state.log[len(frozen):]
-        if tail:
+        tail = self.state.freeze_log()[frozen_records:]
+        if len(tail):
             # one deal for the whole tail: owners depend on the record (its
             # key, or its arrival index), not on which batch carried it
-            merged = np.concatenate(tail)
-            new_generation.deal(merged, router.route(merged))
+            new_generation.deal(tail, router.route(tail))
         self.state.swap(new_generation)
         self.router = router
         wall_s = time.perf_counter() - t0
@@ -562,10 +589,9 @@ class PartitionServer:
              "records": frozen_records, "wall_s": wall_s}
         )
 
-    def _rebuild(self, frozen: list[np.ndarray]) -> list[np.ndarray]:
+    def _rebuild(self, frozen: np.ndarray) -> list[np.ndarray]:
         """Cold-run the workflow over the frozen log (executor thread)."""
-        merged = np.concatenate(frozen) if len(frozen) > 1 else frozen[0]
-        data = Dataset.from_array(self.input_schema, merged)
+        data = Dataset.from_array(self.input_schema, frozen)
         result = self.papar.run(
             self.plan,
             self.args,
@@ -592,7 +618,7 @@ class PartitionServer:
             "log_records": self.state.log_records,
             "skew": decision.skew,
             "drift": decision.drift,
-            "pending": len(self.state.undealt),
+            "pending": self.state.pending,
             "router": router.describe() if router is not None else None,
             "snapshot": (
                 snapshot_id(generation.generation)
@@ -625,20 +651,20 @@ class PartitionServer:
     def _freeze_state(self) -> Callable[[], ServeState]:
         """Pin the state as of now; the returned call copies it on any thread.
 
-        The log and every chunk list only ever grow at the end, and a swap
-        replaces the generation object rather than touching it, so noting
-        their lengths here — O(partitions) on the loop — is enough: slicing
-        those prefixes later yields the state as of this call no matter what
-        has been appended since.
+        The log is a read-only view that no later append rewrites, every
+        chunk list only ever grows at the end, and a swap replaces the
+        generation object rather than touching it, so taking the log and
+        noting the chunk lists' lengths here is enough: slicing those
+        prefixes later yields the state as of this call no matter what has
+        been appended since.
         """
         generation = self._generation()
-        log, log_len = self.state.log, len(self.state.log)
-        log_records = self.state.log_records
+        log = self.state.log
         chunk_lens = [len(c) for c in generation.chunks]
         counts = generation.counts.copy()
 
         def freeze() -> ServeState:
-            frozen = ServeState(log=log[:log_len], log_records=log_records)
+            frozen = ServeState.of_log(log)
             frozen.current = PartitionGeneration(
                 generation=generation.generation,
                 chunks=[c[:n] for c, n in zip(generation.chunks, chunk_lens)],

@@ -67,7 +67,9 @@ class SnapshotStore:
         prefix = f"serve/{sid}"
         for pid, chunks in enumerate(gen.chunks):
             self.store.save(f"{prefix}/part{pid:05d}", list(chunks))
-        self.store.save(f"{prefix}/log", list(state.log))
+        log = state.log
+        # one array per batch: the layout every snapshot has had
+        self.store.save(f"{prefix}/log", list(log))
         self.store.save(
             f"{prefix}/meta",
             {
@@ -76,7 +78,7 @@ class SnapshotStore:
                 "num_partitions": gen.num_partitions,
                 "rebuilt_records": gen.rebuilt_records,
                 "log_records": state.log_records,
-                "log_batches": len(state.log),
+                "log_batches": len(log),
                 "created_unix": time.time(),
             },
         )

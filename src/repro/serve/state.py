@@ -8,8 +8,10 @@ Two structures live here:
   the input schema — a rebalance folds them into the workflow schema).
   A routed batch is gathered once into owner order and every partition's
   chunk is a view of that one array (:meth:`PartitionGeneration.deal`).
-* :class:`ServeState` — the arrival-ordered append log, the *current*
-  generation, and the acknowledged batches still to be dealt into it.  The
+* :class:`ServeState` — the arrival-ordered append log (one growing
+  record array plus batch end offsets, read as views — a
+  :class:`BatchLog` batch by batch), the *current* generation, and the
+  offset past which acknowledged batches still wait to be dealt.  The
   swap discipline is the subsystem's core invariant: mutation happens
   only between awaits on the daemon's single event loop,
   and a rebalance replaces the whole :class:`PartitionGeneration` object in
@@ -18,13 +20,15 @@ Two structures live here:
   partitions (pinned by ``tests/serve/test_server.py``).
 
 The log is the ground truth: a rebalance rebuilds partitions by running the
-full workflow over the accumulated log, which is exactly the cold batch run
-over the concatenated input — the bit-identical equivalence contract of
+full workflow over the accumulated log — already one array, the
+concatenated input — which is exactly the cold batch run over it: the
+bit-identical equivalence contract of
 ``tests/serve/test_incremental_equivalence.py``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -196,37 +200,139 @@ class PartitionGeneration:
         return out
 
 
-@dataclass
+class BatchLog(Sequence[np.ndarray]):
+    """The log as its batches: read-only views of one record array cut at ``ends``.
+
+    ``records`` holds every batch back to back and ``ends[i]`` is where
+    batch ``i`` stops; indexing yields the batch (a slice, a list of them).
+    What :func:`repro.serve.router.build_router` samples and what a
+    snapshot writes, one key per batch.
+    """
+
+    def __init__(self, records: np.ndarray, ends: list[int]) -> None:
+        self.records = records
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self.ends))[index]
+        return self.records[self.ends[i - 1] if i else 0 : self.ends[i]]
+
+
 class ServeState:
-    """The append log plus the current partition generation."""
+    """The append log plus the current partition generation.
 
-    #: arrival-ordered record batches; batch 0 is the warm-start input
-    log: list[np.ndarray] = field(default_factory=list)
-    #: total records across the log (cached; the log can get long)
-    log_records: int = 0
-    #: the hot generation requests read (swapped atomically on rebalance)
-    current: Optional[PartitionGeneration] = None
-    #: acknowledged batches — in ``log`` already — that the next pass still
-    #: has to route and deal into ``current``
-    undealt: list[np.ndarray] = field(default_factory=list)
+    The log is one record array, grown geometrically and never rewritten
+    below ``log_records``: a batch is copied in once, and every reader — a
+    pass, a rebuild on a worker thread, a snapshot — takes a read-only view
+    of a prefix, which a later append or a growth (a new array, the old one
+    left as it was) never changes.  The batches still to be dealt into
+    ``current`` are the log past an offset.
+    """
 
-    def append_log(self, records: np.ndarray) -> None:
-        """Record one arrived batch in the ground-truth log."""
-        self.log.append(records)
-        self.log_records += len(records)
+    def __init__(self) -> None:
+        #: every logged record in arrival order in ``_buf[:log_records]``;
+        #: the rest is unwritten capacity
+        self._buf: Optional[np.ndarray] = None
+        #: ``_buf`` as bytes (None for a dtype with object fields)
+        self._bytes: Optional[np.ndarray] = None
+        #: end offset of each batch; batch 0 is the warm-start input
+        self._ends: list[int] = []
+        #: total records across the log
+        self.log_records = 0
+        #: the hot generation requests read (swapped atomically on rebalance)
+        self.current: Optional[PartitionGeneration] = None
+        #: how many batches (and records) of the log are dealt into
+        #: ``current``; the acknowledged rest waits for the next pass
+        self._dealt_batches = 0
+        self._dealt_records = 0
+
+    @classmethod
+    def of_log(cls, log: BatchLog) -> "ServeState":
+        """A state over ``log`` as it stands, all of it dealt; its records
+        are not copied (a snapshot's frozen view) — an append would grow
+        into a new buffer."""
+        state = cls()
+        state._buf, state._ends = log.records, list(log.ends)
+        state.log_records = state._dealt_records = len(log.records)
+        state._dealt_batches = len(log.ends)
+        return state
 
     def admit(self, records: np.ndarray) -> None:
-        """Log an append — what its ``ok`` stands for — and queue it for the deal."""
-        self.append_log(records)
-        self.undealt.append(records)
+        """Copy one checked batch into the log — what its ``ok`` stands for —
+        and leave it for the next pass to deal."""
+        lo = self.log_records
+        hi = lo + len(records)
+        buf = self._buf
+        if buf is None or hi > len(buf) or buf.dtype != records.dtype:
+            self._grow(records.dtype, hi)
+        self._write(lo, records)
+        self._ends.append(hi)
+        self.log_records = hi
 
-    def freeze_log(self) -> tuple[list[np.ndarray], int]:
-        """A stable (copy, record count) of the log for a background rebuild.
+    def _grow(self, dtype: np.dtype, need: int) -> None:
+        """A larger buffer holding the log so far; views of the old one stay valid."""
+        old = self._buf
+        if old is not None and old.dtype != dtype:
+            raise ServeError(
+                f"cannot log a batch of dtype {dtype} in a log of {old.dtype}"
+            )
+        self._buf = np.empty(max(need, 2 * len(old) if old is not None else 0), dtype=dtype)
+        self._bytes = None if dtype.hasobject else self._buf.view(np.uint8)
+        if old is not None:
+            self._write(0, old[: self.log_records])
 
-        The returned list is safe to read from a worker thread: batches are
-        append-only and the copy pins the prefix the rebuild covers.
+    def _write(self, at: int, records: np.ndarray) -> None:
+        """Copy ``records`` into the buffer from record ``at`` on.
+
+        As bytes where the dtype allows: numpy assigns structured records
+        field by field, at several times the cost.
         """
-        return list(self.log), self.log_records
+        if self._bytes is None:
+            self._buf[at : at + len(records)] = records
+        else:
+            width = self._buf.itemsize
+            self._bytes[at * width : (at + len(records)) * width] = (
+                np.ascontiguousarray(records).view(np.uint8)
+            )
+
+    def append_log(self, records: np.ndarray) -> None:
+        """Log a batch ``current`` already holds (the warm-start input, a
+        restored log): nothing to deal."""
+        if self.pending:
+            raise ServeError("cannot log a dealt batch behind undealt ones")
+        self.admit(records)
+        self._dealt_batches, self._dealt_records = len(self._ends), self.log_records
+
+    @property
+    def pending(self) -> int:
+        """Acknowledged batches not yet dealt into ``current``."""
+        return len(self._ends) - self._dealt_batches
+
+    def take_undealt(self) -> tuple[np.ndarray, int]:
+        """The undealt records as one read-only view, and how many batches
+        they came in; from now on they count as dealt."""
+        records = self.freeze_log()[self._dealt_records :]
+        batches = self.pending
+        self._dealt_batches, self._dealt_records = len(self._ends), self.log_records
+        return records, batches
+
+    def freeze_log(self) -> np.ndarray:
+        """The log as of now: a read-only view safe to read from any thread."""
+        if self._buf is None:
+            return np.empty(0)
+        view = self._buf[: self.log_records]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def log(self) -> BatchLog:
+        """The log as of now, batch by batch."""
+        return BatchLog(self.freeze_log(), self._ends[:])
 
     def swap(self, new_generation: PartitionGeneration) -> PartitionGeneration:
         """Publish ``new_generation`` as current (single-assignment atomic)."""
@@ -247,4 +353,4 @@ class ServeState:
         return max(0.0, pending / self.log_records)
 
 
-__all__ = ["PartitionGeneration", "ServeError", "ServeState"]
+__all__ = ["BatchLog", "PartitionGeneration", "ServeError", "ServeState"]

@@ -155,7 +155,11 @@ def expected_names(parts):
 
 
 def leftovers():
-    return sorted(glob.glob("/dev/shm/pp*"))
+    """The shared-memory segments of process-backend runs driven from this
+    process: ``pp<driver pid in hex><4 hex>r<rank>n<seq>``
+    (``repro.mpi.process_backend``, ``repro.mpi.shm``).  A run another
+    process drives on the same host has another pid, so it never shows."""
+    return sorted(glob.glob(f"/dev/shm/pp{os.getpid():x}{'[0-9a-f]' * 4}r*"))
 
 
 _SERIAL: dict = {}

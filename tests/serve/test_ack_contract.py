@@ -14,7 +14,8 @@ from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.formats import BLAST_INDEX_SCHEMA
 from repro.mapreduce.partitioner import RangePartitioner
 from repro.ops.distribute import Distribute
-from repro.serve import ServeClient
+from repro.ooc.runfile import pack_frame_header
+from repro.serve import ServeClient, protocol
 from repro.serve.router import KeyedRouter, PositionalRouter
 from repro.serve.server import _Connection
 from repro.serve.state import PartitionGeneration
@@ -40,12 +41,12 @@ class TestAcknowledgedMeansLogged:
             assert r["ok"] and r["total_records"] == 120
             # acknowledged: in the log, not yet in the partitions
             np.testing.assert_array_equal(server.state.log[-1], batch)
-            assert len(server.state.undealt) == 1
+            assert server.state.pending == 1
             assert server.state.current.total_records == 100
             # any reader runs the pass first
             q = server._request(request_line({"op": "query"}))
             assert q["total_records"] == q["log_records"] == 120
-            assert q["pending"] == 0 and not server.state.undealt
+            assert q["pending"] == 0 == server.state.pending
             assert sum(p["records"] for p in q["partitions"]) == 120
 
         run_scenario(papar, BLAST_WORKFLOW_XML, blast_args(blast_file, tmp_path),
@@ -81,7 +82,7 @@ class TestAcknowledgedMeansLogged:
                 assert (server.router.route(chunk) == pid).all()
         held = np.concatenate([c for chunks in generation.chunks for c in chunks[1:]])
         assert sorted(held[key].tolist()) == sorted(
-            np.concatenate(server.state.log[1:])[key].tolist())
+            server.state.freeze_log()[100:][key].tolist())
 
 
 class TestCoalescedPass:
@@ -188,9 +189,9 @@ class TestAdmission:
             answers = [server._request(line) for _ in range(10)]  # never yields
             assert [a["ok"] for a in answers] == [True] * 8 + [False] * 2
             assert {a["code"] for a in answers[8:]} == {429}
-            assert len(server.state.undealt) == 8
+            assert server.state.pending == 8
             await asyncio.sleep(0)  # the pass scheduled at 8 // 4 gets its turn
-            assert not server.state.undealt
+            assert server.state.pending == 0
             assert server._request(line)["ok"]
             doc = server.metrics_doc()
             assert (doc["rejected"], doc["appended_records"]) == (2, 9)
@@ -220,6 +221,56 @@ class TestAdmission:
 
         run_scenario(papar, BLAST_WORKFLOW_XML, blast_args(blast_file, tmp_path),
                      scenario, max_pending=4, rebalance_threshold=1e9)
+
+
+class TestRefusalsLogNothing:
+    """A refused append — 400, 429 or 503, either encoding — leaves the log
+    as it was: not a record, not a batch offset, not a byte."""
+
+    def test_no_refusal_touches_the_log(self, papar, blast_file, blast_index, tmp_path):
+        payload = np.ascontiguousarray(blast_index[100:104]).tobytes()
+        flipped = bytes([payload[0] ^ 0x40]) + payload[1:]
+        bad_crc = protocol.FRAME_MARKER + pack_frame_header(4, payload) + flipped
+        ragged = payload + b"\x00"
+        short = protocol.FRAME_MARKER + pack_frame_header(4, ragged) + ragged
+        good = frame_of(blast_index[104:106])
+
+        async def scenario(server):
+            state = server.state
+
+            def log_as_is():
+                return state.log_records, len(state.log), state.freeze_log().tobytes()
+
+            def frame_answer(data):
+                conn, transport = _Connection(server), FakeTransport()
+                conn.connection_made(transport)
+                conn.data_received(data)
+                return json.loads(transport.written[-1])
+
+            # 400: a frame failing its crc or length check, rows that misfit
+            held = log_as_is()
+            for data in (bad_crc, short):
+                assert frame_answer(data)["code"] == 400
+            assert server._request(request_line(
+                {"op": "append", "rows": [[1, 2]]}))["code"] == 400
+            assert log_as_is() == held
+            # 429: the queue is at --max-pending
+            for _ in range(2):
+                assert frame_answer(good)["ok"]
+            held = log_as_is()
+            assert frame_answer(good)["code"] == 429
+            assert server._request(append_line(blast_index[106:107]))["code"] == 429
+            assert log_as_is() == held
+            # 503: draining
+            await server._quiesce()
+            held = log_as_is()
+            assert frame_answer(good)["code"] == 503
+            assert server._request(append_line(blast_index[106:107]))["code"] == 503
+            assert log_as_is() == held
+            assert server.metrics_doc()["rejected"] == 7
+
+        run_scenario(papar, BLAST_WORKFLOW_XML, blast_args(blast_file, tmp_path),
+                     scenario, max_pending=2, rebalance_threshold=1e9)
 
 
 class TestNoPerRequestMachinery:

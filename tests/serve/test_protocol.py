@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA
 from repro.formats.records import Field, RecordSchema
@@ -52,6 +54,14 @@ class TestEncode:
     def test_error_envelope_carries_code(self):
         err = protocol.error(protocol.OVERLOADED, "full", op="append")
         assert err == {"ok": False, "code": 429, "error": "full", "op": "append"}
+
+    @given(records=st.integers(min_value=0), generation=st.integers(min_value=0),
+           total=st.integers(min_value=0))
+    def test_the_append_ack_is_the_encoded_ok(self, records, generation, total):
+        """The preformatted ack is byte for byte the line ``json.dumps`` writes."""
+        assert protocol.append_ack(records, generation, total) == protocol.encode_response(
+            protocol.ok("append", records=records, generation=generation,
+                        total_records=total))
 
     def test_rejection_codes_are_distinct(self):
         assert len({protocol.BAD_REQUEST, protocol.OVERLOADED,

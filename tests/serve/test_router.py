@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.mapreduce.sampling import quantile_boundaries
 from repro.ops.sort import Sort, sort_key_array
-from repro.serve import ServeError, build_router
+from repro.serve import ServeError, ServeState, build_router
 from repro.serve.router import (
     ROUTER_SAMPLE_SIZE,
     KeyedRouter,
@@ -236,3 +238,34 @@ class TestVectorizedSampler:
         theirs = elementwise_boundaries(op, log, 16)
         assert ours == theirs
         assert [type(b) for b in ours] == [type(b) for b in theirs]
+
+
+class TestBoundariesFromTheLogBuffer:
+    """The daemon samples its log as one buffer plus batch offsets: each
+    run of batches of at most ``ROUTER_SAMPLE_SIZE`` rows is one slice, and
+    only larger batches draw — the boundaries are the per-batch sampler's."""
+
+    SIZES = [0, 1, 37, ROUTER_SAMPLE_SIZE - 1, ROUTER_SAMPLE_SIZE,
+             ROUTER_SAMPLE_SIZE + 1, 3 * ROUTER_SAMPLE_SIZE]
+
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.sampled_from(SIZES), min_size=1, max_size=7),
+           ascending=st.booleans(), seed=st.integers(0, 2**16))
+    def test_buffer_and_offsets_equal_the_elementwise_sampler(
+        self, sizes, ascending, seed
+    ):
+        from repro.blast import generate_index
+
+        index = np.asarray(generate_index("env_nr", num_sequences=sum(sizes) + 1,
+                                          seed=seed))
+        cuts = np.cumsum([0] + sizes)
+        batches = [index[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+        state = ServeState()
+        state.append_log(batches[0])
+        for batch in batches[1:]:
+            state.admit(batch)
+        op = Sort(key="seq_size", ascending=ascending)
+        theirs = (elementwise_boundaries(op, batches, 16)
+                  if sum(sizes) else None)
+        assert _sampled_boundaries(op, state.log, 16) == theirs
+        assert _sampled_boundaries(op, batches, 16) == theirs

@@ -356,7 +356,7 @@ class TestWireEncodings:
                 client.append_ok(np.asarray(blast_index[120:130]))  # array
         server = holder["server"]
         np.testing.assert_array_equal(
-            np.concatenate(server.state.log[1:]), blast_index[100:130])
+            server.state.freeze_log()[100:], blast_index[100:130])
         doc = server.metrics_doc()
         assert (doc["append_frames"], doc["append_json"]) == (3, 0)
         assert doc["requests"]["hello"] == 2  # this client + the draining one
@@ -379,7 +379,7 @@ class TestWireEncodings:
             raw.close()
         server = holder["server"]
         np.testing.assert_array_equal(
-            np.concatenate(server.state.log[1:]), blast_index[100:115])
+            server.state.freeze_log()[100:], blast_index[100:115])
         doc = server.metrics_doc()
         assert (doc["append_frames"], doc["append_json"]) == (1, 2)
         assert doc["appended_records"] == 15

@@ -68,6 +68,45 @@ class TestPublishRestore:
         assert backing.load(CURRENT_KEY) == {"generation": 3}
 
 
+class TestParentFormat:
+    def test_a_snapshot_of_batch_arrays_restores_into_one_log(self):
+        """The on-disk ``log`` key has always been a list of batch arrays:
+        one written key by key, as snapshots were before the log became
+        one buffer, restores, and the restored log takes appends."""
+        backing = MemoryCheckpointStore()
+        batches = [records(6), records(2, start=6), records(3, start=8)]
+        parts = [[records(4)], [records(2, start=4), records(5, start=6)]]
+        prefix = f"serve/{snapshot_id(5)}"
+        for pid, chunks in enumerate(parts):
+            backing.save(f"{prefix}/part{pid:05d}", chunks)
+        backing.save(f"{prefix}/log", batches)
+        backing.save(f"{prefix}/meta", {
+            "generation": 5, "workflow_id": "wf", "num_partitions": 2,
+            "rebuilt_records": 6, "log_records": 11, "log_batches": 3,
+            "created_unix": 0.0,
+        })
+        backing.save(CURRENT_KEY, {"generation": 5})
+        state, meta = SnapshotStore(backing).load_latest()
+        assert meta["log_batches"] == 3
+        assert (state.log_records, state.pending) == (11, 0)
+        assert [b.tolist() for b in state.log] == [b.tolist() for b in batches]
+        assert state.current.counts.tolist() == [4, 7]
+        assert state.current.rebuilt_records == 6
+        state.admit(records(1, start=11))
+        assert state.pending == 1
+        assert state.freeze_log()["seq_start"].tolist() == list(range(12))
+
+    def test_publish_writes_that_format(self):
+        backing = MemoryCheckpointStore()
+        state = make_state()
+        state.admit(records(2, start=8))
+        SnapshotStore(backing).publish(state, "wf")
+        log = backing.load(f"serve/{snapshot_id(0)}/log")
+        assert isinstance(log, list)
+        assert [b.tolist() for b in log] == [records(8).tolist(),
+                                              records(2, start=8).tolist()]
+
+
 class TestPruning:
     def test_retention_window(self):
         store = SnapshotStore(MemoryCheckpointStore(), retain=2)

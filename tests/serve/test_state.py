@@ -141,9 +141,56 @@ class TestServeState:
         state.append_log(records(10))
         state.append_log(records(5))
         assert state.log_records == 15
-        frozen, count = state.freeze_log()
+        frozen = state.freeze_log()
         state.append_log(records(1))
-        assert (len(frozen), count) == (2, 15)  # the copy pinned the prefix
+        assert len(frozen) == 15  # the view pinned the prefix
+        assert [len(b) for b in state.log] == [10, 5, 1]
+
+    def test_a_frozen_prefix_is_read_only_and_outlives_growth(self):
+        state = ServeState()
+        state.append_log(records(3))
+        state.admit(records(2, start=3))
+        frozen = state.freeze_log()
+        before = frozen.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            frozen["seq_size"][0] = 0
+        grown_from = state._buf
+        for i in range(40):  # past several doublings of the buffer
+            state.admit(records(7, start=100 + 7 * i))
+        assert state._buf is not grown_from
+        assert frozen.tobytes() == before
+        assert state.freeze_log()[:5].tobytes() == before
+        assert state.log_records == 5 + 40 * 7 and len(state.log) == 42
+
+    def test_undealt_is_everything_past_the_last_pass(self):
+        state = ServeState()
+        state.append_log(records(4))
+        assert state.pending == 0
+        state.admit(records(2, start=4))
+        state.admit(records(3, start=6))
+        assert state.pending == 2
+        undealt, batches = state.take_undealt()
+        assert batches == 2 and not undealt.flags.writeable
+        assert undealt["seq_start"].tolist() == list(range(4, 9))
+        assert state.pending == 0 and state.take_undealt()[1] == 0
+
+    def test_the_log_holds_one_dtype(self):
+        state = ServeState()
+        state.append_log(records(2))
+        other = np.zeros(2, dtype=[("seq_start", "<i8")])
+        with pytest.raises(ServeError, match="dtype"):
+            state.admit(other)
+        assert state.log_records == 2
+
+    def test_a_log_of_object_records_is_copied_by_numpy(self):
+        """A schema with a ``string`` field has no byte layout to copy; its
+        warm-start log still grows like any other."""
+        named = np.array([("a", 1), ("bb", 2)], dtype=[("name", object), ("id", "<i8")])
+        state = ServeState()
+        state.append_log(named)
+        state.admit(named[1:])
+        assert state.freeze_log().tolist() == [("a", 1), ("bb", 2), ("bb", 2)]
+        assert [len(b) for b in state.log] == [2, 1]
 
     def test_swap_must_advance_the_generation(self):
         state = ServeState()
