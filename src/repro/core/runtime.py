@@ -950,10 +950,11 @@ class SerialRuntime(MPIRuntime):
     No thread, no fabric and no ``repro.mpi``; the plan is the one-rank
     physical plan (``spmd=False``), so a sort of any key is local — narrow
     wherever rows are fetchable by index — and a gathered deal is the
-    operator's own, which also takes a permutation-defined policy.  The
-    SPMD options :meth:`repro.PaPar.run` hands every backend (a rank count,
-    a cluster model, the chaos seed, a deadlock grace) mean nothing here;
-    fault tolerance is refused.
+    operator's own, which also takes a permutation-defined policy.  It
+    runs one rank on no simulated cluster: a rank count other than 1 or a
+    cluster model is refused, as is fault tolerance; the chaos seed and the
+    deadlock grace :meth:`repro.PaPar.run` hands every backend mean nothing
+    here.
     """
 
     backend_name = "serial"
@@ -964,11 +965,20 @@ class SerialRuntime(MPIRuntime):
         recorder: Optional["Recorder"] = None,
         memory_budget: Any = None,
         *,
+        num_ranks: int = 1,
+        cluster: Any = None,
         faults: Any = None,
         checkpoint: Any = None,
         retry: Any = None,
         **_spmd_options: Any,
     ) -> None:
+        if num_ranks != 1 or cluster is not None:
+            raise WorkflowError(
+                f"the serial backend runs one rank on no cluster model, "
+                f"got {num_ranks} rank(s)"
+                f"{' and a cluster model' if cluster is not None else ''}; "
+                "use 'mpi' for simulated ranks and time"
+            )
         if faults is not None or checkpoint is not None or retry is not None:
             raise WorkflowError(
                 "fault tolerance needs an SPMD backend; use 'mpi' or "

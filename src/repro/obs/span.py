@@ -27,10 +27,10 @@ import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """One completed named interval on one rank's (or the driver's) timeline."""
 
@@ -236,6 +236,18 @@ class Recorder:
                 )
             )
 
+    def record_spans(
+        self, name: str, category: str, intervals: Iterable[tuple[float, float, dict]]
+    ) -> None:
+        """Append driver-side wall intervals of one name under one lock —
+        ``(start_wall, end_wall, attrs)`` each, no virtual time, ``attrs``
+        kept as given (a daemon's requests, recorded a batch at a time)."""
+        with self._lock:
+            for start_wall, end_wall, attrs in intervals:
+                self._keep(Span(self._next_id, None, name, category, None,
+                                0.0, 0.0, start_wall, end_wall, attrs))
+                self._next_id += 1
+
     def _keep(self, span: Span) -> None:
         """Append a completed span (lock held); a full window drops its oldest."""
         if len(self.spans) == self._window:
@@ -280,20 +292,27 @@ class Recorder:
 
     def observe(self, name: str, value: float) -> None:
         """Add one sample to histogram ``name``."""
-        value = float(value)
+        self.observe_many(name, (value,))
+
+    def observe_many(self, name: str, values: Iterable[float]) -> None:
+        """Add samples to histogram ``name`` in order, under one lock."""
         with self._lock:
             samples = self.histograms.setdefault(name, [])
-            totals = self.histogram_totals.setdefault(name, [0, 0.0, value, value])
-            totals[0] += 1
-            totals[1] += value
-            totals[2] = min(totals[2], value)
-            totals[3] = max(totals[3], value)
-            if len(samples) != self._window:
-                samples.append(value)
-            else:  # Algorithm R: every observation is equally likely to be held
-                slot = self._rng.randrange(totals[0])
-                if slot < len(samples):
-                    samples[slot] = value
+            totals = self.histogram_totals.get(name)
+            for value in values:
+                value = float(value)
+                if totals is None:
+                    totals = self.histogram_totals[name] = [0, 0.0, value, value]
+                totals[0] += 1
+                totals[1] += value
+                totals[2] = min(totals[2], value)
+                totals[3] = max(totals[3], value)
+                if len(samples) != self._window:
+                    samples.append(value)
+                else:  # Algorithm R: every observation is equally likely to be held
+                    slot = self._rng.randrange(totals[0])
+                    if slot < len(samples):
+                        samples[slot] = value
 
     # -- queries -------------------------------------------------------------
 

@@ -54,7 +54,14 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     Bit-for-bit ``np.argsort(keys, kind="stable")``, int64 indices included.
     """
     keys = np.asarray(keys)
-    if keys.ndim == 1 and len(keys) >= PACKED_MIN_KEYS and keys.dtype.kind in "iub":
+    # one-byte keys are left to numpy's stable argsort: a radix sort, which
+    # no packing beats
+    if (
+        keys.ndim == 1
+        and len(keys) >= PACKED_MIN_KEYS
+        and keys.dtype.kind in "iub"
+        and keys.dtype.itemsize > 1
+    ):
         n = len(keys)
         lo, hi = int(keys.min()), int(keys.max())
         idx_bits = (n - 1).bit_length()

@@ -55,13 +55,11 @@ class BalanceMonitor:
     @staticmethod
     def skew(counts: np.ndarray) -> float:
         """Relative spread ``(max - min) / mean`` of partition counts."""
-        if len(counts) == 0:
-            return 0.0
-        total = counts.sum()
+        counts = counts.tolist()  # a few partitions: Python ints beat numpy calls
+        total = sum(counts)
         if total == 0:
             return 0.0
-        mean = total / len(counts)
-        return float((counts.max() - counts.min()) / mean)
+        return (max(counts) - min(counts)) / (total / len(counts))
 
     def check(self, state: ServeState) -> BalanceDecision:
         """Evaluate both signals against the current state."""

@@ -3,18 +3,20 @@
 One event loop owns everything mutable; that single-threaded discipline is
 what makes the atomic-swap contract cheap:
 
-* each connection buffers bytes and starts the next request — a JSON line,
-  or a binary append frame told apart by its first byte — once a whole one
-  is there and the previous one is answered: one request at a time per
-  connection, no task per request;
+* the transport reads each connection's bytes into that connection's own
+  buffer, and the next request — a JSON line, or a binary append frame
+  told apart by its first byte — starts once a whole one is there and the
+  previous one is answered: one request at a time per connection, no task
+  per request;
 * an ``append``, whichever encoding carried it, is one record array from
   there on.  Once nothing can refuse it (frame checks, the schema,
   draining, ``--max-pending``) it goes into the log — the ground truth every
-  rebuild reads — and is **acknowledged**; routing and dealing follow in
-  coalesced passes, one vectorized route + one-gather deal over every batch
-  acknowledged since the last.  Readers take the generation through
-  :meth:`PartitionServer._generation`, which runs the pending pass first:
-  no request observes an acknowledged record that is not dealt;
+  rebuild reads — and is **acknowledged**; the rest runs behind the ack:
+  coalesced passes fold the appends' stamps into the recorder and route
+  every batch acknowledged since the last in one vectorized pass.  Readers
+  take the generation through :meth:`PartitionServer._generation`, which
+  runs the pending pass first: no request observes an acknowledged record
+  that is not dealt;
 * the balance monitor runs after each pass; past the threshold it
   schedules a background rebuild (``PaPar.run`` over the frozen log, any
   backend, in an executor thread) whose result is swapped in *on the loop*
@@ -50,9 +52,9 @@ from repro.obs.span import SERVICE_WINDOW, Recorder
 from repro.ooc.runfile import FRAME
 from repro.serve import protocol
 from repro.serve.balance import DEFAULT_THRESHOLD, BalanceMonitor
-from repro.serve.router import IncrementalRouter, build_router
+from repro.serve.router import IncrementalRouter, KeySample, build_router, sample_log
 from repro.serve.snapshot import DEFAULT_RETAIN, SnapshotStore, snapshot_id
-from repro.serve.state import PartitionGeneration, ServeError, ServeState
+from repro.serve.state import BatchLog, PartitionGeneration, ServeError, ServeState
 
 
 @dataclass
@@ -78,28 +80,50 @@ class ServeConfig:
     retain: int = DEFAULT_RETAIN
 
 
-class _Connection(asyncio.Protocol):
+#: bytes a connection's receive buffer starts with, and returns to once a
+#: larger request is consumed
+RECV_BUFFER = 64 * 1024
+#: the least free room one socket read is offered: short of it, the bytes
+#: still held move to the front of the buffer (or into a larger one)
+MIN_READ = 4096
+_MARKER = protocol.FRAME_MARKER[0]
+
+
+class _Connection(asyncio.BufferedProtocol):
     """One client socket: bytes in, one request at a time, one line out each.
 
-    ``data_received`` only buffers; :meth:`_pump` starts the next request
-    when a whole one is there, the previous one is answered and the peer is
-    taking answers, and stops reading the socket while a whole one waits:
-    a peer that never reads or pipelines ahead costs a buffer, no more.
+    The transport reads straight into the connection's own buffer
+    (:meth:`get_buffer`): the bytes received and not yet consumed are
+    ``store[start:end]``.  A request is checked where it lies and consumed
+    by moving ``start`` — no ``bytes`` per read, no shift per request; once
+    every byte is consumed the next read lands at 0 again, and only a read
+    short of room moves the bytes still held (:meth:`_make_room`).
+    :meth:`_pump` starts the next request when a whole one is there, the
+    previous one is answered and the peer is taking answers, and stops
+    reading the socket while a whole one waits: a peer that never reads or
+    pipelines ahead costs a buffer, no more.
     """
 
     def __init__(self, server: "PartitionServer") -> None:
         self.server = server
         self.transport: Any = None
-        self.buf = bytearray()
-        #: how much of ``buf`` is known to hold no newline
+        self.store = bytearray(RECV_BUFFER)
+        self.start = self.end = 0
+        #: how much of the held bytes is known to hold no newline
         self.scanned = 0
-        #: the next whole request, cut off ``buf`` and waiting its turn
+        #: the next whole request: a line cut off the buffer, or the size
+        #: of the frame at ``start``, waiting its turn
         self.ready: Any = None
         #: the ``snapshot`` / ``drain`` being answered; other verbs answer at once
         self.task: Optional[asyncio.Task] = None
         self.eof = False
         self.writable = True
         self.reading = True
+
+    @property
+    def buf(self) -> memoryview:
+        """The bytes received and not yet consumed."""
+        return memoryview(self.store)[self.start : self.end]
 
     def connection_made(self, transport: Any) -> None:
         self.transport = transport
@@ -108,9 +132,33 @@ class _Connection(asyncio.Protocol):
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.server._connections.discard(self)
 
-    def data_received(self, data: bytes) -> None:
-        self.buf += data
+    def get_buffer(self, sizehint: int) -> memoryview:
+        """The free room past the held bytes, ``MIN_READ`` (or ``sizehint``)
+        bytes at least, for the transport to read into."""
+        need = max(sizehint, MIN_READ)
+        if len(self.store) - self.end < need:
+            self._make_room(need)
+        return memoryview(self.store)[self.end :]
+
+    def _make_room(self, need: int) -> None:
+        """Move the held bytes to the front — into a larger buffer if they
+        and ``need`` more do not fit (views of the old one stay valid)."""
+        held = self.end - self.start
+        store = self.store
+        if held + need > len(store):
+            store = bytearray(max(2 * len(store), held + need))
+        store[:held] = self.store[self.start : self.end]
+        self.store, self.start, self.end = store, 0, held
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.end += nbytes
         self._pump()
+
+    def data_received(self, data: bytes) -> None:
+        """Bytes handed over rather than read into :meth:`get_buffer`."""
+        nbytes = len(data)
+        self.get_buffer(nbytes)[:nbytes] = data
+        self.buffer_updated(nbytes)
 
     def eof_received(self) -> bool:
         self.eof = True
@@ -124,46 +172,60 @@ class _Connection(asyncio.Protocol):
         self.writable = True
         self._pump()
 
-    def _take(self) -> Any:
-        """Cut the next whole request off the buffer; None until one is there.
+    def _consume(self, nbytes: int) -> None:
+        self.start += nbytes
+        self.scanned = 0
+        if self.start == self.end:
+            self.start = self.end = 0
+            if len(self.store) > RECV_BUFFER:
+                self.store = bytearray(RECV_BUFFER)
 
-        A line is ``bytes`` (empty once the peer has closed), a frame is the
-        ``int`` where it ends — it stays on the buffer, where its checks run
-        and its records are copied from, until it is answered — and a
-        stream that cannot be resynchronised —
-        an oversize line, a frame cut short or over the cap (refused from
-        its header, before the payload arrives) — is the ``400`` to hang up on.
+    def _take(self) -> Any:
+        """The next whole request; None until one is there.
+
+        A line is ``bytes``, cut off the buffer (empty once the peer has
+        closed); a frame is the ``int`` size of the one at ``start`` — it
+        stays on the buffer, where its checks run and its records are
+        copied from, until it is answered — and a stream that cannot be
+        resynchronised — an oversize line, a frame cut short or over the
+        cap (refused from its header, before the payload arrives) — is the
+        ``400`` to hang up on.
         """
-        buf = self.buf
-        if buf[:1] == protocol.FRAME_MARKER:
+        store, start, end = self.store, self.start, self.end
+        if start < end and store[start] == _MARKER:
             body = 1 + FRAME.size
-            if len(buf) >= body:
+            if end - start >= body:
                 try:
-                    end = body + protocol.frame_payload_size(buf[1:body])
+                    size = body + protocol.frame_payload_size(
+                        memoryview(store)[start + 1 : start + body]
+                    )
                 except protocol.ProtocolError as exc:
                     return self.server._refuse_append(protocol.BAD_REQUEST, str(exc))
-                if len(buf) >= end:
-                    return end
+                if end - start >= size:
+                    return size
             if self.eof:
                 return self.server._refuse_append(protocol.BAD_REQUEST, "truncated frame")
             return None
-        end = buf.find(b"\n", self.scanned) + 1
-        if not end and self.eof:
-            end = len(buf)  # the stream ended mid-line: what is there is the line
-        if (end or len(buf)) > protocol.MAX_LINE:
+        newline = store.find(b"\n", start + self.scanned, end)
+        size = newline + 1 - start if newline >= 0 else end - start if self.eof else 0
+        if (size or end - start) > protocol.MAX_LINE:
             return protocol.error(
                 protocol.BAD_REQUEST, f"request line exceeds {protocol.MAX_LINE} bytes"
             )
-        if not end and not self.eof:
-            self.scanned = len(buf)
+        if not size and not self.eof:
+            self.scanned = end - start
             return None
-        line = bytes(buf[:end])
-        del buf[:end]
-        self.scanned = 0
+        line = bytes(memoryview(store)[start : start + size])
+        self._consume(size)
         return line
 
     def _pump(self) -> None:
-        """Answer buffered requests, in order, for as long as nothing blocks."""
+        """Answer buffered requests, in order, for as long as nothing blocks.
+
+        An accepted append's ack is written before the server does what
+        the ack does not wait for (:meth:`PartitionServer._after_reply`).
+        """
+        server = self.server
         while not self.transport.is_closing():
             if self.ready is None:
                 self.ready = self._take()
@@ -181,14 +243,18 @@ class _Connection(asyncio.Protocol):
                 self._reply(request)
                 self.transport.close()
             elif isinstance(request, int):
-                self._reply(self.server._append_frame(self.buf, request))
-                del self.buf[:request]
+                self._reply(server._append_frame(
+                    memoryview(self.store)[self.start : self.start + request]
+                ))
+                self._consume(request)
+                server._after_reply()
             elif not request.strip():  # EOF or a blank line ends the session
                 self.transport.close()
             else:
-                response = self.server._request(request)
+                response = server._request(request)
                 if isinstance(response, dict):
                     self._reply(response)
+                    server._after_reply()
                 else:
                     self.task = asyncio.get_running_loop().create_task(
                         self._reply_later(response)
@@ -250,9 +316,11 @@ class PartitionServer:
         #: the dtype every append is decoded into (None: a ``string`` schema)
         self._dtype = protocol.wire_dtype(self.input_schema)
         self.router: Optional[IncrementalRouter] = None
-        #: accepted appends and their records per encoding, not yet counted
-        #: in the recorder: the next pass folds them in
-        self._unfolded = {protocol.FRAMES: [0, 0], protocol.JSON_ROWS: [0, 0]}
+        #: ``(t0, t1, encoding, records)`` of each append acknowledged since
+        #: the last pass, which folds them into the recorder
+        self._stamps: list[tuple[float, float, str, int]] = []
+        #: an append was acknowledged and :meth:`_after_reply` has not run since
+        self._admitted = False
         #: True once the daemon restored from a snapshot instead of the input
         self.restored = False
         self._server: Optional[asyncio.AbstractServer] = None
@@ -368,6 +436,7 @@ class PartitionServer:
         """The in-process entry point: one JSON line, answered as on a socket."""
         response = self._request(line)
         if isinstance(response, dict):
+            self._after_reply()
             # the loop turn that separates two requests of a connection, so
             # whatever this one scheduled (a pass, a rebuild) gets to start
             await asyncio.sleep(0)
@@ -426,6 +495,7 @@ class PartitionServer:
         return self._answered(op, t0, await answer)
 
     def _span(self, op: str, t0: float, ok: bool, **attrs: Any) -> None:
+        self._fold()  # the acknowledged appends' spans come first
         self.recorder.record_span(
             name=f"serve.{op}", category="serve", rank=None,
             start_virtual=0.0, end_virtual=0.0,
@@ -439,8 +509,8 @@ class PartitionServer:
         record_serve_request(self.recorder, "append", rejected=True)
         return protocol.error(code, message, op="append")
 
-    def _append_frame(self, buf: bytearray, end: int) -> Union[bytes, dict[str, Any]]:
-        """Answer the binary frame that fills ``buf[:end]``.
+    def _append_frame(self, frame: memoryview) -> Union[bytes, dict[str, Any]]:
+        """Answer the binary frame ``frame``, a view of the connection's buffer.
 
         The frame is checked where it arrived, and its records are copied
         from there into the log — the one copy a frame's payload gets.  A
@@ -448,9 +518,8 @@ class PartitionServer:
         """
         t0 = self.recorder.wall_now()
         body = 1 + FRAME.size
-        view = memoryview(buf)
         try:
-            records = protocol.decode_frame(view[1:body], view[body:end], self._dtype)
+            records = protocol.decode_frame(frame[1:body], frame[body:], self._dtype)
         except protocol.ProtocolError as exc:
             return self._refuse_append(protocol.BAD_REQUEST, str(exc))
         refusal = self._handle_append(records, t0, protocol.FRAMES)
@@ -467,9 +536,11 @@ class PartitionServer:
 
         Returns the refusal, or None once the records are in the log: nothing
         past admission can refuse them, so the caller acknowledges them.
-        The pass that deals them runs when the generation is next read, is
-        scheduled once a quarter of ``--max-pending`` waits, and runs at
-        once when drift makes a rebuild due.
+        Everything else waits: the append's span, latency and tallies are a
+        stamp the next pass folds in (:meth:`_fold`), and the pass that
+        deals it runs when the generation is next read, is scheduled once a
+        quarter of ``--max-pending`` waits, and runs right behind the ack
+        when drift makes a rebuild due (:meth:`_after_reply`).
         """
         state = self.state
         if self._draining:
@@ -480,20 +551,23 @@ class PartitionServer:
                 f"append queue at --max-pending={self.config.max_pending}",
             )
         else:
-            refusal = None
             state.admit(records)
-            tally = self._unfolded[encoding]
-            tally[0] += 1
-            tally[1] += len(records)
-            if self._rebalance_idle() and state.drift_fraction > self.monitor.threshold:
-                self._process_appends()
-            elif state.pending == max(1, self.config.max_pending // 4):
+            if state.pending == max(1, self.config.max_pending // 4):
                 asyncio.get_running_loop().call_soon(self._process_appends)
-            self.recorder.observe(
-                "serve.append_latency_ms", (self.recorder.wall_now() - t0) * 1e3
-            )
-        self._span("append", t0, refusal is None, encoding=encoding)
+            self._stamps.append((t0, self.recorder.wall_now(), encoding, len(records)))
+            self._admitted = True
+            return None
+        self._span("append", t0, False, encoding=encoding)
         return refusal
+
+    def _after_reply(self) -> None:
+        """What an acknowledged append leaves for after its ack is written:
+        the pass, at once, when drift makes a rebuild due — the rebuild then
+        freezes the log right behind this append."""
+        if self._admitted:
+            self._admitted = False
+            if self._rebalance_idle() and self.state.drift_fraction > self.monitor.threshold:
+                self._process_appends()
 
     def _generation(self) -> Optional[PartitionGeneration]:
         """The live generation with every acknowledged record dealt: the one
@@ -502,16 +576,38 @@ class PartitionServer:
         self._process_appends()
         return self.state.current
 
+    def _fold(self) -> None:
+        """Count the appends acknowledged since the last fold in the recorder:
+        their requests and records per encoding, and per append, in the
+        order they were acknowledged, its latency and ``serve.append`` span."""
+        stamps = self._stamps
+        if not stamps:
+            return
+        self._stamps = []
+        recorder = self.recorder
+        recorder.record_spans("serve.append", "serve", [
+            (t0, t1, {"ok": True, "encoding": encoding})
+            for t0, t1, encoding, _ in stamps
+        ])
+        recorder.observe_many(
+            "serve.append_latency_ms", [(t1 - t0) * 1e3 for t0, t1, _, _ in stamps]
+        )
+        tallies: dict[str, list[int]] = {}
+        for _, _, encoding, records in stamps:
+            tally = tallies.setdefault(encoding, [0, 0])
+            tally[0] += 1
+            tally[1] += records
+        for encoding, (requests, records) in tallies.items():
+            record_serve_request(
+                recorder, "append", records=records, encoding=encoding,
+                requests=requests,
+            )
+
     def _process_appends(self) -> None:
-        """Count the appends acknowledged since the last pass, then route and
+        """Fold the acknowledged appends into the recorder, then route and
         deal every batch still undealt, as one batch (a view of the log)."""
-        for encoding, tally in self._unfolded.items():
-            if tally[0]:
-                record_serve_request(
-                    self.recorder, "append", records=tally[1], encoding=encoding,
-                    requests=tally[0],
-                )
-                tally[:] = 0, 0
+        t0 = time.perf_counter()
+        self._fold()
         records, batches = self.state.take_undealt()
         if not batches:
             return
@@ -530,6 +626,7 @@ class PartitionServer:
             )
         self.recorder.gauge("serve.queue_depth", 0)
         self._check_balance()
+        self.recorder.observe("serve.pass_ms", (time.perf_counter() - t0) * 1e3)
 
     # -- rebalance -----------------------------------------------------------
 
@@ -548,11 +645,21 @@ class PartitionServer:
     async def _rebalance(self, reason: str) -> None:
         """Rebuild from the frozen log off-loop, swap in atomically on-loop."""
         t0 = time.perf_counter()
-        frozen = self.state.freeze_log()
-        frozen_records = len(frozen)
+        frozen = self.state.log
+        frozen_records = len(frozen.records)
+        key_field = self.router.key_field
+
+        def rebuild() -> tuple[PartitionGeneration, Optional[KeySample]]:
+            # the new generation, key ranges walked, is built here too;
+            # it is numbered at the swap
+            partitions, sample = self._rebuild(frozen)
+            return PartitionGeneration.from_partitions(
+                0, partitions, frozen_records, key_field
+            ), sample
+
         loop = asyncio.get_running_loop()
         try:
-            partitions = await loop.run_in_executor(None, self._rebuild, frozen)
+            new_generation, sample = await loop.run_in_executor(None, rebuild)
         except Exception as exc:
             self.recorder.instant(
                 f"rebalance failed: {exc}", category="serve",
@@ -561,23 +668,22 @@ class PartitionServer:
             return
         # back on the event loop: everything below is one synchronous block,
         # so no request can interleave between tail re-route and swap
-        current = self._generation()
-        assert current is not None
+        self._generation()
         # seeded with what the rebuild covered: the tail is routed through
         # the new router just below, which is what advances a positional
-        # router's index past it
+        # router's index past it; a range router's sample of the frozen log
+        # was taken with the rebuild, only the tail's keys are drawn here
         router = build_router(
-            self.plan, self.input_schema, self.state.log, frozen_records
+            self.plan, self.input_schema, self.state.log, frozen_records, sample
         )
-        new_generation = PartitionGeneration.from_partitions(
-            current.generation + 1, partitions, frozen_records,
-            router.key_field,
-        )
+        if router.key_field != new_generation.key_field:
+            new_generation.track(router.key_field)  # a first range router
         tail = self.state.freeze_log()[frozen_records:]
         if len(tail):
             # one deal for the whole tail: owners depend on the record (its
             # key, or its arrival index), not on which batch carried it
             new_generation.deal(tail, router.route(tail))
+        new_generation.generation = self.state.current.generation + 1
         self.state.swap(new_generation)
         self.router = router
         wall_s = time.perf_counter() - t0
@@ -589,9 +695,10 @@ class PartitionServer:
              "records": frozen_records, "wall_s": wall_s}
         )
 
-    def _rebuild(self, frozen: np.ndarray) -> list[np.ndarray]:
-        """Cold-run the workflow over the frozen log (executor thread)."""
-        data = Dataset.from_array(self.input_schema, frozen)
+    def _rebuild(self, frozen: BatchLog) -> tuple[list[np.ndarray], Optional[KeySample]]:
+        """Cold-run the workflow over the frozen log, and sample its keys for
+        the next range router (executor thread)."""
+        data = Dataset.from_array(self.input_schema, frozen.records)
         result = self.papar.run(
             self.plan,
             self.args,
@@ -599,7 +706,8 @@ class PartitionServer:
             backend=self.config.backend,
             num_ranks=self.config.num_ranks,
         )
-        return [np.asarray(p.to_flat().records) for p in result.partitions]
+        partitions = [np.asarray(p.to_flat().records) for p in result.partitions]
+        return partitions, sample_log(self.plan, self.input_schema, frozen)
 
     # -- query / snapshot / drain --------------------------------------------
 
@@ -660,14 +768,15 @@ class PartitionServer:
         """
         generation = self._generation()
         log = self.state.log
-        chunk_lens = [len(c) for c in generation.chunks]
+        chunks = generation.chunks  # every dealt batch attached, here on the loop
+        chunk_lens = [len(c) for c in chunks]
         counts = generation.counts.copy()
 
         def freeze() -> ServeState:
             frozen = ServeState.of_log(log)
             frozen.current = PartitionGeneration(
                 generation=generation.generation,
-                chunks=[c[:n] for c, n in zip(generation.chunks, chunk_lens)],
+                chunks=[c[:n] for c, n in zip(chunks, chunk_lens)],
                 counts=counts,
                 rebuilt_records=generation.rebuilt_records,
             )

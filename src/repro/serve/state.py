@@ -6,8 +6,9 @@ Two structures live here:
   partition is a list of record-array *chunks*: the rebuilt base (workflow
   output schema) plus the incrementally-routed batches appended since (in
   the input schema — a rebalance folds them into the workflow schema).
-  A routed batch is gathered once into owner order and every partition's
-  chunk is a view of that one array (:meth:`PartitionGeneration.deal`).
+  A routed batch is counted when it is dealt and, when the partitions are
+  next read, gathered once into owner order, every partition's chunk a
+  view of that one array (:meth:`PartitionGeneration.deal`).
 * :class:`ServeState` — the arrival-ordered append log (one growing
   record array plus batch end offsets, read as views — a
   :class:`BatchLog` batch by batch), the *current* generation, and the
@@ -29,7 +30,6 @@ bit-identical equivalence contract of
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -42,25 +42,37 @@ class ServeError(PaParError):
     """A streaming-service configuration or state error."""
 
 
-@dataclass
 class PartitionGeneration:
-    """One generation of hot partitions (rebuilt base + appended chunks)."""
+    """One generation of hot partitions (rebuilt base + appended chunks).
 
-    #: monotonically increasing swap counter (0 = the warm-start build)
-    generation: int
-    #: per-partition chunk lists; chunk dtypes may differ between the
-    #: rebuilt base and incrementally appended input-schema batches
-    chunks: list[list[np.ndarray]]
-    #: per-partition record counts (kept incrementally; int64)
-    counts: np.ndarray
-    #: how many log records the rebuilt base covers (drift = log - this)
-    rebuilt_records: int
-    #: the column whose per-partition (min, max) is kept up to date (the
-    #: router's key, so ``query`` never walks the chunks); see :meth:`track`
-    key_field: Optional[str] = None
-    #: per-partition ``(min, max)`` of ``key_field``, ``None`` where no
-    #: chunk carries it
-    key_ranges: list[Optional[tuple[Any, Any]]] = field(default_factory=list)
+    A dealt batch is counted at once and attached to the partitions when
+    they are next read (:attr:`chunks`, :attr:`key_ranges`): a generation a
+    rebuild replaces first is never gathered at all.
+    """
+
+    def __init__(
+        self,
+        generation: int,
+        chunks: list[list[np.ndarray]],
+        counts: np.ndarray,
+        rebuilt_records: int,
+        key_field: Optional[str] = None,
+    ) -> None:
+        #: monotonically increasing swap counter (0 = the warm-start build)
+        self.generation = generation
+        #: per-partition chunk lists; chunk dtypes may differ between the
+        #: rebuilt base and incrementally appended input-schema batches
+        self._chunks = chunks
+        #: per-partition record counts (kept incrementally; int64)
+        self.counts = counts
+        #: how many log records the rebuilt base covers (drift = log - this)
+        self.rebuilt_records = rebuilt_records
+        #: the column whose per-partition (min, max) is kept up to date (the
+        #: router's key, so ``query`` never walks the chunks); see :meth:`track`
+        self.key_field = key_field
+        self._key_ranges: list[Optional[tuple[Any, Any]]] = []
+        #: ``(records, owners, sizes)`` dealt and counted, not yet attached
+        self._unattached: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     @classmethod
     def from_partitions(
@@ -81,9 +93,23 @@ class PartitionGeneration:
         return new
 
     @property
+    def chunks(self) -> list[list[np.ndarray]]:
+        """Per partition, its chunks: the rebuilt base, then every dealt
+        batch's share in arrival order."""
+        self._attach()
+        return self._chunks
+
+    @property
+    def key_ranges(self) -> list[Optional[tuple[Any, Any]]]:
+        """Per partition, ``(min, max)`` of ``key_field``, ``None`` where no
+        chunk carries it (empty when no field is tracked)."""
+        self._attach()
+        return self._key_ranges
+
+    @property
     def num_partitions(self) -> int:
         """How many partitions this generation holds."""
-        return len(self.chunks)
+        return len(self._chunks)
 
     @property
     def total_records(self) -> int:
@@ -93,22 +119,25 @@ class PartitionGeneration:
     def track(self, key_field: Optional[str]) -> None:
         """Keep a running ``(min, max)`` of ``key_field`` per partition.
 
-        Seeded by one walk over the chunks held now; :meth:`deal` widens it
-        from then on.
+        Seeded by one walk over the chunks held now; every batch attached
+        widens it from then on.
         """
+        self._attach()
         self.key_field = key_field
-        self.key_ranges = (
+        self._key_ranges = (
             [self._walk_key_range(pid, key_field) for pid in range(self.num_partitions)]
             if key_field is not None
             else []
         )
 
     def deal(self, records: np.ndarray, owners: np.ndarray) -> None:
-        """Attach a routed batch: ``records[i]`` goes to partition ``owners[i]``.
+        """Deal a routed batch: ``records[i]`` goes to partition ``owners[i]``.
 
-        One stable order of the owners and **one** gather; each partition's
-        chunk is a view of the gathered array, in arrival order.  Nothing is
-        attached when an owner lies outside ``[0, num_partitions)``.
+        Counted now; attached — one stable order of the owners and **one**
+        gather, each partition's chunk a view of the gathered array, in
+        arrival order — when the partitions are next read, so neither array
+        may change until then (the daemon deals read-only views of its log).
+        Nothing is dealt when an owner lies outside ``[0, num_partitions)``.
         Event-loop only.
         """
         if len(records) == 0:
@@ -116,32 +145,45 @@ class PartitionGeneration:
         parts = self.num_partitions
         if not (
             len(owners) == len(records)
-            and owners.min() >= 0
+            and (owners.dtype.kind == "u" or owners.min() >= 0)
             and owners.max() < parts
         ):
             raise ServeError(
                 f"cannot deal {len(records)} records by {len(owners)} owner ids: "
                 f"need one id in [0, {parts}) per record"
             )
-        dealt = records[stable_order(owners)]
         sizes = np.bincount(owners, minlength=parts)
-        hit = np.flatnonzero(sizes)
-        ends = np.cumsum(sizes)[hit]
-        starts = ends - sizes[hit]
-        for pid, start, end in zip(hit.tolist(), starts.tolist(), ends.tolist()):
-            self.chunks[pid].append(dealt[start:end])
         self.counts += sizes
-        if self.key_field in (dealt.dtype.names or ()):
+        self._unattached.append((records, owners, sizes))
+
+    def _attach(self) -> None:
+        """Gather every batch dealt since the last read into its chunks."""
+        if not self._unattached:
+            return
+        batches, self._unattached = self._unattached, []
+        for records, owners, sizes in batches:
+            dealt = records[stable_order(owners)]
+            hit, starts = [], []
+            end = 0
+            for pid, size in enumerate(sizes.tolist()):
+                if size:
+                    hit.append(pid)
+                    starts.append(end)
+                    end += size
+                    self._chunks[pid].append(dealt[end - size : end])
+            if self.key_field not in (dealt.dtype.names or ()):
+                continue
             keys = dealt[self.key_field]
+            ranges = self._key_ranges
             for pid, lo, hi in zip(
-                hit.tolist(),
+                hit,
                 np.minimum.reduceat(keys, starts).tolist(),
                 np.maximum.reduceat(keys, starts).tolist(),
             ):
-                held = self.key_ranges[pid]
+                held = ranges[pid]
                 if held is not None:
                     lo, hi = min(held[0], lo), max(held[1], hi)
-                self.key_ranges[pid] = (lo, hi)
+                ranges[pid] = (lo, hi)
 
     def partition_records(self, partition_id: int) -> np.ndarray:
         """One partition materialized as a single record array.

@@ -77,7 +77,7 @@ class TestPlanAndRun:
         for name, text in (("fused", FUSED_SORTS), ("one-sort", ONE_SORT)):
             out = tmp_path / f"out-{name}"
             argv = command("run", workflow_file(tmp_path, name, text), blast_file, out,
-                           "--backend", backend, "--ranks", "2")
+                           "--backend", backend, "--ranks", "1" if backend == "serial" else "2")
             assert main(argv) == 0
             written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(written[0]) == 4 and written[0] == written[1]

@@ -131,7 +131,7 @@ class TestCLI:
     def test_run_command(self, config_files, tmp_path, capsys, backend):
         rc = main(
             ["run"] + self.base_args(config_files, tmp_path)
-            + ["--backend", backend, "--ranks", "2"]
+            + ["--backend", backend, "--ranks", "1" if backend == "serial" else "2"]
         )
         assert rc == 0
         out = capsys.readouterr().out

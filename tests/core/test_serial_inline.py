@@ -98,3 +98,70 @@ def test_a_serial_run_loads_no_spmd_module_in_a_fresh_interpreter(index, tmp_pat
     ).stdout.split()
     assert loaded == []
     assert sorted(os.listdir(tmp_path / "out")) == [f"part-{p:05d}" for p in range(6)]
+
+
+#: a run from memory: the path arguments are never opened
+ARGS = {"input_path": "db.index", "output_path": "out", "num_partitions": 4}
+
+
+class TestSpmdOptionsAreRefused:
+    """One inline rank has no rank count and no simulated clock to give: a
+    serial run asked for either refuses, pointing at ``mpi``, instead of
+    quietly running one rank in wall time."""
+
+    @pytest.fixture
+    def data(self):
+        from repro.core.dataset import Dataset
+
+        return Dataset.from_array(
+            BLAST_INDEX_SCHEMA, generate_index("env_nr", num_sequences=200, seed=5)
+        )
+
+    @staticmethod
+    def papar():
+        papar = PaPar()
+        papar.register_input(BLAST_INPUT_XML)
+        return papar
+
+    @pytest.mark.parametrize("ranks", [0, 2, 4])
+    def test_a_rank_count_other_than_one(self, data, ranks):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="'mpi'") as caught:
+            self.papar().run(BLAST_WORKFLOW_XML, ARGS, data=data,
+                             backend="serial", num_ranks=ranks)
+        assert f"{ranks} rank(s)" in str(caught.value)
+
+    def test_a_cluster_model(self, data):
+        from repro.cluster.model import ClusterModel
+        from repro.cluster.network import INFINIBAND_QDR
+        from repro.errors import ConfigError
+
+        cluster = ClusterModel(num_nodes=1, ranks_per_node=1, network=INFINIBAND_QDR)
+        with pytest.raises(ConfigError, match="cluster model.*'mpi'"):
+            self.papar().run(BLAST_WORKFLOW_XML, ARGS, data=data,
+                             backend="serial", cluster=cluster)
+
+    def test_one_rank_and_no_cluster_still_run(self, data):
+        result = self.papar().run(BLAST_WORKFLOW_XML, ARGS, data=data,
+                                  backend="serial", num_ranks=1)
+        assert sum(len(p.to_flat().records) for p in result.partitions) == 200
+
+    def test_the_cli_exits_2_with_one_error_line(self, index, tmp_path):
+        out = tmp_path / "out"
+        config = Path(__file__).resolve().parents[2] / "configs"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "run",
+             "--input-config", str(config / "blast_db.xml"),
+             "--workflow", str(config / "blast_partition.xml"),
+             "--arg", f"input_path={index}", "--arg", f"output_path={out}",
+             "--arg", "num_partitions=4", "--backend", "serial", "--ranks", "4"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: the serial backend runs one rank on no cluster model, got 4 "
+            "rank(s); use 'mpi' for simulated ranks and time"
+        ]
+        assert not out.exists() or os.listdir(out) == []

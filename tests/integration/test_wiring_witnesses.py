@@ -53,7 +53,8 @@ def blast_file(tmp_path_factory):
 def run_parts(workflow, blast_file, out, backend="serial"):
     assert main(["run", "--workflow", workflow, "--input-config", INPUT_CFG,
                  "--arg", f"input_path={blast_file}", "--arg", f"output_path={out}",
-                 "--arg", "num_partitions=4", "--backend", backend, "--ranks", "2"]) == 0
+                 "--arg", "num_partitions=4", "--backend", backend,
+                 "--ranks", "1" if backend == "serial" else "2"]) == 0
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 

@@ -259,3 +259,111 @@ class TestMisbehavingPeers:
             bystander.close()
             idle.close()
             wait_until(lambda: conn not in server._connections)
+
+
+class TestReceiveBuffer:
+    """The transport reads into the connection's own buffer: requests are
+    consumed where they lie, the next read starts over at 0 once everything
+    is consumed, held bytes move to the front only when a read needs the
+    room, and a request larger than the buffer grows it."""
+
+    @staticmethod
+    def fed(papar, args, reads, check=None):
+        """The answers a fresh connection writes when the transport hands it
+        ``reads``, one ``get_buffer`` / ``buffer_updated`` each; ``check``
+        looks at the connection after every read."""
+        from repro.serve.server import RECV_BUFFER
+
+        async def go():
+            server = PartitionServer(papar, BLAST_WORKFLOW_XML, args,
+                                     config=ServeConfig(rebalance_threshold=1e9))
+            await server.start()
+            try:
+                conn, transport = _Connection(server), FakeTransport()
+                conn.connection_made(transport)
+                assert len(conn.store) == RECV_BUFFER
+                for data in reads:
+                    into = conn.get_buffer(-1)
+                    assert len(into) >= len(data), "a read gets the room it asks for"
+                    into[:len(data)] = data
+                    del into
+                    conn.buffer_updated(len(data))
+                    if check is not None:
+                        check(conn)
+                answers = [json.loads(line) for line in b"".join(transport.written).splitlines()]
+                server._process_appends()
+                return answers, server.state.freeze_log()[100:].copy()
+            finally:
+                await server._drain_and_stop()
+
+        return asyncio.run(go())
+
+    def test_a_frame_larger_than_the_starting_buffer(self, papar, shared_args):
+        from repro.blast import generate_index
+        from repro.serve.server import MIN_READ, RECV_BUFFER
+
+        big = np.asarray(generate_index("env_nr", num_sequences=3 * RECV_BUFFER // 16, seed=3))
+        frame = frame_of(big)
+        assert len(frame) > 2 * RECV_BUFFER
+        sizes = []
+        reads = [frame[i:i + MIN_READ] for i in range(0, len(frame), MIN_READ)]
+        answers, logged = self.fed(papar, shared_args, reads + [b'{"op":"query"}\n'],
+                                   check=lambda conn: sizes.append(len(conn.store)))
+        assert [a["op"] for a in answers] == ["append", "query"]
+        assert answers[0]["records"] == len(big)
+        assert answers[1]["total_records"] == 100 + len(big)
+        np.testing.assert_array_equal(logged, big)
+        assert max(sizes) >= len(frame)  # it grew to hold the whole frame ...
+        assert sizes[-1] == RECV_BUFFER  # ... and went back once it was consumed
+
+    def test_pipelined_requests_across_the_point_where_bytes_are_reclaimed(
+        self, papar, blast_index, shared_args
+    ):
+        """One read leaves a request cut short near the end of the buffer;
+        the next must move it to the front — and carries the rest of it
+        plus more pipelined requests, frames and lines."""
+        from repro.serve.server import MIN_READ, RECV_BUFFER
+
+        query = request_line({"op": "query"})
+        frame = frame_of(blast_index[100:110])
+        queries = (RECV_BUFFER - MIN_READ // 2) // len(query)
+        first = query * queries + frame[:20]
+        second = frame[20:] + query + frame_of(blast_index[110:113]) + request_line(
+            {"op": "append", "rows": rows_of(blast_index[113:115])}) + query
+        moves = []
+
+        def check(conn):
+            moves.append((conn.start, conn.end, id(conn.store)))
+
+        answers, logged = self.fed(papar, shared_args, [first, second], check=check)
+        assert len(first) > RECV_BUFFER - MIN_READ  # the second read needs the room
+        (start1, end1, store1), (start2, end2, store2) = moves
+        assert (end1 - start1, store1) == (20, store1)  # only the cut frame held
+        assert (start2, end2, store2) == (0, 0, store1)  # moved, not regrown; all consumed
+        ops = [a["op"] for a in answers]
+        assert ops == ["query"] * queries + ["append", "query", "append", "append", "query"]
+        assert [a["total_records"] for a in answers[-5:]] == [110, 110, 113, 115, 115]
+        np.testing.assert_array_equal(logged, blast_index[100:115])
+
+    def test_a_json_line_and_a_frame_in_one_read(self, papar, blast_index, shared_args):
+        both = request_line({"op": "append", "rows": rows_of(blast_index[100:103])}) + \
+            frame_of(blast_index[103:108])
+        answers, logged = self.fed(papar, shared_args, [both + frame_of(blast_index[108:109])
+                                                        + request_line({"op": "query"})])
+        assert [(a["op"], a["records"]) for a in answers[:3]] == [
+            ("append", 3), ("append", 5), ("append", 1)]
+        assert answers[3]["total_records"] == answers[3]["log_records"] == 109
+        np.testing.assert_array_equal(logged, blast_index[100:109])
+
+    def test_a_frame_larger_than_the_buffer_over_tcp(self, papar, shared_args):
+        """The real transport reads in ``get_buffer(-1)`` slices of whatever
+        room there is: a 400 KiB frame arrives over many reads."""
+        from repro.blast import generate_index
+
+        big = np.asarray(generate_index("env_nr", num_sequences=25_000, seed=4))
+        with live_daemon(papar, shared_args) as (address, server):
+            with ServeClient(*address) as client:
+                assert client.append_ok(big)["total_records"] == 100 + len(big)
+                assert client.append_ok(big[:3])["total_records"] == 103 + len(big)
+                q = client.query()
+        assert q["total_records"] == q["log_records"] == 103 + len(big)

@@ -269,3 +269,146 @@ class TestBoundariesFromTheLogBuffer:
                   if sum(sizes) else None)
         assert _sampled_boundaries(op, state.log, 16) == theirs
         assert _sampled_boundaries(op, batches, 16) == theirs
+
+
+class TestSampleOffTheLoop:
+    """A rebuild samples the log it froze on its own thread; the swap
+    continues the same reservoir and generator over the tail on the loop.
+    The boundaries are those of sampling the whole log at once, wherever
+    the log is cut — a tail batch over ``ROUTER_SAMPLE_SIZE`` rows too."""
+
+    SIZES = TestBoundariesFromTheLogBuffer.SIZES + [2 * ROUTER_SAMPLE_SIZE]
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.sampled_from(SIZES), min_size=1, max_size=7),
+           cut=st.integers(0, 7), ascending=st.booleans(), seed=st.integers(0, 2**16))
+    def test_a_continued_prefix_sample_equals_the_whole_log(
+        self, sizes, cut, ascending, seed
+    ):
+        from repro.blast import generate_index
+        from repro.serve.router import KeySample
+        from repro.serve.state import BatchLog
+
+        index = np.asarray(generate_index("env_nr", num_sequences=sum(sizes) + 1,
+                                          seed=seed))
+        cuts = np.cumsum([0] + sizes)
+        batches = [index[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+        state = ServeState()
+        state.append_log(batches[0])
+        for batch in batches[1:]:
+            state.admit(batch)
+        log = state.log
+        frozen = min(cut, len(batches))
+        prefix = BatchLog(log.records[: cuts[frozen]], log.ends[:frozen])
+        op = Sort(key="seq_size", ascending=ascending)
+        ours = KeySample(op, prefix).boundaries(log, 16)
+        theirs = elementwise_boundaries(op, batches, 16) if sum(sizes) else None
+        assert ours == theirs
+        if theirs is not None:
+            assert [type(b) for b in ours] == [type(b) for b in theirs]
+
+    def test_the_loop_thread_draws_only_for_the_tail(self, papar, tmp_path, monkeypatch):
+        """Appends land while a rebuild runs: the reservoir is fed the
+        frozen log's keys on the rebuild's thread and only the tail's on
+        the loop, and the router swapped in cuts where the whole log does."""
+        import asyncio
+        import threading
+
+        from repro.blast import generate_index
+        from repro.formats import BLAST_INDEX_SCHEMA, write_binary
+        from repro.serve import router as router_module
+
+        from tests.serve._driver import dispatch, run_scenario
+        from tests.serve.conftest import rows_of
+
+        index = np.asarray(generate_index("env_nr", num_sequences=9000, seed=11))
+        write_binary(tmp_path / "db.index", index[:6000], BLAST_INDEX_SCHEMA,
+                     header=b"\x00" * 32)
+        args = {"input_path": str(tmp_path / "db.index"),
+                "output_path": str(tmp_path / "out"), "num_partitions": 8}
+        feeds = []  # (thread, keys seen before, keys fed)
+        reservoir = router_module._continue_reservoir
+
+        def recording(held, seen, keys, rng):
+            feeds.append((threading.get_ident(), seen, len(keys)))
+            return reservoir(held, seen, keys, rng)
+
+        monkeypatch.setattr(router_module, "_continue_reservoir", recording)
+        started, release = threading.Event(), threading.Event()
+
+        async def scenario(server):
+            loop_thread = threading.get_ident()
+            rebuild = server._rebuild
+
+            def held_rebuild(frozen):
+                started.set()
+                assert release.wait(timeout=30.0)
+                return rebuild(frozen)
+
+            server._rebuild = held_rebuild
+            for lo in (6000, 6500):
+                assert (await dispatch(server, {"op": "append",
+                                                "rows": rows_of(index[lo:lo + 500])}))["ok"]
+            feeds.clear()
+            task = asyncio.get_running_loop().create_task(server._rebalance("test"))
+            while not started.is_set():
+                await asyncio.sleep(0.001)
+            for lo in range(7000, 9000, 250):  # the tail: 2000 keys in 8 batches
+                assert (await dispatch(server, {"op": "append",
+                                                "rows": rows_of(index[lo:lo + 250])}))["ok"]
+            release.set()
+            await asyncio.wait_for(task, timeout=30.0)
+            return loop_thread
+
+        server, loop_thread = run_scenario(papar, BLAST_WORKFLOW_XML, args, scenario,
+                                           rebalance_threshold=1e9)
+        off_loop = [(seen, n) for thread, seen, n in feeds if thread != loop_thread]
+        on_loop = [(seen, n) for thread, seen, n in feeds if thread == loop_thread]
+        # the warm start's 6000 rows pool as a choice of ROUTER_SAMPLE_SIZE
+        assert off_loop == [(0, ROUTER_SAMPLE_SIZE + 1000)]
+        assert on_loop == [(ROUTER_SAMPLE_SIZE + 1000, 2000)]
+        assert server.state.log_records == 9000
+        op = Sort(key="seq_size")
+        assert server.router.partitioner.boundaries == _sampled_boundaries(
+            op, server.state.log, 8)
+
+
+class TestOwnerTable:
+    """A range router over integer keys looks owners up in a table of the
+    partitioner's own answers: every key — below, inside and above the
+    boundaries' span, the dtype's extremes included — routes as
+    ``partition_array`` routes it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from(["<i4", "<i8", "<u2", "<u4"]),
+           parts=st.integers(2, 300), ascending=st.booleans())
+    def test_the_table_answers_as_the_partitioner(self, data, dtype, parts, ascending):
+        from repro.mapreduce.partitioner import RangePartitioner
+
+        info = np.iinfo(dtype)
+        keys = np.array(data.draw(st.lists(
+            st.integers(int(info.min), int(info.max)) | st.integers(-50, 400),
+            min_size=1, max_size=200).map(
+                lambda ks: [k for k in ks if info.min <= k <= info.max] or [0])),
+            dtype=dtype)
+        lo = data.draw(st.integers(-40, 300))
+        bounds = sorted(data.draw(st.lists(st.integers(lo, lo + 600),
+                                           min_size=parts - 1, max_size=parts - 1)))
+        batch = np.zeros(len(keys), dtype=[("seq_size", dtype), ("other", "<i4")])
+        batch["seq_size"] = keys
+        partitioner = RangePartitioner(bounds, parts)
+        router = KeyedRouter(partitioner, "seq_size", "range", ascending=ascending)
+        assert router._table is not None
+        expected = partitioner.partition_array(sort_key_array(keys, ascending))
+        owners = router.route(batch)
+        assert owners.dtype == (np.uint8 if parts <= 256 else np.int64)
+        np.testing.assert_array_equal(owners, expected)
+
+    def test_float_keys_and_wide_spans_are_searched(self):
+        from repro.mapreduce.partitioner import RangePartitioner
+
+        assert KeyedRouter(RangePartitioner([0.5, 2.5], 3), "k", "range")._table is None
+        assert KeyedRouter(RangePartitioner([0, 1 << 20], 3), "k", "range")._table is None
+        batch = np.array([(0.1,), (1.0,), (9.0,)], dtype=[("k", "<f8")])
+        router = KeyedRouter(RangePartitioner([0.5, 2.5], 3), "k", "range")
+        assert router.route(batch).tolist() == [0, 1, 2]

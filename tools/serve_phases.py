@@ -13,6 +13,8 @@ is made of:
   after the last append), per append;
 * the daemon's minor faults over the phase and its RSS at both ends;
 * client-seen append latency p50 / p99 / max;
+* the passes that deal acknowledged appends (``serve.pass_ms`` in the
+  daemon's metrics): how many, the median and the longest;
 * the rebuilds: at how many log records each fired and its wall.
 
 Wall time on a shared host swings by 2-3x between runs; the CPU columns
@@ -22,7 +24,7 @@ do not, which is why they are what ``--max-daemon-us`` gates on (CI's
 Usage::
 
     PYTHONPATH=src python tools/serve_phases.py [--appends 4000] [--rows 200]
-        [--warm 200000] [--partitions 16] [--seed 1] [--max-daemon-us 400]
+        [--warm 200000] [--partitions 16] [--seed 1] [--max-daemon-us 200]
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ def stream(ns: argparse.Namespace, work: Path) -> dict[str, float]:
     if query["total_records"] != total or query["log_records"] != total:
         raise SystemExit(f"daemon holds {query['total_records']} of {total} records")
     doc = json.loads(metrics_path.read_text(encoding="utf-8"))
+    passes = doc["metrics"]["histograms"].get("serve.pass_ms", {"count": 0})
     return {
         "appends": len(batches),
         "wall_s": wall_s,
@@ -120,6 +123,7 @@ def stream(ns: argparse.Namespace, work: Path) -> dict[str, float]:
         "p99_ms": nearest_rank(latencies, 99),
         "max_ms": max(latencies),
         "coalesced_batches": doc["coalesced_batches"],
+        "passes": passes,
         "rebuilds": [(e["records"], e["wall_s"]) for e in doc["server"]["rebalance_events"]],
     }
 
@@ -139,6 +143,11 @@ def report(m: dict) -> str:
         f"  client-seen append p50 {m['p50_ms']:.3f} ms, p99 {m['p99_ms']:.3f} ms, "
         f"max {m['max_ms']:.1f} ms; {m['coalesced_batches']} batches coalesced",
     ]
+    passes = m["passes"]
+    lines.append(
+        f"  {passes['count']} passes, median {passes['p50']:.3f} ms, "
+        f"longest {passes['max']:.3f} ms" if passes["count"] else "  no pass"
+    )
     lines += [f"  rebuild at {records} log records: {wall_s:.3f} s"
               for records, wall_s in m["rebuilds"]] or ["  no rebuild"]
     return "\n".join(lines)
