@@ -111,8 +111,6 @@ def check_split_shape(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP033 arity and PAP034 policy syntax for split operators."""
     if ctx.model is None:
         return
-    from repro.policies.split_policy import SplitPolicy
-
     ir = ctx.ir()
     if ir is None:
         return
@@ -127,6 +125,8 @@ def check_split_shape(ctx: LintContext) -> Iterator[Diagnostic]:
         if policy_param is not None and policy_param.value is not None:
             resolved, complete = env.resolve(policy_param.value)
             probe = resolved if complete else _REF_RE.sub("0", policy_param.value)
+            from repro.policies.split_policy import SplitPolicy  # split workflows only
+
             try:
                 policy = SplitPolicy.parse(probe or "")
             except Exception as exc:

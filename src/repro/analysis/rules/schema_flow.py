@@ -114,8 +114,6 @@ def check_split_thresholds(ctx: LintContext) -> Iterator[Diagnostic]:
     """PAP022/023: split thresholds comparable and covering."""
     if ctx.model is None:
         return
-    from repro.policies.split_policy import SplitPolicy
-
     schema, _arg = ctx.input_schema()
     ir = ctx.ir()
     if ir is None:
@@ -140,6 +138,8 @@ def check_split_thresholds(ctx: LintContext) -> Iterator[Diagnostic]:
         resolved, complete = env.resolve(policy_param.value)
         if not complete:
             continue  # unresolvable without user args; checked at plan time
+        from repro.policies.split_policy import SplitPolicy  # split workflows only
+
         try:
             policy = SplitPolicy.parse(resolved or "")
         except Exception:

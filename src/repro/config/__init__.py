@@ -6,42 +6,19 @@
 * :mod:`repro.config.operators` — custom operator registration (Figure 7).
 """
 
-from repro.config.operators import (
-    OperatorRegistration,
-    load_operator_config,
-    parse_operator_config,
-)
-from repro.config.schema import (
-    BLAST_INPUT_XML,
-    EDGE_INPUT_XML,
-    load_input_config,
-    parse_input_config,
-)
-from repro.config.workflow import (
-    AddOnSpec,
-    Bindings,
-    OperatorSpec,
-    ParamSpec,
-    WorkflowSpec,
-    bind_arguments,
-    load_workflow_config,
-    parse_workflow_config,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "parse_input_config",
-    "load_input_config",
-    "BLAST_INPUT_XML",
-    "EDGE_INPUT_XML",
-    "parse_workflow_config",
-    "load_workflow_config",
-    "WorkflowSpec",
-    "OperatorSpec",
-    "ParamSpec",
-    "AddOnSpec",
-    "Bindings",
-    "bind_arguments",
-    "OperatorRegistration",
-    "parse_operator_config",
-    "load_operator_config",
-]
+# names load on first use: every command parses schemas and workflows, and
+# only a custom operator registration (Figure 7) needs the third parser
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.config.schema": (
+        "BLAST_INPUT_XML", "EDGE_INPUT_XML", "load_input_config", "parse_input_config",
+    ),
+    "repro.config.workflow": (
+        "AddOnSpec", "Bindings", "OperatorSpec", "ParamSpec", "WorkflowSpec",
+        "bind_arguments", "load_workflow_config", "parse_workflow_config",
+    ),
+    "repro.config.operators": (
+        "OperatorRegistration", "load_operator_config", "parse_operator_config",
+    ),
+})

@@ -20,13 +20,15 @@ file once, by row id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.packed import PackedRecords, pack as pack_records
 from repro.formats.records import RecordSchema
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by whoever packs (to_packed)
+    from repro.formats.packed import PackedRecords
 
 
 @dataclass
@@ -110,10 +112,9 @@ class Dataset:
                     f"dataset already packed by {self.packed.key_field!r}, not {key_field!r}"
                 )
             return self
-        return Dataset(
-            schema=self.schema,
-            packed=pack_records(self.records, self.schema, key_field),
-        )
+        from repro.formats.packed import pack
+
+        return Dataset(schema=self.schema, packed=pack(self.records, self.schema, key_field))
 
     def take(self, indices: Union[np.ndarray, Sequence[int]]) -> "Dataset":
         """Entry selection: records when flat, groups when packed."""

@@ -36,6 +36,11 @@ PathLike = Union[str, os.PathLike]
 #: the name of a part file (``part-00000``) and its partition index
 _PART_NAME = re.compile(r"part-([0-9]{5,})")
 
+#: the most partitions a file-to-file run writes.  Each one is a part file
+#: and a row of every rank's per-partition tables, so a larger count (lint
+#: takes any ``integer``, up to 2**31 - 1) is refused before either exists
+MAX_PARTITIONS = 1 << 20
+
 
 @dataclass
 class FilePartitionResult:
@@ -165,6 +170,17 @@ def _remove_stale_parts(output_dir: PathLike, num_partitions: int) -> None:
             os.remove(os.path.join(output_dir, name))
 
 
+def check_partition_counts(plan: WorkflowPlan) -> None:
+    """Refuse a plan that deals into more than :data:`MAX_PARTITIONS` parts."""
+    for job in plan.jobs:
+        count = getattr(job.operator, "num_partitions", None)
+        if count is not None and count > MAX_PARTITIONS:
+            raise WorkflowError(
+                f"operator {job.op_id!r}: numPartitions is {count}, but a run "
+                f"writes at most {MAX_PARTITIONS} part files"
+            )
+
+
 def partition_files(
     papar: Any,
     workflow: Union[WorkflowSpec, WorkflowPlan, str],
@@ -199,7 +215,9 @@ def partition_files(
     run into the same directory left beyond them are removed.
 
     A :class:`~repro.core.planner.WorkflowPlan` (the CLI's, checked by the
-    lint gate) runs as planned; a spec or XML text is planned first.
+    lint gate) runs as planned; a spec or XML text is planned first.  A plan
+    that deals into more than :data:`MAX_PARTITIONS` parts is refused
+    before the input is read or the output directory exists.
     """
     if isinstance(workflow, str):
         workflow = papar.load_workflow(workflow)
@@ -209,6 +227,8 @@ def partition_files(
         raise WorkflowError(
             f"partition_files needs {input_arg!r} and {output_arg!r} in args"
         )
+    plan = workflow if isinstance(workflow, WorkflowPlan) else papar.plan(spec, args)
+    check_partition_counts(plan)
     data, schema = load_input_dataset(
         papar, spec, args, schema_id=schema_id, memory_budget=memory_budget,
         file_backed=True,
@@ -221,7 +241,7 @@ def partition_files(
             args[output_arg], schema, header=b"\x00" * schema.start_position
         )
     result = papar.run(
-        workflow,
+        plan,
         args,
         data=data,
         backend=backend,

@@ -37,7 +37,6 @@ from repro.ops.distribute import Distribute
 from repro.ops.group import Group
 from repro.ops.sort import Sort
 from repro.ops.split import Split
-from repro.policies.split_policy import SplitPolicy
 
 
 @dataclass
@@ -325,6 +324,8 @@ class Planner:
         policy_text = _first_param(params, "policy", "splitPolicy")
         if not policy_text:
             raise WorkflowError(f"split operator {spec.id!r} declares no policy")
+        from repro.policies.split_policy import SplitPolicy
+
         policy = SplitPolicy.parse(str(policy_text))
         paths_param = spec.params.get("outputPathList")
         if not outputs:

@@ -31,7 +31,7 @@ records: keys cut by a
 :func:`repro.mapreduce.columnar.bucketize`.  On one rank every sort is
 local: ``narrow`` (key column + row ids of rows fetchable by index, chained
 and wide-keyed sorts included) or ``records``.  Every backend threads a
-:class:`~repro.mapreduce.columnar.PerfCounters` through
+:class:`~repro.core.perf.PerfCounters` through
 ``PartitionResult.extra["perf"]`` (``python -m repro run --stats``).
 
 File-to-file runs (:func:`repro.core.files.partition_files`): the input is
@@ -72,9 +72,9 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.core.dataset import Dataset, concat
+from repro.core.perf import PerfCounters
 from repro.core.planner import Physical, PlannedJob, WorkflowPlan, physical_plan
 from repro.errors import WorkflowError
-from repro.mapreduce.columnar import PerfCounters, bucketize
 from repro.ops.distribute import Distribute, deal_pieces
 from repro.ops.sort import Sort, sort_key_array
 from repro.ops.split import Split
@@ -277,6 +277,14 @@ def _key_sample(source: Any, key: str) -> np.ndarray:
         parts.append(column[(-pos) % stride :: stride])
         pos += len(column)
     return np.concatenate(parts)
+
+
+def bucketize(owners: np.ndarray, num_buckets: int) -> list[np.ndarray]:
+    """:func:`repro.mapreduce.columnar.bucketize`, imported by the first
+    exchange of records: a run that exchanges none never loads the kernels."""
+    from repro.mapreduce.columnar import bucketize as kernel
+
+    return kernel(owners, num_buckets)
 
 
 def _reduce_received(op: Any, inbox: list, schema: Any, ctx: Any) -> Any:

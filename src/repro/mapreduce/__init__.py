@@ -8,8 +8,8 @@ rank program.  This package holds the kernels that program calls and the
 Hadoop mapping:
 
 * :mod:`~repro.mapreduce.columnar` — :class:`KVBatch`, :func:`bucketize`
-  and :func:`group`, the local kernels of every exchange, plus
-  :class:`PerfCounters` (``run --stats``).
+  and :func:`group`, the local kernels of every exchange (and, re-exported,
+  :class:`~repro.core.perf.PerfCounters`, ``run --stats``).
 * :mod:`~repro.mapreduce.partitioner` — hash / range / explicit reducer
   choice, scalar and vectorized (``partition_array``).
 * :mod:`~repro.mapreduce.sampling` — the data-sampling machinery from
@@ -27,9 +27,8 @@ from repro._lazy import lazy_exports
 # names load on first use: the workflow runtimes need the columnar kernels
 # and the partitioners, not the Hadoop runner
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "repro.mapreduce.columnar": (
-        "GroupedKVBatch", "KVBatch", "PerfCounters", "bucketize",
-    ),
+    "repro.mapreduce.columnar": ("GroupedKVBatch", "KVBatch", "bucketize"),
+    "repro.core.perf": ("PerfCounters",),
     "repro.mapreduce.partitioner": (
         "ExplicitPartitioner", "HashPartitioner", "Partitioner",
         "RangePartitioner", "stable_hash", "stable_hash_array",

@@ -1,7 +1,7 @@
 """Adapters folding the other diagnostic streams into one recorder.
 
 A run reports through more than spans: the
-:class:`~repro.mapreduce.columnar.PerfCounters` snapshots, the fault report
+:class:`~repro.core.perf.PerfCounters` snapshots, the fault report
 dict in ``PartitionResult.extra["fault"]`` and the ``serve`` daemon's
 request and rebalance events.  Each adapter here maps one of those onto the
 :class:`~repro.obs.span.Recorder` vocabulary (spans, instants, counters), so

@@ -29,7 +29,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.ooc.extsort": ("ExternalSorter", "external_sort_chunks"),
     "repro.ooc.runfile": (
         "Frame", "RunCorruptionError", "RunFileError", "RunReader", "RunWriter",
-        "SpillManifest", "SpillStats", "read_run",
+        "SpillManifest", "read_run",
     ),
-    "repro.ooc.spill": ("OOCContext", "SpillableShuffle"),
+    "repro.ooc.spill": ("OOCContext", "SpillableShuffle", "SpillStats"),
 })

@@ -27,7 +27,6 @@ from repro.core.dataset import Dataset
 from repro.errors import FormatError
 from repro.formats.binary import _count_records, map_records, read_records
 from repro.formats.records import RecordSchema
-from repro.formats.text import decode_text_block, iter_text_lines, parse_line, takes_bulk_codec
 from repro.ooc.budget import MemoryBudget
 
 PathLike = Union[str, os.PathLike]
@@ -191,6 +190,10 @@ class ChunkedDataset:
         return self._read_text_rows(abs_start, length)
 
     def _read_text_rows(self, abs_start: int, length: int) -> np.ndarray:
+        from repro.formats.text import (
+            decode_text_block, iter_text_lines, parse_line, takes_bulk_codec,
+        )
+
         block, skip = divmod(abs_start, self._text_stride)
         offset = int(self._text_index[block]) if len(self._text_index) else 0
         lines: list[str] = []

@@ -29,7 +29,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
 import numpy as np
@@ -277,39 +277,3 @@ class RunReader:
 def read_run(path: PathLike) -> list[Frame]:
     """All frames of a run file (test/debug convenience; unbounded memory)."""
     return list(RunReader(path).frames())
-
-
-@dataclass
-class SpillStats:
-    """Counters one out-of-core context accumulates across its spills."""
-
-    runs_written: int = 0
-    spilled_records: int = 0
-    spilled_bytes: int = 0
-    max_merge_fanin: int = 0
-    #: whether the runs are narrow: (sort key, row id) for each record
-    narrow: bool = False
-    #: manifests of every run this context wrote (checkpoint payload)
-    manifests: list = field(default_factory=list)
-
-    def record_run(self, manifest: SpillManifest) -> None:
-        """Fold one finished run into the counters."""
-        self.runs_written += 1
-        self.spilled_records += manifest.num_records
-        self.spilled_bytes += manifest.nbytes
-        self.manifests.append(manifest)
-
-    def record_merge(self, fanin: int) -> None:
-        """Track the widest k-way merge performed."""
-        if fanin > self.max_merge_fanin:
-            self.max_merge_fanin = fanin
-
-    def as_dict(self) -> dict:
-        """The summary dict folded into ``PerfCounters`` / checkpoints."""
-        return {
-            "runs_written": self.runs_written,
-            "spilled_records": self.spilled_records,
-            "spilled_bytes": self.spilled_bytes,
-            "max_merge_fanin": self.max_merge_fanin,
-            "narrow": int(self.narrow),
-        }

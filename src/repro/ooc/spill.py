@@ -19,18 +19,51 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.ooc.budget import MemoryBudget
-from repro.ooc.runfile import (
-    Frame,
-    RunReader,
-    RunWriter,
-    SpillManifest,
-    SpillStats,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - the run files load with the first spill
+    from repro.ooc.runfile import Frame, RunWriter, SpillManifest
+
+
+@dataclass
+class SpillStats:
+    """Counters one out-of-core context accumulates across its spills."""
+
+    runs_written: int = 0
+    spilled_records: int = 0
+    spilled_bytes: int = 0
+    max_merge_fanin: int = 0
+    #: whether the runs are narrow: (sort key, row id) for each record
+    narrow: bool = False
+    #: manifests of every run this context wrote (checkpoint payload)
+    manifests: list = field(default_factory=list)
+
+    def record_run(self, manifest: SpillManifest) -> None:
+        """Fold one finished run into the counters."""
+        self.runs_written += 1
+        self.spilled_records += manifest.num_records
+        self.spilled_bytes += manifest.nbytes
+        self.manifests.append(manifest)
+
+    def record_merge(self, fanin: int) -> None:
+        """Track the widest k-way merge performed."""
+        if fanin > self.max_merge_fanin:
+            self.max_merge_fanin = fanin
+
+    def as_dict(self) -> dict:
+        """The summary dict folded into ``PerfCounters`` / checkpoints."""
+        return {
+            "runs_written": self.runs_written,
+            "spilled_records": self.spilled_records,
+            "spilled_bytes": self.spilled_bytes,
+            "max_merge_fanin": self.max_merge_fanin,
+            "narrow": int(self.narrow),
+        }
 
 
 class OOCContext:
@@ -114,6 +147,8 @@ class SpillableShuffle:
             return
         writer = self._writers[dest]
         if writer is None:
+            from repro.ooc.runfile import RunWriter
+
             writer = RunWriter(
                 self.ctx.new_run_path(self.kind),
                 self.value_dtype,
@@ -141,6 +176,8 @@ def drain_frames(
     manifests: Sequence[Optional[SpillManifest]],
 ) -> Iterator[Frame]:
     """Stream frames of received manifests in the given (source-rank) order."""
+    from repro.ooc.runfile import RunReader
+
     for manifest in manifests:
         if manifest is None:
             continue

@@ -14,10 +14,10 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import OperatorError
 from repro.ops.base import BasicOperator, get_format, register_basic
-from repro.policies.split_policy import SplitPolicy
 
-if TYPE_CHECKING:  # pragma: no cover - the kernel imports it where it runs
+if TYPE_CHECKING:  # pragma: no cover - the kernel and the planner import these where they run
     from repro.core.dataset import Dataset
+    from repro.policies.split_policy import SplitPolicy
 
 
 @register_basic

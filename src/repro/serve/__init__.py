@@ -18,25 +18,15 @@ Module map:
 * :mod:`~repro.serve.client` — a small blocking client.
 """
 
-from repro.serve.balance import BalanceDecision, BalanceMonitor
-from repro.serve.client import ServeClient
-from repro.serve.router import IncrementalRouter, build_router
-from repro.serve.server import PartitionServer, ServeConfig, run_server
-from repro.serve.snapshot import SnapshotStore, snapshot_id
-from repro.serve.state import PartitionGeneration, ServeError, ServeState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BalanceDecision",
-    "BalanceMonitor",
-    "IncrementalRouter",
-    "PartitionGeneration",
-    "PartitionServer",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "ServeState",
-    "SnapshotStore",
-    "build_router",
-    "run_server",
-    "snapshot_id",
-]
+# names load on first use: the daemon never loads the client, and a client
+# (``from repro.serve import ServeClient``) never loads the daemon
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.serve.balance": ("BalanceDecision", "BalanceMonitor"),
+    "repro.serve.client": ("ServeClient",),
+    "repro.serve.router": ("IncrementalRouter", "build_router"),
+    "repro.serve.server": ("PartitionServer", "ServeConfig", "run_server"),
+    "repro.serve.snapshot": ("SnapshotStore", "snapshot_id"),
+    "repro.serve.state": ("PartitionGeneration", "ServeError", "ServeState"),
+})

@@ -21,12 +21,14 @@ publish.
 from __future__ import annotations
 
 import time
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from repro.fault.checkpoint import CheckpointStore, DiskCheckpointStore
 from repro.serve.state import PartitionGeneration, ServeError, ServeState
+
+if TYPE_CHECKING:  # pragma: no cover - the store loads when one is opened
+    from repro.fault.checkpoint import CheckpointStore
 
 #: the atomically flipped pointer to the newest complete snapshot
 CURRENT_KEY = "serve/CURRENT"
@@ -47,6 +49,8 @@ class SnapshotStore:
         self, store: CheckpointStore | str, retain: int = DEFAULT_RETAIN
     ) -> None:
         if isinstance(store, str):
+            from repro.fault.checkpoint import DiskCheckpointStore
+
             store = DiskCheckpointStore(store)
         self.store = store
         self.retain = max(1, retain)

@@ -1,8 +1,11 @@
 """A partition or reducer count past the declared ``integer`` type is a lint
 error (PAP036), so ``run`` refuses it with one located line on every
-backend instead of dying in a per-partition allocation."""
+backend instead of dying in a per-partition allocation.  A count lint takes
+but no run can write (2**31 - 1 part files) is refused by ``run`` itself,
+before the input is read or any part file exists."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +13,8 @@ from repro.analysis import Linter
 from repro.analysis.rules.paths import INTEGER_MAX
 from repro.blast import generate_index
 from repro.cli import main
+from repro.core.files import MAX_PARTITIONS, check_partition_counts
+from repro.errors import WorkflowError
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 
 REPO = Path(__file__).resolve().parents[2]
@@ -65,6 +70,31 @@ def test_run_refuses_the_witness_before_any_allocation(
     assert "fix them or pass --no-lint" in err
     assert "MemoryError" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["serial", "mpi", "mapreduce", "process"])
+def test_run_refuses_the_largest_integer_before_any_part_file(
+    tmp_path, blast_file, capsys, backend
+):
+    # lint-clean (the bound itself), and a 16 GiB np.zeros in the deal before
+    out = tmp_path / "out"
+    ranks = [] if backend == "serial" else ["--ranks", "2"]
+    assert main(["run", "--workflow", WORKFLOW, "--input-config", INPUT_CFG,
+                 *args(blast_file, out, INTEGER_MAX), "--backend", backend, *ranks]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: operator 'distr': numPartitions is {INTEGER_MAX}, "
+                   f"but a run writes at most {MAX_PARTITIONS} part files\n")
+    assert not out.exists()
+
+
+def test_the_part_count_bound_takes_the_bound_itself():
+    def plan(count):
+        return SimpleNamespace(jobs=[SimpleNamespace(
+            op_id="distr", operator=SimpleNamespace(num_partitions=count))])
+
+    check_partition_counts(plan(MAX_PARTITIONS))
+    with pytest.raises(WorkflowError, match=f"numPartitions is {MAX_PARTITIONS + 1}"):
+        check_partition_counts(plan(MAX_PARTITIONS + 1))
 
 
 def test_num_reducers_has_the_same_bound():

@@ -3,7 +3,8 @@
 The budgets — a deny-list and ceilings on ``repro`` modules and on their
 source lines, which is what a ``.pyc``-free start compiles — live in one
 table, ``tools/startup_budget.py::BUDGETS``; CI's lint job runs the same
-tool with ``--check``.  Timing is the tool's business, not this test's.
+tool with ``--check``.  Timing (the wall and the exit) is the tool's
+business, not this test's; only the exit ceiling's check is unit-tested.
 """
 
 import importlib.util
@@ -70,8 +71,30 @@ def test_the_gate_loads_no_cost_model(loaded, name):
 
 def test_budgeted_and_process_runs_load_what_they_use(loaded):
     assert "repro.ooc.budget" in loaded["run-budget"]
+    assert "repro.ooc.chunked" in loaded["run-budget"]
     assert "repro.mpi.process_backend" in loaded["run-process"]
     assert not any(m.startswith("repro.fault") for m in loaded["run-process"])
+
+
+@pytest.mark.parametrize("name", ["run-blast", "run-budget", "run-process"])
+def test_a_blast_run_loads_no_kernel_it_does_not_run(loaded, name):
+    # its sort exchanges nothing, it groups nothing and reads no text; the
+    # run counters live in repro.core.perf, not beside the shuffle kernels
+    assert "repro.core.perf" in loaded[name]
+    for module in startup_budget._UNRUN:
+        assert module not in loaded[name]
+
+
+def test_a_run_that_does_not_spill_loads_no_run_file(loaded):
+    assert "repro.ooc.spill" in loaded["run-budget"]
+    assert "repro.ooc.runfile" not in loaded["run-budget"]
+    assert "repro.ooc.extsort" not in loaded["run-budget"]
+
+
+def test_the_daemon_loads_neither_the_client_nor_the_fault_layer(loaded):
+    assert "repro.serve.server" in loaded["serve"]
+    assert "repro.serve.client" not in loaded["serve"]
+    assert not any(m.startswith("repro.fault") for m in loaded["serve"])
 
 
 def test_the_budget_check_catches_a_denied_module():
@@ -85,4 +108,15 @@ def test_the_budget_check_catches_a_denied_module():
     assert "imports numpy" in startup_budget.violations("help", mods, wall=None)
     assert startup_budget.violations("plan-blast", {"repro": "", "numpy": ""},
                                      wall=None) == ["imports numpy"]
+
+
+def test_the_budget_check_catches_a_slow_exit():
+    mods = {"repro": ""}
+    ceiling = startup_budget.BUDGETS["run-blast"].exit
+    assert startup_budget.violations("run-blast", mods, wall=None, exit_s=ceiling) == []
+    assert startup_budget.violations("run-blast", mods, wall=None, exit_s=0.03) == [
+        f"exit 0.0300 s > {ceiling} s"
+    ]
+    # serve is stopped, not finished: it has no exit ceiling
+    assert startup_budget.BUDGETS["serve"].exit is None
 

@@ -127,7 +127,7 @@ class TestText:
         assert np.array_equal(view.materialize().records, full[33:73])
 
     def test_a_numeric_row_range_decodes_in_one_call(self, tmp_path, monkeypatch):
-        import repro.ooc.chunked as chunked
+        import repro.formats.text as text  # the text branch imports the codec on use
 
         path = str(tmp_path / "edges.txt")
         make_edge_file(path, 300, blank_every=7)
@@ -137,7 +137,7 @@ class TestText:
         def per_line(line, schema):
             raise AssertionError("a plain numeric row went through parse_line")
 
-        monkeypatch.setattr(chunked, "parse_line", per_line)
+        monkeypatch.setattr(text, "parse_line", per_line)
         assert np.array_equal(data.read_rows(41, 200), full[41:241])
 
     @pytest.mark.parametrize("bad_line", ["1\tx\n", "1\n", "1\t2\t3\n", "1 \t2\n"])

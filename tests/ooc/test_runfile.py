@@ -8,9 +8,9 @@ from repro.ooc.runfile import (
     RunFileError,
     RunReader,
     RunWriter,
-    SpillStats,
     read_run,
 )
+from repro.ooc.spill import SpillStats
 
 DT = np.dtype([("a", "<i8"), ("b", "<i4")])
 

@@ -177,7 +177,7 @@ def test_the_frame_helpers_cost_the_daemon_one_module():
     """``serve`` shares the run file's frame layout, not the out-of-core
     machinery behind it: importing the daemon loads ``repro.ooc.runfile``
     and nothing else of that package."""
-    probe = ("import sys, repro.serve; "
+    probe = ("import sys, repro.serve.server; "
              "print(sorted(m for m in sys.modules if m.startswith('repro.ooc')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=120)

@@ -10,13 +10,17 @@ per command:
 
 * the wall time: mean of the faster half of ``--runs`` fresh interpreters
   (launch to exit; ``serve``: launch to its ``serving on`` line);
+* the exit time of a one-shot command, same statistic: from the last bytes
+  it writes to stdout to the moment its process is reaped — what ending
+  costs once the work is written (``python -m repro`` leaves through
+  ``os._exit`` instead of tearing the interpreter down);
 * the number of ``repro`` modules the command imported and their source
   lines, read from ``sys.modules`` at interpreter exit of one more run;
 * whether ``numpy`` was loaded.
 
 ``--check`` fails (exit 1) when a command imports a module on its
 deny-list, more modules or lines than its ceiling, or takes longer than
-its (generous) time ceiling.  ``BUDGETS`` below is the one table of those
+its (generous) time or exit ceiling.  ``BUDGETS`` below is the one table of those
 ceilings; ``tests/core/test_startup_budget.py`` checks the same table.
 
 Usage::
@@ -35,7 +39,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -57,8 +61,12 @@ runpy.run_module("repro", run_name="__main__", alter_sys=True)
 #: module groups a command loads only when it asks for them
 _SPMD = ("repro.mpi", "repro.fault", "repro.cluster")
 _ENGINES = ("repro.core.codegen", "repro.mapreduce.hadoop_engine", "repro.mapreduce.rebalance")
-_ON_REQUEST = ("repro.serve", "repro.obs")
+_ON_REQUEST = ("repro.serve", "repro.obs", "repro.config.operators")
 _SPILL = ("repro.ooc.runfile", "repro.ooc.extsort", "repro.ooc.spill")
+#: what only an exchange of records, a group or a text file runs: a BLAST
+#: run, whose sort exchanges nothing and which reads and writes binary
+#: records, loads none of it
+_UNRUN = ("repro.mapreduce.columnar", "repro.formats.packed", "repro.formats.text")
 #: what touches records: the front end (parse, lint, plan, explain) loads
 #: none of it, and so no numpy
 _RECORDS = ("repro.core.dataset", "repro.order", "repro.formats.packed",
@@ -81,25 +89,31 @@ class Budget:
     seconds: float = 3.0
     #: whether the command may load numpy
     numpy: bool = True
+    #: a ceiling on the exit (s): the last stdout bytes to the process
+    #: reaped; None for ``serve``, which is stopped, not finished
+    exit: Optional[float] = 0.015
 
 
 BUDGETS: dict[str, Budget] = {
     "help": Budget(5, 1_000, ("repro.core", "repro.config", "repro.analysis"),
-                   seconds=1.0, numpy=False),
+                   seconds=1.0, numpy=False, exit=None),
     # every rule runs; records come from --assume-records or a stat of a
     # binary input, never a scan, so lint loads no repro.ooc
-    "lint-hybrid": Budget(40, 6_600, _FRONT, numpy=False),
-    "plan-blast": Budget(41, 7_000, _FRONT, numpy=False),
-    "plan-hybrid": Budget(41, 7_000, _FRONT, numpy=False),
-    "explain-blast": Budget(41, 6_800, _FRONT, numpy=False),
-    "run-blast": Budget(52, 10_000, _SPMD + _ENGINES + _ON_REQUEST + ("repro.ooc",)),
-    "run-hybrid": Budget(52, 10_000, _SPMD + _ENGINES + _ON_REQUEST + ("repro.ooc",)),
-    "run-budget": Budget(60, 11_600, _SPMD + _ENGINES + _ON_REQUEST),
-    "run-process": Budget(67, 12_700,("repro.fault",) + _ENGINES + _ON_REQUEST
+    "lint-hybrid": Budget(38, 6_300, _FRONT, numpy=False),
+    "plan-blast": Budget(38, 6_600, _FRONT, numpy=False),
+    "plan-hybrid": Budget(39, 6_700, _FRONT, numpy=False),
+    "explain-blast": Budget(38, 6_400, _FRONT, numpy=False),
+    "run-blast": Budget(47, 8_900, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + ("repro.ooc",)),
+    "run-hybrid": Budget(49, 9_400, _SPMD + _ENGINES + _ON_REQUEST
+                         + ("repro.ooc", "repro.mapreduce.columnar")),
+    # a budget that bounds the read and that the narrow sort fits: nothing spills
+    "run-budget": Budget(51, 9_600, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN
+                         + ("repro.ooc.runfile", "repro.ooc.extsort")),
+    "run-process": Budget(60, 11_400, ("repro.fault",) + _ENGINES + _ON_REQUEST + _UNRUN
                           + ("repro.ooc",), seconds=4.0),
-    "serve": Budget(74, 14_300, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
-                                 "repro.fault.injector", "repro.fault.runner")
-                    + _ENGINES + _SPILL[1:]),
+    "serve": Budget(63, 12_600, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
+                                 "repro.fault", "repro.serve.client")
+                    + _ENGINES + _SPILL[1:], exit=None),
 }
 
 
@@ -143,7 +157,7 @@ def commands(paths: dict[str, str], work: Path) -> dict[str, list[str]]:
         "plan-hybrid": ["plan", *hybrid],
         "run-blast": ["run", *blast],
         "run-hybrid": ["run", *hybrid],
-        "run-budget": ["run", *blast, "--memory-budget", "64KB"],
+        "run-budget": ["run", *blast, "--memory-budget", "1MB"],
         "run-process": ["run", *blast, "--backend", "process", "--ranks", "2"],
         "serve": ["serve", *blast, "--port", "0"],
     }
@@ -153,12 +167,22 @@ def _env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
 
-def _launch(argv: list[str], serve: bool) -> float:
-    """One fresh interpreter; its wall (to ``serving on`` for ``serve``)."""
+def _launch(argv: list[str], serve: bool) -> tuple[float, Optional[float]]:
+    """One fresh interpreter: its wall (to ``serving on`` for ``serve``), and
+    for a one-shot command the seconds from its last stdout bytes to its
+    process reaped (None for ``serve``)."""
     t0 = time.perf_counter()
     if not serve:
-        subprocess.run(argv, env=_env(), check=True, stdout=subprocess.DEVNULL)
-        return time.perf_counter() - t0
+        proc = subprocess.Popen(argv, env=_env(), stdout=subprocess.PIPE)
+        last = None
+        with proc.stdout:
+            while proc.stdout.read1(1 << 16):
+                last = time.perf_counter()
+        code = proc.wait()
+        reaped = time.perf_counter()
+        if code != 0:
+            raise subprocess.CalledProcessError(code, argv)
+        return reaped - t0, None if last is None else reaped - last
     proc = subprocess.Popen(argv, env=_env(), stdout=subprocess.PIPE, text=True)
     try:
         line = proc.stdout.readline()
@@ -170,7 +194,7 @@ def _launch(argv: list[str], serve: bool) -> float:
         proc.communicate(timeout=60)
     if proc.returncode != 0:
         raise RuntimeError(f"serve exited {proc.returncode}")
-    return wall
+    return wall, None
 
 
 def imported(args: list[str], serve: bool, work: Path) -> dict[str, str]:
@@ -194,7 +218,8 @@ def is_repro(name: str) -> bool:
     return name == "repro" or name.startswith("repro.")
 
 
-def violations(name: str, mods: dict[str, str], wall: Optional[float]) -> list[str]:
+def violations(name: str, mods: dict[str, str], wall: Optional[float],
+               exit_s: Optional[float] = None) -> list[str]:
     """How one command's measurement breaks its budget (empty: it does not)."""
     budget = BUDGETS[name]
     own = {m: f for m, f in mods.items() if is_repro(m)}
@@ -212,7 +237,21 @@ def violations(name: str, mods: dict[str, str], wall: Optional[float]) -> list[s
         found.append("imports numpy")
     if wall is not None and wall > budget.seconds:
         found.append(f"{wall:.3f} s > {budget.seconds} s")
+    if exit_s is not None and budget.exit is not None and exit_s > budget.exit:
+        found.append(f"exit {exit_s:.4f} s > {budget.exit} s")
     return found
+
+
+def _stat(values: Sequence[Optional[float]]) -> Optional[float]:
+    """The benchmark's statistic over the measured values (None if none)."""
+    from harness import faster_half_mean
+
+    got = [v for v in values if v is not None]
+    return faster_half_mean(got) if got else None
+
+
+def _cell(value: Optional[float], width: int, digits: int) -> str:
+    return f"{value:>{width}.{digits}f}" if value is not None else f"{'-':>{width}}"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -224,27 +263,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--only", action="append", choices=sorted(BUDGETS),
                         help="measure only this command (repeatable)")
     ns = parser.parse_args(argv)
-    sys.path.insert(0, str(REPO / "benchmarks" / "e2e"))
-    from harness import faster_half_mean  # the benchmark's own statistic
+    sys.path.insert(0, str(REPO / "benchmarks" / "e2e"))  # harness: the statistic
 
     failed = False
     with tempfile.TemporaryDirectory(prefix="startup-budget-") as tmp:
         work = Path(tmp)
         cmds = commands(make_inputs(work), work)
-        print(f"{'command':<13} {'wall(s)':>8} {'modules':>8} {'lines':>7} "
+        print(f"{'command':<13} {'wall(s)':>8} {'exit(s)':>8} {'modules':>8} {'lines':>7} "
               f"{'numpy':>5}  budget")
         for name in ns.only or BUDGETS:
             serve = name == "serve"
             args = cmds[name]
-            walls = [_launch([sys.executable, "-m", "repro", *args], serve)
-                     for _ in range(ns.runs)]
-            wall = faster_half_mean(walls) if walls else None
+            runs = [_launch([sys.executable, "-m", "repro", *args], serve)
+                    for _ in range(ns.runs)]
+            wall = _stat([w for w, _ in runs])
+            exit_s = _stat([e for _, e in runs])
             mods = imported(args, serve, work)
             own = [f for m, f in mods.items() if is_repro(m)]
-            bad = violations(name, mods, wall)
+            bad = violations(name, mods, wall, exit_s)
             failed |= bool(bad)
             budget = BUDGETS[name]
-            print(f"{name:<13} {wall if wall is not None else float('nan'):>8.3f} "
+            print(f"{name:<13} {_cell(wall, 8, 3)} {_cell(exit_s, 8, 4)} "
                   f"{len(own):>8} {sum(map(source_lines, own)):>7} "
                   f"{'yes' if 'numpy' in mods else 'no':>5}  "
                   f"<= {budget.modules} / {budget.lines}"
