@@ -11,9 +11,7 @@ process exit code.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class Severity(enum.Enum):
@@ -37,8 +35,7 @@ class Severity(enum.Enum):
 _SEVERITY_ORDER = {Severity.ERROR: 0, Severity.WARNING: 1, Severity.INFO: 2}
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One finding reported by a lint rule."""
 
     code: str
@@ -81,13 +78,14 @@ class Diagnostic:
         }
 
 
-@dataclass
 class LintResult:
     """Every diagnostic of one analysis pass."""
 
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: files the engine actually analyzed (workflow + input configs)
-    files: list[str] = field(default_factory=list)
+    def __init__(self, diagnostics: Optional[list[Diagnostic]] = None,
+                 files: Optional[list[str]] = None) -> None:
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        #: files the engine actually analyzed (workflow + input configs)
+        self.files = [] if files is None else files
 
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
@@ -180,4 +178,6 @@ class LintResult:
 
     def render_json(self) -> str:
         """:meth:`to_dict` as indented JSON text."""
+        import json
+
         return json.dumps(self.to_dict(), indent=2)

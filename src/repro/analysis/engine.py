@@ -32,7 +32,8 @@ from typing import Any, Iterable, Optional
 from repro.analysis.diagnostics import Diagnostic, LintResult, Severity
 from repro.analysis.locate import XMLLocationError, format_location, parse_located, read_config
 from repro.analysis.model import LintContext, build_workflow_model, first_error
-from repro.analysis.rules import CATALOG, CHECKERS, blocking_checkers
+from repro.analysis import rules
+from repro.analysis.rules import CATALOG, blocking_checkers
 from repro.config.schema import parse_input_config
 from repro.config.workflow import WorkflowSpec
 from repro.errors import PaParError, WorkflowError
@@ -251,7 +252,7 @@ class Linter:
                 ctx.plan_error = f"{exc.__class__.__name__}: {exc}"
 
         # -- run every checker (that can answer the question) -----------
-        for checker_func in blocking_checkers() if self.errors_only else CHECKERS:
+        for checker_func in blocking_checkers() if self.errors_only else rules.CHECKERS:
             try:
                 result.extend(checker_func(ctx))
             except Exception as exc:  # pragma: no cover - defensive

@@ -16,8 +16,6 @@ read the physical plan without scraping the terminal rendering.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.analysis.diagnostics import LintResult
@@ -43,21 +41,23 @@ def _fmt_bytes(value: Optional[float]) -> str:
     return f"{value:.0f}B"
 
 
-@dataclass
 class ExplainReport:
     """The rendered-plan side of one analysis pass."""
 
-    workflow: str
-    file: Optional[str]
-    #: per-operator dicts (id, kind, exchange, edges' paths, and the serial
-    #: and SPMD choices of a planned job — ``None`` for one never planned)
-    operators: list[dict] = field(default_factory=list)
-    #: recovered dataflow edges as dicts (src, src_output, dst, path)
-    edges: list[dict] = field(default_factory=list)
-    #: input records the wire bytes are priced for (None: unknown)
-    records: Optional[int] = None
-    #: the lint result of the same pass (advisories live here)
-    lint: LintResult = field(default_factory=LintResult)
+    def __init__(self, workflow: str, file: Optional[str],
+                 operators: Optional[list[dict]] = None, edges: Optional[list[dict]] = None,
+                 records: Optional[int] = None, lint: Optional[LintResult] = None) -> None:
+        self.workflow = workflow
+        self.file = file
+        #: per-operator dicts (id, kind, exchange, edges' paths, and the serial
+        #: and SPMD choices of a planned job — ``None`` for one never planned)
+        self.operators = [] if operators is None else operators
+        #: recovered dataflow edges as dicts (src, src_output, dst, path)
+        self.edges = [] if edges is None else edges
+        #: input records the wire bytes are priced for (None: unknown)
+        self.records = records
+        #: the lint result of the same pass (advisories live here)
+        self.lint = LintResult() if lint is None else lint
 
     @property
     def advisories(self) -> list:
@@ -84,6 +84,8 @@ class ExplainReport:
 
     def render_json(self) -> str:
         """:meth:`to_dict` as indented JSON text."""
+        import json
+
         return json.dumps(self.to_dict(), indent=2)
 
     def render_text(self) -> str:

@@ -20,7 +20,6 @@ how each runs is the physical plan's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.model import SymbolicEnv
@@ -40,32 +39,33 @@ EXCHANGE_KINDS: dict[str, str] = {
 }
 
 
-@dataclass
 class IRNode:
     """One operator stage of the plan-IR."""
 
-    #: operator id (unique in a well-formed workflow)
-    op_id: str
-    #: normalized operator kind ("sort", "group", "split", "distribute", ...)
-    kind: str
-    #: the operator's spec (declared parameters, add-ons, attributes)
-    op: OperatorSpec
-    #: position in document (= execution) order
-    index: int
-    #: parameter name -> value with every known ``$ref`` substituted
-    params: dict[str, Optional[str]] = field(default_factory=dict)
-    #: parameter name -> True when the substitution was complete
-    params_resolved: dict[str, bool] = field(default_factory=dict)
-    #: resolved input path (None when the operator declares none)
-    input: Optional[str] = None
-    input_line: Optional[int] = None
-    #: resolved output path(s); splits have one per condition
-    outputs: list[str] = field(default_factory=list)
-    output_line: Optional[int] = None
-    #: exchange annotation ("range" / "position" / None), see EXCHANGE_KINDS
-    exchange: Optional[str] = None
-    #: why the input cannot be wired (see :func:`~repro.config.workflow.wire`)
-    wiring_error: Optional[str] = None
+    def __init__(self, op_id: str, kind: str, op: OperatorSpec, index: int,
+                 exchange: Optional[str] = None) -> None:
+        #: operator id (unique in a well-formed workflow)
+        self.op_id = op_id
+        #: normalized operator kind ("sort", "group", "split", "distribute", ...)
+        self.kind = kind
+        #: the operator's spec (declared parameters, add-ons, attributes)
+        self.op = op
+        #: position in document (= execution) order
+        self.index = index
+        #: parameter name -> value with every known ``$ref`` substituted
+        self.params: dict[str, Optional[str]] = {}
+        #: parameter name -> True when the substitution was complete
+        self.params_resolved: dict[str, bool] = {}
+        #: resolved input path (None when the operator declares none)
+        self.input: Optional[str] = None
+        self.input_line: Optional[int] = None
+        #: resolved output path(s); splits have one per condition
+        self.outputs: list[str] = []
+        self.output_line: Optional[int] = None
+        #: exchange annotation ("range" / "position" / None), see EXCHANGE_KINDS
+        self.exchange = exchange
+        #: why the input cannot be wired (see :func:`~repro.config.workflow.wire`)
+        self.wiring_error: Optional[str] = None
 
     @property
     def line(self) -> Optional[int]:
@@ -85,18 +85,17 @@ class IRNode:
         return p.line if p is not None else None
 
 
-@dataclass
 class PlanIR:
     """The whole analyzed plan: nodes in execution order plus their edges."""
 
-    workflow_id: str
-    nodes: list[IRNode]
-    edges: list[Edge]
-    #: the symbolic environment after walking every operator
-    env: SymbolicEnv
-
-    def __post_init__(self) -> None:
-        self._by_id = {n.op_id: n for n in self.nodes}
+    def __init__(self, workflow_id: str, nodes: list[IRNode], edges: list[Edge],
+                 env: SymbolicEnv) -> None:
+        self.workflow_id = workflow_id
+        self.nodes = nodes
+        self.edges = edges
+        #: the symbolic environment after walking every operator
+        self.env = env
+        self._by_id = {n.op_id: n for n in nodes}
 
     def node(self, op_id: str) -> Optional[IRNode]:
         """The node called ``op_id``, if any."""

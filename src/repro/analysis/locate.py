@@ -23,14 +23,12 @@ from __future__ import annotations
 import os
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.errors import ConfigError
 
 
-@dataclass(frozen=True)
-class SourcePosition:
+class SourcePosition(NamedTuple):
     """1-based line/column of an element's start tag."""
 
     line: int

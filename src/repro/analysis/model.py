@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.locate import LocatedTree
@@ -31,8 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 KNOWN_OPERATORS = ("sort", "group", "split", "distribute")
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(NamedTuple):
     """One ``$ref`` occurrence inside a parameter or operator attribute."""
 
     #: the reference text without the leading ``$`` (dots kept, inner $ dropped)
@@ -157,41 +155,57 @@ def first_error(diags: Iterable[Diagnostic]) -> Optional[Diagnostic]:
     return min(errors, key=lambda d: (d.line or 0, d.column or 0), default=None)
 
 
-@dataclass
 class LintContext:
     """Everything one analysis pass knows; handed to every checker."""
 
-    filename: Optional[str]
-    #: the workflow (None when its XML did not parse into one)
-    model: Optional[WorkflowSpec]
-    #: input-data schemas by id (registered on the framework or --input files)
-    schemas: dict[str, "RecordSchema"] = field(default_factory=dict)
-    #: schema id -> originating file (for diagnostics about input configs)
-    input_files: dict[str, str] = field(default_factory=dict)
-    #: user-supplied workflow arguments (CLI --arg / API args)
-    args: dict[str, str] = field(default_factory=dict)
-    #: the resolved plan, when planning succeeded
-    plan: Optional["WorkflowPlan"] = None
-    #: planner failure message, when planning was attempted and failed
-    plan_error: Optional[str] = None
-    #: simulated cluster size the user intends to run with (optional)
-    ranks: Optional[int] = None
-    #: execution backend the user intends to run with (enables PAP07x)
-    backend: Optional[str] = None
-    #: True when *fault injection* specs are declared for the intended run
-    #: (checkpoint/retry recovery is tracked separately via ``checkpoint``)
-    faults: bool = False
-    #: True when a checkpoint store/directory is declared for the run
-    checkpoint: bool = False
-    #: True when the workflow is destined for the streaming daemon
-    #: (``papar serve``); enables the serving-fit rules (PAP090)
-    serve: bool = False
-    #: declared per-rank memory budget spec (e.g. "64MB"), when given
-    memory_budget: Optional[str] = None
-    #: assumed input record count for budget sizing (with memory_budget)
-    assume_records: Optional[int] = None
-    #: memoized plan-IR (see :meth:`ir`); None until first requested
-    _ir: Optional[object] = field(default=None, repr=False)
+    def __init__(
+        self,
+        filename: Optional[str],
+        model: Optional[WorkflowSpec],
+        schemas: Optional[dict[str, "RecordSchema"]] = None,
+        input_files: Optional[dict[str, str]] = None,
+        args: Optional[dict[str, str]] = None,
+        plan: Optional["WorkflowPlan"] = None,
+        plan_error: Optional[str] = None,
+        ranks: Optional[int] = None,
+        backend: Optional[str] = None,
+        faults: bool = False,
+        checkpoint: bool = False,
+        serve: bool = False,
+        memory_budget: Optional[str] = None,
+        assume_records: Optional[int] = None,
+    ) -> None:
+        self.filename = filename
+        #: the workflow (None when its XML did not parse into one)
+        self.model = model
+        #: input-data schemas by id (registered on the framework or --input files)
+        self.schemas = {} if schemas is None else schemas
+        #: schema id -> originating file (for diagnostics about input configs)
+        self.input_files = {} if input_files is None else input_files
+        #: user-supplied workflow arguments (CLI --arg / API args)
+        self.args = {} if args is None else args
+        #: the resolved plan, when planning succeeded
+        self.plan = plan
+        #: planner failure message, when planning was attempted and failed
+        self.plan_error = plan_error
+        #: simulated cluster size the user intends to run with (optional)
+        self.ranks = ranks
+        #: execution backend the user intends to run with (enables PAP07x)
+        self.backend = backend
+        #: True when *fault injection* specs are declared for the intended run
+        #: (checkpoint/retry recovery is tracked separately via ``checkpoint``)
+        self.faults = faults
+        #: True when a checkpoint store/directory is declared for the run
+        self.checkpoint = checkpoint
+        #: True when the workflow is destined for the streaming daemon
+        #: (``papar serve``); enables the serving-fit rules (PAP090)
+        self.serve = serve
+        #: declared per-rank memory budget spec (e.g. "64MB"), when given
+        self.memory_budget = memory_budget
+        #: assumed input record count for budget sizing (with memory_budget)
+        self.assume_records = assume_records
+        #: memoized plan-IR (see :meth:`ir`); None until first requested
+        self._ir: Optional[object] = None
 
     def ir(self):
         """The shared plan-IR of this workflow, built once and memoized.

@@ -10,7 +10,6 @@ malformed policy strings.
 
 from __future__ import annotations
 
-from difflib import get_close_matches
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic
@@ -173,6 +172,8 @@ def check_partition_counts(ctx: LintContext) -> Iterator[Diagnostic]:
             if policy_param is not None and policy_param.value is not None:
                 resolved, complete = env.resolve(policy_param.value)
                 if complete and resolved and resolved.strip().lower() not in _POLICIES:
+                    from difflib import get_close_matches
+
                     close = get_close_matches(
                         resolved.strip().lower(), sorted(_POLICIES), n=1
                     )

@@ -154,15 +154,12 @@ def check_sort_determinism(ctx: LintContext) -> Iterator[Diagnostic]:
     input order — stable, but input-order-sensitive."""
     if ctx.plan is None:
         return
-    from repro.ops.distribute import Distribute
+    from repro.ops.base import is_basic
     from repro.ops.sort import Sort
-    from repro.ops.split import Split
 
     by_id = {job.op_id: job for job in ctx.plan.jobs}
     for job in ctx.plan.jobs:
-        if job.source is None or not isinstance(
-            job.operator, (Split, Distribute)
-        ):
+        if job.source is None or not is_basic(job.operator, "split", "distribute"):
             continue
         producer = by_id.get(job.source)
         if producer is None or not isinstance(producer.operator, Sort):

@@ -36,7 +36,6 @@ def check_operator_types(ctx: LintContext) -> Iterator[Diagnostic]:
         return
     from repro.analysis.model import KNOWN_OPERATORS
 
-    known_addons = registered_names()["addon"]
     for op in ctx.model.operators:
         if op.kind and op.kind not in KNOWN_OPERATORS:
             yield ctx.diag(
@@ -47,6 +46,7 @@ def check_operator_types(ctx: LintContext) -> Iterator[Diagnostic]:
             )
         for addon in op.addons:
             name = addon.operator.strip().lower()
+            known_addons = registered_names()["addon"]  # loads the built-in add-ons
             if name and name not in known_addons:
                 hint = _closest(name, known_addons)
                 yield ctx.diag(

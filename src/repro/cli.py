@@ -51,28 +51,23 @@ def _parse_arg_pairs(pairs: list[str]) -> dict[str, str]:
     return args
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="PaPar: generate and run application-specific data partitioners",
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--input-config",
+        action="append",
+        default=[],
+        metavar="FILE",
+        help="input-data configuration XML (repeatable)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--workflow", required=True, metavar="FILE",
+                   help="workflow configuration XML")
+    p.add_argument("--arg", action="append", default=[], metavar="NAME=VALUE",
+                   help="workflow argument (repeatable)")
+    p.add_argument("--no-lint", action="store_true",
+                   help="skip the static analysis gate")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--input-config",
-            action="append",
-            default=[],
-            metavar="FILE",
-            help="input-data configuration XML (repeatable)",
-        )
-        p.add_argument("--workflow", required=True, metavar="FILE",
-                       help="workflow configuration XML")
-        p.add_argument("--arg", action="append", default=[], metavar="NAME=VALUE",
-                       help="workflow argument (repeatable)")
-        p.add_argument("--no-lint", action="store_true",
-                       help="skip the static analysis gate")
 
+def _lint_parser(sub) -> None:
     p_lint = sub.add_parser(
         "lint", help="statically analyze configurations without running them"
     )
@@ -117,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="the workflow is destined for the streaming "
                              "daemon (enables the serving-fit rules, PAP090)")
 
+
+def _explain_parser(sub) -> None:
     p_explain = sub.add_parser(
         "explain",
         help="render the plan and the physical choice of each job on the "
@@ -140,16 +137,22 @@ def build_parser() -> argparse.ArgumentParser:
                            help="assumed input record count when no real "
                                 "input file is bound")
 
-    p_plan = sub.add_parser("plan", help="print the planned job sequence")
-    common(p_plan)
 
+def _plan_parser(sub) -> None:
+    p_plan = sub.add_parser("plan", help="print the planned job sequence")
+    _common(p_plan)
+
+
+def _codegen_parser(sub) -> None:
     p_gen = sub.add_parser("codegen", help="emit the generated partitioner source")
-    common(p_gen)
+    _common(p_gen)
     p_gen.add_argument("-o", "--output", metavar="FILE",
                        help="write the source here (default: stdout)")
 
+
+def _run_parser(sub) -> None:
     p_run = sub.add_parser("run", help="partition an input file into part files")
-    common(p_run)
+    _common(p_run)
     p_run.add_argument("--backend", default="serial",
                        choices=("serial", "mpi", "mapreduce", "process"))
     p_run.add_argument("--ranks", type=int, default=1, help="MPI ranks to simulate")
@@ -195,12 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "the input streams in chunks and oversized "
                             "shuffles/sorts spill to run files")
 
+
+def _serve_parser(sub) -> None:
     p_serve = sub.add_parser(
         "serve",
         help="run the streaming partition daemon: load the workflow once, "
              "hold partitions hot, accept incremental appends",
     )
-    common(p_serve)
+    _common(p_serve)
     p_serve.set_defaults(serve=True)  # turns on the PAP090 lint-gate rules
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="listen address (default: 127.0.0.1)")
@@ -224,6 +229,31 @@ def build_parser() -> argparse.ArgumentParser:
                               "enables warm restart from the latest one")
     p_serve.add_argument("--metrics", metavar="FILE",
                          help="write the papar.serve metrics JSON on exit")
+
+
+#: command -> what adds its sub-parser, in ``--help`` order
+_PARSERS = {
+    "lint": _lint_parser, "explain": _explain_parser, "plan": _plan_parser,
+    "codegen": _codegen_parser, "run": _run_parser, "serve": _serve_parser,
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every command's sub-parser, or only ``command``'s.
+
+    A run builds only the sub-parser of the command it names; a usage error
+    of that parser is reported by the full one, so it prints the same bytes.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="PaPar: generate and run application-specific data partitioners",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _PARSERS.items():
+        if command in (None, name):
+            add(sub)
+    if command is not None:
+        parser.error = lambda message: build_parser().error(message)
     return parser
 
 
@@ -618,8 +648,8 @@ def _stdout_reader_gone() -> bool:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = build_parser(argv[0] if argv and argv[0] in _PARSERS else None).parse_args(argv)
     try:
         code = _COMMANDS[ns.command](ns)
         # a reader that stopped early (``| head``) shows up here, not at exit

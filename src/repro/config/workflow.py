@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from repro.analysis.locate import XMLLocationError, format_location, parse_located, read_config
-from repro.errors import ConfigError, WorkflowError
+from repro.errors import ConfigError, WorkflowError, refuse_assignment
 
 PathLike = Union[str, os.PathLike]
 
@@ -25,16 +24,32 @@ BOOLEAN_TRUE_LITERALS = frozenset({"true", "1", "yes", "on"})
 BOOLEAN_FALSE_LITERALS = frozenset({"false", "0", "no", "off"})
 
 
-@dataclass(frozen=True)
 class ParamSpec:
-    """One ``<param>`` declaration."""
+    """One ``<param>`` declaration (immutable; ``line`` is not compared)."""
 
     name: str
-    type: str = "String"
-    value: Optional[str] = None
-    format: Optional[str] = None
+    type: str
+    value: Optional[str]
+    format: Optional[str]
     #: 1-based source line of the declaration (when parsed from a file)
-    line: Optional[int] = field(default=None, compare=False, repr=False)
+    line: Optional[int]
+
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, name: str, type: str = "String", value: Optional[str] = None,
+                 format: Optional[str] = None, line: Optional[int] = None) -> None:
+        vars(self).update(name=name, type=type, value=value, format=format, line=line)
+
+    def _compared(self) -> tuple:
+        return self.name, self.type, self.value, self.format
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
 
     def coerce(self, raw: Any) -> Any:
         """Convert a resolved raw value to this parameter's declared type."""
@@ -70,29 +85,61 @@ class ParamSpec:
         return raw
 
 
-@dataclass(frozen=True)
 class AddOnSpec:
-    """One ``<addon>`` attached to a basic operator (e.g. ``count``)."""
+    """One ``<addon>`` attached to a basic operator (e.g. ``count``);
+    immutable, and ``line`` is not compared."""
 
     operator: str
-    key: Optional[str] = None
-    attr: Optional[str] = None
-    value: Optional[str] = None
+    key: Optional[str]
+    attr: Optional[str]
+    value: Optional[str]
     #: 1-based source line of the declaration (when parsed from a file)
-    line: Optional[int] = field(default=None, compare=False, repr=False)
+    line: Optional[int]
+
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, operator: str, key: Optional[str] = None, attr: Optional[str] = None,
+                 value: Optional[str] = None, line: Optional[int] = None) -> None:
+        vars(self).update(operator=operator, key=key, attr=attr, value=value, line=line)
+
+    def _compared(self) -> tuple:
+        return self.operator, self.key, self.attr, self.value
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
 
 
-@dataclass
 class OperatorSpec:
-    """One ``<operator>`` stage of the workflow."""
+    """One ``<operator>`` stage of the workflow (``line`` is not compared)."""
 
     id: str
     operator: str
-    params: dict[str, ParamSpec] = field(default_factory=dict)
-    addons: list[AddOnSpec] = field(default_factory=list)
-    attrs: dict[str, str] = field(default_factory=dict)
+    params: dict[str, ParamSpec]
+    addons: list[AddOnSpec]
+    attrs: dict[str, str]
     #: 1-based source line of the ``<operator>`` tag (when parsed from a file)
-    line: Optional[int] = field(default=None, compare=False, repr=False)
+    line: Optional[int]
+
+    def __init__(self, id: str, operator: str, params: Optional[dict[str, ParamSpec]] = None,
+                 addons: Optional[list[AddOnSpec]] = None,
+                 attrs: Optional[dict[str, str]] = None, line: Optional[int] = None) -> None:
+        self.id = id
+        self.operator = operator
+        self.params = {} if params is None else params
+        self.addons = [] if addons is None else addons
+        self.attrs = {} if attrs is None else attrs
+        self.line = line
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.id, self.operator, self.params, self.addons, self.attrs) == (
+            other.id, other.operator, other.params, other.addons, other.attrs)
 
     @property
     def kind(self) -> str:
@@ -109,18 +156,34 @@ class OperatorSpec:
         return spec.value if spec is not None else None
 
 
-@dataclass
 class WorkflowSpec:
-    """A parsed workflow: arguments plus an ordered operator sequence."""
+    """A parsed workflow: arguments plus an ordered operator sequence
+    (``source_file`` and ``line`` are not compared)."""
 
     id: str
     name: str
-    arguments: dict[str, ParamSpec] = field(default_factory=dict)
-    operators: list[OperatorSpec] = field(default_factory=list)
+    arguments: dict[str, ParamSpec]
+    operators: list[OperatorSpec]
     #: originating file (when parsed from disk) for diagnostics
-    source_file: Optional[str] = field(default=None, compare=False, repr=False)
+    source_file: Optional[str]
     #: 1-based source line of the ``<workflow>`` tag (when parsed from a file)
-    line: Optional[int] = field(default=None, compare=False, repr=False)
+    line: Optional[int]
+
+    def __init__(self, id: str, name: str, arguments: Optional[dict[str, ParamSpec]] = None,
+                 operators: Optional[list[OperatorSpec]] = None,
+                 source_file: Optional[str] = None, line: Optional[int] = None) -> None:
+        self.id = id
+        self.name = name
+        self.arguments = {} if arguments is None else arguments
+        self.operators = [] if operators is None else operators
+        self.source_file = source_file
+        self.line = line
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.id, self.name, self.arguments, self.operators) == (
+            other.id, other.name, other.arguments, other.operators)
 
     def operator_index(self, op_id: str) -> Optional[int]:
         """Position of operator ``op_id`` in document order, if present."""
@@ -220,8 +283,7 @@ OUTPUT_PARAMS = ("outputPath", "ouputPath")
 OUTPUT_LIST_PARAM = "outputPathList"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One dataflow edge: output ``src_output`` of job ``src`` read by job
     ``dst``.  ``src is None`` is the workflow input."""
 
@@ -232,22 +294,25 @@ class Edge:
     path: str
 
 
-@dataclass
 class JobIO:
     """A job's paths as :func:`wire` reads them, and what it reads."""
 
-    op_id: str
-    kind: str
-    #: the declared input path (None: no input parameter)
-    input: Optional[str]
-    input_param: Optional[str]
-    #: output paths; splits have one per condition
-    outputs: list[str]
-    output_param: Optional[str]
-    #: the edges feeding this job, in (producer, output slot) order
-    edges: list[Edge]
-    #: why the input cannot be wired (the edges are then only a best guess)
-    error: Optional[str] = None
+    def __init__(self, op_id: str, kind: str, input: Optional[str],
+                 input_param: Optional[str], outputs: list[str],
+                 output_param: Optional[str], edges: list[Edge],
+                 error: Optional[str] = None) -> None:
+        self.op_id = op_id
+        self.kind = kind
+        #: the declared input path (None: no input parameter)
+        self.input = input
+        self.input_param = input_param
+        #: output paths; splits have one per condition
+        self.outputs = outputs
+        self.output_param = output_param
+        #: the edges feeding this job, in (producer, output slot) order
+        self.edges = edges
+        #: why the input cannot be wired (the edges are then only a best guess)
+        self.error = error
 
 
 def _first_value(params: dict[str, Any], names: tuple[str, ...]) -> tuple[Any, Optional[str]]:

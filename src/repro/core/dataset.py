@@ -19,7 +19,6 @@ file once, by row id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 import numpy as np
@@ -31,15 +30,14 @@ if TYPE_CHECKING:  # pragma: no cover - loaded by whoever packs (to_packed)
     from repro.formats.packed import PackedRecords
 
 
-@dataclass
 class Dataset:
     """Records plus their schema, in flat or packed layout."""
 
-    schema: RecordSchema
-    records: Optional[np.ndarray] = None
-    packed: Optional[PackedRecords] = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, schema: RecordSchema, records: Optional[np.ndarray] = None,
+                 packed: Optional[PackedRecords] = None) -> None:
+        self.schema = schema
+        self.records = records
+        self.packed = packed
         if (self.records is None) == (self.packed is None):
             raise FormatError("Dataset needs exactly one of records / packed")
         if self.records is not None and self.records.dtype != self.schema.dtype:

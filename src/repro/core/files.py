@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from repro.config.workflow import WorkflowSpec
@@ -42,12 +41,12 @@ _PART_NAME = re.compile(r"part-([0-9]{5,})")
 MAX_PARTITIONS = 1 << 20
 
 
-@dataclass
 class FilePartitionResult:
     """A :class:`PartitionResult` plus the files it was written to."""
 
-    result: PartitionResult
-    output_paths: list[str] = field(default_factory=list)
+    def __init__(self, result: PartitionResult, output_paths: Optional[list[str]] = None) -> None:
+        self.result = result
+        self.output_paths = [] if output_paths is None else output_paths
 
     @property
     def partitions(self):

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 
-@dataclass
 class PerfCounters:
     """Records / bytes moved plus per-phase wall and virtual time.
 
@@ -23,21 +21,22 @@ class PerfCounters:
     max over ranks — the phase's makespan, never longer than the run.
     """
 
-    records_moved: int = 0
-    bytes_moved: int = 0
-    #: phase name -> [wall seconds, virtual seconds]
-    phases: dict[str, list[float]] = field(default_factory=dict)
-    #: out-of-core spill counters (empty unless a memory budget spilled);
-    #: keys: runs_written / spilled_records / spilled_bytes / max_merge_fanin
-    spill: dict[str, int] = field(default_factory=dict)
-    #: which tail of the final deal produced the output of a file-to-file
-    #: run: ``{"mode": "in_place", "parts", "bytes"}`` — written by the
-    #: ranks themselves — or ``{"mode": "gathered", "reason"}`` when the
-    #: driver is handed the partitions (set by the driver, from the plan)
-    output: dict[str, Any] = field(default_factory=dict)
-    #: the path each job's kernel ran, by ``op_id`` (the planned
-    #: :class:`~repro.core.planner.Physical` choice it dispatched on)
-    paths: dict[str, str] = field(default_factory=dict)
+    def __init__(self, records_moved: int = 0, bytes_moved: int = 0) -> None:
+        self.records_moved = records_moved
+        self.bytes_moved = bytes_moved
+        #: phase name -> [wall seconds, virtual seconds]
+        self.phases: dict[str, list[float]] = {}
+        #: out-of-core spill counters (empty unless a memory budget spilled);
+        #: keys: runs_written / spilled_records / spilled_bytes / max_merge_fanin
+        self.spill: dict[str, int] = {}
+        #: which tail of the final deal produced the output of a file-to-file
+        #: run: ``{"mode": "in_place", "parts", "bytes"}`` — written by the
+        #: ranks themselves — or ``{"mode": "gathered", "reason"}`` when the
+        #: driver is handed the partitions (set by the driver, from the plan)
+        self.output: dict[str, Any] = {}
+        #: the path each job's kernel ran, by ``op_id`` (the planned
+        #: :class:`~repro.core.planner.Physical` choice it dispatched on)
+        self.paths: dict[str, str] = {}
 
     def count_move(self, records: int, nbytes: int) -> None:
         self.records_moved += int(records)

@@ -22,8 +22,7 @@ runtimes dispatch on it, and ``lint`` and ``explain`` read the same answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from repro.analysis.locate import format_location
 from repro.config.workflow import (
@@ -32,33 +31,44 @@ from repro.config.workflow import (
 )
 from repro.errors import WorkflowError
 from repro.formats.records import RecordSchema
-from repro.ops.base import get_addon
+from repro.ops.base import get_addon, is_basic
 from repro.ops.distribute import Distribute
-from repro.ops.group import Group
 from repro.ops.sort import Sort
-from repro.ops.split import Split
+
+if TYPE_CHECKING:  # pragma: no cover - planned where a workflow names them
+    from repro.ops.group import Group
+    from repro.ops.split import Split
 
 
-@dataclass
 class PlannedJob:
     """One runnable stage of the workflow."""
 
-    op_id: str
-    operator_name: str
-    operator: Any
-    #: op_id of the producing job; None reads the workflow input
-    source: Optional[str]
-    #: which outputs of the source to consume (for multi-output sources)
-    source_outputs: list[int] = field(default_factory=list)
-    #: resolved output path(s)
-    output_paths: list[str] = field(default_factory=list)
-    #: resolved operator parameters (for code generation)
-    resolved_params: dict[str, Any] = field(default_factory=dict)
-    num_reducers: Optional[int] = None
+    def __init__(
+        self,
+        op_id: str,
+        operator_name: str,
+        operator: Any,
+        source: Optional[str],
+        source_outputs: Optional[list[int]] = None,
+        output_paths: Optional[list[str]] = None,
+        resolved_params: Optional[dict[str, Any]] = None,
+        num_reducers: Optional[int] = None,
+    ) -> None:
+        self.op_id = op_id
+        self.operator_name = operator_name
+        self.operator = operator
+        #: op_id of the producing job; None reads the workflow input
+        self.source = source
+        #: which outputs of the source to consume (for multi-output sources)
+        self.source_outputs = [] if source_outputs is None else source_outputs
+        #: resolved output path(s)
+        self.output_paths = [] if output_paths is None else output_paths
+        #: resolved operator parameters (for code generation)
+        self.resolved_params = {} if resolved_params is None else resolved_params
+        self.num_reducers = num_reducers
 
 
-@dataclass(frozen=True)
-class ElidedJob:
+class ElidedJob(NamedTuple):
     """A job of the workflow the plan does not run, and why."""
 
     op_id: str
@@ -67,18 +77,26 @@ class ElidedJob:
     reason: str
 
 
-@dataclass
 class WorkflowPlan:
     """The planned job sequence plus the final binding environment."""
 
-    workflow_id: str
-    jobs: list[PlannedJob]
-    env: Bindings
-    input_format_id: Optional[str] = None
-    #: the spec this plan was planned from (None for a hand-built plan)
-    spec: Optional[WorkflowSpec] = field(default=None, compare=False, repr=False)
-    #: the workflow's jobs the planner dropped, in document order
-    elided: list[ElidedJob] = field(default_factory=list)
+    def __init__(
+        self,
+        workflow_id: str,
+        jobs: list[PlannedJob],
+        env: Bindings,
+        input_format_id: Optional[str] = None,
+        spec: Optional[WorkflowSpec] = None,
+        elided: Optional[list[ElidedJob]] = None,
+    ) -> None:
+        self.workflow_id = workflow_id
+        self.jobs = jobs
+        self.env = env
+        self.input_format_id = input_format_id
+        #: the spec this plan was planned from (None for a hand-built plan)
+        self.spec = spec
+        #: the workflow's jobs the planner dropped, in document order
+        self.elided = [] if elided is None else elided
 
     @property
     def final_job(self) -> PlannedJob:
@@ -176,10 +194,10 @@ def _recreated(
     if isinstance(a, Sort) and isinstance(b, Sort) and a.ascending == b.ascending:
         return first, ("the second sort re-ranges every record; the first "
                        "sort's exchange is discarded")
-    if isinstance(a, Sort) and isinstance(b, Group):
+    if isinstance(a, Sort) and is_basic(b, "group"):
         return first, ("the group stage re-ranges every record by its own key; "
                        "the sort's exchange is discarded")
-    flat = isinstance(a, Group) and a.output_format != "pack"
+    flat = is_basic(a, "group") and a.output_format != "pack"
     if flat and isinstance(b, Sort) and b.ascending:
         return second, ("group output is already range-partitioned and ordered "
                         "by that key; the ascending sort re-shuffles it for nothing")
@@ -302,6 +320,8 @@ class Planner:
         return Sort(key=str(key), ascending=sort_ascending(spec, params, source_file))
 
     def _plan_group(self, spec, params, env, outputs) -> Group:
+        from repro.ops.group import Group
+
         key = _first_param(params, "key", "keyId")
         if not key:
             raise WorkflowError(f"group operator {spec.id!r} declares no key")
@@ -318,6 +338,8 @@ class Planner:
         return Group(key=str(key), addons=addons, output_format=output_format)
 
     def _plan_split(self, spec, params, env, outputs) -> Split:
+        from repro.ops.split import Split
+
         key = _first_param(params, "key", "keyId")
         if not key:
             raise WorkflowError(f"split operator {spec.id!r} declares no key")
@@ -352,8 +374,7 @@ class Planner:
 
 # -- the physical plan ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Physical:
+class Physical(NamedTuple):
     """How one planned job runs (:func:`physical_plan`)."""
 
     #: what crosses the fabric: ``"none"`` (serial, a split, a deal written
@@ -388,8 +409,7 @@ class Physical:
         return None if self.width is None else records * self.width
 
 
-@dataclass(frozen=True)
-class _Stream:
+class _Stream(NamedTuple):
     """What the planner knows about one stream a job reads."""
 
     schema: RecordSchema
@@ -435,12 +455,12 @@ def _choose(
         # what a records sort leaves may be runs of whole records: not indexed
         return (Physical("records" if spmd else "none", "records", width=width),
                 [_Stream(schema, packed, indexed=False)])
-    if isinstance(op, Group):
+    if is_basic(op, "group"):
         packed = op.output_format == "pack" or first.packed
         schema = _widened(first.schema, [(addon, attr) for addon, attr, _ in op.addons])
         choice = Physical("records", "records", width=first.schema.width) if spmd else Physical()
         return choice, [_Stream(schema, packed, not packed)]
-    if isinstance(op, Split):
+    if is_basic(op, "split"):
         outs = []
         for fmt in op.output_formats:
             packed = {"pack": True, "unpack": False}.get(fmt.name, first.packed)

@@ -66,7 +66,6 @@ Without those arguments none of that code runs.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
@@ -75,9 +74,9 @@ from repro.core.dataset import Dataset, concat
 from repro.core.perf import PerfCounters
 from repro.core.planner import Physical, PlannedJob, WorkflowPlan, physical_plan
 from repro.errors import WorkflowError
+from repro.ops.base import is_basic
 from repro.ops.distribute import Distribute, deal_pieces
 from repro.ops.sort import Sort, sort_key_array
-from repro.ops.split import Split
 
 if TYPE_CHECKING:  # pragma: no cover - typing only: a serial run never loads
     # the MPI runtime, the fault layer, the cluster model or obs
@@ -94,17 +93,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only: a serial run never loads
 KEY_SAMPLE_SIZE = 512
 
 
-@dataclass
 class PartitionResult:
     """Output of one workflow execution."""
 
-    partitions: list[Dataset]
-    #: simulated seconds (0.0 when no cluster model was attached)
-    elapsed: float = 0.0
-    #: bytes moved through the fabric (MPI backend only)
-    bytes_moved: int = 0
-    messages: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
+    def __init__(self, partitions: list[Dataset], elapsed: float = 0.0, bytes_moved: int = 0,
+                 messages: int = 0, extra: Optional[dict[str, Any]] = None) -> None:
+        self.partitions = partitions
+        #: simulated seconds (0.0 when no cluster model was attached)
+        self.elapsed = elapsed
+        #: bytes moved through the fabric (MPI backend only)
+        self.bytes_moved = bytes_moved
+        self.messages = messages
+        self.extra = {} if extra is None else extra
 
     @property
     def num_partitions(self) -> int:
@@ -737,7 +737,7 @@ class MPIRuntime:
             perf.paths[job.op_id] = choice.spill
             return _local_sort(job, choice, source, ctx)
         data = resident(source)
-        if isinstance(op, Split):
+        if is_basic(op, "split"):
             # a map-only job: routing is local, no exchange
             self._charge(comm, "stream", data.num_records)
         # Split, or a user-registered basic operator: run the local kernel
@@ -941,15 +941,16 @@ class OneRank:
         """No fault is scheduled on one rank."""
 
 
-@dataclass
 class _InlineRun:
     """What :meth:`MPIRuntime.execute` reads of a launch, for one rank run
     inline: its result, and nothing moved."""
 
-    results: list
-    elapsed: float = 0.0
-    bytes_moved: int = 0
-    messages: int = 0
+    elapsed = 0.0
+    bytes_moved = 0
+    messages = 0
+
+    def __init__(self, results: list) -> None:
+        self.results = results
 
 
 class SerialRuntime(MPIRuntime):

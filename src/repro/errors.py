@@ -126,3 +126,11 @@ class CodegenError(PaParError):
 
 class ClusterError(PaParError):
     """The cluster cost model was configured inconsistently."""
+
+
+def refuse_assignment(record: object, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of an immutable record: its
+    ``__init__`` writes the instance ``__dict__`` once, and nothing after."""
+    raise AttributeError(
+        f"cannot assign to field {name!r} of immutable {type(record).__name__}"
+    )

@@ -22,7 +22,6 @@ up to 13% on its graph datasets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -37,7 +36,6 @@ def _schema_without(schema: RecordSchema, field: str) -> np.dtype:
     return np.dtype([(f.name, f.numpy_dtype) for f in schema.fields if f.name != field])
 
 
-@dataclass
 class PackedRecords:
     """Grouped records in the (uncompressed) packed format, held as CSR.
 
@@ -47,17 +45,14 @@ class PackedRecords:
     key is read from its first record.
     """
 
-    schema: RecordSchema
-    key_field: str
-    records: np.ndarray
-    indptr: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.schema.has_field(self.key_field):
-            raise FormatError(
-                f"key field {self.key_field!r} not in schema {self.schema.id!r}"
-            )
-        self.indptr = indptr = np.asarray(self.indptr, dtype=np.int64)
+    def __init__(self, schema: RecordSchema, key_field: str, records: np.ndarray,
+                 indptr: np.ndarray) -> None:
+        if not schema.has_field(key_field):
+            raise FormatError(f"key field {key_field!r} not in schema {schema.id!r}")
+        self.schema = schema
+        self.key_field = key_field
+        self.records = records
+        self.indptr = indptr = np.asarray(indptr, dtype=np.int64)
         if (
             indptr.ndim != 1
             or not len(indptr)
@@ -142,7 +137,6 @@ class PackedRecords:
         )
 
 
-@dataclass
 class CSCBlock:
     """CSC-compressed packed records.
 
@@ -151,13 +145,14 @@ class CSCBlock:
     per-record value columns, and the group keys stored once each.
     """
 
-    schema: RecordSchema
-    key_field: str
-    keys: np.ndarray
-    indptr: np.ndarray
-    values: np.ndarray  # structured array of non-key columns, uncompressed
-
-    def __post_init__(self) -> None:
+    def __init__(self, schema: RecordSchema, key_field: str, keys: np.ndarray,
+                 indptr: np.ndarray, values: np.ndarray) -> None:
+        self.schema = schema
+        self.key_field = key_field
+        self.keys = keys
+        self.indptr = indptr
+        #: structured array of non-key columns, uncompressed
+        self.values = values
         if len(self.indptr) != len(self.keys) + 1:
             raise FormatError(
                 f"indptr must have {len(self.keys) + 1} entries, got {len(self.indptr)}"

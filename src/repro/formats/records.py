@@ -11,11 +11,10 @@ first dtype imports numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.errors import FormatError, SchemaError
+from repro.errors import FormatError, SchemaError, refuse_assignment
 
 if TYPE_CHECKING:  # pragma: no cover - numpy loads with the first record
     import numpy as np
@@ -33,21 +32,31 @@ _INT_RANGES: dict[str, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
 class Field:
-    """One typed value inside an element."""
+    """One typed value inside an element (immutable)."""
 
     name: str
     type: str
 
-    def __post_init__(self) -> None:
-        if not self.name or not self.name.isidentifier():
-            raise SchemaError(f"field name {self.name!r} is not a valid identifier")
-        if self.type not in _WIDTHS:
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, name: str, type: str) -> None:
+        if not name or not name.isidentifier():
+            raise SchemaError(f"field name {name!r} is not a valid identifier")
+        if type not in _WIDTHS:
             raise SchemaError(
-                f"field {self.name!r} has unknown type {self.type!r}; "
+                f"field {name!r} has unknown type {type!r}; "
                 f"expected one of {sorted(_WIDTHS)}"
             )
+        vars(self).update(name=name, type=type)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.type) == (other.name, other.type)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.type))
 
     @property
     def width(self) -> Optional[int]:
@@ -81,9 +90,8 @@ class Field:
         return float(token)
 
 
-@dataclass(frozen=True)
 class RecordSchema:
-    """An ordered, named, typed record layout.
+    """An ordered, named, typed record layout (immutable).
 
     Parameters
     ----------
@@ -103,11 +111,16 @@ class RecordSchema:
 
     id: str
     fields: tuple[Field, ...]
-    input_format: str = "binary"
-    start_position: int = 0
-    delimiters: tuple[str, ...] = dc_field(default=())
+    input_format: str
+    start_position: int
+    delimiters: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, id: str, fields: tuple[Field, ...], input_format: str = "binary",
+                 start_position: int = 0, delimiters: tuple[str, ...] = ()) -> None:
+        vars(self).update(id=id, fields=fields, input_format=input_format,
+                          start_position=start_position, delimiters=delimiters)
         if not self.fields:
             raise SchemaError(f"schema {self.id!r} declares no fields")
         if self.input_format not in ("binary", "text"):
@@ -137,6 +150,17 @@ class RecordSchema:
                     f"schema {self.id!r}: need one delimiter per field "
                     f"({len(self.fields)}), got {len(self.delimiters)}"
                 )
+
+    def _compared(self) -> tuple:
+        return self.id, self.fields, self.input_format, self.start_position, self.delimiters
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
 
     # -- numpy interop -------------------------------------------------------
 

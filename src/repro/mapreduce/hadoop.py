@@ -10,25 +10,34 @@ both interfaces are the same machinery underneath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
-from repro.errors import MapReduceError
+from repro.errors import MapReduceError, refuse_assignment
 
 
-@dataclass(frozen=True)
 class InputSplit:
     """One mapper's slice of the input: ``[start, start + length)`` in units
     meaningful to the format (bytes for binary files, record index for
-    in-memory data)."""
+    in-memory data); immutable."""
 
     source: Any
     start: int
     length: int
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.length < 0:
-            raise MapReduceError(f"invalid split [{self.start}, +{self.length})")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, source: Any, start: int, length: int) -> None:
+        if start < 0 or length < 0:
+            raise MapReduceError(f"invalid split [{start}, +{length})")
+        vars(self).update(source=source, start=start, length=length)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.source, self.start, self.length) == (other.source, other.start, other.length)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.start, self.length))
 
 
 class RecordReader:

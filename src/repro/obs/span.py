@@ -27,11 +27,10 @@ import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(NamedTuple):
     """One completed named interval on one rank's (or the driver's) timeline."""
 
     #: recorder-unique id (allocation order, stable for a deterministic run)
@@ -51,7 +50,7 @@ class Span:
     start_wall: float
     end_wall: float
     #: free-form annotations (job index, record counts, ...)
-    attrs: dict[str, Any] = field(default_factory=dict)
+    attrs: dict[str, Any]
 
     @property
     def virtual_duration(self) -> float:

@@ -16,7 +16,6 @@ ceiling times a small constant for transient numpy copies.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import PaParError
@@ -80,7 +79,6 @@ def format_budget(nbytes: int) -> str:
     return str(nbytes)
 
 
-@dataclass
 class MemoryBudget:
     """A hard per-rank byte ceiling and the chunk size derived from it.
 
@@ -89,14 +87,10 @@ class MemoryBudget:
     can coexist under the ceiling.
     """
 
-    limit: int
-    #: fraction of the limit one streamed chunk may occupy
-    chunk_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        if isinstance(self.limit, str):
-            self.limit = parse_memory_budget(self.limit)
-        self.limit = int(self.limit)
+    def __init__(self, limit: Union[int, str], chunk_fraction: float = 0.25) -> None:
+        self.limit = int(parse_memory_budget(limit) if isinstance(limit, str) else limit)
+        #: fraction of the limit one streamed chunk may occupy
+        self.chunk_fraction = chunk_fraction
         if self.limit <= 0:
             raise MemoryBudgetError(f"memory budget must be positive, got {self.limit}")
         if not 0 < self.chunk_fraction <= 1:

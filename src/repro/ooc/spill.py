@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -30,18 +29,18 @@ if TYPE_CHECKING:  # pragma: no cover - the run files load with the first spill
     from repro.ooc.runfile import Frame, RunWriter, SpillManifest
 
 
-@dataclass
 class SpillStats:
     """Counters one out-of-core context accumulates across its spills."""
 
-    runs_written: int = 0
-    spilled_records: int = 0
-    spilled_bytes: int = 0
-    max_merge_fanin: int = 0
-    #: whether the runs are narrow: (sort key, row id) for each record
-    narrow: bool = False
-    #: manifests of every run this context wrote (checkpoint payload)
-    manifests: list = field(default_factory=list)
+    def __init__(self) -> None:
+        self.runs_written = 0
+        self.spilled_records = 0
+        self.spilled_bytes = 0
+        self.max_merge_fanin = 0
+        #: whether the runs are narrow: (sort key, row id) for each record
+        self.narrow = False
+        #: manifests of every run this context wrote (checkpoint payload)
+        self.manifests: list = []
 
     def record_run(self, manifest: SpillManifest) -> None:
         """Fold one finished run into the counters."""

@@ -1,20 +1,30 @@
 """The operator building blocks of PaPar workflows (Table I).
 
-Importing this package registers the standard operators:
+The standard operators register as their modules load:
 
 * basic: ``Sort``, ``Group``, ``Split``, ``Distribute``;
 * add-on: ``count``, ``max``, ``min``, ``mean``, ``sum``;
 * format: ``orig``, ``pack``, ``unpack``.
 
-Custom operators inherit the base classes in :mod:`repro.ops.base` and are
-either registered programmatically (``register_basic`` et al.) or described
-in a Figure-7-style registration file (:mod:`repro.config.operators`).
+A lookup by name (:func:`~repro.ops.base.get_basic` et al.) loads the
+module of a built-in operator (:data:`BUILTINS`), so a workflow compiles
+only the operators it names.  Custom operators inherit the base classes in
+:mod:`repro.ops.base` and are either registered programmatically
+(``register_basic`` et al.) or described in a Figure-7-style registration
+file (:mod:`repro.config.operators`).
 """
 
 from repro._lazy import lazy_exports
 
-# names bind on first use; the built-in operators register as their modules
-# load, so the package loads them all below (none imports numpy before its
+#: family -> built-in operator name (lower case) -> the module registering it
+BUILTINS: dict[str, dict[str, str]] = {
+    "basic": {"sort": "repro.ops.sort", "group": "repro.ops.group",
+              "split": "repro.ops.split", "distribute": "repro.ops.distribute"},
+    "addon": dict.fromkeys(("count", "max", "min", "mean", "sum"), "repro.ops.addons"),
+    "format": dict.fromkeys(("orig", "pack", "unpack"), "repro.ops.format_ops"),
+}
+
+# names bind on first use (none of the modules imports numpy before its
 # kernel runs)
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.ops.base": (
@@ -29,5 +39,3 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.ops.addons": ("Count", "Max", "Min", "Mean", "Sum"),
     "repro.ops.format_ops": ("Orig", "Pack", "Unpack"),
 })
-
-from repro.ops import addons, distribute, format_ops, group, sort, split  # noqa: E402,F401

@@ -18,9 +18,11 @@ describing the class in a registration file (Figure 7,
 from __future__ import annotations
 
 import abc
+import importlib
 from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 from repro.errors import OperatorError
+from repro.ops import BUILTINS
 
 if TYPE_CHECKING:  # pragma: no cover - the kernels import these where they run
     import numpy as np
@@ -118,69 +120,88 @@ class FormatOperator(Operator):
 
 # -- registries ----------------------------------------------------------------
 
-_BASIC: dict[str, type[BasicOperator]] = {}
-_ADDONS: dict[str, type[AddOnOperator]] = {}
-_FORMATS: dict[str, type[FormatOperator]] = {}
+_REGISTRIES: dict[str, dict[str, type]] = {"basic": {}, "addon": {}, "format": {}}
 
 
-def _register(registry: dict, cls: type, kind: str) -> type:
-    key = cls.name.strip().lower()
-    if key in registry and registry[key] is not cls:
+def _lookup(family: str, name: str) -> Optional[type]:
+    """The class registered as ``name`` in ``family``; a built-in operator's
+    module (:data:`repro.ops.BUILTINS`) loads on its first lookup."""
+    key = name.strip().lower()
+    registry = _REGISTRIES[family]
+    if key not in registry and key in BUILTINS[family]:
+        importlib.import_module(BUILTINS[family][key])
+    return registry.get(key)
+
+
+def _register(family: str, cls: type, kind: str) -> type:
+    # a built-in of the same name loads first, so it is refused as before
+    if _lookup(family, cls.name) not in (None, cls):
         raise OperatorError(f"{kind} operator {cls.name!r} is already registered")
-    registry[key] = cls
+    _REGISTRIES[family][cls.name.strip().lower()] = cls
     return cls
+
+
+def _known(family: str) -> list[str]:
+    """Every name registered in ``family``, the built-ins loaded first."""
+    for module in set(BUILTINS[family].values()):
+        importlib.import_module(module)
+    return sorted(_REGISTRIES[family])
 
 
 def register_basic(cls: type[BasicOperator]) -> type[BasicOperator]:
     """Class decorator adding a basic operator to the registry."""
-    return _register(_BASIC, cls, "basic")
+    return _register("basic", cls, "basic")
 
 
 def register_addon(cls: type[AddOnOperator]) -> type[AddOnOperator]:
     """Class decorator adding an add-on operator to the registry."""
-    return _register(_ADDONS, cls, "add-on")
+    return _register("addon", cls, "add-on")
 
 
 def register_format(cls: type[FormatOperator]) -> type[FormatOperator]:
     """Class decorator adding a format operator to the registry."""
-    return _register(_FORMATS, cls, "format")
+    return _register("format", cls, "format")
 
 
 def get_basic(name: str) -> type[BasicOperator]:
     """Look up a basic operator class by configuration name."""
-    cls = _BASIC.get(name.strip().lower())
+    cls = _lookup("basic", name)
     if cls is None:
-        raise OperatorError(f"unknown basic operator {name!r}; known: {sorted(_BASIC)}")
+        raise OperatorError(f"unknown basic operator {name!r}; known: {_known('basic')}")
     return cls
 
 
 def get_addon(name: str) -> AddOnOperator:
     """Instantiate an add-on operator by configuration name."""
-    cls = _ADDONS.get(name.strip().lower())
+    cls = _lookup("addon", name)
     if cls is None:
-        raise OperatorError(f"unknown add-on operator {name!r}; known: {sorted(_ADDONS)}")
+        raise OperatorError(f"unknown add-on operator {name!r}; known: {_known('addon')}")
     return cls()
 
 
 def get_format(name: str) -> FormatOperator:
     """Instantiate a format operator by configuration name."""
-    cls = _FORMATS.get(name.strip().lower())
+    cls = _lookup("format", name)
     if cls is None:
-        raise OperatorError(f"unknown format operator {name!r}; known: {sorted(_FORMATS)}")
+        raise OperatorError(f"unknown format operator {name!r}; known: {_known('format')}")
     return cls()
 
 
 def addon_signature(name: str) -> tuple[str, bool]:
     """``(attr_type, needs_field)`` of an add-on, read off its registered
     class without instantiating it; ``("long", False)`` for an unknown name."""
-    cls = _ADDONS.get(name.strip().lower())
+    cls = _lookup("addon", name)
     return (cls.attr_type, cls.needs_field) if cls is not None else ("long", False)
 
 
 def registered_names() -> dict[str, list[str]]:
     """All registered operator names by family (Table I introspection)."""
-    return {
-        "basic": sorted(_BASIC),
-        "addon": sorted(_ADDONS),
-        "format": sorted(_FORMATS),
-    }
+    return {family: _known(family) for family in _REGISTRIES}
+
+
+def is_basic(op: object, *names: str) -> bool:
+    """Whether ``op`` is an instance of one of the basic operators ``names``
+    (``"group"``...), loading none of them: an operator's class registers
+    as its module loads, and no instance exists before that."""
+    registry = _REGISTRIES["basic"]
+    return any(isinstance(op, registry[name]) for name in names if name in registry)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.errors import PolicyError
+from repro.errors import PolicyError, refuse_assignment
 
 if TYPE_CHECKING:  # pragma: no cover - route() imports numpy where it runs
     import numpy as np
@@ -33,16 +32,26 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
 _COND_RE = re.compile(r"\{\s*(>=|<=|==|!=|>|<)\s*,\s*([^{}]+?)\s*\}")
 
 
-@dataclass(frozen=True)
 class SplitCondition:
-    """One ``{op, operand}`` clause."""
+    """One ``{op, operand}`` clause (immutable)."""
 
     op: str
     operand: float
 
-    def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise PolicyError(f"unknown split comparison {self.op!r}")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, op: str, operand: float) -> None:
+        if op not in _OPS:
+            raise PolicyError(f"unknown split comparison {op!r}")
+        vars(self).update(op=op, operand=operand)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.op, self.operand) == (other.op, other.operand)
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.operand))
 
     def matches(self, values: np.ndarray) -> np.ndarray:
         """Vectorized predicate over the key column."""

@@ -48,8 +48,8 @@ from repro.core.planner import WorkflowPlan
 from repro.formats.records import RecordSchema
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.mapreduce.sampling import quantile_boundaries, sample_array
+from repro.ops.base import is_basic
 from repro.ops.distribute import Distribute
-from repro.ops.group import Group
 from repro.ops.sort import Sort, sort_key_array
 from repro.serve.state import BatchLog, ServeError
 
@@ -202,7 +202,7 @@ def _routing_stage(plan: WorkflowPlan) -> Optional[Any]:
     job = plan.final_job
     while job.source is not None:
         job = plan.job(job.source)
-        if isinstance(job.operator, (Sort, Group)):
+        if isinstance(job.operator, Sort) or is_basic(job.operator, "group"):
             return job.operator
     return None
 
@@ -231,7 +231,7 @@ def build_router(
         )
     stage = _routing_stage(plan)
     if stage is not None and input_schema.has_field(stage.key):
-        if isinstance(stage, Group):
+        if is_basic(stage, "group"):
             return KeyedRouter(
                 HashPartitioner(final.num_partitions), stage.key, kind="hash"
             )

@@ -9,6 +9,9 @@ that can only emit warnings or infos shows under ``repro lint`` but no
 longer blocks a run.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from repro import PaPar
@@ -114,3 +117,22 @@ def test_an_error_capable_checker_crash_still_blocks_run(blast_args, capsys):
     assert main(["run", *blast_args]) == 2
     err = capsys.readouterr().err
     assert "PAP099" in err and "check_schema_flow" in err
+
+
+def test_the_gate_loads_only_the_rule_modules_it_runs():
+    # a fresh interpreter: the gate imports the modules with a blocking
+    # checker; asking for every checker loads the rest
+    code = """
+import sys
+from repro.analysis.engine import Linter
+from repro.config.examples import BLAST_WORKFLOW_XML
+advisory = ("advisory", "backend", "serve")
+loaded = lambda: [m for m in advisory if f"repro.analysis.rules.{m}" in sys.modules]
+Linter(errors_only=True).lint(BLAST_WORKFLOW_XML)
+print(loaded())
+Linter().lint(BLAST_WORKFLOW_XML)
+print(loaded())
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines() == ["[]", "['advisory', 'backend', 'serve']"]

@@ -56,6 +56,26 @@ def test_the_front_end_loads_no_numpy(loaded, name):
     assert "repro.core.planner" in loaded[name]
 
 
+@pytest.mark.parametrize("name", ["lint-hybrid", "plan-blast", "plan-hybrid", "explain-blast"])
+def test_the_front_end_builds_no_class_from_generated_source(loaded, name):
+    # its records are NamedTuples and plain classes, not @dataclass: no
+    # dataclasses, and no inspect that only dataclasses imported
+    assert "dataclasses" not in loaded[name]
+    assert "inspect" not in loaded[name]
+
+
+@pytest.mark.parametrize("name", ["run-blast", "run-budget", "run-hybrid"])
+def test_a_one_rank_run_builds_no_dataclass(loaded, name):
+    assert "dataclasses" not in loaded[name]
+
+
+@pytest.mark.parametrize("name", ["plan-blast", "run-blast", "run-budget", "run-process"])
+def test_a_blast_command_loads_no_operator_it_does_not_name(loaded, name):
+    # sort and distribute only: the other built-ins load when a workflow names them
+    assert not any(m in loaded[name] for m in startup_budget._UNNAMED_OPS)
+    assert not any(m in loaded[name] for m in startup_budget._ADVISORY_RULES)
+
+
 def test_lint_reads_no_input_file(loaded):
     # every rule runs; records come from --assume-records or a stat, never a scan
     assert "repro.analysis.rules.advisory" in loaded["lint-hybrid"]

@@ -23,7 +23,6 @@ import os
 import tempfile
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,14 +48,15 @@ CASES = settings(
 )
 
 
-@dataclass(frozen=True)
 class KeySchema(RecordSchema):
     """A binary ``(key, ord)`` schema whose key has any numpy dtype (a config
     file can name only 32- and 64-bit fields).  The key field declares the
     config type of its dtype's class — what the planner reads — and the
     record width is the dtype's."""
 
-    key_dtype: str = "<i4"
+    def __init__(self, key_dtype: str = "<i4", **schema) -> None:
+        super().__init__(**schema)
+        vars(self)["key_dtype"] = key_dtype  # immutable, as the base
 
     @property
     def dtype(self) -> np.dtype:
