@@ -1,11 +1,16 @@
 """Figure 6 / Section III-B ablation — permutation-matrix distribution.
 
 The paper formalizes distribution policies as stride-permutation matrices
-applied by matrix-vector multiplication.  This bench measures the literal
-sparse-matrix form against the O(n) index form (both produce identical
-partitions — tested in tests/policies) and the end-to-end Distribute
-operator under both modes.
+applied by matrix-vector multiplication.  The product applies them in their
+O(n) index form; the literal sparse matrix lives in the test oracle
+(``tests/integration/_oracle.py``), built from each policy's definition.
+This bench measures the matrix form against the index form, and the
+end-to-end ``Distribute`` operator against the matrix applied to the same
+records (identical partitions).
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +19,13 @@ from repro.bench import Experiment, shape
 from repro.core.dataset import Dataset
 from repro.formats import BLAST_INDEX_SCHEMA
 from repro.ops import Distribute
-from repro.policies import (
-    apply_permutation_matrix,
-    cyclic_permutation_indices,
-    stride_permutation_matrix,
-)
+from repro.policies import cyclic_permutation_indices
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "integration"))
+try:
+    from _oracle import deal_counts, deal_matrix, stride_permutation_matrix
+finally:
+    sys.path.pop(0)
 
 N = 1 << 18
 PARTS = 32
@@ -49,8 +56,17 @@ def test_index_form_kernel(benchmark, vector):
 
 
 def test_matrix_form_kernel(benchmark, vector, matrix):
-    out = benchmark(apply_permutation_matrix, matrix, vector)
+    out = benchmark(matrix.dot, vector)
     assert len(out) == N
+
+
+def matrix_partitions(records, parts):
+    """The cyclic deal as the paper writes it: the 0/1 matrix times the
+    entry-index vector, then one gather per partition."""
+    n = len(records)
+    order = deal_matrix(n, parts, "cyclic") @ np.arange(n, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(deal_counts(n, parts, "cyclic"))))
+    return [records[order[offsets[p] : offsets[p + 1]]] for p in range(parts)]
 
 
 def test_distribute_operator_both_modes(benchmark, dataset, reporter):
@@ -60,21 +76,18 @@ def test_distribute_operator_both_modes(benchmark, dataset, reporter):
         exp = Experiment(
             "Figure 6 ablation", "Distribution as matrix-vector product vs index form"
         )
-        for use_matrix in (False, True):
-            op = Distribute("cyclic", PARTS, use_matrix=use_matrix)
+        modes = {
+            "index": lambda: [p.records for p in Distribute("cyclic", PARTS).apply_local(dataset)],
+            "matrix-vector": lambda: matrix_partitions(dataset.records, PARTS),
+        }
+        out = {}
+        for mode, deal in modes.items():
             t0 = time.perf_counter()
-            parts = op.apply_local(dataset)
+            out[mode] = deal()
             elapsed = time.perf_counter() - t0
-            exp.add(
-                mode="matrix-vector" if use_matrix else "index",
-                entries=len(dataset),
-                partitions=len(parts),
-                seconds=elapsed,
-            )
-        matrix_parts = Distribute("cyclic", PARTS, use_matrix=True).apply_local(dataset)
-        index_parts = Distribute("cyclic", PARTS, use_matrix=False).apply_local(dataset)
+            exp.add(mode=mode, entries=len(dataset), partitions=len(out[mode]), seconds=elapsed)
         identical = all(
-            np.array_equal(a.records, b.records) for a, b in zip(matrix_parts, index_parts)
+            np.array_equal(a, b) for a, b in zip(out["matrix-vector"], out["index"])
         )
         exp.note(f"partitions identical across modes: {identical}")
         return exp, identical

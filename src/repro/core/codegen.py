@@ -55,7 +55,7 @@ def _operator_expr(job: PlannedJob) -> str:
     if isinstance(op, Distribute):
         return (
             f"Distribute(policy={op.policy.name!r}, "
-            f"num_partitions={op.num_partitions!r}, use_matrix={op.use_matrix!r})"
+            f"num_partitions={op.num_partitions!r})"
         )
     # user-defined operators provide their own reconstruction expression
     hook = getattr(op, "codegen_expr", None)

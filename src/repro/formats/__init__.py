@@ -1,4 +1,4 @@
-"""Record formats: schemas, binary / text readers-writers, packed + CSC.
+"""Record formats: schemas, binary / text readers-writers, packed records.
 
 This package is the runtime behind PaPar's *input-data configuration file*
 interface (paper Section III-A): a schema describes one element of the input
@@ -21,6 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "read_text_array", "write_text", "write_text_array",
     ),
     "repro.formats.packed": (
-        "PackedRecords", "CSCBlock", "pack", "unpack", "compression_ratio",
+        "PackedRecords", "pack", "unpack",
     ),
 })

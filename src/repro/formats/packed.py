@@ -1,4 +1,4 @@
-"""Packed record format and CSR/CSC compression (paper Section III-D).
+"""Packed record format (paper Section III-D).
 
 The ``pack`` format operator turns a reducer's grouped output into *packed
 entries*: all records sharing a group key stored as one entry.  In memory
@@ -8,16 +8,9 @@ number of numpy calls whatever the group count.
 
 The packed layout is redundant — the group key (and any per-group add-on
 attribute, such as the in-degree) repeats inside every record of the group.
-The paper's "Data Compression" optimization stores the redundant key column
-in a Compressed Sparse Column (CSC) layout instead: one key per group plus
-the offsets array, while the *value array is deliberately left
-uncompressed* ("the value array may include different values ... we do not
-compress the value array to keep the generality").
-
-``PackedRecords`` is the uncompressed packed format; ``CSCBlock`` is its
-key-compressed wire form.  Both round-trip losslessly, and both report
-``nbytes`` so the communication saving can be measured (the paper observed
-up to 13% on its graph datasets).
+The paper's "Data Compression" optimization stores the key once per group
+in a CSC layout; that form is measured by the compression ablation
+(``benchmarks/_ablations.py``) and is not on the run path.
 """
 
 from __future__ import annotations
@@ -29,11 +22,6 @@ import numpy as np
 from repro.errors import FormatError
 from repro.formats.records import RecordSchema
 from repro.order import stable_order
-
-
-def _schema_without(schema: RecordSchema, field: str) -> np.dtype:
-    """Structured dtype of a record with ``field`` removed."""
-    return np.dtype([(f.name, f.numpy_dtype) for f in schema.fields if f.name != field])
 
 
 class PackedRecords:
@@ -126,66 +114,6 @@ class PackedRecords:
             records=self.records[gather], indptr=indptr,
         )
 
-    def to_csc(self) -> "CSCBlock":
-        """Compress: store each group key once, keep value columns verbatim."""
-        values = np.empty(len(self.records), dtype=_schema_without(self.schema, self.key_field))
-        for name in values.dtype.names:
-            values[name] = self.records[name]
-        return CSCBlock(
-            schema=self.schema, key_field=self.key_field,
-            keys=self.keys, indptr=self.indptr, values=values,
-        )
-
-
-class CSCBlock:
-    """CSC-compressed packed records.
-
-    Mirrors the paper's example ``{0, {2, 3, 4, 5}, {4, 4, 4, 4}}``: a start
-    pointer (generalized here to the full ``indptr`` offsets array), the
-    per-record value columns, and the group keys stored once each.
-    """
-
-    def __init__(self, schema: RecordSchema, key_field: str, keys: np.ndarray,
-                 indptr: np.ndarray, values: np.ndarray) -> None:
-        self.schema = schema
-        self.key_field = key_field
-        self.keys = keys
-        self.indptr = indptr
-        #: structured array of non-key columns, uncompressed
-        self.values = values
-        if len(self.indptr) != len(self.keys) + 1:
-            raise FormatError(
-                f"indptr must have {len(self.keys) + 1} entries, got {len(self.indptr)}"
-            )
-        if len(self.values) != (self.indptr[-1] if len(self.indptr) else 0):
-            raise FormatError("values length does not match indptr[-1]")
-        if np.any(np.diff(self.indptr) < 0):
-            raise FormatError("indptr must be non-decreasing")
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.keys)
-
-    @property
-    def num_records(self) -> int:
-        return len(self.values)
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size of the compressed representation."""
-        return self.keys.nbytes + self.indptr.nbytes + self.values.nbytes
-
-    def to_packed(self) -> PackedRecords:
-        """Decompress back to the packed format (lossless round trip)."""
-        records = np.empty(len(self.values), dtype=self.schema.dtype)
-        records[self.key_field] = np.repeat(self.keys, np.diff(self.indptr))
-        for name in self.values.dtype.names:
-            records[name] = self.values[name]
-        return PackedRecords(
-            schema=self.schema, key_field=self.key_field,
-            records=records, indptr=self.indptr,
-        )
-
 
 def pack(records: np.ndarray, schema: RecordSchema, key_field: str) -> PackedRecords:
     """The ``pack`` format operator: group a record array by ``key_field``.
@@ -211,11 +139,3 @@ def pack(records: np.ndarray, schema: RecordSchema, key_field: str) -> PackedRec
 def unpack(packed: PackedRecords) -> np.ndarray:
     """The ``unpack`` format operator (module-level convenience)."""
     return packed.unpack()
-
-
-def compression_ratio(packed: PackedRecords) -> float:
-    """Fraction of bytes saved by CSC compression: ``1 - csc/packed``."""
-    base = packed.nbytes
-    if base == 0:
-        return 0.0
-    return 1.0 - packed.to_csc().nbytes / base

@@ -49,6 +49,11 @@ def chrome_trace(recorder: Recorder, time_basis: Optional[str] = None) -> dict[s
     ``time_basis`` forces ``"virtual"`` or ``"wall"`` timestamps; by default
     virtual time is used whenever a cluster model advanced any clock.
     Timestamps are microseconds, as the format requires.
+
+    Spans and instants are listed in a total order on their content — pid,
+    ts, the longest duration first, name, args — not in the order ranks
+    finished them, so two runs with the same virtual clocks write the same
+    bytes.
     """
     basis = time_basis or _time_basis(recorder)
     if basis not in ("virtual", "wall"):
@@ -87,6 +92,9 @@ def chrome_trace(recorder: Recorder, time_basis: Optional[str] = None) -> dict[s
         if inst.attrs:
             event["args"] = dict(inst.attrs)
         events.append(event)
+    events.sort(key=lambda e: (e["pid"], e["ts"], -e.get("dur", 0.0), e["name"],
+                               json.dumps(e.get("args"), sort_keys=True, default=str),
+                               e["ph"], e["cat"]))
     # name the tracks: "rank N" processes sorted by rank, driver last
     for pid in sorted(pids):
         name = "driver" if pid == DRIVER_PID else f"rank {pid}"

@@ -2,9 +2,9 @@
 
 ``Distribute(inputPath, outputPath, inputFormat, outputFormat, policy,
 numPartitions, addOn)`` — the one operator that does not follow the
-key-value concept.  The policy is formalized as a permutation matrix
+key-value concept.  The paper formalizes the policy as a permutation matrix
 ``L_m^{km}`` generated at runtime from ``policy`` and ``numPartitions``
-(Section III-B): the operator's code is fixed, only the matrix changes.
+(Section III-B): the operator's code is fixed, only the permutation changes.
 
 The operator accepts either a single dataset or a list of datasets (the
 split outputs of the hybrid-cut workflow); each stream is permuted
@@ -26,9 +26,14 @@ share in the SPMD executor.  An in-memory dataset is dealt with one
 ``Sort`` result (:class:`~repro.core.dataset.SortedView`) that select is
 ``records[order[p::P]]``, so the sorted copy is never built.  A source that
 streams — an out-of-core input view, a spilled sort's sorted runs — is dealt
-chunk by chunk without ever being resident.  Packed streams, the
-``use_matrix`` ablation and permutation-defined policies keep the permutation
-path, which reads (and so materializes) a lazy sort result.
+chunk by chunk without ever being resident.  Packed streams and
+permutation-defined policies keep the permutation path, which reads (and so
+materializes) a lazy sort result.
+
+Either path applies the permutation in its O(n) index form.  The literal 0/1
+matrix of Section III-B, built from each policy's definition and multiplied
+into the entry-index vector, lives in the test oracle
+(``tests/integration/_oracle.py``), which checks this operator against it.
 
 :func:`deal_pieces` is that positional deal as a stream of pieces — each a
 partition, its first slot, its first global position and the entries to put
@@ -118,28 +123,11 @@ class Distribute(BasicOperator):
         self,
         policy: Union[str, DistributionPolicy],
         num_partitions: int,
-        use_matrix: bool = False,
     ) -> None:
         if num_partitions < 1:
             raise OperatorError(f"numPartitions must be >= 1, got {num_partitions!r}")
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.num_partitions = num_partitions
-        #: apply the literal matrix-vector multiplication instead of the O(n)
-        #: index form (ablation switch; results are identical)
-        self.use_matrix = use_matrix
-
-    def _permute_entries(self, n: int) -> np.ndarray:
-        """Entry order with each partition's entries contiguous."""
-        import numpy as np
-
-        from repro.policies.permutation import apply_permutation_matrix, stride_permutation_matrix
-
-        if self.use_matrix and n > 0 and n % self.num_partitions == 0:
-            # cyclic dealing into P partitions gathers at stride P, which is
-            # the stride permutation L_{n/P}^n in the paper's L_m^{km} notation
-            matrix = stride_permutation_matrix(n, n // self.num_partitions)
-            return apply_permutation_matrix(matrix, np.arange(n, dtype=np.int64))
-        return self.policy.permutation(n, self.num_partitions)
 
     def partition_one(self, data: Any) -> list[Dataset]:
         """Partition one stream; entry = record (flat) or group (packed)."""
@@ -149,9 +137,9 @@ class Distribute(BasicOperator):
 
         n = len(data)
         # flat records under a policy that states its positional rule are
-        # dealt by position; packed streams, the matrix ablation and
-        # permutation-defined policies go through the permutation
-        if not self.use_matrix and not data.is_packed and self.policy.deals_by_position:
+        # dealt by position; packed streams and permutation-defined policies
+        # go through the permutation
+        if not data.is_packed and self.policy.deals_by_position:
             if hasattr(data, "chunks"):
                 return self._deal_strided(data, n)
             # resident: the one window covers the stream, so every piece is
@@ -169,7 +157,7 @@ class Distribute(BasicOperator):
         if hasattr(data, "materialize"):
             # the permutation gathers by index: a streamed source turns resident
             data = data.materialize()
-        perm = self._permute_entries(n)
+        perm = self.policy.permutation(n, self.num_partitions)
         counts = self.policy.counts(n, self.num_partitions)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         return [

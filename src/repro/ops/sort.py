@@ -86,21 +86,14 @@ class Sort(BasicOperator):
         addon: Optional[AddOnOperator] = None,
         addon_attr: Optional[str] = None,
         addon_field: Optional[str] = None,
-        kernel: str = "numpy",
     ) -> None:
         if not key:
             raise OperatorError("Sort requires a key field")
-        if kernel not in ("numpy", "aspas"):
-            raise OperatorError(f"unknown sort kernel {kernel!r}; use 'numpy' or 'aspas'")
         self.key = key
         self.ascending = ascending
         self.addon = addon
         self.addon_attr = addon_attr
         self.addon_field = addon_field
-        #: local sort kernel: the packed kernel with its numpy fallback, or the
-        #: ASPaS-style blocked mergesort the paper credits for single-node
-        #: speed (results identical)
-        self.kernel = kernel
 
     @classmethod
     def from_flag(cls, key: str, flag: int = ASCENDING, **kwargs) -> "Sort":
@@ -111,11 +104,9 @@ class Sort(BasicOperator):
 
     def sort_indices(self, keys: np.ndarray) -> np.ndarray:
         """Stable order of entries by key (descending keeps ties stable too)."""
-        if self.kernel == "aspas":
-            from repro.ops.aspas import aspas_argsort as argsort
-        else:
-            from repro.order import stable_order as argsort
-        return argsort(sort_key_array(keys, self.ascending))
+        from repro.order import stable_order
+
+        return stable_order(sort_key_array(keys, self.ascending))
 
     def apply_local(self, data: Dataset) -> Dataset:
         """Sort this rank's local entries (records, or packed groups)."""
@@ -150,7 +141,7 @@ class Sort(BasicOperator):
 
         column = rows[self.key]
         id_dtype = row_id_dtype(len(rows))
-        if self.kernel == "numpy" and packs_rows(column.dtype, id_dtype):
+        if packs_rows(column.dtype, id_dtype):
             return packed_row_ids(column, ids, not self.ascending, id_dtype)
         order = self.sort_indices(column if ids is None else column[ids])
         if ids is not None:
@@ -174,7 +165,7 @@ class Sort(BasicOperator):
         field = rows.dtype[self.key]
         id_dtype = row_id_dtype(len(rows))
         held = n * id_dtype.itemsize if composed else 0
-        if self.kernel == "numpy" and packs_rows(field, id_dtype):
+        if packs_rows(field, id_dtype):
             return n * 8 + min(n, ROW_STEP) * 24 + held
         key_bytes = sort_key_dtype(field, self.ascending).itemsize
         return n * (key_bytes + 16 + id_dtype.itemsize) + held

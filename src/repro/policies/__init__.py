@@ -1,7 +1,7 @@
 """Distribution and split policies, formalized as stride permutations.
 
-See :mod:`repro.policies.permutation` for the ``L_m^{km}`` machinery
-(Figure 6), :mod:`repro.policies.distr` for the cyclic / block /
+See :mod:`repro.policies.permutation` for the ``L_m^{km}`` permutations in
+index form (Figure 6), :mod:`repro.policies.distr` for the cyclic / block /
 graphVertexCut distribution policies, and :mod:`repro.policies.split_policy`
 for the threshold routing grammar of the ``split`` operator.
 """
@@ -16,9 +16,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "get_policy", "register_policy",
     ),
     "repro.policies.permutation": (
-        "stride_permutation_indices", "stride_permutation_matrix",
-        "apply_permutation_matrix", "cyclic_permutation_indices",
-        "block_permutation_indices", "partition_counts",
+        "cyclic_permutation_indices", "block_permutation_indices", "partition_counts",
     ),
     "repro.policies.split_policy": ("SplitPolicy", "SplitCondition"),
 })

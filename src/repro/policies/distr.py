@@ -13,6 +13,11 @@ Policies:
   (packed low-degree groups and flat high-degree edges), cyclic within each
   stream, exactly the two matrices ``L_3^4`` / ``L_3^3`` of Figure 11.
 
+The product applies each policy's permutation in its O(n) index form
+(:meth:`~DistributionPolicy.permutation`, ``y = x[perm]``); the literal 0/1
+matrix built from each policy's definition lives in the test oracle
+(``tests/integration/_oracle.py``), which checks the index form against it.
+
 A policy is *defined* by its permutation.  The built-in ones also state it
 in positional form — :meth:`~DistributionPolicy.pieces`, where an entry goes
 given only its global position — which is what lets a stream be dealt in

@@ -126,16 +126,15 @@ class TestNarrowKernel:
 
 
 class TestWhatTheBudgetWeighs:
-    @pytest.mark.parametrize("kernel", ["numpy", "aspas"])
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint32, np.int64, np.uint64, np.float64])
     @pytest.mark.parametrize("ascending", [True, False])
     @pytest.mark.parametrize("composed", [False, True])
-    def test_the_sort_peaks_within_its_weight(self, kernel, dtype, ascending, composed):
+    def test_the_sort_peaks_within_its_weight(self, dtype, ascending, composed):
         n = 60_000
         rows = np.zeros(n, dtype=[("key", dtype), ("ord", "<i8")])
         rows["key"] = key_column(dtype, n, "random", 5)
         ids = np.random.default_rng(6).permutation(n).astype(row_id_dtype(n)) if composed else None
-        sort = Sort("key", ascending=ascending, kernel=kernel)
+        sort = Sort("key", ascending=ascending)
         tracemalloc.start()
         try:
             sort.order_rows(rows, ids)

@@ -132,7 +132,6 @@ IDENTITY_RECORDS = {
     "MemoryBudget": lambda: MemoryBudget("1MB"),
     "SpillStats": SpillStats,
     "PackedRecords": _packed,
-    "CSCBlock": lambda: _packed().to_csc(),
 }
 
 

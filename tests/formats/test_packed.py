@@ -1,4 +1,11 @@
-"""Packed format and CSR/CSC compression (paper Section III-D)."""
+"""Packed format and CSR/CSC compression (paper Section III-D).
+
+The CSC form is the compression ablation's (``benchmarks/_ablations.py``),
+loaded from the benchmarks directory by path.
+"""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.formats import (
-    EDGE_LIST_SCHEMA,
-    CSCBlock,
-    Field,
-    RecordSchema,
-    compression_ratio,
-    pack,
-    unpack,
-)
+from repro.formats import EDGE_LIST_SCHEMA, Field, RecordSchema, pack, unpack
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from _ablations import CSCBlock, compression_ratio, to_csc
+finally:
+    sys.path.pop(0)
 
 #: edge schema extended with the count add-on's indegree attribute,
 #: as produced by the group job of the hybrid-cut workflow (Figure 11).
@@ -89,7 +94,7 @@ class TestCSC:
     def test_paper_example_structure(self):
         """Figure 11 / Section III-D: {0, {2,3,4,5}, {4,4,4,4}} for in-vertex 1."""
         packed = pack(figure11_records(), EDGE_WITH_DEGREE, "vertex_b")
-        csc = packed.to_csc()
+        csc = to_csc(packed)
         assert csc.indptr.tolist() == [0, 4]
         assert csc.keys.tolist() == [1]
         assert csc.values["vertex_a"].tolist() == [2, 3, 4, 5]
@@ -101,7 +106,7 @@ class TestCSC:
             [(2, 1, 3), (3, 1, 3), (7, 1, 3), (9, 5, 2), (8, 5, 2), (4, 6, 1)]
         )
         packed = pack(records, EDGE_WITH_DEGREE, "vertex_b")
-        back = packed.to_csc().to_packed()
+        back = to_csc(packed).to_packed()
         assert back.num_groups == packed.num_groups
         for (k1, r1), (k2, r2) in zip(packed.groups, back.groups):
             assert k1 == k2
@@ -143,7 +148,7 @@ class TestCSC:
         records = EDGE_WITH_DEGREE.to_structured(rows)
         packed = pack(records, EDGE_WITH_DEGREE, "vertex_b")
         assert packed.num_records == len(rows)
-        flat_again = packed.to_csc().to_packed().unpack()
+        flat_again = to_csc(packed).to_packed().unpack()
         assert sorted(flat_again.tolist()) == sorted(records.tolist())
 
     @given(
@@ -161,7 +166,7 @@ class TestCSC:
         )
         records = schema.to_structured(pairs)
         packed = pack(records, schema, "grp")
-        csc = packed.to_csc()
+        csc = to_csc(packed)
         # per group CSC trades (count-1) stored keys for one indptr entry, so
         # it wins once every group holds >= 3 records (8B key vs 8B offset + key)
         min_group = min(len(rows) for _, rows in packed.groups)

@@ -4,7 +4,7 @@
 operation on it is a fixed number of numpy calls.  The reference below is
 the straightforward layout it replaced — a Python list of ``(key, rows)``
 with one numpy call per group — kept here so that pack / take / column /
-unpack / to_csc and every built-in add-on are compared group by group.
+unpack and every built-in add-on are compared group by group.
 """
 
 import numpy as np
@@ -112,14 +112,6 @@ def check_layout(keys) -> None:
         taken = data.take(indices).packed
         assert_same_groups(taken, [groups[int(i)] for i in indices])
 
-    csc = packed.to_csc()
-    assert csc.keys.tolist() == [k for k, _ in groups]
-    assert csc.indptr.tolist() == np.concatenate(
-        ([0], np.cumsum([len(rows) for _, rows in groups]))
-    ).astype(int).tolist()
-    for name in ("v", "w", "f"):
-        assert csc.values[name].tobytes() == ref_unpack(groups)[name].tobytes()
-    assert_same_groups(csc.to_packed(), groups)
 
 
 def check_addon(keys, addon_name: str, field: str) -> None:

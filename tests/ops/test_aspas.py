@@ -1,4 +1,11 @@
-"""ASPaS-style blocked mergesort: equivalence with numpy's stable sort."""
+"""ASPaS-style blocked mergesort: equivalence with numpy's stable sort.
+
+The kernel is the single-node sort ablation's (``benchmarks/_ablations.py``),
+loaded from the benchmarks directory by path.
+"""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import OperatorError
-from repro.ops.aspas import aspas_argsort, aspas_sort
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from _ablations import aspas_argsort, aspas_sort
+finally:
+    sys.path.pop(0)
 
 
 class TestAspasSort:

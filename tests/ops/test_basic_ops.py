@@ -11,6 +11,7 @@ from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA
 from repro.ops import Count, Distribute, Group, Sort, Split
 from repro.ops.sort import ASCENDING, DESCENDING
 from repro.policies import SplitPolicy
+from tests.integration._oracle import deal_matrix
 
 FIGURE1_ROWS = [
     (0, 94, 0, 74),
@@ -171,11 +172,14 @@ class TestDistribute:
         assert parts[1].rows() == FIGURE1_ROWS[2:]
 
     def test_matrix_form_matches_index_form(self):
+        """The 0/1 deal matrix of Section III-B (the test oracle's), applied
+        to the entry-index vector, gathers the operator's partitions."""
         sorted_ds = Sort("seq_size").apply_local(blast_ds())
-        fast = Distribute("cyclic", 2, use_matrix=False).apply_local(sorted_ds)
-        slow = Distribute("cyclic", 2, use_matrix=True).apply_local(sorted_ds)
-        for a, b in zip(fast, slow):
-            assert a.rows() == b.rows()
+        parts = Distribute("cyclic", 2).apply_local(sorted_ds)
+        records = sorted_ds.records
+        order = deal_matrix(len(records), 2, "cyclic") @ np.arange(len(records))
+        assert parts[0].records.tolist() == records[order[:2]].tolist()
+        assert parts[1].records.tolist() == records[order[2:]].tolist()
 
     def test_multi_stream_hybrid(self):
         """Figure 11 step 6: one packed stream + one flat stream, 3 partitions."""

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import Dataset
-from repro.errors import OperatorError
 from repro.formats import EDGE_LIST_SCHEMA, Field, RecordSchema
 from repro.ops import Count, Distribute, Group, Sort
 
@@ -28,10 +27,6 @@ class TestSortWithAddOn:
         assert groups[1]["n"].tolist() == [1]
         # groups appear in sorted key order
         assert [k for k, _ in out.packed.groups] == [1, 2, 3]
-
-    def test_sort_kernel_validation(self):
-        with pytest.raises(OperatorError, match="kernel"):
-            Sort("k", kernel="quantum")
 
     def test_sort_packed_dataset_by_group_key(self):
         ds = Dataset.from_rows(EDGE_LIST_SCHEMA, [(1, 9), (2, 3), (3, 9), (4, 3)])

@@ -264,11 +264,10 @@ class TestSortedView:
         assert type(Sort("seq_size", addon=Count(), addon_attr="n").apply_local(data)) is Dataset
         assert type(Sort("seq_size").apply_local(data.to_packed("seq_size"))) is Dataset
 
-    @pytest.mark.parametrize("kernel", ["numpy", "aspas"])
     @pytest.mark.parametrize("ascending", [True, False])
-    def test_both_kernels_return_the_same_view(self, kernel, ascending):
+    def test_the_view_gathers_the_stable_order(self, ascending):
         data = dataset(3000, seed=2)
-        view = Sort("seq_size", ascending=ascending, kernel=kernel).apply_local(data)
+        view = Sort("seq_size", ascending=ascending).apply_local(data)
         key = sort_key_array(data.records["seq_size"], ascending)
         assert np.array_equal(view.records, data.records[np.argsort(key, kind="stable")])
 
@@ -316,11 +315,25 @@ class TestDealFromTheLazySort:
         parts[0].records["seq_size"][:] = -1
         assert (data.records["seq_size"] >= 0).all()
 
-    def test_use_matrix_reads_the_sorted_copy(self):
-        view = Sort("seq_size").apply_local(dataset(24, seed=4))
-        want = Distribute("cyclic", 4).apply_local(materialized(view))
-        assert_same_parts(Distribute("cyclic", 4, use_matrix=True).apply_local(view), want)
-        assert view._pending is None  # the permutation path gathers by index
+    def test_a_permutation_defined_policy_reads_the_sorted_copy(self):
+        class ByPermutation(CyclicPolicy):
+            """Cyclic dealing restated by its permutation alone."""
+
+            name = "by-permutation-test"
+
+            def permutation(self, n, num_partitions):
+                return super().permutation(n, num_partitions)
+
+        register_policy("by-permutation-test", ByPermutation)
+        try:
+            view = Sort("seq_size").apply_local(dataset(24, seed=4))
+            want = Distribute("cyclic", 4).apply_local(materialized(view))
+            op = Distribute("by-permutation-test", 4)
+            assert not op.policy.deals_by_position
+            assert_same_parts(op.apply_local(view), want)
+            assert view._pending is None  # the permutation path gathers by index
+        finally:
+            del _POLICIES["by-permutation-test"]
 
     def test_custom_registered_policy_takes_the_permutation_path(self):
         class Reversed(CyclicPolicy):

@@ -1,4 +1,5 @@
-"""Stride permutations L_m^{km} (Figure 6) — index form vs matrix form."""
+"""Stride permutations L_m^{km} (Figure 6) — the product's index form
+against the matrix form, which the test oracle builds from the definition."""
 
 import subprocess
 import sys
@@ -9,74 +10,69 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import PolicyError
-from repro.policies import (
-    apply_permutation_matrix,
-    block_permutation_indices,
-    cyclic_permutation_indices,
-    partition_counts,
-    stride_permutation_indices,
-    stride_permutation_matrix,
-)
+from repro.policies import block_permutation_indices, cyclic_permutation_indices, partition_counts
+from tests.integration._oracle import stride_permutation_matrix
+
+
+def permuted(n, m):
+    """``L_m^n`` applied to the index vector: ``y = L @ [0, 1, ..., n-1]``."""
+    return stride_permutation_matrix(n, m) @ np.arange(n, dtype=np.int64)
 
 
 class TestStridePermutation:
     def test_figure6a_L2_4(self):
         """L_2^4 permutes [x0,x1,x2,x3] -> [x0,x2,x1,x3] (cyclic, 2 partitions)."""
         x = np.array(["x0", "x1", "x2", "x3"])
-        perm = stride_permutation_indices(4, 2)
-        assert x[perm].tolist() == ["x0", "x2", "x1", "x3"]
+        assert x[permuted(4, 2)].tolist() == ["x0", "x2", "x1", "x3"]
 
     def test_figure6b_L4_4_identity(self):
         """L_4^4 is the identity (block policy)."""
-        perm = stride_permutation_indices(4, 4)
-        assert perm.tolist() == [0, 1, 2, 3]
+        assert permuted(4, 4).tolist() == [0, 1, 2, 3]
 
     def test_definition_formula(self):
         """y[j*m+i] = x[i*k+j] for all i < m, j < k."""
         n, m = 12, 3
         k = n // m
-        x = np.arange(n)
-        y = x[stride_permutation_indices(n, m)]
+        x = np.arange(n) * 10
+        y = stride_permutation_matrix(n, m) @ x
         for i in range(m):
             for j in range(k):
                 assert y[j * m + i] == x[i * k + j]
 
     def test_requires_divisibility(self):
-        with pytest.raises(PolicyError, match="requires m"):
-            stride_permutation_indices(4, 3)
+        with pytest.raises(ValueError, match="requires m"):
+            stride_permutation_matrix(4, 3)
 
     def test_empty(self):
-        assert len(stride_permutation_indices(0, 3)) == 0
+        assert len(permuted(0, 3)) == 0
 
     def test_invalid_args(self):
-        with pytest.raises(PolicyError):
-            stride_permutation_indices(-1, 2)
-        with pytest.raises(PolicyError):
-            stride_permutation_indices(4, 0)
+        with pytest.raises(ValueError):
+            stride_permutation_matrix(-1, 2)
+        with pytest.raises(ValueError):
+            stride_permutation_matrix(4, 0)
 
     @given(st.integers(1, 12), st.integers(1, 12))
     def test_property_is_permutation(self, m, k):
         n = m * k
-        perm = stride_permutation_indices(n, m)
-        assert sorted(perm.tolist()) == list(range(n))
+        assert sorted(permuted(n, m).tolist()) == list(range(n))
 
     @given(st.integers(1, 8), st.integers(1, 8))
     def test_property_inverse_is_L_k(self, m, k):
         """The inverse of L_m^{mk} is L_k^{mk}."""
         n = m * k
-        perm_m = stride_permutation_indices(n, m)
-        perm_k = stride_permutation_indices(n, k)
         x = np.arange(n)
-        assert np.array_equal(x[perm_m][perm_k], x)
+        back = stride_permutation_matrix(n, k) @ (stride_permutation_matrix(n, m) @ x)
+        assert np.array_equal(back, x)
 
 
 class TestMatrixForm:
     def test_matrix_equals_index_form(self):
+        """The product's cyclic index form is the matrix L_{n/P}^n when P | n."""
         for n, m in [(4, 2), (4, 4), (12, 3), (16, 8)]:
             x = np.arange(n) * 10
-            matrix = stride_permutation_matrix(n, m)
-            via_matrix = apply_permutation_matrix(matrix, x)
-            via_index = x[stride_permutation_indices(n, m)]
+            via_matrix = stride_permutation_matrix(n, m) @ x
+            via_index = x[cyclic_permutation_indices(n, n // m)]
             assert np.array_equal(via_matrix, via_index)
 
     def test_matrix_is_orthogonal_permutation(self):
@@ -86,9 +82,8 @@ class TestMatrixForm:
         assert np.array_equal(P @ P.T, np.eye(6, dtype=P.dtype))
 
     def test_shape_mismatch_rejected(self):
-        matrix = stride_permutation_matrix(4, 2)
-        with pytest.raises(PolicyError, match="entries"):
-            apply_permutation_matrix(matrix, np.arange(5))
+        with pytest.raises(ValueError):
+            stride_permutation_matrix(4, 2) @ np.arange(5)
 
 
 class TestCyclicPermutation:
@@ -104,9 +99,7 @@ class TestCyclicPermutation:
     def test_reduces_to_stride_permutation_when_divisible(self):
         """Cyclic dealing into P partitions == L_{n/P}^n (gather at stride P)."""
         for n, p in [(4, 2), (12, 3), (16, 4), (9, 9)]:
-            assert np.array_equal(
-                cyclic_permutation_indices(n, p), stride_permutation_indices(n, n // p)
-            )
+            assert np.array_equal(cyclic_permutation_indices(n, p), permuted(n, n // p))
 
     def test_L3_3_identity(self):
         """Figure 11: L_3^3 'happens not to permute data'."""
@@ -170,9 +163,9 @@ class TestBlockAndCounts:
 
 
 def test_importing_the_cli_leaves_scipy_out():
-    """scipy.sparse serves the use_matrix ablation only; every CLI start-up
-    would pay ~0.15 s for it.  A fresh interpreter keeps the check immune
-    to whatever this session imported."""
+    """scipy's one user in the product is :mod:`repro.graph`, which no CLI
+    command imports; every CLI start-up would pay ~0.15 s for it.  A fresh
+    interpreter keeps the check immune to whatever this session imported."""
     probe = (
         "import sys, repro.cli; "
         "leaked = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "

@@ -115,17 +115,17 @@ BUDGETS: dict[str, Budget] = {
                          seconds=1.0, numpy=False),
     "plan-hybrid": Budget(36, 6_700, _FRONT + _ADVISORY_RULES, seconds=1.0, numpy=False),
     "explain-blast": Budget(34, 6_400, _FRONT + _UNNAMED_OPS, seconds=1.0, numpy=False),
-    "run-blast": Budget(40, 8_700, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
+    "run-blast": Budget(40, 8_600, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
                         + _ADVISORY_RULES + ("repro.ooc", "dataclasses"), seconds=1.5),
-    "run-hybrid": Budget(46, 9_400, _SPMD + _ENGINES + _ON_REQUEST + _ADVISORY_RULES
+    "run-hybrid": Budget(46, 9_250, _SPMD + _ENGINES + _ON_REQUEST + _ADVISORY_RULES
                          + ("repro.ooc", "repro.mapreduce.columnar", "dataclasses"),
                          seconds=1.5),
     # a budget that bounds the read and that the narrow sort fits: nothing spills
-    "run-budget": Budget(44, 9_350, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
+    "run-budget": Budget(44, 9_250, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
                          + _ADVISORY_RULES
                          + ("repro.ooc.runfile", "repro.ooc.extsort", "dataclasses"),
                          seconds=1.5),
-    "run-process": Budget(53, 11_100, ("repro.fault",) + _ENGINES + _ON_REQUEST + _UNRUN
+    "run-process": Budget(53, 11_050, ("repro.fault",) + _ENGINES + _ON_REQUEST + _UNRUN
                           + _UNNAMED_OPS + _ADVISORY_RULES + ("repro.ooc",), seconds=2.0),
     "serve": Budget(56, 12_350, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
                                  "repro.fault", "repro.serve.client")
