@@ -10,7 +10,7 @@ repartitioning and redistribution at runtime."
 
 :class:`SortedView` is the flat dataset a plain ``Sort`` returns: the
 unsorted records plus their stable order as narrow row ids, gathered only
-when someone reads them — or never, when the consumer is a positional deal
+when someone reads them — or never, when the consumer is a deal
 that gathers each partition's share itself (:meth:`Dataset.select`).  The
 records may be a read-only mapping of the input file: a sort then reads
 only its key column, and each partition's records are fetched from the
@@ -120,14 +120,18 @@ class Dataset:
             return Dataset(schema=self.schema, packed=self.packed.take(indices))
         return Dataset(schema=self.schema, records=self.records[np.asarray(indices)])
 
-    def select(self, where: slice) -> "Dataset":
+    def select(self, where: Union[slice, np.ndarray]) -> "Dataset":
         """The entries at the positions ``where``, copied out.
 
-        One partition's share of a positional deal: ``where`` is the strided
-        (cyclic) or contiguous (block) slice the deal rule assigns it.
+        One piece of a deal (:func:`~repro.ops.distribute.deal_into`):
+        ``where`` is the strided (cyclic) or contiguous (block) slice the
+        policy's rule assigns a partition, or the index array a
+        permutation-defined policy does.
         """
         if self.packed is not None:
-            return self.take(np.arange(*where.indices(len(self))))
+            if isinstance(where, slice):
+                where = np.arange(*where.indices(len(self)))
+            return self.take(where)
         return Dataset(schema=self.schema, records=self.records[where].copy())
 
     def indexed_rows(self) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
@@ -161,10 +165,10 @@ class SortedView(Dataset):
     Holds ``(source, order)``: the sorted records are ``source[order]``,
     ``order`` being row ids into ``source`` (a sort of this view composes
     its order into them — :meth:`indexed_rows`).
-    :meth:`select` gathers a slice of them straight from the pair — a deal
-    that only ever asks for ``select(slice(p, None, P))`` never builds the
-    sorted copy.  Any other read goes through :attr:`records`, which
-    gathers once and drops the pair, so from then on (and to every caller
+    :meth:`select` gathers a slice or an index array of them straight from
+    the pair — a deal, which only ever asks for ``select(where)``, never
+    builds the sorted copy.  Any other read goes through :attr:`records`,
+    which gathers once and drops the pair, so from then on (and to every caller
     that does not know about the pair) this is a plain sorted dataset;
     pickling — a checkpoint, the fabric codec — writes it as one.
     """
@@ -194,7 +198,7 @@ class SortedView(Dataset):
     def to_flat(self) -> Dataset:
         return Dataset(schema=self.schema, records=self.records)
 
-    def select(self, where: slice) -> Dataset:
+    def select(self, where: Union[slice, np.ndarray]) -> Dataset:
         pending = self._pending
         if pending is None:
             return super().select(where)
@@ -207,6 +211,14 @@ class SortedView(Dataset):
 
     def __reduce__(self) -> tuple:
         return Dataset, (self.schema, self.records)
+
+
+def resident(source: Any) -> Any:
+    """``source`` as in-memory data: a file-backed source or an out-of-core
+    view is materialized; in-memory datasets and lists of split outputs
+    pass through."""
+    materialize = getattr(source, "materialize", None)
+    return source if materialize is None else materialize()
 
 
 def concat(datasets: Sequence[Dataset]) -> Dataset:

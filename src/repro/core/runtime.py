@@ -70,12 +70,12 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from repro.core.dataset import Dataset, concat
+from repro.core.dataset import Dataset, concat, resident
 from repro.core.perf import PerfCounters
 from repro.core.planner import Physical, PlannedJob, WorkflowPlan, physical_plan
 from repro.errors import WorkflowError
 from repro.ops.base import is_basic
-from repro.ops.distribute import Distribute, deal_pieces
+from repro.ops.distribute import Distribute, deal_into
 from repro.ops.sort import Sort, sort_key_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only: a serial run never loads
@@ -149,16 +149,6 @@ def _dataset_rows_per_rank(data: Dataset, rank: int, size: int) -> Dataset:
     return Dataset(schema=data.schema, records=data.records[start : start + length])
 
 
-def resident(source: Any) -> Any:
-    """``source`` as in-memory data: an out-of-core view is materialized.
-
-    Duck-typed like :func:`_dataset_rows_per_rank`; in-memory datasets and
-    lists of split outputs pass through.
-    """
-    materialize = getattr(source, "materialize", None)
-    return source if materialize is None else materialize()
-
-
 def run_plan(
     plan: WorkflowPlan, input_data: Any, spmd: bool, part_writer: Optional[PartWriter],
     output: Optional[str] = None,
@@ -203,37 +193,6 @@ def job_input(job: PlannedJob, outputs: dict[str, Any], input_data: Dataset) -> 
         picked = [val[i] for i in job.source_outputs]
         return picked if len(picked) > 1 else picked[0]
     return val
-
-
-def deal_into(
-    op: Distribute,
-    stream: Any,
-    sink: Any,
-    base: np.ndarray,
-    offset: int = 0,
-    total: Optional[int] = None,
-    window: Optional[int] = None,
-    perf: Optional[PerfCounters] = None,
-) -> None:
-    """Deal one stream's pieces into ``sink(partition, slot, first global
-    position, piece)``.
-
-    The stream holds global positions ``[offset, offset + len(stream))`` of
-    ``total``; a piece for slot ``s`` of partition ``p`` goes to slot
-    ``base[p] + s`` — ``base`` being what the earlier streams put there,
-    advanced past this stream on return — ``window`` positions at a time
-    (all at once when ``None``); one that does not stream is dealt resident.
-    The one deal of every backend: the sink is a part file or, on the SPMD
-    ones, the owner's outbox.
-    """
-    stream = stream if hasattr(stream, "chunks") else resident(stream)
-    total = len(stream) if total is None else total
-    num_p = op.num_partitions
-    for p, slot, first, piece in deal_pieces(stream, op.policy, total, num_p, offset, window):
-        if perf is not None:
-            perf.count_move(len(piece), piece.nbytes)
-        sink(p, int(base[p]) + slot, first, piece)
-    base += op.policy.counts(total, num_p)
 
 
 def _alltoall(
@@ -719,10 +678,10 @@ class MPIRuntime:
             return view
         if choice.tail == "gathered" and choice.exchange == "none":
             # one rank holds every stream: the operator's own deal, which
-            # takes a permutation-defined policy too; under a budget what
-            # streams is dealt as it streams
+            # takes a permutation-defined policy too; what streams is dealt
+            # as it streams
             perf.paths[job.op_id] = choice.path
-            return dict(enumerate(op.apply_local(source if ctx is not None else resident(source))))
+            return dict(enumerate(op.apply_local(source)))
         if isinstance(op, Distribute):
             return self._distribute_job(comm, job, choice, source, perf, ctx, part_writer)
         if choice.exchange == "records":
@@ -846,8 +805,8 @@ class MPIRuntime:
         """Deal every stream's entries to their partitions.
 
         Each rank cuts its window of a stream's global positions into
-        pieces with the policy's positional rule (:func:`deal_into`, a
-        budget's window at a time).  Planned ``in place`` (see
+        pieces with the policy's rule (:func:`deal_into`, a budget's window
+        at a time).  Planned ``in place`` (see
         :func:`~repro.core.planner.physical_plan`), a piece is written
         straight to its slot of its part, the partition's owner rank
         (``p % size``) seals the file, and the job returns ``{partition:
@@ -856,10 +815,11 @@ class MPIRuntime:
         Planned ``gathered``, the partition id is the temporary reduce-key
         ("the reducer id is used as the reduce-key"): each stream is
         exchanged on its own — its outbox in memory or in run files
-        (:meth:`_spills`) — as
-        ``(partition, first global index, entries)`` chunks, which the
-        owners order by ``(stream, first index)`` and return as
-        ``{partition: Dataset}``.
+        (:meth:`_spills`) — as ``(partition, entries)`` pieces, and each
+        owner returns ``{partition: Dataset}``, the pieces concatenated as
+        they arrived.  That is position order: ranks hold ascending windows,
+        a rank deals its own in position order, and the exchange keeps
+        source-rank and append order.
         """
         op = job.operator
         streams = list(source) if isinstance(source, (list, tuple)) else [source]
@@ -868,11 +828,11 @@ class MPIRuntime:
         if in_place and part_writer is None:
             raise _internal(job, choice, "no part files to write into")
 
-        def write(p: int, slot: int, _first: int, piece: Dataset) -> None:
+        def write(p: int, slot: int, piece: Dataset) -> None:
             part_writer.write(p, slot, piece.records)
 
         base = np.zeros(num_p, dtype=np.int64)
-        per_partition: dict[int, list[tuple[int, int, Dataset]]] = {}
+        per_partition: dict[int, list[Dataset]] = {}
         for stream_idx, stream in enumerate(streams):
             n_local = len(stream)
             offset, total = _positions(comm, n_local)
@@ -882,13 +842,13 @@ class MPIRuntime:
                     deal_into(op, stream, write, base, offset, total, window, perf)
                 continue
             runs = self._spills(comm, ctx, stream, "dist")
-            boxes: list[list[tuple[int, int, Dataset]]] = [[] for _ in range(comm.size)]
+            boxes: list[list[tuple[int, Dataset]]] = [[] for _ in range(comm.size)]
 
-            def put(p: int, _slot: int, first: int, piece: Dataset) -> None:
+            def put(p: int, _slot: int, piece: Dataset) -> None:
                 if runs is None:
-                    boxes[p % comm.size].append((p, first, piece))
-                else:  # a keyless frame: partition and first position ride in the tag
-                    runs.append(p % comm.size, piece.records, tag=first * num_p + p)
+                    boxes[p % comm.size].append((p, piece))
+                else:  # a keyless frame: the partition rides in the tag
+                    runs.append(p % comm.size, piece.records, tag=p)
 
             deal_into(op, stream, put, base, offset, total, window, perf)
             inbox = _alltoall(
@@ -901,11 +861,11 @@ class MPIRuntime:
                 from repro.ooc.spill import drain_frames
 
                 arrived = [
-                    (f.tag % num_p, f.tag // num_p, Dataset(schema=stream.schema, records=f.values))
+                    (f.tag, Dataset(schema=stream.schema, records=f.values))
                     for f in drain_frames(inbox)
                 ]
-            for p, first_idx, chunk in arrived:
-                per_partition.setdefault(p, []).append((stream_idx, first_idx, chunk))
+            for p, chunk in arrived:
+                per_partition.setdefault(p, []).append(chunk)
         owned = range(comm.rank, num_p, comm.size)
         perf.paths[job.op_id] = "in place" if in_place else f"gathered ({choice.reason})"
         if in_place:
@@ -915,10 +875,10 @@ class MPIRuntime:
             return counts
         result: dict[int, Dataset] = {}
         for p in owned:
-            chunks = sorted(per_partition.get(p, []), key=lambda t: (t[0], t[1]))
+            chunks = per_partition.get(p, [])
             if chunks:
-                self._charge(comm, "stream", sum(c.num_records for _, _, c in chunks))
-            result[p] = _flat([c for _, _, c in chunks], streams[0].schema)
+                self._charge(comm, "stream", sum(c.num_records for c in chunks))
+            result[p] = _flat(chunks, streams[0].schema)
         return result
 
 

@@ -20,7 +20,7 @@ The crc32 covers the concatenated key+value payload, so a torn or
 corrupted spill is detected at re-read time (:class:`RunCorruptionError`)
 rather than silently partitioning garbage — the same checksum discipline
 the fault-injection transport uses.  ``tag`` is a free u8; a distribute
-frame carries its destination partition and first global index there.
+frame carries its destination partition there.
 """
 
 from __future__ import annotations

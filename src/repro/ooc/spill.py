@@ -115,8 +115,8 @@ class SpillableShuffle:
     Senders call :meth:`append` once per (chunk, destination) bucket;
     :meth:`finish` closes the writers and returns one manifest (or
     ``None``) per destination, ready for the all-to-all.  Frames carry
-    an optional ``tag`` (the distribute path folds the piece's partition
-    and first global index into it, so its frames are keyless) and
+    an optional ``tag`` (the distribute path puts the piece's partition
+    in it, so its frames are keyless) and
     optional per-record keys.
     """
 

@@ -11,40 +11,28 @@ split outputs of the hybrid-cut workflow); each stream is permuted
 independently — Figure 11 generates ``L_3^4`` for the high-degree stream and
 ``L_3^3`` for the low-degree stream — and partition ``p``'s final output
 concatenates every stream's ``p``-th chunk, unpacked ("as the distribute is
-the last step in the workflow, all data will be unpacked").
+the last step in the workflow, all data will be unpacked").  An entry is a
+record of a flat stream or a group of a packed one.
 
-Flat records under a policy that states its positional rule
-(:attr:`~repro.policies.distr.DistributionPolicy.deals_by_position` — every
-built-in one) are not gathered through the permutation vector but dealt by
-position, which applies the same permutation in its index form: a record at
-global position ``g`` goes to partition ``g mod P``, slot ``g // P``
-(cyclic), or to a contiguous range (block).  The rule is the policy's
-:meth:`~repro.policies.distr.DistributionPolicy.pieces`, for any window of
-global positions — the whole stream here, a rank's ``[offset, offset + n)``
-share in the SPMD executor.  An in-memory dataset is dealt with one
-:meth:`~repro.core.dataset.Dataset.select` per partition; when it is a lazy
-``Sort`` result (:class:`~repro.core.dataset.SortedView`) that select is
-``records[order[p::P]]``, so the sorted copy is never built.  A source that
-streams — an out-of-core input view, a spilled sort's sorted runs — is dealt
-chunk by chunk without ever being resident.  Packed streams and
-permutation-defined policies keep the permutation path, which reads (and so
-materializes) a lazy sort result.
+The code that deals is one loop, :func:`deal_into`: each window of a
+stream's global positions — the whole stream here, a budget's window or a
+rank's share in the executor — is cut into the pieces the policy's
+:meth:`~repro.policies.distr.DistributionPolicy.pieces` names, each
+gathered by one :meth:`~repro.core.dataset.Dataset.select` (on a lazy
+``Sort`` result, ``records[order[where]]``: the sorted copy is never built)
+and handed to a sink — this operator's partitions, a part file, or an
+owner's outbox.  A source that streams is dealt a window at a time, never
+resident.
 
-Either path applies the permutation in its O(n) index form.  The literal 0/1
-matrix of Section III-B, built from each policy's definition and multiplied
-into the entry-index vector, lives in the test oracle
+The literal 0/1 matrix of Section III-B, built from each policy's definition
+and multiplied into the entry-index vector, lives in the test oracle
 (``tests/integration/_oracle.py``), which checks this operator against it.
-
-:func:`deal_pieces` is that positional deal as a stream of pieces — each a
-partition, its first slot, its first global position and the entries to put
-there — for any window of a stream's positions: what this operator
-assembles partitions from, what the runtimes write into the part files in
-place, and what the SPMD executor ships to the partitions' owners.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
 from repro.errors import OperatorError
 from repro.ops.base import BasicOperator, register_basic
@@ -54,47 +42,69 @@ if TYPE_CHECKING:  # pragma: no cover - the kernels import these where they run
     import numpy as np
 
     from repro.core.dataset import Dataset
+    from repro.core.perf import PerfCounters
 
 
-def deal_pieces(
+def deal_into(
+    op: Distribute,
     stream: Any,
-    policy: DistributionPolicy,
-    total: int,
-    num_partitions: int,
+    sink: Callable[[int, int, Dataset], None],
+    base: np.ndarray,
     offset: int = 0,
+    total: Optional[int] = None,
     window: Optional[int] = None,
-) -> Iterator[tuple[int, int, int, Dataset]]:
-    """Deal a stream's entries by position: ``(partition, first slot, first
-    global position, entries)`` pieces, in position order.
+    perf: Optional[PerfCounters] = None,
+) -> None:
+    """Deal one stream's entries into ``sink(partition, slot, piece)``.
 
-    The stream holds the global positions ``[offset, offset + len(stream))``
-    of a stream of ``total`` entries.  One that streams (``chunks()``) is
-    dealt a chunk at a time — consecutive chunks joined up to ``window``
-    records, when given, so that small merge frames do not each cost a
-    piece per partition; a dataset is dealt ``window`` positions at a time
-    (all at once when ``None``), each piece gathered by one
-    :meth:`~repro.core.dataset.Dataset.select` — from a sort's row ids
-    when the dataset is a lazy sort result, as groups when it is packed.
+    The stream holds global positions ``[offset, offset + len(stream))`` of
+    ``total``; a piece for slot ``s`` of partition ``p`` goes to slot
+    ``base[p] + s`` — ``base`` being what the earlier streams put there,
+    advanced past this stream on return — ``window`` positions at a time
+    (all at once when ``None``).  A stream is made resident only when it
+    cannot stream or its policy is permutation-defined: the base class
+    states that one's pieces for the whole stream, in one window.
     """
+    from repro.core.dataset import resident
+
+    policy, num_p = op.policy, op.num_partitions
+    positional = policy.deals_by_position
+    # the base class's rule, whatever positional form a subclass inherits
+    pieces = policy.pieces if positional else partial(DistributionPolicy.pieces, policy)
+    window = window if positional else None
+    streams = positional and hasattr(stream, "chunks")
+    stream = stream if streams else resident(stream)
+    total = len(stream) if total is None else total
+    g0 = offset
+    for source, w0, m in _windows(stream, streams, window):
+        for p, slot, where in pieces(total, num_p, g0, m):
+            # a slice is window-relative; an index array's window is the stream
+            if isinstance(where, slice):
+                start, stop, stride = where.indices(m)
+                where = slice(w0 + start, w0 + stop, stride)
+            piece = source.select(where)
+            if perf is not None:
+                perf.count_move(len(piece), piece.nbytes)
+            sink(p, int(base[p]) + slot, piece)
+        g0 += m
+    base += policy.counts(total, num_p)
+
+
+def _windows(stream: Any, streams: bool, window: Optional[int]) -> Iterator[tuple[Any, int, int]]:
+    """``(source, first, length)`` of each window of ``stream`` in position
+    order: the window is ``source``'s entries ``[first, first + length)`` —
+    a chunk's (consecutive chunks joined up to ``window``), or the resident
+    stream's, ``window`` at a time (all at once when ``None``)."""
     from repro.core.dataset import Dataset
 
-    if hasattr(stream, "chunks"):
-        g0 = offset
+    if streams:
         for records in _joined(stream.chunks(), window):
-            m = len(records)
-            for p, slot, where in policy.pieces(total, num_partitions, g0, m):
-                piece = Dataset(schema=stream.schema, records=records[where])
-                yield p, slot, g0 + where.indices(m)[0], piece
-            g0 += m
+            yield Dataset(schema=stream.schema, records=records), 0, len(records)
         return
     n = len(stream)
     step = max(1, n if window is None else window)
     for w0 in range(0, n, step):
-        m = min(step, n - w0)
-        for p, slot, where in policy.pieces(total, num_partitions, offset + w0, m):
-            start, stop, stride = where.indices(m)
-            first = w0 + start
-            yield p, slot, offset + first, stream.select(slice(first, w0 + stop, stride))
+        yield stream, w0, min(step, n - w0)
 
 
 def _joined(chunks: Iterator[Any], window: Optional[int]) -> Iterator[np.ndarray]:
@@ -129,77 +139,40 @@ class Distribute(BasicOperator):
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.num_partitions = num_partitions
 
-    def partition_one(self, data: Any) -> list[Dataset]:
-        """Partition one stream; entry = record (flat) or group (packed)."""
-        import numpy as np
-
-        from repro.core.dataset import Dataset
-
-        n = len(data)
-        # flat records under a policy that states its positional rule are
-        # dealt by position; packed streams and permutation-defined policies
-        # go through the permutation
-        if not data.is_packed and self.policy.deals_by_position:
-            if hasattr(data, "chunks"):
-                return self._deal_strided(data, n)
-            # resident: the one window covers the stream, so every piece is
-            # a whole partition and one select (a lazy sort's only gather)
-            # builds it
-            parts = {
-                p: piece.records
-                for p, _, _, piece in deal_pieces(data, self.policy, n, self.num_partitions)
-            }
-            empty = np.empty(0, dtype=data.schema.dtype)
-            return [
-                Dataset(schema=data.schema, records=parts.get(p, empty))
-                for p in range(self.num_partitions)
-            ]
-        if hasattr(data, "materialize"):
-            # the permutation gathers by index: a streamed source turns resident
-            data = data.materialize()
-        perm = self.policy.permutation(n, self.num_partitions)
-        counts = self.policy.counts(n, self.num_partitions)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        return [
-            data.take(perm[offsets[p] : offsets[p + 1]])
-            for p in range(self.num_partitions)
-        ]
-
-    def _deal_strided(self, data: Any, n: int) -> list[Dataset]:
-        """Deal ``n`` records arriving as consecutive chunks, no permutation.
-
-        A record's target follows from its global position ``g`` alone —
-        partition ``g mod P`` at slot ``g // P`` when dealing cyclically, a
-        contiguous range per partition under ``block`` — so each chunk is
-        copied by a handful of slice assignments into partitions sized up
-        front from the policy's counts.
-        """
-        import numpy as np
-
-        from repro.core.dataset import Dataset
-
-        counts = self.policy.counts(n, self.num_partitions)
-        parts = [np.empty(count, dtype=data.schema.dtype) for count in counts]
-        for p, slot, _, piece in deal_pieces(data, self.policy, n, self.num_partitions):
-            parts[p][slot : slot + len(piece)] = piece.records
-        return [Dataset(schema=data.schema, records=part) for part in parts]
-
     def apply_local(self, data: Any) -> list[Dataset]:
         """Distribute local entries; returns ``num_partitions`` flat datasets.
 
         ``data`` is one stream or a list of them; a stream is a dataset or
         anything flat that yields its records through ``chunks()`` (an
         out-of-core input view, a spilled sort's sorted runs), which is
-        dealt as it streams.
+        dealt as it streams.  A piece that is a whole partition — every
+        piece of a resident stream, packed or flat — becomes it with no
+        further copy; a streamed one's pieces are copied into partitions
+        allocated from the policy's counts, so at most one window of input
+        is held beyond the output.
         """
-        from repro.core.dataset import concat
+        import numpy as np
 
-        streams = [data] if hasattr(data, "schema") else list(data)
+        from repro.core.dataset import Dataset, concat
+
+        streams = list(data) if isinstance(data, (list, tuple)) else [data]
         if not streams:
             raise OperatorError("Distribute received no input streams")
-        per_stream = [self.partition_one(s) for s in streams]
-        out = []
-        for p in range(self.num_partitions):
-            chunks = [per_stream[s][p].to_flat() for s in range(len(streams))]
-            out.append(concat(chunks) if len(chunks) > 1 else chunks[0])
-        return out
+        per_stream = []
+        for stream in streams:
+            counts = self.policy.counts(len(stream), self.num_partitions)
+            parts = [np.empty(0, dtype=stream.schema.dtype)] * self.num_partitions
+
+            def put(p: int, slot: int, piece: Dataset) -> None:
+                if len(piece) == counts[p]:
+                    parts[p] = piece.to_flat().records
+                    return
+                if len(parts[p]) != counts[p]:
+                    parts[p] = np.empty(counts[p], dtype=piece.records.dtype)
+                parts[p][slot : slot + len(piece)] = piece.records
+
+            deal_into(self, stream, put, np.zeros(self.num_partitions, dtype=np.int64))
+            per_stream.append([Dataset(schema=stream.schema, records=r) for r in parts])
+        if len(per_stream) == 1:
+            return per_stream[0]
+        return [concat(chunks) for chunks in zip(*per_stream)]

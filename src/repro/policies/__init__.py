@@ -13,10 +13,10 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.policies.distr": (
         "DistributionPolicy", "CyclicPolicy", "BlockPolicy", "GraphVertexCutPolicy",
-        "get_policy", "register_policy",
+        "get_policy", "register_policy", "partition_counts",
     ),
     "repro.policies.permutation": (
-        "cyclic_permutation_indices", "block_permutation_indices", "partition_counts",
+        "cyclic_permutation_indices", "block_permutation_indices",
     ),
     "repro.policies.split_policy": ("SplitPolicy", "SplitCondition"),
 })

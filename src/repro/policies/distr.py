@@ -18,24 +18,45 @@ The product applies each policy's permutation in its O(n) index form
 matrix built from each policy's definition lives in the test oracle
 (``tests/integration/_oracle.py``), which checks the index form against it.
 
-A policy is *defined* by its permutation.  The built-in ones also state it
-in positional form — :meth:`~DistributionPolicy.pieces`, where an entry goes
-given only its global position — which is what lets a stream be dealt in
+A policy is *defined* by its permutation; every deal reads it as
+:meth:`~DistributionPolicy.pieces`, where a window of a stream's positions
+goes.  The base class reads the pieces off the permutation, for the window
+that covers the whole stream.  The built-in policies state them in
+positional form, for any window — which is what lets a stream be dealt in
 windows: a chunk at a time out of core, a rank's share on the SPMD backends,
-an appended batch in ``serve``.  Every dealer reaches the rule through the
-policy object; a policy without it runs on the serial backend only
-(:meth:`~DistributionPolicy.require_positional`).
+an appended batch in ``serve``.  A policy without that form runs on the
+serial backend only (:meth:`~DistributionPolicy.require_positional`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Union
 
 from repro.errors import PolicyError
 
 if TYPE_CHECKING:  # pragma: no cover - the kernels import numpy where they run
     import numpy as np
+
+
+def partition_counts(n: int, num_partitions: int, policy: str) -> np.ndarray:
+    """Entries per partition after permutation, for contiguous dealing.
+
+    Both policies balance the remainder onto the first ``n % P`` partitions:
+    cyclic because round-robin dealing wraps, block by convention.
+    """
+    import numpy as np
+
+    if policy not in ("cyclic", "block"):
+        raise PolicyError(f"unknown policy {policy!r}")
+    if num_partitions < 1:
+        raise PolicyError(f"num_partitions must be >= 1, got {num_partitions!r}")
+    if n < 0:
+        raise PolicyError(f"entry count must be >= 0, got {n!r}")
+    base, extra = divmod(n, num_partitions)
+    return np.array(
+        [base + (1 if p < extra else 0) for p in range(num_partitions)], dtype=np.int64
+    )
 
 
 class DistributionPolicy:
@@ -51,32 +72,33 @@ class DistributionPolicy:
         """Entries per partition, aligned with :meth:`permutation` order."""
         raise NotImplementedError
 
-    def assign(self, n: int, num_partitions: int) -> np.ndarray:
-        """Partition id of each entry position (derived from the permutation)."""
-        import numpy as np
-
-        perm = self.permutation(n, num_partitions)
-        counts = self.counts(n, num_partitions)
-        owners = np.empty(n, dtype=np.int64)
-        # scatter each partition's id over its contiguous permutation slice
-        # in one vectorized repeat instead of a per-partition loop
-        owners[perm] = np.repeat(np.arange(num_partitions, dtype=np.int64), counts)
-        return owners
-
     def pieces(
         self, total: int, num_partitions: int, g0: int, m: int
-    ) -> Iterator[tuple[int, int, slice]]:
-        """The permutation in positional form, for one window of a stream.
+    ) -> Iterator[tuple[int, int, Union[slice, np.ndarray]]]:
+        """The rule every deal reads, for one window of a stream.
 
         Where the entries at global positions ``[g0, g0 + m)`` of a stream
-        of ``total`` go: ``(partition, first slot, slice of the window)``,
-        at most one per partition.  The sliced entries fill that partition's
-        slots from ``first slot`` up, and a partition's slots rise with
-        position (dealers order pieces of several windows by first
-        position).  Must agree with :meth:`permutation` / :meth:`counts`
-        for every window.
+        of ``total`` go: ``(partition, first slot, positions in the
+        window)``, at most one per partition.  The selected entries fill
+        that partition's slots from ``first slot`` up, and a partition's
+        slots rise with position.  A policy that states its positional rule
+        overrides this with slices, for any window, in agreement with
+        :meth:`permutation` / :meth:`counts`.
+
+        Here the rule is read off the permutation, which is stated for the
+        whole stream only: the one window that covers it gives partition
+        ``p`` its contiguous share of the permutation, as an index array.
+        Any narrower window is refused (:meth:`require_positional`).
         """
-        raise NotImplementedError
+        import numpy as np
+
+        if g0 != 0 or m != total:
+            self.require_positional()
+        perm = self.permutation(total, num_partitions)
+        offsets = np.concatenate(([0], np.cumsum(self.counts(total, num_partitions))))
+        for p in range(num_partitions):
+            if offsets[p + 1] > offsets[p]:
+                yield p, 0, perm[offsets[p] : offsets[p + 1]]
 
     @property
     def deals_by_position(self) -> bool:
@@ -119,8 +141,6 @@ class CyclicPolicy(DistributionPolicy):
         return cyclic_permutation_indices(n, num_partitions)
 
     def counts(self, n: int, num_partitions: int) -> np.ndarray:
-        from repro.policies.permutation import partition_counts
-
         return partition_counts(n, num_partitions, "cyclic")
 
     def pieces(
@@ -145,8 +165,6 @@ class BlockPolicy(DistributionPolicy):
         return block_permutation_indices(n)
 
     def counts(self, n: int, num_partitions: int) -> np.ndarray:
-        from repro.policies.permutation import partition_counts
-
         return partition_counts(n, num_partitions, "block")
 
     def pieces(

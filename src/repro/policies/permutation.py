@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PolicyError
+from repro.policies.distr import partition_counts  # noqa: F401 - its home is the policies
 
 
 def cyclic_permutation_indices(n: int, num_partitions: int) -> np.ndarray:
@@ -48,21 +49,3 @@ def block_permutation_indices(n: int) -> np.ndarray:
     if n < 0:
         raise PolicyError(f"vector length must be >= 0, got {n!r}")
     return np.arange(n, dtype=np.int64)
-
-
-def partition_counts(n: int, num_partitions: int, policy: str) -> np.ndarray:
-    """Entries per partition after permutation, for contiguous dealing.
-
-    Both policies balance the remainder onto the first ``n % P`` partitions:
-    cyclic because round-robin dealing wraps, block by convention.
-    """
-    if policy not in ("cyclic", "block"):
-        raise PolicyError(f"unknown policy {policy!r}")
-    if num_partitions < 1:
-        raise PolicyError(f"num_partitions must be >= 1, got {num_partitions!r}")
-    if n < 0:
-        raise PolicyError(f"entry count must be >= 0, got {n!r}")
-    base, extra = divmod(n, num_partitions)
-    return np.array(
-        [base + (1 if p < extra else 0) for p in range(num_partitions)], dtype=np.int64
-    )

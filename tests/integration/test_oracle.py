@@ -134,6 +134,42 @@ def test_part_files_equal_the_oracle(papar, workflow, tmp_path):
             assert rows == theirs.tolist(), p
 
 
+def partition_files_equal_the_oracle(papar, workflow, n, tmp_path, **backend):
+    xml, schema_id = WORKFLOWS[workflow]
+    schema = papar.schema(schema_id)
+    records = records_for(schema, n, seed=11)
+    write_input(tmp_path / "input", schema, records)
+    out = tmp_path / "out"
+    args = arguments(workflow, P, str(tmp_path / "input"), str(out))
+    result = papar.partition_files(xml, args, **backend).result
+    assert result.perf["output"]["mode"] == "in_place"
+    part_schema, want = expected(papar, workflow, records, args)
+    for p, theirs in enumerate(want):
+        got = (out / f"part-{p:05d}").read_bytes()
+        assert got == b"\x00" * part_schema.start_position + theirs.tobytes(), p
+
+
+#: a budget whose deal window is 3 BLAST records (a quarter of it)
+WINDOWED_BUDGET = 4 * 3 * 16
+
+
+@pytest.mark.parametrize("workflow", ["blast", "blast-block"])
+def test_a_budgeted_in_place_deal_equals_the_oracle(papar, workflow, tmp_path):
+    """Windows of 3 positions over 58 records: neither is a multiple of
+    P, so windows open mid-row, and the last (at 57) opens inside the last
+    partial row (56 and 57); each piece is written at the slot its window
+    names."""
+    partition_files_equal_the_oracle(
+        papar, workflow, 58, tmp_path, memory_budget=WINDOWED_BUDGET)
+
+
+def test_mpi_part_files_equal_the_oracle(papar, tmp_path):
+    """Three ranks cut 7 sorted records as 3, 2 and 2: the last rank's
+    window opens at 5, inside the last partial row (4 to 6), and it writes
+    its pieces in place at the slots that window names."""
+    partition_files_equal_the_oracle(papar, "blast", 7, tmp_path, backend="mpi", num_ranks=3)
+
+
 #: each shipped workflow and its input-data configuration, under configs/
 SHIPPED = {"blast": ("blast_partition.xml", "blast_db.xml"),
            "hybrid_cut": ("hybrid_cut.xml", "graph_edge.xml")}

@@ -325,7 +325,8 @@ class TestPiecesIsThePermutation:
         policy = get_policy(policy)
         perm = policy.permutation(n, num_partitions)
         counts = policy.counts(n, num_partitions)
-        owners = policy.assign(n, num_partitions)
+        owners = np.empty(n, dtype=np.int64)
+        owners[perm] = np.repeat(np.arange(num_partitions), counts)
         # slot_of[g]: where entry g sits inside its partition
         slot_of = np.empty(n, dtype=np.int64)
         slot_of[perm] = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)

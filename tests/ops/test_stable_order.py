@@ -315,7 +315,7 @@ class TestDealFromTheLazySort:
         parts[0].records["seq_size"][:] = -1
         assert (data.records["seq_size"] >= 0).all()
 
-    def test_a_permutation_defined_policy_reads_the_sorted_copy(self):
+    def test_a_permutation_defined_policy_deals_without_the_sorted_copy(self):
         class ByPermutation(CyclicPolicy):
             """Cyclic dealing restated by its permutation alone."""
 
@@ -326,12 +326,15 @@ class TestDealFromTheLazySort:
 
         register_policy("by-permutation-test", ByPermutation)
         try:
+            want = Distribute("cyclic", 4).apply_local(
+                materialized(Sort("seq_size").apply_local(dataset(24, seed=4))))
             view = Sort("seq_size").apply_local(dataset(24, seed=4))
-            want = Distribute("cyclic", 4).apply_local(materialized(view))
             op = Distribute("by-permutation-test", 4)
             assert not op.policy.deals_by_position
             assert_same_parts(op.apply_local(view), want)
-            assert view._pending is None  # the permutation path gathers by index
+            # each partition's share of the permutation is gathered from the
+            # pair: the sorted copy is never built
+            assert view._pending is not None
         finally:
             del _POLICIES["by-permutation-test"]
 
@@ -354,7 +357,7 @@ class TestDealFromTheLazySort:
             assert np.array_equal(want[0].records, view.records[perm[:3]])
             fresh = Sort("seq_size").apply_local(dataset(10, seed=5))
             assert_same_parts(op.apply_local(fresh), want)
-            assert fresh._pending is None
+            assert fresh._pending is not None
         finally:
             del _POLICIES["reversed-lazy-test"]
 
