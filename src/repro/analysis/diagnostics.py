@@ -11,7 +11,9 @@ process exit code.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
+
+from repro.errors import Record
 
 
 class Severity(enum.Enum):
@@ -35,7 +37,7 @@ class Severity(enum.Enum):
 _SEVERITY_ORDER = {Severity.ERROR: 0, Severity.WARNING: 1, Severity.INFO: 2}
 
 
-class Diagnostic(NamedTuple):
+class Diagnostic(Record):
     """One finding reported by a lint rule."""
 
     code: str

@@ -3,7 +3,7 @@
 One :func:`explain` call runs the same engine pass ``papar lint`` runs,
 then renders the plan instead of only what the rules flagged: per operator
 its exchange kind and the dataflow edges, and for every planned job the
-physical plan's choice (:func:`~repro.core.planner.physical_plan`, the
+physical plan's choice (:func:`~repro.core.physical.physical_plan`, the
 decision the runtimes dispatch on) on the serial backend and on the SPMD
 backends, with the record bytes the SPMD run puts on the wire when the
 input's record count is known — plus the PAP08x advisories of the pass.
@@ -23,7 +23,8 @@ from repro.analysis.engine import Linter
 from repro.config.workflow import WorkflowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.planner import Physical, WorkflowPlan
+    from repro.core.physical import Physical
+    from repro.core.planner import WorkflowPlan
 
 #: JSON contract version of the explain report
 EXPLAIN_SCHEMA_VERSION = 2

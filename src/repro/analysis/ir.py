@@ -15,7 +15,7 @@ consumes this IR instead of re-resolving paths privately.  The IR holds
 every declared operator; which of them run is the planner's decision
 (:attr:`WorkflowPlan.elided <repro.core.planner.WorkflowPlan.elided>`), and
 how each runs is the physical plan's
-(:func:`~repro.core.planner.physical_plan`).
+(:func:`~repro.core.physical.physical_plan`).
 """
 
 from __future__ import annotations

@@ -23,12 +23,12 @@ from __future__ import annotations
 import os
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, Record
 
 
-class SourcePosition(NamedTuple):
+class SourcePosition(Record):
     """1-based line/column of an element's start tag."""
 
     line: int

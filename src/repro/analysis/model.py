@@ -16,21 +16,23 @@ from __future__ import annotations
 
 import os
 import xml.etree.ElementTree as ET
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.locate import LocatedTree
 from repro.config.workflow import _REF_RE, AddOnSpec, OperatorSpec, ParamSpec, WorkflowSpec
+from repro.errors import Record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.planner import Physical, WorkflowPlan
+    from repro.core.physical import Physical
+    from repro.core.planner import WorkflowPlan
     from repro.formats.records import RecordSchema
 
 #: operator types the planner understands natively
 KNOWN_OPERATORS = ("sort", "group", "split", "distribute")
 
 
-class Reference(NamedTuple):
+class Reference(Record):
     """One ``$ref`` occurrence inside a parameter or operator attribute."""
 
     #: the reference text without the leading ``$`` (dots kept, inner $ dropped)
@@ -236,12 +238,12 @@ class LintContext:
 
     def physical(self, spmd: bool) -> Optional[dict[str, "Physical"]]:
         """How each planned job of the intended file-to-file run runs
-        (:func:`~repro.core.planner.physical_plan`, the runtimes' own
+        (:func:`~repro.core.physical.physical_plan`, the runtimes' own
         decision); ``None`` without a plan or an input schema."""
         schema, _ = self.input_schema()
         if self.plan is None or schema is None:
             return None
-        from repro.core.planner import physical_plan
+        from repro.core.physical import physical_plan
 
         return physical_plan(
             self.plan, schema, spmd=spmd, streamed=self.memory_budget is not None,

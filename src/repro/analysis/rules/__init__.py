@@ -19,12 +19,13 @@ that hold one; the others load when :data:`CHECKERS` is first asked for.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from repro.analysis.diagnostics import Severity
+from repro.errors import Record
 
 
-class RuleSpec(NamedTuple):
+class RuleSpec(Record):
     """Catalog entry of one diagnostic code (the machine-readable rule doc)."""
 
     code: str

@@ -13,7 +13,7 @@ runs, where a single worker crash otherwise restarts the whole gang from
 scratch.  PAP073 applies to every SPMD backend: it says when a file-to-file
 run's partitions will be gathered to the driver and written there instead of
 being written in place by the ranks, and why — the physical plan's own
-answer (:func:`~repro.core.planner.physical_plan`), which the runtimes
+answer (:func:`~repro.core.physical.physical_plan`), which the runtimes
 dispatch on.
 """
 

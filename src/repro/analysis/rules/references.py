@@ -4,8 +4,9 @@ A workflow's glue is its references: plain ``$name`` pulls a workflow
 argument, dotted ``$opid.param`` / ``$opid.$attr`` pulls an intermediate
 value an earlier operator produced.  These rules walk every occurrence and
 verify the graph is closed (nothing undefined), acyclic, and respects
-execution order (no forward references), plus the converse hygiene check:
-every declared argument is actually used.
+execution order (no forward references).  The converse hygiene check,
+every declared argument is actually used (PAP013), only warns: it is in
+:mod:`repro.analysis.rules.advisory`.
 """
 
 from __future__ import annotations
@@ -243,22 +244,3 @@ def _find_cycles(edges: dict[str, set[str]]) -> list[list[str]]:
         if v not in index:
             strongconnect(v)
     return cycles
-
-
-@checker("PAP013")
-def check_unused_arguments(ctx: LintContext) -> Iterator[Diagnostic]:
-    """PAP013: declared arguments nothing references."""
-    if ctx.model is None:
-        return
-    used = {ref.head for ref in iter_references(ctx.model) if len(ref.parts) == 1}
-    # dotted references never hit arguments, but count $arg inside dotted
-    # heads conservatively (heads are operators, so nothing to add)
-    for arg in ctx.model.arguments.values():
-        if arg.name not in used:
-            yield ctx.diag(
-                "PAP013",
-                f"workflow argument {arg.name!r} is declared but never referenced",
-                line=arg.line,
-                suggestion="remove the declaration or reference it as "
-                f"${arg.name}",
-            )

@@ -1,25 +1,22 @@
-"""Record-schema type flow through the operator chain (PAP020-PAP025).
+"""Record-schema type flow through the operator chain (PAP020-PAP024).
 
 The input-data configuration declares the fields of one record; operators
 key on those fields, and group add-ons append new ones (``indegree`` in the
 hybrid-cut workflow).  These rules walk the chain with a field->type map,
 so a key typo, a threshold of the wrong type, or an aggregate over a
-missing value field is caught before anything runs.
+missing value field is caught before anything runs.  The checks of this
+family that only warn about a split's coverage (PAP023) and a boolean
+literal (PAP025) are in :mod:`repro.analysis.rules.advisory`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.model import LintContext, SymbolicEnv
 from repro.analysis.rules import checker
-from repro.config.workflow import (
-    BOOLEAN_FALSE_LITERALS,
-    BOOLEAN_TRUE_LITERALS,
-    _REF_RE,
-    OperatorSpec,
-)
+from repro.config.workflow import _REF_RE, OperatorSpec
 from repro.ops.base import addon_signature, registered_names
 
 _NUMERIC_TYPES = {"integer", "long", "float", "double"}
@@ -109,9 +106,9 @@ def check_schema_flow(ctx: LintContext) -> Iterator[Diagnostic]:
                 available[attr] = attr_type
 
 
-@checker("PAP022", "PAP023")
-def check_split_thresholds(ctx: LintContext) -> Iterator[Diagnostic]:
-    """PAP022/023: split thresholds comparable and covering."""
+def split_policies(ctx: LintContext) -> Iterator[tuple[OperatorSpec, Any, Any, dict]]:
+    """``(operator, policy, policy parameter, fields available to it)`` of
+    each split whose policy resolves and parses, in document order."""
     if ctx.model is None:
         return
     schema, _arg = ctx.input_schema()
@@ -145,8 +142,14 @@ def check_split_thresholds(ctx: LintContext) -> Iterator[Diagnostic]:
         except Exception:
             # PAP034 (split-policy-syntax) is emitted by the paths rules
             continue
+        yield op, policy, policy_param, available
 
-        key, key_line = _resolve_key(op, env, ctx)
+
+@checker("PAP022")
+def check_split_thresholds(ctx: LintContext) -> Iterator[Diagnostic]:
+    """PAP022: split thresholds comparable with the key."""
+    for op, policy, policy_param, available in split_policies(ctx):
+        key, key_line = _resolve_key(op, ctx.ir().env, ctx)
         key_type = available.get(key) if key is not None else None
         if key_type == "string":
             yield ctx.diag(
@@ -169,57 +172,4 @@ def check_split_thresholds(ctx: LintContext) -> Iterator[Diagnostic]:
                 f"{[c.operand for c in policy.conditions if c.operand != int(c.operand)]}",
                 line=policy_param.line or op.line,
                 suggestion="use integer thresholds for integer keys",
-            )
-
-        yield from _check_coverage(ctx, op, policy, policy_param.line)
-
-
-def _check_coverage(ctx, op, policy, line) -> Iterator[Diagnostic]:
-    """PAP023: every key value should match some condition (first match
-    wins); probe the threshold boundaries instead of solving inequalities."""
-    probes: set[float] = set()
-    for cond in policy.conditions:
-        t = cond.operand
-        probes.update((t - 1.0, t - 0.5, t, t + 0.5, t + 1.0))
-    unrouted = sorted(
-        v for v in probes
-        if not any(c.matches_scalar(v) for c in policy.conditions)
-    )
-    if unrouted:
-        shown = ", ".join(f"{v:g}" for v in unrouted[:4])
-        yield ctx.diag(
-            "PAP023",
-            f"split operator {op.id!r}: key values such as {shown} match no "
-            "condition and would abort the run",
-            line=line or op.line,
-            suggestion="make the conditions cover the whole key range "
-            "(e.g. pair {>=, t} with {<, t})",
-        )
-
-
-@checker("PAP025")
-def check_boolean_literals(ctx: LintContext) -> Iterator[Diagnostic]:
-    """PAP025: boolean literals outside the accepted true/false sets."""
-    if ctx.model is None:
-        return
-    every_param = [(None, a) for a in ctx.model.arguments.values()]
-    for op in ctx.model.operators:
-        every_param.extend((op, p) for p in op.params.values())
-    for op, param in every_param:
-        if param.type.lower() not in ("boolean", "bool"):
-            continue
-        value = param.value
-        if value is None or _REF_RE.search(value):
-            continue
-        text = value.strip().lower()
-        if text not in BOOLEAN_TRUE_LITERALS and text not in BOOLEAN_FALSE_LITERALS:
-            where = f"operator {op.id!r} " if op is not None else ""
-            yield ctx.diag(
-                "PAP025",
-                f"{where}boolean parameter {param.name!r} has literal "
-                f"{value!r}, which is not a recognized true/false value "
-                "(the runtime rejects it)",
-                line=param.line,
-                suggestion=f"use one of {sorted(BOOLEAN_TRUE_LITERALS)} or "
-                f"{sorted(BOOLEAN_FALSE_LITERALS)}",
             )

@@ -15,23 +15,12 @@ figure in this repo is produced under a *virtual-time* model:
 See DESIGN.md §6 for the methodology discussion.
 """
 
-from repro.cluster.clock import VirtualClock
-from repro.cluster.network import (
-    ETHERNET_10G,
-    INFINIBAND_QDR,
-    LOCALHOST,
-    NetworkModel,
-)
-from repro.cluster.machine import NodeSpec
-from repro.cluster.model import ClusterModel, CostModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VirtualClock",
-    "NetworkModel",
-    "NodeSpec",
-    "ClusterModel",
-    "CostModel",
-    "ETHERNET_10G",
-    "INFINIBAND_QDR",
-    "LOCALHOST",
-]
+# names bind on first use: a run without a cost model loads only the clock
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cluster.clock": ("VirtualClock",),
+    "repro.cluster.network": ("NetworkModel", "ETHERNET_10G", "INFINIBAND_QDR", "LOCALHOST"),
+    "repro.cluster.machine": ("NodeSpec",),
+    "repro.cluster.model": ("ClusterModel", "CostModel"),
+})

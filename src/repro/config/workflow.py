@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Any, NamedTuple, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.analysis.locate import XMLLocationError, format_location, parse_located, read_config
-from repro.errors import ConfigError, WorkflowError, refuse_assignment
+from repro.errors import ConfigError, Record, WorkflowError
 
 PathLike = Union[str, os.PathLike]
 
@@ -24,7 +24,7 @@ BOOLEAN_TRUE_LITERALS = frozenset({"true", "1", "yes", "on"})
 BOOLEAN_FALSE_LITERALS = frozenset({"false", "0", "no", "off"})
 
 
-class ParamSpec:
+class ParamSpec(Record):
     """One ``<param>`` declaration (immutable; ``line`` is not compared)."""
 
     name: str
@@ -34,22 +34,12 @@ class ParamSpec:
     #: 1-based source line of the declaration (when parsed from a file)
     line: Optional[int]
 
-    __setattr__ = __delattr__ = refuse_assignment
-
     def __init__(self, name: str, type: str = "String", value: Optional[str] = None,
                  format: Optional[str] = None, line: Optional[int] = None) -> None:
         vars(self).update(name=name, type=type, value=value, format=format, line=line)
 
     def _compared(self) -> tuple:
         return self.name, self.type, self.value, self.format
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
 
     def coerce(self, raw: Any) -> Any:
         """Convert a resolved raw value to this parameter's declared type."""
@@ -85,7 +75,7 @@ class ParamSpec:
         return raw
 
 
-class AddOnSpec:
+class AddOnSpec(Record):
     """One ``<addon>`` attached to a basic operator (e.g. ``count``);
     immutable, and ``line`` is not compared."""
 
@@ -96,22 +86,12 @@ class AddOnSpec:
     #: 1-based source line of the declaration (when parsed from a file)
     line: Optional[int]
 
-    __setattr__ = __delattr__ = refuse_assignment
-
     def __init__(self, operator: str, key: Optional[str] = None, attr: Optional[str] = None,
                  value: Optional[str] = None, line: Optional[int] = None) -> None:
         vars(self).update(operator=operator, key=key, attr=attr, value=value, line=line)
 
     def _compared(self) -> tuple:
         return self.operator, self.key, self.attr, self.value
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
 
 
 class OperatorSpec:
@@ -283,7 +263,7 @@ OUTPUT_PARAMS = ("outputPath", "ouputPath")
 OUTPUT_LIST_PARAM = "outputPathList"
 
 
-class Edge(NamedTuple):
+class Edge(Record):
     """One dataflow edge: output ``src_output`` of job ``src`` read by job
     ``dst``.  ``src is None`` is the workflow input."""
 

@@ -120,10 +120,10 @@ class Dataset:
             return Dataset(schema=self.schema, packed=self.packed.take(indices))
         return Dataset(schema=self.schema, records=self.records[np.asarray(indices)])
 
-    def select(self, where: Union[slice, np.ndarray]) -> "Dataset":
-        """The entries at the positions ``where``, copied out.
+    def select(self, where: Union[slice, np.ndarray], copy: bool = True) -> "Dataset":
+        """The entries at ``where``, copied out (a flat slice is a view if not ``copy``).
 
-        One piece of a deal (:func:`~repro.ops.distribute.deal_into`):
+        One piece of a deal (:func:`~repro.order.deal_into`):
         ``where`` is the strided (cyclic) or contiguous (block) slice the
         policy's rule assigns a partition, or the index array a
         permutation-defined policy does.
@@ -132,7 +132,9 @@ class Dataset:
             if isinstance(where, slice):
                 where = np.arange(*where.indices(len(self)))
             return self.take(where)
-        return Dataset(schema=self.schema, records=self.records[where].copy())
+        records = self.records[where]  # an index array's gather is a copy already
+        return Dataset(schema=self.schema,
+                       records=records.copy() if copy and isinstance(where, slice) else records)
 
     def indexed_rows(self) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
         """``(rows, ids)``: entry ``i`` is ``rows[ids[i]]`` (``rows[i]`` when
@@ -198,10 +200,10 @@ class SortedView(Dataset):
     def to_flat(self) -> Dataset:
         return Dataset(schema=self.schema, records=self.records)
 
-    def select(self, where: Union[slice, np.ndarray]) -> Dataset:
+    def select(self, where: Union[slice, np.ndarray], copy: bool = True) -> Dataset:
         pending = self._pending
         if pending is None:
-            return super().select(where)
+            return super().select(where, copy)
         source, order = pending
         return Dataset(schema=self.schema, records=source[order[where]])
 

@@ -13,7 +13,7 @@ reads only the key column, through a read-only mapping), and a
 :class:`~repro.formats.binary.PartWriter`, so the deal can write its pieces
 of the partitions in place — on every rank of an SPMD run, and on the one
 rank of a serial run.  When the physical plan has the deal write in place
-(:func:`~repro.core.planner.physical_plan`), this module has nothing left
+(:func:`~repro.core.physical.physical_plan`), this module has nothing left
 to write; otherwise (text output, packed streams, records widened by add-on
 attributes) it writes the partitions the run returned.
 """

@@ -35,7 +35,7 @@ class PerfCounters:
         #: driver is handed the partitions (set by the driver, from the plan)
         self.output: dict[str, Any] = {}
         #: the path each job's kernel ran, by ``op_id`` (the planned
-        #: :class:`~repro.core.planner.Physical` choice it dispatched on)
+        #: :class:`~repro.core.physical.Physical` choice it dispatched on)
         self.paths: dict[str, str] = {}
 
     def count_move(self, records: int, nbytes: int) -> None:

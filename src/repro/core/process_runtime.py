@@ -39,14 +39,16 @@ it.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.cluster.model import ClusterModel
 from repro.core.dataset import Dataset
 from repro.core.planner import WorkflowPlan
 from repro.core.runtime import MPIRuntime, PartitionResult
 from repro.errors import ConfigError
 from repro.mpi.launcher import MPIRun
+
+if TYPE_CHECKING:  # pragma: no cover - a run without a cost model never loads it
+    from repro.cluster.model import ClusterModel
 
 
 class ProcessRuntime(MPIRuntime):

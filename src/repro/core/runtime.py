@@ -18,7 +18,7 @@ backend label, the reducer count, the cost profile
 
 Every backend produces identical partitions (tested).  How each job runs
 is decided before the first one does, by the physical plan
-(:func:`~repro.core.planner.physical_plan`; ``spmd=False`` on one rank,
+(:func:`~repro.core.physical.physical_plan`; ``spmd=False`` on one rank,
 where every job is local); the executor dispatches on its choices and
 reports the path each kernel ran in ``extra["perf"]["paths"]``.  On the
 SPMD backends a flat sort with no add-on of the run's *own* input (rows fetchable by index), keyed by an integer of at most 32
@@ -72,11 +72,13 @@ import numpy as np
 
 from repro.core.dataset import Dataset, concat, resident
 from repro.core.perf import PerfCounters
-from repro.core.planner import Physical, PlannedJob, WorkflowPlan, physical_plan
+from repro.core.physical import Physical, physical_plan
+from repro.core.planner import PlannedJob, WorkflowPlan
 from repro.errors import WorkflowError
 from repro.ops.base import is_basic
-from repro.ops.distribute import Distribute, deal_into
-from repro.ops.sort import Sort, sort_key_array
+from repro.ops.distribute import Distribute
+from repro.ops.sort import Sort
+from repro.order import deal_into, sort_key_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only: a serial run never loads
     # the MPI runtime, the fault layer, the cluster model or obs
@@ -154,7 +156,7 @@ def run_plan(
     output: Optional[str] = None,
 ) -> dict[str, Physical]:
     """The physical plan of one run of ``plan`` over ``input_data``
-    (:func:`~repro.core.planner.physical_plan`): its output is ``output``
+    (:func:`~repro.core.physical.physical_plan`): its output is ``output``
     (``"text"`` part files the caller writes), else binary part files with
     a ``part_writer``, else the partitions in memory."""
     return physical_plan(
@@ -807,7 +809,7 @@ class MPIRuntime:
         Each rank cuts its window of a stream's global positions into
         pieces with the policy's rule (:func:`deal_into`, a budget's window
         at a time).  Planned ``in place`` (see
-        :func:`~repro.core.planner.physical_plan`), a piece is written
+        :func:`~repro.core.physical.physical_plan`), a piece is written
         straight to its slot of its part, the partition's owner rank
         (``p % size``) seals the file, and the job returns ``{partition:
         record count}``.

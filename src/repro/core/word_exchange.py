@@ -1,7 +1,7 @@
 """The SPMD sort of a run's input, with no exchange: each rank cuts its range.
 
 The path of a sort the physical plan names ``cut``
-(:func:`~repro.core.planner.physical_plan`): a flat ``Sort`` with no
+(:func:`~repro.core.physical.physical_plan`): a flat ``Sort`` with no
 add-on of the run's own input (rows fetchable by row id,
 ``indexed_rows``), keyed by an integer of at most 32 bits.  Every rank
 addresses the whole input, as the deal does, so each takes the same

@@ -128,9 +128,43 @@ class ClusterError(PaParError):
     """The cluster cost model was configured inconsistently."""
 
 
-def refuse_assignment(record: object, name: str, *value: object) -> None:
-    """``__setattr__`` and ``__delattr__`` of an immutable record: its
-    ``__init__`` writes the instance ``__dict__`` once, and nothing after."""
-    raise AttributeError(
-        f"cannot assign to field {name!r} of immutable {type(record).__name__}"
-    )
+class Record:
+    """An immutable value record, built without generated source (no
+    ``@dataclass``, no ``NamedTuple``): a subclass annotates its fields in
+    order, a default being a class attribute.  An instance takes them by
+    position or name, refuses assignment, and compares and hashes by
+    :meth:`_compared` — every field, unless the subclass leaves some out.
+    A subclass that validates writes its ``__dict__`` in its own
+    ``__init__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = dict(zip(self._fields, values), **named)
+        vars(self).update(fields)
+        if (len(values) > len(self._fields) or not fields.keys() <= set(self._fields)
+                or not all(hasattr(self, name) for name in self._fields)):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"

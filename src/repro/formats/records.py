@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.errors import FormatError, SchemaError, refuse_assignment
+from repro.errors import FormatError, Record, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - numpy loads with the first record
     import numpy as np
@@ -32,13 +32,11 @@ _INT_RANGES: dict[str, tuple[int, int]] = {
 }
 
 
-class Field:
+class Field(Record):
     """One typed value inside an element (immutable)."""
 
     name: str
     type: str
-
-    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, name: str, type: str) -> None:
         if not name or not name.isidentifier():
@@ -49,14 +47,6 @@ class Field:
                 f"expected one of {sorted(_WIDTHS)}"
             )
         vars(self).update(name=name, type=type)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.name, self.type) == (other.name, other.type)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.type))
 
     @property
     def width(self) -> Optional[int]:
@@ -90,7 +80,7 @@ class Field:
         return float(token)
 
 
-class RecordSchema:
+class RecordSchema(Record):
     """An ordered, named, typed record layout (immutable).
 
     Parameters
@@ -114,8 +104,6 @@ class RecordSchema:
     input_format: str
     start_position: int
     delimiters: tuple[str, ...]
-
-    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, id: str, fields: tuple[Field, ...], input_format: str = "binary",
                  start_position: int = 0, delimiters: tuple[str, ...] = ()) -> None:
@@ -150,17 +138,6 @@ class RecordSchema:
                     f"schema {self.id!r}: need one delimiter per field "
                     f"({len(self.fields)}), got {len(self.delimiters)}"
                 )
-
-    def _compared(self) -> tuple:
-        return self.id, self.fields, self.input_format, self.start_position, self.delimiters
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
 
     # -- numpy interop -------------------------------------------------------
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
-from repro.errors import MapReduceError, refuse_assignment
+from repro.errors import MapReduceError, Record
 
 
-class InputSplit:
+class InputSplit(Record):
     """One mapper's slice of the input: ``[start, start + length)`` in units
     meaningful to the format (bytes for binary files, record index for
     in-memory data); immutable."""
@@ -24,20 +24,10 @@ class InputSplit:
     start: int
     length: int
 
-    __setattr__ = __delattr__ = refuse_assignment
-
     def __init__(self, source: Any, start: int, length: int) -> None:
         if start < 0 or length < 0:
             raise MapReduceError(f"invalid split [{start}, +{length})")
         vars(self).update(source=source, start=start, length=length)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.source, self.start, self.length) == (other.source, other.start, other.length)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.start, self.length))
 
 
 class RecordReader:

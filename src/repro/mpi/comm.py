@@ -15,15 +15,17 @@ structure.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.clock import VirtualClock
-from repro.cluster.model import ClusterModel
 from repro.errors import MPIError
 from repro.mpi.fabric import Fabric, Message
 from repro.mpi.reduce_ops import ReduceOp
+
+if TYPE_CHECKING:  # pragma: no cover - a run without a cost model never loads it
+    from repro.cluster.model import ClusterModel
 
 # Reserved internal tags; user tags must be >= 0.
 _TAG_BCAST = -10

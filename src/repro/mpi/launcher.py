@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.cluster.clock import VirtualClock
-from repro.cluster.model import ClusterModel
 from repro.errors import MPIError
 from repro.mpi.comm import Communicator
 from repro.mpi.fabric import DEFAULT_DEADLOCK_GRACE, Fabric
+
+if TYPE_CHECKING:  # pragma: no cover - a run without a cost model never loads it
+    from repro.cluster.model import ClusterModel
 
 
 @dataclass

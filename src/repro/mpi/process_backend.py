@@ -44,16 +44,14 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import secrets
 import signal
 import sys
 from collections import deque
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.clock import VirtualClock
-from repro.cluster.model import ClusterModel
 from repro.errors import MPIError
 from repro.lifecycle import DEFAULT_SIGNALS, graceful_teardown
 from repro.mpi.comm import Communicator
@@ -74,6 +72,9 @@ from repro.mpi.supervisor import (
     HeartbeatSender,
     Supervisor,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - a run without a cost model never loads it
+    from repro.cluster.model import ClusterModel
 
 #: seconds a worker blocks on its inbox before declaring the run stuck
 DEFAULT_COLLECT_TIMEOUT = 300.0
@@ -318,7 +319,7 @@ def run_mpi_processes(
     if crash_agent is None:
         crash_agent = CrashAgent.from_env()
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-    prefix = f"pp{os.getpid():x}{secrets.token_hex(2)}"
+    prefix = f"pp{os.getpid():x}{os.urandom(2).hex()}"
     queues = [ctx.Queue() for _ in range(size)]
     names_queue = ctx.Queue()
     result_queue = ctx.Queue()

@@ -39,12 +39,14 @@ import threading
 import weakref
 import zlib
 from dataclasses import dataclass
-from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 import numpy as np
 
 from repro.errors import MPIError
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by the first segment (it imports secrets)
+    from multiprocessing.shared_memory import SharedMemory
 
 #: buffer start alignment inside a segment (cache line)
 ALIGNMENT = 64
@@ -95,6 +97,8 @@ def _attach(name: str) -> SharedMemory:
     constructor's register in the same process, so every tracker only ever
     sees matched register/unregister pairs.
     """
+    from multiprocessing.shared_memory import SharedMemory
+
     shm = SharedMemory(name=name)
     _untrack(name)
     return shm
@@ -185,6 +189,8 @@ class SegmentFactory:
 
     def create(self, nbytes: int) -> SharedMemory:
         """A new segment of ``nbytes`` (> 0) bytes, mapped for writing."""
+        from multiprocessing.shared_memory import SharedMemory
+
         sweep_pending_closes()
         while True:  # skip names left over by an unrelated crashed run
             name = f"{self.prefix}r{self.rank}n{self._seq}"

@@ -54,8 +54,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset, row_id_dtype
 from repro.ooc.runfile import Frame, RunReader, RunWriter, SpillManifest
-from repro.ops.sort import sort_key_array, sort_key_dtype
-from repro.order import stable_order
+from repro.order import sort_key_array, sort_key_dtype, stable_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.formats.records import RecordSchema

@@ -8,7 +8,7 @@ The sort is *stable*, which matters for bit-exact reproduction of Figure 9:
 two sequences with equal ``seq_size`` keep their input order, which decides
 which partition each lands on under the subsequent cyclic distribution.
 
-The order comes from :func:`repro.order.stable_order` (re-exported here):
+The order comes from :func:`repro.order.stable_order`:
 integer keys whose range and index fit one 64-bit word together are sorted
 packed, by numpy's vectorized sort; floats, strings and wider ranges fall
 back to numpy's stable ``argsort`` — the result is the same either way.
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro._lazy import lazy_exports
 from repro.errors import OperatorError
 from repro.ops.base import AddOnOperator, BasicOperator, register_basic
 
@@ -39,38 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - the kernels import these where they run
 
     from repro.core.dataset import Dataset
 
-# the kernel (and numpy with it) loads when a sort first runs
-_, __getattr__, __dir__ = lazy_exports(globals(), {"repro.order": ("stable_order",)})
-
 #: Table I flag values ("-1: ascending, 1: descending")
 ASCENDING = -1
 DESCENDING = 1
-
-
-def sort_key_array(column: np.ndarray, ascending: bool) -> np.ndarray:
-    """The comparable key a stable ascending argsort orders ``column`` by.
-
-    Descending sorts negate the key instead of reversing the result, which
-    keeps ties in input order.  Integer columns are widened to int64 first:
-    negating the dtype minimum in place wraps back onto itself (``-2**31``
-    stays ``-2**31`` in int32) and would sort it first instead of last.
-    Every sort in the repo — the local kernel, the range exchanges, the
-    external merge — derives its key here, so they agree bit for bit.
-    """
-    if ascending:
-        return column
-    import numpy as np
-
-    if column.dtype.kind in "iu":
-        return -column.astype(np.int64, copy=False)
-    return -column
-
-
-def sort_key_dtype(field_dtype: np.dtype, ascending: bool) -> np.dtype:
-    """The dtype :func:`sort_key_array` gives a column of ``field_dtype``."""
-    import numpy as np
-
-    return sort_key_array(np.empty(0, dtype=field_dtype), ascending).dtype
 
 
 @register_basic
@@ -104,7 +74,7 @@ class Sort(BasicOperator):
 
     def sort_indices(self, keys: np.ndarray) -> np.ndarray:
         """Stable order of entries by key (descending keeps ties stable too)."""
-        from repro.order import stable_order
+        from repro.order import sort_key_array, stable_order
 
         return stable_order(sort_key_array(keys, self.ascending))
 
@@ -160,7 +130,7 @@ class Sort(BasicOperator):
         ``tests/core/test_narrow_sort.py`` pins both against ``tracemalloc``.
         """
         from repro.core.dataset import row_id_dtype
-        from repro.order import ROW_STEP, packs_rows
+        from repro.order import ROW_STEP, packs_rows, sort_key_dtype
 
         field = rows.dtype[self.key]
         id_dtype = row_id_dtype(len(rows))

@@ -29,15 +29,24 @@ the words' own buffer — so its peak is ``8 * n`` bytes plus one chunk,
 the figure a memory budget weighs it at.  The SPMD sort of a run's input
 (:mod:`repro.core.word_exchange`) sorts the same words, row id below bit 32.
 
-A leaf module (numpy only): ``formats``, ``mapreduce``, ``ops`` and ``ooc``
-all import it.
+:func:`sort_key_array` is the key every sort orders by, and :func:`deal_into`
+the one dealer of every ``Distribute``.  A leaf module (numpy only; the
+dealer imports what it deals where it runs): a command that touches no
+record never imports it.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - the dealer imports these where it runs
+    from repro.core.dataset import Dataset
+    from repro.core.perf import PerfCounters
+    from repro.ops.distribute import Distribute
 
 #: below this many keys the packing passes cost more than they save
 #: (measured crossover between 512 and 1024 for int32 and int64 keys)
@@ -78,6 +87,28 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
             packed &= np.uint64((1 << idx_bits) - 1)
             return packed.view(np.int64).astype(np.intp, copy=False)
     return np.argsort(keys, kind="stable")
+
+
+def sort_key_array(column: np.ndarray, ascending: bool) -> np.ndarray:
+    """The comparable key a stable ascending argsort orders ``column`` by.
+
+    Descending sorts negate the key instead of reversing the result, which
+    keeps ties in input order.  Integer columns are widened to int64 first:
+    negating the dtype minimum in place wraps back onto itself (``-2**31``
+    stays ``-2**31`` in int32) and would sort it first instead of last.
+    Every sort in the repo — the local kernel, the range exchanges, the
+    external merge — derives its key here, so they agree bit for bit.
+    """
+    if ascending:
+        return column
+    if column.dtype.kind in "iu":
+        return -column.astype(np.int64, copy=False)
+    return -column
+
+
+def sort_key_dtype(field_dtype: np.dtype, ascending: bool) -> np.dtype:
+    """The dtype :func:`sort_key_array` gives a column of ``field_dtype``."""
+    return sort_key_array(np.empty(0, dtype=field_dtype), ascending).dtype
 
 
 def packs_rows(key_dtype: np.dtype, id_dtype: np.dtype) -> bool:
@@ -165,3 +196,83 @@ def packed_row_ids(
     words = key_words(column, ids, descending, idx_bits)
     words.sort()
     return word_row_ids(words, idx_bits, id_dtype, ids)
+
+
+def deal_into(
+    op: Distribute,
+    stream: Any,
+    sink: Callable[[int, int, Dataset], None],
+    base: np.ndarray,
+    offset: int = 0,
+    total: Optional[int] = None,
+    window: Optional[int] = None,
+    perf: Optional[PerfCounters] = None,
+    copy: bool = True,
+) -> None:
+    """Deal one stream's entries into ``sink(partition, slot, piece)``.
+
+    The stream holds global positions ``[offset, offset + len(stream))`` of
+    ``total``; a piece for slot ``s`` of partition ``p`` goes to slot
+    ``base[p] + s`` — ``base`` being what the earlier streams put there,
+    advanced past this stream on return — ``window`` positions at a time
+    (all at once when ``None``); with ``copy`` false a piece may be a view
+    of its window, for a sink that copies it at once.  A stream is made
+    resident only when it cannot stream or its policy is
+    permutation-defined: the base class states that one's pieces for the
+    whole stream, in one window.
+    """
+    from repro.core.dataset import resident
+    from repro.policies.distr import DistributionPolicy
+
+    policy, num_p = op.policy, op.num_partitions
+    positional = policy.deals_by_position
+    # the base class's rule, whatever positional form a subclass inherits
+    pieces = policy.pieces if positional else partial(DistributionPolicy.pieces, policy)
+    window = window if positional else None
+    streams = positional and hasattr(stream, "chunks")
+    stream = stream if streams else resident(stream)
+    total = len(stream) if total is None else total
+    g0 = offset
+    for source, w0, m in _windows(stream, streams, window):
+        for p, slot, where in pieces(total, num_p, g0, m):
+            # a slice is window-relative; an index array's window is the stream
+            if isinstance(where, slice):
+                start, stop, stride = where.indices(m)
+                where = slice(w0 + start, w0 + stop, stride)
+            piece = source.select(where, copy)
+            if perf is not None:
+                perf.count_move(len(piece), piece.nbytes)
+            sink(p, int(base[p]) + slot, piece)
+        g0 += m
+    base += policy.counts(total, num_p)
+
+
+def _windows(stream: Any, streams: bool, window: Optional[int]) -> Iterator[tuple[Any, int, int]]:
+    """``(source, first, length)`` of each window of ``stream`` in position
+    order: the window is ``source``'s entries ``[first, first + length)`` —
+    a chunk's (consecutive chunks joined up to ``window``), or the resident
+    stream's, ``window`` at a time (all at once when ``None``)."""
+    from repro.core.dataset import Dataset
+
+    if streams:
+        for records in _joined(stream.chunks(), window):
+            yield Dataset(schema=stream.schema, records=records), 0, len(records)
+        return
+    n = len(stream)
+    step = max(1, n if window is None else window)
+    for w0 in range(0, n, step):
+        yield stream, w0, min(step, n - w0)
+
+
+def _joined(chunks: Iterator[Any], window: Optional[int]) -> Iterator[np.ndarray]:
+    """The chunks' records, consecutive chunks joined up to ``window``."""
+    held: list[np.ndarray] = []
+    count = 0
+    for chunk in chunks:
+        held.append(chunk.records)
+        count += len(chunk.records)
+        if window is None or count >= window:
+            yield np.concatenate(held) if len(held) > 1 else held[0]
+            held, count = [], 0
+    if held:
+        yield np.concatenate(held) if len(held) > 1 else held[0]

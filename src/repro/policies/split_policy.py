@@ -15,7 +15,7 @@ import operator
 import re
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.errors import PolicyError, refuse_assignment
+from repro.errors import PolicyError, Record
 
 if TYPE_CHECKING:  # pragma: no cover - route() imports numpy where it runs
     import numpy as np
@@ -32,26 +32,16 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
 _COND_RE = re.compile(r"\{\s*(>=|<=|==|!=|>|<)\s*,\s*([^{}]+?)\s*\}")
 
 
-class SplitCondition:
+class SplitCondition(Record):
     """One ``{op, operand}`` clause (immutable)."""
 
     op: str
     operand: float
 
-    __setattr__ = __delattr__ = refuse_assignment
-
     def __init__(self, op: str, operand: float) -> None:
         if op not in _OPS:
             raise PolicyError(f"unknown split comparison {op!r}")
         vars(self).update(op=op, operand=operand)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.op, self.operand) == (other.op, other.operand)
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.operand))
 
     def matches(self, values: np.ndarray) -> np.ndarray:
         """Vectorized predicate over the key column."""

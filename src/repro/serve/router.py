@@ -33,7 +33,7 @@ them into the hot partitions with
 
 A range router compares keys in the *sort order*: both the sampled
 boundaries and every routed key go through
-:func:`repro.ops.sort.sort_key_array`, so a descending sort spreads over
+:func:`repro.order.sort_key_array`, so a descending sort spreads over
 all partitions (largest keys first) exactly as the cold run lays them out.
 """
 
@@ -50,7 +50,8 @@ from repro.mapreduce.partitioner import HashPartitioner, Partitioner, RangeParti
 from repro.mapreduce.sampling import quantile_boundaries, sample_array
 from repro.ops.base import is_basic
 from repro.ops.distribute import Distribute
-from repro.ops.sort import Sort, sort_key_array
+from repro.ops.sort import Sort
+from repro.order import sort_key_array
 from repro.serve.state import BatchLog, ServeError
 
 #: how many log keys the range router samples for its quantile boundaries

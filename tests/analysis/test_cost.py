@@ -1,7 +1,7 @@
 """The wire price of the physical plan: record counts and the wire contract.
 
 PAP084 and ``explain`` price each planned SPMD job by the physical plan
-the runtimes dispatch on (:func:`repro.core.planner.physical_plan`):
+the runtimes dispatch on (:func:`repro.core.physical.physical_plan`):
 records x shipped width for a record exchange or a gathered deal, nothing
 for a cut or an in-place deal.  Records come from ``--assume-records`` or
 a ``stat`` of a bound binary input, never from a scan.  The contract tests

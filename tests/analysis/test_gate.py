@@ -67,7 +67,7 @@ def test_the_gate_runs_exactly_the_checkers_that_can_emit_an_error():
     skipped = {f.__name__ for f in CHECKERS} - {f.__name__ for f in blocking_checkers()}
     assert skipped == {
         "check_unused_arguments", "check_collective_schedule",
-        "check_sort_determinism", "check_boolean_literals",
+        "check_sort_determinism", "check_boolean_literals", "check_split_coverage",
         "check_output_gathered", "check_process_backend", "check_stream_safety",
         "check_elided_jobs", "check_exchange_hotspots",
     }

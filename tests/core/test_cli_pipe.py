@@ -92,6 +92,6 @@ def test_a_broken_pipe_that_is_not_stdout_still_raises(monkeypatch):
     read_fd, write_fd = os.pipe()
     with os.fdopen(read_fd, "rb"), os.fdopen(write_fd, "w") as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
-        monkeypatch.setitem(cli._COMMANDS, "codegen", lost_worker)
+        monkeypatch.setattr("repro.commands.codegen.cmd_codegen", lost_worker)
         with pytest.raises(BrokenPipeError):
             cli.main(["codegen", "--workflow", "wf.xml"])

@@ -112,10 +112,10 @@ def test_a_lint_error_still_exits_2_with_its_located_message(tmp_path, blast_fil
 def test_an_unclassified_exception_still_prints_its_traceback_and_exits_1(
     tmp_path, blast_file
 ):
-    prelude = ("import repro.cli\n"
+    prelude = ("import repro.commands.plan\n"
                "def boom(ns):\n"
                "    raise RuntimeError('boom in plan')\n"
-               "repro.cli._COMMANDS['plan'] = boom\n")
+               "repro.commands.plan.cmd_plan = boom\n")
     got = child("plan", *run_args(blast_file, tmp_path / "out"), prelude=prelude)
     assert got.returncode == 1
     assert got.stderr.startswith("Traceback (most recent call last):")

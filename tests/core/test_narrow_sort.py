@@ -26,7 +26,8 @@ from repro.cli import main
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.core.dataset import Dataset, row_id_dtype
-from repro.core.planner import Physical, PlannedJob, Planner
+from repro.core.physical import Physical
+from repro.core.planner import PlannedJob, Planner
 from repro.core.runtime import OneRank, SerialRuntime
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 from repro.formats.binary import BinaryInputFormat, PartWriter
@@ -35,7 +36,7 @@ from repro.ooc.budget import MemoryBudget
 from repro.ooc.extsort import SortedRuns, external_sort_rows
 from repro.ooc.spill import OOCContext
 from repro.ops import Sort
-from repro.ops.sort import sort_key_array
+from repro.order import sort_key_array
 from repro.order import ROW_STEP
 
 KEY_DTYPES = [np.int8, np.int16, np.int32, np.int64,

@@ -28,7 +28,8 @@ from repro.config.workflow import (
 from repro.core.dataset import Dataset
 from repro.core.files import FilePartitionResult
 from repro.core.perf import PerfCounters
-from repro.core.planner import ElidedJob, Physical, PlannedJob, WorkflowPlan, _Stream
+from repro.core.physical import Physical, _Stream
+from repro.core.planner import ElidedJob, PlannedJob, WorkflowPlan
 from repro.core.runtime import PartitionResult, _InlineRun
 from repro.formats.packed import pack
 from repro.formats.records import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA, Field, RecordSchema

@@ -76,6 +76,37 @@ def test_a_blast_command_loads_no_operator_it_does_not_name(loaded, name):
     assert not any(m in loaded[name] for m in startup_budget._ADVISORY_RULES)
 
 
+@pytest.mark.parametrize("name", sorted(set(startup_budget.BUDGETS) - {"help"}))
+def test_a_command_loads_its_own_module_and_no_other(loaded, name):
+    command = name.split("-")[0]
+    assert f"repro.commands.{command}" in loaded[name]
+    assert [m for m in loaded[name] if m.startswith("repro.commands.")] == [
+        f"repro.commands.{command}"
+    ]
+    assert set(startup_budget._others(command)) <= set(startup_budget.BUDGETS[name].deny)
+
+
+@pytest.mark.parametrize("name", ["plan-blast", "plan-hybrid"])
+def test_plan_compiles_neither_the_physical_plan_nor_a_record_kernel(loaded, name):
+    assert "repro.core.physical" not in loaded[name]
+    assert "repro.order" not in loaded[name]  # the dealer and the sort keys
+    assert "repro.core.physical" in startup_budget.BUDGETS[name].deny
+
+
+def test_the_gate_compiles_only_the_rule_modules_that_can_block(loaded):
+    # the checkers that only warn (PAP013, PAP023, PAP025, PAP042-PAP044)
+    # live beside the advisories, which the gate never loads
+    assert "repro.analysis.rules.advisory" not in loaded["plan-hybrid"]
+    assert "repro.analysis.rules.advisory" in loaded["lint-hybrid"]
+
+
+def test_a_process_run_loads_neither_secrets_nor_the_cost_model(loaded):
+    assert "secrets" not in loaded["run-process"]
+    assert "repro.cluster.model" not in loaded["run-process"]
+    assert "repro.cluster.clock" in loaded["run-process"]
+    assert {"secrets", "repro.cluster.model"} <= set(startup_budget.BUDGETS["run-process"].deny)
+
+
 def test_lint_reads_no_input_file(loaded):
     # every rule runs; records come from --assume-records or a stat, never a scan
     assert "repro.analysis.rules.advisory" in loaded["lint-hybrid"]

@@ -152,7 +152,7 @@ class TestWidthsWithoutNumpy:
                     f.parse_text(token)
 
     def test_the_planner_s_narrow_key_test_is_packs_rows(self):
-        from repro.core.planner import _packs_rows
+        from repro.core.physical import _packs_rows
         from repro.order import packs_rows
 
         s = RecordSchema(id="x", fields=tuple(Field(t, t) for t in self.TYPES))

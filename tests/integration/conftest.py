@@ -1,6 +1,6 @@
 """Every run under ``tests/integration/`` takes the path its plan names.
 
-The physical plan (:func:`repro.core.planner.physical_plan`) decides how
+The physical plan (:func:`repro.core.physical.physical_plan`) decides how
 each job runs before the first one does, and each kernel reports the path
 it actually ran in ``extra["perf"]["paths"]``: ``word_sort`` a ``cut``, the
 range exchange ``records``, a serial sort ``narrow`` or ``records``, the

@@ -163,6 +163,56 @@ def test_a_budgeted_in_place_deal_equals_the_oracle(papar, workflow, tmp_path):
         papar, workflow, 58, tmp_path, memory_budget=WINDOWED_BUDGET)
 
 
+@pytest.mark.parametrize("partitions", [1, P])
+@pytest.mark.parametrize("workflow", ["blast", "blast-block"])
+def test_a_budgeted_in_memory_deal_copies_each_record_once(
+    papar, workflow, partitions, monkeypatch
+):
+    """The narrow sort of 20,000 records spills under a 64 KB budget, so
+    the deal reads the sorted runs as a stream, a window at a time: each
+    piece lands in its partition as a view of the window (no ``select``
+    copies it first), and the deal holds one copy of every record — the
+    partitions — plus the runs' merge buffers and one gathered window, each
+    within the budget."""
+    import tracemalloc
+
+    from repro.ops.distribute import Distribute
+
+    xml, schema_id = WORKFLOWS[workflow]
+    schema = papar.schema(schema_id)
+    records = records_for(schema, 20_000)
+    args = arguments(workflow, partitions)
+    budget = 64 * 1024
+    copied, peak = [], []
+    select, deal = Dataset.select, Distribute.apply_local
+
+    def counting_select(self, where, copy=True):
+        piece = select(self, where, copy)
+        if piece.records is not None and piece.records.base is None:
+            copied.append(piece.nbytes)
+        return piece
+
+    def traced_deal(self, data):
+        assert hasattr(data, "chunks")  # the spilled sort's runs, streamed
+        tracemalloc.start()
+        try:
+            parts = deal(self, data)
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return parts
+
+    monkeypatch.setattr(Dataset, "select", counting_select)
+    monkeypatch.setattr(Distribute, "apply_local", traced_deal)
+    result = papar.run(xml, args, data=Dataset.from_array(schema, records.copy()),
+                       memory_budget=budget)
+    assert result.extra["perf"]["spill"]["runs_written"] > 1
+    _, want = expected(papar, workflow, records, args)
+    assert_same_partitions([part.to_flat().records for part in result.partitions], want)
+    assert copied == []
+    assert peak[0] <= records.nbytes + 2 * budget
+
+
 def test_mpi_part_files_equal_the_oracle(papar, tmp_path):
     """Three ranks cut 7 sorted records as 3, 2 and 2: the last rank's
     window opens at 5, inside the last partial row (4 to 6), and it writes

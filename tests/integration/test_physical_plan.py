@@ -1,7 +1,7 @@
 """Lint's verdict is the run's path: the physical plan is one decision.
 
 ``lint --backend`` and the SPMD runtimes read the same
-:func:`~repro.core.planner.physical_plan`, so on each workflow below PAP073
+:func:`~repro.core.physical.physical_plan`, so on each workflow below PAP073
 fires exactly when the run's ``extra["perf"]["output"]`` is gathered, with
 the reason the run reports, and PAP084 names exactly the jobs whose
 observed path ships records (a record exchange or a gathered deal) —

@@ -162,9 +162,12 @@ def rows(result):
 
 
 def leftovers():
-    """Shared-memory segments and spill directories a run may leak."""
+    """Shared-memory segments and spill directories a run may leak: the
+    segments of process-backend runs driven from this process only
+    (``pp<driver pid in hex><4 hex>r<rank>n<seq>``), so a run another
+    process drives on the same host never shows."""
     spills = glob.glob(os.path.join(tempfile.gettempdir(), "papar-spill-*"))
-    return sorted(glob.glob("/dev/shm/pp*") + spills)
+    return sorted(glob.glob(f"/dev/shm/pp{os.getpid():x}{'[0-9a-f]' * 4}r*") + spills)
 
 
 _SERIAL: dict = {}

@@ -405,7 +405,7 @@ class TestWhichTailRan:
         assert not [s for s in rec.spans if s.name == "distribute-shuffle"]
 
     def test_stats_name_the_tail(self, papar, tmp_path, capsys):
-        from repro.cli import print_stats
+        from repro.commands.run import print_stats
 
         path = index_file(tmp_path, 1003)
         in_place = "  output: written in place by ranks (5 parts, 15.7 KiB)"
@@ -425,7 +425,7 @@ class TestWhichTailRan:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stats_print_the_path_and_the_tail(self, papar, tmp_path, capsys, backend):
-        from repro.cli import print_stats
+        from repro.commands.run import print_stats
 
         out = partition(papar, WORKFLOWS["blast-cyclic"], index_file(tmp_path, 1003),
                         tmp_path / "out", 5, backend, 2)

@@ -225,7 +225,7 @@ def test_perf_counters_reported(papar, blast_data, backend):
 
 
 def test_print_stats_renders(papar, blast_data, capsys):
-    from repro.cli import print_stats
+    from repro.commands.run import print_stats
 
     workflow, args = _case_args("blast")
     result = papar.run(workflow, args, data=blast_data, backend="mpi",
@@ -239,7 +239,7 @@ def test_print_stats_renders(papar, blast_data, capsys):
 def test_print_stats_prints_simulated_time_only_when_simulated(papar, blast_data, capsys):
     """Without a cluster model (every CLI run) no clock ran: no simulated
     seconds and no virtual(s) column; with one, both."""
-    from repro.cli import print_stats
+    from repro.commands.run import print_stats
 
     workflow, args = _case_args("blast")
     for backend, kwargs in (("serial", {}), ("mpi", {"num_ranks": 4})):

@@ -20,7 +20,8 @@ from repro.ooc.budget import MemoryBudget
 from repro.ooc.extsort import ExternalSorter, external_sort_records, merge_run_frames
 from repro.ooc.runfile import RunWriter
 from repro.ooc.spill import OOCContext
-from repro.ops.sort import Sort, sort_key_array
+from repro.ops.sort import Sort
+from repro.order import sort_key_array
 
 DT = np.dtype([("key", "<i8"), ("ordinal", "<i8")])
 

@@ -16,7 +16,8 @@ from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.config.workflow import Bindings
 from repro.core.dataset import Dataset
-from repro.core.planner import PlannedJob, WorkflowPlan, physical_plan
+from repro.core.physical import physical_plan
+from repro.core.planner import PlannedJob, WorkflowPlan
 from repro.core.runtime import MPIRuntime, SerialRuntime
 from repro.formats import EDGE_LIST_SCHEMA
 from repro.ops import BUILTINS, Distribute

@@ -28,7 +28,7 @@ from repro.core.runtime import MPIRuntime, SerialRuntime
 from repro.fault import MemoryCheckpointStore, RetryPolicy
 from repro.formats import BLAST_INDEX_SCHEMA
 from repro.ops import Count, Distribute, Group, Sort, Split
-from repro.ops.sort import sort_key_array, stable_order
+from repro.order import sort_key_array, stable_order
 from repro.policies import SplitPolicy
 from repro.policies.distr import CyclicPolicy, _POLICIES, register_policy
 

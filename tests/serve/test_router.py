@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.mapreduce.sampling import quantile_boundaries
-from repro.ops.sort import Sort, sort_key_array
+from repro.ops.sort import Sort
+from repro.order import sort_key_array
 from repro.serve import ServeError, ServeState, build_router
 from repro.serve.router import (
     ROUTER_SAMPLE_SIZE,

@@ -84,6 +84,18 @@ _UNNAMED_OPS = ("repro.ops.group", "repro.ops.split", "repro.ops.addons",
 #: and serve never runs them, so never loads them
 _ADVISORY_RULES = ("repro.analysis.rules.advisory", "repro.analysis.rules.backend",
                    "repro.analysis.rules.serve")
+#: how each job runs: the executors and ``explain`` read it, ``plan`` never
+_PHYSICAL = ("repro.core.physical",)
+#: what only a process run's segments (``multiprocessing.shared_memory``) or
+#: a cluster model use
+_UNUSED_BY_PROCESS = ("secrets", "repro.cluster.model", "repro.cluster.network",
+                      "repro.cluster.machine")
+
+
+def _others(command: str) -> tuple[str, ...]:
+    """The modules of every CLI command but ``command``: each loads by name."""
+    return tuple(f"repro.commands.{name}" for name in
+                 ("lint", "explain", "plan", "codegen", "run", "serve") if name != command)
 
 
 @dataclass(frozen=True)
@@ -106,30 +118,36 @@ class Budget:
 
 
 BUDGETS: dict[str, Budget] = {
-    "help": Budget(5, 950, ("repro.core", "repro.config", "repro.analysis"),
+    "help": Budget(5, 550, ("repro.core", "repro.config", "repro.analysis", "repro.commands"),
                    seconds=0.5, numpy=False, exit=None),
     # every rule runs; records come from --assume-records or a stat of a
     # binary input, never a scan, so lint loads no repro.ooc
-    "lint-hybrid": Budget(38, 6_550, _FRONT, seconds=1.0, numpy=False),
-    "plan-blast": Budget(31, 6_300, _FRONT + _UNNAMED_OPS + _ADVISORY_RULES,
-                         seconds=1.0, numpy=False),
-    "plan-hybrid": Budget(36, 6_700, _FRONT + _ADVISORY_RULES, seconds=1.0, numpy=False),
-    "explain-blast": Budget(34, 6_400, _FRONT + _UNNAMED_OPS, seconds=1.0, numpy=False),
-    "run-blast": Budget(40, 8_600, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
-                        + _ADVISORY_RULES + ("repro.ooc", "dataclasses"), seconds=1.5),
-    "run-hybrid": Budget(46, 9_250, _SPMD + _ENGINES + _ON_REQUEST + _ADVISORY_RULES
+    "lint-hybrid": Budget(41, 5_950, _FRONT + _others("lint") + _PHYSICAL,
+                          seconds=1.0, numpy=False),
+    "plan-blast": Budget(34, 5_400, _FRONT + _others("plan") + _PHYSICAL + _UNNAMED_OPS
+                         + _ADVISORY_RULES, seconds=1.0, numpy=False),
+    "plan-hybrid": Budget(39, 5_850, _FRONT + _others("plan") + _PHYSICAL + _ADVISORY_RULES,
+                          seconds=1.0, numpy=False),
+    "explain-blast": Budget(38, 5_900, _FRONT + _others("explain") + _UNNAMED_OPS,
+                            seconds=1.0, numpy=False),
+    "run-blast": Budget(43, 8_200, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
+                        + _ADVISORY_RULES + _others("run") + ("repro.ooc", "dataclasses"),
+                        seconds=1.5),
+    "run-hybrid": Budget(49, 8_850, _SPMD + _ENGINES + _ON_REQUEST + _ADVISORY_RULES
+                         + _others("run")
                          + ("repro.ooc", "repro.mapreduce.columnar", "dataclasses"),
                          seconds=1.5),
     # a budget that bounds the read and that the narrow sort fits: nothing spills
-    "run-budget": Budget(44, 9_250, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
-                         + _ADVISORY_RULES
+    "run-budget": Budget(47, 8_800, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
+                         + _ADVISORY_RULES + _others("run")
                          + ("repro.ooc.runfile", "repro.ooc.extsort", "dataclasses"),
                          seconds=1.5),
-    "run-process": Budget(53, 11_050, ("repro.fault",) + _ENGINES + _ON_REQUEST + _UNRUN
-                          + _UNNAMED_OPS + _ADVISORY_RULES + ("repro.ooc",), seconds=2.0),
-    "serve": Budget(56, 12_350, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
+    "run-process": Budget(55, 10_600, ("repro.fault",) + _ENGINES + _ON_REQUEST + _UNRUN
+                          + _UNNAMED_OPS + _ADVISORY_RULES + _others("run")
+                          + _UNUSED_BY_PROCESS + ("repro.ooc",), seconds=2.0),
+    "serve": Budget(60, 11_850, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
                                  "repro.fault", "repro.serve.client")
-                    + _ENGINES + _SPILL[1:] + _UNNAMED_OPS + _ADVISORY_RULES,
+                    + _ENGINES + _SPILL[1:] + _UNNAMED_OPS + _ADVISORY_RULES + _others("serve"),
                     seconds=2.0, exit=None),
 }
 
