@@ -14,7 +14,7 @@ physical plan the runtimes dispatch on; nothing acts on it.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.ir import EXCHANGE_KINDS
@@ -230,25 +230,3 @@ def check_sort_determinism(ctx: LintContext) -> Iterator[Diagnostic]:
             "partition contents must be input-order independent",
         )
 
-
-def permutation_problems(policy: Any, n: int, nparts: int) -> Optional[str]:
-    """What is wrong with ``policy``'s permutation of ``n`` entries into
-    ``nparts`` partitions, as the tail of a PAP041 message; ``None`` when
-    it is a valid permutation with counts that sum to ``n``."""
-    try:
-        perm = policy.permutation(n, nparts)
-        counts = policy.counts(n, nparts)
-    except Exception as exc:
-        return f"fails to build a permutation for {nparts} partition(s): {exc}"
-    import numpy as np
-
-    problems = []
-    if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
-        problems.append(f"indices are not a permutation of 0..{n - 1}")
-    if len(counts) != nparts:
-        problems.append(f"{len(counts)} partition counts for {nparts} partitions")
-    elif int(np.sum(counts)) != n:
-        problems.append(f"partition counts sum to {int(np.sum(counts))}, not {n}")
-    if not problems:
-        return None
-    return f"is not a valid permutation of {nparts} partition(s): " + "; ".join(problems)

@@ -11,7 +11,7 @@ count.  The plan rules that only warn or inform (PAP042-PAP044) are in
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.model import LintContext
@@ -64,8 +64,6 @@ def check_permutations(ctx: LintContext) -> Iterator[Diagnostic]:
         policy = op.policy  # a DistributionPolicy (resolved by the planner)
         if type(policy) in shipped:
             continue
-        from repro.analysis.rules.advisory import permutation_problems
-
         # probe with a count that exercises the remainder path
         problems = permutation_problems(policy, 3 * nparts + 2, nparts)
         if problems:
@@ -75,3 +73,26 @@ def check_permutations(ctx: LintContext) -> Iterator[Diagnostic]:
                 + problems,
                 line=op_line(ctx, job.op_id),
             )
+
+
+def permutation_problems(policy: Any, n: int, nparts: int) -> Optional[str]:
+    """What is wrong with ``policy``'s permutation of ``n`` entries into
+    ``nparts`` partitions, as the tail of a PAP041 message; ``None`` when
+    it is a valid permutation with counts that sum to ``n``."""
+    try:
+        perm = policy.permutation(n, nparts)
+        counts = policy.counts(n, nparts)
+    except Exception as exc:
+        return f"fails to build a permutation for {nparts} partition(s): {exc}"
+    import numpy as np
+
+    problems = []
+    if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
+        problems.append(f"indices are not a permutation of 0..{n - 1}")
+    if len(counts) != nparts:
+        problems.append(f"{len(counts)} partition counts for {nparts} partitions")
+    elif int(np.sum(counts)) != n:
+        problems.append(f"partition counts sum to {int(np.sum(counts))}, not {n}")
+    if not problems:
+        return None
+    return f"is not a valid permutation of {nparts} partition(s): " + "; ".join(problems)

@@ -64,11 +64,12 @@ class Distribute(BasicOperator):
         ``data`` is one stream or a list of them; a stream is a dataset or
         anything flat that yields its records through ``chunks()`` (an
         out-of-core input view, a spilled sort's sorted runs), which is
-        dealt as it streams.  A piece that is a whole partition — every
-        piece of a resident stream, packed or flat — becomes it with no
-        further copy; a streamed one's pieces are views of their window,
-        copied once into partitions allocated from the policy's counts, so
-        at most one window of input is held beyond the output.
+        dealt as it streams.  A piece that is a whole partition gathered
+        into a buffer of its own (packed groups, an index array's entries)
+        becomes it with no further copy; any other piece is a view of its
+        window or of the resident stream, copied once into a partition
+        allocated from the policy's counts, so at most one window of input
+        is held beyond the output.
         """
         import numpy as np
 
@@ -82,19 +83,19 @@ class Distribute(BasicOperator):
         for stream in streams:
             counts = self.policy.counts(len(stream), self.num_partitions)
             parts = [np.empty(0, dtype=stream.schema.dtype)] * self.num_partitions
-            # what deal_into deals as it streams (the rest is made resident)
-            streamed = self.policy.deals_by_position and hasattr(stream, "chunks")
 
             def put(p: int, slot: int, piece: Dataset) -> None:
-                if len(piece) == counts[p] and not streamed:
-                    parts[p] = piece.to_flat().records
+                records = piece.to_flat().records
+                # a gather (packed groups, an index array's) owns its buffer
+                if len(piece) == counts[p] and (piece.is_packed or records.base is None):
+                    parts[p] = records
                     return
                 if len(parts[p]) != counts[p]:
-                    parts[p] = np.empty(counts[p], dtype=piece.records.dtype)
-                parts[p][slot : slot + len(piece)] = piece.records
+                    parts[p] = np.empty(counts[p], dtype=records.dtype)
+                parts[p][slot : slot + len(piece)] = records
 
             deal_into(self, stream, put, np.zeros(self.num_partitions, dtype=np.int64),
-                      copy=not streamed)
+                      copy=False)
             per_stream.append([Dataset(schema=stream.schema, records=r) for r in parts])
         if len(per_stream) == 1:
             return per_stream[0]

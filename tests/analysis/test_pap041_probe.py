@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import CATALOG, Linter
-from repro.analysis.rules.advisory import permutation_problems
+from repro.analysis.rules.plan import permutation_problems
 from repro.config import BLAST_INPUT_XML
 from repro.policies.distr import (
     _POLICIES,

@@ -2,9 +2,11 @@
 
 Creating a dataclass compiles each generated method with its own ``exec``
 (and importing ``dataclasses`` pulls in ``inspect``); the records a
-command builds at start-up are instead ``NamedTuple``s — immutable, every
-field compared — or plain classes with hand-written methods.  These tests
-pin that the conversion kept what the dataclasses gave: value equality
+command builds at start-up are instead :class:`repro.errors.Record`
+subclasses — immutable, every field compared — or plain classes with
+hand-written methods (a tracer's ``Span``, off the start-up path, stays a
+``NamedTuple``).  These tests pin that the conversion kept what the
+dataclasses gave: value equality
 (and its hash) over the same fields, immutability, and pickles — a
 snapshot or checkpoint written before the conversion still loads, and one
 written after is byte-identical.

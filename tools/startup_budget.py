@@ -43,6 +43,8 @@ from typing import Optional, Sequence
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
+sys.path.insert(0, str(REPO / "src"))
+from repro.cli import COMMANDS  # noqa: E402  (loads argparse, no command)
 
 #: runs the CLI in-process and writes ``name<TAB>file`` for every loaded
 #: module to ``argv[1]`` at interpreter exit
@@ -94,8 +96,7 @@ _UNUSED_BY_PROCESS = ("secrets", "repro.cluster.model", "repro.cluster.network",
 
 def _others(command: str) -> tuple[str, ...]:
     """The modules of every CLI command but ``command``: each loads by name."""
-    return tuple(f"repro.commands.{name}" for name in
-                 ("lint", "explain", "plan", "codegen", "run", "serve") if name != command)
+    return tuple(f"repro.commands.{name}" for name in COMMANDS if name != command)
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,6 @@ BUDGETS: dict[str, Budget] = {
 
 def make_inputs(work: Path) -> dict[str, str]:
     """Write a small BLAST index and an edge list; return the paths."""
-    sys.path.insert(0, str(REPO / "src"))
     from repro.blast import generate_index
     from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA, write_binary, write_text
     from repro.graph import generate_graph
