@@ -132,7 +132,9 @@ class Dataset:
             if isinstance(where, slice):
                 where = np.arange(*where.indices(len(self)))
             return self.take(where)
-        records = self.records[where]  # an index array's gather is a copy already
+        # an index array's gather is a copy already, a buffer of its own
+        # (through a mapping too: a memmap's gather would be a view of one)
+        records = np.asarray(self.records)[where]
         return Dataset(schema=self.schema,
                        records=records.copy() if copy and isinstance(where, slice) else records)
 
@@ -205,7 +207,7 @@ class SortedView(Dataset):
         if pending is None:
             return super().select(where, copy)
         source, order = pending
-        return Dataset(schema=self.schema, records=source[order[where]])
+        return Dataset(schema=self.schema, records=np.asarray(source)[order[where]])
 
     def indexed_rows(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
         pending = self._pending
