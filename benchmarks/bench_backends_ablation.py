@@ -45,7 +45,7 @@ def run_backends(data):
         exp.add(
             backend=backend,
             ranks=1 if backend == "serial" else RANKS,
-            virtual_s=result.elapsed,
+            priced_s=result.elapsed,
             bytes_moved=result.bytes_moved,
             messages=result.messages,
         )

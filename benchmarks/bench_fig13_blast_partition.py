@@ -6,10 +6,11 @@
 (b) Strong scalability of the PaPar partitioner from 1 to 16 nodes — the
     paper reports 14.3x (env_nr) and 7.9x (nr) self-speedups at 16 nodes.
 
-Timing methodology: both sides run under the shared virtual-time cost model
-(DESIGN.md §6).  The PaPar side is *measured* from real SPMD runs on the
-simulated MPI runtime (message volumes and per-phase costs are charged as
-they happen); the baseline is the analytic single-node multithreaded model.
+Timing methodology: both sides are priced by the shared cluster cost model
+(DESIGN.md §6).  The PaPar side is priced from the counts of real SPMD runs
+on the simulated MPI runtime (the records each job's kernels ran over and
+the bytes and messages each rank sent); the baseline is the analytic
+single-node multithreaded model.
 Database sizes are scaled down; the paper's speedups come from nr being ~14x
 more sequences than env_nr, which the scaled sizes preserve.
 """
@@ -42,7 +43,7 @@ def indexes():
 
 
 def papar_partition_elapsed(index: np.ndarray, nodes: int) -> float:
-    """Virtual seconds of the PaPar-generated partitioner on ``nodes`` nodes."""
+    """Priced seconds of the PaPar-generated partitioner on ``nodes`` nodes."""
     cluster = ClusterModel(num_nodes=nodes, ranks_per_node=2, network=INFINIBAND_QDR)
     papar = PaPar()
     papar.register_input(BLAST_INPUT_XML)

@@ -8,8 +8,8 @@
 Both systems are evaluated with the analytic :class:`PartitionerTimeModel`
 at the full Table II sizes (the mechanisms behind the model are documented
 in repro/graph/powerlyra.py), and the PaPar side is cross-checked against a
-*measured* virtual-time run of the actual generated partitioner on a scaled
-synthetic graph.
+*measured* run of the actual generated partitioner on a scaled synthetic
+graph, priced from its counts.
 """
 
 import pytest
@@ -53,7 +53,7 @@ def run_figure15():
 
 
 def measured_papar_run(data, nodes: int):
-    """Virtual-time measurement of the real generated partitioner (scaled graph)."""
+    """Priced run of the real generated partitioner (scaled graph)."""
     cluster = ClusterModel(num_nodes=nodes, ranks_per_node=2, network=INFINIBAND_QDR)
     papar = PaPar()
     papar.register_input(EDGE_INPUT_XML)
@@ -92,14 +92,14 @@ def test_figure15_partitioning(benchmark, reporter):
 
 
 def test_figure15_model_consistency_with_measured_run(benchmark, reporter):
-    """The analytic PaPar model must agree with measured virtual time on the
+    """The analytic PaPar model must agree with the priced measured run on the
     property Figure 15(b) relies on: more nodes -> faster partitioning."""
 
     def run():
         from repro.graph import generate_powerlaw
 
         exp = Experiment(
-            "Figure 15 check", "Measured virtual-time PaPar runs (scaled power-law graph)"
+            "Figure 15 check", "Measured PaPar runs, priced (scaled power-law graph)"
         )
         data = generate_powerlaw(100_000, 1_200_000, alpha=2.4, seed=29).to_dataset()
         elapsed = {}

@@ -1,6 +1,6 @@
 """Wall-clock parallel speedup on the process backend.
 
-All cluster-scale figures use virtual time (DESIGN.md §6); this bench is
+All cluster-scale figures use priced time (DESIGN.md §6); this bench is
 the honesty check on real hardware, in two parts:
 
 * **Process parallelism** — the distributed sample-sort kernel on 1 vs N

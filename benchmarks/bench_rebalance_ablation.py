@@ -3,8 +3,8 @@
 "We can use the PaPar distribution function with the cyclic policy to
 rebalance the key-value pairs between reducers."  This bench injects reducer
 skew, rebalances with :func:`repro.mapreduce.rebalance.rebalance`, and
-records the before/after imbalance and the virtual-time cost of the
-redistribution on the testbed cluster.
+records the before/after imbalance and the priced cost of the
+redistribution's traffic on the testbed cluster.
 """
 
 import numpy as np

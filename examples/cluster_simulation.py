@@ -1,22 +1,24 @@
 #!/usr/bin/env python
-"""Virtual-time cluster experiments and execution tracing.
+"""Priced cluster experiments: simulated time from a run's counts.
 
 Shows the machinery behind the paper's scalability figures: run the same
 PaPar partitioner on simulated clusters of 1-16 nodes, compare InfiniBand
-against Ethernet, and inspect a per-rank execution trace.
+against Ethernet, and price the counts of a small run by hand.
 
 Run:  python examples/cluster_simulation.py
 """
 
+import numpy as np
+
 from repro import PaPar
 from repro.blast import generate_index
-from repro.cluster import ClusterModel, ETHERNET_10G, INFINIBAND_QDR
+from repro.cluster import ClusterModel, ETHERNET_10G, INFINIBAND_QDR, price
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.core.dataset import Dataset
+from repro.core.perf import JobCounts
 from repro.formats import BLAST_INDEX_SCHEMA
-from repro.mpi import SUM, run_mpi
-from repro.obs import Recorder, render_timeline
+from repro.mpi import run_mpi
 
 NUM_SEQUENCES = 400_000
 
@@ -39,7 +41,7 @@ def partition_elapsed(data, nodes: int, network) -> float:
 def main() -> None:
     index = generate_index("env_nr", num_sequences=NUM_SEQUENCES, seed=8)
     data = Dataset.from_array(BLAST_INDEX_SCHEMA, index)
-    print(f"partitioning a {NUM_SEQUENCES}-sequence index (virtual time)\n")
+    print(f"partitioning a {NUM_SEQUENCES}-sequence index (priced time)\n")
 
     # -- strong scaling on two interconnects --------------------------------
     print(f"{'nodes':>5}  {'InfiniBand':>11}  {'10GbE':>11}")
@@ -55,24 +57,25 @@ def main() -> None:
         )
     print("\nRDMA wins once the shuffle dominates — the Figure 15 mechanism.\n")
 
-    # -- execution trace of a small run --------------------------------------
+    # -- pricing the counts of a small run ------------------------------------
     cluster = ClusterModel(num_nodes=2, ranks_per_node=2, network=INFINIBAND_QDR)
-    recorder = Recorder()
 
     def prog(comm):
-        # the span puts the rank's compute on the timeline; the wait inside
-        # the allreduce shows as idle, fed by the communicator's charge points
-        comm.recorder = recorder
-        with recorder.span(
-            "allreduce-demo", category="job", rank=comm.rank, clock=comm.clock
-        ):
-            comm.charge_compute(0.002 * (comm.rank + 1))  # imbalanced compute
-        return comm.allreduce(comm.rank, SUM)
+        # imbalanced traffic: rank r ships (r + 1) MiB to the next rank
+        comm.Send(np.zeros((comm.rank + 1) << 17), dest=(comm.rank + 1) % comm.size)
+        comm.Recv(np.empty(comm.size << 17), source=(comm.rank - 1) % comm.size)
+        return comm.sent
 
-    run_mpi(prog, 4, cluster=cluster)
-    print("per-rank timeline of an imbalanced allreduce:")
-    print(render_timeline(recorder))
-
+    run = run_mpi(prog, 4, cluster=cluster)
+    print("what each rank of an imbalanced exchange sent (dest: [bytes, messages]):")
+    for rank, sent in enumerate(run.results):
+        print(f"  rank {rank}: {sent}")
+    print(f"priced as one step: {run.elapsed * 1e3:.3f} ms (the slowest rank's transfer)")
+    # the same traffic as one job that also sorts 1M records per rank, with
+    # rank 1 a 4x straggler: only its compute is stretched
+    job = [JobCounts(kernels={"sort": 1_000_000}, sent=sent, slowdown=4.0 if rank == 1 else 1.0)
+           for rank, sent in enumerate(run.results)]
+    print(f"priced as a job with a straggler: {price([job], cluster) * 1e3:.3f} ms")
 
 if __name__ == "__main__":
     main()

@@ -65,7 +65,7 @@ def main() -> None:
     cluster = ClusterModel(num_nodes=4, ranks_per_node=2, network=INFINIBAND_QDR)
     result = papar.run(plan, data=g.to_dataset(), backend="mpi",
                        num_ranks=cluster.size, cluster=cluster)
-    print(f"\nvirtual time on 4 nodes: {result.elapsed:.6f}s")
+    print(f"\npriced time on 4 nodes: {result.elapsed:.6f}s")
     print(f"partitions: {[p.num_records for p in result.partitions]}")
 
 if __name__ == "__main__":

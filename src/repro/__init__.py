@@ -12,7 +12,7 @@ Layout
     A pure-Python, thread-based SPMD MPI runtime (the paper ran on MVAPICH2;
     see DESIGN.md for the substitution argument).
 ``repro.cluster``
-    Virtual-time cluster cost model (nodes, Ethernet vs InfiniBand networks).
+    Cluster cost model pricing a run's counts (nodes, Ethernet vs InfiniBand networks).
 ``repro.mapreduce``
     Columnar shuffle kernels, reducer partitioners and key sampling shared
     by the SPMD runtimes, plus the Hadoop ``InputFormat`` and job runner.

@@ -4,9 +4,10 @@ muBLASTP follows MPI + OpenMP: one MPI rank per socket, each rank owning one
 database partition and searching the whole query batch against it with its
 OpenMP threads.  This driver reproduces that execution: rank ``r`` owns
 partition ``r``, builds its k-mer index, searches the broadcast batch, and
-the results are reduced to rank 0.  Search time is charged to the virtual
-clock from the kernel's deterministic work counters, so the Figure 12
-makespan (the slowest partition) is the run's simulated elapsed time.
+the results are reduced to rank 0.  With a cluster model the makespan is
+the run's priced traffic plus the slowest partition's search, modelled from
+the kernel's deterministic work counters and spread over the rank's
+threads (the Figure 12 quantity).
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ def _search_rank_program(
     my_db = partitions[comm.rank]
     index = PartitionIndex(my_db)
     result = index.search_batch(queries)
-    # charge the deterministic search cost to the virtual clock, spread over
-    # the rank's worker threads (muBLASTP's OpenMP level)
-    local_seconds = result.modeled_seconds
-    if comm.cluster is not None:
-        comm.charge_compute(comm.cluster.compute(local_seconds))
     # reduce hit statistics to rank 0 (muBLASTP's result collection)
     total_hits = comm.reduce(result.num_hits, SUM)
     total_cols = comm.reduce(result.extension_columns, SUM)
@@ -59,7 +55,7 @@ def _search_rank_program(
         if comm.rank == 0
         else result
     )
-    return combined, local_seconds
+    return combined, result.modeled_seconds
 
 
 def distributed_search(
@@ -85,7 +81,10 @@ def distributed_search(
     )
     per_partition = [seconds for _, seconds in run.results]
     total = run.results[0][0]
-    makespan = run.elapsed if cluster is not None else max(per_partition)
+    # the search cost, spread over the rank's worker threads (muBLASTP's
+    # OpenMP level), on top of the priced result collection
+    makespan = (run.elapsed + cluster.compute(max(per_partition))
+                if cluster is not None else max(per_partition))
     return DistributedSearchResult(
         total=total, makespan=makespan, per_partition_seconds=per_partition
     )

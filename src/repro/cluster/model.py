@@ -1,13 +1,16 @@
-"""Cluster and compute cost models.
+"""Cluster and compute cost models, and :func:`price`.
 
 :class:`ClusterModel` binds together the node spec, the rank-to-node mapping
-and the network model, and is what the simulated MPI runtime consults when
-charging virtual time for messages.
-
-:class:`CostModel` holds per-record / per-byte compute constants used to
-charge virtual time for local work (sorting, hashing, packing...).  The
+and the network model.  :class:`CostModel` holds per-record / per-byte
+compute constants for local work (sorting, hashing, packing...).  The
 defaults approximate vectorized numpy kernels on a ~2.6 GHz core; call
 :func:`calibrate` to re-measure them on the current host.
+
+:func:`price` turns what a run counted — per job and per rank, the records
+each kernel ran over and the bytes and messages sent to each destination
+(:class:`~repro.core.perf.JobCounts`) — into simulated seconds on a
+cluster.  Every job on the executor is bulk-synchronous, so its price is
+its slowest rank's plus the fixed per-job overhead.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -156,15 +160,43 @@ class ClusterModel:
         return self.node_of(a) == self.node_of(b)
 
     def transfer_time(self, nbytes: int, src: int, dst: int) -> float:
-        """Virtual seconds to move ``nbytes`` from rank ``src`` to ``dst``."""
+        """Seconds to move ``nbytes`` from rank ``src`` to ``dst``."""
         if src == dst:
             return 0.0
         return self.network.transfer_time(nbytes, same_node=self.same_node(src, dst))
 
     def compute(self, single_core_cost: float) -> float:
-        """Charge a compute phase that each rank runs on its own threads."""
+        """Seconds of a compute phase that each rank runs on its own threads."""
         return self.cost.parallel(single_core_cost, self.threads_per_rank)
 
     def with_nodes(self, num_nodes: int) -> "ClusterModel":
         """A copy of this cluster scaled to ``num_nodes`` nodes."""
         return replace(self, num_nodes=num_nodes)
+
+
+def _rank_seconds(cluster: ClusterModel, rank: int, counts: Any) -> float:
+    """One rank's seconds in one job: compute (a straggler's stretched by
+    its slowdown), transfer of what it sent and (de)serialization."""
+    cost = cluster.cost
+    compute = sum(getattr(cost, kernel)(n) for kernel, n in counts.kernels.items())
+    transfer = sum(messages * cluster.transfer_time(nbytes / messages, rank, dest)
+                   for dest, (nbytes, messages) in counts.sent.items())
+    return cluster.compute(compute) * counts.slowdown + transfer + cost.pack(counts.packed)
+
+
+def price(jobs: Iterable[Any], cluster: ClusterModel) -> float:
+    """Simulated seconds of ``jobs`` run one after another on ``cluster``.
+
+    A job is one :class:`~repro.core.perf.JobCounts` per rank, priced as
+    the slowest rank's compute, transfer and pack seconds plus the cost
+    model's ``job_overhead``; a float is a line item priced as itself
+    (retry backoff, fired message delays).
+    """
+    total = 0.0
+    for job in jobs:
+        if isinstance(job, float):
+            total += job
+        else:
+            slowest = max(_rank_seconds(cluster, rank, c) for rank, c in enumerate(job))
+            total += slowest + cluster.cost.job_overhead
+    return total

@@ -72,8 +72,8 @@ def print_stats(result) -> None:
     if not perf:
         print("stats: (no perf counters recorded by this backend)")
         return
-    # simulated time is printed only for a run with a cluster model: the
-    # CLI attaches none, and a column of zeros measures nothing
+    # simulated time is printed only for a run a cluster model priced: the
+    # CLI attaches none, and a zero measures nothing
     simulated = result.elapsed > 0
     print(
         f"stats: {perf['records_moved']} records moved, "
@@ -85,11 +85,9 @@ def print_stats(result) -> None:
     phases = perf.get("phases", {})
     if phases:
         width = max(len(name) for name in phases)
-        virtual = f"  {'virtual(s)':>10}" if simulated else ""
-        print(f"  {'phase'.ljust(width)}  {'wall(s)':>10}{virtual}")
+        print(f"  {'phase'.ljust(width)}  {'wall(s)':>10}")
         for name, t in phases.items():
-            virtual = f"  {t['virtual_s']:>10.4f}" if simulated else ""
-            print(f"  {name.ljust(width)}  {t['wall_s']:>10.4f}{virtual}")
+            print(f"  {name.ljust(width)}  {t['wall_s']:>10.4f}")
     paths = perf.get("paths")
     if paths:
         print("  path: " + ", ".join(f"{op}={path}" for op, path in paths.items()))
@@ -131,7 +129,7 @@ def print_fault_report(result) -> None:
     if "backoff_wall_s" in fault:
         backoff = f"backoff {fault['backoff_wall_s']:.3f} s wall"
     else:
-        backoff = f"backoff {fault['backoff_virtual_s']:.3f} s virtual"
+        backoff = f"backoff {fault['backoff_s']:.3f} s priced"
     print(
         f"fault tolerance: {fault['attempts']} attempt(s), "
         f"recovered jobs: {recovered}, {backoff}"
@@ -220,8 +218,9 @@ def _export_observability(ns: argparse.Namespace, recorder, out) -> None:
             "backend": ns.backend,
             "ranks": ns.ranks,
             "partitions": out.num_partitions,
-            "elapsed_virtual_s": out.result.elapsed,
         }
+        if out.result.elapsed > 0:  # a cluster model priced the run
+            run_info["elapsed_s"] = out.result.elapsed
         write_metrics(ns.metrics, recorder, run=run_info)
         print(f"wrote metrics {ns.metrics}")
     if ns.timeline:

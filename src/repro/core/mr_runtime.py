@@ -11,8 +11,9 @@ genuinely differs between the two:
 * the **reducer count** of a range exchange: a workflow may pin it
   (Figure 8: ``num_reducers=3``); reducers map onto ranks contiguously, so
   the output is the same for any count while the shuffle traffic is not;
-* the **cost profile**: an MR-MPI job pays the fixed per-job scheduling
-  overhead only — no separate sort / hash / stream kernel charges.
+* the **cost model**: an MR-MPI job is priced with the fixed per-job
+  scheduling overhead, its transfers and its packing only — no sort /
+  hash / stream kernel.
 
 This is the repo's only MR-MPI mapping: a job's shuffle is the executor's
 exchange (``bucketize`` + ``alltoall`` for a range shuffle, the positional
@@ -26,6 +27,8 @@ test).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.planner import PlannedJob
 from repro.core.runtime import MPIRuntime
 from repro.mpi.comm import Communicator
@@ -35,7 +38,11 @@ class MapReduceRuntime(MPIRuntime):
     """Executes a workflow plan as a sequence of MR-MPI jobs."""
 
     backend_name = "mapreduce"
-    charges_kernels = False
+
+    def _cost_model(self):
+        """The run's cluster model with every kernel constant at zero."""
+        cost = replace(self.cluster.cost, sort_per_cmp=0.0, stream_per_rec=0.0, hash_per_rec=0.0)
+        return replace(self.cluster, cost=cost)
 
     def _reducers(self, job: PlannedJob, comm: Communicator) -> int:
         """The workflow's pinned reducer count, else one reducer per rank."""

@@ -9,7 +9,7 @@ ranks run as forked OS processes over the shared-memory fabric of
 parallel instead of time-slicing one GIL.
 
 This is the wall-clock path.  The threaded ``backend="mpi"`` remains the
-deterministic substrate for chaos engineering and virtual-time studies, so
+deterministic substrate for chaos engineering, so
 *simulated* fault injection (``faults=``), whose seeded draw streams
 coordinate through shared memory only threads have, is rejected *up
 front* with a :class:`~repro.errors.ConfigError` instead of crashing
@@ -25,7 +25,8 @@ gang resumes from the committed checkpoint prefix, replaying only
 uncommitted jobs.  The classified crashes land in
 ``PartitionResult.extra["fault"]["crashes"]``.
 
-Supported everywhere else: cluster models (virtual clocks ride along),
+Supported everywhere else: cluster models (each rank's job counts come home
+in its perf counters and the driver prices them),
 memory budgets (workers spill run files into the driver's spill
 directory), and observability — the driver records the plan span and
 folds each worker's transport counters into per-rank ``comm.shm_bytes`` /
@@ -104,7 +105,6 @@ class ProcessRuntime(MPIRuntime):
         input_data: Dataset,
         rank_kwargs: dict[str, Any],
         fault_injector: Any = None,
-        start_time: float = 0.0,
     ) -> MPIRun:
         """One gang of forked ranks running the shared rank program.
 
@@ -112,7 +112,7 @@ class ProcessRuntime(MPIRuntime):
         recovery loop sleeps and retries; forked workers read and write the
         disk checkpoint store directly.  ``fault_injector`` is always
         ``None`` (rejected up front) and the backoff is slept by the
-        recovery loop, so ``start_time`` stays zero.
+        recovery loop.
         """
         from repro.mpi.process_backend import run_mpi_processes
 
@@ -129,7 +129,6 @@ class ProcessRuntime(MPIRuntime):
         run = run_mpi_processes(
             self._rank_program,
             self.num_ranks,
-            cluster=self.cluster,
             args=(plan, input_data),
             kwargs=worker_kwargs,
             **launch_kwargs,

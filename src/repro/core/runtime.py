@@ -34,6 +34,12 @@ and wide-keyed sorts included) or ``records``.  Every backend threads a
 :class:`~repro.core.perf.PerfCounters` through
 ``PartitionResult.extra["perf"]`` (``python -m repro run --stats``).
 
+Simulated time: each rank counts, per job, the records its local kernels
+ran over, and its communicator tallies what it sent where.  With a cluster
+model the driver prices those counts (:func:`repro.cluster.model.price`)
+into ``PartitionResult.elapsed``, on every backend alike; without one
+nothing is priced and ``elapsed`` is 0.0.
+
 File-to-file runs (:func:`repro.core.files.partition_files`): the input is
 a file-backed source (:class:`~repro.formats.binary.BinaryInputFormat`), so
 every rank reads its own byte range, and the executor is handed a
@@ -71,7 +77,7 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.core.dataset import Dataset, concat, resident
-from repro.core.perf import PerfCounters
+from repro.core.perf import JobCounts, PerfCounters
 from repro.core.physical import Physical, physical_plan
 from repro.core.planner import PlannedJob, WorkflowPlan
 from repro.errors import WorkflowError
@@ -101,7 +107,8 @@ class PartitionResult:
     def __init__(self, partitions: list[Dataset], elapsed: float = 0.0, bytes_moved: int = 0,
                  messages: int = 0, extra: Optional[dict[str, Any]] = None) -> None:
         self.partitions = partitions
-        #: simulated seconds (0.0 when no cluster model was attached)
+        #: simulated seconds priced from the run's counts (0.0 when no
+        #: cluster model was attached)
         self.elapsed = elapsed
         #: bytes moved through the fabric (MPI backend only)
         self.bytes_moved = bytes_moved
@@ -210,9 +217,7 @@ def _alltoall(
         outboxes, span_name, category = runs.finish(), f"spill-{span_name}", "spill"
     if comm.recorder is None:
         return comm.alltoall(outboxes)
-    with comm.recorder.span(
-        span_name, category=category, rank=comm.rank, clock=comm.clock, attrs=attrs
-    ):
+    with comm.recorder.span(span_name, category=category, rank=comm.rank, attrs=attrs):
         return comm.alltoall(outboxes)
 
 
@@ -314,6 +319,12 @@ def _local_sort(job: PlannedJob, choice: Physical, source: Any, ctx: Any) -> Any
     )
 
 
+def _records(source: Any) -> int:
+    """The records in ``source``, a packed stream's groups' included (a
+    spilled sort's runs count only their length)."""
+    return source.num_records if hasattr(source, "num_records") else len(source)
+
+
 def _positions(comm: Communicator, n_local: int) -> tuple[int, int]:
     """``(first global position, total)`` of a stream whose entries are
     ``n_local`` on this rank: an exclusive scan and a sum over the ranks,
@@ -330,7 +341,7 @@ def _write_span(comm: Communicator, stream_idx: int, records: int) -> Any:
     if comm.recorder is None:
         return nullcontext()
     return comm.recorder.span(
-        "write", category="io", rank=comm.rank, clock=comm.clock,
+        "write", category="io", rank=comm.rank,
         attrs={"stream": stream_idx, "records": records},
     )
 
@@ -339,8 +350,8 @@ class MPIRuntime:
     """Execution of a plan: the rank program every backend runs.
 
     ``mpi`` runs it on the simulated MPI runtime's rank threads; subclasses
-    change only what the class attributes and the two hooks below expose —
-    :meth:`_reducers` and the cost profile for ``mapreduce``, :meth:`_launch`
+    change only what the class attributes and the hooks below expose —
+    :meth:`_reducers` and the cost model for ``mapreduce``, :meth:`_launch`
     for ``process`` and ``serial``.
     """
 
@@ -349,11 +360,8 @@ class MPIRuntime:
     #: whether the physical plan is the SPMD one (jobs exchange across
     #: ranks) or the one-rank plan, where every job is local
     spmd = True
-    #: whether local kernels charge the cost model's sort / hash / stream
-    #: time on top of the fixed per-job overhead every backend pays
-    charges_kernels = True
-    #: whether retry backoff is slept for real instead of charged to the
-    #: virtual clock (true when ranks are real processes that really die)
+    #: whether retry backoff is slept for real instead of priced (true when
+    #: ranks are real processes that really die)
     wall_clock_recovery = False
 
     def __init__(
@@ -474,6 +482,10 @@ class MPIRuntime:
 
                 shutil.rmtree(spill_dir, ignore_errors=True)
         extra: dict[str, Any] = {"perf": perf.summary()}
+        elapsed = 0.0
+        if self.cluster is not None:
+            elapsed = self._price(
+                [list(job) for job in zip(*(p.jobs for _out, p in run.results))], fault_report)
         if fault_report is not None:
             extra["fault"] = fault_report
         if self.recorder is not None:
@@ -484,11 +496,31 @@ class MPIRuntime:
             extra["obs"] = self.recorder
         return PartitionResult(
             partitions=partitions,
-            elapsed=run.elapsed,
+            elapsed=elapsed,
             bytes_moved=run.bytes_moved,
             messages=run.messages,
             extra=extra,
         )
+
+    def _price(self, jobs: list[list[JobCounts]], fault_report: Optional[dict[str, Any]]) -> float:
+        """The simulated seconds of a run whose rank ``r`` counted
+        ``jobs[i][r]`` in job ``i``: a straggler's counts carry its
+        slowdown, and the retry backoff and the fired message delays are
+        line items after the jobs."""
+        from repro.cluster.model import price
+
+        slowdowns = self.faults.slowdowns if self.faults else {}
+        for job in jobs:
+            for rank, factor in slowdowns.items():
+                if rank < len(job):
+                    job[rank].slowdown = factor
+        report = fault_report or {}
+        items = [report.get("backoff_s", 0.0), report.get("injected", {}).get("delayed_s", 0.0)]
+        return price(jobs + items, self._cost_model())
+
+    def _cost_model(self) -> ClusterModel:
+        """The cluster model the run is priced on: the one it was given."""
+        return self.cluster
 
     def _execute_spmd(
         self, plan: WorkflowPlan, input_data: Dataset, rank_kwargs: dict[str, Any]
@@ -509,7 +541,7 @@ class MPIRuntime:
         )
         fingerprint = plan_fingerprint(plan, input_data, self.num_ranks)
 
-        def attempt(resume: int, start_time: float) -> MPIRun:
+        def attempt(resume: int) -> MPIRun:
             return self._launch(
                 plan,
                 input_data,
@@ -520,7 +552,6 @@ class MPIRuntime:
                     "fingerprint": fingerprint,
                 },
                 fault_injector=injector,
-                start_time=start_time,
             )
 
         return execute_with_recovery(
@@ -542,7 +573,6 @@ class MPIRuntime:
         input_data: Dataset,
         rank_kwargs: dict[str, Any],
         fault_injector: Optional[FaultInjector] = None,
-        start_time: float = 0.0,
     ) -> MPIRun:
         """One SPMD attempt: :meth:`_rank_program` on every rank (threads here)."""
         from repro.mpi import run_mpi
@@ -550,12 +580,10 @@ class MPIRuntime:
         return run_mpi(
             self._rank_program,
             self.num_ranks,
-            cluster=self.cluster,
             args=(plan, input_data),
             kwargs=rank_kwargs,
             fault_injector=fault_injector,
             deadlock_grace=self.deadlock_grace,
-            start_time=start_time,
         )
 
     # -- per-rank program ------------------------------------------------------
@@ -589,17 +617,14 @@ class MPIRuntime:
         final: Any = None
         for i, job in enumerate(plan.jobs):
             if i < resume:
-                # job fully committed by a previous attempt: restore instead
-                # of recomputing (and advance to the checkpointed clock)
+                # job fully committed by a previous attempt: restore its
+                # output and its counts instead of recomputing
                 saved = checkpoint.load(job_key(fingerprint, i, job.op_id, comm.rank))
                 final = saved["output"]
                 outputs[job.op_id] = final
-                comm.clock.merge(saved["clock"])
+                perf.jobs.append(saved["counts"])
                 if recorder is not None:
-                    recorder.instant(
-                        f"restored:{job.op_id}", category="checkpoint",
-                        rank=comm.rank, clock=comm.clock,
-                    )
+                    recorder.instant(f"restored:{job.op_id}", category="checkpoint", rank=comm.rank)
                 continue
             source = job_input(job, outputs, local)
             whole = input_data if source is local else None
@@ -607,21 +632,20 @@ class MPIRuntime:
             job_mark = ctx.manifest_mark() if ctx is not None else 0
             span = (
                 recorder.span(
-                    job.op_id, category="job", rank=comm.rank, clock=comm.clock,
-                    parent=obs_root,
+                    job.op_id, category="job", rank=comm.rank, parent=obs_root,
                     attrs={"job_index": i, "operator": job.operator_name.lower()},
                 )
                 if recorder is not None
                 else nullcontext()
             )
-            with perf.phase(job.operator_name.lower(), clock=comm.clock), span:
-                if comm.cluster is not None:
-                    # fixed per-job scheduling cost (mapper/reducer launch)
-                    comm.charge_compute(comm.cluster.cost.job_overhead)
+            counts = JobCounts()
+            perf.jobs.append(counts)
+            with perf.phase(job.operator_name.lower()), span:
                 final = self._run_job(
                     comm, job, choices[job.op_id], source, perf, ctx,
                     part_writer if job is plan.final_job else None, whole,
                 )
+            counts.sent, counts.packed = comm.take_traffic()
             outputs[job.op_id] = final
             # an "after" crash fires before the checkpoint commits, so the
             # next attempt re-runs this job on every rank
@@ -630,7 +654,7 @@ class MPIRuntime:
             # part files, and offset writes are idempotent, so a restart
             # redoes it from the previous job's checkpoint
             if checkpoint is not None and choices[job.op_id].tail != "in place":
-                payload = {"output": final, "clock": comm.clock.now}
+                payload = {"output": final, "counts": counts}
                 if ctx is not None:
                     payload["ooc"] = {"manifests": ctx.manifests_since(job_mark)}
                 checkpoint.save(
@@ -676,13 +700,15 @@ class MPIRuntime:
                 comm, op, indexed[0], whole.schema, self._reducers(job, comm), perf, ctx
             )
             perf.paths[job.op_id] = "cut"
-            self._charge(comm, "sort", len(view))
+            perf.count_kernel("sort", len(view))
             return view
         if choice.tail == "gathered" and choice.exchange == "none":
             # one rank holds every stream: the operator's own deal, which
             # takes a permutation-defined policy too; what streams is dealt
             # as it streams
             perf.paths[job.op_id] = choice.path
+            streams = source if isinstance(source, (list, tuple)) else [source]
+            perf.count_kernel("stream", sum(_records(s) for s in streams))
             return dict(enumerate(op.apply_local(source)))
         if isinstance(op, Distribute):
             return self._distribute_job(comm, job, choice, source, perf, ctx, part_writer)
@@ -696,12 +722,16 @@ class MPIRuntime:
             return out
         if choice.spill is not None:  # a sort on one rank: nothing to exchange
             perf.paths[job.op_id] = choice.spill
+            perf.count_kernel("sort", _records(source))
             return _local_sort(job, choice, source, ctx)
         data = resident(source)
         if is_basic(op, "split"):
             # a map-only job: routing is local, no exchange
-            self._charge(comm, "stream", data.num_records)
-        # Split, or a user-registered basic operator: run the local kernel
+            perf.count_kernel("stream", data.num_records)
+        elif is_basic(op, "group"):  # a group on one rank
+            perf.count_kernel("hash_group", data.num_records)
+        # Split, a group on one rank, or a user-registered basic operator:
+        # run the local kernel
         return op.apply_local(data)
 
     def _reducers(self, job: PlannedJob, comm: Communicator) -> int:
@@ -712,13 +742,6 @@ class MPIRuntime:
         2-rank run would otherwise split its data 2/3 : 1/3).
         """
         return comm.size
-
-    def _charge(self, comm: Communicator, kernel: str, n: int) -> None:
-        """Charge a local kernel over ``n`` records (``kernel`` names a
-        :class:`~repro.cluster.model.CostModel` method)."""
-        if self.charges_kernels and comm.cluster is not None:
-            cost = getattr(comm.cluster.cost, kernel)(n)
-            comm.charge_compute(comm.cluster.compute(cost))
 
     @staticmethod
     def _spills(comm: Communicator, ctx: Any, source: Any, kind: str) -> Any:
@@ -789,7 +812,7 @@ class MPIRuntime:
             comm, [box[0] if len(box) == 1 else _flat(box, source.schema) for box in boxes],
             "shuffle", {"records": len(source), "nbytes": source.nbytes}, runs,
         )
-        self._charge(comm, kernel, sum(box.num_records for box in inbox if box is not None))
+        perf.count_kernel(kernel, sum(box.num_records for box in inbox if box is not None))
         return _reduce_received(op, inbox, source.schema, None if runs is None else ctx)
 
     # -- distribute (Figures 9/11, last job) -----------------------------------
@@ -878,8 +901,7 @@ class MPIRuntime:
         result: dict[int, Dataset] = {}
         for p in owned:
             chunks = per_partition.get(p, [])
-            if chunks:
-                self._charge(comm, "stream", sum(c.num_records for c in chunks))
+            perf.count_kernel("stream", sum(c.num_records for c in chunks))
             result[p] = _flat(chunks, streams[0].schema)
         return result
 
@@ -889,25 +911,26 @@ class OneRank:
 
     There is no one to exchange with: the one-rank physical plan exchanges
     nothing, and what the rank program asks every rank (:func:`_positions`)
-    one rank answers alone.  No clock runs and no fault fires.
+    one rank answers alone.  No traffic is tallied and no fault fires.
     """
 
     rank = 0
     size = 1
-    cluster = None
-    clock = None
     #: set by the rank program, as on every communicator
     recorder: Optional["Recorder"] = None
 
     def check_fault(self, job_index: int, when: str) -> None:
         """No fault is scheduled on one rank."""
 
+    def take_traffic(self) -> tuple[dict[int, list[int]], int]:
+        """Nothing was sent."""
+        return {}, 0
+
 
 class _InlineRun:
     """What :meth:`MPIRuntime.execute` reads of a launch, for one rank run
     inline: its result, and nothing moved."""
 
-    elapsed = 0.0
     bytes_moved = 0
     messages = 0
 
@@ -922,10 +945,10 @@ class SerialRuntime(MPIRuntime):
     physical plan (``spmd=False``), so a sort of any key is local — narrow
     wherever rows are fetchable by index — and a gathered deal is the
     operator's own, which also takes a permutation-defined policy.  It
-    runs one rank on no simulated cluster: a rank count other than 1 or a
-    cluster model is refused, as is fault tolerance; the chaos seed and the
-    deadlock grace :meth:`repro.PaPar.run` hands every backend mean nothing
-    here.
+    runs one rank: a rank count other than 1 (or a cluster model of more
+    ranks) is refused, as is fault tolerance; a one-rank cluster model
+    prices the run like any backend's.  The chaos seed and the deadlock
+    grace :meth:`repro.PaPar.run` hands every backend mean nothing here.
     """
 
     backend_name = "serial"
@@ -943,19 +966,17 @@ class SerialRuntime(MPIRuntime):
         retry: Any = None,
         **_spmd_options: Any,
     ) -> None:
-        if num_ranks != 1 or cluster is not None:
+        if num_ranks != 1:
             raise WorkflowError(
-                f"the serial backend runs one rank on no cluster model, "
-                f"got {num_ranks} rank(s)"
-                f"{' and a cluster model' if cluster is not None else ''}; "
-                "use 'mpi' for simulated ranks and time"
+                f"the serial backend runs one rank, got {num_ranks} rank(s); "
+                "use 'mpi' for simulated ranks"
             )
         if faults is not None or checkpoint is not None or retry is not None:
             raise WorkflowError(
                 "fault tolerance needs an SPMD backend; use 'mpi' or "
                 "'mapreduce' (or 'process' for checkpoint/retry recovery)"
             )
-        super().__init__(1, recorder=recorder, memory_budget=memory_budget)
+        super().__init__(1, cluster, recorder=recorder, memory_budget=memory_budget)
 
     def _launch(
         self,
@@ -963,7 +984,6 @@ class SerialRuntime(MPIRuntime):
         input_data: Dataset,
         rank_kwargs: dict[str, Any],
         fault_injector: Optional[FaultInjector] = None,
-        start_time: float = 0.0,
     ) -> MPIRun:
         """The rank program, here, on :class:`OneRank`."""
         return _InlineRun([self._rank_program(OneRank(), plan, input_data, **rank_kwargs)])

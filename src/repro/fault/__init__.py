@@ -10,14 +10,14 @@ be studied on the simulator:
   corruption, slow-rank stragglers), parseable from CLI strings and
   generatable from a chaos seed.
 * :class:`FaultInjector` — the deterministic, seeded engine that fires a
-  schedule: hooked into :meth:`repro.mpi.fabric.Fabric.deliver`, the
-  per-rank virtual clocks, and the runtimes' per-job boundaries.
+  schedule: hooked into :meth:`repro.mpi.fabric.Fabric.deliver` and the
+  runtimes' per-job boundaries; stragglers and delays are priced.
 * :class:`MemoryCheckpointStore` / :class:`DiskCheckpointStore` — per-job,
   per-rank snapshots of workflow outputs so a failed run resumes from the
   last fully-committed job instead of starting over.
 * :class:`RetryPolicy` + :func:`execute_with_recovery` — bounded retries
-  with exponential backoff and deterministic jitter, charged to the
-  *virtual* clock of the next attempt — or, on the process backend's
+  with exponential backoff and deterministic jitter, priced as a line item
+  of the run (``backoff_s``) — or, on the process backend's
   gang-restart (``wall_clock=True``), slept for real and reported as
   ``backoff_wall_s`` alongside the classified
   :class:`~repro.errors.WorkerCrash` reports.

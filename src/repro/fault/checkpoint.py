@@ -1,8 +1,9 @@
 """Per-job checkpointing of workflow outputs.
 
 After each planned job completes, every rank snapshots its local output
-(plus its virtual clock) under a key derived from the plan, the input data,
-the rank count, and the job.  On retry, the driver computes the longest
+(plus the job's :class:`~repro.core.perf.JobCounts`, which a cluster model
+prices) under a key derived from the plan, the input data, the rank count,
+and the job.  On retry, the driver computes the longest
 *fully committed* job prefix — jobs for which **all** ranks saved a
 checkpoint — and every rank of the next attempt resumes from there, loading
 the saved outputs instead of recomputing (and re-shuffling) them.

@@ -16,13 +16,14 @@ Hook points (all no-ops when the runtime has no injector):
 
 * :meth:`on_deliver` — called by :meth:`repro.mpi.fabric.Fabric.deliver`
   for every message; returns the list of copies to deposit (possibly
-  empty for a drop, two for a duplicate) with timestamps delayed and
-  payload/checksum corrupted as scheduled.
+  empty for a drop, two for a duplicate) with payload/checksum corrupted
+  as scheduled, and tallies the seconds of every fired delay
+  (:attr:`delayed_s`, priced as a line item of the run).
 * :meth:`check_crash` — called by the runtimes at each job boundary;
   raises :class:`~repro.errors.InjectedFault` when a crash is due.
-* :meth:`scale_compute` — called by
-  :meth:`repro.mpi.comm.Communicator.charge_compute`; stretches a
-  straggler rank's virtual compute time.
+
+A straggler needs no hook: the driver prices its rank's compute at the
+schedule's :attr:`~repro.fault.schedule.FaultSchedule.slowdowns`.
 """
 
 from __future__ import annotations
@@ -71,14 +72,8 @@ class FaultInjector:
         self.counts: dict[str, int] = {}
         #: human-readable log of fired faults, in firing order
         self.fired_log: list[str] = []
-        # cache straggler factors per rank: they apply continuously, not per-event
-        self._straggler_factor: dict[int, float] = {}
-        for _, spec in schedule.straggler_specs:
-            if spec.rank is None:
-                continue
-            self._straggler_factor[spec.rank] = (
-                self._straggler_factor.get(spec.rank, 1.0) * spec.factor
-            )
+        #: seconds of every delay fired so far (across all attempts)
+        self.delayed_s = 0.0
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -117,6 +112,7 @@ class FaultInjector:
                 "attempts": self.attempt,
                 "counts": dict(self.counts),
                 "fired": list(self.fired_log),
+                "delayed_s": self.delayed_s,
             }
 
     # -- fabric hook: message faults -------------------------------------------
@@ -126,8 +122,8 @@ class FaultInjector:
 
         ``msg`` is a :class:`repro.mpi.fabric.Message`; the injector assigns
         its transport sequence number and may drop it, duplicate it, delay
-        its virtual timestamp, or corrupt its payload (recording the honest
-        checksum so the receiver detects the damage).
+        it (tallied in :attr:`delayed_s`), or corrupt its payload (recording
+        the honest checksum so the receiver detects the damage).
         """
         with self._lock:
             count = self._link_counts.get((src, dst), 0)
@@ -150,7 +146,7 @@ class FaultInjector:
                     deliveries.append(_dc_replace(msg))
                 elif spec.kind == "delay":
                     self._fire(index, spec, f"{detail} +{spec.delay_s}s")
-                    msg.timestamp += spec.delay_s
+                    self.delayed_s += spec.delay_s
                 elif spec.kind == "corrupt":
                     self._fire(index, spec, detail)
                     self._corrupt(msg)
@@ -186,20 +182,6 @@ class FaultInjector:
                 detail = f"rank {rank} {when} job {job_index}"
                 self._fire(index, spec, detail)
                 raise InjectedFault(f"injected crash: {detail}")
-
-    # -- clock hook: stragglers ---------------------------------------------------
-
-    def scale_compute(self, rank: int, seconds: float) -> float:
-        """Stretch a straggler rank's virtual compute time."""
-        factor = self._straggler_factor.get(rank)
-        if factor is None:
-            return seconds
-        return seconds * factor
-
-    @property
-    def straggler_ranks(self) -> dict[int, float]:
-        """Rank -> cumulative slowdown factor for the scheduled stragglers."""
-        return dict(self._straggler_factor)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

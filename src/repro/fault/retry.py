@@ -1,11 +1,11 @@
 """Bounded retries with exponential backoff and deterministic jitter.
 
-Backoff is charged to the *virtual* clock of the next attempt (its per-rank
-clocks start at the accumulated backoff time), so recovery cost shows up in
-the simulated makespan exactly like a real re-submission delay would —
-without sleeping any wall-clock time.  The one exception is the process
-backend's gang-restart (``execute_with_recovery(wall_clock=True)``), where
-workers really died and the same delays are slept for real.
+Backoff is priced, not slept: the run's fault report carries the total as
+``backoff_s`` and a cluster model adds it to the simulated time as one line
+item, exactly like a real re-submission delay would — without sleeping any
+wall-clock time.  The one exception is the process backend's gang-restart
+(``execute_with_recovery(wall_clock=True)``), where workers really died and
+the same delays are slept for real.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ class RetryPolicy:
 
     #: total attempts, including the first (1 = no retries)
     max_attempts: int = 5
-    #: virtual seconds of backoff after the first failure
+    #: seconds of backoff after the first failure
     base_delay_s: float = 0.1
-    #: backoff ceiling (virtual seconds)
+    #: backoff ceiling (seconds)
     max_delay_s: float = 30.0
     #: exponential growth factor per failed attempt
     backoff_factor: float = 2.0
@@ -50,7 +50,7 @@ class RetryPolicy:
         return attempt < self.max_attempts
 
     def delay_s(self, attempt: int, seed: int = 0) -> float:
-        """Virtual backoff after failed attempt ``attempt`` (1-based).
+        """Backoff seconds after failed attempt ``attempt`` (1-based).
 
         Deterministic for a given ``(policy, attempt, seed)``: the jitter
         draw is keyed, not sampled from global state.

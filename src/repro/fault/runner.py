@@ -10,9 +10,9 @@ that lands in ``PartitionResult.extra["fault"]``.
 The same loop drives the process backend's gang-restart
 (:class:`~repro.core.process_runtime.ProcessRuntime`): there real workers
 really die, so ``wall_clock=True`` makes the backoff an actual
-``time.sleep`` (reported as ``backoff_wall_s``) instead of a virtual-clock
-charge, and every classified :class:`~repro.errors.WorkerCrash` lands in
-the report's ``crashes`` list.
+``time.sleep`` (reported as ``backoff_wall_s``) instead of a priced line
+item (``backoff_s``), and every classified
+:class:`~repro.errors.WorkerCrash` lands in the report's ``crashes`` list.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from repro.fault.checkpoint import CheckpointStore, committed_prefix
 from repro.fault.injector import FaultInjector
 from repro.fault.retry import RetryPolicy
 
-#: ``attempt_fn(resume_index, start_time_s) -> result`` — one SPMD attempt,
-#: resuming after the first ``resume_index`` jobs with per-rank virtual
-#: clocks starting at ``start_time_s``.
-AttemptFn = Callable[[int, float], Any]
+#: ``attempt_fn(resume_index) -> result`` — one SPMD attempt, resuming
+#: after the first ``resume_index`` jobs.
+AttemptFn = Callable[[int], Any]
 
 
 def execute_with_recovery(
@@ -53,8 +52,8 @@ def execute_with_recovery(
 
     With ``wall_clock=True`` (the process backend's gang-restart) the
     retry backoff is slept for real via ``sleep`` and reported as
-    ``backoff_wall_s``; otherwise it is charged to the virtual clock as
-    ``backoff_virtual_s``.
+    ``backoff_wall_s``; otherwise it is reported as ``backoff_s``, which
+    a cluster model prices as one line item of the run.
     """
     retry = retry or RetryPolicy()
     attempts = 0
@@ -72,7 +71,7 @@ def execute_with_recovery(
         if injector is not None:
             injector.begin_attempt()
         try:
-            result = attempt_fn(resume, 0.0 if wall_clock else backoff_total)
+            result = attempt_fn(resume)
         except MPIError as exc:
             failures.append(f"attempt {attempts}: {exc!r}")
             if isinstance(exc, WorkerCrash):
@@ -110,11 +109,9 @@ def execute_with_recovery(
         report: dict[str, Any] = {
             "attempts": attempts,
             "recovered_jobs": recovered_jobs,
-            "backoff_virtual_s": 0.0 if wall_clock else backoff_total,
+            "backoff_wall_s" if wall_clock else "backoff_s": backoff_total,
             "failures": failures,
         }
-        if wall_clock:
-            report["backoff_wall_s"] = backoff_total
         if crashes:
             report["crashes"] = crashes
         if injector is not None:

@@ -12,9 +12,9 @@ drop        a message on link ``src -> dst`` vanishes (receiver deadlocks
             until the fabric's ``deadlock_grace`` fires a DeadlockError)
 duplicate   a message is delivered twice; the transport's sequence-number
             dedup suppresses the second copy
-delay       a message's virtual arrival time slips by ``delay_s`` seconds
+delay       a message arrives ``delay_s`` seconds late (priced time)
 corrupt     a message's payload fails its transport checksum on receive
-straggler   rank ``rank``'s compute is slowed by ``factor`` (virtual time)
+straggler   rank ``rank``'s compute is slowed by ``factor`` (priced time)
 ========== ======================================================================
 
 ``probability`` gates message faults per message (1.0 = the first matching
@@ -59,7 +59,7 @@ class FaultSpec:
     dst: Optional[int] = None
     #: per-message firing probability for message faults
     probability: float = 1.0
-    #: virtual seconds added by a ``delay`` fault
+    #: priced seconds added by a ``delay`` fault
     delay_s: float = 0.05
     #: compute slowdown multiplier for ``straggler`` faults
     factor: float = 2.0
@@ -173,6 +173,15 @@ class FaultSchedule:
     def straggler_specs(self) -> tuple[tuple[int, FaultSpec], ...]:
         """(index, spec) pairs for the compute-slowdown faults."""
         return tuple((i, s) for i, s in enumerate(self.specs) if s.kind == "straggler")
+
+    @property
+    def slowdowns(self) -> dict[int, float]:
+        """Rank -> the product of the factors of its stragglers."""
+        factors: dict[int, float] = {}
+        for _, spec in self.straggler_specs:
+            if spec.rank is not None:
+                factors[spec.rank] = factors.get(spec.rank, 1.0) * spec.factor
+        return factors
 
     @classmethod
     def parse(cls, texts: Iterable[str]) -> "FaultSchedule":

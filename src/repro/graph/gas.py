@@ -10,7 +10,7 @@ across cuts — only costs differ) and accounts two costs per superstep:
 * **communication** — mirror/master synchronization volume, which is a
   direct function of the placement's replication factor.
 
-Virtual time comes from the shared :class:`~repro.cluster.ClusterModel`, so
+Modelled time comes from the shared :class:`~repro.cluster.ClusterModel`, so
 Figure 14's 8-node vs 16-node comparisons use the same machinery as the
 partitioning-time figures.
 """

@@ -9,7 +9,7 @@ Two roles (paper Section IV-C, Figure 15):
    partitions — the paper's correctness claim ("PaPar can produce the same
    partitions as the driving applications").
 
-2. :class:`PartitionerTimeModel` — analytic virtual-time models of both
+2. :class:`PartitionerTimeModel` — analytic time models of both
    partitioners at full Table II scale.  The model encodes the paper's own
    explanation of Figure 15:
 

@@ -9,12 +9,14 @@ numpy arrays — the "fast path" mirroring the mpi4py tutorial idiom — plus
 the point-to-point and rank-0-rooted collectives they are built from.
 
 Each rank runs as one OS thread; messages move through an in-process
-:class:`~repro.mpi.fabric.Fabric`.  When a :class:`~repro.cluster.ClusterModel`
-is attached, every message also advances per-rank virtual clocks, which is how
-the evaluation figures obtain cluster-scale timings (DESIGN.md §6).
+:class:`~repro.mpi.fabric.Fabric`.  Every rank tallies the bytes and
+messages it sends to each destination; with a
+:class:`~repro.cluster.ClusterModel` those tallies are priced
+(:func:`repro.cluster.model.price`), which is how the evaluation figures
+obtain cluster-scale timings (DESIGN.md §6).
 
 Collectives are implemented with real distributed algorithms (binomial-tree
-broadcast/reduce, pairwise all-to-all) so that the virtual-time accounting
+broadcast/reduce, pairwise all-to-all) so that the priced traffic
 reflects log-p / p-1 step structure, not a magic zero-cost shortcut.
 """
 

@@ -9,23 +9,20 @@ buffers without pickling (the "fast path" of the mpi4py tutorial).
 
 Collectives use real distributed algorithms — binomial trees for
 ``bcast``/``reduce``, a rank chain for ``scan``, pairwise exchange for
-``alltoall`` — so virtual-time accounting inherits their log-p / (p-1)-step
+``alltoall`` — so the traffic each rank tallies (what the cost model
+prices, :func:`repro.cluster.model.price`) has their log-p / (p-1)-step
 structure.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.clock import VirtualClock
 from repro.errors import MPIError
 from repro.mpi.fabric import Fabric, Message
 from repro.mpi.reduce_ops import ReduceOp
-
-if TYPE_CHECKING:  # pragma: no cover - a run without a cost model never loads it
-    from repro.cluster.model import ClusterModel
 
 # Reserved internal tags; user tags must be >= 0.
 _TAG_BCAST = -10
@@ -45,35 +42,27 @@ class Communicator:
         This rank's index within the communicator.
     fabric:
         The shared :class:`~repro.mpi.fabric.Fabric` transport.
-    cluster:
-        Optional :class:`~repro.cluster.ClusterModel`; when given, every
-        message advances per-rank virtual clocks.
-    clock:
-        This rank's :class:`~repro.cluster.VirtualClock` (created when omitted).
     injector:
         Optional :class:`~repro.fault.injector.FaultInjector`; when given,
-        compute charging honours straggler slowdowns and the runtimes'
-        per-job :meth:`check_fault` calls can fire scheduled rank crashes.
+        the runtimes' per-job :meth:`check_fault` calls can fire scheduled
+        rank crashes.
+
+    Every send is tallied in :attr:`sent` (destination -> ``[bytes,
+    messages]``) and every pickled byte sent or received in
+    :attr:`packed`: the traffic the cost model prices, which
+    :meth:`take_traffic` hands over a job at a time.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        fabric: Fabric,
-        cluster: Optional[ClusterModel] = None,
-        clock: Optional[VirtualClock] = None,
-        injector: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, rank: int, fabric: Fabric, injector: Optional[Any] = None) -> None:
         if not (0 <= rank < fabric.size):
             raise MPIError(f"rank {rank} out of range for size {fabric.size}")
         self.rank = rank
         self._fabric = fabric
-        self.cluster = cluster
-        self.clock = clock if clock is not None else VirtualClock()
         self.injector = injector
+        self.sent: dict[int, list[int]] = {}
+        self.packed = 0
         #: optional :class:`~repro.obs.span.Recorder` observing this rank's
-        #: charge points (compute seconds, traffic bytes, idle at receives);
-        #: ``None`` keeps every hook a single attribute test
+        #: traffic; ``None`` keeps every hook a single attribute test
         self.recorder: Optional[Any] = None
 
     @property
@@ -81,19 +70,11 @@ class Communicator:
         """Number of ranks in this communicator."""
         return self._fabric.size
 
-    # -- virtual-time charging -------------------------------------------------
-
-    def charge_compute(self, seconds: float) -> None:
-        """Advance this rank's clock by a local compute phase.
-
-        Under fault injection a straggler rank's compute is stretched by its
-        scheduled slowdown factor.
-        """
-        if self.injector is not None:
-            seconds = self.injector.scale_compute(self.rank, seconds)
-        if self.recorder is not None and seconds > 0.0:
-            self.recorder.count("compute.virtual_s", seconds, rank=self.rank)
-        self.clock.advance(seconds)
+    def take_traffic(self) -> tuple[dict[int, list[int]], int]:
+        """``(sent, packed)`` since the last call; the tally starts over."""
+        traffic = self.sent, self.packed
+        self.sent, self.packed = {}, 0
+        return traffic
 
     # -- fault-injection hook ---------------------------------------------------
 
@@ -107,51 +88,40 @@ class Communicator:
         if self.injector is not None:
             self.injector.check_crash(self.rank, job_index, when)
 
-    def _charge_send(self, nbytes: int, serialized: bool) -> float:
-        """Advance the sender clock for send-side overhead; return send timestamp."""
+    def _deliver(self, dest: int, msg: Message, serialized: bool) -> None:
+        """Tally ``msg`` as sent to ``dest`` and hand it to the fabric."""
+        slot = self.sent.get(dest)
+        if slot is None:
+            self.sent[dest] = [msg.nbytes, 1]
+        else:
+            slot[0] += msg.nbytes
+            slot[1] += 1
+        if serialized:
+            self.packed += msg.nbytes
         if self.recorder is not None:
-            self.recorder.count("comm.sent_bytes", nbytes, rank=self.rank)
+            self.recorder.count("comm.sent_bytes", msg.nbytes, rank=self.rank)
             self.recorder.count("comm.sent_messages", 1, rank=self.rank)
-        if self.cluster is not None and serialized:
-            self.clock.advance(self.cluster.cost.pack(nbytes))
-        return self.clock.now
+        self._fabric.deliver(dest, msg)
 
-    def _charge_recv(self, msg: Message, serialized: bool) -> None:
-        """Count the received bytes and merge arrival time into the receiver clock.
-
-        When a recorder is attached every receive counts ``comm.recv_bytes``;
-        with a cluster model the forward clock jump of the Lamport merge —
-        how long this rank would have sat blocked waiting for the message —
-        is also charged to the ``idle.recv_s`` counter.
-        """
+    def _collect(self, source: int, tag: int, serialized: bool) -> Message:
+        """The next message from ``source`` with ``tag``, tallied as received."""
+        msg = self._fabric.collect(self.rank, source, tag)
+        if serialized:
+            self.packed += msg.nbytes
         if self.recorder is not None:
             self.recorder.count("comm.recv_bytes", msg.nbytes, rank=self.rank)
-        if self.cluster is None:
-            return
-        arrival = msg.timestamp + self.cluster.transfer_time(msg.nbytes, msg.source, self.rank)
-        if self.recorder is not None:
-            wait = arrival - self.clock.now
-            if wait > 0.0:
-                self.recorder.count("idle.recv_s", wait, rank=self.rank)
-        self.clock.merge(arrival)
-        if serialized:
-            self.clock.advance(self.cluster.cost.pack(msg.nbytes))
+        return msg
 
     # -- point-to-point: object path ------------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Send a pickled Python object (eager: never blocks)."""
         payload, nbytes = self._fabric.encode_object(obj)
-        ts = self._charge_send(nbytes, serialized=True)
-        self._fabric.deliver(
-            dest,
-            Message(source=self.rank, tag=tag, payload=payload, nbytes=nbytes, timestamp=ts),
-        )
+        self._deliver(dest, Message(self.rank, tag, payload, nbytes), serialized=True)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Receive one pickled Python object from ``source`` (blocking)."""
-        msg = self._fabric.collect(self.rank, source, tag)
-        self._charge_recv(msg, serialized=True)
+        msg = self._collect(source, tag, serialized=True)
         return self._fabric.decode_object(msg.payload)
 
     # -- point-to-point: buffer path --------------------------------------------
@@ -160,25 +130,14 @@ class Communicator:
         """Send a numpy array without pickling (zero-copy fast path)."""
         arr = np.ascontiguousarray(buf)
         payload, nbytes = self._fabric.encode_buffer(arr)
-        ts = self._charge_send(nbytes, serialized=False)
-        self._fabric.deliver(
-            dest,
-            Message(
-                source=self.rank,
-                tag=tag,
-                payload=payload,
-                nbytes=nbytes,
-                timestamp=ts,
-                is_buffer=True,
-            ),
-        )
+        self._deliver(dest, Message(self.rank, tag, payload, nbytes, is_buffer=True),
+                      serialized=False)
 
     def Recv(self, buf: np.ndarray, source: int, tag: int = 0) -> np.ndarray:
         """Receive into a preallocated numpy array; returns the filled view."""
-        msg = self._fabric.collect(self.rank, source, tag)
+        msg = self._collect(source, tag, serialized=False)
         if not msg.is_buffer:
             raise MPIError("Recv matched a pickled message; use recv() instead")
-        self._charge_recv(msg, serialized=False)
         incoming = self._fabric.decode_buffer(msg.payload)
         if buf.size < incoming.size:
             raise MPIError(
@@ -313,8 +272,7 @@ class Communicator:
             dest = (self.rank + shift) % size
             src = (self.rank - shift) % size
             self.Send(sendbuf[offsets[dest] : offsets[dest + 1]], dest=dest, tag=_TAG_BUFFER)
-            msg = self._fabric.collect(self.rank, src, _TAG_BUFFER)
-            self._charge_recv(msg, serialized=False)
+            msg = self._collect(src, _TAG_BUFFER, serialized=False)
             chunks[src] = self._fabric.decode_buffer(msg.payload)
         recvcounts = np.array([len(c) for c in chunks], dtype=np.int64)
         recvbuf = (
@@ -383,8 +341,7 @@ class Communicator:
             dest = (self.rank + shift) % self.size
             src = (self.rank - shift) % self.size
             self.Send(sendbuf, dest=dest, tag=_TAG_BUFFER)
-            msg = self._fabric.collect(self.rank, src, _TAG_BUFFER)
-            self._charge_recv(msg, serialized=False)
+            msg = self._collect(src, _TAG_BUFFER, serialized=False)
             chunks[src] = self._fabric.decode_buffer(msg.payload)
         return np.concatenate(chunks), counts
 

@@ -48,8 +48,6 @@ class Message:
     tag: int
     payload: Any
     nbytes: int
-    #: sender's virtual send timestamp (0.0 when no cluster model is attached)
-    timestamp: float = 0.0
     #: True for the buffer-protocol ("capitalized") path
     is_buffer: bool = False
     #: transport sequence number (assigned only under fault injection)

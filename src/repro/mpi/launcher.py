@@ -4,6 +4,8 @@ The analog of ``mpiexec -n <size> python script.py``: every rank executes the
 same function with its own :class:`~repro.mpi.comm.Communicator`.  Return
 values are collected in rank order; the first rank exception aborts the
 fabric (waking any blocked receivers) and is re-raised in the caller.
+With a cluster model the run is priced as one bulk-synchronous step of
+the traffic its ranks tallied.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from repro.cluster.clock import VirtualClock
 from repro.errors import MPIError
 from repro.mpi.comm import Communicator
 from repro.mpi.fabric import DEFAULT_DEADLOCK_GRACE, Fabric
@@ -27,18 +28,13 @@ class MPIRun:
 
     #: per-rank return values, in rank order
     results: list[Any]
-    #: per-rank final virtual clocks (seconds); zeros without a cluster model
-    clocks: list[float]
     #: total bytes moved through the fabric
     bytes_moved: int
     #: total messages moved through the fabric
     messages: int
     extra: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def elapsed(self) -> float:
-        """Simulated makespan: the maximum rank clock."""
-        return max(self.clocks) if self.clocks else 0.0
+    #: simulated seconds of the run's traffic (0.0 without a cluster model)
+    elapsed: float = 0.0
 
 
 def run_mpi(
@@ -50,19 +46,16 @@ def run_mpi(
     kwargs: Optional[dict[str, Any]] = None,
     fault_injector: Optional[Any] = None,
     deadlock_grace: Optional[float] = None,
-    start_time: float = 0.0,
 ) -> MPIRun:
     """Run ``fn(comm, *args, **kwargs)`` on ``size`` rank threads.
 
-    When ``cluster`` is given its size must match ``size`` and each rank is
-    charged virtual time for communication (and for whatever compute the rank
-    charges explicitly via :meth:`Communicator.charge_compute`).
+    When ``cluster`` is given its size must match ``size`` and
+    ``MPIRun.elapsed`` prices the traffic the ranks left tallied as one
+    step (a program adds its own modelled compute to that).
 
     ``fault_injector`` attaches a :class:`~repro.fault.injector.FaultInjector`
     to the fabric and every communicator; ``deadlock_grace`` overrides the
-    fabric's blocked-wait budget before :class:`~repro.errors.DeadlockError`;
-    ``start_time`` starts every rank's virtual clock at that many seconds
-    (how retry backoff is charged to the next attempt).
+    fabric's blocked-wait budget before :class:`~repro.errors.DeadlockError`.
     """
     if size < 1:
         raise MPIError(f"size must be >= 1, got {size!r}")
@@ -76,13 +69,7 @@ def run_mpi(
         deadlock_grace=deadlock_grace if deadlock_grace is not None else DEFAULT_DEADLOCK_GRACE,
         injector=fault_injector,
     )
-    clocks = [VirtualClock(start_time) for _ in range(size)]
-    comms = [
-        Communicator(
-            rank, fabric, cluster=cluster, clock=clocks[rank], injector=fault_injector
-        )
-        for rank in range(size)
-    ]
+    comms = [Communicator(rank, fabric, injector=fault_injector) for rank in range(size)]
 
     results: list[Any] = [None] * size
     errors: list[Optional[BaseException]] = [None] * size
@@ -118,9 +105,16 @@ def run_mpi(
         root = fabric.aborted
         raise root if root is not None else first_error
 
-    return MPIRun(
-        results=results,
-        clocks=[c.now for c in clocks],
-        bytes_moved=fabric.stats.bytes,
-        messages=fabric.stats.messages,
-    )
+    run = MPIRun(results=results, bytes_moved=fabric.stats.bytes,
+                 messages=fabric.stats.messages)
+    if cluster is not None:
+        # one step of the tallied traffic: no kernel was counted and no job
+        # launched, so it pays no job overhead
+        from dataclasses import replace
+
+        from repro.cluster.model import price
+        from repro.core.perf import JobCounts
+
+        step = [JobCounts(sent=comm.sent, packed=comm.packed) for comm in comms]
+        run.elapsed = price([step], replace(cluster, cost=replace(cluster.cost, job_overhead=0.0)))
+    return run

@@ -1,7 +1,7 @@
 """Process-backed SPMD execution: ranks as OS processes, zero-copy exchange.
 
-The default launcher runs ranks as threads — ideal for deterministic tests,
-chaos engineering and virtual-time accounting, but serialized by the GIL.
+The default launcher runs ranks as threads — ideal for deterministic tests
+and chaos engineering, but serialized by the GIL.
 This backend is the wall-clock path: each rank is a forked OS process, so
 partitioner kernels genuinely execute in parallel, and it is a first-class
 ``backend="process"`` selectable through ``PaPar.run`` / ``partition_files``
@@ -47,11 +47,10 @@ import os
 import signal
 import sys
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.clock import VirtualClock
 from repro.errors import MPIError
 from repro.lifecycle import DEFAULT_SIGNALS, graceful_teardown
 from repro.mpi.comm import Communicator
@@ -72,9 +71,6 @@ from repro.mpi.supervisor import (
     HeartbeatSender,
     Supervisor,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - a run without a cost model never loads it
-    from repro.cluster.model import ClusterModel
 
 #: seconds a worker blocks on its inbox before declaring the run stuck
 DEFAULT_COLLECT_TIMEOUT = 300.0
@@ -189,7 +185,6 @@ def _process_worker(
     names_queue: Any,
     result_queue: Any,
     heartbeat_queue: Any,
-    cluster: Optional[ClusterModel],
     prefix: str,
     collect_timeout: float,
     crash_agent: Optional[CrashAgent],
@@ -205,9 +200,7 @@ def _process_worker(
     if crash_agent is not None:
         crash_agent.bind_heartbeat(heartbeat)
     try:
-        comm = Communicator(
-            rank, fabric, cluster=cluster, clock=VirtualClock(), injector=crash_agent
-        )
+        comm = Communicator(rank, fabric, injector=crash_agent)
         result = fn(comm, *args, **kwargs)
         envelope = encode_payload(result, factory)
         result_queue.put(
@@ -215,7 +208,6 @@ def _process_worker(
                 "status": "ok",
                 "rank": rank,
                 "payload": envelope,
-                "clock": comm.clock.now,
                 "traffic": fabric.stats.as_dict(),
                 "segments": factory.created,
             }
@@ -225,7 +217,6 @@ def _process_worker(
             "status": "error",
             "rank": rank,
             "payload": exc,
-            "clock": 0.0,
             "traffic": fabric.stats.as_dict(),
             "segments": factory.created,
         }
@@ -283,7 +274,6 @@ def run_mpi_processes(
     fn: Callable[..., Any],
     size: int,
     *,
-    cluster: Optional[ClusterModel] = None,
     args: Sequence[Any] = (),
     kwargs: Optional[dict[str, Any]] = None,
     timeout: float = DEFAULT_RUN_TIMEOUT,
@@ -312,10 +302,6 @@ def run_mpi_processes(
     """
     if size < 1:
         raise MPIError(f"size must be >= 1, got {size!r}")
-    if cluster is not None and cluster.size != size:
-        raise MPIError(
-            f"cluster model provides {cluster.size} ranks but run was asked for {size}"
-        )
     if crash_agent is None:
         crash_agent = CrashAgent.from_env()
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
@@ -329,7 +315,7 @@ def run_mpi_processes(
             target=_process_worker,
             args=(
                 rank, queues, names_queue, result_queue,
-                heartbeat_queue, cluster, prefix, collect_timeout, crash_agent,
+                heartbeat_queue, prefix, collect_timeout, crash_agent,
                 fn, tuple(args), dict(kwargs or {}),
             ),
             daemon=True,
@@ -337,7 +323,6 @@ def run_mpi_processes(
         for rank in range(size)
     ]
     results: list[Any] = [None] * size
-    clocks = [0.0] * size
     traffic: dict[int, dict[str, Any]] = {}
     created: dict[int, int] = {}
     seen: set[int] = set()
@@ -355,7 +340,6 @@ def run_mpi_processes(
         seen.add(rank)
         traffic[rank] = exit_msg["traffic"]
         created[rank] = exit_msg["segments"]
-        clocks[rank] = exit_msg["clock"]
         if exit_msg["status"] == "error":
             first_error = first_error or exit_msg["payload"]
         elif decode:
@@ -412,7 +396,7 @@ def run_mpi_processes(
         raise first_error
     messages = sum(t["messages"] for t in traffic.values())
     nbytes = sum(t["bytes"] for t in traffic.values())
-    run = MPIRun(results=results, clocks=clocks, bytes_moved=nbytes, messages=messages)
+    run = MPIRun(results=results, bytes_moved=nbytes, messages=messages)
     run.extra["transport"] = _merge_transport(prefix, traffic, created, unlinked)
     return run
 

@@ -188,7 +188,7 @@ class CrashAgent:
 
     Implements the fault-injector duck interface the
     :class:`~repro.mpi.comm.Communicator` already calls at job boundaries
-    (``check_crash(rank, job_index, when)`` / ``scale_compute``), but
+    (``check_crash(rank, job_index, when)``), but
     instead of raising a simulated :class:`InjectedFault` it commits a real
     OS-level crime.  ``marker`` is a filesystem path created with
     ``O_EXCL`` *before* firing — it survives the SIGKILL, so the restarted
@@ -252,10 +252,6 @@ class CrashAgent:
         self._heartbeat = heartbeat
 
     # -- fault-injector duck interface ---------------------------------------
-
-    def scale_compute(self, rank: int, seconds: float) -> float:
-        """No straggler modelling: pass compute charges through unchanged."""
-        return seconds
 
     def check_crash(self, rank: int, job_index: int, when: str) -> None:
         """Fire the configured real fault at the armed job boundary."""

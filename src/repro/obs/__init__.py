@@ -1,8 +1,8 @@
 """Unified observability: spans, metrics, and trace export for a run.
 
 One :class:`Recorder` observes a whole execution on every backend: a span
-tree (plan → job → operator phase → shuffle, with per-rank children
-carrying virtual *and* wall time), instant events (fault firings,
+tree (plan → job → operator phase → shuffle, with per-rank children, in
+wall time), instant events (fault firings,
 retries), and metrics (counters / gauges / histograms).  Exporters turn the recorder into a Chrome trace-event file
 (Perfetto / ``chrome://tracing``), a versioned metrics JSON, or a terminal
 Gantt / critical-path summary — ``python -m repro run --trace out.json

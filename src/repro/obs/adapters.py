@@ -19,7 +19,7 @@ def record_perf(recorder: Recorder, perf_summary: Optional[dict[str, Any]]) -> N
     """Fold a :meth:`PerfCounters.summary` dict into counters and gauges.
 
     ``records_moved`` / ``bytes_moved`` become run-level counters;
-    each phase's wall and virtual totals become ``perf.phase.*`` gauges.
+    each phase's wall total becomes a ``perf.phase.*`` gauge.
     Spill counters (present only when a memory-budgeted run actually
     spilled) land under ``spill.*``, with the merge fan-in as a gauge.
     What the ranks of a file-to-file run wrote in place lands under
@@ -31,7 +31,6 @@ def record_perf(recorder: Recorder, perf_summary: Optional[dict[str, Any]]) -> N
     recorder.count("shuffle.bytes_moved", perf_summary.get("bytes_moved", 0))
     for name, times in perf_summary.get("phases", {}).items():
         recorder.gauge(f"perf.phase.{name}.wall_s", times["wall_s"])
-        recorder.gauge(f"perf.phase.{name}.virtual_s", times["virtual_s"])
     spill = perf_summary.get("spill")
     if spill:
         for key in ("runs_written", "spilled_records", "spilled_bytes"):
@@ -46,7 +45,7 @@ def record_perf(recorder: Recorder, perf_summary: Optional[dict[str, Any]]) -> N
 def record_fault_report(recorder: Recorder, report: Optional[dict[str, Any]]) -> None:
     """Fold a ``PartitionResult.extra['fault']`` report into the stream.
 
-    Attempts and virtual backoff become counters and every injected-fault
+    Attempts and backoff (priced or slept) become counters and every injected-fault
     firing becomes a driver-track instant, with the injector's per-kind
     counts under ``fault.injected.*``.  Failed attempts and worker crashes
     are *not* replayed here — the recovery loop records those live as
@@ -56,9 +55,9 @@ def record_fault_report(recorder: Recorder, report: Optional[dict[str, Any]]) ->
     if not report:
         return
     recorder.count("fault.attempts", report.get("attempts", 1))
-    recorder.count("fault.backoff_virtual_s", report.get("backoff_virtual_s", 0.0))
-    if "backoff_wall_s" in report:
-        recorder.count("fault.backoff_wall_s", report["backoff_wall_s"])
+    for key in ("backoff_s", "backoff_wall_s"):
+        if key in report:
+            recorder.count(f"fault.{key}", report[key])
     recorder.count("fault.recovered_jobs", len(report.get("recovered_jobs", [])))
     injected = report.get("injected")
     if injected:

@@ -21,55 +21,33 @@ from typing import Any, Optional
 
 from repro.obs.span import Recorder
 
-#: bump on breaking changes to the metrics document layout
-METRICS_VERSION = 1
+#: bump on breaking changes to the metrics document layout (2: per-rank
+#: busy is wall time; ``time_basis`` and the simulated makespan are gone)
+METRICS_VERSION = 2
 
 #: ``pid`` used for driver-side (rank-less) spans in the Chrome trace
 DRIVER_PID = 1_000_000
 
 
-def _time_basis(recorder: Recorder) -> str:
-    """Virtual time when any span carries it, else wall time.
+def chrome_trace(recorder: Recorder) -> dict[str, Any]:
+    """The Chrome trace-event dict for ``recorder``, in wall time.
 
-    Runs without a cluster model leave every virtual clock at zero; the
-    exporters silently fall back to wall time so the trace stays readable.
+    Timestamps are microseconds, as the format requires.  Spans and
+    instants are listed in a total order on their content — pid, ts, the
+    longest duration first, name, args — not in the order ranks finished
+    them.
     """
-    return "virtual" if recorder.makespan_virtual() > 0.0 else "wall"
-
-
-def _span_times(span: Any, basis: str) -> tuple[float, float]:
-    if basis == "virtual":
-        return span.start_virtual, span.end_virtual
-    return span.start_wall, span.end_wall
-
-
-def chrome_trace(recorder: Recorder, time_basis: Optional[str] = None) -> dict[str, Any]:
-    """The Chrome trace-event dict for ``recorder``.
-
-    ``time_basis`` forces ``"virtual"`` or ``"wall"`` timestamps; by default
-    virtual time is used whenever a cluster model advanced any clock.
-    Timestamps are microseconds, as the format requires.
-
-    Spans and instants are listed in a total order on their content — pid,
-    ts, the longest duration first, name, args — not in the order ranks
-    finished them, so two runs with the same virtual clocks write the same
-    bytes.
-    """
-    basis = time_basis or _time_basis(recorder)
-    if basis not in ("virtual", "wall"):
-        raise ValueError(f"time_basis must be 'virtual' or 'wall', got {basis!r}")
     events: list[dict[str, Any]] = []
     pids = set()
     for span in recorder.spans:
         pid = span.rank if span.rank is not None else DRIVER_PID
         pids.add(pid)
-        start, end = _span_times(span, basis)
         event: dict[str, Any] = {
             "name": span.name,
             "cat": span.category or "span",
             "ph": "X",
-            "ts": start * 1e6,
-            "dur": max(end - start, 0.0) * 1e6,
+            "ts": span.start_wall * 1e6,
+            "dur": max(span.wall_duration, 0.0) * 1e6,
             "pid": pid,
             "tid": 0,
         }
@@ -79,12 +57,11 @@ def chrome_trace(recorder: Recorder, time_basis: Optional[str] = None) -> dict[s
     for inst in recorder.instants:
         pid = inst.rank if inst.rank is not None else DRIVER_PID
         pids.add(pid)
-        ts = inst.ts_virtual if basis == "virtual" else inst.ts_wall
         event = {
             "name": inst.name,
             "cat": inst.category or "mark",
             "ph": "i",
-            "ts": ts * 1e6,
+            "ts": inst.ts_wall * 1e6,
             "pid": pid,
             "tid": 0,
             "s": "p",  # process-scoped instant: draws across the rank's track
@@ -109,15 +86,13 @@ def chrome_trace(recorder: Recorder, time_basis: Optional[str] = None) -> dict[s
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {"tool": "papar-obs", "time_basis": basis},
+        "otherData": {"tool": "papar-obs"},
     }
 
 
-def write_chrome_trace(
-    path: str, recorder: Recorder, time_basis: Optional[str] = None
-) -> dict[str, Any]:
+def write_chrome_trace(path: str, recorder: Recorder) -> dict[str, Any]:
     """Write :func:`chrome_trace` to ``path``; returns the exported dict."""
-    doc = chrome_trace(recorder, time_basis=time_basis)
+    doc = chrome_trace(recorder)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return doc
@@ -151,8 +126,9 @@ def metrics_json(
     """The versioned metrics document for ``recorder``.
 
     ``run`` attaches run-level facts from a
-    :class:`~repro.core.runtime.PartitionResult` (simulated elapsed time,
+    :class:`~repro.core.runtime.PartitionResult` (priced elapsed time,
     fabric bytes/messages, perf-counter totals) under the ``"run"`` key.
+    A rank's busy time is the wall time of its job spans.
     The contract is pinned by ``tests/obs/test_metrics_contract.py``.
     """
     histograms: dict[str, dict[str, Any]] = {}
@@ -175,11 +151,10 @@ def metrics_json(
             s for s in recorder.rank_spans(rank)
             if s.parent_id is None or s.category == "job"
         ]
-        per_rank_busy[str(rank)] = sum(s.virtual_duration for s in top)
+        per_rank_busy[str(rank)] = sum(s.wall_duration for s in top)
     return {
         "schema": "papar.metrics",
         "version": METRICS_VERSION,
-        "time_basis": _time_basis(recorder),
         "counters": _keyed_metric(recorder.counters),
         "gauges": _keyed_metric(recorder.gauges),
         "histograms": histograms,
@@ -187,9 +162,8 @@ def metrics_json(
             "count": len(recorder.spans),
             "dropped": recorder.spans_dropped,
             "instants": len(recorder.instants),
-            "makespan_virtual_s": recorder.makespan_virtual(),
             "makespan_wall_s": recorder.makespan_wall(),
-            "per_rank_busy_virtual_s": per_rank_busy,
+            "per_rank_busy_s": per_rank_busy,
         },
         "run": dict(run or {}),
     }

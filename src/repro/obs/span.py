@@ -1,9 +1,9 @@
 """Spans and the thread-safe :class:`Recorder` they are written to.
 
-A :class:`Span` is one named interval on one rank's timeline, carrying
-*both* clocks: wall time (``perf_counter``, what the Python process
-actually spent) and virtual time (the simulated cluster clock, what the
-modelled hardware would spend).  Spans nest — plan → job → operator phase
+A :class:`Span` is one named interval of wall time (``perf_counter``, what
+the Python process actually spent) on one rank's timeline; what the
+modelled hardware would spend is priced from the run's counts instead
+(:func:`repro.cluster.model.price`).  Spans nest — plan → job → operator phase
 → shuffle — through a per-thread stack, which matches the execution model
 exactly: every simulated MPI rank is one thread, so implicit nesting per
 thread gives each rank its own well-formed span tree, all hanging off the
@@ -43,19 +43,11 @@ class Span(NamedTuple):
     category: str
     #: owning rank; ``None`` marks a driver-side span
     rank: Optional[int]
-    #: virtual-time interval in simulated seconds (0/0 without a cluster model)
-    start_virtual: float
-    end_virtual: float
     #: wall-time interval in seconds since the recorder was created
     start_wall: float
     end_wall: float
     #: free-form annotations (job index, record counts, ...)
     attrs: dict[str, Any]
-
-    @property
-    def virtual_duration(self) -> float:
-        """Simulated seconds covered by this span."""
-        return self.end_virtual - self.start_virtual
 
     @property
     def wall_duration(self) -> float:
@@ -70,7 +62,6 @@ class InstantEvent:
     name: str
     category: str
     rank: Optional[int]
-    ts_virtual: float
     ts_wall: float
     attrs: dict[str, Any] = field(default_factory=dict)
 
@@ -160,11 +151,10 @@ class Recorder:
         name: str,
         category: str = "",
         rank: Optional[int] = None,
-        clock: Any = None,
         parent: Any = None,
         attrs: Optional[dict[str, Any]] = None,
     ) -> Iterator[_SpanHandle]:
-        """Record an interval: wall via ``perf_counter``, virtual via ``clock``.
+        """Record an interval of wall time (``perf_counter``).
 
         ``parent`` (a handle, a span id, or ``None``) overrides the implicit
         per-thread nesting — used to hang rank-thread spans off the driver's
@@ -180,24 +170,19 @@ class Recorder:
             self._next_id += 1
         handle = _SpanHandle(span_id, dict(attrs or {}))
         start_wall = self._wall_now()
-        start_virtual = float(clock.now) if clock is not None else 0.0
         stack.append(span_id)
         try:
             yield handle
         finally:
             stack.pop()
-            end_wall = self._wall_now()
-            end_virtual = float(clock.now) if clock is not None else 0.0
             done = Span(
                 span_id=span_id,
                 parent_id=parent_id,
                 name=name,
                 category=category,
                 rank=rank,
-                start_virtual=start_virtual,
-                end_virtual=end_virtual,
                 start_wall=start_wall,
-                end_wall=end_wall,
+                end_wall=self._wall_now(),
                 attrs=handle.attrs,
             )
             with self._lock:
@@ -208,10 +193,8 @@ class Recorder:
         name: str,
         category: str,
         rank: Optional[int],
-        start_virtual: float,
-        end_virtual: float,
-        start_wall: float = 0.0,
-        end_wall: float = 0.0,
+        start_wall: float,
+        end_wall: float,
         parent: Any = None,
         attrs: Optional[dict[str, Any]] = None,
     ) -> None:
@@ -227,8 +210,6 @@ class Recorder:
                     name=name,
                     category=category,
                     rank=rank,
-                    start_virtual=start_virtual,
-                    end_virtual=end_virtual,
                     start_wall=start_wall,
                     end_wall=end_wall,
                     attrs=dict(attrs or {}),
@@ -239,12 +220,12 @@ class Recorder:
         self, name: str, category: str, intervals: Iterable[tuple[float, float, dict]]
     ) -> None:
         """Append driver-side wall intervals of one name under one lock —
-        ``(start_wall, end_wall, attrs)`` each, no virtual time, ``attrs``
-        kept as given (a daemon's requests, recorded a batch at a time)."""
+        ``(start_wall, end_wall, attrs)`` each, ``attrs`` kept as given (a
+        daemon's requests, recorded a batch at a time)."""
         with self._lock:
             for start_wall, end_wall, attrs in intervals:
                 self._keep(Span(self._next_id, None, name, category, None,
-                                0.0, 0.0, start_wall, end_wall, attrs))
+                                start_wall, end_wall, attrs))
                 self._next_id += 1
 
     def _keep(self, span: Span) -> None:
@@ -258,18 +239,13 @@ class Recorder:
         name: str,
         category: str = "mark",
         rank: Optional[int] = None,
-        clock: Any = None,
-        ts_virtual: Optional[float] = None,
         attrs: Optional[dict[str, Any]] = None,
     ) -> None:
-        """Record a zero-duration event at the current (or given) virtual time."""
-        if ts_virtual is None:
-            ts_virtual = float(clock.now) if clock is not None else 0.0
+        """Record a zero-duration event at the current wall time."""
         event = InstantEvent(
             name=name,
             category=category,
             rank=rank,
-            ts_virtual=ts_virtual,
             ts_wall=self._wall_now(),
             attrs=dict(attrs or {}),
         )
@@ -324,11 +300,6 @@ class Recorder:
         """All completed spans owned by ``rank``, in completion order."""
         with self._lock:
             return [s for s in self.spans if s.rank == rank]
-
-    def makespan_virtual(self) -> float:
-        """Latest virtual end time across all spans."""
-        with self._lock:
-            return max((s.end_virtual for s in self.spans), default=0.0)
 
     def makespan_wall(self) -> float:
         """Latest wall end time across all spans."""

@@ -5,10 +5,7 @@ text block printed by ``python -m repro run --timeline``: one Gantt bar per
 rank over the run's makespan, the busiest rank, the idle fraction of the
 total rank-time, the top-5 longest spans, and the critical path — the job
 chain of the rank that finishes last, which is the chain any speedup must
-shorten.
-
-Like the exporters, the renderer prefers virtual time and falls back to
-wall time when no cluster model advanced any clock.
+shorten.  Every interval is wall time.
 """
 
 from __future__ import annotations
@@ -21,22 +18,11 @@ from repro.obs.span import Recorder, Span
 _GLYPHS = {"sort": "s", "group": "g", "split": "/", "distribute": "d", "shuffle": "x"}
 
 
-def _basis(recorder: Recorder) -> str:
-    return "virtual" if recorder.makespan_virtual() > 0.0 else "wall"
-
-
-def _times(span: Span, basis: str) -> tuple[float, float]:
-    if basis == "virtual":
-        return span.start_virtual, span.end_virtual
-    return span.start_wall, span.end_wall
-
-
-def _bar(spans: list[Span], basis: str, makespan: float, width: int) -> str:
+def _bar(spans: list[Span], makespan: float, width: int) -> str:
     cells = [" "] * width
     for span in spans:
-        start, end = _times(span, basis)
-        lo = int(start / makespan * width)
-        hi = max(lo + 1, int(end / makespan * width + 0.5))
+        lo = int(span.start_wall / makespan * width)
+        hi = max(lo + 1, int(span.end_wall / makespan * width + 0.5))
         glyph = _GLYPHS.get(span.attrs.get("operator", span.category), "#")
         for i in range(lo, min(hi, width)):
             cells[i] = glyph
@@ -46,17 +32,14 @@ def _bar(spans: list[Span], basis: str, makespan: float, width: int) -> str:
 def _job_spans(recorder: Recorder, rank: int) -> list[Span]:
     """A rank's top-level job spans, ordered by start time."""
     spans = [s for s in recorder.rank_spans(rank) if s.category == "job"]
-    return sorted(spans, key=lambda s: (s.start_virtual, s.start_wall, s.span_id))
+    return sorted(spans, key=lambda s: (s.start_wall, s.span_id))
 
 
 def render_timeline(recorder: Recorder, width: int = 64) -> str:
     """The full terminal summary: Gantt, idle table, top spans, critical path."""
-    basis = _basis(recorder)
-    makespan = (
-        recorder.makespan_virtual() if basis == "virtual" else recorder.makespan_wall()
-    )
+    makespan = recorder.makespan_wall()
     ranks = recorder.ranks()
-    lines = [f"timeline ({basis} time, makespan {makespan:.6f}s)"]
+    lines = [f"timeline (wall time, makespan {makespan:.6f}s)"]
     if not ranks or makespan <= 0.0:
         lines.append("  (no rank spans recorded)")
         return "\n".join(lines)
@@ -65,9 +48,8 @@ def render_timeline(recorder: Recorder, width: int = 64) -> str:
     busy: dict[int, float] = {}
     for rank in ranks:
         spans = _job_spans(recorder, rank)
-        start_end = [_times(s, basis) for s in spans]
-        busy[rank] = sum(e - s for s, e in start_end)
-        lines.append(f"  rank {rank:>3} |{_bar(spans, basis, makespan, width)}|")
+        busy[rank] = sum(s.wall_duration for s in spans)
+        lines.append(f"  rank {rank:>3} |{_bar(spans, makespan, width)}|")
     legend = "  ".join(f"{g}={name}" for name, g in _GLYPHS.items())
     lines.append(f"  legend: {legend}  #=other")
 
@@ -81,30 +63,26 @@ def render_timeline(recorder: Recorder, width: int = 64) -> str:
     lines.append(f"idle: {total_idle / (makespan * len(ranks)):.1%} of total rank-time")
 
     # -- top-5 spans by duration ---------------------------------------------
-    def duration(span: Span) -> float:
-        s, e = _times(span, basis)
-        return e - s
-
     candidates = [s for s in recorder.spans if s.rank is not None]
-    top = sorted(candidates, key=lambda s: (-duration(s), s.span_id))[:5]
+    top = sorted(candidates, key=lambda s: (-s.wall_duration, s.span_id))[:5]
     if top:
         lines.append("top spans:")
         for span in top:
             lines.append(
-                f"  {duration(span):>12.6f}s  rank {span.rank}  "
+                f"  {span.wall_duration:>12.6f}s  rank {span.rank}  "
                 f"{span.category}:{span.name}"
             )
 
     # -- critical path: the job chain of the last-finishing rank --------------
     def rank_end(rank: int) -> float:
-        return max((_times(s, basis)[1] for s in recorder.rank_spans(rank)), default=0.0)
+        return max((s.end_wall for s in recorder.rank_spans(rank)), default=0.0)
 
     critical_rank = max(ranks, key=lambda r: (rank_end(r), -r))
     chain = _job_spans(recorder, critical_rank)
     if chain:
         lines.append(f"critical path (rank {critical_rank}, finishes last):")
         for span in chain:
-            d = duration(span)
+            d = span.wall_duration
             lines.append(
                 f"  {span.name:<24} {d:>12.6f}s  {d / makespan:>6.1%} of makespan"
             )

@@ -498,7 +498,6 @@ class PartitionServer:
         self._fold()  # the acknowledged appends' spans come first
         self.recorder.record_span(
             name=f"serve.{op}", category="serve", rank=None,
-            start_virtual=0.0, end_virtual=0.0,
             start_wall=t0, end_wall=self.recorder.wall_now(),
             attrs={"ok": ok, **attrs},
         )

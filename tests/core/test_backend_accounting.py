@@ -1,11 +1,11 @@
-"""Virtual-time and traffic accounting of the SPMD backends, pinned as literals.
+"""Priced time and traffic accounting of the SPMD backends, pinned as literals.
 
 ``mpi`` and ``mapreduce`` run one rank program; what differs between them is
-data (reducer count, cost profile).  These numbers were recorded before the
+data (reducer count, cost model).  These numbers were recorded before the
 two runtimes were merged and are deterministic — the simulated fabric and
-clocks have no wall-clock input — so any drift in ``elapsed``,
+the priced counts have no wall-clock input — so any drift in ``elapsed``,
 ``bytes_moved``, ``messages`` or ``records_moved`` means the merged program
-issues different collectives or charges different costs than the separate
+issues different collectives or counts different work than the separate
 ones did.
 
 Regenerate (only when the cost model itself changes on purpose) with
@@ -30,6 +30,16 @@ is ``(partition, entries)`` where it was ``(partition, first, entries)``.
 ``bytes_moved`` dropped by the pickled integers (50 B of 79092 on
 ``mpi``@4 blast) and ``elapsed`` with it; ``messages`` and
 ``records_moved`` did not move.
+
+The ``elapsed`` column was re-recorded a fourth time when simulated time
+stopped being a per-rank Lamport clock advanced message by message and
+became the price of each job's counts
+(:func:`repro.cluster.model.price`): a job costs its slowest rank's
+compute, transfer and packing plus the job overhead, and jobs add up.  A
+message is now priced to its sender, no rank waits on another's clock
+across a job boundary, so every multi-rank row moved (by -4.7 % to +1.4 %);
+the one-rank rows, where nothing is sent, did not.  ``bytes_moved``,
+``messages`` and ``records_moved`` did not move.
 """
 
 import numpy as np
@@ -85,23 +95,23 @@ GRID = [
 ] + [("mapreduce", "blast", 4, reducers) for reducers in (1, 3, 7)]
 
 #: (elapsed, bytes_moved, messages, records_moved) per GRID entry, recorded
-#: at the commit before the runtimes were merged (blast rows: see above)
+#: at the commit before the runtimes were merged (re-recorded: see above)
 EXPECTED = {
     ('mpi', 'blast', 1, None): (0.0005349872709024851, 0, 0, 12000),
-    ('mpi', 'blast', 4, None): (0.0005302246021391551, 79042, 24, 12000),
-    ('mpi', 'blast', 8, None): (0.0005366570094854877, 107726, 84, 12000),
+    ('mpi', 'blast', 4, None): (0.0005239683315443682, 79042, 24, 12000),
+    ('mpi', 'blast', 8, None): (0.0005251083817726277, 107726, 84, 12000),
     ('mpi', 'hybrid', 1, None): (0.0007620305882352942, 0, 0, 10088),
-    ('mpi', 'hybrid', 4, None): (0.0008422056408496718, 313537, 66, 10088),
-    ('mpi', 'hybrid', 8, None): (0.0009461061382352909, 839527, 238, 10088),
+    ('mpi', 'hybrid', 4, None): (0.0008217971588235294, 313537, 66, 10088),
+    ('mpi', 'hybrid', 8, None): (0.0009021313406862745, 839527, 238, 10088),
     ('mapreduce', 'blast', 1, None): (0.0005, 0, 0, 12000),
-    ('mapreduce', 'blast', 4, None): (0.0005217124388888881, 74628, 24, 12000),
-    ('mapreduce', 'blast', 8, None): (0.0005362626888888873, 88894, 84, 12000),
+    ('mapreduce', 'blast', 4, None): (0.0005186126777777778, 74628, 24, 12000),
+    ('mapreduce', 'blast', 8, None): (0.0005265907555555556, 88894, 84, 12000),
     ('mapreduce', 'hybrid', 1, None): (0.00075, 0, 0, 10088),
-    ('mapreduce', 'hybrid', 4, None): (0.0008400024055555542, 313537, 66, 10088),
-    ('mapreduce', 'hybrid', 8, None): (0.0009421505499999968, 839527, 238, 10088),
-    ('mapreduce', 'blast', 4, 1): (0.0005203024722222214, 65910, 24, 12000),
-    ('mapreduce', 'blast', 4, 3): (0.0005217124388888881, 74628, 24, 12000),
-    ('mapreduce', 'blast', 4, 7): (0.0005218835777777772, 78047, 24, 12000),
+    ('mapreduce', 'hybrid', 4, None): (0.0008175400999999999, 313537, 66, 10088),
+    ('mapreduce', 'hybrid', 8, None): (0.0008981754583333335, 839527, 238, 10088),
+    ('mapreduce', 'blast', 4, 1): (0.0005275626388888889, 65910, 24, 12000),
+    ('mapreduce', 'blast', 4, 3): (0.0005186126777777778, 74628, 24, 12000),
+    ('mapreduce', 'blast', 4, 7): (0.0005175832, 78047, 24, 12000),
 }
 
 

@@ -26,12 +26,12 @@ from repro.cli import main
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.core.dataset import Dataset, row_id_dtype
+from repro.core.perf import JobCounts, PerfCounters
 from repro.core.physical import Physical
 from repro.core.planner import PlannedJob, Planner
 from repro.core.runtime import OneRank, SerialRuntime
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 from repro.formats.binary import BinaryInputFormat, PartWriter
-from repro.mapreduce.columnar import PerfCounters
 from repro.ooc.budget import MemoryBudget
 from repro.ooc.extsort import SortedRuns, external_sort_rows
 from repro.ooc.spill import OOCContext
@@ -358,8 +358,10 @@ class TestWhatMoves:
 
         def narrow_sort(op, source):
             job = PlannedJob(op.key, "Sort", op, None)
+            perf = PerfCounters()
+            perf.jobs.append(JobCounts())  # as the rank program opens every job
             return SerialRuntime()._run_job(OneRank(), job, Physical(spill="narrow"), source,
-                                            PerfCounters(), ctx)
+                                            perf, ctx)
 
         first = narrow_sort(Sort("seq_size"), data)
         assert isinstance(first, SortedRuns) and first.rows is data.records

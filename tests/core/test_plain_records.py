@@ -63,7 +63,7 @@ VALUE_RECORDS = {
     "ElidedJob": (lambda: ElidedJob("sort1", "PAP081", "why"), True, True),
     "Physical": (lambda: Physical("cut", "narrow", width=16), True, True),
     "_Stream": (lambda: _Stream(_schema(), packed=True), True, True),
-    "Span": (lambda: Span(1, None, "job", "job", 0, 0.0, 1.0, 0.5, 2.5, {"n": 3}), False, True),
+    "Span": (lambda: Span(1, None, "job", "job", 0, 0.5, 2.5, {"n": 3}), False, True),
     "ParamSpec": (lambda: ParamSpec("key", "String", "a", None), True, True),
     "AddOnSpec": (lambda: AddOnSpec("count", "b", "n", "a"), True, True),
     "Field": (lambda: Field("a", "integer"), True, True),

@@ -133,14 +133,19 @@ class TestSpmdOptionsAreRefused:
         assert f"{ranks} rank(s)" in str(caught.value)
 
     def test_a_cluster_model(self, data):
+        """A one-rank model prices the run; a model of more ranks is refused."""
         from repro.cluster.model import ClusterModel
         from repro.cluster.network import INFINIBAND_QDR
         from repro.errors import ConfigError
 
-        cluster = ClusterModel(num_nodes=1, ranks_per_node=1, network=INFINIBAND_QDR)
-        with pytest.raises(ConfigError, match="cluster model.*'mpi'"):
+        one = ClusterModel(num_nodes=1, ranks_per_node=1, network=INFINIBAND_QDR)
+        result = self.papar().run(BLAST_WORKFLOW_XML, ARGS, data=data,
+                                  backend="serial", cluster=one)
+        assert result.elapsed > 0.0
+        two = ClusterModel(num_nodes=2, ranks_per_node=1, network=INFINIBAND_QDR)
+        with pytest.raises(ConfigError, match="cluster model has 2 ranks"):
             self.papar().run(BLAST_WORKFLOW_XML, ARGS, data=data,
-                             backend="serial", cluster=cluster)
+                             backend="serial", cluster=two)
 
     def test_one_rank_and_no_cluster_still_run(self, data):
         result = self.papar().run(BLAST_WORKFLOW_XML, ARGS, data=data,
@@ -161,7 +166,7 @@ class TestSpmdOptionsAreRefused:
         )
         assert done.returncode == 2
         assert done.stderr.splitlines() == [
-            "error: the serial backend runs one rank on no cluster model, got 4 "
-            "rank(s); use 'mpi' for simulated ranks and time"
+            "error: the serial backend runs one rank, got 4 rank(s); "
+            "use 'mpi' for simulated ranks"
         ]
         assert not out.exists() or os.listdir(out) == []

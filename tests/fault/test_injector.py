@@ -78,15 +78,16 @@ class TestMessageFaultsAtFabricLevel:
         assert inj.counts == {"duplicate": 1, "duplicates_suppressed": 1}
 
     def test_delay_slips_virtual_timestamp_only(self):
-        inj = make_injector("delay:seconds=0.25")
+        """A delay is tallied for pricing; the message arrives unchanged."""
+        inj = make_injector("delay:seconds=0.25,times=2")
         inj.begin_attempt()
         fabric = Fabric(2, deadlock_grace=0.1, injector=inj)
-        m = msg()
-        m.timestamp = 1.0
-        fabric.deliver(1, m)
+        fabric.deliver(1, msg())
+        fabric.deliver(1, msg())
         got = fabric.collect(dest=1, source=0, tag=0)
-        assert got.timestamp == pytest.approx(1.25)
         assert got.payload == b"hello world"
+        assert inj.delayed_s == pytest.approx(0.5)
+        assert inj.summary()["delayed_s"] == pytest.approx(0.5)
 
     def test_corrupt_detected_by_transport_checksum(self):
         inj = make_injector("corrupt:src=0")
@@ -122,10 +123,10 @@ class TestCrashAndStraggler:
         assert inj.counts == {"crash": 1}
 
     def test_straggler_scales_compute(self):
-        inj = make_injector("straggler:rank=2,factor=4")
-        assert inj.scale_compute(2, 1.5) == pytest.approx(6.0)
-        assert inj.scale_compute(0, 1.5) == pytest.approx(1.5)
-        assert inj.straggler_ranks == {2: 4.0}
+        """The slowdown the driver prices a straggler's compute at."""
+        inj = make_injector("straggler:rank=2,factor=4", "straggler:rank=2,factor=1.5",
+                            "straggler:rank=0,factor=2")
+        assert inj.schedule.slowdowns == {2: 6.0, 0: 2.0}
 
     def test_summary_reports_counters(self):
         inj = make_injector("drop:p=1.0")

@@ -54,20 +54,20 @@ class TestRetryPolicy:
 class TestRecoveryLoop:
     def test_succeeds_first_try(self):
         result, report = execute_with_recovery(
-            lambda resume, start: ("ok", resume, start),
+            lambda resume: ("ok", resume),
             plan=fake_plan(), fingerprint="fp", size=2,
         )
-        assert result == ("ok", 0, 0.0)
+        assert result == ("ok", 0)
         assert report["attempts"] == 1
         assert report["recovered_jobs"] == []
-        assert report["backoff_virtual_s"] == 0.0
+        assert report["backoff_s"] == 0.0
         assert report["failures"] == []
 
     def test_retries_mpi_errors_and_charges_backoff(self):
         calls = []
 
-        def attempt(resume, start):
-            calls.append((resume, start))
+        def attempt(resume):
+            calls.append(resume)
             if len(calls) < 3:
                 raise MPIError(f"boom {len(calls)}")
             return "survived"
@@ -79,12 +79,12 @@ class TestRecoveryLoop:
         assert result == "survived"
         assert report["attempts"] == 3
         assert len(report["failures"]) == 2
-        # 0.5 then 1.0 of accumulated backoff, charged as the next start time
-        assert [start for _, start in calls] == [0.0, 0.5, 1.5]
-        assert report["backoff_virtual_s"] == pytest.approx(1.5)
+        # 0.5 then 1.0 of backoff, one priced line item
+        assert calls == [0, 0, 0]
+        assert report["backoff_s"] == pytest.approx(1.5)
 
     def test_exhausted_budget_raises_fault_tolerance_error(self):
-        def attempt(resume, start):
+        def attempt(resume):
             raise MPIError("always failing")
 
         with pytest.raises(FaultToleranceError) as err:
@@ -98,7 +98,7 @@ class TestRecoveryLoop:
     def test_programming_errors_are_not_retried(self):
         calls = []
 
-        def attempt(resume, start):
+        def attempt(resume):
             calls.append(1)
             raise KeyError("bug, not a fault")
 
@@ -113,7 +113,7 @@ class TestRecoveryLoop:
         store = MemoryCheckpointStore()
         resumes = []
 
-        def attempt(resume, start):
+        def attempt(resume):
             resumes.append(resume)
             if len(resumes) == 1:
                 # attempt 1 commits job 0 on both ranks, then dies

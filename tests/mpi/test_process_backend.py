@@ -90,12 +90,6 @@ class TestProcessBackend:
         with pytest.raises(MPIError):
             run_mpi_processes(_rank_id, 0)
 
-    def test_cluster_size_mismatch(self):
-        from repro.cluster import ClusterModel
-
-        with pytest.raises(MPIError, match="cluster"):
-            run_mpi_processes(_rank_id, 3, cluster=ClusterModel(num_nodes=1, ranks_per_node=2))
-
 
 QUIET_RUNS = textwrap.dedent(
     """

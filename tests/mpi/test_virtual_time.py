@@ -1,8 +1,9 @@
-"""Virtual-time accounting through the MPI runtime."""
+"""Simulated time of a generic ``run_mpi`` program: one priced step of the
+traffic its ranks tallied (``repro.cluster.model.price``)."""
 
 import pytest
 
-from repro.cluster import ClusterModel, CostModel, ETHERNET_10G, INFINIBAND_QDR
+from repro.cluster import ClusterModel, ETHERNET_10G, INFINIBAND_QDR
 from repro.mpi import SUM, run_mpi
 
 
@@ -19,7 +20,7 @@ def test_no_cluster_means_zero_clocks():
     assert run.elapsed == 0.0
 
 
-def test_message_advances_receiver_clock():
+def test_message_is_priced_to_its_sender():
     c = cluster()
 
     def prog(comm):
@@ -27,35 +28,31 @@ def test_message_advances_receiver_clock():
             comm.send(b"0" * 10_000, dest=2)  # cross-node
         elif comm.rank == 2:
             comm.recv(source=0)
-        return comm.clock.now
+        return comm.sent
 
     run = run_mpi(prog, 4, cluster=c)
-    assert run.results[2] > 0.0
-    # untouched ranks stay at zero
-    assert run.results[3] == 0.0
+    assert set(run.results[0]) == {2} and run.results[2] == {}
+    nbytes, messages = run.results[0][2]
+    # the sender's transfer and pickling, the receiver's unpickling: the
+    # step costs its slowest rank
+    assert run.elapsed == pytest.approx(
+        messages * c.transfer_time(nbytes, 0, 2) + c.cost.pack(nbytes))
 
 
 def test_cross_node_costs_more_than_intra_node():
     c = cluster()
     payload = b"0" * 1_000_000
 
-    def intra(comm):
-        if comm.rank == 0:
-            comm.send(payload, dest=1)  # same node (ranks 0,1 on node 0)
-        elif comm.rank == 1:
-            comm.recv(source=0)
-        return comm.clock.now
+    def to(dest):
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(payload, dest=dest)
+            elif comm.rank == dest:
+                comm.recv(source=0)
+        return prog
 
-    def cross(comm):
-        if comm.rank == 0:
-            comm.send(payload, dest=2)  # node 0 -> node 1
-        elif comm.rank == 2:
-            comm.recv(source=0)
-        return comm.clock.now
-
-    run_intra = run_mpi(intra, 4, cluster=c)
-    run_cross = run_mpi(cross, 4, cluster=c)
-    assert run_cross.results[2] > run_intra.results[1]
+    # ranks 0 and 1 share node 0; rank 2 is on node 1
+    assert run_mpi(to(2), 4, cluster=c).elapsed > run_mpi(to(1), 4, cluster=c).elapsed
 
 
 def test_infiniband_faster_than_ethernet():
@@ -72,43 +69,13 @@ def test_infiniband_faster_than_ethernet():
     assert ib.elapsed < eth.elapsed
 
 
-def test_charge_compute_is_reflected_in_elapsed():
-    c = cluster()
-
-    def prog(comm):
-        if comm.rank == 1:
-            comm.charge_compute(2.5)
-        comm.allreduce(0, SUM)
-        return comm.clock.now
-
-    run = run_mpi(prog, 4, cluster=c)
-    # the allreduce propagates the slowest rank's clock to everyone
-    assert all(t >= 2.5 for t in run.results)
-
-
-def test_barrier_synchronizes_clocks_to_max():
-    """``allreduce`` is the synchronizing collective: it waits for every rank."""
-    c = cluster()
-
-    def prog(comm):
-        comm.charge_compute(float(comm.rank))
-        comm.allreduce(0, SUM)
-        return comm.clock.now
-
-    run = run_mpi(prog, 4, cluster=c)
-    slowest = 3.0
-    assert all(t >= slowest for t in run.results)
-    # and nobody should be charged absurdly more than the collective's cost
-    assert run.elapsed < slowest + 0.1
-
-
 def test_reduce_virtual_time_scales_logarithmically():
-    """A tree reduce over p ranks should cost ~log2(p) latencies, not p."""
+    """A tree reduce sends one message per rank, so its priced step grows
+    far slower than the rank count."""
     lat = INFINIBAND_QDR.latency_s
 
     def prog(comm):
         comm.reduce(comm.rank, SUM)
-        return comm.clock.now
 
     t4 = run_mpi(prog, 4, cluster=cluster(nodes=2, rpn=2)).elapsed
     t16 = run_mpi(prog, 16, cluster=cluster(nodes=8, rpn=2)).elapsed
@@ -118,14 +85,25 @@ def test_reduce_virtual_time_scales_logarithmically():
 
 
 def test_elapsed_is_max_clock():
+    """The step costs its slowest rank, not the sum over ranks."""
     c = cluster()
 
     def prog(comm):
-        comm.charge_compute(1.0 if comm.rank == 3 else 0.1)
-        return None
+        if comm.rank in (0, 3):
+            comm.send(b"0" * (1_000_000 if comm.rank == 3 else 1_000), dest=comm.rank ^ 1)
+        elif comm.rank in (1, 2):
+            comm.recv(source=comm.rank ^ 1)
 
-    run = run_mpi(prog, 4, cluster=c)
-    assert run.elapsed == pytest.approx(1.0)
+    def alone(rank):
+        def prog(comm):
+            if comm.rank == rank:
+                comm.send(b"0" * 1_000_000, dest=rank ^ 1)
+            elif comm.rank == rank ^ 1:
+                comm.recv(source=rank)
+        return prog
+
+    assert run_mpi(prog, 4, cluster=c).elapsed == pytest.approx(
+        run_mpi(alone(3), 4, cluster=c).elapsed)
 
 
 def test_cluster_size_mismatch_rejected():

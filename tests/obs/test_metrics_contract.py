@@ -1,7 +1,9 @@
-"""The versioned metrics JSON contract (schema "papar.metrics", version 1).
+"""The versioned metrics JSON contract (schema "papar.metrics", version 2).
 
 These tests pin the document layout: a version bump is required before any
-key here may change shape.
+key here may change shape.  Version 2 dropped ``time_basis`` and
+``spans.makespan_virtual_s`` and made per-rank busy wall time
+(``spans.per_rank_busy_s``, was ``per_rank_busy_virtual_s``).
 """
 
 import json
@@ -23,10 +25,10 @@ from repro.obs import (
 
 def seeded_recorder():
     rec = Recorder()
-    rec.record_span("plan:wf", "plan", rank=None, start_virtual=0.0, end_virtual=4.0)
-    rec.record_span("sort", "job", rank=0, start_virtual=0.0, end_virtual=2.5)
-    rec.record_span("distr", "job", rank=0, start_virtual=2.5, end_virtual=4.0)
-    rec.instant("crash", category="fault", rank=0, ts_virtual=1.0)
+    rec.record_span("plan:wf", "plan", rank=None, start_wall=0.0, end_wall=4.0)
+    rec.record_span("sort", "job", rank=0, start_wall=0.0, end_wall=2.5)
+    rec.record_span("distr", "job", rank=0, start_wall=2.5, end_wall=4.0)
+    rec.instant("crash", category="fault", rank=0)
     rec.count("comm.sent_bytes", 100, rank=0)
     rec.count("comm.sent_bytes", 50, rank=1)
     rec.gauge("perf.phase.sort.wall_s", 0.25)
@@ -39,10 +41,9 @@ class TestMetricsContract:
     def test_envelope(self):
         doc = metrics_json(seeded_recorder())
         assert doc["schema"] == "papar.metrics"
-        assert doc["version"] == METRICS_VERSION == 1
+        assert doc["version"] == METRICS_VERSION == 2
         assert set(doc) == {
-            "schema", "version", "time_basis", "counters",
-            "gauges", "histograms", "spans", "run",
+            "schema", "version", "counters", "gauges", "histograms", "spans", "run",
         }
 
     def test_counters_carry_total_and_per_rank(self):
@@ -70,18 +71,16 @@ class TestMetricsContract:
         spans = doc["spans"]
         assert spans["count"] == 3
         assert spans["instants"] == 1
-        assert spans["makespan_virtual_s"] == 4.0
-        # rank 0's two job spans: 2.5 + 1.5 simulated seconds busy
-        assert spans["per_rank_busy_virtual_s"]["0"] == pytest.approx(4.0)
+        assert set(spans) == {"count", "dropped", "instants", "makespan_wall_s",
+                              "per_rank_busy_s"}
+        assert spans["makespan_wall_s"] == 4.0
+        # rank 0's two job spans: 2.5 + 1.5 wall seconds busy
+        assert spans["per_rank_busy_s"]["0"] == pytest.approx(4.0)
 
     def test_run_block_passes_through(self):
         doc = metrics_json(seeded_recorder(), run={"backend": "mpi", "ranks": 8})
         assert doc["run"] == {"backend": "mpi", "ranks": 8}
         assert metrics_json(seeded_recorder())["run"] == {}
-
-    def test_time_basis_fallback(self):
-        assert metrics_json(seeded_recorder())["time_basis"] == "virtual"
-        assert metrics_json(Recorder())["time_basis"] == "wall"
 
     def test_in_place_output_is_two_more_counters(self):
         """What the ranks wrote themselves is additive: same envelope, same
@@ -95,7 +94,7 @@ class TestMetricsContract:
             record_perf(rec, summary)
             docs[name] = metrics_json(rec)
         assert docs["plain"] == docs["gathered"]
-        assert docs["in_place"]["version"] == METRICS_VERSION == 1
+        assert docs["in_place"]["version"] == METRICS_VERSION == 2
         assert set(docs["in_place"]) == set(docs["plain"])
         added = set(docs["in_place"]["counters"]) - set(docs["plain"]["counters"])
         assert added == {"output.in_place_parts", "output.in_place_bytes"}

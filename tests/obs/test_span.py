@@ -7,13 +7,6 @@ import pytest
 from repro.obs import Recorder, maybe_span
 
 
-class FakeClock:
-    """A settable stand-in for the simulated VirtualClock."""
-
-    def __init__(self, now=0.0):
-        self.now = now
-
-
 class TestSpanNesting:
     def test_implicit_nesting_follows_the_thread_stack(self):
         rec = Recorder()
@@ -65,23 +58,14 @@ class TestSpanNesting:
                 raise RuntimeError("boom")
         assert [s.name for s in rec.spans] == ["doomed"]
 
-    def test_virtual_clock_read_at_enter_and_exit(self):
+    def test_wall_clock_read_at_enter_and_exit(self):
         rec = Recorder()
-        clock = FakeClock(1.0)
-        with rec.span("phase", clock=clock):
-            clock.now = 3.5
+        before = rec.wall_now()
+        with rec.span("phase"):
+            inside = rec.wall_now()
         span = rec.spans[0]
-        assert span.start_virtual == 1.0
-        assert span.end_virtual == 3.5
-        assert span.virtual_duration == 2.5
-        assert span.wall_duration >= 0.0
-
-    def test_no_clock_means_zero_virtual_time(self):
-        rec = Recorder()
-        with rec.span("wall-only"):
-            pass
-        assert rec.spans[0].virtual_duration == 0.0
-        assert rec.makespan_virtual() == 0.0
+        assert before <= span.start_wall <= inside <= span.end_wall <= rec.wall_now()
+        assert span.wall_duration == span.end_wall - span.start_wall
 
 
 class TestConcurrency:
@@ -159,8 +143,7 @@ class TestMetricsAndQueries:
     def test_a_window_keeps_the_newest_spans_and_counts_the_rest(self):
         rec = Recorder(window=3)
         for i in range(5):
-            rec.record_span(f"s{i}", "serve", rank=None,
-                            start_virtual=0.0, end_virtual=0.0, end_wall=float(i))
+            rec.record_span(f"s{i}", "serve", rank=None, start_wall=0.0, end_wall=float(i))
         with rec.span("s5"):
             pass
         assert [s.name for s in rec.spans] == ["s3", "s4", "s5"]
@@ -187,26 +170,24 @@ class TestMetricsAndQueries:
         assert doc["histograms"]["lat"]["p99"] in samples
         assert doc["spans"]["dropped"] == 0
 
-    def test_instant_uses_clock_or_explicit_timestamp(self):
+    def test_instant_records_the_wall_time_it_fired(self):
         rec = Recorder()
-        rec.instant("fired", category="fault", rank=2, clock=FakeClock(4.0))
-        rec.instant("marked", ts_virtual=9.0)
-        assert rec.instants[0].ts_virtual == 4.0
+        rec.instant("fired", category="fault", rank=2)
+        rec.instant("marked")
         assert rec.instants[0].rank == 2
-        assert rec.instants[1].ts_virtual == 9.0
+        assert 0.0 <= rec.instants[0].ts_wall <= rec.instants[1].ts_wall <= rec.wall_now()
 
     def test_record_span_appends_pre_measured_intervals(self):
         rec = Recorder()
-        rec.record_span("compute", "trace", rank=1,
-                        start_virtual=0.5, end_virtual=1.5)
+        rec.record_span("compute", "trace", rank=1, start_wall=0.5, end_wall=1.5)
         span = rec.spans[0]
-        assert (span.rank, span.virtual_duration) == (1, 1.0)
+        assert (span.rank, span.wall_duration) == (1, 1.0)
 
     def test_makespans_and_ranks(self):
         rec = Recorder()
-        rec.record_span("a", "job", rank=0, start_virtual=0.0, end_virtual=2.0)
-        rec.record_span("b", "job", rank=3, start_virtual=1.0, end_virtual=5.0)
-        assert rec.makespan_virtual() == 5.0
+        rec.record_span("a", "job", rank=0, start_wall=0.0, end_wall=2.0)
+        rec.record_span("b", "job", rank=3, start_wall=1.0, end_wall=5.0)
+        assert rec.makespan_wall() == 5.0
         assert rec.ranks() == [0, 3]
         assert [s.name for s in rec.rank_spans(3)] == ["b"]
 

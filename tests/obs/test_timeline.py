@@ -5,19 +5,19 @@ from repro.obs import Recorder, print_timeline, render_timeline
 
 def seeded_recorder():
     rec = Recorder()
-    rec.record_span("plan:wf", "plan", rank=None, start_virtual=0.0, end_virtual=4.0)
+    rec.record_span("plan:wf", "plan", rank=None, start_wall=0.0, end_wall=4.0)
     for rank, (sort_end, distr_end) in enumerate([(2.0, 3.0), (2.5, 4.0)]):
-        rec.record_span("sort", "job", rank=rank, start_virtual=0.0,
-                        end_virtual=sort_end, attrs={"operator": "sort"})
-        rec.record_span("distr", "job", rank=rank, start_virtual=sort_end,
-                        end_virtual=distr_end, attrs={"operator": "distribute"})
+        rec.record_span("sort", "job", rank=rank, start_wall=0.0,
+                        end_wall=sort_end, attrs={"operator": "sort"})
+        rec.record_span("distr", "job", rank=rank, start_wall=sort_end,
+                        end_wall=distr_end, attrs={"operator": "distribute"})
     return rec
 
 
 class TestRenderTimeline:
     def test_one_gantt_bar_per_rank(self):
         text = render_timeline(seeded_recorder())
-        assert "timeline (virtual time, makespan 4.000000s)" in text
+        assert "timeline (wall time, makespan 4.000000s)" in text
         assert "rank   0 |" in text
         assert "rank   1 |" in text
         assert "legend:" in text

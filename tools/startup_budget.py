@@ -89,9 +89,9 @@ _ADVISORY_RULES = ("repro.analysis.rules.advisory", "repro.analysis.rules.backen
 #: how each job runs: the executors and ``explain`` read it, ``plan`` never
 _PHYSICAL = ("repro.core.physical",)
 #: what only a process run's segments (``multiprocessing.shared_memory``) or
-#: a cluster model use
-_UNUSED_BY_PROCESS = ("secrets", "repro.cluster.model", "repro.cluster.network",
-                      "repro.cluster.machine")
+#: a cluster model use: no communicator keeps a clock, so a run without a
+#: model loads no ``repro.cluster`` module at all
+_UNUSED_BY_PROCESS = ("secrets", "repro.cluster")
 
 
 def _others(command: str) -> tuple[str, ...]:
@@ -143,7 +143,7 @@ BUDGETS: dict[str, Budget] = {
                          + _ADVISORY_RULES + _others("run")
                          + ("repro.ooc.runfile", "repro.ooc.extsort", "dataclasses"),
                          seconds=1.5),
-    "run-process": Budget(55, 10_600, ("repro.fault",) + _ENGINES + _ON_REQUEST + _UNRUN
+    "run-process": Budget(53, 10_600, ("repro.fault",) + _ENGINES + _ON_REQUEST + _UNRUN
                           + _UNNAMED_OPS + _ADVISORY_RULES + _others("run")
                           + _UNUSED_BY_PROCESS + ("repro.ooc",), seconds=2.0),
     "serve": Budget(60, 11_850, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
