@@ -17,7 +17,12 @@ This engine reproduces Hadoop's execution structure in one process:
 The workflow backends do not run through it: ``backend="mapreduce"`` is
 the MR-MPI mapping of the same operators (:mod:`repro.core.mr_runtime`).
 (Hadoop's speculative task re-execution is a fault-tolerance mechanism
-with no effect on results; it is out of scope here.)
+with no effect on results; it is out of scope here.)  Only
+``bench_backends_ablation.py`` runs it, next to the backends it is compared
+with; :class:`ListInputFormat` feeds it in-memory rows.
+
+Benchmarks import this module from their own directory; tests load it by
+path (``sys.path.insert(0, <repo>/benchmarks)``).
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ import os
 import pickle
 import shutil
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro.errors import MapReduceError
-from repro.mapreduce.hadoop import InputFormat, ListInputFormat
+from repro.mapreduce.hadoop import InputFormat, InputSplit, RecordReader
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 
 PathLike = Union[str, os.PathLike]
@@ -234,3 +239,35 @@ class HadoopCluster:
     def cleanup(self) -> None:
         """Remove all job directories."""
         shutil.rmtree(self.work_dir, ignore_errors=True)
+
+
+class _ListRecordReader(RecordReader):
+    def __init__(self, items: Sequence[Any]) -> None:
+        self._items = items
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._items)
+
+
+class ListInputFormat(InputFormat):
+    """In-memory input: the paper requires supporting in-memory repartitioning
+    of intermediate data, not only file inputs."""
+
+    def __init__(self, items: Sequence[Any]) -> None:
+        self._items = list(items)
+
+    def get_splits(self, num_splits: int) -> list[InputSplit]:
+        if num_splits < 1:
+            raise MapReduceError(f"num_splits must be >= 1, got {num_splits!r}")
+        n = len(self._items)
+        base, extra = divmod(n, num_splits)
+        splits = []
+        start = 0
+        for i in range(num_splits):
+            length = base + (1 if i < extra else 0)
+            splits.append(InputSplit(source=None, start=start, length=length))
+            start += length
+        return splits
+
+    def get_record_reader(self, split: InputSplit) -> RecordReader:
+        return _ListRecordReader(self._items[split.start : split.start + split.length])

@@ -3,7 +3,8 @@
 Each table/figure benchmark produces rows (dicts), renders them as an
 aligned text table, asserts the paper's *shape* (who wins, roughly by how
 much), and records the table under ``benchmarks/results/`` so EXPERIMENTS.md
-can cite actual artifacts.
+can cite actual artifacts.  Benchmarks import this module from their own
+directory; tests load it by path (``sys.path.insert(0, <repo>/benchmarks)``).
 """
 
 from __future__ import annotations

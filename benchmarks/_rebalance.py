@@ -10,6 +10,10 @@ key-value pairs (an arbitrarily skewed reducer assignment), it redistributes
 them with the cyclic distribution function so every rank ends up within one
 pair of every other — while preserving the global pair order, so downstream
 sorted consumers are unaffected.
+
+No workflow runs it; ``bench_rebalance_ablation.py`` measures it.
+Benchmarks import this module from their own directory; tests load it by
+path (``sys.path.insert(0, <repo>/benchmarks)``).
 """
 
 from __future__ import annotations

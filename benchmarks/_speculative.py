@@ -14,6 +14,10 @@ slowest running task is launched on a free slot (the first copy to finish
 wins, Hadoop semantics).  The benchmark suite uses it to reproduce the
 paper's argument quantitatively: speculation trims the straggler tail a
 little, balanced partitions (what the cyclic policy produces) remove it.
+
+Only ``bench_motivation_speculation.py`` runs it.  Benchmarks import this
+module from their own directory; tests load it by path
+(``sys.path.insert(0, <repo>/benchmarks)``).
 """
 
 from __future__ import annotations

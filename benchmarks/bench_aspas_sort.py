@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.blast import generate_index
 from repro.core.dataset import Dataset
 from repro.formats import BLAST_INDEX_SCHEMA

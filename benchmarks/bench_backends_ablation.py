@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.blast import generate_index
 from repro.cluster import ClusterModel, INFINIBAND_QDR
 from repro.config import BLAST_INPUT_XML
@@ -141,8 +141,7 @@ def test_hadoop_engine_flow(benchmark, reporter):
     """The same sort+distribute flow through the disk-shuffle Hadoop engine."""
     from repro.blast import mublastp_partition
     from repro.mapreduce import ExplicitPartitioner, RangePartitioner
-    from repro.mapreduce.hadoop import ListInputFormat
-    from repro.mapreduce.hadoop_engine import HadoopCluster, identity_reduce
+    from _hadoop import HadoopCluster, ListInputFormat, identity_reduce
 
     import tempfile
 

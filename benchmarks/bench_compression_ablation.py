@@ -14,7 +14,7 @@ lives with this ablation in ``_ablations.py``.
 
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.cluster import INFINIBAND_QDR
 from repro.core.dataset import Dataset
 from repro.formats import pack

@@ -12,7 +12,7 @@ for env_nr-like and nr-like synthetic databases.  The paper's claims:
 
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.blast import (
     build_index,
     extract_partition,

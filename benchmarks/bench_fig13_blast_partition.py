@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.blast import baseline_partition_time, generate_index
 from repro.cluster import ClusterModel, INFINIBAND_QDR
 from repro.config import BLAST_INPUT_XML

@@ -9,7 +9,7 @@ closer competitor.
 
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.cluster import ClusterModel, ETHERNET_10G
 from repro.graph import DATASETS, GASEngine, generate_graph, partition_by
 

@@ -15,7 +15,7 @@ graph, priced from its counts.
 import pytest
 
 from repro import PaPar
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.cluster import ClusterModel, INFINIBAND_QDR
 from repro.config import EDGE_INPUT_XML
 from repro.config.examples import HYBRID_CUT_WORKFLOW_XML

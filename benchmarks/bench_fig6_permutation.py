@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.core.dataset import Dataset
 from repro.formats import BLAST_INDEX_SCHEMA
 from repro.ops import Distribute

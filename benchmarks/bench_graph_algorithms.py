@@ -9,7 +9,7 @@ checking that the replication-driven ordering carries over.
 
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.cluster import ClusterModel, ETHERNET_10G
 from repro.graph import GASEngine, generate_graph, partition_by
 from repro.graph.sssp import sssp

@@ -13,8 +13,8 @@ produces).
 import numpy as np
 import pytest
 
-from repro.bench import Experiment, shape
-from repro.mapreduce.speculative import (
+from _harness import Experiment, shape
+from _speculative import (
     balanced_task_durations,
     simulate_job,
     skewed_task_durations,

@@ -21,7 +21,7 @@ import zlib
 
 import numpy as np
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.ooc.budget import MemoryBudget, parse_memory_budget
 from repro.ooc.extsort import ExternalSorter
 from repro.ooc.spill import OOCContext

@@ -27,7 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.mpi import run_mpi
 from repro.mpi.process_backend import run_mpi_processes
 from tests.mpi.test_process_backend import _sort_prog

@@ -2,17 +2,21 @@
 
 "We can use the PaPar distribution function with the cyclic policy to
 rebalance the key-value pairs between reducers."  This bench injects reducer
-skew, rebalances with :func:`repro.mapreduce.rebalance.rebalance`, and
-records the before/after imbalance and the priced cost of the
-redistribution's traffic on the testbed cluster.
+skew, rebalances with :func:`_rebalance.rebalance`, and records the
+before/after imbalance and the priced cost of the redistribution's traffic
+on the testbed cluster: the ranks' tallies priced as one step, with no job
+overhead (no job was launched).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.bench import Experiment, shape
-from repro.cluster import ClusterModel, INFINIBAND_QDR
-from repro.mapreduce.rebalance import imbalance, rebalance
+from _harness import Experiment, shape
+from _rebalance import imbalance, rebalance
+from repro.cluster import ClusterModel, INFINIBAND_QDR, price
+from repro.core.perf import JobCounts
 from repro.mpi import run_mpi
 
 RANKS = 8
@@ -28,6 +32,7 @@ def skewed_share(rank: int, alpha: float) -> int:
 
 def run_ablation():
     cluster = ClusterModel(num_nodes=4, ranks_per_node=2, network=INFINIBAND_QDR)
+    step_cost = replace(cluster, cost=replace(cluster.cost, job_overhead=0.0))
     exp = Experiment(
         "Rebalance ablation", "reducer skew before/after cyclic redistribution"
     )
@@ -39,16 +44,16 @@ def run_ablation():
             before = imbalance(comm, len(local))
             balanced = rebalance(comm, local)
             after = imbalance(comm, len(balanced))
-            return before, after
+            return before, after, JobCounts(sent=comm.sent, packed=comm.packed)
 
-        run = run_mpi(prog, RANKS, cluster=cluster)
-        before, after = run.results[0]
+        run = run_mpi(prog, RANKS)
+        before, after, _ = run.results[0]
         outcomes[alpha] = (before, after)
         exp.add(
             skew_alpha=alpha,
             imbalance_before=before,
             imbalance_after=after,
-            redistribution_s=run.elapsed,
+            redistribution_s=price([[r[2] for r in run.results]], step_cost),
             bytes_moved=run.bytes_moved,
         )
     exp.note("imbalance = max/mean reducer load; 1.0 is perfect")

@@ -10,7 +10,7 @@ distribution, and sweeps the sample size.
 import numpy as np
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.mapreduce import RangePartitioner, reservoir_sample
 from repro.mapreduce.sampling import quantile_boundaries
 from repro.mpi import run_mpi

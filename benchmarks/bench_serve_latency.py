@@ -29,7 +29,7 @@ import os
 import threading
 import time
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.blast import generate_index
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML

@@ -6,7 +6,7 @@ synthetic graphs, alongside the paper's full-scale numbers for reference.
 
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.graph import DATASETS, compute_stats, count_triangles, generate_graph
 
 SCALE = 0.005

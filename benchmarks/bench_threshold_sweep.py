@@ -13,7 +13,7 @@ spread.
 import numpy as np
 import pytest
 
-from repro.bench import Experiment, shape
+from _harness import Experiment, shape
 from repro.cluster import ClusterModel, ETHERNET_10G
 from repro.graph import GASEngine, generate_graph, hybrid_cut
 

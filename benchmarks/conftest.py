@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.bench import Reporter
+from _harness import Reporter
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 

@@ -1,6 +1,6 @@
 """Aggregate recorded experiments into one report.
 
-``python -m repro.bench.report [results_dir]`` prints every table recorded
+``python benchmarks/report.py [results_dir]`` prints every table recorded
 by the benchmark suite (default: ``benchmarks/results``) in experiment-id
 order — the quick way to eyeball the whole reproduction after a
 ``pytest benchmarks/ --benchmark-only`` run.
@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Optional
 
-from repro.bench.harness import Experiment
+from _harness import Experiment
 
 DEFAULT_DIR = os.path.join("benchmarks", "results")
 

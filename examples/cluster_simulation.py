@@ -66,11 +66,13 @@ def main() -> None:
         comm.Recv(np.empty(comm.size << 17), source=(comm.rank - 1) % comm.size)
         return comm.sent
 
-    run = run_mpi(prog, 4, cluster=cluster)
+    run = run_mpi(prog, 4)
     print("what each rank of an imbalanced exchange sent (dest: [bytes, messages]):")
     for rank, sent in enumerate(run.results):
         print(f"  rank {rank}: {sent}")
-    print(f"priced as one step: {run.elapsed * 1e3:.3f} ms (the slowest rank's transfer)")
+    step = [JobCounts(sent=sent) for sent in run.results]
+    print(f"priced as one job: {price([step], cluster) * 1e3:.3f} ms "
+          "(the slowest rank's transfer plus the job overhead)")
     # the same traffic as one job that also sorts 1M records per rank, with
     # rank 1 a 4x straggler: only its compute is stretched
     job = [JobCounts(kernels={"sort": 1_000_000}, sent=sent, slowdown=4.0 if rank == 1 else 1.0)

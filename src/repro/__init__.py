@@ -15,7 +15,8 @@ Layout
     Cluster cost model pricing a run's counts (nodes, Ethernet vs InfiniBand networks).
 ``repro.mapreduce``
     Columnar shuffle kernels, reducer partitioners and key sampling shared
-    by the SPMD runtimes, plus the Hadoop ``InputFormat`` and job runner.
+    by the SPMD runtimes, plus the Hadoop ``InputFormat`` interface the
+    file formats implement.
 ``repro.config`` / ``repro.formats``
     The two user-facing configuration files (input-data format and workflow)
     and the record formats they describe.
@@ -27,7 +28,12 @@ Layout
     and execute partitioning workflows.
 ``repro.blast`` / ``repro.graph``
     The two driving applications: muBLASTP database partitioning and
-    PowerLyra-style graph partitioning (edge-cut / vertex-cut / hybrid-cut).
+    PowerLyra-style graph partitioning (edge-cut / vertex-cut / hybrid-cut),
+    the inputs, reference partitioners and analytic models the figures use.
+    No other package imports them.
+
+The experiment harness, the Hadoop job runner, the speculative scheduler
+and the reducer rebalancer are the benchmarks' own (``benchmarks/``).
 """
 
 from repro._lazy import lazy_exports

@@ -3,21 +3,16 @@
 Synthetic protein databases with env_nr / nr-like length profiles, the
 four-tuple index, muBLASTP's own block/cyclic partitioners (the Figure 13
 baseline), the pointer-recalculation add-on, a simplified seed-and-extend
-BLASTP search kernel (for Figure 12's skew measurements), and query batch
-construction.
+BLASTP search kernel (for Figure 12's skew measurements) with the e-values
+of its hits, and query batch construction.
 """
 
-from repro.blast.align import Alignment, smith_waterman
-from repro.blast.driver import DistributedSearchResult, distributed_search
-from repro.blast.fasta import read_fasta, write_fasta
-from repro.blast.gapped import banded_gapped_score, gapped_extend_seed
-from repro.blast.statistics import bit_score, e_value, karlin_lambda, significant
+from repro.blast.statistics import bit_score, e_value
 from repro.blast.database import (
     ENV_NR_PROFILE,
     NR_PROFILE,
     PROFILES,
     SequenceDatabase,
-    fraction_under,
     generate_database,
 )
 from repro.blast.index import (
@@ -25,19 +20,11 @@ from repro.blast.index import (
     build_index,
     extract_partition,
     generate_index,
-    index_dataset,
     recalculate_pointers,
-    write_index,
 )
-from repro.blast.partition import (
-    baseline_partition_time,
-    count_balance,
-    length_mixing,
-    mublastp_partition,
-    size_balance,
-)
+from repro.blast.partition import baseline_partition_time, mublastp_partition
 from repro.blast.queries import BATCH_KINDS, make_batch
-from repro.blast.scoring import ALPHABET, BLOSUM62, decode, encode
+from repro.blast.scoring import ALPHABET, BLOSUM62, encode
 from repro.blast.search import (
     PartitionIndex,
     SearchResult,
@@ -47,41 +34,24 @@ from repro.blast.search import (
 __all__ = [
     "SequenceDatabase",
     "generate_database",
-    "fraction_under",
     "ENV_NR_PROFILE",
     "NR_PROFILE",
     "PROFILES",
     "build_index",
     "generate_index",
-    "index_dataset",
-    "write_index",
     "recalculate_pointers",
     "extract_partition",
     "INDEX_HEADER",
     "mublastp_partition",
     "baseline_partition_time",
-    "count_balance",
-    "size_balance",
-    "length_mixing",
     "make_batch",
     "BATCH_KINDS",
     "encode",
-    "decode",
     "ALPHABET",
     "BLOSUM62",
     "PartitionIndex",
     "SearchResult",
     "partition_makespan",
-    "distributed_search",
-    "DistributedSearchResult",
-    "read_fasta",
-    "write_fasta",
-    "banded_gapped_score",
-    "gapped_extend_seed",
     "bit_score",
     "e_value",
-    "karlin_lambda",
-    "significant",
-    "smith_waterman",
-    "Alignment",
 ]

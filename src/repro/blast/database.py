@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.blast.scoring import ALPHABET
 from repro.errors import PaParError
 
 #: amino-acid background frequencies (Robinson & Robinson order of ALPHABET)
@@ -164,7 +163,3 @@ def generate_database(
         desc_size=desc_size,
     )
 
-
-def fraction_under(db: SequenceDatabase, length: int) -> float:
-    """Fraction of sequences shorter than ``length`` residues."""
-    return float((db.seq_size < length).mean())

@@ -17,7 +17,6 @@ import numpy as np
 from repro.blast.database import SequenceDatabase
 from repro.core.dataset import Dataset
 from repro.errors import PaParError
-from repro.formats.binary import write_binary
 from repro.formats.records import BLAST_INDEX_SCHEMA
 
 #: the 32-byte header the BLAST index file reserves (Figure 4 start_position)
@@ -65,16 +64,6 @@ def build_index(db: SequenceDatabase) -> np.ndarray:
     index["desc_start"] = db.desc_start
     index["desc_size"] = db.desc_size
     return index
-
-
-def index_dataset(db: SequenceDatabase) -> Dataset:
-    """The index wrapped as a PaPar dataset (workflow input)."""
-    return Dataset.from_array(BLAST_INDEX_SCHEMA, build_index(db))
-
-
-def write_index(path, db: SequenceDatabase) -> None:
-    """Write the index in the binary file format of Figure 4."""
-    write_binary(path, build_index(db), BLAST_INDEX_SCHEMA, header=INDEX_HEADER)
 
 
 def recalculate_pointers(partition: np.ndarray) -> np.ndarray:

@@ -67,35 +67,3 @@ def baseline_partition_time(
     deal = cost.parallel(cost.stream(num_sequences) * 2, threads)
     return sort + deal + cost.job_overhead
 
-
-# -- partition quality metrics (the three goals of [36]) ------------------------
-
-
-def count_balance(partitions: list[np.ndarray]) -> float:
-    """Max/mean ratio of per-partition sequence counts (1.0 = perfect)."""
-    counts = np.array([len(p) for p in partitions], dtype=np.float64)
-    if counts.sum() == 0:
-        return 1.0
-    return float(counts.max() / counts.mean())
-
-
-def size_balance(partitions: list[np.ndarray]) -> float:
-    """Max/mean ratio of per-partition encoded data sizes (goal 3)."""
-    sizes = np.array([p["seq_size"].sum() for p in partitions], dtype=np.float64)
-    if sizes.sum() == 0:
-        return 1.0
-    return float(sizes.max() / sizes.mean())
-
-
-def length_mixing(partitions: list[np.ndarray]) -> float:
-    """How uniformly long sequences spread over partitions (goal 2).
-
-    Measured as the max/mean ratio of each partition's mean sequence length;
-    1.0 means every partition sees the same length profile.
-    """
-    means = np.array(
-        [p["seq_size"].mean() if len(p) else 0.0 for p in partitions], dtype=np.float64
-    )
-    if means.sum() == 0:
-        return 1.0
-    return float(means.max() / means.mean())

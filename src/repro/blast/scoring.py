@@ -65,12 +65,3 @@ def encode(sequence: str) -> np.ndarray:
     except KeyError as exc:
         raise PaParError(f"unknown residue {exc.args[0]!r} in sequence") from exc
 
-
-def decode(codes: np.ndarray) -> str:
-    """Decode residue codes back to a protein string."""
-    return "".join(ALPHABET[int(c)] for c in codes)
-
-
-def score_pair(a: int, b: int) -> int:
-    """BLOSUM62 score of two residue codes."""
-    return int(BLOSUM62[a, b])

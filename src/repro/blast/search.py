@@ -224,33 +224,6 @@ class PartitionIndex:
         return total
 
 
-def best_alignment(index: "PartitionIndex", query: np.ndarray):
-    """Full alignment report of the query's best hit in ``index``.
-
-    Finds the subject holding the highest-scoring seed extension, then runs
-    the traceback Smith-Waterman (``repro.blast.align``) on that subject to
-    produce a BLAST-style alignment.  Returns ``(subject_id, Alignment)`` or
-    ``(None, None)`` when the partition yields no seeds.
-    """
-    from repro.blast.align import smith_waterman
-
-    q_codes = _kmer_codes(query)
-    best_subject = None
-    best_score = -1
-    for q_pos, code in enumerate(q_codes):
-        seq_ids, d_positions = index.lookup(int(code))
-        for j in range(min(len(seq_ids), 16)):
-            cols, score = index._extend(
-                query, int(q_pos), int(seq_ids[j]), int(d_positions[j])
-            )
-            if score > best_score:
-                best_score = score
-                best_subject = int(seq_ids[j])
-    if best_subject is None:
-        return None, None
-    return best_subject, smith_waterman(query, index.db.sequence(best_subject))
-
-
 def partition_makespan(
     partitions: list[SequenceDatabase], queries: list[np.ndarray]
 ) -> tuple[float, list[float]]:

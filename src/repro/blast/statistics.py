@@ -6,65 +6,18 @@ and the expected number of chance alignments at least that good in a search
 of an ``m x n`` space is ``E = m * n * 2^-S'``.
 
 ``lambda`` and ``K`` are the ungapped BLOSUM62 parameters for the standard
-amino-acid background frequencies (the NCBI values); :func:`karlin_lambda`
-also derives lambda from first principles (the unique positive root of
-``sum_ij p_i p_j exp(lambda * s_ij) = 1``) so the constant is checked, not
-just asserted.
+amino-acid background frequencies (the NCBI values).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.blast.database import _AA_FREQS
-from repro.blast.scoring import BLOSUM62
 from repro.errors import PaParError
 
 #: NCBI ungapped BLOSUM62 parameters
 LAMBDA_UNGAPPED = 0.3176
 K_UNGAPPED = 0.134
-
-
-def karlin_lambda(
-    scores: np.ndarray = None,
-    freqs: np.ndarray = None,
-    tol: float = 1e-9,
-) -> float:
-    """Solve for the Karlin-Altschul lambda of a scoring system.
-
-    Finds the positive root of ``sum_ij p_i p_j e^{lambda s_ij} = 1`` by
-    bisection.  With the defaults (BLOSUM62 over the standard background)
-    the result is ~0.32, matching the published ungapped value.
-    """
-    scores = BLOSUM62[:20, :20].astype(np.float64) if scores is None else np.asarray(scores, dtype=np.float64)
-    freqs = _AA_FREQS if freqs is None else np.asarray(freqs, dtype=np.float64)
-    if scores.shape != (len(freqs), len(freqs)):
-        raise PaParError("scores must be square over the frequency alphabet")
-    expected = float(freqs @ scores @ freqs)
-    if expected >= 0:
-        raise PaParError(
-            f"scoring system has non-negative expected score {expected:.4f}; "
-            "Karlin-Altschul statistics require a negative drift"
-        )
-    pp = np.outer(freqs, freqs)
-
-    def phi(lam: float) -> float:
-        return float((pp * np.exp(lam * scores)).sum()) - 1.0
-
-    lo, hi = 1e-6, 2.0
-    while phi(hi) < 0:
-        hi *= 2.0
-        if hi > 100:
-            raise PaParError("failed to bracket lambda")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def bit_score(raw_score: int, lam: float = LAMBDA_UNGAPPED, k: float = K_UNGAPPED) -> float:
@@ -84,12 +37,3 @@ def e_value(
         raise PaParError("query and database lengths must be positive")
     return query_length * database_length * math.pow(2.0, -bit_score(raw_score, lam, k))
 
-
-def significant(
-    raw_score: int,
-    query_length: int,
-    database_length: int,
-    threshold: float = 10.0,
-) -> bool:
-    """BLAST's default report criterion: ``E <= threshold``."""
-    return e_value(raw_score, query_length, database_length) <= threshold

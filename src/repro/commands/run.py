@@ -209,6 +209,11 @@ def _export_observability(ns: argparse.Namespace, recorder, out) -> None:
     """Write the --trace/--metrics artifacts and print the --timeline."""
     from repro.obs import print_timeline, write_chrome_trace, write_metrics
 
+    # the run starts with its (first) plan span: the imports and the input
+    # read before it are not the run's time
+    starts = [s.start_wall for s in recorder.spans if s.category == "plan"]
+    if starts:
+        recorder.rebase(min(starts))
     if ns.trace:
         write_chrome_trace(ns.trace, recorder)
         print(f"wrote trace {ns.trace}")

@@ -211,12 +211,6 @@ class PaPar:
 
         return Dataset.from_array(schema, read_text_array(path, schema))
 
-    def input_format(self, path: Union[str, os.PathLike], schema_id: str):
-        """A Hadoop-style InputFormat over ``path`` (binary schemas)."""
-        from repro.formats.binary import BinaryInputFormat
-
-        return BinaryInputFormat(path, self.schema(schema_id))
-
     def partition_files(
         self,
         workflow: Union[WorkflowSpec, WorkflowPlan, str],

@@ -30,22 +30,9 @@ from repro.graph.partition import (
     partition_by,
     vertex_cut,
 )
-from repro.graph.greedy import greedy_vertex_cut
-from repro.graph.ingress import load_graph_distributed
-from repro.graph.mpi_gas import DistributedPageRankResult, distributed_pagerank
-from repro.graph.replication_theory import (
-    expected_random_replication,
-    hybrid_low_side_bound,
-)
 from repro.graph.sssp import sssp
 from repro.graph.powerlyra import PartitionerTimeModel, papar_equivalent_hybrid_cut
-from repro.graph.stats import (
-    GraphStats,
-    compute_stats,
-    count_triangles,
-    degree_tail_ratio,
-    is_power_law_like,
-)
+from repro.graph.stats import GraphStats, compute_stats, count_triangles
 
 __all__ = [
     "Graph",
@@ -68,15 +55,7 @@ __all__ = [
     "GraphStats",
     "compute_stats",
     "count_triangles",
-    "degree_tail_ratio",
-    "is_power_law_like",
     "papar_equivalent_hybrid_cut",
     "PartitionerTimeModel",
-    "distributed_pagerank",
-    "DistributedPageRankResult",
-    "greedy_vertex_cut",
     "sssp",
-    "load_graph_distributed",
-    "expected_random_replication",
-    "hybrid_low_side_bound",
 ]

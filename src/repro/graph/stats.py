@@ -1,10 +1,8 @@
-"""Graph statistics: the Table II columns and power-law diagnostics."""
+"""Graph statistics: the Table II columns."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.graph.graph import Graph
 
@@ -50,19 +48,3 @@ def compute_stats(graph: Graph, name: str) -> GraphStats:
         triangles=count_triangles(graph),
     )
 
-
-def degree_tail_ratio(graph: Graph, percentile: float = 99.0) -> float:
-    """How heavy the in-degree tail is: p-th percentile / mean degree."""
-    deg = graph.in_degrees().astype(np.float64)
-    if deg.mean() == 0:
-        return 0.0
-    return float(np.percentile(deg, percentile) / deg.mean())
-
-
-def is_power_law_like(graph: Graph, min_tail_ratio: float = 3.0) -> bool:
-    """Cheap power-law check: a heavy tail plus many low-degree vertices."""
-    deg = graph.in_degrees()
-    if len(deg) == 0:
-        return False
-    median = np.median(deg)
-    return degree_tail_ratio(graph) >= min_tail_ratio and median <= max(deg.mean(), 1.0)

@@ -5,7 +5,7 @@ Devine's C++ MapReduce-on-MPI library) and raw MPI.  The MR-MPI mapping is
 ``backend="mapreduce"`` (:class:`repro.core.mr_runtime.MapReduceRuntime`):
 each operator is one map → shuffle → reduce job over the SPMD executor's
 rank program.  This package holds the kernels that program calls and the
-Hadoop mapping:
+Hadoop input interface:
 
 * :mod:`~repro.mapreduce.columnar` — :class:`KVBatch`, :func:`bucketize`
   and :func:`group`, the local kernels of every exchange (and, re-exported,
@@ -15,17 +15,19 @@ Hadoop mapping:
 * :mod:`~repro.mapreduce.sampling` — the data-sampling machinery from
   Section III-D (per-node samples approximating the global key distribution
   to derive balanced reducer ranges).
-* :mod:`~repro.mapreduce.hadoop` and :mod:`~repro.mapreduce.hadoop_engine`
-  — the Hadoop ``InputFormat`` interface (``get_splits`` /
-  ``get_record_reader``, Section III-A) and a single-process Hadoop job
-  runner with a disk shuffle.
-* :mod:`~repro.mapreduce.rebalance` — dynamic reducer rebalancing.
+* :mod:`~repro.mapreduce.hadoop` — the Hadoop ``InputFormat`` interface
+  (``get_splits`` / ``get_record_reader``, Section III-A) that the file
+  formats of :mod:`repro.formats` implement.
+
+The single-process Hadoop job runner, the speculative scheduler and the
+reducer rebalancer are benchmark ablations (``benchmarks/_hadoop.py``,
+``_speculative.py``, ``_rebalance.py``).
 """
 
 from repro._lazy import lazy_exports
 
-# names load on first use: the workflow runtimes need the columnar kernels
-# and the partitioners, not the Hadoop runner
+# names load on first use: a run needs the columnar kernels and the
+# partitioners only when it exchanges records
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.mapreduce.columnar": ("GroupedKVBatch", "KVBatch", "bucketize"),
     "repro.core.perf": ("PerfCounters",),
@@ -33,7 +35,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "ExplicitPartitioner", "HashPartitioner", "Partitioner",
         "RangePartitioner", "stable_hash", "stable_hash_array",
     ),
-    "repro.mapreduce.hadoop_engine": ("HadoopCluster", "HadoopJobResult"),
-    "repro.mapreduce.rebalance": ("imbalance", "rebalance"),
     "repro.mapreduce.sampling": ("reservoir_sample", "sample_key_ranges"),
 })

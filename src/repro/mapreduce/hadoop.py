@@ -10,7 +10,7 @@ both interfaces are the same machinery underneath.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 from repro.errors import MapReduceError, Record
 
@@ -55,35 +55,3 @@ class InputFormat:
                 f"{type(self).__name__}.get_splits produced {len(splits)} splits for {size} ranks"
             )
         return list(self.get_record_reader(splits[rank]))
-
-
-class _ListRecordReader(RecordReader):
-    def __init__(self, items: Sequence[Any]) -> None:
-        self._items = items
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
-
-
-class ListInputFormat(InputFormat):
-    """In-memory input: the paper requires supporting in-memory repartitioning
-    of intermediate data, not only file inputs."""
-
-    def __init__(self, items: Sequence[Any]) -> None:
-        self._items = list(items)
-
-    def get_splits(self, num_splits: int) -> list[InputSplit]:
-        if num_splits < 1:
-            raise MapReduceError(f"num_splits must be >= 1, got {num_splits!r}")
-        n = len(self._items)
-        base, extra = divmod(n, num_splits)
-        splits = []
-        start = 0
-        for i in range(num_splits):
-            length = base + (1 if i < extra else 0)
-            splits.append(InputSplit(source=None, start=start, length=length))
-            start += length
-        return splits
-
-    def get_record_reader(self, split: InputSplit) -> RecordReader:
-        return _ListRecordReader(self._items[split.start : split.start + split.length])

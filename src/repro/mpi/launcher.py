@@ -4,22 +4,17 @@ The analog of ``mpiexec -n <size> python script.py``: every rank executes the
 same function with its own :class:`~repro.mpi.comm.Communicator`.  Return
 values are collected in rank order; the first rank exception aborts the
 fabric (waking any blocked receivers) and is re-raised in the caller.
-With a cluster model the run is priced as one bulk-synchronous step of
-the traffic its ranks tallied.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import MPIError
 from repro.mpi.comm import Communicator
 from repro.mpi.fabric import DEFAULT_DEADLOCK_GRACE, Fabric
-
-if TYPE_CHECKING:  # pragma: no cover - a run without a cost model never loads it
-    from repro.cluster.model import ClusterModel
 
 
 @dataclass
@@ -33,15 +28,12 @@ class MPIRun:
     #: total messages moved through the fabric
     messages: int
     extra: dict[str, Any] = field(default_factory=dict)
-    #: simulated seconds of the run's traffic (0.0 without a cluster model)
-    elapsed: float = 0.0
 
 
 def run_mpi(
     fn: Callable[..., Any],
     size: int,
     *,
-    cluster: Optional[ClusterModel] = None,
     args: Sequence[Any] = (),
     kwargs: Optional[dict[str, Any]] = None,
     fault_injector: Optional[Any] = None,
@@ -49,20 +41,12 @@ def run_mpi(
 ) -> MPIRun:
     """Run ``fn(comm, *args, **kwargs)`` on ``size`` rank threads.
 
-    When ``cluster`` is given its size must match ``size`` and
-    ``MPIRun.elapsed`` prices the traffic the ranks left tallied as one
-    step (a program adds its own modelled compute to that).
-
     ``fault_injector`` attaches a :class:`~repro.fault.injector.FaultInjector`
     to the fabric and every communicator; ``deadlock_grace`` overrides the
     fabric's blocked-wait budget before :class:`~repro.errors.DeadlockError`.
     """
     if size < 1:
         raise MPIError(f"size must be >= 1, got {size!r}")
-    if cluster is not None and cluster.size != size:
-        raise MPIError(
-            f"cluster model provides {cluster.size} ranks but run_mpi was asked for {size}"
-        )
     kwargs = dict(kwargs or {})
     fabric = Fabric(
         size,
@@ -105,16 +89,5 @@ def run_mpi(
         root = fabric.aborted
         raise root if root is not None else first_error
 
-    run = MPIRun(results=results, bytes_moved=fabric.stats.bytes,
-                 messages=fabric.stats.messages)
-    if cluster is not None:
-        # one step of the tallied traffic: no kernel was counted and no job
-        # launched, so it pays no job overhead
-        from dataclasses import replace
-
-        from repro.cluster.model import price
-        from repro.core.perf import JobCounts
-
-        step = [JobCounts(sent=comm.sent, packed=comm.packed) for comm in comms]
-        run.elapsed = price([step], replace(cluster, cost=replace(cluster.cost, job_overhead=0.0)))
-    return run
+    return MPIRun(results=results, bytes_moved=fabric.stats.bytes,
+                  messages=fabric.stats.messages)

@@ -26,7 +26,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 
@@ -144,6 +144,18 @@ class Recorder:
         wrongly) stamp :meth:`record_span` with values from here.
         """
         return self._wall_now()
+
+    def rebase(self, origin: float) -> None:
+        """Move the wall epoch ``origin`` seconds later, re-stamping every
+        held span and instant: a run measured from its plan's start, not
+        from the imports and input read before it."""
+        with self._lock:
+            self._wall_epoch += origin
+            held = [s._replace(start_wall=s.start_wall - origin, end_wall=s.end_wall - origin)
+                    for s in self.spans]
+            self.spans.clear()
+            self.spans.extend(held)
+            self.instants = [replace(e, ts_wall=e.ts_wall - origin) for e in self.instants]
 
     @contextmanager
     def span(

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from repro.blast import (
+    INDEX_HEADER,
     build_index,
     extract_partition,
-    fraction_under,
     generate_database,
-    index_dataset,
     recalculate_pointers,
-    write_index,
 )
 from repro.blast.database import ENV_NR_PROFILE, NR_PROFILE
 from repro.errors import PaParError
-from repro.formats import BLAST_INDEX_SCHEMA, read_binary
+from repro.formats import BLAST_INDEX_SCHEMA, read_binary, write_binary
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +45,7 @@ class TestGeneration:
 
     def test_env_nr_mostly_short(self, db):
         """Paper: 'most of the sequences ... are less than 100 letters'."""
-        assert fraction_under(db, 100) > 0.5
+        assert (db.seq_size < 100).mean() > 0.5
 
     def test_nr_heavier_tail_than_env_nr(self):
         env = generate_database("env_nr", num_sequences=3000, seed=2)
@@ -88,14 +86,9 @@ class TestIndex:
         np.testing.assert_array_equal(index["seq_size"], db.seq_size)
         np.testing.assert_array_equal(index["seq_start"], db.seq_start)
 
-    def test_index_dataset(self, db):
-        ds = index_dataset(db)
-        assert len(ds) == db.num_sequences
-        assert ds.schema.id == "blast_db"
-
     def test_write_read_roundtrip(self, db, tmp_path):
         path = tmp_path / "db.index"
-        write_index(path, db)
+        write_binary(path, build_index(db), BLAST_INDEX_SCHEMA, header=INDEX_HEADER)
         back = read_binary(path, BLAST_INDEX_SCHEMA)
         np.testing.assert_array_equal(back["seq_size"], db.seq_size)
 

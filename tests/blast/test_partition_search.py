@@ -7,20 +7,35 @@ from repro.blast import (
     PartitionIndex,
     baseline_partition_time,
     build_index,
-    count_balance,
-    decode,
     encode,
     extract_partition,
     generate_database,
-    length_mixing,
     make_batch,
     mublastp_partition,
     partition_makespan,
-    size_balance,
 )
 from repro.blast.scoring import ALPHABET, BLOSUM62
 from repro.cluster.model import CostModel
 from repro.errors import PaParError
+
+
+def balance(values) -> float:
+    """Max/mean ratio over the partitions (1.0 = perfect)."""
+    values = np.asarray(values, dtype=np.float64)
+    return float(values.max() / values.mean())
+
+
+def count_balance(parts) -> float:
+    return balance([len(p) for p in parts])
+
+
+def size_balance(parts) -> float:
+    return balance([p["seq_size"].sum() for p in parts])
+
+
+def length_mixing(parts) -> float:
+    """How uniformly lengths spread: max/mean of the partitions' mean lengths."""
+    return balance([p["seq_size"].mean() for p in parts])
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +64,7 @@ class TestScoring:
 
     def test_encode_decode_roundtrip(self):
         seq = "MKVLAARNDW"
-        assert decode(encode(seq)) == seq
+        assert "".join(ALPHABET[c] for c in encode(seq)) == seq
 
     def test_encode_rejects_unknown(self):
         with pytest.raises(PaParError):

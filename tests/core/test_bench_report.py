@@ -1,10 +1,19 @@
-"""Experiment harness and report aggregation."""
+"""Experiment harness and report aggregation (``benchmarks/_harness.py`` and
+``benchmarks/report.py``, loaded from the benchmarks directory by path)."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench import Experiment, Reporter, format_table, shape
-from repro.bench.report import load_experiments, render_report
 from repro.errors import PaParError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from _harness import Experiment, Reporter, format_table, shape
+    from report import load_experiments, render_report
+finally:
+    sys.path.pop(0)
 
 
 class TestFormatTable:

@@ -1,36 +1,22 @@
-"""Coverage for remaining framework paths: input_format getter, custom
+"""Coverage for remaining framework paths: schema registration, custom
 operators through the distributed runtimes, search significance."""
 
 import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.blast import PartitionIndex, generate_database, generate_index, write_index
-from repro.config import BLAST_INPUT_XML
+from repro.blast import INDEX_HEADER, PartitionIndex, build_index, generate_database
 from repro.config.workflow import Bindings
 from repro.core.dataset import Dataset
 from repro.core.planner import PlannedJob, WorkflowPlan
 from repro.core.runtime import MPIRuntime
 from repro.errors import ConfigError
-from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA
+from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA, write_binary
 from repro.ops import Distribute
 from repro.ops.base import BasicOperator
 
 
 class TestFrameworkHelpers:
-    def test_input_format_getter(self, tmp_path):
-        index = generate_index("env_nr", num_sequences=50, seed=1)
-        path = tmp_path / "db.index"
-        from repro.blast.database import SequenceDatabase  # noqa: F401 - context
-
-        from repro.formats import write_binary
-
-        write_binary(path, index, BLAST_INDEX_SCHEMA, header=b"\x00" * 32)
-        papar = PaPar()
-        papar.register_input(BLAST_INPUT_XML)
-        fmt = papar.input_format(path, "blast_db")
-        assert fmt.num_records == 50
-
     def test_schema_lookup_unknown(self):
         with pytest.raises(ConfigError, match="registered"):
             PaPar().schema("nothing")
@@ -43,7 +29,7 @@ class TestFrameworkHelpers:
     def test_write_index_roundtrip(self, tmp_path):
         db = generate_database("env_nr", num_sequences=20, seed=2)
         path = tmp_path / "db.index"
-        write_index(path, db)
+        write_binary(path, build_index(db), BLAST_INDEX_SCHEMA, header=INDEX_HEADER)
         from repro.formats import read_binary
 
         back = read_binary(path, BLAST_INDEX_SCHEMA)

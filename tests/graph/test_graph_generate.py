@@ -9,10 +9,8 @@ from repro.graph import (
     Graph,
     compute_stats,
     count_triangles,
-    degree_tail_ratio,
     generate_graph,
     generate_powerlaw,
-    is_power_law_like,
 )
 
 
@@ -76,8 +74,10 @@ class TestGenerators:
     @pytest.mark.parametrize("name", ["google", "pokec", "livejournal"])
     def test_power_law_in_degrees(self, name):
         g = generate_graph(name, scale=0.01, seed=2)
-        assert is_power_law_like(g)
-        assert degree_tail_ratio(g) > 3.0
+        deg = g.in_degrees()
+        # a heavy tail over many low-degree vertices
+        assert np.percentile(deg, 99) / deg.mean() > 3.0
+        assert np.median(deg) <= deg.mean()
 
     def test_simple_graph(self):
         g = generate_powerlaw(500, 3000, seed=3)
@@ -140,7 +140,3 @@ class TestStats:
         assert stats.edges == g.num_edges
         assert stats.type == "Directed"
         assert stats.as_row()[0] == "toy"
-
-    def test_power_law_check_rejects_regular(self):
-        ring = Graph.from_edges([(i, (i + 1) % 50) for i in range(50)])
-        assert not is_power_law_like(ring)

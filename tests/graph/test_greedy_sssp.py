@@ -1,48 +1,16 @@
-"""Greedy vertex-cut partitioning and SSSP."""
+"""Single-source shortest paths over the partitioned graph."""
 
 import numpy as np
 import pytest
 
 from repro.errors import PaParError
-from repro.graph import Graph, edge_cut, generate_powerlaw, hybrid_cut, vertex_cut
-from repro.graph.greedy import greedy_vertex_cut
+from repro.graph import Graph, generate_powerlaw, hybrid_cut, vertex_cut
 from repro.graph.sssp import sssp
 
 
 @pytest.fixture(scope="module")
 def powerlaw():
     return generate_powerlaw(1200, 9000, alpha=2.2, seed=8)
-
-
-class TestGreedyVertexCut:
-    def test_every_edge_assigned(self, powerlaw):
-        pg = greedy_vertex_cut(powerlaw, 8)
-        assert pg.edges_per_partition().sum() == powerlaw.num_edges
-
-    def test_beats_random_edge_placement(self, powerlaw):
-        """The PowerGraph result: greedy replication < random replication."""
-        greedy_rf = greedy_vertex_cut(powerlaw, 8).replication_factor()
-        random_rf = edge_cut(powerlaw, 8).replication_factor()
-        assert greedy_rf < random_rf
-
-    def test_reasonable_balance(self, powerlaw):
-        pg = greedy_vertex_cut(powerlaw, 8)
-        assert pg.edge_balance() < 1.6
-
-    def test_single_partition(self, powerlaw):
-        pg = greedy_vertex_cut(powerlaw, 1)
-        assert pg.replication_factor() == 1.0
-
-    def test_common_partition_reused(self):
-        """Edges sharing endpoints cluster on common partitions (rule 1)."""
-        g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 1)])
-        pg = greedy_vertex_cut(g, 4)
-        # the triangle should not need more than 2 partitions
-        assert len(set(pg.edge_owner.tolist())) <= 2
-
-    def test_invalid_partitions(self, powerlaw):
-        with pytest.raises(PaParError):
-            greedy_vertex_cut(powerlaw, 0)
 
 
 class TestSSSP:

@@ -1,45 +1,4 @@
-"""Distributed edge-list ingress."""
-
-import numpy as np
-import pytest
-
-from repro.errors import PaParError
-from repro.formats import EDGE_LIST_SCHEMA, write_text
-from repro.graph import generate_powerlaw
-from repro.graph.ingress import load_graph_distributed
-
-
-@pytest.fixture
-def edge_file(tmp_path):
-    g = generate_powerlaw(200, 1500, seed=4)
-    path = tmp_path / "edges.txt"
-    write_text(path, list(zip(g.src.tolist(), g.dst.tolist())), EDGE_LIST_SCHEMA)
-    return path, g
-
-
-class TestDistributedIngress:
-    @pytest.mark.parametrize("ranks", [1, 2, 4, 7])
-    def test_matches_serial_read(self, edge_file, ranks):
-        path, g = edge_file
-        loaded = load_graph_distributed(path, num_ranks=ranks)
-        np.testing.assert_array_equal(loaded.src, g.src)
-        np.testing.assert_array_equal(loaded.dst, g.dst)
-
-    def test_num_vertices_override(self, edge_file):
-        path, g = edge_file
-        loaded = load_graph_distributed(path, num_ranks=2, num_vertices=500)
-        assert loaded.num_vertices == 500
-
-    def test_tiny_file_many_ranks(self, tmp_path):
-        path = tmp_path / "tiny.txt"
-        write_text(path, [(1, 2)], EDGE_LIST_SCHEMA)
-        loaded = load_graph_distributed(path, num_ranks=8)
-        assert loaded.num_edges == 1
-
-    def test_validation(self, edge_file):
-        path, _ = edge_file
-        with pytest.raises(PaParError):
-            load_graph_distributed(path, num_ranks=0)
+"""The shipped configs/ files parse and drive the CLI end to end."""
 
 
 class TestConfigsDirectory:

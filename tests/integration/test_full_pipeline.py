@@ -1,30 +1,27 @@
 """End-to-end acceptance: the complete muBLASTP story through every layer.
 
-FASTA database -> binary index file -> CLI-driven PaPar partitioning ->
-partition extraction with pointer recalculation -> distributed search with
-alignment and e-value reporting — one test that touches every public layer
-the way a downstream user would.
+Sequence database -> binary index file -> CLI-driven PaPar partitioning ->
+partition extraction with pointer recalculation -> search with e-value
+reporting — one test that touches every public layer the way a downstream
+user would.
 """
 
 import numpy as np
 import pytest
 
 from repro.blast import (
+    INDEX_HEADER,
     PartitionIndex,
     build_index,
     extract_partition,
     generate_database,
     make_batch,
     mublastp_partition,
-    read_fasta,
-    write_fasta,
-    write_index,
 )
-from repro.blast.search import best_alignment
 from repro.cli import main
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
-from repro.formats import BLAST_INDEX_SCHEMA, read_binary
+from repro.formats import BLAST_INDEX_SCHEMA, read_binary, write_binary
 
 NUM_PARTITIONS = 4
 
@@ -34,17 +31,12 @@ def pipeline(tmp_path_factory):
     """Run the whole pipeline once; tests inspect its stages."""
     tmp = tmp_path_factory.mktemp("pipeline")
 
-    # 1. the database starts life as FASTA (the real tool chain's input)
-    db0 = generate_database("env_nr", num_sequences=150, seed=99, length_clustering=0.9)
-    fasta_path = tmp / "db.fasta"
-    write_fasta(fasta_path, db0)
-    db = read_fasta(fasta_path, name="env_nr")
-
-    # 2. formatdb equivalent: write the binary four-tuple index
+    # 1. formatdb equivalent: write the database's binary four-tuple index
+    db = generate_database("env_nr", num_sequences=150, seed=99, length_clustering=0.9)
     index_path = tmp / "db.index"
-    write_index(index_path, db)
+    write_binary(index_path, build_index(db), BLAST_INDEX_SCHEMA, header=INDEX_HEADER)
 
-    # 3. partition through the CLI (configuration files in, part files out)
+    # 2. partition through the CLI (configuration files in, part files out)
     cfg_input = tmp / "blast_db.xml"
     cfg_input.write_text(BLAST_INPUT_XML)
     cfg_wf = tmp / "workflow.xml"
@@ -61,7 +53,7 @@ def pipeline(tmp_path_factory):
     ])
     assert rc == 0
 
-    # 4. load the partition index files back and materialize the databases
+    # 3. load the partition index files back and materialize the databases
     part_indexes = [
         read_binary(out_dir / f"part-{p:05d}", BLAST_INDEX_SCHEMA)
         for p in range(NUM_PARTITIONS)
@@ -71,10 +63,6 @@ def pipeline(tmp_path_factory):
 
 
 class TestFullPipeline:
-    def test_fasta_roundtrip_preserved_database(self, pipeline):
-        db, _, _ = pipeline
-        assert db.num_sequences == 150
-
     def test_cli_partitions_equal_native_partitioner(self, pipeline):
         db, part_indexes, _ = pipeline
         native = mublastp_partition(build_index(db), NUM_PARTITIONS, policy="cyclic")
@@ -109,14 +97,3 @@ class TestFullPipeline:
                     best = result
             assert best is not None
             assert best.is_significant(len(query), db_len)
-
-    def test_alignment_report_for_top_hit(self, pipeline):
-        db, _, part_dbs = pipeline
-        query = db.sequence(int(np.argmax(db.seq_size))).copy()
-        found = False
-        for part in part_dbs:
-            subject_id, aln = best_alignment(PartitionIndex(part), query)
-            if aln is not None and aln.identity_fraction == 1.0:
-                assert "Identities" in aln.pretty()
-                found = True
-        assert found, "the source sequence's partition must align it perfectly"

@@ -1,9 +1,15 @@
-"""Map-side combiners: same results, smaller shuffle."""
+"""Map-side combiners of the backend ablation's Hadoop engine
+(``benchmarks/_hadoop.py``, loaded by path): same results, smaller shuffle."""
 
+import sys
 from collections import Counter
+from pathlib import Path
 
-from repro.mapreduce.hadoop import ListInputFormat
-from repro.mapreduce.hadoop_engine import HadoopCluster
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from _hadoop import HadoopCluster, ListInputFormat
+finally:
+    sys.path.pop(0)
 
 WORDS = ("a b c a b a a b c d " * 50).split()
 

@@ -1,13 +1,24 @@
-"""Hadoop-style engine: disk shuffle, counters, job chaining, Figure 9 flow."""
+"""Hadoop-style engine: disk shuffle, counters, job chaining, Figure 9 flow.
 
+The engine is the backend ablation's (``benchmarks/_hadoop.py``), loaded
+from the benchmarks directory by path.
+"""
+
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.errors import MapReduceError
 from repro.mapreduce import ExplicitPartitioner, HashPartitioner, RangePartitioner
-from repro.mapreduce.hadoop import InputSplit, ListInputFormat
-from repro.mapreduce.hadoop_engine import HadoopCluster, identity_reduce
+from repro.mapreduce.hadoop import InputSplit
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from _hadoop import HadoopCluster, ListInputFormat, identity_reduce
+finally:
+    sys.path.pop(0)
 
 WORDS = "the quick brown fox jumps over the lazy dog the end".split()
 

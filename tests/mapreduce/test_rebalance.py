@@ -1,9 +1,18 @@
-"""Dynamic reducer rebalancing (the Related Work extension)."""
+"""Dynamic reducer rebalancing (the Related Work extension): the ablation's
+``benchmarks/_rebalance.py``, loaded from the benchmarks directory by path."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.mapreduce.rebalance import imbalance, rebalance
 from repro.mpi import run_mpi
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from _rebalance import imbalance, rebalance
+finally:
+    sys.path.pop(0)
 
 
 class TestImbalance:

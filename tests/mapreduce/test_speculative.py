@@ -1,14 +1,19 @@
-"""Speculative scheduling simulation (the paper's motivation mechanism)."""
+"""Speculative scheduling simulation (the paper's motivation mechanism):
+the motivation bench's ``benchmarks/_speculative.py``, loaded by path."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import MapReduceError
-from repro.mapreduce.speculative import (
-    balanced_task_durations,
-    simulate_job,
-    skewed_task_durations,
-)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from _speculative import balanced_task_durations, simulate_job, skewed_task_durations
+finally:
+    sys.path.pop(0)
 
 
 class TestSimulateJob:

@@ -81,7 +81,8 @@ def test_Allgatherv_with_empty_contribution():
 
 def test_buffer_collectives_charge_virtual_time():
     """Buffer collectives are tallied like the object path, and priced."""
-    from repro.cluster import ClusterModel, INFINIBAND_QDR
+    from repro.cluster import ClusterModel, INFINIBAND_QDR, price
+    from repro.core.perf import JobCounts
 
     cluster = ClusterModel(num_nodes=2, ranks_per_node=2, network=INFINIBAND_QDR)
 
@@ -89,6 +90,7 @@ def test_buffer_collectives_charge_virtual_time():
         comm.Allreduce(np.ones(100_000), SUM)
         return comm.sent, comm.packed
 
-    run = run_mpi(prog, 4, cluster=cluster)
+    run = run_mpi(prog, 4)
     assert all(sent and packed == 0 for sent, packed in run.results)
-    assert run.elapsed > 0
+    step = [JobCounts(sent=sent, packed=packed) for sent, packed in run.results]
+    assert price([step], cluster) > cluster.cost.job_overhead

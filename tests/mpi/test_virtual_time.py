@@ -1,9 +1,13 @@
-"""Simulated time of a generic ``run_mpi`` program: one priced step of the
-traffic its ranks tallied (``repro.cluster.model.price``)."""
+"""Simulated time of a generic ``run_mpi`` program: its ranks' traffic
+tallies (``comm.sent``, ``comm.packed``) priced as one step by
+``repro.cluster.model.price``."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.cluster import ClusterModel, ETHERNET_10G, INFINIBAND_QDR
+from repro.cluster import ClusterModel, ETHERNET_10G, INFINIBAND_QDR, price
+from repro.core.perf import JobCounts
 from repro.mpi import SUM, run_mpi
 
 
@@ -11,13 +15,28 @@ def cluster(nodes=2, rpn=2, network=INFINIBAND_QDR):
     return ClusterModel(num_nodes=nodes, ranks_per_node=rpn, network=network)
 
 
-def test_no_cluster_means_zero_clocks():
+def priced(prog, size, c):
+    """Run ``prog`` on ``size`` ranks; price what its ranks tallied as one
+    step (no job was launched, so it pays no job overhead)."""
+
+    def tallied(comm):
+        prog(comm)
+        return JobCounts(sent=comm.sent, packed=comm.packed)
+
+    step = run_mpi(tallied, size).results
+    return price([step], replace(c, cost=replace(c.cost, job_overhead=0.0)))
+
+
+def test_the_tally_names_each_destination():
     def prog(comm):
         comm.send("x", dest=(comm.rank + 1) % comm.size)
         comm.recv(source=(comm.rank - 1) % comm.size)
+        return comm.sent
 
-    run = run_mpi(prog, 2)
-    assert run.elapsed == 0.0
+    sent = run_mpi(prog, 3).results
+    assert [set(s) for s in sent] == [{1}, {2}, {0}]
+    assert all(messages == 1 and nbytes > 0 for s in sent for nbytes, messages in s.values())
+    assert priced(lambda comm: None, 4, cluster()) == 0.0
 
 
 def test_message_is_priced_to_its_sender():
@@ -30,12 +49,12 @@ def test_message_is_priced_to_its_sender():
             comm.recv(source=0)
         return comm.sent
 
-    run = run_mpi(prog, 4, cluster=c)
-    assert set(run.results[0]) == {2} and run.results[2] == {}
-    nbytes, messages = run.results[0][2]
+    sent = run_mpi(prog, 4).results
+    assert set(sent[0]) == {2} and sent[2] == {}
+    nbytes, messages = sent[0][2]
     # the sender's transfer and pickling, the receiver's unpickling: the
     # step costs its slowest rank
-    assert run.elapsed == pytest.approx(
+    assert priced(prog, 4, c) == pytest.approx(
         messages * c.transfer_time(nbytes, 0, 2) + c.cost.pack(nbytes))
 
 
@@ -52,7 +71,7 @@ def test_cross_node_costs_more_than_intra_node():
         return prog
 
     # ranks 0 and 1 share node 0; rank 2 is on node 1
-    assert run_mpi(to(2), 4, cluster=c).elapsed > run_mpi(to(1), 4, cluster=c).elapsed
+    assert priced(to(2), 4, c) > priced(to(1), 4, c)
 
 
 def test_infiniband_faster_than_ethernet():
@@ -64,9 +83,9 @@ def test_infiniband_faster_than_ethernet():
         elif comm.rank == 2:
             comm.recv(source=0)
 
-    ib = run_mpi(prog, 4, cluster=cluster(network=INFINIBAND_QDR))
-    eth = run_mpi(prog, 4, cluster=cluster(network=ETHERNET_10G))
-    assert ib.elapsed < eth.elapsed
+    ib = priced(prog, 4, cluster(network=INFINIBAND_QDR))
+    eth = priced(prog, 4, cluster(network=ETHERNET_10G))
+    assert ib < eth
 
 
 def test_reduce_virtual_time_scales_logarithmically():
@@ -77,8 +96,8 @@ def test_reduce_virtual_time_scales_logarithmically():
     def prog(comm):
         comm.reduce(comm.rank, SUM)
 
-    t4 = run_mpi(prog, 4, cluster=cluster(nodes=2, rpn=2)).elapsed
-    t16 = run_mpi(prog, 16, cluster=cluster(nodes=8, rpn=2)).elapsed
+    t4 = priced(prog, 4, cluster(nodes=2, rpn=2))
+    t16 = priced(prog, 16, cluster(nodes=8, rpn=2))
     assert t16 < t4 * 4  # strictly sub-linear growth
     assert t16 > 0
     assert t4 >= lat  # at least one cross-node hop
@@ -102,12 +121,4 @@ def test_elapsed_is_max_clock():
                 comm.recv(source=rank)
         return prog
 
-    assert run_mpi(prog, 4, cluster=c).elapsed == pytest.approx(
-        run_mpi(alone(3), 4, cluster=c).elapsed)
-
-
-def test_cluster_size_mismatch_rejected():
-    from repro.errors import MPIError
-
-    with pytest.raises(MPIError, match="cluster"):
-        run_mpi(lambda comm: None, 3, cluster=cluster(nodes=2, rpn=2))
+    assert priced(prog, 4, c) == pytest.approx(priced(alone(3), 4, c))

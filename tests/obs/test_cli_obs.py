@@ -62,6 +62,23 @@ class TestCLIObservability:
         assert m["run"]["ranks"] == 2
         assert m["run"]["partitions"] == 3
 
+    def test_the_run_is_measured_from_its_plan(self, config_files, tmp_path, capsys):
+        """The reported makespan is the plan span's wall duration: the
+        imports and input read before the plan are not the run's time."""
+        trace = tmp_path / "t.json"
+        metrics = tmp_path / "m.json"
+        args = base_args(config_files, tmp_path)
+        args[args.index("--ranks") + 1] = "4"
+        rc = main(args + ["--trace", str(trace), "--metrics", str(metrics), "--timeline"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        (plan,) = [e for e in json.loads(trace.read_text())["traceEvents"]
+                   if e["ph"] == "X" and e["cat"] == "plan"]
+        plan_s = plan["dur"] / 1e6
+        makespan = json.loads(metrics.read_text())["spans"]["makespan_wall_s"]
+        assert makespan == pytest.approx(plan_s, abs=1e-3)
+        assert f"makespan {makespan:.6f}s" in out
+
     def test_timeline_printed(self, config_files, tmp_path, capsys):
         rc = main(base_args(config_files, tmp_path) + ["--timeline"])
         assert rc == 0

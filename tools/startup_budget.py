@@ -62,7 +62,7 @@ runpy.run_module("repro", run_name="__main__", alter_sys=True)
 
 #: module groups a command loads only when it asks for them
 _SPMD = ("repro.mpi", "repro.fault", "repro.cluster")
-_ENGINES = ("repro.core.codegen", "repro.mapreduce.hadoop_engine", "repro.mapreduce.rebalance")
+_ENGINES = ("repro.core.codegen",)
 _ON_REQUEST = ("repro.serve", "repro.obs", "repro.config.operators")
 _SPILL = ("repro.ooc.runfile", "repro.ooc.extsort", "repro.ooc.spill")
 #: what only an exchange of records, a group or a text file runs: a BLAST
