@@ -3,11 +3,10 @@
 Synthetic protein databases with env_nr / nr-like length profiles, the
 four-tuple index, muBLASTP's own block/cyclic partitioners (the Figure 13
 baseline), the pointer-recalculation add-on, a simplified seed-and-extend
-BLASTP search kernel (for Figure 12's skew measurements) with the e-values
-of its hits, and query batch construction.
+BLASTP search kernel (for Figure 12's skew measurements), and query batch
+construction.
 """
 
-from repro.blast.statistics import bit_score, e_value
 from repro.blast.database import (
     ENV_NR_PROFILE,
     NR_PROFILE,
@@ -52,6 +51,4 @@ __all__ = [
     "PartitionIndex",
     "SearchResult",
     "partition_makespan",
-    "bit_score",
-    "e_value",
 ]

@@ -64,18 +64,6 @@ class SearchResult:
             best_score=max(self.best_score, other.best_score),
         )
 
-    def e_value(self, query_length: int, database_length: int) -> float:
-        """Karlin-Altschul e-value of the best hit (see blast.statistics)."""
-        from repro.blast.statistics import e_value as _e_value
-
-        return _e_value(self.best_score, query_length, database_length)
-
-    def is_significant(
-        self, query_length: int, database_length: int, threshold: float = 10.0
-    ) -> bool:
-        """BLAST's default report criterion on the best hit."""
-        return self.e_value(query_length, database_length) <= threshold
-
 
 def _kmer_codes(residues: np.ndarray) -> np.ndarray:
     """Rolling base-21 codes of all length-3 windows of ``residues``."""

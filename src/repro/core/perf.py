@@ -24,9 +24,13 @@ class JobCounts:
     ``packed`` is the bytes the rank pickled or unpickled; ``slowdown`` is
     its straggler factor.  The executor counts the kernels, the
     communicator tallies the traffic, the driver sets the slowdown.
+
+    ``start``/``end`` stamp the job by ``time.perf_counter`` (one clock for
+    forked ranks too), ``spans`` its exchanges and writes as ``(name,
+    category, start, end, attrs)``; ``restored`` marks checkpointed counts.
     """
 
-    __slots__ = ("kernels", "sent", "packed", "slowdown")
+    __slots__ = ("kernels", "sent", "packed", "slowdown", "start", "end", "spans", "restored")
 
     def __init__(self, kernels: Optional[dict[str, int]] = None,
                  sent: Optional[dict[int, list[int]]] = None, packed: int = 0,
@@ -35,6 +39,9 @@ class JobCounts:
         self.sent = {} if sent is None else sent
         self.packed = packed
         self.slowdown = slowdown
+        self.start = self.end = 0.0
+        self.spans: list[tuple[str, str, float, float, dict[str, Any]]] = []
+        self.restored = False
 
 
 class PerfCounters:
@@ -83,13 +90,30 @@ class PerfCounters:
                 self.spill[name] = self.spill.get(name, 0) + int(value)
 
     @contextmanager
-    def phase(self, name: str):
-        """Time a phase by ``perf_counter``."""
-        t0 = time.perf_counter()
+    def job(self, phase: str):
+        """Stamp the next job's :class:`JobCounts`; its wall time adds to ``phase``."""
+        counts = JobCounts()
+        self.jobs.append(counts)
+        counts.start = time.perf_counter()
+        try:
+            yield counts
+        finally:
+            counts.end = time.perf_counter()
+            self.phases[phase] = self.phases.get(phase, 0.0) + counts.end - counts.start
+
+    def restore(self, counts: JobCounts) -> None:
+        """Append a job's counts restored from a checkpoint, stamped now."""
+        counts.restored, counts.start = True, time.perf_counter()
+        self.jobs.append(counts)
+
+    @contextmanager
+    def timed(self, name: str, category: str, attrs: dict[str, Any]):
+        """Stamp an exchange or a write of the current job."""
+        start = time.perf_counter()
         try:
             yield
         finally:
-            self.phases[name] = self.phases.get(name, 0.0) + time.perf_counter() - t0
+            self.jobs[-1].spans.append((name, category, start, time.perf_counter(), attrs))
 
     def merge(self, other: "PerfCounters") -> None:
         self.records_moved += other.records_moved

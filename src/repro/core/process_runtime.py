@@ -28,10 +28,11 @@ uncommitted jobs.  The classified crashes land in
 Supported everywhere else: cluster models (each rank's job counts come home
 in its perf counters and the driver prices them),
 memory budgets (workers spill run files into the driver's spill
-directory), and observability — the driver records the plan span and
-folds each worker's transport counters into per-rank ``comm.shm_bytes`` /
-``comm.pickle_bytes`` counts, while the merged summary lands in
-``PartitionResult.extra["perf"]["transport"]``.
+directory), and observability — as on every backend, the driver records
+the plan span and replays the rank spans each worker stamped in its perf
+counters, and folds each worker's transport counters into per-rank
+``comm.shm_bytes`` / ``comm.pickle_bytes`` counts, while the merged
+summary lands in ``PartitionResult.extra["perf"]["transport"]``.
 
 This module is imported only when ``backend="process"`` is selected
 (pinned by a fresh-interpreter test), so the other backends never pay for
@@ -116,11 +117,6 @@ class ProcessRuntime(MPIRuntime):
         """
         from repro.mpi.process_backend import run_mpi_processes
 
-        # a recorder cannot cross the fork boundary back to the driver:
-        # the driver keeps the plan span, workers record nothing
-        worker_kwargs = {
-            k: v for k, v in rank_kwargs.items() if k not in ("recorder", "obs_root")
-        }
         launch_kwargs: dict[str, Any] = {}
         if self.deadlock_grace is not None:
             launch_kwargs["collect_timeout"] = self.deadlock_grace
@@ -130,7 +126,7 @@ class ProcessRuntime(MPIRuntime):
             self._rank_program,
             self.num_ranks,
             args=(plan, input_data),
-            kwargs=worker_kwargs,
+            kwargs=rank_kwargs,
             **launch_kwargs,
         )
         self._transport = run.extra.get("transport")

@@ -64,9 +64,10 @@ Fault tolerance (see :mod:`repro.fault`): the SPMD backends accept a fault
 schedule, a checkpoint store, and a retry policy; failed attempts are
 retried, resuming from the last job every rank checkpointed, and the report
 lands in ``PartitionResult.extra["fault"]``.  Observability (see
-:mod:`repro.obs`): with a ``recorder`` the run is recorded as a span tree
-(plan → per-rank jobs → shuffles) in ``PartitionResult.extra["obs"]``.
-Without those arguments none of that code runs.
+:mod:`repro.obs`): with a ``recorder`` the driver replays what each rank's
+perf counters stamped as a span tree (plan → per-rank jobs → exchanges and
+writes) in ``PartitionResult.extra["obs"]``.  Without those arguments none
+of that code runs.
 """
 
 from __future__ import annotations
@@ -205,19 +206,16 @@ def job_input(job: PlannedJob, outputs: dict[str, Any], input_data: Dataset) -> 
 
 
 def _alltoall(
-    comm: Communicator, outboxes: list, span_name: str, attrs: dict[str, Any],
-    runs: Any = None,
+    comm: Communicator, perf: PerfCounters, outboxes: list, span_name: str,
+    attrs: dict[str, Any], runs: Any = None,
 ) -> list:
     """The exchange collective of ``outboxes`` — or, when the exchange
-    spilled into ``runs``, of their manifests — inside a span when a
-    recorder is attached (category ``shuffle``, or ``spill`` as
-    ``spill-<span_name>``)."""
+    spilled into ``runs``, of their manifests — stamped on the current job
+    (category ``shuffle``, or ``spill`` as ``spill-<span_name>``)."""
     category = "shuffle"
     if runs is not None:
         outboxes, span_name, category = runs.finish(), f"spill-{span_name}", "spill"
-    if comm.recorder is None:
-        return comm.alltoall(outboxes)
-    with comm.recorder.span(span_name, category=category, rank=comm.rank, attrs=attrs):
+    with perf.timed(span_name, category, attrs):
         return comm.alltoall(outboxes)
 
 
@@ -336,16 +334,6 @@ def _positions(comm: Communicator, n_local: int) -> tuple[int, int]:
     return comm.exscan(n_local, SUM, identity=0), comm.allreduce(n_local, SUM)
 
 
-def _write_span(comm: Communicator, stream_idx: int, records: int) -> Any:
-    """The span around a rank's in-place part writes (a no-op without a recorder)."""
-    if comm.recorder is None:
-        return nullcontext()
-    return comm.recorder.span(
-        "write", category="io", rank=comm.rank,
-        attrs={"stream": stream_idx, "records": records},
-    )
-
-
 class MPIRuntime:
     """Execution of a plan: the rank program every backend runs.
 
@@ -393,7 +381,7 @@ class MPIRuntime:
         self.checkpoint = checkpoint
         self.retry = retry
         self.deadlock_grace = deadlock_grace
-        #: optional span/metrics recorder threaded through every rank thread
+        #: optional span/metrics recorder, written by the driver alone
         self.recorder = recorder
         #: raw memory-budget spec ("64MB" / bytes / MemoryBudget / None);
         #: parsed lazily so repro.ooc is never imported when it is None
@@ -452,8 +440,6 @@ class MPIRuntime:
         )
         try:
             with plan_span as root:
-                if self.recorder is not None:
-                    rank_kwargs.update(recorder=self.recorder, obs_root=root)
                 run, fault_report = self._execute_spmd(plan, input_data, rank_kwargs)
             # each rank returns ({partition_id: Dataset, or its record count
             # when the ranks wrote the parts in place}, its perf counters)
@@ -489,8 +475,9 @@ class MPIRuntime:
         if fault_report is not None:
             extra["fault"] = fault_report
         if self.recorder is not None:
-            from repro.obs.adapters import record_fault_report, record_perf
+            from repro.obs.adapters import record_fault_report, record_perf, record_ranks
 
+            record_ranks(self.recorder, root, plan.jobs, [p for _out, p in run.results])
             record_perf(self.recorder, extra["perf"])
             record_fault_report(self.recorder, fault_report)
             extra["obs"] = self.recorder
@@ -596,14 +583,11 @@ class MPIRuntime:
         checkpoint: Optional[CheckpointStore] = None,
         resume: int = 0,
         fingerprint: str = "",
-        recorder: Optional["Recorder"] = None,
-        obs_root: Any = None,
         ooc_spec: Any = None,
         part_writer: Optional[PartWriter] = None,
         choices: Optional[dict[str, Physical]] = None,
     ) -> tuple[dict[int, Any], PerfCounters]:
         perf = PerfCounters()
-        comm.recorder = recorder
         if checkpoint is not None:
             from repro.fault.checkpoint import job_key
         ctx = None
@@ -622,25 +606,13 @@ class MPIRuntime:
                 saved = checkpoint.load(job_key(fingerprint, i, job.op_id, comm.rank))
                 final = saved["output"]
                 outputs[job.op_id] = final
-                perf.jobs.append(saved["counts"])
-                if recorder is not None:
-                    recorder.instant(f"restored:{job.op_id}", category="checkpoint", rank=comm.rank)
+                perf.restore(saved["counts"])
                 continue
             source = job_input(job, outputs, local)
             whole = input_data if source is local else None
             comm.check_fault(i, "before")
             job_mark = ctx.manifest_mark() if ctx is not None else 0
-            span = (
-                recorder.span(
-                    job.op_id, category="job", rank=comm.rank, parent=obs_root,
-                    attrs={"job_index": i, "operator": job.operator_name.lower()},
-                )
-                if recorder is not None
-                else nullcontext()
-            )
-            counts = JobCounts()
-            perf.jobs.append(counts)
-            with perf.phase(job.operator_name.lower()), span:
+            with perf.job(job.operator_name.lower()) as counts:
                 final = self._run_job(
                     comm, job, choices[job.op_id], source, perf, ctx,
                     part_writer if job is plan.final_job else None, whole,
@@ -809,7 +781,7 @@ class MPIRuntime:
                 else:
                     runs.append(dest, piece.records)
         inbox = _alltoall(
-            comm, [box[0] if len(box) == 1 else _flat(box, source.schema) for box in boxes],
+            comm, perf, [box[0] if len(box) == 1 else _flat(box, source.schema) for box in boxes],
             "shuffle", {"records": len(source), "nbytes": source.nbytes}, runs,
         )
         perf.count_kernel(kernel, sum(box.num_records for box in inbox if box is not None))
@@ -863,7 +835,7 @@ class MPIRuntime:
             offset, total = _positions(comm, n_local)
             window = ctx.chunk_records(stream.schema.itemsize) if ctx is not None else None
             if in_place:
-                with _write_span(comm, stream_idx, n_local):
+                with perf.timed("write", "io", {"stream": stream_idx, "records": n_local}):
                     deal_into(op, stream, write, base, offset, total, window, perf)
                 continue
             runs = self._spills(comm, ctx, stream, "dist")
@@ -877,7 +849,7 @@ class MPIRuntime:
 
             deal_into(op, stream, put, base, offset, total, window, perf)
             inbox = _alltoall(
-                comm, boxes, "distribute-shuffle",
+                comm, perf, boxes, "distribute-shuffle",
                 {"stream": stream_idx, "records": n_local, "nbytes": stream.nbytes}, runs,
             )
             if runs is None:
@@ -916,8 +888,6 @@ class OneRank:
 
     rank = 0
     size = 1
-    #: set by the rank program, as on every communicator
-    recorder: Optional["Recorder"] = None
 
     def check_fault(self, job_index: int, when: str) -> None:
         """No fault is scheduled on one rank."""

@@ -45,13 +45,3 @@ class InputFormat:
 
     def get_record_reader(self, split: InputSplit) -> RecordReader:
         raise NotImplementedError
-
-    def records_for_rank(self, rank: int, size: int) -> list[Any]:
-        """All records of the split assigned to ``rank`` in a ``size``-way run
-        (a check that ``size`` splits cover the input exactly once)."""
-        splits = self.get_splits(size)
-        if len(splits) != size:
-            raise MapReduceError(
-                f"{type(self).__name__}.get_splits produced {len(splits)} splits for {size} ranks"
-            )
-        return list(self.get_record_reader(splits[rank]))

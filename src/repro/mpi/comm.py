@@ -61,9 +61,6 @@ class Communicator:
         self.injector = injector
         self.sent: dict[int, list[int]] = {}
         self.packed = 0
-        #: optional :class:`~repro.obs.span.Recorder` observing this rank's
-        #: traffic; ``None`` keeps every hook a single attribute test
-        self.recorder: Optional[Any] = None
 
     @property
     def size(self) -> int:
@@ -98,9 +95,6 @@ class Communicator:
             slot[1] += 1
         if serialized:
             self.packed += msg.nbytes
-        if self.recorder is not None:
-            self.recorder.count("comm.sent_bytes", msg.nbytes, rank=self.rank)
-            self.recorder.count("comm.sent_messages", 1, rank=self.rank)
         self._fabric.deliver(dest, msg)
 
     def _collect(self, source: int, tag: int, serialized: bool) -> Message:
@@ -108,8 +102,6 @@ class Communicator:
         msg = self._fabric.collect(self.rank, source, tag)
         if serialized:
             self.packed += msg.nbytes
-        if self.recorder is not None:
-            self.recorder.count("comm.recv_bytes", msg.nbytes, rank=self.rank)
         return msg
 
     # -- point-to-point: object path ------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import pickle
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -95,22 +95,19 @@ class TrafficStats:
 
     messages: int = 0
     bytes: int = 0
-    by_rank_bytes: dict[int, int] = field(default_factory=dict)
     shm_bytes: int = 0
     pickle_bytes: int = 0
     inline_bytes: int = 0
 
-    def record(self, source: int, nbytes: int) -> None:
+    def record(self, nbytes: int) -> None:
         self.messages += 1
         self.bytes += nbytes
-        self.by_rank_bytes[source] = self.by_rank_bytes.get(source, 0) + nbytes
 
     def as_dict(self) -> dict[str, Any]:
         """Plain-dict view (exit messages, ``extra["perf"]`` aggregation)."""
         return {
             "messages": self.messages,
             "bytes": self.bytes,
-            "by_rank_bytes": dict(self.by_rank_bytes),
             "shm_bytes": self.shm_bytes,
             "pickle_bytes": self.pickle_bytes,
             "inline_bytes": self.inline_bytes,
@@ -151,7 +148,7 @@ class Fabric:
             raise MPIError(f"destination rank {dest} out of range (size {self.size})")
         if self.injector is None:
             with self._stats_lock:
-                self.stats.record(msg.source, msg.nbytes)
+                self.stats.record(msg.nbytes)
             box = self._mailboxes[dest]
             with box.lock:
                 box.messages.append(msg)
@@ -170,7 +167,7 @@ class Fabric:
                 box.messages.append(copy)
                 box.ready.notify_all()
             with self._stats_lock:
-                self.stats.record(copy.source, copy.nbytes)
+                self.stats.record(copy.nbytes)
 
     @staticmethod
     def _verify(msg: Message) -> Message:

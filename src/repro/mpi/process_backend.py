@@ -136,7 +136,7 @@ class ShmFabric:
     def deliver(self, dest: int, msg: Message) -> None:
         if not (0 <= dest < self.size):
             raise MPIError(f"destination rank {dest} out of range (size {self.size})")
-        self.stats.record(msg.source, msg.nbytes)
+        self.stats.record(msg.nbytes)
         env = msg.payload
         if isinstance(env, ShmEnvelope):
             self.stats.shm_bytes += env.oob_bytes

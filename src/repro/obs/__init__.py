@@ -17,6 +17,7 @@ the walkthrough and the metrics schema.
 from repro.obs.adapters import (
     record_fault_report,
     record_perf,
+    record_ranks,
     record_rebalance,
     record_serve_request,
 )
@@ -30,14 +31,13 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.obs.span import InstantEvent, Recorder, Span, maybe_span
+from repro.obs.span import InstantEvent, Recorder, Span
 from repro.obs.timeline import print_timeline, render_timeline
 
 __all__ = [
     "Recorder",
     "Span",
     "InstantEvent",
-    "maybe_span",
     "chrome_trace",
     "write_chrome_trace",
     "metrics_json",
@@ -47,6 +47,7 @@ __all__ = [
     "render_timeline",
     "print_timeline",
     "record_perf",
+    "record_ranks",
     "record_fault_report",
     "record_serve_request",
     "record_rebalance",

@@ -10,7 +10,7 @@ a single exported artifact tells the whole story.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.obs.span import Recorder
 
@@ -40,6 +40,31 @@ def record_perf(recorder: Recorder, perf_summary: Optional[dict[str, Any]]) -> N
     if output and output["mode"] == "in_place":
         recorder.count("output.in_place_parts", output["parts"])
         recorder.count("output.in_place_bytes", output["bytes"])
+
+
+def record_ranks(recorder: Recorder, plan_span: Any, jobs: Sequence[Any],
+                 perfs: Sequence[Any]) -> None:
+    """Replay rank ``r``'s :class:`~repro.core.perf.PerfCounters`
+    ``perfs[r]``: a job of ``jobs`` it ran is a ``job`` span under
+    ``plan_span`` with its exchanges and writes as children, one it restored
+    a ``restored:<op_id>`` instant; what it sent counts as ``comm.*``."""
+    at = recorder.wall_at
+    for rank, perf in enumerate(perfs):
+        for i, (job, counts) in enumerate(zip(jobs, perf.jobs)):
+            for dest, (nbytes, messages) in counts.sent.items():
+                recorder.count("comm.sent_bytes", nbytes, rank=rank)
+                recorder.count("comm.sent_messages", messages, rank=rank)
+                recorder.count("comm.recv_bytes", nbytes, rank=dest)
+            if counts.restored:
+                recorder.instant(f"restored:{job.op_id}", "checkpoint", rank,
+                                 ts_wall=at(counts.start))
+                continue
+            job_id = recorder.record_span(
+                job.op_id, "job", rank, at(counts.start), at(counts.end), plan_span,
+                {"job_index": i, "operator": job.operator_name.lower()},
+            )
+            for name, category, start, end, attrs in counts.spans:
+                recorder.record_span(name, category, rank, at(start), at(end), job_id, attrs)
 
 
 def record_fault_report(recorder: Recorder, report: Optional[dict[str, Any]]) -> None:

@@ -3,11 +3,11 @@
 A :class:`Span` is one named interval of wall time (``perf_counter``, what
 the Python process actually spent) on one rank's timeline; what the
 modelled hardware would spend is priced from the run's counts instead
-(:func:`repro.cluster.model.price`).  Spans nest — plan → job → operator phase
-→ shuffle — through a per-thread stack, which matches the execution model
-exactly: every simulated MPI rank is one thread, so implicit nesting per
-thread gives each rank its own well-formed span tree, all hanging off the
-driver's root ``plan`` span.
+(:func:`repro.cluster.model.price`).  Spans nest — plan → job → exchange
+or write — by parent id: ranks hold no recorder, and the driver replays
+each rank's perf counters as its job spans under the root ``plan`` span
+(:func:`repro.obs.adapters.record_ranks`).  :meth:`Recorder.span` also
+nests the driver's own spans through a per-thread stack.
 
 The :class:`Recorder` is the single sink for the whole run: spans, instant
 events (fault firings, retries, marks) and metrics (counters, gauges,
@@ -25,7 +25,7 @@ import random
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
@@ -69,8 +69,8 @@ class InstantEvent:
 class _SpanHandle:
     """What :meth:`Recorder.span` yields: the open span's identity.
 
-    Passing a handle as ``parent=`` links spans across threads (the runtimes
-    hand the driver's root handle to every rank thread).
+    Passing a handle as ``parent=`` links spans outside the per-thread
+    nesting (the driver hangs the replayed rank spans off its root handle).
     """
 
     __slots__ = ("span_id", "attrs")
@@ -93,7 +93,7 @@ class Recorder:
 
     One recorder observes one execution (possibly spanning several fault
     -tolerance attempts).  All mutating methods may be called concurrently
-    from every rank thread; span nesting is tracked per thread.
+    from any thread; span nesting is tracked per thread.
 
     A run ends, so by default everything is kept.  A daemon does not:
     ``window`` bounds what one recorder holds to the newest ``window``
@@ -145,6 +145,10 @@ class Recorder:
         """
         return self._wall_now()
 
+    def wall_at(self, stamp: float) -> float:
+        """A raw ``perf_counter`` stamp on this recorder's wall axis."""
+        return stamp - self._wall_epoch
+
     def rebase(self, origin: float) -> None:
         """Move the wall epoch ``origin`` seconds later, re-stamping every
         held span and instant: a run measured from its plan's start, not
@@ -169,8 +173,7 @@ class Recorder:
         """Record an interval of wall time (``perf_counter``).
 
         ``parent`` (a handle, a span id, or ``None``) overrides the implicit
-        per-thread nesting — used to hang rank-thread spans off the driver's
-        root span.  The yielded handle can ``annotate(...)`` the open span.
+        per-thread nesting.  The yielded handle can ``annotate(...)`` the open span.
         """
         stack = self._stack()
         if parent is None:
@@ -209,8 +212,8 @@ class Recorder:
         end_wall: float,
         parent: Any = None,
         attrs: Optional[dict[str, Any]] = None,
-    ) -> None:
-        """Append an already-measured interval (the adapters' entry point)."""
+    ) -> int:
+        """Append an already-measured interval (the adapters' entry point); return its id."""
         parent_id = parent.span_id if isinstance(parent, _SpanHandle) else parent
         with self._lock:
             span_id = self._next_id
@@ -227,6 +230,7 @@ class Recorder:
                     attrs=dict(attrs or {}),
                 )
             )
+        return span_id
 
     def record_spans(
         self, name: str, category: str, intervals: Iterable[tuple[float, float, dict]]
@@ -252,13 +256,14 @@ class Recorder:
         category: str = "mark",
         rank: Optional[int] = None,
         attrs: Optional[dict[str, Any]] = None,
+        ts_wall: Optional[float] = None,
     ) -> None:
-        """Record a zero-duration event at the current wall time."""
+        """Record a zero-duration event at ``ts_wall`` (default: now)."""
         event = InstantEvent(
             name=name,
             category=category,
             rank=rank,
-            ts_wall=self._wall_now(),
+            ts_wall=self._wall_now() if ts_wall is None else ts_wall,
             attrs=dict(attrs or {}),
         )
         with self._lock:
@@ -322,10 +327,3 @@ class Recorder:
         """Sorted rank ids that own at least one span."""
         with self._lock:
             return sorted({s.rank for s in self.spans if s.rank is not None})
-
-
-def maybe_span(recorder: Optional[Recorder], *args: Any, **kwargs: Any):
-    """``recorder.span(...)`` when a recorder is attached, else a no-op context."""
-    if recorder is None:
-        return nullcontext()
-    return recorder.span(*args, **kwargs)

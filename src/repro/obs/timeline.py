@@ -2,8 +2,9 @@
 
 :func:`render_timeline` turns a :class:`~repro.obs.span.Recorder` into the
 text block printed by ``python -m repro run --timeline``: one Gantt bar per
-rank over the run's makespan, the busiest rank, the idle fraction of the
-total rank-time, the top-5 longest spans, and the critical path — the job
+rank over the run's makespan, the launch time before the last rank's first
+job, the busiest rank, the idle fraction of the rank-time after each rank's
+first job, the top-5 longest spans, and the critical path — the job
 chain of the rank that finishes last, which is the chain any speedup must
 shorten.  Every interval is wall time.
 """
@@ -45,22 +46,31 @@ def render_timeline(recorder: Recorder, width: int = 64) -> str:
         return "\n".join(lines)
 
     # -- Gantt: one bar per rank over [0, makespan) -------------------------
+    plan_start = min((s.start_wall for s in recorder.spans if s.category == "plan"),
+                     default=0.0)
     busy: dict[int, float] = {}
+    first: dict[int, float] = {}
     for rank in ranks:
         spans = _job_spans(recorder, rank)
         busy[rank] = sum(s.wall_duration for s in spans)
+        first[rank] = spans[0].start_wall if spans else plan_start
         lines.append(f"  rank {rank:>3} |{_bar(spans, makespan, width)}|")
     legend = "  ".join(f"{g}={name}" for name, g in _GLYPHS.items())
     lines.append(f"  legend: {legend}  #=other")
 
-    # -- busiest rank and idle fractions ------------------------------------
+    # -- launch, busiest rank and idle fractions ----------------------------
+    lines.append(
+        f"launch: {max(first.values()) - plan_start:.6f}s "
+        "(plan start to the last rank's first job)"
+    )
     busiest = max(busy, key=lambda r: (busy[r], -r))
     lines.append(
         f"busiest rank: {busiest} "
         f"({busy[busiest]:.6f}s busy, {busy[busiest] / makespan:.1%} of makespan)"
     )
-    total_idle = sum(makespan - b for b in busy.values())
-    lines.append(f"idle: {total_idle / (makespan * len(ranks)):.1%} of total rank-time")
+    ranked = sum(makespan - first[r] for r in ranks)
+    idle = ranked - sum(busy.values())
+    lines.append(f"idle: {idle / ranked if ranked > 0 else 0.0:.1%} of rank-time after launch")
 
     # -- top-5 spans by duration ---------------------------------------------
     candidates = [s for s in recorder.spans if s.rank is not None]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.blast import INDEX_HEADER, PartitionIndex, build_index, generate_database
+from repro.blast import INDEX_HEADER, build_index, generate_database
 from repro.config.workflow import Bindings
 from repro.core.dataset import Dataset
 from repro.core.planner import PlannedJob, WorkflowPlan
@@ -72,21 +72,3 @@ class TestCustomOperatorThroughRuntimes:
         data = Dataset.from_rows(EDGE_LIST_SCHEMA, [(i, i) for i in range(10)])
         result = SerialRuntime().execute(self.make_plan(), data)
         assert sum(p.num_records for p in result.partitions) == 4
-
-
-class TestSearchSignificance:
-    def test_self_match_significant(self):
-        db = generate_database("env_nr", num_sequences=60, seed=3)
-        index = PartitionIndex(db)
-        query = db.sequence(int(np.argmax(db.seq_size))).copy()
-        result = index.search(query)
-        assert result.is_significant(len(query), db.total_residues)
-        assert result.e_value(len(query), db.total_residues) < 1e-6
-
-    def test_no_hit_not_significant(self):
-        from repro.blast import encode
-
-        db = generate_database("env_nr", num_sequences=5, seed=4)
-        index = PartitionIndex(db)
-        result = index.search(encode("WWW"))
-        assert not result.is_significant(3, db.total_residues)

@@ -109,9 +109,9 @@ class TestBinaryInputFormat:
 
     def test_splits_cover_all_records(self, blast_file, blast_rows):
         fmt = BinaryInputFormat(blast_file, BLAST_INDEX_SCHEMA)
-        seen = []
-        for rank in range(5):
-            seen += [tuple(r) for r in fmt.records_for_rank(rank, 5)]
+        splits = fmt.get_splits(5)
+        assert len(splits) == 5
+        seen = [tuple(r) for split in splits for r in fmt.get_record_reader(split)]
         assert seen == blast_rows
 
     def test_uneven_split_counts(self, blast_file):
@@ -197,9 +197,9 @@ class TestTextInputFormat:
         write_text(path, EDGES, EDGE_LIST_SCHEMA)
         fmt = TextInputFormat(path, EDGE_LIST_SCHEMA)
         assert fmt.num_records == 4
-        seen = []
-        for rank in range(3):
-            seen += fmt.records_for_rank(rank, 3)
+        splits = fmt.get_splits(3)
+        assert len(splits) == 3
+        seen = [r for split in splits for r in fmt.get_record_reader(split)]
         assert seen == EDGES
 
     def test_binary_schema_rejected(self, tmp_path):

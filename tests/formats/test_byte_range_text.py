@@ -23,9 +23,9 @@ class TestExactlyOnce:
     def test_every_line_read_exactly_once(self, tmp_path, num_splits):
         path = make_file(tmp_path, ROWS)
         fmt = ByteRangeTextInputFormat(path, EDGE_LIST_SCHEMA)
-        seen = []
-        for rank in range(num_splits):
-            seen += fmt.records_for_rank(rank, num_splits)
+        splits = fmt.get_splits(num_splits)
+        assert len(splits) == num_splits
+        seen = [r for split in splits for r in fmt.get_record_reader(split)]
         assert seen == ROWS
 
     def test_splits_are_byte_ranges(self, tmp_path):
@@ -40,18 +40,18 @@ class TestExactlyOnce:
         rows = [(1, 2), (3, 4)]
         path = make_file(tmp_path, rows)
         fmt = ByteRangeTextInputFormat(path, EDGE_LIST_SCHEMA)
-        seen = []
-        for rank in range(10):
-            seen += fmt.records_for_rank(rank, 10)
+        splits = fmt.get_splits(10)
+        assert len(splits) == 10
+        seen = [r for split in splits for r in fmt.get_record_reader(split)]
         assert seen == rows
 
     def test_single_long_line(self, tmp_path):
         rows = [(123456789012, 987654321098)]
         path = make_file(tmp_path, rows)
         fmt = ByteRangeTextInputFormat(path, EDGE_LIST_SCHEMA)
-        seen = []
-        for rank in range(4):
-            seen += fmt.records_for_rank(rank, 4)
+        splits = fmt.get_splits(4)
+        assert len(splits) == 4
+        seen = [r for split in splits for r in fmt.get_record_reader(split)]
         assert seen == rows
 
     def test_binary_schema_rejected(self, tmp_path):
@@ -76,7 +76,7 @@ class TestExactlyOnce:
         tmp = tmp_path_factory.mktemp("brt")
         path = make_file(tmp, values, name="f.txt")
         fmt = ByteRangeTextInputFormat(path, EDGE_LIST_SCHEMA)
-        seen = []
-        for rank in range(num_splits):
-            seen += fmt.records_for_rank(rank, num_splits)
+        splits = fmt.get_splits(num_splits)
+        assert len(splits) == num_splits
+        seen = [r for split in splits for r in fmt.get_record_reader(split)]
         assert seen == values

@@ -193,11 +193,11 @@ class TestHadoopShim:
             [7, 8, 9],
         ]
 
-    def test_records_for_rank_covers_everything(self):
+    def test_splits_cover_everything(self):
         fmt = ListInputFormat(list(range(17)))
-        seen = []
-        for rank in range(5):
-            seen += fmt.records_for_rank(rank, 5)
+        splits = fmt.get_splits(5)
+        assert len(splits) == 5
+        seen = [r for split in splits for r in fmt.get_record_reader(split)]
         assert seen == list(range(17))
 
     def test_invalid_split_rejected(self):

@@ -87,6 +87,17 @@ class TestCLIObservability:
         assert "critical path" in out
         assert "legend:" in out
 
+    def test_forked_ranks_get_gantt_bars(self, config_files, tmp_path, capsys):
+        args = base_args(config_files, tmp_path)
+        args[args.index("--backend") + 1] = "process"
+        rc = main(args + ["--timeline"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "(no rank spans recorded)" not in out
+        for rank in (0, 1):
+            (bar,) = [line for line in out.splitlines() if line.startswith(f"  rank   {rank} |")]
+            assert bar.split("|")[1].strip(), f"rank {rank} has an empty bar"
+
     def test_flags_off_means_no_artifacts_mentioned(self, config_files, tmp_path, capsys):
         rc = main(base_args(config_files, tmp_path))
         assert rc == 0

@@ -34,7 +34,7 @@ def cluster(ranks):
 
 
 class TestSpanTree:
-    @pytest.mark.parametrize("backend", ["mpi", "mapreduce"])
+    @pytest.mark.parametrize("backend", ["mpi", "mapreduce", "process"])
     def test_plan_root_with_per_rank_job_children(self, papar, backend):
         rec = Recorder()
         result = papar.run(BLAST_WORKFLOW_XML, ARGS, data=blast_data(),
@@ -52,6 +52,18 @@ class TestSpanTree:
         assert {s.parent_id for s in jobs} == {root.span_id}
         assert sorted({s.rank for s in jobs}) == [0, 1, 2, 3]
         assert {s.attrs["operator"] for s in jobs} == {"sort", "distribute"}
+
+    def test_forked_rank_spans_lie_inside_the_plan(self, papar):
+        """Forked ranks stamp their jobs on the driver's clock."""
+        rec = Recorder()
+        papar.run(BLAST_WORKFLOW_XML, ARGS, data=blast_data(), backend="process",
+                  num_ranks=2, recorder=rec)
+        (root,) = [s for s in rec.spans if s.category == "plan"]
+        ranked = [s for s in rec.spans if s.rank is not None]
+        assert {s.rank for s in ranked} == {0, 1}
+        assert {s.category for s in ranked} == {"job", "shuffle"}
+        for s in ranked:
+            assert root.start_wall <= s.start_wall <= s.end_wall <= root.end_wall
 
     def test_job_spans_carry_both_clocks(self, papar):
         """Spans carry wall time; the simulated time is the run's price."""
@@ -100,7 +112,7 @@ class TestCountersAndPerf:
         names = {n for (n, _r) in rec.counters}
         assert not {"compute.virtual_s", "idle.recv_s"} & names
 
-    @pytest.mark.parametrize("backend", ["mpi", "mapreduce"])
+    @pytest.mark.parametrize("backend", ["mpi", "mapreduce", "process"])
     def test_recv_bytes_counted_without_cluster_model(self, papar, backend):
         """Every byte a rank sends is received."""
         rec = Recorder()

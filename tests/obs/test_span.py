@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs import Recorder, maybe_span
+from repro.obs import Recorder
 
 
 class TestSpanNesting:
@@ -191,14 +191,3 @@ class TestMetricsAndQueries:
         assert rec.ranks() == [0, 3]
         assert [s.name for s in rec.rank_spans(3)] == ["b"]
 
-
-class TestMaybeSpan:
-    def test_none_recorder_is_a_noop_context(self):
-        with maybe_span(None, "anything"):
-            pass  # must not raise
-
-    def test_real_recorder_records(self):
-        rec = Recorder()
-        with maybe_span(rec, "real"):
-            pass
-        assert rec.spans[0].name == "real"

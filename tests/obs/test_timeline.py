@@ -41,6 +41,18 @@ class TestRenderTimeline:
         assert "top spans:" in text
         assert "job:sort" in text
 
+    def test_launch_is_reported_apart_from_idle(self):
+        """Rank-time before a rank's first job is launch, not idle."""
+        rec = Recorder()
+        rec.record_span("plan:wf", "plan", rank=None, start_wall=1.0, end_wall=5.0)
+        for rank, (start, end) in enumerate([(2.0, 4.0), (3.0, 5.0)]):
+            rec.record_span("sort", "job", rank=rank, start_wall=start,
+                            end_wall=end, attrs={"operator": "sort"})
+        text = render_timeline(rec)
+        assert "launch: 2.000000s (plan start to the last rank's first job)" in text
+        # rank 0 is idle 1.0s of its 3.0s after its first job, rank 1 never
+        assert "idle: 20.0% of rank-time after launch" in text
+
     def test_empty_recorder_degrades_gracefully(self):
         text = render_timeline(Recorder())
         assert "(no rank spans recorded)" in text
