@@ -22,9 +22,11 @@ def test_point_to_point_throughput(benchmark):
             buf = np.empty_like(payload)
             for _ in range(20):
                 comm.Recv(buf, source=0)
+        return comm.take_traffic()
 
     result = benchmark(run_mpi, prog, 2)
-    assert result.messages == 20
+    sent, _packed = result.results[0]
+    assert sent == {1: [20 * payload.nbytes, 20]}
 
 
 def test_alltoall_objects(benchmark):

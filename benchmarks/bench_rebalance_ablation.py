@@ -44,17 +44,19 @@ def run_ablation():
             before = imbalance(comm, len(local))
             balanced = rebalance(comm, local)
             after = imbalance(comm, len(balanced))
-            return before, after, JobCounts(sent=comm.sent, packed=comm.packed)
+            sent, packed = comm.take_traffic()
+            return before, after, JobCounts(sent=sent, packed=packed)
 
         run = run_mpi(prog, RANKS)
         before, after, _ = run.results[0]
         outcomes[alpha] = (before, after)
+        counts = [r[2] for r in run.results]
         exp.add(
             skew_alpha=alpha,
             imbalance_before=before,
             imbalance_after=after,
-            redistribution_s=price([[r[2] for r in run.results]], step_cost),
-            bytes_moved=run.bytes_moved,
+            redistribution_s=price([counts], step_cost),
+            bytes_moved=sum(nbytes for c in counts for nbytes, _ in c.sent.values()),
         )
     exp.note("imbalance = max/mean reducer load; 1.0 is perfect")
     return exp, outcomes

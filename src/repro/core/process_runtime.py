@@ -30,9 +30,12 @@ in its perf counters and the driver prices them),
 memory budgets (workers spill run files into the driver's spill
 directory), and observability — as on every backend, the driver records
 the plan span and replays the rank spans each worker stamped in its perf
-counters, and folds each worker's transport counters into per-rank
-``comm.shm_bytes`` / ``comm.pickle_bytes`` counts, while the merged
-summary lands in ``PartitionResult.extra["perf"]["transport"]``.
+counters.  ``PartitionResult.bytes_moved`` and ``messages`` sum the
+traffic those job counts carry, like every backend's; the launcher adds only
+what its shared-memory codec knows, the bytes per transport lane and the
+segment counts, which land in ``PartitionResult.extra["perf"]["transport"]``
+(and, with a recorder, as per-rank ``comm.shm_bytes`` /
+``comm.pickle_bytes`` counters).
 
 This module is imported only when ``backend="process"`` is selected
 (pinned by a fresh-interpreter test), so the other backends never pay for
@@ -45,7 +48,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.dataset import Dataset
 from repro.core.planner import WorkflowPlan
-from repro.core.runtime import MPIRuntime, PartitionResult
+from repro.core.runtime import MPIRuntime
 from repro.errors import ConfigError
 from repro.mpi.launcher import MPIRun
 
@@ -58,6 +61,7 @@ class ProcessRuntime(MPIRuntime):
 
     backend_name = "process"
     wall_clock_recovery = True
+    substrate = "repro.mpi.process_backend"
 
     def __init__(
         self,
@@ -98,7 +102,6 @@ class ProcessRuntime(MPIRuntime):
         #: heartbeat-silence seconds before a live rank is declared hung
         #: (``None`` = the supervisor's default)
         self.hang_timeout = hang_timeout
-        self._transport: Optional[dict[str, Any]] = None
 
     def _launch(
         self,
@@ -122,26 +125,10 @@ class ProcessRuntime(MPIRuntime):
             launch_kwargs["collect_timeout"] = self.deadlock_grace
         if self.hang_timeout is not None:
             launch_kwargs["hang_timeout"] = self.hang_timeout
-        run = run_mpi_processes(
+        return run_mpi_processes(
             self._rank_program,
             self.num_ranks,
             args=(plan, input_data),
             kwargs=rank_kwargs,
             **launch_kwargs,
         )
-        self._transport = run.extra.get("transport")
-        return run
-
-    def execute(
-        self, plan: WorkflowPlan, input_data: Dataset, part_writer: Any = None,
-        output: Optional[str] = None,
-    ) -> PartitionResult:
-        result = super().execute(plan, input_data, part_writer, output)
-        transport = self._transport
-        if transport is not None:
-            result.extra["perf"]["transport"] = transport
-            if self.recorder is not None:
-                for rank, t in transport.get("per_rank", {}).items():
-                    self.recorder.count("comm.shm_bytes", t["shm_bytes"], rank=rank)
-                    self.recorder.count("comm.pickle_bytes", t["pickle_bytes"], rank=rank)
-        return result

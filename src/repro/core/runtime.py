@@ -38,7 +38,9 @@ Simulated time: each rank counts, per job, the records its local kernels
 ran over, and its communicator tallies what it sent where.  With a cluster
 model the driver prices those counts (:func:`repro.cluster.model.price`)
 into ``PartitionResult.elapsed``, on every backend alike; without one
-nothing is priced and ``elapsed`` is 0.0.
+nothing is priced and ``elapsed`` is 0.0.  The same tallies, summed, are
+``PartitionResult.bytes_moved`` and ``messages``: what crossed a fabric is
+counted once, by the sending rank's communicator.
 
 File-to-file runs (:func:`repro.core.files.partition_files`): the input is
 a file-backed source (:class:`~repro.formats.binary.BinaryInputFormat`), so
@@ -111,8 +113,11 @@ class PartitionResult:
         #: simulated seconds priced from the run's counts (0.0 when no
         #: cluster model was attached)
         self.elapsed = elapsed
-        #: bytes moved through the fabric (MPI backend only)
+        #: bytes every rank sent to another, summed over the ranks' per-job
+        #: traffic tallies (the counts the run is priced on, jobs restored
+        #: from a checkpoint included); 0 on one rank
         self.bytes_moved = bytes_moved
+        #: messages every rank sent, from the same tallies
         self.messages = messages
         self.extra = {} if extra is None else extra
 
@@ -351,6 +356,10 @@ class MPIRuntime:
     #: whether retry backoff is slept for real instead of priced (true when
     #: ranks are real processes that really die)
     wall_clock_recovery = False
+    #: the module :meth:`_launch` runs the ranks on, imported before the plan
+    #: span opens (its first import is start-up, not launch); ``None`` when
+    #: the ranks need no substrate
+    substrate: Optional[str] = "repro.mpi.launcher"
 
     def __init__(
         self,
@@ -429,6 +438,10 @@ class MPIRuntime:
             rank_kwargs["ooc_spec"] = (MemoryBudget.coerce(self.memory_budget), spill_dir)
         if part_writer is not None:
             rank_kwargs["part_writer"] = part_writer
+        if self.substrate is not None:
+            from importlib import import_module
+
+            import_module(self.substrate)
         plan_span = (
             self.recorder.span(
                 f"plan:{plan.workflow_id}",
@@ -446,7 +459,8 @@ class MPIRuntime:
             merged: dict[int, Any] = {}
             for rank_out, _perf in run.results:
                 merged.update(rank_out)
-            perf = PerfCounters.merge_ranks([perf for _out, perf in run.results])
+            perfs = [perf for _out, perf in run.results]
+            perf = PerfCounters.merge_ranks(perfs)
             perf.output = _tail_output(choices[plan.final_job.op_id], merged, part_writer)
             if perf.output.get("mode") == "in_place":
                 # every rank reported ok: the parts appear, all at once, and
@@ -468,24 +482,28 @@ class MPIRuntime:
 
                 shutil.rmtree(spill_dir, ignore_errors=True)
         extra: dict[str, Any] = {"perf": perf.summary()}
+        transport = run.extra.get("transport")
+        if transport is not None:
+            extra["perf"]["transport"] = transport
         elapsed = 0.0
         if self.cluster is not None:
-            elapsed = self._price(
-                [list(job) for job in zip(*(p.jobs for _out, p in run.results))], fault_report)
+            elapsed = self._price([list(job) for job in zip(*(p.jobs for p in perfs))],
+                                  fault_report)
         if fault_report is not None:
             extra["fault"] = fault_report
         if self.recorder is not None:
             from repro.obs.adapters import record_fault_report, record_perf, record_ranks
 
-            record_ranks(self.recorder, root, plan.jobs, [p for _out, p in run.results])
+            record_ranks(self.recorder, root, plan.jobs, perfs)
             record_perf(self.recorder, extra["perf"])
             record_fault_report(self.recorder, fault_report)
             extra["obs"] = self.recorder
+        sent = [slot for p in perfs for job in p.jobs for slot in job.sent.values()]
         return PartitionResult(
             partitions=partitions,
             elapsed=elapsed,
-            bytes_moved=run.bytes_moved,
-            messages=run.messages,
+            bytes_moved=sum(nbytes for nbytes, _messages in sent),
+            messages=sum(messages for _nbytes, messages in sent),
             extra=extra,
         )
 
@@ -899,13 +917,11 @@ class OneRank:
 
 class _InlineRun:
     """What :meth:`MPIRuntime.execute` reads of a launch, for one rank run
-    inline: its result, and nothing moved."""
-
-    bytes_moved = 0
-    messages = 0
+    inline: its result, and no launcher report."""
 
     def __init__(self, results: list) -> None:
         self.results = results
+        self.extra: dict[str, Any] = {}
 
 
 class SerialRuntime(MPIRuntime):
@@ -923,6 +939,7 @@ class SerialRuntime(MPIRuntime):
 
     backend_name = "serial"
     spmd = False
+    substrate = None
 
     def __init__(
         self,

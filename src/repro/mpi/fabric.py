@@ -7,6 +7,11 @@ medium messages).  Receives block on a per-mailbox condition variable until
 a message with exactly the requested ``(source, tag)`` arrives, FIFO
 (non-overtaking) per source.
 
+The fabric moves messages and counts none of them: each rank's
+:class:`~repro.mpi.comm.Communicator` tallies what it sends, per
+destination, and that tally is the only record of what crossed the fabric
+(the executor prices it and reports it as ``PartitionResult.bytes_moved``).
+
 If any rank dies with an exception the launcher calls :meth:`Fabric.abort`,
 which wakes every blocked receiver with :class:`~repro.errors.MPIError`
 instead of deadlocking the test suite.
@@ -81,39 +86,6 @@ class _Mailbox:
         self.seen_seqs: set[int] = set()
 
 
-@dataclass
-class TrafficStats:
-    """Aggregate traffic counters for one fabric (thread-safe via fabric lock).
-
-    ``shm_bytes`` / ``pickle_bytes`` / ``inline_bytes`` split the traffic by
-    transport lane.  On the thread fabric everything is in-process, so the
-    lane counters stay zero; the process backend's shared-memory fabric
-    fills them in (``shm_bytes`` = array bytes mapped out-of-band,
-    ``pickle_bytes`` = array bytes that *fell back* to a pickle blob,
-    ``inline_bytes`` = non-array object skeletons riding the pipe).
-    """
-
-    messages: int = 0
-    bytes: int = 0
-    shm_bytes: int = 0
-    pickle_bytes: int = 0
-    inline_bytes: int = 0
-
-    def record(self, nbytes: int) -> None:
-        self.messages += 1
-        self.bytes += nbytes
-
-    def as_dict(self) -> dict[str, Any]:
-        """Plain-dict view (exit messages, ``extra["perf"]`` aggregation)."""
-        return {
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "shm_bytes": self.shm_bytes,
-            "pickle_bytes": self.pickle_bytes,
-            "inline_bytes": self.inline_bytes,
-        }
-
-
 class Fabric:
     """Message transport shared by all ranks of one communicator."""
 
@@ -134,8 +106,6 @@ class Fabric:
         self.injector = injector
         self._mailboxes = [_Mailbox() for _ in range(size)]
         self._aborted: Optional[BaseException] = None
-        self._stats_lock = threading.Lock()
-        self.stats = TrafficStats()
         #: rank -> (source, tag) while that rank is blocked in :meth:`collect`
         self._waiting: dict[int, tuple[int, int]] = {}
 
@@ -147,8 +117,6 @@ class Fabric:
         if not (0 <= dest < self.size):
             raise MPIError(f"destination rank {dest} out of range (size {self.size})")
         if self.injector is None:
-            with self._stats_lock:
-                self.stats.record(msg.nbytes)
             box = self._mailboxes[dest]
             with box.lock:
                 box.messages.append(msg)
@@ -166,8 +134,6 @@ class Fabric:
                 box.seen_seqs.add(copy.seq)
                 box.messages.append(copy)
                 box.ready.notify_all()
-            with self._stats_lock:
-                self.stats.record(copy.nbytes)
 
     @staticmethod
     def _verify(msg: Message) -> Message:

@@ -4,6 +4,9 @@ The analog of ``mpiexec -n <size> python script.py``: every rank executes the
 same function with its own :class:`~repro.mpi.comm.Communicator`.  Return
 values are collected in rank order; the first rank exception aborts the
 fabric (waking any blocked receivers) and is re-raised in the caller.
+The launcher counts no traffic: a rank program reads what it sent from
+its communicator (``comm.take_traffic()``: destination -> ``[bytes,
+messages]``, and the bytes it pickled) and returns it if the caller wants it.
 """
 
 from __future__ import annotations
@@ -23,10 +26,7 @@ class MPIRun:
 
     #: per-rank return values, in rank order
     results: list[Any]
-    #: total bytes moved through the fabric
-    bytes_moved: int
-    #: total messages moved through the fabric
-    messages: int
+    #: what the launcher alone knows (the process backend's transport report)
     extra: dict[str, Any] = field(default_factory=dict)
 
 
@@ -89,5 +89,4 @@ def run_mpi(
         root = fabric.aborted
         raise root if root is not None else first_error
 
-    return MPIRun(results=results, bytes_moved=fabric.stats.bytes,
-                  messages=fabric.stats.messages)
+    return MPIRun(results=results)

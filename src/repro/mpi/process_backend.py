@@ -27,13 +27,15 @@ heartbeat lane alongside it, so a dead or hung rank surfaces as a
 classified :class:`~repro.errors.WorkerCrash` within seconds instead of
 the full run timeout (see ``docs/process-backend.md``).
 
-Each worker ships its :class:`~repro.mpi.fabric.TrafficStats` and segment
-count back in its exit message; the spawner merges them into
-``MPIRun.extra["transport"]`` so per-rank traffic survives the process
-boundary — on failure the queue is drained best-effort so the accounting
-covers every rank that managed to report, and the raised error carries the
-summary as ``papar_transport``.  Cleanup discipline: receivers unlink what
-they decode; the spawner sweeps the rest — the union of the names ledger
+Each worker ships what only its codec knows back in its exit message: the
+bytes it sent down each transport lane and the segments it created.  The
+spawner merges them into ``MPIRun.extra["transport"]``; on failure the
+queue is drained best-effort so the report covers every rank that managed
+to report, and the raised error carries it as ``papar_transport``.  What
+crossed the fabric, bytes and messages per destination, is the
+communicator's tally (``comm.take_traffic()``), which a rank program
+returns like any result.  Cleanup discipline: receivers unlink what they
+decode; the spawner sweeps the rest — the union of the names ledger
 and a ``/dev/shm`` prefix scan — after the workers are gone (joined for
 :data:`EXIT_GRACE` when all reported success, then terminate, then
 ``kill()`` for anything that survives :data:`TERM_GRACE`), so neither a
@@ -54,7 +56,7 @@ import numpy as np
 from repro.errors import MPIError
 from repro.lifecycle import DEFAULT_SIGNALS, graceful_teardown
 from repro.mpi.comm import Communicator
-from repro.mpi.fabric import Message, TrafficStats, take_match
+from repro.mpi.fabric import Message, take_match
 from repro.mpi.launcher import MPIRun
 from repro.mpi.shm import (
     SegmentFactory,
@@ -84,6 +86,9 @@ TERM_GRACE = 10.0
 KILL_GRACE = 5.0
 #: seconds to wait for sibling exit messages after the first worker error
 ERROR_DRAIN_GRACE = 0.5
+#: the transport lanes a rank's bytes travel: array bytes mapped out of band,
+#: array bytes that fell back to a pickle blob, non-array skeletons inline
+LANES = ("shm_bytes", "pickle_bytes", "inline_bytes")
 
 
 class ShmFabric:
@@ -109,7 +114,8 @@ class ShmFabric:
         self._factory = factory
         self._collect_timeout = collect_timeout
         self._buffer: deque[Message] = deque()
-        self.stats = TrafficStats()
+        #: bytes sent down each of :data:`LANES`
+        self.lanes = dict.fromkeys(LANES, 0)
 
     # -- payload codec (the zero-copy lane) ----------------------------------
 
@@ -136,13 +142,13 @@ class ShmFabric:
     def deliver(self, dest: int, msg: Message) -> None:
         if not (0 <= dest < self.size):
             raise MPIError(f"destination rank {dest} out of range (size {self.size})")
-        self.stats.record(msg.nbytes)
         env = msg.payload
         if isinstance(env, ShmEnvelope):
-            self.stats.shm_bytes += env.oob_bytes
-            self.stats.pickle_bytes += env.fallback_bytes
+            lanes = self.lanes
+            lanes["shm_bytes"] += env.oob_bytes
+            lanes["pickle_bytes"] += env.fallback_bytes
             blob_len = len(env.blob) if env.blob is not None else 0
-            self.stats.inline_bytes += blob_len - env.fallback_bytes
+            lanes["inline_bytes"] += blob_len - env.fallback_bytes
         self._queues[dest].put(msg)
 
     def collect(self, dest: int, source: int, tag: int) -> Message:
@@ -208,7 +214,7 @@ def _process_worker(
                 "status": "ok",
                 "rank": rank,
                 "payload": envelope,
-                "traffic": fabric.stats.as_dict(),
+                "lanes": fabric.lanes,
                 "segments": factory.created,
             }
         )
@@ -217,7 +223,7 @@ def _process_worker(
             "status": "error",
             "rank": rank,
             "payload": exc,
-            "traffic": fabric.stats.as_dict(),
+            "lanes": fabric.lanes,
             "segments": factory.created,
         }
         try:
@@ -284,9 +290,9 @@ def run_mpi_processes(
     """Run ``fn(comm, *args, **kwargs)`` on ``size`` rank *processes*.
 
     Returns an :class:`~repro.mpi.launcher.MPIRun` whose
-    ``extra["transport"]`` carries the merged per-rank traffic and segment
-    counts (``shm_bytes``, ``pickle_bytes``, segments created, segments
-    swept at teardown) — the numbers the driver surfaces in
+    ``extra["transport"]`` carries the merged per-rank lane bytes and
+    segment counts (``shm_bytes``, ``pickle_bytes``, segments created,
+    segments swept at teardown) — the numbers the driver surfaces in
     ``PartitionResult.extra["perf"]["transport"]``.
 
     Collection is supervised: a rank that dies without reporting raises a
@@ -323,7 +329,7 @@ def run_mpi_processes(
         for rank in range(size)
     ]
     results: list[Any] = [None] * size
-    traffic: dict[int, dict[str, Any]] = {}
+    lanes: dict[int, dict[str, int]] = {}
     created: dict[int, int] = {}
     seen: set[int] = set()
     first_error: Optional[BaseException] = None
@@ -338,7 +344,7 @@ def run_mpi_processes(
         if rank in seen:
             return
         seen.add(rank)
-        traffic[rank] = exit_msg["traffic"]
+        lanes[rank] = exit_msg["lanes"]
         created[rank] = exit_msg["segments"]
         if exit_msg["status"] == "error":
             first_error = first_error or exit_msg["payload"]
@@ -367,7 +373,7 @@ def run_mpi_processes(
                 if first_error is None:
                     first_error = exc
             if first_error is not None:
-                # drain sibling exits best-effort so the transport accounting
+                # drain sibling exits best-effort so the transport report
                 # and segment ledgers are complete even on failure
                 drain_deadline = time_mod.monotonic() + ERROR_DRAIN_GRACE
                 while len(seen) < size and time_mod.monotonic() < drain_deadline:
@@ -390,45 +396,30 @@ def run_mpi_processes(
             sweep_pending_closes()
     if first_error is not None:
         try:
-            first_error.papar_transport = _merge_transport(prefix, traffic, created, unlinked)
+            first_error.papar_transport = _merge_transport(prefix, lanes, created, unlinked)
         except Exception:
             pass
         raise first_error
-    messages = sum(t["messages"] for t in traffic.values())
-    nbytes = sum(t["bytes"] for t in traffic.values())
-    run = MPIRun(results=results, bytes_moved=nbytes, messages=messages)
-    run.extra["transport"] = _merge_transport(prefix, traffic, created, unlinked)
-    return run
+    return MPIRun(results=results,
+                  extra={"transport": _merge_transport(prefix, lanes, created, unlinked)})
 
 
 def _merge_transport(
     prefix: str,
-    traffic: dict[int, dict[str, Any]],
+    lanes: dict[int, dict[str, int]],
     created: dict[int, int],
     unlinked: int,
 ) -> dict[str, Any]:
-    """Fold per-rank traffic and segment counts into the driver-facing summary.
+    """Fold per-rank lane bytes and segment counts into the driver-facing
+    summary.
 
     ``segments_unlinked`` counts only what the teardown sweep removed, so a
     clean run reports 0.
     """
-    summary: dict[str, Any] = {
-        "kind": "shm",
-        "shm_prefix": prefix,
-        "shm_bytes": sum(t["shm_bytes"] for t in traffic.values()),
-        "pickle_bytes": sum(t["pickle_bytes"] for t in traffic.values()),
-        "inline_bytes": sum(t["inline_bytes"] for t in traffic.values()),
-        "segments_created": sum(created.values()),
-        "segments_unlinked": unlinked,
-        "per_rank": {
-            rank: {
-                "messages": t["messages"],
-                "bytes": t["bytes"],
-                "shm_bytes": t["shm_bytes"],
-                "pickle_bytes": t["pickle_bytes"],
-                "inline_bytes": t["inline_bytes"],
-            }
-            for rank, t in sorted(traffic.items())
-        },
-    }
+    summary: dict[str, Any] = {"kind": "shm", "shm_prefix": prefix}
+    for lane in LANES:
+        summary[lane] = sum(rank_lanes[lane] for rank_lanes in lanes.values())
+    summary["segments_created"] = sum(created.values())
+    summary["segments_unlinked"] = unlinked
+    summary["per_rank"] = {rank: dict(rank_lanes) for rank, rank_lanes in sorted(lanes.items())}
     return summary

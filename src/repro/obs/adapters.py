@@ -23,7 +23,9 @@ def record_perf(recorder: Recorder, perf_summary: Optional[dict[str, Any]]) -> N
     Spill counters (present only when a memory-budgeted run actually
     spilled) land under ``spill.*``, with the merge fan-in as a gauge.
     What the ranks of a file-to-file run wrote in place lands under
-    ``output.*`` (absent when the driver wrote the partitions).
+    ``output.*`` (absent when the driver wrote the partitions).  The
+    process backend's transport report adds each rank's zero-copy and
+    pickled array bytes as ``comm.shm_bytes`` / ``comm.pickle_bytes``.
     """
     if not perf_summary:
         return
@@ -40,6 +42,11 @@ def record_perf(recorder: Recorder, perf_summary: Optional[dict[str, Any]]) -> N
     if output and output["mode"] == "in_place":
         recorder.count("output.in_place_parts", output["parts"])
         recorder.count("output.in_place_bytes", output["bytes"])
+    transport = perf_summary.get("transport")
+    if transport:
+        for rank, lanes in transport["per_rank"].items():
+            recorder.count("comm.shm_bytes", lanes["shm_bytes"], rank=rank)
+            recorder.count("comm.pickle_bytes", lanes["pickle_bytes"], rank=rank)
 
 
 def record_ranks(recorder: Recorder, plan_span: Any, jobs: Sequence[Any],

@@ -125,9 +125,9 @@ def metrics_json(
 ) -> dict[str, Any]:
     """The versioned metrics document for ``recorder``.
 
-    ``run`` attaches run-level facts from a
-    :class:`~repro.core.runtime.PartitionResult` (priced elapsed time,
-    fabric bytes/messages, perf-counter totals) under the ``"run"`` key.
+    ``run`` attaches run-level facts (the CLI's: workflow, backend, ranks,
+    partitions and, when a cluster model priced the run, its elapsed time)
+    under the ``"run"`` key.
     A rank's busy time is the wall time of its job spans.
     The contract is pinned by ``tests/obs/test_metrics_contract.py``.
     """

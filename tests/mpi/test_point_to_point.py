@@ -121,7 +121,13 @@ def test_traffic_stats_counted():
             comm.send(b"0" * 1000, dest=1)
         else:
             comm.recv(source=0)
+        return comm.take_traffic()
 
-    run = run_mpi(prog, 2)
-    assert run.messages == 1
-    assert run.bytes_moved >= 1000
+    (sent0, packed0), (sent1, packed1) = run_mpi(prog, 2).results
+    # the sender's communicator tallies [bytes, messages] per destination
+    assert list(sent0) == [1]
+    nbytes, messages = sent0[1]
+    assert messages == 1 and nbytes >= 1000
+    assert sent1 == {}
+    # both ends count the pickled bytes
+    assert packed0 == packed1 == nbytes

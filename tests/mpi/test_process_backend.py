@@ -30,6 +30,11 @@ def _alltoall_prog(comm):
     return comm.alltoall([f"{comm.rank}->{d}" for d in range(comm.size)])
 
 
+def _alltoall_traffic_prog(comm):
+    _alltoall_prog(comm)
+    return comm.take_traffic()
+
+
 def _sort_prog(comm, data):
     """Distributed sample-sort matching the thread backend's semantics."""
     from repro.mapreduce.sampling import sample_key_ranges
@@ -78,9 +83,13 @@ class TestProcessBackend:
         np.testing.assert_array_equal(merged, np.sort(data, kind="stable"))
 
     def test_traffic_counted(self):
-        run = run_mpi_processes(_alltoall_prog, 3)
-        assert run.messages > 0
-        assert run.bytes_moved > 0
+        # each rank's communicator tallies what it sent, per destination,
+        # and the tally crosses the fork like any result
+        run = run_mpi_processes(_alltoall_traffic_prog, 3)
+        for rank, (sent, packed) in enumerate(run.results):
+            assert set(sent) == {0, 1, 2} - {rank}
+            assert all(nbytes > 0 and messages == 1 for nbytes, messages in sent.values())
+            assert packed > 0
 
     def test_rank_failure_propagates(self):
         with pytest.raises(ValueError, match="exploded"):
