@@ -19,7 +19,9 @@ the MR-MPI mapping of the same operators (:mod:`repro.core.mr_runtime`).
 (Hadoop's speculative task re-execution is a fault-tolerance mechanism
 with no effect on results; it is out of scope here.)  Only
 ``bench_backends_ablation.py`` runs it, next to the backends it is compared
-with; :class:`ListInputFormat` feeds it in-memory rows.
+with; :class:`ListInputFormat` feeds it in-memory rows, and
+:class:`ByteRangeTextInputFormat` carves a text file the way Hadoop's own
+``TextInputFormat`` does.
 
 Benchmarks import this module from their own directory; tests load it by
 path (``sys.path.insert(0, <repo>/benchmarks)``).
@@ -33,7 +35,9 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from repro.errors import MapReduceError
+from repro.errors import FormatError, MapReduceError
+from repro.formats.records import RecordSchema
+from repro.formats.text import parse_line
 from repro.mapreduce.hadoop import InputFormat, InputSplit, RecordReader
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 
@@ -271,3 +275,53 @@ class ListInputFormat(InputFormat):
 
     def get_record_reader(self, split: InputSplit) -> RecordReader:
         return _ListRecordReader(self._items[split.start : split.start + split.length])
+
+
+class ByteRangeTextInputFormat(InputFormat):
+    """Hadoop's real text-splitting behaviour: byte ranges snapped to lines.
+
+    Hadoop carves a text file into *byte* ranges without looking at content;
+    each record reader then skips the partial line at the start of its range
+    (the previous reader finished it) and reads past its end boundary to
+    complete the final line.  This reader reproduces that protocol exactly,
+    so splits can be computed from the file size alone — the property that
+    lets huge inputs be split without scanning them.
+    """
+
+    def __init__(self, path: PathLike, schema: RecordSchema) -> None:
+        if schema.input_format != "text":
+            raise FormatError(f"schema {schema.id!r} is not a text schema")
+        self.path = os.fspath(path)
+        self.schema = schema
+        self.file_size = os.path.getsize(self.path)
+
+    def get_splits(self, num_splits: int) -> list[InputSplit]:
+        if num_splits < 1:
+            raise FormatError(f"num_splits must be >= 1, got {num_splits!r}")
+        base, extra = divmod(self.file_size, num_splits)
+        splits, start = [], 0
+        for i in range(num_splits):
+            length = base + (1 if i < extra else 0)
+            splits.append(InputSplit(source=self.path, start=start, length=length))
+            start += length
+        return splits
+
+    def get_record_reader(self, split: InputSplit) -> RecordReader:
+        rows: list[tuple[Any, ...]] = []
+        end = split.start + split.length
+        with open(self.path, "rb") as fh:
+            fh.seek(split.start)
+            if split.start > 0:
+                # the previous split's reader owns the line we land inside
+                # (it reads one line past its end boundary); skip it
+                fh.readline()
+            # Hadoop rule: keep reading while the line *starts* at or before
+            # our end boundary — the final line may extend past it
+            while fh.tell() <= end:
+                raw = fh.readline()
+                if not raw:
+                    break
+                line = raw.decode("utf-8")
+                if line.strip():
+                    rows.append(parse_line(line, self.schema))
+        return _ListRecordReader(rows)

@@ -7,24 +7,24 @@ BLASTP search kernel (for Figure 12's skew measurements), and query batch
 construction.
 """
 
-from repro.blast.database import (
+from .database import (
     ENV_NR_PROFILE,
     NR_PROFILE,
     PROFILES,
     SequenceDatabase,
     generate_database,
 )
-from repro.blast.index import (
+from .index import (
     INDEX_HEADER,
     build_index,
     extract_partition,
     generate_index,
     recalculate_pointers,
 )
-from repro.blast.partition import baseline_partition_time, mublastp_partition
-from repro.blast.queries import BATCH_KINDS, make_batch
-from repro.blast.scoring import ALPHABET, BLOSUM62, encode
-from repro.blast.search import (
+from .partition import baseline_partition_time, mublastp_partition
+from .queries import BATCH_KINDS, make_batch
+from .scoring import ALPHABET, BLOSUM62, encode
+from .search import (
     PartitionIndex,
     SearchResult,
     partition_makespan,

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.blast.database import SequenceDatabase
+from .database import SequenceDatabase
 from repro.core.dataset import Dataset
 from repro.errors import PaParError
 from repro.formats.records import BLAST_INDEX_SCHEMA
@@ -36,7 +36,7 @@ def generate_index(
     counts without materializing gigabytes of residues.  Description sizes
     use the synthetic generator's fixed-width template.
     """
-    from repro.blast.database import PROFILES
+    from .database import PROFILES
     from repro.errors import PaParError
 
     if profile not in PROFILES:

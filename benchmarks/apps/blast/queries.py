@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blast.database import SequenceDatabase
+from .database import SequenceDatabase
 from repro.errors import PaParError
 
 BATCH_KINDS = ("100", "500", "mixed")

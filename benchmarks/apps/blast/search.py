@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blast.database import SequenceDatabase
-from repro.blast.scoring import BLOSUM62
+from .database import SequenceDatabase
+from .scoring import BLOSUM62
 from repro.errors import PaParError
 
 WORD_SIZE = 3

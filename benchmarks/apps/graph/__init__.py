@@ -7,12 +7,12 @@ statistics, and the native-PowerLyra baseline (reference hybrid-cut +
 partitioning-time model for Figure 15).
 """
 
-from repro.graph.gas import (
+from .gas import (
     ExecutionReport,
     GASEngine,
     pagerank_reference,
 )
-from repro.graph.generate import (
+from .generate import (
     DATASETS,
     GOOGLE,
     LIVEJOURNAL,
@@ -21,8 +21,8 @@ from repro.graph.generate import (
     generate_graph,
     generate_powerlaw,
 )
-from repro.graph.graph import Graph
-from repro.graph.partition import (
+from .graph import Graph
+from .partition import (
     PartitionedGraph,
     STRATEGIES,
     edge_cut,
@@ -30,9 +30,9 @@ from repro.graph.partition import (
     partition_by,
     vertex_cut,
 )
-from repro.graph.sssp import sssp
-from repro.graph.powerlyra import PartitionerTimeModel, papar_equivalent_hybrid_cut
-from repro.graph.stats import GraphStats, compute_stats, count_triangles
+from .sssp import sssp
+from .powerlyra import PartitionerTimeModel, papar_equivalent_hybrid_cut
+from .stats import GraphStats, compute_stats, count_triangles
 
 __all__ = [
     "Graph",

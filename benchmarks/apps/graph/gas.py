@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cluster.model import ClusterModel
 from repro.errors import PaParError
-from repro.graph.partition import PartitionedGraph
+from .partition import PartitionedGraph
 
 #: modeled per-edge gather/scatter cost on one core, seconds
 EDGE_COST_S = 8e-9

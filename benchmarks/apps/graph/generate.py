@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PaParError
-from repro.graph.graph import Graph
+from .graph import Graph
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import PaParError
-from repro.graph.graph import Graph
+from .graph import Graph
 
 
 @dataclass

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PaParError
-from repro.graph.graph import Graph
+from .graph import Graph
 from repro.policies.permutation import cyclic_permutation_indices, partition_counts
 
 

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import PaParError
-from repro.graph.gas import ExecutionReport
-from repro.graph.partition import PartitionedGraph
+from .gas import ExecutionReport
+from .partition import PartitionedGraph
 
 INF = np.inf
 

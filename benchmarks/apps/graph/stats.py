@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graph.graph import Graph
+from .graph import Graph
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from _harness import Experiment, shape
-from repro.blast import generate_index
+from apps.blast import generate_index
 from repro.core.dataset import Dataset
 from repro.formats import BLAST_INDEX_SCHEMA
 from repro.ops import Sort

@@ -13,7 +13,7 @@ import pytest
 
 from repro import PaPar
 from _harness import Experiment, shape
-from repro.blast import generate_index
+from apps.blast import generate_index
 from repro.cluster import ClusterModel, INFINIBAND_QDR
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
@@ -139,7 +139,7 @@ def test_fused_exchange_ablation(benchmark, data, reporter):
 
 def test_hadoop_engine_flow(benchmark, reporter):
     """The same sort+distribute flow through the disk-shuffle Hadoop engine."""
-    from repro.blast import mublastp_partition
+    from apps.blast import mublastp_partition
     from repro.mapreduce import ExplicitPartitioner, RangePartitioner
     from _hadoop import HadoopCluster, ListInputFormat, identity_reduce
 

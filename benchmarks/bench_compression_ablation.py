@@ -18,7 +18,7 @@ from _harness import Experiment, shape
 from repro.cluster import INFINIBAND_QDR
 from repro.core.dataset import Dataset
 from repro.formats import pack
-from repro.graph import DATASETS, generate_graph
+from apps.graph import DATASETS, generate_graph
 from repro.ops import Count, Group
 
 from _ablations import compression_ratio, to_csc

@@ -13,7 +13,7 @@ for env_nr-like and nr-like synthetic databases.  The paper's claims:
 import pytest
 
 from _harness import Experiment, shape
-from repro.blast import (
+from apps.blast import (
     build_index,
     extract_partition,
     generate_database,
@@ -93,7 +93,7 @@ def test_figure12_cyclic_vs_block(benchmark, databases, reporter):
 
 def test_search_kernel(benchmark, databases):
     """Kernel timing: one mixed batch against one cyclic partition."""
-    from repro.blast import PartitionIndex
+    from apps.blast import PartitionIndex
 
     db = databases["env_nr"]
     index = build_index(db)

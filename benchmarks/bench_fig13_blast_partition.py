@@ -20,7 +20,7 @@ import pytest
 
 from repro import PaPar
 from _harness import Experiment, shape
-from repro.blast import baseline_partition_time, generate_index
+from apps.blast import baseline_partition_time, generate_index
 from repro.cluster import ClusterModel, INFINIBAND_QDR
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML

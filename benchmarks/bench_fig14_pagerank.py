@@ -11,7 +11,7 @@ import pytest
 
 from _harness import Experiment, shape
 from repro.cluster import ClusterModel, ETHERNET_10G
-from repro.graph import DATASETS, GASEngine, generate_graph, partition_by
+from apps.graph import DATASETS, GASEngine, generate_graph, partition_by
 
 SCALE = 0.01
 THRESHOLD = 200  # the paper's hybrid-cut threshold

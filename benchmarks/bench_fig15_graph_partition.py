@@ -19,7 +19,7 @@ from _harness import Experiment, shape
 from repro.cluster import ClusterModel, INFINIBAND_QDR
 from repro.config import EDGE_INPUT_XML
 from repro.config.examples import HYBRID_CUT_WORKFLOW_XML
-from repro.graph import DATASETS, PartitionerTimeModel, generate_graph
+from apps.graph import DATASETS, PartitionerTimeModel, generate_graph
 
 NODE_COUNTS = (1, 2, 4, 8, 16)
 MODEL = PartitionerTimeModel()
@@ -96,7 +96,7 @@ def test_figure15_model_consistency_with_measured_run(benchmark, reporter):
     property Figure 15(b) relies on: more nodes -> faster partitioning."""
 
     def run():
-        from repro.graph import generate_powerlaw
+        from apps.graph import generate_powerlaw
 
         exp = Experiment(
             "Figure 15 check", "Measured PaPar runs, priced (scaled power-law graph)"

@@ -11,8 +11,8 @@ import pytest
 
 from _harness import Experiment, shape
 from repro.cluster import ClusterModel, ETHERNET_10G
-from repro.graph import GASEngine, generate_graph, partition_by
-from repro.graph.sssp import sssp
+from apps.graph import GASEngine, generate_graph, partition_by
+from apps.graph.sssp import sssp
 
 NODES = 8
 THRESHOLD = 3

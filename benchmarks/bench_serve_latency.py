@@ -30,7 +30,7 @@ import threading
 import time
 
 from _harness import Experiment, shape
-from repro.blast import generate_index
+from apps.blast import generate_index
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary

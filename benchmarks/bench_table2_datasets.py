@@ -7,7 +7,7 @@ synthetic graphs, alongside the paper's full-scale numbers for reference.
 import pytest
 
 from _harness import Experiment, shape
-from repro.graph import DATASETS, compute_stats, count_triangles, generate_graph
+from apps.graph import DATASETS, compute_stats, count_triangles, generate_graph
 
 SCALE = 0.005
 #: the published Table II rows (full-scale SNAP datasets)

@@ -15,7 +15,7 @@ import pytest
 
 from _harness import Experiment, shape
 from repro.cluster import ClusterModel, ETHERNET_10G
-from repro.graph import GASEngine, generate_graph, hybrid_cut
+from apps.graph import GASEngine, generate_graph, hybrid_cut
 
 NODES = 16
 THRESHOLDS = (0, 1, 2, 4, 8, 16, 32, 64, 10**9)

@@ -11,22 +11,30 @@ search makespan, block partitioning does not.
 Run:  python examples/blast_partitioning.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro import PaPar
-from repro.blast import (
-    build_index,
-    extract_partition,
-    generate_database,
-    make_batch,
-    mublastp_partition,
-    partition_makespan,
-    recalculate_pointers,
-)
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.core.dataset import Dataset
 from repro.formats import BLAST_INDEX_SCHEMA
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+try:
+    from apps.blast import (
+        build_index,
+        extract_partition,
+        generate_database,
+        make_batch,
+        mublastp_partition,
+        partition_makespan,
+        recalculate_pointers,
+    )
+finally:
+    sys.path.pop(0)
 
 NUM_SEQUENCES = 1200
 NUM_PARTITIONS = 8

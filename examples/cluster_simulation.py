@@ -8,10 +8,12 @@ against Ethernet, and price the counts of a small run by hand.
 Run:  python examples/cluster_simulation.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro import PaPar
-from repro.blast import generate_index
 from repro.cluster import ClusterModel, ETHERNET_10G, INFINIBAND_QDR, price
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
@@ -19,6 +21,12 @@ from repro.core.dataset import Dataset
 from repro.core.perf import JobCounts
 from repro.formats import BLAST_INDEX_SCHEMA
 from repro.mpi import run_mpi
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 NUM_SEQUENCES = 400_000
 

@@ -9,13 +9,21 @@ backends) before running, then run it on the paper's testbed model.
 Run:  python examples/explain_workflow.py
 """
 
+import sys
+from pathlib import Path
+
 from repro import PaPar
 from repro.analysis import Linter
 from repro.analysis.explain import explain, plan_to_dot
 from repro.cluster import ClusterModel, INFINIBAND_QDR
 from repro.config import EDGE_INPUT_XML
 from repro.config.examples import HYBRID_CUT_WORKFLOW_XML
-from repro.graph import generate_powerlaw
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+try:
+    from apps.graph import generate_powerlaw
+finally:
+    sys.path.pop(0)
 
 NUM_PARTITIONS = 8
 

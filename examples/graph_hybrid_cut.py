@@ -10,19 +10,27 @@ cuts of Figure 14 and reports replication factors and modeled times.
 Run:  python examples/graph_hybrid_cut.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro import PaPar
 from repro.cluster import ClusterModel, ETHERNET_10G
 from repro.config import EDGE_INPUT_XML
 from repro.config.examples import HYBRID_CUT_WORKFLOW_XML
-from repro.graph import (
-    GASEngine,
-    generate_powerlaw,
-    pagerank_reference,
-    papar_equivalent_hybrid_cut,
-    partition_by,
-)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+try:
+    from apps.graph import (
+        GASEngine,
+        generate_powerlaw,
+        pagerank_reference,
+        papar_equivalent_hybrid_cut,
+        partition_by,
+    )
+finally:
+    sys.path.pop(0)
 
 NUM_PARTITIONS = 8
 THRESHOLD = 20

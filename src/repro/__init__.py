@@ -26,14 +26,10 @@ Layout
 ``repro.core``
     The PaPar framework facade: parse configs, plan jobs, generate code,
     and execute partitioning workflows.
-``repro.blast`` / ``repro.graph``
-    The two driving applications: muBLASTP database partitioning and
-    PowerLyra-style graph partitioning (edge-cut / vertex-cut / hybrid-cut),
-    the inputs, reference partitioners and analytic models the figures use.
-    No other package imports them.
-
-The experiment harness, the Hadoop job runner, the speculative scheduler
-and the reducer rebalancer are the benchmarks' own (``benchmarks/``).
+The two driving applications (muBLASTP database partitioning and
+PowerLyra-style graph partitioning, ``benchmarks/apps/``), the experiment
+harness, the Hadoop job runner, the speculative scheduler and the reducer
+rebalancer are the benchmarks' own (``benchmarks/``).
 """
 
 from repro._lazy import lazy_exports

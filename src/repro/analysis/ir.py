@@ -114,16 +114,6 @@ class PlanIR:
         """Edges consuming outputs of ``op_id``."""
         return [e for e in self.edges if e.src == op_id]
 
-    def predecessors(self, op_id: str) -> list[IRNode]:
-        """Producing nodes of ``op_id``, in execution order, de-duplicated."""
-        seen: dict[str, IRNode] = {}
-        for e in self.in_edges(op_id):
-            if e.src is not None and e.src not in seen:
-                node = self.node(e.src)
-                if node is not None:
-                    seen[e.src] = node
-        return sorted(seen.values(), key=lambda n: n.index)
-
     def consumed_outputs(self, op_id: str) -> set[int]:
         """Output slots of ``op_id`` some later node consumes."""
         return {e.src_output for e in self.out_edges(op_id)}
@@ -184,13 +174,3 @@ def build_ir(ctx: "LintContext") -> Optional[PlanIR]:
         edges=[edge for io in wired for edge in io.edges],
         env=env,
     )
-
-
-def workflow_ir(model: WorkflowSpec, args: Optional[dict[str, str]] = None) -> PlanIR:
-    """Build a :class:`PlanIR` straight from a model (no LintContext needed)."""
-    from repro.analysis.model import LintContext
-
-    ctx = LintContext(filename=None, model=model, args=dict(args or {}))
-    ir = build_ir(ctx)
-    assert ir is not None  # model is not None by construction
-    return ir

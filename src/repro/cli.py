@@ -19,7 +19,8 @@ real arguments, and the lint gate refuses configurations with errors
 (``--no-lint`` skips the gate; the planner still rejects a key typo).
 Then the command executes the plan the gate checked.  Each command's flags
 and body live in its own module, :mod:`repro.commands.<command>`, which
-loads only when that command runs.
+loads only when that command runs; none loads the :class:`~repro.PaPar`
+facade.
 
 Example::
 
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.errors import PaParError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.framework import PaPar
+    from repro.config.schema import Schemas
     from repro.core.planner import WorkflowPlan
 
 
@@ -129,29 +130,33 @@ def _linter(ns: argparse.Namespace, schemas=None, errors_only: bool = False):
 
 def _front_end(
     ns: argparse.Namespace,
-) -> tuple[PaPar, WorkflowPlan, dict[str, str]] | int:
+) -> tuple[Schemas, WorkflowPlan, dict[str, str]] | int:
     """Read and parse each config once, plan once, and gate the plan.
 
-    Returns ``(papar, plan, args)`` — the input schemas are registered on
-    ``papar`` and the spec is ``plan.spec`` — or an exit code to bail
-    with.  Unless ``--no-lint`` is given, the blocking lint checkers run
-    over the plan first; warnings and infos never block.
+    Returns ``(schemas, plan, args)`` — the input schemas by id, the plan
+    (its spec is ``plan.spec``) and the arguments — or an exit code to
+    bail with.  Unless ``--no-lint`` is given, the blocking lint checkers
+    run over the plan first; warnings and infos never block.
     """
     # each command imports what it runs, here: ``--help`` loads no numpy
-    from repro.core.framework import PaPar
+    from repro.config.schema import Schemas, load_input_config
+    from repro.config.workflow import load_workflow_config
+    from repro.core.planner import Planner
 
-    papar = PaPar()
-    schemas = [papar.register_input_file(path) for path in ns.input_config]
-    spec = papar.load_workflow_file(ns.workflow)
+    schemas = Schemas()
+    for path in ns.input_config:
+        schema = load_input_config(path)
+        schemas[schema.id] = schema
+    spec = load_workflow_config(ns.workflow)
     args = _parse_arg_pairs(ns.arg)
     if ns.no_lint:
-        return papar, papar.plan(spec, args), args
+        return schemas, Planner().plan(spec, args, schemas), args
 
     from repro.analysis.engine import synthesize_arguments
 
-    ctx, result = _linter(
-        ns, {schema.id: schema for schema in schemas}, errors_only=True
-    ).analyze(spec, filename=ns.workflow, args=args)
+    ctx, result = _linter(ns, schemas, errors_only=True).analyze(
+        spec, filename=ns.workflow, args=args
+    )
     if result.errors:
         for diag in result.errors:
             print(diag.render(), file=sys.stderr)
@@ -164,8 +169,8 @@ def _front_end(
     if synthesize_arguments(spec, args) != args:
         # the gate planned with placeholders: the real plan names the
         # argument that has no value
-        return papar, papar.plan(spec, args), args
-    return papar, ctx.plan, args
+        return schemas, Planner().plan(spec, args, schemas), args
+    return schemas, ctx.plan, args
 
 
 def _stdout_reader_gone() -> bool:

@@ -19,8 +19,10 @@ def cmd_codegen(ns: argparse.Namespace) -> int:
     front = _front_end(ns)
     if isinstance(front, int):
         return front
-    papar, plan, _args = front
-    source = papar.generate_code(plan)
+    from repro.core.codegen import generate_partitioner_source
+
+    _schemas, plan, _args = front
+    source = generate_partitioner_source(plan)
     if ns.output:
         with open(ns.output, "w", encoding="utf-8") as fh:
             fh.write(source)

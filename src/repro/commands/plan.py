@@ -15,7 +15,7 @@ def cmd_plan(ns: argparse.Namespace) -> int:
     front = _front_end(ns)
     if isinstance(front, int):
         return front
-    _papar, plan, _args = front
+    _schemas, plan, _args = front
     print(f"workflow {plan.workflow_id!r}: {len(plan.jobs)} job(s)")
     for i, job in enumerate(plan.jobs):
         src = job.source if job.source else "<workflow input>"

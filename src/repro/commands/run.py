@@ -153,7 +153,9 @@ def cmd_run(ns: argparse.Namespace) -> int:
     front = _front_end(ns)
     if isinstance(front, int):
         return front
-    papar, plan, args = front
+    from repro.core.files import partition_files
+
+    schemas, plan, args = front
     fault_tolerance: dict = {"chaos_seed": ns.chaos_seed}
     if ns.faults:
         fault_tolerance["faults"] = ns.faults
@@ -187,8 +189,8 @@ def cmd_run(ns: argparse.Namespace) -> int:
         os.environ["PAPAR_CRASH_AGENT"] = ns.crash_agent
         armed = True
     try:
-        out = papar.partition_files(
-            plan, args, backend=ns.backend, num_ranks=ns.ranks,
+        out = partition_files(
+            schemas, plan, args, backend=ns.backend, num_ranks=ns.ranks,
             memory_budget=ns.memory_budget, **fault_tolerance
         )
     finally:

@@ -45,7 +45,7 @@ def cmd_serve(ns: argparse.Namespace) -> int:
     front = _front_end(ns)
     if isinstance(front, int):
         return front
-    papar, plan, args = front
+    schemas, plan, args = front
     config = ServeConfig(
         host=ns.host,
         port=ns.port,
@@ -63,7 +63,7 @@ def cmd_serve(ns: argparse.Namespace) -> int:
 
     # the server's own recorder: a bounded window, as a daemon's must be
     server = asyncio.run(
-        run_server(papar, plan, args, config=config, ready=ready)
+        run_server(schemas, plan, args, config=config, ready=ready)
     )
     if ns.metrics:
         with open(ns.metrics, "w", encoding="utf-8") as fh:

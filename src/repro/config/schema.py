@@ -169,6 +169,18 @@ def load_input_config(path: PathLike) -> RecordSchema:
     return parse_input_config(read_config(path), filename=os.fspath(path))
 
 
+class Schemas(dict):
+    """The registered input schemas, by ``input id``."""
+
+    def schema(self, schema_id: str) -> RecordSchema:
+        """The schema registered as ``schema_id``."""
+        if schema_id not in self:
+            raise ConfigError(
+                f"no input schema {schema_id!r} registered; known: {sorted(self)}"
+            )
+        return self[schema_id]
+
+
 #: XML text of the paper's Figure 4 (BLAST index) configuration.
 BLAST_INPUT_XML = """\
 <input id="blast_db" name="BLAST Database file">

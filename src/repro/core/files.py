@@ -24,9 +24,9 @@ import os
 import re
 from typing import Any, Optional, Union
 
-from repro.config.workflow import WorkflowSpec
-from repro.core.planner import WorkflowPlan
-from repro.core.runtime import PartitionResult
+from repro.config.workflow import WorkflowSpec, parse_workflow_config
+from repro.core.planner import Planner, WorkflowPlan
+from repro.core.runtime import PartitionResult, execute_plan
 from repro.errors import FormatError, WorkflowError
 from repro.formats.records import RecordSchema
 
@@ -78,7 +78,7 @@ def find_io_arguments(spec: WorkflowSpec) -> tuple[str, str]:
 
 
 def load_input_dataset(
-    papar: Any,
+    schemas: Any,
     spec: WorkflowSpec,
     args: dict[str, Any],
     schema_id: Optional[str] = None,
@@ -91,7 +91,8 @@ def load_input_dataset(
     config convention); with a ``memory_budget`` the file is opened as a
     streamed :class:`~repro.ooc.ChunkedDataset` instead of read into memory.
     Shared by :func:`partition_files` and the daemon's warm start, which
-    must agree on how bytes become records.
+    must agree on how bytes become records.  ``schemas.schema(id)`` is the
+    input schema (a :class:`~repro.config.schema.Schemas`, or a ``PaPar``).
 
     ``file_backed`` (what :func:`partition_files` asks for) leaves a binary
     file unread: the dataset is a validated
@@ -106,7 +107,7 @@ def load_input_dataset(
         raise WorkflowError(
             f"argument {input_arg!r} declares no input format and no schema_id given"
         )
-    schema = papar.schema(fmt_id)
+    schema = schemas.schema(fmt_id)
     try:
         # a missing or unreadable input (or a directory) is one error line,
         # whichever reader would have tripped over it first
@@ -119,16 +120,20 @@ def load_input_dataset(
         from repro.ooc.budget import MemoryBudget
         from repro.ooc.chunked import ChunkedDataset
 
-        data: Any = ChunkedDataset(
-            args[input_arg], schema, MemoryBudget.coerce(memory_budget)
-        )
-    elif file_backed and schema.input_format == "binary":
+        return ChunkedDataset(args[input_arg], schema, MemoryBudget.coerce(memory_budget)), schema
+    if file_backed and schema.input_format == "binary":
         from repro.formats.binary import BinaryInputFormat
 
-        data = BinaryInputFormat(args[input_arg], schema)
-    else:
-        data = papar.load_dataset(args[input_arg], fmt_id)
-    return data, schema
+        return BinaryInputFormat(args[input_arg], schema), schema
+    from repro.core.dataset import Dataset
+
+    if schema.input_format == "binary":
+        from repro.formats.binary import read_binary
+
+        return Dataset.from_array(schema, read_binary(args[input_arg], schema)), schema
+    from repro.formats.text import read_text_array
+
+    return Dataset.from_array(schema, read_text_array(args[input_arg], schema)), schema
 
 
 def write_partition_files(
@@ -181,7 +186,7 @@ def check_partition_counts(plan: WorkflowPlan) -> None:
 
 
 def partition_files(
-    papar: Any,
+    schemas: Any,
     workflow: Union[WorkflowSpec, WorkflowPlan, str],
     args: dict[str, Any],
     backend: str = "serial",
@@ -197,7 +202,8 @@ def partition_files(
     its output path argument to a directory.  ``fault_tolerance`` keywords
     (``faults``, ``checkpoint``, ``retry``, ``chaos_seed``,
     ``deadlock_grace``, plus an observability ``recorder``) are forwarded
-    to :meth:`repro.PaPar.run`.
+    to :func:`~repro.core.runtime.execute_plan`; ``schemas`` are the registered
+    input schemas.
 
     With a ``memory_budget``, the input file is *not* read into memory:
     it is opened as a :class:`~repro.ooc.ChunkedDataset` and streamed in
@@ -219,17 +225,17 @@ def partition_files(
     before the input is read or the output directory exists.
     """
     if isinstance(workflow, str):
-        workflow = papar.load_workflow(workflow)
+        workflow = parse_workflow_config(workflow)
     spec = workflow.spec if isinstance(workflow, WorkflowPlan) else workflow
     input_arg, output_arg = find_io_arguments(spec)
     if input_arg not in args or output_arg not in args:
         raise WorkflowError(
             f"partition_files needs {input_arg!r} and {output_arg!r} in args"
         )
-    plan = workflow if isinstance(workflow, WorkflowPlan) else papar.plan(spec, args)
+    plan = workflow if isinstance(workflow, WorkflowPlan) else Planner().plan(spec, args, schemas)
     check_partition_counts(plan)
     data, schema = load_input_dataset(
-        papar, spec, args, schema_id=schema_id, memory_budget=memory_budget,
+        schemas, spec, args, schema_id=schema_id, memory_budget=memory_budget,
         file_backed=True,
     )
     writer = None
@@ -239,10 +245,9 @@ def partition_files(
         writer = PartWriter(
             args[output_arg], schema, header=b"\x00" * schema.start_position
         )
-    result = papar.run(
+    result = execute_plan(
         plan,
-        args,
-        data=data,
+        data,
         backend=backend,
         num_ranks=num_ranks,
         cluster=cluster,

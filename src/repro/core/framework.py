@@ -1,5 +1,8 @@
 """The PaPar facade: configuration in, partitions (or generated code) out.
 
+The Python API over what the CLI calls directly: :mod:`repro.config`,
+the ``Planner``, :func:`~repro.core.runtime.execute_plan` and ``files``.
+
 Usage mirrors the paper's Figure 3 architecture::
 
     papar = PaPar()
@@ -14,14 +17,13 @@ Usage mirrors the paper's Figure 3 architecture::
 
 from __future__ import annotations
 
-import importlib
 import os
 from typing import TYPE_CHECKING, Any, Optional, Union
 
-from repro.config.schema import load_input_config, parse_input_config
+from repro.config.schema import Schemas, load_input_config, parse_input_config
 from repro.config.workflow import WorkflowSpec, load_workflow_config, parse_workflow_config
 from repro.core.planner import Planner, WorkflowPlan
-from repro.errors import ConfigError, WorkflowError
+from repro.errors import WorkflowError
 from repro.formats.records import RecordSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only: codegen, the runtimes
@@ -31,21 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only: codegen, the runtimes
     from repro.core.dataset import Dataset
     from repro.core.runtime import PartitionResult
 
-#: where each backend's runtime class lives; imported on selection, so a
-#: backend never loads another's machinery (pinned by fresh-interpreter tests)
-_RUNTIMES = {
-    "serial": ("repro.core.runtime", "SerialRuntime"),
-    "mpi": ("repro.core.runtime", "MPIRuntime"),
-    "mapreduce": ("repro.core.mr_runtime", "MapReduceRuntime"),
-    "process": ("repro.core.process_runtime", "ProcessRuntime"),
-}
-
-
 class PaPar:
     """The parallel data partitioning framework."""
 
     def __init__(self) -> None:
-        self._schemas: dict[str, RecordSchema] = {}
+        self._schemas = Schemas()
         self._planner = Planner()
 
     # -- input-data configurations -----------------------------------------
@@ -69,11 +61,7 @@ class PaPar:
 
     def schema(self, schema_id: str) -> RecordSchema:
         """Look up a registered schema by its ``input id``."""
-        if schema_id not in self._schemas:
-            raise ConfigError(
-                f"no input schema {schema_id!r} registered; known: {sorted(self._schemas)}"
-            )
-        return self._schemas[schema_id]
+        return self._schemas.schema(schema_id)
 
     # -- workflow configurations ----------------------------------------------
 
@@ -177,12 +165,7 @@ class PaPar:
         lint rule PAP020, so typos fail at plan time instead of mid-run.
         """
         spec = self.load_workflow(workflow) if isinstance(workflow, str) else workflow
-        plan = self._planner.plan(spec, args)
-        if plan.input_format_id in self._schemas:
-            from repro.analysis.engine import check_keys
-
-            check_keys(spec, self._schemas, args)
-        return plan
+        return self._planner.plan(spec, args, self._schemas)
 
     def generate_code(self, plan: WorkflowPlan) -> str:
         """Emit the standalone Python partitioner for ``plan``."""
@@ -196,20 +179,7 @@ class PaPar:
 
         return compile_partitioner(plan)
 
-    # -- data loading --------------------------------------------------------------
-
-    def load_dataset(self, path: Union[str, os.PathLike], schema_id: str) -> Dataset:
-        """Read an input file through its registered schema."""
-        from repro.core.dataset import Dataset
-
-        schema = self.schema(schema_id)
-        if schema.input_format == "binary":
-            from repro.formats.binary import read_binary
-
-            return Dataset.from_array(schema, read_binary(path, schema))
-        from repro.formats.text import read_text_array
-
-        return Dataset.from_array(schema, read_text_array(path, schema))
+    # -- file to file --------------------------------------------------------------
 
     def partition_files(
         self,
@@ -232,7 +202,7 @@ class PaPar:
         from repro.core.files import partition_files as _partition_files
 
         return _partition_files(
-            self,
+            self._schemas,
             workflow,
             args,
             backend=backend,
@@ -241,42 +211,6 @@ class PaPar:
             schema_id=schema_id,
             **fault_tolerance,
         )
-
-    def warm_start(
-        self,
-        workflow: Union[WorkflowSpec, WorkflowPlan, str],
-        args: dict[str, Any],
-        backend: str = "serial",
-        num_ranks: int = 1,
-        cluster: Optional[ClusterModel] = None,
-        schema_id: Optional[str] = None,
-        recorder: Any = None,
-    ) -> tuple[WorkflowSpec, RecordSchema, Dataset, PartitionResult]:
-        """Load the input file and partition it **in memory** — no part files.
-
-        The file-less twin of :meth:`partition_files`, built for long-lived
-        consumers (the ``serve`` daemon) that keep the partitions hot
-        instead of materializing them: returns ``(spec, input schema,
-        input dataset, result)`` so the caller owns both the raw records
-        (the daemon's append-log seed) and the partitioned output.  A
-        :class:`WorkflowPlan` runs as planned.
-        """
-        from repro.core.files import load_input_dataset
-
-        if isinstance(workflow, str):
-            workflow = self.load_workflow(workflow)
-        spec = workflow.spec if isinstance(workflow, WorkflowPlan) else workflow
-        data, schema = load_input_dataset(self, spec, args, schema_id=schema_id)
-        result = self.run(
-            workflow,
-            args,
-            data=data,
-            backend=backend,
-            num_ranks=num_ranks,
-            cluster=cluster,
-            recorder=recorder,
-        )
-        return spec, schema, data, result
 
     # -- execution ---------------------------------------------------------------------
 
@@ -328,21 +262,18 @@ class PaPar:
         (binary part files, written in place when the plan says so) is
         given, or ``output="text"`` says the caller writes text part files.
         """
-        if isinstance(workflow, WorkflowPlan):
-            plan = workflow
-        else:
-            plan = self.plan(workflow, args)
+        plan = workflow if isinstance(workflow, WorkflowPlan) else self.plan(workflow, args)
         if data is None:
             raise WorkflowError("run() needs an in-memory Dataset via data=...")
-        if backend not in _RUNTIMES:
-            raise WorkflowError(
-                f"unknown backend {backend!r}; "
-                "use 'serial', 'mpi', 'mapreduce' or 'process'"
-            )
-        module, class_name = _RUNTIMES[backend]
-        runtime_class = getattr(importlib.import_module(module), class_name)
-        return runtime_class(
+        from repro.core.runtime import execute_plan
+
+        return execute_plan(
+            plan,
+            data,
+            backend=backend,
             num_ranks=num_ranks,
+            part_writer=part_writer,
+            output=output,
             cluster=cluster,
             faults=faults,
             checkpoint=checkpoint,
@@ -351,4 +282,4 @@ class PaPar:
             deadlock_grace=deadlock_grace,
             recorder=recorder,
             memory_budget=memory_budget,
-        ).execute(plan, data, part_writer=part_writer, output=output)
+        )

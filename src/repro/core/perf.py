@@ -22,7 +22,8 @@ class JobCounts:
     (``sort``, ``hash_group``, ``stream``) to the records the rank ran it
     over; ``sent`` maps a destination rank to ``[bytes, messages]``;
     ``packed`` is the bytes the rank pickled or unpickled; ``slowdown`` is
-    its straggler factor.  The executor counts the kernels, the
+    its straggler factor; ``records_moved``/``bytes_moved`` the rows it
+    routed and their bytes.  The executor counts the kernels and the rows, the
     communicator tallies the traffic, the driver sets the slowdown.
 
     ``start``/``end`` stamp the job by ``time.perf_counter`` (one clock for
@@ -30,7 +31,8 @@ class JobCounts:
     category, start, end, attrs)``; ``restored`` marks checkpointed counts.
     """
 
-    __slots__ = ("kernels", "sent", "packed", "slowdown", "start", "end", "spans", "restored")
+    __slots__ = ("kernels", "sent", "packed", "slowdown", "records_moved", "bytes_moved",
+                 "start", "end", "spans", "restored")
 
     def __init__(self, kernels: Optional[dict[str, int]] = None,
                  sent: Optional[dict[int, list[int]]] = None, packed: int = 0,
@@ -39,6 +41,7 @@ class JobCounts:
         self.sent = {} if sent is None else sent
         self.packed = packed
         self.slowdown = slowdown
+        self.records_moved = self.bytes_moved = 0
         self.start = self.end = 0.0
         self.spans: list[tuple[str, str, float, float, dict[str, Any]]] = []
         self.restored = False
@@ -48,14 +51,13 @@ class PerfCounters:
     """Records / bytes moved, per-phase wall time and per-job counts.
 
     One instance per rank; :meth:`merge` folds rank counters into a run
-    total: records and bytes sum; wall time per phase takes the max over
-    ranks — the phase's makespan, never longer than the run.  The per-job
-    :attr:`jobs` stay per rank: the driver prices them before it merges.
+    total: records and bytes moved sum over the jobs (every rank's, restored
+    ones included); wall time per phase takes the max over ranks — the
+    phase's makespan, never longer than the run.  The driver prices each
+    rank's :attr:`jobs` before it merges.
     """
 
-    def __init__(self, records_moved: int = 0, bytes_moved: int = 0) -> None:
-        self.records_moved = records_moved
-        self.bytes_moved = bytes_moved
+    def __init__(self) -> None:
         #: phase name -> wall seconds
         self.phases: dict[str, float] = {}
         #: one :class:`JobCounts` per planned job, in plan order
@@ -72,9 +74,19 @@ class PerfCounters:
         #: :class:`~repro.core.physical.Physical` choice it dispatched on)
         self.paths: dict[str, str] = {}
 
+    @property
+    def records_moved(self) -> int:
+        return sum(job.records_moved for job in self.jobs)
+
+    @property
+    def bytes_moved(self) -> int:
+        return sum(job.bytes_moved for job in self.jobs)
+
     def count_move(self, records: int, nbytes: int) -> None:
-        self.records_moved += int(records)
-        self.bytes_moved += int(nbytes)
+        """The current job routed ``records`` more rows, ``nbytes`` bytes."""
+        job = self.jobs[-1]
+        job.records_moved += int(records)
+        job.bytes_moved += int(nbytes)
 
     def count_kernel(self, kernel: str, records: int) -> None:
         """The current job ran ``kernel`` over ``records`` more records."""
@@ -116,8 +128,7 @@ class PerfCounters:
             self.jobs[-1].spans.append((name, category, start, time.perf_counter(), attrs))
 
     def merge(self, other: "PerfCounters") -> None:
-        self.records_moved += other.records_moved
-        self.bytes_moved += other.bytes_moved
+        self.jobs.extend(other.jobs)
         for name, wall in other.phases.items():
             self.phases[name] = max(self.phases.get(name, 0.0), wall)
         if other.spill:

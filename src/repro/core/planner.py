@@ -237,10 +237,20 @@ class Planner:
     """Turns a :class:`~repro.config.workflow.WorkflowSpec` into a plan."""
 
     def plan(
-        self, spec: WorkflowSpec, args: Optional[dict[str, Any]] = None
+        self,
+        spec: WorkflowSpec,
+        args: Optional[dict[str, Any]] = None,
+        schemas: Optional[dict[str, Any]] = None,
     ) -> WorkflowPlan:
-        """The minimal plan of ``spec`` (see the module docstring)."""
-        return _minimal(self._plan_every_job(spec, args))
+        """The minimal plan of ``spec`` (see the module docstring).  When its
+        input format is one of ``schemas`` (by ``input id``), the lint rule
+        PAP020 checks every operator key, so a typo fails at plan time."""
+        plan = _minimal(self._plan_every_job(spec, args))
+        if schemas and plan.input_format_id in schemas:
+            from repro.analysis.engine import check_keys
+
+            check_keys(spec, schemas, args)
+        return plan
 
     def _plan_every_job(
         self, spec: WorkflowSpec, args: Optional[dict[str, Any]] = None

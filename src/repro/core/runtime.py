@@ -74,6 +74,7 @@ of that code runs.
 
 from __future__ import annotations
 
+import importlib
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -438,10 +439,11 @@ class MPIRuntime:
             rank_kwargs["ooc_spec"] = (MemoryBudget.coerce(self.memory_budget), spill_dir)
         if part_writer is not None:
             rank_kwargs["part_writer"] = part_writer
+        # the launcher and a fault-tolerant run's recovery layer load before
+        # the plan span opens: the span times the run, not its imports
         if self.substrate is not None:
-            from importlib import import_module
-
-            import_module(self.substrate)
+            importlib.import_module(self.substrate)
+        recovery = self._recovery(plan, input_data) if self.fault_tolerant else None
         plan_span = (
             self.recorder.span(
                 f"plan:{plan.workflow_id}",
@@ -453,7 +455,7 @@ class MPIRuntime:
         )
         try:
             with plan_span as root:
-                run, fault_report = self._execute_spmd(plan, input_data, rank_kwargs)
+                run, fault_report = self._execute_spmd(plan, input_data, rank_kwargs, recovery)
             # each rank returns ({partition_id: Dataset, or its record count
             # when the ranks wrote the parts in place}, its perf counters)
             merged: dict[int, Any] = {}
@@ -527,24 +529,31 @@ class MPIRuntime:
         """The cluster model the run is priced on: the one it was given."""
         return self.cluster
 
-    def _execute_spmd(
-        self, plan: WorkflowPlan, input_data: Dataset, rank_kwargs: dict[str, Any]
-    ) -> tuple[MPIRun, Optional[dict[str, Any]]]:
-        """Launch the rank program, under the recovery loop when configured.
-
-        Returns ``(run, fault_report)``; the report is ``None`` for a plain
-        run, which goes straight to :meth:`_launch`.
-        """
-        if not self.fault_tolerant:
-            return self._launch(plan, input_data, rank_kwargs), None
+    def _recovery(self, plan: WorkflowPlan, input_data: Dataset) -> tuple[Any, Any, str]:
+        """The recovery loop, the fault injector (or ``None``) and the plan's
+        checkpoint fingerprint of a fault-tolerant run."""
         from repro.fault.checkpoint import plan_fingerprint
         from repro.fault.injector import FaultInjector
         from repro.fault.runner import execute_with_recovery
 
-        injector = (
-            FaultInjector(self.faults, seed=self.chaos_seed) if self.faults else None
-        )
-        fingerprint = plan_fingerprint(plan, input_data, self.num_ranks)
+        injector = FaultInjector(self.faults, seed=self.chaos_seed) if self.faults else None
+        return execute_with_recovery, injector, plan_fingerprint(plan, input_data, self.num_ranks)
+
+    def _execute_spmd(
+        self,
+        plan: WorkflowPlan,
+        input_data: Dataset,
+        rank_kwargs: dict[str, Any],
+        recovery: Optional[tuple[Any, Any, str]] = None,
+    ) -> tuple[MPIRun, Optional[dict[str, Any]]]:
+        """Launch the rank program, under :meth:`_recovery`'s loop when given.
+
+        Returns ``(run, fault_report)``; the report is ``None`` for a plain
+        run, which goes straight to :meth:`_launch`.
+        """
+        if recovery is None:
+            return self._launch(plan, input_data, rank_kwargs), None
+        execute_with_recovery, injector, fingerprint = recovery
 
         def attempt(resume: int) -> MPIRun:
             return self._launch(
@@ -974,3 +983,35 @@ class SerialRuntime(MPIRuntime):
     ) -> MPIRun:
         """The rank program, here, on :class:`OneRank`."""
         return _InlineRun([self._rank_program(OneRank(), plan, input_data, **rank_kwargs)])
+
+
+#: where each backend's runtime class lives; imported on selection, so a
+#: backend never loads another's machinery (pinned by fresh-interpreter tests)
+_RUNTIMES = {
+    "serial": ("repro.core.runtime", "SerialRuntime"),
+    "mpi": ("repro.core.runtime", "MPIRuntime"),
+    "mapreduce": ("repro.core.mr_runtime", "MapReduceRuntime"),
+    "process": ("repro.core.process_runtime", "ProcessRuntime"),
+}
+
+
+def execute_plan(
+    plan: WorkflowPlan,
+    data: Any,
+    backend: str = "serial",
+    num_ranks: int = 1,
+    part_writer: Optional[PartWriter] = None,
+    output: Optional[str] = None,
+    **options: Any,
+) -> PartitionResult:
+    """Execute ``plan`` over ``data`` on ``backend`` (``repro run``, ``serve``
+    and :meth:`repro.PaPar.run`, which documents the runtime ``options``)."""
+    if backend not in _RUNTIMES:
+        raise WorkflowError(
+            f"unknown backend {backend!r}; use 'serial', 'mpi', 'mapreduce' or 'process'"
+        )
+    module, class_name = _RUNTIMES[backend]
+    runtime_class = getattr(importlib.import_module(module), class_name)
+    return runtime_class(num_ranks=num_ranks, **options).execute(
+        plan, data, part_writer=part_writer, output=output
+    )

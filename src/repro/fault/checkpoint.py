@@ -33,12 +33,38 @@ import urllib.parse
 import zlib
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.errors import FaultToleranceError
 
 #: trailing magic of a fully committed checkpoint file (format version 1)
 _FOOTER_MAGIC = b"PaParCk1"
 #: footer = crc32(blob) little-endian u32 + magic
 _FOOTER_LEN = 4 + len(_FOOTER_MAGIC)
+
+
+class _Pickler(pickle.Pickler):
+    """Pickles a builtin dtype as the call that returns numpy's own dtype
+    object, not a copy: a restored array then shares its dtype with a
+    message's other arrays, and pickles onto the wire as the live one does."""
+
+    def reducer_override(self, obj: Any) -> Any:
+        """``np.dtype(name)`` for a builtin dtype; the default for anything else."""
+        if isinstance(obj, np.dtype) and obj.isbuiltin == 1:
+            return np.dtype, (obj.str,)
+        return NotImplemented
+
+
+class _Chunks(list):
+    """The file a pickler writes: the chunks, joined by :func:`_dumps`."""
+
+    write = list.append
+
+
+def _dumps(value: Any) -> bytes:
+    chunks = _Chunks()
+    _Pickler(chunks, protocol=pickle.HIGHEST_PROTOCOL).dump(value)
+    return b"".join(chunks)
 
 
 class CheckpointStore:
@@ -92,7 +118,7 @@ class MemoryCheckpointStore(CheckpointStore):
 
     def save(self, key: str, value: Any) -> None:
         """Pickle ``value`` into the in-memory map under ``key``."""
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = _dumps(value)
         with self._lock:
             self._data[key] = blob
 
@@ -162,7 +188,7 @@ class DiskCheckpointStore(CheckpointStore):
     def save(self, key: str, value: Any) -> None:
         """Commit ``value``: temp file, fsync, footer, atomic rename."""
         path = self._path(key)
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = _dumps(value)
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "wb") as fh:
             fh.write(blob)

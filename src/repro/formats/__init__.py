@@ -17,7 +17,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "BinaryInputFormat", "read_binary", "write_binary", "write_partitions",
     ),
     "repro.formats.text": (
-        "TextInputFormat", "ByteRangeTextInputFormat", "read_text",
+        "TextInputFormat", "read_text",
         "read_text_array", "write_text", "write_text_array",
     ),
     "repro.formats.packed": (

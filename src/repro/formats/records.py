@@ -211,23 +211,6 @@ class RecordSchema(Record):
             delimiters=new_delims,
         )
 
-    def without_field(self, name: str) -> "RecordSchema":
-        """A new schema with ``name`` removed (add-ons may delete attributes)."""
-        idx = self.index_of(name)
-        new_delims = ()
-        if self.input_format == "text" and self.delimiters:
-            new_delims = tuple(d for i, d in enumerate(self.delimiters) if i != idx)
-            # keep a line terminator if we dropped the last field
-            if new_delims and not new_delims[-1].endswith("\n"):
-                new_delims = new_delims[:-1] + ("\n",)
-        return RecordSchema(
-            id=self.id,
-            fields=tuple(f for f in self.fields if f.name != name),
-            input_format=self.input_format,
-            start_position=self.start_position,
-            delimiters=new_delims,
-        )
-
 
 #: Schema of the muBLASTP four-tuple index (Figures 1, 4).
 BLAST_INDEX_SCHEMA = RecordSchema(

@@ -409,56 +409,6 @@ class _TextRecordReader(RecordReader):
         return iter(self.rows)
 
 
-class ByteRangeTextInputFormat(InputFormat):
-    """Hadoop's real text-splitting behaviour: byte ranges snapped to lines.
-
-    Hadoop carves a text file into *byte* ranges without looking at content;
-    each record reader then skips the partial line at the start of its range
-    (the previous reader finished it) and reads past its end boundary to
-    complete the final line.  This reader reproduces that protocol exactly,
-    so splits can be computed from the file size alone — the property that
-    lets huge inputs be split without scanning them.
-    """
-
-    def __init__(self, path: PathLike, schema: RecordSchema) -> None:
-        if schema.input_format != "text":
-            raise FormatError(f"schema {schema.id!r} is not a text schema")
-        self.path = os.fspath(path)
-        self.schema = schema
-        self.file_size = os.path.getsize(self.path)
-
-    def get_splits(self, num_splits: int) -> list[InputSplit]:
-        if num_splits < 1:
-            raise FormatError(f"num_splits must be >= 1, got {num_splits!r}")
-        base, extra = divmod(self.file_size, num_splits)
-        splits, start = [], 0
-        for i in range(num_splits):
-            length = base + (1 if i < extra else 0)
-            splits.append(InputSplit(source=self.path, start=start, length=length))
-            start += length
-        return splits
-
-    def get_record_reader(self, split: InputSplit) -> RecordReader:
-        rows: list[tuple[Any, ...]] = []
-        end = split.start + split.length
-        with open(self.path, "rb") as fh:
-            fh.seek(split.start)
-            if split.start > 0:
-                # the previous split's reader owns the line we land inside
-                # (it reads one line past its end boundary); skip it
-                fh.readline()
-            # Hadoop rule: keep reading while the line *starts* at or before
-            # our end boundary — the final line may extend past it
-            while fh.tell() <= end:
-                raw = fh.readline()
-                if not raw:
-                    break
-                line = raw.decode("utf-8")
-                if line.strip():
-                    rows.append(parse_line(line, self.schema))
-        return _TextRecordReader(rows)
-
-
 class TextInputFormat(InputFormat):
     """Hadoop-style reader over a delimited text file.
 

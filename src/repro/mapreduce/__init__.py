@@ -35,5 +35,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "ExplicitPartitioner", "HashPartitioner", "Partitioner",
         "RangePartitioner", "stable_hash", "stable_hash_array",
     ),
-    "repro.mapreduce.sampling": ("reservoir_sample", "sample_key_ranges"),
+    "repro.mapreduce.sampling": ("reservoir_sample",),
 })

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -33,15 +33,10 @@ class Partitioner:
         raise NotImplementedError
 
     def partition_array(self, keys: np.ndarray) -> np.ndarray:
-        """Reducer index per key, vectorized where the subclass allows.
-
-        The base implementation loops; subclasses override with array
-        kernels.  Every override must agree elementwise with ``__call__``
-        (the columnar fast path's correctness contract, property-tested).
-        """
-        return np.fromiter(
-            (self(k) for k in keys), dtype=np.int64, count=len(keys)
-        )
+        """Reducer index per key, by an array kernel that agrees elementwise
+        with ``__call__`` (the columnar fast path's correctness contract,
+        property-tested)."""
+        raise NotImplementedError
 
 
 def stable_hash(key: Any) -> int:
@@ -151,17 +146,3 @@ class ExplicitPartitioner(Partitioner):
                 f"explicit reduce-key {bad!r} out of range for {self.num_reducers} reducers"
             )
         return reducers
-
-
-class FnPartitioner(Partitioner):
-    """Wrap an arbitrary ``key -> reducer`` callable."""
-
-    def __init__(self, fn: Callable[[Any], int], num_reducers: int) -> None:
-        super().__init__(num_reducers)
-        self._fn = fn
-
-    def __call__(self, key: Any) -> int:
-        reducer = self._fn(key)
-        if not (0 <= reducer < self.num_reducers):
-            raise MapReduceError(f"partitioner returned out-of-range reducer {reducer!r}")
-        return reducer

@@ -86,21 +86,3 @@ def gather_key_sample(
     rng = np.random.default_rng(seed + 1000 * comm.rank)
     local = reservoir_sample(local_keys, sample_size, rng)
     return [s for chunk in comm.allgather(local) for s in chunk]
-
-
-def sample_key_ranges(
-    comm,
-    local_keys: Sequence[Any],
-    num_reducers: int,
-    sample_size: int = 1024,
-    seed: int = 0,
-) -> list[Any]:
-    """Distributed boundary derivation: sample locally, allgather, take quantiles.
-
-    Every rank returns the same boundary list (deterministic given ``seed``),
-    suitable for :class:`~repro.mapreduce.partitioner.RangePartitioner`.
-    """
-    all_samples = gather_key_sample(comm, local_keys, sample_size, seed)
-    if not all_samples:
-        raise MapReduceError("no rank contributed samples; is the input empty?")
-    return quantile_boundaries(all_samples, num_reducers)

@@ -18,8 +18,8 @@ what makes the atomic-swap contract cheap:
   runs the pending pass first: no request observes an acknowledged record
   that is not dealt;
 * the balance monitor runs after each pass; past the threshold it
-  schedules a background rebuild (``PaPar.run`` over the frozen log, any
-  backend, in an executor thread) whose result is swapped in *on the loop*
+  schedules a background rebuild (:func:`~repro.core.runtime.execute_plan`
+  over the frozen log, any backend, in an executor thread) whose result is swapped in *on the loop*
   together with the re-routed tail — no request ever observes a torn
   generation;
 * ``snapshot`` freezes the state loop-side and publishes it through
@@ -45,6 +45,7 @@ import numpy as np
 from repro.config.workflow import WorkflowSpec
 from repro.core.dataset import Dataset
 from repro.core.planner import WorkflowPlan
+from repro.core.runtime import execute_plan
 from repro.lifecycle import install_async_shutdown
 from repro.obs.adapters import record_rebalance, record_serve_request
 from repro.obs.export import serve_metrics_json
@@ -281,7 +282,12 @@ class _Connection(asyncio.BufferedProtocol):
 
 
 class PartitionServer:
-    """Holds partitions hot and serves the protocol of :mod:`repro.serve.protocol`."""
+    """Holds partitions hot and serves the protocol of :mod:`repro.serve.protocol`.
+
+    ``papar`` looks the input schema up (``papar.schema(id)``) and plans a
+    workflow that is not yet a plan: a :class:`~repro.PaPar`, or with a
+    plan the CLI's :class:`~repro.config.schema.Schemas`.
+    """
 
     def __init__(
         self,
@@ -292,8 +298,6 @@ class PartitionServer:
         recorder: Optional[Recorder] = None,
     ) -> None:
         self.papar = papar
-        if isinstance(workflow, str):
-            workflow = papar.load_workflow(workflow)
         self.args = dict(args)
         # the warm start and every rebuild run this one plan
         self.plan = (
@@ -377,12 +381,13 @@ class PartitionServer:
                 self.state.current.track(self.router.key_field)
                 self.restored = True
                 return
-        _spec, _schema, data, result = self.papar.warm_start(
-            self.plan,
-            self.args,
-            backend=self.config.backend,
-            num_ranks=self.config.num_ranks,
-            schema_id=self.config.schema_id,
+        from repro.core.files import load_input_dataset
+
+        data, _schema = load_input_dataset(
+            self.papar, self.spec, self.args, schema_id=self.config.schema_id
+        )
+        result = execute_plan(
+            self.plan, data, backend=self.config.backend, num_ranks=self.config.num_ranks
         )
         self.state.append_log(np.asarray(data.to_flat().records))
         self.router = build_router(
@@ -698,12 +703,8 @@ class PartitionServer:
         """Cold-run the workflow over the frozen log, and sample its keys for
         the next range router (executor thread)."""
         data = Dataset.from_array(self.input_schema, frozen.records)
-        result = self.papar.run(
-            self.plan,
-            self.args,
-            data=data,
-            backend=self.config.backend,
-            num_ranks=self.config.num_ranks,
+        result = execute_plan(
+            self.plan, data, backend=self.config.backend, num_ranks=self.config.num_ranks
         )
         partitions = [np.asarray(p.to_flat().records) for p in result.partitions]
         return partitions, sample_log(self.plan, self.input_schema, frozen)

@@ -185,25 +185,6 @@ class PartitionGeneration:
                     lo, hi = min(held[0], lo), max(held[1], hi)
                 ranges[pid] = (lo, hi)
 
-    def partition_records(self, partition_id: int) -> np.ndarray:
-        """One partition materialized as a single record array.
-
-        Raises :class:`ServeError` when the partition holds chunks of
-        different schemas (appends since the last rebalance use the input
-        schema while the rebuilt base uses the workflow output schema) —
-        callers that need a uniform array should rebalance first.
-        """
-        chunks = self.chunks[partition_id]
-        if not chunks:
-            return np.empty(0)
-        dtypes = {c.dtype for c in chunks}
-        if len(dtypes) > 1:
-            raise ServeError(
-                f"partition {partition_id} holds mixed-schema chunks "
-                "(incremental appends pending); rebalance before materializing"
-            )
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
     def key_range(self, partition_id: int, key_field: str) -> Optional[tuple[Any, Any]]:
         """(min, max) of ``key_field`` in a partition, or None when absent.
 

@@ -11,6 +11,7 @@ longer blocks a run.
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +19,15 @@ from repro import PaPar
 from repro.analysis.diagnostics import Severity
 from repro.analysis.model import LintContext
 from repro.analysis.rules import CATALOG, CHECKERS, blocking_checkers
-from repro.blast import generate_index
 from repro.cli import main
 from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA, write_binary, write_text
-from repro.graph import generate_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+    from apps.graph import generate_graph
+finally:
+    sys.path.pop(0)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import Linter, parse_located
-from repro.analysis.ir import EXCHANGE_KINDS, build_ir, workflow_ir
+from repro.analysis.ir import EXCHANGE_KINDS, build_ir
 from repro.analysis.model import LintContext, build_workflow_model
 
 CHAIN = """<workflow id="chain">
@@ -56,7 +56,7 @@ HYBRID = """<workflow id="hy">
 def make_ir(xml, args=None):
     model, diags = build_workflow_model(parse_located(xml), "t.xml")
     assert model is not None
-    return workflow_ir(model, args)
+    return build_ir(LintContext(filename=None, model=model, args=dict(args or {})))
 
 
 class TestNodes:
@@ -126,7 +126,7 @@ class TestEdges:
 
     def test_graph_queries(self):
         ir = make_ir(HYBRID)
-        assert [n.op_id for n in ir.predecessors("distr")] == ["split"]
+        assert {e.src for e in ir.in_edges("distr")} == {"split"}
         assert ir.final.op_id == "distr"
 
     @pytest.mark.parametrize("distr_input, source", [

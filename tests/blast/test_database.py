@@ -1,18 +1,26 @@
 """Synthetic database generation and the four-tuple index."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.blast import (
-    INDEX_HEADER,
-    build_index,
-    extract_partition,
-    generate_database,
-    recalculate_pointers,
-)
-from repro.blast.database import ENV_NR_PROFILE, NR_PROFILE
 from repro.errors import PaParError
 from repro.formats import BLAST_INDEX_SCHEMA, read_binary, write_binary
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import (
+        INDEX_HEADER,
+        build_index,
+        extract_partition,
+        generate_database,
+        recalculate_pointers,
+    )
+    from apps.blast.database import ENV_NR_PROFILE, NR_PROFILE
+finally:
+    sys.path.pop(0)
 
 
 @pytest.fixture(scope="module")

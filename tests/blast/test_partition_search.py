@@ -1,22 +1,30 @@
 """muBLASTP partitioners, the search kernel, and the Figure 12 skew effect."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.blast import (
-    PartitionIndex,
-    baseline_partition_time,
-    build_index,
-    encode,
-    extract_partition,
-    generate_database,
-    make_batch,
-    mublastp_partition,
-    partition_makespan,
-)
-from repro.blast.scoring import ALPHABET, BLOSUM62
 from repro.cluster.model import CostModel
 from repro.errors import PaParError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import (
+        PartitionIndex,
+        baseline_partition_time,
+        build_index,
+        encode,
+        extract_partition,
+        generate_database,
+        make_batch,
+        mublastp_partition,
+        partition_makespan,
+    )
+    from apps.blast.scoring import ALPHABET, BLOSUM62
+finally:
+    sys.path.pop(0)
 
 
 def balance(values) -> float:

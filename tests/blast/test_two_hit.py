@@ -1,10 +1,24 @@
 """The two-hit seeding heuristic of the search kernel."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.blast import PartitionIndex, generate_database
-from repro.blast.scoring import BLOSUM62
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import (
+        PartitionIndex,
+        build_index,
+        extract_partition,
+        generate_database,
+        make_batch,
+        mublastp_partition,
+    )
+    from apps.blast.scoring import BLOSUM62
+finally:
+    sys.path.pop(0)
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +56,6 @@ class TestTwoHit:
 
     def test_two_hit_makespan_ordering_preserved(self, db):
         """Cyclic still beats block under the two-hit cost profile."""
-        from repro.blast import build_index, extract_partition, make_batch, mublastp_partition
-
         db2 = generate_database("nr", num_sequences=400, seed=34, length_clustering=0.95)
         index = build_index(db2)
         queries = make_batch(db2, "mixed", batch_size=6, seed=1)

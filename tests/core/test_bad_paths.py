@@ -8,12 +8,18 @@ path, so the CLI prints one line and exits 2 — never a traceback.
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.blast import generate_index
 from repro.cli import main
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 #: every command that reads the two configuration files
 COMMANDS = ("lint", "explain", "plan", "codegen", "run", "serve")

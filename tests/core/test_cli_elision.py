@@ -10,14 +10,20 @@ stages (PAP083 is retired).
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.blast import generate_index
 from repro.cli import main
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 from tests.integration._shapes import DESCENDING, FUSED_SORTS, distr_op, sort_op, wf
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 REPO = Path(__file__).resolve().parents[2]
 WORKFLOW = str(REPO / "configs" / "blast_partition.xml")

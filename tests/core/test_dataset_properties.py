@@ -95,19 +95,6 @@ names = st.text(alphabet="abcdefgh_", min_size=1, max_size=8).filter(
 
 
 class TestSchemaAlgebraProperties:
-    @settings(max_examples=50)
-    @given(name=names)
-    def test_with_without_field_roundtrip(self, name):
-        base = EDGE_LIST_SCHEMA
-        if base.has_field(name):
-            return
-        extended = base.with_field(name, "long")
-        assert extended.has_field(name)
-        assert extended.itemsize == base.itemsize + 8
-        back = extended.without_field(name)
-        assert back.dtype == base.dtype
-        assert back.effective_delimiters() == base.effective_delimiters()
-
     @settings(max_examples=30)
     @given(field_names=st.lists(names, min_size=1, max_size=6, unique=True))
     def test_structured_roundtrip(self, field_names):

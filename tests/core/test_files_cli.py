@@ -2,18 +2,24 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.blast import generate_index, mublastp_partition
 from repro.cli import main
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.core.files import find_io_arguments
 from repro.errors import WorkflowError
 from repro.formats import BLAST_INDEX_SCHEMA, read_binary, write_binary, write_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index, mublastp_partition
+finally:
+    sys.path.pop(0)
 
 
 @pytest.fixture

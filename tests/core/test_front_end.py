@@ -10,10 +10,15 @@ import pytest
 
 import repro.analysis.locate as locate
 import repro.analysis.explain  # noqa: F401  (loads the analysis verbs before ``calls`` patches)
-from repro.blast import generate_index
 from repro.cli import main
 from repro.core.planner import Planner
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 REPO = Path(__file__).resolve().parents[2]
 WORKFLOW = str(REPO / "configs" / "blast_partition.xml")

@@ -1,11 +1,13 @@
 """Coverage for remaining framework paths: schema registration, custom
 operators through the distributed runtimes, search significance."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.blast import INDEX_HEADER, build_index, generate_database
 from repro.config.workflow import Bindings
 from repro.core.dataset import Dataset
 from repro.core.planner import PlannedJob, WorkflowPlan
@@ -14,6 +16,12 @@ from repro.errors import ConfigError
 from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA, write_binary
 from repro.ops import Distribute
 from repro.ops.base import BasicOperator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import INDEX_HEADER, build_index, generate_database
+finally:
+    sys.path.pop(0)
 
 
 class TestFrameworkHelpers:

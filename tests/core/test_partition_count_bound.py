@@ -4,6 +4,7 @@ backend instead of dying in a per-partition allocation.  A count lint takes
 but no run can write (2**31 - 1 part files) is refused by ``run`` itself,
 before the input is read or any part file exists."""
 
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,11 +12,16 @@ import pytest
 
 from repro.analysis import Linter
 from repro.analysis.rules.paths import INTEGER_MAX
-from repro.blast import generate_index
 from repro.cli import main
 from repro.core.files import MAX_PARTITIONS, check_partition_counts
 from repro.errors import WorkflowError
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 REPO = Path(__file__).resolve().parents[2]
 WORKFLOW = str(REPO / "configs" / "blast_partition.xml")

@@ -16,10 +16,15 @@ from pathlib import Path
 import pytest
 
 from repro import PaPar
-from repro.blast import generate_index
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 SPMD_PACKAGES = ("repro.mpi", "repro.fault", "repro.cluster")

@@ -1,12 +1,24 @@
-"""Byte-range text splitting: Hadoop's exactly-once line ownership protocol."""
+"""Byte-range text splitting: Hadoop's exactly-once line ownership protocol.
 
-import numpy as np
+The input format is the Hadoop mapping's (``benchmarks/_hadoop.py``),
+loaded from the benchmarks directory by path.
+"""
+
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.formats import ByteRangeTextInputFormat, EDGE_LIST_SCHEMA, write_text
+from repro.formats import EDGE_LIST_SCHEMA, write_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from _hadoop import ByteRangeTextInputFormat
+finally:
+    sys.path.pop(0)
 
 
 def make_file(tmp_path, rows, name="edges.txt"):

@@ -108,17 +108,6 @@ class TestSchemaAlgebra:
         with pytest.raises(SchemaError):
             EDGE_LIST_SCHEMA.with_field("vertex_a")
 
-    def test_without_field_removes(self):
-        s = EDGE_LIST_SCHEMA.with_field("indegree", "long").without_field("indegree")
-        assert s.field_names == EDGE_LIST_SCHEMA.field_names
-        assert s.effective_delimiters() == ("\t", "\n")
-
-    def test_roundtrip_add_remove_binary(self):
-        s = BLAST_INDEX_SCHEMA.with_field("length_rank", "long")
-        assert s.itemsize == 24
-        back = s.without_field("length_rank")
-        assert back.itemsize == 16
-        assert back.dtype == BLAST_INDEX_SCHEMA.dtype
 
 
 class TestWidthsWithoutNumpy:

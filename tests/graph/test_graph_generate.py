@@ -1,17 +1,25 @@
 """Graph container, synthetic dataset generators, statistics."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import PaParError
-from repro.graph import (
-    DATASETS,
-    Graph,
-    compute_stats,
-    count_triangles,
-    generate_graph,
-    generate_powerlaw,
-)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.graph import (
+        DATASETS,
+        Graph,
+        compute_stats,
+        count_triangles,
+        generate_graph,
+        generate_powerlaw,
+    )
+finally:
+    sys.path.pop(0)
 
 
 class TestGraph:

@@ -1,11 +1,19 @@
 """Single-source shortest paths over the partitioned graph."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import PaParError
-from repro.graph import Graph, generate_powerlaw, hybrid_cut, vertex_cut
-from repro.graph.sssp import sssp
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.graph import Graph, generate_powerlaw, hybrid_cut, vertex_cut
+    from apps.graph.sssp import sssp
+finally:
+    sys.path.pop(0)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,19 @@
 """The shipped configs/ files parse and drive the CLI end to end."""
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
+
 
 class TestConfigsDirectory:
     """The shipped configs/ files drive the CLI end to end."""
 
     def test_cli_with_shipped_configs(self, tmp_path):
-        from repro.blast import generate_index
         from repro.cli import main
         from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 

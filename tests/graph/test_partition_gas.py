@@ -1,21 +1,31 @@
 """Partitioning strategies, replication metrics, and the GAS engine."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import PaParError
-from repro.graph import (
-    GASEngine,
-    PartitionedGraph,
-    edge_cut,
-    generate_graph,
-    generate_powerlaw,
-    hybrid_cut,
-    pagerank_reference,
-    partition_by,
-    vertex_cut,
-)
 from repro.cluster import ClusterModel, ETHERNET_10G, INFINIBAND_QDR
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.graph import (
+        GASEngine,
+        Graph,
+        PartitionedGraph,
+        edge_cut,
+        generate_graph,
+        generate_powerlaw,
+        hybrid_cut,
+        pagerank_reference,
+        partition_by,
+        vertex_cut,
+    )
+    from apps.graph.partition import _hash_assign
+finally:
+    sys.path.pop(0)
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +65,6 @@ class TestStrategies:
             assert len(owners) > 1
 
     def test_hybrid_extremes_match_pure_cuts(self, powerlaw):
-        from repro.graph.partition import _hash_assign
-
         # threshold 0: everything is "high" -> all edges placed by source
         all_high = hybrid_cut(powerlaw, 8, threshold=0)
         np.testing.assert_array_equal(
@@ -135,9 +143,7 @@ class TestGASEngine:
     def test_connected_components_correct(self):
         # two disjoint triangles plus an isolated vertex
         edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-        g = __import__("repro.graph", fromlist=["Graph"]).Graph.from_edges(
-            edges, num_vertices=7
-        )
+        g = Graph.from_edges(edges, num_vertices=7)
         pg = vertex_cut(g, 3)
         labels, report = GASEngine(pg).connected_components()
         assert labels[0] == labels[1] == labels[2]
@@ -185,8 +191,6 @@ class TestGASEngine:
             GASEngine(pg).pagerank(iterations=0)
 
     def test_empty_graph(self):
-        from repro.graph import Graph
-
         g = Graph.from_edges([])
         pg = PartitionedGraph(g, 2, np.empty(0, dtype=np.int64))
         ranks, report = GASEngine(pg).pagerank()

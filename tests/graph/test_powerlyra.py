@@ -1,15 +1,24 @@
 """Native PowerLyra baseline: reference hybrid-cut and the Fig 15 time model."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import PaParError
-from repro.graph import (
-    DATASETS,
-    PartitionerTimeModel,
-    generate_powerlaw,
-    papar_equivalent_hybrid_cut,
-)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.graph import (
+        DATASETS,
+        PartitionerTimeModel,
+        generate_powerlaw,
+        papar_equivalent_hybrid_cut,
+    )
+    from apps.graph import Graph
+finally:
+    sys.path.pop(0)
 
 
 class TestReferenceHybridCut:
@@ -42,8 +51,6 @@ class TestReferenceHybridCut:
                     assert owner.setdefault(d, i) == i
 
     def test_empty_and_single_partition(self):
-        from repro.graph import Graph
-
         empty = Graph.from_edges([])
         assert [len(p) for p in papar_equivalent_hybrid_cut(empty, 3, 5)] == [0, 0, 0]
         g = generate_powerlaw(50, 200, seed=1)

@@ -6,22 +6,30 @@ reporting — one test that touches every public layer the way a downstream
 user would.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.blast import (
-    INDEX_HEADER,
-    PartitionIndex,
-    build_index,
-    extract_partition,
-    generate_database,
-    make_batch,
-    mublastp_partition,
-)
 from repro.cli import main
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.formats import BLAST_INDEX_SCHEMA, read_binary, write_binary
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import (
+        INDEX_HEADER,
+        PartitionIndex,
+        build_index,
+        extract_partition,
+        generate_database,
+        make_batch,
+        mublastp_partition,
+    )
+finally:
+    sys.path.pop(0)
 
 NUM_PARTITIONS = 4
 

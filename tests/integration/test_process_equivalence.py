@@ -5,17 +5,23 @@ budgets — and zero import cost for everyone who does not select it."""
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.blast import build_index, generate_database
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.core.dataset import Dataset
 from repro.formats import BLAST_INDEX_SCHEMA
-from repro.graph import generate_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import build_index, generate_database
+    from apps.graph import generate_graph
+finally:
+    sys.path.pop(0)
 
 
 @pytest.fixture(scope="module")

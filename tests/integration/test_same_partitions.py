@@ -2,16 +2,24 @@
 the driving applications" — checked bit-for-bit for both case studies,
 on both backends, via both the interpreter and the generated code."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.blast import build_index, generate_database, mublastp_partition
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.core.dataset import Dataset
 from repro.formats import BLAST_INDEX_SCHEMA
-from repro.graph import generate_graph, papar_equivalent_hybrid_cut
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import build_index, generate_database, mublastp_partition
+    from apps.graph import generate_graph, papar_equivalent_hybrid_cut
+finally:
+    sys.path.pop(0)
 
 #: a pure-Distribute workflow for the muBLASTP "block" (default) method
 BLOCK_WORKFLOW_XML = """\

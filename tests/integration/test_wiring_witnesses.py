@@ -9,13 +9,19 @@ input, so the sort is dead, the planner drops it, and the parts are those
 of the distribute-only workflow, on {serial, mpi, mapreduce, process}.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.blast import generate_index
 from repro.cli import main
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 REPO = Path(__file__).resolve().parents[2]
 WORKFLOW = (REPO / "configs" / "blast_partition.xml").read_text()

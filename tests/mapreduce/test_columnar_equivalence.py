@@ -12,19 +12,20 @@ Two layers of equivalence, all seeded and randomized:
    the reference scans — the fast path changes wall-clock only.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import repro.core.runtime as runtime_mod
 from repro import PaPar
-from repro.blast import build_index, generate_database
 from repro.cluster import INFINIBAND_QDR, ClusterModel
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.core.dataset import Dataset
 from repro.errors import MapReduceError
 from repro.formats import BLAST_INDEX_SCHEMA
-from repro.graph import generate_graph
 from repro.mapreduce import (
     ExplicitPartitioner,
     HashPartitioner,
@@ -36,7 +37,13 @@ from repro.mapreduce import (
     stable_hash_array,
 )
 from repro.mapreduce.columnar import group as columnar_group
-from repro.mapreduce.partitioner import FnPartitioner
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import build_index, generate_database
+    from apps.graph import generate_graph
+finally:
+    sys.path.pop(0)
 
 
 def scan_bucketize(owners, num_buckets):
@@ -81,7 +88,6 @@ def test_partition_array_matches_scalar(seed):
     for part in (
         HashPartitioner(7),
         RangePartitioner([100, 5000, 90_000], 4),
-        FnPartitioner(lambda k: int(k) % 5, 5),  # exercises the base-class loop
     ):
         np.testing.assert_array_equal(
             part.partition_array(int_keys),
@@ -131,8 +137,10 @@ def test_columnar_group_matches_dict_grouping(seed):
 
 def test_perf_counters_merge_semantics():
     a, b = PerfCounters(), PerfCounters()
-    a.count_move(10, 100)
-    b.count_move(5, 50)
+    with a.job("sort"):  # a rank counts its moves in the job it runs
+        a.count_move(10, 100)
+    with b.job("sort"):
+        b.count_move(5, 50)
     a.phases["sort"] = 1.0
     b.phases["sort"] = 3.0
     total = PerfCounters.merge_ranks([a, None, b])

@@ -17,6 +17,7 @@ from repro.mapreduce.hadoop import InputSplit
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 try:
     from _hadoop import HadoopCluster, ListInputFormat, identity_reduce
+    from apps.blast import mublastp_partition
 finally:
     sys.path.pop(0)
 
@@ -140,7 +141,6 @@ class TestFigure9Flow:
             job_name="distribute",
         )
         # compare with the reference muBLASTP cyclic partitioner
-        from repro.blast import mublastp_partition
         from repro.formats import BLAST_INDEX_SCHEMA
 
         index = BLAST_INDEX_SCHEMA.to_structured(self.ROWS)

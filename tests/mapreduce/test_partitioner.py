@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MapReduceError
 from repro.mapreduce import ExplicitPartitioner, HashPartitioner, RangePartitioner
-from repro.mapreduce.partitioner import FnPartitioner, stable_hash
+from repro.mapreduce.partitioner import stable_hash
 
 
 class TestStableHash:
@@ -89,14 +89,3 @@ class TestExplicitPartitioner:
             p(4)
         with pytest.raises(MapReduceError):
             p(-1)
-
-
-class TestFnPartitioner:
-    def test_wraps_callable(self):
-        p = FnPartitioner(lambda k: k % 3, 3)
-        assert p(7) == 1
-
-    def test_out_of_range_detected(self):
-        p = FnPartitioner(lambda k: 99, 3)
-        with pytest.raises(MapReduceError):
-            p(0)

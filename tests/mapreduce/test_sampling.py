@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import MapReduceError
-from repro.mapreduce import reservoir_sample, sample_key_ranges
+from repro.mapreduce import reservoir_sample
 from repro.mapreduce.partitioner import RangePartitioner
-from repro.mapreduce.sampling import quantile_boundaries
+from repro.mapreduce.sampling import gather_key_sample, quantile_boundaries
 from repro.mpi import run_mpi
 
 
@@ -74,7 +74,7 @@ class TestDistributedSampling:
         def prog(comm):
             rng = np.random.default_rng(comm.rank)
             local = list(rng.integers(0, 10_000, size=500))
-            return sample_key_ranges(comm, local, num_reducers=4, sample_size=128)
+            return RangePartitioner.sampled(comm, local, 4, sample_size=128).boundaries
 
         run = run_mpi(prog, 4)
         assert all(b == run.results[0] for b in run.results)
@@ -86,8 +86,7 @@ class TestDistributedSampling:
         def prog(comm):
             rng = np.random.default_rng(100 + comm.rank)
             local = list((rng.pareto(1.5, size=2000) * 100).astype(int))
-            boundaries = sample_key_ranges(comm, local, num_reducers=4, sample_size=512)
-            part = RangePartitioner(boundaries, 4)
+            part = RangePartitioner.sampled(comm, local, 4, sample_size=512)
             counts = [0, 0, 0, 0]
             for k in local:
                 counts[part(k)] += 1
@@ -100,7 +99,7 @@ class TestDistributedSampling:
 
     def test_empty_everywhere_raises(self):
         def prog(comm):
-            return sample_key_ranges(comm, [], num_reducers=2)
+            return quantile_boundaries(gather_key_sample(comm, [], sample_size=1024), 2)
 
         from repro.errors import MPIError
 

@@ -79,9 +79,11 @@ class TestPerfCounterMerge:
         """A failed attempt leaves dead ranks' slots as None; the merge must
         survive and sum the live ones."""
         a = PerfCounters()
-        a.count_move(10, 100)
+        with a.job("sort"):  # a rank counts its moves in the job it runs
+            a.count_move(10, 100)
         b = PerfCounters()
-        b.count_move(5, 50)
+        with b.job("sort"):
+            b.count_move(5, 50)
         total = PerfCounters.merge_ranks([None, a, None, b])
         assert total.records_moved == 15
         assert total.bytes_moved == 150

@@ -37,11 +37,10 @@ def _alltoall_traffic_prog(comm):
 
 def _sort_prog(comm, data):
     """Distributed sample-sort matching the thread backend's semantics."""
-    from repro.mapreduce.sampling import sample_key_ranges
+    from repro.mapreduce.partitioner import RangePartitioner
 
     local = np.array_split(data, comm.size)[comm.rank]
-    boundaries = sample_key_ranges(comm, local, num_reducers=comm.size)
-    owners = np.searchsorted(np.asarray(boundaries), local, side="left")
+    owners = RangePartitioner.sampled(comm, local, comm.size, 1024).partition_array(local)
     chunks = comm.alltoall([local[owners == d] for d in range(comm.size)])
     merged = np.sort(np.concatenate(chunks), kind="stable")
     return merged

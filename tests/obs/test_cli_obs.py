@@ -1,15 +1,22 @@
 """The CLI observability flags: --trace / --metrics / --timeline round-trip."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.blast import generate_index
 from repro.cli import main
 from repro.config import BLAST_INPUT_XML
 from repro.config.examples import BLAST_WORKFLOW_XML
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
 from repro.obs import METRICS_VERSION
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 
 @pytest.fixture

@@ -163,8 +163,8 @@ class TestBlockAndCounts:
 
 
 def test_importing_the_cli_leaves_scipy_out():
-    """scipy's one user in the product is :mod:`repro.graph`, which no CLI
-    command imports; every CLI start-up would pay ~0.15 s for it.  A fresh
+    """The product imports no scipy (its one user is the graph case study,
+    ``benchmarks/apps/graph``); every CLI start-up would pay ~0.15 s for it.  A fresh
     interpreter keeps the check immune to whatever this session imported."""
     probe = (
         "import sys, repro.cli; "

@@ -8,8 +8,16 @@ by ``test_server.py``'s TCP lifecycle test and the CI serve-smoke job.
 import asyncio
 import json
 
+import numpy as np
+
 from repro.serve import ServeConfig
 from repro.serve.server import PartitionServer
+
+
+def partition_records(generation, partition_id: int) -> np.ndarray:
+    """One partition of a generation as a single record array."""
+    chunks = generation.chunks[partition_id]
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def request_line(payload: dict) -> bytes:

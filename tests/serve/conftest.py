@@ -2,14 +2,22 @@
 case-study schemas registered, and real on-disk input files for the warm
 start (the daemon loads its initial state from the workflow's input path)."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import PaPar
-from repro.blast import generate_index
 from repro.config import BLAST_INPUT_XML, EDGE_INPUT_XML
 from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA, write_binary, write_text
-from repro.graph import generate_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+    from apps.graph import generate_graph
+finally:
+    sys.path.pop(0)
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,9 @@ from repro.serve.router import KeyedRouter, PositionalRouter
 from repro.serve.server import _Connection
 from repro.serve.state import PartitionGeneration
 
-from tests.serve._driver import dispatch, fold_tail, request_line, run_scenario, settle
+from tests.serve._driver import (
+    dispatch, fold_tail, partition_records, request_line, run_scenario, settle,
+)
 from tests.serve.conftest import rows_of
 from tests.serve.test_connection import FakeTransport
 from tests.serve.test_server import RawConnection, blast_args, frame_of, tcp_daemon
@@ -131,7 +133,7 @@ class TestCoalescedPass:
         assert coalesced.key_ranges == one_by_one.key_ranges
         for pid in range(parts):
             np.testing.assert_array_equal(
-                coalesced.partition_records(pid), one_by_one.partition_records(pid))
+                partition_records(coalesced, pid), partition_records(one_by_one, pid))
 
 
 class TestFailedPass:
@@ -163,7 +165,7 @@ class TestFailedPass:
             await fold_tail(server)
             q = await dispatch(server, {"op": "query"})
             assert q["log_records"] == q["total_records"] == 120
-            return [server.state.current.partition_records(p) for p in range(4)]
+            return [partition_records(server.state.current, p) for p in range(4)]
 
         from repro.core.dataset import Dataset
 

@@ -6,8 +6,10 @@ import asyncio
 import contextlib
 import json
 import os
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,12 @@ from repro.serve.server import PartitionServer, _Connection
 from tests.serve._driver import request_line
 from tests.serve.conftest import rows_of
 from tests.serve.test_server import RawConnection, blast_args, frame_of
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 
 class FakeTransport:
@@ -299,7 +307,6 @@ class TestReceiveBuffer:
         return asyncio.run(go())
 
     def test_a_frame_larger_than_the_starting_buffer(self, papar, shared_args):
-        from repro.blast import generate_index
         from repro.serve.server import MIN_READ, RECV_BUFFER
 
         big = np.asarray(generate_index("env_nr", num_sequences=3 * RECV_BUFFER // 16, seed=3))
@@ -358,8 +365,6 @@ class TestReceiveBuffer:
     def test_a_frame_larger_than_the_buffer_over_tcp(self, papar, shared_args):
         """The real transport reads in ``get_buffer(-1)`` slices of whatever
         room there is: a 400 KiB frame arrives over many reads."""
-        from repro.blast import generate_index
-
         big = np.asarray(generate_index("env_nr", num_sequences=25_000, seed=4))
         with live_daemon(papar, shared_args) as (address, server):
             with ServeClient(*address) as client:

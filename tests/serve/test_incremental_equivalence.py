@@ -12,7 +12,7 @@ from repro.config.examples import BLAST_WORKFLOW_XML, HYBRID_CUT_WORKFLOW_XML
 from repro.core.dataset import Dataset
 from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA
 
-from tests.serve._driver import dispatch, fold_tail, run_scenario
+from tests.serve._driver import dispatch, fold_tail, partition_records, run_scenario
 from tests.serve.conftest import rows_of
 
 RANKS = [1, 4, 8]
@@ -28,7 +28,7 @@ def stream(papar, workflow, args, append_batches, ranks):
         await fold_tail(server)
         assert server.state.drift_fraction == 0.0
         gen = server.state.current
-        return [gen.partition_records(pid)
+        return [partition_records(gen, pid)
                 for pid in range(gen.num_partitions)]
 
     server, parts = run_scenario(

@@ -1,5 +1,8 @@
 """Router selection per workflow shape, and the vectorized routing itself."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,12 @@ from repro.serve.router import (
     PositionalRouter,
     _sampled_boundaries,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+try:
+    from apps.blast import generate_index
+finally:
+    sys.path.pop(0)
 
 BLAST_ARGS = {"input_path": "/in", "output_path": "/out", "num_partitions": 4}
 EDGE_ARGS = {"input_file": "/in", "output_path": "/out",
@@ -64,8 +73,6 @@ DESCENDING_XML = BLAST_WORKFLOW_XML.replace(
 
 
 def blast_log(papar, n=64):
-    from repro.blast import generate_index
-
     return [np.asarray(generate_index("env_nr", num_sequences=n, seed=5))]
 
 
@@ -230,8 +237,6 @@ class TestVectorizedSampler:
         """A log shaped like a daemon's — one big warm-start batch, then many
         small appends — so every branch runs: ``rng.choice`` on the big
         batch, small batches whole, Algorithm R over the pool."""
-        from repro.blast import generate_index
-
         index = np.asarray(generate_index("env_nr", num_sequences=12000, seed=3))
         log = [index[:6000]] + [index[i:i + 50] for i in range(6000, 12000, 50)]
         op = Sort(key="seq_size", ascending=ascending)
@@ -255,8 +260,6 @@ class TestBoundariesFromTheLogBuffer:
     def test_buffer_and_offsets_equal_the_elementwise_sampler(
         self, sizes, ascending, seed
     ):
-        from repro.blast import generate_index
-
         index = np.asarray(generate_index("env_nr", num_sequences=sum(sizes) + 1,
                                           seed=seed))
         cuts = np.cumsum([0] + sizes)
@@ -286,7 +289,6 @@ class TestSampleOffTheLoop:
     def test_a_continued_prefix_sample_equals_the_whole_log(
         self, sizes, cut, ascending, seed
     ):
-        from repro.blast import generate_index
         from repro.serve.router import KeySample
         from repro.serve.state import BatchLog
 
@@ -315,7 +317,6 @@ class TestSampleOffTheLoop:
         import asyncio
         import threading
 
-        from repro.blast import generate_index
         from repro.formats import BLAST_INDEX_SCHEMA, write_binary
         from repro.serve import router as router_module
 

@@ -15,7 +15,7 @@ from repro.formats import BLAST_INDEX_SCHEMA
 from repro.ooc.runfile import FRAME, pack_frame_header
 from repro.serve import ServeClient, ServeConfig, protocol, run_server
 
-from tests.serve._driver import dispatch, fold_tail, run_scenario, settle
+from tests.serve._driver import dispatch, fold_tail, partition_records, run_scenario, settle
 from tests.serve.conftest import rows_of
 
 
@@ -185,7 +185,7 @@ class TestPositionalRebuild:
             assert r["ok"], r
             await settle(server)
             gen = server.state.current
-            return [gen.partition_records(p) for p in range(gen.num_partitions)]
+            return [partition_records(gen, p) for p in range(gen.num_partitions)]
 
         args = blast_args(blast_file, tmp_path, parts=3)
         server, streamed = run_scenario(
@@ -224,7 +224,7 @@ class TestSnapshotAndRestart:
             r = await dispatch(server, {"op": "snapshot"})
             assert r["ok"]
             return (r["snapshot"], server.state.log_records,
-                    [server.state.current.partition_records(p)
+                    [partition_records(server.state.current, p)
                      for p in range(4)])
 
         _, (sid, log_records, parts) = run_scenario(
@@ -235,7 +235,7 @@ class TestSnapshotAndRestart:
         async def second(server):
             q = await dispatch(server, {"op": "query"})
             assert q["snapshot"] == sid
-            return [server.state.current.partition_records(p)
+            return [partition_records(server.state.current, p)
                     for p in range(4)]
 
         server, restored = run_scenario(

@@ -8,6 +8,8 @@ from repro.formats import BLAST_INDEX_SCHEMA
 from repro.serve import PartitionGeneration, ServeError, ServeState, SnapshotStore
 from repro.serve.snapshot import CURRENT_KEY, snapshot_id
 
+from tests.serve._driver import partition_records
+
 
 def records(n, start=0):
     return BLAST_INDEX_SCHEMA.to_structured(
@@ -38,8 +40,8 @@ class TestPublishRestore:
         assert restored.current.generation == 0
         for pid in range(2):
             np.testing.assert_array_equal(
-                restored.current.partition_records(pid),
-                state.current.partition_records(pid),
+                partition_records(restored.current, pid),
+                partition_records(state.current, pid),
             )
 
     def test_no_snapshot_yet_restores_none(self, tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from repro.formats import BLAST_INDEX_SCHEMA
 from repro.serve import PartitionGeneration, ServeError, ServeState
 
+from tests.serve._driver import partition_records
+
 
 def records(n, start=0):
     return BLAST_INDEX_SCHEMA.to_structured(
@@ -26,7 +28,7 @@ class TestPartitionGeneration:
         gen = PartitionGeneration.from_partitions(0, [records(3)], 3)
         gen.deal(records(2, start=100), np.array([0, 0]))
         assert gen.total_records == 5
-        out = gen.partition_records(0)
+        out = partition_records(gen, 0)
         assert len(out) == 5
         assert out["seq_start"][-1] == 101
 
@@ -34,13 +36,6 @@ class TestPartitionGeneration:
         gen = PartitionGeneration.from_partitions(0, [records(3)], 3)
         gen.deal(records(0), np.array([], dtype=np.int64))
         assert len(gen.chunks[0]) == 1
-
-    def test_mixed_schema_chunks_refuse_to_materialize(self):
-        other = np.array([(1, 2)], dtype=[("a", "i8"), ("b", "i8")])
-        gen = PartitionGeneration.from_partitions(0, [records(3)], 3)
-        gen.deal(other, np.array([0]))
-        with pytest.raises(ServeError, match="mixed-schema"):
-            gen.partition_records(0)
 
     def test_key_range_and_stats(self):
         gen = PartitionGeneration.from_partitions(
