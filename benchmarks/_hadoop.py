@@ -6,8 +6,9 @@ those operators in Java, and generate Hadoop jobs for the workflow."
 
 This engine reproduces Hadoop's execution structure in one process:
 
-* the job input is an :class:`~repro.mapreduce.hadoop.InputFormat`;
-  ``get_splits`` carves it into one slice per map task;
+* the job input is an :class:`InputFormat` (Hadoop's programmatic input
+  interface, Section III-A): ``get_splits`` carves it into one
+  :class:`InputSplit` per map task, ``get_record_reader`` iterates one;
 * each **map task** runs the mapper over its split and *spills* its output
   to disk, one spill file per reducer (the map-side partition);
 * each **reduce task** pulls its spill files from every map task (mapper
@@ -15,13 +16,13 @@ This engine reproduces Hadoop's execution structure in one process:
   ``part-NNNNN`` output file.
 
 The workflow backends do not run through it: ``backend="mapreduce"`` is
-the MR-MPI mapping of the same operators (:mod:`repro.core.mr_runtime`).
-(Hadoop's speculative task re-execution is a fault-tolerance mechanism
-with no effect on results; it is out of scope here.)  Only
-``bench_backends_ablation.py`` runs it, next to the backends it is compared
-with; :class:`ListInputFormat` feeds it in-memory rows, and
-:class:`ByteRangeTextInputFormat` carves a text file the way Hadoop's own
-``TextInputFormat`` does.
+the MR-MPI mapping of the same operators (:mod:`repro.core.mr_runtime`),
+and a run reads its input through the configured schema
+(:class:`repro.formats.binary.InputFileView`), PaPar's programming-free
+alternative to the interface.  (Hadoop's speculative task re-execution is
+a fault-tolerance mechanism with no effect on results; it is out of scope
+here.)  Only ``bench_backends_ablation.py`` runs it, next to the backends
+it is compared with; :class:`ListInputFormat` feeds it in-memory rows.
 
 Benchmarks import this module from their own directory; tests load it by
 path (``sys.path.insert(0, <repo>/benchmarks)``).
@@ -35,10 +36,7 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from repro.errors import FormatError, MapReduceError
-from repro.formats.records import RecordSchema
-from repro.formats.text import parse_line
-from repro.mapreduce.hadoop import InputFormat, InputSplit, RecordReader
+from repro.errors import MapReduceError, Record
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
 
 PathLike = Union[str, os.PathLike]
@@ -48,6 +46,38 @@ KV = tuple[Any, Any]
 MapFn = Callable[[Any, Callable[[Any, Any], None]], None]
 #: ``reduce_fn(key, values, emit)`` — calls ``emit(key, value)``.
 ReduceFn = Callable[[Any, list[Any], Callable[[Any, Any], None]], None]
+
+
+class InputSplit(Record):
+    """One mapper's slice of the input: ``[start, start + length)`` in units
+    meaningful to the format (the record index of in-memory data);
+    immutable."""
+
+    source: Any
+    start: int
+    length: int
+
+    def __init__(self, source: Any, start: int, length: int) -> None:
+        if start < 0 or length < 0:
+            raise MapReduceError(f"invalid split [{start}, +{length})")
+        vars(self).update(source=source, start=start, length=length)
+
+
+class RecordReader:
+    """Iterates the records of one split, yielding mapper inputs."""
+
+    def __iter__(self) -> Iterator[Any]:
+        raise NotImplementedError
+
+
+class InputFormat:
+    """Hadoop's input interface: split the input, read each split's records."""
+
+    def get_splits(self, num_splits: int) -> list[InputSplit]:
+        raise NotImplementedError
+
+    def get_record_reader(self, split: InputSplit) -> RecordReader:
+        raise NotImplementedError
 
 
 def identity_reduce(key: Any, values: list[Any], emit: Callable[[Any, Any], None]) -> None:
@@ -275,53 +305,3 @@ class ListInputFormat(InputFormat):
 
     def get_record_reader(self, split: InputSplit) -> RecordReader:
         return _ListRecordReader(self._items[split.start : split.start + split.length])
-
-
-class ByteRangeTextInputFormat(InputFormat):
-    """Hadoop's real text-splitting behaviour: byte ranges snapped to lines.
-
-    Hadoop carves a text file into *byte* ranges without looking at content;
-    each record reader then skips the partial line at the start of its range
-    (the previous reader finished it) and reads past its end boundary to
-    complete the final line.  This reader reproduces that protocol exactly,
-    so splits can be computed from the file size alone — the property that
-    lets huge inputs be split without scanning them.
-    """
-
-    def __init__(self, path: PathLike, schema: RecordSchema) -> None:
-        if schema.input_format != "text":
-            raise FormatError(f"schema {schema.id!r} is not a text schema")
-        self.path = os.fspath(path)
-        self.schema = schema
-        self.file_size = os.path.getsize(self.path)
-
-    def get_splits(self, num_splits: int) -> list[InputSplit]:
-        if num_splits < 1:
-            raise FormatError(f"num_splits must be >= 1, got {num_splits!r}")
-        base, extra = divmod(self.file_size, num_splits)
-        splits, start = [], 0
-        for i in range(num_splits):
-            length = base + (1 if i < extra else 0)
-            splits.append(InputSplit(source=self.path, start=start, length=length))
-            start += length
-        return splits
-
-    def get_record_reader(self, split: InputSplit) -> RecordReader:
-        rows: list[tuple[Any, ...]] = []
-        end = split.start + split.length
-        with open(self.path, "rb") as fh:
-            fh.seek(split.start)
-            if split.start > 0:
-                # the previous split's reader owns the line we land inside
-                # (it reads one line past its end boundary); skip it
-                fh.readline()
-            # Hadoop rule: keep reading while the line *starts* at or before
-            # our end boundary — the final line may extend past it
-            while fh.tell() <= end:
-                raw = fh.readline()
-                if not raw:
-                    break
-                line = raw.decode("utf-8")
-                if line.strip():
-                    rows.append(parse_line(line, self.schema))
-        return _ListRecordReader(rows)

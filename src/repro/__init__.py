@@ -15,11 +15,12 @@ Layout
     Cluster cost model pricing a run's counts (nodes, Ethernet vs InfiniBand networks).
 ``repro.mapreduce``
     Columnar shuffle kernels, reducer partitioners and key sampling shared
-    by the SPMD runtimes, plus the Hadoop ``InputFormat`` interface the
-    file formats implement.
+    by the SPMD runtimes.
 ``repro.config`` / ``repro.formats``
     The two user-facing configuration files (input-data format and workflow)
-    and the record formats they describe.
+    and the record formats they describe, read through one row-range view
+    of the input file (the programming-free alternative to Hadoop's
+    ``InputFormat``).
 ``repro.ops`` / ``repro.policies``
     The operator building blocks (Table I of the paper) and distribution
     policies formalized as stride-permutation matrices.
@@ -28,8 +29,9 @@ Layout
     and execute partitioning workflows.
 The two driving applications (muBLASTP database partitioning and
 PowerLyra-style graph partitioning, ``benchmarks/apps/``), the experiment
-harness, the Hadoop job runner, the speculative scheduler and the reducer
-rebalancer are the benchmarks' own (``benchmarks/``).
+harness, the Hadoop job runner and its ``InputFormat`` interface, the
+speculative scheduler and the reducer rebalancer are the benchmarks' own
+(``benchmarks/``).
 """
 
 from repro._lazy import lazy_exports

@@ -79,11 +79,6 @@ class IRNode:
                 return self.params[name]
         return None
 
-    def param_line(self, *names: str) -> Optional[int]:
-        """Source line of the first declared parameter among ``names``."""
-        p = self.op.param(*names)
-        return p.line if p is not None else None
-
 
 class PlanIR:
     """The whole analyzed plan: nodes in execution order plus their edges."""
@@ -117,10 +112,6 @@ class PlanIR:
     def consumed_outputs(self, op_id: str) -> set[int]:
         """Output slots of ``op_id`` some later node consumes."""
         return {e.src_output for e in self.out_edges(op_id)}
-
-    def exchange_nodes(self) -> list[IRNode]:
-        """Nodes annotated with an exchange, in execution order."""
-        return [n for n in self.nodes if n.exchange is not None]
 
 
 def build_ir(ctx: "LintContext") -> Optional[PlanIR]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
@@ -168,10 +168,6 @@ class ClusterModel:
     def compute(self, single_core_cost: float) -> float:
         """Seconds of a compute phase that each rank runs on its own threads."""
         return self.cost.parallel(single_core_cost, self.threads_per_rank)
-
-    def with_nodes(self, num_nodes: int) -> "ClusterModel":
-        """A copy of this cluster scaled to ``num_nodes`` nodes."""
-        return replace(self, num_nodes=num_nodes)
 
 
 def _rank_seconds(cluster: ClusterModel, rank: int, counts: Any) -> float:

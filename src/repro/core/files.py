@@ -89,15 +89,16 @@ def load_input_dataset(
 
     The input path comes from the spec's ``input*`` argument (the paper's
     config convention); with a ``memory_budget`` the file is opened as a
-    streamed :class:`~repro.ooc.ChunkedDataset` instead of read into memory.
+    streamed :class:`~repro.ooc.ChunkedDataset` (the input-file view plus
+    budget-sized chunks) instead of read into memory.
     Shared by :func:`partition_files` and the daemon's warm start, which
     must agree on how bytes become records.  ``schemas.schema(id)`` is the
     input schema (a :class:`~repro.config.schema.Schemas`, or a ``PaPar``).
 
     ``file_backed`` (what :func:`partition_files` asks for) leaves a binary
     file unread: the dataset is a validated
-    :class:`~repro.formats.binary.BinaryInputFormat` that whoever executes
-    the plan materializes — whole, or one rank's byte range at a time.
+    :class:`~repro.formats.binary.InputFileView` that whoever executes the
+    plan materializes — whole, or one rank's byte range at a time.
     """
     input_arg, _ = find_io_arguments(spec)
     if input_arg not in args:
@@ -122,9 +123,9 @@ def load_input_dataset(
 
         return ChunkedDataset(args[input_arg], schema, MemoryBudget.coerce(memory_budget)), schema
     if file_backed and schema.input_format == "binary":
-        from repro.formats.binary import BinaryInputFormat
+        from repro.formats.binary import InputFileView
 
-        return BinaryInputFormat(args[input_arg], schema), schema
+        return InputFileView(args[input_arg], schema), schema
     from repro.core.dataset import Dataset
 
     if schema.input_format == "binary":

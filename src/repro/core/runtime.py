@@ -43,8 +43,9 @@ nothing is priced and ``elapsed`` is 0.0.  The same tallies, summed, are
 counted once, by the sending rank's communicator.
 
 File-to-file runs (:func:`repro.core.files.partition_files`): the input is
-a file-backed source (:class:`~repro.formats.binary.BinaryInputFormat`), so
-every rank reads its own byte range, and the executor is handed a
+a file-backed source (:class:`~repro.formats.binary.InputFileView`; under
+a budget its chunked subclass, :class:`~repro.ooc.chunked.ChunkedDataset`),
+so every rank reads its own row range, and the executor is handed a
 :class:`~repro.formats.binary.PartWriter`.  When the final ``Distribute``
 deals flat streams of the schema being written, each rank ``pwrite``s its
 pieces where they belong in the part files — no second exchange, nothing
@@ -155,9 +156,9 @@ def _dataset_rows_per_rank(data: Dataset, rank: int, size: int) -> Dataset:
         return data
     start, length = _block(len(data), rank, size)
     if hasattr(data, "slice_view"):
-        # an out-of-core ChunkedDataset: hand the rank a row-range view
-        # instead of materializing its block (duck-typed so repro.ooc is
-        # never imported on the in-memory path)
+        # a file-backed input view: hand the rank a row-range view instead
+        # of materializing its block (duck-typed so repro.ooc is never
+        # imported on the in-memory path)
         return data.slice_view(start, length)
     if data.is_packed:
         return data.take(np.arange(start, start + length))

@@ -1,9 +1,12 @@
 """Record formats: schemas, binary / text readers-writers, packed records.
 
 This package is the runtime behind PaPar's *input-data configuration file*
-interface (paper Section III-A): a schema describes one element of the input
-(Figures 4 and 5), and the format readers implement the Hadoop
-``InputFormat`` contract over it so mappers read their own slices.
+interface (paper Section III-A), the programming-free alternative to
+subclassing Hadoop's ``InputFormat``: a schema describes one element of the
+input (Figures 4 and 5), and the readers turn a file of them into records.
+A run reads its input through one row-range view of the file,
+:class:`~repro.formats.binary.InputFileView`, so each rank reads its own
+slice.
 """
 
 from repro._lazy import lazy_exports
@@ -14,11 +17,10 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "Field", "RecordSchema", "BLAST_INDEX_SCHEMA", "EDGE_LIST_SCHEMA",
     ),
     "repro.formats.binary": (
-        "BinaryInputFormat", "read_binary", "write_binary", "write_partitions",
+        "InputFileView", "read_binary", "write_binary", "write_partitions",
     ),
     "repro.formats.text": (
-        "TextInputFormat", "read_text",
-        "read_text_array", "write_text", "write_text_array",
+        "read_text", "read_text_array", "write_text", "write_text_array",
     ),
     "repro.formats.packed": (
         "PackedRecords", "pack", "unpack",

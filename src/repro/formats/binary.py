@@ -1,17 +1,16 @@
 """Fixed-width binary record files (the muBLASTP index format).
 
 A binary input per Figure 4: an opaque header of ``start_position`` bytes,
-then back-to-back fixed-width records.  The reader implements the Hadoop
-``InputFormat`` contract — ``get_splits`` carves the byte range on record
-boundaries, ``get_record_reader`` yields structured numpy rows — so mappers
-can each read their own slice, which is what lets PaPar's partitioner scale
-out while muBLASTP's own partitioner is stuck on one node (Section IV-B).
+then back-to-back fixed-width records, so any row range of the file is one
+record-aligned byte range.  That is what lets every rank of a run read its
+own slice, and PaPar's partitioner scale out while muBLASTP's own
+partitioner is stuck on one node (Section IV-B).
 
 Both ends of a file-to-file run are addressed by offset.
-:class:`BinaryInputFormat` doubles as the *file-backed source* the runtimes
-execute over: a row range of the file that knows its schema and size and
-reads its records only when a rank asks (``slice_view`` + ``materialize``),
-so every rank reads its own byte range.  :class:`PartWriter` owns the
+:class:`InputFileView` is the *file-backed source* the runtimes execute
+over: a row range of the file that knows its schema and size and reads its
+records only when a rank asks (``slice_view`` + ``materialize``), so every
+rank reads its own byte range.  :class:`PartWriter` owns the
 ``part-NNNNN`` layout: slot ``s`` of partition ``p`` lives at byte
 ``start_position + s * itemsize``, so whoever holds a piece of a partition
 ``pwrite``s it where it belongs, and the parts appear under their final
@@ -29,7 +28,6 @@ import numpy as np
 
 from repro.errors import FormatError, PartWriteError
 from repro.formats.records import RecordSchema
-from repro.mapreduce.hadoop import InputFormat, InputSplit, RecordReader
 
 PathLike = Union[str, os.PathLike]
 
@@ -131,34 +129,32 @@ def read_records(path: PathLike, start: int, count: int, dtype: np.dtype) -> np.
     return out
 
 
-class _BinaryRecordReader(RecordReader):
-    def __init__(self, rows: np.ndarray) -> None:
-        self.rows = rows
+class InputFileView:
+    """A row range of an input record file, read only when a rank asks.
 
-    def __iter__(self) -> Iterator[np.void]:
-        return iter(self.rows)
-
-
-class BinaryInputFormat(InputFormat):
-    """Hadoop-style reader over a fixed-width binary file.
-
-    Also the file-backed source of a file-to-file run: it answers
-    ``schema`` / ``len`` / ``nbytes`` like a flat dataset without holding a
-    record, :meth:`slice_view` narrows it to a row range (a rank's block)
-    and :meth:`materialize` reads that range — the surface the runtimes
-    already duck-type for an out-of-core input view.  The file is validated
-    here, once, exactly as :func:`read_binary` validates it.
+    The file-backed source of a file-to-file run: it answers ``schema`` /
+    ``len`` / ``nbytes`` like a flat dataset without holding a record,
+    :meth:`slice_view` narrows it to a row range (a rank's block),
+    :meth:`indexed_rows` maps that range read-only and :meth:`materialize`
+    reads it -- the surface the runtimes duck-type for a file-backed input.
+    A fixed-width binary file is validated here, once, exactly as
+    :func:`read_binary` validates it; ``num_records`` is given only by a
+    view that counted its own file (the chunked text view's offset scan).
     """
 
     #: a file-backed source is always a flat record stream
     is_packed = False
 
-    def __init__(self, path: PathLike, schema: RecordSchema) -> None:
+    def __init__(
+        self, path: PathLike, schema: RecordSchema, num_records: Optional[int] = None
+    ) -> None:
         self.path = os.fspath(path)
         self.schema = schema
         #: the row range of the file this view covers
         self.first_record = 0
-        self.num_records = _count_records(self.path, schema)
+        self.num_records = (
+            _count_records(self.path, schema) if num_records is None else num_records
+        )
 
     def __len__(self) -> int:
         return self.num_records
@@ -168,8 +164,9 @@ class BinaryInputFormat(InputFormat):
         """In-memory size of this view's records (matches ``Dataset.nbytes``)."""
         return self.num_records * self.schema.itemsize
 
-    def slice_view(self, start: int, length: int) -> "BinaryInputFormat":
-        """A narrower view of rows ``[start, start + length)`` of this view."""
+    def slice_view(self, start: int, length: int) -> "InputFileView":
+        """A narrower view of rows ``[start, start + length)`` of this view
+        (a copy sharing everything but the row range)."""
         if start < 0 or length < 0 or start + length > self.num_records:
             raise FormatError(
                 f"slice [{start}, {start + length}) outside view of "
@@ -180,55 +177,39 @@ class BinaryInputFormat(InputFormat):
         view.num_records = length
         return view
 
-    def indexed_rows(self) -> tuple[np.ndarray, None]:
+    def _byte_offset(self, record: int) -> int:
+        """Where record ``record`` of a binary file starts."""
+        return self.schema.start_position + record * self.schema.itemsize
+
+    def indexed_rows(self) -> Optional[tuple[np.ndarray, None]]:
         """This view's records as a read-only mapping, fetched by row id
-        (the input of a narrow sort — see :mod:`repro.ops.sort`)."""
+        (the input of a narrow sort -- see :mod:`repro.ops.sort`)."""
         return map_records(
-            self.path,
-            self.schema.start_position + self.first_record * self.schema.itemsize,
-            self.num_records,
+            self.path, self._byte_offset(self.first_record), self.num_records,
             self.schema.dtype,
         ), None
 
+    def read_rows(self, start: int, length: int) -> np.ndarray:
+        """Rows ``[start, start + length)`` of this view as a structured array."""
+        if length <= 0:
+            return np.empty(0, dtype=self.schema.dtype)
+        if start < 0 or start + length > self.num_records:
+            raise FormatError(
+                f"rows [{start}, {start + length}) outside view of "
+                f"{self.num_records} records"
+            )
+        return self._read_records(self.first_record + start, length)
+
+    def _read_records(self, first: int, count: int) -> np.ndarray:
+        """Records ``[first, first + count)`` of the file, in one read."""
+        return read_records(self.path, self._byte_offset(first), count, self.schema.dtype)
+
     def materialize(self) -> Any:
-        """This view's records as one in-memory dataset: a single
-        :func:`read_records` of its own byte range."""
+        """This view's records as one in-memory dataset: a single read of
+        its own row range."""
         from repro.core.dataset import Dataset  # core.dataset imports this package
 
-        (whole,) = self.get_splits(1)
-        return Dataset(schema=self.schema, records=self.read_split(whole))
-
-    def get_splits(self, num_splits: int) -> list[InputSplit]:
-        """Record-aligned byte ranges, one per mapper."""
-        if num_splits < 1:
-            raise FormatError(f"num_splits must be >= 1, got {num_splits!r}")
-        base, extra = divmod(self.num_records, num_splits)
-        splits = []
-        record_start = self.first_record
-        for i in range(num_splits):
-            count = base + (1 if i < extra else 0)
-            splits.append(
-                InputSplit(
-                    source=self.path,
-                    start=self.schema.start_position + record_start * self.schema.itemsize,
-                    length=count * self.schema.itemsize,
-                )
-            )
-            record_start += count
-        return splits
-
-    def get_record_reader(self, split: InputSplit) -> RecordReader:
-        return _BinaryRecordReader(self.read_split(split))
-
-    def read_split(self, split: InputSplit) -> np.ndarray:
-        """The whole split as one structured array (the vectorized path)."""
-        if split.length % self.schema.itemsize != 0:
-            raise FormatError(
-                f"split length {split.length} not aligned to record size {self.schema.itemsize}"
-            )
-        return read_records(
-            self.path, split.start, split.length // self.schema.itemsize, self.schema.dtype
-        )
+        return Dataset(schema=self.schema, records=self.read_rows(0, self.num_records))
 
 
 def partition_paths(output_path: PathLike, num_partitions: int) -> list[str]:

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.records import RecordSchema
-from repro.mapreduce.hadoop import InputFormat, InputSplit, RecordReader
 
 PathLike = Union[str, os.PathLike]
 
@@ -106,6 +105,22 @@ def iter_text_lines(
         yield tail.decode("utf-8")
 
 
+def is_blank_line(line: str) -> bool:
+    """Whether a line holds no record: nothing but what ``str.strip`` removes
+    (ASCII and Unicode whitespace, the C0 separators ``\\x1c``-``\\x1f``).
+    Every reader of a text file skips exactly these lines, and the chunked
+    view's offset scan counts exactly the others."""
+    return not line.strip()
+
+
+#: what one byte says of the line that holds it: 0 blank if every byte is
+#: (an ASCII byte :func:`is_blank_line` strips), 2 a record, 1 undecided (a
+#: byte of a multi-byte character: the decoded line decides)
+LINE_BYTE_KIND = np.array(
+    [0 if is_blank_line(chr(b)) else 2 for b in range(128)] + [1] * 128, dtype=np.uint8
+)
+
+
 def iter_text_records(
     path: PathLike,
     schema: RecordSchema,
@@ -115,7 +130,7 @@ def iter_text_records(
     if schema.input_format != "text":
         raise FormatError(f"schema {schema.id!r} is not a text schema")
     for line in iter_text_lines(path, buffer_size=buffer_size):
-        if line.strip():
+        if not is_blank_line(line):
             yield parse_line(line, schema)
 
 
@@ -399,44 +414,3 @@ def write_text_array(path: PathLike, records: np.ndarray, schema: RecordSchema) 
         data = "".join(format_line(tuple(r), schema) for r in records).encode()
     with open(path, "wb") as fh:
         fh.write(data)
-
-
-class _TextRecordReader(RecordReader):
-    def __init__(self, rows: list[tuple[Any, ...]]) -> None:
-        self.rows = rows
-
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        return iter(self.rows)
-
-
-class TextInputFormat(InputFormat):
-    """Hadoop-style reader over a delimited text file.
-
-    Splits are in units of records (lines); like Hadoop's ``TextInputFormat``
-    the reader never hands half a line to a mapper.
-    """
-
-    def __init__(self, path: PathLike, schema: RecordSchema) -> None:
-        if schema.input_format != "text":
-            raise FormatError(f"schema {schema.id!r} is not a text schema")
-        self.path = os.fspath(path)
-        self.schema = schema
-        self._rows = read_text(self.path, schema)
-
-    @property
-    def num_records(self) -> int:
-        return len(self._rows)
-
-    def get_splits(self, num_splits: int) -> list[InputSplit]:
-        if num_splits < 1:
-            raise FormatError(f"num_splits must be >= 1, got {num_splits!r}")
-        base, extra = divmod(self.num_records, num_splits)
-        splits, start = [], 0
-        for i in range(num_splits):
-            length = base + (1 if i < extra else 0)
-            splits.append(InputSplit(source=self.path, start=start, length=length))
-            start += length
-        return splits
-
-    def get_record_reader(self, split: InputSplit) -> RecordReader:
-        return _TextRecordReader(self._rows[split.start : split.start + split.length])

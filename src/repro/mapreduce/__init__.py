@@ -4,8 +4,7 @@ The paper maps PaPar onto three backends: Hadoop, MR-MPI (Plimpton &
 Devine's C++ MapReduce-on-MPI library) and raw MPI.  The MR-MPI mapping is
 ``backend="mapreduce"`` (:class:`repro.core.mr_runtime.MapReduceRuntime`):
 each operator is one map → shuffle → reduce job over the SPMD executor's
-rank program.  This package holds the kernels that program calls and the
-Hadoop input interface:
+rank program.  This package holds the kernels that program calls:
 
 * :mod:`~repro.mapreduce.columnar` — :class:`KVBatch`, :func:`bucketize`
   and :func:`group`, the local kernels of every exchange (and, re-exported,
@@ -15,13 +14,12 @@ Hadoop input interface:
 * :mod:`~repro.mapreduce.sampling` — the data-sampling machinery from
   Section III-D (per-node samples approximating the global key distribution
   to derive balanced reducer ranges).
-* :mod:`~repro.mapreduce.hadoop` — the Hadoop ``InputFormat`` interface
-  (``get_splits`` / ``get_record_reader``, Section III-A) that the file
-  formats of :mod:`repro.formats` implement.
 
-The single-process Hadoop job runner, the speculative scheduler and the
-reducer rebalancer are benchmark ablations (``benchmarks/_hadoop.py``,
-``_speculative.py``, ``_rebalance.py``).
+The Hadoop mapping — its ``InputFormat`` interface (Section III-A), the
+single-process job runner — the speculative scheduler and the reducer
+rebalancer are benchmark ablations (``benchmarks/_hadoop.py``,
+``_speculative.py``, ``_rebalance.py``); a run reads its input through the
+configured schema instead (:mod:`repro.formats`).
 """
 
 from repro._lazy import lazy_exports

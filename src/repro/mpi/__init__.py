@@ -3,10 +3,11 @@
 The paper maps PaPar workflows onto MPI (MVAPICH2) and MR-MPI.  Neither is
 installable here, so this package provides the mpi4py-shaped subset the
 SPMD executors program against: the collectives ``alltoall``,
-``allgather``, ``allreduce``, ``exscan`` and ``reduce`` for generic Python
-objects, and the buffer-based ``Allreduce``/``Allgatherv``/``Alltoallv`` for
-numpy arrays — the "fast path" mirroring the mpi4py tutorial idiom — plus
-the point-to-point and rank-0-rooted collectives they are built from.
+``allgather``, ``allreduce`` and ``exscan`` for generic Python objects,
+plus the point-to-point and rank-0-rooted collectives they are built from.
+The buffer-based ``Allreduce``/``Alltoallv`` for numpy arrays — the "fast
+path" mirroring the mpi4py tutorial idiom — serve the collective
+benchmarks.
 
 Each rank runs as one OS thread; messages move through an in-process
 :class:`~repro.mpi.fabric.Fabric`.  Every rank tallies the bytes and

@@ -1,9 +1,11 @@
 """The communicator: the collectives the rank programs call.
 
 The SPMD executors exchange through ``alltoall``, ``allgather``,
-``allreduce``, ``exscan``, ``reduce``, ``Allreduce`` and ``Allgatherv``;
-those are built from the point-to-point methods and the rank-0-rooted
-``bcast``/``gather``/``scan``/``Bcast``/``Reduce`` below.  Lowercase methods
+``allreduce`` and ``exscan``; those are built from the point-to-point
+methods and the rank-0-rooted ``bcast``/``reduce``/``gather``/``scan``
+below.  The buffer collectives ``Allreduce`` and ``Alltoallv`` (with the
+``Bcast``/``Reduce`` the first is built from) serve the collective
+benchmarks.  Lowercase methods
 communicate arbitrary pickled Python objects; capitalized methods move numpy
 buffers without pickling (the "fast path" of the mpi4py tutorial).
 
@@ -318,24 +320,6 @@ class Communicator:
         reduced = self.Reduce(buf, op)
         out = reduced if self.rank == 0 else np.empty_like(np.asarray(buf))
         return self.Bcast(out)
-
-    def Allgatherv(self, sendbuf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather variable-length numpy buffers from all ranks to all ranks.
-
-        Returns ``(recvbuf, counts)`` with rank ``i``'s data at offset
-        ``sum(counts[:i])``.
-        """
-        sendbuf = np.ascontiguousarray(sendbuf)
-        counts = np.array(self.allgather(len(sendbuf)), dtype=np.int64)
-        chunks: list[Optional[np.ndarray]] = [None] * self.size
-        chunks[self.rank] = sendbuf
-        for shift in range(1, self.size):
-            dest = (self.rank + shift) % self.size
-            src = (self.rank - shift) % self.size
-            self.Send(sendbuf, dest=dest, tag=_TAG_BUFFER)
-            msg = self._collect(src, _TAG_BUFFER, serialized=False)
-            chunks[src] = self._fabric.decode_buffer(msg.payload)
-        return np.concatenate(chunks), counts
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Communicator(rank={self.rank}, size={self.size})"

@@ -1,10 +1,13 @@
 """Memory-bounded chunked views over the on-disk input formats.
 
 A :class:`ChunkedDataset` stands in for a fully-materialized
-:class:`~repro.core.dataset.Dataset` at the head of a workflow: it knows
-its schema, record count and byte size up front (so planning, block
-decomposition and checkpoint fingerprints work unchanged) but reads
-records in budget-sized chunks on demand instead of loading the file.
+:class:`~repro.core.dataset.Dataset` at the head of a workflow: it is the
+row-range view of the input file every run reads through
+(:class:`~repro.formats.binary.InputFileView`), so it knows its schema,
+record count and byte size up front (planning, block decomposition and
+checkpoint fingerprints work unchanged), plus what a memory budget needs:
+it reads records in budget-sized chunks on demand instead of loading the
+file.
 
 Random access works for both input formats:
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.errors import FormatError
-from repro.formats.binary import _count_records, map_records, read_records
+from repro.formats.binary import InputFileView
 from repro.formats.records import RecordSchema
 from repro.ooc.budget import MemoryBudget
 
@@ -36,19 +39,18 @@ PathLike = Union[str, os.PathLike]
 _TEXT_BUFFER = 1 << 16
 
 
-#: False at the bytes ``bytes.strip`` removes: a line of nothing else is blank
-_NOT_BLANK = np.ones(256, dtype=bool)
-_NOT_BLANK[list(b" \t\n\r\x0b\x0c")] = False
-
-
 def _scan_text_offsets(path: PathLike, stride: int) -> tuple[np.ndarray, int]:
     """One streaming pass: record count + byte offset of every stride-th record.
 
-    Blank lines are skipped exactly as :func:`repro.formats.text.read_text`
-    skips them, so record indexes agree with the materialized dataset.  Each
-    buffer is scanned with a fixed number of numpy calls; the unterminated
-    tail of a buffer is carried into the next one.
+    A line is a record unless :func:`~repro.formats.text.is_blank_line`
+    says it is blank, the test every text reader skips lines by, so record
+    indexes agree with the materialized dataset.  Each buffer is scanned
+    with a fixed number of numpy calls (a line holding a non-ASCII byte and
+    nothing else but blanks is decoded to decide); the unterminated tail of
+    a buffer is carried into the next one.
     """
+    from repro.formats.text import LINE_BYTE_KIND, is_blank_line
+
     offsets: list[np.ndarray] = []
     num_records = 0
     file_pos = 0  # byte offset of the first unconsumed byte
@@ -67,12 +69,17 @@ def _scan_text_offsets(path: PathLike, stride: int) -> tuple[np.ndarray, int]:
             consumed = int(ends[-1]) + 1
             starts = np.concatenate(([0], ends[:-1] + 1))
             # every line here holds at least its newline, so no segment is empty
-            records = starts[np.logical_or.reduceat(_NOT_BLANK[data[:consumed]], starts)]
+            kind = np.maximum.reduceat(LINE_BYTE_KIND[data[:consumed]], starts)
+            is_record = kind == 2
+            for line in np.flatnonzero(kind == 1):
+                text = buf[starts[line] : ends[line]].decode("utf-8", "replace")
+                is_record[line] = not is_blank_line(text)
+            records = starts[is_record]
             offsets.append(file_pos + records[-num_records % stride :: stride])
             num_records += len(records)
             file_pos += consumed
             tail = buf[consumed:]
-    if tail.strip():
+    if not is_blank_line(tail.decode("utf-8", "replace")):
         if num_records % stride == 0:
             offsets.append(np.array([file_pos]))
         num_records += 1
@@ -81,141 +88,58 @@ def _scan_text_offsets(path: PathLike, stride: int) -> tuple[np.ndarray, int]:
     return np.concatenate(offsets).astype(np.int64, copy=False), num_records
 
 
-class ChunkedDataset:
-    """A row-range view over an on-disk record file, read chunk at a time.
+class ChunkedDataset(InputFileView):
+    """The input file's row-range view, read a budget-sized chunk at a time.
 
-    Views are cheap: :meth:`slice_view` shares the file handle-free state
-    (path, schema, text index) and narrows ``start``/``num_records``, which
-    is how the block decomposition hands each simulated rank its slice
-    without any rank ever materializing the whole input.
+    Views are cheap: :meth:`slice_view` copies the view — path, schema,
+    chunk size and text index shared — and narrows its row range, which is
+    how the block decomposition hands each rank its slice without any rank
+    ever materializing the whole input.
     """
 
-    def __init__(
-        self,
-        path: PathLike,
-        schema: RecordSchema,
-        budget: MemoryBudget,
-        *,
-        start: int = 0,
-        num_records: Optional[int] = None,
-        _text_index: Optional[np.ndarray] = None,
-        _text_stride: int = 0,
-        _total_records: Optional[int] = None,
-    ) -> None:
-        self.path = os.fspath(path)
-        self.schema = schema
-        self.budget = budget
+    def __init__(self, path: PathLike, schema: RecordSchema, budget: MemoryBudget) -> None:
         self.chunk_records = budget.chunk_records(schema.itemsize)
-        self.start = start
-        if schema.input_format == "binary":
-            if _total_records is None:
-                _total_records = _count_records(self.path, schema)
-            self._text_index = None
-            self._text_stride = 0
-        elif schema.input_format == "text":
-            if _text_index is None:
-                _text_stride = max(1, self.chunk_records)
-                _text_index, _total_records = _scan_text_offsets(
-                    self.path, _text_stride
-                )
-            self._text_index = _text_index
-            self._text_stride = _text_stride
-        else:
-            raise FormatError(
-                f"schema {schema.id!r} has unsupported input format "
-                f"{schema.input_format!r} for chunked reading"
-            )
-        self._total_records = _total_records
-        self.num_records = (
-            _total_records - start if num_records is None else num_records
-        )
-        if self.start < 0 or self.start + self.num_records > _total_records:
-            raise FormatError(
-                f"row range [{start}, {start + self.num_records}) outside "
-                f"file of {_total_records} records"
-            )
-
-    # -- Dataset-compatible introspection -----------------------------------
-
-    def __len__(self) -> int:
-        return self.num_records
-
-    @property
-    def nbytes(self) -> int:
-        """In-memory structured size of this view (matches ``Dataset.nbytes``)."""
-        return self.num_records * self.schema.itemsize
-
-    @property
-    def is_packed(self) -> bool:
-        """Chunked views are always flat record streams."""
-        return False
+        #: byte offset of every ``chunk_records``-th record of a text file
+        self._text_index: Optional[np.ndarray] = None
+        num_records = None  # a binary file counts its own records
+        if schema.input_format == "text":
+            self._text_index, num_records = _scan_text_offsets(path, self.chunk_records)
+        super().__init__(path, schema, num_records)
 
     # -- range access --------------------------------------------------------
 
-    def slice_view(self, start: int, length: int) -> "ChunkedDataset":
-        """A narrower view of rows ``[start, start+length)`` of this view."""
-        if start < 0 or length < 0 or start + length > self.num_records:
-            raise FormatError(
-                f"slice [{start}, {start + length}) outside view of "
-                f"{self.num_records} records"
-            )
-        return ChunkedDataset(
-            self.path,
-            self.schema,
-            self.budget,
-            start=self.start + start,
-            num_records=length,
-            _text_index=self._text_index,
-            _text_stride=self._text_stride,
-            _total_records=self._total_records,
-        )
-
-    def read_rows(self, start: int, length: int) -> np.ndarray:
-        """Rows ``[start, start+length)`` of this view as a structured array."""
-        if length <= 0:
-            return np.empty(0, dtype=self.schema.dtype)
-        if start < 0 or start + length > self.num_records:
-            raise FormatError(
-                f"rows [{start}, {start + length}) outside view of "
-                f"{self.num_records} records"
-            )
-        abs_start = self.start + start
-        if self.schema.input_format == "binary":
-            return read_records(
-                self.path,
-                self.schema.start_position + abs_start * self.schema.itemsize,
-                length,
-                self.schema.dtype,
-            )
-        return self._read_text_rows(abs_start, length)
-
-    def _read_text_rows(self, abs_start: int, length: int) -> np.ndarray:
+    def _read_records(self, first: int, count: int) -> np.ndarray:
+        """Records ``[first, first + count)`` of the file: a text file's are
+        parsed forward from the indexed record at or before ``first``."""
+        if self._text_index is None:
+            return super()._read_records(first, count)
         from repro.formats.text import (
-            decode_text_block, iter_text_lines, parse_line, takes_bulk_codec,
+            decode_text_block, is_blank_line, iter_text_lines, parse_line,
+            takes_bulk_codec,
         )
 
-        block, skip = divmod(abs_start, self._text_stride)
+        block, skip = divmod(first, self.chunk_records)
         offset = int(self._text_index[block]) if len(self._text_index) else 0
         lines: list[str] = []
         for line in iter_text_lines(self.path, _TEXT_BUFFER, offset=offset):
-            if not line.strip():
+            if is_blank_line(line):
                 continue
             if skip:
                 skip -= 1
                 continue
             lines.append(line)
-            if len(lines) == length:
+            if len(lines) == count:
                 break
-        if len(lines) != length:
+        if len(lines) != count:
             raise FormatError(
-                f"{self.path}: expected {length} records from row {abs_start}, "
+                f"{self.path}: expected {count} records from row {first}, "
                 f"found {len(lines)}"
             )
         if takes_bulk_codec(self.schema):
             # the range in one call; anything it does not take (and every
             # error message) is the per-line parser's, as in read_text_array
             records = decode_text_block("".join(lines).encode(), self.schema)
-            if records is not None and len(records) == length:
+            if records is not None and len(records) == count:
                 return records
         return self.schema.to_structured([parse_line(line, self.schema) for line in lines])
 
@@ -223,13 +147,9 @@ class ChunkedDataset:
         """A binary view's records as a read-only mapping, fetched by row id
         (a narrow sort's input); ``None`` for text, whose rows sit at no
         computable offset."""
-        if self.schema.input_format != "binary":
+        if self._text_index is not None:
             return None
-        itemsize = self.schema.itemsize
-        return map_records(
-            self.path, self.schema.start_position + self.start * itemsize,
-            self.num_records, self.schema.dtype,
-        ), None
+        return super().indexed_rows()
 
     def chunks(self) -> Iterator[Dataset]:
         """Budget-sized flat datasets covering this view in row order."""
@@ -241,12 +161,6 @@ class ChunkedDataset:
             )
             pos += length
 
-    def materialize(self) -> Dataset:
-        """The whole view as one in-memory dataset (fallback paths only)."""
-        return Dataset(
-            schema=self.schema, records=self.read_rows(0, self.num_records)
-        )
-
     def column(self, name: str) -> np.ndarray:
         """A full field column (used by sampling; one column, not the records)."""
         parts = [chunk.records[name] for chunk in self.chunks()]
@@ -256,9 +170,8 @@ class ChunkedDataset:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"ChunkedDataset({self.schema.id!r}, rows [{self.start}, "
-            f"{self.start + self.num_records}) of {self._total_records}, "
-            f"chunk={self.chunk_records})"
+            f"ChunkedDataset({self.schema.id!r}, rows [{self.first_record}, "
+            f"{self.first_record + self.num_records}), chunk={self.chunk_records})"
         )
 
 

@@ -211,11 +211,6 @@ class ExternalSorter:
         order = stable_order(keys)
         self._write_run(keys[order], values[order])
 
-    def add_sorted_chunk(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Write an already-sorted chunk as a run (no local sort)."""
-        if len(values):
-            self._write_run(keys, values)
-
     def _write_run(self, keys: np.ndarray, values: np.ndarray) -> None:
         writer = RunWriter(
             self.ctx.new_run_path("sort"),

@@ -55,8 +55,3 @@ class Group(BasicOperator):
         if self.output_format == "orig" and not data.is_packed:
             out = out.to_flat()
         return out
-
-    @property
-    def added_attrs(self) -> list[str]:
-        """Attribute names the add-ons introduce (for ``$group.$attr`` refs)."""
-        return [attr for _, attr, _ in self.addons]

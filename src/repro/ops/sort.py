@@ -65,13 +65,6 @@ class Sort(BasicOperator):
         self.addon_attr = addon_attr
         self.addon_field = addon_field
 
-    @classmethod
-    def from_flag(cls, key: str, flag: int = ASCENDING, **kwargs) -> "Sort":
-        """Table I calling convention: ``flag`` -1 ascending / 1 descending."""
-        if flag not in (ASCENDING, DESCENDING):
-            raise OperatorError(f"sort flag must be -1 or 1, got {flag!r}")
-        return cls(key, ascending=(flag == ASCENDING), **kwargs)
-
     def sort_indices(self, keys: np.ndarray) -> np.ndarray:
         """Stable order of entries by key (descending keeps ties stable too)."""
         from repro.order import sort_key_array, stable_order

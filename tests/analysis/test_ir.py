@@ -73,7 +73,6 @@ class TestNodes:
             "split": None,
             "distr": "position",
         }
-        assert [n.op_id for n in ir.exchange_nodes()] == ["group", "distr"]
         assert EXCHANGE_KINDS["sort"] == "range"
 
     def test_params_resolved_through_env(self):
@@ -94,7 +93,7 @@ class TestNodes:
         assert sort.line == 7
         assert sort.input_line == 8
         assert sort.output_line == 9
-        assert sort.param_line("key") == 10
+        assert sort.op.param("key").line == 10
 
     def test_default_output_path(self):
         xml = CHAIN.replace('<param name="outputPath" value="/tmp/sorted"/>', "")

@@ -111,12 +111,6 @@ class TestClusterModel:
         cluster = ClusterModel(num_nodes=2, ranks_per_node=2, network=INFINIBAND_QDR)
         assert cluster.transfer_time(1 << 20, 0, 1) < cluster.transfer_time(1 << 20, 0, 2)
 
-    def test_with_nodes_scaling(self):
-        base = ClusterModel(num_nodes=16)
-        small = base.with_nodes(4)
-        assert small.size == 8
-        assert small.network is base.network
-
     def test_oversubscription_rejected(self):
         with pytest.raises(ClusterError):
             ClusterModel(num_nodes=1, ranks_per_node=4, threads_per_rank=8)

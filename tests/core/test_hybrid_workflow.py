@@ -49,7 +49,7 @@ class TestPlan:
         group, split, distr = plan.jobs
         assert group.operator.key == "vertex_b"
         assert group.operator.output_format == "pack"
-        assert group.operator.added_attrs == ["indegree"]
+        assert [attr for _, attr, _ in group.operator.addons] == ["indegree"]
         # split consumes the group output and routes on the added attribute
         assert split.source == "group"
         assert split.operator.key == "indegree"

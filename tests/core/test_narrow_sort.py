@@ -31,7 +31,7 @@ from repro.core.physical import Physical
 from repro.core.planner import PlannedJob, Planner
 from repro.core.runtime import OneRank, SerialRuntime
 from repro.formats import BLAST_INDEX_SCHEMA, write_binary
-from repro.formats.binary import BinaryInputFormat, PartWriter
+from repro.formats.binary import InputFileView, PartWriter
 from repro.ooc.budget import MemoryBudget
 from repro.ooc.extsort import SortedRuns, external_sort_rows
 from repro.ooc.spill import OOCContext
@@ -308,7 +308,7 @@ class TestWhatMoves:
 
     def test_a_file_view_is_sorted_through_a_read_only_mapping(self, tmp_path):
         path = blast_index(tmp_path / "db.index", 300)
-        view = Sort("seq_size").apply_local(BinaryInputFormat(path, BLAST_INDEX_SCHEMA))
+        view = Sort("seq_size").apply_local(InputFileView(path, BLAST_INDEX_SCHEMA))
         rows, ids = view._pending
         assert isinstance(rows, np.memmap) and not rows.flags.writeable
         assert ids.dtype == np.uint16

@@ -1,4 +1,4 @@
-"""Binary and text file readers/writers + Hadoop InputFormat contract."""
+"""Binary and text file readers/writers and the input-file view."""
 
 import os
 
@@ -9,10 +9,9 @@ from repro.errors import FormatError
 from repro.formats import (
     BLAST_INDEX_SCHEMA,
     EDGE_LIST_SCHEMA,
-    BinaryInputFormat,
     Field,
+    InputFileView,
     RecordSchema,
-    TextInputFormat,
     read_binary,
     read_text,
     read_text_array,
@@ -21,7 +20,6 @@ from repro.formats import (
     write_text,
 )
 from repro.formats.text import format_line, parse_line
-from repro.mapreduce.hadoop import InputSplit
 
 
 @pytest.fixture
@@ -98,41 +96,45 @@ class TestBinaryRoundtrip:
             read_binary(blast_file, BLAST_INDEX_SCHEMA)
 
 
-class TestBinaryInputFormat:
-    def test_record_aligned_splits(self, blast_file):
-        fmt = BinaryInputFormat(blast_file, BLAST_INDEX_SCHEMA)
-        assert fmt.num_records == 12
-        splits = fmt.get_splits(3)
-        assert all(s.length % 16 == 0 for s in splits)
-        assert splits[0].start == 32
-        assert sum(s.length for s in splits) == 12 * 16
+class TestInputFileView:
+    def test_counts_the_files_records(self, blast_file, tmp_path):
+        view = InputFileView(blast_file, BLAST_INDEX_SCHEMA)
+        assert len(view) == view.num_records == 12
+        assert view.nbytes == 12 * 16 and not view.is_packed
+        (tmp_path / "edges.txt").write_text("1\t2\n")
+        with pytest.raises(FormatError, match="not a binary schema"):
+            InputFileView(tmp_path / "edges.txt", EDGE_LIST_SCHEMA)
 
-    def test_splits_cover_all_records(self, blast_file, blast_rows):
-        fmt = BinaryInputFormat(blast_file, BLAST_INDEX_SCHEMA)
-        splits = fmt.get_splits(5)
-        assert len(splits) == 5
-        seen = [tuple(r) for split in splits for r in fmt.get_record_reader(split)]
+    def test_slices_cover_all_records(self, blast_file, blast_rows):
+        view = InputFileView(blast_file, BLAST_INDEX_SCHEMA)
+        bounds = [0, 3, 6, 8, 10, 12]
+        slices = [view.slice_view(a, b - a) for a, b in zip(bounds, bounds[1:])]
+        assert [len(s) for s in slices] == [3, 3, 2, 2, 2]
+        seen = [tuple(r) for s in slices for r in s.materialize().records]
         assert seen == blast_rows
+        # nested views compose offsets; the parent is left as it was
+        assert slices[1].slice_view(1, 2).read_rows(0, 2).tolist() == blast_rows[4:6]
+        assert len(view) == 12
+        with pytest.raises(FormatError, match="outside view"):
+            slices[4].slice_view(1, 2)
 
-    def test_uneven_split_counts(self, blast_file):
-        fmt = BinaryInputFormat(blast_file, BLAST_INDEX_SCHEMA)
-        lengths = [s.length // 16 for s in fmt.get_splits(5)]
-        assert lengths == [3, 3, 2, 2, 2]
+    def test_read_rows_reads_one_range(self, blast_file, blast_rows):
+        view = InputFileView(blast_file, BLAST_INDEX_SCHEMA)
+        assert view.read_rows(6, 6).tolist() == blast_rows[6:]
+        assert len(view.read_rows(3, 0)) == 0
+        with pytest.raises(FormatError, match="outside view"):
+            view.read_rows(8, 5)
+        rows, _ = view.slice_view(2, 4).indexed_rows()
+        assert isinstance(rows, np.memmap) and not rows.flags.writeable
+        assert rows.tolist() == blast_rows[2:6]
 
-    def test_vectorized_read_split(self, blast_file, blast_rows):
-        fmt = BinaryInputFormat(blast_file, BLAST_INDEX_SCHEMA)
-        split = fmt.get_splits(2)[1]
-        arr = fmt.read_split(split)
-        assert arr.tolist() == blast_rows[6:]
-
-    def test_split_past_the_end_of_the_file_is_a_short_read(self, blast_file):
-        fmt = BinaryInputFormat(blast_file, BLAST_INDEX_SCHEMA)
-        last = fmt.get_splits(2)[1]
-        beyond = InputSplit(source=last.source, start=last.start + 16, length=last.length)
+    def test_a_file_cut_under_the_view_is_a_short_read(self, blast_file):
+        view = InputFileView(blast_file, BLAST_INDEX_SCHEMA)
+        os.truncate(blast_file, os.path.getsize(blast_file) - 16)
         with pytest.raises(FormatError, match="expected 6 records.*found 5"):
-            fmt.read_split(beyond)
-        with pytest.raises(FormatError, match="aligned"):
-            fmt.read_split(InputSplit(source=last.source, start=last.start, length=17))
+            view.slice_view(6, 6).materialize()
+        with pytest.raises(FormatError, match="expected 6 records.*found 5"):
+            view.slice_view(6, 6).indexed_rows()
 
 
 class TestWritePartitions:
@@ -190,19 +192,7 @@ class TestTextRoundtrip:
         path.write_text("1\t2\n\n3\t4\n")
         assert read_text(path, EDGE_LIST_SCHEMA) == [(1, 2), (3, 4)]
 
-
-class TestTextInputFormat:
-    def test_splits(self, tmp_path):
-        path = tmp_path / "edges.txt"
-        write_text(path, EDGES, EDGE_LIST_SCHEMA)
-        fmt = TextInputFormat(path, EDGE_LIST_SCHEMA)
-        assert fmt.num_records == 4
-        splits = fmt.get_splits(3)
-        assert len(splits) == 3
-        seen = [r for split in splits for r in fmt.get_record_reader(split)]
-        assert seen == EDGES
-
     def test_binary_schema_rejected(self, tmp_path):
         (tmp_path / "x").write_text("")
-        with pytest.raises(FormatError):
-            TextInputFormat(tmp_path / "x", BLAST_INDEX_SCHEMA)
+        with pytest.raises(FormatError, match="not a text schema"):
+            read_text(tmp_path / "x", BLAST_INDEX_SCHEMA)

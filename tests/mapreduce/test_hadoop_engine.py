@@ -12,11 +12,10 @@ import pytest
 
 from repro.errors import MapReduceError
 from repro.mapreduce import ExplicitPartitioner, HashPartitioner, RangePartitioner
-from repro.mapreduce.hadoop import InputSplit
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 try:
-    from _hadoop import HadoopCluster, ListInputFormat, identity_reduce
+    from _hadoop import HadoopCluster, InputSplit, ListInputFormat, identity_reduce
     from apps.blast import mublastp_partition
 finally:
     sys.path.pop(0)

@@ -52,33 +52,6 @@ def test_Reduce_does_not_mutate_input():
         np.testing.assert_array_equal(buf, np.full(5, rank + 1))
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_Allgatherv(size):
-    def prog(comm):
-        local = np.full(comm.rank + 1, comm.rank, dtype=np.int64)
-        recvbuf, counts = comm.Allgatherv(local)
-        return recvbuf, counts
-
-    run = run_mpi(prog, size)
-    expected = np.concatenate([np.full(r + 1, r, dtype=np.int64) for r in range(size)])
-    for recvbuf, counts in run.results:
-        np.testing.assert_array_equal(recvbuf, expected)
-        np.testing.assert_array_equal(counts, np.arange(1, size + 1))
-
-
-def test_Allgatherv_with_empty_contribution():
-    def prog(comm):
-        n = 0 if comm.rank == 1 else 3
-        local = np.full(n, comm.rank, dtype=np.int64)
-        recvbuf, counts = comm.Allgatherv(local)
-        return recvbuf, counts
-
-    run = run_mpi(prog, 3)
-    for recvbuf, counts in run.results:
-        assert counts.tolist() == [3, 0, 3]
-        np.testing.assert_array_equal(recvbuf, [0, 0, 0, 2, 2, 2])
-
-
 def test_buffer_collectives_charge_virtual_time():
     """Buffer collectives are tallied like the object path, and priced."""
     from repro.cluster import ClusterModel, INFINIBAND_QDR, price

@@ -118,8 +118,8 @@ class TestMergeRunFrames:
         a = make_records(30, seed=7, key_range=5)
         b = make_records(30, seed=8, key_range=5)
         b["payload"] += 1000  # distinguish origin
-        sorter.add_sorted_chunk(*_sorted(a))
-        sorter.add_sorted_chunk(*_sorted(b))
+        sorter.add_chunk(*_sorted(a))
+        sorter.add_chunk(*_sorted(b))
         merged = np.concatenate(
             [f.values for f in merge_run_frames(sorter.runs, 16)]
         )

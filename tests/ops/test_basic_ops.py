@@ -9,7 +9,6 @@ from repro.core.dataset import Dataset
 from repro.errors import OperatorError
 from repro.formats import BLAST_INDEX_SCHEMA, EDGE_LIST_SCHEMA
 from repro.ops import Count, Distribute, Group, Sort, Split
-from repro.ops.sort import ASCENDING, DESCENDING
 from repro.policies import SplitPolicy
 from tests.integration._oracle import deal_matrix
 
@@ -49,12 +48,6 @@ class TestSort:
         rows = [(0, 94, 0, 1), (10, 94, 1, 2), (20, 51, 2, 3)]
         out = Sort("seq_size", ascending=False).apply_local(blast_ds(rows))
         assert out.rows() == [(0, 94, 0, 1), (10, 94, 1, 2), (20, 51, 2, 3)]
-
-    def test_from_flag_table1(self):
-        assert Sort.from_flag("k", ASCENDING).ascending is True
-        assert Sort.from_flag("k", DESCENDING).ascending is False
-        with pytest.raises(OperatorError):
-            Sort.from_flag("k", 0)
 
     def test_missing_key(self):
         with pytest.raises(OperatorError, match="key"):
@@ -101,10 +94,6 @@ class TestGroup:
         assert sorted(groups[1]["vertex_a"].tolist()) == [2, 3, 4, 5]
         assert groups[2]["indegree"].tolist() == [2, 2]
         assert groups[6]["indegree"].tolist() == [1]
-
-    def test_added_attrs_listed(self):
-        op = Group("vertex_b", addons=[(Count(), "indegree", None)])
-        assert op.added_attrs == ["indegree"]
 
     def test_orig_output_unpacks(self):
         op = Group("vertex_b", addons=[(Count(), "indegree", None)], output_format="orig")

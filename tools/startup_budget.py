@@ -135,22 +135,25 @@ BUDGETS: dict[str, Budget] = {
                           seconds=1.0, numpy=False),
     "explain-blast": Budget(38, 5_900, _FRONT + _others("explain") + _UNNAMED_OPS,
                             seconds=1.0, numpy=False),
-    "run-blast": Budget(42, 7_900, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
+    # a serial run exchanges nothing and reads its input through the
+    # configured schema, so it loads no repro.mapreduce module at all
+    "run-blast": Budget(40, 7_800, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
                         + _ADVISORY_RULES + _FACADE + _others("run")
-                        + ("repro.ooc", "dataclasses"), seconds=1.5),
-    "run-hybrid": Budget(48, 8_500, _SPMD + _ENGINES + _ON_REQUEST + _ADVISORY_RULES
+                        + ("repro.ooc", "repro.mapreduce", "dataclasses"), seconds=1.5),
+    "run-hybrid": Budget(46, 8_400, _SPMD + _ENGINES + _ON_REQUEST + _ADVISORY_RULES
                          + _FACADE + _others("run")
-                         + ("repro.ooc", "repro.mapreduce.columnar", "dataclasses"),
+                         + ("repro.ooc", "repro.mapreduce", "dataclasses"),
                          seconds=1.5),
     # a budget that bounds the read and that the narrow sort fits: nothing spills
-    "run-budget": Budget(46, 8_500, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
+    "run-budget": Budget(44, 8_350, _SPMD + _ENGINES + _ON_REQUEST + _UNRUN + _UNNAMED_OPS
                          + _ADVISORY_RULES + _FACADE + _others("run")
-                         + ("repro.ooc.runfile", "repro.ooc.extsort", "dataclasses"),
+                         + ("repro.ooc.runfile", "repro.ooc.extsort", "repro.mapreduce",
+                            "dataclasses"),
                          seconds=1.5),
-    "run-process": Budget(52, 10_200, ("repro.fault",) + _ENGINES + _ON_REQUEST + _UNRUN
+    "run-process": Budget(50, 10_000, ("repro.fault",) + _ENGINES + _ON_REQUEST + _UNRUN
                           + _UNNAMED_OPS + _ADVISORY_RULES + _FACADE + _others("run")
                           + _UNUSED_BY_PROCESS + ("repro.ooc",), seconds=2.0),
-    "serve": Budget(59, 11_500, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
+    "serve": Budget(58, 11_400, ("repro.mpi", "repro.cluster", "repro.ooc.chunked",
                                  "repro.fault", "repro.serve.client")
                     + _ENGINES + _SPILL[1:] + _UNNAMED_OPS + _ADVISORY_RULES + _FACADE
                     + _others("serve"), seconds=2.0, exit=None),
